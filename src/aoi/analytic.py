@@ -3,14 +3,25 @@
 Dropping
     The age is  E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + E[S]
     where A_k is the partial sum of the first k-1 interarrival gaps of a
-    cycle and K is the number of arrivals the cycle consumes.  The infinite
-    sum and the moments of K are estimated by Monte Carlo over replicates
-    of the partial-sum walk: along each replicate path the service variable
-    is integrated out analytically through its ccdf, which keeps the
-    dependence between K and the gaps intact and removes one layer of
-    noise.  A replicate truncates once its running terms fall below
-    ``k_truncation_epsilon`` times the accumulated sums (the ccdf factor is
-    monotone along a path, so the criterion is stable).
+    cycle and K is the number of arrivals the cycle consumes.
+
+    For exponential service (rate mu) the renewal structure closes the
+    sum: with L(s) = E[exp(-s Y)] the Laplace transform of the
+    interarrival law, K is geometric with success probability
+    p = 1 - L(mu), and the age is
+    E[Y^2]/(2 E[Y]) + E[Y exp(-mu Y)] / p + 1/mu.  Every exponential-service
+    quantity (the age, the moments and the pmf of K) is built on that one
+    p; nothing is sampled.
+
+    For any other service law the infinite sum and the moments of K are
+    estimated by Monte Carlo over replicates of the partial-sum walk:
+    along each replicate path the service variable is integrated out
+    analytically through its ccdf, which keeps the dependence between K
+    and the gaps intact and removes one layer of noise.  A replicate
+    truncates once its running terms fall below ``k_truncation_epsilon``
+    times the accumulated sums (the ccdf factor is monotone along a path,
+    so the criterion is stable).  The walk also serves as the oracle that
+    tests hold the exponential-service forms against.
 
 Preemption
     K is geometric with success probability p = Pr(service <= next gap),
@@ -63,7 +74,6 @@ class EstimatorOptions:
     k_truncation_epsilon: float = 1e-8
     quadrature_rel_tol: float = 1e-9
     seed: int = 0
-    force_generic: bool = False  # skip closed-form fast paths (for testing)
 
     def __post_init__(self):
         if self.mc_samples < 10_000:
@@ -89,6 +99,15 @@ class WalkMoments:
     cov_sum_k: float      # covariance of the two sample means
     samples: int
 
+    def ratio(self) -> Moment:
+        """sum_term / E[K], the middle term of the dropping age, with its
+        delta-method standard error."""
+        ratio = self.sum_term.value / self.k_mean.value
+        var = (self.sum_term.stderr**2
+               - 2.0 * ratio * self.cov_sum_k
+               + ratio**2 * self.k_mean.stderr**2)
+        return Moment(ratio, math.sqrt(max(var, 0.0)) / self.k_mean.value)
+
 
 @dataclass(frozen=True)
 class KPmf:
@@ -106,6 +125,19 @@ def _require_valid_pair(interarrival: Distribution, service: Distribution):
         raise ValueError("interarrival law must have a finite second moment")
     if not math.isfinite(service.mean()):
         raise ValueError("service law must have a finite mean")
+
+
+def _geometric_p(interarrival: Distribution, service: Exponential) -> float:
+    """p = 1 - L(mu): the chance that the next gap outlasts an exponential
+    service, i.e. the success probability of the geometric cycle count K.
+
+    Raises :class:`TruncationNotReached` when p <= 0, where E[K] diverges.
+    """
+    p = 1.0 - interarrival.laplace(service.rate)
+    if p <= 0.0:
+        raise TruncationNotReached(
+            "geometric success probability is zero; E[K] diverges")
+    return p
 
 
 def dropping_walk_moments(interarrival: Distribution, service: Distribution,
@@ -161,27 +193,28 @@ def exact_age_dropping(interarrival: Distribution, service: Distribution,
                        opts: EstimatorOptions = DEFAULT_OPTIONS) -> AgeEstimate:
     """Average age under dropping.
 
-    Exponential/exponential pairs take a closed form (the crossing sum is
-    lam/mu^2 and E[K] = (lam + mu)/mu) unless ``opts.force_generic``;
-    otherwise the partial-sum walk supplies the ratio term and the
-    half-width comes from the delta method on the ratio of sample means.
+    Exponential service takes the renewal form
+    E[Y^2]/(2E[Y]) + E[Y exp(-mu Y)] / p + 1/mu with p = 1 - L(mu): one
+    quadrature at ``opts.quadrature_rel_tol``, no sampling, and
+    ``ci_half_width = cycles_used = 0``.  Other service laws take the
+    middle term from the partial-sum walk, with the delta-method
+    half-width of :meth:`WalkMoments.ratio`.
     """
     _require_valid_pair(interarrival, service)
     head = interarrival.second_moment() / (2.0 * interarrival.mean())
-    if (isinstance(interarrival, Exponential) and isinstance(service, Exponential)
-            and not opts.force_generic):
-        lam, mu = interarrival.rate, service.rate
-        value = head + lam / (mu * (lam + mu)) + service.mean()
-        return AgeEstimate(value=value, ci_half_width=0.0,
-                           cycles_used=0, method="analytic")
+    if isinstance(service, Exponential):
+        p = _geometric_p(interarrival, service)
+        mu, m = service.rate, interarrival.mean()
+        # E[Y exp(-mu Y)] in units of E[Y], so that expect's absolute
+        # error floor is relative to the law's time scale.
+        crossing, _ = expect(interarrival, lambda y: y / m * math.exp(-mu * y),
+                             epsrel=opts.quadrature_rel_tol)
+        return AgeEstimate(value=head + m * crossing / p + service.mean(),
+                           ci_half_width=0.0, cycles_used=0, method="analytic")
     wm = dropping_walk_moments(interarrival, service, opts)
-    ratio = wm.sum_term.value / wm.k_mean.value
-    var = (wm.sum_term.stderr**2
-           - 2.0 * ratio * wm.cov_sum_k
-           + ratio**2 * wm.k_mean.stderr**2)
-    se = math.sqrt(max(var, 0.0)) / wm.k_mean.value
-    value = head + ratio + service.mean()
-    return AgeEstimate(value=value, ci_half_width=Z95 * se,
+    ratio = wm.ratio()
+    return AgeEstimate(value=head + ratio.value + service.mean(),
+                       ci_half_width=Z95 * ratio.stderr,
                        cycles_used=wm.samples, method="analytic")
 
 
@@ -195,11 +228,8 @@ def moments_of_K_dropping(interarrival: Distribution, service: Distribution,
     laws go through the partial-sum walk.
     """
     _require_valid_pair(interarrival, service)
-    if isinstance(service, Exponential) and not opts.force_generic:
-        p = 1.0 - interarrival.laplace(service.rate)
-        if p <= 0.0:
-            raise TruncationNotReached(
-                "geometric success probability is zero; E[K] diverges")
+    if isinstance(service, Exponential):
+        p = _geometric_p(interarrival, service)
         return Moment(1.0 / p, 0.0), Moment((2.0 - p) / p**2, 0.0)
     wm = dropping_walk_moments(interarrival, service, opts)
     return wm.k_mean, wm.k_second
@@ -207,14 +237,29 @@ def moments_of_K_dropping(interarrival: Distribution, service: Distribution,
 
 def k_pmf(interarrival: Distribution, service: Distribution, k_max: int,
           opts: EstimatorOptions = DEFAULT_OPTIONS) -> KPmf:
-    """Monte Carlo pmf of K up to ``k_max`` plus the remaining tail mass.
+    """Pmf of K up to ``k_max`` plus the remaining tail mass.
 
-    Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along the gap path, with
-    ccdf(A_1) taken as 1; every replicate walks exactly k_max + 1 steps.
+    Exponential service gives the geometric law Pr(K = k) = L^(k-1) (1 - L)
+    and tail L^k_max with L = L(mu), exactly (zero stderr).  Other service
+    laws are estimated by the partial-sum walk.
     """
     _require_valid_pair(interarrival, service)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not isinstance(service, Exponential):
+        return _k_pmf_walk(interarrival, service, k_max, opts)
+    p = _geometric_p(interarrival, service)
+    q = 1.0 - p
+    pmf = tuple(Moment(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
+    return KPmf(pmf=pmf, tail_mass=Moment(q**k_max, 0.0), k_max=k_max)
+
+
+def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
+                opts: EstimatorOptions) -> KPmf:
+    """Monte Carlo pmf of K: Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along
+    the gap path, with ccdf(A_1) taken as 1; every replicate draws exactly
+    k_max gaps.
+    """
     rng = np.random.default_rng(opts.seed)
     n = opts.mc_samples
     prev_tail = np.ones(n)

@@ -1,7 +1,9 @@
 """Closed-form and semi-analytic upper bounds on the average age.
 
-All bounds are pure moment arithmetic except the preemption bound, whose
-conditional mean service term reuses the analytic module.  The mean-matched
+All bounds are moment arithmetic.  The exponential-service bounds take
+their geometric cycle count, and ``mm11`` its exact value, from the
+analytic module's renewal form; the preemption bound's conditional mean
+service term also comes from the analytic module.  The mean-matched
 M/G ordering bound is an upper bound only for interarrivals with decreasing
 mean residual life and NBUE service; with IMRL interarrivals it flips into
 a lower bound, which the ``applicability`` tag records.
@@ -14,8 +16,9 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .analytic import (DEFAULT_OPTIONS, EstimatorOptions,
-                       conditional_mean_service, success_probability)
-from .distributions import Distribution, MrlVerdict
+                       conditional_mean_service, exact_age_dropping,
+                       moments_of_K_dropping, success_probability)
+from .distributions import Distribution, Exponential, MrlVerdict
 from .errors import ZeroSuccessProbability
 from .sim import Moment
 
@@ -99,15 +102,11 @@ def ub_dropping_general(interarrival: Distribution, service: Distribution,
 
 def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundReport:
     """Dropping bound for exponential service, fully closed form:
-    E[Y^2]/(2E[Y]) + E[Y] (1/(1 - E[exp(-mu Y)]) - 1) + 1/mu."""
-    if not service_rate > 0:
-        raise ValueError(f"service rate must be > 0, got {service_rate}")
-    p = 1.0 - interarrival.laplace(service_rate)
-    if p <= 0.0:
-        raise ValueError("degenerate interarrival law: no arrival ever "
-                         "lands after a service completion")
+    E[Y^2]/(2E[Y]) + E[Y] (E[K] - 1) + 1/mu with the geometric
+    E[K] = 1/(1 - E[exp(-mu Y)]) of :func:`moments_of_K_dropping`."""
+    k_mean, _ = moments_of_K_dropping(interarrival, Exponential(service_rate))
     value = (_head(interarrival)
-             + interarrival.mean() * (1.0 / p - 1.0)
+             + interarrival.mean() * (k_mean.value - 1.0)
              + 1.0 / service_rate)
     return BoundReport(
         value=value, kind=BoundKind.GM11,
@@ -118,20 +117,20 @@ def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundRepo
 
 def mm11(arrival_rate: float, service_rate: float
          ) -> tuple[BoundReport, BoundReport]:
-    """(exact, bound) for exponential/exponential dropping:
-    exact 1/lam + 2/mu - 1/(lam + mu), bound 1/lam + 2/mu."""
-    lam, mu = arrival_rate, service_rate
-    if not (lam > 0 and mu > 0):
-        raise ValueError(f"rates must be > 0, got ({lam}, {mu})")
-    inputs = {"arrival_rate": lam, "service_rate": mu}
-    exact = BoundReport(value=1.0 / lam + 2.0 / mu - 1.0 / (lam + mu),
-                        kind=BoundKind.MM11Exact,
-                        applicability=Applicability.UNCONDITIONAL,
-                        inputs=inputs)
-    bound = BoundReport(value=1.0 / lam + 2.0 / mu,
-                        kind=BoundKind.MM11,
-                        applicability=Applicability.UNCONDITIONAL,
-                        inputs=inputs)
+    """(exact, bound) for exponential/exponential dropping, the G/M forms
+    at exponential arrivals: exact is :func:`exact_age_dropping`
+    (1/lam + 2/mu - 1/(lam + mu)), bound is :func:`ub_dropping_gm`
+    (1/lam + 2/mu)."""
+    interarrival = Exponential(arrival_rate)
+    inputs = {"arrival_rate": arrival_rate, "service_rate": service_rate}
+    exact = BoundReport(
+        value=exact_age_dropping(interarrival, Exponential(service_rate)).value,
+        kind=BoundKind.MM11Exact, applicability=Applicability.UNCONDITIONAL,
+        inputs=inputs)
+    bound = BoundReport(
+        value=ub_dropping_gm(interarrival, service_rate).value,
+        kind=BoundKind.MM11, applicability=Applicability.UNCONDITIONAL,
+        inputs=inputs)
     return exact, bound
 
 

@@ -63,8 +63,6 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     p.add_argument("--truncation-eps", type=float, default=1e-8)
     p.add_argument("--quad-tol", type=float, default=1e-9)
-    p.add_argument("--force-generic", action="store_true",
-                   help="skip closed-form fast paths")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +143,6 @@ def _options(args, seed: int) -> EstimatorOptions:
         k_truncation_epsilon=args.truncation_eps,
         quadrature_rel_tol=args.quad_tol,
         seed=seed,
-        force_generic=args.force_generic,
     )
 
 
@@ -309,7 +306,10 @@ def _cmd_check_properties(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = experiments.SweepSpec.from_json_file(args.spec)
+    try:
+        spec = experiments.SweepSpec.from_json_file(args.spec)
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"aoi sweep: bad --spec {args.spec}: {exc}")
     result_obj = experiments.run_sweep(spec)
     experiments.emit_csv(result_obj, args.csv)
     if args.chart:

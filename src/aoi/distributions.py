@@ -530,17 +530,22 @@ def expect(dist: Distribution, fn: Callable[[float], float],
     Point masses are evaluated directly; continuous laws integrate
     ``fn * pdf`` piecewise between the breakpoints of the law itself and
     any caller-supplied extra points (typically the kinks of another
-    law's ccdf inside the integrand).
+    law's ccdf inside the integrand).  The variable is measured in units
+    of the law's mean, so QUADPACK places its nodes (notably on the
+    unbounded last segment) where the law's mass is, at any time scale.
     """
     if isinstance(dist, Deterministic):
         return float(fn(dist.value)), 0.0
+    unit = dist.mean()
     lo, hi = dist.support()
     pts = tuple(dist.breakpoints()) + tuple(extra_breakpoints)
     total = 0.0
     err = 0.0
     for a, b in _segments(lo, hi, pts):
-        val, e = integrate.quad(lambda x: fn(x) * dist.pdf(x), a, b,
-                                epsrel=epsrel, epsabs=1e-14, limit=_QUAD_LIMIT)
+        val, e = integrate.quad(
+            lambda u: fn(unit * u) * dist.pdf(unit * u) * unit,
+            a / unit, b / unit,
+            epsrel=epsrel, epsabs=1e-14, limit=_QUAD_LIMIT)
         total += val
         err += e
     return total, err

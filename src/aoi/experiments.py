@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -99,7 +99,6 @@ class SweepSpec:
         return from_dict(spec)
 
     def to_dict(self) -> dict:
-        opts = self.options
         return {
             "name": self.name,
             "discipline": self.discipline.value,
@@ -108,32 +107,36 @@ class SweepSpec:
             "grid": list(self.grid),
             "service": self.service.to_dict(),
             "estimators": list(self.estimators),
-            "options": {
-                "mc_samples": opts.mc_samples,
-                "k_truncation_epsilon": opts.k_truncation_epsilon,
-                "quadrature_rel_tol": opts.quadrature_rel_tol,
-                "seed": opts.seed,
-                "force_generic": opts.force_generic,
-            },
+            "options": asdict(self.options),
             "sim_cycles": self.sim_cycles,
             "base_seed": self.base_seed,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
-        opts = EstimatorOptions(**data.get("options", {}))
-        return cls(
-            name=data["name"],
-            discipline=Discipline(data["discipline"]),
-            interarrival_template=data["interarrival"],
-            swept_param=data["swept_param"],
-            grid=tuple(data["grid"]),
-            service=from_dict(data["service"]),
-            estimators=tuple(data["estimators"]),
-            options=opts,
-            sim_cycles=int(data.get("sim_cycles", 20_000)),
-            base_seed=int(data.get("base_seed", 0)),
-        )
+        """Inverse of :meth:`to_dict`; a missing key or an unknown option
+        raises ``ValueError`` naming it."""
+        options = data.get("options", {})
+        known = {f.name for f in fields(EstimatorOptions)}
+        unknown = sorted(set(options) - known)
+        if unknown:
+            raise ValueError(f"unknown sweep option(s) {unknown}; "
+                             f"known: {sorted(known)}")
+        try:
+            return cls(
+                name=data["name"],
+                discipline=Discipline(data["discipline"]),
+                interarrival_template=data["interarrival"],
+                swept_param=data["swept_param"],
+                grid=tuple(data["grid"]),
+                service=from_dict(data["service"]),
+                estimators=tuple(data["estimators"]),
+                options=EstimatorOptions(**options),
+                sim_cycles=int(data.get("sim_cycles", 20_000)),
+                base_seed=int(data.get("base_seed", 0)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"sweep spec is missing key {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "SweepSpec":
@@ -172,13 +175,7 @@ def _evaluate(tag: str, spec: SweepSpec, param: float,
               interarrival: Distribution,
               sim_seed: int, mc_seed: int) -> SweepRow:
     service = spec.service
-    opts = EstimatorOptions(
-        mc_samples=spec.options.mc_samples,
-        k_truncation_epsilon=spec.options.k_truncation_epsilon,
-        quadrature_rel_tol=spec.options.quadrature_rel_tol,
-        seed=mc_seed,
-        force_generic=spec.options.force_generic,
-    )
+    opts = replace(spec.options, seed=mc_seed)
     if tag == "simulate":
         est, _ = run_simulation(SimConfig(
             interarrival=interarrival, service=service,

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import (EstimatorOptions, exact_age_dropping,
-                          exact_age_preemption, k_pmf, moments_of_K_dropping,
-                          success_probability)
+from aoi.analytic import (EstimatorOptions, dropping_walk_moments,
+                          exact_age_dropping, exact_age_preemption, k_pmf,
+                          moments_of_K_dropping, success_probability)
 from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -46,11 +46,13 @@ def test_criterion_1_mm_dropping_cross_check():
             fast = exact_age_dropping(Exponential(lam), Exponential(mu))
             if abs(fast.value - closed) > 1e-12 * closed:
                 failures.append(f"fast path ({lam},{mu}) != closed form")
-            generic = exact_age_dropping(
-                Exponential(lam), Exponential(mu),
-                EstimatorOptions(mc_samples=1_000_000, seed=2000 + 10 * i + j,
-                                 force_generic=True))
-            rel = abs(generic.value - closed) / closed
+            y, s = Exponential(lam), Exponential(mu)
+            wm = dropping_walk_moments(
+                y, s, EstimatorOptions(mc_samples=1_000_000,
+                                       seed=2000 + 10 * i + j))
+            generic = (y.second_moment() / (2.0 * y.mean())
+                       + wm.ratio().value + s.mean())
+            rel = abs(generic - closed) / closed
             if rel > 0.005:
                 failures.append(f"exact ({lam},{mu}): rel err {rel:.4f} > 0.5%")
     _report(1, "M/M/1/1 dropping cross-check", failures)

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import (EstimatorOptions, conditional_mean_service,
-                          dropping_walk_moments, exact_age_dropping,
-                          exact_age_preemption, k_pmf, moments_of_K_dropping,
-                          success_probability)
-from aoi.distributions import (Deterministic, Exponential, Hyperexponential,
-                               Rayleigh, ShiftedExponential, Uniform)
+from scipy import integrate
+
+from aoi.analytic import (EstimatorOptions, _k_pmf_walk,
+                          conditional_mean_service, dropping_walk_moments,
+                          exact_age_dropping, exact_age_preemption, k_pmf,
+                          moments_of_K_dropping, success_probability)
+from aoi.bounds import ub_dropping_general
+from aoi.distributions import (Deterministic, Erlang, Exponential,
+                               Hyperexponential, Rayleigh, ShiftedExponential,
+                               Uniform)
 from aoi.errors import TruncationNotReached, ZeroSuccessProbability
-from aoi.sim import SimConfig, run_simulation
+from aoi.sim import Z95, SimConfig, run_simulation
 
 FAST = EstimatorOptions(mc_samples=10_000, seed=1)
 MED = EstimatorOptions(mc_samples=200_000, seed=2)
@@ -45,11 +49,13 @@ def test_mm_fast_path_is_closed_form():
 
 
 def test_mm_generic_walk_agrees_with_closed_form():
-    opts = EstimatorOptions(mc_samples=400_000, seed=3, force_generic=True)
-    est = exact_age_dropping(Exponential(1.0), Exponential(1.0), opts)
-    assert est.value == pytest.approx(2.5, rel=5e-3)
-    assert abs(est.value - 2.5) <= 4.0 * est.ci_half_width
-    assert est.cycles_used == 400_000
+    opts = EstimatorOptions(mc_samples=400_000, seed=3)
+    wm = dropping_walk_moments(Exponential(1.0), Exponential(1.0), opts)
+    ratio = wm.ratio()
+    value = 1.0 + ratio.value + 1.0  # E[Y^2]/(2E[Y]) = E[S] = 1
+    assert value == pytest.approx(2.5, rel=5e-3)
+    assert abs(value - 2.5) <= 4.0 * Z95 * ratio.stderr
+    assert wm.samples == 400_000
 
 
 def test_crossing_sum_closed_form_check():
@@ -81,10 +87,10 @@ def test_geometric_fast_path_agrees_with_generic_walk():
     y, s = ShiftedExponential(1.0, 0.5), Exponential(1.0)
     closed_k1, closed_k2 = moments_of_K_dropping(y, s)
     assert closed_k1.stderr == 0.0
-    walk_k1, walk_k2 = moments_of_K_dropping(
-        y, s, EstimatorOptions(mc_samples=300_000, seed=5, force_generic=True))
-    assert abs(walk_k1.value - closed_k1.value) <= 4.0 * walk_k1.stderr
-    assert abs(walk_k2.value - closed_k2.value) <= 4.0 * walk_k2.stderr
+    wm = dropping_walk_moments(
+        y, s, EstimatorOptions(mc_samples=300_000, seed=5))
+    assert abs(wm.k_mean.value - closed_k1.value) <= 4.0 * wm.k_mean.stderr
+    assert abs(wm.k_second.value - closed_k2.value) <= 4.0 * wm.k_second.stderr
 
 
 def test_truncation_not_reached():
@@ -96,6 +102,81 @@ def test_truncation_not_reached():
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
         exact_age_dropping(Deterministic(0.0), Exponential(1.0), FAST)
+
+
+# ------------------------------------------- exponential service: renewal
+
+@pytest.mark.parametrize("y", [
+    Exponential(1.0), Uniform(0.0, 2.0),
+    Hyperexponential((0.5, 0.5), (0.5, 2.0)), Erlang(2, 2.0),
+    ShiftedExponential(1.0, 0.5), Rayleigh(1.0), Deterministic(0.5),
+], ids=lambda y: y.kind)
+def test_renewal_form_agrees_with_walk(y):
+    s = Exponential(1.0)
+    opts = EstimatorOptions(mc_samples=200_000, seed=11)
+
+    def close(renewal, walk):
+        # 4 stderr, plus a 1e-7 relative floor for the walk's truncation
+        # bias and rounding: all that is left when deterministic gaps make
+        # the walk noiseless.
+        tol = 4.0 * walk.stderr + 1e-7 * abs(walk.value)
+        return abs(renewal - walk.value) <= tol
+
+    wm = dropping_walk_moments(y, s, opts)
+    ratio = wm.ratio()
+    head = y.second_moment() / (2.0 * y.mean())
+    walk_age = ratio._replace(value=head + ratio.value + s.mean())
+    est = exact_age_dropping(y, s, opts)
+    assert (est.ci_half_width, est.cycles_used) == (0.0, 0)
+    assert close(est.value, walk_age)
+
+    k1, k2 = moments_of_K_dropping(y, s, opts)
+    assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
+
+    renewal, walk = k_pmf(y, s, 10, opts), _k_pmf_walk(y, s, 10, opts)
+    for k, (r, w) in enumerate(zip(renewal.pmf, walk.pmf), start=1):
+        assert r.stderr == 0.0 and close(r.value, w), k
+    assert close(renewal.tail_mass.value, walk.tail_mass)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+@pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (0.3, 1.0), (1.0, 0.3)])
+def test_mm_renewal_form_is_scale_free(c, lam, mu):
+    # Rates 1/c: every time in units of c, far from the quadrature's
+    # default unit.
+    est = exact_age_dropping(Exponential(lam / c), Exponential(mu / c))
+    assert est.value == pytest.approx(c * mm_dropping_age(lam, mu), rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+@pytest.mark.parametrize("scaled", [
+    lambda c: Erlang(2, 2.0 / c),
+    lambda c: Hyperexponential((0.5, 0.5), (0.5 / c, 2.0 / c)),
+    lambda c: ShiftedExponential(1.0 / c, 0.5 * c),
+    lambda c: Uniform(0.0, 2.0 * c),
+    lambda c: Rayleigh(c),
+], ids=["erlang", "hyperexponential", "shifted_exponential", "uniform",
+        "rayleigh"])
+def test_renewal_form_rescales_with_time(c, scaled):
+    age = exact_age_dropping(scaled(1.0), Exponential(1.0)).value
+    est = exact_age_dropping(scaled(c), Exponential(1.0 / c))
+    assert est.value == pytest.approx(c * age, rel=1e-9)
+
+
+def test_renewal_form_survives_deep_cycles():
+    # About 2e4 arrivals per cycle: more than the walk's 1e4-term cap.
+    y, s = Uniform(0.0, 0.02), Exponential(0.005)
+    est = exact_age_dropping(y, s)
+    assert math.isfinite(est.value)
+    report = ub_dropping_general(y, s, moments_of_K_dropping(y, s))
+    k_mean = report.inputs["k_mean"]
+    assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
+    # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
+    crossing, _ = integrate.quad(lambda t: t * math.exp(-0.005 * t) / 0.02,
+                                 0.0, 0.02)
+    head = y.second_moment() / (2.0 * y.mean())
+    assert (est.value - head - s.mean()) / crossing == \
+        pytest.approx(k_mean, rel=1e-9)
 
 
 # ------------------------------------------------------------- k pmf

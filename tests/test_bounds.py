@@ -45,6 +45,13 @@ def test_mm11_values():
     assert exact.value == pytest.approx(0.01 + 2.0 - 1.0 / 101.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_mm11_is_scale_free(c):
+    exact, bound = mm11(1.0 / c, 1.0 / c)
+    assert exact.value == pytest.approx(2.5 * c, rel=1e-9)
+    assert bound.value == pytest.approx(3.0 * c, rel=1e-9)
+
+
 def test_mg11_moment_arithmetic():
     assert mg11_ordering_bound(1.0, Exponential(1.0)).value == pytest.approx(2.5)
     assert mg11_ordering_bound(1.0, Deterministic(1.0)).value == pytest.approx(2.25)

@@ -169,21 +169,23 @@ def test_same_argv_same_stdout(capsys):
     assert first == second
 
 
+SWEEP_SPEC = {
+    "name": "cli-sweep",
+    "discipline": "dropping",
+    "interarrival": {"kind": "shifted_exponential", "shift": 0.5},
+    "swept_param": "rate",
+    "grid": [0.5, 1.0],
+    "service": {"kind": "exponential", "rate": 1.0},
+    "estimators": ["exact", "gm11"],
+    "options": {"mc_samples": 20000, "seed": 0},
+    "sim_cycles": 500,
+    "base_seed": 3,
+}
+
+
 def test_sweep_end_to_end(capsys, tmp_path):
-    spec = {
-        "name": "cli-sweep",
-        "discipline": "dropping",
-        "interarrival": {"kind": "shifted_exponential", "shift": 0.5},
-        "swept_param": "rate",
-        "grid": [0.5, 1.0],
-        "service": {"kind": "exponential", "rate": 1.0},
-        "estimators": ["exact", "gm11"],
-        "options": {"mc_samples": 20000, "seed": 0},
-        "sim_cycles": 500,
-        "base_seed": 3,
-    }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    spec_path.write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
     csv_path = tmp_path / "out.csv"
     svg_path = tmp_path / "out.svg"
     code, payload = run_json(capsys, "sweep", "--spec", str(spec_path),
@@ -193,3 +195,20 @@ def test_sweep_end_to_end(capsys, tmp_path):
     assert len(payload["result"]["rows"]) == 4
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "param,estimator,value,ci,applicability"
+
+
+@pytest.mark.parametrize("spec,named", [
+    ({**SWEEP_SPEC, "options": {"mc_samples": 20000, "walk_only": True}},
+     "walk_only"),
+    ({k: v for k, v in SWEEP_SPEC.items() if k != "grid"}, "grid"),
+    (None, "No such file"),
+], ids=["unknown-option", "missing-key", "missing-file"])
+def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
+    spec_path = tmp_path / "spec.json"
+    if spec is not None:
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--spec", str(spec_path),
+                         "--csv", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()

@@ -182,17 +182,27 @@ def test_chart_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_experiment_script_runs(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / \
-        "preemption_overload.py"
+@pytest.mark.parametrize("script,extra,outputs,marker", [
+    ("preemption_overload.py", [], ["preemption-overload"],
+     "minimum exact age"),
+    ("dropping_imrl_reversal.py", ["--mc-samples", "10000"],
+     ["dropping-imrl-reversal"], "ReversedUnderIMRL"),
+    ("dropping_shifted_exponential.py", ["--mc-samples", "10000"],
+     ["dropping-rate-sweep", "dropping-shift-sweep"], "wrote"),
+], ids=["preemption_overload", "dropping_imrl_reversal",
+        "dropping_shifted_exponential"])
+def test_experiment_script_runs(tmp_path, script, extra, outputs, marker):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
     proc = subprocess.run(
-        [sys.executable, str(script), "--cycles", "300",
+        [sys.executable, str(path), "--cycles", "300", *extra,
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "preemption-overload.csv").exists()
-    assert (tmp_path / "preemption-overload.svg").exists()
-    assert "minimum exact age" in proc.stdout
+    for stem in outputs:
+        csv_rows = read_csv(tmp_path / f"{stem}.csv").rows
+        assert csv_rows and all(r.value is not None for r in csv_rows)
+        ET.fromstring((tmp_path / f"{stem}.svg").read_text(encoding="utf-8"))
+    assert marker in proc.stdout
 
 
 def test_chart_io_error_carries_path():
