@@ -15,9 +15,8 @@ from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
                      mm11, ub_dropping_general, ub_dropping_gm, ub_preemption)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlClassification, MrlVerdict,
-                            Rayleigh, ShiftedExponential, Uniform, check_nbue,
-                            classify_mrl, from_dict, from_json,
-                            mean_residual_life)
+                            Rayleigh, ShiftedExponential, Uniform, classify_mrl,
+                            from_dict, from_json, mean_residual_life)
 from .errors import (AoiError, DivergentAge, TailEmpty, TruncationNotReached,
                      ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,

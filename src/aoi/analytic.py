@@ -306,10 +306,16 @@ def conditional_mean_service(interarrival: Distribution, service: Distribution,
         raise ZeroSuccessProbability(
             f"Pr(service <= interarrival) = 0 for service "
             f"{service.describe()} vs interarrival {interarrival.describe()}")
+    return _completed_service_mass(interarrival, service, opts) / p
+
+
+def _completed_service_mass(interarrival: Distribution, service: Distribution,
+                            opts: EstimatorOptions) -> float:
+    """E[S * Pr(Y >= S)], the numerator of E[S | the service completes]."""
     num, _ = expect(service, lambda s: s * interarrival.tail_inclusive(s),
                     extra_breakpoints=interarrival.breakpoints(),
                     epsrel=opts.quadrature_rel_tol)
-    return num / p
+    return num
 
 
 def exact_age_preemption(interarrival: Distribution, service: Distribution,
@@ -341,7 +347,7 @@ def exact_age_preemption(interarrival: Distribution, service: Distribution,
     else:
         middle = mid_num / denom
         mid_err = mid_err / denom
-    stilde = conditional_mean_service(interarrival, service, opts)
+    stilde = _completed_service_mass(interarrival, service, opts) / p
     head = interarrival.second_moment() / (2.0 * interarrival.mean())
     value = head + middle + stilde
     # Quadrature is deterministic; the half-width only reflects the

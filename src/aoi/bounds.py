@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .analytic import (DEFAULT_OPTIONS, EstimatorOptions,
-                       conditional_mean_service, exact_age_dropping,
+                       _completed_service_mass, exact_age_dropping,
                        moments_of_K_dropping, success_probability)
 from .distributions import Distribution, Exponential, MrlVerdict
 from .errors import ZeroSuccessProbability
@@ -175,7 +175,7 @@ def ub_preemption(interarrival: Distribution, service: Distribution,
         raise ZeroSuccessProbability(
             f"Pr(success) = 0 for interarrival {interarrival.describe()} "
             f"vs service {service.describe()}")
-    stilde = conditional_mean_service(interarrival, service, opts)
+    stilde = _completed_service_mass(interarrival, service, opts) / p
     value = (_head(interarrival)
              + interarrival.mean() * (1.0 - p) / p
              + stilde)

@@ -22,8 +22,7 @@ import sys
 
 from . import analytic, bounds, experiments
 from .analytic import EstimatorOptions
-from .distributions import (Distribution, Exponential, check_nbue,
-                            classify_mrl, from_dict)
+from .distributions import Distribution, Exponential, classify_mrl, from_dict
 from .errors import AoiError
 from .sim import Discipline, SimConfig, cycle_statistics, run_simulation
 
@@ -111,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify the mean-residual-life curve")
     p.add_argument("--dist", type=_dist_argument, required=True,
                    metavar="JSON|@FILE")
-    p.add_argument("--points", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
     _add_common_flags(p)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON spec")
@@ -286,21 +283,17 @@ def _cmd_kpmf(args) -> int:
 
 
 def _cmd_check_properties(args) -> int:
-    classification = classify_mrl(args.dist, n_points=args.points,
-                                  tol=args.tol)
-    nbue = check_nbue(args.dist, n_points=args.points, tol=args.tol)
-    inputs = {"dist": args.dist.to_dict(), "points": args.points,
-              "tol": args.tol}
-    result = {"verdict": classification.verdict.value, "nbue": nbue,
-              "mean": args.dist.mean(),
-              "grid_points": len(classification.grid)}
+    mrl = classify_mrl(args.dist)
+    inputs = {"dist": args.dist.to_dict()}
+    result = {"verdict": mrl.verdict.value, "nbue": mrl.nbue,
+              "mean": args.dist.mean(), "grid_points": len(mrl.grid)}
     lines = [
         f"distribution    {args.dist.describe()}",
         f"mean            {_fmt(args.dist.mean())}",
-        f"MRL verdict     {classification.verdict.value}",
-        f"NBUE            {'true' if nbue else 'false'}",
-        f"grid points     {len(classification.grid)} "
-        f"(tol {args.tol:g}, cap at 0.999 quantile)",
+        f"MRL verdict     {mrl.verdict.value}",
+        f"NBUE            {'true' if mrl.nbue else 'false'}",
+        f"grid points     {len(mrl.grid)} "
+        f"(tol {mrl.tolerance:g}, cap at 0.999 quantile)",
     ]
     return _emit(args, "check-properties", inputs, result, lines)
 

@@ -12,11 +12,14 @@ family of laws. Each law is a frozen dataclass exposing
 * JSON (de)serialization keyed by a snake_case ``kind`` tag.
 
 Mean-residual-life utilities live here as well: :func:`mean_residual_life`
-integrates the tail numerically, and :func:`classify_mrl` /
-:func:`check_nbue` grade the monotonicity of the MRL curve on a grid capped
-at the 0.999 quantile.  The strict ccdf convention matches the simulator's
-tie rule (a completion at exactly an arrival instant counts as a success),
-which keeps formula evaluation and event accounting aligned.
+integrates the tail numerically, and :func:`classify_mrl` grades the
+monotonicity of the MRL curve and the NBUE property from one grid capped
+at the 0.999 quantile, with a tolerance relative to the mean.  All
+quadrature (:func:`expect` and the MRL tail integral) measures the
+variable in units of the law's mean, so results rescale with time.  The
+strict ccdf convention matches the simulator's tie rule (a completion at
+exactly an arrival instant counts as a success), which keeps formula
+evaluation and event accounting aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
 caller-supplied generator.
@@ -49,7 +52,6 @@ __all__ = [
     "MrlClassification",
     "mean_residual_life",
     "classify_mrl",
-    "check_nbue",
     "expect",
     "from_dict",
     "from_json",
@@ -60,7 +62,8 @@ __all__ = [
 LAPLACE_REL_TOL = 1e-9
 MRL_REL_TOL = 1e-8
 MRL_QUANTILE_CAP = 0.999
-DEFAULT_MRL_TOL = 1e-6
+DEFAULT_MRL_TOL = 1e-6  # relative to the law's mean
+_MRL_GRID_POINTS = 64
 _QUAD_LIMIT = 200
 
 
@@ -522,6 +525,26 @@ def _segments(lo: float, hi: float, pts: Sequence[float]):
     return zip(cuts[:-1], cuts[1:])
 
 
+def _integrate_in_units(g: Callable[[float], float], unit: float,
+                        lo: float, hi: float, pts: Sequence[float],
+                        epsrel: float) -> tuple[float, float]:
+    """Integral of ``g(unit * u)`` du over [lo, hi] / unit, split at ``pts``.
+
+    Measuring the variable in units of a law's scale makes QUADPACK place
+    its nodes (notably on an unbounded last segment) where the law's mass
+    is, and makes the absolute floor ``epsabs`` relative to that scale.
+    Returns the value and the summed error estimate.
+    """
+    total = 0.0
+    err = 0.0
+    for a, b in _segments(lo, hi, pts):
+        val, e = integrate.quad(lambda u: g(unit * u), a / unit, b / unit,
+                                epsrel=epsrel, epsabs=1e-14, limit=_QUAD_LIMIT)
+        total += val
+        err += e
+    return total, err
+
+
 def expect(dist: Distribution, fn: Callable[[float], float],
            extra_breakpoints: Sequence[float] = (),
            epsrel: float = 1e-9) -> tuple[float, float]:
@@ -530,55 +553,37 @@ def expect(dist: Distribution, fn: Callable[[float], float],
     Point masses are evaluated directly; continuous laws integrate
     ``fn * pdf`` piecewise between the breakpoints of the law itself and
     any caller-supplied extra points (typically the kinks of another
-    law's ccdf inside the integrand).  The variable is measured in units
-    of the law's mean, so QUADPACK places its nodes (notably on the
-    unbounded last segment) where the law's mass is, at any time scale.
+    law's ccdf inside the integrand), in units of the law's mean.
     """
     if isinstance(dist, Deterministic):
         return float(fn(dist.value)), 0.0
     unit = dist.mean()
     lo, hi = dist.support()
-    pts = tuple(dist.breakpoints()) + tuple(extra_breakpoints)
-    total = 0.0
-    err = 0.0
-    for a, b in _segments(lo, hi, pts):
-        val, e = integrate.quad(
-            lambda u: fn(unit * u) * dist.pdf(unit * u) * unit,
-            a / unit, b / unit,
-            epsrel=epsrel, epsabs=1e-14, limit=_QUAD_LIMIT)
-        total += val
-        err += e
-    return total, err
-
-
-def _tail_integral(dist: Distribution, t: float, epsrel: float) -> float:
-    """Integral of the ccdf over [t, inf)."""
-    lo, hi = dist.support()
-    head = max(lo - t, 0.0)  # region where the ccdf is exactly 1
-    a = max(t, lo)
-    if a >= hi:
-        return head
-    total = head
-    for lo_i, hi_i in _segments(a, hi, dist.breakpoints()):
-        val, _ = integrate.quad(dist.ccdf, lo_i, hi_i,
-                                epsrel=epsrel, epsabs=1e-14, limit=_QUAD_LIMIT)
-        total += val
-    return total
+    return _integrate_in_units(
+        lambda x: fn(x) * dist.pdf(x) * unit, unit, lo, hi,
+        tuple(dist.breakpoints()) + tuple(extra_breakpoints), epsrel)
 
 
 def mean_residual_life(dist: Distribution, t: float) -> float:
-    """m(t) = E[X - t | X > t], by quadrature of the tail integral.
+    """m(t) = E[X - t | X > t] = (integral of the ccdf over [t, inf)) / ccdf(t).
 
-    Raises :class:`TailEmpty` when Pr(X > t) = 0.
+    The integral is taken in units of the law's mean, so m(c t) of the law
+    rescaled by c is c m(t).  Raises :class:`TailEmpty` when Pr(X > t) = 0.
     """
     if t < 0:
         raise ValueError(f"mean residual life needs t >= 0, got {t}")
     tail = float(dist.ccdf(t))
     if tail <= 0.0:
         raise TailEmpty(f"Pr(X > {t}) = 0 for {dist.describe()}")
-    if isinstance(dist, Deterministic):
-        return dist.value - t
-    return _tail_integral(dist, t, MRL_REL_TOL) / tail
+    lo, hi = dist.support()
+    head = max(lo - t, 0.0)  # region where the ccdf is exactly 1
+    a = max(t, lo)
+    if a >= hi:
+        return head / tail
+    unit = dist.mean()
+    body, _ = _integrate_in_units(dist.ccdf, unit, a, hi, dist.breakpoints(),
+                                  MRL_REL_TOL)
+    return (head + unit * body) / tail
 
 
 class MrlVerdict(str, Enum):
@@ -590,31 +595,36 @@ class MrlVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class MrlClassification:
-    """Grid-based monotonicity verdict for the mean residual life."""
+    """Grid-based MRL verdict and NBUE flag, both read from ``grid``.
+
+    ``grid`` holds the (t, m(t)) pairs; ``tolerance`` is the absolute
+    slack applied, ``DEFAULT_MRL_TOL`` times the law's mean.
+    """
 
     verdict: MrlVerdict
+    nbue: bool
     grid: tuple[tuple[float, float], ...]
     tolerance: float
 
 
-def _mrl_grid(dist: Distribution, n_points: int) -> list[tuple[float, float]]:
-    if n_points < 3:
-        raise ValueError(f"need at least 3 grid points, got {n_points}")
-    q = dist.quantile(MRL_QUANTILE_CAP)
-    ts = [float(t) for t in np.linspace(0.0, q, n_points)
-          if float(dist.ccdf(t)) > 0.0]
-    return [(t, mean_residual_life(dist, t)) for t in ts]
+def classify_mrl(dist: Distribution) -> MrlClassification:
+    """Classify the MRL curve on [0, 0.999-quantile] from one grid.
 
-
-def classify_mrl(dist: Distribution, n_points: int = 64,
-                 tol: float = DEFAULT_MRL_TOL) -> MrlClassification:
-    """Classify the MRL curve on [0, 0.999-quantile].
-
-    ``ConstantMRL`` requires max - min of the sampled curve within ``tol``;
-    DMRL/IMRL require each consecutive difference within ``tol`` of the
-    monotone direction. Behaviour beyond the quantile cap is unverified.
+    The grid has 64 evenly spaced points and every comparison allows a
+    slack of ``DEFAULT_MRL_TOL`` times the mean, so rescaling the law's
+    time scale leaves the result unchanged.  ``ConstantMRL`` requires
+    max - min of the sampled curve within the slack; DMRL/IMRL require
+    each consecutive difference within the slack of the monotone
+    direction.  ``nbue`` ("new better than used in expectation") is
+    m(t) <= mean + slack at every grid point.  Behaviour beyond the
+    quantile cap is unverified.
     """
-    grid = _mrl_grid(dist, n_points)
+    mean = dist.mean()
+    tol = DEFAULT_MRL_TOL * mean
+    q = dist.quantile(MRL_QUANTILE_CAP)
+    grid = tuple((t, mean_residual_life(dist, t))
+                 for t in map(float, np.linspace(0.0, q, _MRL_GRID_POINTS))
+                 if float(dist.ccdf(t)) > 0.0)
     values = [m for _, m in grid]
     if len(values) < 2:
         verdict = MrlVerdict.INCONCLUSIVE
@@ -628,12 +638,6 @@ def classify_mrl(dist: Distribution, n_points: int = 64,
             verdict = MrlVerdict.IMRL
         else:
             verdict = MrlVerdict.INCONCLUSIVE
-    return MrlClassification(verdict=verdict, grid=tuple(grid), tolerance=tol)
-
-
-def check_nbue(dist: Distribution, n_points: int = 64,
-               tol: float = DEFAULT_MRL_TOL) -> bool:
-    """True iff m(t) <= mean + tol at every grid point ("new better than
-    used in expectation")."""
-    mu = dist.mean()
-    return all(m <= mu + tol for _, m in _mrl_grid(dist, n_points))
+    return MrlClassification(verdict=verdict,
+                             nbue=all(m <= mean + tol for m in values),
+                             grid=grid, tolerance=tol)

@@ -14,8 +14,7 @@ from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
-                               ShiftedExponential, Uniform, check_nbue,
-                               classify_mrl)
+                               ShiftedExponential, Uniform, classify_mrl)
 from aoi.experiments import SweepSpec, emit_csv, run_sweep
 from aoi.sim import SimConfig, cycle_statistics, run_simulation
 
@@ -83,7 +82,7 @@ def test_criterion_3_bound_domination_suite():
 
     # Dropping: three families x five points, exponential service.
     service = Exponential(1.0)
-    nbue_service = check_nbue(service)
+    nbue_service = classify_mrl(service).nbue
     dropping_families = {
         "shifted_exponential": [ShiftedExponential(r, 0.5)
                                 for r in (0.4, 0.8, 1.2, 1.6, 2.0)],
@@ -152,7 +151,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
     failures = []
     opts = EstimatorOptions(mc_samples=200_000, seed=7)
     service = ShiftedExponential(1.0, 0.1)
-    if not check_nbue(service):
+    if not classify_mrl(service).nbue:
         failures.append("service not NBUE")
 
     # DMRL interarrivals: the mean-matched exponential-arrival age is an

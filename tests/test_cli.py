@@ -81,6 +81,15 @@ def test_check_properties_json(capsys):
     assert payload["result"]["nbue"] is False
 
 
+def test_check_properties_is_scale_free(capsys):
+    code, payload = run_json(capsys, "check-properties", "--dist",
+                             '{"kind": "hyperexponential", '
+                             '"weights": [0.5, 0.5], "rates": [5e5, 2e6]}')
+    assert code == 0
+    assert payload["result"]["verdict"] == "IMRL"
+    assert payload["result"]["nbue"] is False
+
+
 def test_kpmf_deterministic(capsys):
     code, payload = run_json(capsys, "kpmf",
                              "--interarrival", DET % 1, "--service", DET % 1.5,

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
-                               ShiftedExponential, Uniform, check_nbue,
-                               classify_mrl, expect, from_dict, from_json,
+                               ShiftedExponential, Uniform, classify_mrl,
+                               expect, from_dict, from_json,
                                mean_residual_life)
 from aoi.errors import TailEmpty
 
@@ -216,7 +216,7 @@ def test_shifted_exponential_mrl_matches_piecewise_oracle():
         assert mean_residual_life(dist, t) == pytest.approx(1.0, rel=1e-7)
 
 
-@pytest.mark.parametrize("dist,verdict,nbue", [
+MRL_CASES = [
     (Exponential(1.0), MrlVerdict.CONSTANT, True),
     (ShiftedExponential(1.0, 1.0), MrlVerdict.DMRL, True),
     (H2, MrlVerdict.IMRL, False),
@@ -224,14 +224,43 @@ def test_shifted_exponential_mrl_matches_piecewise_oracle():
     (Uniform(0.0, 2.0), MrlVerdict.DMRL, True),
     (Rayleigh(1.0), MrlVerdict.DMRL, True),
     (Erlang(3, 2.0), MrlVerdict.DMRL, True),
-])
+]
+
+# The law of c * X, per kind.
+RESCALED = {
+    "exponential": lambda d, c: Exponential(d.rate / c),
+    "shifted_exponential": lambda d, c: ShiftedExponential(d.rate / c,
+                                                           d.shift * c),
+    "deterministic": lambda d, c: Deterministic(d.value * c),
+    "uniform": lambda d, c: Uniform(d.lower * c, d.upper * c),
+    "rayleigh": lambda d, c: Rayleigh(d.scale * c),
+    "erlang": lambda d, c: Erlang(d.shape, d.rate / c),
+    "hyperexponential": lambda d, c: Hyperexponential(
+        d.weights, tuple(r / c for r in d.rates)),
+}
+
+
+@pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
 def test_mrl_classification(dist, verdict, nbue):
     result = classify_mrl(dist)
     assert result.verdict is verdict
-    assert check_nbue(dist) is nbue
+    assert result.nbue is nbue
     assert len(result.grid) >= 2
     ts = [t for t, _ in result.grid]
     assert ts == sorted(ts)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
+def test_mrl_classification_is_scale_free(dist, verdict, nbue, c):
+    scaled = RESCALED[dist.kind](dist, c)
+    result = classify_mrl(scaled)
+    assert result.verdict is verdict
+    assert result.nbue is nbue
+    grid = classify_mrl(dist).grid
+    for t, m in (grid[0], grid[len(grid) // 2], grid[-1]):
+        assert mean_residual_life(scaled, c * t) == pytest.approx(c * m,
+                                                                  rel=1e-7)
 
 
 def test_constant_verdict_requires_flat_curve():
