@@ -18,9 +18,9 @@ Dropping
     along each replicate path the service variable is integrated out
     analytically through its ccdf, which keeps the dependence between K
     and the gaps intact and removes one layer of noise.  A replicate
-    truncates once its running terms fall below ``k_truncation_epsilon``
-    times the accumulated sums (the ccdf factor is monotone along a path,
-    so the criterion is stable).  The walk also serves as the oracle that
+    truncates once its running terms fall below a fixed 1e-8 times the
+    accumulated sums (the ccdf factor is monotone along a path, so the
+    criterion is stable).  The walk also serves as the oracle that
     tests hold the exponential-service forms against.
 
 Preemption
@@ -30,8 +30,11 @@ Preemption
     evaluated by adaptive quadrature.  The denominator is the success
     probability p, not E[Pr(S > Y)] = 1 - p: only the former reproduces
     the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
-    simulation.  The other convention stays available behind
-    ``printed_denominator`` for side-by-side comparison.
+    simulation.
+
+Only the Monte Carlo paths take :class:`EstimatorOptions` (replicate count
+and seed); every quadrature runs at the fixed ``QUAD_REL_TOL``, so the
+preemption functions take no options.
 
 Ties (possible with deterministic laws) count as successes, matching the
 simulator's completion-first rule and the strict ccdf convention.
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Exponential, expect
+from .distributions import QUAD_REL_TOL, Distribution, Exponential, expect
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Moment, Z95
 
@@ -63,25 +66,20 @@ __all__ = [
 ]
 
 _MAX_WALK_TERMS = 10_000
+_WALK_EPS = 1e-8  # a replicate stops once its terms fall below this share
 _TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    """Knobs for the Monte Carlo / quadrature estimators."""
+    """Replicate count and seed of the Monte Carlo estimators."""
 
     mc_samples: int = 1_000_000
-    k_truncation_epsilon: float = 1e-8
-    quadrature_rel_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.mc_samples < 10_000:
             raise ValueError(f"mc_samples must be >= 10000, got {self.mc_samples}")
-        if not 0.0 < self.k_truncation_epsilon < 1e-2:
-            raise ValueError("k_truncation_epsilon must lie in (0, 1e-2)")
-        if not 0.0 < self.quadrature_rel_tol < 1e-2:
-            raise ValueError("quadrature_rel_tol must lie in (0, 1e-2)")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -127,6 +125,13 @@ def _require_valid_pair(interarrival: Distribution, service: Distribution):
         raise ValueError("service law must have a finite mean")
 
 
+def _head(interarrival: Distribution) -> float:
+    """E[Y^2]/(2E[Y]), the first term of every age and bound."""
+    if interarrival.mean() <= 0:
+        raise ValueError("interarrival law must have a positive mean")
+    return interarrival.second_moment() / (2.0 * interarrival.mean())
+
+
 def _geometric_p(interarrival: Distribution, service: Exponential) -> float:
     """p = 1 - L(mu): the chance that the next gap outlasts an exponential
     service, i.e. the success probability of the geometric cycle count K.
@@ -153,7 +158,6 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
     _require_valid_pair(interarrival, service)
     rng = np.random.default_rng(opts.seed)
     n = opts.mc_samples
-    eps = opts.k_truncation_epsilon
 
     partial = np.zeros(n)
     count = np.ones(n)
@@ -169,8 +173,8 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
         count[active] += tail
         asum[active] += a * tail
         ksq[active] += (2 * k - 1) * tail
-        done = ((tail <= eps * count[active])
-                & (a * tail <= eps * np.maximum(asum[active], _TINY)))
+        done = ((tail <= _WALK_EPS * count[active])
+                & (a * tail <= _WALK_EPS * np.maximum(asum[active], _TINY)))
         if done.any():
             active = active[~done]
         if active.size == 0:
@@ -195,20 +199,19 @@ def exact_age_dropping(interarrival: Distribution, service: Distribution,
 
     Exponential service takes the renewal form
     E[Y^2]/(2E[Y]) + E[Y exp(-mu Y)] / p + 1/mu with p = 1 - L(mu): one
-    quadrature at ``opts.quadrature_rel_tol``, no sampling, and
+    quadrature, no sampling, and
     ``ci_half_width = cycles_used = 0``.  Other service laws take the
     middle term from the partial-sum walk, with the delta-method
     half-width of :meth:`WalkMoments.ratio`.
     """
     _require_valid_pair(interarrival, service)
-    head = interarrival.second_moment() / (2.0 * interarrival.mean())
+    head = _head(interarrival)
     if isinstance(service, Exponential):
         p = _geometric_p(interarrival, service)
         mu, m = service.rate, interarrival.mean()
         # E[Y exp(-mu Y)] in units of E[Y], so that expect's absolute
         # error floor is relative to the law's time scale.
-        crossing, _ = expect(interarrival, lambda y: y / m * math.exp(-mu * y),
-                             epsrel=opts.quadrature_rel_tol)
+        crossing, _ = expect(interarrival, lambda y: y / m * math.exp(-mu * y))
         return AgeEstimate(value=head + m * crossing / p + service.mean(),
                            ci_half_width=0.0, cycles_used=0, method="analytic")
     wm = dropping_walk_moments(interarrival, service, opts)
@@ -283,75 +286,58 @@ def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
     return KPmf(pmf=tuple(pmf), tail_mass=tail_mass, k_max=k_max)
 
 
-def success_probability(interarrival: Distribution, service: Distribution,
-                        opts: EstimatorOptions = DEFAULT_OPTIONS) -> float:
+def success_probability(interarrival: Distribution,
+                        service: Distribution) -> float:
     """p = Pr(a service completes before the next arrival) = 1 - E[Pr(S > Y)].
 
     Ties count as successes, matching the simulator's completion-first rule.
+    A p within the quadrature's error estimate of 0 is 0: rounding must not
+    turn an impossible completion into a tiny positive chance.
     """
-    mean_tail, _ = expect(interarrival, lambda y: float(service.ccdf(y)),
-                          extra_breakpoints=service.breakpoints(),
-                          epsrel=opts.quadrature_rel_tol)
-    return min(max(1.0 - mean_tail, 0.0), 1.0)
+    mean_tail, err = expect(interarrival, lambda y: float(service.ccdf(y)),
+                            extra_breakpoints=service.breakpoints())
+    p = 1.0 - mean_tail
+    return 0.0 if p <= err else min(p, 1.0)
 
 
-def conditional_mean_service(interarrival: Distribution, service: Distribution,
-                             opts: EstimatorOptions = DEFAULT_OPTIONS) -> float:
-    """E[S | the service completes] = E[S * Pr(Y >= S)] / Pr(S <= Y).
+def _completed_service(interarrival: Distribution, service: Distribution
+                       ) -> tuple[float, float]:
+    """(p, E[S | the service completes]) with p the success probability.
 
-    Raises :class:`ZeroSuccessProbability` when no service can complete.
+    E[S | the service completes] = E[S * Pr(Y >= S)] / p.  Raises
+    :class:`ZeroSuccessProbability` when no service can complete.
     """
-    p = success_probability(interarrival, service, opts)
-    if p <= 0.0:
-        raise ZeroSuccessProbability(
-            f"Pr(service <= interarrival) = 0 for service "
-            f"{service.describe()} vs interarrival {interarrival.describe()}")
-    return _completed_service_mass(interarrival, service, opts) / p
-
-
-def _completed_service_mass(interarrival: Distribution, service: Distribution,
-                            opts: EstimatorOptions) -> float:
-    """E[S * Pr(Y >= S)], the numerator of E[S | the service completes]."""
-    num, _ = expect(service, lambda s: s * interarrival.tail_inclusive(s),
-                    extra_breakpoints=interarrival.breakpoints(),
-                    epsrel=opts.quadrature_rel_tol)
-    return num
-
-
-def exact_age_preemption(interarrival: Distribution, service: Distribution,
-                         opts: EstimatorOptions = DEFAULT_OPTIONS,
-                         printed_denominator: bool = False) -> AgeEstimate:
-    """Average age under preemption in service, by quadrature.
-
-    ``printed_denominator=True`` divides the middle term by 1 - p instead
-    of p; it is provided for comparison only and does not match simulation
-    except where p = 1/2 makes the two coincide.
-    """
-    _require_valid_pair(interarrival, service)
-    p = success_probability(interarrival, service, opts)
+    p = success_probability(interarrival, service)
     if p <= 0.0:
         raise ZeroSuccessProbability(
             f"Pr(success) = 0 for interarrival {interarrival.describe()} "
             f"vs service {service.describe()}")
+    num, _ = expect(service, lambda s: s * interarrival.tail_inclusive(s),
+                    extra_breakpoints=interarrival.breakpoints())
+    return p, num / p
+
+
+def conditional_mean_service(interarrival: Distribution,
+                             service: Distribution) -> float:
+    """E[S | the service completes] = E[S * Pr(Y >= S)] / Pr(S <= Y).
+
+    Raises :class:`ZeroSuccessProbability` when no service can complete.
+    """
+    return _completed_service(interarrival, service)[1]
+
+
+def exact_age_preemption(interarrival: Distribution,
+                         service: Distribution) -> AgeEstimate:
+    """Average age under preemption in service, by quadrature."""
+    _require_valid_pair(interarrival, service)
+    p, stilde = _completed_service(interarrival, service)
     mid_num, mid_err = expect(
         interarrival, lambda y: y * float(service.ccdf(y)),
-        extra_breakpoints=service.breakpoints(),
-        epsrel=opts.quadrature_rel_tol)
-    denom = (1.0 - p) if printed_denominator else p
-    if denom <= 0.0:
-        if mid_num == 0.0:
-            middle, mid_err = 0.0, 0.0
-        else:
-            raise ZeroSuccessProbability(
-                "printed-denominator variant undefined: E[Pr(S > Y)] = 0")
-    else:
-        middle = mid_num / denom
-        mid_err = mid_err / denom
-    stilde = _completed_service_mass(interarrival, service, opts) / p
-    head = interarrival.second_moment() / (2.0 * interarrival.mean())
-    value = head + middle + stilde
+        extra_breakpoints=service.breakpoints())
+    middle = mid_num / p
+    value = _head(interarrival) + middle + stilde
     # Quadrature is deterministic; the half-width only reflects the
     # integrator's own error estimate.
-    ci = mid_err + opts.quadrature_rel_tol * (abs(middle) + stilde)
+    ci = mid_err / p + QUAD_REL_TOL * (abs(middle) + stilde)
     return AgeEstimate(value=value, ci_half_width=ci,
                        cycles_used=0, method="analytic")

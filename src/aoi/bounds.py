@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .analytic import (DEFAULT_OPTIONS, EstimatorOptions,
-                       _completed_service_mass, exact_age_dropping,
-                       moments_of_K_dropping, success_probability)
+from .analytic import (_completed_service, _head, exact_age_dropping,
+                       moments_of_K_dropping)
 from .distributions import Distribution, Exponential, MrlVerdict
-from .errors import ZeroSuccessProbability
 from .sim import Moment
 
 __all__ = [
@@ -69,12 +67,6 @@ class BoundReport:
 
 def _as_value(m: Union[Moment, float]) -> float:
     return m.value if isinstance(m, Moment) else float(m)
-
-
-def _head(interarrival: Distribution) -> float:
-    if interarrival.mean() <= 0:
-        raise ValueError("interarrival law must have a positive mean")
-    return interarrival.second_moment() / (2.0 * interarrival.mean())
 
 
 def ub_dropping_general(interarrival: Distribution, service: Distribution,
@@ -164,18 +156,13 @@ def mg11_ordering_bound(mean_interarrival: float, service: Distribution,
                     interarrival_verdict.value if interarrival_verdict else None})
 
 
-def ub_preemption(interarrival: Distribution, service: Distribution,
-                  opts: EstimatorOptions = DEFAULT_OPTIONS) -> BoundReport:
+def ub_preemption(interarrival: Distribution,
+                  service: Distribution) -> BoundReport:
     """Unconditional preemption bound
     E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y] with p the success
     probability.  Tight when the cycle count is independent of the gaps
     (e.g. deterministic gaps with p = 1)."""
-    p = success_probability(interarrival, service, opts)
-    if p <= 0.0:
-        raise ZeroSuccessProbability(
-            f"Pr(success) = 0 for interarrival {interarrival.describe()} "
-            f"vs service {service.describe()}")
-    stilde = _completed_service_mass(interarrival, service, opts) / p
+    p, stilde = _completed_service(interarrival, service)
     value = (_head(interarrival)
              + interarrival.mean() * (1.0 - p) / p
              + stilde)

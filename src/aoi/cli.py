@@ -16,6 +16,7 @@ is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,8 +61,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--truncation-eps", type=float, default=1e-8)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     _add_dist_flags(p)
     _add_estimator_flags(p)
-    p.add_argument("--printed-denominator", action="store_true",
-                   help="preemption only: divide the middle term by 1-p "
-                        "instead of p (comparison variant)")
     _add_common_flags(p)
 
     p = sub.add_parser("bound", help="closed-form or semi-analytic bounds")
@@ -134,13 +130,22 @@ def _resolve_seed(args) -> int:
         raise SystemExit(f"aoi: invalid {SEED_ENV_VAR}={raw!r}: not an integer")
 
 
+@contextlib.contextmanager
+def _usage_errors(args):
+    """Turn a ``ValueError`` from checking argv values into a usage error
+    (exit 2) that carries the validator's message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"aoi {args.command}: {exc}") from exc
+
+
 def _options(args, seed: int) -> EstimatorOptions:
-    return EstimatorOptions(
-        mc_samples=args.mc_samples,
-        k_truncation_epsilon=args.truncation_eps,
-        quadrature_rel_tol=args.quad_tol,
-        seed=seed,
-    )
+    """Estimator options from argv, once the law pair is known to be
+    valid; a bad value is a usage error."""
+    with _usage_errors(args):
+        analytic._require_valid_pair(args.interarrival, args.service)
+        return EstimatorOptions(mc_samples=args.mc_samples, seed=seed)
 
 
 def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
@@ -158,10 +163,12 @@ def _fmt(x: float) -> str:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    config = SimConfig(interarrival=args.interarrival, service=args.service,
-                       discipline=Discipline(args.discipline),
-                       target_cycles=args.cycles, seed=seed,
-                       max_events=args.max_events)
+    with _usage_errors(args):
+        config = SimConfig(interarrival=args.interarrival,
+                           service=args.service,
+                           discipline=Discipline(args.discipline),
+                           target_cycles=args.cycles, seed=seed,
+                           max_events=args.max_events)
     estimate, records = run_simulation(config, trace_path=args.trace)
     stats = cycle_statistics(records) if len(records) >= 2 else None
     inputs = {"discipline": args.discipline,
@@ -197,15 +204,11 @@ def _cmd_exact(args) -> int:
     seed = _resolve_seed(args)
     opts = _options(args, seed)
     if args.discipline == "dropping":
-        if args.printed_denominator:
-            raise SystemExit("aoi exact: --printed-denominator applies to "
-                             "preemption only")
         estimate = analytic.exact_age_dropping(args.interarrival, args.service,
                                                opts)
     else:
-        estimate = analytic.exact_age_preemption(
-            args.interarrival, args.service, opts,
-            printed_denominator=args.printed_denominator)
+        estimate = analytic.exact_age_preemption(args.interarrival,
+                                                 args.service)
     inputs = {"discipline": args.discipline,
               "interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(), "seed": seed,
@@ -244,7 +247,7 @@ def _cmd_bound(args) -> int:
         report = bounds.mg11_ordering_bound(y.mean(), s,
                                             interarrival_verdict=verdict)
     else:
-        report = bounds.ub_preemption(y, s, opts)
+        report = bounds.ub_preemption(y, s)
     inputs = {"kind": kind, "interarrival": y.to_dict(),
               "service": s.to_dict(), "seed": seed}
     result = {"value": report.value, "kind": report.kind.value,
@@ -265,6 +268,8 @@ def _cmd_bound(args) -> int:
 def _cmd_kpmf(args) -> int:
     seed = _resolve_seed(args)
     opts = _options(args, seed)
+    if args.k_max < 1:
+        raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")
     res = analytic.k_pmf(args.interarrival, args.service, args.k_max, opts)
     inputs = {"interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(),

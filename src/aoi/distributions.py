@@ -16,10 +16,11 @@ integrates the tail numerically, and :func:`classify_mrl` grades the
 monotonicity of the MRL curve and the NBUE property from one grid capped
 at the 0.999 quantile, with a tolerance relative to the mean.  All
 quadrature (:func:`expect` and the MRL tail integral) measures the
-variable in units of the law's mean, so results rescale with time.  The
-strict ccdf convention matches the simulator's tie rule (a completion at
-exactly an arrival instant counts as a success), which keeps formula
-evaluation and event accounting aligned.
+variable in units of the law's mean, so results rescale with time, and
+runs at a fixed relative tolerance (``QUAD_REL_TOL`` for :func:`expect`,
+``MRL_REL_TOL`` for the tail).  The strict ccdf convention matches the
+simulator's tie rule (a completion at exactly an arrival instant counts as
+a success), which keeps formula evaluation and event accounting aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
 caller-supplied generator.
@@ -59,7 +60,7 @@ __all__ = [
     "MRL_QUANTILE_CAP",
 ]
 
-LAPLACE_REL_TOL = 1e-9
+QUAD_REL_TOL = 1e-9
 MRL_REL_TOL = 1e-8
 MRL_QUANTILE_CAP = 0.999
 DEFAULT_MRL_TOL = 1e-6  # relative to the law's mean
@@ -131,8 +132,7 @@ class Distribution(ABC):
             raise ValueError("laplace transform argument must be >= 0")
         if s == 0.0:
             return 1.0
-        value, _ = expect(self, lambda x: math.exp(-s * x),
-                          epsrel=LAPLACE_REL_TOL)
+        value, _ = expect(self, lambda x: math.exp(-s * x))
         return min(value, 1.0)
 
     @abstractmethod
@@ -546,14 +546,14 @@ def _integrate_in_units(g: Callable[[float], float], unit: float,
 
 
 def expect(dist: Distribution, fn: Callable[[float], float],
-           extra_breakpoints: Sequence[float] = (),
-           epsrel: float = 1e-9) -> tuple[float, float]:
+           extra_breakpoints: Sequence[float] = ()) -> tuple[float, float]:
     """E[fn(X)] with an error estimate.
 
     Point masses are evaluated directly; continuous laws integrate
     ``fn * pdf`` piecewise between the breakpoints of the law itself and
     any caller-supplied extra points (typically the kinks of another
-    law's ccdf inside the integrand), in units of the law's mean.
+    law's ccdf inside the integrand), in units of the law's mean, at the
+    fixed relative tolerance ``QUAD_REL_TOL``.
     """
     if isinstance(dist, Deterministic):
         return float(fn(dist.value)), 0.0
@@ -561,7 +561,7 @@ def expect(dist: Distribution, fn: Callable[[float], float],
     lo, hi = dist.support()
     return _integrate_in_units(
         lambda x: fn(x) * dist.pdf(x) * unit, unit, lo, hi,
-        tuple(dist.breakpoints()) + tuple(extra_breakpoints), epsrel)
+        tuple(dist.breakpoints()) + tuple(extra_breakpoints), QUAD_REL_TOL)
 
 
 def mean_residual_life(dist: Distribution, t: float) -> float:

@@ -186,7 +186,7 @@ def _evaluate(tag: str, spec: SweepSpec, param: float,
         if spec.discipline is Discipline.DROPPING:
             est = analytic.exact_age_dropping(interarrival, service, opts)
         else:
-            est = analytic.exact_age_preemption(interarrival, service, opts)
+            est = analytic.exact_age_preemption(interarrival, service)
         return SweepRow(param, tag, est.value, est.ci_half_width)
     if tag == "corollary1":
         k_mean, k_second = analytic.moments_of_K_dropping(interarrival, service, opts)
@@ -210,7 +210,7 @@ def _evaluate(tag: str, spec: SweepSpec, param: float,
         return SweepRow(param, tag, report.value, 0.0,
                         report.applicability.value)
     if tag == "corollary2":
-        report = bounds.ub_preemption(interarrival, service, opts)
+        report = bounds.ub_preemption(interarrival, service)
         return SweepRow(param, tag, report.value, 0.0,
                         report.applicability.value)
     raise ValueError(f"unknown estimator tag {tag!r}")

@@ -1,20 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from aoi.analytic import (EstimatorOptions, _k_pmf_walk,
                           conditional_mean_service, dropping_walk_moments,
                           exact_age_dropping, exact_age_preemption, k_pmf,
                           moments_of_K_dropping, success_probability)
-from aoi.bounds import ub_dropping_general
+from aoi.bounds import ub_dropping_general, ub_preemption
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
                                Uniform)
-from aoi.errors import TruncationNotReached, ZeroSuccessProbability
+from aoi.errors import AoiError, TruncationNotReached, ZeroSuccessProbability
 from aoi.sim import Z95, SimConfig, run_simulation
+from test_distributions import ALL_KINDS, RESCALED
 
 FAST = EstimatorOptions(mc_samples=10_000, seed=1)
 MED = EstimatorOptions(mc_samples=200_000, seed=2)
@@ -27,14 +29,17 @@ def mm_dropping_age(lam, mu):
 # ------------------------------------------------------------- options
 
 def test_option_validation():
-    with pytest.raises(ValueError):
+    assert [f.name for f in dataclasses.fields(EstimatorOptions)] == \
+        ["mc_samples", "seed"]
+    with pytest.raises(ValueError, match="mc_samples"):
         EstimatorOptions(mc_samples=100)
-    with pytest.raises(ValueError):
-        EstimatorOptions(k_truncation_epsilon=0.5)
-    with pytest.raises(ValueError):
-        EstimatorOptions(quadrature_rel_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed"):
         EstimatorOptions(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        EstimatorOptions(seed=2**64)
+    EstimatorOptions(mc_samples=10_000, seed=2**64 - 1)
+    with pytest.raises(TypeError):
+        EstimatorOptions(k_truncation_epsilon=1e-8)
 
 
 # ------------------------------------------------------------- dropping
@@ -256,26 +261,47 @@ def test_mm_preemption_closed_form():
 
 
 def test_printed_denominator_variant_differs():
-    # lam=2, mu=1: corrected 1.5; printed divides by 1-p and gives 7/6.
-    corrected = exact_age_preemption(Exponential(2.0), Exponential(1.0))
-    printed = exact_age_preemption(Exponential(2.0), Exponential(1.0),
-                                   printed_denominator=True)
-    assert corrected.value == pytest.approx(1.5, rel=1e-9)
-    assert printed.value == pytest.approx(7.0 / 6.0, rel=1e-9)
-    # Only the corrected reading matches simulation.
+    # lam=2, mu=1: dividing the middle term by p gives 1.5; dividing it by
+    # 1-p instead would give 7/6.
+    exact = exact_age_preemption(Exponential(2.0), Exponential(1.0))
+    assert exact.value == pytest.approx(1.5, rel=1e-9)
+    # Only the p reading matches simulation.
     est, _ = run_simulation(SimConfig(Exponential(2.0), Exponential(1.0),
                                       "preemption", 20_000, seed=8))
-    assert abs(est.value - corrected.value) <= 3.0 * est.ci_half_width
-    assert abs(est.value - printed.value) > 3.0 * est.ci_half_width
+    assert abs(est.value - 1.5) <= 3.0 * est.ci_half_width
+    assert abs(est.value - 7.0 / 6.0) > 3.0 * est.ci_half_width
+
+
+def _preemption_outcome(y, s):
+    """(exact age, corollary 2 bound), or the AoiError class raised."""
+    try:
+        return exact_age_preemption(y, s).value, ub_preemption(y, s).value
+    except AoiError as exc:
+        return type(exc)
+
+
+@given(st.sampled_from(ALL_KINDS), st.sampled_from(ALL_KINDS),
+       st.floats(-6.0, 6.0))
+# p = Pr(Y >= 2) = 0 exactly, but 1 - E[Pr(S > Y)] rounded to 1.1e-16 here.
+@example(Uniform(0.5, 2.0), Deterministic(2.0), 1.501953125)
+def test_preemption_is_scale_free(y, s, log10_c):
+    c = 10.0**log10_c
+    base = _preemption_outcome(y, s)
+    scaled = _preemption_outcome(RESCALED[y.kind](y, c),
+                                 RESCALED[s.kind](s, c))
+    if isinstance(base, type):
+        assert scaled is base
+    else:
+        assert scaled == pytest.approx((c * base[0], c * base[1]), rel=1e-7)
 
 
 def test_preemption_deterministic_cases():
-    est = exact_age_preemption(Deterministic(2.0), Deterministic(1.0), FAST)
+    est = exact_age_preemption(Deterministic(2.0), Deterministic(1.0))
     assert est.value == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ZeroSuccessProbability):
-        exact_age_preemption(Deterministic(1.0), Deterministic(2.0), FAST)
+        exact_age_preemption(Deterministic(1.0), Deterministic(2.0))
     # Tie: completion at exactly the next arrival succeeds.
-    est = exact_age_preemption(Deterministic(1.0), Deterministic(1.0), FAST)
+    est = exact_age_preemption(Deterministic(1.0), Deterministic(1.0))
     assert est.value == pytest.approx(1.5, abs=1e-12)
 
 

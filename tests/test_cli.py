@@ -148,6 +148,46 @@ def test_usage_error_mm11_needs_exponentials(capsys):
     assert "mm11" in err
 
 
+PAIR = ("--interarrival", EXP1, "--service", EXP1)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("exact", "--discipline", "dropping", *PAIR, "--mc-samples", "100"),
+     "mc_samples must be >= 10000"),
+    (("exact", "--discipline", "preemption", *PAIR, "--seed", "-1"),
+     "seed must fit in 64 bits"),
+    (("kpmf", *PAIR, "--k-max", "0"), "k_max must be >= 1"),
+    (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "0"),
+     "target_cycles must be >= 1"),
+    (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "5",
+      "--max-events", "1"), "max_events must be >= target_cycles"),
+    (("exact", "--discipline", "dropping", "--interarrival", DET % 0,
+      "--service", EXP1), "interarrival law must have a positive mean"),
+], ids=["mc-samples", "seed", "k-max", "cycles", "max-events",
+        "zero-mean-interarrival"])
+def test_out_of_range_value_is_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert named in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("exact", "--discipline", "dropping", *PAIR, "--truncation-eps", "1e-8"),
+     "--truncation-eps"),
+    (("bound", "--kind", "corollary2", *PAIR, "--quad-tol", "1e-9"),
+     "--quad-tol"),
+    (("kpmf", *PAIR, "--quad-tol", "1e-9"), "--quad-tol"),
+    (("exact", "--discipline", "preemption", *PAIR, "--printed-denominator"),
+     "--printed-denominator"),
+], ids=["truncation-eps", "quad-tol", "kpmf-quad-tol", "printed-denominator"])
+def test_deleted_flag_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_at_file_distribution_reference(capsys, tmp_path):
     path = tmp_path / "y.json"
     path.write_text(EXP1, encoding="utf-8")
@@ -209,9 +249,14 @@ def test_sweep_end_to_end(capsys, tmp_path):
 @pytest.mark.parametrize("spec,named", [
     ({**SWEEP_SPEC, "options": {"mc_samples": 20000, "walk_only": True}},
      "walk_only"),
+    ({**SWEEP_SPEC, "options": {"k_truncation_epsilon": 1e-8}},
+     "k_truncation_epsilon"),
+    ({**SWEEP_SPEC, "options": {"quadrature_rel_tol": 1e-9}},
+     "quadrature_rel_tol"),
     ({k: v for k, v in SWEEP_SPEC.items() if k != "grid"}, "grid"),
     (None, "No such file"),
-], ids=["unknown-option", "missing-key", "missing-file"])
+], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
+        "missing-key", "missing-file"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
