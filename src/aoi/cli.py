@@ -71,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Default seed comes from ${SEED_ENV_VAR} when --seed is omitted.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="discrete-event simulation")
+    p = sub.add_parser("simulate", help="regenerative-cycle simulation")
     p.add_argument("--discipline", choices=["dropping", "preemption"],
                    required=True)
     _add_dist_flags(p)
     p.add_argument("--cycles", type=int, default=10_000)
-    p.add_argument("--max-events", type=int, default=None)
+    p.add_argument("--max-events", type=int, default=None,
+                   help="budget of arrivals plus deliveries "
+                        "(default: 1000 x --cycles)")
     p.add_argument("--trace", metavar="CSV",
                    help="write an event trace (time, event, age_after_event)")
     _add_common_flags(p)
@@ -119,15 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"aoi: invalid {SEED_ENV_VAR}={raw!r}: not an integer")
+    """The seed from ``--seed``, else ``$AOI_SEED``, else 0; a seed out of
+    range is a usage error on every path, whether or not it draws."""
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise SystemExit(f"aoi: invalid {SEED_ENV_VAR}={raw!r}: not an integer")
+    if not 0 <= seed < 2**64:
+        raise SystemExit(f"aoi {args.command}: seed must fit in 64 bits, "
+                         f"got {seed}")
+    return seed
 
 
 @contextlib.contextmanager
@@ -140,11 +146,16 @@ def _usage_errors(args):
         raise SystemExit(f"aoi {args.command}: {exc}") from exc
 
 
-def _options(args, seed: int) -> EstimatorOptions:
-    """Estimator options from argv, once the law pair is known to be
-    valid; a bad value is a usage error."""
+def _check_pair(args) -> None:
+    """A law pair the estimators reject is a usage error."""
     with _usage_errors(args):
         analytic._require_valid_pair(args.interarrival, args.service)
+
+
+def _options(args, seed: int) -> EstimatorOptions:
+    """Estimator options from argv, for the paths that run the walk; a
+    bad value is a usage error."""
+    with _usage_errors(args):
         return EstimatorOptions(mc_samples=args.mc_samples, seed=seed)
 
 
@@ -202,17 +213,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exact(args) -> int:
     seed = _resolve_seed(args)
-    opts = _options(args, seed)
+    _check_pair(args)
+    inputs = {"discipline": args.discipline,
+              "interarrival": args.interarrival.to_dict(),
+              "service": args.service.to_dict(), "seed": seed}
     if args.discipline == "dropping":
         estimate = analytic.exact_age_dropping(args.interarrival, args.service,
-                                               opts)
+                                               _options(args, seed))
+        inputs["mc_samples"] = args.mc_samples
     else:
         estimate = analytic.exact_age_preemption(args.interarrival,
                                                  args.service)
-    inputs = {"discipline": args.discipline,
-              "interarrival": args.interarrival.to_dict(),
-              "service": args.service.to_dict(), "seed": seed,
-              "mc_samples": args.mc_samples}
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
               "cycles_used": estimate.cycles_used, "method": estimate.method}
     lines = [
@@ -226,11 +237,11 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     seed = _resolve_seed(args)
-    opts = _options(args, seed)
+    _check_pair(args)
     y, s = args.interarrival, args.service
     kind = args.kind
     if kind == "corollary1":
-        km = analytic.moments_of_K_dropping(y, s, opts)
+        km = analytic.moments_of_K_dropping(y, s, _options(args, seed))
         report = bounds.ub_dropping_general(y, s, km)
     elif kind == "gm11":
         if not isinstance(s, Exponential):
@@ -267,6 +278,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_kpmf(args) -> int:
     seed = _resolve_seed(args)
+    _check_pair(args)
     opts = _options(args, seed)
     if args.k_max < 1:
         raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")

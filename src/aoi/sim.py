@@ -1,33 +1,33 @@
-"""Discrete-event simulation of G/G/1/1 under dropping and preemption.
+"""Regenerative-cycle simulation of G/G/1/1 under dropping and preemption.
 
 The system holds at most one update: under *dropping* an arrival that finds
 the server busy is discarded; under *preemption in service* it replaces the
 update being served, which restarts service with a fresh draw.  A delivery
-resets the instantaneous age to the sojourn time of the delivered update,
-so the age follows a sawtooth.
+resets the age to the sojourn time of the delivered update (a sawtooth).
 
-Cycles are delimited by *successful arrivals* (arrivals whose update is
-eventually delivered).  Measurement starts at the first delivery; the
-reported value is the exact sawtooth time-average over the window from the
-first delivery to the delivery closing the last cycle, accumulated one
-inter-delivery trapezoid at a time.  Every cycle record satisfies
-``g == w + busy`` where ``busy`` is the service time of the delivered
-update and ``w`` is the gap from that delivery to the next successful
-arrival (pure idle time under dropping; idle plus preempted work under
-preemption).
+Cycles run between *successful arrivals* (arrivals whose update is
+delivered) and are i.i.d., so whole cycles are drawn with NumPy.  Dropping:
+cycle i takes gaps until their partial sum reaches its service ``S_i``, so
+``K_i = min{k: A_1 + ... + A_k >= S_i}`` and ``G_i`` is that sum; all cycles
+walk at once.  Preemption: arrival j is delivered iff ``S_j <= Y_{j+1}``;
+(service, gap) pairs come in fixed-size blocks and only the delivered
+arrivals are kept.  The value is the exact sawtooth average from the first
+delivery on: cycle i adds ``(S_i + G_i + S_{i+1})(G_i + S_{i+1} - S_i) / 2``.
+Each cycle has ``g == w + busy``, with ``busy`` the delivered service and
+``w`` the gap from that delivery to the next successful arrival.
 
-Tie rule: a completion scheduled at exactly an arrival instant is processed
-first, so the completion succeeds and the arrival finds an idle server.
-This matches the strict ccdf convention used by the analytic estimators.
+Tie rule: a completion at exactly an arrival instant comes first, so it
+succeeds and the arrival finds an idle server (``>=`` and ``<=`` above), as
+in the analytic estimators' ccdf convention.  The event budget counts what
+an event-by-event run processes: arrivals plus deliveries.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,20 +35,14 @@ from .distributions import Distribution
 from .errors import DivergentAge
 
 __all__ = [
-    "Discipline",
-    "SimConfig",
-    "CycleRecord",
-    "AgeEstimate",
-    "CycleStatistics",
-    "Moment",
-    "run_simulation",
-    "cycle_statistics",
-    "Z95",
+    "Discipline", "SimConfig", "CycleRecord", "CycleRecords", "AgeEstimate",
+    "CycleStatistics", "Moment", "run_simulation", "cycle_statistics", "Z95",
 ]
 
 Z95 = 1.959963984540054  # 97.5% standard normal quantile
 _BATCHES = 30
-_CHUNK = 8192
+_BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
+_TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
 
 
 class Discipline(str, Enum):
@@ -75,6 +69,8 @@ class SimConfig:
             raise ValueError("max_events must be >= target_cycles")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if self.interarrival.mean() <= 0:     # all arrivals at time 0
+            raise ValueError("interarrival law must have a positive mean")
 
     @property
     def effective_max_events(self) -> int:
@@ -82,20 +78,45 @@ class SimConfig:
             else 1000 * self.target_cycles
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """Per-cycle observables between consecutive successful arrivals.
-
-    g     effective interarrival time (sum of the k arrival gaps)
-    w     gap from this cycle's delivery to the next successful arrival
-    busy  service time of the delivered update
-    k     number of arrivals consumed by the cycle
-    """
+class CycleRecord(NamedTuple):
+    """One cycle of :class:`CycleRecords`."""
 
     g: float
     w: float
     busy: float
     k: int
+
+
+@dataclass(frozen=True, eq=False)
+class CycleRecords:
+    """Per-cycle observables of one run, one array entry per cycle.
+
+    g     effective interarrival time (sum of the k arrival gaps)
+    w     gap from this cycle's delivery to the next successful arrival
+    busy  service time of the delivered update
+    k     number of arrivals consumed by the cycle
+
+    Iterating yields one :class:`CycleRecord` per cycle; two runs compare
+    equal when all four arrays do.
+    """
+
+    g: np.ndarray
+    w: np.ndarray
+    busy: np.ndarray
+    k: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self):
+        return map(CycleRecord, self.g.tolist(), self.w.tolist(),
+                   self.busy.tolist(), self.k.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, CycleRecords):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -130,151 +151,143 @@ class CycleStatistics:
     p_hat: Moment
 
 
-class _Stream:
-    """Chunked sampler: per-draw cost stays low inside the event loop."""
-
-    __slots__ = ("dist", "rng", "buf", "pos")
-
-    def __init__(self, dist: Distribution, rng: np.random.Generator):
-        self.dist = dist
-        self.rng = rng
-        self.buf: list[float] = []
-        self.pos = 0
-
-    def next(self) -> float:
-        if self.pos >= len(self.buf):
-            self.buf = self.dist.sample_array(self.rng, _CHUNK).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
-
-
-class _Trace:
-    def __init__(self, path):
-        self.fh = open(path, "w", newline="")
-        self.writer = csv.writer(self.fh, lineterminator="\n")
-        self.writer.writerow(["time", "event", "age_after_event"])
-
-    def row(self, time: float, event: str, age: float):
-        self.writer.writerow([repr(time), event, repr(age)])
-
-    def close(self):
-        self.fh.close()
-
-
 def run_simulation(config: SimConfig, trace_path=None
-                   ) -> tuple[AgeEstimate, list[CycleRecord]]:
+                   ) -> tuple[AgeEstimate, CycleRecords]:
     """Simulate until ``target_cycles`` cycles close and return the
     time-average age plus the per-cycle records.
 
     The run needs ``target_cycles + 1`` deliveries (a cycle closes at the
-    *next* successful arrival).  Raises :class:`DivergentAge` if the event
-    budget is exhausted first.  With ``trace_path`` set, every event is
-    appended to a CSV ``(time, event, age_after_event)``; the age before
-    the first delivery is measured from a virtual age zero at time 0.
+    *next* successful arrival).  Raises :class:`DivergentAge` if that takes
+    more than ``max_events`` arrivals plus deliveries.  With ``trace_path``
+    set, every event of the same run is written to a CSV ``(time, event,
+    age_after_event)``; the age before the first delivery is measured from
+    a virtual age zero at time 0.  A run that raises leaves the file empty.
     """
-    trace = _Trace(trace_path) if trace_path is not None else None
-    try:
-        return _simulate(config, trace)
-    finally:
-        if trace is not None:
-            trace.close()
-
-
-def _simulate(config, trace):
     rng = np.random.default_rng(config.seed)
-    arrivals = _Stream(config.interarrival, rng)
-    services = _Stream(config.service, rng)
-    preemptive = config.discipline is Discipline.PREEMPTION
+    cycles = (_dropping_cycles if config.discipline is Discipline.DROPPING
+              else _preemption_cycles)
+    if trace_path is None:
+        return _estimate(*cycles(config, rng, keep=False)[:3])
+    with open(trace_path, "w", newline="") as fh:
+        services, g, k, arrivals = cycles(config, rng, keep=True)
+        _write_trace(fh, services, *arrivals)
+    return _estimate(services, g, k)
+
+
+def _check_budget(events: int, config: SimConfig) -> None:
+    """Raise :class:`DivergentAge` if the run needs ``events`` (or at least
+    that many) arrivals plus deliveries and its budget is smaller."""
+    if events > config.effective_max_events:
+        raise DivergentAge(
+            f"no {config.target_cycles + 1} deliveries within "
+            f"{config.effective_max_events} events; success probability "
+            f"may be zero")
+
+
+def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
+    """Services of the ``n + 1`` delivered updates, G and K of the ``n``
+    cycles between them and, with ``keep``, the trace's arrivals.  The walk
+    also crosses cycle ``n + 1``, whose dropped arrivals precede the last
+    delivery."""
+    y = config.interarrival
+    n1 = config.target_cycles + 1
+    first = y.sample_array(rng, 1)          # arrival 1 finds the server idle
+    services = config.service.sample_array(rng, n1)
+    g, k = np.empty(n1), np.empty(n1, dtype=np.int64)
+    active, partial = np.arange(n1), np.zeros(n1)   # uncrossed cycles, sums
+    drawn = settled = 0     # gaps drawn per active cycle, arrivals of the rest
+    kept = []               # (cycle, gap) pairs for the trace
+    while active.size:
+        m = active.size
+        b = max(1, _BLOCK // m)
+        gaps = y.sample_array(rng, m * b).reshape(m, b)
+        sums = partial[:, None] + np.cumsum(gaps, axis=1)
+        crossed = sums >= services[active, None]
+        hit, first_hit = crossed.any(axis=1), crossed.argmax(axis=1)
+        done, at = active[hit], first_hit[hit]
+        g[done] = sums[hit, at]
+        k[done] = drawn + at + 1
+        settled += int(k[done].sum())
+        if keep:
+            used = np.arange(b) <= np.where(hit, first_hit, b - 1)[:, None]
+            kept.append((np.repeat(active, used.sum(axis=1)), gaps[used]))
+        active, partial = active[~hit], sums[~hit, -1]
+        drawn += b
+        _check_budget(settled + active.size * (drawn + 1) + n1, config)
+    arrivals = None
+    if keep:
+        # In cycle order the gaps are the arrival stream; the crossing gap
+        # of cycle n + 1 comes after the last delivery.
+        cycle, gap = (np.concatenate(c) for c in zip(*kept))
+        stream = gap[np.argsort(cycle, kind="stable")][:-1]
+        ends = np.cumsum(k)                 # delivery i precedes arrival ends[i]
+        arrivals = (np.cumsum(np.concatenate((first, stream))), ends - k, ends,
+                    "arrival_dropped")
+    return services, g[:-1], k[:-1], arrivals
+
+
+def _preemption_cycles(config: SimConfig, rng: np.random.Generator,
+                       keep: bool):
+    """Services of the first ``n + 1`` delivered arrivals, G and K of the
+    ``n`` cycles between them and, with ``keep``, the trace's arrivals.
+    Blocks pair each arrival's service with the gap after it."""
+    y, s = config.interarrival, config.service
     need = config.target_cycles + 1
-    max_events = config.effective_max_events
+    start = y.sample_array(rng, 1)          # time of the block's first arrival
+    decided = found = 0
+    delivered, every = [], []
+    while found < need:
+        _check_budget(decided + 1 + need, config)
+        services = s.sample_array(rng, _BLOCK)
+        gaps = y.sample_array(rng, _BLOCK)
+        times = np.cumsum(np.concatenate((start, gaps)))
+        hits = np.flatnonzero(services <= gaps)
+        delivered.append((times[hits], services[hits], decided + hits))
+        if keep:
+            every.append(times[:-1])
+        found += hits.size
+        decided += _BLOCK
+        start = times[-1:]
+    times, services, index = (np.concatenate(c)[:need] for c in zip(*delivered))
+    _check_budget(int(index[-1]) + 1 + need, config)
+    arrivals = None
+    if keep:
+        arrivals = (np.concatenate(every)[:index[-1] + 1], index, index + 1,
+                    "arrival_preempt")
+    return services, np.diff(times), np.diff(index), arrivals
 
-    t_arr = arrivals.next()     # absolute time of the next arrival
-    n_arrivals = 1              # arrivals drawn so far (t_arr included)
-    busy = False
-    svc_end = svc_gen = 0.0
-    svc_idx = 0                 # arrival index of the update in service
-    newest_gen = 0.0            # generation time feeding the age (trace)
 
-    # Previous successful arrival (dropping closes cycles at arrivals).
-    prev_gen = 0.0
-    prev_idx = 0
-    prev_busy = 0.0
-    prev_delivery = 0.0
-    have_prev = False
+def _estimate(services: np.ndarray, g: np.ndarray, k: np.ndarray
+              ) -> tuple[AgeEstimate, CycleRecords]:
+    """The sawtooth average over the cycles between ``n + 1`` deliveries."""
+    s0, s1 = services[:-1], services[1:]
+    lengths = g + s1 - s0
+    areas = 0.5 * (s0 + g + s1) * lengths
+    value = float(areas.sum() / lengths.sum())
+    estimate = AgeEstimate(value=value,
+                           ci_half_width=_batch_ci(areas, lengths, value),
+                           cycles_used=len(g), method="simulation")
+    return estimate, CycleRecords(g=g, w=g - s0, busy=s0, k=k)
 
-    n_deliveries = 0
-    last_delivery = 0.0
-    records: list[CycleRecord] = []
-    areas: list[float] = []
-    lengths: list[float] = []
-    events = 0
 
-    while n_deliveries < need:
-        events += 1
-        if events > max_events:
-            raise DivergentAge(
-                f"no {need} deliveries within {max_events} events "
-                f"({n_deliveries} seen); success probability may be zero")
-        if busy and svc_end <= t_arr:
-            # Completion first on ties: the delivery succeeds and the
-            # simultaneous arrival will find an idle server.
-            d, g = svc_end, svc_gen
-            n_deliveries += 1
-            if n_deliveries >= 2:
-                dt = d - last_delivery
-                areas.append(0.5 * ((last_delivery - newest_gen)
-                                    + (d - newest_gen)) * dt)
-                lengths.append(dt)
-            if preemptive:
-                if have_prev:
-                    records.append(CycleRecord(
-                        g=g - prev_gen, w=g - prev_delivery,
-                        busy=prev_busy, k=svc_idx - prev_idx))
-                prev_gen, prev_idx, prev_busy = g, svc_idx, d - g
-                prev_delivery = d
-                have_prev = True
-            newest_gen = g
-            last_delivery = d
-            busy = False
-            if trace:
-                trace.row(d, "departure", d - newest_gen)
-        else:
-            # Arrival event.
-            if busy:
-                if preemptive:
-                    svc_gen, svc_idx = t_arr, n_arrivals
-                    svc_end = t_arr + services.next()
-                    if trace:
-                        trace.row(t_arr, "arrival_preempt", t_arr - newest_gen)
-                else:
-                    if trace:
-                        trace.row(t_arr, "arrival_dropped", t_arr - newest_gen)
-            else:
-                svc_gen, svc_idx = t_arr, n_arrivals
-                svc_end = t_arr + services.next()
-                busy = True
-                if not preemptive:
-                    # Arrival at an idle server is the successful arrival.
-                    if have_prev:
-                        records.append(CycleRecord(
-                            g=t_arr - prev_gen, w=t_arr - prev_delivery,
-                            busy=prev_busy, k=n_arrivals - prev_idx))
-                    prev_gen, prev_idx = t_arr, n_arrivals
-                    prev_busy = svc_end - t_arr
-                    prev_delivery = svc_end
-                    have_prev = True
-                if trace:
-                    trace.row(t_arr, "arrival_success", t_arr - newest_gen)
-            t_arr += arrivals.next()
-            n_arrivals += 1
-
-    value = sum(areas) / sum(lengths)
-    ci = _batch_ci(areas, lengths, value)
-    estimate = AgeEstimate(value=value, ci_half_width=ci,
-                           cycles_used=len(records), method="simulation")
-    return estimate, records
+def _write_trace(fh, services: np.ndarray, times: np.ndarray,
+                 served: np.ndarray, at: np.ndarray, busy_event: str) -> None:
+    """Write every arrival (at ``times``: ``arrival_success`` when it is the
+    first or follows a delivery, else ``busy_event``) and the delivery of
+    each ``served`` arrival, which comes just before arrival ``at``."""
+    code = np.ones(times.size, dtype=np.int8)
+    code[np.append(0, at[:-1])] = 0
+    code = np.insert(code, at, 2)
+    row_time = np.insert(times, at, times[served] + services)
+    newest = np.insert(np.zeros(times.size), at, times[served])
+    age = row_time - np.maximum.accumulate(newest)
+    names = ("arrival_success", busy_event, "departure")
+    fh.write("time,event,age_after_event\n")
+    for lo in range(0, code.size, _TRACE_ROWS):
+        rows = slice(lo, lo + _TRACE_ROWS)
+        fh.write("".join(map("{!r},{},{!r}\n".format, row_time[rows].tolist(),
+                             map(names.__getitem__, code[rows].tolist()),
+                             age[rows].tolist())))
 
 
 def _batch_ci(areas: Sequence[float], lengths: Sequence[float],
@@ -288,37 +301,23 @@ def _batch_ci(areas: Sequence[float], lengths: Sequence[float],
     b = min(_BATCHES, n)
     if b < 2:
         return math.inf
-    bounds = np.linspace(0, n, b + 1).astype(int)
-    a = np.asarray(areas)
-    ln = np.asarray(lengths)
-    ratios = np.array([a[lo:hi].sum() / ln[lo:hi].sum()
-                       for lo, hi in zip(bounds[:-1], bounds[1:])])
-    var = np.sum((ratios - value) ** 2) / (b - 1)
-    return Z95 * math.sqrt(var / b)
+    starts = np.linspace(0, n, b + 1).astype(int)[:-1]
+    ratios = np.add.reduceat(areas, starts) / np.add.reduceat(lengths, starts)
+    return Z95 * math.sqrt(np.sum((ratios - value) ** 2) / ((b - 1) * b))
 
 
 def _moment(xs: np.ndarray) -> Moment:
-    n = len(xs)
-    return Moment(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(n)))
+    return Moment(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(len(xs))))
 
 
-def cycle_statistics(records: Iterable[CycleRecord]) -> CycleStatistics:
+def cycle_statistics(records: CycleRecords) -> CycleStatistics:
     """Sample means and second moments of the cycle observables."""
-    recs = list(records)
-    if len(recs) < 2:
-        raise ValueError(f"need at least 2 cycle records, got {len(recs)}")
-    g = np.array([r.g for r in recs])
-    k = np.array([float(r.k) for r in recs])
-    w = np.array([r.w for r in recs])
-    busy = np.array([r.busy for r in recs])
+    if len(records) < 2:
+        raise ValueError(f"need at least 2 cycle records, got {len(records)}")
+    g, k = records.g, records.k.astype(float)
     k_mean = _moment(k)
     return CycleStatistics(
-        g_mean=_moment(g),
-        g_second_moment=_moment(g * g),
-        k_mean=k_mean,
-        k_second_moment=_moment(k * k),
-        w_mean=_moment(w),
-        busy_mean=_moment(busy),
-        p_hat=Moment(1.0 / k_mean.value,
-                     k_mean.stderr / k_mean.value**2),
-    )
+        g_mean=_moment(g), g_second_moment=_moment(g * g),
+        k_mean=k_mean, k_second_moment=_moment(k * k),
+        w_mean=_moment(records.w), busy_mean=_moment(records.busy),
+        p_hat=Moment(1.0 / k_mean.value, k_mean.stderr / k_mean.value**2))

@@ -163,13 +163,32 @@ PAIR = ("--interarrival", EXP1, "--service", EXP1)
       "--max-events", "1"), "max_events must be >= target_cycles"),
     (("exact", "--discipline", "dropping", "--interarrival", DET % 0,
       "--service", EXP1), "interarrival law must have a positive mean"),
+    (("exact", "--discipline", "preemption", "--interarrival", DET % 0,
+      "--service", EXP1), "interarrival law must have a positive mean"),
+    (("bound", "--kind", "corollary2", "--interarrival", DET % 0,
+      "--service", EXP1), "interarrival law must have a positive mean"),
+    (("simulate", "--discipline", "dropping", "--interarrival", DET % 0,
+      "--service", DET % 0), "interarrival law must have a positive mean"),
 ], ids=["mc-samples", "seed", "k-max", "cycles", "max-events",
-        "zero-mean-interarrival"])
+        "zero-mean-interarrival", "zero-mean-interarrival-preemption",
+        "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate"])
 def test_out_of_range_value_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
     assert named in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--discipline", "preemption", *PAIR),
+    ("bound", "--kind", "corollary2", *PAIR),
+], ids=["exact-preemption", "corollary2"])
+def test_quadrature_paths_ignore_mc_samples(capsys, argv):
+    # Only the walk reads --mc-samples, so a value it would reject is no
+    # error on a quadrature path, and the inputs do not echo it.
+    code, payload = run_json(capsys, *argv, "--mc-samples", "100")
+    assert code == 0
+    assert "mc_samples" not in payload["inputs"]
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,14 +1,17 @@
 import csv
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aoi.distributions import (Deterministic, Exponential, Rayleigh,
                                ShiftedExponential, Uniform)
 from aoi.errors import DivergentAge
-from aoi.sim import (CycleRecord, Discipline, SimConfig, cycle_statistics,
-                     run_simulation)
+from aoi.sim import (CycleRecord, CycleRecords, Discipline, SimConfig,
+                     cycle_statistics, run_simulation)
+from test_distributions import CONTINUOUS, RESCALED
 
 MM = SimConfig(Exponential(1.0), Exponential(1.0), Discipline.DROPPING,
                target_cycles=20_000, seed=42)
@@ -61,6 +64,30 @@ def test_preemption_divergence_guard():
                        target_cycles=10, seed=0)
     with pytest.raises(DivergentAge):
         run_simulation(config)
+
+
+def test_dropping_divergence_guard():
+    # About 2e5 gaps of mean 5e-5 cover one service of 10: three cycles
+    # need far more arrivals than the budget.
+    config = SimConfig(Uniform(0.0, 1e-4), Deterministic(10.0), "dropping",
+                       target_cycles=2, seed=0, max_events=1000)
+    with pytest.raises(DivergentAge):
+        run_simulation(config)
+
+
+def test_preemption_memory_is_bounded():
+    # About 37 arrivals per cycle, 7.4e5 in all: the engine keeps the
+    # delivered ones and one block, not the whole stream.
+    config = SimConfig(Exponential(4.0), ShiftedExponential(1.0, 0.5),
+                       "preemption", target_cycles=20_000, seed=1)
+    tracemalloc.start()
+    try:
+        _, records = run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records.k.sum() > 700_000
+    assert peak < 5_000_000
 
 
 def test_tie_rule_completion_wins():
@@ -188,10 +215,54 @@ def test_config_validation():
                   max_events=5)
     with pytest.raises(ValueError):
         SimConfig(Exponential(1.0), Exponential(1.0), "nope", 10)
+    with pytest.raises(ValueError, match="positive mean"):
+        SimConfig(Deterministic(0.0), Deterministic(0.0), "dropping", 10)
     config = SimConfig(Exponential(1.0), Exponential(1.0), "dropping", 10)
     assert config.effective_max_events == 10_000
 
 
 def test_cycle_statistics_needs_two_records():
+    one = CycleRecords(g=np.array([1.0]), w=np.array([0.5]),
+                       busy=np.array([0.5]), k=np.array([1]))
     with pytest.raises(ValueError):
-        cycle_statistics([CycleRecord(1.0, 0.5, 0.5, 1)])
+        cycle_statistics(one)
+
+
+def test_records_compare_by_value_and_iterate_as_cycle_records():
+    _, records = run_simulation(SimConfig(Exponential(1.0), Uniform(0.1, 1.2),
+                                          "dropping", 200, seed=3))
+    assert len(records) == 200
+    copy = CycleRecords(records.g.copy(), records.w.copy(),
+                        records.busy.copy(), records.k.copy())
+    assert copy == records and copy is not records
+    _, other = run_simulation(SimConfig(Exponential(1.0), Uniform(0.1, 1.2),
+                                        "dropping", 200, seed=4))
+    assert other != records
+    rows = list(records)
+    assert all(isinstance(r, CycleRecord) for r in rows)
+    assert [r.k for r in rows] == records.k.tolist()
+    assert sum(r.g for r in rows) == pytest.approx(records.g.sum())
+
+
+@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+def test_trace_leaves_the_run_unchanged(tmp_path, discipline):
+    config = SimConfig(Uniform(0.0, 2.0), Exponential(1.0), discipline,
+                       target_cycles=3000, seed=12)
+    traced = run_simulation(config, trace_path=tmp_path / "t.csv")
+    plain = run_simulation(config)
+    assert traced[0] == plain[0]
+    assert traced[1] == plain[1]
+
+
+@given(st.sampled_from(CONTINUOUS), st.sampled_from(CONTINUOUS),
+       st.sampled_from(["dropping", "preemption"]), st.floats(-6.0, 6.0))
+@example(CONTINUOUS[0], CONTINUOUS[1], "dropping", -6.0)
+@example(CONTINUOUS[2], CONTINUOUS[0], "preemption", 6.0)
+def test_simulation_is_scale_free(y, s, discipline, log10_c):
+    c = 10.0**log10_c
+    base_est, base = run_simulation(SimConfig(y, s, discipline, 2000, seed=6))
+    est, scaled = run_simulation(SimConfig(RESCALED[y.kind](y, c),
+                                           RESCALED[s.kind](s, c),
+                                           discipline, 2000, seed=6))
+    assert est.value == pytest.approx(c * base_est.value, rel=1e-9)
+    assert np.array_equal(scaled.k, base.k)
