@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from aoi import analytic, bounds
-from aoi.analytic import EstimatorOptions
 from aoi.distributions import Exponential, Hyperexponential, classify_mrl
 from aoi.experiments import SweepResult, SweepRow, emit_chart, emit_csv
 from aoi.sim import SimConfig, run_simulation
@@ -34,17 +33,16 @@ def sweep_rows(args):
     for index, scale in enumerate(SCALES):
         y = Hyperexponential((0.5, 0.5), (0.5 * scale, 2.0 * scale))
         ss = np.random.SeedSequence((args.seed, index))
-        sim_seed, mc_seed = (int(v) for v in ss.generate_state(2, dtype=np.uint64))
-        opts = EstimatorOptions(mc_samples=args.mc_samples, seed=mc_seed)
+        sim_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
 
         est, _ = run_simulation(SimConfig(y, SERVICE, "dropping",
                                           args.cycles, seed=sim_seed))
         rows.append(SweepRow(scale, "simulate", est.value, est.ci_half_width))
 
-        exact = analytic.exact_age_dropping(y, SERVICE, opts)
+        exact = analytic.exact_age_dropping(y, SERVICE)
         rows.append(SweepRow(scale, "exact", exact.value, exact.ci_half_width))
 
-        km = analytic.moments_of_K_dropping(y, SERVICE, opts)
+        km = analytic.moments_of_K_dropping(y, SERVICE)
         c1 = bounds.ub_dropping_general(y, SERVICE, km)
         rows.append(SweepRow(scale, "corollary1", c1.value, 0.0,
                              c1.applicability.value))
@@ -60,7 +58,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", type=Path)
     parser.add_argument("--cycles", type=int, default=20_000)
-    parser.add_argument("--mc-samples", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)

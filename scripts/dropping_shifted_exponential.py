@@ -14,7 +14,6 @@ Grids are this script's defaults, chosen to show the shapes at desk scale.
 import argparse
 from pathlib import Path
 
-from aoi.analytic import EstimatorOptions
 from aoi.distributions import ShiftedExponential
 from aoi.experiments import SweepSpec, emit_chart, emit_csv, run_sweep
 
@@ -22,7 +21,6 @@ SERVICE = ShiftedExponential(rate=1.0, shift=0.1)
 
 
 def build_specs(args):
-    opts = EstimatorOptions(mc_samples=args.mc_samples, seed=args.seed)
     rate_sweep = SweepSpec(
         name="dropping-rate-sweep",
         discipline="dropping",
@@ -31,7 +29,7 @@ def build_specs(args):
         grid=(0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0),
         service=SERVICE,
         estimators=("simulate", "exact", "corollary1", "mg11"),
-        options=opts, sim_cycles=args.cycles, base_seed=args.seed)
+        sim_cycles=args.cycles, base_seed=args.seed)
     shift_sweep = SweepSpec(
         name="dropping-shift-sweep",
         discipline="dropping",
@@ -40,7 +38,7 @@ def build_specs(args):
         grid=(0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
         service=SERVICE,
         estimators=("simulate", "exact", "corollary1", "mg11"),
-        options=opts, sim_cycles=args.cycles, base_seed=args.seed + 1)
+        sim_cycles=args.cycles, base_seed=args.seed + 1)
     return [(rate_sweep, "interarrival rate"), (shift_sweep, "interarrival shift")]
 
 
@@ -48,7 +46,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", type=Path)
     parser.add_argument("--cycles", type=int, default=20_000)
-    parser.add_argument("--mc-samples", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)

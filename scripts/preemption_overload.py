@@ -12,7 +12,6 @@ exact curve from above.
 import argparse
 from pathlib import Path
 
-from aoi.analytic import EstimatorOptions
 from aoi.distributions import ShiftedExponential
 from aoi.experiments import SweepSpec, emit_chart, emit_csv, run_sweep
 
@@ -33,7 +32,6 @@ def main():
         grid=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0),
         service=ShiftedExponential(rate=1.0, shift=0.5),
         estimators=("simulate", "exact", "corollary2"),
-        options=EstimatorOptions(mc_samples=50_000, seed=args.seed),
         sim_cycles=args.cycles, base_seed=args.seed)
     result = run_sweep(spec)
 

@@ -11,17 +11,20 @@ Dropping
     p = 1 - L(mu), and the age is
     E[Y^2]/(2 E[Y]) + E[Y exp(-mu Y)] / p + 1/mu.  Every exponential-service
     quantity (the age, the moments and the pmf of K) is built on that one
-    p; nothing is sampled.
+    p.
 
-    For any other service law the infinite sum and the moments of K are
-    estimated by Monte Carlo over replicates of the partial-sum walk:
-    along each replicate path the service variable is integrated out
-    analytically through its ccdf, which keeps the dependence between K
-    and the gaps intact and removes one layer of noise.  A replicate
-    truncates once its running terms fall below a fixed 1e-8 times the
-    accumulated sums (the ccdf factor is monotone along a path, so the
-    criterion is stable).  The walk also serves as the oracle that
-    tests hold the exponential-service forms against.
+    For any other service law these are integrals of the service ccdf
+    against U, the renewal measure of the gaps (an atom at 0 plus the
+    renewal function): E[K] against U, the crossing sum against x dU,
+    E[K^2] against 2 U*U - U, Pr(K = k) against convolution powers of the
+    gap law.  The gaps are rounded down, and separately up, onto a lattice
+    of step E[Y]/256, and u = delta + f*u is solved by an exponentially
+    tilted FFT.  Rounding down shrinks every partial sum, so the two
+    solves bracket E[K], E[K^2] and each Pr(S > T_k); results are their
+    midpoints, with half-widths spanning the brackets.  x Pr(S > x) is not
+    monotone, so the age's half-width, the ratio's range over the solves'
+    components, is a width, not a proven bound (typically hundreds of
+    times the actual error).  Deterministic gaps give the exact sums.
 
 Preemption
     K is geometric with success probability p = Pr(service <= next gap),
@@ -32,9 +35,8 @@ Preemption
     the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
     simulation.
 
-Only the Monte Carlo paths take :class:`EstimatorOptions` (replicate count
-and seed); every quadrature runs at the fixed ``QUAD_REL_TOL``, so the
-preemption functions take no options.
+Nothing here samples; the CLI and the sweep spec validate
+:class:`EstimatorOptions`, but no estimator reads it.
 
 Ties (possible with deterministic laws) count as successes, matching the
 simulator's completion-first rule and the strict ccdf convention.
@@ -44,19 +46,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import QUAD_REL_TOL, Distribution, Exponential, expect
+from .distributions import (QUAD_REL_TOL, Deterministic, Distribution,
+                            Exponential, expect)
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Moment, Z95
 
 __all__ = [
     "EstimatorOptions",
     "DEFAULT_OPTIONS",
-    "WalkMoments",
     "KPmf",
-    "dropping_walk_moments",
     "exact_age_dropping",
     "moments_of_K_dropping",
     "k_pmf",
@@ -65,14 +67,17 @@ __all__ = [
     "exact_age_preemption",
 ]
 
-_MAX_WALK_TERMS = 10_000
-_WALK_EPS = 1e-8  # a replicate stops once its terms fall below this share
-_TINY = 1e-300
+_LATTICE_STEPS = 256     # lattice points per mean gap
+_MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
+_MAX_LATTICE = 1 << 18   # lattice points per solve: bounds time and memory
+_SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
+_SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
+_ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
 
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    """Replicate count and seed of the Monte Carlo estimators."""
+    """Replicate count and seed; validated, but read by no estimator."""
 
     mc_samples: int = 1_000_000
     seed: int = 0
@@ -88,32 +93,21 @@ DEFAULT_OPTIONS = EstimatorOptions()
 
 
 @dataclass(frozen=True)
-class WalkMoments:
-    """Replicate-level moments from the dropping partial-sum walk."""
-
-    sum_term: Moment      # sum_k E[A_k * Pr(S > A_k)]
-    k_mean: Moment        # E[K]
-    k_second: Moment      # E[K^2]
-    cov_sum_k: float      # covariance of the two sample means
-    samples: int
-
-    def ratio(self) -> Moment:
-        """sum_term / E[K], the middle term of the dropping age, with its
-        delta-method standard error."""
-        ratio = self.sum_term.value / self.k_mean.value
-        var = (self.sum_term.stderr**2
-               - 2.0 * ratio * self.cov_sum_k
-               + ratio**2 * self.k_mean.stderr**2)
-        return Moment(ratio, math.sqrt(max(var, 0.0)) / self.k_mean.value)
-
-
-@dataclass(frozen=True)
 class KPmf:
-    """Estimated distribution of the arrivals-per-cycle count K."""
+    """Distribution of K; each ``stderr`` is the half-width over Z95."""
 
     pmf: tuple[Moment, ...]   # Pr(K = 1), ..., Pr(K = k_max)
     tail_mass: Moment         # Pr(K > k_max)
     k_max: int
+
+
+class _Solve(NamedTuple):
+    """The dropping sums of one lattice solve."""
+
+    k_mean: float        # E[K]
+    crossing: float      # sum_k E[A_k * Pr(S > A_k)]
+    k_second: float      # E[K^2]
+    path: np.ndarray     # Pr(K > k) = E[Pr(S > T_k)], k = 0..k_max
 
 
 def _require_valid_pair(interarrival: Distribution, service: Distribution):
@@ -145,145 +139,152 @@ def _geometric_p(interarrival: Distribution, service: Exponential) -> float:
     return p
 
 
-def dropping_walk_moments(interarrival: Distribution, service: Distribution,
-                          opts: EstimatorOptions = DEFAULT_OPTIONS) -> WalkMoments:
-    """Run the vectorized partial-sum walk once and reduce it.
+def _lattice_solves(interarrival: Distribution, service: Distribution,
+                    k_max: int = 0) -> tuple[_Solve, _Solve]:
+    """The dropping sums with every gap rounded down, then up, to the
+    lattice jh, h = E[Y]/m, up to the service's 1 - 1e-13 quantile.
 
-    Per replicate, gaps are drawn until the service tail at the partial sum
-    is negligible; the k-th step contributes ``ccdf(A_k)`` to the K mass,
-    ``A_k * ccdf(A_k)`` to the crossing sum and ``(2k-1) * ccdf(A_k)`` to
-    the second moment of K (the k = 1 step contributes exactly 1, 0, 1).
-    Raises :class:`TruncationNotReached` after 10^4 terms.
+    m halves from 256 until at most 2^18 points remain; below 16 the cycle
+    is too deep (:class:`TruncationNotReached`).  A service breakpoint
+    within rounding of a lattice point (the D value, the SE shift) is
+    evaluated there exactly, keeping its tie rule at every time scale.
     """
-    _require_valid_pair(interarrival, service)
-    rng = np.random.default_rng(opts.seed)
-    n = opts.mc_samples
-
-    partial = np.zeros(n)
-    count = np.ones(n)
-    asum = np.zeros(n)
-    ksq = np.ones(n)
-    active = np.arange(n)
-
-    for k in range(2, _MAX_WALK_TERMS + 1):
-        draws = interarrival.sample_array(rng, active.size)
-        a = partial[active] + draws
-        partial[active] = a
-        tail = np.asarray(service.ccdf(a), dtype=float)
-        count[active] += tail
-        asum[active] += a * tail
-        ksq[active] += (2 * k - 1) * tail
-        done = ((tail <= _WALK_EPS * count[active])
-                & (a * tail <= _WALK_EPS * np.maximum(asum[active], _TINY)))
-        if done.any():
-            active = active[~done]
-        if active.size == 0:
+    hi = service.support()[1]
+    top = hi if math.isfinite(hi) else service.quantile(1.0 - _SERVICE_TAIL)
+    point_mass = isinstance(interarrival, Deterministic)
+    m = 1 if point_mass else _LATTICE_STEPS
+    while True:
+        h = interarrival.mean() / m
+        n = int(top / h) + 2
+        if n <= _MAX_LATTICE:
             break
-    else:
-        raise TruncationNotReached(
-            f"partial-sum walk still active after {_MAX_WALK_TERMS} terms; "
-            "the expected arrivals-per-cycle count may diverge")
+        if m <= _MIN_STEPS:
+            raise TruncationNotReached(
+                f"a cycle spans {n} lattice points, more than {_MAX_LATTICE}; "
+                "the expected arrivals-per-cycle count is too large to resolve")
+        m //= 2
+    grid = h * np.arange(n + 1)
+    x = grid[:n].copy()
+    for b in service.breakpoints():
+        j = round(b / h)
+        if j < n and abs(x[j] - b) <= _SNAP * h:
+            x[j] = b
+    c = service.ccdf(x)
+    first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
+    if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
+        solve = _Solve(float(first + c.sum()), float(x @ c),
+                       float(first + (2.0 * np.arange(n) + 1.0) @ c),
+                       np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
+        return solve, solve
+    tail = interarrival.ccdf(grid)
+    cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
+    # Tilting by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass wrapped
+    # around by the circular convolution negligible; each lattice sum is
+    # an inner product of half spectra (Parseval), weights in ``against``.
+    size = 1 << (4 * n - 1).bit_length()
+    tilt = np.exp(np.arange(n) * (math.log(_ALIAS_TILT) / (size + n)))
+    fold = np.full(size // 2 + 1, 2.0 / size)
+    fold[[0, -1]] = 1.0 / size
+    against_c, against_xc = (fold * np.conj(np.fft.rfft(w / tilt, size))
+                             for w in (c, x * c))
 
-    def reduce(xs):
-        return Moment(float(xs.mean()),
-                      float(xs.std(ddof=1) / math.sqrt(n)))
+    def total(spectrum, against):
+        return float((spectrum * against).real.sum())
 
-    cov = float(np.cov(asum, count, ddof=1)[0, 1] / n)
-    return WalkMoments(sum_term=reduce(asum), k_mean=reduce(count),
-                       k_second=reduce(ksq), cov_sum_k=cov, samples=n)
+    solves = []
+    for f in (cell, np.append(0.0, cell[:-1])):  # gaps rounded down, then up
+        spectrum = np.fft.rfft(f * tilt, size)
+        renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
+        path = [1.0] + [total(spectrum**k, against_c)
+                        for k in range(1, k_max + 1)]
+        solves.append(_Solve(
+            first + total(renewal, against_c), total(renewal, against_xc),
+            first + total(renewal * (2.0 * renewal - 1.0), against_c),
+            np.array(path)))
+    return solves[0], solves[1]
 
 
-def exact_age_dropping(interarrival: Distribution, service: Distribution,
-                       opts: EstimatorOptions = DEFAULT_OPTIONS) -> AgeEstimate:
-    """Average age under dropping.
+def _midpoint(a: float, b: float) -> tuple[float, float]:
+    """The midpoint of a bracket and its half-width."""
+    return 0.5 * (a + b), 0.5 * abs(a - b)
+
+
+def _ratio_bracket(num: float, num_hw: float, den: float, den_hw: float
+                   ) -> tuple[float, float]:
+    """num/den and the half-width of its range over both brackets
+    (infinite when the denominator's bracket reaches 0)."""
+    ratio = num / den
+    if den_hw >= den:
+        return ratio, math.inf
+    return ratio, max((num + num_hw) / (den - den_hw) - ratio,
+                      ratio - (num - num_hw) / (den + den_hw))
+
+
+def exact_age_dropping(interarrival: Distribution,
+                       service: Distribution) -> AgeEstimate:
+    """Average age under dropping; ``cycles_used`` is 0.
 
     Exponential service takes the renewal form
     E[Y^2]/(2E[Y]) + E[Y exp(-mu Y)] / p + 1/mu with p = 1 - L(mu): one
-    quadrature, no sampling, and
-    ``ci_half_width = cycles_used = 0``.  Other service laws take the
-    middle term from the partial-sum walk, with the delta-method
-    half-width of :meth:`WalkMoments.ratio`.
+    quadrature, ``ci_half_width = 0``.  Other service laws divide the
+    lattice crossing sum by E[K]; the half-width is the ratio's range
+    over both solves' components, a width rather than a proven bound.
     """
     _require_valid_pair(interarrival, service)
-    head = _head(interarrival)
     if isinstance(service, Exponential):
         p = _geometric_p(interarrival, service)
         mu, m = service.rate, interarrival.mean()
         # E[Y exp(-mu Y)] in units of E[Y], so that expect's absolute
         # error floor is relative to the law's time scale.
         crossing, _ = expect(interarrival, lambda y: y / m * math.exp(-mu * y))
-        return AgeEstimate(value=head + m * crossing / p + service.mean(),
-                           ci_half_width=0.0, cycles_used=0, method="analytic")
-    wm = dropping_walk_moments(interarrival, service, opts)
-    ratio = wm.ratio()
-    return AgeEstimate(value=head + ratio.value + service.mean(),
-                       ci_half_width=Z95 * ratio.stderr,
-                       cycles_used=wm.samples, method="analytic")
+        middle, hw = m * crossing / p, 0.0
+    else:
+        down, up = _lattice_solves(interarrival, service)
+        middle, hw = _ratio_bracket(*_midpoint(down.crossing, up.crossing),
+                                    *_midpoint(down.k_mean, up.k_mean))
+    return AgeEstimate(value=_head(interarrival) + middle + service.mean(),
+                       ci_half_width=hw, cycles_used=0, method="analytic")
 
 
-def moments_of_K_dropping(interarrival: Distribution, service: Distribution,
-                          opts: EstimatorOptions = DEFAULT_OPTIONS
+def moments_of_K_dropping(interarrival: Distribution, service: Distribution
                           ) -> tuple[Moment, Moment]:
     """(E[K], E[K^2]) for the dropping cycle count K = min{k: A_{k+1} >= S}.
 
     With exponential service K is geometric with success probability
-    p = 1 - E[exp(-mu Y)], so both moments are closed form; other service
-    laws go through the partial-sum walk.
+    p = 1 - E[exp(-mu Y)] (stderr 0); other service laws take the lattice
+    midpoints, with the half-width over ``Z95`` as the stderr.
     """
     _require_valid_pair(interarrival, service)
     if isinstance(service, Exponential):
         p = _geometric_p(interarrival, service)
         return Moment(1.0 / p, 0.0), Moment((2.0 - p) / p**2, 0.0)
-    wm = dropping_walk_moments(interarrival, service, opts)
-    return wm.k_mean, wm.k_second
+    down, up = _lattice_solves(interarrival, service)
+    k_mean, k_hw = _midpoint(down.k_mean, up.k_mean)
+    k_second, k2_hw = _midpoint(down.k_second, up.k_second)
+    return Moment(k_mean, k_hw / Z95), Moment(k_second, k2_hw / Z95)
 
 
-def k_pmf(interarrival: Distribution, service: Distribution, k_max: int,
-          opts: EstimatorOptions = DEFAULT_OPTIONS) -> KPmf:
+def k_pmf(interarrival: Distribution, service: Distribution,
+          k_max: int) -> KPmf:
     """Pmf of K up to ``k_max`` plus the remaining tail mass.
 
     Exponential service gives the geometric law Pr(K = k) = L^(k-1) (1 - L)
     and tail L^k_max with L = L(mu), exactly (zero stderr).  Other service
-    laws are estimated by the partial-sum walk.
+    laws take Pr(K = k) = Pr(K > k-1) - Pr(K > k) from the lattice.
     """
     _require_valid_pair(interarrival, service)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not isinstance(service, Exponential):
-        return _k_pmf_walk(interarrival, service, k_max, opts)
+        down, up = _lattice_solves(interarrival, service, k_max)
+        mid, hw = _midpoint(down.path, up.path)
+        pmf = zip(mid[:-1] - mid[1:], (hw[:-1] + hw[1:]) / Z95)
+        tail = Moment(float(mid[-1]), float(hw[-1]) / Z95)
+        return KPmf(tuple(Moment(float(v), float(e)) for v, e in pmf), tail, k_max)
     p = _geometric_p(interarrival, service)
     q = 1.0 - p
     pmf = tuple(Moment(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
     return KPmf(pmf=pmf, tail_mass=Moment(q**k_max, 0.0), k_max=k_max)
-
-
-def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
-                opts: EstimatorOptions) -> KPmf:
-    """Monte Carlo pmf of K: Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along
-    the gap path, with ccdf(A_1) taken as 1; every replicate draws exactly
-    k_max gaps.
-    """
-    rng = np.random.default_rng(opts.seed)
-    n = opts.mc_samples
-    prev_tail = np.ones(n)
-    partial = np.zeros(n)
-    sums = np.zeros(k_max)
-    sumsq = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        partial += interarrival.sample_array(rng, n)
-        tail = np.asarray(service.ccdf(partial), dtype=float)
-        diff = prev_tail - tail
-        sums[k - 1] = diff.sum()
-        sumsq[k - 1] = (diff * diff).sum()
-        prev_tail = tail
-    pmf = []
-    for k in range(k_max):
-        mean = sums[k] / n
-        var = max(sumsq[k] / n - mean**2, 0.0) * n / (n - 1)
-        pmf.append(Moment(float(mean), float(math.sqrt(var / n))))
-    tail_mass = Moment(float(prev_tail.mean()),
-                       float(prev_tail.std(ddof=1) / math.sqrt(n)))
-    return KPmf(pmf=tuple(pmf), tail_mass=tail_mass, k_max=k_max)
 
 
 def success_probability(interarrival: Distribution,

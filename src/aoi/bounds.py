@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .analytic import (_completed_service, _head, exact_age_dropping,
-                       moments_of_K_dropping)
+from .analytic import (_completed_service, _head, _ratio_bracket,
+                       exact_age_dropping, moments_of_K_dropping)
 from .distributions import Distribution, Exponential, MrlVerdict
-from .sim import Moment
+from .sim import Z95, Moment
 
 __all__ = [
     "BoundKind",
@@ -49,12 +49,14 @@ class Applicability(str, Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its kind, validity regime and echoed inputs."""
+    """A bound value with its kind, validity regime, echoed inputs, and
+    how far it moves over its inputs' 95% intervals (0 for exact inputs)."""
 
     value: float
     kind: BoundKind
     applicability: Applicability
     inputs: Mapping[str, object]
+    half_width: float = 0.0
 
     def __post_init__(self):
         if not self.value > 0:
@@ -65,8 +67,9 @@ class BoundReport:
                 "only the MG11Ordering bound carries a conditional label")
 
 
-def _as_value(m: Union[Moment, float]) -> float:
-    return m.value if isinstance(m, Moment) else float(m)
+def _interval(m: Union[Moment, float]) -> tuple[float, float]:
+    """A moment's value and 95% half-width; a bare float is exact."""
+    return (m.value, Z95 * m.stderr) if isinstance(m, Moment) else (float(m), 0.0)
 
 
 def ub_dropping_general(interarrival: Distribution, service: Distribution,
@@ -78,18 +81,20 @@ def ub_dropping_general(interarrival: Distribution, service: Distribution,
     Tight exactly when the interarrival times are deterministic.  The K
     moments come from ``moments_of_K_dropping`` or a closed form.
     """
-    k_mean, k_second = (_as_value(kmoments[0]), _as_value(kmoments[1]))
+    (k_mean, k_mean_hw), (k_second, k_second_hw) = map(_interval, kmoments)
     if k_mean < 1:
         raise ValueError(f"E[K] must be >= 1, got {k_mean}")
+    ratio, ratio_hw = _ratio_bracket(k_second, k_second_hw, k_mean, k_mean_hw)
     value = (_head(interarrival)
-             + interarrival.mean() * (k_second / (2.0 * k_mean) - 0.5)
+             + interarrival.mean() * (0.5 * ratio - 0.5)
              + service.mean())
     return BoundReport(
         value=value, kind=BoundKind.CorollaryOneDropping,
         applicability=Applicability.UNCONDITIONAL,
         inputs={"interarrival": interarrival.to_dict(),
                 "service": service.to_dict(),
-                "k_mean": k_mean, "k_second_moment": k_second})
+                "k_mean": k_mean, "k_second_moment": k_second},
+        half_width=0.5 * interarrival.mean() * ratio_hw)
 
 
 def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundReport:

@@ -60,7 +60,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
+    p.add_argument("--mc-samples", type=int, default=1_000_000,
+                   help="validated (>= 10000) but read by no estimator")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,11 +153,10 @@ def _check_pair(args) -> None:
         analytic._require_valid_pair(args.interarrival, args.service)
 
 
-def _options(args, seed: int) -> EstimatorOptions:
-    """Estimator options from argv, for the paths that run the walk; a
-    bad value is a usage error."""
+def _check_options(args) -> None:
+    """Validate the unread ``--mc-samples``; a bad value is a usage error."""
     with _usage_errors(args):
-        return EstimatorOptions(mc_samples=args.mc_samples, seed=seed)
+        EstimatorOptions(mc_samples=args.mc_samples)
 
 
 def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
@@ -218,8 +218,8 @@ def _cmd_exact(args) -> int:
               "interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(), "seed": seed}
     if args.discipline == "dropping":
-        estimate = analytic.exact_age_dropping(args.interarrival, args.service,
-                                               _options(args, seed))
+        _check_options(args)
+        estimate = analytic.exact_age_dropping(args.interarrival, args.service)
         inputs["mc_samples"] = args.mc_samples
     else:
         estimate = analytic.exact_age_preemption(args.interarrival,
@@ -241,8 +241,8 @@ def _cmd_bound(args) -> int:
     y, s = args.interarrival, args.service
     kind = args.kind
     if kind == "corollary1":
-        km = analytic.moments_of_K_dropping(y, s, _options(args, seed))
-        report = bounds.ub_dropping_general(y, s, km)
+        _check_options(args)
+        report = bounds.ub_dropping_general(y, s, analytic.moments_of_K_dropping(y, s))
     elif kind == "gm11":
         if not isinstance(s, Exponential):
             raise SystemExit("aoi bound: --kind gm11 needs an exponential "
@@ -279,10 +279,10 @@ def _cmd_bound(args) -> int:
 def _cmd_kpmf(args) -> int:
     seed = _resolve_seed(args)
     _check_pair(args)
-    opts = _options(args, seed)
+    _check_options(args)
     if args.k_max < 1:
         raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")
-    res = analytic.k_pmf(args.interarrival, args.service, args.k_max, opts)
+    res = analytic.k_pmf(args.interarrival, args.service, args.k_max)
     inputs = {"interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(),
               "k_max": args.k_max, "seed": seed}

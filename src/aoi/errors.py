@@ -19,9 +19,8 @@ class DivergentAge(AoiError):
 
 
 class TruncationNotReached(AoiError):
-    """The arrival partial-sum walk failed to become negligible within the
-    term cap, which signals that the expected cycle arrival count may
-    diverge."""
+    """The expected cycle arrival count diverges (a zero geometric success
+    probability), or a cycle is too deep for the renewal lattice."""
 
 
 class ZeroSuccessProbability(AoiError):

@@ -4,9 +4,10 @@ A sweep fixes the service law and a template for the interarrival law with
 one swept parameter, then evaluates a chosen set of estimators at every
 grid point.  Results land in a flat row table that serializes to CSV
 (``param,estimator,value,ci,applicability``) and renders to a simple SVG
-line chart with confidence bands.  Per-point seeds derive from
+line chart with confidence bands.  Per-point simulation seeds derive from
 ``(base_seed, point_index)``, so appending grid points never perturbs
-existing ones, and identical specs reproduce byte-identical outputs.
+existing ones, and identical specs reproduce byte-identical outputs; the
+other estimators read no seed, nor the (validated) spec ``options``.
 
 Estimator tags: ``simulate``, ``exact``, ``corollary1`` (general dropping
 bound from the K moments), ``gm11`` (dropping bound for exponential
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 ESTIMATOR_TAGS = ("simulate", "exact", "corollary1", "gm11", "mg11", "corollary2")
-_DROPPING_ONLY = {"corollary1", "gm11", "mg11"}
-_PREEMPTION_ONLY = {"corollary2"}
+_ONLY = {"corollary1": Discipline.DROPPING, "gm11": Discipline.DROPPING,
+         "mg11": Discipline.DROPPING, "corollary2": Discipline.PREEMPTION}
 CSV_HEADER = ("param", "estimator", "value", "ci", "applicability")
 
 
@@ -80,10 +80,8 @@ class SweepSpec:
         for tag in self.estimators:
             if tag not in ESTIMATOR_TAGS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
-            if tag in _DROPPING_ONLY and self.discipline is not Discipline.DROPPING:
-                raise ValueError(f"estimator {tag!r} applies to dropping only")
-            if tag in _PREEMPTION_ONLY and self.discipline is not Discipline.PREEMPTION:
-                raise ValueError(f"estimator {tag!r} applies to preemption only")
+            if _ONLY.get(tag, self.discipline) is not self.discipline:
+                raise ValueError(f"estimator {tag!r} applies to {_ONLY[tag].value} only")
         if "gm11" in self.estimators and not isinstance(self.service, Exponential):
             raise ValueError("gm11 needs an exponential service law")
         if self.swept_param in self.interarrival_template:
@@ -164,18 +162,16 @@ class SweepResult:
         return [r for r in self.rows if r.estimator == estimator]
 
 
-def _point_seeds(base_seed: int, index: int) -> tuple[int, int]:
-    """(simulation seed, estimator seed), stable in the point index."""
+def _point_seed(base_seed: int, index: int) -> int:
+    """The simulation seed of a grid point, stable in the point index."""
     ss = np.random.SeedSequence((base_seed, index))
-    a, b = ss.generate_state(2, dtype=np.uint64)
-    return int(a), int(b)
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _evaluate(tag: str, spec: SweepSpec, param: float,
               interarrival: Distribution,
-              sim_seed: int, mc_seed: int) -> SweepRow:
+              sim_seed: int) -> SweepRow:
     service = spec.service
-    opts = replace(spec.options, seed=mc_seed)
     if tag == "simulate":
         est, _ = run_simulation(SimConfig(
             interarrival=interarrival, service=service,
@@ -184,20 +180,15 @@ def _evaluate(tag: str, spec: SweepSpec, param: float,
         return SweepRow(param, tag, est.value, est.ci_half_width)
     if tag == "exact":
         if spec.discipline is Discipline.DROPPING:
-            est = analytic.exact_age_dropping(interarrival, service, opts)
+            est = analytic.exact_age_dropping(interarrival, service)
         else:
             est = analytic.exact_age_preemption(interarrival, service)
         return SweepRow(param, tag, est.value, est.ci_half_width)
     if tag == "corollary1":
-        k_mean, k_second = analytic.moments_of_K_dropping(interarrival, service, opts)
-        report = bounds.ub_dropping_general(interarrival, service,
-                                            (k_mean, k_second))
-        # Propagate the Monte Carlo error of the K moments linearly.
-        d_k2 = interarrival.mean() / (2.0 * k_mean.value)
-        d_k1 = -interarrival.mean() * k_second.value / (2.0 * k_mean.value**2)
-        ci = analytic.Z95 * math.hypot(d_k2 * k_second.stderr,
-                                       d_k1 * k_mean.stderr)
-        return SweepRow(param, tag, report.value, ci,
+        report = bounds.ub_dropping_general(
+            interarrival, service,
+            analytic.moments_of_K_dropping(interarrival, service))
+        return SweepRow(param, tag, report.value, report.half_width,
                         report.applicability.value)
     if tag == "gm11":
         report = bounds.ub_dropping_gm(interarrival, service.rate)  # type: ignore[attr-defined]
@@ -225,10 +216,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.grid):
         interarrival = spec.point_distribution(value)
-        sim_seed, mc_seed = _point_seeds(spec.base_seed, index)
+        sim_seed = _point_seed(spec.base_seed, index)
         for tag in spec.estimators:
             try:
-                row = _evaluate(tag, spec, value, interarrival, sim_seed, mc_seed)
+                row = _evaluate(tag, spec, value, interarrival, sim_seed)
             except AoiError:
                 row = SweepRow(value, tag, None, None)
             rows.append(row)

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import (EstimatorOptions, dropping_walk_moments,
-                          exact_age_dropping, exact_age_preemption, k_pmf,
-                          moments_of_K_dropping, success_probability)
+from aoi.analytic import (EstimatorOptions, exact_age_dropping,
+                          exact_age_preemption, k_pmf, moments_of_K_dropping,
+                          success_probability)
 from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -17,6 +17,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                ShiftedExponential, Uniform, classify_mrl)
 from aoi.experiments import SweepSpec, emit_csv, run_sweep
 from aoi.sim import SimConfig, cycle_statistics, run_simulation
+from walk_oracle import dropping_walk_moments
 
 RATE_GRID = (0.5, 1.0, 2.0)
 
@@ -78,7 +79,6 @@ def test_criterion_2_mm_preemption_cross_check():
 
 def test_criterion_3_bound_domination_suite():
     failures = []
-    opts = EstimatorOptions(mc_samples=200_000, seed=42)
 
     # Dropping: three families x five points, exponential service.
     service = Exponential(1.0)
@@ -91,9 +91,9 @@ def test_criterion_3_bound_domination_suite():
     }
     for family, laws in dropping_families.items():
         for y in laws:
-            exact = exact_age_dropping(y, service, opts)
+            exact = exact_age_dropping(y, service)
             slack = 3.0 * exact.ci_half_width
-            km = moments_of_K_dropping(y, service, opts)
+            km = moments_of_K_dropping(y, service)
             c1 = ub_dropping_general(y, service, km).value
             if c1 < exact.value - slack:
                 failures.append(f"corollary1 < exact for {y.describe()}")
@@ -147,7 +147,6 @@ def test_criterion_3_bound_domination_suite():
 
 def test_criterion_4_ordering_bound_and_imrl_reversal():
     failures = []
-    opts = EstimatorOptions(mc_samples=200_000, seed=7)
     service = ShiftedExponential(1.0, 0.1)
     if not classify_mrl(service).nbue:
         failures.append("service not NBUE")
@@ -161,7 +160,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         expected = MrlVerdict.CONSTANT if c == 0.0 else MrlVerdict.DMRL
         if verdict is not expected:
             failures.append(f"shift {c}: verdict {verdict}")
-        exact = exact_age_dropping(y, service, opts)
+        exact = exact_age_dropping(y, service)
         bound = mg11_ordering_bound(y.mean(), service, verdict).value
         if exact.value > bound + 3.0 * exact.ci_half_width:
             failures.append(f"shift {c}: exact {exact.value:.4f} above "
@@ -173,7 +172,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         verdict = classify_mrl(y).verdict
         if verdict is not MrlVerdict.IMRL:
             failures.append(f"scale {s}: verdict {verdict}")
-        exact = exact_age_dropping(y, service, opts)
+        exact = exact_age_dropping(y, service)
         bound = mg11_ordering_bound(y.mean(), service, verdict)
         if bound.applicability.value != "ReversedUnderIMRL":
             failures.append(f"scale {s}: wrong applicability label")
@@ -296,8 +295,7 @@ def test_criterion_7_geometric_k_under_preemption(randomized_runs):
                         f"E[K] p = 1 (allowed {allowed})")
 
     # Dropping M/M case: the cycle count pmf is geometric(1/2).
-    res = k_pmf(Exponential(1.0), Exponential(1.0), 25,
-                EstimatorOptions(mc_samples=400_000, seed=9))
+    res = k_pmf(Exponential(1.0), Exponential(1.0), 25)
     for k, m in enumerate(res.pmf[:10], start=1):
         if abs(m.value - 0.5**k) > max(4.0 * m.stderr, 1e-4):
             failures.append(f"pmf({k}) = {m.value:.5f} vs {0.5**k:.5f}")

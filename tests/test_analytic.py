@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,20 +7,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from aoi.analytic import (EstimatorOptions, _k_pmf_walk,
-                          conditional_mean_service, dropping_walk_moments,
+from aoi.analytic import (EstimatorOptions, conditional_mean_service,
                           exact_age_dropping, exact_age_preemption, k_pmf,
                           moments_of_K_dropping, success_probability)
-from aoi.bounds import ub_dropping_general, ub_preemption
+from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
+                        ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
-                               Uniform)
+                               Uniform, classify_mrl)
 from aoi.errors import AoiError, TruncationNotReached, ZeroSuccessProbability
 from aoi.sim import Z95, SimConfig, run_simulation
 from test_distributions import ALL_KINDS, RESCALED
-
-FAST = EstimatorOptions(mc_samples=10_000, seed=1)
-MED = EstimatorOptions(mc_samples=200_000, seed=2)
+from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
 
 def mm_dropping_age(lam, mu):
@@ -73,19 +72,21 @@ def test_crossing_sum_closed_form_check():
 
 
 def test_deterministic_dropping_exact_values():
-    est = exact_age_dropping(Deterministic(2.0), Deterministic(1.0), FAST)
+    est = exact_age_dropping(Deterministic(2.0), Deterministic(1.0))
     assert est.value == pytest.approx(2.0, abs=1e-12)  # sum term 0, K == 1
-    est = exact_age_dropping(Deterministic(1.0), Deterministic(1.5), FAST)
+    est = exact_age_dropping(Deterministic(1.0), Deterministic(1.5))
     assert est.value == pytest.approx(2.5, abs=1e-12)  # hand trace: K == 2
 
 
 def test_moments_of_k_examples():
     k1, k2 = moments_of_K_dropping(Exponential(1.0), Exponential(1.0))
     assert (k1.value, k2.value) == (2.0, 6.0)  # geometric p = 1/2
-    k1, k2 = moments_of_K_dropping(Deterministic(2.0), Deterministic(1.0), FAST)
+    k1, k2 = moments_of_K_dropping(Deterministic(2.0), Deterministic(1.0))
     assert (k1.value, k2.value) == (1.0, 1.0)
-    k1, k2 = moments_of_K_dropping(Deterministic(1.0), Deterministic(1.5), FAST)
+    k1, k2 = moments_of_K_dropping(Deterministic(1.0), Deterministic(1.5))
     assert (k1.value, k2.value) == (2.0, 4.0)
+    k1, k2 = moments_of_K_dropping(Exponential(2.0), Deterministic(0.0))
+    assert (k1.value, k2.value) == (1.0, 1.0)  # zero service: K == 1
 
 
 def test_geometric_fast_path_agrees_with_generic_walk():
@@ -101,12 +102,13 @@ def test_geometric_fast_path_agrees_with_generic_walk():
 def test_truncation_not_reached():
     # Tiny gaps against a huge deterministic service need > 1e4 terms.
     with pytest.raises(TruncationNotReached):
-        dropping_walk_moments(Exponential(150.0), Deterministic(100.0), FAST)
+        dropping_walk_moments(Exponential(150.0), Deterministic(100.0),
+                              EstimatorOptions(mc_samples=10_000, seed=1))
 
 
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
-        exact_age_dropping(Deterministic(0.0), Exponential(1.0), FAST)
+        exact_age_dropping(Deterministic(0.0), Exponential(1.0))
 
 
 # ------------------------------------------- exponential service: renewal
@@ -131,14 +133,14 @@ def test_renewal_form_agrees_with_walk(y):
     ratio = wm.ratio()
     head = y.second_moment() / (2.0 * y.mean())
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
-    est = exact_age_dropping(y, s, opts)
+    est = exact_age_dropping(y, s)
     assert (est.ci_half_width, est.cycles_used) == (0.0, 0)
     assert close(est.value, walk_age)
 
-    k1, k2 = moments_of_K_dropping(y, s, opts)
+    k1, k2 = moments_of_K_dropping(y, s)
     assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
 
-    renewal, walk = k_pmf(y, s, 10, opts), _k_pmf_walk(y, s, 10, opts)
+    renewal, walk = k_pmf(y, s, 10), _k_pmf_walk(y, s, 10, opts)
     for k, (r, w) in enumerate(zip(renewal.pmf, walk.pmf), start=1):
         assert r.stderr == 0.0 and close(r.value, w), k
     assert close(renewal.tail_mass.value, walk.tail_mass)
@@ -169,7 +171,7 @@ def test_renewal_form_rescales_with_time(c, scaled):
 
 
 def test_renewal_form_survives_deep_cycles():
-    # About 2e4 arrivals per cycle: more than the walk's 1e4-term cap.
+    # About 2e4 arrivals per cycle: more than the walk oracle's 1e4-term cap.
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
     est = exact_age_dropping(y, s)
     assert math.isfinite(est.value)
@@ -187,21 +189,21 @@ def test_renewal_form_survives_deep_cycles():
 # ------------------------------------------------------------- k pmf
 
 def test_k_pmf_deterministic_cases():
-    res = k_pmf(Deterministic(1.0), Deterministic(1.5), 4, FAST)
+    res = k_pmf(Deterministic(1.0), Deterministic(1.5), 4)
     assert [m.value for m in res.pmf] == [0.0, 1.0, 0.0, 0.0]
     assert res.tail_mass.value == 0.0
-    res = k_pmf(Exponential(2.0), Deterministic(0.0), 3, FAST)
+    res = k_pmf(Exponential(2.0), Deterministic(0.0), 3)
     assert res.pmf[0].value == 1.0  # zero service: first arrival closes it
 
 
 def test_k_pmf_mm_geometric():
-    res = k_pmf(Exponential(1.0), Exponential(1.0), 30, MED)
+    res = k_pmf(Exponential(1.0), Exponential(1.0), 30)
     for k, m in enumerate(res.pmf[:8], start=1):
         assert abs(m.value - 0.5**k) <= max(4.0 * m.stderr, 1e-4)
     total = sum(m.value for m in res.pmf) + res.tail_mass.value
     assert total == pytest.approx(1.0, abs=1e-9)
     assert res.tail_mass.value < 1e-6
-    # First moment consistency with the walk estimate.
+    # First moment consistency with the closed-form E[K].
     k1, _ = moments_of_K_dropping(Exponential(1.0), Exponential(1.0))
     mean_from_pmf = sum(k * m.value for k, m in enumerate(res.pmf, start=1))
     assert mean_from_pmf == pytest.approx(k1.value, rel=5e-3)
@@ -295,6 +297,44 @@ def test_preemption_is_scale_free(y, s, log10_c):
         assert scaled == pytest.approx((c * base[0], c * base[1]), rel=1e-7)
 
 
+@functools.cache
+def _dropping_outcome(y, s):
+    """Times (age, its half-width, corollary 1, gm11 for exponential
+    service), probabilities (the K pmf and tail) and the mg11 label, or the
+    AoiError class raised."""
+    try:
+        est = exact_age_dropping(y, s)
+        times = [est.value, est.ci_half_width,
+                 ub_dropping_general(y, s, moments_of_K_dropping(y, s)).value]
+        if isinstance(s, Exponential):
+            times.append(ub_dropping_gm(y, s.rate).value)
+        pmf = k_pmf(y, s, 10)
+    except AoiError as exc:
+        return type(exc)
+    label = mg11_ordering_bound(y.mean(), s, classify_mrl(y).verdict)
+    return (times, [m.value for m in (*pmf.pmf, pmf.tail_mass)],
+            label.applicability)
+
+
+@given(st.sampled_from(ALL_KINDS), st.sampled_from(ALL_KINDS),
+       st.floats(-6.0, 6.0))
+@example(Exponential(1.0), Deterministic(2.0), -6.0)
+@example(Exponential(1.0), Deterministic(2.0), 6.0)
+# The service atom falls on a lattice point, and here the scaled mean gap
+# is an ulp away from c, so the point lands an ulp off the atom.
+@example(Exponential(1.0), Deterministic(2.0), 4.440121862119678)
+def test_dropping_is_scale_free(y, s, log10_c):
+    c = 10.0**log10_c
+    base = _dropping_outcome(y, s)
+    scaled = _dropping_outcome(RESCALED[y.kind](y, c), RESCALED[s.kind](s, c))
+    if isinstance(base, type):
+        assert scaled is base
+    else:
+        assert scaled[0] == pytest.approx([c * t for t in base[0]], rel=1e-9)
+        assert scaled[1] == pytest.approx(base[1], rel=1e-9, abs=1e-12)
+        assert scaled[2] is base[2]
+
+
 def test_preemption_deterministic_cases():
     est = exact_age_preemption(Deterministic(2.0), Deterministic(1.0))
     assert est.value == pytest.approx(2.0, abs=1e-12)
@@ -313,7 +353,7 @@ def test_preemption_deterministic_cases():
     (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Exponential(1.0)),
 ])
 def test_estimator_simulator_agreement_dropping(y, s):
-    est = exact_age_dropping(y, s, MED)
+    est = exact_age_dropping(y, s)
     sim, _ = run_simulation(SimConfig(y, s, "dropping", 20_000, seed=31))
     assert abs(est.value - sim.value) <= \
         3.0 * (est.ci_half_width + sim.ci_half_width)
@@ -340,10 +380,9 @@ def test_preemption_k_is_geometric_in_simulation():
 
 
 def test_reproducibility_bit_identical():
-    opts = EstimatorOptions(mc_samples=50_000, seed=12345)
-    a = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5), opts)
-    b = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5), opts)
+    a = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5))
+    b = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5))
     assert a == b
-    c = k_pmf(Exponential(1.0), Exponential(1.0), 5, opts)
-    d = k_pmf(Exponential(1.0), Exponential(1.0), 5, opts)
+    c = k_pmf(Exponential(1.0), Exponential(1.0), 5)
+    d = k_pmf(Exponential(1.0), Exponential(1.0), 5)
     assert c == d

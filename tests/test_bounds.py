@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from aoi.analytic import EstimatorOptions, exact_age_dropping, exact_age_preemption
+from aoi.analytic import exact_age_dropping, exact_age_preemption
 from aoi.bounds import (Applicability, BoundKind, BoundReport,
                         mg11_ordering_bound, mm11, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
@@ -10,8 +10,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
                                ShiftedExponential, Uniform, classify_mrl)
 from aoi.errors import ZeroSuccessProbability
-
-MED = EstimatorOptions(mc_samples=200_000, seed=6)
+from aoi.sim import Z95, Moment
 
 
 def test_corollary1_plug_in_examples():
@@ -23,6 +22,19 @@ def test_corollary1_plug_in_examples():
     assert r.value == pytest.approx(2.5, rel=1e-12)
     assert r.kind is BoundKind.CorollaryOneDropping
     assert r.applicability is Applicability.UNCONDITIONAL
+    assert r.half_width == 0.0
+
+
+def test_corollary1_half_width_spans_the_k_moment_intervals():
+    # E[K] in 2 +/- 0.5, E[K^2] in 6 +/- 1: E[K^2]/E[K] ranges over
+    # [5/2.5, 7/1.5], the wider side 7/1.5 - 3; the bound moves E[Y]/2 times that.
+    km = (Moment(2.0, 0.5 / Z95), Moment(6.0, 1.0 / Z95))
+    r = ub_dropping_general(Exponential(1.0), Exponential(1.0), km)
+    assert r.value == pytest.approx(3.0, rel=1e-12)
+    assert r.half_width == pytest.approx(0.5 * (7.0 / 1.5 - 3.0), rel=1e-12)
+    wide = (Moment(2.0, 3.0 / Z95), Moment(6.0, 0.0))  # E[K] interval reaches 0
+    assert ub_dropping_general(Exponential(1.0), Exponential(1.0),
+                               wide).half_width == math.inf
 
 
 def test_gm11_examples():
@@ -115,9 +127,9 @@ def test_corollary1_tight_for_deterministic_interarrivals():
     for v, s in ((1.5, Exponential(1.0)), (1.0, Deterministic(1.5)),
                  (0.8, Uniform(0.2, 1.4))):
         y = Deterministic(v)
-        km = moments_of_K_dropping(y, s, MED)
+        km = moments_of_K_dropping(y, s)
         bound = ub_dropping_general(y, s, km).value
-        est = exact_age_dropping(y, s, MED)
+        est = exact_age_dropping(y, s)
         assert abs(bound - est.value) <= 3.0 * est.ci_half_width + 1e-9
 
 
@@ -134,9 +146,9 @@ def test_corollary1_dominates_exact_dropping():
     from aoi.analytic import moments_of_K_dropping
     for y, s in [(ShiftedExponential(1.0, 0.5), Exponential(1.0)),
                  (Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1))]:
-        km = moments_of_K_dropping(y, s, MED)
+        km = moments_of_K_dropping(y, s)
         bound = ub_dropping_general(y, s, km).value
-        est = exact_age_dropping(y, s, MED)
+        est = exact_age_dropping(y, s)
         assert bound >= est.value - 3.0 * est.ci_half_width
 
 
@@ -144,12 +156,12 @@ def test_mg11_upper_bound_under_dmrl_and_reversal_under_imrl():
     service = Exponential(1.0)
     dmrl_y = ShiftedExponential(1.0, 0.5)
     assert classify_mrl(dmrl_y).verdict is MrlVerdict.DMRL
-    exact = exact_age_dropping(dmrl_y, service, MED)
+    exact = exact_age_dropping(dmrl_y, service)
     bound = mg11_ordering_bound(dmrl_y.mean(), service).value
     assert bound >= exact.value - 3.0 * exact.ci_half_width
 
     imrl_y = Hyperexponential((0.5, 0.5), (0.5, 2.0))
     assert classify_mrl(imrl_y).verdict is MrlVerdict.IMRL
-    exact = exact_age_dropping(imrl_y, service, MED)
+    exact = exact_age_dropping(imrl_y, service)
     lower = mg11_ordering_bound(imrl_y.mean(), service).value
     assert lower <= exact.value + 3.0 * exact.ci_half_width

@@ -184,8 +184,8 @@ def test_out_of_range_value_is_usage_error(capsys, argv, named):
     ("bound", "--kind", "corollary2", *PAIR),
 ], ids=["exact-preemption", "corollary2"])
 def test_quadrature_paths_ignore_mc_samples(capsys, argv):
-    # Only the walk reads --mc-samples, so a value it would reject is no
-    # error on a quadrature path, and the inputs do not echo it.
+    # Only the dropping paths check --mc-samples, so a value they would
+    # reject is no error on a quadrature path, and the inputs do not echo it.
     code, payload = run_json(capsys, *argv, "--mc-samples", "100")
     assert code == 0
     assert "mc_samples" not in payload["inputs"]

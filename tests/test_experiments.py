@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,24 @@ def test_monotonicity_probe_rate_and_shift():
         assert b.value >= a.value - 3.0 * (a.ci + b.ci)
 
 
+def test_exact_rows_do_not_depend_on_the_seed():
+    # General service: exact and corollary1 come from the lattice solve,
+    # with its half-width as the ci; only simulate rows follow the seed.
+    estimators = ("simulate", "exact", "corollary1", "mg11")
+    spec = small_spec(service=ShiftedExponential(1.0, 0.1),
+                      estimators=estimators, sim_cycles=200)
+    a = run_sweep(spec)
+    b = run_sweep(replace(spec, base_seed=8, options=EstimatorOptions(
+        mc_samples=50_000, seed=9)))
+    for tag in estimators[1:]:
+        assert a.column(tag) == b.column(tag)
+    assert a.column("simulate") != b.column("simulate")
+    for exact, bound in zip(a.column("exact"), a.column("corollary1")):
+        assert 0.0 < exact.ci < 1e-2 * exact.value
+        assert 0.0 < bound.ci < 1e-2 * bound.value
+        assert bound.value >= exact.value - exact.ci - bound.ci
+
+
 def test_divergent_points_are_recorded_not_fatal():
     spec = SweepSpec(
         name="divergent", discipline="preemption",
@@ -182,19 +201,17 @@ def test_chart_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("script,extra,outputs,marker", [
-    ("preemption_overload.py", [], ["preemption-overload"],
-     "minimum exact age"),
-    ("dropping_imrl_reversal.py", ["--mc-samples", "10000"],
-     ["dropping-imrl-reversal"], "ReversedUnderIMRL"),
-    ("dropping_shifted_exponential.py", ["--mc-samples", "10000"],
+@pytest.mark.parametrize("script,outputs,marker", [
+    ("preemption_overload.py", ["preemption-overload"], "minimum exact age"),
+    ("dropping_imrl_reversal.py", ["dropping-imrl-reversal"], "ReversedUnderIMRL"),
+    ("dropping_shifted_exponential.py",
      ["dropping-rate-sweep", "dropping-shift-sweep"], "wrote"),
 ], ids=["preemption_overload", "dropping_imrl_reversal",
         "dropping_shifted_exponential"])
-def test_experiment_script_runs(tmp_path, script, extra, outputs, marker):
+def test_experiment_script_runs(tmp_path, script, outputs, marker):
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     proc = subprocess.run(
-        [sys.executable, str(path), "--cycles", "300", *extra,
+        [sys.executable, str(path), "--cycles", "300",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

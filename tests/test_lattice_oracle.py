@@ -1,0 +1,114 @@
+"""The lattice renewal solve of ``aoi.analytic`` against the Monte Carlo
+partial-sum walk of ``walk_oracle``, the finite D/G sums, and itself at a
+finer lattice."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from aoi import analytic
+from aoi.analytic import (EstimatorOptions, exact_age_dropping, k_pmf,
+                          moments_of_K_dropping)
+from aoi.distributions import (Deterministic, Erlang, Exponential, Rayleigh,
+                               ShiftedExponential, Uniform)
+from aoi.errors import TruncationNotReached
+from aoi.sim import Z95
+from walk_oracle import _k_pmf_walk, dropping_walk_moments
+
+# The general-service pairs of the benchmark's dropping workload, the last
+# one deep (about 26 arrivals per cycle).
+PAIRS = [
+    (ShiftedExponential(0.25, 0.5), ShiftedExponential(1.0, 0.1)),
+    (Exponential(1.0), Rayleigh(1.0)),
+    (Exponential(1.0), Uniform(0.0, 1.0)),
+    (Deterministic(0.5), Uniform(0.0, 2.0)),
+    (Deterministic(0.5), Rayleigh(1.0)),
+    (Rayleigh(1.0), ShiftedExponential(2.0, 0.5)),
+    (Uniform(0.0, 2.0), Erlang(2, 2.0)),
+    (Uniform(0.0, 0.2), Rayleigh(2.0)),
+]
+IDS = ["SE/SE", "E/R", "E/U", "D/U", "D/R", "R/SE", "U/Erlang", "deep-U/R"]
+K_MAX = 10
+REPLICATES = 200_000
+
+
+def lattice(y, s):
+    """Every lattice result as (value, half-width) pairs, in one order."""
+    est = exact_age_dropping(y, s)
+    k1, k2 = moments_of_K_dropping(y, s)
+    pmf = k_pmf(y, s, K_MAX)
+    return ([(est.value, est.ci_half_width)]
+            + [(m.value, Z95 * m.stderr) for m in (k1, k2, *pmf.pmf,
+                                                    pmf.tail_mass)])
+
+
+@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
+def test_lattice_agrees_with_walk(y, s):
+    opts = EstimatorOptions(mc_samples=REPLICATES, seed=2024)
+    wm = dropping_walk_moments(y, s, opts)
+    walk_pmf = _k_pmf_walk(y, s, K_MAX, opts)
+    ratio = wm.ratio()
+    head = y.second_moment() / (2.0 * y.mean())
+    walk = ([ratio._replace(value=head + ratio.value + s.mean()),
+             wm.k_mean, wm.k_second] + list(walk_pmf.pmf)
+            + [walk_pmf.tail_mass])
+    for i, ((value, hw), w) in enumerate(zip(lattice(y, s), walk)):
+        # The walk's 95% CI, its truncation bias (it stops at a 1e-8
+        # share), and for a probability the 3/n an event it never drew
+        # can carry.
+        tol = (Z95 * w.stderr + hw + 1e-7 * abs(w.value)
+               + (3.0 / REPLICATES if i >= 3 else 0.0))
+        assert abs(value - w.value) <= tol, (i, value, hw, w)
+
+
+@pytest.mark.parametrize("y,s", [p for p in PAIRS
+                                 if isinstance(p[0], Deterministic)],
+                         ids=["D/U", "D/R"])
+def test_deterministic_gaps_give_the_finite_sums(y, s):
+    d = y.value
+    j = np.arange(1, 20_001)
+    tails = s.ccdf(j * d)  # Pr(S > A_k) with A_k = (k-1) d
+    k_mean = 1.0 + tails.sum()
+    path = np.concatenate(([1.0], tails))
+    want = ([d / 2.0 + float((j * d * tails).sum()) / k_mean + s.mean(),
+             k_mean, 1.0 + float(((2 * j + 1) * tails).sum())]
+            + list(path[:K_MAX] - path[1:K_MAX + 1]) + [path[K_MAX]])
+    got = lattice(y, s)
+    assert [hw for _, hw in got] == [0.0] * len(want)
+    assert [v for v, _ in got] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
+def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
+    coarse = lattice(y, s)
+    monkeypatch.setattr(analytic, "_LATTICE_STEPS",
+                        4 * analytic._LATTICE_STEPS)
+    fine = lattice(y, s)
+    for i, ((value, hw), (finer, _)) in enumerate(zip(coarse, fine)):
+        assert abs(value - finer) <= hw, (i, value, hw, finer)
+
+
+def test_deep_cycle_guard():
+    # E[K] = 1 + lam d = 15001: the lattice coarsens to 16 points per mean
+    # gap to stay within its point budget and still lands on the age.
+    lam, d = 150.0, 100.0
+    age = 1.0 / lam + lam * d * d / (2.0 * (1.0 + lam * d)) + d
+    tracemalloc.start()
+    try:
+        est = exact_age_dropping(Exponential(lam), Deterministic(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert 0.0 < est.ci_half_width < 0.1 * age
+    assert abs(est.value - age) <= est.ci_half_width
+
+
+@pytest.mark.parametrize("compute", [
+    exact_age_dropping, moments_of_K_dropping,
+    lambda y, s: k_pmf(y, s, K_MAX)], ids=["exact", "moments", "kpmf"])
+def test_too_deep_cycle_raises(compute):
+    # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
+    with pytest.raises(TruncationNotReached):
+        compute(Exponential(1000.0), Deterministic(100.0))
