@@ -9,48 +9,31 @@ lower bound.  The applicability column records the flip
 (ReversedUnderIMRL), driven by the MRL classifier at every point.
 
 The swept scale multiplies both phase rates, so it cannot ride the scalar
-template sweep; the rows are assembled directly with the same per-point
-seed policy.  The hyperexponential family here (equal weights, rates in
-ratio 1:4) is a documented choice; any IMRL law shows the same reversal.
+template sweep; each point goes through the sweep's per-point evaluation
+with the same seed rule.  The hyperexponential family here (equal weights,
+rates in ratio 1:4) is a documented choice; any IMRL law shows the same
+reversal.
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from aoi import analytic, bounds
-from aoi.distributions import Exponential, Hyperexponential, classify_mrl
-from aoi.experiments import SweepResult, SweepRow, emit_chart, emit_csv
-from aoi.sim import SimConfig, run_simulation
+from aoi.distributions import Exponential, Hyperexponential
+from aoi.experiments import (SweepResult, emit_chart, emit_csv,
+                             evaluate_point, point_seed)
+from aoi.sim import Discipline
 
 SCALES = (0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 2.0)
 SERVICE = Exponential(1.0)
+ESTIMATORS = ("simulate", "exact", "corollary1", "mg11")
 
 
 def sweep_rows(args):
     rows = []
     for index, scale in enumerate(SCALES):
         y = Hyperexponential((0.5, 0.5), (0.5 * scale, 2.0 * scale))
-        ss = np.random.SeedSequence((args.seed, index))
-        sim_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-
-        est, _ = run_simulation(SimConfig(y, SERVICE, "dropping",
-                                          args.cycles, seed=sim_seed))
-        rows.append(SweepRow(scale, "simulate", est.value, est.ci_half_width))
-
-        exact = analytic.exact_age_dropping(y, SERVICE)
-        rows.append(SweepRow(scale, "exact", exact.value, exact.ci_half_width))
-
-        km = analytic.moments_of_K_dropping(y, SERVICE)
-        c1 = bounds.ub_dropping_general(y, SERVICE, km)
-        rows.append(SweepRow(scale, "corollary1", c1.value, 0.0,
-                             c1.applicability.value))
-
-        verdict = classify_mrl(y).verdict
-        mg = bounds.mg11_ordering_bound(y.mean(), SERVICE, verdict)
-        rows.append(SweepRow(scale, "mg11", mg.value, 0.0,
-                             mg.applicability.value))
+        rows += evaluate_point(Discipline.DROPPING, y, SERVICE, ESTIMATORS, scale,
+                               args.cycles, point_seed(args.seed, index))
     return SweepResult(rows=tuple(rows))
 
 

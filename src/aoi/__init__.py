@@ -12,7 +12,7 @@ from .analytic import (DEFAULT_OPTIONS, EstimatorOptions, KPmf,
                        exact_age_preemption, k_pmf, moments_of_K_dropping,
                        success_probability)
 from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
-                     mm11, ub_dropping_general, ub_dropping_gm, ub_preemption)
+                     ub_dropping_general, ub_dropping_gm, ub_preemption)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlClassification, MrlVerdict,
                             Rayleigh, ShiftedExponential, Uniform, classify_mrl,

@@ -1,12 +1,14 @@
 """Closed-form and semi-analytic upper bounds on the average age.
 
-All bounds are moment arithmetic.  The exponential-service bounds take
-their geometric cycle count, and ``mm11`` its exact value, from the
-analytic module's renewal form; the preemption bound's conditional mean
-service term also comes from the analytic module.  The mean-matched
-M/G ordering bound is an upper bound only for interarrivals with decreasing
-mean residual life and NBUE service; with IMRL interarrivals it flips into
-a lower bound, which the ``applicability`` tag records.
+All bounds are moment arithmetic.  The exponential-service bound takes
+its geometric cycle count from the analytic module's renewal form, and
+the preemption bound its conditional mean service term from the analytic
+module.  At exponential arrivals the exponential-service bound is the
+M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
+upper bound only for interarrivals with decreasing mean residual life and
+NBUE service; with IMRL interarrivals it flips into a lower bound, which
+the ``applicability`` tag records.  :data:`aoi.experiments.ESTIMATORS`
+says which bound applies to which discipline and how its inputs are found.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .analytic import (_completed_service, _head, _ratio_bracket,
-                       exact_age_dropping, moments_of_K_dropping)
+                       moments_of_K_dropping)
 from .distributions import Distribution, Exponential, MrlVerdict
 from .sim import Z95, Moment
 
@@ -26,7 +28,6 @@ __all__ = [
     "BoundReport",
     "ub_dropping_general",
     "ub_dropping_gm",
-    "mm11",
     "mg11_ordering_bound",
     "ub_preemption",
 ]
@@ -35,8 +36,6 @@ __all__ = [
 class BoundKind(str, Enum):
     CorollaryOneDropping = "CorollaryOneDropping"
     GM11 = "GM11"
-    MM11 = "MM11"
-    MM11Exact = "MM11Exact"
     MG11Ordering = "MG11Ordering"
     CorollaryTwoPreemption = "CorollaryTwoPreemption"
 
@@ -110,25 +109,6 @@ def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundRepo
         applicability=Applicability.UNCONDITIONAL,
         inputs={"interarrival": interarrival.to_dict(),
                 "service_rate": service_rate})
-
-
-def mm11(arrival_rate: float, service_rate: float
-         ) -> tuple[BoundReport, BoundReport]:
-    """(exact, bound) for exponential/exponential dropping, the G/M forms
-    at exponential arrivals: exact is :func:`exact_age_dropping`
-    (1/lam + 2/mu - 1/(lam + mu)), bound is :func:`ub_dropping_gm`
-    (1/lam + 2/mu)."""
-    interarrival = Exponential(arrival_rate)
-    inputs = {"arrival_rate": arrival_rate, "service_rate": service_rate}
-    exact = BoundReport(
-        value=exact_age_dropping(interarrival, Exponential(service_rate)).value,
-        kind=BoundKind.MM11Exact, applicability=Applicability.UNCONDITIONAL,
-        inputs=inputs)
-    bound = BoundReport(
-        value=ub_dropping_gm(interarrival, service_rate).value,
-        kind=BoundKind.MM11, applicability=Applicability.UNCONDITIONAL,
-        inputs=inputs)
-    return exact, bound
 
 
 def mg11_ordering_bound(mean_interarrival: float, service: Distribution,

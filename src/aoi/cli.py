@@ -21,15 +21,19 @@ import json
 import os
 import sys
 
-from . import analytic, bounds, experiments
+from . import analytic, experiments
 from .analytic import EstimatorOptions
-from .distributions import Distribution, Exponential, classify_mrl, from_dict
+from .distributions import Distribution, classify_mrl, from_dict
 from .errors import AoiError
 from .sim import Discipline, SimConfig, cycle_statistics, run_simulation
 
 __all__ = ["main", "build_parser"]
 
 SEED_ENV_VAR = "AOI_SEED"
+# The estimators that validate the unread --mc-samples: those that once ran
+# the Monte Carlo partial-sum walk.
+_MC_SAMPLES_CHECKED = {("exact", Discipline.DROPPING),
+                       ("corollary1", Discipline.DROPPING)}
 
 
 def _dist_argument(text: str) -> Distribution:
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="closed-form or semi-analytic bounds")
     p.add_argument("--kind", required=True,
-                   choices=["corollary1", "gm11", "mm11", "mg11", "corollary2"])
+                   choices=[t for t in experiments.ESTIMATORS if t != "exact"])
     _add_dist_flags(p)
     _add_estimator_flags(p)
     _add_common_flags(p)
@@ -123,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     """The seed from ``--seed``, else ``$AOI_SEED``, else 0; a seed out of
-    range is a usage error on every path, whether or not it draws."""
-    seed = getattr(args, "seed", None)
+    range is a usage error on every subcommand, whether or not it draws."""
+    seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
         try:
@@ -173,19 +177,18 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     with _usage_errors(args):
         config = SimConfig(interarrival=args.interarrival,
                            service=args.service,
                            discipline=Discipline(args.discipline),
-                           target_cycles=args.cycles, seed=seed,
+                           target_cycles=args.cycles, seed=args.seed,
                            max_events=args.max_events)
     estimate, records = run_simulation(config, trace_path=args.trace)
     stats = cycle_statistics(records) if len(records) >= 2 else None
     inputs = {"discipline": args.discipline,
               "interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(),
-              "cycles": args.cycles, "seed": seed}
+              "cycles": args.cycles, "seed": args.seed}
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
               "cycles_used": estimate.cycles_used, "method": estimate.method}
     lines = [
@@ -211,19 +214,26 @@ def _cmd_simulate(args) -> int:
     return _emit(args, "simulate", inputs, result, lines)
 
 
-def _cmd_exact(args) -> int:
-    seed = _resolve_seed(args)
+def _estimate(args, tag: str, discipline: Discipline):
+    """Run ``tag`` through the estimator table; a law pair or precondition
+    the table rejects is a usage error naming it."""
     _check_pair(args)
+    with _usage_errors(args):
+        experiments.require(tag, discipline, args.service)
+    if (tag, discipline) in _MC_SAMPLES_CHECKED:
+        _check_options(args)
+    return experiments.ESTIMATORS[tag].calls[discipline](args.interarrival,
+                                                         args.service)
+
+
+def _cmd_exact(args) -> int:
+    discipline = Discipline(args.discipline)
+    estimate = _estimate(args, "exact", discipline)
     inputs = {"discipline": args.discipline,
               "interarrival": args.interarrival.to_dict(),
-              "service": args.service.to_dict(), "seed": seed}
-    if args.discipline == "dropping":
-        _check_options(args)
-        estimate = analytic.exact_age_dropping(args.interarrival, args.service)
+              "service": args.service.to_dict(), "seed": args.seed}
+    if ("exact", discipline) in _MC_SAMPLES_CHECKED:
         inputs["mc_samples"] = args.mc_samples
-    else:
-        estimate = analytic.exact_age_preemption(args.interarrival,
-                                                 args.service)
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
               "cycles_used": estimate.cycles_used, "method": estimate.method}
     lines = [
@@ -236,31 +246,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    seed = _resolve_seed(args)
-    _check_pair(args)
     y, s = args.interarrival, args.service
-    kind = args.kind
-    if kind == "corollary1":
-        _check_options(args)
-        report = bounds.ub_dropping_general(y, s, analytic.moments_of_K_dropping(y, s))
-    elif kind == "gm11":
-        if not isinstance(s, Exponential):
-            raise SystemExit("aoi bound: --kind gm11 needs an exponential "
-                             "--service law")
-        report = bounds.ub_dropping_gm(y, s.rate)
-    elif kind == "mm11":
-        if not (isinstance(y, Exponential) and isinstance(s, Exponential)):
-            raise SystemExit("aoi bound: --kind mm11 needs exponential "
-                             "--interarrival and --service laws")
-        exact_report, report = bounds.mm11(y.rate, s.rate)
-    elif kind == "mg11":
-        verdict = classify_mrl(y).verdict
-        report = bounds.mg11_ordering_bound(y.mean(), s,
-                                            interarrival_verdict=verdict)
-    else:
-        report = bounds.ub_preemption(y, s)
-    inputs = {"kind": kind, "interarrival": y.to_dict(),
-              "service": s.to_dict(), "seed": seed}
+    (discipline,) = experiments.ESTIMATORS[args.kind].calls  # one per bound
+    report = _estimate(args, args.kind, discipline)
+    inputs = {"kind": args.kind, "interarrival": y.to_dict(),
+              "service": s.to_dict(), "seed": args.seed}
     result = {"value": report.value, "kind": report.kind.value,
               "applicability": report.applicability.value}
     lines = [
@@ -270,14 +260,10 @@ def _cmd_bound(args) -> int:
         f"value           {_fmt(report.value)}",
         f"applicability   {report.applicability.value}",
     ]
-    if kind == "mm11":
-        result["exact"] = exact_report.value
-        lines.append(f"exact           {_fmt(exact_report.value)}")
     return _emit(args, "bound", inputs, result, lines)
 
 
 def _cmd_kpmf(args) -> int:
-    seed = _resolve_seed(args)
     _check_pair(args)
     _check_options(args)
     if args.k_max < 1:
@@ -285,7 +271,7 @@ def _cmd_kpmf(args) -> int:
     res = analytic.k_pmf(args.interarrival, args.service, args.k_max)
     inputs = {"interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(),
-              "k_max": args.k_max, "seed": seed}
+              "k_max": args.k_max, "seed": args.seed}
     result = {
         "pmf": [{"k": i + 1, "probability": m.value, "ci": m.stderr}
                 for i, m in enumerate(res.pmf)],
@@ -361,6 +347,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _resolve_seed(args)
         return _COMMANDS[args.command](args)
     except AoiError as exc:
         name = type(exc).__name__

@@ -92,9 +92,6 @@ class Distribution(ABC):
     @abstractmethod
     def second_moment(self) -> float: ...
 
-    def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
-
     # -- tail and transform -----------------------------------------------
 
     @abstractmethod
@@ -122,9 +119,6 @@ class Distribution(ABC):
 
     def _pdf(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} has no density")
-
-    def has_density(self) -> bool:
-        return True
 
     def laplace(self, s: float) -> float:
         """E[exp(-s X)] for s >= 0."""
@@ -275,9 +269,6 @@ class Deterministic(Distribution):
 
     def tail_inclusive(self, x):
         return 1.0 if x <= self.value else 0.0
-
-    def has_density(self):
-        return False
 
     def laplace(self, s):
         if s < 0:

@@ -9,12 +9,12 @@ line chart with confidence bands.  Per-point simulation seeds derive from
 existing ones, and identical specs reproduce byte-identical outputs; the
 other estimators read no seed, nor the (validated) spec ``options``.
 
-Estimator tags: ``simulate``, ``exact``, ``corollary1`` (general dropping
-bound from the K moments), ``gm11`` (dropping bound for exponential
-service), ``mg11`` (mean-matched exponential-arrival ordering bound, upper
-for DMRL interarrivals, reversed under IMRL), ``corollary2`` (preemption
-bound).  Points where an estimator raises a domain error are recorded as
-divergent rather than aborting the sweep.
+Estimator tags: ``simulate`` and the tags of :data:`ESTIMATORS`, the one
+table that says which call computes each exact age and bound, for which
+discipline, and under which precondition.  The CLI's ``exact`` and
+``bound`` subcommands dispatch through the same table.  Points where an
+estimator raises a domain error are recorded as divergent rather than
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,10 +31,14 @@ from . import analytic, bounds
 from .analytic import DEFAULT_OPTIONS, EstimatorOptions
 from .distributions import Distribution, Exponential, classify_mrl, from_dict
 from .errors import AoiError
-from .sim import Discipline, SimConfig, run_simulation
+from .sim import AgeEstimate, Discipline, SimConfig, run_simulation
 
 __all__ = [
-    "ESTIMATOR_TAGS",
+    "Estimator",
+    "ESTIMATORS",
+    "require",
+    "point_seed",
+    "evaluate_point",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -44,10 +48,54 @@ __all__ = [
     "emit_chart",
 ]
 
-ESTIMATOR_TAGS = ("simulate", "exact", "corollary1", "gm11", "mg11", "corollary2")
-_ONLY = {"corollary1": Discipline.DROPPING, "gm11": Discipline.DROPPING,
-         "mg11": Discipline.DROPPING, "corollary2": Discipline.PREEMPTION}
 CSV_HEADER = ("param", "estimator", "value", "ci", "applicability")
+
+_Call = Callable[[Distribution, Distribution], Union[AgeEstimate, bounds.BoundReport]]
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One tag of :data:`ESTIMATORS`: its call on ``(interarrival,
+    service)`` for each discipline it applies to, and whether it needs an
+    exponential service law."""
+
+    calls: Mapping[Discipline, _Call]
+    exponential_service: bool = False
+
+
+# The calls look up ``analytic.*``, ``bounds.*`` and ``classify_mrl`` when
+# they run, not when this table is built, so a swapped module attribute
+# (a tracing wrapper, say) is the one called.
+_D, _P = Discipline.DROPPING, Discipline.PREEMPTION
+ESTIMATORS: Mapping[str, Estimator] = {
+    "exact": Estimator({
+        _D: lambda y, s: analytic.exact_age_dropping(y, s),
+        _P: lambda y, s: analytic.exact_age_preemption(y, s)}),
+    "corollary1": Estimator({
+        _D: lambda y, s: bounds.ub_dropping_general(
+            y, s, analytic.moments_of_K_dropping(y, s))}),
+    "gm11": Estimator({
+        _D: lambda y, s: bounds.ub_dropping_gm(y, s.rate)},
+        exponential_service=True),
+    "mg11": Estimator({
+        _D: lambda y, s: bounds.mg11_ordering_bound(
+            y.mean(), s, interarrival_verdict=classify_mrl(y).verdict)}),
+    "corollary2": Estimator({
+        _P: lambda y, s: bounds.ub_preemption(y, s)}),
+}
+
+
+def require(tag: str, discipline: Discipline, service: Distribution) -> None:
+    """Raise ``ValueError`` naming ``tag`` unless :data:`ESTIMATORS` can run
+    it for this discipline and service law."""
+    estimator = ESTIMATORS.get(tag)
+    if estimator is None:
+        raise ValueError(f"unknown estimator tag {tag!r}")
+    if discipline not in estimator.calls:
+        only = "/".join(d.value for d in estimator.calls)
+        raise ValueError(f"estimator {tag!r} applies to {only} only")
+    if estimator.exponential_service and not isinstance(service, Exponential):
+        raise ValueError(f"{tag} needs an exponential service law")
 
 
 @dataclass(frozen=True)
@@ -78,17 +126,21 @@ class SweepSpec:
         if not self.estimators:
             raise ValueError("need at least one estimator")
         for tag in self.estimators:
-            if tag not in ESTIMATOR_TAGS:
-                raise ValueError(f"unknown estimator tag {tag!r}")
-            if _ONLY.get(tag, self.discipline) is not self.discipline:
-                raise ValueError(f"estimator {tag!r} applies to {_ONLY[tag].value} only")
-        if "gm11" in self.estimators and not isinstance(self.service, Exponential):
-            raise ValueError("gm11 needs an exponential service law")
+            if tag != "simulate":
+                require(tag, self.discipline, self.service)
         if self.swept_param in self.interarrival_template:
             raise ValueError(f"swept parameter {self.swept_param!r} must not "
                              "appear in the template")
+        for name in ("sim_cycles", "base_seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, int)
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.sim_cycles < 1:
             raise ValueError("sim_cycles must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
         self.point_distribution(self.grid[0])  # validate the template early
 
     def point_distribution(self, value: float) -> Distribution:
@@ -130,8 +182,8 @@ class SweepSpec:
                 service=from_dict(data["service"]),
                 estimators=tuple(data["estimators"]),
                 options=EstimatorOptions(**options),
-                sim_cycles=int(data.get("sim_cycles", 20_000)),
-                base_seed=int(data.get("base_seed", 0)),
+                sim_cycles=data.get("sim_cycles", 20_000),
+                base_seed=data.get("base_seed", 0),
             )
         except KeyError as exc:
             raise ValueError(f"sweep spec is missing key {exc}") from exc
@@ -162,67 +214,46 @@ class SweepResult:
         return [r for r in self.rows if r.estimator == estimator]
 
 
-def _point_seed(base_seed: int, index: int) -> int:
+def point_seed(base_seed: int, index: int) -> int:
     """The simulation seed of a grid point, stable in the point index."""
     ss = np.random.SeedSequence((base_seed, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _evaluate(tag: str, spec: SweepSpec, param: float,
-              interarrival: Distribution,
-              sim_seed: int) -> SweepRow:
-    service = spec.service
-    if tag == "simulate":
-        est, _ = run_simulation(SimConfig(
-            interarrival=interarrival, service=service,
-            discipline=spec.discipline, target_cycles=spec.sim_cycles,
-            seed=sim_seed))
-        return SweepRow(param, tag, est.value, est.ci_half_width)
-    if tag == "exact":
-        if spec.discipline is Discipline.DROPPING:
-            est = analytic.exact_age_dropping(interarrival, service)
+def evaluate_point(discipline: Discipline, interarrival: Distribution,
+                   service: Distribution, estimators: Sequence[str],
+                   param: float, sim_cycles: int, sim_seed: int) -> list[SweepRow]:
+    """One row per estimator at one grid point: ``simulate`` runs
+    ``sim_cycles`` cycles from ``sim_seed``, every other tag its
+    :data:`ESTIMATORS` call.  A domain error marks its cell divergent."""
+    rows = []
+    for tag in estimators:
+        try:
+            if tag == "simulate":
+                result, _ = run_simulation(SimConfig(
+                    interarrival=interarrival, service=service,
+                    discipline=discipline, target_cycles=sim_cycles,
+                    seed=sim_seed))
+            else:
+                result = ESTIMATORS[tag].calls[discipline](interarrival, service)
+        except AoiError:
+            rows.append(SweepRow(param, tag, None, None))
+            continue
+        if isinstance(result, bounds.BoundReport):
+            rows.append(SweepRow(param, tag, result.value, result.half_width,
+                                 result.applicability.value))
         else:
-            est = analytic.exact_age_preemption(interarrival, service)
-        return SweepRow(param, tag, est.value, est.ci_half_width)
-    if tag == "corollary1":
-        report = bounds.ub_dropping_general(
-            interarrival, service,
-            analytic.moments_of_K_dropping(interarrival, service))
-        return SweepRow(param, tag, report.value, report.half_width,
-                        report.applicability.value)
-    if tag == "gm11":
-        report = bounds.ub_dropping_gm(interarrival, service.rate)  # type: ignore[attr-defined]
-        return SweepRow(param, tag, report.value, 0.0,
-                        report.applicability.value)
-    if tag == "mg11":
-        verdict = classify_mrl(interarrival).verdict
-        report = bounds.mg11_ordering_bound(interarrival.mean(), service,
-                                            interarrival_verdict=verdict)
-        return SweepRow(param, tag, report.value, 0.0,
-                        report.applicability.value)
-    if tag == "corollary2":
-        report = bounds.ub_preemption(interarrival, service)
-        return SweepRow(param, tag, report.value, 0.0,
-                        report.applicability.value)
-    raise ValueError(f"unknown estimator tag {tag!r}")
+            rows.append(SweepRow(param, tag, result.value, result.ci_half_width))
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every requested estimator at every grid point.
-
-    Domain errors at a point mark that cell divergent instead of failing
-    the sweep.
-    """
+    """Evaluate every requested estimator at every grid point."""
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.grid):
-        interarrival = spec.point_distribution(value)
-        sim_seed = _point_seed(spec.base_seed, index)
-        for tag in spec.estimators:
-            try:
-                row = _evaluate(tag, spec, value, interarrival, sim_seed)
-            except AoiError:
-                row = SweepRow(value, tag, None, None)
-            rows.append(row)
+        rows += evaluate_point(spec.discipline, spec.point_distribution(value),
+                               spec.service, spec.estimators, value,
+                               spec.sim_cycles, point_seed(spec.base_seed, index))
     return SweepResult(rows=tuple(rows))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from aoi.analytic import exact_age_dropping, exact_age_preemption
 from aoi.bounds import (Applicability, BoundKind, BoundReport,
-                        mg11_ordering_bound, mm11, ub_dropping_general,
+                        mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
@@ -48,18 +48,21 @@ def test_gm11_examples():
 
 
 def test_mm11_values():
-    exact, bound = mm11(1.0, 1.0)
+    # M/M/1/1 dropping is the exact age and the G/M bound at exponential arrivals.
+    exact = exact_age_dropping(Exponential(1.0), Exponential(1.0))
+    bound = ub_dropping_gm(Exponential(1.0), 1.0)
     assert (exact.value, bound.value) == (pytest.approx(2.5), pytest.approx(3.0))
-    assert exact.kind is BoundKind.MM11Exact and bound.kind is BoundKind.MM11
-    exact, _ = mm11(2.0, 1.0)
+    assert bound.kind is BoundKind.GM11
+    exact = exact_age_dropping(Exponential(2.0), Exponential(1.0))
     assert exact.value == pytest.approx(0.5 + 2.0 - 1.0 / 3.0, rel=1e-12)
-    exact, _ = mm11(100.0, 1.0)
+    exact = exact_age_dropping(Exponential(100.0), Exponential(1.0))
     assert exact.value == pytest.approx(0.01 + 2.0 - 1.0 / 101.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
 def test_mm11_is_scale_free(c):
-    exact, bound = mm11(1.0 / c, 1.0 / c)
+    exact = exact_age_dropping(Exponential(1.0 / c), Exponential(1.0 / c))
+    bound = ub_dropping_gm(Exponential(1.0 / c), 1.0 / c)
     assert exact.value == pytest.approx(2.5 * c, rel=1e-9)
     assert bound.value == pytest.approx(3.0 * c, rel=1e-9)
 
@@ -96,7 +99,7 @@ def test_corollary2_examples():
 
 def test_applicability_is_mg11_specific():
     with pytest.raises(ValueError):
-        BoundReport(value=1.0, kind=BoundKind.MM11,
+        BoundReport(value=1.0, kind=BoundKind.GM11,
                     applicability=Applicability.REQUIRES_DMRL_NBUE, inputs={})
 
 
@@ -115,10 +118,13 @@ def test_specialization_chain_corollary1_equals_gm11():
 
 
 def test_specialization_chain_gm11_equals_mm11():
+    # At exponential arrivals the G/M bound is the M/M/1/1 bound 1/lam + 2/mu,
+    # and the exact age is that less 1/(lam + mu).
     for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
-        _, bound = mm11(lam, mu)
         assert ub_dropping_gm(Exponential(lam), mu).value == \
-            pytest.approx(bound.value, abs=1e-12)
+            pytest.approx(1.0 / lam + 2.0 / mu, abs=1e-12)
+        assert exact_age_dropping(Exponential(lam), Exponential(mu)).value == \
+            pytest.approx(1.0 / lam + 2.0 / mu - 1.0 / (lam + mu), abs=1e-12)
 
 
 def test_corollary1_tight_for_deterministic_interarrivals():

@@ -4,7 +4,10 @@ import jsonschema
 import pytest
 
 from aoi.cli import main
+from aoi.distributions import from_dict
+from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
+from aoi.sim import Discipline
 
 EXP1 = '{"kind": "exponential", "rate": 1}'
 DET = '{"kind": "deterministic", "value": %s}'
@@ -100,11 +103,15 @@ def test_kpmf_deterministic(capsys):
 
 
 def test_bound_subcommand_kinds(capsys):
-    code, payload = run_json(capsys, "bound", "--kind", "mm11",
+    code, payload = run_json(capsys, "exact", "--discipline", "dropping",
+                             "--interarrival", EXP1, "--service", EXP1)
+    assert code == 0
+    assert payload["result"]["value"] == pytest.approx(2.5)
+
+    code, payload = run_json(capsys, "bound", "--kind", "gm11",
                              "--interarrival", EXP1, "--service", EXP1)
     assert code == 0
     assert payload["result"]["value"] == pytest.approx(3.0)
-    assert payload["result"]["exact"] == pytest.approx(2.5)
 
     code, payload = run_json(capsys, "bound", "--kind", "corollary1",
                              "--interarrival", EXP1, "--service", EXP1,
@@ -141,11 +148,20 @@ def test_usage_error_unknown_discipline(capsys):
     assert exc.value.code == 2
 
 
-def test_usage_error_mm11_needs_exponentials(capsys):
-    code, _, err = run(capsys, "bound", "--kind", "mm11",
-                       "--interarrival", DET % 1, "--service", EXP1)
+def test_usage_error_gm11_needs_exponential_service(capsys):
+    code, out, err = run(capsys, "bound", "--kind", "gm11",
+                         "--interarrival", EXP1, "--service", DET % 1)
     assert code == 2
-    assert "mm11" in err
+    assert "gm11" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_deleted_mm11_kind_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--kind", "mm11", "--interarrival", EXP1,
+              "--service", EXP1])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mm11'" in capsys.readouterr().err
 
 
 PAIR = ("--interarrival", EXP1, "--service", EXP1)
@@ -155,6 +171,10 @@ PAIR = ("--interarrival", EXP1, "--service", EXP1)
     (("exact", "--discipline", "dropping", *PAIR, "--mc-samples", "100"),
      "mc_samples must be >= 10000"),
     (("exact", "--discipline", "preemption", *PAIR, "--seed", "-1"),
+     "seed must fit in 64 bits"),
+    (("check-properties", "--dist", EXP1, "--seed", "-1"),
+     "seed must fit in 64 bits"),
+    (("sweep", "--spec", "spec.json", "--csv", "out.csv", "--seed", "-1"),
      "seed must fit in 64 bits"),
     (("kpmf", *PAIR, "--k-max", "0"), "k_max must be >= 1"),
     (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "0"),
@@ -169,7 +189,8 @@ PAIR = ("--interarrival", EXP1, "--service", EXP1)
       "--service", EXP1), "interarrival law must have a positive mean"),
     (("simulate", "--discipline", "dropping", "--interarrival", DET % 0,
       "--service", DET % 0), "interarrival law must have a positive mean"),
-], ids=["mc-samples", "seed", "k-max", "cycles", "max-events",
+], ids=["mc-samples", "seed", "seed-check-properties", "seed-sweep",
+        "k-max", "cycles", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
         "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate"])
 def test_out_of_range_value_is_usage_error(capsys, argv, named):
@@ -274,8 +295,13 @@ def test_sweep_end_to_end(capsys, tmp_path):
      "quadrature_rel_tol"),
     ({k: v for k, v in SWEEP_SPEC.items() if k != "grid"}, "grid"),
     (None, "No such file"),
+    ({**SWEEP_SPEC, "base_seed": -1}, "base_seed must fit in 64 bits"),
+    ({**SWEEP_SPEC, "base_seed": 2**64}, "base_seed must fit in 64 bits"),
+    ({**SWEEP_SPEC, "base_seed": 2.5}, "base_seed must be an integer"),
+    ({**SWEEP_SPEC, "sim_cycles": 2.5}, "sim_cycles must be an integer"),
 ], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
-        "missing-key", "missing-file"])
+        "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
+        "fractional-base-seed", "fractional-sim-cycles"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
@@ -285,3 +311,34 @@ def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     assert code == 2
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("discipline,template,swept,value,service", [
+    ("dropping", {"kind": "shifted_exponential", "shift": 0.5}, "rate", 1.5,
+     {"kind": "exponential", "rate": 1.0}),
+    ("preemption", {"kind": "uniform", "lower": 0.2}, "upper", 1.8,
+     {"kind": "shifted_exponential", "rate": 2.0, "shift": 0.2}),
+])
+def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
+                                                swept, value, service):
+    # Every tag of the table that applies to the discipline gives the same
+    # value through `aoi exact|bound --json` as in its run_sweep row.
+    tags = [tag for tag, est in ESTIMATORS.items()
+            if Discipline(discipline) in est.calls]
+    spec = SweepSpec(name="parity", discipline=discipline,
+                     interarrival_template=template, swept_param=swept,
+                     grid=(value,), service=from_dict(service), estimators=tags)
+    rows = {r.estimator: r for r in run_sweep(spec).rows}
+    pair = ("--interarrival", json.dumps({**template, swept: value}),
+            "--service", json.dumps(service))
+    for tag in tags:
+        argv = (("exact", "--discipline", discipline) if tag == "exact"
+                else ("bound", "--kind", tag))
+        code, payload = run_json(capsys, *argv, *pair)
+        assert code == 0
+        result, row = payload["result"], rows[tag]
+        assert result["value"] == row.value, tag
+        if tag == "exact":
+            assert result["ci_half_width"] == row.ci
+        else:
+            assert result["applicability"] == row.applicability
