@@ -16,7 +16,7 @@ from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlClassification, MrlVerdict,
                             Rayleigh, ShiftedExponential, Uniform, classify_mrl,
-                            from_dict, from_json, mean_residual_life)
+                            from_dict, mean_residual_life)
 from .errors import (AoiError, DivergentAge, TailEmpty, TruncationNotReached,
                      ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,

@@ -30,7 +30,9 @@ Preemption
     K is geometric with success probability p = Pr(service <= next gap),
     which collapses the age to
     E[Y^2]/(2 E[Y]) + E[Y * Pr(S > Y)] / p + E[S | S < Y],
-    evaluated by adaptive quadrature.  The denominator is the success
+    evaluated by adaptive quadrature.  :func:`success_probability` and the
+    crossing term E[Y * Pr(S > Y)] / p are shared with exponential-service
+    dropping, where Pr(S > Y) = exp(-mu Y).  The denominator is the success
     probability p, not E[Pr(S > Y)] = 1 - p: only the former reproduces
     the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
     simulation.
@@ -52,7 +54,7 @@ import numpy as np
 
 from .distributions import (QUAD_REL_TOL, Deterministic, Distribution,
                             Exponential, expect)
-from .errors import TruncationNotReached, ZeroSuccessProbability
+from .errors import AoiError, TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Moment, Z95
 
 __all__ = [
@@ -121,22 +123,7 @@ def _require_valid_pair(interarrival: Distribution, service: Distribution):
 
 def _head(interarrival: Distribution) -> float:
     """E[Y^2]/(2E[Y]), the first term of every age and bound."""
-    if interarrival.mean() <= 0:
-        raise ValueError("interarrival law must have a positive mean")
     return interarrival.second_moment() / (2.0 * interarrival.mean())
-
-
-def _geometric_p(interarrival: Distribution, service: Exponential) -> float:
-    """p = 1 - L(mu): the chance that the next gap outlasts an exponential
-    service, i.e. the success probability of the geometric cycle count K.
-
-    Raises :class:`TruncationNotReached` when p <= 0, where E[K] diverges.
-    """
-    p = 1.0 - interarrival.laplace(service.rate)
-    if p <= 0.0:
-        raise TruncationNotReached(
-            "geometric success probability is zero; E[K] diverges")
-    return p
 
 
 def _lattice_solves(interarrival: Distribution, service: Distribution,
@@ -211,13 +198,36 @@ def _midpoint(a: float, b: float) -> tuple[float, float]:
 
 def _ratio_bracket(num: float, num_hw: float, den: float, den_hw: float
                    ) -> tuple[float, float]:
-    """num/den and the half-width of its range over both brackets
-    (infinite when the denominator's bracket reaches 0)."""
+    """num/den and the half-width of its range over both brackets.  The
+    denominator is an E[K] bracket, whose lower end min(down, up) is >= 1."""
     ratio = num / den
-    if den_hw >= den:
-        return ratio, math.inf
     return ratio, max((num + num_hw) / (den - den_hw) - ratio,
                       ratio - (num - num_hw) / (den + den_hw))
+
+
+def _success_p(interarrival: Distribution, service: Distribution,
+               error: type[AoiError]) -> float:
+    """:func:`success_probability`, raising ``error`` when it is 0: no
+    service completes, so the geometric cycle count K has no finite mean."""
+    p = success_probability(interarrival, service)
+    if p <= 0.0:
+        raise error(f"Pr(success) = 0 for interarrival {interarrival.describe()} "
+                    f"vs service {service.describe()}")
+    return p
+
+
+def _crossing(interarrival: Distribution, service: Distribution,
+              p: float) -> tuple[float, float]:
+    """E[Y Pr(S > Y)] / p, the middle term of every geometric-cycle age,
+    and its quadrature error.
+
+    The integral is taken in units of E[Y], so that expect's absolute error
+    floor is relative to the law's time scale.
+    """
+    m = interarrival.mean()
+    value, err = expect(interarrival, lambda y: y / m * service.ccdf(y),
+                        extra_breakpoints=service.breakpoints())
+    return m * value / p, m * err / p
 
 
 def exact_age_dropping(interarrival: Distribution,
@@ -232,12 +242,8 @@ def exact_age_dropping(interarrival: Distribution,
     """
     _require_valid_pair(interarrival, service)
     if isinstance(service, Exponential):
-        p = _geometric_p(interarrival, service)
-        mu, m = service.rate, interarrival.mean()
-        # E[Y exp(-mu Y)] in units of E[Y], so that expect's absolute
-        # error floor is relative to the law's time scale.
-        crossing, _ = expect(interarrival, lambda y: y / m * math.exp(-mu * y))
-        middle, hw = m * crossing / p, 0.0
+        p = _success_p(interarrival, service, TruncationNotReached)
+        middle, hw = _crossing(interarrival, service, p)[0], 0.0
     else:
         down, up = _lattice_solves(interarrival, service)
         middle, hw = _ratio_bracket(*_midpoint(down.crossing, up.crossing),
@@ -256,7 +262,7 @@ def moments_of_K_dropping(interarrival: Distribution, service: Distribution
     """
     _require_valid_pair(interarrival, service)
     if isinstance(service, Exponential):
-        p = _geometric_p(interarrival, service)
+        p = _success_p(interarrival, service, TruncationNotReached)
         return Moment(1.0 / p, 0.0), Moment((2.0 - p) / p**2, 0.0)
     down, up = _lattice_solves(interarrival, service)
     k_mean, k_hw = _midpoint(down.k_mean, up.k_mean)
@@ -281,7 +287,7 @@ def k_pmf(interarrival: Distribution, service: Distribution,
         pmf = zip(mid[:-1] - mid[1:], (hw[:-1] + hw[1:]) / Z95)
         tail = Moment(float(mid[-1]), float(hw[-1]) / Z95)
         return KPmf(tuple(Moment(float(v), float(e)) for v, e in pmf), tail, k_max)
-    p = _geometric_p(interarrival, service)
+    p = _success_p(interarrival, service, TruncationNotReached)
     q = 1.0 - p
     pmf = tuple(Moment(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
     return KPmf(pmf=pmf, tail_mass=Moment(q**k_max, 0.0), k_max=k_max)
@@ -291,31 +297,26 @@ def success_probability(interarrival: Distribution,
                         service: Distribution) -> float:
     """p = Pr(a service completes before the next arrival) = 1 - E[Pr(S > Y)].
 
-    Ties count as successes, matching the simulator's completion-first rule.
-    A p within the quadrature's error estimate of 0 is 0: rounding must not
-    turn an impossible completion into a tiny positive chance.
+    Exponential service has the closed form 1 - L(mu).  Otherwise ties
+    count as successes, matching the simulator's completion-first rule,
+    and a p within the quadrature's error estimate of 0 is 0: rounding must
+    not turn an impossible completion into a tiny positive chance.
     """
+    if isinstance(service, Exponential):
+        return 1.0 - interarrival.laplace(service.rate)
     mean_tail, err = expect(interarrival, lambda y: float(service.ccdf(y)),
                             extra_breakpoints=service.breakpoints())
     p = 1.0 - mean_tail
     return 0.0 if p <= err else min(p, 1.0)
 
 
-def _completed_service(interarrival: Distribution, service: Distribution
-                       ) -> tuple[float, float]:
-    """(p, E[S | the service completes]) with p the success probability.
-
-    E[S | the service completes] = E[S * Pr(Y >= S)] / p.  Raises
-    :class:`ZeroSuccessProbability` when no service can complete.
-    """
-    p = success_probability(interarrival, service)
-    if p <= 0.0:
-        raise ZeroSuccessProbability(
-            f"Pr(success) = 0 for interarrival {interarrival.describe()} "
-            f"vs service {service.describe()}")
+def _completed_service(interarrival: Distribution, service: Distribution,
+                       p: float) -> float:
+    """E[S | the service completes] = E[S * Pr(Y >= S)] / p, with p > 0
+    the success probability."""
     num, _ = expect(service, lambda s: s * interarrival.tail_inclusive(s),
                     extra_breakpoints=interarrival.breakpoints())
-    return p, num / p
+    return num / p
 
 
 def conditional_mean_service(interarrival: Distribution,
@@ -324,21 +325,19 @@ def conditional_mean_service(interarrival: Distribution,
 
     Raises :class:`ZeroSuccessProbability` when no service can complete.
     """
-    return _completed_service(interarrival, service)[1]
+    p = _success_p(interarrival, service, ZeroSuccessProbability)
+    return _completed_service(interarrival, service, p)
 
 
 def exact_age_preemption(interarrival: Distribution,
                          service: Distribution) -> AgeEstimate:
     """Average age under preemption in service, by quadrature."""
     _require_valid_pair(interarrival, service)
-    p, stilde = _completed_service(interarrival, service)
-    mid_num, mid_err = expect(
-        interarrival, lambda y: y * float(service.ccdf(y)),
-        extra_breakpoints=service.breakpoints())
-    middle = mid_num / p
-    value = _head(interarrival) + middle + stilde
+    p = _success_p(interarrival, service, ZeroSuccessProbability)
+    stilde = _completed_service(interarrival, service, p)
+    middle, middle_err = _crossing(interarrival, service, p)
     # Quadrature is deterministic; the half-width only reflects the
     # integrator's own error estimate.
-    ci = mid_err / p + QUAD_REL_TOL * (abs(middle) + stilde)
-    return AgeEstimate(value=value, ci_half_width=ci,
-                       cycles_used=0, method="analytic")
+    ci = middle_err + QUAD_REL_TOL * (abs(middle) + stilde)
+    return AgeEstimate(value=_head(interarrival) + middle + stilde,
+                       ci_half_width=ci, cycles_used=0, method="analytic")

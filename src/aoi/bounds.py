@@ -1,26 +1,30 @@
 """Closed-form and semi-analytic upper bounds on the average age.
 
-All bounds are moment arithmetic.  The exponential-service bound takes
-its geometric cycle count from the analytic module's renewal form, and
-the preemption bound its conditional mean service term from the analytic
-module.  At exponential arrivals the exponential-service bound is the
-M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
+Every bound takes the interarrival and service laws and derives its own
+inputs: the general dropping bound its K moments from
+:func:`~aoi.analytic.moments_of_K_dropping`, the exponential-service bound
+its geometric cycle count from the same renewal form, and the preemption
+bound its success probability and conditional mean service term from the
+analytic module.  At exponential arrivals the exponential-service bound is
+the M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
 upper bound only for interarrivals with decreasing mean residual life and
 NBUE service; with IMRL interarrivals it flips into a lower bound, which
-the ``applicability`` tag records.  :data:`aoi.experiments.ESTIMATORS`
-says which bound applies to which discipline and how its inputs are found.
+the ``applicability`` tag records from :func:`classify_mrl`.
+:data:`aoi.experiments.ESTIMATORS` says which bound applies to which
+discipline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Mapping
 
 from .analytic import (_completed_service, _head, _ratio_bracket,
-                       moments_of_K_dropping)
-from .distributions import Distribution, Exponential, MrlVerdict
-from .sim import Z95, Moment
+                       _require_valid_pair, _success_p, moments_of_K_dropping)
+from .distributions import Distribution, Exponential, MrlVerdict, classify_mrl
+from .errors import ZeroSuccessProbability
+from .sim import Z95
 
 __all__ = [
     "BoundKind",
@@ -66,24 +70,18 @@ class BoundReport:
                 "only the MG11Ordering bound carries a conditional label")
 
 
-def _interval(m: Union[Moment, float]) -> tuple[float, float]:
-    """A moment's value and 95% half-width; a bare float is exact."""
-    return (m.value, Z95 * m.stderr) if isinstance(m, Moment) else (float(m), 0.0)
-
-
-def ub_dropping_general(interarrival: Distribution, service: Distribution,
-                        kmoments: tuple[Union[Moment, float], Union[Moment, float]]
-                        ) -> BoundReport:
+def ub_dropping_general(interarrival: Distribution,
+                        service: Distribution) -> BoundReport:
     """Unconditional dropping bound
-    E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) + E[S].
+    E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) + E[S]
+    with the K moments of :func:`moments_of_K_dropping`.
 
-    Tight exactly when the interarrival times are deterministic.  The K
-    moments come from ``moments_of_K_dropping`` or a closed form.
+    Tight exactly when the interarrival times are deterministic.  The
+    half-width is the bound's range over the moments' brackets.
     """
-    (k_mean, k_mean_hw), (k_second, k_second_hw) = map(_interval, kmoments)
-    if k_mean < 1:
-        raise ValueError(f"E[K] must be >= 1, got {k_mean}")
-    ratio, ratio_hw = _ratio_bracket(k_second, k_second_hw, k_mean, k_mean_hw)
+    k_mean, k_second = moments_of_K_dropping(interarrival, service)
+    ratio, ratio_hw = _ratio_bracket(k_second.value, Z95 * k_second.stderr,
+                                     k_mean.value, Z95 * k_mean.stderr)
     value = (_head(interarrival)
              + interarrival.mean() * (0.5 * ratio - 0.5)
              + service.mean())
@@ -92,7 +90,7 @@ def ub_dropping_general(interarrival: Distribution, service: Distribution,
         applicability=Applicability.UNCONDITIONAL,
         inputs={"interarrival": interarrival.to_dict(),
                 "service": service.to_dict(),
-                "k_mean": k_mean, "k_second_moment": k_second},
+                "k_mean": k_mean.value, "k_second_moment": k_second.value},
         half_width=0.5 * interarrival.mean() * ratio_hw)
 
 
@@ -111,34 +109,32 @@ def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundRepo
                 "service_rate": service_rate})
 
 
-def mg11_ordering_bound(mean_interarrival: float, service: Distribution,
-                        interarrival_verdict: Optional[MrlVerdict] = None
-                        ) -> BoundReport:
+def mg11_ordering_bound(interarrival: Distribution,
+                        service: Distribution) -> BoundReport:
     """Dropping age of the mean-matched exponential-arrival system:
-    E[(Ye + S)^2] / (2 E[Ye + S]) + E[S] with Ye exponential of the same mean.
+    E[(Ye + S)^2] / (2 E[Ye + S]) + E[S] with Ye exponential of mean E[Y].
 
-    Depends on the interarrival law only through its mean, by construction.
-    The caller's MRL verdict picks the label: DMRL interarrivals (with NBUE
-    service) make this an upper bound; IMRL interarrivals reverse it into
-    a lower bound.
+    The value depends on the interarrival law only through its mean, by
+    construction; its :func:`classify_mrl` verdict picks the label: DMRL
+    interarrivals (with NBUE service) make this an upper bound; IMRL
+    interarrivals reverse it into a lower bound.
     """
-    if not mean_interarrival > 0:
-        raise ValueError(f"mean interarrival must be > 0, got {mean_interarrival}")
-    ye_mean = mean_interarrival
-    ye_second = 2.0 * mean_interarrival**2
+    _require_valid_pair(interarrival, service)
+    ye_mean = interarrival.mean()
+    ye_second = 2.0 * ye_mean**2
     es = service.mean()
     es2 = service.second_moment()
     value = ((ye_second + 2.0 * ye_mean * es + es2)
              / (2.0 * (ye_mean + es)) + es)
+    verdict = classify_mrl(interarrival).verdict
     applicability = (Applicability.REVERSED_UNDER_IMRL
-                     if interarrival_verdict is MrlVerdict.IMRL
+                     if verdict is MrlVerdict.IMRL
                      else Applicability.REQUIRES_DMRL_NBUE)
     return BoundReport(
         value=value, kind=BoundKind.MG11Ordering, applicability=applicability,
-        inputs={"mean_interarrival": mean_interarrival,
+        inputs={"interarrival": interarrival.to_dict(),
                 "service": service.to_dict(),
-                "interarrival_verdict":
-                    interarrival_verdict.value if interarrival_verdict else None})
+                "interarrival_verdict": verdict.value})
 
 
 def ub_preemption(interarrival: Distribution,
@@ -147,7 +143,9 @@ def ub_preemption(interarrival: Distribution,
     E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y] with p the success
     probability.  Tight when the cycle count is independent of the gaps
     (e.g. deterministic gaps with p = 1)."""
-    p, stilde = _completed_service(interarrival, service)
+    _require_valid_pair(interarrival, service)
+    p = _success_p(interarrival, service, ZeroSuccessProbability)
+    stilde = _completed_service(interarrival, service, p)
     value = (_head(interarrival)
              + interarrival.mean() * (1.0 - p) / p
              + stilde)

@@ -10,7 +10,9 @@ validates against :data:`aoi.schema.CLI_RESULT_SCHEMA`.
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed verbatim so scripts can branch on it), 2 on usage errors.  The
 ``AOI_SEED`` environment variable supplies the default seed when ``--seed``
-is omitted.
+is omitted.  Only ``simulate`` reads the seed; every other subcommand
+accepts and range-checks it but draws nothing from it (``sweep`` seeds its
+``simulate`` rows from the spec's ``base_seed``).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ family of laws. Each law is a frozen dataclass exposing
 * the Laplace transform ``E[exp(-s X)]`` (closed form where available,
   adaptive quadrature for the uniform and Rayleigh laws),
 * seeded sampling through :class:`numpy.random.Generator`,
-* JSON (de)serialization keyed by a snake_case ``kind`` tag.
+* (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
 Mean-residual-life utilities live here as well: :func:`mean_residual_life`
 integrates the tail numerically, and :func:`classify_mrl` grades the
@@ -29,7 +29,6 @@ a few special functions), so a simulation starts about 0.2 s sooner.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields as _dc_fields
@@ -55,7 +54,6 @@ __all__ = [
     "classify_mrl",
     "expect",
     "from_dict",
-    "from_json",
     "DEFAULT_MRL_TOL",
     "MRL_QUANTILE_CAP",
 ]
@@ -80,10 +78,6 @@ class Distribution(ABC):
         """Draw ``n`` i.i.d. variates. Identical generator state yields an
         identical array."""
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one variate."""
-        return float(self.sample_array(rng, 1)[0])
-
     # -- moments ----------------------------------------------------------
 
     @abstractmethod
@@ -103,10 +97,6 @@ class Distribution(ABC):
         out = self._ccdf(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
-    def cdf(self, x):
-        """Pr(X <= x)."""
-        return 1.0 - self.ccdf(x)
-
     def tail_inclusive(self, x: float) -> float:
         """Pr(X >= x). Differs from ``ccdf`` only at point masses."""
         return float(self.ccdf(x))
@@ -124,8 +114,10 @@ class Distribution(ABC):
         """E[exp(-s X)] for s >= 0."""
         if s < 0:
             raise ValueError("laplace transform argument must be >= 0")
-        if s == 0.0:
-            return 1.0
+        return 1.0 if s == 0.0 else self._laplace(s)
+
+    def _laplace(self, s: float) -> float:
+        """E[exp(-s X)] for s > 0; by quadrature unless a law overrides it."""
         value, _ = expect(self, lambda x: math.exp(-s * x))
         return min(value, 1.0)
 
@@ -149,9 +141,6 @@ class Distribution(ABC):
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def describe(self) -> str:
         params = ", ".join(f"{f.name}={getattr(self, f.name)}"
@@ -185,9 +174,7 @@ class Exponential(Distribution):
     def _pdf(self, xs):
         return self.rate * np.exp(-self.rate * xs)
 
-    def laplace(self, s):
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
+    def _laplace(self, s):
         return self.rate / (self.rate + s)
 
     def support(self):
@@ -229,9 +216,7 @@ class ShiftedExponential(Distribution):
         return np.where(xs < self.shift, 0.0,
                         self.rate * np.exp(-self.rate * np.maximum(xs - self.shift, 0.0)))
 
-    def laplace(self, s):
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
+    def _laplace(self, s):
         return math.exp(-s * self.shift) * self.rate / (self.rate + s)
 
     def support(self):
@@ -270,9 +255,7 @@ class Deterministic(Distribution):
     def tail_inclusive(self, x):
         return 1.0 if x <= self.value else 0.0
 
-    def laplace(self, s):
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
+    def _laplace(self, s):
         return math.exp(-s * self.value)
 
     def support(self):
@@ -398,9 +381,7 @@ class Erlang(Distribution):
                       - lam * xs - math.lgamma(k))
         return np.where(xs > 0, np.exp(logpdf), 0.0)
 
-    def laplace(self, s):
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
+    def _laplace(self, s):
         return (self.rate / (self.rate + s)) ** self.shape
 
     def support(self):
@@ -460,11 +441,7 @@ class Hyperexponential(Distribution):
             out += w * r * np.exp(-r * xs)
         return out
 
-    def laplace(self, s):
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
-        if s == 0.0:
-            return 1.0
+    def _laplace(self, s):
         return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates))
 
     def support(self):
@@ -508,10 +485,6 @@ def from_dict(data: Mapping) -> Distribution:
         if isinstance(v, list):
             params[k] = tuple(v)
     return cls(**params)
-
-
-def from_json(text: str) -> Distribution:
-    return from_dict(json.loads(text))
 
 
 def _segments(lo: float, hi: float, pts: Sequence[float]):

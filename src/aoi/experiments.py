@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, bounds
 from .analytic import DEFAULT_OPTIONS, EstimatorOptions
-from .distributions import Distribution, Exponential, classify_mrl, from_dict
+from .distributions import Distribution, Exponential, from_dict
 from .errors import AoiError
 from .sim import AgeEstimate, Discipline, SimConfig, run_simulation
 
@@ -63,23 +63,21 @@ class Estimator:
     exponential_service: bool = False
 
 
-# The calls look up ``analytic.*``, ``bounds.*`` and ``classify_mrl`` when
-# they run, not when this table is built, so a swapped module attribute
-# (a tracing wrapper, say) is the one called.
+# The calls look up ``analytic.*`` and ``bounds.*`` when they run, not when
+# this table is built, so a swapped module attribute (a tracing wrapper,
+# say) is the one called.
 _D, _P = Discipline.DROPPING, Discipline.PREEMPTION
 ESTIMATORS: Mapping[str, Estimator] = {
     "exact": Estimator({
         _D: lambda y, s: analytic.exact_age_dropping(y, s),
         _P: lambda y, s: analytic.exact_age_preemption(y, s)}),
     "corollary1": Estimator({
-        _D: lambda y, s: bounds.ub_dropping_general(
-            y, s, analytic.moments_of_K_dropping(y, s))}),
+        _D: lambda y, s: bounds.ub_dropping_general(y, s)}),
     "gm11": Estimator({
         _D: lambda y, s: bounds.ub_dropping_gm(y, s.rate)},
         exponential_service=True),
     "mg11": Estimator({
-        _D: lambda y, s: bounds.mg11_ordering_bound(
-            y.mean(), s, interarrival_verdict=classify_mrl(y).verdict)}),
+        _D: lambda y, s: bounds.mg11_ordering_bound(y, s)}),
     "corollary2": Estimator({
         _P: lambda y, s: bounds.ub_preemption(y, s)}),
 }
@@ -141,7 +139,8 @@ class SweepSpec:
             raise ValueError("sim_cycles must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
-        self.point_distribution(self.grid[0])  # validate the template early
+        for value in self.grid:  # every point's law, before any runs
+            self.point_distribution(value)
 
     def point_distribution(self, value: float) -> Distribution:
         spec = dict(self.interarrival_template)
@@ -388,7 +387,11 @@ def render_chart_svg(result: SweepResult, title: str = "",
                      xlabel: str = "swept parameter",
                      ylabel: str = "average age") -> str:
     """Line chart with CI bands; an interior minimum of any series gets a
-    marker with id ``local-minimum-<estimator>``."""
+    marker with id ``local-minimum-<estimator>``.  Text nodes are
+    XML-escaped."""
+    # Imported here: xml.sax.saxutils pulls in urllib.request, about 12 ms
+    # of start-up that no command but a charted sweep needs.
+    from xml.sax.saxutils import escape
     series = _series(result)
     sx, sy, (x_lo, x_hi), (y_lo, y_hi) = _scales(series)
     parts = [
@@ -400,7 +403,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
     ]
     if title:
         parts.append(f'<text x="{_W // 2}" y="26" text-anchor="middle" '
-                     f'font-size="16">{title}</text>')
+                     f'font-size="16">{escape(title)}</text>')
     for tick in np.linspace(x_lo, x_hi, 5):
         x = sx(tick)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" '
@@ -414,10 +417,10 @@ def render_chart_svg(result: SweepResult, title: str = "",
         parts.append(f'<text x="{_ML - 9}" y="{_fmt(y + 4)}" '
                      f'text-anchor="end" font-size="11">{tick:.4g}</text>')
     parts.append(f'<text x="{_W // 2}" y="{_H - 14}" text-anchor="middle" '
-                 f'font-size="13">{xlabel}</text>')
+                 f'font-size="13">{escape(xlabel)}</text>')
     parts.append(f'<text x="20" y="{_H // 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 20 {_H // 2})">'
-                 f'{ylabel}</text>')
+                 f'{escape(ylabel)}</text>')
 
     legend_y = _MT + 14
     for tag, rows in series.items():
@@ -449,7 +452,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
         parts.append(f'<rect x="{_W - _MR - 150}" y="{legend_y - 9}" '
                      f'width="18" height="4" fill="{color}"/>')
         parts.append(f'<text x="{_W - _MR - 126}" y="{legend_y - 3}" '
-                     f'font-size="12">{tag}</text>')
+                     f'font-size="12">{escape(tag)}</text>')
         legend_y += 18
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

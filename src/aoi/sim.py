@@ -143,9 +143,7 @@ class CycleStatistics:
     """
 
     g_mean: Moment
-    g_second_moment: Moment
     k_mean: Moment
-    k_second_moment: Moment
     w_mean: Moment
     busy_mean: Moment
     p_hat: Moment
@@ -311,13 +309,11 @@ def _moment(xs: np.ndarray) -> Moment:
 
 
 def cycle_statistics(records: CycleRecords) -> CycleStatistics:
-    """Sample means and second moments of the cycle observables."""
+    """Sample means of the cycle observables."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 cycle records, got {len(records)}")
-    g, k = records.g, records.k.astype(float)
-    k_mean = _moment(k)
+    k_mean = _moment(records.k.astype(float))
     return CycleStatistics(
-        g_mean=_moment(g), g_second_moment=_moment(g * g),
-        k_mean=k_mean, k_second_moment=_moment(k * k),
+        g_mean=_moment(records.g), k_mean=k_mean,
         w_mean=_moment(records.w), busy_mean=_moment(records.busy),
         p_hat=Moment(1.0 / k_mean.value, k_mean.stderr / k_mean.value**2))

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from aoi.analytic import (EstimatorOptions, exact_age_dropping,
-                          exact_age_preemption, k_pmf, moments_of_K_dropping,
-                          success_probability)
+                          exact_age_preemption, k_pmf, success_probability)
 from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -93,8 +92,7 @@ def test_criterion_3_bound_domination_suite():
         for y in laws:
             exact = exact_age_dropping(y, service)
             slack = 3.0 * exact.ci_half_width
-            km = moments_of_K_dropping(y, service)
-            c1 = ub_dropping_general(y, service, km).value
+            c1 = ub_dropping_general(y, service).value
             if c1 < exact.value - slack:
                 failures.append(f"corollary1 < exact for {y.describe()}")
             gm = ub_dropping_gm(y, service.rate).value
@@ -102,7 +100,7 @@ def test_criterion_3_bound_domination_suite():
                 failures.append(f"gm11 < exact for {y.describe()}")
             verdict = classify_mrl(y).verdict
             if verdict in (MrlVerdict.DMRL, MrlVerdict.CONSTANT) and nbue_service:
-                mg = mg11_ordering_bound(y.mean(), service, verdict).value
+                mg = mg11_ordering_bound(y, service).value
                 if mg < exact.value - slack:
                     failures.append(f"mg11 < exact for {y.describe()}")
 
@@ -129,8 +127,7 @@ def test_criterion_3_bound_domination_suite():
     for v in (0.5, 1.0, 2.0):
         y = Deterministic(v)
         exact = exact_age_dropping(y, service)
-        km = moments_of_K_dropping(y, service)
-        c1 = ub_dropping_general(y, service, km).value
+        c1 = ub_dropping_general(y, service).value
         slack = 3.0 * exact.ci_half_width + 1e-8 * exact.value
         if abs(c1 - exact.value) > slack:
             failures.append(f"corollary1 not tight at Deterministic({v}): "
@@ -161,7 +158,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         if verdict is not expected:
             failures.append(f"shift {c}: verdict {verdict}")
         exact = exact_age_dropping(y, service)
-        bound = mg11_ordering_bound(y.mean(), service, verdict).value
+        bound = mg11_ordering_bound(y, service).value
         if exact.value > bound + 3.0 * exact.ci_half_width:
             failures.append(f"shift {c}: exact {exact.value:.4f} above "
                             f"bound {bound:.4f}")
@@ -173,7 +170,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         if verdict is not MrlVerdict.IMRL:
             failures.append(f"scale {s}: verdict {verdict}")
         exact = exact_age_dropping(y, service)
-        bound = mg11_ordering_bound(y.mean(), service, verdict)
+        bound = mg11_ordering_bound(y, service)
         if bound.applicability.value != "ReversedUnderIMRL":
             failures.append(f"scale {s}: wrong applicability label")
         if exact.value < bound.value - 3.0 * exact.ci_half_width:

@@ -14,7 +14,7 @@ from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
-                               Uniform, classify_mrl)
+                               Uniform)
 from aoi.errors import AoiError, TruncationNotReached, ZeroSuccessProbability
 from aoi.sim import Z95, SimConfig, run_simulation
 from test_distributions import ALL_KINDS, RESCALED
@@ -175,7 +175,7 @@ def test_renewal_form_survives_deep_cycles():
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
     est = exact_age_dropping(y, s)
     assert math.isfinite(est.value)
-    report = ub_dropping_general(y, s, moments_of_K_dropping(y, s))
+    report = ub_dropping_general(y, s)
     k_mean = report.inputs["k_mean"]
     assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
     # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
@@ -305,13 +305,13 @@ def _dropping_outcome(y, s):
     try:
         est = exact_age_dropping(y, s)
         times = [est.value, est.ci_half_width,
-                 ub_dropping_general(y, s, moments_of_K_dropping(y, s)).value]
+                 ub_dropping_general(y, s).value]
         if isinstance(s, Exponential):
             times.append(ub_dropping_gm(y, s.rate).value)
         pmf = k_pmf(y, s, 10)
     except AoiError as exc:
         return type(exc)
-    label = mg11_ordering_bound(y.mean(), s, classify_mrl(y).verdict)
+    label = mg11_ordering_bound(y, s)
     return (times, [m.value for m in (*pmf.pmf, pmf.tail_mass)],
             label.applicability)
 

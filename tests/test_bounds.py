@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from aoi.analytic import exact_age_dropping, exact_age_preemption
+from aoi.analytic import (exact_age_dropping, exact_age_preemption,
+                          moments_of_K_dropping)
 from aoi.bounds import (Applicability, BoundKind, BoundReport,
                         mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
@@ -10,15 +11,21 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
                                ShiftedExponential, Uniform, classify_mrl)
 from aoi.errors import ZeroSuccessProbability
-from aoi.sim import Z95, Moment
+from aoi.sim import Z95
 
 
 def test_corollary1_plug_in_examples():
-    r = ub_dropping_general(Exponential(1.0), Exponential(1.0), (2.0, 6.0))
+    # K moments (2, 6), (1, 1) and (2, 4): geometric with p = 1/2, K == 1
+    # and K == 2.
+    r = ub_dropping_general(Exponential(1.0), Exponential(1.0))
+    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == \
+        (pytest.approx(2.0, rel=1e-12), pytest.approx(6.0, rel=1e-12))
     assert r.value == pytest.approx(3.0, rel=1e-12)
-    r = ub_dropping_general(Deterministic(2.0), Deterministic(1.0), (1.0, 1.0))
+    r = ub_dropping_general(Deterministic(2.0), Deterministic(1.0))
+    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (1.0, 1.0)
     assert r.value == pytest.approx(2.0, rel=1e-12)
-    r = ub_dropping_general(Deterministic(1.0), Deterministic(1.5), (2.0, 4.0))
+    r = ub_dropping_general(Deterministic(1.0), Deterministic(1.5))
+    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (2.0, 4.0)
     assert r.value == pytest.approx(2.5, rel=1e-12)
     assert r.kind is BoundKind.CorollaryOneDropping
     assert r.applicability is Applicability.UNCONDITIONAL
@@ -26,15 +33,19 @@ def test_corollary1_plug_in_examples():
 
 
 def test_corollary1_half_width_spans_the_k_moment_intervals():
-    # E[K] in 2 +/- 0.5, E[K^2] in 6 +/- 1: E[K^2]/E[K] ranges over
-    # [5/2.5, 7/1.5], the wider side 7/1.5 - 3; the bound moves E[Y]/2 times that.
-    km = (Moment(2.0, 0.5 / Z95), Moment(6.0, 1.0 / Z95))
-    r = ub_dropping_general(Exponential(1.0), Exponential(1.0), km)
-    assert r.value == pytest.approx(3.0, rel=1e-12)
-    assert r.half_width == pytest.approx(0.5 * (7.0 / 1.5 - 3.0), rel=1e-12)
-    wide = (Moment(2.0, 3.0 / Z95), Moment(6.0, 0.0))  # E[K] interval reaches 0
-    assert ub_dropping_general(Exponential(1.0), Exponential(1.0),
-                               wide).half_width == math.inf
+    # The bound moves E[Y]/2 times the range of E[K^2]/E[K] over the
+    # brackets E[K] +/- a, E[K^2] +/- b of the lattice moments.
+    y, s = Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1)
+    (k1, k1_se), (k2, k2_se) = moments_of_K_dropping(y, s)
+    a, b = Z95 * k1_se, Z95 * k2_se
+    assert 0.0 < a < k1 and b > 0.0
+    ratio = k2 / k1
+    spread = max((k2 + b) / (k1 - a) - ratio, ratio - (k2 - b) / (k1 + a))
+    r = ub_dropping_general(y, s)
+    assert r.value == pytest.approx(
+        y.second_moment() / (2.0 * y.mean()) + y.mean() * (0.5 * ratio - 0.5)
+        + s.mean(), rel=1e-12)
+    assert r.half_width == pytest.approx(0.5 * y.mean() * spread, rel=1e-12)
 
 
 def test_gm11_examples():
@@ -68,23 +79,38 @@ def test_mm11_is_scale_free(c):
 
 
 def test_mg11_moment_arithmetic():
-    assert mg11_ordering_bound(1.0, Exponential(1.0)).value == pytest.approx(2.5)
-    assert mg11_ordering_bound(1.0, Deterministic(1.0)).value == pytest.approx(2.25)
-    assert mg11_ordering_bound(2.0, Deterministic(0.0)).value == pytest.approx(2.0)
+    # The value reads the interarrival law through its mean only.
+    assert mg11_ordering_bound(Exponential(1.0), Exponential(1.0)).value == \
+        pytest.approx(2.5)
+    assert mg11_ordering_bound(Uniform(0.0, 2.0), Exponential(1.0)).value == \
+        pytest.approx(2.5)
+    assert mg11_ordering_bound(Deterministic(1.0), Deterministic(1.0)).value == \
+        pytest.approx(2.25)
+    assert mg11_ordering_bound(Deterministic(2.0), Deterministic(0.0)).value == \
+        pytest.approx(2.0)
     with pytest.raises(ValueError):
-        mg11_ordering_bound(0.0, Exponential(1.0))
+        mg11_ordering_bound(Deterministic(0.0), Exponential(1.0))
 
 
 def test_mg11_applicability_labels():
-    assert mg11_ordering_bound(1.0, Exponential(1.0)).applicability is \
-        Applicability.REQUIRES_DMRL_NBUE
+    # The label is the interarrival law's own MRL verdict: reversed under
+    # IMRL, conditional otherwise.
+    for y in (Exponential(1.0), ShiftedExponential(1.0, 0.5),
+              Hyperexponential((0.5, 0.5), (0.5, 2.0)), Uniform(0.0, 2.0)):
+        verdict = classify_mrl(y).verdict
+        report = mg11_ordering_bound(y, Exponential(1.0))
+        assert report.applicability is (
+            Applicability.REVERSED_UNDER_IMRL if verdict is MrlVerdict.IMRL
+            else Applicability.REQUIRES_DMRL_NBUE), y.describe()
+        assert report.inputs["interarrival_verdict"] == verdict.value
+
+
+def test_mg11_labels_imrl_arrivals_without_a_caller_verdict():
+    service = Exponential(1.0)
     assert mg11_ordering_bound(
-        1.0, Exponential(1.0),
-        interarrival_verdict=MrlVerdict.IMRL).applicability is \
+        Hyperexponential((0.5, 0.5), (0.5, 2.0)), service).applicability is \
         Applicability.REVERSED_UNDER_IMRL
-    assert mg11_ordering_bound(
-        1.0, Exponential(1.0),
-        interarrival_verdict=MrlVerdict.DMRL).applicability is \
+    assert mg11_ordering_bound(Erlang(2, 1.0), service).applicability is \
         Applicability.REQUIRES_DMRL_NBUE
 
 
@@ -111,10 +137,12 @@ def test_specialization_chain_corollary1_equals_gm11():
               Deterministic(2.0), Uniform(0.0, 2.0), Erlang(2, 1.0),
               Hyperexponential((0.5, 0.5), (0.5, 2.0))]:
         p = 1.0 - y.laplace(mu)
-        km = (1.0 / p, (2.0 - p) / p**2)
-        general = ub_dropping_general(y, Exponential(mu), km).value
+        general = ub_dropping_general(y, Exponential(mu))
+        assert general.inputs["k_mean"] == pytest.approx(1.0 / p, rel=1e-12)
+        assert general.inputs["k_second_moment"] == \
+            pytest.approx((2.0 - p) / p**2, rel=1e-12)
         closed = ub_dropping_gm(y, mu).value
-        assert general == pytest.approx(closed, abs=1e-12), y.describe()
+        assert general.value == pytest.approx(closed, abs=1e-12), y.describe()
 
 
 def test_specialization_chain_gm11_equals_mm11():
@@ -129,12 +157,10 @@ def test_specialization_chain_gm11_equals_mm11():
 
 def test_corollary1_tight_for_deterministic_interarrivals():
     # Deterministic gaps are the equality case of the general bound.
-    from aoi.analytic import moments_of_K_dropping
     for v, s in ((1.5, Exponential(1.0)), (1.0, Deterministic(1.5)),
                  (0.8, Uniform(0.2, 1.4))):
         y = Deterministic(v)
-        km = moments_of_K_dropping(y, s)
-        bound = ub_dropping_general(y, s, km).value
+        bound = ub_dropping_general(y, s).value
         est = exact_age_dropping(y, s)
         assert abs(bound - est.value) <= 3.0 * est.ci_half_width + 1e-9
 
@@ -149,11 +175,9 @@ def test_corollary2_dominates_exact_preemption():
 
 
 def test_corollary1_dominates_exact_dropping():
-    from aoi.analytic import moments_of_K_dropping
     for y, s in [(ShiftedExponential(1.0, 0.5), Exponential(1.0)),
                  (Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1))]:
-        km = moments_of_K_dropping(y, s)
-        bound = ub_dropping_general(y, s, km).value
+        bound = ub_dropping_general(y, s).value
         est = exact_age_dropping(y, s)
         assert bound >= est.value - 3.0 * est.ci_half_width
 
@@ -163,11 +187,11 @@ def test_mg11_upper_bound_under_dmrl_and_reversal_under_imrl():
     dmrl_y = ShiftedExponential(1.0, 0.5)
     assert classify_mrl(dmrl_y).verdict is MrlVerdict.DMRL
     exact = exact_age_dropping(dmrl_y, service)
-    bound = mg11_ordering_bound(dmrl_y.mean(), service).value
+    bound = mg11_ordering_bound(dmrl_y, service).value
     assert bound >= exact.value - 3.0 * exact.ci_half_width
 
     imrl_y = Hyperexponential((0.5, 0.5), (0.5, 2.0))
     assert classify_mrl(imrl_y).verdict is MrlVerdict.IMRL
     exact = exact_age_dropping(imrl_y, service)
-    lower = mg11_ordering_bound(imrl_y.mean(), service).value
+    lower = mg11_ordering_bound(imrl_y, service).value
     assert lower <= exact.value + 3.0 * exact.ci_half_width

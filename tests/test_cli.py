@@ -299,9 +299,11 @@ def test_sweep_end_to_end(capsys, tmp_path):
     ({**SWEEP_SPEC, "base_seed": 2**64}, "base_seed must fit in 64 bits"),
     ({**SWEEP_SPEC, "base_seed": 2.5}, "base_seed must be an integer"),
     ({**SWEEP_SPEC, "sim_cycles": 2.5}, "sim_cycles must be an integer"),
+    ({**SWEEP_SPEC, "interarrival": {"kind": "uniform", "upper": 2.0},
+      "swept_param": "lower", "grid": [0.5, 3.0]}, "upper must exceed lower"),
 ], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
         "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
-        "fractional-base-seed", "fractional-sim-cycles"])
+        "fractional-base-seed", "fractional-sim-cycles", "bad-later-grid-point"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:

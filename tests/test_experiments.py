@@ -173,8 +173,9 @@ def test_spec_json_round_trip(tmp_path):
 def test_chart_single_point_is_valid_svg(tmp_path):
     result = SweepResult(rows=(SweepRow(1.0, "exact", 2.5, 0.01, ""),))
     path = tmp_path / "one.svg"
-    emit_chart(result, path, title="one point")
-    ET.fromstring(path.read_text(encoding="utf-8"))
+    for title in ("one point", "M/M & D<G"):
+        emit_chart(result, path, title=title)
+        ET.fromstring(path.read_text(encoding="utf-8"))
 
 
 def test_chart_marks_interior_minimum(tmp_path):
