@@ -387,11 +387,11 @@ def render_chart_svg(result: SweepResult, title: str = "",
                      xlabel: str = "swept parameter",
                      ylabel: str = "average age") -> str:
     """Line chart with CI bands; an interior minimum of any series gets a
-    marker with id ``local-minimum-<estimator>``.  Text nodes are
-    XML-escaped."""
+    marker with id ``local-minimum-<estimator>``.  Text nodes and that
+    attribute are XML-escaped."""
     # Imported here: xml.sax.saxutils pulls in urllib.request, about 12 ms
     # of start-up that no command but a charted sweep needs.
-    from xml.sax.saxutils import escape
+    from xml.sax.saxutils import escape, quoteattr
     series = _series(result)
     sx, sy, (x_lo, x_hi), (y_lo, y_hi) = _scales(series)
     parts = [
@@ -446,7 +446,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
         minimum = _local_minimum(rows)
         if minimum is not None:
             parts.append(
-                f'<circle id="local-minimum-{tag}" '
+                f'<circle id={quoteattr("local-minimum-" + tag)} '
                 f'cx="{_fmt(sx(minimum.param))}" cy="{_fmt(sy(minimum.value))}" '
                 f'r="5" fill="#ffdd33" stroke="black"/>')
         parts.append(f'<rect x="{_W - _MR - 150}" y="{legend_y - 9}" '

@@ -7,6 +7,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from aoi import distributions
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
                                ShiftedExponential, Uniform, classify_mrl,
@@ -189,11 +190,12 @@ def test_deterministic_mrl_counts_down():
         mean_residual_life(Deterministic(2.0), 2.0)
 
 
-def _h2_mrl_oracle(t):
+def _hyperexponential_mrl(dist, t):
     # For a mixture of exponentials the tail integral is elementary:
     # m(t) = sum w_i/r_i e^{-r_i t} / sum w_i e^{-r_i t}
-    num = sum(w / r * math.exp(-r * t) for w, r in zip(H2.weights, H2.rates))
-    den = sum(w * math.exp(-r * t) for w, r in zip(H2.weights, H2.rates))
+    pairs = list(zip(dist.weights, dist.rates))
+    num = sum(w / r * math.exp(-r * t) for w, r in pairs)
+    den = sum(w * math.exp(-r * t) for w, r in pairs)
     return num / den
 
 
@@ -201,7 +203,7 @@ def test_hyperexponential_mrl_matches_oracle_and_increases():
     ts = np.linspace(0.0, 6.0, 13)
     values = [mean_residual_life(H2, t) for t in ts]
     for t, m in zip(ts, values):
-        assert m == pytest.approx(_h2_mrl_oracle(t), rel=1e-7)
+        assert m == pytest.approx(_hyperexponential_mrl(H2, t), rel=1e-7)
     assert values[0] == pytest.approx(1.25, rel=1e-9)
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -223,6 +225,7 @@ MRL_CASES = [
     (Uniform(0.0, 2.0), MrlVerdict.DMRL, True),
     (Rayleigh(1.0), MrlVerdict.DMRL, True),
     (Erlang(3, 2.0), MrlVerdict.DMRL, True),
+    (Hyperexponential((0.99, 0.01), (100.0, 0.01)), MrlVerdict.IMRL, False),
 ]
 
 # The law of c * X, per kind.
@@ -256,10 +259,62 @@ def test_mrl_classification_is_scale_free(dist, verdict, nbue, c):
     result = classify_mrl(scaled)
     assert result.verdict is verdict
     assert result.nbue is nbue
-    grid = classify_mrl(dist).grid
-    for t, m in (grid[0], grid[len(grid) // 2], grid[-1]):
+    for t, m in classify_mrl(dist).grid:
         assert mean_residual_life(scaled, c * t) == pytest.approx(c * m,
-                                                                  rel=1e-7)
+                                                                  rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_gauss_legendre_rule_matches_numpy(n):
+    x, w = distributions._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    order = np.argsort(x)
+    np.testing.assert_allclose(x[order], ref_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w[order], ref_w, rtol=1e-13)
+
+
+def test_mrl_below_the_support_is_closed_form():
+    # The fast phase is far narrower than any quadrature node spacing.
+    dist = Hyperexponential((0.5, 0.5), (1e-3, 1e3))
+    assert mean_residual_life(dist, 0.0) == pytest.approx(dist.mean(),
+                                                          rel=1e-12)
+    assert classify_mrl(dist).grid[0][1] == pytest.approx(dist.mean(),
+                                                          rel=1e-12)
+    shifted = ShiftedExponential(1.0, 2.0)
+    assert mean_residual_life(shifted, 0.5) == pytest.approx(2.5, rel=1e-12)
+
+
+def _count_adaptive_calls(monkeypatch):
+    calls = []
+    original = distributions._integrate_in_units
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "_integrate_in_units", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES])
+def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
+    calls = _count_adaptive_calls(monkeypatch)
+    classify_mrl(dist)
+    assert len(calls) <= 1
+
+
+def test_mrl_piece_that_fails_the_rule_check_is_redone_adaptively(
+        monkeypatch):
+    # The fast phase decays inside the piece [0.001, 3.65]: the 10- and
+    # 20-point rules disagree there, so that piece is integrated again.
+    dist = Hyperexponential((0.99, 0.01), (100.0, 0.01))
+    ts = np.array([0.001, 3.65, 7.3])
+    calls = _count_adaptive_calls(monkeypatch)
+    got = distributions._tail_integrals(dist, ts)
+    assert len(calls) > 1
+    for t, integral in zip(ts, got):
+        assert integral / dist.ccdf(t) == pytest.approx(
+            _hyperexponential_mrl(dist, t), rel=1e-9)
 
 
 def test_constant_verdict_requires_flat_curve():

@@ -188,6 +188,12 @@ def test_chart_marks_interior_minimum(tmp_path):
     assert 'id="local-minimum-simulate"' in text
     ET.fromstring(text)
 
+    quoted = tuple(SweepRow(r.param, 'a"b', r.value, r.ci, "") for r in rows)
+    emit_chart(SweepResult(rows=quoted), path)
+    marker = ET.fromstring(path.read_text(encoding="utf-8")).find(
+        "{http://www.w3.org/2000/svg}circle[@id='local-minimum-a\"b']")
+    assert marker is not None
+
     monotone = tuple(SweepRow(x, "simulate", 6.0 - x, 0.05, "")
                      for x in (0.5, 1.0, 2.0, 3.0))
     emit_chart(SweepResult(rows=monotone), path)
