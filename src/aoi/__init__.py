@@ -17,8 +17,8 @@ from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlClassification, MrlVerdict,
                             Rayleigh, ShiftedExponential, Uniform, classify_mrl,
                             from_dict, mean_residual_life)
-from .errors import (AoiError, DivergentAge, TailEmpty, TruncationNotReached,
-                     ZeroSuccessProbability)
+from .errors import (AoiError, DivergentAge, QuadratureNotConverged, TailEmpty,
+                     TruncationNotReached, ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
                           emit_csv, read_csv, run_sweep)
 from .sim import (AgeEstimate, CycleRecord, CycleRecords, CycleStatistics,

@@ -30,9 +30,12 @@ Preemption
     K is geometric with success probability p = Pr(service <= next gap),
     which collapses the age to
     E[Y^2]/(2 E[Y]) + E[Y * Pr(S > Y)] / p + E[S | S < Y],
-    evaluated by adaptive quadrature.  :func:`success_probability` and the
-    crossing term E[Y * Pr(S > Y)] / p are shared with exponential-service
-    dropping, where Pr(S > Y) = exp(-mu Y).  The denominator is the success
+    evaluated by the panel quadrature of :func:`~aoi.distributions.expect`
+    on array integrands, whose error estimate (the summed disagreement of
+    its 20- and 10-point rules plus a roundoff floor) goes into the
+    half-width.  :func:`success_probability` and the crossing term
+    E[Y * Pr(S > Y)] / p are shared with exponential-service dropping,
+    where Pr(S > Y) = exp(-mu Y).  The denominator is the success
     probability p, not E[Pr(S > Y)] = 1 - p: only the former reproduces
     the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
     simulation.
@@ -219,15 +222,10 @@ def _success_p(interarrival: Distribution, service: Distribution,
 def _crossing(interarrival: Distribution, service: Distribution,
               p: float) -> tuple[float, float]:
     """E[Y Pr(S > Y)] / p, the middle term of every geometric-cycle age,
-    and its quadrature error.
-
-    The integral is taken in units of E[Y], so that expect's absolute error
-    floor is relative to the law's time scale.
-    """
-    m = interarrival.mean()
-    value, err = expect(interarrival, lambda y: y / m * service.ccdf(y),
+    and its quadrature error."""
+    value, err = expect(interarrival, lambda y: y * service.ccdf(y),
                         extra_breakpoints=service.breakpoints())
-    return m * value / p, m * err / p
+    return value / p, err / p
 
 
 def exact_age_dropping(interarrival: Distribution,
@@ -304,7 +302,7 @@ def success_probability(interarrival: Distribution,
     """
     if isinstance(service, Exponential):
         return 1.0 - interarrival.laplace(service.rate)
-    mean_tail, err = expect(interarrival, lambda y: float(service.ccdf(y)),
+    mean_tail, err = expect(interarrival, service.ccdf,
                             extra_breakpoints=service.breakpoints())
     p = 1.0 - mean_tail
     return 0.0 if p <= err else min(p, 1.0)

@@ -6,30 +6,37 @@ family of laws. Each law is a frozen dataclass exposing
 * exact first and second moments,
 * the complementary CDF with the strict convention ``Pr(X > x)``, so a
   point mass at ``v`` satisfies ``ccdf(v) == 0``,
-* the Laplace transform ``E[exp(-s X)]`` (closed form where available,
-  adaptive quadrature for the uniform and Rayleigh laws),
+* the Laplace transform ``E[exp(-s X)]`` in closed form,
 * seeded sampling through :class:`numpy.random.Generator`,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
+
+Every integral (:func:`expect` and the MRL tail integrals) comes from one
+vectorized panel quadrature: the range is cut at the law's breakpoints,
+the caller's breakpoints and a fixed grid in units of the law's mean (an
+unbounded last piece is mapped onto [0, 1)), every panel gets a 20-point
+Gauss-Legendre rule checked against a 10-point one in one array call of
+the integrand, and the panels whose rules disagree are bisected, all at
+once, until none is left.  Measuring the variable in units of the mean
+makes results rescale with time.  The tolerance is relative and fixed
+(``QUAD_REL_TOL`` for :func:`expect`, ``MRL_REL_TOL`` for the MRL
+integrals), with a floor relative to the first pass's total; the error
+estimate is the summed rule disagreement plus a roundoff floor.
 
 Mean-residual-life utilities live here as well: :func:`mean_residual_life`
 integrates the tail, and :func:`classify_mrl` grades the monotonicity of
 the MRL curve and the NBUE property from one grid capped at the 0.999
 quantile, with a tolerance relative to the mean.  Both take their tail
 integrals from one pass: E[X] - t in closed form where the ccdf is 1 (t at
-or below the support), one adaptive tail past the last point, and between
-points fixed-order pieces summed from the right, each a 20-point
-Gauss-Legendre rule checked against a 10-point one and redone adaptively
-when they disagree.  All adaptive quadrature (:func:`expect` and the MRL
-tail) measures the variable in units of the law's mean, so results rescale
-with time, and runs at a fixed relative tolerance (``QUAD_REL_TOL`` for
-:func:`expect`, ``MRL_REL_TOL`` for the MRL integrals, which the rule check
-uses too).  The strict ccdf convention matches the simulator's tie rule
-(a completion at exactly an arrival instant counts as a success), which
-keeps formula evaluation and event accounting aligned.
+or below the support), and otherwise the panel integrals between the
+points, summed from the right.  The strict ccdf convention matches the
+simulator's tie rule (a completion at exactly an arrival instant counts
+as a success), which keeps formula evaluation and event accounting
+aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
-caller-supplied generator.  SciPy is imported on first use (quadrature and
-a few special functions), so a simulation starts about 0.2 s sooner.
+caller-supplied generator.  SciPy is imported on first use (a few special
+functions and a root finder, never its quadrature), so a simulation
+starts about 0.2 s sooner.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .errors import TailEmpty
+from .errors import QuadratureNotConverged, TailEmpty
 
 __all__ = [
     "Distribution",
@@ -65,12 +72,16 @@ __all__ = [
 ]
 
 QUAD_REL_TOL = 1e-9
-_QUAD_ABS_TOL = 1e-14  # QUADPACK epsabs, variable in units of the mean
 MRL_REL_TOL = 1e-8
 MRL_QUANTILE_CAP = 0.999
 DEFAULT_MRL_TOL = 1e-6  # relative to the law's mean
 _MRL_GRID_POINTS = 64
-_QUAD_LIMIT = 200
+_QUAD_FLOOR = 1e-14  # panel error floor, relative to the first round's total
+_PANEL_GRID = 4      # panels cut at 1, 2, ..., 4 means
+_MAX_DEPTH = 50      # bisection rounds
+_MAX_PANELS = 4096   # failing panels in one round
+_EPS = float(np.finfo(float).eps)
+_RAYLEIGH_SERIES_FROM = 10.0  # z = scale * s above which the series is used
 
 
 class Distribution(ABC):
@@ -104,9 +115,10 @@ class Distribution(ABC):
         out = self._ccdf(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
-    def tail_inclusive(self, x: float) -> float:
-        """Pr(X >= x). Differs from ``ccdf`` only at point masses."""
-        return float(self.ccdf(x))
+    def tail_inclusive(self, x):
+        """Pr(X >= x). Differs from ``ccdf`` only at point masses. Accepts
+        a scalar or an array."""
+        return self.ccdf(x)
 
     def pdf(self, x):
         """Density where one exists. Accepts a scalar or an array."""
@@ -123,10 +135,9 @@ class Distribution(ABC):
             raise ValueError("laplace transform argument must be >= 0")
         return 1.0 if s == 0.0 else self._laplace(s)
 
+    @abstractmethod
     def _laplace(self, s: float) -> float:
-        """E[exp(-s X)] for s > 0; by quadrature unless a law overrides it."""
-        value, _ = expect(self, lambda x: math.exp(-s * x))
-        return min(value, 1.0)
+        """E[exp(-s X)] for s > 0, in closed form."""
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -260,7 +271,9 @@ class Deterministic(Distribution):
         return np.where(xs < self.value, 1.0, 0.0)
 
     def tail_inclusive(self, x):
-        return 1.0 if x <= self.value else 0.0
+        arr = np.asarray(x, dtype=float)
+        out = np.where(arr <= self.value, 1.0, 0.0)
+        return float(out) if arr.ndim == 0 else out
 
     def _laplace(self, s):
         return math.exp(-s * self.value)
@@ -307,6 +320,11 @@ class Uniform(Distribution):
         inside = (xs >= self.lower) & (xs <= self.upper)
         return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
+    def _laplace(self, s):
+        # expm1 keeps full precision when s (upper - lower) is tiny.
+        width = s * (self.upper - self.lower)
+        return math.exp(-s * self.lower) * -math.expm1(-width) / width
+
     def support(self):
         return (self.lower, self.upper)
 
@@ -343,6 +361,24 @@ class Rayleigh(Distribution):
     def _pdf(self, xs):
         s2 = self.scale**2
         return (xs / s2) * np.exp(-xs * xs / (2.0 * s2))
+
+    def _laplace(self, s):
+        # 1 - z sqrt(pi/2) erfcx(z / sqrt 2), z = scale s, loses about
+        # z^2 eps to cancellation; from z = 10 the asymptotic series
+        # 1/z^2 - 3/z^4 + 15/z^6 - ... reaches double precision before
+        # its terms start to grow.
+        z = self.scale * s
+        if z <= _RAYLEIGH_SERIES_FROM:
+            from scipy import special
+            return 1.0 - z * math.sqrt(math.pi / 2.0) * float(
+                special.erfcx(z / math.sqrt(2.0)))
+        inv = 1.0 / (z * z)
+        total, term, k = 0.0, inv, 1
+        while abs(term) > _EPS * total:
+            total += term
+            term *= -(2 * k + 1) * inv
+            k += 1
+        return total
 
     def support(self):
         return (0.0, math.inf)
@@ -494,50 +530,27 @@ def from_dict(data: Mapping) -> Distribution:
     return cls(**params)
 
 
-def _segments(lo: float, hi: float, pts: Sequence[float]):
-    cuts = [lo, *sorted(p for p in set(pts) if lo < p < hi), hi]
-    return zip(cuts[:-1], cuts[1:])
-
-
-def _integrate_in_units(g: Callable[[float], float], unit: float,
-                        lo: float, hi: float, pts: Sequence[float],
-                        epsrel: float) -> tuple[float, float]:
-    """Integral of ``g(unit * u)`` du over [lo, hi] / unit, split at ``pts``.
-
-    Measuring the variable in units of a law's scale makes QUADPACK place
-    its nodes (notably on an unbounded last segment) where the law's mass
-    is, and makes the absolute floor ``epsabs`` relative to that scale.
-    Returns the value and the summed error estimate.
-    """
-    from scipy import integrate
-    total = 0.0
-    err = 0.0
-    for a, b in _segments(lo, hi, pts):
-        val, e = integrate.quad(lambda u: g(unit * u), a / unit, b / unit,
-                                epsrel=epsrel, epsabs=_QUAD_ABS_TOL,
-                                limit=_QUAD_LIMIT)
-        total += val
-        err += e
-    return total, err
-
-
-def expect(dist: Distribution, fn: Callable[[float], float],
+def expect(dist: Distribution, fn: Callable[[np.ndarray], np.ndarray],
            extra_breakpoints: Sequence[float] = ()) -> tuple[float, float]:
     """E[fn(X)] with an error estimate.
 
-    Point masses are evaluated directly; continuous laws integrate
-    ``fn * pdf`` piecewise between the breakpoints of the law itself and
-    any caller-supplied extra points (typically the kinks of another
-    law's ccdf inside the integrand), in units of the law's mean, at the
-    fixed relative tolerance ``QUAD_REL_TOL``.
+    ``fn`` maps an array of points to an array of values (and a float to a
+    float, for point masses, which are evaluated directly).  Continuous
+    laws integrate ``fn * pdf`` by :func:`_panel_quad`: Gauss-Legendre
+    panels cut at the breakpoints of the law itself, any caller-supplied
+    extra points (typically the kinks of another law's ccdf inside the
+    integrand) and a fixed grid in units of the law's mean, bisected until
+    each panel's 20- and 10-point rules agree to ``QUAD_REL_TOL``.  The
+    error estimate is the sum of those disagreements plus a roundoff floor
+    of 50 machine epsilons times the summed panel magnitudes.
     """
     if isinstance(dist, Deterministic):
         return float(fn(dist.value)), 0.0
-    unit = dist.mean()
     lo, hi = dist.support()
-    return _integrate_in_units(
-        lambda x: fn(x) * dist.pdf(x) * unit, unit, lo, hi,
-        tuple(dist.breakpoints()) + tuple(extra_breakpoints), QUAD_REL_TOL)
+    inner = [p for p in (*dist.breakpoints(), *extra_breakpoints) if lo < p < hi]
+    pieces, err = _panel_quad(lambda x: fn(x) * dist.pdf(x), dist.mean(),
+                              sorted({lo, *inner, hi}), QUAD_REL_TOL)
+    return float(pieces.sum()), err
 
 
 @functools.cache
@@ -557,23 +570,84 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _fixed_rule(dist: Distribution, a: np.ndarray, b: np.ndarray,
-                n: int) -> np.ndarray:
-    """n-point Gauss-Legendre integrals of the ccdf over every [a, b]."""
-    x, w = _gauss_legendre(n)
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
-    # A sum, not a matrix product: BLAS would allocate its buffers.
-    return half * (dist.ccdf(nodes.ravel()).reshape(nodes.shape) * w).sum(1)
+def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
+                cuts: Sequence[float], rel_tol: float
+                ) -> tuple[np.ndarray, float]:
+    """The integrals of ``f`` over the pieces between the sorted ``cuts``
+    (the last may be ``inf``), and an error estimate of their sum.
+
+    The variable is measured from ``cuts[0]`` in units of ``unit``, so a
+    narrow range far from 0 keeps its panel widths exact.  The pieces are
+    cut further at the grid 1, 2, ..., ``_PANEL_GRID``, and a last,
+    unbounded piece [c, inf) is mapped onto [0, 1) by x = c + u / (1 - u).
+    Each round evaluates the 20- and 10-point Gauss-Legendre rules on
+    every open panel in one call of ``f``, keeps the panels whose rules
+    differ by at most max(rel_tol |G20|, ``_QUAD_FLOOR`` |first-round
+    total|), and bisects the rest.  The error estimate is the kept
+    panels' sum of |G20 - G10| plus 50 eps times their sum of |G20|, the
+    roundoff that decides whether a near-zero result is zero.  Raises
+    :class:`QuadratureNotConverged` after ``_MAX_DEPTH`` rounds, or when
+    more than ``_MAX_PANELS`` panels fail in one round.
+    """
+    start = float(cuts[0])
+    u = (np.asarray(cuts, dtype=float) - start) / unit
+    # Row i: piece i's ends with the grid clipped into it, nondecreasing,
+    # so consecutive entries are its panels (empty ones dropped).
+    ends = np.hstack([u[:-1, None],
+                      np.clip(np.arange(1.0, _PANEL_GRID + 1.0),
+                              u[:-1, None], u[1:, None]),
+                      u[1:, None]])
+    a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    owner = np.repeat(np.arange(u.size - 1), _PANEL_GRID + 1)
+    keep = b > a
+    a, b, owner = a[keep], b[keep], owner[keep]
+    mapped = np.isinf(b)
+    origin = a[-1]
+    a[mapped], b[mapped] = 0.0, 1.0
+    x20, w20 = _gauss_legendre(20)
+    x10, w10 = _gauss_legendre(10)
+    nodes, weights = np.concatenate([x20, x10]), np.concatenate([w20, w10])
+    pieces = np.zeros(u.size - 1)
+    err = mag = 0.0
+    floor = None
+    for _ in range(_MAX_DEPTH):
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        t = x[mapped]
+        x[mapped] = origin + t / (1.0 - t)
+        x *= unit
+        x += start
+        terms = f(x.ravel()).reshape(x.shape)
+        terms[mapped] /= (1.0 - t) ** 2
+        terms *= weights
+        # Sums, not matrix products: BLAS would allocate its buffers.
+        g20 = half * terms[:, :20].sum(1)
+        diff = np.abs(g20 - half * terms[:, 20:].sum(1))
+        if floor is None:
+            floor = _QUAD_FLOOR * abs(g20.sum())
+        done = diff <= np.maximum(rel_tol * np.abs(g20), floor)
+        pieces += np.bincount(owner[done], g20[done], pieces.size)
+        err += diff[done].sum()
+        mag += np.abs(g20[done]).sum()
+        if done.all():
+            return unit * pieces, float(unit * (err + 50.0 * _EPS * mag))
+        a, b, owner, mapped = (v[~done] for v in (a, b, owner, mapped))
+        if a.size > _MAX_PANELS:
+            break
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        owner, mapped = np.tile(owner, 2), np.tile(mapped, 2)
+    raise QuadratureNotConverged(
+        f"{a.size} quadrature panels still differ by more than {rel_tol:g} "
+        "relative after bisection")
 
 
 def _tail_integrals(dist: Distribution, ts: np.ndarray) -> np.ndarray:
     """The integral of the ccdf over [t, inf) for each t of the sorted ``ts``.
 
-    E[X] - t at or below the support; inside it, one adaptive tail past
-    the last point plus the fixed-rule pieces back to each point, summed
-    from the right.  A piece whose 20- and 10-point rules differ by more
-    than ``MRL_REL_TOL`` is integrated again adaptively.
+    E[X] - t at or below the support; inside it, the pieces between the
+    points, the breakpoints and the end of the support come from one
+    :func:`_panel_quad` call at ``MRL_REL_TOL``, summed from the right.
     """
     lo, hi = dist.support()
     unit = dist.mean()
@@ -582,22 +656,10 @@ def _tail_integrals(dist: Distribution, ts: np.ndarray) -> np.ndarray:
     inner = ts[inside]
     if inner.size == 0:
         return out
-    bps = dist.breakpoints()
-    tail, _ = _integrate_in_units(dist.ccdf, unit, inner[-1], hi, bps,
-                                  MRL_REL_TOL)
     cuts = np.unique(np.concatenate(
-        [inner, [p for p in bps if inner[0] < p < inner[-1]]]))
-    a, b = cuts[:-1], cuts[1:]
-    pieces = np.empty(0)
-    if a.size:
-        pieces = _fixed_rule(dist, a, b, 20)
-        coarse = _fixed_rule(dist, a, b, 10)
-        floor = np.maximum(MRL_REL_TOL * np.abs(pieces), _QUAD_ABS_TOL * unit)
-        for i in np.flatnonzero(np.abs(pieces - coarse) > floor):
-            val, _ = _integrate_in_units(dist.ccdf, unit, a[i], b[i], (),
-                                         MRL_REL_TOL)
-            pieces[i] = unit * val
-    from_right = np.cumsum(np.concatenate([[unit * tail], pieces[::-1]]))[::-1]
+        [inner, [p for p in dist.breakpoints() if inner[0] < p < hi], [hi]]))
+    pieces, _ = _panel_quad(dist.ccdf, unit, cuts, MRL_REL_TOL)
+    from_right = np.cumsum(pieces[::-1])[::-1]
     out[inside] = from_right[np.searchsorted(cuts, inner)]
     return out
 
@@ -642,14 +704,13 @@ def classify_mrl(dist: Distribution) -> MrlClassification:
     """Classify the MRL curve on [0, 0.999-quantile] from one grid.
 
     The grid has 64 evenly spaced points.  Its ccdf values come from one
-    array call and its tail integrals from one right-to-left pass: one
-    adaptive tail past the last point, Gauss-Legendre pieces between the
-    points and breakpoints (20 nodes, checked against 10 at
-    ``MRL_REL_TOL``, with an adaptive fallback), and E[X] - t wherever the
-    ccdf is 1.  Every comparison allows a slack of ``DEFAULT_MRL_TOL``
-    times the mean, so rescaling the law's time scale leaves the result
-    unchanged.  ``ConstantMRL`` requires
-    max - min of the sampled curve within the slack; DMRL/IMRL require
+    array call and its tail integrals from one right-to-left pass: the
+    panel-quadrature pieces between the points and breakpoints (at
+    ``MRL_REL_TOL``), and E[X] - t wherever the ccdf is 1.  Every
+    comparison allows a slack of ``DEFAULT_MRL_TOL`` times the mean, so
+    rescaling the law's time scale leaves the result unchanged.
+    ``ConstantMRL`` requires max - min of the sampled curve within the
+    slack; DMRL/IMRL require
     each consecutive difference within the slack of the monotone
     direction.  ``nbue`` ("new better than used in expectation") is
     m(t) <= mean + slack at every grid point.  Behaviour beyond the

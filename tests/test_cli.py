@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -344,3 +348,29 @@ def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
             assert result["ci_half_width"] == row.ci
         else:
             assert result["applicability"] == row.applicability
+
+
+def test_quadrature_commands_do_not_import_scipy_integrate():
+    # Quadrature is the package's own panel rule; QUADPACK is only a test
+    # oracle, and SciPy loads lazily, submodule by submodule.
+    script = """
+import json, sys
+from aoi.cli import main
+U = json.dumps({"kind": "uniform", "lower": 0.5, "upper": 2.0})
+R = json.dumps({"kind": "rayleigh", "scale": 0.8})
+E = json.dumps({"kind": "exponential", "rate": 2.0})
+for y, s in ((U, R), (R, U)):
+    pair = ["--interarrival", y, "--service", s]
+    assert main(["exact", "--discipline", "preemption", *pair]) == 0
+    for kind in ("mg11", "corollary2"):
+        assert main(["bound", "--kind", kind, *pair]) == 0
+    assert main(["bound", "--kind", "gm11", "--interarrival", y,
+                 "--service", E]) == 0
+    assert main(["check-properties", "--dist", y]) == 0
+assert "scipy.integrate" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
                                ShiftedExponential, Uniform, classify_mrl,
                                expect, from_dict, mean_residual_life)
-from aoi.errors import TailEmpty
+from aoi.errors import QuadratureNotConverged, TailEmpty
 
 H2 = Hyperexponential(weights=(0.5, 0.5), rates=(0.5, 2.0))
 
@@ -113,6 +114,11 @@ def test_quadrature_of_density_reproduces_mean():
         assert value == pytest.approx(dist.mean(), rel=1e-6), dist.describe()
 
 
+def test_quadrature_that_cannot_converge_raises():
+    with pytest.raises(QuadratureNotConverged):
+        expect(Exponential(1.0), lambda x: np.full_like(x, np.nan))
+
+
 # ---------------------------------------------------------------- ccdf
 
 def test_ccdf_examples():
@@ -156,6 +162,11 @@ def test_uniform_laplace_matches_closed_form_oracle():
     a, b, s = 0.5, 2.0, 1.3
     oracle = (math.exp(-s * a) - math.exp(-s * b)) / (s * (b - a))
     assert Uniform(a, b).laplace(s) == pytest.approx(oracle, rel=1e-9)
+    for s in (1.3, 1e-9 / (b - a)):  # s (b - a) = 1e-9: no cancellation
+        oracle, _ = scipy.integrate.quad(
+            lambda x: math.exp(-s * x) / (b - a), a, b, epsabs=0.0,
+            epsrel=1e-13)
+        assert Uniform(a, b).laplace(s) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_rayleigh_laplace_matches_closed_form_oracle():
@@ -165,14 +176,23 @@ def test_rayleigh_laplace_matches_closed_form_oracle():
     oracle = 1.0 - z * math.sqrt(math.pi / 2.0) * math.exp(z * z / 2.0) \
         * scipy.special.erfc(z / math.sqrt(2.0))
     assert Rayleigh(sigma).laplace(s) == pytest.approx(oracle, rel=1e-8)
+    for z in (1e-4, z, 50.0, 1e4):
+        # With x = sigma v / (1 + z) the integrand has its mass near v ~ 1
+        # at every z = sigma s.
+        k = 1.0 + z
+        oracle, _ = scipy.integrate.quad(
+            lambda v: v / k**2 * math.exp(-z * v / k - 0.5 * (v / k) ** 2),
+            0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+        assert Rayleigh(sigma).laplace(z / sigma) == pytest.approx(
+            oracle, rel=1e-11)
 
 
 @given(dists(), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_laplace_is_one_at_zero_and_nonincreasing(dist, s1, s2):
     assert dist.laplace(0.0) == 1.0
     lo, hi = sorted((s1, s2))
-    # slack covers quadrature noise for the uniform/Rayleigh transforms
-    assert dist.laplace(hi) <= dist.laplace(lo) + 5e-9
+    # slack covers the rounding of the closed forms
+    assert dist.laplace(hi) <= dist.laplace(lo) + 1e-15
 
 
 # ---------------------------------------------------------------- MRL
@@ -284,21 +304,25 @@ def test_mrl_below_the_support_is_closed_form():
     assert mean_residual_life(shifted, 0.5) == pytest.approx(2.5, rel=1e-12)
 
 
-def _count_adaptive_calls(monkeypatch):
+def _forbid_quadpack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad was called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+
+
+@pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES])
+def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
+    # Every tail integral of the grid comes from one panel quadrature.
+    _forbid_quadpack(monkeypatch)
     calls = []
-    original = distributions._integrate_in_units
+    original = distributions._panel_quad
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(distributions, "_integrate_in_units", counted)
-    return calls
-
-
-@pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES])
-def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
-    calls = _count_adaptive_calls(monkeypatch)
+    monkeypatch.setattr(distributions, "_panel_quad", counted)
     classify_mrl(dist)
     assert len(calls) <= 1
 
@@ -306,14 +330,24 @@ def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
 def test_mrl_piece_that_fails_the_rule_check_is_redone_adaptively(
         monkeypatch):
     # The fast phase decays inside the piece [0.001, 3.65]: the 10- and
-    # 20-point rules disagree there, so that piece is integrated again.
+    # 20-point rules disagree there, so that piece is bisected and the
+    # next round evaluates the ccdf inside it again.
     dist = Hyperexponential((0.99, 0.01), (100.0, 0.01))
     ts = np.array([0.001, 3.65, 7.3])
-    calls = _count_adaptive_calls(monkeypatch)
+    _forbid_quadpack(monkeypatch)
+    rounds = []
+    ccdf = Hyperexponential.ccdf
+
+    def recorded(self, x):
+        rounds.append(np.asarray(x))
+        return ccdf(self, x)
+
+    monkeypatch.setattr(Hyperexponential, "ccdf", recorded)
     got = distributions._tail_integrals(dist, ts)
-    assert len(calls) > 1
+    assert len(rounds) > 1
+    assert np.any((rounds[1] > ts[0]) & (rounds[1] < ts[1]))
     for t, integral in zip(ts, got):
-        assert integral / dist.ccdf(t) == pytest.approx(
+        assert integral / ccdf(dist, t) == pytest.approx(
             _hyperexponential_mrl(dist, t), rel=1e-9)
 
 
