@@ -7,10 +7,9 @@ or semi-analytic upper bounds (:mod:`aoi.bounds`), plus a sweep harness
 (:mod:`aoi.experiments`) and a CLI (:mod:`aoi.cli`).
 """
 
-from .analytic import (DEFAULT_OPTIONS, EstimatorOptions, KPmf,
-                       conditional_mean_service, exact_age_dropping,
-                       exact_age_preemption, k_pmf, moments_of_K_dropping,
-                       success_probability)
+from .analytic import (DEFAULT_OPTIONS, EstimatorOptions, Interval, KPmf,
+                       Pair, exact_age_dropping, exact_age_preemption, k_pmf,
+                       moments_of_K_dropping, success_probability)
 from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
                      ub_dropping_general, ub_dropping_gm, ub_preemption)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,

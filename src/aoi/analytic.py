@@ -1,5 +1,13 @@
 """Exact average-age evaluation for both disciplines.
 
+Every exact age here and every bound of :mod:`aoi.bounds` is a short
+formula over one :class:`Pair` of laws, the interarrival Y and the service
+S.  A pair validates itself when it is built and computes each primitive
+at most once, on first use: the head E[Y^2]/(2 E[Y]), the success
+probability p, the crossing term E[Y Pr(S > Y)] with its quadrature error,
+the completed-service term E[S | S <= Y] and the two lattice solves of
+general-service dropping.  So an age and a bound of one pair share them.
+
 Dropping
     The age is  E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + E[S]
     where A_k is the partial sum of the first k-1 interarrival gaps of a
@@ -33,9 +41,8 @@ Preemption
     evaluated by the panel quadrature of :func:`~aoi.distributions.expect`
     on array integrands, whose error estimate (the summed disagreement of
     its 20- and 10-point rules plus a roundoff floor) goes into the
-    half-width.  :func:`success_probability` and the crossing term
-    E[Y * Pr(S > Y)] / p are shared with exponential-service dropping,
-    where Pr(S > Y) = exp(-mu Y).  The denominator is the success
+    half-width.  Exponential-service dropping shares p and the crossing
+    term, with Pr(S > Y) = exp(-mu Y).  The denominator is the success
     probability p, not E[Pr(S > Y)] = 1 - p: only the former reproduces
     the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
     simulation.
@@ -51,24 +58,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import (QUAD_REL_TOL, Deterministic, Distribution,
                             Exponential, expect)
-from .errors import AoiError, TruncationNotReached, ZeroSuccessProbability
-from .sim import AgeEstimate, Moment, Z95
+from .errors import TruncationNotReached, ZeroSuccessProbability
+from .sim import AgeEstimate
 
 __all__ = [
     "EstimatorOptions",
     "DEFAULT_OPTIONS",
+    "Interval",
     "KPmf",
+    "Pair",
     "exact_age_dropping",
     "moments_of_K_dropping",
     "k_pmf",
     "success_probability",
-    "conditional_mean_service",
     "exact_age_preemption",
 ]
 
@@ -97,12 +106,27 @@ class EstimatorOptions:
 DEFAULT_OPTIONS = EstimatorOptions()
 
 
+class Interval(NamedTuple):
+    """A value and the half-width of the interval known to hold it."""
+
+    value: float
+    half_width: float
+
+    def over(self, den: Interval) -> Interval:
+        """self/den and the half-width of its range over both intervals.
+        ``den`` is an E[K] bracket, whose lower end is >= 1."""
+        ratio = self.value / den.value
+        return Interval(ratio, max(
+            (self.value + self.half_width) / (den.value - den.half_width) - ratio,
+            ratio - (self.value - self.half_width) / (den.value + den.half_width)))
+
+
 @dataclass(frozen=True)
 class KPmf:
-    """Distribution of K; each ``stderr`` is the half-width over Z95."""
+    """Distribution of K, each probability with its half-width."""
 
-    pmf: tuple[Moment, ...]   # Pr(K = 1), ..., Pr(K = k_max)
-    tail_mass: Moment         # Pr(K > k_max)
+    pmf: tuple[Interval, ...]   # Pr(K = 1), ..., Pr(K = k_max)
+    tail_mass: Interval         # Pr(K > k_max)
     k_max: int
 
 
@@ -112,25 +136,78 @@ class _Solve(NamedTuple):
     k_mean: float        # E[K]
     crossing: float      # sum_k E[A_k * Pr(S > A_k)]
     k_second: float      # E[K^2]
-    path: np.ndarray     # Pr(K > k) = E[Pr(S > T_k)], k = 0..k_max
+    survival: Callable[[int], np.ndarray]  # k_max -> Pr(K > k), k = 0..k_max
 
 
-def _require_valid_pair(interarrival: Distribution, service: Distribution):
-    if interarrival.mean() <= 0:
-        raise ValueError("interarrival law must have a positive mean")
-    if not math.isfinite(interarrival.second_moment()):
-        raise ValueError("interarrival law must have a finite second moment")
-    if not math.isfinite(service.mean()):
-        raise ValueError("service law must have a finite mean")
+@dataclass(frozen=True)
+class Pair:
+    """A law pair the estimators can evaluate (else ``ValueError``) and
+    the primitives its exact ages and bounds are built from, each computed
+    at most once."""
+
+    interarrival: Distribution
+    service: Distribution
+
+    def __post_init__(self):
+        if self.interarrival.mean() <= 0:
+            raise ValueError("interarrival law must have a positive mean")
+        if not math.isfinite(self.interarrival.second_moment()):
+            raise ValueError("interarrival law must have a finite second moment")
+        if not math.isfinite(self.service.mean()):
+            raise ValueError("service law must have a finite mean")
+
+    def to_dict(self) -> dict:
+        """Both laws as JSON-ready dicts, keyed by their role."""
+        return {"interarrival": self.interarrival.to_dict(),
+                "service": self.service.to_dict()}
+
+    @cached_property
+    def head(self) -> float:
+        """E[Y^2]/(2E[Y]), the first term of every age and bound."""
+        return self.interarrival.second_moment() / (2.0 * self.interarrival.mean())
+
+    @cached_property
+    def p(self) -> float:
+        """Pr(S <= Y), by :func:`success_probability`."""
+        return success_probability(self.interarrival, self.service)
+
+    @property
+    def geometric_p(self) -> float:
+        """p of the geometric K of exponential-service dropping, whose
+        E[K] = 1/p diverges at p = 0 (:class:`TruncationNotReached`)."""
+        if self.p <= 0.0:
+            raise TruncationNotReached(self._no_success())
+        return self.p
+
+    @cached_property
+    def crossing(self) -> tuple[float, float]:
+        """E[Y Pr(S > Y)] and its quadrature error; over p, the middle term
+        of every geometric-cycle age."""
+        return expect(self.interarrival, lambda y: y * self.service.ccdf(y),
+                      extra_breakpoints=self.service.breakpoints())
+
+    @cached_property
+    def completed_service(self) -> float:
+        """E[S | the service completes] = E[S Pr(Y >= S)] / p; raises
+        :class:`ZeroSuccessProbability` when no service can complete."""
+        if self.p <= 0.0:
+            raise ZeroSuccessProbability(self._no_success())
+        num, _ = expect(self.service, lambda s: s * self.interarrival.tail_inclusive(s),
+                        extra_breakpoints=self.interarrival.breakpoints())
+        return num / self.p
+
+    @cached_property
+    def lattice(self) -> tuple[_Solve, _Solve]:
+        """The dropping sums with the gaps rounded down, then up."""
+        return _lattice_solves(self.interarrival, self.service)
+
+    def _no_success(self) -> str:
+        return (f"Pr(success) = 0 for interarrival {self.interarrival.describe()} "
+                f"vs service {self.service.describe()}")
 
 
-def _head(interarrival: Distribution) -> float:
-    """E[Y^2]/(2E[Y]), the first term of every age and bound."""
-    return interarrival.second_moment() / (2.0 * interarrival.mean())
-
-
-def _lattice_solves(interarrival: Distribution, service: Distribution,
-                    k_max: int = 0) -> tuple[_Solve, _Solve]:
+def _lattice_solves(interarrival: Distribution, service: Distribution
+                    ) -> tuple[_Solve, _Solve]:
     """The dropping sums with every gap rounded down, then up, to the
     lattice jh, h = E[Y]/m, up to the service's 1 - 1e-13 quantile.
 
@@ -164,7 +241,8 @@ def _lattice_solves(interarrival: Distribution, service: Distribution,
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
         solve = _Solve(float(first + c.sum()), float(x @ c),
                        float(first + (2.0 * np.arange(n) + 1.0) @ c),
-                       np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
+                       lambda k_max: np.concatenate(
+                           ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
         return solve, solve
     tail = interarrival.ccdf(grid)
     cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
@@ -185,51 +263,21 @@ def _lattice_solves(interarrival: Distribution, service: Distribution,
     for f in (cell, np.append(0.0, cell[:-1])):  # gaps rounded down, then up
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
-        path = [1.0] + [total(spectrum**k, against_c)
-                        for k in range(1, k_max + 1)]
         solves.append(_Solve(
             first + total(renewal, against_c), total(renewal, against_xc),
             first + total(renewal * (2.0 * renewal - 1.0), against_c),
-            np.array(path)))
+            lambda k_max, spectrum=spectrum: np.array(
+                [1.0] + [total(spectrum**k, against_c)
+                         for k in range(1, k_max + 1)])))
     return solves[0], solves[1]
 
 
-def _midpoint(a: float, b: float) -> tuple[float, float]:
+def _midpoint(a, b) -> Interval:
     """The midpoint of a bracket and its half-width."""
-    return 0.5 * (a + b), 0.5 * abs(a - b)
+    return Interval(0.5 * (a + b), 0.5 * abs(a - b))
 
 
-def _ratio_bracket(num: float, num_hw: float, den: float, den_hw: float
-                   ) -> tuple[float, float]:
-    """num/den and the half-width of its range over both brackets.  The
-    denominator is an E[K] bracket, whose lower end min(down, up) is >= 1."""
-    ratio = num / den
-    return ratio, max((num + num_hw) / (den - den_hw) - ratio,
-                      ratio - (num - num_hw) / (den + den_hw))
-
-
-def _success_p(interarrival: Distribution, service: Distribution,
-               error: type[AoiError]) -> float:
-    """:func:`success_probability`, raising ``error`` when it is 0: no
-    service completes, so the geometric cycle count K has no finite mean."""
-    p = success_probability(interarrival, service)
-    if p <= 0.0:
-        raise error(f"Pr(success) = 0 for interarrival {interarrival.describe()} "
-                    f"vs service {service.describe()}")
-    return p
-
-
-def _crossing(interarrival: Distribution, service: Distribution,
-              p: float) -> tuple[float, float]:
-    """E[Y Pr(S > Y)] / p, the middle term of every geometric-cycle age,
-    and its quadrature error."""
-    value, err = expect(interarrival, lambda y: y * service.ccdf(y),
-                        extra_breakpoints=service.breakpoints())
-    return value / p, err / p
-
-
-def exact_age_dropping(interarrival: Distribution,
-                       service: Distribution) -> AgeEstimate:
+def exact_age_dropping(pair: Pair) -> AgeEstimate:
     """Average age under dropping; ``cycles_used`` is 0.
 
     Exponential service takes the renewal form
@@ -238,57 +286,50 @@ def exact_age_dropping(interarrival: Distribution,
     lattice crossing sum by E[K]; the half-width is the ratio's range
     over both solves' components, a width rather than a proven bound.
     """
-    _require_valid_pair(interarrival, service)
-    if isinstance(service, Exponential):
-        p = _success_p(interarrival, service, TruncationNotReached)
-        middle, hw = _crossing(interarrival, service, p)[0], 0.0
+    if isinstance(pair.service, Exponential):
+        middle, hw = pair.crossing[0] / pair.geometric_p, 0.0
     else:
-        down, up = _lattice_solves(interarrival, service)
-        middle, hw = _ratio_bracket(*_midpoint(down.crossing, up.crossing),
-                                    *_midpoint(down.k_mean, up.k_mean))
-    return AgeEstimate(value=_head(interarrival) + middle + service.mean(),
+        down, up = pair.lattice
+        k_mean, _ = moments_of_K_dropping(pair)
+        middle, hw = _midpoint(down.crossing, up.crossing).over(k_mean)
+    return AgeEstimate(value=pair.head + middle + pair.service.mean(),
                        ci_half_width=hw, cycles_used=0, method="analytic")
 
 
-def moments_of_K_dropping(interarrival: Distribution, service: Distribution
-                          ) -> tuple[Moment, Moment]:
+def moments_of_K_dropping(pair: Pair) -> tuple[Interval, Interval]:
     """(E[K], E[K^2]) for the dropping cycle count K = min{k: A_{k+1} >= S}.
 
     With exponential service K is geometric with success probability
-    p = 1 - E[exp(-mu Y)] (stderr 0); other service laws take the lattice
-    midpoints, with the half-width over ``Z95`` as the stderr.
+    p = 1 - E[exp(-mu Y)] (half-width 0); other service laws take the
+    lattice midpoints and half-widths.
     """
-    _require_valid_pair(interarrival, service)
-    if isinstance(service, Exponential):
-        p = _success_p(interarrival, service, TruncationNotReached)
-        return Moment(1.0 / p, 0.0), Moment((2.0 - p) / p**2, 0.0)
-    down, up = _lattice_solves(interarrival, service)
-    k_mean, k_hw = _midpoint(down.k_mean, up.k_mean)
-    k_second, k2_hw = _midpoint(down.k_second, up.k_second)
-    return Moment(k_mean, k_hw / Z95), Moment(k_second, k2_hw / Z95)
+    if isinstance(pair.service, Exponential):
+        p = pair.geometric_p
+        return Interval(1.0 / p, 0.0), Interval((2.0 - p) / p**2, 0.0)
+    down, up = pair.lattice
+    return (_midpoint(down.k_mean, up.k_mean),
+            _midpoint(down.k_second, up.k_second))
 
 
-def k_pmf(interarrival: Distribution, service: Distribution,
-          k_max: int) -> KPmf:
+def k_pmf(pair: Pair, k_max: int) -> KPmf:
     """Pmf of K up to ``k_max`` plus the remaining tail mass.
 
     Exponential service gives the geometric law Pr(K = k) = L^(k-1) (1 - L)
-    and tail L^k_max with L = L(mu), exactly (zero stderr).  Other service
+    and tail L^k_max with L = L(mu), exactly (half-width 0).  Other service
     laws take Pr(K = k) = Pr(K > k-1) - Pr(K > k) from the lattice.
     """
-    _require_valid_pair(interarrival, service)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not isinstance(service, Exponential):
-        down, up = _lattice_solves(interarrival, service, k_max)
-        mid, hw = _midpoint(down.path, up.path)
-        pmf = zip(mid[:-1] - mid[1:], (hw[:-1] + hw[1:]) / Z95)
-        tail = Moment(float(mid[-1]), float(hw[-1]) / Z95)
-        return KPmf(tuple(Moment(float(v), float(e)) for v, e in pmf), tail, k_max)
-    p = _success_p(interarrival, service, TruncationNotReached)
+    if not isinstance(pair.service, Exponential):
+        down, up = pair.lattice
+        mid, hw = _midpoint(down.survival(k_max), up.survival(k_max))
+        pmf = zip(mid[:-1] - mid[1:], hw[:-1] + hw[1:])
+        tail = Interval(float(mid[-1]), float(hw[-1]))
+        return KPmf(tuple(Interval(float(v), float(e)) for v, e in pmf), tail, k_max)
+    p = pair.geometric_p
     q = 1.0 - p
-    pmf = tuple(Moment(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
-    return KPmf(pmf=pmf, tail_mass=Moment(q**k_max, 0.0), k_max=k_max)
+    pmf = tuple(Interval(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
+    return KPmf(pmf=pmf, tail_mass=Interval(q**k_max, 0.0), k_max=k_max)
 
 
 def success_probability(interarrival: Distribution,
@@ -308,34 +349,13 @@ def success_probability(interarrival: Distribution,
     return 0.0 if p <= err else min(p, 1.0)
 
 
-def _completed_service(interarrival: Distribution, service: Distribution,
-                       p: float) -> float:
-    """E[S | the service completes] = E[S * Pr(Y >= S)] / p, with p > 0
-    the success probability."""
-    num, _ = expect(service, lambda s: s * interarrival.tail_inclusive(s),
-                    extra_breakpoints=interarrival.breakpoints())
-    return num / p
-
-
-def conditional_mean_service(interarrival: Distribution,
-                             service: Distribution) -> float:
-    """E[S | the service completes] = E[S * Pr(Y >= S)] / Pr(S <= Y).
-
-    Raises :class:`ZeroSuccessProbability` when no service can complete.
-    """
-    p = _success_p(interarrival, service, ZeroSuccessProbability)
-    return _completed_service(interarrival, service, p)
-
-
-def exact_age_preemption(interarrival: Distribution,
-                         service: Distribution) -> AgeEstimate:
+def exact_age_preemption(pair: Pair) -> AgeEstimate:
     """Average age under preemption in service, by quadrature."""
-    _require_valid_pair(interarrival, service)
-    p = _success_p(interarrival, service, ZeroSuccessProbability)
-    stilde = _completed_service(interarrival, service, p)
-    middle, middle_err = _crossing(interarrival, service, p)
+    stilde = pair.completed_service  # raises before p = 0 divides
+    value, err = pair.crossing
+    middle, middle_err = value / pair.p, err / pair.p
     # Quadrature is deterministic; the half-width only reflects the
     # integrator's own error estimate.
     ci = middle_err + QUAD_REL_TOL * (abs(middle) + stilde)
-    return AgeEstimate(value=_head(interarrival) + middle + stilde,
+    return AgeEstimate(value=pair.head + middle + stilde,
                        ci_half_width=ci, cycles_used=0, method="analytic")

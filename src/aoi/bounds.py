@@ -1,11 +1,12 @@
 """Closed-form and semi-analytic upper bounds on the average age.
 
-Every bound takes the interarrival and service laws and derives its own
-inputs: the general dropping bound its K moments from
-:func:`~aoi.analytic.moments_of_K_dropping`, the exponential-service bound
-its geometric cycle count from the same renewal form, and the preemption
-bound its success probability and conditional mean service term from the
-analytic module.  At exponential arrivals the exponential-service bound is
+Every bound is a short formula over one :class:`~aoi.analytic.Pair` of
+interarrival and service laws, sharing its primitives with the exact ages
+of the pair: the general dropping bound its K moments
+(:func:`~aoi.analytic.moments_of_K_dropping`), the exponential-service
+bound its geometric cycle count and mu, and the preemption bound its
+success probability and completed-service term.  At exponential arrivals
+the exponential-service bound is
 the M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
 upper bound only for interarrivals with decreasing mean residual life and
 NBUE service; with IMRL interarrivals it flips into a lower bound, which
@@ -20,11 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .analytic import (_completed_service, _head, _ratio_bracket,
-                       _require_valid_pair, _success_p, moments_of_K_dropping)
-from .distributions import Distribution, Exponential, MrlVerdict, classify_mrl
-from .errors import ZeroSuccessProbability
-from .sim import Z95
+from .analytic import Pair, moments_of_K_dropping
+from .distributions import Exponential, MrlVerdict, classify_mrl
 
 __all__ = [
     "BoundKind",
@@ -70,8 +68,7 @@ class BoundReport:
                 "only the MG11Ordering bound carries a conditional label")
 
 
-def ub_dropping_general(interarrival: Distribution,
-                        service: Distribution) -> BoundReport:
+def ub_dropping_general(pair: Pair) -> BoundReport:
     """Unconditional dropping bound
     E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) + E[S]
     with the K moments of :func:`moments_of_K_dropping`.
@@ -79,38 +76,33 @@ def ub_dropping_general(interarrival: Distribution,
     Tight exactly when the interarrival times are deterministic.  The
     half-width is the bound's range over the moments' brackets.
     """
-    k_mean, k_second = moments_of_K_dropping(interarrival, service)
-    ratio, ratio_hw = _ratio_bracket(k_second.value, Z95 * k_second.stderr,
-                                     k_mean.value, Z95 * k_mean.stderr)
-    value = (_head(interarrival)
-             + interarrival.mean() * (0.5 * ratio - 0.5)
-             + service.mean())
+    k_mean, k_second = moments_of_K_dropping(pair)
+    ratio, ratio_hw = k_second.over(k_mean)
+    y_mean = pair.interarrival.mean()
     return BoundReport(
-        value=value, kind=BoundKind.CorollaryOneDropping,
+        value=pair.head + y_mean * (0.5 * ratio - 0.5) + pair.service.mean(),
+        kind=BoundKind.CorollaryOneDropping,
         applicability=Applicability.UNCONDITIONAL,
-        inputs={"interarrival": interarrival.to_dict(),
-                "service": service.to_dict(),
-                "k_mean": k_mean.value, "k_second_moment": k_second.value},
-        half_width=0.5 * interarrival.mean() * ratio_hw)
+        inputs={**pair.to_dict(), "k_mean": k_mean.value,
+                "k_second_moment": k_second.value},
+        half_width=0.5 * y_mean * ratio_hw)
 
 
-def ub_dropping_gm(interarrival: Distribution, service_rate: float) -> BoundReport:
+def ub_dropping_gm(pair: Pair) -> BoundReport:
     """Dropping bound for exponential service, fully closed form:
     E[Y^2]/(2E[Y]) + E[Y] (E[K] - 1) + 1/mu with the geometric
     E[K] = 1/(1 - E[exp(-mu Y)]) of :func:`moments_of_K_dropping`."""
-    k_mean, _ = moments_of_K_dropping(interarrival, Exponential(service_rate))
-    value = (_head(interarrival)
-             + interarrival.mean() * (k_mean.value - 1.0)
-             + 1.0 / service_rate)
+    if not isinstance(pair.service, Exponential):
+        raise ValueError("ub_dropping_gm needs an exponential service law")
+    k_mean, _ = moments_of_K_dropping(pair)
+    rate = pair.service.rate
     return BoundReport(
-        value=value, kind=BoundKind.GM11,
-        applicability=Applicability.UNCONDITIONAL,
-        inputs={"interarrival": interarrival.to_dict(),
-                "service_rate": service_rate})
+        value=pair.head + pair.interarrival.mean() * (k_mean.value - 1.0) + 1.0 / rate,
+        kind=BoundKind.GM11, applicability=Applicability.UNCONDITIONAL,
+        inputs={"interarrival": pair.interarrival.to_dict(), "service_rate": rate})
 
 
-def mg11_ordering_bound(interarrival: Distribution,
-                        service: Distribution) -> BoundReport:
+def mg11_ordering_bound(pair: Pair) -> BoundReport:
     """Dropping age of the mean-matched exponential-arrival system:
     E[(Ye + S)^2] / (2 E[Ye + S]) + E[S] with Ye exponential of mean E[Y].
 
@@ -119,38 +111,30 @@ def mg11_ordering_bound(interarrival: Distribution,
     interarrivals (with NBUE service) make this an upper bound; IMRL
     interarrivals reverse it into a lower bound.
     """
-    _require_valid_pair(interarrival, service)
-    ye_mean = interarrival.mean()
+    ye_mean = pair.interarrival.mean()
     ye_second = 2.0 * ye_mean**2
-    es = service.mean()
-    es2 = service.second_moment()
+    es = pair.service.mean()
+    es2 = pair.service.second_moment()
     value = ((ye_second + 2.0 * ye_mean * es + es2)
              / (2.0 * (ye_mean + es)) + es)
-    verdict = classify_mrl(interarrival).verdict
+    verdict = classify_mrl(pair.interarrival).verdict
     applicability = (Applicability.REVERSED_UNDER_IMRL
                      if verdict is MrlVerdict.IMRL
                      else Applicability.REQUIRES_DMRL_NBUE)
     return BoundReport(
         value=value, kind=BoundKind.MG11Ordering, applicability=applicability,
-        inputs={"interarrival": interarrival.to_dict(),
-                "service": service.to_dict(),
-                "interarrival_verdict": verdict.value})
+        inputs={**pair.to_dict(), "interarrival_verdict": verdict.value})
 
 
-def ub_preemption(interarrival: Distribution,
-                  service: Distribution) -> BoundReport:
+def ub_preemption(pair: Pair) -> BoundReport:
     """Unconditional preemption bound
     E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y] with p the success
     probability.  Tight when the cycle count is independent of the gaps
     (e.g. deterministic gaps with p = 1)."""
-    _require_valid_pair(interarrival, service)
-    p = _success_p(interarrival, service, ZeroSuccessProbability)
-    stilde = _completed_service(interarrival, service, p)
-    value = (_head(interarrival)
-             + interarrival.mean() * (1.0 - p) / p
-             + stilde)
+    stilde = pair.completed_service  # raises before p = 0 divides
+    p = pair.p
     return BoundReport(
-        value=value, kind=BoundKind.CorollaryTwoPreemption,
+        value=pair.head + pair.interarrival.mean() * (1.0 - p) / p + stilde,
+        kind=BoundKind.CorollaryTwoPreemption,
         applicability=Applicability.UNCONDITIONAL,
-        inputs={"interarrival": interarrival.to_dict(),
-                "service": service.to_dict(), "success_probability": p})
+        inputs={**pair.to_dict(), "success_probability": p})

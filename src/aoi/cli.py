@@ -24,10 +24,10 @@ import os
 import sys
 
 from . import analytic, experiments
-from .analytic import EstimatorOptions
+from .analytic import EstimatorOptions, Pair
 from .distributions import Distribution, classify_mrl, from_dict
 from .errors import AoiError
-from .sim import Discipline, SimConfig, cycle_statistics, run_simulation
+from .sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
 
 __all__ = ["main", "build_parser"]
 
@@ -153,18 +153,6 @@ def _usage_errors(args):
         raise SystemExit(f"aoi {args.command}: {exc}") from exc
 
 
-def _check_pair(args) -> None:
-    """A law pair the estimators reject is a usage error."""
-    with _usage_errors(args):
-        analytic._require_valid_pair(args.interarrival, args.service)
-
-
-def _check_options(args) -> None:
-    """Validate the unread ``--mc-samples``; a bad value is a usage error."""
-    with _usage_errors(args):
-        EstimatorOptions(mc_samples=args.mc_samples)
-
-
 def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
     if args.as_json:
         payload = {"command": command, "inputs": inputs, "result": result}
@@ -217,23 +205,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _estimate(args, tag: str, discipline: Discipline):
-    """Run ``tag`` through the estimator table; a law pair or precondition
-    the table rejects is a usage error naming it."""
-    _check_pair(args)
+    """The command's pair and ``tag``'s result on it from the estimator
+    table.  A pair or precondition the table rejects, or a bad (unread)
+    ``--mc-samples``, is a usage error."""
     with _usage_errors(args):
-        experiments.require(tag, discipline, args.service)
-    if (tag, discipline) in _MC_SAMPLES_CHECKED:
-        _check_options(args)
-    return experiments.ESTIMATORS[tag].calls[discipline](args.interarrival,
-                                                         args.service)
+        pair = Pair(args.interarrival, args.service)
+        experiments.require(tag, discipline, pair.service)
+        if (tag, discipline) in _MC_SAMPLES_CHECKED:
+            EstimatorOptions(mc_samples=args.mc_samples)
+    return pair, experiments.ESTIMATORS[tag].calls[discipline](pair)
 
 
 def _cmd_exact(args) -> int:
     discipline = Discipline(args.discipline)
-    estimate = _estimate(args, "exact", discipline)
-    inputs = {"discipline": args.discipline,
-              "interarrival": args.interarrival.to_dict(),
-              "service": args.service.to_dict(), "seed": args.seed}
+    pair, estimate = _estimate(args, "exact", discipline)
+    inputs = {"discipline": args.discipline, **pair.to_dict(), "seed": args.seed}
     if ("exact", discipline) in _MC_SAMPLES_CHECKED:
         inputs["mc_samples"] = args.mc_samples
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
@@ -248,17 +234,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    y, s = args.interarrival, args.service
     (discipline,) = experiments.ESTIMATORS[args.kind].calls  # one per bound
-    report = _estimate(args, args.kind, discipline)
-    inputs = {"kind": args.kind, "interarrival": y.to_dict(),
-              "service": s.to_dict(), "seed": args.seed}
+    pair, report = _estimate(args, args.kind, discipline)
+    inputs = {"kind": args.kind, **pair.to_dict(), "seed": args.seed}
     result = {"value": report.value, "kind": report.kind.value,
               "applicability": report.applicability.value}
     lines = [
         f"bound           {report.kind.value}",
-        f"interarrival    {y.describe()}",
-        f"service         {s.describe()}",
+        f"interarrival    {pair.interarrival.describe()}",
+        f"service         {pair.service.describe()}",
         f"value           {_fmt(report.value)}",
         f"applicability   {report.applicability.value}",
     ]
@@ -266,23 +250,23 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_kpmf(args) -> int:
-    _check_pair(args)
-    _check_options(args)
+    with _usage_errors(args):  # --mc-samples is validated, not read
+        pair = Pair(args.interarrival, args.service)
+        EstimatorOptions(mc_samples=args.mc_samples)
     if args.k_max < 1:
         raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")
-    res = analytic.k_pmf(args.interarrival, args.service, args.k_max)
-    inputs = {"interarrival": args.interarrival.to_dict(),
-              "service": args.service.to_dict(),
-              "k_max": args.k_max, "seed": args.seed}
+    res = analytic.k_pmf(pair, args.k_max)
+    inputs = {**pair.to_dict(), "k_max": args.k_max, "seed": args.seed}
+    # The output's ci is a stderr: the half-width over Z95.
     result = {
-        "pmf": [{"k": i + 1, "probability": m.value, "ci": m.stderr}
+        "pmf": [{"k": i + 1, "probability": m.value, "ci": m.half_width / Z95}
                 for i, m in enumerate(res.pmf)],
         "tail_mass": res.tail_mass.value,
-        "tail_mass_ci": res.tail_mass.stderr,
+        "tail_mass_ci": res.tail_mass.half_width / Z95,
     }
     lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'stderr':>10}"]
     for i, m in enumerate(res.pmf):
-        lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.stderr:>10.2e}")
+        lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width / Z95:>10.2e}")
     lines.append(f"tail beyond k={res.k_max}: {_fmt(res.tail_mass.value)}")
     return _emit(args, "kpmf", inputs, result, lines)
 

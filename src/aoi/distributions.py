@@ -84,6 +84,12 @@ _EPS = float(np.finfo(float).eps)
 _RAYLEIGH_SERIES_FROM = 10.0  # z = scale * s above which the series is used
 
 
+def _over_square(num: float, x: float) -> float:
+    """num / x^2 that never raises: inf if x^2 underflows, 0 if it overflows."""
+    square = x * x
+    return num / square if square else math.inf
+
+
 class Distribution(ABC):
     """A nonnegative random variable with analytic descriptors."""
 
@@ -184,7 +190,7 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
     def second_moment(self):
-        return 2.0 / self.rate**2
+        return _over_square(2.0, self.rate)
 
     def _ccdf(self, xs):
         return np.exp(-self.rate * xs)
@@ -224,7 +230,7 @@ class ShiftedExponential(Distribution):
 
     def second_moment(self):
         # Var = 1/rate^2 around mean shift + 1/rate.
-        return 1.0 / self.rate**2 + self.mean() ** 2
+        return _over_square(1.0, self.rate) + self.mean() * self.mean()
 
     def _ccdf(self, xs):
         return np.where(xs < self.shift, 1.0,
@@ -265,7 +271,7 @@ class Deterministic(Distribution):
         return float(self.value)
 
     def second_moment(self):
-        return float(self.value) ** 2
+        return float(self.value) * float(self.value)
 
     def _ccdf(self, xs):
         return np.where(xs < self.value, 1.0, 0.0)
@@ -353,14 +359,20 @@ class Rayleigh(Distribution):
         return self.scale * math.sqrt(math.pi / 2.0)
 
     def second_moment(self):
-        return 2.0 * self.scale**2
+        return 2.0 * self.scale * self.scale
 
+    # Times in units of the scale's power of two, an exact change of unit:
+    # the bits of x^2 / (2 scale^2) wherever it is representable, no
+    # overflow or underflow of scale^2, and u^2 = inf far in the tail.
     def _ccdf(self, xs):
-        return np.exp(-xs * xs / (2.0 * self.scale**2))
+        m, e = math.frexp(self.scale)
+        u = np.ldexp(xs, -e)
+        with np.errstate(over="ignore"):
+            return np.exp(-u * u / (2.0 * m * m))
 
-    def _pdf(self, xs):
-        s2 = self.scale**2
-        return (xs / s2) * np.exp(-xs * xs / (2.0 * s2))
+    def _pdf(self, xs):  # (x / scale^2) ccdf(x)
+        m, e = math.frexp(self.scale)
+        return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
 
     def _laplace(self, s):
         # 1 - z sqrt(pi/2) erfcx(z / sqrt 2), z = scale s, loses about
@@ -408,7 +420,7 @@ class Erlang(Distribution):
         return self.shape / self.rate
 
     def second_moment(self):
-        return self.shape * (self.shape + 1) / self.rate**2
+        return _over_square(self.shape * (self.shape + 1), self.rate)
 
     def _ccdf(self, xs):
         from scipy import special
@@ -470,7 +482,7 @@ class Hyperexponential(Distribution):
         return sum(w / r for w, r in zip(self.weights, self.rates))
 
     def second_moment(self):
-        return sum(2.0 * w / r**2 for w, r in zip(self.weights, self.rates))
+        return sum(_over_square(2.0 * w, r) for w, r in zip(self.weights, self.rates))
 
     def _ccdf(self, xs):
         out = np.zeros_like(xs, dtype=float)

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import analytic, bounds
-from .analytic import DEFAULT_OPTIONS, EstimatorOptions
+from .analytic import DEFAULT_OPTIONS, EstimatorOptions, Pair
 from .distributions import Distribution, Exponential, from_dict
 from .errors import AoiError
 from .sim import AgeEstimate, Discipline, SimConfig, run_simulation
@@ -50,14 +50,14 @@ __all__ = [
 
 CSV_HEADER = ("param", "estimator", "value", "ci", "applicability")
 
-_Call = Callable[[Distribution, Distribution], Union[AgeEstimate, bounds.BoundReport]]
+_Call = Callable[[Pair], Union[AgeEstimate, bounds.BoundReport]]
 
 
 @dataclass(frozen=True)
 class Estimator:
-    """One tag of :data:`ESTIMATORS`: its call on ``(interarrival,
-    service)`` for each discipline it applies to, and whether it needs an
-    exponential service law."""
+    """One tag of :data:`ESTIMATORS`: its call on a :class:`Pair` for
+    each discipline it applies to, and whether it needs an exponential
+    service law."""
 
     calls: Mapping[Discipline, _Call]
     exponential_service: bool = False
@@ -69,17 +69,13 @@ class Estimator:
 _D, _P = Discipline.DROPPING, Discipline.PREEMPTION
 ESTIMATORS: Mapping[str, Estimator] = {
     "exact": Estimator({
-        _D: lambda y, s: analytic.exact_age_dropping(y, s),
-        _P: lambda y, s: analytic.exact_age_preemption(y, s)}),
-    "corollary1": Estimator({
-        _D: lambda y, s: bounds.ub_dropping_general(y, s)}),
-    "gm11": Estimator({
-        _D: lambda y, s: bounds.ub_dropping_gm(y, s.rate)},
-        exponential_service=True),
-    "mg11": Estimator({
-        _D: lambda y, s: bounds.mg11_ordering_bound(y, s)}),
-    "corollary2": Estimator({
-        _P: lambda y, s: bounds.ub_preemption(y, s)}),
+        _D: lambda pair: analytic.exact_age_dropping(pair),
+        _P: lambda pair: analytic.exact_age_preemption(pair)}),
+    "corollary1": Estimator({_D: lambda pair: bounds.ub_dropping_general(pair)}),
+    "gm11": Estimator({_D: lambda pair: bounds.ub_dropping_gm(pair)},
+                      exponential_service=True),
+    "mg11": Estimator({_D: lambda pair: bounds.mg11_ordering_bound(pair)}),
+    "corollary2": Estimator({_P: lambda pair: bounds.ub_preemption(pair)}),
 }
 
 
@@ -139,8 +135,8 @@ class SweepSpec:
             raise ValueError("sim_cycles must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
-        for value in self.grid:  # every point's law, before any runs
-            self.point_distribution(value)
+        for value in self.grid:  # every point's pair, before any runs
+            Pair(self.point_distribution(value), self.service)
 
     def point_distribution(self, value: float) -> Distribution:
         spec = dict(self.interarrival_template)
@@ -224,7 +220,9 @@ def evaluate_point(discipline: Discipline, interarrival: Distribution,
                    param: float, sim_cycles: int, sim_seed: int) -> list[SweepRow]:
     """One row per estimator at one grid point: ``simulate`` runs
     ``sim_cycles`` cycles from ``sim_seed``, every other tag its
-    :data:`ESTIMATORS` call.  A domain error marks its cell divergent."""
+    :data:`ESTIMATORS` call on the point's one :class:`Pair`, so the tags
+    share its primitives.  A domain error marks its cell divergent."""
+    pair = Pair(interarrival, service)
     rows = []
     for tag in estimators:
         try:
@@ -234,7 +232,7 @@ def evaluate_point(discipline: Discipline, interarrival: Distribution,
                     discipline=discipline, target_cycles=sim_cycles,
                     seed=sim_seed))
             else:
-                result = ESTIMATORS[tag].calls[discipline](interarrival, service)
+                result = ESTIMATORS[tag].calls[discipline](pair)
         except AoiError:
             rows.append(SweepRow(param, tag, None, None))
             continue

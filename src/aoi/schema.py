@@ -23,7 +23,8 @@ CLI_RESULT_SCHEMA = {
         "error": {
             "type": "string",
             "enum": ["DivergentAge", "ZeroSuccessProbability",
-                     "TruncationNotReached", "TailEmpty"],
+                     "TruncationNotReached", "TailEmpty",
+                     "QuadratureNotConverged"],
         },
         "message": {"type": "string"},
     },

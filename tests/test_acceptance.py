@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import (EstimatorOptions, exact_age_dropping,
+from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping,
                           exact_age_preemption, k_pmf, success_probability)
 from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
@@ -15,7 +15,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
                                ShiftedExponential, Uniform, classify_mrl)
 from aoi.experiments import SweepSpec, emit_csv, run_sweep
-from aoi.sim import SimConfig, cycle_statistics, run_simulation
+from aoi.sim import Z95, SimConfig, cycle_statistics, run_simulation
 from walk_oracle import dropping_walk_moments
 
 RATE_GRID = (0.5, 1.0, 2.0)
@@ -42,7 +42,7 @@ def test_criterion_1_mm_dropping_cross_check():
             rel = abs(est.value - closed) / closed
             if rel > 0.02:
                 failures.append(f"sim ({lam},{mu}): rel err {rel:.4f} > 2%")
-            fast = exact_age_dropping(Exponential(lam), Exponential(mu))
+            fast = exact_age_dropping(Pair(Exponential(lam), Exponential(mu)))
             if abs(fast.value - closed) > 1e-12 * closed:
                 failures.append(f"fast path ({lam},{mu}) != closed form")
             y, s = Exponential(lam), Exponential(mu)
@@ -62,7 +62,7 @@ def test_criterion_2_mm_preemption_cross_check():
     for i, lam in enumerate(RATE_GRID):
         for j, mu in enumerate(RATE_GRID):
             closed = 1.0 / lam + 1.0 / mu
-            exact = exact_age_preemption(Exponential(lam), Exponential(mu))
+            exact = exact_age_preemption(Pair(Exponential(lam), Exponential(mu)))
             if abs(exact.value - closed) > 1e-8 * closed:
                 failures.append(
                     f"exact ({lam},{mu}): {exact.value} != {closed}")
@@ -90,17 +90,17 @@ def test_criterion_3_bound_domination_suite():
     }
     for family, laws in dropping_families.items():
         for y in laws:
-            exact = exact_age_dropping(y, service)
+            exact = exact_age_dropping(Pair(y, service))
             slack = 3.0 * exact.ci_half_width
-            c1 = ub_dropping_general(y, service).value
+            c1 = ub_dropping_general(Pair(y, service)).value
             if c1 < exact.value - slack:
                 failures.append(f"corollary1 < exact for {y.describe()}")
-            gm = ub_dropping_gm(y, service.rate).value
+            gm = ub_dropping_gm(Pair(y, service)).value
             if gm < exact.value - slack:
                 failures.append(f"gm11 < exact for {y.describe()}")
             verdict = classify_mrl(y).verdict
             if verdict in (MrlVerdict.DMRL, MrlVerdict.CONSTANT) and nbue_service:
-                mg = mg11_ordering_bound(y, service).value
+                mg = mg11_ordering_bound(Pair(y, service)).value
                 if mg < exact.value - slack:
                     failures.append(f"mg11 < exact for {y.describe()}")
 
@@ -115,9 +115,9 @@ def test_criterion_3_bound_domination_suite():
     }
     for family, laws in preemption_families.items():
         for y in laws:
-            exact = exact_age_preemption(y, p_service)
+            exact = exact_age_preemption(Pair(y, p_service))
             slack = 3.0 * exact.ci_half_width + 1e-9
-            c2 = ub_preemption(y, p_service).value
+            c2 = ub_preemption(Pair(y, p_service)).value
             if c2 < exact.value - slack:
                 failures.append(f"corollary2 < exact for {y.describe()}")
 
@@ -126,16 +126,16 @@ def test_criterion_3_bound_domination_suite():
     # relative rather than a Monte Carlo interval.
     for v in (0.5, 1.0, 2.0):
         y = Deterministic(v)
-        exact = exact_age_dropping(y, service)
-        c1 = ub_dropping_general(y, service).value
+        exact = exact_age_dropping(Pair(y, service))
+        c1 = ub_dropping_general(Pair(y, service)).value
         slack = 3.0 * exact.ci_half_width + 1e-8 * exact.value
         if abs(c1 - exact.value) > slack:
             failures.append(f"corollary1 not tight at Deterministic({v}): "
                             f"{c1} vs {exact.value}")
 
     # Tightness: corollary 2 equals exact for Deterministic(2)/Deterministic(1).
-    exact = exact_age_preemption(Deterministic(2.0), Deterministic(1.0))
-    c2 = ub_preemption(Deterministic(2.0), Deterministic(1.0)).value
+    exact = exact_age_preemption(Pair(Deterministic(2.0), Deterministic(1.0)))
+    c2 = ub_preemption(Pair(Deterministic(2.0), Deterministic(1.0))).value
     if abs(c2 - exact.value) > 1e-9:
         failures.append("corollary2 not tight at Deterministic(2)/Deterministic(1)")
 
@@ -157,8 +157,8 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         expected = MrlVerdict.CONSTANT if c == 0.0 else MrlVerdict.DMRL
         if verdict is not expected:
             failures.append(f"shift {c}: verdict {verdict}")
-        exact = exact_age_dropping(y, service)
-        bound = mg11_ordering_bound(y, service).value
+        exact = exact_age_dropping(Pair(y, service))
+        bound = mg11_ordering_bound(Pair(y, service)).value
         if exact.value > bound + 3.0 * exact.ci_half_width:
             failures.append(f"shift {c}: exact {exact.value:.4f} above "
                             f"bound {bound:.4f}")
@@ -169,8 +169,8 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         verdict = classify_mrl(y).verdict
         if verdict is not MrlVerdict.IMRL:
             failures.append(f"scale {s}: verdict {verdict}")
-        exact = exact_age_dropping(y, service)
-        bound = mg11_ordering_bound(y, service)
+        exact = exact_age_dropping(Pair(y, service))
+        bound = mg11_ordering_bound(Pair(y, service))
         if bound.applicability.value != "ReversedUnderIMRL":
             failures.append(f"scale {s}: wrong applicability label")
         if exact.value < bound.value - 3.0 * exact.ci_half_width:
@@ -292,9 +292,9 @@ def test_criterion_7_geometric_k_under_preemption(randomized_runs):
                         f"E[K] p = 1 (allowed {allowed})")
 
     # Dropping M/M case: the cycle count pmf is geometric(1/2).
-    res = k_pmf(Exponential(1.0), Exponential(1.0), 25)
+    res = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 25)
     for k, m in enumerate(res.pmf[:10], start=1):
-        if abs(m.value - 0.5**k) > max(4.0 * m.stderr, 1e-4):
+        if abs(m.value - 0.5**k) > max(4.0 * m.half_width / Z95, 1e-4):
             failures.append(f"pmf({k}) = {m.value:.5f} vs {0.5**k:.5f}")
     _report(7, f"geometric cycle count under preemption "
                f"({len(preemptive) - misses}/{len(preemptive)} runs)", failures)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from aoi.analytic import (EstimatorOptions, conditional_mean_service,
-                          exact_age_dropping, exact_age_preemption, k_pmf,
-                          moments_of_K_dropping, success_probability)
+from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping,
+                          exact_age_preemption, k_pmf, moments_of_K_dropping,
+                          success_probability)
 from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -46,7 +46,7 @@ def test_option_validation():
 def test_mm_fast_path_is_closed_form():
     for lam in (0.5, 1.0, 2.0):
         for mu in (0.5, 1.0, 2.0):
-            est = exact_age_dropping(Exponential(lam), Exponential(mu))
+            est = exact_age_dropping(Pair(Exponential(lam), Exponential(mu)))
             assert est.value == pytest.approx(mm_dropping_age(lam, mu),
                                               rel=1e-12)
             assert est.ci_half_width == 0.0
@@ -72,27 +72,27 @@ def test_crossing_sum_closed_form_check():
 
 
 def test_deterministic_dropping_exact_values():
-    est = exact_age_dropping(Deterministic(2.0), Deterministic(1.0))
+    est = exact_age_dropping(Pair(Deterministic(2.0), Deterministic(1.0)))
     assert est.value == pytest.approx(2.0, abs=1e-12)  # sum term 0, K == 1
-    est = exact_age_dropping(Deterministic(1.0), Deterministic(1.5))
+    est = exact_age_dropping(Pair(Deterministic(1.0), Deterministic(1.5)))
     assert est.value == pytest.approx(2.5, abs=1e-12)  # hand trace: K == 2
 
 
 def test_moments_of_k_examples():
-    k1, k2 = moments_of_K_dropping(Exponential(1.0), Exponential(1.0))
+    k1, k2 = moments_of_K_dropping(Pair(Exponential(1.0), Exponential(1.0)))
     assert (k1.value, k2.value) == (2.0, 6.0)  # geometric p = 1/2
-    k1, k2 = moments_of_K_dropping(Deterministic(2.0), Deterministic(1.0))
+    k1, k2 = moments_of_K_dropping(Pair(Deterministic(2.0), Deterministic(1.0)))
     assert (k1.value, k2.value) == (1.0, 1.0)
-    k1, k2 = moments_of_K_dropping(Deterministic(1.0), Deterministic(1.5))
+    k1, k2 = moments_of_K_dropping(Pair(Deterministic(1.0), Deterministic(1.5)))
     assert (k1.value, k2.value) == (2.0, 4.0)
-    k1, k2 = moments_of_K_dropping(Exponential(2.0), Deterministic(0.0))
+    k1, k2 = moments_of_K_dropping(Pair(Exponential(2.0), Deterministic(0.0)))
     assert (k1.value, k2.value) == (1.0, 1.0)  # zero service: K == 1
 
 
 def test_geometric_fast_path_agrees_with_generic_walk():
     y, s = ShiftedExponential(1.0, 0.5), Exponential(1.0)
-    closed_k1, closed_k2 = moments_of_K_dropping(y, s)
-    assert closed_k1.stderr == 0.0
+    closed_k1, closed_k2 = moments_of_K_dropping(Pair(y, s))
+    assert closed_k1.half_width == 0.0
     wm = dropping_walk_moments(
         y, s, EstimatorOptions(mc_samples=300_000, seed=5))
     assert abs(wm.k_mean.value - closed_k1.value) <= 4.0 * wm.k_mean.stderr
@@ -108,7 +108,7 @@ def test_truncation_not_reached():
 
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
-        exact_age_dropping(Deterministic(0.0), Exponential(1.0))
+        exact_age_dropping(Pair(Deterministic(0.0), Exponential(1.0)))
 
 
 # ------------------------------------------- exponential service: renewal
@@ -133,16 +133,16 @@ def test_renewal_form_agrees_with_walk(y):
     ratio = wm.ratio()
     head = y.second_moment() / (2.0 * y.mean())
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
-    est = exact_age_dropping(y, s)
+    est = exact_age_dropping(Pair(y, s))
     assert (est.ci_half_width, est.cycles_used) == (0.0, 0)
     assert close(est.value, walk_age)
 
-    k1, k2 = moments_of_K_dropping(y, s)
+    k1, k2 = moments_of_K_dropping(Pair(y, s))
     assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
 
-    renewal, walk = k_pmf(y, s, 10), _k_pmf_walk(y, s, 10, opts)
+    renewal, walk = k_pmf(Pair(y, s), 10), _k_pmf_walk(y, s, 10, opts)
     for k, (r, w) in enumerate(zip(renewal.pmf, walk.pmf), start=1):
-        assert r.stderr == 0.0 and close(r.value, w), k
+        assert r.half_width == 0.0 and close(r.value, w), k
     assert close(renewal.tail_mass.value, walk.tail_mass)
 
 
@@ -151,7 +151,7 @@ def test_renewal_form_agrees_with_walk(y):
 def test_mm_renewal_form_is_scale_free(c, lam, mu):
     # Rates 1/c: every time in units of c, far from the quadrature's
     # default unit.
-    est = exact_age_dropping(Exponential(lam / c), Exponential(mu / c))
+    est = exact_age_dropping(Pair(Exponential(lam / c), Exponential(mu / c)))
     assert est.value == pytest.approx(c * mm_dropping_age(lam, mu), rel=1e-9)
 
 
@@ -165,17 +165,17 @@ def test_mm_renewal_form_is_scale_free(c, lam, mu):
 ], ids=["erlang", "hyperexponential", "shifted_exponential", "uniform",
         "rayleigh"])
 def test_renewal_form_rescales_with_time(c, scaled):
-    age = exact_age_dropping(scaled(1.0), Exponential(1.0)).value
-    est = exact_age_dropping(scaled(c), Exponential(1.0 / c))
+    age = exact_age_dropping(Pair(scaled(1.0), Exponential(1.0))).value
+    est = exact_age_dropping(Pair(scaled(c), Exponential(1.0 / c)))
     assert est.value == pytest.approx(c * age, rel=1e-9)
 
 
 def test_renewal_form_survives_deep_cycles():
     # About 2e4 arrivals per cycle: more than the walk oracle's 1e4-term cap.
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
-    est = exact_age_dropping(y, s)
+    est = exact_age_dropping(Pair(y, s))
     assert math.isfinite(est.value)
-    report = ub_dropping_general(y, s)
+    report = ub_dropping_general(Pair(y, s))
     k_mean = report.inputs["k_mean"]
     assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
     # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
@@ -189,22 +189,22 @@ def test_renewal_form_survives_deep_cycles():
 # ------------------------------------------------------------- k pmf
 
 def test_k_pmf_deterministic_cases():
-    res = k_pmf(Deterministic(1.0), Deterministic(1.5), 4)
+    res = k_pmf(Pair(Deterministic(1.0), Deterministic(1.5)), 4)
     assert [m.value for m in res.pmf] == [0.0, 1.0, 0.0, 0.0]
     assert res.tail_mass.value == 0.0
-    res = k_pmf(Exponential(2.0), Deterministic(0.0), 3)
+    res = k_pmf(Pair(Exponential(2.0), Deterministic(0.0)), 3)
     assert res.pmf[0].value == 1.0  # zero service: first arrival closes it
 
 
 def test_k_pmf_mm_geometric():
-    res = k_pmf(Exponential(1.0), Exponential(1.0), 30)
+    res = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 30)
     for k, m in enumerate(res.pmf[:8], start=1):
-        assert abs(m.value - 0.5**k) <= max(4.0 * m.stderr, 1e-4)
+        assert abs(m.value - 0.5**k) <= max(4.0 * m.half_width / Z95, 1e-4)
     total = sum(m.value for m in res.pmf) + res.tail_mass.value
     assert total == pytest.approx(1.0, abs=1e-9)
     assert res.tail_mass.value < 1e-6
     # First moment consistency with the closed-form E[K].
-    k1, _ = moments_of_K_dropping(Exponential(1.0), Exponential(1.0))
+    k1, _ = moments_of_K_dropping(Pair(Exponential(1.0), Exponential(1.0)))
     mean_from_pmf = sum(k * m.value for k, m in enumerate(res.pmf, start=1))
     assert mean_from_pmf == pytest.approx(k1.value, rel=5e-3)
 
@@ -235,12 +235,12 @@ def test_success_probability_against_monte_carlo_oracle():
 
 
 def test_conditional_mean_service_values():
-    assert conditional_mean_service(Exponential(1.0), Exponential(1.0)) == \
+    assert Pair(Exponential(1.0), Exponential(1.0)).completed_service == \
         pytest.approx(0.5, rel=1e-9)  # 1/(lam+mu)
-    assert conditional_mean_service(Deterministic(2.0), Deterministic(1.0)) == \
+    assert Pair(Deterministic(2.0), Deterministic(1.0)).completed_service == \
         pytest.approx(1.0)
     with pytest.raises(ZeroSuccessProbability):
-        conditional_mean_service(Deterministic(1.0), Deterministic(2.0))
+        Pair(Deterministic(1.0), Deterministic(2.0)).completed_service
 
 
 def test_conditional_mean_service_against_monte_carlo_oracle():
@@ -252,20 +252,20 @@ def test_conditional_mean_service_against_monte_carlo_oracle():
     kept = draws_s[draws_s <= draws_y]
     oracle = float(kept.mean())
     se = float(kept.std(ddof=1) / math.sqrt(len(kept)))
-    assert abs(conditional_mean_service(y, s) - oracle) <= 4.0 * se
+    assert abs(Pair(y, s).completed_service - oracle) <= 4.0 * se
 
 
 def test_mm_preemption_closed_form():
     for lam in (0.5, 1.0, 2.0):
         for mu in (0.5, 1.0, 2.0):
-            est = exact_age_preemption(Exponential(lam), Exponential(mu))
+            est = exact_age_preemption(Pair(Exponential(lam), Exponential(mu)))
             assert est.value == pytest.approx(1.0 / lam + 1.0 / mu, rel=1e-8)
 
 
 def test_printed_denominator_variant_differs():
     # lam=2, mu=1: dividing the middle term by p gives 1.5; dividing it by
     # 1-p instead would give 7/6.
-    exact = exact_age_preemption(Exponential(2.0), Exponential(1.0))
+    exact = exact_age_preemption(Pair(Exponential(2.0), Exponential(1.0)))
     assert exact.value == pytest.approx(1.5, rel=1e-9)
     # Only the p reading matches simulation.
     est, _ = run_simulation(SimConfig(Exponential(2.0), Exponential(1.0),
@@ -277,7 +277,8 @@ def test_printed_denominator_variant_differs():
 def _preemption_outcome(y, s):
     """(exact age, corollary 2 bound), or the AoiError class raised."""
     try:
-        return exact_age_preemption(y, s).value, ub_preemption(y, s).value
+        pair = Pair(y, s)
+        return exact_age_preemption(pair).value, ub_preemption(pair).value
     except AoiError as exc:
         return type(exc)
 
@@ -302,16 +303,16 @@ def _dropping_outcome(y, s):
     """Times (age, its half-width, corollary 1, gm11 for exponential
     service), probabilities (the K pmf and tail) and the mg11 label, or the
     AoiError class raised."""
+    pair = Pair(y, s)
     try:
-        est = exact_age_dropping(y, s)
-        times = [est.value, est.ci_half_width,
-                 ub_dropping_general(y, s).value]
+        est = exact_age_dropping(pair)
+        times = [est.value, est.ci_half_width, ub_dropping_general(pair).value]
         if isinstance(s, Exponential):
-            times.append(ub_dropping_gm(y, s.rate).value)
-        pmf = k_pmf(y, s, 10)
+            times.append(ub_dropping_gm(pair).value)
+        pmf = k_pmf(pair, 10)
     except AoiError as exc:
         return type(exc)
-    label = mg11_ordering_bound(y, s)
+    label = mg11_ordering_bound(pair)
     return (times, [m.value for m in (*pmf.pmf, pmf.tail_mass)],
             label.applicability)
 
@@ -336,12 +337,12 @@ def test_dropping_is_scale_free(y, s, log10_c):
 
 
 def test_preemption_deterministic_cases():
-    est = exact_age_preemption(Deterministic(2.0), Deterministic(1.0))
+    est = exact_age_preemption(Pair(Deterministic(2.0), Deterministic(1.0)))
     assert est.value == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ZeroSuccessProbability):
-        exact_age_preemption(Deterministic(1.0), Deterministic(2.0))
+        exact_age_preemption(Pair(Deterministic(1.0), Deterministic(2.0)))
     # Tie: completion at exactly the next arrival succeeds.
-    est = exact_age_preemption(Deterministic(1.0), Deterministic(1.0))
+    est = exact_age_preemption(Pair(Deterministic(1.0), Deterministic(1.0)))
     assert est.value == pytest.approx(1.5, abs=1e-12)
 
 
@@ -353,7 +354,7 @@ def test_preemption_deterministic_cases():
     (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Exponential(1.0)),
 ])
 def test_estimator_simulator_agreement_dropping(y, s):
-    est = exact_age_dropping(y, s)
+    est = exact_age_dropping(Pair(y, s))
     sim, _ = run_simulation(SimConfig(y, s, "dropping", 20_000, seed=31))
     assert abs(est.value - sim.value) <= \
         3.0 * (est.ci_half_width + sim.ci_half_width)
@@ -364,7 +365,7 @@ def test_estimator_simulator_agreement_dropping(y, s):
     (Uniform(0.2, 1.8), Rayleigh(0.4)),
 ])
 def test_estimator_simulator_agreement_preemption(y, s):
-    est = exact_age_preemption(y, s)
+    est = exact_age_preemption(Pair(y, s))
     sim, _ = run_simulation(SimConfig(y, s, "preemption", 20_000, seed=32))
     assert abs(est.value - sim.value) <= \
         3.0 * (est.ci_half_width + sim.ci_half_width) + 1e-9
@@ -380,9 +381,9 @@ def test_preemption_k_is_geometric_in_simulation():
 
 
 def test_reproducibility_bit_identical():
-    a = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5))
-    b = exact_age_dropping(Uniform(0.2, 1.8), Rayleigh(0.5))
+    a = exact_age_dropping(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)))
+    b = exact_age_dropping(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)))
     assert a == b
-    c = k_pmf(Exponential(1.0), Exponential(1.0), 5)
-    d = k_pmf(Exponential(1.0), Exponential(1.0), 5)
+    c = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)
+    d = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)
     assert c == d

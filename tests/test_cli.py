@@ -7,11 +7,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from aoi import errors
 from aoi.cli import main
 from aoi.distributions import from_dict
 from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
 from aoi.sim import Discipline
+from test_distributions import ALL_KINDS, RESCALED
 
 EXP1 = '{"kind": "exponential", "rate": 1}'
 DET = '{"kind": "deterministic", "value": %s}'
@@ -305,9 +307,16 @@ def test_sweep_end_to_end(capsys, tmp_path):
     ({**SWEEP_SPEC, "sim_cycles": 2.5}, "sim_cycles must be an integer"),
     ({**SWEEP_SPEC, "interarrival": {"kind": "uniform", "upper": 2.0},
       "swept_param": "lower", "grid": [0.5, 3.0]}, "upper must exceed lower"),
+    ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
+      "swept_param": "value", "grid": [0.0, 1.0], "estimators": ["exact"]},
+     "interarrival law must have a positive mean"),
+    ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
+      "swept_param": "value", "grid": [0.0, 1.0], "estimators": ["simulate"]},
+     "interarrival law must have a positive mean"),
 ], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
         "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
-        "fractional-base-seed", "fractional-sim-cycles", "bad-later-grid-point"])
+        "fractional-base-seed", "fractional-sim-cycles", "bad-later-grid-point",
+        "degenerate-pair-exact", "degenerate-pair-simulate"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
@@ -374,3 +383,35 @@ assert "scipy.integrate" not in sys.modules
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_schema_error_enum_names_every_domain_error():
+    domain = {name for name, cls in vars(errors).items()
+              if isinstance(cls, type) and issubclass(cls, errors.AoiError)
+              and cls is not errors.AoiError}
+    assert set(CLI_RESULT_SCHEMA["properties"]["error"]["enum"]) == domain
+
+
+EXTREME_LAWS = [RESCALED[d.kind](d, c) for d in ALL_KINDS for c in (1e-300, 1e300)]
+
+
+@pytest.mark.parametrize("command", [
+    "check-properties", "dropping/interarrival", "dropping/service",
+    "preemption/interarrival", "preemption/service"])
+@pytest.mark.parametrize("law", EXTREME_LAWS,
+                         ids=[f"{d.kind}-{c:g}" for d in ALL_KINDS
+                              for c in (1e-300, 1e300)])
+def test_extreme_time_scales_end_in_an_exit_code(capsys, law, command):
+    # Moments, ccdf and pdf at times near the float range overflow to inf
+    # or underflow to 0, never raise: each command ends in a result, a
+    # domain error or a usage error.  A RuntimeWarning fails the test too.
+    dist = json.dumps(law.to_dict())
+    if command == "check-properties":
+        argv = ["check-properties", "--dist", dist]
+    else:
+        discipline, role = command.split("/")
+        y, s = (dist, EXP1) if role == "interarrival" else (EXP1, dist)
+        argv = ["exact", "--discipline", discipline,
+                "--interarrival", y, "--service", s]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and "Traceback" not in err

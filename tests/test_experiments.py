@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from aoi import analytic
 from aoi.analytic import EstimatorOptions
-from aoi.distributions import Deterministic, Exponential, ShiftedExponential
+from aoi.distributions import (Deterministic, Exponential, Rayleigh,
+                               ShiftedExponential, Uniform)
 from aoi.experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
-                             emit_csv, read_csv, run_sweep)
+                             emit_csv, evaluate_point, read_csv, run_sweep)
+from aoi.sim import Discipline
 
 SMALL_OPTS = EstimatorOptions(mc_samples=20_000, seed=0)
 
@@ -137,6 +140,28 @@ def test_divergent_points_are_recorded_not_fatal():
     assert cells[(0.5, "corollary2")].value is None
     assert cells[(3.0, "simulate")].value == pytest.approx(3.5)
     assert cells[(3.0, "exact")].value == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("discipline,y,s,tags,primitive", [
+    (Discipline.DROPPING, Uniform(0.0, 0.2), Rayleigh(2.0),
+     ("exact", "corollary1"), "_lattice_solves"),
+    (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
+     ("exact", "corollary2"), "success_probability"),
+], ids=["lattice-solve-pair", "success-probability"])
+def test_each_primitive_is_computed_once_per_point(monkeypatch, discipline, y,
+                                                   s, tags, primitive):
+    # An age and a bound of one grid point share its one Pair.
+    calls = []
+    original = getattr(analytic, primitive)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analytic, primitive, counted)
+    rows = evaluate_point(discipline, y, s, tags, 1.0, 100, 0)
+    assert [r.estimator for r in rows if r.value is not None] == list(tags)
+    assert len(calls) == 1
 
 
 def test_csv_round_trip_and_determinism(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aoi import analytic
-from aoi.analytic import (EstimatorOptions, exact_age_dropping, k_pmf,
+from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping, k_pmf,
                           moments_of_K_dropping)
 from aoi.distributions import (Deterministic, Erlang, Exponential, Rayleigh,
                                ShiftedExponential, Uniform)
@@ -35,12 +35,11 @@ REPLICATES = 200_000
 
 def lattice(y, s):
     """Every lattice result as (value, half-width) pairs, in one order."""
-    est = exact_age_dropping(y, s)
-    k1, k2 = moments_of_K_dropping(y, s)
-    pmf = k_pmf(y, s, K_MAX)
-    return ([(est.value, est.ci_half_width)]
-            + [(m.value, Z95 * m.stderr) for m in (k1, k2, *pmf.pmf,
-                                                    pmf.tail_mass)])
+    pair = Pair(y, s)
+    est = exact_age_dropping(pair)
+    k1, k2 = moments_of_K_dropping(pair)
+    pmf = k_pmf(pair, K_MAX)
+    return [(est.value, est.ci_half_width), k1, k2, *pmf.pmf, pmf.tail_mass]
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
@@ -96,7 +95,7 @@ def test_deep_cycle_guard():
     age = 1.0 / lam + lam * d * d / (2.0 * (1.0 + lam * d)) + d
     tracemalloc.start()
     try:
-        est = exact_age_dropping(Exponential(lam), Deterministic(d))
+        est = exact_age_dropping(Pair(Exponential(lam), Deterministic(d)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -107,8 +106,8 @@ def test_deep_cycle_guard():
 
 @pytest.mark.parametrize("compute", [
     exact_age_dropping, moments_of_K_dropping,
-    lambda y, s: k_pmf(y, s, K_MAX)], ids=["exact", "moments", "kpmf"])
+    lambda pair: k_pmf(pair, K_MAX)], ids=["exact", "moments", "kpmf"])
 def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
     with pytest.raises(TruncationNotReached):
-        compute(Exponential(1000.0), Deterministic(100.0))
+        compute(Pair(Exponential(1000.0), Deterministic(100.0)))

@@ -1,0 +1,65 @@
+"""No module of ``aoi`` reaches into another one's private names.
+
+A name with a leading underscore is private to its module; whatever two
+modules share goes through a public name, so each module's private code
+can change without breaking another.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "aoi"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_crossings(source: str, own: str) -> list[str]:
+    """Every ``from <aoi module> import _name`` and every ``module._name``
+    read, where the module is another ``aoi`` module, in ``source`` (the
+    text of module ``own``)."""
+    modules = {}  # local name -> aoi module it is bound to
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module if node.level == 0 else f"aoi.{node.module or ''}"
+            package = package.rstrip(".")
+            if package == "aoi":  # from . import analytic
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif package.startswith("aoi.") and package != f"aoi.{own}":
+                found += [f"{own}: from {package} import {a.name}"
+                          for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.split(".")[1]) for a in node.names
+                           if a.name.startswith("aoi.") and a.asname)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, own) != own):
+            found.append(f"{own}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_name_crosses_modules(path):
+    assert private_crossings(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_checker_flags_both_forms():
+    source = ("from . import analytic\n"
+              "from .analytic import Pair, _head\n"
+              "from aoi.sim import _BLOCK\n"
+              "from .bounds import _own_helper\n"
+              "import aoi.distributions as dist\n"
+              "analytic._lattice_solves(1, 2)\n"
+              "dist._panel_quad\n"
+              "analytic.__doc__\n")
+    assert sorted(private_crossings(source, "bounds")) == [
+        "bounds: analytic._lattice_solves",
+        "bounds: dist._panel_quad",
+        "bounds: from aoi.analytic import _head",
+        "bounds: from aoi.sim import _BLOCK",
+    ]

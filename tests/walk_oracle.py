@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from aoi.analytic import (DEFAULT_OPTIONS, EstimatorOptions, KPmf,
-                          _require_valid_pair)
+from aoi.analytic import DEFAULT_OPTIONS, EstimatorOptions, Pair
 from aoi.distributions import Distribution
 from aoi.errors import TruncationNotReached
 from aoi.sim import Moment
@@ -55,7 +55,7 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
     the second moment of K (the k = 1 step contributes exactly 1, 0, 1).
     Raises :class:`TruncationNotReached` after 10^4 terms.
     """
-    _require_valid_pair(interarrival, service)
+    Pair(interarrival, service)  # raises ValueError for a pair it rejects
     rng = np.random.default_rng(opts.seed)
     n = opts.mc_samples
 
@@ -93,8 +93,15 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
                        k_second=reduce(ksq), cov_sum_k=cov, samples=n)
 
 
+class WalkPmf(NamedTuple):
+    """Monte Carlo pmf of K, each probability with its standard error."""
+
+    pmf: tuple[Moment, ...]   # Pr(K = 1), ..., Pr(K = k_max)
+    tail_mass: Moment         # Pr(K > k_max)
+
+
 def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
-                opts: EstimatorOptions) -> KPmf:
+                opts: EstimatorOptions) -> WalkPmf:
     """Monte Carlo pmf of K: Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along
     the gap path, with ccdf(A_1) taken as 1; every replicate draws exactly
     k_max gaps.
@@ -119,4 +126,4 @@ def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
         pmf.append(Moment(float(mean), float(math.sqrt(var / n))))
     tail_mass = Moment(float(prev_tail.mean()),
                        float(prev_tail.std(ddof=1) / math.sqrt(n)))
-    return KPmf(pmf=tuple(pmf), tail_mass=tail_mass, k_max=k_max)
+    return WalkPmf(pmf=tuple(pmf), tail_mass=tail_mass)
