@@ -6,7 +6,9 @@ common scale on the two phase rates shows the ordering flip: the general
 arrivals-count bound (corollary1) stays above the exact age, while the
 mean-matched exponential-arrival value (mg11) drops below it and acts as a
 lower bound.  The applicability column records the flip
-(ReversedUnderIMRL), driven by the MRL classifier at every point.
+(ReversedUnderIMRL), read at every point from the two laws' closed-form
+ageing classes: IMRL arrivals and exponential service, which is NBUE, as
+the reversal needs.
 
 The swept scale multiplies both phase rates, so it cannot ride the scalar
 template sweep; each point goes through the sweep's per-point evaluation

@@ -13,9 +13,9 @@ from .analytic import (DEFAULT_OPTIONS, EstimatorOptions, Interval, KPmf,
 from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
                      ub_dropping_general, ub_dropping_gm, ub_preemption)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
-                            Hyperexponential, MrlClassification, MrlVerdict,
-                            Rayleigh, ShiftedExponential, Uniform, classify_mrl,
-                            from_dict, mean_residual_life)
+                            Hyperexponential, MrlVerdict, Rayleigh,
+                            ShiftedExponential, Uniform, from_dict,
+                            mean_residual_life)
 from .errors import (AoiError, DivergentAge, QuadratureNotConverged, TailEmpty,
                      TruncationNotReached, ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,

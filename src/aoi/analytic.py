@@ -151,8 +151,11 @@ class Pair:
     def __post_init__(self):
         if self.interarrival.mean() <= 0:
             raise ValueError("interarrival law must have a positive mean")
-        if not math.isfinite(self.interarrival.second_moment()):
+        y2 = self.interarrival.second_moment()
+        if not math.isfinite(y2):
             raise ValueError("interarrival law must have a finite second moment")
+        if y2 == 0.0:  # E[Y] > 0, so E[Y^2] > 0 unless it underflows
+            raise ValueError("interarrival second moment underflows to 0")
         if not math.isfinite(self.service.mean()):
             raise ValueError("service law must have a finite mean")
 

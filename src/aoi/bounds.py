@@ -9,20 +9,23 @@ success probability and completed-service term.  At exponential arrivals
 the exponential-service bound is
 the M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
 upper bound only for interarrivals with decreasing mean residual life and
-NBUE service; with IMRL interarrivals it flips into a lower bound, which
-the ``applicability`` tag records from :func:`classify_mrl`.
+NBUE service; with IMRL interarrivals and NBUE service it flips into a
+lower bound.  Its ``applicability`` tag reads both premises from the two
+laws' closed-form ageing classes
+(:meth:`~aoi.distributions.Distribution.mrl_class`).
 :data:`aoi.experiments.ESTIMATORS` says which bound applies to which
 discipline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 from .analytic import Pair, moments_of_K_dropping
-from .distributions import Exponential, MrlVerdict, classify_mrl
+from .distributions import Exponential, MrlVerdict
 
 __all__ = [
     "BoundKind",
@@ -46,6 +49,7 @@ class Applicability(str, Enum):
     UNCONDITIONAL = "Unconditional"
     REQUIRES_DMRL_NBUE = "RequiresDMRLandNBUE"
     REVERSED_UNDER_IMRL = "ReversedUnderIMRL"
+    PREMISE_NOT_MET = "PremiseNotMet"
 
 
 @dataclass(frozen=True)
@@ -107,23 +111,34 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
     E[(Ye + S)^2] / (2 E[Ye + S]) + E[S] with Ye exponential of mean E[Y].
 
     The value depends on the interarrival law only through its mean, by
-    construction; its :func:`classify_mrl` verdict picks the label: DMRL
-    interarrivals (with NBUE service) make this an upper bound; IMRL
-    interarrivals reverse it into a lower bound.
+    construction.  The laws' ageing classes pick the label.  Without NBUE
+    service the premise is not met: it can fall on either side of the
+    age.  With NBUE service, DMRL (or constant) interarrivals make it an
+    upper bound and IMRL interarrivals reverse it into a lower bound.
+    Raises ``ValueError`` when E[S^2] overflows, or underflows to 0 while
+    E[S] > 0.
     """
     ye_mean = pair.interarrival.mean()
     ye_second = 2.0 * ye_mean**2
     es = pair.service.mean()
     es2 = pair.service.second_moment()
+    if not math.isfinite(es2) or (es2 == 0.0 and es > 0.0):
+        raise ValueError(f"service second moment {es2!r} is out of the "
+                         "float range")
     value = ((ye_second + 2.0 * ye_mean * es + es2)
              / (2.0 * (ye_mean + es)) + es)
-    verdict = classify_mrl(pair.interarrival).verdict
-    applicability = (Applicability.REVERSED_UNDER_IMRL
-                     if verdict is MrlVerdict.IMRL
-                     else Applicability.REQUIRES_DMRL_NBUE)
+    y_class = pair.interarrival.mrl_class()
+    s_class = pair.service.mrl_class()
+    if not s_class.nbue:
+        applicability = Applicability.PREMISE_NOT_MET
+    elif y_class is MrlVerdict.IMRL:
+        applicability = Applicability.REVERSED_UNDER_IMRL
+    else:
+        applicability = Applicability.REQUIRES_DMRL_NBUE
     return BoundReport(
         value=value, kind=BoundKind.MG11Ordering, applicability=applicability,
-        inputs={**pair.to_dict(), "interarrival_verdict": verdict.value})
+        inputs={**pair.to_dict(), "interarrival_verdict": y_class.value,
+                "service_verdict": s_class.value})
 
 
 def ub_preemption(pair: Pair) -> BoundReport:

@@ -25,7 +25,7 @@ import sys
 
 from . import analytic, experiments
 from .analytic import EstimatorOptions, Pair
-from .distributions import Distribution, classify_mrl, from_dict
+from .distributions import Distribution, from_dict
 from .errors import AoiError
 from .sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
 
@@ -206,14 +206,14 @@ def _cmd_simulate(args) -> int:
 
 def _estimate(args, tag: str, discipline: Discipline):
     """The command's pair and ``tag``'s result on it from the estimator
-    table.  A pair or precondition the table rejects, or a bad (unread)
-    ``--mc-samples``, is a usage error."""
+    table.  A pair, precondition or moment the table rejects, or a bad
+    (unread) ``--mc-samples``, is a usage error."""
     with _usage_errors(args):
         pair = Pair(args.interarrival, args.service)
         experiments.require(tag, discipline, pair.service)
         if (tag, discipline) in _MC_SAMPLES_CHECKED:
             EstimatorOptions(mc_samples=args.mc_samples)
-    return pair, experiments.ESTIMATORS[tag].calls[discipline](pair)
+        return pair, experiments.ESTIMATORS[tag].calls[discipline](pair)
 
 
 def _cmd_exact(args) -> int:
@@ -272,17 +272,15 @@ def _cmd_kpmf(args) -> int:
 
 
 def _cmd_check_properties(args) -> int:
-    mrl = classify_mrl(args.dist)
+    verdict = args.dist.mrl_class()
     inputs = {"dist": args.dist.to_dict()}
-    result = {"verdict": mrl.verdict.value, "nbue": mrl.nbue,
-              "mean": args.dist.mean(), "grid_points": len(mrl.grid)}
+    result = {"verdict": verdict.value, "nbue": verdict.nbue,
+              "mean": args.dist.mean()}
     lines = [
         f"distribution    {args.dist.describe()}",
         f"mean            {_fmt(args.dist.mean())}",
-        f"MRL verdict     {mrl.verdict.value}",
-        f"NBUE            {'true' if mrl.nbue else 'false'}",
-        f"grid points     {len(mrl.grid)} "
-        f"(tol {mrl.tolerance:g}, cap at 0.999 quantile)",
+        f"MRL verdict     {verdict.value}",
+        f"NBUE            {'true' if verdict.nbue else 'false'}",
     ]
     return _emit(args, "check-properties", inputs, result, lines)
 
@@ -292,7 +290,8 @@ def _cmd_sweep(args) -> int:
         spec = experiments.SweepSpec.from_json_file(args.spec)
     except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"aoi sweep: bad --spec {args.spec}: {exc}")
-    result_obj = experiments.run_sweep(spec)
+    with _usage_errors(args):  # a moment an estimator rejects
+        result_obj = experiments.run_sweep(spec)
     experiments.emit_csv(result_obj, args.csv)
     if args.chart:
         experiments.emit_chart(result_obj, args.chart,

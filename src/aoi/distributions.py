@@ -8,29 +8,22 @@ family of laws. Each law is a frozen dataclass exposing
   point mass at ``v`` satisfies ``ccdf(v) == 0``,
 * the Laplace transform ``E[exp(-s X)]`` in closed form,
 * seeded sampling through :class:`numpy.random.Generator`,
+* its ageing class (:class:`MrlVerdict`), read from its parameters,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
-Every integral (:func:`expect` and the MRL tail integrals) comes from one
-vectorized panel quadrature: the range is cut at the law's breakpoints,
-the caller's breakpoints and a fixed grid in units of the law's mean (an
-unbounded last piece is mapped onto [0, 1)), every panel gets a 20-point
-Gauss-Legendre rule checked against a 10-point one in one array call of
-the integrand, and the panels whose rules disagree are bisected, all at
-once, until none is left.  Measuring the variable in units of the mean
-makes results rescale with time.  The tolerance is relative and fixed
-(``QUAD_REL_TOL`` for :func:`expect`, ``MRL_REL_TOL`` for the MRL
-integrals), with a floor relative to the first pass's total; the error
-estimate is the summed rule disagreement plus a roundoff floor.
-
-Mean-residual-life utilities live here as well: :func:`mean_residual_life`
-integrates the tail, and :func:`classify_mrl` grades the monotonicity of
-the MRL curve and the NBUE property from one grid capped at the 0.999
-quantile, with a tolerance relative to the mean.  Both take their tail
-integrals from one pass: E[X] - t in closed form where the ccdf is 1 (t at
-or below the support), and otherwise the panel integrals between the
-points, summed from the right.  The strict ccdf convention matches the
-simulator's tie rule (a completion at exactly an arrival instant counts
-as a success), which keeps formula evaluation and event accounting
+Every integral (:func:`expect` and the tail integral of
+:func:`mean_residual_life`) comes from one vectorized panel quadrature:
+the range is cut at the law's breakpoints, the caller's breakpoints and a
+fixed grid in units of the law's mean (an unbounded last piece is mapped
+onto [0, 1)), every panel gets a 20-point Gauss-Legendre rule checked
+against a 10-point one in one array call of the integrand, and the panels
+whose rules disagree are bisected, all at once, until none is left.
+Measuring the variable in units of the mean makes results rescale with
+time.  The tolerance is ``QUAD_REL_TOL``, relative, with a floor relative
+to the first pass's total; the error estimate is the summed rule
+disagreement plus a roundoff floor.  The strict ccdf convention matches
+the simulator's tie rule (a completion at exactly an arrival instant
+counts as a success), which keeps formula evaluation and event accounting
 aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
@@ -62,20 +55,12 @@ __all__ = [
     "Erlang",
     "Hyperexponential",
     "MrlVerdict",
-    "MrlClassification",
     "mean_residual_life",
-    "classify_mrl",
     "expect",
     "from_dict",
-    "DEFAULT_MRL_TOL",
-    "MRL_QUANTILE_CAP",
 ]
 
 QUAD_REL_TOL = 1e-9
-MRL_REL_TOL = 1e-8
-MRL_QUANTILE_CAP = 0.999
-DEFAULT_MRL_TOL = 1e-6  # relative to the law's mean
-_MRL_GRID_POINTS = 64
 _QUAD_FLOOR = 1e-14  # panel error floor, relative to the first round's total
 _PANEL_GRID = 4      # panels cut at 1, 2, ..., 4 means
 _MAX_DEPTH = 50      # bisection rounds
@@ -88,6 +73,20 @@ def _over_square(num: float, x: float) -> float:
     """num / x^2 that never raises: inf if x^2 underflows, 0 if it overflows."""
     square = x * x
     return num / square if square else math.inf
+
+
+class MrlVerdict(str, Enum):
+    """Monotonicity of the mean residual life m(t) = E[X - t | X > t]."""
+
+    DMRL = "DMRL"
+    IMRL = "IMRL"
+    CONSTANT = "ConstantMRL"
+
+    @property
+    def nbue(self) -> bool:
+        """New better than used in expectation, m(t) <= E[X]: it follows
+        from a nonincreasing m, and an increasing one rules it out."""
+        return self is not MrlVerdict.IMRL
 
 
 class Distribution(ABC):
@@ -157,6 +156,11 @@ class Distribution(ABC):
     def quantile(self, p: float) -> float:
         """Smallest x with Pr(X <= x) >= p, for p in [0, 1)."""
 
+    @abstractmethod
+    def mrl_class(self) -> MrlVerdict:
+        """The ageing class of the law over its whole support, read from
+        its parameters."""
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -207,6 +211,9 @@ class Exponential(Distribution):
     def quantile(self, p):
         return -math.log1p(-p) / self.rate
 
+    def mrl_class(self):
+        return MrlVerdict.CONSTANT
+
 
 @dataclass(frozen=True)
 class ShiftedExponential(Distribution):
@@ -252,6 +259,9 @@ class ShiftedExponential(Distribution):
     def quantile(self, p):
         return self.shift - math.log1p(-p) / self.rate
 
+    def mrl_class(self):
+        return MrlVerdict.DMRL if self.shift > 0 else MrlVerdict.CONSTANT
+
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
@@ -292,6 +302,9 @@ class Deterministic(Distribution):
 
     def quantile(self, p):
         return float(self.value)
+
+    def mrl_class(self):  # m(t) = value - t; vacuous at value 0
+        return MrlVerdict.DMRL
 
 
 @dataclass(frozen=True)
@@ -339,6 +352,9 @@ class Uniform(Distribution):
 
     def quantile(self, p):
         return self.lower + p * (self.upper - self.lower)
+
+    def mrl_class(self):  # increasing failure rate
+        return MrlVerdict.DMRL
 
 
 @dataclass(frozen=True)
@@ -398,6 +414,9 @@ class Rayleigh(Distribution):
     def quantile(self, p):
         return self.scale * math.sqrt(-2.0 * math.log1p(-p))
 
+    def mrl_class(self):  # failure rate x / scale^2
+        return MrlVerdict.DMRL
+
 
 @dataclass(frozen=True)
 class Erlang(Distribution):
@@ -445,6 +464,9 @@ class Erlang(Distribution):
     def quantile(self, p):
         from scipy import special
         return float(special.gammaincinv(self.shape, p)) / self.rate
+
+    def mrl_class(self):  # increasing failure rate from shape 2
+        return MrlVerdict.DMRL if self.shape > 1 else MrlVerdict.CONSTANT
 
 
 @dataclass(frozen=True)
@@ -505,11 +527,20 @@ class Hyperexponential(Distribution):
     def quantile(self, p):
         if p <= 0.0:
             return 0.0
-        # ccdf(x) <= exp(-min_rate * x) gives a valid right bracket.
-        hi = -math.log1p(-p) / min(self.rates) + 1.0
+        # Solved in units of the mean to a relative tolerance, so it
+        # rescales with time.  The root lies below -log1p(-p) / min_rate,
+        # since ccdf(x) <= exp(-min_rate x); twice that keeps the sign at
+        # the right end clear of rounding when all rates are equal.
+        unit = self.mean()
+        hi = -2.0 * math.log1p(-p) / (min(self.rates) * unit)
         from scipy import optimize
-        return float(optimize.brentq(lambda x: self.ccdf(x) - (1.0 - p),
-                                     0.0, hi, xtol=1e-12, rtol=8.9e-16))
+        return unit * float(optimize.brentq(
+            lambda u: self.ccdf(unit * u) - (1.0 - p), 0.0, hi,
+            xtol=1e-300, rtol=8.9e-16))
+
+    def mrl_class(self):  # decreasing failure rate unless one rate
+        return (MrlVerdict.CONSTANT if len(set(self.rates)) == 1
+                else MrlVerdict.IMRL)
 
 
 _KINDS: dict[str, type] = {
@@ -560,9 +591,8 @@ def expect(dist: Distribution, fn: Callable[[np.ndarray], np.ndarray],
         return float(fn(dist.value)), 0.0
     lo, hi = dist.support()
     inner = [p for p in (*dist.breakpoints(), *extra_breakpoints) if lo < p < hi]
-    pieces, err = _panel_quad(lambda x: fn(x) * dist.pdf(x), dist.mean(),
-                              sorted({lo, *inner, hi}), QUAD_REL_TOL)
-    return float(pieces.sum()), err
+    return _panel_quad(lambda x: fn(x) * dist.pdf(x), dist.mean(),
+                       sorted({lo, *inner, hi}))
 
 
 @functools.cache
@@ -583,10 +613,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
-                cuts: Sequence[float], rel_tol: float
-                ) -> tuple[np.ndarray, float]:
-    """The integrals of ``f`` over the pieces between the sorted ``cuts``
-    (the last may be ``inf``), and an error estimate of their sum.
+                cuts: Sequence[float]) -> tuple[float, float]:
+    """The integral of ``f`` from ``cuts[0]`` to ``cuts[-1]`` (which may be
+    ``inf``) over the pieces between the sorted ``cuts``, and an error
+    estimate.
 
     The variable is measured from ``cuts[0]`` in units of ``unit``, so a
     narrow range far from 0 keeps its panel widths exact.  The pieces are
@@ -594,10 +624,10 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
     unbounded piece [c, inf) is mapped onto [0, 1) by x = c + u / (1 - u).
     Each round evaluates the 20- and 10-point Gauss-Legendre rules on
     every open panel in one call of ``f``, keeps the panels whose rules
-    differ by at most max(rel_tol |G20|, ``_QUAD_FLOOR`` |first-round
-    total|), and bisects the rest.  The error estimate is the kept
-    panels' sum of |G20 - G10| plus 50 eps times their sum of |G20|, the
-    roundoff that decides whether a near-zero result is zero.  Raises
+    differ by at most max(``QUAD_REL_TOL`` |G20|, ``_QUAD_FLOOR``
+    |first-round total|), and bisects the rest.  The error estimate is the
+    kept panels' sum of |G20 - G10| plus 50 eps times their sum of |G20|,
+    the roundoff that decides whether a near-zero result is zero.  Raises
     :class:`QuadratureNotConverged` after ``_MAX_DEPTH`` rounds, or when
     more than ``_MAX_PANELS`` panels fail in one round.
     """
@@ -610,17 +640,15 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
                               u[:-1, None], u[1:, None]),
                       u[1:, None]])
     a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    owner = np.repeat(np.arange(u.size - 1), _PANEL_GRID + 1)
     keep = b > a
-    a, b, owner = a[keep], b[keep], owner[keep]
+    a, b = a[keep], b[keep]
     mapped = np.isinf(b)
     origin = a[-1]
     a[mapped], b[mapped] = 0.0, 1.0
     x20, w20 = _gauss_legendre(20)
     x10, w10 = _gauss_legendre(10)
     nodes, weights = np.concatenate([x20, x10]), np.concatenate([w20, w10])
-    pieces = np.zeros(u.size - 1)
-    err = mag = 0.0
+    total = err = mag = 0.0
     floor = None
     for _ in range(_MAX_DEPTH):
         half = 0.5 * (b - a)
@@ -637,118 +665,40 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
         diff = np.abs(g20 - half * terms[:, 20:].sum(1))
         if floor is None:
             floor = _QUAD_FLOOR * abs(g20.sum())
-        done = diff <= np.maximum(rel_tol * np.abs(g20), floor)
-        pieces += np.bincount(owner[done], g20[done], pieces.size)
+        done = diff <= np.maximum(QUAD_REL_TOL * np.abs(g20), floor)
+        total += g20[done].sum()
         err += diff[done].sum()
         mag += np.abs(g20[done]).sum()
         if done.all():
-            return unit * pieces, float(unit * (err + 50.0 * _EPS * mag))
-        a, b, owner, mapped = (v[~done] for v in (a, b, owner, mapped))
+            return float(unit * total), float(unit * (err + 50.0 * _EPS * mag))
+        a, b, mapped = (v[~done] for v in (a, b, mapped))
         if a.size > _MAX_PANELS:
             break
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        owner, mapped = np.tile(owner, 2), np.tile(mapped, 2)
+        mapped = np.tile(mapped, 2)
     raise QuadratureNotConverged(
-        f"{a.size} quadrature panels still differ by more than {rel_tol:g} "
-        "relative after bisection")
-
-
-def _tail_integrals(dist: Distribution, ts: np.ndarray) -> np.ndarray:
-    """The integral of the ccdf over [t, inf) for each t of the sorted ``ts``.
-
-    E[X] - t at or below the support; inside it, the pieces between the
-    points, the breakpoints and the end of the support come from one
-    :func:`_panel_quad` call at ``MRL_REL_TOL``, summed from the right.
-    """
-    lo, hi = dist.support()
-    unit = dist.mean()
-    out = np.where(ts <= lo, unit - ts, 0.0)
-    inside = (ts > lo) & (ts < hi)
-    inner = ts[inside]
-    if inner.size == 0:
-        return out
-    cuts = np.unique(np.concatenate(
-        [inner, [p for p in dist.breakpoints() if inner[0] < p < hi], [hi]]))
-    pieces, _ = _panel_quad(dist.ccdf, unit, cuts, MRL_REL_TOL)
-    from_right = np.cumsum(pieces[::-1])[::-1]
-    out[inside] = from_right[np.searchsorted(cuts, inner)]
-    return out
+        f"{a.size} quadrature panels still differ by more than "
+        f"{QUAD_REL_TOL:g} relative after bisection")
 
 
 def mean_residual_life(dist: Distribution, t: float) -> float:
     """m(t) = E[X - t | X > t] = (integral of the ccdf over [t, inf)) / ccdf(t).
 
-    Below the support m(t) = E[X] - t exactly; elsewhere the integral is
-    taken in units of the law's mean, so m(c t) of the law rescaled by c
-    is c m(t).  Raises :class:`TailEmpty` when Pr(X > t) = 0.
+    At or below the support m(t) = E[X] - t exactly; inside it the integral
+    is one :func:`_panel_quad` call over [t, the breakpoints beyond t, the
+    end of the support] in units of the law's mean, so m(c t) of the law
+    rescaled by c is c m(t).  Raises :class:`TailEmpty` when
+    Pr(X > t) = 0.
     """
     if t < 0:
         raise ValueError(f"mean residual life needs t >= 0, got {t}")
     tail = float(dist.ccdf(t))
     if tail <= 0.0:
         raise TailEmpty(f"Pr(X > {t}) = 0 for {dist.describe()}")
-    return float(_tail_integrals(dist, np.array([float(t)]))[0]) / tail
-
-
-class MrlVerdict(str, Enum):
-    DMRL = "DMRL"
-    IMRL = "IMRL"
-    CONSTANT = "ConstantMRL"
-    INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class MrlClassification:
-    """Grid-based MRL verdict and NBUE flag, both read from ``grid``.
-
-    ``grid`` holds the (t, m(t)) pairs; ``tolerance`` is the absolute
-    slack applied, ``DEFAULT_MRL_TOL`` times the law's mean.
-    """
-
-    verdict: MrlVerdict
-    nbue: bool
-    grid: tuple[tuple[float, float], ...]
-    tolerance: float
-
-
-def classify_mrl(dist: Distribution) -> MrlClassification:
-    """Classify the MRL curve on [0, 0.999-quantile] from one grid.
-
-    The grid has 64 evenly spaced points.  Its ccdf values come from one
-    array call and its tail integrals from one right-to-left pass: the
-    panel-quadrature pieces between the points and breakpoints (at
-    ``MRL_REL_TOL``), and E[X] - t wherever the ccdf is 1.  Every
-    comparison allows a slack of ``DEFAULT_MRL_TOL`` times the mean, so
-    rescaling the law's time scale leaves the result unchanged.
-    ``ConstantMRL`` requires max - min of the sampled curve within the
-    slack; DMRL/IMRL require
-    each consecutive difference within the slack of the monotone
-    direction.  ``nbue`` ("new better than used in expectation") is
-    m(t) <= mean + slack at every grid point.  Behaviour beyond the
-    quantile cap is unverified.
-    """
-    mean = dist.mean()
-    tol = DEFAULT_MRL_TOL * mean
-    q = dist.quantile(MRL_QUANTILE_CAP)
-    ts = np.linspace(0.0, q, _MRL_GRID_POINTS)
-    tails = dist.ccdf(ts)
-    keep = tails > 0.0
-    ts, tails = ts[keep], tails[keep]
-    values = (_tail_integrals(dist, ts) / tails).tolist()
-    grid = tuple(zip(ts.tolist(), values))
-    if len(values) < 2:
-        verdict = MrlVerdict.INCONCLUSIVE
-    elif max(values) - min(values) <= tol:
-        verdict = MrlVerdict.CONSTANT
-    else:
-        diffs = np.diff(values)
-        if np.all(diffs <= tol):
-            verdict = MrlVerdict.DMRL
-        elif np.all(diffs >= -tol):
-            verdict = MrlVerdict.IMRL
-        else:
-            verdict = MrlVerdict.INCONCLUSIVE
-    return MrlClassification(verdict=verdict,
-                             nbue=all(m <= mean + tol for m in values),
-                             grid=grid, tolerance=tol)
+    lo, hi = dist.support()
+    if t <= lo:
+        return dist.mean() - t
+    cuts = sorted({t, *(p for p in dist.breakpoints() if t < p < hi), hi})
+    integral, _ = _panel_quad(dist.ccdf, dist.mean(), cuts)
+    return integral / tail

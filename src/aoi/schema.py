@@ -58,7 +58,7 @@ CLI_RESULT_SCHEMA = {
                     "kind": {"type": "string"},
                     "applicability": {
                         "enum": ["Unconditional", "RequiresDMRLandNBUE",
-                                 "ReversedUnderIMRL"]},
+                                 "ReversedUnderIMRL", "PremiseNotMet"]},
                 },
             }}},
         },
@@ -93,11 +93,9 @@ CLI_RESULT_SCHEMA = {
                 "type": "object",
                 "required": ["verdict", "nbue", "mean"],
                 "properties": {
-                    "verdict": {"enum": ["DMRL", "IMRL", "ConstantMRL",
-                                         "Inconclusive"]},
+                    "verdict": {"enum": ["DMRL", "IMRL", "ConstantMRL"]},
                     "nbue": {"type": "boolean"},
                     "mean": {"type": "number"},
-                    "grid_points": {"type": "integer", "minimum": 0},
                 },
             }}},
         },

@@ -13,7 +13,7 @@ from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
-                               ShiftedExponential, Uniform, classify_mrl)
+                               ShiftedExponential, Uniform)
 from aoi.experiments import SweepSpec, emit_csv, run_sweep
 from aoi.sim import Z95, SimConfig, cycle_statistics, run_simulation
 from walk_oracle import dropping_walk_moments
@@ -81,7 +81,7 @@ def test_criterion_3_bound_domination_suite():
 
     # Dropping: three families x five points, exponential service.
     service = Exponential(1.0)
-    nbue_service = classify_mrl(service).nbue
+    nbue_service = service.mrl_class().nbue
     dropping_families = {
         "shifted_exponential": [ShiftedExponential(r, 0.5)
                                 for r in (0.4, 0.8, 1.2, 1.6, 2.0)],
@@ -98,7 +98,7 @@ def test_criterion_3_bound_domination_suite():
             gm = ub_dropping_gm(Pair(y, service)).value
             if gm < exact.value - slack:
                 failures.append(f"gm11 < exact for {y.describe()}")
-            verdict = classify_mrl(y).verdict
+            verdict = y.mrl_class()
             if verdict in (MrlVerdict.DMRL, MrlVerdict.CONSTANT) and nbue_service:
                 mg = mg11_ordering_bound(Pair(y, service)).value
                 if mg < exact.value - slack:
@@ -145,7 +145,7 @@ def test_criterion_3_bound_domination_suite():
 def test_criterion_4_ordering_bound_and_imrl_reversal():
     failures = []
     service = ShiftedExponential(1.0, 0.1)
-    if not classify_mrl(service).nbue:
+    if not service.mrl_class().nbue:
         failures.append("service not NBUE")
 
     # DMRL interarrivals: the mean-matched exponential-arrival age is an
@@ -153,7 +153,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
     # where the classifier reports a constant MRL).
     for c in (0.0, 0.5, 1.0, 2.0):
         y = ShiftedExponential(1.0, c)
-        verdict = classify_mrl(y).verdict
+        verdict = y.mrl_class()
         expected = MrlVerdict.CONSTANT if c == 0.0 else MrlVerdict.DMRL
         if verdict is not expected:
             failures.append(f"shift {c}: verdict {verdict}")
@@ -163,19 +163,31 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
             failures.append(f"shift {c}: exact {exact.value:.4f} above "
                             f"bound {bound:.4f}")
 
-    # IMRL interarrivals: the same expression becomes a lower bound.
+    # IMRL interarrivals: the same expression becomes a lower bound with
+    # each NBUE service family.  The H2 service is not NBUE, and there
+    # the label says the premise is not met.
+    services = (service, Exponential(1.0), Deterministic(1.0),
+                Uniform(0.0, 2.0), Rayleigh(0.8), Erlang(2, 2.0),
+                Hyperexponential((0.99, 0.01), (5.0, 0.05)))
     for s in (0.5, 1.0, 1.5, 2.0):
         y = Hyperexponential((0.5, 0.5), (0.5 * s, 2.0 * s))
-        verdict = classify_mrl(y).verdict
+        verdict = y.mrl_class()
         if verdict is not MrlVerdict.IMRL:
             failures.append(f"scale {s}: verdict {verdict}")
-        exact = exact_age_dropping(Pair(y, service))
-        bound = mg11_ordering_bound(Pair(y, service))
-        if bound.applicability.value != "ReversedUnderIMRL":
-            failures.append(f"scale {s}: wrong applicability label")
-        if exact.value < bound.value - 3.0 * exact.ci_half_width:
-            failures.append(f"scale {s}: exact {exact.value:.4f} below "
-                            f"reversed bound {bound.value:.4f}")
+        for x in services:
+            bound = mg11_ordering_bound(Pair(y, x))
+            want = ("ReversedUnderIMRL" if x.mrl_class().nbue
+                    else "PremiseNotMet")
+            if bound.applicability.value != want:
+                failures.append(f"scale {s}, {x.describe()}: wrong "
+                                "applicability label")
+            if want == "PremiseNotMet":
+                continue
+            exact = exact_age_dropping(Pair(y, x))
+            if exact.value < bound.value - 3.0 * exact.ci_half_width:
+                failures.append(f"scale {s}, {x.describe()}: exact "
+                                f"{exact.value:.4f} below reversed bound "
+                                f"{bound.value:.4f}")
     _report(4, "mean-matched ordering bound: DMRL direction and IMRL reversal",
             failures)
 

@@ -9,7 +9,7 @@ from aoi.bounds import (Applicability, BoundKind, BoundReport,
                         ub_dropping_gm, ub_preemption)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
-                               ShiftedExponential, Uniform, classify_mrl)
+                               ShiftedExponential, Uniform)
 from aoi.errors import ZeroSuccessProbability
 
 
@@ -91,16 +91,50 @@ def test_mg11_moment_arithmetic():
 
 
 def test_mg11_applicability_labels():
-    # The label is the interarrival law's own MRL verdict: reversed under
-    # IMRL, conditional otherwise.
+    # With NBUE service the label is the interarrival law's own MRL
+    # verdict: reversed under IMRL, conditional otherwise.
     for y in (Exponential(1.0), ShiftedExponential(1.0, 0.5),
               Hyperexponential((0.5, 0.5), (0.5, 2.0)), Uniform(0.0, 2.0)):
-        verdict = classify_mrl(y).verdict
+        verdict = y.mrl_class()
         report = mg11_ordering_bound(Pair(y, Exponential(1.0)))
         assert report.applicability is (
             Applicability.REVERSED_UNDER_IMRL if verdict is MrlVerdict.IMRL
             else Applicability.REQUIRES_DMRL_NBUE), y.describe()
         assert report.inputs["interarrival_verdict"] == verdict.value
+        assert report.inputs["service_verdict"] == "ConstantMRL"
+
+
+# The pair where the missing service premise once gave a wrong label: DMRL
+# arrivals, a service that is not NBUE, and mg11 below the exact age.
+NON_NBUE_SERVICE = Hyperexponential((0.99, 0.01), (5.0, 0.05))
+
+
+def test_mg11_premise_not_met_without_nbue_service():
+    pair = Pair(ShiftedExponential(2.0, 0.5), NON_NBUE_SERVICE)
+    report = mg11_ordering_bound(pair)
+    assert report.applicability is Applicability.PREMISE_NOT_MET
+    assert report.inputs["service_verdict"] == "IMRL"
+    exact = exact_age_dropping(pair)
+    assert report.value == pytest.approx(4.2876, abs=1e-4)
+    assert exact.value - exact.ci_half_width > report.value
+
+
+def test_mg11_reversal_needs_nbue_service_too():
+    # With this service and IMRL arrivals mg11 lies above the exact age
+    # (six 4M-cycle simulations average 4.919 +/- 0.012), so it is no
+    # lower bound there either.
+    pair = Pair(Hyperexponential((0.5, 0.5), (1.0, 4.0)), NON_NBUE_SERVICE)
+    report = mg11_ordering_bound(pair)
+    assert report.applicability is Applicability.PREMISE_NOT_MET
+    exact = exact_age_dropping(pair)
+    assert report.value > exact.value + exact.ci_half_width
+
+
+@pytest.mark.parametrize("service", [Exponential(1e-300), Exponential(1e300)],
+                         ids=["overflow", "underflow"])
+def test_mg11_rejects_a_service_second_moment_out_of_range(service):
+    with pytest.raises(ValueError, match="service second moment"):
+        mg11_ordering_bound(Pair(Exponential(1.0), service))
 
 
 def test_mg11_labels_imrl_arrivals_without_a_caller_verdict():
@@ -183,13 +217,13 @@ def test_corollary1_dominates_exact_dropping():
 def test_mg11_upper_bound_under_dmrl_and_reversal_under_imrl():
     service = Exponential(1.0)
     dmrl_y = ShiftedExponential(1.0, 0.5)
-    assert classify_mrl(dmrl_y).verdict is MrlVerdict.DMRL
+    assert dmrl_y.mrl_class() is MrlVerdict.DMRL
     exact = exact_age_dropping(Pair(dmrl_y, service))
     bound = mg11_ordering_bound(Pair(dmrl_y, service)).value
     assert bound >= exact.value - 3.0 * exact.ci_half_width
 
     imrl_y = Hyperexponential((0.5, 0.5), (0.5, 2.0))
-    assert classify_mrl(imrl_y).verdict is MrlVerdict.IMRL
+    assert imrl_y.mrl_class() is MrlVerdict.IMRL
     exact = exact_age_dropping(Pair(imrl_y, service))
     lower = mg11_ordering_bound(Pair(imrl_y, service)).value
     assert lower <= exact.value + 3.0 * exact.ci_half_width

@@ -8,8 +8,9 @@ import jsonschema
 import pytest
 
 from aoi import errors
+from aoi.bounds import Applicability
 from aoi.cli import main
-from aoi.distributions import from_dict
+from aoi.distributions import MrlVerdict, from_dict
 from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
 from aoi.sim import Discipline
@@ -171,6 +172,9 @@ def test_deleted_mm11_kind_is_usage_error(capsys):
 
 
 PAIR = ("--interarrival", EXP1, "--service", EXP1)
+# Exponential laws whose squared time scale underflows or overflows.
+EXP_TINY = '{"kind": "exponential", "rate": 1e300}'
+EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -195,10 +199,19 @@ PAIR = ("--interarrival", EXP1, "--service", EXP1)
       "--service", EXP1), "interarrival law must have a positive mean"),
     (("simulate", "--discipline", "dropping", "--interarrival", DET % 0,
       "--service", DET % 0), "interarrival law must have a positive mean"),
+    (("exact", "--discipline", "dropping", "--interarrival", EXP_TINY,
+      "--service", EXP_TINY), "interarrival second moment underflows to 0"),
+    (("exact", "--discipline", "preemption", "--interarrival", EXP_TINY,
+      "--service", EXP_TINY), "interarrival second moment underflows to 0"),
+    (("bound", "--kind", "mg11", "--interarrival", EXP1, "--service", EXP_HUGE),
+     "service second moment inf is out of the float range"),
 ], ids=["mc-samples", "seed", "seed-check-properties", "seed-sweep",
         "k-max", "cycles", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
-        "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate"])
+        "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate",
+        "underflowing-interarrival-square-dropping",
+        "underflowing-interarrival-square-preemption",
+        "overflowing-service-square-mg11"])
 def test_out_of_range_value_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
@@ -313,10 +326,13 @@ def test_sweep_end_to_end(capsys, tmp_path):
     ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
       "swept_param": "value", "grid": [0.0, 1.0], "estimators": ["simulate"]},
      "interarrival law must have a positive mean"),
+    ({**SWEEP_SPEC, "service": {"kind": "exponential", "rate": 1e-300},
+      "estimators": ["mg11"]}, "service second moment inf"),
 ], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
         "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
         "fractional-base-seed", "fractional-sim-cycles", "bad-later-grid-point",
-        "degenerate-pair-exact", "degenerate-pair-simulate"])
+        "degenerate-pair-exact", "degenerate-pair-simulate",
+        "overflowing-service-square-mg11"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
@@ -390,6 +406,55 @@ def test_schema_error_enum_names_every_domain_error():
               if isinstance(cls, type) and issubclass(cls, errors.AoiError)
               and cls is not errors.AoiError}
     assert set(CLI_RESULT_SCHEMA["properties"]["error"]["enum"]) == domain
+
+
+def _result_enum(command, key):
+    (rule,) = [r for r in CLI_RESULT_SCHEMA["allOf"]
+               if r["if"]["properties"]["command"].get("const") == command]
+    return set(rule["then"]["properties"]["result"]["properties"][key]["enum"])
+
+
+def test_schema_label_enums_name_every_library_label():
+    assert _result_enum("check-properties", "verdict") == \
+        {v.value for v in MrlVerdict}
+    assert _result_enum("bound", "applicability") == \
+        {a.value for a in Applicability}
+
+
+def test_mg11_premise_not_met_without_nbue_service(capsys):
+    code, payload = run_json(
+        capsys, "bound", "--kind", "mg11", "--interarrival",
+        '{"kind": "shifted_exponential", "rate": 2, "shift": 0.5}',
+        "--service", '{"kind": "hyperexponential", "weights": [0.99, 0.01], '
+                     '"rates": [5, 0.05]}')
+    assert code == 0
+    assert payload["result"]["applicability"] == "PremiseNotMet"
+    assert payload["result"]["value"] == pytest.approx(4.2876, abs=1e-4)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-6, 1e6, 1e150])
+def test_dropping_with_hyperexponential_service_rescales(capsys, c):
+    # The lattice reads the service's quantile for its top point.
+    code, payload = run_json(
+        capsys, "exact", "--discipline", "dropping", "--interarrival",
+        json.dumps({"kind": "exponential", "rate": 1.0 / c}), "--service",
+        json.dumps({"kind": "hyperexponential", "weights": [0.4, 0.6],
+                    "rates": [0.5 / c, 3.0 / c]}))
+    assert code == 0
+    assert payload["result"]["value"] == pytest.approx(2.8333311 * c, rel=1e-7)
+
+
+@pytest.mark.parametrize("law", ALL_KINDS,
+                         ids=lambda d: d.kind)
+def test_check_properties_at_extreme_scales_matches_scale_one(capsys, law):
+    _, base = run_json(capsys, "check-properties", "--dist",
+                       json.dumps(law.to_dict()))
+    for c in (1e-300, 1e300):
+        scaled = json.dumps(RESCALED[law.kind](law, c).to_dict())
+        code, payload = run_json(capsys, "check-properties", "--dist", scaled)
+        assert code == 0
+        for key in ("verdict", "nbue"):
+            assert payload["result"][key] == base["result"][key], c
 
 
 EXTREME_LAWS = [RESCALED[d.kind](d, c) for d in ALL_KINDS for c in (1e-300, 1e300)]

@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 from aoi import distributions
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
-                               ShiftedExponential, Uniform, classify_mrl,
-                               expect, from_dict, mean_residual_life)
+                               ShiftedExponential, Uniform, expect, from_dict,
+                               mean_residual_life)
 from aoi.errors import QuadratureNotConverged, TailEmpty
+import mrl_oracle
 
 H2 = Hyperexponential(weights=(0.5, 0.5), rates=(0.5, 2.0))
 
@@ -262,26 +263,63 @@ RESCALED = {
 }
 
 
+# Parameterisations at which a family's class degenerates to constant.
+CONSTANT_CASES = [ShiftedExponential(1.0, 0.0), Erlang(1, 2.0),
+                  Hyperexponential((0.5, 0.5), (1.0, 1.0))]
+
+
 @pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
 def test_mrl_classification(dist, verdict, nbue):
-    result = classify_mrl(dist)
-    assert result.verdict is verdict
-    assert result.nbue is nbue
-    assert len(result.grid) >= 2
-    ts = [t for t, _ in result.grid]
-    assert ts == sorted(ts)
+    assert dist.mrl_class() is verdict
+    assert verdict.nbue is nbue
 
 
-@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("c", [1e-300, 1e-6, 1e-3, 1e3, 1e6, 1e300])
 @pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
 def test_mrl_classification_is_scale_free(dist, verdict, nbue, c):
     scaled = RESCALED[dist.kind](dist, c)
-    result = classify_mrl(scaled)
-    assert result.verdict is verdict
-    assert result.nbue is nbue
-    for t, m in classify_mrl(dist).grid:
-        assert mean_residual_life(scaled, c * t) == pytest.approx(c * m,
-                                                                  rel=1e-9)
+    assert scaled.mrl_class() is verdict
+    assert scaled.mrl_class().nbue is nbue
+    for q in (0.0, 0.3, 0.9):
+        t = dist.quantile(q)
+        if dist.ccdf(t) > 0.0:
+            assert mean_residual_life(scaled, c * t) == pytest.approx(
+                c * mean_residual_life(dist, t), rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES] + CONSTANT_CASES,
+                         ids=lambda d: d.describe())
+def test_mrl_class_matches_the_grid_oracle(dist, c):
+    scaled = RESCALED[dist.kind](dist, c)
+    verdict = scaled.mrl_class()
+    assert mrl_oracle.classify(scaled) == (verdict.value, verdict.nbue)
+
+
+@pytest.mark.parametrize("dist", CONSTANT_CASES, ids=lambda d: d.describe())
+def test_degenerate_parameters_give_a_constant_mrl(dist):
+    assert dist.mrl_class() is MrlVerdict.CONSTANT
+
+
+def test_mrl_classes_the_grid_cannot_resolve():
+    # m(t) rises by about 5e-8 over the whole support, inside the grid's
+    # slack, and D(0) has no point where m is defined: DMRL holds
+    # vacuously.
+    assert Hyperexponential((0.5, 0.5), (1.0, 1.0000001)).mrl_class() is \
+        MrlVerdict.IMRL
+    assert Deterministic(0.0).mrl_class() is MrlVerdict.DMRL
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-150, 1e-6, 1.0, 1e6, 1e150, 1e300])
+def test_hyperexponential_quantile_rescales_with_time(c):
+    dist = Hyperexponential((0.4, 0.6), (0.5, 3.0))
+    scaled = RESCALED[dist.kind](dist, c)
+    for p in (1e-9, 1e-3, 0.5, 0.999, 1.0 - 1e-13):
+        x = dist.quantile(p)
+        cdf = sum(-w * math.expm1(-r * x)
+                  for w, r in zip(dist.weights, dist.rates))
+        assert cdf == pytest.approx(p, rel=1e-12)
+        assert scaled.quantile(p) == pytest.approx(c * x, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [10, 20])
@@ -298,8 +336,6 @@ def test_mrl_below_the_support_is_closed_form():
     dist = Hyperexponential((0.5, 0.5), (1e-3, 1e3))
     assert mean_residual_life(dist, 0.0) == pytest.approx(dist.mean(),
                                                           rel=1e-12)
-    assert classify_mrl(dist).grid[0][1] == pytest.approx(dist.mean(),
-                                                          rel=1e-12)
     shifted = ShiftedExponential(1.0, 2.0)
     assert mean_residual_life(shifted, 0.5) == pytest.approx(2.5, rel=1e-12)
 
@@ -313,7 +349,8 @@ def _forbid_quadpack(monkeypatch):
 
 @pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES])
 def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
-    # Every tail integral of the grid comes from one panel quadrature.
+    # Each m(t) on a grid over the support takes its tail integral from
+    # one panel quadrature (none at or below the support).
     _forbid_quadpack(monkeypatch)
     calls = []
     original = distributions._panel_quad
@@ -323,38 +360,42 @@ def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(distributions, "_panel_quad", counted)
-    classify_mrl(dist)
-    assert len(calls) <= 1
+    for t in np.linspace(0.0, dist.quantile(0.99), 5):
+        if dist.ccdf(t) > 0.0:
+            calls.clear()
+            mean_residual_life(dist, t)
+            assert len(calls) <= 1
 
 
 def test_mrl_piece_that_fails_the_rule_check_is_redone_adaptively(
         monkeypatch):
-    # The fast phase decays inside the piece [0.001, 3.65]: the 10- and
-    # 20-point rules disagree there, so that piece is bisected and the
+    # The fast phase decays inside the first panel [t, t + E[X]]: the 10-
+    # and 20-point rules disagree there, so that panel is bisected and the
     # next round evaluates the ccdf inside it again.
     dist = Hyperexponential((0.99, 0.01), (100.0, 0.01))
-    ts = np.array([0.001, 3.65, 7.3])
+    t = 0.001
     _forbid_quadpack(monkeypatch)
     rounds = []
     ccdf = Hyperexponential.ccdf
 
     def recorded(self, x):
-        rounds.append(np.asarray(x))
+        if np.ndim(x):  # the quadrature's rounds, not the scalar ccdf(t)
+            rounds.append(np.asarray(x))
         return ccdf(self, x)
 
     monkeypatch.setattr(Hyperexponential, "ccdf", recorded)
-    got = distributions._tail_integrals(dist, ts)
+    got = mean_residual_life(dist, t)
     assert len(rounds) > 1
-    assert np.any((rounds[1] > ts[0]) & (rounds[1] < ts[1]))
-    for t, integral in zip(ts, got):
-        assert integral / ccdf(dist, t) == pytest.approx(
-            _hyperexponential_mrl(dist, t), rel=1e-9)
+    assert np.any((rounds[1] > t) & (rounds[1] < t + dist.mean()))
+    assert got == pytest.approx(_hyperexponential_mrl(dist, t), rel=1e-9)
 
 
 def test_constant_verdict_requires_flat_curve():
-    result = classify_mrl(Exponential(2.0))
-    values = [m for _, m in result.grid]
-    assert max(values) - min(values) <= result.tolerance
+    # The oracle grid's constant verdict for E(2) rests on a sampled curve
+    # that stays within its slack; the closed form agrees.
+    _, values = mrl_oracle.grid(Exponential(2.0))
+    assert values.max() - values.min() <= mrl_oracle.REL_SLACK * 0.5
+    assert Exponential(2.0).mrl_class() is MrlVerdict.CONSTANT
 
 
 # ---------------------------------------------------------------- JSON
