@@ -26,13 +26,15 @@ Dropping
     renewal function): E[K] against U, the crossing sum against x dU,
     E[K^2] against 2 U*U - U, Pr(K = k) against convolution powers of the
     gap law.  The gaps are rounded down, and separately up, onto a lattice
-    of step E[Y]/256, and u = delta + f*u is solved by an exponentially
-    tilted FFT.  Rounding down shrinks every partial sum, so the two
-    solves bracket E[K], E[K^2] and each Pr(S > T_k); results are their
+    of step h = E[Y]/256 that ends where the service keeps at most 1e-13
+    of its mass, and u = delta + f*u is solved by an exponentially tilted
+    FFT.  Rounding down shrinks every partial sum, so the two solves
+    bracket E[K], E[K^2] and each Pr(S > T_k); results are their
     midpoints, with half-widths spanning the brackets.  x Pr(S > x) is not
-    monotone, so the age's half-width, the ratio's range over the solves'
-    components, is a width, not a proven bound (typically hundreds of
-    times the actual error).  Deterministic gaps give the exact sums.
+    monotone, but a partial sum of k-1 gaps moves by at most (k-1) h, so
+    each solve's crossing sum widened by h E[K(K-1)]/2 brackets the true
+    one; the age's half-width reaches the far end of that bracket over
+    the one of E[K].  Deterministic gaps give the exact sums.
 
 Preemption
     K is geometric with success probability p = Pr(service <= next gap),
@@ -85,6 +87,7 @@ _LATTICE_STEPS = 256     # lattice points per mean gap
 _MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
 _MAX_LATTICE = 1 << 18   # lattice points per solve: bounds time and memory
 _SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
+_TOP_STEPS = 64          # truncation points tried per octave
 _SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
 _ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
 
@@ -133,6 +136,7 @@ class KPmf:
 class _Solve(NamedTuple):
     """The dropping sums of one lattice solve."""
 
+    step: float          # h, the most a gap was moved by (0: none was)
     k_mean: float        # E[K]
     crossing: float      # sum_k E[A_k * Pr(S > A_k)]
     k_second: float      # E[K^2]
@@ -209,18 +213,37 @@ class Pair:
                 f"vs service {self.service.describe()}")
 
 
+def _truncation_point(service: Distribution) -> float:
+    """The end of a bounded support, else the first point E[S] 2^(j/64),
+    j an integer, where Pr(S > x) <= 1e-13: at most 1.1% past the exact
+    quantile, and in units of E[S], so it rescales with time.
+
+    The octave comes from doubling or halving E[S], the 1/64ths of it from
+    one array call of the ccdf.
+    """
+    hi = service.support()[1]
+    if math.isfinite(hi):
+        return hi
+    x = service.mean()
+    while service.ccdf(x) > _SERVICE_TAIL:
+        x *= 2.0
+    while service.ccdf(0.5 * x) <= _SERVICE_TAIL:
+        x *= 0.5
+    tries = 0.5 * x * np.exp2(np.arange(1, _TOP_STEPS + 1) / _TOP_STEPS)
+    return float(tries[np.argmax(service.ccdf(tries) <= _SERVICE_TAIL)])
+
+
 def _lattice_solves(interarrival: Distribution, service: Distribution
                     ) -> tuple[_Solve, _Solve]:
     """The dropping sums with every gap rounded down, then up, to the
-    lattice jh, h = E[Y]/m, up to the service's 1 - 1e-13 quantile.
+    lattice jh, h = E[Y]/m, up to :func:`_truncation_point`.
 
     m halves from 256 until at most 2^18 points remain; below 16 the cycle
     is too deep (:class:`TruncationNotReached`).  A service breakpoint
     within rounding of a lattice point (the D value, the SE shift) is
     evaluated there exactly, keeping its tie rule at every time scale.
     """
-    hi = service.support()[1]
-    top = hi if math.isfinite(hi) else service.quantile(1.0 - _SERVICE_TAIL)
+    top = _truncation_point(service)
     point_mass = isinstance(interarrival, Deterministic)
     m = 1 if point_mass else _LATTICE_STEPS
     while True:
@@ -242,7 +265,7 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        solve = _Solve(float(first + c.sum()), float(x @ c),
+        solve = _Solve(0.0, float(first + c.sum()), float(x @ c),
                        float(first + (2.0 * np.arange(n) + 1.0) @ c),
                        lambda k_max: np.concatenate(
                            ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
@@ -267,7 +290,7 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
         solves.append(_Solve(
-            first + total(renewal, against_c), total(renewal, against_xc),
+            h, first + total(renewal, against_c), total(renewal, against_xc),
             first + total(renewal * (2.0 * renewal - 1.0), against_c),
             lambda k_max, spectrum=spectrum: np.array(
                 [1.0] + [total(spectrum**k, against_c)
@@ -286,15 +309,20 @@ def exact_age_dropping(pair: Pair) -> AgeEstimate:
     Exponential service takes the renewal form
     E[Y^2]/(2E[Y]) + E[Y exp(-mu Y)] / p + 1/mu with p = 1 - L(mu): one
     quadrature, ``ci_half_width = 0``.  Other service laws divide the
-    lattice crossing sum by E[K]; the half-width is the ratio's range
-    over both solves' components, a width rather than a proven bound.
+    midpoint of the lattice crossing sums by that of E[K].  Moving each
+    gap by at most h moves A_k by at most (k-1) h, so the crossing sum
+    lies in [C_up - h E_up[K(K-1)]/2, C_down + h E_down[K(K-1)]/2] and
+    E[K] in [E_up[K], E_down[K]]; the half-width reaches the far end of
+    the ratio's bracket.
     """
     if isinstance(pair.service, Exponential):
         middle, hw = pair.crossing[0] / pair.geometric_p, 0.0
     else:
         down, up = pair.lattice
-        k_mean, _ = moments_of_K_dropping(pair)
-        middle, hw = _midpoint(down.crossing, up.crossing).over(k_mean)
+        middle = (down.crossing + up.crossing) / (down.k_mean + up.k_mean)
+        lo = up.crossing - 0.5 * up.step * (up.k_second - up.k_mean)
+        hi = down.crossing + 0.5 * down.step * (down.k_second - down.k_mean)
+        hw = max(middle - lo / down.k_mean, hi / up.k_mean - middle)
     return AgeEstimate(value=pair.head + middle + pair.service.mean(),
                        ci_half_width=hw, cycles_used=0, method="analytic")
 

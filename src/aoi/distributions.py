@@ -27,9 +27,8 @@ counts as a success), which keeps formula evaluation and event accounting
 aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
-caller-supplied generator.  SciPy is imported on first use (a few special
-functions and a root finder, never its quadrature), so a simulation
-starts about 0.2 s sooner.
+caller-supplied generator.  Nothing here needs more than NumPy and
+:mod:`math`.
 """
 
 from __future__ import annotations
@@ -153,10 +152,6 @@ class Distribution(ABC):
         return ()
 
     @abstractmethod
-    def quantile(self, p: float) -> float:
-        """Smallest x with Pr(X <= x) >= p, for p in [0, 1)."""
-
-    @abstractmethod
     def mrl_class(self) -> MrlVerdict:
         """The ageing class of the law over its whole support, read from
         its parameters."""
@@ -208,9 +203,6 @@ class Exponential(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def quantile(self, p):
-        return -math.log1p(-p) / self.rate
-
     def mrl_class(self):
         return MrlVerdict.CONSTANT
 
@@ -256,9 +248,6 @@ class ShiftedExponential(Distribution):
     def breakpoints(self):
         return (self.shift,) if self.shift > 0 else ()
 
-    def quantile(self, p):
-        return self.shift - math.log1p(-p) / self.rate
-
     def mrl_class(self):
         return MrlVerdict.DMRL if self.shift > 0 else MrlVerdict.CONSTANT
 
@@ -299,9 +288,6 @@ class Deterministic(Distribution):
 
     def breakpoints(self):
         return (float(self.value),)
-
-    def quantile(self, p):
-        return float(self.value)
 
     def mrl_class(self):  # m(t) = value - t; vacuous at value 0
         return MrlVerdict.DMRL
@@ -350,9 +336,6 @@ class Uniform(Distribution):
     def breakpoints(self):
         return (self.lower, self.upper)
 
-    def quantile(self, p):
-        return self.lower + p * (self.upper - self.lower)
-
     def mrl_class(self):  # increasing failure rate
         return MrlVerdict.DMRL
 
@@ -391,15 +374,15 @@ class Rayleigh(Distribution):
         return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
 
     def _laplace(self, s):
-        # 1 - z sqrt(pi/2) erfcx(z / sqrt 2), z = scale s, loses about
-        # z^2 eps to cancellation; from z = 10 the asymptotic series
-        # 1/z^2 - 3/z^4 + 15/z^6 - ... reaches double precision before
-        # its terms start to grow.
+        # 1 - z sqrt(pi/2) exp(t^2) erfc(t), z = scale s, t = z / sqrt 2,
+        # loses about z^2 eps to cancellation (exp(t^2) < 6e21 here); from
+        # z = 10 the asymptotic series 1/z^2 - 3/z^4 + 15/z^6 - ...
+        # reaches double precision before its terms start to grow.
         z = self.scale * s
         if z <= _RAYLEIGH_SERIES_FROM:
-            from scipy import special
-            return 1.0 - z * math.sqrt(math.pi / 2.0) * float(
-                special.erfcx(z / math.sqrt(2.0)))
+            t = z / math.sqrt(2.0)
+            return 1.0 - z * math.sqrt(math.pi / 2.0) * (
+                math.exp(t * t) * math.erfc(t))
         inv = 1.0 / (z * z)
         total, term, k = 0.0, inv, 1
         while abs(term) > _EPS * total:
@@ -410,9 +393,6 @@ class Rayleigh(Distribution):
 
     def support(self):
         return (0.0, math.inf)
-
-    def quantile(self, p):
-        return self.scale * math.sqrt(-2.0 * math.log1p(-p))
 
     def mrl_class(self):  # failure rate x / scale^2
         return MrlVerdict.DMRL
@@ -442,8 +422,16 @@ class Erlang(Distribution):
         return _over_square(self.shape * (self.shape + 1), self.rate)
 
     def _ccdf(self, xs):
-        from scipy import special
-        return special.gammaincc(self.shape, self.rate * np.maximum(xs, 0.0))
+        # Pr(Poisson(t) < shape), t = rate x: the terms e^-t t^i / i! are
+        # each at most 1, taken in log space so that none overflows and
+        # none underflows before the sum does.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = self.rate * np.maximum(xs, 0.0)
+            log_t = np.log(t)
+            out = np.exp(-t)
+            for i in range(1, self.shape):
+                out += np.exp(i * log_t - t - math.lgamma(i + 1))
+        return np.where(np.isinf(t), 0.0, out)
 
     def _pdf(self, xs):
         k, lam = self.shape, self.rate
@@ -460,10 +448,6 @@ class Erlang(Distribution):
 
     def support(self):
         return (0.0, math.inf)
-
-    def quantile(self, p):
-        from scipy import special
-        return float(special.gammaincinv(self.shape, p)) / self.rate
 
     def mrl_class(self):  # increasing failure rate from shape 2
         return MrlVerdict.DMRL if self.shape > 1 else MrlVerdict.CONSTANT
@@ -523,20 +507,6 @@ class Hyperexponential(Distribution):
 
     def support(self):
         return (0.0, math.inf)
-
-    def quantile(self, p):
-        if p <= 0.0:
-            return 0.0
-        # Solved in units of the mean to a relative tolerance, so it
-        # rescales with time.  The root lies below -log1p(-p) / min_rate,
-        # since ccdf(x) <= exp(-min_rate x); twice that keeps the sign at
-        # the right end clear of rounding when all rates are equal.
-        unit = self.mean()
-        hi = -2.0 * math.log1p(-p) / (min(self.rates) * unit)
-        from scipy import optimize
-        return unit * float(optimize.brentq(
-            lambda u: self.ccdf(unit * u) - (1.0 - p), 0.0, hi,
-            xtol=1e-300, rtol=8.9e-16))
 
     def mrl_class(self):  # decreasing failure rate unless one rate
         return (MrlVerdict.CONSTANT if len(set(self.rates)) == 1

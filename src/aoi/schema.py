@@ -43,7 +43,7 @@ CLI_RESULT_SCHEMA = {
                     "value": {"type": "number"},
                     "ci_half_width": {"type": "number", "minimum": 0},
                     "cycles_used": {"type": "integer", "minimum": 0},
-                    "method": {"enum": ["simulation", "analytic", "bound"]},
+                    "method": {"enum": ["simulation", "analytic"]},
                 },
             }}},
         },

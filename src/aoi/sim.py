@@ -126,7 +126,7 @@ class AgeEstimate:
     value: float
     ci_half_width: float
     cycles_used: int
-    method: Literal["simulation", "analytic", "bound"]
+    method: Literal["simulation", "analytic"]
 
 
 class Moment(NamedTuple):

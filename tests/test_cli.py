@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,7 @@ from aoi.cli import main
 from aoi.distributions import MrlVerdict, from_dict
 from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
-from aoi.sim import Discipline
+from aoi.sim import AgeEstimate, Discipline
 from test_distributions import ALL_KINDS, RESCALED
 
 EXP1 = '{"kind": "exponential", "rate": 1}'
@@ -375,29 +376,60 @@ def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
             assert result["applicability"] == row.applicability
 
 
-def test_quadrature_commands_do_not_import_scipy_integrate():
-    # Quadrature is the package's own panel rule; QUADPACK is only a test
-    # oracle, and SciPy loads lazily, submodule by submodule.
+def test_quadrature_commands_do_not_import_scipy_integrate(tmp_path):
+    # The package runs on NumPy alone: with every SciPy import refused,
+    # each subcommand exits 0 on all 7 families, and SciPy never loads.
     script = """
 import json, sys
+from pathlib import Path
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
 from aoi.cli import main
-U = json.dumps({"kind": "uniform", "lower": 0.5, "upper": 2.0})
-R = json.dumps({"kind": "rayleigh", "scale": 0.8})
-E = json.dumps({"kind": "exponential", "rate": 2.0})
-for y, s in ((U, R), (R, U)):
-    pair = ["--interarrival", y, "--service", s]
-    assert main(["exact", "--discipline", "preemption", *pair]) == 0
-    for kind in ("mg11", "corollary2"):
-        assert main(["bound", "--kind", kind, *pair]) == 0
-    assert main(["bound", "--kind", "gm11", "--interarrival", y,
-                 "--service", E]) == 0
-    assert main(["check-properties", "--dist", y]) == 0
-assert "scipy.integrate" not in sys.modules
+
+laws, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+U = {"kind": "uniform", "lower": 0.5, "upper": 2.0}
+E = {"kind": "exponential", "rate": 1.0}
+
+
+def check(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+
+for law in laws:
+    for y, s in ((law, U), (E, law)):
+        pair = ["--interarrival", json.dumps(y), "--service", json.dumps(s)]
+        for discipline in ("dropping", "preemption"):
+            check("simulate", "--discipline", discipline, "--cycles", 200,
+                  *pair)
+            check("exact", "--discipline", discipline, *pair)
+        for kind in ("corollary1", "mg11", "corollary2"):
+            check("bound", "--kind", kind, *pair)
+        check("kpmf", *pair)
+    check("bound", "--kind", "gm11", "--interarrival", json.dumps(law),
+          "--service", json.dumps(E))
+    check("check-properties", "--dist", json.dumps(law))
+    spec = out / f"{law['kind']}.json"
+    spec.write_text(json.dumps({
+        "name": law["kind"], "discipline": "dropping",
+        "interarrival": {"kind": "exponential"}, "swept_param": "rate",
+        "grid": [0.5, 1.0], "service": law, "sim_cycles": 200,
+        "estimators": ["simulate", "exact", "corollary1", "mg11"]}))
+    check("sweep", "--spec", spec, "--csv", spec.with_suffix(".csv"))
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    laws = json.dumps([d.to_dict() for d in ALL_KINDS])
+    done = subprocess.run([sys.executable, "-c", script, laws, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -409,8 +441,11 @@ def test_schema_error_enum_names_every_domain_error():
 
 
 def _result_enum(command, key):
-    (rule,) = [r for r in CLI_RESULT_SCHEMA["allOf"]
-               if r["if"]["properties"]["command"].get("const") == command]
+    def commands(rule):
+        match = rule["if"]["properties"]["command"]
+        return match.get("enum", [match.get("const")])
+
+    (rule,) = [r for r in CLI_RESULT_SCHEMA["allOf"] if command in commands(r)]
     return set(rule["then"]["properties"]["result"]["properties"][key]["enum"])
 
 
@@ -419,6 +454,9 @@ def test_schema_label_enums_name_every_library_label():
         {v.value for v in MrlVerdict}
     assert _result_enum("bound", "applicability") == \
         {a.value for a in Applicability}
+    method = typing.get_type_hints(AgeEstimate)["method"]
+    for command in ("simulate", "exact"):
+        assert _result_enum(command, "method") == set(typing.get_args(method))
 
 
 def test_mg11_premise_not_met_without_nbue_service(capsys):
@@ -434,7 +472,7 @@ def test_mg11_premise_not_met_without_nbue_service(capsys):
 
 @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e6, 1e150])
 def test_dropping_with_hyperexponential_service_rescales(capsys, c):
-    # The lattice reads the service's quantile for its top point.
+    # The lattice searches the service's ccdf for its top point.
     code, payload = run_json(
         capsys, "exact", "--discipline", "dropping", "--interarrival",
         json.dumps({"kind": "exponential", "rate": 1.0 / c}), "--service",

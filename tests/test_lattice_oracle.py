@@ -14,6 +14,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential, Rayleigh,
                                ShiftedExponential, Uniform)
 from aoi.errors import TruncationNotReached
 from aoi.sim import Z95
+from test_distributions import ALL_KINDS, RESCALED
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
 # The general-service pairs of the benchmark's dropping workload, the last
@@ -86,6 +87,39 @@ def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     fine = lattice(y, s)
     for i, ((value, hw), (finer, _)) in enumerate(zip(coarse, fine)):
         assert abs(value - finer) <= hw, (i, value, hw, finer)
+
+
+@pytest.mark.parametrize("s", [Deterministic(0.5), Deterministic(1.0),
+                               Uniform(0.0, 1.0), Rayleigh(0.5)],
+                         ids=lambda d: d.describe())
+def test_half_width_covers_the_mg11_age(s):
+    # With Poisson arrivals the dropping age is the M/G/1/1 closed form
+    # E[(Y+S)^2] / (2 E[Y+S]) + E[S].
+    lam = 1.0
+    y_second = 2.0 / lam**2
+    mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
+            / (2.0 * (1.0 / lam + s.mean())) + s.mean())
+    est = exact_age_dropping(Pair(Exponential(lam), s))
+    assert abs(est.value - mg11) <= est.ci_half_width
+
+
+UNBOUNDED = [d for d in ALL_KINDS if d.support()[1] == np.inf]
+
+
+@pytest.mark.parametrize("s", UNBOUNDED, ids=lambda d: d.kind)
+def test_truncation_point_is_the_first_passing_64th_of_an_octave(s):
+    top = analytic._truncation_point(s)
+    assert s.ccdf(top) <= analytic._SERVICE_TAIL
+    lower = top * 2.0 ** (-1.0 / analytic._TOP_STEPS)
+    assert s.ccdf(lower) > analytic._SERVICE_TAIL
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-6, 1e6, 1e300])
+@pytest.mark.parametrize("s", UNBOUNDED, ids=lambda d: d.kind)
+def test_truncation_point_rescales_with_time(s, c):
+    scaled = RESCALED[s.kind](s, c)
+    assert analytic._truncation_point(scaled) == pytest.approx(
+        c * analytic._truncation_point(s), rel=1e-12)
 
 
 def test_deep_cycle_guard():
