@@ -5,23 +5,26 @@ formula over one :class:`Pair` of laws, the interarrival Y and the service
 S.  A pair validates itself when it is built and computes each primitive
 at most once, on first use: the head E[Y^2]/(2 E[Y]), the success
 probability p, the crossing term E[Y Pr(S > Y)] with its quadrature error,
-the completed-service term E[S | S <= Y] and the two lattice solves of
-general-service dropping.  So an age and a bound of one pair share them.
+the completed-service term E[S | S <= Y] and each discipline's cycle
+record.  So an age and a bound of one pair share them.
+
+The cycle record holds, for the number K of arrivals a cycle consumes,
+E[K], E[K^2], Pr(K > k) and the crossing sum sum_k E[A_k * Pr(S > A_k)],
+A_k the partial sum of the first k-1 gaps of a cycle, as a (down, up)
+bracket with the step h by which the gaps were moved.  :meth:`Pair.cycles`
+alone decides K's law.  Under preemption, and under dropping with
+exponential service, K is geometric with success probability p and the
+record is exact (h = 0, equal ends): E[K] = 1/p, E[K^2] = (2-p)/p^2,
+Pr(K > k) = (1-p)^k and the crossing sum E[Y Pr(S > Y)]/p^2, computed only
+when an age reads it.
 
 Dropping
-    The age is  E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + E[S]
-    where A_k is the partial sum of the first k-1 interarrival gaps of a
-    cycle and K is the number of arrivals the cycle consumes.
+    The age is  E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + E[S],
+    with exponential service (rate mu)
+    E[Y^2]/(2 E[Y]) + E[Y exp(-mu Y)] / p + 1/mu, p = 1 - L(mu) by the
+    Laplace transform L of the interarrival law.
 
-    For exponential service (rate mu) the renewal structure closes the
-    sum: with L(s) = E[exp(-s Y)] the Laplace transform of the
-    interarrival law, K is geometric with success probability
-    p = 1 - L(mu), and the age is
-    E[Y^2]/(2 E[Y]) + E[Y exp(-mu Y)] / p + 1/mu.  Every exponential-service
-    quantity (the age, the moments and the pmf of K) is built on that one
-    p.
-
-    For any other service law these are integrals of the service ccdf
+    For any other service law the sums are integrals of the service ccdf
     against U, the renewal measure of the gaps (an atom at 0 plus the
     renewal function): E[K] against U, the crossing sum against x dU,
     E[K^2] against 2 U*U - U, Pr(K = k) against convolution powers of the
@@ -68,7 +71,7 @@ import numpy as np
 from .distributions import (QUAD_REL_TOL, Deterministic, Distribution,
                             Exponential, expect)
 from .errors import TruncationNotReached, ZeroSuccessProbability
-from .sim import AgeEstimate
+from .sim import AgeEstimate, Discipline
 
 __all__ = [
     "EstimatorOptions",
@@ -134,11 +137,11 @@ class KPmf:
 
 
 class _Solve(NamedTuple):
-    """The dropping sums of one lattice solve."""
+    """The cycle sums of one end of a discipline's record."""
 
     step: float          # h, the most a gap was moved by (0: none was)
     k_mean: float        # E[K]
-    crossing: float      # sum_k E[A_k * Pr(S > A_k)]
+    crossing: Callable[[], float]  # sum_k E[A_k * Pr(S > A_k)], on call
     k_second: float      # E[K^2]
     survival: Callable[[int], np.ndarray]  # k_max -> Pr(K > k), k = 0..k_max
 
@@ -178,14 +181,6 @@ class Pair:
         """Pr(S <= Y), by :func:`success_probability`."""
         return success_probability(self.interarrival, self.service)
 
-    @property
-    def geometric_p(self) -> float:
-        """p of the geometric K of exponential-service dropping, whose
-        E[K] = 1/p diverges at p = 0 (:class:`TruncationNotReached`)."""
-        if self.p <= 0.0:
-            raise TruncationNotReached(self._no_success())
-        return self.p
-
     @cached_property
     def crossing(self) -> tuple[float, float]:
         """E[Y Pr(S > Y)] and its quadrature error; over p, the middle term
@@ -207,6 +202,29 @@ class Pair:
     def lattice(self) -> tuple[_Solve, _Solve]:
         """The dropping sums with the gaps rounded down, then up."""
         return _lattice_solves(self.interarrival, self.service)
+
+    def cycles(self, discipline: Discipline) -> tuple[_Solve, _Solve]:
+        """The (down, up) record of K under ``discipline``: the lattice
+        solves for dropping with non-exponential service, else the exact
+        record of a geometric K, whose E[K] = 1/p diverges at p = 0
+        (:class:`TruncationNotReached`)."""
+        if (discipline is Discipline.DROPPING
+                and not isinstance(self.service, Exponential)):
+            return self.lattice
+        p = self.p
+        if p <= 0.0:
+            raise TruncationNotReached(self._no_success())
+        solve = _Solve(0.0, 1.0 / p, lambda: self.crossing[0] / p**2,
+                       (2.0 - p) / p**2,
+                       lambda k_max: (1.0 - p) ** np.arange(k_max + 1.0))
+        return solve, solve
+
+    def k_moments(self, discipline: Discipline) -> tuple[Interval, Interval]:
+        """(E[K], E[K^2]) under ``discipline``: the record's midpoints and
+        half-widths."""
+        down, up = self.cycles(discipline)
+        return (_midpoint(down.k_mean, up.k_mean),
+                _midpoint(down.k_second, up.k_second))
 
     def _no_success(self) -> str:
         return (f"Pr(success) = 0 for interarrival {self.interarrival.describe()} "
@@ -265,7 +283,8 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        solve = _Solve(0.0, float(first + c.sum()), float(x @ c),
+        solve = _Solve(0.0, float(first + c.sum()),
+                       lambda crossing=float(x @ c): crossing,
                        float(first + (2.0 * np.arange(n) + 1.0) @ c),
                        lambda k_max: np.concatenate(
                            ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
@@ -290,7 +309,8 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
         solves.append(_Solve(
-            h, first + total(renewal, against_c), total(renewal, against_xc),
+            h, first + total(renewal, against_c),
+            lambda crossing=total(renewal, against_xc): crossing,
             first + total(renewal * (2.0 * renewal - 1.0), against_c),
             lambda k_max, spectrum=spectrum: np.array(
                 [1.0] + [total(spectrum**k, against_c)
@@ -306,61 +326,40 @@ def _midpoint(a, b) -> Interval:
 def exact_age_dropping(pair: Pair) -> AgeEstimate:
     """Average age under dropping; ``cycles_used`` is 0.
 
-    Exponential service takes the renewal form
-    E[Y^2]/(2E[Y]) + E[Y exp(-mu Y)] / p + 1/mu with p = 1 - L(mu): one
-    quadrature, ``ci_half_width = 0``.  Other service laws divide the
-    midpoint of the lattice crossing sums by that of E[K].  Moving each
-    gap by at most h moves A_k by at most (k-1) h, so the crossing sum
-    lies in [C_up - h E_up[K(K-1)]/2, C_down + h E_down[K(K-1)]/2] and
-    E[K] in [E_up[K], E_down[K]]; the half-width reaches the far end of
-    the ratio's bracket.
+    Divides the midpoint of the record's crossing sums by that of E[K].
+    Moving each gap by at most h moves A_k by at most (k-1) h, so the
+    crossing sum lies in [C_up - h E_up[K(K-1)]/2, C_down + h E_down[K(K-1)]/2]
+    and E[K] in [E_up[K], E_down[K]]; the half-width reaches the far end of
+    the ratio's bracket.  A geometric record (exponential service) has
+    h = 0 and equal ends: ``ci_half_width = 0``.
     """
-    if isinstance(pair.service, Exponential):
-        middle, hw = pair.crossing[0] / pair.geometric_p, 0.0
-    else:
-        down, up = pair.lattice
-        middle = (down.crossing + up.crossing) / (down.k_mean + up.k_mean)
-        lo = up.crossing - 0.5 * up.step * (up.k_second - up.k_mean)
-        hi = down.crossing + 0.5 * down.step * (down.k_second - down.k_mean)
-        hw = max(middle - lo / down.k_mean, hi / up.k_mean - middle)
+    down, up = pair.cycles(Discipline.DROPPING)
+    c_down, c_up = down.crossing(), up.crossing()
+    middle = (c_down + c_up) / (down.k_mean + up.k_mean)
+    lo = c_up - 0.5 * up.step * (up.k_second - up.k_mean)
+    hi = c_down + 0.5 * down.step * (down.k_second - down.k_mean)
+    hw = max(middle - lo / down.k_mean, hi / up.k_mean - middle)
     return AgeEstimate(value=pair.head + middle + pair.service.mean(),
                        ci_half_width=hw, cycles_used=0, method="analytic")
 
 
 def moments_of_K_dropping(pair: Pair) -> tuple[Interval, Interval]:
-    """(E[K], E[K^2]) for the dropping cycle count K = min{k: A_{k+1} >= S}.
-
-    With exponential service K is geometric with success probability
-    p = 1 - E[exp(-mu Y)] (half-width 0); other service laws take the
-    lattice midpoints and half-widths.
-    """
-    if isinstance(pair.service, Exponential):
-        p = pair.geometric_p
-        return Interval(1.0 / p, 0.0), Interval((2.0 - p) / p**2, 0.0)
-    down, up = pair.lattice
-    return (_midpoint(down.k_mean, up.k_mean),
-            _midpoint(down.k_second, up.k_second))
+    """(E[K], E[K^2]) for the dropping cycle count K = min{k: A_{k+1} >= S},
+    from the dropping record (half-width 0 when K is geometric)."""
+    return pair.k_moments(Discipline.DROPPING)
 
 
 def k_pmf(pair: Pair, k_max: int) -> KPmf:
-    """Pmf of K up to ``k_max`` plus the remaining tail mass.
-
-    Exponential service gives the geometric law Pr(K = k) = L^(k-1) (1 - L)
-    and tail L^k_max with L = L(mu), exactly (half-width 0).  Other service
-    laws take Pr(K = k) = Pr(K > k-1) - Pr(K > k) from the lattice.
-    """
+    """Pmf of K under dropping up to ``k_max`` plus the remaining tail mass:
+    Pr(K = k) = Pr(K > k-1) - Pr(K > k) from the dropping record (the
+    geometric law with half-width 0 for exponential service)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not isinstance(pair.service, Exponential):
-        down, up = pair.lattice
-        mid, hw = _midpoint(down.survival(k_max), up.survival(k_max))
-        pmf = zip(mid[:-1] - mid[1:], hw[:-1] + hw[1:])
-        tail = Interval(float(mid[-1]), float(hw[-1]))
-        return KPmf(tuple(Interval(float(v), float(e)) for v, e in pmf), tail, k_max)
-    p = pair.geometric_p
-    q = 1.0 - p
-    pmf = tuple(Interval(q**(k - 1) * p, 0.0) for k in range(1, k_max + 1))
-    return KPmf(pmf=pmf, tail_mass=Interval(q**k_max, 0.0), k_max=k_max)
+    down, up = pair.cycles(Discipline.DROPPING)
+    mid, hw = _midpoint(down.survival(k_max), up.survival(k_max))
+    pmf = zip(mid[:-1] - mid[1:], hw[:-1] + hw[1:])
+    tail = Interval(float(mid[-1]), float(hw[-1]))
+    return KPmf(tuple(Interval(float(v), float(e)) for v, e in pmf), tail, k_max)
 
 
 def success_probability(interarrival: Distribution,

@@ -2,12 +2,13 @@
 
 Every bound is a short formula over one :class:`~aoi.analytic.Pair` of
 interarrival and service laws, sharing its primitives with the exact ages
-of the pair: the general dropping bound its K moments
-(:func:`~aoi.analytic.moments_of_K_dropping`), the exponential-service
-bound its geometric cycle count and mu, and the preemption bound its
-success probability and completed-service term.  At exponential arrivals
-the exponential-service bound is
-the M/M/1/1 value 1/lam + 2/mu.  The mean-matched M/G ordering bound is an
+of the pair.  The three unconditional bounds are one formula, the paper's
+Corollary 1, over the K moments of the discipline's cycle record
+(:meth:`~aoi.analytic.Pair.k_moments`).  At a geometric K it reads
+E[Y^2]/(2E[Y]) + E[Y] (1-p)/p plus the service term: the G/M/1/1 bound
+(exponential service, 1/lam + 2/mu at exponential arrivals) is Corollary 1
+under dropping, and Corollary 2 is Corollary 1 under preemption with
+E[S | S <= Y] as the service term.  The mean-matched M/G ordering bound is an
 upper bound only for interarrivals with decreasing mean residual life and
 NBUE service; with IMRL interarrivals and NBUE service it flips into a
 lower bound.  Its ``applicability`` tag reads both premises from the two
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .analytic import Pair, moments_of_K_dropping
+from .analytic import Interval, Pair, moments_of_K_dropping
 from .distributions import Exponential, MrlVerdict
+from .sim import Discipline
 
 __all__ = [
     "BoundKind",
@@ -55,7 +57,8 @@ class Applicability(str, Enum):
 @dataclass(frozen=True)
 class BoundReport:
     """A bound value with its kind, validity regime, echoed inputs, and
-    how far it moves over its inputs' 95% intervals (0 for exact inputs)."""
+    how far it moves over the proven brackets of its inputs (0 for exact
+    inputs)."""
 
     value: float
     kind: BoundKind
@@ -72,38 +75,36 @@ class BoundReport:
                 "only the MG11Ordering bound carries a conditional label")
 
 
-def ub_dropping_general(pair: Pair) -> BoundReport:
-    """Unconditional dropping bound
-    E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) + E[S]
-    with the K moments of :func:`moments_of_K_dropping`.
-
-    Tight exactly when the interarrival times are deterministic.  The
-    half-width is the bound's range over the moments' brackets.
-    """
-    k_mean, k_second = moments_of_K_dropping(pair)
+def _corollary_one(pair: Pair, k_moments: tuple[Interval, Interval],
+                   service_term: float, kind: BoundKind) -> BoundReport:
+    """Corollary 1: E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) plus the
+    service term, with the half-width of its range over the K brackets."""
+    k_mean, k_second = k_moments
     ratio, ratio_hw = k_second.over(k_mean)
     y_mean = pair.interarrival.mean()
     return BoundReport(
-        value=pair.head + y_mean * (0.5 * ratio - 0.5) + pair.service.mean(),
-        kind=BoundKind.CorollaryOneDropping,
-        applicability=Applicability.UNCONDITIONAL,
+        value=pair.head + y_mean * (0.5 * ratio - 0.5) + service_term,
+        kind=kind, applicability=Applicability.UNCONDITIONAL,
         inputs={**pair.to_dict(), "k_mean": k_mean.value,
                 "k_second_moment": k_second.value},
         half_width=0.5 * y_mean * ratio_hw)
 
 
+def ub_dropping_general(pair: Pair) -> BoundReport:
+    """Unconditional dropping bound, Corollary 1 with service term E[S]
+    over the K moments of :func:`moments_of_K_dropping`.  Tight exactly
+    when the interarrival times are deterministic."""
+    return _corollary_one(pair, moments_of_K_dropping(pair),
+                          pair.service.mean(), BoundKind.CorollaryOneDropping)
+
+
 def ub_dropping_gm(pair: Pair) -> BoundReport:
-    """Dropping bound for exponential service, fully closed form:
-    E[Y^2]/(2E[Y]) + E[Y] (E[K] - 1) + 1/mu with the geometric
-    E[K] = 1/(1 - E[exp(-mu Y)]) of :func:`moments_of_K_dropping`."""
+    """Dropping bound for exponential service: Corollary 1 at the geometric
+    K, E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + 1/mu with p = 1 - E[exp(-mu Y)]."""
     if not isinstance(pair.service, Exponential):
         raise ValueError("ub_dropping_gm needs an exponential service law")
-    k_mean, _ = moments_of_K_dropping(pair)
-    rate = pair.service.rate
-    return BoundReport(
-        value=pair.head + pair.interarrival.mean() * (k_mean.value - 1.0) + 1.0 / rate,
-        kind=BoundKind.GM11, applicability=Applicability.UNCONDITIONAL,
-        inputs={"interarrival": pair.interarrival.to_dict(), "service_rate": rate})
+    return _corollary_one(pair, moments_of_K_dropping(pair),
+                          pair.service.mean(), BoundKind.GM11)
 
 
 def mg11_ordering_bound(pair: Pair) -> BoundReport:
@@ -142,14 +143,10 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
 
 
 def ub_preemption(pair: Pair) -> BoundReport:
-    """Unconditional preemption bound
-    E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y] with p the success
-    probability.  Tight when the cycle count is independent of the gaps
-    (e.g. deterministic gaps with p = 1)."""
+    """Unconditional preemption bound (Corollary 2): Corollary 1 at the
+    geometric K of preemption, E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y]
+    with p the success probability.  Tight when the cycle count is
+    independent of the gaps (e.g. deterministic gaps with p = 1)."""
     stilde = pair.completed_service  # raises before p = 0 divides
-    p = pair.p
-    return BoundReport(
-        value=pair.head + pair.interarrival.mean() * (1.0 - p) / p + stilde,
-        kind=BoundKind.CorollaryTwoPreemption,
-        applicability=Applicability.UNCONDITIONAL,
-        inputs={**pair.to_dict(), "success_probability": p})
+    return _corollary_one(pair, pair.k_moments(Discipline.PREEMPTION), stilde,
+                          BoundKind.CorollaryTwoPreemption)

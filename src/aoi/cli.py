@@ -238,7 +238,8 @@ def _cmd_bound(args) -> int:
     pair, report = _estimate(args, args.kind, discipline)
     inputs = {"kind": args.kind, **pair.to_dict(), "seed": args.seed}
     result = {"value": report.value, "kind": report.kind.value,
-              "applicability": report.applicability.value}
+              "applicability": report.applicability.value,
+              "half_width": report.half_width}
     lines = [
         f"bound           {report.kind.value}",
         f"interarrival    {pair.interarrival.describe()}",
@@ -257,14 +258,14 @@ def _cmd_kpmf(args) -> int:
         raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")
     res = analytic.k_pmf(pair, args.k_max)
     inputs = {**pair.to_dict(), "k_max": args.k_max, "seed": args.seed}
-    # The output's ci is a stderr: the half-width over Z95.
+    # ``ci`` is the half-width of the proven bracket over Z95.
     result = {
         "pmf": [{"k": i + 1, "probability": m.value, "ci": m.half_width / Z95}
                 for i, m in enumerate(res.pmf)],
         "tail_mass": res.tail_mass.value,
         "tail_mass_ci": res.tail_mass.half_width / Z95,
     }
-    lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'stderr':>10}"]
+    lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'hw/1.96':>10}"]
     for i, m in enumerate(res.pmf):
         lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width / Z95:>10.2e}")
     lines.append(f"tail beyond k={res.k_max}: {_fmt(res.tail_mass.value)}")

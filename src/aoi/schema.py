@@ -52,10 +52,11 @@ CLI_RESULT_SCHEMA = {
                    "required": ["command", "result"]},
             "then": {"properties": {"result": {
                 "type": "object",
-                "required": ["value", "kind", "applicability"],
+                "required": ["value", "kind", "applicability", "half_width"],
                 "properties": {
                     "value": {"type": "number"},
                     "kind": {"type": "string"},
+                    "half_width": {"type": "number", "minimum": 0},
                     "applicability": {
                         "enum": ["Unconditional", "RequiresDMRLandNBUE",
                                  "ReversedUnderIMRL", "PremiseNotMet"]},

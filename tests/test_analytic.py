@@ -209,6 +209,26 @@ def test_k_pmf_mm_geometric():
     assert mean_from_pmf == pytest.approx(k1.value, rel=5e-3)
 
 
+@pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.describe())
+def test_exponential_service_shares_one_geometric_record(y):
+    # With exponential service both disciplines read one geometric record
+    # with p = Pr(S <= Y): the dropping K pmf is geometric, and the two
+    # ages, like the two unconditional bounds, differ only in their
+    # service terms E[S] = 1/mu and E[S | S <= Y].
+    mu = 1.3
+    pair = Pair(y, Exponential(mu))
+    p, stilde = pair.p, pair.completed_service
+    res = k_pmf(pair, 12)
+    for k, m in enumerate(res.pmf, start=1):
+        assert m.value == pytest.approx((1.0 - p)**(k - 1) * p, rel=1e-12)
+        assert m.half_width == 0.0
+    assert res.tail_mass.value == pytest.approx((1.0 - p)**12, rel=1e-12)
+    gap = exact_age_dropping(pair).value - exact_age_preemption(pair).value
+    assert gap == pytest.approx(1.0 / mu - stilde, rel=1e-12)
+    gap = ub_preemption(pair).value - ub_dropping_gm(pair).value
+    assert gap == pytest.approx(stilde - 1.0 / mu, rel=1e-12)
+
+
 # ------------------------------------------------------------- preemption
 
 def test_success_probability_values():

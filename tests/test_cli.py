@@ -350,13 +350,16 @@ def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
      {"kind": "exponential", "rate": 1.0}),
     ("preemption", {"kind": "uniform", "lower": 0.2}, "upper", 1.8,
      {"kind": "shifted_exponential", "rate": 2.0, "shift": 0.2}),
+    ("dropping", {"kind": "uniform", "lower": 0.0}, "upper", 2.0,
+     {"kind": "rayleigh", "scale": 1.0}),
 ])
 def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
                                                 swept, value, service):
-    # Every tag of the table that applies to the discipline gives the same
-    # value through `aoi exact|bound --json` as in its run_sweep row.
+    # Every tag of the table that applies to the pair gives the same value
+    # and half-width through `aoi exact|bound --json` as in its run_sweep row.
     tags = [tag for tag, est in ESTIMATORS.items()
-            if Discipline(discipline) in est.calls]
+            if Discipline(discipline) in est.calls
+            and (service["kind"] == "exponential" or not est.exponential_service)]
     spec = SweepSpec(name="parity", discipline=discipline,
                      interarrival_template=template, swept_param=swept,
                      grid=(value,), service=from_dict(service), estimators=tags)
@@ -374,6 +377,7 @@ def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
             assert result["ci_half_width"] == row.ci
         else:
             assert result["applicability"] == row.applicability
+            assert result["half_width"] == row.ci, tag
 
 
 def test_quadrature_commands_do_not_import_scipy_integrate(tmp_path):

@@ -142,26 +142,35 @@ def test_divergent_points_are_recorded_not_fatal():
     assert cells[(3.0, "exact")].value == pytest.approx(3.5)
 
 
-@pytest.mark.parametrize("discipline,y,s,tags,primitive", [
+@pytest.mark.parametrize("discipline,y,s,tags,primitive,count", [
     (Discipline.DROPPING, Uniform(0.0, 0.2), Rayleigh(2.0),
-     ("exact", "corollary1"), "_lattice_solves"),
+     ("exact", "corollary1"), "_lattice_solves", 1),
     (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
-     ("exact", "corollary2"), "success_probability"),
-], ids=["lattice-solve-pair", "success-probability"])
+     ("exact", "corollary2"), "success_probability", 1),
+    (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),
+     ("exact", "corollary1", "gm11"), "expect", 1),
+    (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),
+     ("corollary1", "gm11"), "expect", 0),
+], ids=["lattice-solve-pair", "success-probability", "geometric-crossing",
+        "geometric-moments"])
 def test_each_primitive_is_computed_once_per_point(monkeypatch, discipline, y,
-                                                   s, tags, primitive):
-    # An age and a bound of one grid point share its one Pair.
+                                                   s, tags, primitive, count):
+    # An age and a bound of one grid point share its one Pair.  The
+    # geometric record of exponential-service dropping integrates its
+    # crossing sum only when the exact age reads it.
     calls = []
     original = getattr(analytic, primitive)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(analytic, primitive, counted)
     rows = evaluate_point(discipline, y, s, tags, 1.0, 100, 0)
     assert [r.estimator for r in rows if r.value is not None] == list(tags)
-    assert len(calls) == 1
+    if count == 0:
+        analytic.k_pmf(analytic.Pair(y, s), 10)
+    assert len(calls) == count
 
 
 def test_csv_round_trip_and_determinism(tmp_path):
