@@ -8,10 +8,9 @@ or semi-analytic upper bounds (:mod:`aoi.bounds`), plus a sweep harness
 """
 
 from .analytic import (DEFAULT_OPTIONS, EstimatorOptions, Interval, KPmf,
-                       Pair, exact_age_dropping, exact_age_preemption, k_pmf,
-                       moments_of_K_dropping, success_probability)
-from .bounds import (Applicability, BoundKind, BoundReport, mg11_ordering_bound,
-                     ub_dropping_general, ub_dropping_gm, ub_preemption)
+                       Pair, exact_age, k_pmf)
+from .bounds import (Applicability, BoundKind, BoundReport, corollary_one,
+                     mg11_ordering_bound)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlVerdict, Rayleigh,
                             ShiftedExponential, Uniform, from_dict,

@@ -3,28 +3,38 @@
 Every exact age here and every bound of :mod:`aoi.bounds` is a short
 formula over one :class:`Pair` of laws, the interarrival Y and the service
 S.  A pair validates itself when it is built and computes each primitive
-at most once, on first use: the head E[Y^2]/(2 E[Y]), the success
-probability p, the crossing term E[Y Pr(S > Y)] with its quadrature error,
-the completed-service term E[S | S <= Y] and each discipline's cycle
-record.  So an age and a bound of one pair share them.
+at most once, on first use: the head E[Y^2]/(2 E[Y]); the success
+probability p, the crossing term E[Y Pr(S > Y)] and the completed-service
+term E[S | S <= Y], each an :class:`Interval` of value and quadrature
+error; and each discipline's cycle record.
 
-The cycle record holds, for the number K of arrivals a cycle consumes,
-E[K], E[K^2], Pr(K > k) and the crossing sum sum_k E[A_k * Pr(S > A_k)],
-A_k the partial sum of the first k-1 gaps of a cycle, as a (down, up)
-bracket with the step h by which the gaps were moved.  :meth:`Pair.cycles`
-alone decides K's law.  Under preemption, and under dropping with
-exponential service, K is geometric with success probability p and the
-record is exact (h = 0, equal ends): E[K] = 1/p, E[K^2] = (2-p)/p^2,
-Pr(K > k) = (1-p)^k and the crossing sum E[Y Pr(S > Y)]/p^2, computed only
-when an age reads it.
+Both disciplines have one age, :func:`exact_age`:
 
-Dropping
-    The age is  E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + E[S],
-    with exponential service (rate mu)
-    E[Y^2]/(2 E[Y]) + E[Y exp(-mu Y)] / p + 1/mu, p = 1 - L(mu) by the
-    Laplace transform L of the interarrival law.
+    E[Y^2]/(2 E[Y]) + (sum_k E[A_k * Pr(S > A_k)]) / E[K] + service term,
 
-    For any other service law the sums are integrals of the service ccdf
+K the number of arrivals a cycle consumes, A_k the partial sum of the
+first k-1 gaps of a cycle, and the service term E[S] under dropping and
+E[S | S <= Y] under preemption.  :meth:`Pair.cycles` alone decides K's
+law and returns its record: E[K], E[K^2], Pr(K > k) and the crossing sum
+as a (down, up) bracket, the step h by which the gaps were moved, and the
+path that reached them.
+
+Geometric K (path ``quadrature``)
+    Under preemption, and under dropping with exponential service,
+    E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K > k) = (1-p)^k and the crossing
+    sum is E[Y Pr(S > Y)]/p^2, integrated only when an age reads it.  p is
+    1 - L(mu) for exponential service (L the Laplace transform of the
+    interarrival law), else the panel quadrature of
+    :func:`~aoi.distributions.expect`, whose error estimate is the summed
+    disagreement of its 20- and 10-point rules plus a roundoff floor.  The
+    ends sit at the ends of p's bracket, p - err and min(p + err, 1), the
+    crossing error added at the down end and taken off at the up end, so
+    every quadrature error lands in the half-width.  Dividing by p, not by
+    E[Pr(S > Y)] = 1 - p, reproduces the M/M/1/1 preemptive age
+    1/lambda + 1/mu and agrees with simulation.
+
+Lattice (paths ``lattice`` and ``closed_form``)
+    Dropping with any other service law integrates the service ccdf
     against U, the renewal measure of the gaps (an atom at 0 plus the
     renewal function): E[K] against U, the crossing sum against x dU,
     E[K^2] against 2 U*U - U, Pr(K = k) against convolution powers of the
@@ -37,20 +47,8 @@ Dropping
     monotone, but a partial sum of k-1 gaps moves by at most (k-1) h, so
     each solve's crossing sum widened by h E[K(K-1)]/2 brackets the true
     one; the age's half-width reaches the far end of that bracket over
-    the one of E[K].  Deterministic gaps give the exact sums.
-
-Preemption
-    K is geometric with success probability p = Pr(service <= next gap),
-    which collapses the age to
-    E[Y^2]/(2 E[Y]) + E[Y * Pr(S > Y)] / p + E[S | S < Y],
-    evaluated by the panel quadrature of :func:`~aoi.distributions.expect`
-    on array integrands, whose error estimate (the summed disagreement of
-    its 20- and 10-point rules plus a roundoff floor) goes into the
-    half-width.  Exponential-service dropping shares p and the crossing
-    term, with Pr(S > Y) = exp(-mu Y).  The denominator is the success
-    probability p, not E[Pr(S > Y)] = 1 - p: only the former reproduces
-    the known M/M/1/1 preemptive age 1/lambda + 1/mu and agrees with
-    simulation.
+    the one of E[K].  Deterministic gaps give the exact sums in closed
+    form.
 
 Nothing here samples; the CLI and the sweep spec validate
 :class:`EstimatorOptions`, but no estimator reads it.
@@ -64,12 +62,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .distributions import (QUAD_REL_TOL, Deterministic, Distribution,
-                            Exponential, expect)
+from .distributions import Deterministic, Distribution, Exponential, expect
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline
 
@@ -79,11 +76,8 @@ __all__ = [
     "Interval",
     "KPmf",
     "Pair",
-    "exact_age_dropping",
-    "moments_of_K_dropping",
+    "exact_age",
     "k_pmf",
-    "success_probability",
-    "exact_age_preemption",
 ]
 
 _LATTICE_STEPS = 256     # lattice points per mean gap
@@ -139,11 +133,13 @@ class KPmf:
 class _Solve(NamedTuple):
     """The cycle sums of one end of a discipline's record."""
 
+    path: Literal["lattice", "closed_form", "quadrature"]
     step: float          # h, the most a gap was moved by (0: none was)
     k_mean: float        # E[K]
     crossing: Callable[[], float]  # sum_k E[A_k * Pr(S > A_k)], on call
     k_second: float      # E[K^2]
     survival: Callable[[int], np.ndarray]  # k_max -> Pr(K > k), k = 0..k_max
+    hazard: float = 0.0  # p of a geometric K: Pr(K = k) = p Pr(K > k-1)
 
 
 @dataclass(frozen=True)
@@ -177,26 +173,49 @@ class Pair:
         return self.interarrival.second_moment() / (2.0 * self.interarrival.mean())
 
     @cached_property
-    def p(self) -> float:
-        """Pr(S <= Y), by :func:`success_probability`."""
-        return success_probability(self.interarrival, self.service)
+    def p(self) -> Interval:
+        """p = Pr(S <= Y) = 1 - E[Pr(S > Y)] and its quadrature error.
+
+        Exponential service has the closed form 1 - L(mu), error 0.
+        Otherwise ties count as successes, matching the simulator's
+        completion-first rule, and a p within its error of 0 is 0: rounding
+        must not turn an impossible completion into a tiny positive chance.
+        """
+        if isinstance(self.service, Exponential):
+            return Interval(1.0 - self.interarrival.laplace(self.service.rate), 0.0)
+        mean_tail, err = expect(self.interarrival, self.service.ccdf,
+                                extra_breakpoints=self.service.breakpoints())
+        p = 1.0 - mean_tail
+        return Interval(0.0 if p <= err else min(p, 1.0), err)
 
     @cached_property
-    def crossing(self) -> tuple[float, float]:
-        """E[Y Pr(S > Y)] and its quadrature error; over p, the middle term
-        of every geometric-cycle age."""
-        return expect(self.interarrival, lambda y: y * self.service.ccdf(y),
-                      extra_breakpoints=self.service.breakpoints())
+    def crossing(self) -> Interval:
+        """E[Y Pr(S > Y)] and its quadrature error; over p^2, the crossing
+        sum of a geometric K."""
+        return Interval(*expect(self.interarrival,
+                                lambda y: y * self.service.ccdf(y),
+                                extra_breakpoints=self.service.breakpoints()))
 
     @cached_property
-    def completed_service(self) -> float:
-        """E[S | the service completes] = E[S Pr(Y >= S)] / p; raises
+    def completed_service(self) -> Interval:
+        """E[S | the service completes] = E[S Pr(Y >= S)] / p, its error that
+        of the numerator plus the one p contributes; raises
         :class:`ZeroSuccessProbability` when no service can complete."""
-        if self.p <= 0.0:
+        p = self.p
+        if p.value <= 0.0:
             raise ZeroSuccessProbability(self._no_success())
-        num, _ = expect(self.service, lambda s: s * self.interarrival.tail_inclusive(s),
-                        extra_breakpoints=self.interarrival.breakpoints())
-        return num / self.p
+        num, err = expect(self.service,
+                          lambda s: s * self.interarrival.tail_inclusive(s),
+                          extra_breakpoints=self.interarrival.breakpoints())
+        value = num / p.value
+        return Interval(value, (err + value * p.half_width) / p.value)
+
+    def service_term(self, discipline: Discipline) -> Interval:
+        """The age's last term: E[S] under dropping, E[S | S <= Y] under
+        preemption."""
+        if discipline is Discipline.PREEMPTION:
+            return self.completed_service
+        return Interval(self.service.mean(), 0.0)
 
     @cached_property
     def lattice(self) -> tuple[_Solve, _Solve]:
@@ -205,19 +224,26 @@ class Pair:
 
     def cycles(self, discipline: Discipline) -> tuple[_Solve, _Solve]:
         """The (down, up) record of K under ``discipline``: the lattice
-        solves for dropping with non-exponential service, else the exact
-        record of a geometric K, whose E[K] = 1/p diverges at p = 0
-        (:class:`TruncationNotReached`)."""
+        solves for dropping with non-exponential service, else the record
+        of a geometric K at the ends of p's bracket, whose E[K] = 1/p
+        diverges at p = 0 (:class:`ZeroSuccessProbability` under
+        preemption, :class:`TruncationNotReached` under dropping)."""
         if (discipline is Discipline.DROPPING
                 and not isinstance(self.service, Exponential)):
             return self.lattice
         p = self.p
-        if p <= 0.0:
-            raise TruncationNotReached(self._no_success())
-        solve = _Solve(0.0, 1.0 / p, lambda: self.crossing[0] / p**2,
-                       (2.0 - p) / p**2,
-                       lambda k_max: (1.0 - p) ** np.arange(k_max + 1.0))
-        return solve, solve
+        if p.value <= 0.0:
+            raise (ZeroSuccessProbability if discipline is Discipline.PREEMPTION
+                   else TruncationNotReached)(self._no_success())
+
+        def end(q: float, sign: float) -> _Solve:
+            return _Solve("quadrature", 0.0, 1.0 / q,
+                          lambda: (self.crossing.value
+                                   + sign * self.crossing.half_width) / q**2,
+                          (2.0 - q) / q**2,
+                          lambda k_max: (1.0 - q) ** np.arange(k_max + 1.0), q)
+        return (end(p.value - p.half_width, 1.0),
+                end(min(p.value + p.half_width, 1.0), -1.0))
 
     def k_moments(self, discipline: Discipline) -> tuple[Interval, Interval]:
         """(E[K], E[K^2]) under ``discipline``: the record's midpoints and
@@ -283,7 +309,7 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        solve = _Solve(0.0, float(first + c.sum()),
+        solve = _Solve("closed_form", 0.0, float(first + c.sum()),
                        lambda crossing=float(x @ c): crossing,
                        float(first + (2.0 * np.arange(n) + 1.0) @ c),
                        lambda k_max: np.concatenate(
@@ -309,7 +335,7 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
         solves.append(_Solve(
-            h, first + total(renewal, against_c),
+            "lattice", h, first + total(renewal, against_c),
             lambda crossing=total(renewal, against_xc): crossing,
             first + total(renewal * (2.0 * renewal - 1.0), against_c),
             lambda k_max, spectrum=spectrum: np.array(
@@ -323,69 +349,37 @@ def _midpoint(a, b) -> Interval:
     return Interval(0.5 * (a + b), 0.5 * abs(a - b))
 
 
-def exact_age_dropping(pair: Pair) -> AgeEstimate:
-    """Average age under dropping; ``cycles_used`` is 0.
+def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:
+    """Average age under ``discipline``; ``cycles_used`` is 0 and
+    ``method`` the record's path.
 
     Divides the midpoint of the record's crossing sums by that of E[K].
     Moving each gap by at most h moves A_k by at most (k-1) h, so the
     crossing sum lies in [C_up - h E_up[K(K-1)]/2, C_down + h E_down[K(K-1)]/2]
     and E[K] in [E_up[K], E_down[K]]; the half-width reaches the far end of
-    the ratio's bracket.  A geometric record (exponential service) has
-    h = 0 and equal ends: ``ci_half_width = 0``.
+    the ratio's bracket, plus the service term's error.
     """
-    down, up = pair.cycles(Discipline.DROPPING)
+    down, up = pair.cycles(discipline)
+    service = pair.service_term(discipline)
     c_down, c_up = down.crossing(), up.crossing()
     middle = (c_down + c_up) / (down.k_mean + up.k_mean)
     lo = c_up - 0.5 * up.step * (up.k_second - up.k_mean)
     hi = c_down + 0.5 * down.step * (down.k_second - down.k_mean)
     hw = max(middle - lo / down.k_mean, hi / up.k_mean - middle)
-    return AgeEstimate(value=pair.head + middle + pair.service.mean(),
-                       ci_half_width=hw, cycles_used=0, method="analytic")
-
-
-def moments_of_K_dropping(pair: Pair) -> tuple[Interval, Interval]:
-    """(E[K], E[K^2]) for the dropping cycle count K = min{k: A_{k+1} >= S},
-    from the dropping record (half-width 0 when K is geometric)."""
-    return pair.k_moments(Discipline.DROPPING)
+    return AgeEstimate(value=pair.head + middle + service.value,
+                       ci_half_width=hw + service.half_width, cycles_used=0,
+                       method=down.path)
 
 
 def k_pmf(pair: Pair, k_max: int) -> KPmf:
-    """Pmf of K under dropping up to ``k_max`` plus the remaining tail mass:
-    Pr(K = k) = Pr(K > k-1) - Pr(K > k) from the dropping record (the
-    geometric law with half-width 0 for exponential service)."""
+    """Pmf of K under dropping up to ``k_max`` plus the remaining tail mass,
+    from the dropping record: p (1-p)^(k-1) for a geometric K (exponential
+    service, half-width 0), else Pr(K > k-1) - Pr(K > k)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     down, up = pair.cycles(Discipline.DROPPING)
     mid, hw = _midpoint(down.survival(k_max), up.survival(k_max))
-    pmf = zip(mid[:-1] - mid[1:], hw[:-1] + hw[1:])
+    pmf = zip(down.hazard * mid[:-1] if down.hazard else mid[:-1] - mid[1:],
+              hw[:-1] + hw[1:])
     tail = Interval(float(mid[-1]), float(hw[-1]))
     return KPmf(tuple(Interval(float(v), float(e)) for v, e in pmf), tail, k_max)
-
-
-def success_probability(interarrival: Distribution,
-                        service: Distribution) -> float:
-    """p = Pr(a service completes before the next arrival) = 1 - E[Pr(S > Y)].
-
-    Exponential service has the closed form 1 - L(mu).  Otherwise ties
-    count as successes, matching the simulator's completion-first rule,
-    and a p within the quadrature's error estimate of 0 is 0: rounding must
-    not turn an impossible completion into a tiny positive chance.
-    """
-    if isinstance(service, Exponential):
-        return 1.0 - interarrival.laplace(service.rate)
-    mean_tail, err = expect(interarrival, service.ccdf,
-                            extra_breakpoints=service.breakpoints())
-    p = 1.0 - mean_tail
-    return 0.0 if p <= err else min(p, 1.0)
-
-
-def exact_age_preemption(pair: Pair) -> AgeEstimate:
-    """Average age under preemption in service, by quadrature."""
-    stilde = pair.completed_service  # raises before p = 0 divides
-    value, err = pair.crossing
-    middle, middle_err = value / pair.p, err / pair.p
-    # Quadrature is deterministic; the half-width only reflects the
-    # integrator's own error estimate.
-    ci = middle_err + QUAD_REL_TOL * (abs(middle) + stilde)
-    return AgeEstimate(value=pair.head + middle + stilde,
-                       ci_half_width=ci, cycles_used=0, method="analytic")

@@ -2,17 +2,18 @@
 
 Every bound is a short formula over one :class:`~aoi.analytic.Pair` of
 interarrival and service laws, sharing its primitives with the exact ages
-of the pair.  The three unconditional bounds are one formula, the paper's
-Corollary 1, over the K moments of the discipline's cycle record
-(:meth:`~aoi.analytic.Pair.k_moments`).  At a geometric K it reads
-E[Y^2]/(2E[Y]) + E[Y] (1-p)/p plus the service term: the G/M/1/1 bound
-(exponential service, 1/lam + 2/mu at exponential arrivals) is Corollary 1
-under dropping, and Corollary 2 is Corollary 1 under preemption with
-E[S | S <= Y] as the service term.  The mean-matched M/G ordering bound is an
-upper bound only for interarrivals with decreasing mean residual life and
-NBUE service; with IMRL interarrivals and NBUE service it flips into a
-lower bound.  Its ``applicability`` tag reads both premises from the two
-laws' closed-form ageing classes
+of the pair.  The three unconditional bounds are one function,
+:func:`corollary_one`: the paper's Corollary 1 over the K moments of the
+discipline's cycle record (:meth:`~aoi.analytic.Pair.k_moments`) plus its
+service term (:meth:`~aoi.analytic.Pair.service_term`).  At a geometric K
+it reads E[Y^2]/(2E[Y]) + E[Y] (1-p)/p plus the service term: the G/M/1/1
+bound (exponential service, 1/lam + 2/mu at exponential arrivals) is
+Corollary 1 under dropping, and Corollary 2 is Corollary 1 under
+preemption with E[S | S <= Y] as the service term.  The mean-matched M/G
+ordering bound is an upper bound only for interarrivals with decreasing
+mean residual life and NBUE service; with IMRL interarrivals and NBUE
+service it flips into a lower bound.  Its ``applicability`` tag reads
+both premises from the two laws' closed-form ageing classes
 (:meth:`~aoi.distributions.Distribution.mrl_class`).
 :data:`aoi.experiments.ESTIMATORS` says which bound applies to which
 discipline.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .analytic import Interval, Pair, moments_of_K_dropping
+from .analytic import Pair
 from .distributions import Exponential, MrlVerdict
 from .sim import Discipline
 
@@ -33,10 +34,8 @@ __all__ = [
     "BoundKind",
     "Applicability",
     "BoundReport",
-    "ub_dropping_general",
-    "ub_dropping_gm",
+    "corollary_one",
     "mg11_ordering_bound",
-    "ub_preemption",
 ]
 
 
@@ -75,36 +74,37 @@ class BoundReport:
                 "only the MG11Ordering bound carries a conditional label")
 
 
-def _corollary_one(pair: Pair, k_moments: tuple[Interval, Interval],
-                   service_term: float, kind: BoundKind) -> BoundReport:
-    """Corollary 1: E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K]) - 1/2) plus the
-    service term, with the half-width of its range over the K brackets."""
-    k_mean, k_second = k_moments
+_DISCIPLINE = {BoundKind.CorollaryOneDropping: Discipline.DROPPING,
+               BoundKind.GM11: Discipline.DROPPING,
+               BoundKind.CorollaryTwoPreemption: Discipline.PREEMPTION}
+
+
+def corollary_one(pair: Pair, discipline: Discipline,
+                  kind: BoundKind) -> BoundReport:
+    """Corollary 1 under ``discipline``: E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K])
+    - 1/2) plus the service term, with the half-width of its range over
+    the K brackets plus the service term's error.
+
+    Tight when the cycle count is independent of the gaps, e.g. at
+    deterministic gaps under dropping.  ``kind`` labels the report:
+    ``CorollaryOneDropping`` or ``GM11`` (which needs exponential service)
+    under dropping, ``CorollaryTwoPreemption`` under preemption.
+    """
+    if _DISCIPLINE.get(kind) is not discipline:
+        raise ValueError(f"{kind.value} is no Corollary-1 bound under "
+                         f"{discipline.value}")
+    if kind is BoundKind.GM11 and not isinstance(pair.service, Exponential):
+        raise ValueError("the GM11 bound needs an exponential service law")
+    k_mean, k_second = pair.k_moments(discipline)
+    service = pair.service_term(discipline)
     ratio, ratio_hw = k_second.over(k_mean)
     y_mean = pair.interarrival.mean()
     return BoundReport(
-        value=pair.head + y_mean * (0.5 * ratio - 0.5) + service_term,
+        value=pair.head + y_mean * (0.5 * ratio - 0.5) + service.value,
         kind=kind, applicability=Applicability.UNCONDITIONAL,
         inputs={**pair.to_dict(), "k_mean": k_mean.value,
                 "k_second_moment": k_second.value},
-        half_width=0.5 * y_mean * ratio_hw)
-
-
-def ub_dropping_general(pair: Pair) -> BoundReport:
-    """Unconditional dropping bound, Corollary 1 with service term E[S]
-    over the K moments of :func:`moments_of_K_dropping`.  Tight exactly
-    when the interarrival times are deterministic."""
-    return _corollary_one(pair, moments_of_K_dropping(pair),
-                          pair.service.mean(), BoundKind.CorollaryOneDropping)
-
-
-def ub_dropping_gm(pair: Pair) -> BoundReport:
-    """Dropping bound for exponential service: Corollary 1 at the geometric
-    K, E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + 1/mu with p = 1 - E[exp(-mu Y)]."""
-    if not isinstance(pair.service, Exponential):
-        raise ValueError("ub_dropping_gm needs an exponential service law")
-    return _corollary_one(pair, moments_of_K_dropping(pair),
-                          pair.service.mean(), BoundKind.GM11)
+        half_width=0.5 * y_mean * ratio_hw + service.half_width)
 
 
 def mg11_ordering_bound(pair: Pair) -> BoundReport:
@@ -140,13 +140,3 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
         value=value, kind=BoundKind.MG11Ordering, applicability=applicability,
         inputs={**pair.to_dict(), "interarrival_verdict": y_class.value,
                 "service_verdict": s_class.value})
-
-
-def ub_preemption(pair: Pair) -> BoundReport:
-    """Unconditional preemption bound (Corollary 2): Corollary 1 at the
-    geometric K of preemption, E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + E[S | S < Y]
-    with p the success probability.  Tight when the cycle count is
-    independent of the gaps (e.g. deterministic gaps with p = 1)."""
-    stilde = pair.completed_service  # raises before p = 0 divides
-    return _corollary_one(pair, pair.k_moments(Discipline.PREEMPTION), stilde,
-                          BoundKind.CorollaryTwoPreemption)

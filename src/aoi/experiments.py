@@ -67,15 +67,17 @@ class Estimator:
 # this table is built, so a swapped module attribute (a tracing wrapper,
 # say) is the one called.
 _D, _P = Discipline.DROPPING, Discipline.PREEMPTION
+_K = bounds.BoundKind
 ESTIMATORS: Mapping[str, Estimator] = {
-    "exact": Estimator({
-        _D: lambda pair: analytic.exact_age_dropping(pair),
-        _P: lambda pair: analytic.exact_age_preemption(pair)}),
-    "corollary1": Estimator({_D: lambda pair: bounds.ub_dropping_general(pair)}),
-    "gm11": Estimator({_D: lambda pair: bounds.ub_dropping_gm(pair)},
+    "exact": Estimator({_D: lambda pair: analytic.exact_age(pair, _D),
+                        _P: lambda pair: analytic.exact_age(pair, _P)}),
+    "corollary1": Estimator({_D: lambda pair: bounds.corollary_one(
+        pair, _D, _K.CorollaryOneDropping)}),
+    "gm11": Estimator({_D: lambda pair: bounds.corollary_one(pair, _D, _K.GM11)},
                       exponential_service=True),
     "mg11": Estimator({_D: lambda pair: bounds.mg11_ordering_bound(pair)}),
-    "corollary2": Estimator({_P: lambda pair: bounds.ub_preemption(pair)}),
+    "corollary2": Estimator({_P: lambda pair: bounds.corollary_one(
+        pair, _P, _K.CorollaryTwoPreemption)}),
 }
 
 

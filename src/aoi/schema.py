@@ -43,7 +43,8 @@ CLI_RESULT_SCHEMA = {
                     "value": {"type": "number"},
                     "ci_half_width": {"type": "number", "minimum": 0},
                     "cycles_used": {"type": "integer", "minimum": 0},
-                    "method": {"enum": ["simulation", "analytic"]},
+                    "method": {"enum": ["simulation", "lattice", "closed_form",
+                                        "quadrature"]},
                 },
             }}},
         },

@@ -126,7 +126,8 @@ class AgeEstimate:
     value: float
     ci_half_width: float
     cycles_used: int
-    method: Literal["simulation", "analytic"]
+    # the path: the simulator, or the exact cycle record's (see aoi.analytic)
+    method: Literal["simulation", "lattice", "closed_form", "quadrature"]
 
 
 class Moment(NamedTuple):

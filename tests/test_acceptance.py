@@ -7,18 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping,
-                          exact_age_preemption, k_pmf, success_probability)
-from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
-                        ub_dropping_gm, ub_preemption)
+from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
+from aoi.bounds import BoundKind, corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
                                ShiftedExponential, Uniform)
 from aoi.experiments import SweepSpec, emit_csv, run_sweep
-from aoi.sim import Z95, SimConfig, cycle_statistics, run_simulation
+from aoi.sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
 from walk_oracle import dropping_walk_moments
 
 RATE_GRID = (0.5, 1.0, 2.0)
+DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
+# (discipline, kind) of each Corollary-1 bound
+COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
+GM11 = (DROPPING, BoundKind.GM11)
+COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
 
 
 def _report(num, desc, failures):
@@ -42,7 +45,7 @@ def test_criterion_1_mm_dropping_cross_check():
             rel = abs(est.value - closed) / closed
             if rel > 0.02:
                 failures.append(f"sim ({lam},{mu}): rel err {rel:.4f} > 2%")
-            fast = exact_age_dropping(Pair(Exponential(lam), Exponential(mu)))
+            fast = exact_age(Pair(Exponential(lam), Exponential(mu)), DROPPING)
             if abs(fast.value - closed) > 1e-12 * closed:
                 failures.append(f"fast path ({lam},{mu}) != closed form")
             y, s = Exponential(lam), Exponential(mu)
@@ -62,7 +65,7 @@ def test_criterion_2_mm_preemption_cross_check():
     for i, lam in enumerate(RATE_GRID):
         for j, mu in enumerate(RATE_GRID):
             closed = 1.0 / lam + 1.0 / mu
-            exact = exact_age_preemption(Pair(Exponential(lam), Exponential(mu)))
+            exact = exact_age(Pair(Exponential(lam), Exponential(mu)), PREEMPTION)
             if abs(exact.value - closed) > 1e-8 * closed:
                 failures.append(
                     f"exact ({lam},{mu}): {exact.value} != {closed}")
@@ -90,12 +93,12 @@ def test_criterion_3_bound_domination_suite():
     }
     for family, laws in dropping_families.items():
         for y in laws:
-            exact = exact_age_dropping(Pair(y, service))
+            exact = exact_age(Pair(y, service), DROPPING)
             slack = 3.0 * exact.ci_half_width
-            c1 = ub_dropping_general(Pair(y, service)).value
+            c1 = corollary_one(Pair(y, service), *COROLLARY1).value
             if c1 < exact.value - slack:
                 failures.append(f"corollary1 < exact for {y.describe()}")
-            gm = ub_dropping_gm(Pair(y, service)).value
+            gm = corollary_one(Pair(y, service), *GM11).value
             if gm < exact.value - slack:
                 failures.append(f"gm11 < exact for {y.describe()}")
             verdict = y.mrl_class()
@@ -115,27 +118,28 @@ def test_criterion_3_bound_domination_suite():
     }
     for family, laws in preemption_families.items():
         for y in laws:
-            exact = exact_age_preemption(Pair(y, p_service))
+            exact = exact_age(Pair(y, p_service), PREEMPTION)
             slack = 3.0 * exact.ci_half_width + 1e-9
-            c2 = ub_preemption(Pair(y, p_service)).value
+            c2 = corollary_one(Pair(y, p_service), *COROLLARY2).value
             if c2 < exact.value - slack:
                 failures.append(f"corollary2 < exact for {y.describe()}")
 
     # Tightness: corollary 1 equals exact for deterministic interarrivals.
-    # Exponential service takes the renewal form (ci = 0), so the slack is
-    # relative rather than a Monte Carlo interval.
+    # Exponential service takes the geometric record, whose ci is roundoff
+    # at most here, so the slack is relative rather than a Monte Carlo
+    # interval.
     for v in (0.5, 1.0, 2.0):
         y = Deterministic(v)
-        exact = exact_age_dropping(Pair(y, service))
-        c1 = ub_dropping_general(Pair(y, service)).value
+        exact = exact_age(Pair(y, service), DROPPING)
+        c1 = corollary_one(Pair(y, service), *COROLLARY1).value
         slack = 3.0 * exact.ci_half_width + 1e-8 * exact.value
         if abs(c1 - exact.value) > slack:
             failures.append(f"corollary1 not tight at Deterministic({v}): "
                             f"{c1} vs {exact.value}")
 
     # Tightness: corollary 2 equals exact for Deterministic(2)/Deterministic(1).
-    exact = exact_age_preemption(Pair(Deterministic(2.0), Deterministic(1.0)))
-    c2 = ub_preemption(Pair(Deterministic(2.0), Deterministic(1.0))).value
+    exact = exact_age(Pair(Deterministic(2.0), Deterministic(1.0)), PREEMPTION)
+    c2 = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY2).value
     if abs(c2 - exact.value) > 1e-9:
         failures.append("corollary2 not tight at Deterministic(2)/Deterministic(1)")
 
@@ -157,7 +161,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
         expected = MrlVerdict.CONSTANT if c == 0.0 else MrlVerdict.DMRL
         if verdict is not expected:
             failures.append(f"shift {c}: verdict {verdict}")
-        exact = exact_age_dropping(Pair(y, service))
+        exact = exact_age(Pair(y, service), DROPPING)
         bound = mg11_ordering_bound(Pair(y, service)).value
         if exact.value > bound + 3.0 * exact.ci_half_width:
             failures.append(f"shift {c}: exact {exact.value:.4f} above "
@@ -183,7 +187,7 @@ def test_criterion_4_ordering_bound_and_imrl_reversal():
                                 "applicability label")
             if want == "PremiseNotMet":
                 continue
-            exact = exact_age_dropping(Pair(y, x))
+            exact = exact_age(Pair(y, x), DROPPING)
             if exact.value < bound.value - 3.0 * exact.ci_half_width:
                 failures.append(f"scale {s}, {x.describe()}: exact "
                                 f"{exact.value:.4f} below reversed bound "
@@ -289,7 +293,7 @@ def test_criterion_7_geometric_k_under_preemption(randomized_runs):
                   if c.discipline.value == "preemption"]
     misses = 0
     for config, stats in preemptive:
-        p = success_probability(config.interarrival, config.service)
+        p = Pair(config.interarrival, config.service).p.value
         gap = abs(stats.k_mean.value * p - 1.0)
         # z-test against the geometric null: Var(K) = (1-p)/p^2.  The
         # empirical CI collapses when p ~ 1 and no multi-arrival cycle

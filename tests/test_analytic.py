@@ -7,22 +7,38 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping,
-                          exact_age_preemption, k_pmf, moments_of_K_dropping,
-                          success_probability)
-from aoi.bounds import (mg11_ordering_bound, ub_dropping_general,
-                        ub_dropping_gm, ub_preemption)
+from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
+from aoi.bounds import BoundKind, corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
                                Uniform)
 from aoi.errors import AoiError, TruncationNotReached, ZeroSuccessProbability
-from aoi.sim import Z95, SimConfig, run_simulation
+from aoi.sim import Z95, Discipline, SimConfig, run_simulation
 from test_distributions import ALL_KINDS, RESCALED
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
 
+DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
+# (discipline, kind) of each Corollary-1 bound
+COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
+GM11 = (DROPPING, BoundKind.GM11)
+COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
+EPS = np.finfo(float).eps
+
+
 def mm_dropping_age(lam, mu):
     return 1.0 / lam + 2.0 / mu - 1.0 / (lam + mu)
+
+
+def assert_carries_the_crossing_error(pair, est):
+    """A geometric dropping age's half-width is the crossing term's
+    quadrature error over p, up to the rounding of the record's sums: a
+    roundoff-level width, positive unless the gaps are a point mass, which
+    is evaluated rather than integrated."""
+    carried = pair.crossing.half_width / pair.p.value
+    assert (carried > 0.0) is not isinstance(pair.interarrival, Deterministic)
+    assert est.ci_half_width <= 1e-12 * est.value
+    assert abs(est.ci_half_width - carried) <= 4.0 * EPS * est.value
 
 
 # ------------------------------------------------------------- options
@@ -46,10 +62,13 @@ def test_option_validation():
 def test_mm_fast_path_is_closed_form():
     for lam in (0.5, 1.0, 2.0):
         for mu in (0.5, 1.0, 2.0):
-            est = exact_age_dropping(Pair(Exponential(lam), Exponential(mu)))
-            assert est.value == pytest.approx(mm_dropping_age(lam, mu),
-                                              rel=1e-12)
-            assert est.ci_half_width == 0.0
+            pair = Pair(Exponential(lam), Exponential(mu))
+            est = exact_age(pair, DROPPING)
+            closed = mm_dropping_age(lam, mu)
+            assert abs(est.value - closed) <= \
+                est.ci_half_width + 4.0 * EPS * closed
+            assert_carries_the_crossing_error(pair, est)
+            assert est.method == "quadrature"
 
 
 def test_mm_generic_walk_agrees_with_closed_form():
@@ -72,26 +91,26 @@ def test_crossing_sum_closed_form_check():
 
 
 def test_deterministic_dropping_exact_values():
-    est = exact_age_dropping(Pair(Deterministic(2.0), Deterministic(1.0)))
+    est = exact_age(Pair(Deterministic(2.0), Deterministic(1.0)), DROPPING)
     assert est.value == pytest.approx(2.0, abs=1e-12)  # sum term 0, K == 1
-    est = exact_age_dropping(Pair(Deterministic(1.0), Deterministic(1.5)))
+    est = exact_age(Pair(Deterministic(1.0), Deterministic(1.5)), DROPPING)
     assert est.value == pytest.approx(2.5, abs=1e-12)  # hand trace: K == 2
 
 
 def test_moments_of_k_examples():
-    k1, k2 = moments_of_K_dropping(Pair(Exponential(1.0), Exponential(1.0)))
+    k1, k2 = Pair(Exponential(1.0), Exponential(1.0)).k_moments(DROPPING)
     assert (k1.value, k2.value) == (2.0, 6.0)  # geometric p = 1/2
-    k1, k2 = moments_of_K_dropping(Pair(Deterministic(2.0), Deterministic(1.0)))
+    k1, k2 = Pair(Deterministic(2.0), Deterministic(1.0)).k_moments(DROPPING)
     assert (k1.value, k2.value) == (1.0, 1.0)
-    k1, k2 = moments_of_K_dropping(Pair(Deterministic(1.0), Deterministic(1.5)))
+    k1, k2 = Pair(Deterministic(1.0), Deterministic(1.5)).k_moments(DROPPING)
     assert (k1.value, k2.value) == (2.0, 4.0)
-    k1, k2 = moments_of_K_dropping(Pair(Exponential(2.0), Deterministic(0.0)))
+    k1, k2 = Pair(Exponential(2.0), Deterministic(0.0)).k_moments(DROPPING)
     assert (k1.value, k2.value) == (1.0, 1.0)  # zero service: K == 1
 
 
 def test_geometric_fast_path_agrees_with_generic_walk():
     y, s = ShiftedExponential(1.0, 0.5), Exponential(1.0)
-    closed_k1, closed_k2 = moments_of_K_dropping(Pair(y, s))
+    closed_k1, closed_k2 = Pair(y, s).k_moments(DROPPING)
     assert closed_k1.half_width == 0.0
     wm = dropping_walk_moments(
         y, s, EstimatorOptions(mc_samples=300_000, seed=5))
@@ -108,7 +127,7 @@ def test_truncation_not_reached():
 
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
-        exact_age_dropping(Pair(Deterministic(0.0), Exponential(1.0)))
+        exact_age(Pair(Deterministic(0.0), Exponential(1.0)), DROPPING)
 
 
 # ------------------------------------------- exponential service: renewal
@@ -133,11 +152,12 @@ def test_renewal_form_agrees_with_walk(y):
     ratio = wm.ratio()
     head = y.second_moment() / (2.0 * y.mean())
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
-    est = exact_age_dropping(Pair(y, s))
-    assert (est.ci_half_width, est.cycles_used) == (0.0, 0)
+    est = exact_age(Pair(y, s), DROPPING)
+    assert est.cycles_used == 0
+    assert_carries_the_crossing_error(Pair(y, s), est)
     assert close(est.value, walk_age)
 
-    k1, k2 = moments_of_K_dropping(Pair(y, s))
+    k1, k2 = Pair(y, s).k_moments(DROPPING)
     assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
 
     renewal, walk = k_pmf(Pair(y, s), 10), _k_pmf_walk(y, s, 10, opts)
@@ -151,7 +171,7 @@ def test_renewal_form_agrees_with_walk(y):
 def test_mm_renewal_form_is_scale_free(c, lam, mu):
     # Rates 1/c: every time in units of c, far from the quadrature's
     # default unit.
-    est = exact_age_dropping(Pair(Exponential(lam / c), Exponential(mu / c)))
+    est = exact_age(Pair(Exponential(lam / c), Exponential(mu / c)), DROPPING)
     assert est.value == pytest.approx(c * mm_dropping_age(lam, mu), rel=1e-9)
 
 
@@ -165,17 +185,17 @@ def test_mm_renewal_form_is_scale_free(c, lam, mu):
 ], ids=["erlang", "hyperexponential", "shifted_exponential", "uniform",
         "rayleigh"])
 def test_renewal_form_rescales_with_time(c, scaled):
-    age = exact_age_dropping(Pair(scaled(1.0), Exponential(1.0))).value
-    est = exact_age_dropping(Pair(scaled(c), Exponential(1.0 / c)))
+    age = exact_age(Pair(scaled(1.0), Exponential(1.0)), DROPPING).value
+    est = exact_age(Pair(scaled(c), Exponential(1.0 / c)), DROPPING)
     assert est.value == pytest.approx(c * age, rel=1e-9)
 
 
 def test_renewal_form_survives_deep_cycles():
     # About 2e4 arrivals per cycle: more than the walk oracle's 1e4-term cap.
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
-    est = exact_age_dropping(Pair(y, s))
+    est = exact_age(Pair(y, s), DROPPING)
     assert math.isfinite(est.value)
-    report = ub_dropping_general(Pair(y, s))
+    report = corollary_one(Pair(y, s), *COROLLARY1)
     k_mean = report.inputs["k_mean"]
     assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
     # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
@@ -204,9 +224,21 @@ def test_k_pmf_mm_geometric():
     assert total == pytest.approx(1.0, abs=1e-9)
     assert res.tail_mass.value < 1e-6
     # First moment consistency with the closed-form E[K].
-    k1, _ = moments_of_K_dropping(Pair(Exponential(1.0), Exponential(1.0)))
+    k1, _ = Pair(Exponential(1.0), Exponential(1.0)).k_moments(DROPPING)
     mean_from_pmf = sum(k * m.value for k, m in enumerate(res.pmf, start=1))
     assert mean_from_pmf == pytest.approx(k1.value, rel=5e-3)
+
+
+@pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6])
+def test_geometric_k_pmf_keeps_its_relative_precision(mu):
+    # Pr(K = k) = q^(k-1) (1 - q), q = L(mu) = 1/(1 + mu): a difference of
+    # survival values q^(k-1) - q^k would lose relative precision as p
+    # shrinks.
+    q = 1.0 / (1.0 + mu)
+    res = k_pmf(Pair(Exponential(1.0), Exponential(mu)), 10)
+    for k, m in enumerate(res.pmf, start=1):
+        closed = q ** (k - 1) * (1.0 - q)
+        assert abs(m.value - closed) <= 1e-14 * closed, k
 
 
 @pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.describe())
@@ -217,27 +249,28 @@ def test_exponential_service_shares_one_geometric_record(y):
     # service terms E[S] = 1/mu and E[S | S <= Y].
     mu = 1.3
     pair = Pair(y, Exponential(mu))
-    p, stilde = pair.p, pair.completed_service
+    p, stilde = pair.p.value, pair.completed_service.value
     res = k_pmf(pair, 12)
     for k, m in enumerate(res.pmf, start=1):
         assert m.value == pytest.approx((1.0 - p)**(k - 1) * p, rel=1e-12)
         assert m.half_width == 0.0
     assert res.tail_mass.value == pytest.approx((1.0 - p)**12, rel=1e-12)
-    gap = exact_age_dropping(pair).value - exact_age_preemption(pair).value
+    gap = exact_age(pair, DROPPING).value - exact_age(pair, PREEMPTION).value
     assert gap == pytest.approx(1.0 / mu - stilde, rel=1e-12)
-    gap = ub_preemption(pair).value - ub_dropping_gm(pair).value
+    gap = (corollary_one(pair, *COROLLARY2).value
+           - corollary_one(pair, *GM11).value)
     assert gap == pytest.approx(stilde - 1.0 / mu, rel=1e-12)
 
 
 # ------------------------------------------------------------- preemption
 
 def test_success_probability_values():
-    assert success_probability(Exponential(1.0), Exponential(1.0)) == \
+    assert Pair(Exponential(1.0), Exponential(1.0)).p.value == \
         pytest.approx(0.5, rel=1e-9)
-    assert success_probability(Deterministic(2.0), Deterministic(1.0)) == 1.0
-    assert success_probability(Deterministic(1.0), Deterministic(2.0)) == 0.0
+    assert Pair(Deterministic(2.0), Deterministic(1.0)).p.value == 1.0
+    assert Pair(Deterministic(1.0), Deterministic(2.0)).p.value == 0.0
     for lam, mu in ((0.5, 1.5), (2.0, 1.0)):
-        assert success_probability(Exponential(lam), Exponential(mu)) == \
+        assert Pair(Exponential(lam), Exponential(mu)).p.value == \
             pytest.approx(mu / (lam + mu), rel=1e-9)
 
 
@@ -251,14 +284,14 @@ def test_success_probability_against_monte_carlo_oracle():
         draws_s = s.sample_array(rng, n)
         oracle = float(np.mean(draws_s <= draws_y))
         se = math.sqrt(oracle * (1.0 - oracle) / n)
-        assert abs(success_probability(y, s) - oracle) <= 4.0 * se
+        assert abs(Pair(y, s).p.value - oracle) <= 4.0 * se
 
 
 def test_conditional_mean_service_values():
-    assert Pair(Exponential(1.0), Exponential(1.0)).completed_service == \
+    assert Pair(Exponential(1.0), Exponential(1.0)).completed_service.value == \
         pytest.approx(0.5, rel=1e-9)  # 1/(lam+mu)
     assert Pair(Deterministic(2.0), Deterministic(1.0)).completed_service == \
-        pytest.approx(1.0)
+        (1.0, 0.0)  # point masses: nothing is integrated
     with pytest.raises(ZeroSuccessProbability):
         Pair(Deterministic(1.0), Deterministic(2.0)).completed_service
 
@@ -272,20 +305,20 @@ def test_conditional_mean_service_against_monte_carlo_oracle():
     kept = draws_s[draws_s <= draws_y]
     oracle = float(kept.mean())
     se = float(kept.std(ddof=1) / math.sqrt(len(kept)))
-    assert abs(Pair(y, s).completed_service - oracle) <= 4.0 * se
+    assert abs(Pair(y, s).completed_service.value - oracle) <= 4.0 * se
 
 
 def test_mm_preemption_closed_form():
     for lam in (0.5, 1.0, 2.0):
         for mu in (0.5, 1.0, 2.0):
-            est = exact_age_preemption(Pair(Exponential(lam), Exponential(mu)))
+            est = exact_age(Pair(Exponential(lam), Exponential(mu)), PREEMPTION)
             assert est.value == pytest.approx(1.0 / lam + 1.0 / mu, rel=1e-8)
 
 
 def test_printed_denominator_variant_differs():
     # lam=2, mu=1: dividing the middle term by p gives 1.5; dividing it by
     # 1-p instead would give 7/6.
-    exact = exact_age_preemption(Pair(Exponential(2.0), Exponential(1.0)))
+    exact = exact_age(Pair(Exponential(2.0), Exponential(1.0)), PREEMPTION)
     assert exact.value == pytest.approx(1.5, rel=1e-9)
     # Only the p reading matches simulation.
     est, _ = run_simulation(SimConfig(Exponential(2.0), Exponential(1.0),
@@ -298,7 +331,7 @@ def _preemption_outcome(y, s):
     """(exact age, corollary 2 bound), or the AoiError class raised."""
     try:
         pair = Pair(y, s)
-        return exact_age_preemption(pair).value, ub_preemption(pair).value
+        return exact_age(pair, PREEMPTION).value, corollary_one(pair, *COROLLARY2).value
     except AoiError as exc:
         return type(exc)
 
@@ -320,21 +353,22 @@ def test_preemption_is_scale_free(y, s, log10_c):
 
 @functools.cache
 def _dropping_outcome(y, s):
-    """Times (age, its half-width, corollary 1, gm11 for exponential
-    service), probabilities (the K pmf and tail) and the mg11 label, or the
-    AoiError class raised."""
+    """Times (age, corollary 1, gm11 for exponential service), the age's
+    half-width, probabilities (the K pmf and tail) and the mg11 label, or
+    the AoiError class raised."""
     pair = Pair(y, s)
     try:
-        est = exact_age_dropping(pair)
-        times = [est.value, est.ci_half_width, ub_dropping_general(pair).value]
+        est = exact_age(pair, DROPPING)
+        times = [est.value,
+                 corollary_one(pair, *COROLLARY1).value]
         if isinstance(s, Exponential):
-            times.append(ub_dropping_gm(pair).value)
+            times.append(corollary_one(pair, *GM11).value)
         pmf = k_pmf(pair, 10)
     except AoiError as exc:
         return type(exc)
     label = mg11_ordering_bound(pair)
-    return (times, [m.value for m in (*pmf.pmf, pmf.tail_mass)],
-            label.applicability)
+    return (times, est.ci_half_width,
+            [m.value for m in (*pmf.pmf, pmf.tail_mass)], label.applicability)
 
 
 @given(st.sampled_from(ALL_KINDS), st.sampled_from(ALL_KINDS),
@@ -352,17 +386,22 @@ def test_dropping_is_scale_free(y, s, log10_c):
         assert scaled is base
     else:
         assert scaled[0] == pytest.approx([c * t for t in base[0]], rel=1e-9)
-        assert scaled[1] == pytest.approx(base[1], rel=1e-9, abs=1e-12)
-        assert scaled[2] is base[2]
+        # A lattice half-width rescales like an age.  A quadrature error
+        # estimate is itself a sum of roundoff terms, so it rescales only
+        # to within a few ulps of the age.
+        assert scaled[1] == pytest.approx(c * base[1], rel=1e-9,
+                                          abs=4.0 * EPS * scaled[0][0])
+        assert scaled[2] == pytest.approx(base[2], rel=1e-9, abs=1e-12)
+        assert scaled[3] is base[3]
 
 
 def test_preemption_deterministic_cases():
-    est = exact_age_preemption(Pair(Deterministic(2.0), Deterministic(1.0)))
+    est = exact_age(Pair(Deterministic(2.0), Deterministic(1.0)), PREEMPTION)
     assert est.value == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ZeroSuccessProbability):
-        exact_age_preemption(Pair(Deterministic(1.0), Deterministic(2.0)))
+        exact_age(Pair(Deterministic(1.0), Deterministic(2.0)), PREEMPTION)
     # Tie: completion at exactly the next arrival succeeds.
-    est = exact_age_preemption(Pair(Deterministic(1.0), Deterministic(1.0)))
+    est = exact_age(Pair(Deterministic(1.0), Deterministic(1.0)), PREEMPTION)
     assert est.value == pytest.approx(1.5, abs=1e-12)
 
 
@@ -374,7 +413,7 @@ def test_preemption_deterministic_cases():
     (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Exponential(1.0)),
 ])
 def test_estimator_simulator_agreement_dropping(y, s):
-    est = exact_age_dropping(Pair(y, s))
+    est = exact_age(Pair(y, s), DROPPING)
     sim, _ = run_simulation(SimConfig(y, s, "dropping", 20_000, seed=31))
     assert abs(est.value - sim.value) <= \
         3.0 * (est.ci_half_width + sim.ci_half_width)
@@ -385,7 +424,7 @@ def test_estimator_simulator_agreement_dropping(y, s):
     (Uniform(0.2, 1.8), Rayleigh(0.4)),
 ])
 def test_estimator_simulator_agreement_preemption(y, s):
-    est = exact_age_preemption(Pair(y, s))
+    est = exact_age(Pair(y, s), PREEMPTION)
     sim, _ = run_simulation(SimConfig(y, s, "preemption", 20_000, seed=32))
     assert abs(est.value - sim.value) <= \
         3.0 * (est.ci_half_width + sim.ci_half_width) + 1e-9
@@ -394,15 +433,15 @@ def test_estimator_simulator_agreement_preemption(y, s):
 def test_preemption_k_is_geometric_in_simulation():
     from aoi.sim import cycle_statistics
     y, s = Uniform(0.2, 1.8), Rayleigh(0.4)
-    p = success_probability(y, s)
+    p = Pair(y, s).p.value
     _, records = run_simulation(SimConfig(y, s, "preemption", 20_000, seed=33))
     stats = cycle_statistics(records)
     assert abs(stats.k_mean.value - 1.0 / p) <= 3.0 * stats.k_mean.stderr
 
 
 def test_reproducibility_bit_identical():
-    a = exact_age_dropping(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)))
-    b = exact_age_dropping(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)))
+    a = exact_age(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)), DROPPING)
+    b = exact_age(Pair(Uniform(0.2, 1.8), Rayleigh(0.5)), DROPPING)
     assert a == b
     c = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)
     d = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)

@@ -2,28 +2,33 @@ import math
 
 import pytest
 
-from aoi.analytic import (Pair, exact_age_dropping, exact_age_preemption,
-                          moments_of_K_dropping)
-from aoi.bounds import (Applicability, BoundKind, BoundReport,
-                        mg11_ordering_bound, ub_dropping_general,
-                        ub_dropping_gm, ub_preemption)
+from aoi.analytic import Pair, exact_age
+from aoi.bounds import (Applicability, BoundKind, BoundReport, corollary_one,
+                        mg11_ordering_bound)
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
                                ShiftedExponential, Uniform)
 from aoi.errors import ZeroSuccessProbability
+from aoi.sim import Discipline
+
+DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
+# (discipline, kind) of each Corollary-1 bound
+COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
+GM11 = (DROPPING, BoundKind.GM11)
+COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
 
 
 def test_corollary1_plug_in_examples():
     # K moments (2, 6), (1, 1) and (2, 4): geometric with p = 1/2, K == 1
     # and K == 2.
-    r = ub_dropping_general(Pair(Exponential(1.0), Exponential(1.0)))
+    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *COROLLARY1)
     assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == \
         (pytest.approx(2.0, rel=1e-12), pytest.approx(6.0, rel=1e-12))
     assert r.value == pytest.approx(3.0, rel=1e-12)
-    r = ub_dropping_general(Pair(Deterministic(2.0), Deterministic(1.0)))
+    r = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY1)
     assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (1.0, 1.0)
     assert r.value == pytest.approx(2.0, rel=1e-12)
-    r = ub_dropping_general(Pair(Deterministic(1.0), Deterministic(1.5)))
+    r = corollary_one(Pair(Deterministic(1.0), Deterministic(1.5)), *COROLLARY1)
     assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (2.0, 4.0)
     assert r.value == pytest.approx(2.5, rel=1e-12)
     assert r.kind is BoundKind.CorollaryOneDropping
@@ -35,11 +40,11 @@ def test_corollary1_half_width_spans_the_k_moment_intervals():
     # The bound moves E[Y]/2 times the range of E[K^2]/E[K] over the
     # brackets E[K] +/- a, E[K^2] +/- b of the lattice moments.
     y, s = Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1)
-    (k1, a), (k2, b) = moments_of_K_dropping(Pair(y, s))
+    (k1, a), (k2, b) = Pair(y, s).k_moments(DROPPING)
     assert 0.0 < a < k1 and b > 0.0
     ratio = k2 / k1
     spread = max((k2 + b) / (k1 - a) - ratio, ratio - (k2 - b) / (k1 + a))
-    r = ub_dropping_general(Pair(y, s))
+    r = corollary_one(Pair(y, s), *COROLLARY1)
     assert r.value == pytest.approx(
         y.second_moment() / (2.0 * y.mean()) + y.mean() * (0.5 * ratio - 0.5)
         + s.mean(), rel=1e-12)
@@ -47,31 +52,42 @@ def test_corollary1_half_width_spans_the_k_moment_intervals():
 
 
 def test_gm11_examples():
-    r = ub_dropping_gm(Pair(Exponential(1.0), Exponential(1.0)))
+    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *GM11)
     assert r.value == pytest.approx(3.0, rel=1e-12)
-    r = ub_dropping_gm(Pair(Deterministic(2.0), Exponential(1.0)))
+    r = corollary_one(Pair(Deterministic(2.0), Exponential(1.0)), *GM11)
     assert r.value == pytest.approx(2.0 + 2.0 * (1.0 / (1.0 - math.exp(-2.0)) - 1.0),
                                     rel=1e-12)
     with pytest.raises(ValueError):
-        ub_dropping_gm(Pair(Deterministic(0.0), Exponential(1.0)))
+        corollary_one(Pair(Deterministic(0.0), Exponential(1.0)), *GM11)
+
+
+def test_corollary_one_rejects_a_label_it_does_not_earn():
+    pair = Pair(Exponential(1.0), Uniform(0.0, 1.0))
+    with pytest.raises(ValueError, match="exponential service"):
+        corollary_one(pair, *GM11)
+    for discipline, kind in ((PREEMPTION, BoundKind.CorollaryOneDropping),
+                             (DROPPING, BoundKind.CorollaryTwoPreemption),
+                             (DROPPING, BoundKind.MG11Ordering)):
+        with pytest.raises(ValueError, match="no Corollary-1 bound"):
+            corollary_one(pair, discipline, kind)
 
 
 def test_mm11_values():
     # M/M/1/1 dropping is the exact age and the G/M bound at exponential arrivals.
-    exact = exact_age_dropping(Pair(Exponential(1.0), Exponential(1.0)))
-    bound = ub_dropping_gm(Pair(Exponential(1.0), Exponential(1.0)))
+    exact = exact_age(Pair(Exponential(1.0), Exponential(1.0)), DROPPING)
+    bound = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *GM11)
     assert (exact.value, bound.value) == (pytest.approx(2.5), pytest.approx(3.0))
     assert bound.kind is BoundKind.GM11
-    exact = exact_age_dropping(Pair(Exponential(2.0), Exponential(1.0)))
+    exact = exact_age(Pair(Exponential(2.0), Exponential(1.0)), DROPPING)
     assert exact.value == pytest.approx(0.5 + 2.0 - 1.0 / 3.0, rel=1e-12)
-    exact = exact_age_dropping(Pair(Exponential(100.0), Exponential(1.0)))
+    exact = exact_age(Pair(Exponential(100.0), Exponential(1.0)), DROPPING)
     assert exact.value == pytest.approx(0.01 + 2.0 - 1.0 / 101.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
 def test_mm11_is_scale_free(c):
-    exact = exact_age_dropping(Pair(Exponential(1.0 / c), Exponential(1.0 / c)))
-    bound = ub_dropping_gm(Pair(Exponential(1.0 / c), Exponential(1.0 / c)))
+    exact = exact_age(Pair(Exponential(1.0 / c), Exponential(1.0 / c)), DROPPING)
+    bound = corollary_one(Pair(Exponential(1.0 / c), Exponential(1.0 / c)), *GM11)
     assert exact.value == pytest.approx(2.5 * c, rel=1e-9)
     assert bound.value == pytest.approx(3.0 * c, rel=1e-9)
 
@@ -114,7 +130,7 @@ def test_mg11_premise_not_met_without_nbue_service():
     report = mg11_ordering_bound(pair)
     assert report.applicability is Applicability.PREMISE_NOT_MET
     assert report.inputs["service_verdict"] == "IMRL"
-    exact = exact_age_dropping(pair)
+    exact = exact_age(pair, DROPPING)
     assert report.value == pytest.approx(4.2876, abs=1e-4)
     assert exact.value - exact.ci_half_width > report.value
 
@@ -126,7 +142,7 @@ def test_mg11_reversal_needs_nbue_service_too():
     pair = Pair(Hyperexponential((0.5, 0.5), (1.0, 4.0)), NON_NBUE_SERVICE)
     report = mg11_ordering_bound(pair)
     assert report.applicability is Applicability.PREMISE_NOT_MET
-    exact = exact_age_dropping(pair)
+    exact = exact_age(pair, DROPPING)
     assert report.value > exact.value + exact.ci_half_width
 
 
@@ -147,12 +163,12 @@ def test_mg11_labels_imrl_arrivals_without_a_caller_verdict():
 
 
 def test_corollary2_examples():
-    r = ub_preemption(Pair(Exponential(1.0), Exponential(1.0)))
+    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *COROLLARY2)
     assert r.value == pytest.approx(2.5, rel=1e-9)  # 1 + 1*(0.5/0.5) + 0.5
-    r = ub_preemption(Pair(Deterministic(2.0), Deterministic(1.0)))
+    r = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY2)
     assert r.value == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ZeroSuccessProbability):
-        ub_preemption(Pair(Deterministic(1.0), Deterministic(2.0)))
+        corollary_one(Pair(Deterministic(1.0), Deterministic(2.0)), *COROLLARY2)
 
 
 def test_applicability_is_mg11_specific():
@@ -169,11 +185,11 @@ def test_specialization_chain_corollary1_equals_gm11():
               Deterministic(2.0), Uniform(0.0, 2.0), Erlang(2, 1.0),
               Hyperexponential((0.5, 0.5), (0.5, 2.0))]:
         p = 1.0 - y.laplace(mu)
-        general = ub_dropping_general(Pair(y, Exponential(mu)))
+        general = corollary_one(Pair(y, Exponential(mu)), *COROLLARY1)
         assert general.inputs["k_mean"] == pytest.approx(1.0 / p, rel=1e-12)
         assert general.inputs["k_second_moment"] == \
             pytest.approx((2.0 - p) / p**2, rel=1e-12)
-        closed = ub_dropping_gm(Pair(y, Exponential(mu))).value
+        closed = corollary_one(Pair(y, Exponential(mu)), *GM11).value
         assert general.value == pytest.approx(closed, abs=1e-12), y.describe()
 
 
@@ -181,9 +197,9 @@ def test_specialization_chain_gm11_equals_mm11():
     # At exponential arrivals the G/M bound is the M/M/1/1 bound 1/lam + 2/mu,
     # and the exact age is that less 1/(lam + mu).
     for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
-        assert ub_dropping_gm(Pair(Exponential(lam), Exponential(mu))).value == \
+        assert corollary_one(Pair(Exponential(lam), Exponential(mu)), *GM11).value == \
             pytest.approx(1.0 / lam + 2.0 / mu, abs=1e-12)
-        assert exact_age_dropping(Pair(Exponential(lam), Exponential(mu))).value == \
+        assert exact_age(Pair(Exponential(lam), Exponential(mu)), DROPPING).value == \
             pytest.approx(1.0 / lam + 2.0 / mu - 1.0 / (lam + mu), abs=1e-12)
 
 
@@ -192,8 +208,8 @@ def test_corollary1_tight_for_deterministic_interarrivals():
     for v, s in ((1.5, Exponential(1.0)), (1.0, Deterministic(1.5)),
                  (0.8, Uniform(0.2, 1.4))):
         y = Deterministic(v)
-        bound = ub_dropping_general(Pair(y, s)).value
-        est = exact_age_dropping(Pair(y, s))
+        bound = corollary_one(Pair(y, s), *COROLLARY1).value
+        est = exact_age(Pair(y, s), DROPPING)
         assert abs(bound - est.value) <= 3.0 * est.ci_half_width + 1e-9
 
 
@@ -201,16 +217,16 @@ def test_corollary2_dominates_exact_preemption():
     for y, s in [(Exponential(1.0), Exponential(1.0)),
                  (ShiftedExponential(1.0, 0.3), Uniform(0.1, 1.1)),
                  (Uniform(0.3, 2.0), ShiftedExponential(2.0, 0.2))]:
-        bound = ub_preemption(Pair(y, s)).value
-        exact = exact_age_preemption(Pair(y, s)).value
+        bound = corollary_one(Pair(y, s), *COROLLARY2).value
+        exact = exact_age(Pair(y, s), PREEMPTION).value
         assert bound >= exact - 1e-9
 
 
 def test_corollary1_dominates_exact_dropping():
     for y, s in [(ShiftedExponential(1.0, 0.5), Exponential(1.0)),
                  (Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1))]:
-        bound = ub_dropping_general(Pair(y, s)).value
-        est = exact_age_dropping(Pair(y, s))
+        bound = corollary_one(Pair(y, s), *COROLLARY1).value
+        est = exact_age(Pair(y, s), DROPPING)
         assert bound >= est.value - 3.0 * est.ci_half_width
 
 
@@ -218,12 +234,12 @@ def test_mg11_upper_bound_under_dmrl_and_reversal_under_imrl():
     service = Exponential(1.0)
     dmrl_y = ShiftedExponential(1.0, 0.5)
     assert dmrl_y.mrl_class() is MrlVerdict.DMRL
-    exact = exact_age_dropping(Pair(dmrl_y, service))
+    exact = exact_age(Pair(dmrl_y, service), DROPPING)
     bound = mg11_ordering_bound(Pair(dmrl_y, service)).value
     assert bound >= exact.value - 3.0 * exact.ci_half_width
 
     imrl_y = Hyperexponential((0.5, 0.5), (0.5, 2.0))
     assert imrl_y.mrl_class() is MrlVerdict.IMRL
-    exact = exact_age_dropping(Pair(imrl_y, service))
+    exact = exact_age(Pair(imrl_y, service), DROPPING)
     lower = mg11_ordering_bound(Pair(imrl_y, service)).value
     assert lower <= exact.value + 3.0 * exact.ci_half_width

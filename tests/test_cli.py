@@ -46,7 +46,21 @@ def test_exact_json_round_trips(capsys):
                              "--interarrival", EXP1, "--service", EXP1)
     assert code == 0
     assert payload["result"]["value"] == pytest.approx(2.0, rel=1e-8)
-    assert payload["result"]["method"] == "analytic"
+    assert payload["result"]["method"] == "quadrature"
+
+
+@pytest.mark.parametrize("discipline,interarrival,service,method", [
+    ("dropping", EXP1, '{"kind": "uniform", "lower": 0, "upper": 1}', "lattice"),
+    ("dropping", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
+    ("dropping", DET % 0.5, EXP1, "quadrature"),
+    ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "quadrature"),
+])
+def test_exact_names_its_path(capsys, discipline, interarrival, service, method):
+    code, payload = run_json(capsys, "exact", "--discipline", discipline,
+                             "--interarrival", interarrival,
+                             "--service", service)
+    assert code == 0
+    assert payload["result"]["method"] == method
 
 
 def test_simulate_domain_error_exit_code(capsys):

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from aoi import analytic
-from aoi.analytic import (EstimatorOptions, Pair, exact_age_dropping, k_pmf,
-                          moments_of_K_dropping)
+from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
 from aoi.distributions import (Deterministic, Erlang, Exponential, Rayleigh,
                                ShiftedExponential, Uniform)
 from aoi.errors import TruncationNotReached
-from aoi.sim import Z95
+from aoi.sim import Z95, Discipline
 from test_distributions import ALL_KINDS, RESCALED
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
@@ -31,14 +30,15 @@ PAIRS = [
 ]
 IDS = ["SE/SE", "E/R", "E/U", "D/U", "D/R", "R/SE", "U/Erlang", "deep-U/R"]
 K_MAX = 10
+DROPPING = Discipline.DROPPING
 REPLICATES = 200_000
 
 
 def lattice(y, s):
     """Every lattice result as (value, half-width) pairs, in one order."""
     pair = Pair(y, s)
-    est = exact_age_dropping(pair)
-    k1, k2 = moments_of_K_dropping(pair)
+    est = exact_age(pair, DROPPING)
+    k1, k2 = pair.k_moments(DROPPING)
     pmf = k_pmf(pair, K_MAX)
     return [(est.value, est.ci_half_width), k1, k2, *pmf.pmf, pmf.tail_mass]
 
@@ -99,7 +99,7 @@ def test_half_width_covers_the_mg11_age(s):
     y_second = 2.0 / lam**2
     mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
             / (2.0 * (1.0 / lam + s.mean())) + s.mean())
-    est = exact_age_dropping(Pair(Exponential(lam), s))
+    est = exact_age(Pair(Exponential(lam), s), DROPPING)
     assert abs(est.value - mg11) <= est.ci_half_width
 
 
@@ -129,7 +129,7 @@ def test_deep_cycle_guard():
     age = 1.0 / lam + lam * d * d / (2.0 * (1.0 + lam * d)) + d
     tracemalloc.start()
     try:
-        est = exact_age_dropping(Pair(Exponential(lam), Deterministic(d)))
+        est = exact_age(Pair(Exponential(lam), Deterministic(d)), DROPPING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,7 +139,8 @@ def test_deep_cycle_guard():
 
 
 @pytest.mark.parametrize("compute", [
-    exact_age_dropping, moments_of_K_dropping,
+    lambda pair: exact_age(pair, DROPPING),
+    lambda pair: pair.k_moments(DROPPING),
     lambda pair: k_pmf(pair, K_MAX)], ids=["exact", "moments", "kpmf"])
 def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
