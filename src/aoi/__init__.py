@@ -13,9 +13,8 @@ from .bounds import (Applicability, BoundKind, BoundReport, corollary_one,
                      mg11_ordering_bound)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlVerdict, Rayleigh,
-                            ShiftedExponential, Uniform, from_dict,
-                            mean_residual_life)
-from .errors import (AoiError, DivergentAge, QuadratureNotConverged, TailEmpty,
+                            ShiftedExponential, Uniform, from_dict)
+from .errors import (AoiError, DivergentAge, QuadratureNotConverged,
                      TruncationNotReached, ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
                           emit_csv, read_csv, run_sweep)

@@ -66,7 +66,8 @@ from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .distributions import Deterministic, Distribution, Exponential, expect
+from .distributions import (Deterministic, Distribution, Exponential,
+                            check_pair, expect)
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline
 
@@ -152,15 +153,7 @@ class Pair:
     service: Distribution
 
     def __post_init__(self):
-        if self.interarrival.mean() <= 0:
-            raise ValueError("interarrival law must have a positive mean")
-        y2 = self.interarrival.second_moment()
-        if not math.isfinite(y2):
-            raise ValueError("interarrival law must have a finite second moment")
-        if y2 == 0.0:  # E[Y] > 0, so E[Y^2] > 0 unless it underflows
-            raise ValueError("interarrival second moment underflows to 0")
-        if not math.isfinite(self.service.mean()):
-            raise ValueError("service law must have a finite mean")
+        check_pair(self.interarrival, self.service)
 
     def to_dict(self) -> dict:
         """Both laws as JSON-ready dicts, keyed by their role."""
@@ -263,7 +256,8 @@ def _truncation_point(service: Distribution) -> float:
     quantile, and in units of E[S], so it rescales with time.
 
     The octave comes from doubling or halving E[S], the 1/64ths of it from
-    one array call of the ccdf.
+    one array call of the ccdf.  A tail that reaches past the float range
+    raises :class:`TruncationNotReached`.
     """
     hi = service.support()[1]
     if math.isfinite(hi):
@@ -271,6 +265,9 @@ def _truncation_point(service: Distribution) -> float:
     x = service.mean()
     while service.ccdf(x) > _SERVICE_TAIL:
         x *= 2.0
+    if math.isinf(x):
+        raise TruncationNotReached(
+            f"the tail of {service.describe()} reaches past the float range")
     while service.ccdf(0.5 * x) <= _SERVICE_TAIL:
         x *= 0.5
     tries = 0.5 * x * np.exp2(np.arange(1, _TOP_STEPS + 1) / _TOP_STEPS)
@@ -292,14 +289,16 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     m = 1 if point_mass else _LATTICE_STEPS
     while True:
         h = interarrival.mean() / m
-        n = int(top / h) + 2
-        if n <= _MAX_LATTICE:
+        steps = top / h  # inf when the cycle outgrows the float range
+        if steps < _MAX_LATTICE - 1:
             break
         if m <= _MIN_STEPS:
             raise TruncationNotReached(
-                f"a cycle spans {n} lattice points, more than {_MAX_LATTICE}; "
-                "the expected arrivals-per-cycle count is too large to resolve")
+                f"a cycle spans {steps:.4g} lattice steps, more than "
+                f"{_MAX_LATTICE}; the expected arrivals-per-cycle count is "
+                "too large to resolve")
         m //= 2
+    n = int(steps) + 2
     grid = h * np.arange(n + 1)
     x = grid[:n].copy()
     for b in service.breakpoints():

@@ -15,8 +15,8 @@ mean residual life and NBUE service; with IMRL interarrivals and NBUE
 service it flips into a lower bound.  Its ``applicability`` tag reads
 both premises from the two laws' closed-form ageing classes
 (:meth:`~aoi.distributions.Distribution.mrl_class`).
-:data:`aoi.experiments.ESTIMATORS` says which bound applies to which
-discipline.
+:data:`aoi.experiments.ESTIMATORS` alone says which bound applies to which
+discipline, under which :class:`BoundKind` label and precondition.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .analytic import Pair
-from .distributions import Exponential, MrlVerdict
+from .distributions import MrlVerdict
 from .sim import Discipline
 
 __all__ = [
@@ -40,6 +39,8 @@ __all__ = [
 
 
 class BoundKind(str, Enum):
+    """The label :data:`aoi.experiments.ESTIMATORS` gives each bound tag."""
+
     CorollaryOneDropping = "CorollaryOneDropping"
     GM11 = "GM11"
     MG11Ordering = "MG11Ordering"
@@ -55,55 +56,33 @@ class Applicability(str, Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its kind, validity regime, echoed inputs, and
-    how far it moves over the proven brackets of its inputs (0 for exact
-    inputs)."""
+    """A bound value with its validity regime and how far it moves over
+    the proven brackets of its inputs (0 for exact inputs)."""
 
     value: float
-    kind: BoundKind
     applicability: Applicability
-    inputs: Mapping[str, object]
     half_width: float = 0.0
 
     def __post_init__(self):
         if not self.value > 0:
             raise ValueError(f"bound value must be positive, got {self.value}")
-        if (self.kind is not BoundKind.MG11Ordering
-                and self.applicability is not Applicability.UNCONDITIONAL):
-            raise ValueError(
-                "only the MG11Ordering bound carries a conditional label")
 
 
-_DISCIPLINE = {BoundKind.CorollaryOneDropping: Discipline.DROPPING,
-               BoundKind.GM11: Discipline.DROPPING,
-               BoundKind.CorollaryTwoPreemption: Discipline.PREEMPTION}
-
-
-def corollary_one(pair: Pair, discipline: Discipline,
-                  kind: BoundKind) -> BoundReport:
+def corollary_one(pair: Pair, discipline: Discipline) -> BoundReport:
     """Corollary 1 under ``discipline``: E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K])
     - 1/2) plus the service term, with the half-width of its range over
     the K brackets plus the service term's error.
 
     Tight when the cycle count is independent of the gaps, e.g. at
-    deterministic gaps under dropping.  ``kind`` labels the report:
-    ``CorollaryOneDropping`` or ``GM11`` (which needs exponential service)
-    under dropping, ``CorollaryTwoPreemption`` under preemption.
+    deterministic gaps under dropping.
     """
-    if _DISCIPLINE.get(kind) is not discipline:
-        raise ValueError(f"{kind.value} is no Corollary-1 bound under "
-                         f"{discipline.value}")
-    if kind is BoundKind.GM11 and not isinstance(pair.service, Exponential):
-        raise ValueError("the GM11 bound needs an exponential service law")
     k_mean, k_second = pair.k_moments(discipline)
     service = pair.service_term(discipline)
     ratio, ratio_hw = k_second.over(k_mean)
     y_mean = pair.interarrival.mean()
     return BoundReport(
         value=pair.head + y_mean * (0.5 * ratio - 0.5) + service.value,
-        kind=kind, applicability=Applicability.UNCONDITIONAL,
-        inputs={**pair.to_dict(), "k_mean": k_mean.value,
-                "k_second_moment": k_second.value},
+        applicability=Applicability.UNCONDITIONAL,
         half_width=0.5 * y_mean * ratio_hw + service.half_width)
 
 
@@ -128,15 +107,10 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
                          "float range")
     value = ((ye_second + 2.0 * ye_mean * es + es2)
              / (2.0 * (ye_mean + es)) + es)
-    y_class = pair.interarrival.mrl_class()
-    s_class = pair.service.mrl_class()
-    if not s_class.nbue:
+    if not pair.service.mrl_class().nbue:
         applicability = Applicability.PREMISE_NOT_MET
-    elif y_class is MrlVerdict.IMRL:
+    elif pair.interarrival.mrl_class() is MrlVerdict.IMRL:
         applicability = Applicability.REVERSED_UNDER_IMRL
     else:
         applicability = Applicability.REQUIRES_DMRL_NBUE
-    return BoundReport(
-        value=value, kind=BoundKind.MG11Ordering, applicability=applicability,
-        inputs={**pair.to_dict(), "interarrival_verdict": y_class.value,
-                "service_verdict": s_class.value})
+    return BoundReport(value, applicability)

@@ -12,7 +12,8 @@ printed verbatim so scripts can branch on it), 2 on usage errors.  The
 ``AOI_SEED`` environment variable supplies the default seed when ``--seed``
 is omitted.  Only ``simulate`` reads the seed; every other subcommand
 accepts and range-checks it but draws nothing from it (``sweep`` seeds its
-``simulate`` rows from the spec's ``base_seed``).
+``simulate`` rows from the spec's ``base_seed``).  ``exact``, ``bound`` and
+``kpmf`` range-check ``--mc-samples`` the same way, and nothing reads it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
 __all__ = ["main", "build_parser"]
 
 SEED_ENV_VAR = "AOI_SEED"
-# The estimators that validate the unread --mc-samples: those that once ran
-# the Monte Carlo partial-sum walk.
-_MC_SAMPLES_CHECKED = {("exact", Discipline.DROPPING),
-                       ("corollary1", Discipline.DROPPING)}
 
 
 def _dist_argument(text: str) -> Distribution:
@@ -206,13 +203,11 @@ def _cmd_simulate(args) -> int:
 
 def _estimate(args, tag: str, discipline: Discipline):
     """The command's pair and ``tag``'s result on it from the estimator
-    table.  A pair, precondition or moment the table rejects, or a bad
-    (unread) ``--mc-samples``, is a usage error."""
+    table.  A pair, precondition or moment the table rejects is a usage
+    error."""
     with _usage_errors(args):
         pair = Pair(args.interarrival, args.service)
         experiments.require(tag, discipline, pair.service)
-        if (tag, discipline) in _MC_SAMPLES_CHECKED:
-            EstimatorOptions(mc_samples=args.mc_samples)
         return pair, experiments.ESTIMATORS[tag].calls[discipline](pair)
 
 
@@ -220,8 +215,6 @@ def _cmd_exact(args) -> int:
     discipline = Discipline(args.discipline)
     pair, estimate = _estimate(args, "exact", discipline)
     inputs = {"discipline": args.discipline, **pair.to_dict(), "seed": args.seed}
-    if ("exact", discipline) in _MC_SAMPLES_CHECKED:
-        inputs["mc_samples"] = args.mc_samples
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
               "cycles_used": estimate.cycles_used, "method": estimate.method}
     lines = [
@@ -234,14 +227,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    (discipline,) = experiments.ESTIMATORS[args.kind].calls  # one per bound
+    estimator = experiments.ESTIMATORS[args.kind]
+    (discipline,) = estimator.calls  # one per bound
     pair, report = _estimate(args, args.kind, discipline)
     inputs = {"kind": args.kind, **pair.to_dict(), "seed": args.seed}
-    result = {"value": report.value, "kind": report.kind.value,
+    result = {"value": report.value, "kind": estimator.kind.value,
               "applicability": report.applicability.value,
               "half_width": report.half_width}
     lines = [
-        f"bound           {report.kind.value}",
+        f"bound           {estimator.kind.value}",
         f"interarrival    {pair.interarrival.describe()}",
         f"service         {pair.service.describe()}",
         f"value           {_fmt(report.value)}",
@@ -251,12 +245,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_kpmf(args) -> int:
-    with _usage_errors(args):  # --mc-samples is validated, not read
+    with _usage_errors(args):
         pair = Pair(args.interarrival, args.service)
-        EstimatorOptions(mc_samples=args.mc_samples)
-    if args.k_max < 1:
-        raise SystemExit(f"aoi kpmf: k_max must be >= 1, got {args.k_max}")
-    res = analytic.k_pmf(pair, args.k_max)
+        res = analytic.k_pmf(pair, args.k_max)
     inputs = {**pair.to_dict(), "k_max": args.k_max, "seed": args.seed}
     # ``ci`` is the half-width of the proven bracket over Z95.
     result = {
@@ -334,6 +325,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.seed = _resolve_seed(args)
+        if hasattr(args, "mc_samples"):  # validated here, read nowhere
+            with _usage_errors(args):
+                EstimatorOptions(mc_samples=args.mc_samples)
         return _COMMANDS[args.command](args)
     except AoiError as exc:
         name = type(exc).__name__

@@ -11,8 +11,7 @@ family of laws. Each law is a frozen dataclass exposing
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
-Every integral (:func:`expect` and the tail integral of
-:func:`mean_residual_life`) comes from one vectorized panel quadrature:
+Every integral (:func:`expect`) comes from one vectorized panel quadrature:
 the range is cut at the law's breakpoints, the caller's breakpoints and a
 fixed grid in units of the law's mean (an unbounded last piece is mapped
 onto [0, 1)), every panel gets a 20-point Gauss-Legendre rule checked
@@ -42,7 +41,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, TailEmpty
+from .errors import QuadratureNotConverged
 
 __all__ = [
     "Distribution",
@@ -54,9 +53,9 @@ __all__ = [
     "Erlang",
     "Hyperexponential",
     "MrlVerdict",
-    "mean_residual_life",
     "expect",
     "from_dict",
+    "check_pair",
 ]
 
 QUAD_REL_TOL = 1e-9
@@ -114,9 +113,12 @@ class Distribution(ABC):
     def _ccdf(self, xs: np.ndarray) -> np.ndarray: ...
 
     def ccdf(self, x):
-        """Pr(X > x), strict. Accepts a scalar or an array."""
+        """Pr(X > x), strict. Accepts a scalar or an array.  Where x times
+        a rate, or x over a scale, overflows, the formula takes its limit
+        at infinity, without a warning."""
         arr = np.asarray(x, dtype=float)
-        out = self._ccdf(np.atleast_1d(arr))
+        with np.errstate(over="ignore"):
+            out = self._ccdf(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
     def tail_inclusive(self, x):
@@ -125,9 +127,11 @@ class Distribution(ABC):
         return self.ccdf(x)
 
     def pdf(self, x):
-        """Density where one exists. Accepts a scalar or an array."""
+        """Density where one exists. Accepts a scalar or an array, and
+        overflows as :meth:`ccdf` does."""
         arr = np.asarray(x, dtype=float)
-        out = self._pdf(np.atleast_1d(arr))
+        with np.errstate(over="ignore"):
+            out = self._pdf(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
     def _pdf(self, xs: np.ndarray) -> np.ndarray:
@@ -222,7 +226,8 @@ class ShiftedExponential(Distribution):
             raise ValueError(f"shift must be >= 0, got {self.shift}")
 
     def sample_array(self, rng, n):
-        return self.shift + rng.exponential(1.0 / self.rate, n)
+        with np.errstate(over="ignore"):  # a draw past the float range is inf
+            return self.shift + rng.exponential(1.0 / self.rate, n)
 
     def mean(self):
         return self.shift + 1.0 / self.rate
@@ -366,8 +371,7 @@ class Rayleigh(Distribution):
     def _ccdf(self, xs):
         m, e = math.frexp(self.scale)
         u = np.ldexp(xs, -e)
-        with np.errstate(over="ignore"):
-            return np.exp(-u * u / (2.0 * m * m))
+        return np.exp(-u * u / (2.0 * m * m))
 
     def _pdf(self, xs):  # (x / scale^2) ccdf(x)
         m, e = math.frexp(self.scale)
@@ -482,7 +486,8 @@ class Hyperexponential(Distribution):
         w = np.asarray(self.weights)
         r = np.asarray(self.rates)
         idx = rng.choice(len(r), size=n, p=w / w.sum())
-        return rng.exponential(1.0 / r[idx])
+        with np.errstate(over="ignore"):  # a mean past the float range is inf
+            return rng.exponential(1.0 / r[idx])
 
     def mean(self):
         return sum(w / r for w, r in zip(self.weights, self.rates))
@@ -539,8 +544,27 @@ def from_dict(data: Mapping) -> Distribution:
         raise ValueError(f"missing parameter(s) {sorted(missing)} for kind {kind!r}")
     for k, v in list(params.items()):
         if isinstance(v, list):
-            params[k] = tuple(v)
+            params[k] = v = tuple(v)
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (v if isinstance(v, tuple) else (v,))):
+            raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
+                             f"finite, got {v!r}")
     return cls(**params)
+
+
+def check_pair(interarrival: Distribution, service: Distribution) -> None:
+    """Raise ``ValueError`` unless a system with these interarrival and
+    service laws has a finite, positive age scale: E[Y] > 0, E[Y^2] finite
+    and not underflowing to 0, and E[S] finite."""
+    if interarrival.mean() <= 0:  # all arrivals at time 0
+        raise ValueError("interarrival law must have a positive mean")
+    y2 = interarrival.second_moment()
+    if not math.isfinite(y2):
+        raise ValueError("interarrival law must have a finite second moment")
+    if y2 == 0.0:  # E[Y] > 0, so E[Y^2] > 0 unless it underflows
+        raise ValueError("interarrival second moment underflows to 0")
+    if not math.isfinite(service.mean()):
+        raise ValueError("service law must have a finite mean")
 
 
 def expect(dist: Distribution, fn: Callable[[np.ndarray], np.ndarray],
@@ -598,8 +622,9 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
     |first-round total|), and bisects the rest.  The error estimate is the
     kept panels' sum of |G20 - G10| plus 50 eps times their sum of |G20|,
     the roundoff that decides whether a near-zero result is zero.  Raises
-    :class:`QuadratureNotConverged` after ``_MAX_DEPTH`` rounds, or when
-    more than ``_MAX_PANELS`` panels fail in one round.
+    :class:`QuadratureNotConverged` after ``_MAX_DEPTH`` rounds, when
+    more than ``_MAX_PANELS`` panels fail in one round, or when a node
+    lies past the float range.
     """
     start = float(cuts[0])
     u = (np.asarray(cuts, dtype=float) - start) / unit
@@ -625,8 +650,12 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
         x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
         t = x[mapped]
         x[mapped] = origin + t / (1.0 - t)
-        x *= unit
-        x += start
+        with np.errstate(over="ignore"):
+            x *= unit
+            x += start
+        if np.isinf(x).any():
+            raise QuadratureNotConverged(
+                "quadrature nodes reach past the float range")
         terms = f(x.ravel()).reshape(x.shape)
         terms[mapped] /= (1.0 - t) ** 2
         terms *= weights
@@ -650,25 +679,3 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
     raise QuadratureNotConverged(
         f"{a.size} quadrature panels still differ by more than "
         f"{QUAD_REL_TOL:g} relative after bisection")
-
-
-def mean_residual_life(dist: Distribution, t: float) -> float:
-    """m(t) = E[X - t | X > t] = (integral of the ccdf over [t, inf)) / ccdf(t).
-
-    At or below the support m(t) = E[X] - t exactly; inside it the integral
-    is one :func:`_panel_quad` call over [t, the breakpoints beyond t, the
-    end of the support] in units of the law's mean, so m(c t) of the law
-    rescaled by c is c m(t).  Raises :class:`TailEmpty` when
-    Pr(X > t) = 0.
-    """
-    if t < 0:
-        raise ValueError(f"mean residual life needs t >= 0, got {t}")
-    tail = float(dist.ccdf(t))
-    if tail <= 0.0:
-        raise TailEmpty(f"Pr(X > {t}) = 0 for {dist.describe()}")
-    lo, hi = dist.support()
-    if t <= lo:
-        return dist.mean() - t
-    cuts = sorted({t, *(p for p in dist.breakpoints() if t < p < hi), hi})
-    integral, _ = _panel_quad(dist.ccdf, dist.mean(), cuts)
-    return integral / tail

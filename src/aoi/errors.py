@@ -9,10 +9,6 @@ class AoiError(Exception):
     """Base class for all domain errors in this package."""
 
 
-class TailEmpty(AoiError):
-    """Mean residual life requested at a point with zero tail probability."""
-
-
 class DivergentAge(AoiError):
     """Simulation exhausted its event budget before reaching the requested
     number of deliveries, which signals a vanishing success probability."""
@@ -29,4 +25,5 @@ class ZeroSuccessProbability(AoiError):
 
 class QuadratureNotConverged(AoiError):
     """Bisecting quadrature panels did not bring their two Gauss-Legendre
-    rules into agreement within the bisection limits."""
+    rules into agreement within the bisection limits, or the panels reach
+    past the float range."""

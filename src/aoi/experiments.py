@@ -11,10 +11,10 @@ other estimators read no seed, nor the (validated) spec ``options``.
 
 Estimator tags: ``simulate`` and the tags of :data:`ESTIMATORS`, the one
 table that says which call computes each exact age and bound, for which
-discipline, and under which precondition.  The CLI's ``exact`` and
-``bound`` subcommands dispatch through the same table.  Points where an
-estimator raises a domain error are recorded as divergent rather than
-aborting the sweep.
+discipline, under which label and under which precondition.  The CLI's
+``exact`` and ``bound`` subcommands dispatch through the same table.
+Points where an estimator raises a domain error are recorded as divergent
+rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -56,28 +56,31 @@ _Call = Callable[[Pair], Union[AgeEstimate, bounds.BoundReport]]
 @dataclass(frozen=True)
 class Estimator:
     """One tag of :data:`ESTIMATORS`: its call on a :class:`Pair` for
-    each discipline it applies to, and whether it needs an exponential
-    service law."""
+    each discipline it applies to, the label of its bound (``None`` for an
+    exact age), and whether it needs an exponential service law."""
 
     calls: Mapping[Discipline, _Call]
+    kind: Optional[bounds.BoundKind] = None
     exponential_service: bool = False
 
 
 # The calls look up ``analytic.*`` and ``bounds.*`` when they run, not when
 # this table is built, so a swapped module attribute (a tracing wrapper,
-# say) is the one called.
+# say) is the one called.  corollary1 and gm11 are one formula: gm11 is
+# its label at exponential service, where K is geometric.
 _D, _P = Discipline.DROPPING, Discipline.PREEMPTION
 _K = bounds.BoundKind
 ESTIMATORS: Mapping[str, Estimator] = {
     "exact": Estimator({_D: lambda pair: analytic.exact_age(pair, _D),
                         _P: lambda pair: analytic.exact_age(pair, _P)}),
-    "corollary1": Estimator({_D: lambda pair: bounds.corollary_one(
-        pair, _D, _K.CorollaryOneDropping)}),
-    "gm11": Estimator({_D: lambda pair: bounds.corollary_one(pair, _D, _K.GM11)},
-                      exponential_service=True),
-    "mg11": Estimator({_D: lambda pair: bounds.mg11_ordering_bound(pair)}),
-    "corollary2": Estimator({_P: lambda pair: bounds.corollary_one(
-        pair, _P, _K.CorollaryTwoPreemption)}),
+    "corollary1": Estimator({_D: lambda pair: bounds.corollary_one(pair, _D)},
+                            _K.CorollaryOneDropping),
+    "gm11": Estimator({_D: lambda pair: bounds.corollary_one(pair, _D)},
+                      _K.GM11, exponential_service=True),
+    "mg11": Estimator({_D: lambda pair: bounds.mg11_ordering_bound(pair)},
+                      _K.MG11Ordering),
+    "corollary2": Estimator({_P: lambda pair: bounds.corollary_one(pair, _P)},
+                            _K.CorollaryTwoPreemption),
 }
 
 

@@ -23,8 +23,7 @@ CLI_RESULT_SCHEMA = {
         "error": {
             "type": "string",
             "enum": ["DivergentAge", "ZeroSuccessProbability",
-                     "TruncationNotReached", "TailEmpty",
-                     "QuadratureNotConverged"],
+                     "TruncationNotReached", "QuadratureNotConverged"],
         },
         "message": {"type": "string"},
     },

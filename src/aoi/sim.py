@@ -31,7 +31,7 @@ from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, check_pair
 from .errors import DivergentAge
 
 __all__ = [
@@ -69,8 +69,7 @@ class SimConfig:
             raise ValueError("max_events must be >= target_cycles")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.interarrival.mean() <= 0:     # all arrivals at time 0
-            raise ValueError("interarrival law must have a positive mean")
+        check_pair(self.interarrival, self.service)
 
     @property
     def effective_max_events(self) -> int:

@@ -8,20 +8,16 @@ import numpy as np
 import pytest
 
 from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
-from aoi.bounds import BoundKind, corollary_one, mg11_ordering_bound
+from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
                                ShiftedExponential, Uniform)
-from aoi.experiments import SweepSpec, emit_csv, run_sweep
+from aoi.experiments import ESTIMATORS, SweepSpec, emit_csv, run_sweep
 from aoi.sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
 from walk_oracle import dropping_walk_moments
 
 RATE_GRID = (0.5, 1.0, 2.0)
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
-# (discipline, kind) of each Corollary-1 bound
-COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
-GM11 = (DROPPING, BoundKind.GM11)
-COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
 
 
 def _report(num, desc, failures):
@@ -95,12 +91,10 @@ def test_criterion_3_bound_domination_suite():
         for y in laws:
             exact = exact_age(Pair(y, service), DROPPING)
             slack = 3.0 * exact.ci_half_width
-            c1 = corollary_one(Pair(y, service), *COROLLARY1).value
-            if c1 < exact.value - slack:
-                failures.append(f"corollary1 < exact for {y.describe()}")
-            gm = corollary_one(Pair(y, service), *GM11).value
-            if gm < exact.value - slack:
-                failures.append(f"gm11 < exact for {y.describe()}")
+            for tag in ("corollary1", "gm11"):
+                bound = ESTIMATORS[tag].calls[DROPPING](Pair(y, service))
+                if bound.value < exact.value - slack:
+                    failures.append(f"{tag} < exact for {y.describe()}")
             verdict = y.mrl_class()
             if verdict in (MrlVerdict.DMRL, MrlVerdict.CONSTANT) and nbue_service:
                 mg = mg11_ordering_bound(Pair(y, service)).value
@@ -120,7 +114,7 @@ def test_criterion_3_bound_domination_suite():
         for y in laws:
             exact = exact_age(Pair(y, p_service), PREEMPTION)
             slack = 3.0 * exact.ci_half_width + 1e-9
-            c2 = corollary_one(Pair(y, p_service), *COROLLARY2).value
+            c2 = corollary_one(Pair(y, p_service), PREEMPTION).value
             if c2 < exact.value - slack:
                 failures.append(f"corollary2 < exact for {y.describe()}")
 
@@ -131,7 +125,7 @@ def test_criterion_3_bound_domination_suite():
     for v in (0.5, 1.0, 2.0):
         y = Deterministic(v)
         exact = exact_age(Pair(y, service), DROPPING)
-        c1 = corollary_one(Pair(y, service), *COROLLARY1).value
+        c1 = corollary_one(Pair(y, service), DROPPING).value
         slack = 3.0 * exact.ci_half_width + 1e-8 * exact.value
         if abs(c1 - exact.value) > slack:
             failures.append(f"corollary1 not tight at Deterministic({v}): "
@@ -139,7 +133,7 @@ def test_criterion_3_bound_domination_suite():
 
     # Tightness: corollary 2 equals exact for Deterministic(2)/Deterministic(1).
     exact = exact_age(Pair(Deterministic(2.0), Deterministic(1.0)), PREEMPTION)
-    c2 = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY2).value
+    c2 = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), PREEMPTION).value
     if abs(c2 - exact.value) > 1e-9:
         failures.append("corollary2 not tight at Deterministic(2)/Deterministic(1)")
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
-from aoi.bounds import BoundKind, corollary_one, mg11_ordering_bound
+from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
                                Uniform)
@@ -19,10 +19,6 @@ from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
-# (discipline, kind) of each Corollary-1 bound
-COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
-GM11 = (DROPPING, BoundKind.GM11)
-COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
 EPS = np.finfo(float).eps
 
 
@@ -125,6 +121,21 @@ def test_truncation_not_reached():
                               EstimatorOptions(mc_samples=10_000, seed=1))
 
 
+@pytest.mark.parametrize("s", [
+    Deterministic(1e308), Uniform(0.0, 1e308), Rayleigh(8e307),
+    Hyperexponential((0.5, 0.5), (5e-309, 2e-308))],
+    ids=lambda d: d.kind)
+def test_lattice_past_the_float_range_is_not_reached(s):
+    # The lattice's top, or its size in steps of E[Y]/m, overflows: a
+    # domain error, not an OverflowError or an endless doubling.
+    pair = Pair(Exponential(1.0), s)
+    for run in (lambda: exact_age(pair, DROPPING),
+                lambda: corollary_one(pair, DROPPING),
+                lambda: k_pmf(pair, 3)):
+        with pytest.raises(TruncationNotReached):
+            run()
+
+
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
         exact_age(Pair(Deterministic(0.0), Exponential(1.0)), DROPPING)
@@ -195,8 +206,7 @@ def test_renewal_form_survives_deep_cycles():
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
     est = exact_age(Pair(y, s), DROPPING)
     assert math.isfinite(est.value)
-    report = corollary_one(Pair(y, s), *COROLLARY1)
-    k_mean = report.inputs["k_mean"]
+    k_mean = Pair(y, s).k_moments(DROPPING)[0].value
     assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
     # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
     crossing, _ = integrate.quad(lambda t: t * math.exp(-0.005 * t) / 0.02,
@@ -257,8 +267,8 @@ def test_exponential_service_shares_one_geometric_record(y):
     assert res.tail_mass.value == pytest.approx((1.0 - p)**12, rel=1e-12)
     gap = exact_age(pair, DROPPING).value - exact_age(pair, PREEMPTION).value
     assert gap == pytest.approx(1.0 / mu - stilde, rel=1e-12)
-    gap = (corollary_one(pair, *COROLLARY2).value
-           - corollary_one(pair, *GM11).value)
+    gap = (corollary_one(pair, PREEMPTION).value
+           - corollary_one(pair, DROPPING).value)
     assert gap == pytest.approx(stilde - 1.0 / mu, rel=1e-12)
 
 
@@ -331,7 +341,7 @@ def _preemption_outcome(y, s):
     """(exact age, corollary 2 bound), or the AoiError class raised."""
     try:
         pair = Pair(y, s)
-        return exact_age(pair, PREEMPTION).value, corollary_one(pair, *COROLLARY2).value
+        return exact_age(pair, PREEMPTION).value, corollary_one(pair, PREEMPTION).value
     except AoiError as exc:
         return type(exc)
 
@@ -353,16 +363,13 @@ def test_preemption_is_scale_free(y, s, log10_c):
 
 @functools.cache
 def _dropping_outcome(y, s):
-    """Times (age, corollary 1, gm11 for exponential service), the age's
+    """Times (age, corollary 1, which is gm11 at exponential service), the age's
     half-width, probabilities (the K pmf and tail) and the mg11 label, or
     the AoiError class raised."""
     pair = Pair(y, s)
     try:
         est = exact_age(pair, DROPPING)
-        times = [est.value,
-                 corollary_one(pair, *COROLLARY1).value]
-        if isinstance(s, Exponential):
-            times.append(corollary_one(pair, *GM11).value)
+        times = [est.value, corollary_one(pair, DROPPING).value]
         pmf = k_pmf(pair, 10)
     except AoiError as exc:
         return type(exc)

@@ -9,29 +9,24 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
                                ShiftedExponential, Uniform)
 from aoi.errors import ZeroSuccessProbability
+from aoi.experiments import ESTIMATORS, require
 from aoi.sim import Discipline
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
-# (discipline, kind) of each Corollary-1 bound
-COROLLARY1 = (DROPPING, BoundKind.CorollaryOneDropping)
-GM11 = (DROPPING, BoundKind.GM11)
-COROLLARY2 = (PREEMPTION, BoundKind.CorollaryTwoPreemption)
 
 
 def test_corollary1_plug_in_examples():
     # K moments (2, 6), (1, 1) and (2, 4): geometric with p = 1/2, K == 1
     # and K == 2.
-    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *COROLLARY1)
-    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == \
-        (pytest.approx(2.0, rel=1e-12), pytest.approx(6.0, rel=1e-12))
-    assert r.value == pytest.approx(3.0, rel=1e-12)
-    r = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY1)
-    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (1.0, 1.0)
-    assert r.value == pytest.approx(2.0, rel=1e-12)
-    r = corollary_one(Pair(Deterministic(1.0), Deterministic(1.5)), *COROLLARY1)
-    assert (r.inputs["k_mean"], r.inputs["k_second_moment"]) == (2.0, 4.0)
-    assert r.value == pytest.approx(2.5, rel=1e-12)
-    assert r.kind is BoundKind.CorollaryOneDropping
+    for y, s, moments, value in (
+            (Exponential(1.0), Exponential(1.0), (2.0, 6.0), 3.0),
+            (Deterministic(2.0), Deterministic(1.0), (1.0, 1.0), 2.0),
+            (Deterministic(1.0), Deterministic(1.5), (2.0, 4.0), 2.5)):
+        pair = Pair(y, s)
+        k1, k2 = pair.k_moments(DROPPING)
+        assert (k1.value, k2.value) == pytest.approx(moments, rel=1e-12)
+        r = corollary_one(pair, DROPPING)
+        assert r.value == pytest.approx(value, rel=1e-12)
     assert r.applicability is Applicability.UNCONDITIONAL
     assert r.half_width == 0.0
 
@@ -44,7 +39,7 @@ def test_corollary1_half_width_spans_the_k_moment_intervals():
     assert 0.0 < a < k1 and b > 0.0
     ratio = k2 / k1
     spread = max((k2 + b) / (k1 - a) - ratio, ratio - (k2 - b) / (k1 + a))
-    r = corollary_one(Pair(y, s), *COROLLARY1)
+    r = corollary_one(Pair(y, s), DROPPING)
     assert r.value == pytest.approx(
         y.second_moment() / (2.0 * y.mean()) + y.mean() * (0.5 * ratio - 0.5)
         + s.mean(), rel=1e-12)
@@ -52,32 +47,40 @@ def test_corollary1_half_width_spans_the_k_moment_intervals():
 
 
 def test_gm11_examples():
-    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *GM11)
+    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), DROPPING)
     assert r.value == pytest.approx(3.0, rel=1e-12)
-    r = corollary_one(Pair(Deterministic(2.0), Exponential(1.0)), *GM11)
+    r = corollary_one(Pair(Deterministic(2.0), Exponential(1.0)), DROPPING)
     assert r.value == pytest.approx(2.0 + 2.0 * (1.0 / (1.0 - math.exp(-2.0)) - 1.0),
                                     rel=1e-12)
     with pytest.raises(ValueError):
-        corollary_one(Pair(Deterministic(0.0), Exponential(1.0)), *GM11)
+        corollary_one(Pair(Deterministic(0.0), Exponential(1.0)), DROPPING)
 
 
-def test_corollary_one_rejects_a_label_it_does_not_earn():
-    pair = Pair(Exponential(1.0), Uniform(0.0, 1.0))
+def test_estimator_table_refuses_a_label_the_pair_does_not_earn():
+    # The table alone pairs each bound tag with its label, its discipline
+    # and its precondition.
+    labels = {tag: (e.kind, tuple(e.calls), e.exponential_service)
+              for tag, e in ESTIMATORS.items()}
+    assert labels == {
+        "exact": (None, (DROPPING, PREEMPTION), False),
+        "corollary1": (BoundKind.CorollaryOneDropping, (DROPPING,), False),
+        "gm11": (BoundKind.GM11, (DROPPING,), True),
+        "mg11": (BoundKind.MG11Ordering, (DROPPING,), False),
+        "corollary2": (BoundKind.CorollaryTwoPreemption, (PREEMPTION,), False),
+    }
     with pytest.raises(ValueError, match="exponential service"):
-        corollary_one(pair, *GM11)
-    for discipline, kind in ((PREEMPTION, BoundKind.CorollaryOneDropping),
-                             (DROPPING, BoundKind.CorollaryTwoPreemption),
-                             (DROPPING, BoundKind.MG11Ordering)):
-        with pytest.raises(ValueError, match="no Corollary-1 bound"):
-            corollary_one(pair, discipline, kind)
+        require("gm11", DROPPING, Uniform(0.0, 1.0))
+    for tag, discipline in (("corollary1", PREEMPTION), ("gm11", PREEMPTION),
+                            ("mg11", PREEMPTION), ("corollary2", DROPPING)):
+        with pytest.raises(ValueError, match="applies to"):
+            require(tag, discipline, Exponential(1.0))
 
 
 def test_mm11_values():
     # M/M/1/1 dropping is the exact age and the G/M bound at exponential arrivals.
     exact = exact_age(Pair(Exponential(1.0), Exponential(1.0)), DROPPING)
-    bound = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *GM11)
+    bound = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), DROPPING)
     assert (exact.value, bound.value) == (pytest.approx(2.5), pytest.approx(3.0))
-    assert bound.kind is BoundKind.GM11
     exact = exact_age(Pair(Exponential(2.0), Exponential(1.0)), DROPPING)
     assert exact.value == pytest.approx(0.5 + 2.0 - 1.0 / 3.0, rel=1e-12)
     exact = exact_age(Pair(Exponential(100.0), Exponential(1.0)), DROPPING)
@@ -87,7 +90,7 @@ def test_mm11_values():
 @pytest.mark.parametrize("c", [1e-6, 1e6])
 def test_mm11_is_scale_free(c):
     exact = exact_age(Pair(Exponential(1.0 / c), Exponential(1.0 / c)), DROPPING)
-    bound = corollary_one(Pair(Exponential(1.0 / c), Exponential(1.0 / c)), *GM11)
+    bound = corollary_one(Pair(Exponential(1.0 / c), Exponential(1.0 / c)), DROPPING)
     assert exact.value == pytest.approx(2.5 * c, rel=1e-9)
     assert bound.value == pytest.approx(3.0 * c, rel=1e-9)
 
@@ -112,12 +115,11 @@ def test_mg11_applicability_labels():
     for y in (Exponential(1.0), ShiftedExponential(1.0, 0.5),
               Hyperexponential((0.5, 0.5), (0.5, 2.0)), Uniform(0.0, 2.0)):
         verdict = y.mrl_class()
-        report = mg11_ordering_bound(Pair(y, Exponential(1.0)))
-        assert report.applicability is (
+        pair = Pair(y, Exponential(1.0))
+        assert pair.service.mrl_class() is MrlVerdict.CONSTANT
+        assert mg11_ordering_bound(pair).applicability is (
             Applicability.REVERSED_UNDER_IMRL if verdict is MrlVerdict.IMRL
             else Applicability.REQUIRES_DMRL_NBUE), y.describe()
-        assert report.inputs["interarrival_verdict"] == verdict.value
-        assert report.inputs["service_verdict"] == "ConstantMRL"
 
 
 # The pair where the missing service premise once gave a wrong label: DMRL
@@ -129,7 +131,7 @@ def test_mg11_premise_not_met_without_nbue_service():
     pair = Pair(ShiftedExponential(2.0, 0.5), NON_NBUE_SERVICE)
     report = mg11_ordering_bound(pair)
     assert report.applicability is Applicability.PREMISE_NOT_MET
-    assert report.inputs["service_verdict"] == "IMRL"
+    assert pair.service.mrl_class() is MrlVerdict.IMRL
     exact = exact_age(pair, DROPPING)
     assert report.value == pytest.approx(4.2876, abs=1e-4)
     assert exact.value - exact.ci_half_width > report.value
@@ -163,33 +165,44 @@ def test_mg11_labels_imrl_arrivals_without_a_caller_verdict():
 
 
 def test_corollary2_examples():
-    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), *COROLLARY2)
+    r = corollary_one(Pair(Exponential(1.0), Exponential(1.0)), PREEMPTION)
     assert r.value == pytest.approx(2.5, rel=1e-9)  # 1 + 1*(0.5/0.5) + 0.5
-    r = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), *COROLLARY2)
+    r = corollary_one(Pair(Deterministic(2.0), Deterministic(1.0)), PREEMPTION)
     assert r.value == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ZeroSuccessProbability):
-        corollary_one(Pair(Deterministic(1.0), Deterministic(2.0)), *COROLLARY2)
+        corollary_one(Pair(Deterministic(1.0), Deterministic(2.0)), PREEMPTION)
 
 
 def test_applicability_is_mg11_specific():
-    with pytest.raises(ValueError):
-        BoundReport(value=1.0, kind=BoundKind.GM11,
-                    applicability=Applicability.REQUIRES_DMRL_NBUE, inputs={})
+    # Every bound but mg11 holds unconditionally, even at IMRL arrivals.
+    pair = Pair(Hyperexponential((0.5, 0.5), (0.5, 2.0)), Exponential(1.0))
+    for tag, estimator in ESTIMATORS.items():
+        for call in estimator.calls.values():
+            if estimator.kind not in (None, BoundKind.MG11Ordering):
+                assert call(pair).applicability is \
+                    Applicability.UNCONDITIONAL, tag
+    assert mg11_ordering_bound(pair).applicability is \
+        Applicability.REVERSED_UNDER_IMRL
+    with pytest.raises(ValueError, match="positive"):
+        BoundReport(value=0.0, applicability=Applicability.UNCONDITIONAL)
 
 
 def test_specialization_chain_corollary1_equals_gm11():
     # With geometric K moments from p = 1 - laplace(Y, mu), the general
-    # bound collapses to the closed exponential-service form.
+    # bound collapses to the closed exponential-service form
+    # E[Y^2]/(2E[Y]) + E[Y] (1-p)/p + 1/mu.
     mu = 1.3
     for y in [Exponential(1.0), ShiftedExponential(1.0, 0.5),
               Deterministic(2.0), Uniform(0.0, 2.0), Erlang(2, 1.0),
               Hyperexponential((0.5, 0.5), (0.5, 2.0))]:
         p = 1.0 - y.laplace(mu)
-        general = corollary_one(Pair(y, Exponential(mu)), *COROLLARY1)
-        assert general.inputs["k_mean"] == pytest.approx(1.0 / p, rel=1e-12)
-        assert general.inputs["k_second_moment"] == \
-            pytest.approx((2.0 - p) / p**2, rel=1e-12)
-        closed = corollary_one(Pair(y, Exponential(mu)), *GM11).value
+        pair = Pair(y, Exponential(mu))
+        k1, k2 = pair.k_moments(DROPPING)
+        assert k1.value == pytest.approx(1.0 / p, rel=1e-12)
+        assert k2.value == pytest.approx((2.0 - p) / p**2, rel=1e-12)
+        closed = (y.second_moment() / (2.0 * y.mean())
+                  + y.mean() * (1.0 - p) / p + 1.0 / mu)
+        general = corollary_one(pair, DROPPING)
         assert general.value == pytest.approx(closed, abs=1e-12), y.describe()
 
 
@@ -197,7 +210,7 @@ def test_specialization_chain_gm11_equals_mm11():
     # At exponential arrivals the G/M bound is the M/M/1/1 bound 1/lam + 2/mu,
     # and the exact age is that less 1/(lam + mu).
     for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
-        assert corollary_one(Pair(Exponential(lam), Exponential(mu)), *GM11).value == \
+        assert corollary_one(Pair(Exponential(lam), Exponential(mu)), DROPPING).value == \
             pytest.approx(1.0 / lam + 2.0 / mu, abs=1e-12)
         assert exact_age(Pair(Exponential(lam), Exponential(mu)), DROPPING).value == \
             pytest.approx(1.0 / lam + 2.0 / mu - 1.0 / (lam + mu), abs=1e-12)
@@ -208,7 +221,7 @@ def test_corollary1_tight_for_deterministic_interarrivals():
     for v, s in ((1.5, Exponential(1.0)), (1.0, Deterministic(1.5)),
                  (0.8, Uniform(0.2, 1.4))):
         y = Deterministic(v)
-        bound = corollary_one(Pair(y, s), *COROLLARY1).value
+        bound = corollary_one(Pair(y, s), DROPPING).value
         est = exact_age(Pair(y, s), DROPPING)
         assert abs(bound - est.value) <= 3.0 * est.ci_half_width + 1e-9
 
@@ -217,7 +230,7 @@ def test_corollary2_dominates_exact_preemption():
     for y, s in [(Exponential(1.0), Exponential(1.0)),
                  (ShiftedExponential(1.0, 0.3), Uniform(0.1, 1.1)),
                  (Uniform(0.3, 2.0), ShiftedExponential(2.0, 0.2))]:
-        bound = corollary_one(Pair(y, s), *COROLLARY2).value
+        bound = corollary_one(Pair(y, s), PREEMPTION).value
         exact = exact_age(Pair(y, s), PREEMPTION).value
         assert bound >= exact - 1e-9
 
@@ -225,7 +238,7 @@ def test_corollary2_dominates_exact_preemption():
 def test_corollary1_dominates_exact_dropping():
     for y, s in [(ShiftedExponential(1.0, 0.5), Exponential(1.0)),
                  (Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1))]:
-        bound = corollary_one(Pair(y, s), *COROLLARY1).value
+        bound = corollary_one(Pair(y, s), DROPPING).value
         est = exact_age(Pair(y, s), DROPPING)
         assert bound >= est.value - 3.0 * est.ci_half_width
 

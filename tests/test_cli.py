@@ -163,6 +163,15 @@ def test_usage_error_bad_distribution_json(capsys):
     assert "--interarrival" in capsys.readouterr().err
 
 
+def test_usage_error_non_finite_law_parameter(capsys):
+    # JSON 1e309 parses to inf, which every positivity check would pass.
+    with pytest.raises(SystemExit) as exc:
+        main(["check-properties", "--dist",
+              '{"kind": "uniform", "lower": 0, "upper": 1e309}'])
+    assert exc.value.code == 2
+    assert "'upper' of kind 'uniform' must be finite" in capsys.readouterr().err
+
+
 def test_usage_error_unknown_discipline(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--discipline", "sideways",
@@ -214,6 +223,11 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
       "--service", EXP1), "interarrival law must have a positive mean"),
     (("simulate", "--discipline", "dropping", "--interarrival", DET % 0,
       "--service", DET % 0), "interarrival law must have a positive mean"),
+    (("simulate", "--discipline", "preemption", "--interarrival", EXP_HUGE,
+      "--service", EXP1), "interarrival law must have a finite second moment"),
+    (("simulate", "--discipline", "dropping", "--interarrival", EXP_TINY,
+      "--service", EXP1), "interarrival second moment underflows to 0"),
+
     (("exact", "--discipline", "dropping", "--interarrival", EXP_TINY,
       "--service", EXP_TINY), "interarrival second moment underflows to 0"),
     (("exact", "--discipline", "preemption", "--interarrival", EXP_TINY,
@@ -224,6 +238,8 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
         "k-max", "cycles", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
         "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate",
+        "overflowing-interarrival-square-simulate",
+        "underflowing-interarrival-square-simulate",
         "underflowing-interarrival-square-dropping",
         "underflowing-interarrival-square-preemption",
         "overflowing-service-square-mg11"])
@@ -234,14 +250,23 @@ def test_out_of_range_value_is_usage_error(capsys, argv, named):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [
+MC_SAMPLES_COMMANDS = [
+    ("exact", "--discipline", "dropping", *PAIR),
     ("exact", "--discipline", "preemption", *PAIR),
-    ("bound", "--kind", "corollary2", *PAIR),
-], ids=["exact-preemption", "corollary2"])
-def test_quadrature_paths_ignore_mc_samples(capsys, argv):
-    # Only the dropping paths check --mc-samples, so a value they would
-    # reject is no error on a quadrature path, and the inputs do not echo it.
-    code, payload = run_json(capsys, *argv, "--mc-samples", "100")
+    *(("bound", "--kind", tag, *PAIR) for tag in ESTIMATORS if tag != "exact"),
+    ("kpmf", *PAIR),
+]
+
+
+@pytest.mark.parametrize("argv", MC_SAMPLES_COMMANDS,
+                         ids=lambda argv: "-".join(argv[:3]))
+def test_every_command_checks_mc_samples(capsys, argv):
+    # No estimator reads --mc-samples, but every command that takes it
+    # checks it, as --seed is checked, and no result echoes it.
+    code, out, err = run(capsys, *argv, "--mc-samples", "100", "--json")
+    assert code == 2 and out == ""
+    assert f"aoi {argv[0]}: mc_samples must be >= 10000, got 100" in err
+    code, payload = run_json(capsys, *argv, "--mc-samples", "10000")
     assert code == 0
     assert "mc_samples" not in payload["inputs"]
 

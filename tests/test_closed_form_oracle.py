@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from aoi.analytic import Pair, exact_age
-from aoi.bounds import BoundKind, corollary_one
+from aoi.bounds import corollary_one
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, ShiftedExponential, Uniform)
 from aoi.sim import Discipline
@@ -80,11 +80,9 @@ def test_gm_pairs_match_closed_forms(y, mu):
     assert_covers(est.value, est.ci_half_width, head + crossing / p + 1.0 / mu)
     est = exact_age(pair, PREEMPTION)
     assert_covers(est.value, est.ci_half_width, head + 1.0 / mu)
-    for discipline, kind, service in (
-            (DROPPING, BoundKind.CorollaryOneDropping, 1.0 / mu),
-            (DROPPING, BoundKind.GM11, 1.0 / mu),
-            (PREEMPTION, BoundKind.CorollaryTwoPreemption, completed)):
-        report = corollary_one(pair, discipline, kind)
+    for discipline, service in ((DROPPING, 1.0 / mu),
+                                (PREEMPTION, completed)):
+        report = corollary_one(pair, discipline)
         assert_covers(report.value, report.half_width, head + tail + service)
 
 
@@ -101,6 +99,6 @@ def test_mg_preemption_matches_closed_forms(s, lam):
     est = exact_age(pair, PREEMPTION)
     assert_covers(est.value, est.ci_half_width,
                   1.0 / lam + crossing / p + completed)
-    report = corollary_one(pair, PREEMPTION, BoundKind.CorollaryTwoPreemption)
+    report = corollary_one(pair, PREEMPTION)
     assert_covers(report.value, report.half_width,
                   1.0 / lam + (1.0 - p) / (lam * p) + completed)
