@@ -41,7 +41,9 @@ Lattice (paths ``lattice`` and ``closed_form``)
     gap law.  The gaps are rounded down, and separately up, onto a lattice
     of step h = E[Y]/256 that ends where the service keeps at most 1e-13
     of its mass, and u = delta + f*u is solved by an exponentially tilted
-    FFT.  Rounding down shrinks every partial sum, so the two solves
+    FFT.  Every lattice sum is one inner product of half spectra;
+    Pr(K > k) takes the k-th power of the gap spectrum from a running
+    product.  Rounding down shrinks every partial sum, so the two solves
     bracket E[K], E[K^2] and each Pr(S > T_k); results are their
     midpoints, with half-widths spanning the brackets.  x Pr(S > x) is not
     monotone, but a partial sum of k-1 gaps moves by at most (k-1) h, so
@@ -318,29 +320,39 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
     # Tilting by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass wrapped
     # around by the circular convolution negligible; each lattice sum is
-    # an inner product of half spectra (Parseval), weights in ``against``.
+    # an inner product of half spectra (Parseval), one ``vdot`` of a
+    # spectrum against the weights of c or of x c.
     size = 1 << (4 * n - 1).bit_length()
     tilt = np.exp(np.arange(n) * (math.log(_ALIAS_TILT) / (size + n)))
-    fold = np.full(size // 2 + 1, 2.0 / size)
-    fold[[0, -1]] = 1.0 / size
-    against_c, against_xc = (fold * np.conj(np.fft.rfft(w / tilt, size))
-                             for w in (c, x * c))
 
-    def total(spectrum, against):
-        return float((spectrum * against).real.sum())
+    def weigh(w):
+        out = np.fft.rfft(w / tilt, size) * (2.0 / size)
+        out[[0, -1]] *= 0.5  # the half spectrum holds these bins once
+        return out
 
-    solves = []
-    for f in (cell, np.append(0.0, cell[:-1])):  # gaps rounded down, then up
+    def total(weights, spectrum):
+        return float(np.vdot(weights, spectrum).real)
+
+    def survival(spectrum, k_max):
+        # Pr(K > k) pairs the k-th convolution power, whose spectrum is
+        # the running product, with the service ccdf.
+        out, power = np.ones(k_max + 1), np.ones_like(spectrum)
+        for k in range(1, k_max + 1):
+            power *= spectrum
+            out[k] = total(by_c, power)
+        return out
+
+    def solve(f):
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
-        solves.append(_Solve(
-            "lattice", h, first + total(renewal, against_c),
-            lambda crossing=total(renewal, against_xc): crossing,
-            first + total(renewal * (2.0 * renewal - 1.0), against_c),
-            lambda k_max, spectrum=spectrum: np.array(
-                [1.0] + [total(spectrum**k, against_c)
-                         for k in range(1, k_max + 1)])))
-    return solves[0], solves[1]
+        return _Solve(
+            "lattice", h, first + total(by_c, renewal),
+            lambda crossing=total(by_xc, renewal): crossing,
+            first + total(by_c, renewal * (2.0 * renewal - 1.0)),
+            lambda k_max: survival(spectrum, k_max))
+
+    by_c, by_xc = weigh(c), weigh(x * c)
+    return solve(cell), solve(np.append(0.0, cell[:-1]))  # gaps down, up
 
 
 def _midpoint(a, b) -> Interval:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -124,6 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing reads
+    it but never changes it, so every call sees the same parser."""
+    return build_parser()
+
+
 def _resolve_seed(args) -> int:
     """The seed from ``--seed``, else ``$AOI_SEED``, else 0; a seed out of
     range is a usage error on every subcommand, whether or not it draws."""
@@ -171,30 +179,27 @@ def _cmd_simulate(args) -> int:
                            target_cycles=args.cycles, seed=args.seed,
                            max_events=args.max_events)
     estimate, records = run_simulation(config, trace_path=args.trace)
-    stats = cycle_statistics(records) if len(records) >= 2 else None
+    stats = cycle_statistics(records)
     inputs = {"discipline": args.discipline,
               "interarrival": args.interarrival.to_dict(),
               "service": args.service.to_dict(),
               "cycles": args.cycles, "seed": args.seed}
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
-              "cycles_used": estimate.cycles_used, "method": estimate.method}
+              "cycles_used": estimate.cycles_used, "method": estimate.method,
+              "cycle_statistics": {
+                  "g_mean": stats.g_mean.value, "g_mean_se": stats.g_mean.stderr,
+                  "k_mean": stats.k_mean.value, "k_mean_se": stats.k_mean.stderr,
+                  "w_mean": stats.w_mean.value, "busy_mean": stats.busy_mean.value,
+                  "p_hat": stats.p_hat.value}}
     lines = [
         f"discipline      {args.discipline}",
         f"interarrival    {args.interarrival.describe()}",
         f"service         {args.service.describe()}",
         f"cycles          {estimate.cycles_used}",
         f"average age     {_fmt(estimate.value)} +/- {_fmt(estimate.ci_half_width)} (95% CI)",
+        f"mean cycle      G={_fmt(stats.g_mean.value)} "
+        f"K={_fmt(stats.k_mean.value)} p_hat={_fmt(stats.p_hat.value)}",
     ]
-    if stats is not None:
-        result["cycle_statistics"] = {
-            "g_mean": stats.g_mean.value, "g_mean_se": stats.g_mean.stderr,
-            "k_mean": stats.k_mean.value, "k_mean_se": stats.k_mean.stderr,
-            "w_mean": stats.w_mean.value, "busy_mean": stats.busy_mean.value,
-            "p_hat": stats.p_hat.value,
-        }
-        lines.append(f"mean cycle      G={_fmt(stats.g_mean.value)} "
-                     f"K={_fmt(stats.k_mean.value)} "
-                     f"p_hat={_fmt(stats.p_hat.value)}")
     if args.trace:
         lines.append(f"trace           {args.trace}")
         result["trace"] = str(args.trace)
@@ -321,8 +326,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Parse ``argv`` and dispatch to the library (console entry point)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.seed = _resolve_seed(args)
         if hasattr(args, "mc_samples"):  # validated here, read nowhere

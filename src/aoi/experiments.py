@@ -136,8 +136,8 @@ class SweepSpec:
                     or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.sim_cycles < 1:
-            raise ValueError("sim_cycles must be >= 1")
+        if self.sim_cycles < 2:
+            raise ValueError("sim_cycles must be >= 2")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
         for value in self.grid:  # every point's pair, before any runs

@@ -63,8 +63,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "discipline", Discipline(self.discipline))
-        if self.target_cycles < 1:
-            raise ValueError(f"target_cycles must be >= 1, got {self.target_cycles}")
+        if self.target_cycles < 2:  # a half-width needs two cycles
+            raise ValueError(f"target_cycles must be >= 2, got {self.target_cycles}")
         if self.max_events is not None and self.max_events < self.target_cycles:
             raise ValueError("max_events must be >= target_cycles")
         if not 0 <= self.seed < 2**64:
@@ -257,15 +257,20 @@ def _preemption_cycles(config: SimConfig, rng: np.random.Generator,
 
 def _estimate(services: np.ndarray, g: np.ndarray, k: np.ndarray
               ) -> tuple[AgeEstimate, CycleRecords]:
-    """The sawtooth average over the cycles between ``n + 1`` deliveries."""
-    s0, s1 = services[:-1], services[1:]
-    lengths = g + s1 - s0
-    areas = 0.5 * (s0 + g + s1) * lengths
+    """The sawtooth average over the cycles between ``n + 1`` deliveries,
+    summed in units of 2^e, e = :func:`_octave` of the cycle lengths."""
+    e = _octave(g)
+    scaled, gs = np.ldexp(services, -e), np.ldexp(g, -e)
+    s0, s1 = scaled[:-1], scaled[1:]
+    lengths = gs + s1 - s0
+    areas = 0.5 * (s0 + gs + s1) * lengths
     value = float(areas.sum() / lengths.sum())
-    estimate = AgeEstimate(value=value,
-                           ci_half_width=_batch_ci(areas, lengths, value),
+    estimate = AgeEstimate(value=math.ldexp(value, e),
+                           ci_half_width=math.ldexp(
+                               _batch_ci(areas, lengths, value), e),
                            cycles_used=len(g), method="simulation")
-    return estimate, CycleRecords(g=g, w=g - s0, busy=s0, k=k)
+    busy = services[:-1]
+    return estimate, CycleRecords(g=g, w=g - busy, busy=busy, k=k)
 
 
 def _write_trace(fh, services: np.ndarray, times: np.ndarray,
@@ -297,15 +302,23 @@ def _batch_ci(areas: Sequence[float], lengths: Sequence[float],
     """
     n = len(areas)
     b = min(_BATCHES, n)
-    if b < 2:
-        return math.inf
     starts = np.linspace(0, n, b + 1).astype(int)[:-1]
     ratios = np.add.reduceat(areas, starts) / np.add.reduceat(lengths, starts)
     return Z95 * math.sqrt(np.sum((ratios - value) ** 2) / ((b - 1) * b))
 
 
+def _octave(xs: np.ndarray) -> int:
+    """The e with max |xs| < 2^e.  Dividing by 2^e is exact, so it changes
+    no result in the float range, and sums of the scaled squares cannot
+    overflow."""
+    return math.frexp(float(np.max(np.abs(xs))))[1]
+
+
 def _moment(xs: np.ndarray) -> Moment:
-    return Moment(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(len(xs))))
+    e = _octave(xs)
+    xs = np.ldexp(xs, -e)
+    return Moment(math.ldexp(float(xs.mean()), e),
+                  math.ldexp(float(xs.std(ddof=1) / math.sqrt(len(xs))), e))
 
 
 def cycle_statistics(records: CycleRecords) -> CycleStatistics:

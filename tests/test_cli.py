@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from aoi import errors
+from aoi import cli, errors
 from aoi.bounds import Applicability
 from aoi.cli import main
 from aoi.distributions import MrlVerdict, from_dict
@@ -212,7 +212,9 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
      "seed must fit in 64 bits"),
     (("kpmf", *PAIR, "--k-max", "0"), "k_max must be >= 1"),
     (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "0"),
-     "target_cycles must be >= 1"),
+     "target_cycles must be >= 2"),
+    (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "1"),
+     "target_cycles must be >= 2"),
     (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "5",
       "--max-events", "1"), "max_events must be >= target_cycles"),
     (("exact", "--discipline", "dropping", "--interarrival", DET % 0,
@@ -235,7 +237,7 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
     (("bound", "--kind", "mg11", "--interarrival", EXP1, "--service", EXP_HUGE),
      "service second moment inf is out of the float range"),
 ], ids=["mc-samples", "seed", "seed-check-properties", "seed-sweep",
-        "k-max", "cycles", "max-events",
+        "k-max", "cycles", "one-cycle", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
         "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate",
         "overflowing-interarrival-square-simulate",
@@ -317,6 +319,42 @@ def test_same_argv_same_stdout(capsys):
     assert first == second
 
 
+def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
+    # Each call must print and exit as it does on a freshly built parser,
+    # whatever ran before it in the process.
+    argvs = [
+        ("exact", "--discipline", "dropping", *PAIR, "--json"),
+        ("bound", "--kind", "corollary2", "--interarrival", DET % 1,
+         "--service", DET % 2),                                 # AoiError
+        ("simulate", "--discipline", "sideways", *PAIR),        # argparse usage
+        ("kpmf", "--interarrival", EXP1, "--service", DET % 1, "--k-max", "3"),
+        ("simulate", "--discipline", "dropping", *PAIR, "--cycles", "50",
+         "--trace", str(tmp_path / "trace.csv")),
+        ("check-properties", "--dist", DET % 1, "--json"),
+        ("exact", "--discipline", "dropping", *PAIR, "--json"),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in argvs] == fresh
+    assert len(built) <= 1
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 0, 0]
+
+
 SWEEP_SPEC = {
     "name": "cli-sweep",
     "discipline": "dropping",
@@ -358,6 +396,7 @@ def test_sweep_end_to_end(capsys, tmp_path):
     ({**SWEEP_SPEC, "base_seed": 2**64}, "base_seed must fit in 64 bits"),
     ({**SWEEP_SPEC, "base_seed": 2.5}, "base_seed must be an integer"),
     ({**SWEEP_SPEC, "sim_cycles": 2.5}, "sim_cycles must be an integer"),
+    ({**SWEEP_SPEC, "sim_cycles": 1}, "sim_cycles must be >= 2"),
     ({**SWEEP_SPEC, "interarrival": {"kind": "uniform", "upper": 2.0},
       "swept_param": "lower", "grid": [0.5, 3.0]}, "upper must exceed lower"),
     ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
@@ -370,7 +409,8 @@ def test_sweep_end_to_end(capsys, tmp_path):
       "estimators": ["mg11"]}, "service second moment inf"),
 ], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
         "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
-        "fractional-base-seed", "fractional-sim-cycles", "bad-later-grid-point",
+        "fractional-base-seed", "fractional-sim-cycles", "one-sim-cycle",
+        "bad-later-grid-point",
         "degenerate-pair-exact", "degenerate-pair-simulate",
         "overflowing-service-square-mg11"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):

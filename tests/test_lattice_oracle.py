@@ -79,6 +79,38 @@ def test_deterministic_gaps_give_the_finite_sums(y, s):
     assert [v for v, _ in got] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def lattice_cells(pair):
+    """The gap cells, rounded down and then up, and the service ccdf on
+    the lattice of ``pair``'s solves, rebuilt from its definition."""
+    h = pair.lattice[0].step
+    n = int(analytic._truncation_point(pair.service) / h) + 2
+    x = h * np.arange(n)
+    for b in pair.service.breakpoints():
+        j = round(b / h)
+        if j < n and abs(x[j] - b) <= analytic._SNAP * h:
+            x[j] = b
+    tail = pair.interarrival.ccdf(h * np.arange(n + 1))
+    cell = tail[:-1] - tail[1:]
+    return (cell, np.append(0.0, cell[:-1])), pair.service.ccdf(x)
+
+
+@pytest.mark.parametrize("y,s", [
+    (Uniform(0.0, 1.0), Uniform(0.0, 2.0)),
+    (Erlang(2, 4.0), Deterministic(1.0)),
+    (Uniform(0.0, 0.2), Uniform(1.0, 2.0)),
+], ids=["U/U", "Erlang/D", "deep-U/U"])
+def test_survival_matches_direct_convolution_powers(y, s):
+    # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice.
+    pair = Pair(y, s)
+    cells, c = lattice_cells(pair)
+    for solve, f in zip(pair.lattice, cells):
+        want, power = [1.0], np.array([1.0])
+        for _ in range(K_MAX):
+            power = np.convolve(power, f)[:c.size]
+            want.append(float(power @ c))
+        assert list(solve.survival(K_MAX)) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     coarse = lattice(y, s)

@@ -100,3 +100,21 @@ def test_mixed_scales_end_cleanly(law, c, tmp_path):
         assert "NaN" not in out and "Infinity" not in out, (argv, out)
         if code in (0, 1):
             assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("rate", [1e-153, 1e153])
+def test_simulated_age_at_the_edge_of_the_float_range(rate):
+    # E[Y^2] = 2e306 or 2e-306: in range, while sums of cycle areas at
+    # rate 1e-153 are not.
+    law = json.dumps({"kind": "exponential", "rate": rate})
+    pair = ["--interarrival", law, "--service", law]
+    code, out, _ = call(["simulate", "--discipline", "dropping",
+                         "--cycles", "2000", *pair])
+    assert code == 0
+    sim = json.loads(out)["result"]
+    code, out, _ = call(["exact", "--discipline", "dropping", *pair])
+    assert code == 0
+    exact = json.loads(out)["result"]
+    assert exact["value"] == pytest.approx(2.5 / rate, rel=1e-12)
+    assert abs(sim["value"] - exact["value"]) <= (sim["ci_half_width"]
+                                                  + exact["ci_half_width"])
