@@ -15,21 +15,22 @@ Both disciplines have one age, :func:`exact_age`:
 K the number of arrivals a cycle consumes, A_k the partial sum of the
 first k-1 gaps of a cycle, and the service term E[S] under dropping and
 E[S | S <= Y] under preemption.  :meth:`Pair.cycles` alone decides K's
-law and returns its record: E[K], E[K^2], Pr(K > k) and the crossing sum
-as a (down, up) bracket, the step h by which the gaps were moved, and the
-path that reached them.
+law and returns its :class:`Cycles` record: the path that reached it and
+an :class:`Interval` for each of E[K], E[K^2], the crossing sum and
+Pr(K = k).  Each producer proves its own half-widths; the ages and bounds
+only combine intervals.
 
 Geometric K (path ``quadrature``)
     Under preemption, and under dropping with exponential service,
-    E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K > k) = (1-p)^k and the crossing
-    sum is E[Y Pr(S > Y)]/p^2, integrated only when an age reads it.  p is
-    1 - L(mu) for exponential service (L the Laplace transform of the
-    interarrival law), else the panel quadrature of
+    E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K = k) = p (1-p)^(k-1) and the
+    crossing sum is E[Y Pr(S > Y)]/p^2, integrated only when an age reads
+    it.  p is 1 - L(mu) for exponential service (L the Laplace transform
+    of the interarrival law), else the panel quadrature of
     :func:`~aoi.distributions.expect`, whose error estimate is the summed
-    disagreement of its 20- and 10-point rules plus a roundoff floor.  The
-    ends sit at the ends of p's bracket, p - err and min(p + err, 1), the
-    crossing error added at the down end and taken off at the up end, so
-    every quadrature error lands in the half-width.  Dividing by p, not by
+    disagreement of its 20- and 10-point rules plus a roundoff floor.
+    Each interval spans its values at the ends of p's bracket, p - err and
+    min(p + err, 1), with the crossing term's error, so every quadrature
+    error lands in the half-width.  Dividing by p, not by
     E[Pr(S > Y)] = 1 - p, reproduces the M/M/1/1 preemptive age
     1/lambda + 1/mu and agrees with simulation.
 
@@ -37,20 +38,19 @@ Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other service law integrates the service ccdf
     against U, the renewal measure of the gaps (an atom at 0 plus the
     renewal function): E[K] against U, the crossing sum against x dU,
-    E[K^2] against 2 U*U - U, Pr(K = k) against convolution powers of the
+    E[K^2] against 2 U*U - U, Pr(K > k) against convolution powers of the
     gap law.  The gaps are rounded down, and separately up, onto a lattice
     of step h = E[Y]/256 that ends where the service keeps at most 1e-13
-    of its mass, and u = delta + f*u is solved by an exponentially tilted
-    FFT.  Every lattice sum is one inner product of half spectra;
-    Pr(K > k) takes the k-th power of the gap spectrum from a running
-    product.  Rounding down shrinks every partial sum, so the two solves
-    bracket E[K], E[K^2] and each Pr(S > T_k); results are their
-    midpoints, with half-widths spanning the brackets.  x Pr(S > x) is not
-    monotone, but a partial sum of k-1 gaps moves by at most (k-1) h, so
-    each solve's crossing sum widened by h E[K(K-1)]/2 brackets the true
-    one; the age's half-width reaches the far end of that bracket over
-    the one of E[K].  Deterministic gaps give the exact sums in closed
-    form.
+    of its mass (and raises when its upper sums miss over 1e-9 of E[S] or
+    E[S^2]), and u = delta + f*u is solved by an exponentially tilted FFT.
+    Every lattice sum is one inner product of half spectra; Pr(K > k)
+    takes the k-th power of the gap spectrum from a running product.
+    Rounding down shrinks every partial sum, so the two solves bracket
+    E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
+    x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
+    most (k-1) h, so each solve's crossing sum widened by h E[K(K-1)]/2
+    brackets the true one.  Deterministic gaps give the exact sums in
+    closed form, with half-width 0.
 
 Nothing here samples; the CLI and the sweep spec validate
 :class:`EstimatorOptions`, but no estimator reads it.
@@ -62,6 +62,7 @@ simulator's completion-first rule and the strict ccdf convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal, NamedTuple
@@ -76,6 +77,7 @@ from .sim import AgeEstimate, Discipline
 __all__ = [
     "EstimatorOptions",
     "DEFAULT_OPTIONS",
+    "Cycles",
     "Interval",
     "KPmf",
     "Pair",
@@ -87,6 +89,7 @@ _LATTICE_STEPS = 256     # lattice points per mean gap
 _MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
 _MAX_LATTICE = 1 << 18   # lattice points per solve: bounds time and memory
 _SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
+_MOMENT_SHORTFALL = 1e-9  # share of E[S] or E[S^2] it may hold
 _TOP_STEPS = 64          # truncation points tried per octave
 _SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
 _ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
@@ -110,18 +113,24 @@ DEFAULT_OPTIONS = EstimatorOptions()
 
 
 class Interval(NamedTuple):
-    """A value and the half-width of the interval known to hold it."""
+    """A value and the half-width of the interval known to hold it; the
+    fields may be arrays, one interval per element."""
 
     value: float
     half_width: float
 
+    @classmethod
+    def between(cls, a, b) -> Interval:
+        """The interval from ``a`` to ``b``, in either order."""
+        return cls(0.5 * (a + b), 0.5 * abs(a - b))
+
     def over(self, den: Interval) -> Interval:
-        """self/den and the half-width of its range over both intervals.
-        ``den`` is an E[K] bracket, whose lower end is >= 1."""
+        """self/den and the half-width of its range over both intervals,
+        the far end's distance from the ratio taken in one quotient, free
+        of cancellation; ``den``'s lower end must be positive."""
         ratio = self.value / den.value
-        return Interval(ratio, max(
-            (self.value + self.half_width) / (den.value - den.half_width) - ratio,
-            ratio - (self.value - self.half_width) / (den.value + den.half_width)))
+        return Interval(ratio, (self.half_width + abs(ratio) * den.half_width)
+                        / (den.value - den.half_width))
 
 
 @dataclass(frozen=True)
@@ -133,16 +142,16 @@ class KPmf:
     k_max: int
 
 
-class _Solve(NamedTuple):
-    """The cycle sums of one end of a discipline's record."""
+class Cycles(NamedTuple):
+    """K's law under one discipline, each quantity an interval its
+    producer proved, and the path that reached them."""
 
     path: Literal["lattice", "closed_form", "quadrature"]
-    step: float          # h, the most a gap was moved by (0: none was)
-    k_mean: float        # E[K]
-    crossing: Callable[[], float]  # sum_k E[A_k * Pr(S > A_k)], on call
-    k_second: float      # E[K^2]
-    survival: Callable[[int], np.ndarray]  # k_max -> Pr(K > k), k = 0..k_max
-    hazard: float = 0.0  # p of a geometric K: Pr(K = k) = p Pr(K > k-1)
+    k_mean: Interval                  # E[K]
+    k_second: Interval                # E[K^2]
+    crossing: Callable[[], Interval]  # sum_k E[A_k * Pr(S > A_k)], on call
+    # k_max -> arrays of Pr(K = k), k = 1..k_max, and Pr(K > k_max)
+    pmf: Callable[[int], tuple[Interval, Interval]]
 
 
 @dataclass(frozen=True)
@@ -193,17 +202,14 @@ class Pair:
 
     @cached_property
     def completed_service(self) -> Interval:
-        """E[S | the service completes] = E[S Pr(Y >= S)] / p, its error that
-        of the numerator plus the one p contributes; raises
-        :class:`ZeroSuccessProbability` when no service can complete."""
-        p = self.p
-        if p.value <= 0.0:
+        """E[S | the service completes] = E[S Pr(Y >= S)] / p over the
+        brackets of both; raises :class:`ZeroSuccessProbability` when no
+        service can complete."""
+        if self.p.value <= 0.0:
             raise ZeroSuccessProbability(self._no_success())
-        num, err = expect(self.service,
-                          lambda s: s * self.interarrival.tail_inclusive(s),
-                          extra_breakpoints=self.interarrival.breakpoints())
-        value = num / p.value
-        return Interval(value, (err + value * p.half_width) / p.value)
+        return Interval(*expect(
+            self.service, lambda s: s * self.interarrival.tail_inclusive(s),
+            extra_breakpoints=self.interarrival.breakpoints())).over(self.p)
 
     def service_term(self, discipline: Discipline) -> Interval:
         """The age's last term: E[S] under dropping, E[S | S <= Y] under
@@ -213,16 +219,17 @@ class Pair:
         return Interval(self.service.mean(), 0.0)
 
     @cached_property
-    def lattice(self) -> tuple[_Solve, _Solve]:
-        """The dropping sums with the gaps rounded down, then up."""
-        return _lattice_solves(self.interarrival, self.service)
+    def lattice(self) -> Cycles:
+        """The dropping record of a non-exponential service."""
+        return _lattice_cycles(self.interarrival, self.service)
 
-    def cycles(self, discipline: Discipline) -> tuple[_Solve, _Solve]:
-        """The (down, up) record of K under ``discipline``: the lattice
-        solves for dropping with non-exponential service, else the record
-        of a geometric K at the ends of p's bracket, whose E[K] = 1/p
-        diverges at p = 0 (:class:`ZeroSuccessProbability` under
-        preemption, :class:`TruncationNotReached` under dropping)."""
+    def cycles(self, discipline: Discipline) -> Cycles:
+        """K's record under ``discipline``: the lattice record for dropping
+        with non-exponential service, else a geometric K whose intervals
+        span their values at the ends of p's bracket, where each is
+        monotone, and Pr(K = k) = p (1-p)^(k-1) the extremes of its two
+        factors.  E[K] = 1/p diverges at p = 0 (:class:`ZeroSuccessProbability`
+        under preemption, :class:`TruncationNotReached` under dropping)."""
         if (discipline is Discipline.DROPPING
                 and not isinstance(self.service, Exponential)):
             return self.lattice
@@ -230,22 +237,21 @@ class Pair:
         if p.value <= 0.0:
             raise (ZeroSuccessProbability if discipline is Discipline.PREEMPTION
                    else TruncationNotReached)(self._no_success())
+        lo, hi = p.value - p.half_width, min(p.value + p.half_width, 1.0)
 
-        def end(q: float, sign: float) -> _Solve:
-            return _Solve("quadrature", 0.0, 1.0 / q,
-                          lambda: (self.crossing.value
-                                   + sign * self.crossing.half_width) / q**2,
-                          (2.0 - q) / q**2,
-                          lambda k_max: (1.0 - q) ** np.arange(k_max + 1.0), q)
-        return (end(p.value - p.half_width, 1.0),
-                end(min(p.value + p.half_width, 1.0), -1.0))
+        def crossing() -> Interval:
+            c, err = self.crossing
+            return Interval.between((c + err) / lo**2, (c - err) / hi**2)
 
-    def k_moments(self, discipline: Discipline) -> tuple[Interval, Interval]:
-        """(E[K], E[K^2]) under ``discipline``: the record's midpoints and
-        half-widths."""
-        down, up = self.cycles(discipline)
-        return (_midpoint(down.k_mean, up.k_mean),
-                _midpoint(down.k_second, up.k_second))
+        def pmf(k_max: int) -> tuple[Interval, Interval]:
+            # p (1-p)^(k-1) grows with its first factor, falls with its second
+            k = np.arange(k_max + 1.0)
+            down, up = (1.0 - lo) ** k, (1.0 - hi) ** k  # Pr(K > k)
+            return (Interval.between(lo * up[:-1], hi * down[:-1]),
+                    Interval.between(down[-1], up[-1]))
+        return Cycles("quadrature", Interval.between(1.0 / lo, 1.0 / hi),
+                      Interval.between((2.0 - lo) / lo**2, (2.0 - hi) / hi**2),
+                      crossing, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = 0 for interarrival {self.interarrival.describe()} "
@@ -276,10 +282,32 @@ def _truncation_point(service: Distribution) -> float:
     return float(tries[np.argmax(service.ccdf(tries) <= _SERVICE_TAIL)])
 
 
-def _lattice_solves(interarrival: Distribution, service: Distribution
-                    ) -> tuple[_Solve, _Solve]:
-    """The dropping sums with every gap rounded down, then up, to the
-    lattice jh, h = E[Y]/m, up to :func:`_truncation_point`.
+def _check_moments(service: Distribution, h: float, x: np.ndarray,
+                   c: np.ndarray) -> None:
+    """Raise :class:`TruncationNotReached` when the lattice's upper Riemann
+    sums of E[S] = int Pr(S > x) dx and E[S^2]/2 = int x Pr(S > x) dx, in
+    units of h and h^2, fall short of an unbounded service's closed forms
+    by over 1e-9: a rare, long phase under the 1e-13 mass cut can hold
+    most of a moment.  A moment outside the normal float range has no
+    relative precision left and is skipped."""
+    if math.isfinite(service.support()[1]):
+        return
+    mean, second = service.mean(), service.second_moment()
+    for moment, covered, want in (
+            (mean, float(c.sum()), mean / h),
+            (second, float((x / h + 1.0) @ c), 0.5 * second / h / h)):
+        if (sys.float_info.min <= moment < math.inf
+                and covered < (1.0 - _MOMENT_SHORTFALL) * want):
+            raise TruncationNotReached(
+                f"the lattice top {x[-1]:.4g} leaves more than "
+                f"{_MOMENT_SHORTFALL:g} of a moment of {service.describe()} "
+                "in the tail beyond it")
+
+
+def _lattice_cycles(interarrival: Distribution, service: Distribution
+                    ) -> Cycles:
+    """The dropping record spanning the sums with every gap rounded down,
+    then up, to the lattice jh, h = E[Y]/m, up to :func:`_truncation_point`.
 
     m halves from 256 until at most 2^18 points remain; below 16 the cycle
     is too deep (:class:`TruncationNotReached`).  A service breakpoint
@@ -308,15 +336,41 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
         if j < n and abs(x[j] - b) <= _SNAP * h:
             x[j] = b
     c = service.ccdf(x)
+    _check_moments(service, h, x, c)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        solve = _Solve("closed_form", 0.0, float(first + c.sum()),
-                       lambda crossing=float(x @ c): crossing,
-                       float(first + (2.0 * np.arange(n) + 1.0) @ c),
-                       lambda k_max: np.concatenate(
-                           ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1])
-        return solve, solve
-    tail = interarrival.ccdf(grid)
+        path, moved = "closed_form", 0.0
+        down = up = (lambda k_max: np.concatenate(
+                         ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1],
+                     float(first + c.sum()),
+                     float(first + (2.0 * np.arange(n) + 1.0) @ c),
+                     float(x @ c))
+    else:
+        path, moved = "lattice", h
+        down, up = _renewal_solves(interarrival.ccdf(grid), x, c, first)
+    (s_down, k_down, k2_down, c_down), (s_up, k_up, k2_up, c_up) = down, up
+    # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
+    # crossing sum widened by h E[K(K-1)]/2 brackets the true one.
+    lo = c_up - 0.5 * moved * (k2_up - k_up)
+    hi = c_down + 0.5 * moved * (k2_down - k_down)
+    mid = 0.5 * (c_down + c_up)
+    crossing = Interval(mid, max(mid - lo, hi - mid))
+
+    def pmf(k_max: int) -> tuple[Interval, Interval]:
+        # Pr(K = k) = Pr(K > k-1) - Pr(K > k), the half-widths added
+        mid, hw = Interval.between(s_down(k_max), s_up(k_max))
+        return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
+                Interval(mid[-1], hw[-1]))
+    return Cycles(path, Interval.between(k_down, k_up),
+                  Interval.between(k2_down, k2_up), lambda: crossing, pmf)
+
+
+def _renewal_solves(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
+                    first: float) -> tuple[tuple, tuple]:
+    """Pr(K > k) as a function of k_max, E[K], E[K^2] and the crossing sum
+    with the gaps rounded down, then up, from the gap ccdf ``tail`` on the
+    lattice and the service ccdf ``c`` at its points ``x``."""
+    n = x.size
     cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
     # Tilting by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass wrapped
     # around by the circular convolution negligible; each lattice sum is
@@ -345,52 +399,32 @@ def _lattice_solves(interarrival: Distribution, service: Distribution
     def solve(f):
         spectrum = np.fft.rfft(f * tilt, size)
         renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
-        return _Solve(
-            "lattice", h, first + total(by_c, renewal),
-            lambda crossing=total(by_xc, renewal): crossing,
-            first + total(by_c, renewal * (2.0 * renewal - 1.0)),
-            lambda k_max: survival(spectrum, k_max))
+        return (lambda k_max: survival(spectrum, k_max),
+                first + total(by_c, renewal),
+                first + total(by_c, renewal * (2.0 * renewal - 1.0)),
+                total(by_xc, renewal))
 
     by_c, by_xc = weigh(c), weigh(x * c)
     return solve(cell), solve(np.append(0.0, cell[:-1]))  # gaps down, up
 
 
-def _midpoint(a, b) -> Interval:
-    """The midpoint of a bracket and its half-width."""
-    return Interval(0.5 * (a + b), 0.5 * abs(a - b))
-
-
 def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:
-    """Average age under ``discipline``; ``cycles_used`` is 0 and
-    ``method`` the record's path.
-
-    Divides the midpoint of the record's crossing sums by that of E[K].
-    Moving each gap by at most h moves A_k by at most (k-1) h, so the
-    crossing sum lies in [C_up - h E_up[K(K-1)]/2, C_down + h E_down[K(K-1)]/2]
-    and E[K] in [E_up[K], E_down[K]]; the half-width reaches the far end of
-    the ratio's bracket, plus the service term's error.
-    """
-    down, up = pair.cycles(discipline)
+    """Average age under ``discipline``: the head, the record's crossing
+    sum over its E[K], and the service term, each half-width added;
+    ``cycles_used`` is 0 and ``method`` the record's path."""
+    cycles = pair.cycles(discipline)
+    middle = cycles.crossing().over(cycles.k_mean)
     service = pair.service_term(discipline)
-    c_down, c_up = down.crossing(), up.crossing()
-    middle = (c_down + c_up) / (down.k_mean + up.k_mean)
-    lo = c_up - 0.5 * up.step * (up.k_second - up.k_mean)
-    hi = c_down + 0.5 * down.step * (down.k_second - down.k_mean)
-    hw = max(middle - lo / down.k_mean, hi / up.k_mean - middle)
-    return AgeEstimate(value=pair.head + middle + service.value,
-                       ci_half_width=hw + service.half_width, cycles_used=0,
-                       method=down.path)
+    return AgeEstimate(value=pair.head + middle.value + service.value,
+                       ci_half_width=middle.half_width + service.half_width,
+                       cycles_used=0, method=cycles.path)
 
 
 def k_pmf(pair: Pair, k_max: int) -> KPmf:
-    """Pmf of K under dropping up to ``k_max`` plus the remaining tail mass,
-    from the dropping record: p (1-p)^(k-1) for a geometric K (exponential
-    service, half-width 0), else Pr(K > k-1) - Pr(K > k)."""
+    """Pmf of K under dropping up to ``k_max`` plus the remaining tail
+    mass, from the dropping record."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    down, up = pair.cycles(Discipline.DROPPING)
-    mid, hw = _midpoint(down.survival(k_max), up.survival(k_max))
-    pmf = zip(down.hazard * mid[:-1] if down.hazard else mid[:-1] - mid[1:],
-              hw[:-1] + hw[1:])
-    tail = Interval(float(mid[-1]), float(hw[-1]))
-    return KPmf(tuple(Interval(float(v), float(e)) for v, e in pmf), tail, k_max)
+    pmf, tail = pair.cycles(Discipline.DROPPING).pmf(k_max)
+    return KPmf(tuple(Interval(float(v), float(e)) for v, e in zip(*pmf)),
+                Interval(float(tail.value), float(tail.half_width)), k_max)

@@ -4,7 +4,7 @@ Every bound is a short formula over one :class:`~aoi.analytic.Pair` of
 interarrival and service laws, sharing its primitives with the exact ages
 of the pair.  The three unconditional bounds are one function,
 :func:`corollary_one`: the paper's Corollary 1 over the K moments of the
-discipline's cycle record (:meth:`~aoi.analytic.Pair.k_moments`) plus its
+discipline's cycle record (:meth:`~aoi.analytic.Pair.cycles`) plus its
 service term (:meth:`~aoi.analytic.Pair.service_term`).  At a geometric K
 it reads E[Y^2]/(2E[Y]) + E[Y] (1-p)/p plus the service term: the G/M/1/1
 bound (exponential service, 1/lam + 2/mu at exponential arrivals) is
@@ -71,14 +71,14 @@ class BoundReport:
 def corollary_one(pair: Pair, discipline: Discipline) -> BoundReport:
     """Corollary 1 under ``discipline``: E[Y^2]/(2E[Y]) + E[Y] (E[K^2]/(2E[K])
     - 1/2) plus the service term, with the half-width of its range over
-    the K brackets plus the service term's error.
+    the record's K moment intervals plus the service term's error.
 
     Tight when the cycle count is independent of the gaps, e.g. at
     deterministic gaps under dropping.
     """
-    k_mean, k_second = pair.k_moments(discipline)
+    cycles = pair.cycles(discipline)
     service = pair.service_term(discipline)
-    ratio, ratio_hw = k_second.over(k_mean)
+    ratio, ratio_hw = cycles.k_second.over(cycles.k_mean)
     y_mean = pair.interarrival.mean()
     return BoundReport(
         value=pair.head + y_mean * (0.5 * ratio - 0.5) + service.value,

@@ -16,7 +16,7 @@ class DivergentAge(AoiError):
 
 class TruncationNotReached(AoiError):
     """The expected cycle arrival count diverges (a zero geometric success
-    probability), or a cycle is too deep for the renewal lattice."""
+    probability), or a cycle or its service outgrows the renewal lattice."""
 
 
 class ZeroSuccessProbability(AoiError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
+from aoi.analytic import EstimatorOptions, Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
@@ -20,6 +20,12 @@ from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
 EPS = np.finfo(float).eps
+
+
+def k_moments(pair):
+    """(E[K], E[K^2]) of ``pair``'s dropping record."""
+    cycles = pair.cycles(DROPPING)
+    return cycles.k_mean, cycles.k_second
 
 
 def mm_dropping_age(lam, mu):
@@ -94,19 +100,19 @@ def test_deterministic_dropping_exact_values():
 
 
 def test_moments_of_k_examples():
-    k1, k2 = Pair(Exponential(1.0), Exponential(1.0)).k_moments(DROPPING)
+    k1, k2 = k_moments(Pair(Exponential(1.0), Exponential(1.0)))
     assert (k1.value, k2.value) == (2.0, 6.0)  # geometric p = 1/2
-    k1, k2 = Pair(Deterministic(2.0), Deterministic(1.0)).k_moments(DROPPING)
+    k1, k2 = k_moments(Pair(Deterministic(2.0), Deterministic(1.0)))
     assert (k1.value, k2.value) == (1.0, 1.0)
-    k1, k2 = Pair(Deterministic(1.0), Deterministic(1.5)).k_moments(DROPPING)
+    k1, k2 = k_moments(Pair(Deterministic(1.0), Deterministic(1.5)))
     assert (k1.value, k2.value) == (2.0, 4.0)
-    k1, k2 = Pair(Exponential(2.0), Deterministic(0.0)).k_moments(DROPPING)
+    k1, k2 = k_moments(Pair(Exponential(2.0), Deterministic(0.0)))
     assert (k1.value, k2.value) == (1.0, 1.0)  # zero service: K == 1
 
 
 def test_geometric_fast_path_agrees_with_generic_walk():
     y, s = ShiftedExponential(1.0, 0.5), Exponential(1.0)
-    closed_k1, closed_k2 = Pair(y, s).k_moments(DROPPING)
+    closed_k1, closed_k2 = k_moments(Pair(y, s))
     assert closed_k1.half_width == 0.0
     wm = dropping_walk_moments(
         y, s, EstimatorOptions(mc_samples=300_000, seed=5))
@@ -168,7 +174,7 @@ def test_renewal_form_agrees_with_walk(y):
     assert_carries_the_crossing_error(Pair(y, s), est)
     assert close(est.value, walk_age)
 
-    k1, k2 = Pair(y, s).k_moments(DROPPING)
+    k1, k2 = k_moments(Pair(y, s))
     assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
 
     renewal, walk = k_pmf(Pair(y, s), 10), _k_pmf_walk(y, s, 10, opts)
@@ -206,7 +212,7 @@ def test_renewal_form_survives_deep_cycles():
     y, s = Uniform(0.0, 0.02), Exponential(0.005)
     est = exact_age(Pair(y, s), DROPPING)
     assert math.isfinite(est.value)
-    k_mean = Pair(y, s).k_moments(DROPPING)[0].value
+    k_mean = k_moments(Pair(y, s))[0].value
     assert k_mean == pytest.approx(20_000.0 + 2.0 / 3.0, rel=1e-6)
     # The age is head + E[Y exp(-mu Y)] E[K] + 1/mu with the same E[K].
     crossing, _ = integrate.quad(lambda t: t * math.exp(-0.005 * t) / 0.02,
@@ -234,7 +240,7 @@ def test_k_pmf_mm_geometric():
     assert total == pytest.approx(1.0, abs=1e-9)
     assert res.tail_mass.value < 1e-6
     # First moment consistency with the closed-form E[K].
-    k1, _ = Pair(Exponential(1.0), Exponential(1.0)).k_moments(DROPPING)
+    k1, _ = k_moments(Pair(Exponential(1.0), Exponential(1.0)))
     mean_from_pmf = sum(k * m.value for k, m in enumerate(res.pmf, start=1))
     assert mean_from_pmf == pytest.approx(k1.value, rel=5e-3)
 
@@ -270,6 +276,29 @@ def test_exponential_service_shares_one_geometric_record(y):
     gap = (corollary_one(pair, PREEMPTION).value
            - corollary_one(pair, DROPPING).value)
     assert gap == pytest.approx(stilde - 1.0 / mu, rel=1e-12)
+
+
+def test_geometric_record_holds_every_p_of_its_bracket():
+    # Each interval of a geometric record holds its quantity at every p in
+    # p's bracket, though Pr(K = k) = p (1-p)^(k-1) peaks inside it at
+    # k = 3.  The brackets are set by hand, far wider than quadrature's.
+    pair = Pair(Exponential(1.0), Uniform(0.5, 2.0))
+    pair.__dict__.update(p=Interval(0.3, 0.05), crossing=Interval(0.2, 0.01))
+    record = pair.cycles(PREEMPTION)
+    pmf, tail = record.pmf(12)
+    k = np.arange(1, 13)
+
+    def holds(interval, x):  # up to the rounding at the bracket's ends
+        return np.all(np.abs(interval.value - x)
+                      <= interval.half_width + 4.0 * EPS * np.abs(x))
+
+    for q in np.linspace(0.25, 0.35, 41):
+        assert holds(record.k_mean, 1.0 / q)
+        assert holds(record.k_second, (2.0 - q) / q**2)
+        assert holds(record.crossing(), 0.19 / q**2)
+        assert holds(record.crossing(), 0.21 / q**2)
+        assert holds(pmf, q * (1.0 - q) ** (k - 1))
+        assert holds(tail, (1.0 - q) ** 12)
 
 
 # ------------------------------------------------------------- preemption

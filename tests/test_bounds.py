@@ -11,6 +11,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
 from aoi.errors import ZeroSuccessProbability
 from aoi.experiments import ESTIMATORS, require
 from aoi.sim import Discipline
+from test_analytic import k_moments
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
 
@@ -23,7 +24,7 @@ def test_corollary1_plug_in_examples():
             (Deterministic(2.0), Deterministic(1.0), (1.0, 1.0), 2.0),
             (Deterministic(1.0), Deterministic(1.5), (2.0, 4.0), 2.5)):
         pair = Pair(y, s)
-        k1, k2 = pair.k_moments(DROPPING)
+        k1, k2 = k_moments(pair)
         assert (k1.value, k2.value) == pytest.approx(moments, rel=1e-12)
         r = corollary_one(pair, DROPPING)
         assert r.value == pytest.approx(value, rel=1e-12)
@@ -35,7 +36,7 @@ def test_corollary1_half_width_spans_the_k_moment_intervals():
     # The bound moves E[Y]/2 times the range of E[K^2]/E[K] over the
     # brackets E[K] +/- a, E[K^2] +/- b of the lattice moments.
     y, s = Uniform(0.2, 1.8), ShiftedExponential(1.0, 0.1)
-    (k1, a), (k2, b) = Pair(y, s).k_moments(DROPPING)
+    (k1, a), (k2, b) = k_moments(Pair(y, s))
     assert 0.0 < a < k1 and b > 0.0
     ratio = k2 / k1
     spread = max((k2 + b) / (k1 - a) - ratio, ratio - (k2 - b) / (k1 + a))
@@ -197,7 +198,7 @@ def test_specialization_chain_corollary1_equals_gm11():
               Hyperexponential((0.5, 0.5), (0.5, 2.0))]:
         p = 1.0 - y.laplace(mu)
         pair = Pair(y, Exponential(mu))
-        k1, k2 = pair.k_moments(DROPPING)
+        k1, k2 = k_moments(pair)
         assert k1.value == pytest.approx(1.0 / p, rel=1e-12)
         assert k2.value == pytest.approx((2.0 - p) / p**2, rel=1e-12)
         closed = (y.second_moment() / (2.0 * y.mean())

@@ -144,7 +144,7 @@ def test_divergent_points_are_recorded_not_fatal():
 
 @pytest.mark.parametrize("discipline,y,s,tags,primitive,count", [
     (Discipline.DROPPING, Uniform(0.0, 0.2), Rayleigh(2.0),
-     ("exact", "corollary1"), "_lattice_solves", 1),
+     ("exact", "corollary1"), "_lattice_cycles", 1),
     (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
      ("exact", "corollary2"), "expect", 3),
     (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),

@@ -9,10 +9,13 @@ import pytest
 
 from aoi import analytic
 from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
-from aoi.distributions import (Deterministic, Erlang, Exponential, Rayleigh,
-                               ShiftedExponential, Uniform)
+from aoi.bounds import corollary_one
+from aoi.distributions import (Deterministic, Erlang, Exponential,
+                               Hyperexponential, Rayleigh, ShiftedExponential,
+                               Uniform)
 from aoi.errors import TruncationNotReached
 from aoi.sim import Z95, Discipline
+from test_analytic import k_moments
 from test_distributions import ALL_KINDS, RESCALED
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
@@ -38,7 +41,7 @@ def lattice(y, s):
     """Every lattice result as (value, half-width) pairs, in one order."""
     pair = Pair(y, s)
     est = exact_age(pair, DROPPING)
-    k1, k2 = pair.k_moments(DROPPING)
+    k1, k2 = k_moments(pair)
     pmf = k_pmf(pair, K_MAX)
     return [(est.value, est.ci_half_width), k1, k2, *pmf.pmf, pmf.tail_mass]
 
@@ -82,7 +85,7 @@ def test_deterministic_gaps_give_the_finite_sums(y, s):
 def lattice_cells(pair):
     """The gap cells, rounded down and then up, and the service ccdf on
     the lattice of ``pair``'s solves, rebuilt from its definition."""
-    h = pair.lattice[0].step
+    h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
     for b in pair.service.breakpoints():
@@ -100,15 +103,21 @@ def lattice_cells(pair):
     (Uniform(0.0, 0.2), Uniform(1.0, 2.0)),
 ], ids=["U/U", "Erlang/D", "deep-U/U"])
 def test_survival_matches_direct_convolution_powers(y, s):
-    # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice.
+    # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
+    # record's Pr(K > k) spans the two ends.
     pair = Pair(y, s)
     cells, c = lattice_cells(pair)
-    for solve, f in zip(pair.lattice, cells):
-        want, power = [1.0], np.array([1.0])
+    ends = []
+    for f in cells:
+        want, power = [], np.array([1.0])
         for _ in range(K_MAX):
             power = np.convolve(power, f)[:c.size]
             want.append(float(power @ c))
-        assert list(solve.survival(K_MAX)) == pytest.approx(want, rel=1e-12, abs=0)
+        ends.append(want)
+    for k, (down, up) in enumerate(zip(*ends), start=1):
+        value, hw = pair.lattice.pmf(k)[1]
+        assert (value + hw, value - hw) == pytest.approx(
+            (max(down, up), min(down, up)), rel=1e-12, abs=0), k
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
@@ -121,13 +130,20 @@ def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
         assert abs(value - finer) <= hw, (i, value, hw, finer)
 
 
-@pytest.mark.parametrize("s", [Deterministic(0.5), Deterministic(1.0),
-                               Uniform(0.0, 1.0), Rayleigh(0.5)],
-                         ids=lambda d: d.describe())
-def test_half_width_covers_the_mg11_age(s):
+# The first four at rate 1 and time scale 1; then every family at time
+# scales 1e-6, 1 and 1e6, each against arrival rates 0.5/c and 2/c.
+MG11_CASES = [pytest.param(s, 1.0, id=s.describe())
+              for s in (Deterministic(0.5), Deterministic(1.0),
+                        Uniform(0.0, 1.0), Rayleigh(0.5))] + [
+    pytest.param(RESCALED[s.kind](s, c), rate / c,
+                 id=f"{s.kind}-c{c:g}-rate{rate:g}")
+    for s in ALL_KINDS for c in (1e-6, 1.0, 1e6) for rate in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("s,lam", MG11_CASES)
+def test_half_width_covers_the_mg11_age(s, lam):
     # With Poisson arrivals the dropping age is the M/G/1/1 closed form
     # E[(Y+S)^2] / (2 E[Y+S]) + E[S].
-    lam = 1.0
     y_second = 2.0 / lam**2
     mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
             / (2.0 * (1.0 / lam + s.mean())) + s.mean())
@@ -138,7 +154,16 @@ def test_half_width_covers_the_mg11_age(s):
 UNBOUNDED = [d for d in ALL_KINDS if d.support()[1] == np.inf]
 
 
-@pytest.mark.parametrize("s", UNBOUNDED, ids=lambda d: d.kind)
+# Services whose rare, long phase holds most of E[S] or of E[S^2] with
+# under 1e-13 of the mass: E[S] = 101 and E[S^2] = 2e18, then
+# E[S] = 1 + 1e-10 and E[S^2] = 4.  The first has Pr(S > E[S]) = 1e-14, so
+# its top is found by halving down from E[S].
+RARE_PHASES = [Hyperexponential((0.99999999999999, 1e-14), (1.0, 1e-16)),
+               Hyperexponential((1.0, 1e-20), (1.0, 1e-10))]
+
+
+@pytest.mark.parametrize("s", [pytest.param(d, id=d.kind) for d in UNBOUNDED]
+                         + [pytest.param(RARE_PHASES[0], id="rare-phase")])
 def test_truncation_point_is_the_first_passing_64th_of_an_octave(s):
     top = analytic._truncation_point(s)
     assert s.ccdf(top) <= analytic._SERVICE_TAIL
@@ -152,6 +177,21 @@ def test_truncation_point_rescales_with_time(s, c):
     scaled = RESCALED[s.kind](s, c)
     assert analytic._truncation_point(scaled) == pytest.approx(
         c * analytic._truncation_point(s), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("s", RARE_PHASES,
+                         ids=["mean-in-tail", "second-in-tail"])
+def test_a_moment_beyond_the_lattice_is_not_reached(s, c):
+    # The 1e-13 mass cut drops the rare phase, and with it most of a moment
+    # the age integrates: the lattice raises at every time scale rather
+    # than report the main phase's age with a small half-width.
+    pair = Pair(Exponential(1.0 / c), RESCALED[s.kind](s, c))
+    for run in (lambda: exact_age(pair, DROPPING),
+                lambda: corollary_one(pair, DROPPING),
+                lambda: k_pmf(pair, K_MAX)):
+        with pytest.raises(TruncationNotReached, match="hyperexponential"):
+            run()
 
 
 def test_deep_cycle_guard():
@@ -172,7 +212,7 @@ def test_deep_cycle_guard():
 
 @pytest.mark.parametrize("compute", [
     lambda pair: exact_age(pair, DROPPING),
-    lambda pair: pair.k_moments(DROPPING),
+    lambda pair: k_moments(pair),
     lambda pair: k_pmf(pair, K_MAX)], ids=["exact", "moments", "kpmf"])
 def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.

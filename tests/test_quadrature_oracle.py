@@ -1,9 +1,9 @@
 """``expect`` against QUADPACK (``scipy.integrate.quad``) as the oracle.
 
-The six continuous families at time scales 1e-6, 1 and 1e6, against
-smooth integrands and against service ccdfs whose kinks are passed as
-extra breakpoints.  The oracle integrates each piece between breakpoints
-in units of the law's mean at epsrel 1e-12.
+The six continuous families, and Erlang of shape 1, at time scales 1e-6,
+1 and 1e6, against smooth integrands and against service ccdfs whose kinks
+are passed as extra breakpoints.  The oracle integrates each piece between
+breakpoints in units of the law's mean at epsrel 1e-12.
 """
 
 import math
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from aoi.distributions import (Deterministic, ShiftedExponential, Uniform,
-                               expect)
+from aoi.distributions import (Deterministic, Erlang, ShiftedExponential,
+                               Uniform, expect)
 from test_distributions import CONTINUOUS, RESCALED
 
 SCALES = (1e-6, 1.0, 1e6)
@@ -45,8 +45,13 @@ def _oracle(dist, fn, extra):
     return total
 
 
+# Erlang of shape 1 takes the exponential branch of the Erlang density.
+LAWS = ([pytest.param(d, id=d.kind) for d in CONTINUOUS]
+        + [pytest.param(Erlang(1, 2.0), id="erlang-shape1")])
+
+
 @pytest.mark.parametrize("c", SCALES)
-@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", LAWS)
 def test_expect_matches_quadpack(law, c):
     dist = RESCALED[law.kind](law, c)
     for name, fn, extra in _integrands(c):
