@@ -43,8 +43,15 @@ Lattice (paths ``lattice`` and ``closed_form``)
     of step h = E[Y]/256 that ends where the service keeps at most 1e-13
     of its mass (and raises when its upper sums miss over 1e-9 of E[S] or
     E[S^2]), and u = delta + f*u is solved by an exponentially tilted FFT.
-    Every lattice sum is one inner product of half spectra; Pr(K > k)
-    takes the k-th power of the gap spectrum from a running product.
+    Every lattice sum is one inner product of half spectra.  Two
+    transforms of the n lattice points are each built only when read.
+    The renewal transform gives E[K], E[K^2] and the crossing sum, once,
+    on the smallest length 2^a, 3 2^a or 5 2^a at least 4n, where the tilt
+    keeps both the wrapped mass and the roundoff gain small.  The pmf
+    transform is built by each pmf call and then freed: Pr(K > k) takes
+    the k-th power of the gap spectrum from a running product, on the
+    smallest such length at least 4n and 8 times the gaps' support, so
+    the first 8 powers cannot wrap at all.
     Rounding down shrinks every partial sum, so the two solves bracket
     E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
@@ -64,7 +71,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
@@ -147,11 +154,20 @@ class Cycles(NamedTuple):
     producer proved, and the path that reached them."""
 
     path: Literal["lattice", "closed_form", "quadrature"]
-    k_mean: Interval                  # E[K]
-    k_second: Interval                # E[K^2]
+    moments: Callable[[], tuple[Interval, Interval]]  # E[K], E[K^2], on call
     crossing: Callable[[], Interval]  # sum_k E[A_k * Pr(S > A_k)], on call
     # k_max -> arrays of Pr(K = k), k = 1..k_max, and Pr(K > k_max)
     pmf: Callable[[int], tuple[Interval, Interval]]
+
+    @property
+    def k_mean(self) -> Interval:
+        """E[K]."""
+        return self.moments()[0]
+
+    @property
+    def k_second(self) -> Interval:
+        """E[K^2]."""
+        return self.moments()[1]
 
 
 @dataclass(frozen=True)
@@ -249,9 +265,9 @@ class Pair:
             down, up = (1.0 - lo) ** k, (1.0 - hi) ** k  # Pr(K > k)
             return (Interval.between(lo * up[:-1], hi * down[:-1]),
                     Interval.between(down[-1], up[-1]))
-        return Cycles("quadrature", Interval.between(1.0 / lo, 1.0 / hi),
-                      Interval.between((2.0 - lo) / lo**2, (2.0 - hi) / hi**2),
-                      crossing, pmf)
+        moments = (Interval.between(1.0 / lo, 1.0 / hi),
+                   Interval.between((2.0 - lo) / lo**2, (2.0 - hi) / hi**2))
+        return Cycles("quadrature", lambda: moments, crossing, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = 0 for interarrival {self.interarrival.describe()} "
@@ -313,6 +329,9 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     is too deep (:class:`TruncationNotReached`).  A service breakpoint
     within rounding of a lattice point (the D value, the SE shift) is
     evaluated there exactly, keeping its tie rule at every time scale.
+    The record keeps the gap cells and the service ccdf; E[K], E[K^2] and
+    the crossing sum come from one renewal solve on first read, and each
+    pmf call builds its own transform and frees it.
     """
     top = _truncation_point(service)
     point_mass = isinstance(interarrival, Deterministic)
@@ -340,43 +359,57 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
         path, moved = "closed_form", 0.0
-        down = up = (lambda k_max: np.concatenate(
-                         ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1],
-                     float(first + c.sum()),
-                     float(first + (2.0 * np.arange(n) + 1.0) @ c),
-                     float(x @ c))
+        renewal = lambda: 2 * ((float(first + c.sum()),
+                                float(first + (2.0 * np.arange(n) + 1.0) @ c),
+                                float(x @ c)),)
+        survival = lambda k_max: 2 * (np.concatenate(
+            ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1],)
     else:
         path, moved = "lattice", h
-        down, up = _renewal_solves(interarrival.ccdf(grid), x, c, first)
-    (s_down, k_down, k2_down, c_down), (s_up, k_up, k2_up, c_up) = down, up
-    # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
-    # crossing sum widened by h E[K(K-1)]/2 brackets the true one.
-    lo = c_up - 0.5 * moved * (k2_up - k_up)
-    hi = c_down + 0.5 * moved * (k2_down - k_down)
-    mid = 0.5 * (c_down + c_up)
-    crossing = Interval(mid, max(mid - lo, hi - mid))
+        tail = interarrival.ccdf(grid)
+        cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
+        gaps = cell, np.append(0.0, cell[:-1])  # rounded down, up
+        renewal = lambda: _renewal_sums(gaps, x, c, first)
+        survival = lambda k_max: _survival(gaps, c, k_max)
+
+    @cache
+    def solved() -> tuple[Interval, Interval, Interval]:
+        (k_down, k2_down, c_down), (k_up, k2_up, c_up) = renewal()
+        # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
+        # crossing sum widened by h E[K(K-1)]/2 brackets the true one.
+        lo = c_up - 0.5 * moved * (k2_up - k_up)
+        hi = c_down + 0.5 * moved * (k2_down - k_down)
+        mid = 0.5 * (c_down + c_up)
+        return (Interval.between(k_down, k_up),
+                Interval.between(k2_down, k2_up),
+                Interval(mid, max(mid - lo, hi - mid)))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
         # Pr(K = k) = Pr(K > k-1) - Pr(K > k), the half-widths added
-        mid, hw = Interval.between(s_down(k_max), s_up(k_max))
+        mid, hw = Interval.between(*survival(k_max))
         return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
                 Interval(mid[-1], hw[-1]))
-    return Cycles(path, Interval.between(k_down, k_up),
-                  Interval.between(k2_down, k2_up), lambda: crossing, pmf)
+    return Cycles(path, lambda: solved()[:2], lambda: solved()[2], pmf)
 
 
-def _renewal_solves(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
-                    first: float) -> tuple[tuple, tuple]:
-    """Pr(K > k) as a function of k_max, E[K], E[K^2] and the crossing sum
-    with the gaps rounded down, then up, from the gap ccdf ``tail`` on the
-    lattice and the service ccdf ``c`` at its points ``x``."""
-    n = x.size
-    cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
-    # Tilting by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass wrapped
-    # around by the circular convolution negligible; each lattice sum is
-    # an inner product of half spectra (Parseval), one ``vdot`` of a
-    # spectrum against the weights of c or of x c.
-    size = 1 << (4 * n - 1).bit_length()
+def _fft_size(n: int) -> int:
+    """The smallest 2^a, 3 2^a or 5 2^a at least ``n``: a length the FFT
+    factors into radices 2 and 3 or 5, under 4n/3, where the next power of
+    two can reach 2n."""
+    return min(r << (-(-n // r) - 1).bit_length() for r in (1, 3, 5))
+
+
+def _tilted(n: int, size: int):
+    """``weigh`` and ``spectrum`` of the tilted FFT of length ``size`` over
+    ``n`` lattice points.
+
+    Tilting a gap law by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass
+    a circular convolution wraps into the first n points at most
+    rho^size <= 1e-16^(4/5) of it for size >= 4n, and the roundoff the
+    untilting 1/rho^j multiplies at most rho^-n <= 1e16^(1/5) = 1585.  A
+    lattice sum is then an inner product of half spectra (Parseval): one
+    ``vdot`` of a spectrum against ``weigh`` of c or of x c.
+    """
     tilt = np.exp(np.arange(n) * (math.log(_ALIAS_TILT) / (size + n)))
 
     def weigh(w):
@@ -384,28 +417,48 @@ def _renewal_solves(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
         out[[0, -1]] *= 0.5  # the half spectrum holds these bins once
         return out
 
-    def total(weights, spectrum):
-        return float(np.vdot(weights, spectrum).real)
+    return weigh, lambda f: np.fft.rfft(f * tilt, size)
 
-    def survival(spectrum, k_max):
-        # Pr(K > k) pairs the k-th convolution power, whose spectrum is
-        # the running product, with the service ccdf.
-        out, power = np.ones(k_max + 1), np.ones_like(spectrum)
-        for k in range(1, k_max + 1):
-            power *= spectrum
-            out[k] = total(by_c, power)
-        return out
 
-    def solve(f):
-        spectrum = np.fft.rfft(f * tilt, size)
-        renewal = 1.0 / (1.0 - spectrum)  # u = delta + f*u
-        return (lambda k_max: survival(spectrum, k_max),
-                first + total(by_c, renewal),
-                first + total(by_c, renewal * (2.0 * renewal - 1.0)),
-                total(by_xc, renewal))
+def _total(weights, spectrum) -> float:
+    return float(np.vdot(weights, spectrum).real)
 
+
+def _renewal_sums(gaps, x: np.ndarray, c: np.ndarray, first: float
+                  ) -> list[tuple[float, float, float]]:
+    """E[K], E[K^2] and the crossing sum for each gap lattice of ``gaps``,
+    from the renewal measure u = delta + f*u against the service ccdf
+    ``c`` at the lattice points ``x``, on the smallest FFT length >= 4n."""
+    weigh, spectrum = _tilted(x.size, _fft_size(4 * x.size))
     by_c, by_xc = weigh(c), weigh(x * c)
-    return solve(cell), solve(np.append(0.0, cell[:-1]))  # gaps down, up
+
+    def sums(f):
+        renewal = 1.0 / (1.0 - spectrum(f))  # u = delta + f*u
+        return (first + _total(by_c, renewal),
+                first + _total(by_c, renewal * (2.0 * renewal - 1.0)),
+                _total(by_xc, renewal))
+    return [sums(f) for f in gaps]
+
+
+def _survival(gaps, c: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """Pr(K > k), k = 0..k_max, for each gap lattice of ``gaps``: the k-th
+    convolution power, its spectrum a running product, against ``c``.
+
+    The length is the smallest FFT length >= max(4n, 8s), s one past the
+    last non-zero rounded-up gap: the first 8 powers, supported below ks,
+    never wrap, and later ones wrap only their tilted-away far tail."""
+    s = np.trim_zeros(gaps[-1], "b").size
+    weigh, spectrum = _tilted(c.size, _fft_size(max(4 * c.size, 8 * s)))
+    by_c = weigh(c)
+
+    def powers(f):
+        step, out = spectrum(f), np.ones(k_max + 1)
+        power = np.ones_like(step)
+        for k in range(1, k_max + 1):
+            power *= step
+            out[k] = _total(by_c, power)
+        return out
+    return [powers(f) for f in gaps]
 
 
 def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:

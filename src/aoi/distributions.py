@@ -68,9 +68,10 @@ _RAYLEIGH_SERIES_FROM = 10.0  # z = scale * s above which the series is used
 
 
 def _over_square(num: float, x: float) -> float:
-    """num / x^2 that never raises: inf if x^2 underflows, 0 if it overflows."""
+    """num / x^2 that never raises: num / x / x if x^2 underflows (inf
+    only when the quotient overflows), 0 if it overflows."""
     square = x * x
-    return num / square if square else math.inf
+    return num / square if square else num / x / x
 
 
 class MrlVerdict(str, Enum):

@@ -101,7 +101,10 @@ def lattice_cells(pair):
     (Uniform(0.0, 1.0), Uniform(0.0, 2.0)),
     (Erlang(2, 4.0), Deterministic(1.0)),
     (Uniform(0.0, 0.2), Uniform(1.0, 2.0)),
-], ids=["U/U", "Erlang/D", "deep-U/U"])
+    # n = 512 lattice points: 4n is a power of two, so a transform of
+    # length 4n would wrap the later powers' tails onto the sums.
+    (Erlang(2, 3.988), Deterministic(1.0)),
+], ids=["U/U", "Erlang/D", "deep-U/U", "Erlang/D-n512"])
 def test_survival_matches_direct_convolution_powers(y, s):
     # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
     # record's Pr(K > k) spans the two ends.
@@ -179,7 +182,8 @@ def test_truncation_point_rescales_with_time(s, c):
         c * analytic._truncation_point(s), rel=1e-12)
 
 
-@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+# At c = 1e152 and 1e153 the rare rate's square underflows.
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e152, 1e153])
 @pytest.mark.parametrize("s", RARE_PHASES,
                          ids=["mean-in-tail", "second-in-tail"])
 def test_a_moment_beyond_the_lattice_is_not_reached(s, c):
@@ -208,6 +212,52 @@ def test_deep_cycle_guard():
     assert peak < 100e6
     assert 0.0 < est.ci_half_width < 0.1 * age
     assert abs(est.value - age) <= est.ci_half_width
+
+
+def test_deep_cycle_pmf_stays_in_the_memory_budget():
+    tracemalloc.start()
+    try:
+        k_pmf(Pair(Exponential(150.0), Deterministic(100.0)), K_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_a_lattice_record_keeps_no_spectra():
+    # The record keeps its gap cells and the service ccdf on its 40017
+    # points, 1.2 MiB; a spectrum of either transform would add 2.5 MiB.
+    tracemalloc.start()
+    try:
+        pair = Pair(Uniform(0.0, 0.2), Rayleigh(2.0))
+        exact_age(pair, DROPPING)
+        k_pmf(pair, K_MAX)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20
+
+
+def test_each_op_builds_only_the_transform_it_reads(monkeypatch):
+    # The renewal transform weighs c and x c and takes both ends' spectra;
+    # the pmf transform weighs c and takes both ends' spectra.
+    calls = dict.fromkeys(["rfft", "_renewal_sums", "_survival"], 0)
+    for owner, name in ((np.fft, "rfft"), (analytic, "_renewal_sums"),
+                        (analytic, "_survival")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    y, s = PAIRS[0]
+    k_pmf(Pair(y, s), K_MAX)
+    assert calls == {"rfft": 3, "_renewal_sums": 0, "_survival": 1}
+    pair = Pair(y, s)
+    exact_age(pair, DROPPING)
+    assert calls == {"rfft": 7, "_renewal_sums": 1, "_survival": 1}
+    k_moments(pair)
+    pair.lattice.crossing()
+    corollary_one(pair, DROPPING)
+    assert calls == {"rfft": 7, "_renewal_sums": 1, "_survival": 1}
 
 
 @pytest.mark.parametrize("compute", [
