@@ -20,12 +20,20 @@ an :class:`Interval` for each of E[K], E[K^2], the crossing sum and
 Pr(K = k).  Each producer proves its own half-widths; the ages and bounds
 only combine intervals.
 
+Poisson arrivals (path ``closed_form``)
+    Dropping with arrivals at rate lam drops Poisson(lam S) of them during
+    a service S: E[K] = 1 + lam E[S], E[K^2] = 1 + 3 lam E[S] +
+    lam^2 E[S^2] and the crossing sum is lam E[S^2]/2, the M/G/1/1 age
+    (Inoue et al., IEEE Trans. Inf. Theory, 2019).  Pr(K = k) is the
+    geometric record's at exponential service, else the lattice's.
+
 Geometric K (path ``quadrature``)
-    Under preemption, and under dropping with exponential service,
-    E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K = k) = p (1-p)^(k-1) and the
-    crossing sum is E[Y Pr(S > Y)]/p^2, integrated only when an age reads
-    it.  p is 1 - L(mu) for exponential service (L the Laplace transform
-    of the interarrival law), else the panel quadrature of
+    Under preemption, and under dropping with exponential service at other
+    arrivals, E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K = k) = p (1-p)^(k-1)
+    and the crossing sum is E[Y Pr(S > Y)]/p^2, integrated only when an
+    age reads it.  p is 1 - L(mu) for exponential service (L the Laplace
+    transform of the interarrival law, taken by its cancellation-free
+    ``laplace_complement``), else the panel quadrature of
     :func:`~aoi.distributions.expect`, whose error estimate is the summed
     disagreement of its 20- and 10-point rules plus a roundoff floor.
     Each interval spans its values at the ends of p's bracket, p - err and
@@ -35,7 +43,7 @@ Geometric K (path ``quadrature``)
     1/lambda + 1/mu and agrees with simulation.
 
 Lattice (paths ``lattice`` and ``closed_form``)
-    Dropping with any other service law integrates the service ccdf
+    Dropping with any other pair integrates the service ccdf
     against U, the renewal measure of the gaps (an atom at 0 plus the
     renewal function): E[K] against U, the crossing sum against x dU,
     E[K^2] against 2 U*U - U, Pr(K > k) against convolution powers of the
@@ -196,13 +204,15 @@ class Pair:
     def p(self) -> Interval:
         """p = Pr(S <= Y) = 1 - E[Pr(S > Y)] and its quadrature error.
 
-        Exponential service has the closed form 1 - L(mu), error 0.
-        Otherwise ties count as successes, matching the simulator's
-        completion-first rule, and a p within its error of 0 is 0: rounding
-        must not turn an impossible completion into a tiny positive chance.
+        Exponential service has the closed form 1 - L(mu), error 0, from
+        the cancellation-free complement.  Otherwise ties count as
+        successes, matching the simulator's completion-first rule, and a p
+        within its error of 0 is 0: rounding must not turn an impossible
+        completion into a tiny positive chance.
         """
         if isinstance(self.service, Exponential):
-            return Interval(1.0 - self.interarrival.laplace(self.service.rate), 0.0)
+            return Interval(
+                self.interarrival.laplace_complement(self.service.rate), 0.0)
         mean_tail, err = expect(self.interarrival, self.service.ccdf,
                                 extra_breakpoints=self.service.breakpoints())
         p = 1.0 - mean_tail
@@ -240,20 +250,48 @@ class Pair:
         return _lattice_cycles(self.interarrival, self.service)
 
     def cycles(self, discipline: Discipline) -> Cycles:
-        """K's record under ``discipline``: the lattice record for dropping
-        with non-exponential service, else a geometric K whose intervals
-        span their values at the ends of p's bracket, where each is
-        monotone, and Pr(K = k) = p (1-p)^(k-1) the extremes of its two
-        factors.  E[K] = 1/p diverges at p = 0 (:class:`ZeroSuccessProbability`
-        under preemption, :class:`TruncationNotReached` under dropping)."""
-        if (discipline is Discipline.DROPPING
-                and not isinstance(self.service, Exponential)):
-            return self.lattice
+        """K's record under ``discipline``, on the module docstring's path."""
+        if discipline is Discipline.DROPPING:
+            if isinstance(self.interarrival, Exponential):
+                return self._poisson_cycles()
+            if not isinstance(self.service, Exponential):
+                return self.lattice
+        return self._geometric_cycles(discipline)
+
+    def _poisson_cycles(self) -> Cycles:
+        """The dropping record at exponential arrivals: exact sums, which
+        raise :class:`TruncationNotReached` when E[K^2] overflows."""
+        lam, m1 = self.interarrival.rate, self.service.mean()
+        m2 = self.service.second_moment()
+        k_second = 1.0 + 3.0 * lam * m1 + lam * lam * m2
+
+        def exact(value: float) -> Interval:
+            if not math.isfinite(k_second):
+                raise TruncationNotReached(
+                    f"E[K^2] overflows: E[S^2] = {m2!r}, arrival rate {lam!r}")
+            return Interval(value, 0.0)
+
+        def pmf(k_max: int) -> tuple[Interval, Interval]:
+            return (self._geometric_cycles(Discipline.DROPPING)
+                    if isinstance(self.service, Exponential)
+                    else self.lattice).pmf(k_max)
+        return Cycles("closed_form",
+                      lambda: (exact(1.0 + lam * m1), exact(k_second)),
+                      lambda: exact(0.5 * lam * m2), pmf)
+
+    def _geometric_cycles(self, discipline: Discipline) -> Cycles:
+        """A geometric K whose intervals span their values at the ends of
+        p's bracket, where each is monotone, and Pr(K = k) = p (1-p)^(k-1)
+        the extremes of its two factors.  Where E[K^2] < 2/p^2 or the
+        crossing sum, about E[Y]/p^2 at most, could overflow, it raises
+        :class:`ZeroSuccessProbability` under preemption, else
+        :class:`TruncationNotReached`."""
         p = self.p
-        if p.value <= 0.0:
+        lo, hi = p.value - p.half_width, min(p.value + p.half_width, 1.0)
+        top = 2.0 * max(1.0, self.interarrival.mean())
+        if p.value <= 0.0 or lo * lo * sys.float_info.max < top:
             raise (ZeroSuccessProbability if discipline is Discipline.PREEMPTION
                    else TruncationNotReached)(self._no_success())
-        lo, hi = p.value - p.half_width, min(p.value + p.half_width, 1.0)
 
         def crossing() -> Interval:
             c, err = self.crossing
@@ -270,7 +308,8 @@ class Pair:
         return Cycles("quadrature", lambda: moments, crossing, pmf)
 
     def _no_success(self) -> str:
-        return (f"Pr(success) = 0 for interarrival {self.interarrival.describe()} "
+        return (f"Pr(success) = {self.p.value:.4g} for interarrival "
+                f"{self.interarrival.describe()} "
                 f"vs service {self.service.describe()}")
 
 

@@ -10,10 +10,10 @@ it reads E[Y^2]/(2E[Y]) + E[Y] (1-p)/p plus the service term: the G/M/1/1
 bound (exponential service, 1/lam + 2/mu at exponential arrivals) is
 Corollary 1 under dropping, and Corollary 2 is Corollary 1 under
 preemption with E[S | S <= Y] as the service term.  The mean-matched M/G
-ordering bound is an upper bound only for interarrivals with decreasing
-mean residual life and NBUE service; with IMRL interarrivals and NBUE
-service it flips into a lower bound.  Its ``applicability`` tag reads
-both premises from the two laws' closed-form ageing classes
+ordering bound is the exact dropping age of the pair with exponential
+arrivals of the same mean: an upper bound only for DMRL interarrivals and
+NBUE service, a lower bound for IMRL ones.  Its ``applicability`` tag
+reads both premises from the two laws' closed-form ageing classes
 (:meth:`~aoi.distributions.Distribution.mrl_class`).
 :data:`aoi.experiments.ESTIMATORS` alone says which bound applies to which
 discipline, under which :class:`BoundKind` label and precondition.
@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analytic import Pair
-from .distributions import MrlVerdict
+from .analytic import Pair, exact_age
+from .distributions import Exponential, MrlVerdict
 from .sim import Discipline
 
 __all__ = [
@@ -87,8 +87,8 @@ def corollary_one(pair: Pair, discipline: Discipline) -> BoundReport:
 
 
 def mg11_ordering_bound(pair: Pair) -> BoundReport:
-    """Dropping age of the mean-matched exponential-arrival system:
-    E[(Ye + S)^2] / (2 E[Ye + S]) + E[S] with Ye exponential of mean E[Y].
+    """The exact dropping age, and its half-width, of the mean-matched
+    pair: exponential arrivals of mean E[Y] with the same service.
 
     The value depends on the interarrival law only through its mean, by
     construction.  The laws' ageing classes pick the label.  Without NBUE
@@ -98,19 +98,16 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
     Raises ``ValueError`` when E[S^2] overflows, or underflows to 0 while
     E[S] > 0.
     """
-    ye_mean = pair.interarrival.mean()
-    ye_second = 2.0 * ye_mean**2
-    es = pair.service.mean()
-    es2 = pair.service.second_moment()
+    es, es2 = pair.service.mean(), pair.service.second_moment()
     if not math.isfinite(es2) or (es2 == 0.0 and es > 0.0):
         raise ValueError(f"service second moment {es2!r} is out of the "
                          "float range")
-    value = ((ye_second + 2.0 * ye_mean * es + es2)
-             / (2.0 * (ye_mean + es)) + es)
+    matched = exact_age(Pair(Exponential(1.0 / pair.interarrival.mean()),
+                             pair.service), Discipline.DROPPING)
     if not pair.service.mrl_class().nbue:
         applicability = Applicability.PREMISE_NOT_MET
     elif pair.interarrival.mrl_class() is MrlVerdict.IMRL:
         applicability = Applicability.REVERSED_UNDER_IMRL
     else:
         applicability = Applicability.REQUIRES_DMRL_NBUE
-    return BoundReport(value, applicability)
+    return BoundReport(matched.value, applicability, matched.ci_half_width)

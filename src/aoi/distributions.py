@@ -6,7 +6,8 @@ family of laws. Each law is a frozen dataclass exposing
 * exact first and second moments,
 * the complementary CDF with the strict convention ``Pr(X > x)``, so a
   point mass at ``v`` satisfies ``ccdf(v) == 0``,
-* the Laplace transform ``E[exp(-s X)]`` in closed form,
+* the Laplace transform ``E[exp(-s X)]`` and its complement
+  ``1 - E[exp(-s X)]`` in closed form,
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
@@ -148,6 +149,18 @@ class Distribution(ABC):
     def _laplace(self, s: float) -> float:
         """E[exp(-s X)] for s > 0, in closed form."""
 
+    def laplace_complement(self, s: float) -> float:
+        """1 - E[exp(-s X)] for s >= 0, without the cancellation of
+        subtracting the transform from 1: its full relative precision
+        wherever s E[X] is small."""
+        if s < 0:
+            raise ValueError("laplace transform argument must be >= 0")
+        return 0.0 if s == 0.0 else self._laplace_complement(s)
+
+    @abstractmethod
+    def _laplace_complement(self, s: float) -> float:
+        """1 - E[exp(-s X)] for s > 0, as a sum of nonnegative terms."""
+
     @abstractmethod
     def support(self) -> tuple[float, float]:
         """(lo, hi) bounds of the support; hi may be ``inf``."""
@@ -205,6 +218,9 @@ class Exponential(Distribution):
     def _laplace(self, s):
         return self.rate / (self.rate + s)
 
+    def _laplace_complement(self, s):
+        return s / (self.rate + s)
+
     def support(self):
         return (0.0, math.inf)
 
@@ -248,6 +264,11 @@ class ShiftedExponential(Distribution):
     def _laplace(self, s):
         return math.exp(-s * self.shift) * self.rate / (self.rate + s)
 
+    def _laplace_complement(self, s):
+        # 1 - e^-sd r/(r+s) = (1 - e^-sd) + e^-sd s/(r+s)
+        return (-math.expm1(-s * self.shift)
+                + math.exp(-s * self.shift) * s / (self.rate + s))
+
     def support(self):
         return (self.shift, math.inf)
 
@@ -288,6 +309,9 @@ class Deterministic(Distribution):
 
     def _laplace(self, s):
         return math.exp(-s * self.value)
+
+    def _laplace_complement(self, s):
+        return -math.expm1(-s * self.value)
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -336,6 +360,21 @@ class Uniform(Distribution):
         width = s * (self.upper - self.lower)
         return math.exp(-s * self.lower) * -math.expm1(-width) / width
 
+    def _laplace_complement(self, s):
+        # (1 - e^-sa) + e^-sa g(w), g(w) = 1 - (1 - e^-w)/w, w = s (b - a).
+        # Below w = 1, g is the alternating series w/2! - w^2/3! + ...,
+        # whose terms fall; from there 1 + expm1(-w)/w loses under 2 bits.
+        width = s * (self.upper - self.lower)
+        if width < 1.0:
+            g, term, k = 0.0, 0.5 * width, 2
+            while abs(term) > _EPS * g:
+                g += term
+                k += 1
+                term *= -width / k
+        else:
+            g = 1.0 + math.expm1(-width) / width
+        return -math.expm1(-s * self.lower) + math.exp(-s * self.lower) * g
+
     def support(self):
         return (self.lower, self.upper)
 
@@ -379,15 +418,12 @@ class Rayleigh(Distribution):
         return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
 
     def _laplace(self, s):
-        # 1 - z sqrt(pi/2) exp(t^2) erfc(t), z = scale s, t = z / sqrt 2,
-        # loses about z^2 eps to cancellation (exp(t^2) < 6e21 here); from
-        # z = 10 the asymptotic series 1/z^2 - 3/z^4 + 15/z^6 - ...
-        # reaches double precision before its terms start to grow.
+        # From z = scale s = 10 the asymptotic series 1/z^2 - 3/z^4 +
+        # 15/z^6 - ... reaches double precision before its terms start to
+        # grow; below, 1 less the complement loses about z^2 eps.
         z = self.scale * s
         if z <= _RAYLEIGH_SERIES_FROM:
-            t = z / math.sqrt(2.0)
-            return 1.0 - z * math.sqrt(math.pi / 2.0) * (
-                math.exp(t * t) * math.erfc(t))
+            return 1.0 - self._laplace_complement(s)
         inv = 1.0 / (z * z)
         total, term, k = 0.0, inv, 1
         while abs(term) > _EPS * total:
@@ -395,6 +431,24 @@ class Rayleigh(Distribution):
             term *= -(2 * k + 1) * inv
             k += 1
         return total
+
+    def _laplace_complement(self, s):
+        # z sqrt(pi/2) exp(t^2) erfc(t), t = z / sqrt 2 (exp(t^2) < 6e21
+        # here).  t^2 is split exactly into its rounded value and the
+        # rounding error (Dekker), which would cost up to t^2 eps/2 inside
+        # exp; the rounding of t itself moves exp(t^2) and erfc(t)
+        # oppositely and cancels in their product.
+        z = self.scale * s
+        if z > _RAYLEIGH_SERIES_FROM:
+            return 1.0 - self._laplace(s)
+        t = z / math.sqrt(2.0)
+        square = t * t
+        split = 134217729.0 * t  # 2^27 + 1
+        hi = split - (split - t)
+        lo = t - hi
+        error = ((hi * hi - square) + 2.0 * hi * lo) + lo * lo
+        return (z * math.sqrt(math.pi / 2.0)
+                * (math.exp(square) * (1.0 + error)) * math.erfc(t))
 
     def support(self):
         return (0.0, math.inf)
@@ -450,6 +504,9 @@ class Erlang(Distribution):
 
     def _laplace(self, s):
         return (self.rate / (self.rate + s)) ** self.shape
+
+    def _laplace_complement(self, s):
+        return -math.expm1(-self.shape * math.log1p(s / self.rate))
 
     def support(self):
         return (0.0, math.inf)
@@ -510,6 +567,9 @@ class Hyperexponential(Distribution):
 
     def _laplace(self, s):
         return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates))
+
+    def _laplace_complement(self, s):
+        return sum(w * s / (r + s) for w, r in zip(self.weights, self.rates))
 
     def support(self):
         return (0.0, math.inf)

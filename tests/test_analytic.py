@@ -67,10 +67,10 @@ def test_mm_fast_path_is_closed_form():
             pair = Pair(Exponential(lam), Exponential(mu))
             est = exact_age(pair, DROPPING)
             closed = mm_dropping_age(lam, mu)
-            assert abs(est.value - closed) <= \
-                est.ci_half_width + 4.0 * EPS * closed
-            assert_carries_the_crossing_error(pair, est)
-            assert est.method == "quadrature"
+            # The closed-form record: exact sums, half-width 0.
+            assert est.ci_half_width == 0.0
+            assert abs(est.value - closed) <= 4.0 * EPS * closed
+            assert est.method == "closed_form"
 
 
 def test_mm_generic_walk_agrees_with_closed_form():
@@ -171,7 +171,10 @@ def test_renewal_form_agrees_with_walk(y):
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
     est = exact_age(Pair(y, s), DROPPING)
     assert est.cycles_used == 0
-    assert_carries_the_crossing_error(Pair(y, s), est)
+    if isinstance(y, Exponential):  # the closed-form record
+        assert (est.method, est.ci_half_width) == ("closed_form", 0.0)
+    else:
+        assert_carries_the_crossing_error(Pair(y, s), est)
     assert close(est.value, walk_age)
 
     k1, k2 = k_moments(Pair(y, s))
@@ -247,14 +250,33 @@ def test_k_pmf_mm_geometric():
 
 @pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6])
 def test_geometric_k_pmf_keeps_its_relative_precision(mu):
-    # Pr(K = k) = q^(k-1) (1 - q), q = L(mu) = 1/(1 + mu): a difference of
-    # survival values q^(k-1) - q^k would lose relative precision as p
-    # shrinks.
-    q = 1.0 / (1.0 + mu)
+    # Pr(K = k) = q^(k-1) p, q = L(mu) = 1/(1 + mu), p = mu/(1 + mu): a
+    # difference of survival values q^(k-1) - q^k, or p as 1 - q, would
+    # lose relative precision as p shrinks.
+    q, p = 1.0 / (1.0 + mu), mu / (1.0 + mu)
     res = k_pmf(Pair(Exponential(1.0), Exponential(mu)), 10)
     for k, m in enumerate(res.pmf, start=1):
-        closed = q ** (k - 1) * (1.0 - q)
+        closed = q ** (k - 1) * p
         assert abs(m.value - closed) <= 1e-14 * closed, k
+
+
+@pytest.mark.parametrize("y,mu", [(Exponential(1.0), 1e-300),
+                                  (Uniform(0.0, 2e10), 1e-160)],
+                         ids=["E-1e-300", "U-1e-160"])
+def test_geometric_record_beyond_the_float_range_is_not_reached(y, mu):
+    # p = 1 - L(mu) keeps its precision and is positive, but 1/p^2, or the
+    # crossing sum E[Y exp(-mu Y)]/p^2, overflows: the errors of p = 0, not
+    # an infinite age or a ZeroDivisionError.
+    pair = Pair(y, Exponential(mu))
+    assert pair.p.value > 0.0
+    for run, error in ((lambda: exact_age(pair, PREEMPTION),
+                        ZeroSuccessProbability),
+                       (lambda: corollary_one(pair, PREEMPTION),
+                        ZeroSuccessProbability),
+                       (lambda: exact_age(pair, DROPPING), TruncationNotReached),
+                       (lambda: k_pmf(pair, 3), TruncationNotReached)):
+        with pytest.raises(error):
+            run()
 
 
 @pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.describe())

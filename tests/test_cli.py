@@ -50,7 +50,10 @@ def test_exact_json_round_trips(capsys):
 
 
 @pytest.mark.parametrize("discipline,interarrival,service,method", [
-    ("dropping", EXP1, '{"kind": "uniform", "lower": 0, "upper": 1}', "lattice"),
+    ("dropping", '{"kind": "uniform", "lower": 0, "upper": 2}',
+     '{"kind": "uniform", "lower": 0, "upper": 1}', "lattice"),
+    ("dropping", EXP1, '{"kind": "uniform", "lower": 0, "upper": 1}',
+     "closed_form"),
     ("dropping", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
     ("dropping", DET % 0.5, EXP1, "quadrature"),
     ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "quadrature"),
@@ -553,16 +556,40 @@ def test_mg11_premise_not_met_without_nbue_service(capsys):
     assert payload["result"]["value"] == pytest.approx(4.2876, abs=1e-4)
 
 
+H2_SERVICE = {"kind": "hyperexponential", "weights": [0.4, 0.6],
+              "rates": [0.5, 3.0]}
+
+
+def h2_service(c):
+    return {**H2_SERVICE, "rates": [r / c for r in H2_SERVICE["rates"]]}
+
+
 @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e6, 1e150])
 def test_dropping_with_hyperexponential_service_rescales(capsys, c):
-    # The lattice searches the service's ccdf for its top point.
+    # E[S] = c and E[S^2] = 10/3 c^2: at exponential arrivals of rate 1/c
+    # the age is c + (10/3)/(2 * 2) c + c = 17/6 c, in closed form.
     code, payload = run_json(
         capsys, "exact", "--discipline", "dropping", "--interarrival",
         json.dumps({"kind": "exponential", "rate": 1.0 / c}), "--service",
-        json.dumps({"kind": "hyperexponential", "weights": [0.4, 0.6],
-                    "rates": [0.5 / c, 3.0 / c]}))
+        json.dumps(h2_service(c)))
     assert code == 0
-    assert payload["result"]["value"] == pytest.approx(2.8333311 * c, rel=1e-7)
+    assert payload["result"]["value"] == pytest.approx(17.0 / 6.0 * c,
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e150])
+def test_dropping_lattice_with_hyperexponential_service_rescales(capsys, c):
+    # The lattice searches the service's ccdf for its top point, in units
+    # of the time scale.
+    values = []
+    for scale in (1.0, c):
+        code, payload = run_json(
+            capsys, "exact", "--discipline", "dropping", "--interarrival",
+            json.dumps({"kind": "uniform", "lower": 0.0, "upper": 2.0 * scale}),
+            "--service", json.dumps(h2_service(scale)))
+        assert code == 0 and payload["result"]["method"] == "lattice"
+        values.append(payload["result"]["value"] / scale)
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("law", ALL_KINDS,

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -16,6 +17,7 @@ from aoi.errors import QuadratureNotConverged
 import mrl_oracle
 
 H2 = Hyperexponential(weights=(0.5, 0.5), rates=(0.5, 2.0))
+EPS = float(np.finfo(float).eps)
 
 ALL_KINDS = [
     Exponential(1.0),
@@ -170,6 +172,58 @@ def test_laplace_closed_forms():
     assert Erlang(3, 2.0).laplace(1.0) == pytest.approx((2.0 / 3.0) ** 3, rel=1e-12)
     assert H2.laplace(1.0) == pytest.approx(0.5 * (0.5 / 1.5) + 0.5 * (2.0 / 3.0),
                                             rel=1e-12)
+
+
+def mp_laplace(law, s):
+    """E[exp(-s X)] of ``law`` in mpmath, from its textbook closed form."""
+    s = mpmath.mpf(s)
+    if isinstance(law, Exponential):
+        return law.rate / (law.rate + s)
+    if isinstance(law, ShiftedExponential):
+        return mpmath.exp(-s * law.shift) * law.rate / (law.rate + s)
+    if isinstance(law, Deterministic):
+        return mpmath.exp(-s * law.value)
+    if isinstance(law, Uniform):
+        a, b = mpmath.mpf(law.lower), mpmath.mpf(law.upper)
+        return (mpmath.exp(-s * a) - mpmath.exp(-s * b)) / (s * (b - a))
+    if isinstance(law, Rayleigh):
+        t = law.scale * s / mpmath.sqrt(2)
+        return 1 - mpmath.sqrt(mpmath.pi) * t * mpmath.exp(t * t) * mpmath.erfc(t)
+    if isinstance(law, Erlang):
+        return (law.rate / (law.rate + s)) ** law.shape
+    return mpmath.fsum(w * r / (r + s) for w, r in zip(law.weights, law.rates))
+
+
+@pytest.mark.parametrize("x", [1e-14, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 9.99,
+                               10.01, 1e3, 1e6])
+@pytest.mark.parametrize("law", ALL_KINDS + [Uniform(0.0, 1.0)],
+                         ids=lambda d: d.describe())
+def test_laplace_complement_keeps_full_relative_precision(law, x):
+    # 1 - L(s) at s E[X] = x against mpmath: 80 working digits leave at
+    # least 40 after the two cancellations of the uniform law's form.
+    s = x / law.mean()
+    with mpmath.workdps(80):
+        want = 1 - mp_laplace(law, s)
+        got = law.laplace_complement(s)
+        assert abs(got - want) <= 8 * EPS * want, float(abs(got - want) / want)
+
+
+def test_rayleigh_laplace_complement_up_to_the_series():
+    # exp(t^2) erfc(t) at t up to sqrt(50): rounding t^2 inside exp alone
+    # would cost up to t^2 eps/2, 25 eps, on this grid about 15.
+    law = Rayleigh(1.0)
+    with mpmath.workdps(80):
+        for z in np.linspace(4.0, distributions._RAYLEIGH_SERIES_FROM, 241):
+            want = 1 - mp_laplace(law, z)
+            got = law.laplace_complement(z)
+            assert abs(got - want) <= 8 * EPS * want, z
+
+
+def test_laplace_complement_at_zero_and_its_domain():
+    for law in ALL_KINDS:
+        assert law.laplace_complement(0.0) == 0.0
+        with pytest.raises(ValueError):
+            law.laplace_complement(-1.0)
 
 
 def test_uniform_laplace_matches_closed_form_oracle():

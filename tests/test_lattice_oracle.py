@@ -37,6 +37,16 @@ DROPPING = Discipline.DROPPING
 REPLICATES = 200_000
 
 
+class LatticePair(Pair):
+    """A pair whose dropping record is always the lattice's: with
+    exponential arrivals :meth:`Pair.cycles` takes the closed form, and
+    these tests keep the lattice checked there."""
+
+    def cycles(self, discipline):
+        assert discipline is DROPPING
+        return analytic._lattice_cycles(self.interarrival, self.service)
+
+
 def lattice(y, s):
     """Every lattice result as (value, half-width) pairs, in one order."""
     pair = Pair(y, s)
@@ -150,7 +160,7 @@ def test_half_width_covers_the_mg11_age(s, lam):
     y_second = 2.0 / lam**2
     mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
             / (2.0 * (1.0 / lam + s.mean())) + s.mean())
-    est = exact_age(Pair(Exponential(lam), s), DROPPING)
+    est = exact_age(LatticePair(Exponential(lam), s), DROPPING)
     assert abs(est.value - mg11) <= est.ci_half_width
 
 
@@ -189,11 +199,14 @@ def test_truncation_point_rescales_with_time(s, c):
 def test_a_moment_beyond_the_lattice_is_not_reached(s, c):
     # The 1e-13 mass cut drops the rare phase, and with it most of a moment
     # the age integrates: the lattice raises at every time scale rather
-    # than report the main phase's age with a small half-width.
-    pair = Pair(Exponential(1.0 / c), RESCALED[s.kind](s, c))
+    # than report the main phase's age with a small half-width.  Through
+    # ``Pair`` only the pmf still reads the lattice.
+    y, scaled = Exponential(1.0 / c), RESCALED[s.kind](s, c)
+    pair = LatticePair(y, scaled)
     for run in (lambda: exact_age(pair, DROPPING),
                 lambda: corollary_one(pair, DROPPING),
-                lambda: k_pmf(pair, K_MAX)):
+                lambda: k_pmf(pair, K_MAX),
+                lambda: k_pmf(Pair(y, scaled), K_MAX)):
         with pytest.raises(TruncationNotReached, match="hyperexponential"):
             run()
 
@@ -205,7 +218,8 @@ def test_deep_cycle_guard():
     age = 1.0 / lam + lam * d * d / (2.0 * (1.0 + lam * d)) + d
     tracemalloc.start()
     try:
-        est = exact_age(Pair(Exponential(lam), Deterministic(d)), DROPPING)
+        est = exact_age(LatticePair(Exponential(lam), Deterministic(d)),
+                        DROPPING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,4 +281,4 @@ def test_each_op_builds_only_the_transform_it_reads(monkeypatch):
 def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
     with pytest.raises(TruncationNotReached):
-        compute(Pair(Exponential(1000.0), Deterministic(100.0)))
+        compute(LatticePair(Exponential(1000.0), Deterministic(100.0)))
