@@ -57,9 +57,11 @@ Lattice (paths ``lattice`` and ``closed_form``)
     on the smallest length 2^a, 3 2^a or 5 2^a at least 4n, where the tilt
     keeps both the wrapped mass and the roundoff gain small.  The pmf
     transform is built by each pmf call and then freed: Pr(K > k) takes
-    the k-th power of the gap spectrum from a running product, on the
-    smallest such length at least 4n and 8 times the gaps' support, so
-    the first 8 powers cannot wrap at all.
+    the k-th power of the gap spectrum from a running product.  That power
+    lives on [0, k(s-1)], s the gaps' support, so a call up to k_max reads
+    only the first m = min(n, k_max (s-1) + 1) points, on the smallest
+    such length at least 4m and 8 min(s, m): below n no power it reads can
+    wrap at all, and at n the first 8 cannot.
     Rounding down shrinks every partial sum, so the two solves bracket
     E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
@@ -483,15 +485,20 @@ def _survival(gaps, c: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Pr(K > k), k = 0..k_max, for each gap lattice of ``gaps``: the k-th
     convolution power, its spectrum a running product, against ``c``.
 
-    The length is the smallest FFT length >= max(4n, 8s), s one past the
-    last non-zero rounded-up gap: the first 8 powers, supported below ks,
-    never wrap, and later ones wrap only their tilted-away far tail."""
+    With s one past the last non-zero rounded-up gap, the k-th power lives
+    on [0, k(s-1)], so the sums read only the first
+    m = min(n, max(1, k_max (s-1) + 1)) points of ``c`` and of the gaps.
+    The length is the smallest FFT length >= max(4m, 8 min(s, m)): when
+    m < n no power up to k_max reaches past m, so none wraps at all; else
+    the first 8 powers never wrap, and later ones wrap only their
+    tilted-away far tail."""
     s = np.trim_zeros(gaps[-1], "b").size
-    weigh, spectrum = _tilted(c.size, _fft_size(max(4 * c.size, 8 * s)))
-    by_c = weigh(c)
+    m = min(c.size, max(1, k_max * (s - 1) + 1))
+    weigh, spectrum = _tilted(m, _fft_size(max(4 * m, 8 * min(s, m))))
+    by_c = weigh(c[:m])
 
     def powers(f):
-        step, out = spectrum(f), np.ones(k_max + 1)
+        step, out = spectrum(f[:m]), np.ones(k_max + 1)
         power = np.ones_like(step)
         for k in range(1, k_max + 1):
             power *= step

@@ -261,9 +261,9 @@ def _cmd_kpmf(args) -> int:
         "tail_mass": res.tail_mass.value,
         "tail_mass_ci": res.tail_mass.half_width / Z95,
     }
-    lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'hw/1.96':>10}"]
+    lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'half-width':>10}"]
     for i, m in enumerate(res.pmf):
-        lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width / Z95:>10.2e}")
+        lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width:>10.2e}")
     lines.append(f"tail beyond k={res.k_max}: {_fmt(res.tail_mass.value)}")
     return _emit(args, "kpmf", inputs, result, lines)
 

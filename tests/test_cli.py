@@ -14,7 +14,7 @@ from aoi.cli import main
 from aoi.distributions import MrlVerdict, from_dict
 from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
-from aoi.sim import AgeEstimate, Discipline
+from aoi.sim import Z95, AgeEstimate, Discipline
 from test_distributions import ALL_KINDS, RESCALED
 
 EXP1 = '{"kind": "exponential", "rate": 1}'
@@ -125,6 +125,21 @@ def test_kpmf_deterministic(capsys):
     assert code == 0
     pmf = payload["result"]["pmf"]
     assert pmf[1]["k"] == 2 and pmf[1]["probability"] == pytest.approx(1.0)
+
+
+def test_kpmf_text_prints_the_proven_half_width(capsys):
+    pair = ("--interarrival", '{"kind": "uniform", "lower": 0, "upper": 2}',
+            "--service", '{"kind": "uniform", "lower": 0, "upper": 1}',
+            "--k-max", "3")
+    code, out, _ = run(capsys, "kpmf", *pair)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["k", "Pr(K=k)", "half-width"]
+    _, payload = run_json(capsys, "kpmf", *pair)
+    # The JSON ``ci`` stays the half-width over Z95.
+    want = [row["ci"] * Z95 for row in payload["result"]["pmf"]]
+    printed = [float(line.split()[2]) for line in lines[1:4]]
+    assert printed == pytest.approx(want, rel=5e-3) and min(want) > 0.0
 
 
 def test_bound_subcommand_kinds(capsys):

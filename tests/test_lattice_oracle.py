@@ -114,7 +114,10 @@ def lattice_cells(pair):
     # n = 512 lattice points: 4n is a power of two, so a transform of
     # length 4n would wrap the later powers' tails onto the sums.
     (Erlang(2, 3.988), Deterministic(1.0)),
-], ids=["U/U", "Erlang/D", "deep-U/U", "Erlang/D-n512"])
+    # n = 40018 lattice points, but the powers up to K_MAX read only the
+    # first K_MAX * 512 + 1 of them: the pmf transform is truncated there.
+    (Uniform(0.0, 0.2), Rayleigh(2.0)),
+], ids=["U/U", "Erlang/D", "deep-U/U", "Erlang/D-n512", "deep-U/R"])
 def test_survival_matches_direct_convolution_powers(y, s):
     # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
     # record's Pr(K > k) spans the two ends.
@@ -124,8 +127,8 @@ def test_survival_matches_direct_convolution_powers(y, s):
     for f in cells:
         want, power = [], np.array([1.0])
         for _ in range(K_MAX):
-            power = np.convolve(power, f)[:c.size]
-            want.append(float(power @ c))
+            power = np.convolve(power, np.trim_zeros(f, "b"))[:c.size]
+            want.append(float(power @ c[:power.size]))
         ends.append(want)
     for k, (down, up) in enumerate(zip(*ends), start=1):
         value, hw = pair.lattice.pmf(k)[1]
@@ -250,6 +253,50 @@ def test_a_lattice_record_keeps_no_spectra():
     finally:
         tracemalloc.stop()
     assert kept < 2 * 2**20
+
+
+@pytest.mark.parametrize("y,s", [
+    (Uniform(0.0, 0.2), Rayleigh(2.0)),
+    (Uniform(0.0, 0.02), Deterministic(1.0)),
+    (Uniform(0.0, 2.0), Erlang(2, 2.0)),
+    (ShiftedExponential(0.25, 0.5), ShiftedExponential(1.0, 0.1)),
+], ids=["deep-U/R", "deep-U/D", "U/Erlang", "SE/SE"])
+@pytest.mark.parametrize("k_max", [1, 2, 10])
+def test_a_short_pmf_is_the_prefix_of_a_long_one(y, s, k_max):
+    # A short call reads a shorter lattice prefix on a shorter transform;
+    # both must give the same probabilities and half-widths.
+    long = k_pmf(Pair(y, s), 400).pmf[:k_max]
+    short = k_pmf(Pair(y, s), k_max).pmf
+    assert np.array(short) == pytest.approx(np.array(long), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("y,s", [
+    (ShiftedExponential(1.0, 50.0), Uniform(0.0, 1.0)),
+    (Uniform(0.5, 0.6), Uniform(0.0, 0.1)),
+    (Uniform(100.0, 200.0), Uniform(0.0, 1.0)),
+], ids=["SE/U", "U/U-short", "U/U-wide"])
+@pytest.mark.parametrize("k_max", [1, 2, 5, K_MAX])
+def test_gaps_beyond_the_lattice_leave_one_arrival_per_cycle(y, s, k_max):
+    # Every gap outlasts every service: no rounded-up gap falls on the
+    # lattice, and K = 1 exactly.
+    pmf = k_pmf(Pair(y, s), k_max)
+    assert ([tuple(p) for p in pmf.pmf]
+            == [(1.0, 0.0)] + [(0.0, 0.0)] * (k_max - 1))
+    assert tuple(pmf.tail_mass) == (0.0, 0.0)
+
+
+def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
+    # The deep pair has 40018 lattice points, but Pr(K > k), k <= 10, reads
+    # only 10 * 512 + 1 of them.
+    sizes = []
+
+    def recorded(a, n=None, *args, _original=np.fft.rfft):
+        sizes.append(n)
+        return _original(a, n, *args)
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    k_pmf(Pair(Uniform(0.0, 0.2), Rayleigh(2.0)), 10)
+    assert len(sizes) == 3
+    assert max(sizes) <= analytic._fft_size(4 * (10 * 512 + 1)) == 24576
 
 
 def test_each_op_builds_only_the_transform_it_reads(monkeypatch):
