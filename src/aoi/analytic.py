@@ -25,32 +25,34 @@ Poisson arrivals (path ``closed_form``)
     a service S: E[K] = 1 + lam E[S], E[K^2] = 1 + 3 lam E[S] +
     lam^2 E[S^2] and the crossing sum is lam E[S^2]/2, the M/G/1/1 age
     (Inoue et al., IEEE Trans. Inf. Theory, 2019).  Pr(K = k) is the
-    geometric record's at exponential service, else the lattice's.
+    phase mix's below for a phase service, else the lattice's.
 
 Geometric K (path ``quadrature``)
-    Under preemption, and under dropping with exponential service at other
-    arrivals, E[K] = 1/p, E[K^2] = (2-p)/p^2, Pr(K = k) = p (1-p)^(k-1)
-    and the crossing sum is E[Y Pr(S > Y)]/p^2, integrated only when an
-    age reads it.  p is 1 - L(mu) for exponential service (L the Laplace
-    transform of the interarrival law, taken by its cancellation-free
-    ``laplace_complement``), else the panel quadrature of
-    :func:`~aoi.distributions.expect`, whose error estimate is the summed
-    disagreement of its 20- and 10-point rules plus a roundoff floor.
-    Each interval spans its values at the ends of p's bracket, p - err and
-    min(p + err, 1), with the crossing term's error, so every quadrature
-    error lands in the half-width.  Dividing by p, not by
-    E[Pr(S > Y)] = 1 - p, reproduces the M/M/1/1 preemptive age
-    1/lambda + 1/mu and agrees with simulation.
+    Under preemption K is geometric in p = Pr(S <= Y).  Under dropping at
+    other arrivals a cycle draws an exponential or hyperexponential
+    service's phase once, so K is geometric in p_i = 1 - L(r_i) with
+    probability w_i (the phase's weight and rate, L the interarrival
+    transform by its cancellation-free ``laplace_complement``).  E[K],
+    E[K^2], Pr(K = k) and the crossing sum weigh the phases' 1/p_i,
+    (2-p_i)/p_i^2, p_i (1-p_i)^(k-1) and c_i/p_i^2 by w_i, with
+    c_i = E[Y exp(-r_i Y)] (E[Y Pr(S > Y)] under preemption) integrated
+    only when an age reads it.  Preemption's p is sum_i w_i p_i at such a
+    service and L_S(lam) at arrivals of rate lam, else the quadrature of
+    ``expect``, whose error is its 20- and 10-point rules' disagreement
+    plus a roundoff floor.  Each interval spans its values at the ends of
+    the p brackets, p - err and min(p + err, 1), with the crossing terms'
+    errors.  Dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
 
 Lattice (paths ``lattice`` and ``closed_form``)
-    Dropping with any other pair integrates the service ccdf
-    against U, the renewal measure of the gaps (an atom at 0 plus the
-    renewal function): E[K] against U, the crossing sum against x dU,
-    E[K^2] against 2 U*U - U, Pr(K > k) against convolution powers of the
-    gap law.  The gaps are rounded down, and separately up, onto a lattice
-    of step h = E[Y]/256 that ends where the service keeps at most 1e-13
-    of its mass (and raises when its upper sums miss over 1e-9 of E[S] or
-    E[S^2]), and u = delta + f*u is solved by an exponentially tilted FFT.
+    Dropping with any other pair integrates the service ccdf against U,
+    the renewal measure of the gaps (an atom at 0 plus the renewal
+    function): E[K] against U, the crossing sum against x dU, E[K^2]
+    against 2 U*U - U, Pr(K > k) against convolution powers of the gap
+    law.  The gaps are rounded down, and separately up, onto a lattice of
+    step h = E[Y]/256 that ends where the service keeps at most 1e-13 of
+    its mass, and u = delta + f*u is solved by an exponentially tilted
+    FFT.  The services left here are bounded (D, U) or light-tailed (SE,
+    R, Erlang), so that cut leaves under 1e-10 of E[S] and of E[S^2].
     Every lattice sum is one inner product of half spectra.  Two
     transforms of the n lattice points are each built only when read.
     The renewal transform gives E[K], E[K^2] and the crossing sum, once,
@@ -87,7 +89,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .distributions import (Deterministic, Distribution, Exponential,
-                            check_pair, expect)
+                            Hyperexponential, check_pair, expect)
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline
 
@@ -106,7 +108,6 @@ _LATTICE_STEPS = 256     # lattice points per mean gap
 _MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
 _MAX_LATTICE = 1 << 18   # lattice points per solve: bounds time and memory
 _SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
-_MOMENT_SHORTFALL = 1e-9  # share of E[S] or E[S^2] it may hold
 _TOP_STEPS = 64          # truncation points tried per octave
 _SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
 _ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
@@ -204,21 +205,39 @@ class Pair:
 
     @cached_property
     def p(self) -> Interval:
-        """p = Pr(S <= Y) = 1 - E[Pr(S > Y)] and its quadrature error.
-
-        Exponential service has the closed form 1 - L(mu), error 0, from
-        the cancellation-free complement.  Otherwise ties count as
-        successes, matching the simulator's completion-first rule, and a p
-        within its error of 0 is 0: rounding must not turn an impossible
-        completion into a tiny positive chance.
-        """
-        if isinstance(self.service, Exponential):
-            return Interval(
-                self.interarrival.laplace_complement(self.service.rate), 0.0)
+        """p = Pr(S <= Y) and its quadrature error, 0 for sum_i w_i p_i at
+        a phase service and L_S(lam) at exponential arrivals.  Ties count
+        as successes, like the simulator's, and a p within its error of 0
+        is 0: rounding must not make an impossible completion possible."""
+        if self._phases is not None:
+            w, p, _ = self._phases
+            return Interval(min(sum(a * q.value for a, q in zip(w, p)), 1.0),
+                            0.0)
+        if isinstance(self.interarrival, Exponential):
+            return Interval(self.service.laplace(self.interarrival.rate), 0.0)
         mean_tail, err = expect(self.interarrival, self.service.ccdf,
                                 extra_breakpoints=self.service.breakpoints())
         p = 1.0 - mean_tail
         return Interval(0.0 if p <= err else min(p, 1.0), err)
+
+    @cached_property
+    def _phases(self) -> tuple[tuple, list[Interval], tuple] | None:
+        """An exponential or hyperexponential service's phase weights w_i,
+        p_i = 1 - L(r_i) intervals and rates r_i; else None."""
+        law, y = self.service, self.interarrival
+        if isinstance(law, Hyperexponential):
+            w, rates = law.weights, law.rates
+        elif isinstance(law, Exponential):
+            w, rates = (1.0,), (law.rate,)
+        else:
+            return None
+        return w, [Interval(y.laplace_complement(r), 0.0) for r in rates], rates
+
+    @cached_property
+    def _phase_crossings(self) -> list[Interval]:
+        """E[Y exp(-r_i Y)] and its quadrature error at each phase rate."""
+        return [Interval(*expect(self.interarrival, lambda t, e=Exponential(r):
+                                 t * e.ccdf(t))) for r in self._phases[2]]
 
     @cached_property
     def crossing(self) -> Interval:
@@ -246,19 +265,22 @@ class Pair:
             return self.completed_service
         return Interval(self.service.mean(), 0.0)
 
-    @cached_property
-    def lattice(self) -> Cycles:
-        """The dropping record of a non-exponential service."""
-        return _lattice_cycles(self.interarrival, self.service)
-
     def cycles(self, discipline: Discipline) -> Cycles:
         """K's record under ``discipline``, on the module docstring's path."""
-        if discipline is Discipline.DROPPING:
-            if isinstance(self.interarrival, Exponential):
-                return self._poisson_cycles()
-            if not isinstance(self.service, Exponential):
-                return self.lattice
-        return self._geometric_cycles(discipline)
+        if discipline is Discipline.PREEMPTION:
+            return self._geometric_cycles(discipline, (1.0,), [self.p],
+                                          lambda: [self.crossing])
+        if isinstance(self.interarrival, Exponential):
+            return self._poisson_cycles()
+        return self._dropping
+
+    @cached_property
+    def _dropping(self) -> Cycles:
+        """The phase mix's dropping record, else the lattice's."""
+        if self._phases is None:
+            return _lattice_cycles(self.interarrival, self.service)
+        return self._geometric_cycles(Discipline.DROPPING, *self._phases[:2],
+                                      lambda: self._phase_crossings)
 
     def _poisson_cycles(self) -> Cycles:
         """The dropping record at exponential arrivals: exact sums, which
@@ -272,42 +294,42 @@ class Pair:
                 raise TruncationNotReached(
                     f"E[K^2] overflows: E[S^2] = {m2!r}, arrival rate {lam!r}")
             return Interval(value, 0.0)
-
-        def pmf(k_max: int) -> tuple[Interval, Interval]:
-            return (self._geometric_cycles(Discipline.DROPPING)
-                    if isinstance(self.service, Exponential)
-                    else self.lattice).pmf(k_max)
         return Cycles("closed_form",
                       lambda: (exact(1.0 + lam * m1), exact(k_second)),
-                      lambda: exact(0.5 * lam * m2), pmf)
+                      lambda: exact(0.5 * lam * m2),
+                      lambda k_max: self._dropping.pmf(k_max))
 
-    def _geometric_cycles(self, discipline: Discipline) -> Cycles:
-        """A geometric K whose intervals span their values at the ends of
-        p's bracket, where each is monotone, and Pr(K = k) = p (1-p)^(k-1)
-        the extremes of its two factors.  Where E[K^2] < 2/p^2 or the
-        crossing sum, about E[Y]/p^2 at most, could overflow, it raises
-        :class:`ZeroSuccessProbability` under preemption, else
-        :class:`TruncationNotReached`."""
-        p = self.p
-        lo, hi = p.value - p.half_width, min(p.value + p.half_width, 1.0)
+    def _geometric_cycles(self, discipline: Discipline, w: tuple,
+                          p: list[Interval], crossing: Callable) -> Cycles:
+        """K geometric in p_i with probability w_i, from intervals of the
+        p_i and c_i.  Where E[K^2] or the crossing sum, about 2/p_i^2 and
+        E[Y]/p_i^2, could overflow, it raises :class:`ZeroSuccessProbability`
+        under preemption, else :class:`TruncationNotReached`."""
+        lo = [q.value - q.half_width for q in p]
+        hi = [min(q.value + q.half_width, 1.0) for q in p]
         top = 2.0 * max(1.0, self.interarrival.mean())
-        if p.value <= 0.0 or lo * lo * sys.float_info.max < top:
+        if min(lo) <= 0.0 or min(lo) ** 2 * sys.float_info.max < top:
             raise (ZeroSuccessProbability if discipline is Discipline.PREEMPTION
                    else TruncationNotReached)(self._no_success())
+        mix = lambda terms: sum(a * b for a, b in zip(w, terms))
 
-        def crossing() -> Interval:
-            c, err = self.crossing
-            return Interval.between((c + err) / lo**2, (c - err) / hi**2)
+        def crossing_sum() -> Interval:
+            c = crossing()
+            return Interval.between(
+                mix((v + e) / q**2 for (v, e), q in zip(c, lo)),
+                mix((v - e) / q**2 for (v, e), q in zip(c, hi)))
 
         def pmf(k_max: int) -> tuple[Interval, Interval]:
             # p (1-p)^(k-1) grows with its first factor, falls with its second
             k = np.arange(k_max + 1.0)
-            down, up = (1.0 - lo) ** k, (1.0 - hi) ** k  # Pr(K > k)
-            return (Interval.between(lo * up[:-1], hi * down[:-1]),
-                    Interval.between(down[-1], up[-1]))
-        moments = (Interval.between(1.0 / lo, 1.0 / hi),
-                   Interval.between((2.0 - lo) / lo**2, (2.0 - hi) / hi**2))
-        return Cycles("quadrature", lambda: moments, crossing, pmf)
+            down, up = ([(1.0 - q) ** k for q in end] for end in (lo, hi))
+            return (Interval.between(mix(q * u[:-1] for q, u in zip(lo, up)),
+                                     mix(q * d[:-1] for q, d in zip(hi, down))),
+                    Interval.between(mix(d[-1] for d in down),
+                                     mix(u[-1] for u in up)))
+        moments = tuple(Interval.between(mix(map(f, lo)), mix(map(f, hi)))
+                        for f in (lambda q: 1.0 / q, lambda q: (2 - q) / q**2))
+        return Cycles("quadrature", lambda: moments, crossing_sum, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "
@@ -337,28 +359,6 @@ def _truncation_point(service: Distribution) -> float:
         x *= 0.5
     tries = 0.5 * x * np.exp2(np.arange(1, _TOP_STEPS + 1) / _TOP_STEPS)
     return float(tries[np.argmax(service.ccdf(tries) <= _SERVICE_TAIL)])
-
-
-def _check_moments(service: Distribution, h: float, x: np.ndarray,
-                   c: np.ndarray) -> None:
-    """Raise :class:`TruncationNotReached` when the lattice's upper Riemann
-    sums of E[S] = int Pr(S > x) dx and E[S^2]/2 = int x Pr(S > x) dx, in
-    units of h and h^2, fall short of an unbounded service's closed forms
-    by over 1e-9: a rare, long phase under the 1e-13 mass cut can hold
-    most of a moment.  A moment outside the normal float range has no
-    relative precision left and is skipped."""
-    if math.isfinite(service.support()[1]):
-        return
-    mean, second = service.mean(), service.second_moment()
-    for moment, covered, want in (
-            (mean, float(c.sum()), mean / h),
-            (second, float((x / h + 1.0) @ c), 0.5 * second / h / h)):
-        if (sys.float_info.min <= moment < math.inf
-                and covered < (1.0 - _MOMENT_SHORTFALL) * want):
-            raise TruncationNotReached(
-                f"the lattice top {x[-1]:.4g} leaves more than "
-                f"{_MOMENT_SHORTFALL:g} of a moment of {service.describe()} "
-                "in the tail beyond it")
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution
@@ -396,7 +396,6 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         if j < n and abs(x[j] - b) <= _SNAP * h:
             x[j] = b
     c = service.ccdf(x)
-    _check_moments(service, h, x, c)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
         path, moved = "closed_form", 0.0

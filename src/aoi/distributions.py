@@ -356,8 +356,8 @@ class Uniform(Distribution):
         return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
     def _laplace(self, s):
-        # expm1 keeps full precision when s (upper - lower) is tiny.
-        width = s * (self.upper - self.lower)
+        # expm1 keeps precision for tiny widths; one underflowing to 0 gives 1.
+        width = s * (self.upper - self.lower) or math.ulp(0.0)
         return math.exp(-s * self.lower) * -math.expm1(-width) / width
 
     def _laplace_complement(self, s):

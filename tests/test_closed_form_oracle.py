@@ -17,21 +17,32 @@ its derivative L', elementary for the E, SE, D, U, Erlang and H2 families:
   E[S | S <= Y] = -L_S'(lam)/L_S(lam) and
   E[Y Pr(S > Y)] = L_S'(lam) + (1 - L_S(lam))/lam.
 
+With hyperexponential service a dropping cycle draws its phase once, so
+each K sum is the weighted mix of the phases' geometric ones, each phase
+i a G/M pair: with p_i = 1 - L_Y(r_i) and c_i = -L_Y'(r_i),
+E[K] = sum w_i/p_i, E[K^2] = sum w_i (2-p_i)/p_i^2 and the crossing sum
+is sum w_i c_i/p_i^2.  Under preemption p = sum w_i p_i, the crossing
+term is sum w_i c_i and E[S Pr(Y >= S)] = sum w_i (p_i + r_i L_Y'(r_i))/r_i.
+These references are taken in mpmath, where the rare phases' cancellations
+cost nothing.
+
 Every reported value must lie within its half-width, plus four machine
 epsilons of the reference for the arithmetic that follows the integrals.
 """
 
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from aoi.analytic import Pair, exact_age
+from aoi import analytic
+from aoi.analytic import Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, ShiftedExponential, Uniform)
-from aoi.errors import TruncationNotReached
+from aoi.errors import TruncationNotReached, ZeroSuccessProbability
 from aoi.sim import Discipline
 from test_distributions import ALL_KINDS, RESCALED, mp_laplace
 
@@ -43,27 +54,35 @@ LAWS = [Exponential(0.7), ShiftedExponential(1.5, 0.4), Deterministic(1.2),
         Hyperexponential((0.3, 0.7), (0.4, 3.0))]
 
 
-def laplace(law, s):
-    """(L(s), L'(s)) of ``law`` in closed form."""
+def laplace(law, s, mp=False):
+    """(L(s), L'(s)) of ``law`` in closed form; in mpmath, parameters
+    included, when ``mp``."""
+    num, exp = (mpmath.mpf, mpmath.exp) if mp else (float, math.exp)
+    s = num(s)
     if isinstance(law, Exponential):
-        r = law.rate
+        r = num(law.rate)
         return r / (r + s), -r / (r + s) ** 2
     if isinstance(law, ShiftedExponential):
-        r, d = law.rate, law.shift
-        shift = math.exp(-s * d)
+        r, d = num(law.rate), num(law.shift)
+        shift = exp(-s * d)
         return shift * r / (r + s), -d * shift * r / (r + s) - shift * r / (r + s) ** 2
     if isinstance(law, Deterministic):
-        return math.exp(-s * law.value), -law.value * math.exp(-s * law.value)
+        d = num(law.value)
+        return exp(-s * d), -d * exp(-s * d)
     if isinstance(law, Uniform):
-        a, b = law.lower, law.upper
-        value = (math.exp(-s * a) - math.exp(-s * b)) / (s * (b - a))
-        slope = (b * math.exp(-s * b) - a * math.exp(-s * a)) / (b - a)
+        a, b = num(law.lower), num(law.upper)
+        value = (exp(-s * a) - exp(-s * b)) / (s * (b - a))
+        slope = (b * exp(-s * b) - a * exp(-s * a)) / (b - a)
         return value, (slope - value) / s
     if isinstance(law, Erlang):
-        value = (law.rate / (law.rate + s)) ** law.shape
-        return value, -law.shape * value / (law.rate + s)
+        r = num(law.rate)
+        value = (r / (r + s)) ** law.shape
+        return value, -law.shape * value / (r + s)
     if isinstance(law, Hyperexponential):
-        terms = [(w * r / (r + s), w * r / (r + s) ** 2)
+        # Weights that sum to 1 in floats need not in mpmath: L(0) = 1.
+        total = sum(num(w) for w in law.weights) if mp else 1.0
+        terms = [(num(w) / total * num(r) / (num(r) + s),
+                  num(w) / total * num(r) / (num(r) + s) ** 2)
                  for w, r in zip(law.weights, law.rates)]
         return sum(t[0] for t in terms), -sum(t[1] for t in terms)
     raise TypeError(law)
@@ -194,3 +213,109 @@ def test_closed_form_record_past_the_float_range_is_not_reached(s):
                 lambda: corollary_one(pair, DROPPING)):
         with pytest.raises(TruncationNotReached, match="overflows"):
             run()
+
+
+# ------------------------------- hyperexponential service: the phase mix
+
+class MixReference(NamedTuple):
+    dropping: float
+    corollary1: float
+    preemption: float
+    corollary2: float
+
+
+def mix_reference(y, s):
+    """Both disciplines' exact ages and Corollary-1 bounds for the
+    hyperexponential service ``s``, from each phase's G/M closed forms."""
+    with mpmath.workdps(100):
+        w = [mpmath.mpf(v) for v in s.weights]
+        r = [mpmath.mpf(v) for v in s.rates]
+        ell, slope = zip(*(laplace(y, x, mp=True) for x in r))
+        p = [1 - v for v in ell]
+        y_mean = mpmath.mpf(y.mean())
+        head = mpmath.mpf(y.second_moment()) / (2 * y_mean)
+        s_mean = mpmath.fsum(a / b for a, b in zip(w, r))
+        k_mean = mpmath.fsum(a / b for a, b in zip(w, p))
+        k_second = mpmath.fsum(a * (2 - b) / b**2 for a, b in zip(w, p))
+        crossing = mpmath.fsum(-a * d / b**2 for a, b, d in zip(w, p, slope))
+        q = mpmath.fsum(a * b for a, b in zip(w, p))  # preemption's p
+        term = -mpmath.fsum(a * d for a, d in zip(w, slope))  # E[Y Pr(S > Y)]
+        completed = mpmath.fsum(a * (b + x * d) / x for a, b, x, d
+                                in zip(w, p, r, slope)) / q
+        return MixReference(
+            float(head + crossing / k_mean + s_mean),
+            float(head + y_mean * (k_second / (2 * k_mean) - mpmath.mpf(0.5))
+                  + s_mean),
+            float(head + term / q + completed),
+            float(head + y_mean * (1 - q) / q + completed))
+
+
+def mix_pmf(lam, s, k_max):
+    """Pr(K = k), k = 1..k_max, at exponential arrivals of rate ``lam``:
+    sum_i w_i r_i lam^(k-1)/(lam + r_i)^k."""
+    with mpmath.workdps(50):
+        return [float(mpmath.fsum(w * r * mpmath.mpf(lam) ** (k - 1)
+                                  / (lam + mpmath.mpf(r)) ** k
+                                  for w, r in zip(s.weights, s.rates)))
+                for k in range(1, k_max + 1)]
+
+
+# The rare phases hold most of E[S] (E[S] = 101, E[S^2] = 2e18), then most
+# of E[S^2] (E[S] = 1 + 1e-10, E[S^2] = 4), with under 1e-13 of the mass.
+MIXES = [Hyperexponential((0.5, 0.5), (0.5, 2.0)),
+         Hyperexponential((0.99, 0.01), (5.0, 0.05)),
+         Hyperexponential((1.0 - 1e-14, 1e-14), (1.0, 1e-16)),
+         Hyperexponential((1.0, 1e-20), (1.0, 1e-10))]
+MIX_IDS = ["even", "skewed", "mean-in-tail", "second-in-tail"]
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("s", MIXES, ids=MIX_IDS)
+@pytest.mark.parametrize("y", LAWS, ids=lambda d: d.kind)
+def test_hyperexponential_service_is_the_phase_mix(y, s, c, monkeypatch):
+    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
+    arrivals, service = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    pair = Pair(arrivals, service)
+    want = mix_reference(arrivals, service)
+    for discipline, age, bound in ((DROPPING, want.dropping, want.corollary1),
+                                   (PREEMPTION, want.preemption,
+                                    want.corollary2)):
+        est = exact_age(pair, discipline)
+        assert_covers(est.value, est.ci_half_width, age)
+        report = corollary_one(pair, discipline)
+        assert_covers(report.value, report.half_width, bound)
+    if isinstance(arrivals, Exponential):
+        pmf = k_pmf(pair, 12)
+        for got, ref in zip(pmf.pmf, mix_pmf(arrivals.rate, service, 12)):
+            assert got.half_width == 0.0
+            assert abs(got.value - ref) <= 4.0 * EPS, (got.value, ref)
+
+
+@pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("service", [Exponential(1.3), *MIXES],
+                         ids=["exponential", *MIX_IDS])
+def test_no_phase_service_reaches_the_lattice(y, service, monkeypatch):
+    monkeypatch.setattr(analytic, "_lattice_cycles", None)
+    pair = Pair(y, service)
+    for discipline in (DROPPING, PREEMPTION):
+        exact_age(pair, discipline)
+        corollary_one(pair, discipline)
+    k_pmf(pair, 12)
+
+
+@pytest.mark.parametrize("s", [Deterministic(1e4), ShiftedExponential(1.0, 1e4),
+                               Uniform(1e4, 2e4)], ids=lambda d: d.kind)
+def test_far_service_at_exponential_arrivals_never_completes(s):
+    # p = L_S(1) = e^-1e4 in closed form is 0: no service can complete.
+    pair = Pair(Exponential(1.0), s)
+    assert pair.p == (0.0, 0.0)
+    with pytest.raises(ZeroSuccessProbability):
+        exact_age(pair, PREEMPTION)
+
+
+def test_uniform_service_far_below_the_arrival_scale():
+    # s (b - a) = 1e-350 underflows to 0 inside L_S(s), whose limit there
+    # is 1: every service completes, and the age is about 1/lam.
+    pair = Pair(Exponential(1e-100), Uniform(0.0, 1e-250))
+    assert pair.p == (1.0, 0.0)
+    assert exact_age(pair, PREEMPTION).value == pytest.approx(1e100, rel=1e-12)

@@ -63,3 +63,57 @@ def test_checker_flags_both_forms():
         "bounds: from aoi.analytic import _head",
         "bounds: from aoi.sim import _BLOCK",
     ]
+
+
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds, other than imports."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_names(source: str, own: str) -> list[str]:
+    """Every module-level private name that ``source`` (the text of module
+    ``own``) never reads, and, outside ``__init__``, every name it imports
+    and never reads: what a deletion leaves behind."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = [f"{own}: {name} is never read" for node in tree.body
+             for name in _bound(node) if _private(name) and name not in read]
+    if own != "__init__":
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                found += [f"{own}: import {a.asname or a.name} is never used"
+                          for a in node.names
+                          if (a.asname or a.name.split(".")[0]) not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_name_or_import_is_left_unread(path):
+    assert unread_names(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_unread_checker_flags_both_kinds():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "from .errors import AoiError, DivergentAge\n"
+              "_USED = 1\n"
+              "_LEFT, _ALSO = 2, 3\n"
+              "def _helper():\n"
+              "    return np.zeros(_USED)\n"
+              "def public():\n"
+              "    raise AoiError\n")
+    assert sorted(unread_names(source, "bounds")) == [
+        "bounds: _ALSO is never read",
+        "bounds: _LEFT is never read",
+        "bounds: _helper is never read",
+        "bounds: import DivergentAge is never used",
+        "bounds: import math is never used",
+    ]
+    assert unread_names("from .errors import AoiError\n", "__init__") == []
