@@ -7,8 +7,7 @@ or semi-analytic upper bounds (:mod:`aoi.bounds`), plus a sweep harness
 (:mod:`aoi.experiments`) and a CLI (:mod:`aoi.cli`).
 """
 
-from .analytic import (DEFAULT_OPTIONS, Cycles, EstimatorOptions, Interval,
-                       KPmf, Pair, exact_age, k_pmf)
+from .analytic import Cycles, Interval, KPmf, Pair, exact_age, k_pmf
 from .bounds import (Applicability, BoundKind, BoundReport, corollary_one,
                      mg11_ordering_bound)
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,

@@ -29,19 +29,21 @@ Poisson arrivals (path ``closed_form``)
 
 Geometric K (path ``quadrature``)
     Under preemption K is geometric in p = Pr(S <= Y).  Under dropping at
-    other arrivals a cycle draws an exponential or hyperexponential
-    service's phase once, so K is geometric in p_i = 1 - L(r_i) with
-    probability w_i (the phase's weight and rate, L the interarrival
-    transform by its cancellation-free ``laplace_complement``).  E[K],
-    E[K^2], Pr(K = k) and the crossing sum weigh the phases' 1/p_i,
-    (2-p_i)/p_i^2, p_i (1-p_i)^(k-1) and c_i/p_i^2 by w_i, with
-    c_i = E[Y exp(-r_i Y)] (E[Y Pr(S > Y)] under preemption) integrated
-    only when an age reads it.  Preemption's p is sum_i w_i p_i at such a
-    service and L_S(lam) at arrivals of rate lam, else the quadrature of
-    ``expect``, whose error is its 20- and 10-point rules' disagreement
-    plus a roundoff floor.  Each interval spans its values at the ends of
-    the p brackets, p - err and min(p + err, 1), with the crossing terms'
-    errors.  Dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
+    other arrivals a service that is a mixture of exponential phases
+    (``phases()`` is not None: the exponential and hyperexponential laws)
+    has its phase drawn once per cycle, so K is geometric in
+    p_i = 1 - L(r_i) with probability w_i (the phase's weight and rate, L
+    the interarrival transform by its cancellation-free
+    ``laplace_complement``).  E[K], E[K^2], Pr(K = k) and the crossing sum
+    weigh the phases' 1/p_i, (2-p_i)/p_i^2, p_i (1-p_i)^(k-1) and
+    c_i/p_i^2 by w_i, with c_i = E[Y exp(-r_i Y)] (E[Y Pr(S > Y)] under
+    preemption) integrated only when an age reads it.  Preemption's p is
+    sum_i w_i p_i at such a service, sum_i w_i L_S(r_i) at such arrivals
+    (phase i of the gap law), else the quadrature of ``expect``, whose
+    error is its 20- and 10-point rules' disagreement plus a roundoff
+    floor.  Each interval spans its values at the ends of the p brackets,
+    p - err and min(p + err, 1), with the crossing terms' errors.
+    Dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
 
 Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other pair integrates the service ccdf against U,
@@ -68,11 +70,13 @@ Lattice (paths ``lattice`` and ``closed_form``)
     E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
     most (k-1) h, so each solve's crossing sum widened by h E[K(K-1)]/2
-    brackets the true one.  Deterministic gaps give the exact sums in
-    closed form, with half-width 0.
+    brackets the true one.  Deterministic gaps give the sums in closed
+    form up to the last lattice point t; past it the service ccdf G falls,
+    so the left-out terms are bounded by the service's stop-loss
+    E[(S-t)^+ ((S+t)/2 + E[Y])] (one ``expect``, skipped when G(t) = 0, as
+    for bounded services), and Pr(K > k) there by G(t).
 
-Nothing here samples; the CLI and the sweep spec validate
-:class:`EstimatorOptions`, but no estimator reads it.
+Nothing here samples.
 
 Ties (possible with deterministic laws) count as successes, matching the
 simulator's completion-first rule and the strict ccdf convention.
@@ -89,13 +93,11 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .distributions import (Deterministic, Distribution, Exponential,
-                            Hyperexponential, check_pair, expect)
+                            check_pair, expect)
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline
 
 __all__ = [
-    "EstimatorOptions",
-    "DEFAULT_OPTIONS",
     "Cycles",
     "Interval",
     "KPmf",
@@ -111,23 +113,6 @@ _SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
 _TOP_STEPS = 64          # truncation points tried per octave
 _SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
 _ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
-
-
-@dataclass(frozen=True)
-class EstimatorOptions:
-    """Replicate count and seed; validated, but read by no estimator."""
-
-    mc_samples: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mc_samples < 10_000:
-            raise ValueError(f"mc_samples must be >= 10000, got {self.mc_samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-
-
-DEFAULT_OPTIONS = EstimatorOptions()
 
 
 class Interval(NamedTuple):
@@ -206,32 +191,33 @@ class Pair:
     @cached_property
     def p(self) -> Interval:
         """p = Pr(S <= Y) and its quadrature error, 0 for sum_i w_i p_i at
-        a phase service and L_S(lam) at exponential arrivals.  Ties count
-        as successes, like the simulator's, and a p within its error of 0
-        is 0: rounding must not make an impossible completion possible."""
+        a phase service and for sum_i w_i L_S(r_i) at phase arrivals.  Ties
+        count as successes, like the simulator's, and a p within its error
+        of 0 is 0: rounding must not make an impossible completion
+        possible."""
         if self._phases is not None:
             w, p, _ = self._phases
-            return Interval(min(sum(a * q.value for a, q in zip(w, p)), 1.0),
-                            0.0)
-        if isinstance(self.interarrival, Exponential):
-            return Interval(self.service.laplace(self.interarrival.rate), 0.0)
-        mean_tail, err = expect(self.interarrival, self.service.ccdf,
-                                extra_breakpoints=self.service.breakpoints())
-        p = 1.0 - mean_tail
-        return Interval(0.0 if p <= err else min(p, 1.0), err)
+            terms = [q.value for q in p]
+        elif (arrivals := self.interarrival.phases()) is not None:
+            w, rates = arrivals
+            terms = [self.service.laplace(r) for r in rates]
+        else:
+            mean_tail, err = expect(self.interarrival, self.service.ccdf,
+                                    extra_breakpoints=self.service.breakpoints())
+            p = 1.0 - mean_tail
+            return Interval(0.0 if p <= err else min(p, 1.0), err)
+        return Interval(min(sum(a * t for a, t in zip(w, terms)), 1.0), 0.0)
 
     @cached_property
     def _phases(self) -> tuple[tuple, list[Interval], tuple] | None:
-        """An exponential or hyperexponential service's phase weights w_i,
-        p_i = 1 - L(r_i) intervals and rates r_i; else None."""
-        law, y = self.service, self.interarrival
-        if isinstance(law, Hyperexponential):
-            w, rates = law.weights, law.rates
-        elif isinstance(law, Exponential):
-            w, rates = (1.0,), (law.rate,)
-        else:
+        """The service's phase weights w_i, p_i = 1 - L(r_i) intervals and
+        rates r_i, if it is a mixture of exponential phases; else None."""
+        phases = self.service.phases()
+        if phases is None:
             return None
-        return w, [Interval(y.laplace_complement(r), 0.0) for r in rates], rates
+        w, rates = phases
+        return w, [Interval(self.interarrival.laplace_complement(r), 0.0)
+                   for r in rates], rates
 
     @cached_property
     def _phase_crossings(self) -> list[Interval]:
@@ -398,31 +384,44 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        path, moved = "closed_form", 0.0
-        renewal = lambda: 2 * ((float(first + c.sum()),
-                                float(first + (2.0 * np.arange(n) + 1.0) @ c),
-                                float(x @ c)),)
-        survival = lambda k_max: 2 * (np.concatenate(
-            ([1.0], c[1:], np.zeros(k_max)))[:k_max + 1],)
+        path = "closed_form"
+
+        @cache
+        def solved() -> tuple[Interval, Interval, Interval]:
+            # Pr(S > x) falls, so it is 0 past a last point where it is 0.
+            beyond = (_beyond_top(service, float(x[-1]), h) if c[-1]
+                      else (0.0,) * 3)
+            return (Interval(float(first + c.sum()), beyond[0]),
+                    Interval(float(first + (2.0 * np.arange(n) + 1.0) @ c),
+                             beyond[1]),
+                    Interval(float(x @ c), beyond[2]))
+
+        def survival(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+            # Pr(K > k) = Pr(S > k E[Y]) <= c[-1] past the last point
+            kept = np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1]
+            beyond = np.zeros(k_max + 1)
+            beyond[n:] = c[-1]
+            return kept - beyond, kept + beyond
     else:
-        path, moved = "lattice", h
+        path = "lattice"
         tail = interarrival.ccdf(grid)
         cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
         gaps = cell, np.append(0.0, cell[:-1])  # rounded down, up
-        renewal = lambda: _renewal_sums(gaps, x, c, first)
         survival = lambda k_max: _survival(gaps, c, k_max)
 
-    @cache
-    def solved() -> tuple[Interval, Interval, Interval]:
-        (k_down, k2_down, c_down), (k_up, k2_up, c_up) = renewal()
-        # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
-        # crossing sum widened by h E[K(K-1)]/2 brackets the true one.
-        lo = c_up - 0.5 * moved * (k2_up - k_up)
-        hi = c_down + 0.5 * moved * (k2_down - k_down)
-        mid = 0.5 * (c_down + c_up)
-        return (Interval.between(k_down, k_up),
-                Interval.between(k2_down, k2_up),
-                Interval(mid, max(mid - lo, hi - mid)))
+        @cache
+        def solved() -> tuple[Interval, Interval, Interval]:
+            (k_down, k2_down, c_down), (k_up, k2_up, c_up) = _renewal_sums(
+                gaps, x, c, first)
+            # A partial sum of k-1 gaps moves by at most (k-1) h, so each
+            # end's crossing sum widened by h E[K(K-1)]/2 brackets the
+            # true one.
+            lo = c_up - 0.5 * h * (k2_up - k_up)
+            hi = c_down + 0.5 * h * (k2_down - k_down)
+            mid = 0.5 * (c_down + c_up)
+            return (Interval.between(k_down, k_up),
+                    Interval.between(k2_down, k2_up),
+                    Interval(mid, max(mid - lo, hi - mid)))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
         # Pr(K = k) = Pr(K > k-1) - Pr(K > k), the half-widths added
@@ -430,6 +429,28 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
                 Interval(mid[-1], hw[-1]))
     return Cycles(path, lambda: solved()[:2], lambda: solved()[2], pmf)
+
+
+def _beyond_top(service: Distribution, t: float, d: float
+                ) -> tuple[float, float, float]:
+    """Bounds on the terms G(jd), (2j+1) G(jd) and jd G(jd), jd > t, that
+    the D-arrival sums of E[K], E[K^2] and the crossing sum leave out past
+    their last point t = (n-1) d, G the service ccdf.
+
+    G falls, so each term is at most the mean of G(x), (2x+3d) G(x)/d or
+    (x+d) G(x) over the step before it.  The service's stop-loss beyond t
+    B = int_t^inf (x+d) G(x) dx = E[(S-t)^+ ((S+t)/2 + d)], integrated with
+    its error added, bounds all three: int_t^inf G <= B/(t+d) gives
+    B/((t+d) d), 2B/d^2 + B/((t+d) d) and B/d, for any service law.
+    Past t, where G is at most 1e-13, it falls on a scale of about t/60
+    (Gaussian tails) to t/30 (exponential ones), so the panels are cut at
+    t (1 + 2^-k), k = 0..6, where one round of rules settles them."""
+    cuts = (t, *(t * (1.0 + 0.5 ** k) for k in range(7)))
+    value, err = expect(service, lambda s: np.maximum(s - t, 0.0)
+                        * (0.5 * (s + t) + d), extra_breakpoints=cuts)
+    b = (value + err) / d
+    k_mean = b / (t + d)
+    return k_mean, 2.0 * b / d + k_mean, b
 
 
 def _fft_size(n: int) -> int:

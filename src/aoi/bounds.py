@@ -21,7 +21,6 @@ discipline, under which :class:`BoundKind` label and precondition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,13 +94,9 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
     service the premise is not met: it can fall on either side of the
     age.  With NBUE service, DMRL (or constant) interarrivals make it an
     upper bound and IMRL interarrivals reverse it into a lower bound.
-    Raises ``ValueError`` when E[S^2] overflows, or underflows to 0 while
-    E[S] > 0.
+    An E[S^2] that overflows raises the Poisson record's
+    :class:`~aoi.errors.TruncationNotReached`.
     """
-    es, es2 = pair.service.mean(), pair.service.second_moment()
-    if not math.isfinite(es2) or (es2 == 0.0 and es > 0.0):
-        raise ValueError(f"service second moment {es2!r} is out of the "
-                         "float range")
     matched = exact_age(Pair(Exponential(1.0 / pair.interarrival.mean()),
                              pair.service), Discipline.DROPPING)
     if not pair.service.mrl_class().nbue:

@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import analytic, experiments
-from .analytic import EstimatorOptions, Pair
+from .analytic import Pair
 from .distributions import Distribution, from_dict
 from .errors import AoiError
 from .sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
@@ -329,9 +329,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.seed = _resolve_seed(args)
-        if hasattr(args, "mc_samples"):  # validated here, read nowhere
-            with _usage_errors(args):
-                EstimatorOptions(mc_samples=args.mc_samples)
+        if hasattr(args, "mc_samples") and args.mc_samples < 10_000:
+            # checked, as --seed is, though no estimator reads it
+            raise SystemExit(f"aoi {args.command}: mc_samples must be >= "
+                             f"10000, got {args.mc_samples}")
         return _COMMANDS[args.command](args)
     except AoiError as exc:
         name = type(exc).__name__

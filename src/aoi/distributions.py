@@ -10,6 +10,10 @@ family of laws. Each law is a frozen dataclass exposing
   ``1 - E[exp(-s X)]`` in closed form,
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
+* its exponential phases, ``phases()``: weights and rates for a mixture
+  of exponential phases, ``None`` for every other law.  The exponential
+  law is the one-phase mixture and the hyperexponential any other, and
+  both take every descriptor from the one mixture code,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
 Every integral (:func:`expect`) comes from one vectorized panel quadrature:
@@ -174,6 +178,11 @@ class Distribution(ABC):
         """The ageing class of the law over its whole support, read from
         its parameters."""
 
+    def phases(self) -> tuple[tuple, tuple] | None:
+        """(w, r) when the law is a mixture of exponential phases, phase i
+        drawn with probability w_i and of rate r_i; ``None`` otherwise."""
+        return None
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -189,9 +198,41 @@ class Distribution(ABC):
         return f"{self.kind}({params})"
 
 
+class _PhaseMix:
+    """The descriptors of a mixture of exponential phases, read from its
+    :meth:`~Distribution.phases`: the exponential law is its one-phase
+    case, the hyperexponential law any other."""
+
+    def mean(self):
+        return sum(w / r for w, r in zip(*self.phases()))
+
+    def second_moment(self):
+        return sum(_over_square(2.0 * w, r) for w, r in zip(*self.phases()))
+
+    def _ccdf(self, xs):
+        return sum(w * np.exp(-r * xs) for w, r in zip(*self.phases()))
+
+    def _pdf(self, xs):
+        return sum(w * r * np.exp(-r * xs) for w, r in zip(*self.phases()))
+
+    def _laplace(self, s):
+        return sum(w * r / (r + s) for w, r in zip(*self.phases()))
+
+    def _laplace_complement(self, s):
+        return sum(w * s / (r + s) for w, r in zip(*self.phases()))
+
+    def support(self):
+        return (0.0, math.inf)
+
+    def mrl_class(self):  # decreasing failure rate unless one rate
+        return (MrlVerdict.CONSTANT if len(set(self.phases()[1])) == 1
+                else MrlVerdict.IMRL)
+
+
 @dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential law with the given rate; mean 1/rate."""
+class Exponential(_PhaseMix, Distribution):
+    """Exponential law with the given rate; mean 1/rate.  The mixture of
+    one exponential phase."""
 
     rate: float
     kind: ClassVar[str] = "exponential"
@@ -203,29 +244,8 @@ class Exponential(Distribution):
     def sample_array(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
 
-    def mean(self):
-        return 1.0 / self.rate
-
-    def second_moment(self):
-        return _over_square(2.0, self.rate)
-
-    def _ccdf(self, xs):
-        return np.exp(-self.rate * xs)
-
-    def _pdf(self, xs):
-        return self.rate * np.exp(-self.rate * xs)
-
-    def _laplace(self, s):
-        return self.rate / (self.rate + s)
-
-    def _laplace_complement(self, s):
-        return s / (self.rate + s)
-
-    def support(self):
-        return (0.0, math.inf)
-
-    def mrl_class(self):
-        return MrlVerdict.CONSTANT
+    def phases(self):
+        return (1.0,), (self.rate,)
 
 
 @dataclass(frozen=True)
@@ -516,7 +536,7 @@ class Erlang(Distribution):
 
 
 @dataclass(frozen=True)
-class Hyperexponential(Distribution):
+class Hyperexponential(_PhaseMix, Distribution):
     """Mixture of two or more exponential phases.
 
     Included specifically because mixtures of exponentials have increasing
@@ -547,36 +567,8 @@ class Hyperexponential(Distribution):
         with np.errstate(over="ignore"):  # a mean past the float range is inf
             return rng.exponential(1.0 / r[idx])
 
-    def mean(self):
-        return sum(w / r for w, r in zip(self.weights, self.rates))
-
-    def second_moment(self):
-        return sum(_over_square(2.0 * w, r) for w, r in zip(self.weights, self.rates))
-
-    def _ccdf(self, xs):
-        out = np.zeros_like(xs, dtype=float)
-        for w, r in zip(self.weights, self.rates):
-            out += w * np.exp(-r * xs)
-        return out
-
-    def _pdf(self, xs):
-        out = np.zeros_like(xs, dtype=float)
-        for w, r in zip(self.weights, self.rates):
-            out += w * r * np.exp(-r * xs)
-        return out
-
-    def _laplace(self, s):
-        return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates))
-
-    def _laplace_complement(self, s):
-        return sum(w * s / (r + s) for w, r in zip(self.weights, self.rates))
-
-    def support(self):
-        return (0.0, math.inf)
-
-    def mrl_class(self):  # decreasing failure rate unless one rate
-        return (MrlVerdict.CONSTANT if len(set(self.rates)) == 1
-                else MrlVerdict.IMRL)
+    def phases(self):
+        return self.weights, self.rates
 
 
 _KINDS: dict[str, type] = {

@@ -7,7 +7,7 @@ grid point.  Results land in a flat row table that serializes to CSV
 line chart with confidence bands.  Per-point simulation seeds derive from
 ``(base_seed, point_index)``, so appending grid points never perturbs
 existing ones, and identical specs reproduce byte-identical outputs; the
-other estimators read no seed, nor the (validated) spec ``options``.
+other estimators read no seed.
 
 Estimator tags: ``simulate`` and the tags of :data:`ESTIMATORS`, the one
 table that says which call computes each exact age and bound, for which
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import analytic, bounds
-from .analytic import DEFAULT_OPTIONS, EstimatorOptions, Pair
+from .analytic import Pair
 from .distributions import Distribution, Exponential, from_dict
 from .errors import AoiError
 from .sim import AgeEstimate, Discipline, SimConfig, run_simulation
@@ -108,7 +108,6 @@ class SweepSpec:
     grid: tuple[float, ...]
     service: Distribution
     estimators: tuple[str, ...]
-    options: EstimatorOptions = DEFAULT_OPTIONS
     sim_cycles: int = 20_000
     base_seed: int = 0
 
@@ -157,21 +156,14 @@ class SweepSpec:
             "grid": list(self.grid),
             "service": self.service.to_dict(),
             "estimators": list(self.estimators),
-            "options": asdict(self.options),
             "sim_cycles": self.sim_cycles,
             "base_seed": self.base_seed,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`; a missing key or an unknown option
-        raises ``ValueError`` naming it."""
-        options = data.get("options", {})
-        known = {f.name for f in fields(EstimatorOptions)}
-        unknown = sorted(set(options) - known)
-        if unknown:
-            raise ValueError(f"unknown sweep option(s) {unknown}; "
-                             f"known: {sorted(known)}")
+        """Inverse of :meth:`to_dict`; a missing key raises ``ValueError``
+        naming it, and a key it does not read is ignored."""
         try:
             return cls(
                 name=data["name"],
@@ -181,7 +173,6 @@ class SweepSpec:
                 grid=tuple(data["grid"]),
                 service=from_dict(data["service"]),
                 estimators=tuple(data["estimators"]),
-                options=EstimatorOptions(**options),
                 sim_cycles=data.get("sim_cycles", 20_000),
                 base_seed=data.get("base_seed", 0),
             )

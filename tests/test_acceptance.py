@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from aoi.analytic import EstimatorOptions, Pair, exact_age, k_pmf
+from aoi.analytic import Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
@@ -45,9 +45,8 @@ def test_criterion_1_mm_dropping_cross_check():
             if abs(fast.value - closed) > 1e-12 * closed:
                 failures.append(f"fast path ({lam},{mu}) != closed form")
             y, s = Exponential(lam), Exponential(mu)
-            wm = dropping_walk_moments(
-                y, s, EstimatorOptions(mc_samples=1_000_000,
-                                       seed=2000 + 10 * i + j))
+            wm = dropping_walk_moments(y, s, samples=1_000_000,
+                                       seed=2000 + 10 * i + j)
             generic = (y.second_moment() / (2.0 * y.mean())
                        + wm.ratio().value + s.mean())
             rel = abs(generic - closed) / closed
@@ -198,7 +197,6 @@ def test_criterion_5_preemption_non_monotonicity():
         swept_param="rate", grid=(0.25, 0.5, 1.0, 2.0, 3.0, 4.0),
         service=ShiftedExponential(1.0, 0.5),
         estimators=("simulate", "exact"),
-        options=EstimatorOptions(mc_samples=50_000, seed=0),
         sim_cycles=20_000, base_seed=55)
     result = run_sweep(spec)
     sim = result.column("simulate")
@@ -318,7 +316,6 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
         swept_param="rate", grid=(0.5, 1.0, 2.0),
         service=Exponential(1.0),
         estimators=("simulate", "exact", "corollary1", "gm11", "mg11"),
-        options=EstimatorOptions(mc_samples=20_000, seed=0),
         sim_cycles=2000, base_seed=123)
     digests = []
     for name in ("a.csv", "b.csv"):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from aoi.analytic import EstimatorOptions, Interval, Pair, exact_age, k_pmf
+from aoi.analytic import Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
@@ -43,22 +42,6 @@ def assert_carries_the_crossing_error(pair, est):
     assert abs(est.ci_half_width - carried) <= 4.0 * EPS * est.value
 
 
-# ------------------------------------------------------------- options
-
-def test_option_validation():
-    assert [f.name for f in dataclasses.fields(EstimatorOptions)] == \
-        ["mc_samples", "seed"]
-    with pytest.raises(ValueError, match="mc_samples"):
-        EstimatorOptions(mc_samples=100)
-    with pytest.raises(ValueError, match="seed"):
-        EstimatorOptions(seed=-1)
-    with pytest.raises(ValueError, match="seed"):
-        EstimatorOptions(seed=2**64)
-    EstimatorOptions(mc_samples=10_000, seed=2**64 - 1)
-    with pytest.raises(TypeError):
-        EstimatorOptions(k_truncation_epsilon=1e-8)
-
-
 # ------------------------------------------------------------- dropping
 
 def test_mm_fast_path_is_closed_form():
@@ -74,8 +57,7 @@ def test_mm_fast_path_is_closed_form():
 
 
 def test_mm_generic_walk_agrees_with_closed_form():
-    opts = EstimatorOptions(mc_samples=400_000, seed=3)
-    wm = dropping_walk_moments(Exponential(1.0), Exponential(1.0), opts)
+    wm = dropping_walk_moments(Exponential(1.0), Exponential(1.0), 400_000, 3)
     ratio = wm.ratio()
     value = 1.0 + ratio.value + 1.0  # E[Y^2]/(2E[Y]) = E[S] = 1
     assert value == pytest.approx(2.5, rel=5e-3)
@@ -85,8 +67,7 @@ def test_mm_generic_walk_agrees_with_closed_form():
 
 def test_crossing_sum_closed_form_check():
     # For exponential service the crossing sum is lam/mu^2 exactly.
-    opts = EstimatorOptions(mc_samples=400_000, seed=4)
-    wm = dropping_walk_moments(Exponential(1.0), Exponential(1.0), opts)
+    wm = dropping_walk_moments(Exponential(1.0), Exponential(1.0), 400_000, 4)
     assert wm.sum_term.value == pytest.approx(1.0, rel=5e-3)
     assert wm.k_mean.value == pytest.approx(2.0, rel=5e-3)
     assert wm.k_second.value == pytest.approx(6.0, rel=1.5e-2)
@@ -115,7 +96,7 @@ def test_geometric_fast_path_agrees_with_generic_walk():
     closed_k1, closed_k2 = k_moments(Pair(y, s))
     assert closed_k1.half_width == 0.0
     wm = dropping_walk_moments(
-        y, s, EstimatorOptions(mc_samples=300_000, seed=5))
+        y, s, samples=300_000, seed=5)
     assert abs(wm.k_mean.value - closed_k1.value) <= 4.0 * wm.k_mean.stderr
     assert abs(wm.k_second.value - closed_k2.value) <= 4.0 * wm.k_second.stderr
 
@@ -124,7 +105,7 @@ def test_truncation_not_reached():
     # Tiny gaps against a huge deterministic service need > 1e4 terms.
     with pytest.raises(TruncationNotReached):
         dropping_walk_moments(Exponential(150.0), Deterministic(100.0),
-                              EstimatorOptions(mc_samples=10_000, seed=1))
+                              samples=10_000, seed=1)
 
 
 @pytest.mark.parametrize("s", [
@@ -156,7 +137,7 @@ def test_walk_rejects_degenerate_interarrival():
 ], ids=lambda y: y.kind)
 def test_renewal_form_agrees_with_walk(y):
     s = Exponential(1.0)
-    opts = EstimatorOptions(mc_samples=200_000, seed=11)
+    walk = {"samples": 200_000, "seed": 11}
 
     def close(renewal, walk):
         # 4 stderr, plus a 1e-7 relative floor for the walk's truncation
@@ -165,7 +146,7 @@ def test_renewal_form_agrees_with_walk(y):
         tol = 4.0 * walk.stderr + 1e-7 * abs(walk.value)
         return abs(renewal - walk.value) <= tol
 
-    wm = dropping_walk_moments(y, s, opts)
+    wm = dropping_walk_moments(y, s, **walk)
     ratio = wm.ratio()
     head = y.second_moment() / (2.0 * y.mean())
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
@@ -180,7 +161,7 @@ def test_renewal_form_agrees_with_walk(y):
     k1, k2 = k_moments(Pair(y, s))
     assert close(k1.value, wm.k_mean) and close(k2.value, wm.k_second)
 
-    renewal, walk = k_pmf(Pair(y, s), 10), _k_pmf_walk(y, s, 10, opts)
+    renewal, walk = k_pmf(Pair(y, s), 10), _k_pmf_walk(y, s, 10, **walk)
     for k, (r, w) in enumerate(zip(renewal.pmf, walk.pmf), start=1):
         assert r.half_width == 0.0 and close(r.value, w), k
     assert close(renewal.tail_mass.value, walk.tail_mass)

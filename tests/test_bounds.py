@@ -8,7 +8,7 @@ from aoi.bounds import (Applicability, BoundKind, BoundReport, corollary_one,
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict,
                                ShiftedExponential, Uniform)
-from aoi.errors import ZeroSuccessProbability
+from aoi.errors import TruncationNotReached, ZeroSuccessProbability
 from aoi.experiments import ESTIMATORS, require
 from aoi.sim import Discipline
 from test_analytic import k_moments
@@ -149,11 +149,18 @@ def test_mg11_reversal_needs_nbue_service_too():
     assert report.value > exact.value + exact.ci_half_width
 
 
-@pytest.mark.parametrize("service", [Exponential(1e-300), Exponential(1e300)],
-                         ids=["overflow", "underflow"])
-def test_mg11_rejects_a_service_second_moment_out_of_range(service):
-    with pytest.raises(ValueError, match="service second moment"):
-        mg11_ordering_bound(Pair(Exponential(1.0), service))
+def test_mg11_takes_the_poisson_record_at_any_service_second_moment():
+    # No guard of its own: E[S^2] = inf stops the matched pair's Poisson
+    # record, and E[S^2] = 0 (E[S] = 1e-300) gives the matched pair's age.
+    with pytest.raises(TruncationNotReached, match="E\\[K\\^2\\] overflows"):
+        mg11_ordering_bound(Pair(Uniform(0.0, 2.0), Exponential(1e-300)))
+    service = Exponential(1e300)
+    assert service.second_moment() == 0.0
+    report = mg11_ordering_bound(Pair(Uniform(0.0, 2.0), service))
+    matched = exact_age(Pair(Exponential(1.0), service), DROPPING)
+    assert (report.value, report.half_width) == (matched.value,
+                                                 matched.ci_half_width)
+    assert report.value == 1.0  # the matched pair's 1/lam + E[S]
 
 
 def test_mg11_labels_imrl_arrivals_without_a_caller_verdict():

@@ -252,8 +252,6 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
       "--service", EXP_TINY), "interarrival second moment underflows to 0"),
     (("exact", "--discipline", "preemption", "--interarrival", EXP_TINY,
       "--service", EXP_TINY), "interarrival second moment underflows to 0"),
-    (("bound", "--kind", "mg11", "--interarrival", EXP1, "--service", EXP_HUGE),
-     "service second moment inf is out of the float range"),
 ], ids=["mc-samples", "seed", "seed-check-properties", "seed-sweep",
         "k-max", "cycles", "one-cycle", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
@@ -261,8 +259,7 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
         "overflowing-interarrival-square-simulate",
         "underflowing-interarrival-square-simulate",
         "underflowing-interarrival-square-dropping",
-        "underflowing-interarrival-square-preemption",
-        "overflowing-service-square-mg11"])
+        "underflowing-interarrival-square-preemption"])
 def test_out_of_range_value_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
@@ -289,6 +286,30 @@ def test_every_command_checks_mc_samples(capsys, argv):
     code, payload = run_json(capsys, *argv, "--mc-samples", "10000")
     assert code == 0
     assert "mc_samples" not in payload["inputs"]
+
+
+def test_mg11_service_square_out_of_range(capsys, tmp_path):
+    # mg11 keeps no moment guard of its own.  An E[S^2] that overflows
+    # stops the mean-matched pair's Poisson record: exit 1, and a
+    # divergent cell in a sweep.  One that underflows to 0 leaves the
+    # matched pair's age, E[Y^2]/(2E[Y]) + E[S] = 1 + 1e-300.
+    code, payload = run_json(capsys, "bound", "--kind", "mg11",
+                             "--interarrival", EXP1, "--service", EXP_HUGE)
+    assert code == 1
+    assert payload["error"] == "TruncationNotReached"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SWEEP_SPEC, "estimators": ["mg11"],
+                                     "service": json.loads(EXP_HUGE)}),
+                         encoding="utf-8")
+    code, payload = run_json(capsys, "sweep", "--spec", str(spec_path),
+                             "--csv", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert [r["value"] for r in payload["result"]["rows"]] == [None, None]
+    code, payload = run_json(capsys, "bound", "--kind", "mg11",
+                             "--interarrival", EXP1, "--service", EXP_TINY)
+    assert code == 0
+    assert payload["result"]["value"] == 1.0
+    assert payload["result"]["half_width"] == 0.0
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -401,13 +422,28 @@ def test_sweep_end_to_end(capsys, tmp_path):
     assert header == "param,estimator,value,ci,applicability"
 
 
+@pytest.mark.parametrize("options", [
+    {"mc_samples": 20000, "walk_only": True}, {"k_truncation_epsilon": 1e-8},
+    {"quadrature_rel_tol": 1e-9}, {"mc_samples": 100}],
+    ids=["old-options", "deleted-walk-option", "deleted-quadrature-option",
+         "out-of-range-option"])
+def test_sweep_spec_options_are_not_read(capsys, tmp_path, options):
+    # No estimator reads an option: a spec carrying any ``options`` runs
+    # as the spec without them does, as any key the spec does not read.
+    outputs = []
+    for spec in ({**SWEEP_SPEC, "options": options},
+                 {k: v for k, v in SWEEP_SPEC.items() if k != "options"}):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        csv_path = tmp_path / f"{len(outputs)}.csv"
+        code, _, err = run(capsys, "sweep", "--spec", str(spec_path),
+                           "--csv", str(csv_path))
+        assert code == 0, err
+        outputs.append(csv_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("spec,named", [
-    ({**SWEEP_SPEC, "options": {"mc_samples": 20000, "walk_only": True}},
-     "walk_only"),
-    ({**SWEEP_SPEC, "options": {"k_truncation_epsilon": 1e-8}},
-     "k_truncation_epsilon"),
-    ({**SWEEP_SPEC, "options": {"quadrature_rel_tol": 1e-9}},
-     "quadrature_rel_tol"),
     ({k: v for k, v in SWEEP_SPEC.items() if k != "grid"}, "grid"),
     (None, "No such file"),
     ({**SWEEP_SPEC, "base_seed": -1}, "base_seed must fit in 64 bits"),
@@ -423,14 +459,10 @@ def test_sweep_end_to_end(capsys, tmp_path):
     ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
       "swept_param": "value", "grid": [0.0, 1.0], "estimators": ["simulate"]},
      "interarrival law must have a positive mean"),
-    ({**SWEEP_SPEC, "service": {"kind": "exponential", "rate": 1e-300},
-      "estimators": ["mg11"]}, "service second moment inf"),
-], ids=["unknown-option", "deleted-walk-option", "deleted-quadrature-option",
-        "missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
+], ids=["missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
         "fractional-base-seed", "fractional-sim-cycles", "one-sim-cycle",
         "bad-later-grid-point",
-        "degenerate-pair-exact", "degenerate-pair-simulate",
-        "overflowing-service-square-mg11"])
+        "degenerate-pair-exact", "degenerate-pair-simulate"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:

@@ -319,3 +319,37 @@ def test_uniform_service_far_below_the_arrival_scale():
     pair = Pair(Exponential(1e-100), Uniform(0.0, 1e-250))
     assert pair.p == (1.0, 0.0)
     assert exact_age(pair, PREEMPTION).value == pytest.approx(1e100, rel=1e-12)
+
+
+# ------------------------- hyperexponential arrivals: preemption's p closed
+#
+# Phase i of the gaps is an M/G pair of rate r_i, drawn with weight w_i:
+# p = sum w_i L_S(r_i), E[Y Pr(S > Y)] = sum w_i (L_S'(r_i) + (1 -
+# L_S(r_i))/r_i) and E[S Pr(Y >= S)] = -sum w_i L_S'(r_i).
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("s", [d for d in ALL_KINDS if d.phases() is None],
+                         ids=lambda d: d.kind)
+@pytest.mark.parametrize("y", MIXES[:2], ids=MIX_IDS[:2])
+def test_hyperexponential_arrivals_give_preemption_p_in_closed_form(y, s, c):
+    arrivals, service = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    pair = Pair(arrivals, service)
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(v) for v in arrivals.weights]
+        r = [mpmath.mpf(v) for v in arrivals.rates]
+        ell = [mp_laplace(service, x) for x in r]
+        slope = [mpmath.diff(lambda t: mp_laplace(service, t), x) for x in r]
+        p = mpmath.fsum(a * b for a, b in zip(w, ell))
+        crossing = mpmath.fsum(a * (d + (1 - b) / x)
+                               for a, b, d, x in zip(w, ell, slope, r))
+        completed = -mpmath.fsum(a * d for a, d in zip(w, slope)) / p
+        y_mean = mpmath.mpf(arrivals.mean())
+        head = mpmath.mpf(arrivals.second_moment()) / (2 * y_mean)
+        age = float(head + crossing / p + completed)
+        bound = float(head + y_mean * (1 - p) / p + completed)
+    assert pair.p.half_width == 0.0  # not integrated
+    assert_covers(*pair.p, float(p))
+    est = exact_age(pair, PREEMPTION)
+    assert_covers(est.value, est.ci_half_width, age)
+    report = corollary_one(pair, PREEMPTION)
+    assert_covers(report.value, report.half_width, bound)

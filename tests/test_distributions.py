@@ -341,6 +341,40 @@ CONSTANT_CASES = [ShiftedExponential(1.0, 0.0), Erlang(1, 2.0),
                   Hyperexponential((0.5, 0.5), (1.0, 1.0))]
 
 
+@pytest.mark.parametrize("law", ALL_KINDS + CONSTANT_CASES,
+                         ids=lambda d: d.describe())
+def test_only_exponential_mixtures_name_their_phases(law):
+    if isinstance(law, Exponential):
+        assert law.phases() == ((1.0,), (law.rate,))
+    elif isinstance(law, Hyperexponential):
+        assert law.phases() == (law.weights, law.rates)
+    else:
+        assert law.phases() is None
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-160, 1e-3, 0.7, 1.0, 3.0,
+                                  1e160, 1e300])
+def test_exponential_is_the_one_phase_mix_bit_for_bit(rate):
+    # The mixture code at one phase gives the exponential law's one-line
+    # formulas exactly, overflow and underflow included.
+    law = Exponential(rate)
+    xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-300, 1e300, 61),
+                         np.geomspace(1e-3, 1e3, 13) / rate])
+    square = rate * rate
+    assert law.mean() == 1.0 / rate
+    assert law.second_moment() == (2.0 / square if square else 2.0 / rate / rate)
+    with np.errstate(over="ignore"):
+        assert law.ccdf(xs).tobytes() == np.exp(-rate * xs).tobytes()
+        assert law.pdf(xs).tobytes() == (rate * np.exp(-rate * xs)).tobytes()
+        for x in xs:
+            assert law.ccdf(x) == float(np.exp(-rate * x))
+    for s in [1e-300, 1e-5, 0.5, 2.0, 1e5, 1e300, rate, 1e-3 * rate]:
+        assert law.laplace(s) == rate / (rate + s)
+        assert law.laplace_complement(s) == s / (rate + s)
+    assert law.support() == (0.0, math.inf)
+    assert law.mrl_class() is MrlVerdict.CONSTANT
+
+
 @pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
 def test_mrl_classification(dist, verdict, nbue):
     assert dist.mrl_class() is verdict

@@ -9,14 +9,11 @@ from pathlib import Path
 import pytest
 
 from aoi import analytic
-from aoi.analytic import EstimatorOptions
 from aoi.distributions import (Deterministic, Exponential, Rayleigh,
                                ShiftedExponential, Uniform)
 from aoi.experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
                              emit_csv, evaluate_point, read_csv, run_sweep)
 from aoi.sim import Discipline
-
-SMALL_OPTS = EstimatorOptions(mc_samples=20_000, seed=0)
 
 
 def small_spec(**overrides):
@@ -28,7 +25,6 @@ def small_spec(**overrides):
         grid=(0.5, 1.0, 2.0),
         service=Exponential(1.0),
         estimators=("simulate", "exact", "corollary1", "gm11", "mg11"),
-        options=SMALL_OPTS,
         sim_cycles=2000,
         base_seed=7,
     )
@@ -89,8 +85,7 @@ def test_bounds_dominate_exact_on_sweep():
 
 def test_monotonicity_probe_rate_and_shift():
     # Age is nonincreasing in the interarrival rate on this grid...
-    spec = small_spec(grid=(0.25, 0.75, 1.5, 3.0), estimators=("exact",),
-                      options=EstimatorOptions(mc_samples=100_000, seed=3))
+    spec = small_spec(grid=(0.25, 0.75, 1.5, 3.0), estimators=("exact",))
     col = run_sweep(spec).column("exact")
     for a, b in zip(col, col[1:]):
         assert b.value <= a.value + 3.0 * (a.ci + b.ci)
@@ -100,8 +95,7 @@ def test_monotonicity_probe_rate_and_shift():
         interarrival_template={"kind": "shifted_exponential", "rate": 1.0},
         swept_param="shift", grid=(0.0, 0.5, 1.0, 2.0),
         service=ShiftedExponential(1.0, 0.1),
-        estimators=("exact",),
-        options=EstimatorOptions(mc_samples=100_000, seed=4))
+        estimators=("exact",))
     col = run_sweep(spec).column("exact")
     for a, b in zip(col, col[1:]):
         assert b.value >= a.value - 3.0 * (a.ci + b.ci)
@@ -114,8 +108,7 @@ def test_exact_rows_do_not_depend_on_the_seed():
     spec = small_spec(service=ShiftedExponential(1.0, 0.1),
                       estimators=estimators, sim_cycles=200)
     a = run_sweep(spec)
-    b = run_sweep(replace(spec, base_seed=8, options=EstimatorOptions(
-        mc_samples=50_000, seed=9)))
+    b = run_sweep(replace(spec, base_seed=8))
     for tag in estimators[1:]:
         assert a.column(tag) == b.column(tag)
     assert a.column("simulate") != b.column("simulate")
@@ -132,7 +125,7 @@ def test_divergent_points_are_recorded_not_fatal():
         swept_param="value", grid=(0.5, 3.0),
         service=Deterministic(2.0),
         estimators=("simulate", "exact", "corollary2"),
-        options=SMALL_OPTS, sim_cycles=50, base_seed=1)
+        sim_cycles=50, base_seed=1)
     result = run_sweep(spec)
     cells = {(r.param, r.estimator): r for r in result.rows}
     assert cells[(0.5, "simulate")].value is None   # service never completes

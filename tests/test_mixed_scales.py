@@ -61,8 +61,7 @@ def call(argv):
 def sweep_argvs(y, s, tmp_path):
     """A one-point sweep per estimator tag and discipline, swapping in
     the interarrival law's last scalar parameter (a hyperexponential has
-    none).  One tag per sweep: a usage error, such as mg11's service
-    moment out of the float range, ends the whole sweep."""
+    none).  One tag per sweep: a usage error ends the whole sweep."""
     scalars = [k for k, v in y.items() if k != "kind" and not isinstance(v, list)]
     if not scalars:
         return []

@@ -117,3 +117,49 @@ def test_unread_checker_flags_both_kinds():
         "bounds: import math is never used",
     ]
     assert unread_names("from .errors import AoiError\n", "__init__") == []
+
+
+# Only the laws know which of them are mixtures of exponential phases; the
+# rest of ``aoi`` asks a law for its ``phases()``.
+PHASE_LAW = "Hyperexponential"
+KNOWS_PHASE_LAWS = {"distributions", "__init__"}
+
+
+def phase_law_names(source: str, own: str) -> list[str]:
+    """Every import, name or attribute in ``source`` (the text of module
+    ``own``) that names the hyperexponential law's class; strings and
+    docstrings do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{own}: import {a.name}" for a in node.names
+                      if a.name.split(".")[-1] == PHASE_LAW]
+        elif isinstance(node, ast.Name) and node.id == PHASE_LAW:
+            found.append(f"{own}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == PHASE_LAW:
+            found.append(f"{own}: .{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.stem not in KNOWS_PHASE_LAWS],
+                         ids=lambda p: p.stem)
+def test_only_the_laws_name_the_phase_law(path):
+    assert phase_law_names(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_phase_law_checker_flags_every_form():
+    source = ('"""A Hyperexponential service is a mixture."""\n'
+              "from .distributions import Exponential, Hyperexponential\n"
+              "from . import distributions as dist\n"
+              "label = 'Hyperexponential'\n"
+              "def phases(law):\n"
+              "    if isinstance(law, Hyperexponential):\n"
+              "        return law.weights\n"
+              "    return dist.Hyperexponential\n"
+              "hyperexponential = law.phases()\n")
+    assert sorted(phase_law_names(source, "analytic")) == [
+        "analytic: .Hyperexponential",
+        "analytic: Hyperexponential",
+        "analytic: import Hyperexponential",
+    ]

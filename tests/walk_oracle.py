@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aoi.analytic import DEFAULT_OPTIONS, EstimatorOptions, Pair
+from aoi.analytic import Pair
 from aoi.distributions import Distribution
 from aoi.errors import TruncationNotReached
 from aoi.sim import Moment
@@ -46,8 +46,10 @@ class WalkMoments:
 
 
 def dropping_walk_moments(interarrival: Distribution, service: Distribution,
-                          opts: EstimatorOptions = DEFAULT_OPTIONS) -> WalkMoments:
-    """Run the vectorized partial-sum walk once and reduce it.
+                          samples: int = 1_000_000, seed: int = 0
+                          ) -> WalkMoments:
+    """Run the vectorized partial-sum walk once, ``samples`` replicates
+    from ``seed``, and reduce it.
 
     Per replicate, gaps are drawn until the service tail at the partial sum
     is negligible; the k-th step contributes ``ccdf(A_k)`` to the K mass,
@@ -56,8 +58,8 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
     Raises :class:`TruncationNotReached` after 10^4 terms.
     """
     Pair(interarrival, service)  # raises ValueError for a pair it rejects
-    rng = np.random.default_rng(opts.seed)
-    n = opts.mc_samples
+    rng = np.random.default_rng(seed)
+    n = samples
 
     partial = np.zeros(n)
     count = np.ones(n)
@@ -101,13 +103,13 @@ class WalkPmf(NamedTuple):
 
 
 def _k_pmf_walk(interarrival: Distribution, service: Distribution, k_max: int,
-                opts: EstimatorOptions) -> WalkPmf:
-    """Monte Carlo pmf of K: Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along
-    the gap path, with ccdf(A_1) taken as 1; every replicate draws exactly
-    k_max gaps.
+                samples: int, seed: int) -> WalkPmf:
+    """Monte Carlo pmf of K over ``samples`` replicates from ``seed``:
+    Pr(K = k) = E[ccdf(A_k) - ccdf(A_{k+1})] along the gap path, with
+    ccdf(A_1) taken as 1; every replicate draws exactly k_max gaps.
     """
-    rng = np.random.default_rng(opts.seed)
-    n = opts.mc_samples
+    rng = np.random.default_rng(seed)
+    n = samples
     prev_tail = np.ones(n)
     partial = np.zeros(n)
     sums = np.zeros(k_max)
