@@ -6,7 +6,7 @@ S.  A pair validates itself when it is built and computes each primitive
 at most once, on first use: the head E[Y^2]/(2 E[Y]); the success
 probability p, the crossing term E[Y Pr(S > Y)] and the completed-service
 term E[S | S <= Y], each an :class:`Interval` of value and quadrature
-error; and each discipline's cycle record.
+error (0 in closed form); and each discipline's cycle record.
 
 Both disciplines have one age, :func:`exact_age`:
 
@@ -27,7 +27,7 @@ Poisson arrivals (path ``closed_form``)
     (Inoue et al., IEEE Trans. Inf. Theory, 2019).  Pr(K = k) is the
     phase mix's below for a phase service, else the lattice's.
 
-Geometric K (path ``quadrature``)
+Geometric K (paths ``closed_form`` and ``quadrature``)
     Under preemption K is geometric in p = Pr(S <= Y).  Under dropping at
     other arrivals a service that is a mixture of exponential phases
     (``phases()`` is not None: the exponential and hyperexponential laws)
@@ -36,14 +36,21 @@ Geometric K (path ``quadrature``)
     the interarrival transform by its cancellation-free
     ``laplace_complement``).  E[K], E[K^2], Pr(K = k) and the crossing sum
     weigh the phases' 1/p_i, (2-p_i)/p_i^2, p_i (1-p_i)^(k-1) and
-    c_i/p_i^2 by w_i, with c_i = E[Y exp(-r_i Y)] (E[Y Pr(S > Y)] under
-    preemption) integrated only when an age reads it.  Preemption's p is
-    sum_i w_i p_i at such a service, sum_i w_i L_S(r_i) at such arrivals
-    (phase i of the gap law), else the quadrature of ``expect``, whose
-    error is its 20- and 10-point rules' disagreement plus a roundoff
-    floor.  Each interval spans its values at the ends of the p brackets,
-    p - err and min(p + err, 1), with the crossing terms' errors.
-    Dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
+    c_i/p_i^2 by w_i, with c_i = E[Y exp(-r_i Y)] = M(r_i), the
+    interarrival law's ``laplace_slope``.
+    With a phase law on either side, preemption's three terms are closed
+    forms in the other law's complement, slope M and remainder R at the
+    phase rates, each phase an M/G or G/M pair: at a phase service
+    p = sum_i w_i p_i, E[Y Pr(S > Y)] = sum_i w_i c_i and
+    E[S; S <= Y] = sum_i w_i R_Y(r_i)/r_i; at phase arrivals (phase i of
+    the gap law) p = sum_i w_i L_S(r_i), E[S; S <= Y] = sum_i w_i M_S(r_i)
+    and E[Y Pr(S > Y)] = sum_i w_i R_S(r_i)/r_i.  Such a record integrates
+    nothing and its path is ``closed_form``.  Otherwise each term is one
+    quadrature of ``expect``, whose error is its 20- and 10-point rules'
+    disagreement plus a roundoff floor, and the path is ``quadrature``.
+    Each interval spans its values at the ends of the p brackets, p - err
+    and min(p + err, 1), with the crossing terms' errors.  Dividing by p,
+    not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
 
 Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other pair integrates the service ccdf against U,
@@ -190,45 +197,51 @@ class Pair:
 
     @cached_property
     def p(self) -> Interval:
-        """p = Pr(S <= Y) and its quadrature error, 0 for sum_i w_i p_i at
-        a phase service and for sum_i w_i L_S(r_i) at phase arrivals.  Ties
-        count as successes, like the simulator's, and a p within its error
-        of 0 is 0: rounding must not make an impossible completion
-        possible."""
-        if self._phases is not None:
-            w, p, _ = self._phases
-            terms = [q.value for q in p]
-        elif (arrivals := self.interarrival.phases()) is not None:
-            w, rates = arrivals
-            terms = [self.service.laplace(r) for r in rates]
-        else:
-            mean_tail, err = expect(self.interarrival, self.service.ccdf,
-                                    extra_breakpoints=self.service.breakpoints())
-            p = 1.0 - mean_tail
-            return Interval(0.0 if p <= err else min(p, 1.0), err)
-        return Interval(min(sum(a * t for a, t in zip(w, terms)), 1.0), 0.0)
+        """p = Pr(S <= Y) and its quadrature error, 0 in closed form at a
+        phase law (:attr:`_by_phase`).  Ties count as successes, like the
+        simulator's, and a p within its error of 0 is 0: rounding must not
+        make an impossible completion possible."""
+        if self._by_phase is not None:
+            return Interval(min(self._phase_sum(0), 1.0), 0.0)
+        mean_tail, err = expect(self.interarrival, self.service.ccdf,
+                                extra_breakpoints=self.service.breakpoints())
+        p = 1.0 - mean_tail
+        return Interval(0.0 if p <= err else min(p, 1.0), err)
 
     @cached_property
-    def _phases(self) -> tuple[tuple, list[Interval], tuple] | None:
-        """The service's phase weights w_i, p_i = 1 - L(r_i) intervals and
-        rates r_i, if it is a mixture of exponential phases; else None."""
-        phases = self.service.phases()
-        if phases is None:
-            return None
-        w, rates = phases
-        return w, [Interval(self.interarrival.laplace_complement(r), 0.0)
-                   for r in rates], rates
+    def _by_phase(self) -> tuple[tuple, list[tuple[float, float, float]]
+                                 ] | None:
+        """The phase weights w_i of the service, else of the gaps, else
+        None, and given phase i the three terms p_i = Pr(S <= Y),
+        c_i = E[Y Pr(S > Y)] and E[S; S <= Y], from the other law's
+        Laplace descriptors (complement, slope M and remainder R) at the
+        phase rate r_i.
 
-    @cached_property
-    def _phase_crossings(self) -> list[Interval]:
-        """E[Y exp(-r_i Y)] and its quadrature error at each phase rate."""
-        return [Interval(*expect(self.interarrival, lambda t, e=Exponential(r):
-                                 t * e.ccdf(t))) for r in self._phases[2]]
+        Service phases: p_i = 1 - L_Y(r_i), c_i = M_Y(r_i) and
+        E[S; S <= Y] = R_Y(r_i)/r_i.  Gap phases: p_i = L_S(r_i),
+        c_i = R_S(r_i)/r_i and E[S; S <= Y] = M_S(r_i)."""
+        if (phases := self.service.phases()) is not None:
+            y = self.interarrival
+            return phases[0], [(y.laplace_complement(r), y.laplace_slope(r),
+                                y.laplace_remainder(r) / r)
+                               for r in phases[1]]
+        if (phases := self.interarrival.phases()) is not None:
+            s = self.service
+            return phases[0], [(s.laplace(r), s.laplace_remainder(r) / r,
+                                s.laplace_slope(r)) for r in phases[1]]
+        return None
+
+    def _phase_sum(self, i: int) -> float:
+        """The w-weighted sum of the phases' i-th term."""
+        w, terms = self._by_phase
+        return sum(a * t[i] for a, t in zip(w, terms))
 
     @cached_property
     def crossing(self) -> Interval:
-        """E[Y Pr(S > Y)] and its quadrature error; over p^2, the crossing
-        sum of a geometric K."""
+        """E[Y Pr(S > Y)] and its quadrature error, 0 at a phase law; over
+        p^2, the crossing sum of a geometric K."""
+        if self._by_phase is not None:
+            return Interval(self._phase_sum(1), 0.0)
         return Interval(*expect(self.interarrival,
                                 lambda y: y * self.service.ccdf(y),
                                 extra_breakpoints=self.service.breakpoints()))
@@ -236,10 +249,13 @@ class Pair:
     @cached_property
     def completed_service(self) -> Interval:
         """E[S | the service completes] = E[S Pr(Y >= S)] / p over the
-        brackets of both; raises :class:`ZeroSuccessProbability` when no
-        service can complete."""
+        brackets of both, the numerator in closed form at a phase law;
+        raises :class:`ZeroSuccessProbability` when no service can
+        complete."""
         if self.p.value <= 0.0:
             raise ZeroSuccessProbability(self._no_success())
+        if self._by_phase is not None:
+            return Interval(self._phase_sum(2), 0.0).over(self.p)
         return Interval(*expect(
             self.service, lambda s: s * self.interarrival.tail_inclusive(s),
             extra_breakpoints=self.interarrival.breakpoints())).over(self.p)
@@ -263,10 +279,11 @@ class Pair:
     @cached_property
     def _dropping(self) -> Cycles:
         """The phase mix's dropping record, else the lattice's."""
-        if self._phases is None:
+        if self.service.phases() is None:
             return _lattice_cycles(self.interarrival, self.service)
-        return self._geometric_cycles(Discipline.DROPPING, *self._phases[:2],
-                                      lambda: self._phase_crossings)
+        w, terms = self._by_phase
+        p, c = ([Interval(t[i], 0.0) for t in terms] for i in (0, 1))
+        return self._geometric_cycles(Discipline.DROPPING, w, p, lambda: c)
 
     def _poisson_cycles(self) -> Cycles:
         """The dropping record at exponential arrivals: exact sums, which
@@ -315,7 +332,8 @@ class Pair:
                                      mix(u[-1] for u in up)))
         moments = tuple(Interval.between(mix(map(f, lo)), mix(map(f, hi)))
                         for f in (lambda q: 1.0 / q, lambda q: (2 - q) / q**2))
-        return Cycles("quadrature", lambda: moments, crossing_sum, pmf)
+        return Cycles("quadrature" if self._by_phase is None else "closed_form",
+                      lambda: moments, crossing_sum, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "

@@ -6,8 +6,11 @@ family of laws. Each law is a frozen dataclass exposing
 * exact first and second moments,
 * the complementary CDF with the strict convention ``Pr(X > x)``, so a
   point mass at ``v`` satisfies ``ccdf(v) == 0``,
-* the Laplace transform ``E[exp(-s X)]`` and its complement
-  ``1 - E[exp(-s X)]`` in closed form,
+* the Laplace transform L(s) = ``E[exp(-s X)]``, its complement
+  ``1 - L(s)``, its slope ``E[X exp(-s X)] = -L'(s)`` and its remainder
+  ``E[1 - exp(-s X)(1 + s X)] = 1 - L(s) - s L'(s)``, each in closed form
+  and without cancellation: sums of nonnegative terms, and positive
+  series where a difference would lose digits,
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
 * its exponential phases, ``phases()``: weights and rates for a mixture
@@ -69,7 +72,9 @@ _PANEL_GRID = 4      # panels cut at 1, 2, ..., 4 means
 _MAX_DEPTH = 50      # bisection rounds
 _MAX_PANELS = 4096   # failing panels in one round
 _EPS = float(np.finfo(float).eps)
-_RAYLEIGH_SERIES_FROM = 10.0  # z = scale * s above which the series is used
+_PHI_SERIES_BELOW = 2.0  # y below which phi(y) is a positive series
+_EXP_UNDERFLOW = 750.0   # exp(-y) is 0 in floats from here on
+_MILLS_CF_FROM = 1.0     # z = scale s from which the continued fraction is used
 
 
 def _over_square(num: float, x: float) -> float:
@@ -77,6 +82,55 @@ def _over_square(num: float, x: float) -> float:
     only when the quotient overflows), 0 if it overflows."""
     square = x * x
     return num / square if square else num / x / x
+
+
+def _series(term: float, ratio: Callable[[int], float]) -> float:
+    """term + term ratio(1) + term ratio(1) ratio(2) + ..., a series of
+    nonnegative terms that eventually fall, summed until a term is under
+    eps of the sum."""
+    total, k = 0.0, 1
+    while term > _EPS * total:
+        total += term
+        term *= ratio(k)
+        k += 1
+    return total
+
+
+def _phi(y: float) -> float:
+    """1 - e^-y (1 + y) for y >= 0: below 2 as y^2 e^-y (1/2! + y/3! +
+    ...), where the difference would lose up to all its digits, and from
+    there as the difference, which loses under a bit."""
+    if y < _PHI_SERIES_BELOW:
+        return y * y * _phi_over_square(y)
+    y = min(y, _EXP_UNDERFLOW)  # keeps y e^-y a number at y = inf
+    return -math.expm1(-y) - y * math.exp(-y)
+
+
+def _phi_over_square(y: float) -> float:
+    """(1 - e^-y (1 + y)) / y^2 = E[U e^-yU], U uniform on (0, 1)."""
+    if y < _PHI_SERIES_BELOW:
+        return math.exp(-y) * _series(0.5, lambda k: y / (k + 2))
+    return _phi(y) / y / y
+
+
+def _mean_complement(w: float) -> float:
+    """E[1 - e^-wU] = 1 - (1 - e^-w)/w, U uniform on (0, 1): below 1 as
+    w e^-w (1/2! + 2w/3! + 3w^2/4! + ...), from there as the difference,
+    which loses under 2 bits."""
+    if w < 1.0:
+        return w * math.exp(-w) * _series(
+            0.5, lambda k: (k + 1) * w / (k * (k + 2)))
+    return 1.0 + math.expm1(-w) / w
+
+
+def _mean_phi(w: float) -> float:
+    """E[1 - e^-wU (1 + wU)] = 1 - 2 (1 - e^-w)/w + e^-w, U uniform on
+    (0, 1): below 8 as w^2 e^-w (1/3! + 2w/4! + 3w^2/5! + ...), from
+    there as the sum, which loses under a bit."""
+    if w < 8.0:
+        return w * w * math.exp(-w) * _series(
+            1.0 / 6.0, lambda k: (k + 1) * w / (k * (k + 3)))
+    return 1.0 + 2.0 * math.expm1(-w) / w + math.exp(-w)
 
 
 class MrlVerdict(str, Enum):
@@ -143,27 +197,49 @@ class Distribution(ABC):
     def _pdf(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} has no density")
 
-    def laplace(self, s: float) -> float:
-        """E[exp(-s X)] for s >= 0."""
+    @staticmethod
+    def _transform(s: float, at_zero: float, closed: Callable[[float], float]
+                   ) -> float:
         if s < 0:
             raise ValueError("laplace transform argument must be >= 0")
-        return 1.0 if s == 0.0 else self._laplace(s)
+        return at_zero if s == 0.0 else closed(s)
+
+    def laplace(self, s: float) -> float:
+        """L(s) = E[exp(-s X)] for s >= 0."""
+        return self._transform(s, 1.0, self._laplace)
 
     @abstractmethod
     def _laplace(self, s: float) -> float:
         """E[exp(-s X)] for s > 0, in closed form."""
 
     def laplace_complement(self, s: float) -> float:
-        """1 - E[exp(-s X)] for s >= 0, without the cancellation of
-        subtracting the transform from 1: its full relative precision
-        wherever s E[X] is small."""
-        if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
-        return 0.0 if s == 0.0 else self._laplace_complement(s)
+        """1 - L(s) for s >= 0, without the cancellation of subtracting the
+        transform from 1: its full relative precision wherever s E[X] is
+        small."""
+        return self._transform(s, 0.0, self._laplace_complement)
 
     @abstractmethod
     def _laplace_complement(self, s: float) -> float:
         """1 - E[exp(-s X)] for s > 0, as a sum of nonnegative terms."""
+
+    def laplace_slope(self, s: float) -> float:
+        """M(s) = E[X exp(-s X)] = -L'(s) for s >= 0; E[X] at 0."""
+        return self._transform(s, self.mean(), self._laplace_slope)
+
+    @abstractmethod
+    def _laplace_slope(self, s: float) -> float:
+        """E[X exp(-s X)] for s > 0, as a sum of nonnegative terms."""
+
+    def laplace_remainder(self, s: float) -> float:
+        """R(s) = E[1 - exp(-s X)(1 + s X)] = 1 - L(s) - s M(s) for s >= 0,
+        without cancellation: its full relative precision wherever s E[X]
+        is small, where it is about s^2 E[X^2]/2."""
+        return self._transform(s, 0.0, self._laplace_remainder)
+
+    @abstractmethod
+    def _laplace_remainder(self, s: float) -> float:
+        """E[1 - exp(-s X)(1 + s X)] for s > 0, as a sum of nonnegative
+        terms."""
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -220,6 +296,12 @@ class _PhaseMix:
 
     def _laplace_complement(self, s):
         return sum(w * s / (r + s) for w, r in zip(*self.phases()))
+
+    def _laplace_slope(self, s):
+        return sum(w * (r / (r + s)) / (r + s) for w, r in zip(*self.phases()))
+
+    def _laplace_remainder(self, s):
+        return sum(w * (s / (r + s)) ** 2 for w, r in zip(*self.phases()))
 
     def support(self):
         return (0.0, math.inf)
@@ -289,6 +371,18 @@ class ShiftedExponential(Distribution):
         return (-math.expm1(-s * self.shift)
                 + math.exp(-s * self.shift) * s / (self.rate + s))
 
+    def _laplace_slope(self, s):
+        # e^-sd r/(r+s) (d + 1/(r+s))
+        r = self.rate
+        return (math.exp(-s * self.shift) * (r / (r + s))
+                * (self.shift + 1.0 / (r + s)))
+
+    def _laplace_remainder(self, s):
+        # phi(y) (1-x) + x (1 - e^-y) + x^2 e^-y, y = sd, x = s/(r+s)
+        y, x = s * self.shift, s / (self.rate + s)
+        return (_phi(y) * (self.rate / (self.rate + s))
+                - x * math.expm1(-y) + x * x * math.exp(-y))
+
     def support(self):
         return (self.shift, math.inf)
 
@@ -332,6 +426,12 @@ class Deterministic(Distribution):
 
     def _laplace_complement(self, s):
         return -math.expm1(-s * self.value)
+
+    def _laplace_slope(self, s):
+        return self.value * math.exp(-s * self.value)
+
+    def _laplace_remainder(self, s):
+        return _phi(s * self.value)
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -380,20 +480,24 @@ class Uniform(Distribution):
         width = s * (self.upper - self.lower) or math.ulp(0.0)
         return math.exp(-s * self.lower) * -math.expm1(-width) / width
 
+    # X = a + (b - a) U, U uniform on (0, 1), so that with w = s (b - a)
+    # each descriptor is e^-sa times one of U's at w, plus terms in a.
     def _laplace_complement(self, s):
-        # (1 - e^-sa) + e^-sa g(w), g(w) = 1 - (1 - e^-w)/w, w = s (b - a).
-        # Below w = 1, g is the alternating series w/2! - w^2/3! + ...,
-        # whose terms fall; from there 1 + expm1(-w)/w loses under 2 bits.
-        width = s * (self.upper - self.lower)
-        if width < 1.0:
-            g, term, k = 0.0, 0.5 * width, 2
-            while abs(term) > _EPS * g:
-                g += term
-                k += 1
-                term *= -width / k
-        else:
-            g = 1.0 + math.expm1(-width) / width
-        return -math.expm1(-s * self.lower) + math.exp(-s * self.lower) * g
+        # (1 - e^-sa) + e^-sa E[1 - e^-wU]
+        return (-math.expm1(-s * self.lower) + math.exp(-s * self.lower)
+                * _mean_complement(s * (self.upper - self.lower)))
+
+    def _laplace_slope(self, s):
+        # a L(s) + (b - a) e^-sa E[U e^-wU]
+        span = self.upper - self.lower
+        return (self.lower * self._laplace(s) + span * math.exp(-s * self.lower)
+                * _phi_over_square(s * span))
+
+    def _laplace_remainder(self, s):
+        # phi(sa + t) = phi(sa) + e^-sa (sa (1 - e^-t) + phi(t)), t = wU
+        w, sa = s * (self.upper - self.lower), min(s * self.lower, _EXP_UNDERFLOW)
+        return _phi(sa) + math.exp(-sa) * (sa * _mean_complement(w)
+                                           + _mean_phi(w))
 
     def support(self):
         return (self.lower, self.upper)
@@ -438,37 +542,42 @@ class Rayleigh(Distribution):
         return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
 
     def _laplace(self, s):
-        # From z = scale s = 10 the asymptotic series 1/z^2 - 3/z^4 +
-        # 15/z^6 - ... reaches double precision before its terms start to
-        # grow; below, 1 less the complement loses about z^2 eps.
-        z = self.scale * s
-        if z <= _RAYLEIGH_SERIES_FROM:
-            return 1.0 - self._laplace_complement(s)
-        inv = 1.0 / (z * z)
-        total, term, k = 0.0, inv, 1
-        while abs(term) > _EPS * total:
-            total += term
-            term *= -(2 * k + 1) * inv
-            k += 1
-        return total
+        return self._transforms(s)[1]
 
     def _laplace_complement(self, s):
-        # z sqrt(pi/2) exp(t^2) erfc(t), t = z / sqrt 2 (exp(t^2) < 6e21
-        # here).  t^2 is split exactly into its rounded value and the
-        # rounding error (Dekker), which would cost up to t^2 eps/2 inside
-        # exp; the rounding of t itself moves exp(t^2) and erfc(t)
-        # oppositely and cancels in their product.
+        return self._transforms(s)[0]
+
+    def _laplace_slope(self, s):
+        return self._transforms(s)[2]
+
+    def _laplace_remainder(self, s):
+        return self._transforms(s)[3]
+
+    def _transforms(self, s: float) -> tuple[float, float, float, float]:
+        """1 - L(s), L(s), M(s) and R(s) = z^2 L(s), z = scale s, from the
+        Mills ratio g = sqrt(pi/2) exp(z^2/2) erfc(z/sqrt 2): 1 - L = z g
+        and M = scale (g - z L).
+
+        Below z = 1 g comes from erfc, and L = 1 - z g and g - z L lose
+        under 3 bits.  From there both differences would lose about z^2
+        and z^4 ulps, so g = 1/(z + t), t = 1/(z + u) and
+        u = 2/(z + 3/(z + 4/(z + ...))), Laplace's continued fraction,
+        evaluated backward from depth 600/z^2 + 12, where it has settled
+        to the last bit, give them as products: L = g t, M = scale g t u
+        and z g = 1/(1 + t/z)."""
         z = self.scale * s
-        if z > _RAYLEIGH_SERIES_FROM:
-            return 1.0 - self._laplace(s)
-        t = z / math.sqrt(2.0)
-        square = t * t
-        split = 134217729.0 * t  # 2^27 + 1
-        hi = split - (split - t)
-        lo = t - hi
-        error = ((hi * hi - square) + 2.0 * hi * lo) + lo * lo
-        return (z * math.sqrt(math.pi / 2.0)
-                * (math.exp(square) * (1.0 + error)) * math.erfc(t))
+        if z < _MILLS_CF_FROM:
+            t = z / math.sqrt(2.0)
+            g = math.sqrt(math.pi / 2.0) * math.exp(t * t) * math.erfc(t)
+            lap = 1.0 - z * g
+            return z * g, lap, self.scale * (g - z * lap), z * z * lap
+        u = 0.0
+        for k in range(int(600.0 / (z * z)) + 12, 1, -1):
+            u = k / (z + u)
+        t = 1.0 / (z + u)
+        g = 1.0 / (z + t)
+        zg = 1.0 / (1.0 + t / z)
+        return zg, g * t, self.scale * g * t * u, zg / (1.0 + u / z)
 
     def support(self):
         return (0.0, math.inf)
@@ -523,10 +632,32 @@ class Erlang(Distribution):
         return np.where(xs > 0, np.exp(logpdf), 0.0)
 
     def _laplace(self, s):
+        # q^n, q = r/(r+s), takes about n ulps from the rounding of q, and
+        # exp(-n log1p(s/r)) about 1.5 n log1p(s/r) ulps: the second below
+        # s = r, the first from there.
+        if s < self.rate:
+            return math.exp(-self.shape * math.log1p(s / self.rate))
         return (self.rate / (self.rate + s)) ** self.shape
 
     def _laplace_complement(self, s):
         return -math.expm1(-self.shape * math.log1p(s / self.rate))
+
+    def _laplace_slope(self, s):
+        return self.shape * self._laplace(s) / (self.rate + s)
+
+    def _laplace_remainder(self, s):
+        # 1 - L(s) (1 + n x), x = s/(r+s), L(s) = q^n, q = 1 - x: Pr(B >= 2)
+        # for B binomial in n+1 trials of success odds x : q.  Where that
+        # difference would lose more than a bit, sum its n terms
+        # C(n+1, j) x^j q^(n+1-j), j >= 2, instead.
+        n, r = self.shape, self.rate
+        x = s / (r + s)
+        head = self._laplace(s) * (1.0 + n * x)  # Pr(B <= 1)
+        if head <= 0.5:
+            return 1.0 - head
+        return _series(0.5 * n * (n + 1) * x * x
+                       * math.exp((1 - n) * math.log1p(s / r)),
+                       lambda k: (n - k) / (k + 2) * s / r)
 
     def support(self):
         return (0.0, math.inf)

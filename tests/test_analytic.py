@@ -31,15 +31,13 @@ def mm_dropping_age(lam, mu):
     return 1.0 / lam + 2.0 / mu - 1.0 / (lam + mu)
 
 
-def assert_carries_the_crossing_error(pair, est):
-    """A geometric dropping age's half-width is the crossing term's
-    quadrature error over p, up to the rounding of the record's sums: a
-    roundoff-level width, positive unless the gaps are a point mass, which
-    is evaluated rather than integrated."""
-    carried = pair.crossing.half_width / pair.p.value
-    assert (carried > 0.0) is not isinstance(pair.interarrival, Deterministic)
-    assert est.ci_half_width <= 1e-12 * est.value
-    assert abs(est.ci_half_width - carried) <= 4.0 * EPS * est.value
+def assert_is_closed_form(pair, est):
+    """A dropping age at exponential service integrates nothing: p and the
+    crossing term come from the gap law's Laplace descriptors, with no
+    quadrature error, and the age reports path ``closed_form`` and
+    half-width 0."""
+    assert pair.p.half_width == pair.crossing.half_width == 0.0
+    assert (est.method, est.ci_half_width) == ("closed_form", 0.0)
 
 
 # ------------------------------------------------------------- dropping
@@ -152,10 +150,7 @@ def test_renewal_form_agrees_with_walk(y):
     walk_age = ratio._replace(value=head + ratio.value + s.mean())
     est = exact_age(Pair(y, s), DROPPING)
     assert est.cycles_used == 0
-    if isinstance(y, Exponential):  # the closed-form record
-        assert (est.method, est.ci_half_width) == ("closed_form", 0.0)
-    else:
-        assert_carries_the_crossing_error(Pair(y, s), est)
+    assert_is_closed_form(Pair(y, s), est)
     assert close(est.value, walk_age)
 
     k1, k2 = k_moments(Pair(y, s))

@@ -46,7 +46,7 @@ def test_exact_json_round_trips(capsys):
                              "--interarrival", EXP1, "--service", EXP1)
     assert code == 0
     assert payload["result"]["value"] == pytest.approx(2.0, rel=1e-8)
-    assert payload["result"]["method"] == "quadrature"
+    assert payload["result"]["method"] == "closed_form"
 
 
 @pytest.mark.parametrize("discipline,interarrival,service,method", [
@@ -55,7 +55,7 @@ def test_exact_json_round_trips(capsys):
     ("dropping", EXP1, '{"kind": "uniform", "lower": 0, "upper": 1}',
      "closed_form"),
     ("dropping", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
-    ("dropping", DET % 0.5, EXP1, "quadrature"),
+    ("dropping", DET % 0.5, EXP1, "closed_form"),
     ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "quadrature"),
 ])
 def test_exact_names_its_path(capsys, discipline, interarrival, service, method):

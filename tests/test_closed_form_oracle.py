@@ -117,10 +117,12 @@ def test_gm_pairs_match_closed_forms(y, mu):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("s", LAWS, ids=lambda d: d.kind)
 def test_mg_preemption_matches_closed_forms(s, lam):
+    # The references in mpmath: in floats, L' + (1 - L)/lam cancels.
     pair = Pair(Exponential(lam), s)
-    p, slope = laplace(s, lam)
-    crossing = slope + (1.0 - p) / lam
-    completed = -slope / p
+    with mpmath.workdps(50):
+        ell, slope = laplace(s, lam, mp=True)
+        p, crossing = float(ell), float(slope + (1 - ell) / lam)
+        completed = float(-slope / ell)
     assert_covers(*pair.p, p)
     assert_covers(*pair.crossing, crossing)
     assert_covers(*pair.completed_service, completed)
@@ -301,6 +303,60 @@ def test_no_phase_service_reaches_the_lattice(y, service, monkeypatch):
         exact_age(pair, discipline)
         corollary_one(pair, discipline)
     k_pmf(pair, 12)
+
+
+PHASE_LAWS = [Exponential(0.7), Hyperexponential((0.3, 0.7), (0.4, 3.0)),
+              MIXES[2]]
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("other", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("phase", PHASE_LAWS,
+                         ids=["exponential", "hyperexponential", "rare-phase"])
+def test_no_phase_pair_integrates(phase, other, c, monkeypatch):
+    # With a phase law on either side, p, the crossing term and the
+    # completed-service term all come from the other law's Laplace
+    # descriptors, and the path says so.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a phase pair called expect")
+
+    monkeypatch.setattr(analytic, "expect", refuse)
+    phase, other = RESCALED[phase.kind](phase, c), RESCALED[other.kind](other, c)
+    for y, s in ((phase, other), (other, phase)):
+        pair = Pair(y, s)
+        assert exact_age(pair, PREEMPTION).method == "closed_form"
+        corollary_one(pair, PREEMPTION)  # corollary2
+        est = exact_age(pair, DROPPING)
+        if s.phases() is not None:
+            assert est.method == "closed_form"
+        corollary_one(pair, DROPPING)  # corollary1, and gm11 at E service
+        k_pmf(pair, 10)
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_mm_preemption_is_one_over_lambda_plus_one_over_mu(ratio, c):
+    # Quadrature read E[S | S <= Y] as 0 on E(1)/E(1e-6), whose service
+    # mean puts its first panel far past the e^-s weight of Y near 0.
+    lam, mu = 1.0 / c, ratio / c
+    est = exact_age(Pair(Exponential(lam), Exponential(mu)), PREEMPTION)
+    with mpmath.workdps(50):
+        want = float(1 / mpmath.mpf(lam) + 1 / mpmath.mpf(mu))
+    assert est.method == "closed_form"
+    assert_covers(est.value, est.ci_half_width, want)
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("y", [Uniform(0.0, 2.0), LAWS[-1]],
+                         ids=lambda d: d.kind)
+def test_gm_preemption_at_a_rare_service(y, c):
+    # The G/M preemptive age E[Y^2]/(2E[Y]) + 1/mu at mu = 1e-6/c.
+    arrivals, mu = RESCALED[y.kind](y, c), 1e-6 / c
+    est = exact_age(Pair(arrivals, Exponential(mu)), PREEMPTION)
+    with mpmath.workdps(50):
+        want = float(mpmath.mpf(arrivals.second_moment())
+                     / (2 * mpmath.mpf(arrivals.mean())) + 1 / mpmath.mpf(mu))
+    assert_covers(est.value, est.ci_half_width, want)
 
 
 @pytest.mark.parametrize("s", [Deterministic(1e4), ShiftedExponential(1.0, 1e4),

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -208,15 +209,79 @@ def test_laplace_complement_keeps_full_relative_precision(law, x):
         assert abs(got - want) <= 8 * EPS * want, float(abs(got - want) / want)
 
 
-def test_rayleigh_laplace_complement_up_to_the_series():
-    # exp(t^2) erfc(t) at t up to sqrt(50): rounding t^2 inside exp alone
-    # would cost up to t^2 eps/2, 25 eps, on this grid about 15.
+def test_rayleigh_transform_across_the_continued_fraction():
+    # Around z = 1, where the erfc form hands over to the continued
+    # fraction, and up to z = 20: formed as 1 - z g, L(s) would lose about
+    # z^2 ulps, 100 at z = 10.
     law = Rayleigh(1.0)
     with mpmath.workdps(80):
-        for z in np.linspace(4.0, distributions._RAYLEIGH_SERIES_FROM, 241):
-            want = 1 - mp_laplace(law, z)
+        for z in np.linspace(0.5, 20.0, 391):
+            want = mp_laplace(law, z)
+            assert abs(law.laplace(z) - want) <= 8 * EPS * want, z
             got = law.laplace_complement(z)
-            assert abs(got - want) <= 8 * EPS * want, z
+            assert abs(got - (1 - want)) <= 8 * EPS * (1 - want), z
+
+
+RARE_PHASE = Hyperexponential((0.99999999999999, 1e-14), (1.0, 1e-16))
+
+
+def mp_slope_remainder(law, s):
+    """(E[X exp(-s X)], E[1 - exp(-s X)(1 + s X)]) of ``law`` in mpmath:
+    phase by phase for a mixture, else the slope from its textbook closed
+    form and the remainder as 1 - L(s) - s M(s)."""
+    s, mpf = mpmath.mpf(s), mpmath.mpf
+    phases = law.phases()
+    if phases is not None:
+        w, r = ([mpf(v) for v in vs] for vs in phases)
+        return (mpmath.fsum(a * b / (b + s) ** 2 for a, b in zip(w, r)),
+                mpmath.fsum(a * (s / (b + s)) ** 2 for a, b in zip(w, r)))
+    if isinstance(law, ShiftedExponential):
+        r, d = mpf(law.rate), mpf(law.shift)
+        slope = mpmath.exp(-s * d) * r / (r + s) * (d + 1 / (r + s))
+    elif isinstance(law, Deterministic):
+        slope = law.value * mpmath.exp(-s * law.value)
+    elif isinstance(law, Uniform):
+        a, b = mpf(law.lower), mpf(law.upper)
+        slope = ((a / s + 1 / s**2) * mpmath.exp(-s * a)
+                 - (b / s + 1 / s**2) * mpmath.exp(-s * b)) / (b - a)
+    elif isinstance(law, Rayleigh):
+        z = law.scale * s
+        mills = (mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(z * z / 2)
+                 * mpmath.erfc(z / mpmath.sqrt(2)))
+        slope = law.scale * ((1 + z * z) * mills - z)
+    else:
+        r = mpf(law.rate)
+        slope = law.shape * r**law.shape / (r + s) ** (law.shape + 1)
+    return slope, 1 - mp_laplace(law, s) - s * slope
+
+
+@pytest.mark.parametrize("x", [1e-14, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 9.99,
+                               10.01, 1e3, 1e6])
+@pytest.mark.parametrize("law", ALL_KINDS + [Uniform(0.0, 1.0), RARE_PHASE],
+                         ids=lambda d: d.describe())
+def test_laplace_slope_and_remainder_keep_full_relative_precision(law, x):
+    # M(s) and R(s) at s E[X] = x against mpmath at 80 digits, which leave
+    # at least 40 after R's cancellation of about 2 log10(x) of them.  A
+    # reference below the normal float range, e^-(s E[X]) at s E[X] = 1e6,
+    # must come out below it too.
+    s = x / law.mean()
+    with mpmath.workdps(80):
+        for got, want in zip((law.laplace_slope(s), law.laplace_remainder(s)),
+                             mp_slope_remainder(law, s)):
+            if want < sys.float_info.min:
+                assert got < sys.float_info.min, (got, want)
+            else:
+                assert abs(got - want) <= 8 * EPS * want, float(
+                    abs(got - want) / want)
+
+
+def test_laplace_slope_and_remainder_at_zero_and_their_domain():
+    for law in ALL_KINDS:
+        assert law.laplace_slope(0.0) == law.mean()
+        assert law.laplace_remainder(0.0) == 0.0
+        for descriptor in (law.laplace_slope, law.laplace_remainder):
+            with pytest.raises(ValueError):
+                descriptor(-1.0)
 
 
 def test_laplace_complement_at_zero_and_its_domain():

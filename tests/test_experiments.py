@@ -138,21 +138,22 @@ def test_divergent_points_are_recorded_not_fatal():
 @pytest.mark.parametrize("discipline,y,s,tags,primitive,count", [
     (Discipline.DROPPING, Uniform(0.0, 0.2), Rayleigh(2.0),
      ("exact", "corollary1"), "_lattice_cycles", 1),
-    (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
-     ("exact", "corollary2"), "expect", 2),
-    (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),
-     ("exact", "corollary1", "gm11"), "expect", 1),
+    (Discipline.PREEMPTION, Uniform(0.0, 2.0), Rayleigh(1.0),
+     ("exact", "corollary2"), "expect", 3),
+    (Discipline.PREEMPTION, Uniform(0.0, 2.0), Rayleigh(1.0),
+     ("exact",), "expect", 3),
     (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),
      ("corollary1", "gm11"), "expect", 0),
+    (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
+     ("exact", "corollary2"), "expect", 0),
 ], ids=["lattice-solve-pair", "success-probability", "geometric-crossing",
-        "geometric-moments"])
+        "geometric-moments", "phase-pair"])
 def test_each_primitive_is_computed_once_per_point(monkeypatch, discipline, y,
                                                    s, tags, primitive, count):
-    # An age and a bound of one grid point share its one Pair: under
-    # preemption the crossing and the completed-service terms are one
-    # integral each, and p at exponential arrivals is L_S(lam), none.  The
-    # geometric record of exponential-service dropping integrates its
-    # crossing sum only when the exact age reads it.
+    # An age and a bound of one grid point share its one Pair: without a
+    # phase law, p, the crossing and the completed-service terms are one
+    # integral each, whether one estimator reads them or two.  With a
+    # phase law on either side none is integrated.
     calls = []
     original = getattr(analytic, primitive)
 
