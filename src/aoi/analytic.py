@@ -24,33 +24,27 @@ Poisson arrivals (path ``closed_form``)
     Dropping with arrivals at rate lam drops Poisson(lam S) of them during
     a service S: E[K] = 1 + lam E[S], E[K^2] = 1 + 3 lam E[S] +
     lam^2 E[S^2] and the crossing sum is lam E[S^2]/2, the M/G/1/1 age
-    (Inoue et al., IEEE Trans. Inf. Theory, 2019).  Pr(K = k) is the
-    phase mix's below for a phase service, else the lattice's.
+    (Inoue et al., IEEE Trans. Inf. Theory, 2019), and Pr(K = k) is
+    pi_{k-1}(lam), the service's ``poisson_mix``.
 
-Geometric K (paths ``closed_form`` and ``quadrature``)
-    Under preemption K is geometric in p = Pr(S <= Y).  Under dropping at
-    other arrivals a service that is a mixture of exponential phases
-    (``phases()`` is not None: the exponential and hyperexponential laws)
-    has its phase drawn once per cycle, so K is geometric in
-    p_i = 1 - L(r_i) with probability w_i (the phase's weight and rate, L
-    the interarrival transform by its cancellation-free
-    ``laplace_complement``).  E[K], E[K^2], Pr(K = k) and the crossing sum
-    weigh the phases' 1/p_i, (2-p_i)/p_i^2, p_i (1-p_i)^(k-1) and
-    c_i/p_i^2 by w_i, with c_i = E[Y exp(-r_i Y)] = M(r_i), the
-    interarrival law's ``laplace_slope``.
-    With a phase law on either side, preemption's three terms are closed
-    forms in the other law's complement, slope M and remainder R at the
-    phase rates, each phase an M/G or G/M pair: at a phase service
-    p = sum_i w_i p_i, E[Y Pr(S > Y)] = sum_i w_i c_i and
-    E[S; S <= Y] = sum_i w_i R_Y(r_i)/r_i; at phase arrivals (phase i of
-    the gap law) p = sum_i w_i L_S(r_i), E[S; S <= Y] = sum_i w_i M_S(r_i)
-    and E[Y Pr(S > Y)] = sum_i w_i R_S(r_i)/r_i.  Such a record integrates
-    nothing and its path is ``closed_form``.  Otherwise each term is one
-    quadrature of ``expect``, whose error is its 20- and 10-point rules'
-    disagreement plus a roundoff floor, and the path is ``quadrature``.
-    Each interval spans its values at the ends of the p brackets, p - err
-    and min(p + err, 1), with the crossing terms' errors.  Dividing by p,
-    not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.
+Erlang blocks (paths ``closed_form`` and ``quadrature``)
+    A law whose ``phases()`` is not None (exponential, Erlang,
+    hyperexponential) is a mixture of Erlang blocks, block i of weight
+    w_i, n_i phases and rate r_i.  With one on either side (the service's
+    if both), p = Pr(S <= Y), E[Y Pr(S > Y)] and E[S; S <= Y] are the
+    w-sums of each block's closed forms in pi and T, the other law's
+    ``poisson_mix`` at r_i (:attr:`Pair._by_block`; Neuts, Matrix-Geometric
+    Solutions in Stochastic Models, 1981), and integrate nothing.  Under
+    preemption K is geometric in p, and with no block law each term is
+    one quadrature of ``expect``, whose error is its 20- and 10-point
+    rules' disagreement plus a roundoff floor (path ``quadrature``).  Each
+    interval spans its values at the ends of the p bracket, p - err and
+    min(p + err, 1), with the crossing term's error.  Dividing by p, not
+    1 - p, gives the M/M/1/1 age 1/lam + 1/mu.  Under dropping at other
+    arrivals a block service draws its block once per cycle and climbs
+    Poisson(r_i Y) of its phases in a gap, so K's record is the w-mix of
+    the blocks' records (:func:`_block_sums`), at n_i = 1 geometric in
+    p_i = T_0.
 
 Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other pair integrates the service ccdf against U,
@@ -61,7 +55,7 @@ Lattice (paths ``lattice`` and ``closed_form``)
     step h = E[Y]/256 that ends where the service keeps at most 1e-13 of
     its mass, and u = delta + f*u is solved by an exponentially tilted
     FFT.  The services left here are bounded (D, U) or light-tailed (SE,
-    R, Erlang), so that cut leaves under 1e-10 of E[S] and of E[S^2].
+    R), so that cut leaves under 1e-10 of E[S] and of E[S^2].
     Every lattice sum is one inner product of half spectra.  Two
     transforms of the n lattice points are each built only when read.
     The renewal transform gives E[K], E[K^2] and the crossing sum, once,
@@ -198,50 +192,53 @@ class Pair:
     @cached_property
     def p(self) -> Interval:
         """p = Pr(S <= Y) and its quadrature error, 0 in closed form at a
-        phase law (:attr:`_by_phase`).  Ties count as successes, like the
+        block law (:attr:`_by_block`).  Ties count as successes, like the
         simulator's, and a p within its error of 0 is 0: rounding must not
         make an impossible completion possible."""
-        if self._by_phase is not None:
-            return Interval(min(self._phase_sum(0), 1.0), 0.0)
+        if self._by_block is not None:
+            return Interval(min(self._by_block[0], 1.0), 0.0)
         mean_tail, err = expect(self.interarrival, self.service.ccdf,
                                 extra_breakpoints=self.service.breakpoints())
         p = 1.0 - mean_tail
         return Interval(0.0 if p <= err else min(p, 1.0), err)
 
     @cached_property
-    def _by_phase(self) -> tuple[tuple, list[tuple[float, float, float]]
-                                 ] | None:
-        """The phase weights w_i of the service, else of the gaps, else
-        None, and given phase i the three terms p_i = Pr(S <= Y),
-        c_i = E[Y Pr(S > Y)] and E[S; S <= Y], from the other law's
-        Laplace descriptors (complement, slope M and remainder R) at the
-        phase rate r_i.
-
-        Service phases: p_i = 1 - L_Y(r_i), c_i = M_Y(r_i) and
-        E[S; S <= Y] = R_Y(r_i)/r_i.  Gap phases: p_i = L_S(r_i),
-        c_i = R_S(r_i)/r_i and E[S; S <= Y] = M_S(r_i)."""
-        if (phases := self.service.phases()) is not None:
-            y = self.interarrival
-            return phases[0], [(y.laplace_complement(r), y.laplace_slope(r),
-                                y.laplace_remainder(r) / r)
-                               for r in phases[1]]
-        if (phases := self.interarrival.phases()) is not None:
-            s = self.service
-            return phases[0], [(s.laplace(r), s.laplace_remainder(r) / r,
-                                s.laplace_slope(r)) for r in phases[1]]
+    def _mixes(self) -> tuple[bool, tuple, list[tuple]] | None:
+        """Whether the service (else the gaps) is a mixture of Erlang
+        blocks, its blocks (w_i, n_i, r_i) and the other law's
+        ``poisson_mix`` at each block's rate up to j = n_i, one call per
+        block; None when neither law is."""
+        for service, law, other in ((True, self.service, self.interarrival),
+                                    (False, self.interarrival, self.service)):
+            if (blocks := law.phases()) is not None:
+                return service, blocks, [other.poisson_mix(r, n)
+                                         for n, r in zip(*blocks[1:])]
         return None
 
-    def _phase_sum(self, i: int) -> float:
-        """The w-weighted sum of the phases' i-th term."""
-        w, terms = self._by_phase
-        return sum(a * t[i] for a, t in zip(w, terms))
+    @cached_property
+    def _by_block(self) -> tuple[float, float, float] | None:
+        """p = Pr(S <= Y), E[Y Pr(S > Y)] and E[S; S <= Y], each the
+        w-sum of the blocks' terms in pi and T of the other law at the
+        block's rate r and shape n, with h = sum_{j<n} (j+1) pi_{j+1}/r:
+        at a service block T_{n-1}, h and (n/r) T_n; at a gap block
+        pi_0 + ... + pi_{n-1}, (n/r) T_n and h."""
+        if self._mixes is None:
+            return None
+        service, (w, shapes, rates), mixes = self._mixes
+        terms = []
+        for n, r, (pi, tail) in zip(shapes, rates, mixes):
+            h = float(np.arange(1.0, n + 1.0) @ pi[1:]) / r
+            rest = n * float(tail[n]) / r
+            terms.append((float(tail[n - 1]), h, rest) if service
+                         else (float(pi[:n].sum()), rest, h))
+        return tuple(sum(a * t[i] for a, t in zip(w, terms)) for i in range(3))
 
     @cached_property
     def crossing(self) -> Interval:
-        """E[Y Pr(S > Y)] and its quadrature error, 0 at a phase law; over
+        """E[Y Pr(S > Y)] and its quadrature error, 0 at a block law; over
         p^2, the crossing sum of a geometric K."""
-        if self._by_phase is not None:
-            return Interval(self._phase_sum(1), 0.0)
+        if self._by_block is not None:
+            return Interval(self._by_block[1], 0.0)
         return Interval(*expect(self.interarrival,
                                 lambda y: y * self.service.ccdf(y),
                                 extra_breakpoints=self.service.breakpoints()))
@@ -249,13 +246,13 @@ class Pair:
     @cached_property
     def completed_service(self) -> Interval:
         """E[S | the service completes] = E[S Pr(Y >= S)] / p over the
-        brackets of both, the numerator in closed form at a phase law;
+        brackets of both, the numerator in closed form at a block law;
         raises :class:`ZeroSuccessProbability` when no service can
         complete."""
         if self.p.value <= 0.0:
             raise ZeroSuccessProbability(self._no_success())
-        if self._by_phase is not None:
-            return Interval(self._phase_sum(2), 0.0).over(self.p)
+        if self._by_block is not None:
+            return Interval(self._by_block[2], 0.0).over(self.p)
         return Interval(*expect(
             self.service, lambda s: s * self.interarrival.tail_inclusive(s),
             extra_breakpoints=self.interarrival.breakpoints())).over(self.p)
@@ -270,24 +267,37 @@ class Pair:
     def cycles(self, discipline: Discipline) -> Cycles:
         """K's record under ``discipline``, on the module docstring's path."""
         if discipline is Discipline.PREEMPTION:
-            return self._geometric_cycles(discipline, (1.0,), [self.p],
-                                          lambda: [self.crossing])
+            return self._geometric_cycles()
         if isinstance(self.interarrival, Exponential):
             return self._poisson_cycles()
         return self._dropping
 
     @cached_property
     def _dropping(self) -> Cycles:
-        """The phase mix's dropping record, else the lattice's."""
+        """The service blocks' dropping record, else the lattice's."""
         if self.service.phases() is None:
             return _lattice_cycles(self.interarrival, self.service)
-        w, terms = self._by_phase
-        p, c = ([Interval(t[i], 0.0) for t in terms] for i in (0, 1))
-        return self._geometric_cycles(Discipline.DROPPING, w, p, lambda: c)
+        _, (w, shapes, rates), mixes = self._mixes
+        # A block needs at most 1/T_0 gaps a phase, so E[K^2] and the
+        # crossing sum are at most about 2 (n/T_0)^2 and E[Y] (n/T_0)^2.
+        top = 2.0 * max(1.0, self.interarrival.mean()) * max(shapes) ** 2
+        if min(tail[0] for _, tail in mixes) ** 2 * sys.float_info.max < top:
+            raise TruncationNotReached(self._no_success())
+        k_mean, k_second, crossing = (Interval(float(v), 0.0) for v in np.dot(
+            w, [_block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)]))
+
+        def pmf(k_max: int) -> tuple[Interval, Interval]:
+            probs, tail = zip(*(_block_pmf(*m, n, k_max)
+                                for m, n in zip(mixes, shapes)))
+            return (Interval(np.dot(w, probs), np.zeros(k_max)),
+                    Interval(float(np.dot(w, tail)), 0.0))
+        return Cycles("closed_form", lambda: (k_mean, k_second),
+                      lambda: crossing, pmf)
 
     def _poisson_cycles(self) -> Cycles:
         """The dropping record at exponential arrivals: exact sums, which
-        raise :class:`TruncationNotReached` when E[K^2] overflows."""
+        raise :class:`TruncationNotReached` when E[K^2] overflows, and
+        Pr(K = k) = pi_{k-1} of the service at the arrival rate."""
         lam, m1 = self.interarrival.rate, self.service.mean()
         m2 = self.service.second_moment()
         k_second = 1.0 + 3.0 * lam * m1 + lam * lam * m2
@@ -297,48 +307,80 @@ class Pair:
                 raise TruncationNotReached(
                     f"E[K^2] overflows: E[S^2] = {m2!r}, arrival rate {lam!r}")
             return Interval(value, 0.0)
+
+        def pmf(k_max: int) -> tuple[Interval, Interval]:
+            pi, tail = self.service.poisson_mix(lam, k_max - 1)
+            return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
         return Cycles("closed_form",
                       lambda: (exact(1.0 + lam * m1), exact(k_second)),
-                      lambda: exact(0.5 * lam * m2),
-                      lambda k_max: self._dropping.pmf(k_max))
+                      lambda: exact(0.5 * lam * m2), pmf)
 
-    def _geometric_cycles(self, discipline: Discipline, w: tuple,
-                          p: list[Interval], crossing: Callable) -> Cycles:
-        """K geometric in p_i with probability w_i, from intervals of the
-        p_i and c_i.  Where E[K^2] or the crossing sum, about 2/p_i^2 and
-        E[Y]/p_i^2, could overflow, it raises :class:`ZeroSuccessProbability`
-        under preemption, else :class:`TruncationNotReached`."""
-        lo = [q.value - q.half_width for q in p]
-        hi = [min(q.value + q.half_width, 1.0) for q in p]
-        top = 2.0 * max(1.0, self.interarrival.mean())
-        if min(lo) <= 0.0 or min(lo) ** 2 * sys.float_info.max < top:
-            raise (ZeroSuccessProbability if discipline is Discipline.PREEMPTION
-                   else TruncationNotReached)(self._no_success())
-        mix = lambda terms: sum(a * b for a, b in zip(w, terms))
+    def _geometric_cycles(self) -> Cycles:
+        """Preemption's K, geometric in p, from the intervals of p and of the
+        crossing term.  Where E[K^2] or the crossing sum, about 2/p^2 and
+        E[Y]/p^2, could overflow, it raises :class:`ZeroSuccessProbability`."""
+        lo = self.p.value - self.p.half_width
+        hi = min(self.p.value + self.p.half_width, 1.0)
+        if lo <= 0.0 or lo * lo * sys.float_info.max < 2.0 * max(
+                1.0, self.interarrival.mean()):
+            raise ZeroSuccessProbability(self._no_success())
 
         def crossing_sum() -> Interval:
-            c = crossing()
-            return Interval.between(
-                mix((v + e) / q**2 for (v, e), q in zip(c, lo)),
-                mix((v - e) / q**2 for (v, e), q in zip(c, hi)))
+            v, e = self.crossing
+            return Interval.between((v + e) / lo**2, (v - e) / hi**2)
 
         def pmf(k_max: int) -> tuple[Interval, Interval]:
             # p (1-p)^(k-1) grows with its first factor, falls with its second
             k = np.arange(k_max + 1.0)
-            down, up = ([(1.0 - q) ** k for q in end] for end in (lo, hi))
-            return (Interval.between(mix(q * u[:-1] for q, u in zip(lo, up)),
-                                     mix(q * d[:-1] for q, d in zip(hi, down))),
-                    Interval.between(mix(d[-1] for d in down),
-                                     mix(u[-1] for u in up)))
-        moments = tuple(Interval.between(mix(map(f, lo)), mix(map(f, hi)))
+            down, up = (1.0 - lo) ** k, (1.0 - hi) ** k
+            return (Interval.between(lo * up[:-1], hi * down[:-1]),
+                    Interval.between(down[-1], up[-1]))
+        moments = tuple(Interval.between(f(lo), f(hi))
                         for f in (lambda q: 1.0 / q, lambda q: (2 - q) / q**2))
-        return Cycles("quadrature" if self._by_phase is None else "closed_form",
+        return Cycles("quadrature" if self._by_block is None else "closed_form",
                       lambda: moments, crossing_sum, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "
                 f"{self.interarrival.describe()} "
                 f"vs service {self.service.describe()}")
+
+
+def _block_sums(pi: np.ndarray, tail: np.ndarray, n: int, rate: float
+                ) -> tuple[float, float, float]:
+    """E[K], E[K^2] and the crossing sum under dropping for one service
+    block, Erlang(n, rate), from pi and T of the gaps at the rate.
+    A gap moves the block's phase up by Poisson(rate Y), so with N the
+    shift matrix Pr(K > k) = e_1 M^k 1 for M = sum_{j<n} pi_j N^j, upper
+    triangular Toeplitz, and such matrices multiply as power series cut to
+    n terms.  b, the first row of (I - M)^-1, is b_0 = 1/T_0 and
+    b_k = sum_{i=1..k} pi_i b_{k-i}/T_0, so E[K] = sum b,
+    E[K^2] = 2 sum(pi * b * b) + E[K] and the crossing sum is sum(b * b * m),
+    m_j = (j+1) pi_{j+1}/rate the gaps' E[Y Pr(Poisson(rate Y) = j)]: every
+    term nonnegative, and at n = 1 the geometric 1/p, (2-p)/p^2 and c/p^2."""
+    b = np.empty(n)
+    b[0] = 1.0 / tail[0]
+    for k in range(1, n):
+        b[k] = (pi[1:k + 1] @ b[k - 1::-1]) / tail[0]
+    # sum(a * bb), cut to n terms, is a . (the partial sums of bb, reversed)
+    sums = np.add.accumulate(np.convolve(b, b)[:n])[::-1]
+    k_mean = float(np.add.reduce(b))
+    return (k_mean, 2.0 * float(pi[:n] @ sums) + k_mean,
+            float((np.arange(1.0, n + 1.0) * pi[1:]) @ sums) / rate)
+
+
+def _block_pmf(pi: np.ndarray, tail: np.ndarray, n: int, k_max: int
+               ) -> tuple[np.ndarray, float]:
+    """Pr(K = k), k = 1..k_max, and Pr(K > k_max) for one service block
+    (:func:`_block_sums`): Pr(K = k) = e_1 M^(k-1) (I - M) 1, the first row
+    of M^(k-1), pi's (k-1)-th convolution power cut to n terms, against the
+    chances T_{n-1-i} that phase i completes within a gap."""
+    power, exits = np.eye(1, n)[0], tail[n - 1::-1]
+    out = np.empty(k_max)
+    for k in range(k_max):
+        out[k] = power @ exits
+        power = np.convolve(power, pi[:n])[:n]
+    return out, float(power.sum())
 
 
 def _truncation_point(service: Distribution) -> float:

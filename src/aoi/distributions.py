@@ -6,17 +6,16 @@ family of laws. Each law is a frozen dataclass exposing
 * exact first and second moments,
 * the complementary CDF with the strict convention ``Pr(X > x)``, so a
   point mass at ``v`` satisfies ``ccdf(v) == 0``,
-* the Laplace transform L(s) = ``E[exp(-s X)]``, its complement
-  ``1 - L(s)``, its slope ``E[X exp(-s X)] = -L'(s)`` and its remainder
-  ``E[1 - exp(-s X)(1 + s X)] = 1 - L(s) - s L'(s)``, each in closed form
-  and without cancellation: sums of nonnegative terms, and positive
-  series where a difference would lose digits,
+* its mixed-Poisson law, ``poisson_mix(s, j_max)``:
+  pi_j = Pr(Poisson(sX) = j) and the tails T_j = sum_{i>j} pi_i, each a
+  sum or product of nonnegative terms (pi_0 is the Laplace transform
+  ``laplace(s)``, T_0 its complement, pi_1/s = E[X exp(-sX)]),
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
-* its exponential phases, ``phases()``: weights and rates for a mixture
-  of exponential phases, ``None`` for every other law.  The exponential
-  law is the one-phase mixture and the hyperexponential any other, and
-  both take every descriptor from the one mixture code,
+* its Erlang blocks, ``phases()``: weights, shapes and rates of a mixture
+  of Erlang laws (the exponential law one one-phase block, the Erlang law
+  one block, the hyperexponential law one-phase blocks, all described by
+  one mixture code), ``None`` for every other law,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
 Every integral (:func:`expect`) comes from one vectorized panel quadrature:
@@ -72,9 +71,16 @@ _PANEL_GRID = 4      # panels cut at 1, 2, ..., 4 means
 _MAX_DEPTH = 50      # bisection rounds
 _MAX_PANELS = 4096   # failing panels in one round
 _EPS = float(np.finfo(float).eps)
-_PHI_SERIES_BELOW = 2.0  # y below which phi(y) is a positive series
-_EXP_UNDERFLOW = 750.0   # exp(-y) is 0 in floats from here on
-_MILLS_CF_FROM = 1.0     # z = scale s from which the continued fraction is used
+# The mixed-Poisson terms are summed and multiplied in NumPy's long double
+# (64 bits of mantissa on x86-64), so that neither a rate argument such as
+# s/(r+s), rounded once and raised to the j-th power, nor a running product
+# of j ratios costs a double's last bits; each result is then rounded once.
+_EXT = np.longdouble
+_EXT_EPS = float(np.finfo(_EXT).eps)
+_EXP_NORMAL = float(-np.log(np.finfo(_EXT).smallest_normal))  # e^-t normal below
+_FORWARD_REACH = 1.5     # z sqrt(m) below which Rayleigh's ratios run forward
+_EXTENSION = 64          # pmf terms taken past j_max before the tail is checked
+_MAX_TERMS = 1 << 20     # pmf terms past which a tail is taken as it stands
 
 
 def _over_square(num: float, x: float) -> float:
@@ -84,53 +90,103 @@ def _over_square(num: float, x: float) -> float:
     return num / square if square else num / x / x
 
 
-def _series(term: float, ratio: Callable[[int], float]) -> float:
-    """term + term ratio(1) + term ratio(1) ratio(2) + ..., a series of
-    nonnegative terms that eventually fall, summed until a term is under
-    eps of the sum."""
-    total, k = 0.0, 1
-    while term > _EPS * total:
-        total += term
-        term *= ratio(k)
-        k += 1
-    return total
+def _running(first, ratio: Callable[[np.ndarray], np.ndarray]):
+    """terms(size) for :func:`_law`: first, first ratio(1), first ratio(1)
+    ratio(2), ..., each a product of nonnegative factors."""
+    return lambda size: np.multiply.accumulate(
+        np.concatenate(([first], ratio(np.arange(1.0, size)))))
 
 
-def _phi(y: float) -> float:
-    """1 - e^-y (1 + y) for y >= 0: below 2 as y^2 e^-y (1/2! + y/3! +
-    ...), where the difference would lose up to all its digits, and from
-    there as the difference, which loses under a bit."""
-    if y < _PHI_SERIES_BELOW:
-        return y * y * _phi_over_square(y)
-    y = min(y, _EXP_UNDERFLOW)  # keeps y e^-y a number at y = inf
-    return -math.expm1(-y) - y * math.exp(-y)
+def _above(pmf: np.ndarray) -> np.ndarray:
+    """sum_{i>j} pmf_i for each j but the last, summed from the far end."""
+    return np.add.accumulate(pmf[::-1])[-2::-1]
 
 
-def _phi_over_square(y: float) -> float:
-    """(1 - e^-y (1 + y)) / y^2 = E[U e^-yU], U uniform on (0, 1)."""
-    if y < _PHI_SERIES_BELOW:
-        return math.exp(-y) * _series(0.5, lambda k: y / (k + 2))
-    return _phi(y) / y / y
+def _law(terms: Callable[[int], np.ndarray], j_max: int, whole: bool
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The pmf p_0..p_{size-1} = ``terms(size)``, from j = 0 to past j_max,
+    and its tails T_j = sum_{i>j} p_i: 1 - head, losing under a bit, where
+    the head at j_max is at most 1/2; else, and for the ``whole`` law,
+    :func:`_above` once the terms, run on _EXTENSION past j_max and then
+    doubling, fall and leave at most p_L^2/(p_{L-1} - p_L), under the
+    working precision of the mass past j_max (or reach _MAX_TERMS)."""
+    size = j_max + (_EXTENSION if whole else 2)
+    while True:
+        pmf = terms(size)
+        if not whole:
+            head = np.add.accumulate(pmf[:j_max + 1])
+            if head[-1] <= 0.5:
+                return pmf, 1.0 - head
+        tail = _above(pmf)
+        last, before = pmf[-1], pmf[-2]
+        if (not last or size > _MAX_TERMS or (last < before and last * last
+                <= _EXT_EPS * (before - last) * tail[j_max])):
+            return pmf, tail
+        size = 2 * size + _EXTENSION
 
 
-def _mean_complement(w: float) -> float:
-    """E[1 - e^-wU] = 1 - (1 - e^-w)/w, U uniform on (0, 1): below 1 as
-    w e^-w (1/2! + 2w/3! + 3w^2/4! + ...), from there as the difference,
-    which loses under 2 bits."""
-    if w < 1.0:
-        return w * math.exp(-w) * _series(
-            0.5, lambda k: (k + 1) * w / (k * (k + 2)))
-    return 1.0 + math.expm1(-w) / w
+def _poisson_far(t, size: int) -> np.ndarray:
+    """Pr(N = j), j < size, N ~ Poisson(t), where e^-t is not a normal
+    number, by Loader's saddle-point form log Pr(N = j) = -(j log(j/t) +
+    t - j) - log(2 pi j)/2 - stirlerr(j): log(j/t) as log1p((j-t)/t) for
+    j >= t/2 loses eps |j - t|, not eps j log t, and two terms of Stirling's
+    series hold stirlerr(j) to a long double wherever a term is a normal
+    double, j > t - 38 sqrt(t) > 7000."""
+    j = np.arange(1, size, dtype=_EXT)
+    d, inv = j - t, 1 / j
+    log_ratio = np.where(2 * j < t, np.log(j / t),
+                         np.log1p(np.maximum(d / t, -0.5)))
+    log_pmf = (d - j * log_ratio - np.log(2 * np.arccos(_EXT(-1)) * j) / 2
+               - inv * (_EXT(1) / 12 - inv * inv / 360))
+    return np.exp(np.concatenate(([-t], log_pmf)))
 
 
-def _mean_phi(w: float) -> float:
-    """E[1 - e^-wU (1 + wU)] = 1 - 2 (1 - e^-w)/w + e^-w, U uniform on
-    (0, 1): below 8 as w^2 e^-w (1/3! + 2w/4! + 3w^2/5! + ...), from
-    there as the sum, which loses under a bit."""
-    if w < 8.0:
-        return w * w * math.exp(-w) * _series(
-            1.0 / 6.0, lambda k: (k + 1) * w / (k * (k + 3)))
-    return 1.0 + 2.0 * math.expm1(-w) / w + math.exp(-w)
+def _poisson(t, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pr(N = j) and Pr(N > j), N ~ Poisson(t), j = 0 to past j_max + 1, by
+    :func:`_law`, the whole law for t < j_max + 1, where the head is likely
+    past 1/2: running products from e^-t, else :func:`_poisson_far`'s."""
+    terms = (_running(np.exp(-t), lambda j: t / j) if t < _EXP_NORMAL
+             else functools.partial(_poisson_far, t))
+    return _law(terms, j_max, t < j_max + 1)
+
+
+def _shifted(t, base: tuple[np.ndarray, np.ndarray], j_max: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed-Poisson law of X + c, t = s c, from X's: a shift adds an
+    independent Poisson(t) count, so pi is Poisson(t) convolved with X's,
+    and T_j = sum_{i<=j} Pr(Poisson(t) = i) T^X_{j-i} + Pr(Poisson(t) > j)."""
+    if not t:
+        return base
+    pmf, tail = (v[:j_max + 1] for v in _poisson(t, j_max))
+    return (np.convolve(pmf, base[0])[:j_max + 1],
+            np.convolve(pmf, base[1])[:j_max + 1] + tail)
+
+
+def _block(n: int, rate, s, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed-Poisson law of Erlang(n, rate) at s, negative binomial:
+    pi_j = C(n+j-1, j) q^n x^j, x = s/(rate+s), q = rate/(rate+s).  One
+    phase is geometric, with T_j = x^(j+1)."""
+    x, q = s / (rate + s), rate / (rate + s)
+    if n == 1:
+        power = x ** np.arange(j_max + 2.0)
+        return q * power[:-1], power[1:]
+    first = q ** n
+    pmf, tail = _law(_running(first, lambda j: (n - 1 + j) * x / j), j_max,
+                     first > 0.5)
+    return pmf[:j_max + 1], tail[:j_max + 1]
+
+
+def _uniform_base(w, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed-Poisson law of U(0, c) at s, w = s c, N ~ Poisson(w):
+    pi_k = Pr(N > k)/w, a pmf since E[N] = w, and T_k = E[(N - k - 1)^+]/w:
+    for w >= k + 1, (w - k - 1 + sum_{i<=k} (k+1-i) Pr(N = i))/w, else the
+    upward series sum_{i>k} Pr(N > i)/w over :func:`_poisson`'s whole law,
+    taken for w < j_max + 2.  In long doubles w = s c is never 0."""
+    pmf, tail = _poisson(w, j_max + 1)
+    k1 = np.arange(1.0, j_max + 2)
+    below = np.add.accumulate(np.add.accumulate(pmf[:j_max + 1]))
+    over = np.where(w >= k1, w - k1 + below, _above(tail)[:j_max + 1])
+    return tail[:j_max + 1] / w, over / w
 
 
 class MrlVerdict(str, Enum):
@@ -197,49 +253,26 @@ class Distribution(ABC):
     def _pdf(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} has no density")
 
-    @staticmethod
-    def _transform(s: float, at_zero: float, closed: Callable[[float], float]
-                   ) -> float:
+    def poisson_mix(self, s: float, j_max: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """pi_j = Pr(Poisson(sX) = j) = E[exp(-sX) (sX)^j/j!] and its tails
+        T_j = sum_{i>j} pi_i, j = 0..j_max, for s >= 0, each a sum or
+        product of nonnegative terms."""
         if s < 0:
-            raise ValueError("laplace transform argument must be >= 0")
-        return at_zero if s == 0.0 else closed(s)
+            raise ValueError("poisson_mix rate must be >= 0")
+        if s == 0.0:
+            return np.eye(1, j_max + 1)[0], np.zeros(j_max + 1)
+        pi, tail = self._poisson_mix(_EXT(s), j_max)
+        return pi[:j_max + 1].astype(float), tail[:j_max + 1].astype(float)
+
+    @abstractmethod
+    def _poisson_mix(self, s, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """pi and T for s > 0, s a long double, in long doubles, from
+        j = 0 to j_max or past it."""
 
     def laplace(self, s: float) -> float:
-        """L(s) = E[exp(-s X)] for s >= 0."""
-        return self._transform(s, 1.0, self._laplace)
-
-    @abstractmethod
-    def _laplace(self, s: float) -> float:
-        """E[exp(-s X)] for s > 0, in closed form."""
-
-    def laplace_complement(self, s: float) -> float:
-        """1 - L(s) for s >= 0, without the cancellation of subtracting the
-        transform from 1: its full relative precision wherever s E[X] is
-        small."""
-        return self._transform(s, 0.0, self._laplace_complement)
-
-    @abstractmethod
-    def _laplace_complement(self, s: float) -> float:
-        """1 - E[exp(-s X)] for s > 0, as a sum of nonnegative terms."""
-
-    def laplace_slope(self, s: float) -> float:
-        """M(s) = E[X exp(-s X)] = -L'(s) for s >= 0; E[X] at 0."""
-        return self._transform(s, self.mean(), self._laplace_slope)
-
-    @abstractmethod
-    def _laplace_slope(self, s: float) -> float:
-        """E[X exp(-s X)] for s > 0, as a sum of nonnegative terms."""
-
-    def laplace_remainder(self, s: float) -> float:
-        """R(s) = E[1 - exp(-s X)(1 + s X)] = 1 - L(s) - s M(s) for s >= 0,
-        without cancellation: its full relative precision wherever s E[X]
-        is small, where it is about s^2 E[X^2]/2."""
-        return self._transform(s, 0.0, self._laplace_remainder)
-
-    @abstractmethod
-    def _laplace_remainder(self, s: float) -> float:
-        """E[1 - exp(-s X)(1 + s X)] for s > 0, as a sum of nonnegative
-        terms."""
+        """L(s) = E[exp(-s X)] = pi_0(s) for s >= 0."""
+        return float(self.poisson_mix(s, 0)[0][0])
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -254,9 +287,10 @@ class Distribution(ABC):
         """The ageing class of the law over its whole support, read from
         its parameters."""
 
-    def phases(self) -> tuple[tuple, tuple] | None:
-        """(w, r) when the law is a mixture of exponential phases, phase i
-        drawn with probability w_i and of rate r_i; ``None`` otherwise."""
+    def phases(self) -> tuple[tuple, tuple, tuple] | None:
+        """(w, n, r) when the law is a mixture of Erlang blocks, block i
+        drawn with probability w_i and the sum of n_i exponential phases of
+        rate r_i; ``None`` otherwise."""
         return None
 
     # -- serialization ------------------------------------------------------
@@ -274,41 +308,64 @@ class Distribution(ABC):
         return f"{self.kind}({params})"
 
 
+def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
+    """Pr(Poisson(t) < n), t = rate x: the terms e^-t t^i / i! are each at
+    most 1, taken in log space so that none overflows and none underflows
+    before the sum does."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = rate * np.maximum(xs, 0.0)
+        log_t = np.log(t)
+        out = np.exp(-t)
+        for i in range(1, n):
+            out += np.exp(i * log_t - t - math.lgamma(i + 1))
+    return np.where(np.isinf(t), 0.0, out)
+
+
+def _erlang_pdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
+    if n == 1:
+        return rate * np.exp(-rate * xs)
+    xs = np.maximum(xs, 0.0)
+    with np.errstate(divide="ignore"):
+        logpdf = (n * math.log(rate) + (n - 1) * np.log(xs)
+                  - rate * xs - math.lgamma(n))
+    return np.where(xs > 0, np.exp(logpdf), 0.0)
+
+
 class _PhaseMix:
-    """The descriptors of a mixture of exponential phases, read from its
-    :meth:`~Distribution.phases`: the exponential law is its one-phase
-    case, the hyperexponential law any other."""
+    """The descriptors of a mixture of Erlang blocks, read from its
+    :meth:`~Distribution.phases`."""
+
+    def _blocks(self):
+        return zip(*self.phases())
 
     def mean(self):
-        return sum(w / r for w, r in zip(*self.phases()))
+        return sum(w * n / r for w, n, r in self._blocks())
 
     def second_moment(self):
-        return sum(_over_square(2.0 * w, r) for w, r in zip(*self.phases()))
+        return sum(_over_square(w * n * (n + 1), r) for w, n, r in self._blocks())
 
     def _ccdf(self, xs):
-        return sum(w * np.exp(-r * xs) for w, r in zip(*self.phases()))
+        return sum(w * _erlang_ccdf(n, r, xs) for w, n, r in self._blocks())
 
     def _pdf(self, xs):
-        return sum(w * r * np.exp(-r * xs) for w, r in zip(*self.phases()))
+        return sum(w * _erlang_pdf(n, r, xs) for w, n, r in self._blocks())
 
-    def _laplace(self, s):
-        return sum(w * r / (r + s) for w, r in zip(*self.phases()))
-
-    def _laplace_complement(self, s):
-        return sum(w * s / (r + s) for w, r in zip(*self.phases()))
-
-    def _laplace_slope(self, s):
-        return sum(w * (r / (r + s)) / (r + s) for w, r in zip(*self.phases()))
-
-    def _laplace_remainder(self, s):
-        return sum(w * (s / (r + s)) ** 2 for w, r in zip(*self.phases()))
+    def _poisson_mix(self, s, j_max):
+        blocks = [(w, _block(n, r, s, j_max)) for w, n, r in self._blocks()]
+        if len(blocks) == 1:  # of weight 1
+            return blocks[0][1]
+        return tuple(sum(w * b[i] for w, b in blocks) for i in (0, 1))
 
     def support(self):
         return (0.0, math.inf)
 
-    def mrl_class(self):  # decreasing failure rate unless one rate
-        return (MrlVerdict.CONSTANT if len(set(self.phases()[1])) == 1
-                else MrlVerdict.IMRL)
+    def mrl_class(self):
+        # A mixture of distinct exponential phases has a decreasing failure
+        # rate, one block from two phases an increasing one.
+        blocks = set(zip(*self.phases()[1:]))
+        if len(blocks) > 1:
+            return MrlVerdict.IMRL
+        return MrlVerdict.CONSTANT if blocks.pop()[0] == 1 else MrlVerdict.DMRL
 
 
 @dataclass(frozen=True)
@@ -327,7 +384,7 @@ class Exponential(_PhaseMix, Distribution):
         return rng.exponential(1.0 / self.rate, n)
 
     def phases(self):
-        return (1.0,), (self.rate,)
+        return (1.0,), (1,), (self.rate,)
 
 
 @dataclass(frozen=True)
@@ -363,25 +420,8 @@ class ShiftedExponential(Distribution):
         return np.where(xs < self.shift, 0.0,
                         self.rate * np.exp(-self.rate * np.maximum(xs - self.shift, 0.0)))
 
-    def _laplace(self, s):
-        return math.exp(-s * self.shift) * self.rate / (self.rate + s)
-
-    def _laplace_complement(self, s):
-        # 1 - e^-sd r/(r+s) = (1 - e^-sd) + e^-sd s/(r+s)
-        return (-math.expm1(-s * self.shift)
-                + math.exp(-s * self.shift) * s / (self.rate + s))
-
-    def _laplace_slope(self, s):
-        # e^-sd r/(r+s) (d + 1/(r+s))
-        r = self.rate
-        return (math.exp(-s * self.shift) * (r / (r + s))
-                * (self.shift + 1.0 / (r + s)))
-
-    def _laplace_remainder(self, s):
-        # phi(y) (1-x) + x (1 - e^-y) + x^2 e^-y, y = sd, x = s/(r+s)
-        y, x = s * self.shift, s / (self.rate + s)
-        return (_phi(y) * (self.rate / (self.rate + s))
-                - x * math.expm1(-y) + x * x * math.exp(-y))
+    def _poisson_mix(self, s, j_max):
+        return _shifted(s * self.shift, _block(1, self.rate, s, j_max), j_max)
 
     def support(self):
         return (self.shift, math.inf)
@@ -421,17 +461,8 @@ class Deterministic(Distribution):
         out = np.where(arr <= self.value, 1.0, 0.0)
         return float(out) if arr.ndim == 0 else out
 
-    def _laplace(self, s):
-        return math.exp(-s * self.value)
-
-    def _laplace_complement(self, s):
-        return -math.expm1(-s * self.value)
-
-    def _laplace_slope(self, s):
-        return self.value * math.exp(-s * self.value)
-
-    def _laplace_remainder(self, s):
-        return _phi(s * self.value)
+    def _poisson_mix(self, s, j_max):
+        return _poisson(s * self.value, j_max)
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -475,29 +506,9 @@ class Uniform(Distribution):
         inside = (xs >= self.lower) & (xs <= self.upper)
         return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
-    def _laplace(self, s):
-        # expm1 keeps precision for tiny widths; one underflowing to 0 gives 1.
-        width = s * (self.upper - self.lower) or math.ulp(0.0)
-        return math.exp(-s * self.lower) * -math.expm1(-width) / width
-
-    # X = a + (b - a) U, U uniform on (0, 1), so that with w = s (b - a)
-    # each descriptor is e^-sa times one of U's at w, plus terms in a.
-    def _laplace_complement(self, s):
-        # (1 - e^-sa) + e^-sa E[1 - e^-wU]
-        return (-math.expm1(-s * self.lower) + math.exp(-s * self.lower)
-                * _mean_complement(s * (self.upper - self.lower)))
-
-    def _laplace_slope(self, s):
-        # a L(s) + (b - a) e^-sa E[U e^-wU]
-        span = self.upper - self.lower
-        return (self.lower * self._laplace(s) + span * math.exp(-s * self.lower)
-                * _phi_over_square(s * span))
-
-    def _laplace_remainder(self, s):
-        # phi(sa + t) = phi(sa) + e^-sa (sa (1 - e^-t) + phi(t)), t = wU
-        w, sa = s * (self.upper - self.lower), min(s * self.lower, _EXP_UNDERFLOW)
-        return _phi(sa) + math.exp(-sa) * (sa * _mean_complement(w)
-                                           + _mean_phi(w))
+    def _poisson_mix(self, s, j_max):  # U(0, b - a) shifted by a
+        return _shifted(s * self.lower, _uniform_base(
+            s * (self.upper - self.lower), j_max), j_max)
 
     def support(self):
         return (self.lower, self.upper)
@@ -541,43 +552,47 @@ class Rayleigh(Distribution):
         m, e = math.frexp(self.scale)
         return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
 
-    def _laplace(self, s):
-        return self._transforms(s)[1]
-
-    def _laplace_complement(self, s):
-        return self._transforms(s)[0]
-
-    def _laplace_slope(self, s):
-        return self._transforms(s)[2]
-
-    def _laplace_remainder(self, s):
-        return self._transforms(s)[3]
-
-    def _transforms(self, s: float) -> tuple[float, float, float, float]:
-        """1 - L(s), L(s), M(s) and R(s) = z^2 L(s), z = scale s, from the
-        Mills ratio g = sqrt(pi/2) exp(z^2/2) erfc(z/sqrt 2): 1 - L = z g
-        and M = scale (g - z L).
-
-        Below z = 1 g comes from erfc, and L = 1 - z g and g - z L lose
-        under 3 bits.  From there both differences would lose about z^2
-        and z^4 ulps, so g = 1/(z + t), t = 1/(z + u) and
-        u = 2/(z + 3/(z + 4/(z + ...))), Laplace's continued fraction,
-        evaluated backward from depth 600/z^2 + 12, where it has settled
-        to the last bit, give them as products: L = g t, M = scale g t u
-        and z g = 1/(1 + t/z)."""
-        z = self.scale * s
-        if z < _MILLS_CF_FROM:
+    def _poisson_mix(self, s, j_max):
+        """With v = x/scale and z = scale s, pi_j = z^j/j! I_{j+1} and
+        T_j = z^(j+1)/j! I_j, I_m = int_0^inf v^m exp(-v^2/2 - z v) dv.
+        So T_0 = z I_0, T_j = z^2 pi_{j-1}/j, and pi_j = pi_{j-1} z u_{j+1}/j
+        from the ratios u_m = I_m/I_{m-1} = m/(z + u_{m+1}).
+        Run forward, u_{k+1} = k/u_k - z, an error in u_k grows by about
+        1 + z/sqrt(k) a step, so only while z sqrt(m) < 1.5: there I_0 is
+        the Mills ratio g from erfc and pi_0 = 1 - z g loses under 3 bits.
+        Else the ratios come from Laplace's continued fraction, evaluated
+        backward from depth (sqrt(m) + 20/z)^2 + 12, where its tail has
+        settled to the last bit, and I_0 = 1/(z + u_1), pi_0 = I_0 u_1 and
+        T_0 = 1/(1 + u_1/z): every term a product.
+        Both run in doubles at z rounded to a double, and the terms are
+        moved to the exact z, a relative step d, by the first-order terms
+        of z dpi_j/dz = j pi_j - (j+1) pi_{j+1} and z dT_j/dz =
+        (j+1) pi_{j+1}."""
+        exact = self.scale * s
+        z, m = float(exact), j_max + 2
+        if math.isinf(z):  # pi_j ~ (j+1)/z^2: 0 in doubles
+            return np.zeros(m), np.ones(m)
+        u = np.empty(m + 1)  # u[k] = u_k
+        if z * math.sqrt(m) < _FORWARD_REACH:
             t = z / math.sqrt(2.0)
             g = math.sqrt(math.pi / 2.0) * math.exp(t * t) * math.erfc(t)
-            lap = 1.0 - z * g
-            return z * g, lap, self.scale * (g - z * lap), z * z * lap
-        u = 0.0
-        for k in range(int(600.0 / (z * z)) + 12, 1, -1):
-            u = k / (z + u)
-        t = 1.0 / (z + u)
-        g = 1.0 / (z + t)
-        zg = 1.0 / (1.0 + t / z)
-        return zg, g * t, self.scale * g * t * u, zg / (1.0 + u / z)
+            first, u[1], t0 = 1.0 - z * g, 1.0 / g - z, z * g
+            for k in range(1, m):
+                u[k + 1] = k / u[k] - z
+        else:
+            v = 0.0
+            for k in range(int((math.sqrt(m) + 20.0 / z) ** 2) + 12, 0, -1):
+                v = k / (z + v)
+                if k <= m:
+                    u[k] = v
+            first, t0 = _EXT(u[1]) / (z + u[1]), 1.0 / (1.0 + u[1] / z)
+        j = np.arange(1, m, dtype=_EXT)
+        pi = np.multiply.accumulate(np.concatenate(([first], z * u[2:] / j)))
+        tail = np.concatenate(([t0], z * (z * pi[:-2]) / j[:-1]))
+        if exact == z or not z:  # z = 0: the terms at exact z are 0 in doubles
+            return pi, tail
+        d, up = (exact - z) / z, j * pi[1:]  # up_j = (j+1) pi_{j+1}
+        return pi[:-1] + d * ((j - 1) * pi[:-1] - up), tail + d * up
 
     def support(self):
         return (0.0, math.inf)
@@ -587,8 +602,9 @@ class Rayleigh(Distribution):
 
 
 @dataclass(frozen=True)
-class Erlang(Distribution):
-    """Sum of ``shape`` i.i.d. exponentials with the given rate."""
+class Erlang(_PhaseMix, Distribution):
+    """Sum of ``shape`` i.i.d. exponentials with the given rate: one Erlang
+    block."""
 
     shape: int
     rate: float
@@ -603,67 +619,8 @@ class Erlang(Distribution):
     def sample_array(self, rng, n):
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
-    def mean(self):
-        return self.shape / self.rate
-
-    def second_moment(self):
-        return _over_square(self.shape * (self.shape + 1), self.rate)
-
-    def _ccdf(self, xs):
-        # Pr(Poisson(t) < shape), t = rate x: the terms e^-t t^i / i! are
-        # each at most 1, taken in log space so that none overflows and
-        # none underflows before the sum does.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = self.rate * np.maximum(xs, 0.0)
-            log_t = np.log(t)
-            out = np.exp(-t)
-            for i in range(1, self.shape):
-                out += np.exp(i * log_t - t - math.lgamma(i + 1))
-        return np.where(np.isinf(t), 0.0, out)
-
-    def _pdf(self, xs):
-        k, lam = self.shape, self.rate
-        xs = np.maximum(xs, 0.0)
-        if k == 1:
-            return lam * np.exp(-lam * xs)
-        with np.errstate(divide="ignore"):
-            logpdf = (k * math.log(lam) + (k - 1) * np.log(xs)
-                      - lam * xs - math.lgamma(k))
-        return np.where(xs > 0, np.exp(logpdf), 0.0)
-
-    def _laplace(self, s):
-        # q^n, q = r/(r+s), takes about n ulps from the rounding of q, and
-        # exp(-n log1p(s/r)) about 1.5 n log1p(s/r) ulps: the second below
-        # s = r, the first from there.
-        if s < self.rate:
-            return math.exp(-self.shape * math.log1p(s / self.rate))
-        return (self.rate / (self.rate + s)) ** self.shape
-
-    def _laplace_complement(self, s):
-        return -math.expm1(-self.shape * math.log1p(s / self.rate))
-
-    def _laplace_slope(self, s):
-        return self.shape * self._laplace(s) / (self.rate + s)
-
-    def _laplace_remainder(self, s):
-        # 1 - L(s) (1 + n x), x = s/(r+s), L(s) = q^n, q = 1 - x: Pr(B >= 2)
-        # for B binomial in n+1 trials of success odds x : q.  Where that
-        # difference would lose more than a bit, sum its n terms
-        # C(n+1, j) x^j q^(n+1-j), j >= 2, instead.
-        n, r = self.shape, self.rate
-        x = s / (r + s)
-        head = self._laplace(s) * (1.0 + n * x)  # Pr(B <= 1)
-        if head <= 0.5:
-            return 1.0 - head
-        return _series(0.5 * n * (n + 1) * x * x
-                       * math.exp((1 - n) * math.log1p(s / r)),
-                       lambda k: (n - k) / (k + 2) * s / r)
-
-    def support(self):
-        return (0.0, math.inf)
-
-    def mrl_class(self):  # increasing failure rate from shape 2
-        return MrlVerdict.DMRL if self.shape > 1 else MrlVerdict.CONSTANT
+    def phases(self):
+        return (1.0,), (self.shape,), (self.rate,)
 
 
 @dataclass(frozen=True)
@@ -699,7 +656,7 @@ class Hyperexponential(_PhaseMix, Distribution):
             return rng.exponential(1.0 / r[idx])
 
     def phases(self):
-        return self.weights, self.rates
+        return self.weights, (1,) * len(self.rates), self.rates
 
 
 _KINDS: dict[str, type] = {

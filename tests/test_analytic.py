@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
+from aoi import analytic
 from aoi.analytic import Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -111,14 +112,19 @@ def test_truncation_not_reached():
     Hyperexponential((0.5, 0.5), (5e-309, 2e-308))],
     ids=lambda d: d.kind)
 def test_lattice_past_the_float_range_is_not_reached(s):
-    # The lattice's top, or its size in steps of E[Y]/m, overflows: a
-    # domain error, not an OverflowError or an endless doubling.
+    # E[K^2], or the lattice's top, or its size in steps of E[Y]/m,
+    # overflows: a domain error, not an OverflowError or an endless
+    # doubling.  The pmf at exponential arrivals is the service's
+    # mixed-Poisson law, which reaches any scale: K is almost surely past 3.
     pair = Pair(Exponential(1.0), s)
     for run in (lambda: exact_age(pair, DROPPING),
                 lambda: corollary_one(pair, DROPPING),
-                lambda: k_pmf(pair, 3)):
+                lambda: analytic._lattice_cycles(pair.interarrival, s)):
         with pytest.raises(TruncationNotReached):
             run()
+    pmf = k_pmf(pair, 3)
+    assert all(0.0 <= m.value <= 1e-300 for m in pmf.pmf)
+    assert pmf.tail_mass.value == 1.0
 
 
 def test_walk_rejects_degenerate_interarrival():
@@ -242,15 +248,21 @@ def test_geometric_k_pmf_keeps_its_relative_precision(mu):
 def test_geometric_record_beyond_the_float_range_is_not_reached(y, mu):
     # p = 1 - L(mu) keeps its precision and is positive, but 1/p^2, or the
     # crossing sum E[Y exp(-mu Y)]/p^2, overflows: the errors of p = 0, not
-    # an infinite age or a ZeroDivisionError.
+    # an infinite age or a ZeroDivisionError.  At exponential arrivals the
+    # pmf is the service's mixed-Poisson law instead, p (1-p)^(k-1).
     pair = Pair(y, Exponential(mu))
     assert pair.p.value > 0.0
-    for run, error in ((lambda: exact_age(pair, PREEMPTION),
-                        ZeroSuccessProbability),
-                       (lambda: corollary_one(pair, PREEMPTION),
-                        ZeroSuccessProbability),
-                       (lambda: exact_age(pair, DROPPING), TruncationNotReached),
-                       (lambda: k_pmf(pair, 3), TruncationNotReached)):
+    runs = [(lambda: exact_age(pair, PREEMPTION), ZeroSuccessProbability),
+            (lambda: corollary_one(pair, PREEMPTION), ZeroSuccessProbability),
+            (lambda: exact_age(pair, DROPPING), TruncationNotReached)]
+    if isinstance(y, Exponential):
+        pmf = k_pmf(pair, 3)
+        p = pair.p.value
+        assert [m.value for m in pmf.pmf] == [p] * 3
+        assert pmf.tail_mass.value == 1.0
+    else:
+        runs.append((lambda: k_pmf(pair, 3), TruncationNotReached))
+    for run, error in runs:
         with pytest.raises(error):
             run()
 

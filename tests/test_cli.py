@@ -624,18 +624,27 @@ def test_dropping_with_hyperexponential_service_rescales(capsys, c):
                                                        rel=1e-12)
 
 
+@pytest.mark.parametrize("service,method", [
+    ({"kind": "erlang", "shape": 2, "rate": 2.0}, "closed_form"),
+    ({"kind": "rayleigh", "scale": 0.5}, "lattice")], ids=["erlang", "rayleigh"])
 @pytest.mark.parametrize("c", [1e-150, 1e150])
-def test_dropping_lattice_with_erlang_service_rescales(capsys, c):
-    # The lattice searches the service's ccdf for its top point, in units
-    # of the time scale.  (Hyperexponential service takes the phase mix.)
+def test_dropping_with_erlang_or_rayleigh_service_rescales(capsys, c, service,
+                                                            method):
+    # The Erlang block record reads the gaps' mixed-Poisson law at the
+    # service rate; the lattice searches the service's ccdf for its top
+    # point.  Both work in units of the time scale.
     values = []
     for scale in (1.0, c):
+        scaled = dict(service)
+        if "rate" in scaled:
+            scaled["rate"] /= scale
+        else:
+            scaled["scale"] *= scale
         code, payload = run_json(
             capsys, "exact", "--discipline", "dropping", "--interarrival",
             json.dumps({"kind": "uniform", "lower": 0.0, "upper": 2.0 * scale}),
-            "--service", json.dumps({"kind": "erlang", "shape": 2,
-                                     "rate": 2.0 / scale}))
-        assert code == 0 and payload["result"]["method"] == "lattice"
+            "--service", json.dumps(scaled))
+        assert code == 0 and payload["result"]["method"] == method
         values.append(payload["result"]["value"] / scale)
     assert values[1] == pytest.approx(values[0], rel=1e-12)
 

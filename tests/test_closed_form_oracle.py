@@ -41,10 +41,11 @@ from aoi import analytic
 from aoi.analytic import Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
-                               Hyperexponential, ShiftedExponential, Uniform)
+                               Hyperexponential, Rayleigh, ShiftedExponential,
+                               Uniform)
 from aoi.errors import TruncationNotReached, ZeroSuccessProbability
 from aoi.sim import Discipline
-from test_distributions import ALL_KINDS, RESCALED, mp_laplace
+from test_distributions import ALL_KINDS, RESCALED, mp_laplace, mp_poisson_mix
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
 EPS = np.finfo(float).eps
@@ -293,9 +294,13 @@ def test_hyperexponential_service_is_the_phase_mix(y, s, c, monkeypatch):
             assert abs(got.value - ref) <= 4.0 * EPS, (got.value, ref)
 
 
+ERLANGS = [Erlang(2, 2.0), Erlang(5, 5.0)]
+ERLANG_IDS = ["erlang-2", "erlang-5"]
+
+
 @pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.kind)
-@pytest.mark.parametrize("service", [Exponential(1.3), *MIXES],
-                         ids=["exponential", *MIX_IDS])
+@pytest.mark.parametrize("service", [Exponential(1.3), *MIXES, *ERLANGS],
+                         ids=["exponential", *MIX_IDS, *ERLANG_IDS])
 def test_no_phase_service_reaches_the_lattice(y, service, monkeypatch):
     monkeypatch.setattr(analytic, "_lattice_cycles", None)
     pair = Pair(y, service)
@@ -306,17 +311,18 @@ def test_no_phase_service_reaches_the_lattice(y, service, monkeypatch):
 
 
 PHASE_LAWS = [Exponential(0.7), Hyperexponential((0.3, 0.7), (0.4, 3.0)),
-              MIXES[2]]
+              MIXES[2], *ERLANGS]
 
 
 @pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("other", ALL_KINDS, ids=lambda d: d.kind)
 @pytest.mark.parametrize("phase", PHASE_LAWS,
-                         ids=["exponential", "hyperexponential", "rare-phase"])
+                         ids=["exponential", "hyperexponential", "rare-phase",
+                              *ERLANG_IDS])
 def test_no_phase_pair_integrates(phase, other, c, monkeypatch):
-    # With a phase law on either side, p, the crossing term and the
-    # completed-service term all come from the other law's Laplace
-    # descriptors, and the path says so.
+    # With a law of Erlang blocks on either side, p, the crossing term and
+    # the completed-service term all come from the other law's
+    # mixed-Poisson law, and the path says so.
     def refuse(*args, **kwargs):
         raise AssertionError("a phase pair called expect")
 
@@ -384,8 +390,8 @@ def test_uniform_service_far_below_the_arrival_scale():
 # L_S(r_i))/r_i) and E[S Pr(Y >= S)] = -sum w_i L_S'(r_i).
 
 @pytest.mark.parametrize("c", SCALES)
-@pytest.mark.parametrize("s", [d for d in ALL_KINDS if d.phases() is None],
-                         ids=lambda d: d.kind)
+@pytest.mark.parametrize("s", [d for d in ALL_KINDS if not isinstance(
+    d, (Exponential, Hyperexponential))], ids=lambda d: d.kind)
 @pytest.mark.parametrize("y", MIXES[:2], ids=MIX_IDS[:2])
 def test_hyperexponential_arrivals_give_preemption_p_in_closed_form(y, s, c):
     arrivals, service = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
@@ -409,3 +415,136 @@ def test_hyperexponential_arrivals_give_preemption_p_in_closed_form(y, s, c):
     assert_covers(est.value, est.ci_half_width, age)
     report = corollary_one(pair, PREEMPTION)
     assert_covers(report.value, report.half_width, bound)
+
+
+# ------------------------------- exponential arrivals: the closed-form pmf
+#
+# K - 1 is Poisson(lam S) given S, so Pr(K = k) = pi_{k-1}(lam) of the
+# service and Pr(K > k_max) = T_{k_max - 1}.
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
+def test_exponential_arrival_pmf_is_the_service_mixed_poisson_law(
+        s, c, monkeypatch):
+    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
+    lam, service = 1.0 / c, RESCALED[s.kind](s, c)
+    pmf = k_pmf(Pair(Exponential(lam), service), 12)
+    with mpmath.workdps(80):
+        pi, tail = mp_poisson_mix(service, lam, 11)
+        for got, ref in zip((*pmf.pmf, pmf.tail_mass), (*pi, tail[-1])):
+            assert abs(got.value - ref) <= got.half_width + 4.0 * EPS, (
+                got, float(ref))
+
+
+def test_exponential_arrival_pmf_past_the_long_double_exponent_range():
+    # lam E[S] = 6000 puts the service's mixed-Poisson law at w = 12000,
+    # past where e^-w is a normal long double, and k_max = 7000 > w/2:
+    # Pr(K = k) = Pr(Poisson(w) >= k)/w and the tail (w - k_max)/w = 5/12,
+    # nearly, must come from the whole law.
+    k_max, w = 7000, mpmath.mpf(12000)
+    pmf = k_pmf(Pair(Exponential(1.0), Uniform(0.0, 12000.0)), k_max)
+    gamma = lambda k: mpmath.gammainc(k, 0, w, regularized=True)
+    with mpmath.workdps(40):
+        for k in (1, 2, 3500, 6999, 7000):
+            got = pmf.pmf[k - 1]
+            assert abs(got.value - gamma(k) / w) <= got.half_width + 4.0 * EPS
+        tail = (w * gamma(k_max) - k_max * gamma(k_max + 1)) / w
+        assert abs(pmf.tail_mass.value - tail) <= pmf.tail_mass.half_width + 4.0 * EPS
+
+
+def test_long_erlang_service_past_the_long_double_exponent_range():
+    # Erlang(7000, 6000) service against U(0, 2) gaps reads the gaps'
+    # mixed-Poisson law at mu = 6000, w = 12000, up to j = 7000.  With
+    # P(n, x) the regularized lower gamma, p = P(n, 2 mu) - n/(2 mu)
+    # P(n+1, 2 mu), E[Y Pr(S > Y)] = 1 - P(n, 2 mu) + n(n+1)/(4 mu^2)
+    # P(n+2, 2 mu) and E[S; S <= Y] = n/mu P(n+1, 2 mu) - n(n+1)/(2 mu^2)
+    # P(n+2, 2 mu).
+    n, mu = 7000, 6000.0
+    pair = Pair(Uniform(0.0, 2.0), Erlang(n, mu))
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu)
+        gamma = lambda k: mpmath.gammainc(k, 0, 2 * m, regularized=True)
+        p = gamma(n) - n / (2 * m) * gamma(n + 1)
+        crossing = 1 - gamma(n) + n * (n + 1) / (4 * m * m) * gamma(n + 2)
+        completed = n / m * gamma(n + 1) - n * (n + 1) / (2 * m * m) * gamma(n + 2)
+        age = float(mpmath.mpf(2) / 3 + (crossing + completed) / p)
+    assert_covers(*pair.p, float(p))
+    est = exact_age(pair, PREEMPTION)
+    assert est.method == "closed_form"
+    assert_covers(est.value, est.ci_half_width, age)
+
+
+# ------------------------------------ Erlang service: the block record
+#
+# Under dropping an Erlang(n, mu) service moves a phase up by
+# Poisson(mu Y) in each gap, and K's record is closed form in the gaps'
+# mixed-Poisson law at mu.
+
+BLOCK_GAPS = [Uniform(0.0, 2.0), Rayleigh(1.0), Deterministic(0.5),
+              ShiftedExponential(1.0, 0.2)]
+BLOCK_SERVICES = [Erlang(2, 2.0), Erlang(3, 1.0), Erlang(5, 5.0)]
+
+
+@pytest.mark.parametrize("s", BLOCK_SERVICES, ids=lambda d: d.describe())
+@pytest.mark.parametrize("y", BLOCK_GAPS, ids=lambda d: d.kind)
+def test_erlang_block_record_lies_inside_the_lattice(y, s):
+    record = Pair(y, s).cycles(DROPPING)
+    lattice = analytic._lattice_cycles(y, s)
+    assert record.path == "closed_form"
+    for got, want in zip((*record.moments(), record.crossing()),
+                         (*lattice.moments(), lattice.crossing())):
+        assert got.half_width == 0.0
+        assert_covers(got.value, want.half_width, want.value)
+    (got, got_tail), (want, want_tail) = record.pmf(10), lattice.pmf(10)
+    assert np.all(np.abs(got.value - want.value)
+                  <= want.half_width + 4.0 * EPS)
+    assert abs(got_tail.value - want_tail.value) <= want_tail.half_width + 4.0 * EPS
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 2.0])
+@pytest.mark.parametrize("s", [*BLOCK_SERVICES, Erlang(20, 3.0)],
+                         ids=lambda d: d.describe())
+def test_erlang_block_record_at_exponential_arrivals_is_the_mg11_age(s, lam):
+    # Pair takes the Poisson record at exponential arrivals; the block
+    # record, read directly, must give the same M/G/1/1 sums.
+    pair = Pair(Exponential(lam), s)
+    block = pair._dropping
+    k_mean, k_second = (v.value for v in block.moments())
+    crossing = block.crossing().value
+    assert_covers(k_mean, 0.0, 1.0 + lam * s.mean())
+    assert_covers(k_second, 0.0, 1.0 + 3.0 * lam * s.mean()
+                  + lam**2 * s.second_moment())
+    assert_covers(crossing, 0.0, 0.5 * lam * s.second_moment())
+    assert_covers(1.0 / lam + crossing / k_mean + s.mean(), 0.0,
+                  mg11_age(lam, s))
+
+
+def test_a_long_erlang_block_leaves_the_lattice(monkeypatch):
+    # 1000 phases against gaps of 1e-4: about 1e4 arrivals a cycle, which
+    # the lattice spans with 2^18 points; the block record with NumPy
+    # convolutions of 1000 terms.
+    monkeypatch.setattr(analytic, "_lattice_cycles", None)
+    y, s = Uniform(0.0, 2e-4), Erlang(1000, 1000.0)
+    est = exact_age(Pair(y, s), DROPPING)
+    assert (est.method, est.ci_half_width) == ("closed_form", 0.0)
+    # E[K] is E[S]/E[Y] plus the renewal excess E[Y^2]/(2 E[Y]^2) = 2/3.
+    k_mean = Pair(y, s).cycles(DROPPING).k_mean.value
+    assert k_mean == pytest.approx(1e4 + 2.0 / 3.0, rel=1e-9)
+
+
+def test_rayleigh_mixed_poisson_law_runs_once_per_rate(monkeypatch):
+    # p, the crossing term and the completed-service term of a pair with
+    # hyperexponential gaps read one mixed-Poisson law per phase rate.
+    rates = []
+    original = Rayleigh._poisson_mix
+
+    def counted(self, s, j_max):
+        rates.append(float(s))
+        return original(self, s, j_max)
+
+    monkeypatch.setattr(Rayleigh, "_poisson_mix", counted)
+    pair = Pair(Hyperexponential((0.5, 0.5), (0.5, 2.0)), Rayleigh(0.5))
+    pair.p, pair.crossing, pair.completed_service
+    exact_age(pair, PREEMPTION)
+    corollary_one(pair, PREEMPTION)
+    assert sorted(rates) == [0.5, 2.0]

@@ -195,100 +195,176 @@ def mp_laplace(law, s):
     return mpmath.fsum(w * r / (r + s) for w, r in zip(law.weights, law.rates))
 
 
-@pytest.mark.parametrize("x", [1e-14, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 9.99,
-                               10.01, 1e3, 1e6])
-@pytest.mark.parametrize("law", ALL_KINDS + [Uniform(0.0, 1.0)],
-                         ids=lambda d: d.describe())
-def test_laplace_complement_keeps_full_relative_precision(law, x):
-    # 1 - L(s) at s E[X] = x against mpmath: 80 working digits leave at
-    # least 40 after the two cancellations of the uniform law's form.
-    s = x / law.mean()
-    with mpmath.workdps(80):
-        want = 1 - mp_laplace(law, s)
-        got = law.laplace_complement(s)
-        assert abs(got - want) <= 8 * EPS * want, float(abs(got - want) / want)
-
-
-def test_rayleigh_transform_across_the_continued_fraction():
-    # Around z = 1, where the erfc form hands over to the continued
-    # fraction, and up to z = 20: formed as 1 - z g, L(s) would lose about
-    # z^2 ulps, 100 at z = 10.
-    law = Rayleigh(1.0)
-    with mpmath.workdps(80):
-        for z in np.linspace(0.5, 20.0, 391):
-            want = mp_laplace(law, z)
-            assert abs(law.laplace(z) - want) <= 8 * EPS * want, z
-            got = law.laplace_complement(z)
-            assert abs(got - (1 - want)) <= 8 * EPS * (1 - want), z
-
-
 RARE_PHASE = Hyperexponential((0.99999999999999, 1e-14), (1.0, 1e-16))
+MIX_LAWS = ALL_KINDS + [Uniform(0.0, 1.0), RARE_PHASE, Erlang(20, 3.0)]
+J_MAX = 64
 
 
-def mp_slope_remainder(law, s):
-    """(E[X exp(-s X)], E[1 - exp(-s X)(1 + s X)]) of ``law`` in mpmath:
-    phase by phase for a mixture, else the slope from its textbook closed
-    form and the remainder as 1 - L(s) - s M(s)."""
+def mp_block(n, rate, s, j_max):
+    """pi_j and T_j of Erlang(n, rate) at s in mpmath: the negative
+    binomial pmf C(n+j-1, j) q^n x^j, x = s/(rate+s) = 1 - q, and its tail
+    Pr(Binomial(n+j, x) >= j+1)."""
+    x = s / (rate + s)
+    q = rate / (rate + s)
+    return ([mpmath.binomial(n + j - 1, j) * q**n * x**j
+             for j in range(j_max + 1)],
+            [mpmath.fsum(mpmath.binomial(n + j, k) * x**k * q**(n + j - k)
+                         for k in range(j + 1, n + j + 1))
+             for j in range(j_max + 1)])
+
+
+def mp_poisson(t, j_max):
+    """Pr(Poisson(t) = j) and Pr(Poisson(t) > j) in mpmath."""
+    return ([mpmath.exp(-t) * t**j / mpmath.factorial(j)
+             for j in range(j_max + 1)],
+            [mpmath.gammainc(j + 1, 0, t, regularized=True)
+             for j in range(j_max + 1)])
+
+
+def mp_shifted(t, base, j_max):
+    """X + c at s, t = s c: Poisson(t) convolved with X's pi and T, plus
+    Pr(Poisson(t) > j) in the tails."""
+    pmf, tail = mp_poisson(t, j_max)
+    conv = lambda a: [mpmath.fsum(pmf[i] * a[j - i] for i in range(j + 1))
+                      for j in range(j_max + 1)]
+    return conv(base[0]), [a + b for a, b in zip(conv(base[1]), tail)]
+
+
+def mp_poisson_mix(law, s, j_max):
+    """pi_j = Pr(Poisson(sX) = j) and T_j = Pr(Poisson(sX) > j) of ``law``
+    in mpmath, each family from its own closed form: the negative binomial
+    for the phase laws, the Poisson law for D, a shifted law as a
+    convolution, U(0, c) through the regularized gamma P, pi_k =
+    P(k+1, w)/w and T_k = (w P(k+1, w) - (k+1) P(k+2, w))/w, w = s c, and
+    Rayleigh through I_m = int_0^inf v^m exp(-v^2/2 - z v) dv, z = scale s,
+    pi_j = z^j/j! I_{j+1} and T_j = z^(j+1)/j! I_j, the I_m by their
+    recurrence run forward with digits to spare."""
     s, mpf = mpmath.mpf(s), mpmath.mpf
     phases = law.phases()
     if phases is not None:
-        w, r = ([mpf(v) for v in vs] for vs in phases)
-        return (mpmath.fsum(a * b / (b + s) ** 2 for a, b in zip(w, r)),
-                mpmath.fsum(a * (s / (b + s)) ** 2 for a, b in zip(w, r)))
+        parts = [mp_block(n, mpf(r), s, j_max) for _, n, r in zip(*phases)]
+        return tuple([mpmath.fsum(mpf(w) * p[i][j]
+                                  for w, p in zip(phases[0], parts))
+                      for j in range(j_max + 1)] for i in (0, 1))
+    if isinstance(law, Deterministic):
+        return mp_poisson(s * law.value, j_max)
     if isinstance(law, ShiftedExponential):
-        r, d = mpf(law.rate), mpf(law.shift)
-        slope = mpmath.exp(-s * d) * r / (r + s) * (d + 1 / (r + s))
-    elif isinstance(law, Deterministic):
-        slope = law.value * mpmath.exp(-s * law.value)
-    elif isinstance(law, Uniform):
-        a, b = mpf(law.lower), mpf(law.upper)
-        slope = ((a / s + 1 / s**2) * mpmath.exp(-s * a)
-                 - (b / s + 1 / s**2) * mpmath.exp(-s * b)) / (b - a)
-    elif isinstance(law, Rayleigh):
-        z = law.scale * s
-        mills = (mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(z * z / 2)
-                 * mpmath.erfc(z / mpmath.sqrt(2)))
-        slope = law.scale * ((1 + z * z) * mills - z)
-    else:
-        r = mpf(law.rate)
-        slope = law.shape * r**law.shape / (r + s) ** (law.shape + 1)
-    return slope, 1 - mp_laplace(law, s) - s * slope
+        return mp_shifted(s * law.shift, mp_block(1, mpf(law.rate), s, j_max),
+                          j_max)
+    if isinstance(law, Uniform):
+        w = s * (mpf(law.upper) - law.lower)
+        gamma = lambda k: mpmath.gammainc(k, 0, w, regularized=True)
+        base = ([gamma(k + 1) / w for k in range(j_max + 1)],
+                [(w * gamma(k + 1) - (k + 1) * gamma(k + 2)) / w
+                 for k in range(j_max + 1)])
+        return mp_shifted(s * law.lower, base, j_max)
+    z = law.scale * s
+    # I_0 is the Mills ratio, I_1 = 1 - z I_0 and I_{m+1} = m I_{m-1} -
+    # z I_m, each step losing up to 2 log10(1 + z) digits to cancellation.
+    with mpmath.extradps(int((j_max + 2) * 2 * math.log10(1.0 + float(z))) + 20):
+        i = [mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(z * z / 2)
+             * mpmath.erfc(z / mpmath.sqrt(2))]
+        i.append(1 - z * i[0])
+        for m in range(1, j_max + 1):
+            i.append(m * i[m - 1] - z * i[m])
+        return ([z**j / mpmath.factorial(j) * i[j + 1] for j in range(j_max + 1)],
+                [z**(j + 1) / mpmath.factorial(j) * i[j] for j in range(j_max + 1)])
 
 
 @pytest.mark.parametrize("x", [1e-14, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 9.99,
                                10.01, 1e3, 1e6])
-@pytest.mark.parametrize("law", ALL_KINDS + [Uniform(0.0, 1.0), RARE_PHASE],
-                         ids=lambda d: d.describe())
-def test_laplace_slope_and_remainder_keep_full_relative_precision(law, x):
-    # M(s) and R(s) at s E[X] = x against mpmath at 80 digits, which leave
-    # at least 40 after R's cancellation of about 2 log10(x) of them.  A
+@pytest.mark.parametrize("law", MIX_LAWS, ids=lambda d: d.describe())
+def test_poisson_mix_keeps_full_relative_precision(law, x):
+    # pi_j and T_j, j <= 64, at s E[X] = x against mpmath at 80 digits,
+    # which leave at least 40 after the references' cancellations.  A
     # reference below the normal float range, e^-(s E[X]) at s E[X] = 1e6,
-    # must come out below it too.
+    # must come out below it too.  pi_0, T_0, pi_1 and T_1 are the Laplace
+    # transform, its complement, s E[X e^-sX] and E[1 - e^-sX (1 + sX)].
+    # Each j_max takes its own terms past j_max, and must agree.
     s = x / law.mean()
     with mpmath.workdps(80):
-        for got, want in zip((law.laplace_slope(s), law.laplace_remainder(s)),
-                             mp_slope_remainder(law, s)):
-            if want < sys.float_info.min:
-                assert got < sys.float_info.min, (got, want)
+        reference = mp_poisson_mix(law, s, J_MAX)
+        for j_max in (0, 1, 7, J_MAX):
+            mix = law.poisson_mix(s, j_max)
+            for got, want in zip(mix, reference):
+                assert got.shape == (j_max + 1,)
+                for j, (g, w) in enumerate(zip(got, want)):
+                    if w < sys.float_info.min:
+                        assert g < sys.float_info.min, (j, g, w)
+                    else:
+                        assert abs(g - w) <= 8 * EPS * w, (
+                            j_max, j, float(abs(g - w) / w / EPS))
+
+
+@pytest.mark.parametrize("j_max,zs", [(0, np.linspace(0.5, 20.0, 391)),
+                                      (7, np.linspace(0.25, 20.0, 80))],
+                         ids=["j_max=0", "j_max=7"])
+def test_rayleigh_mix_across_the_continued_fraction(j_max, zs):
+    # Around z sqrt(j_max + 2) = 1.5, where the forward ratios hand over
+    # to the continued fraction, and up to z = 20: formed as 1 - z g, L(s)
+    # would lose about z^2 ulps, 100 at z = 10.
+    law = Rayleigh(1.0)
+    with mpmath.workdps(80):
+        for z in zs:
+            got = law.poisson_mix(z, j_max)
+            for g, w in zip(got, mp_poisson_mix(law, z, j_max)):
+                for j in range(j_max + 1):
+                    assert abs(g[j] - w[j]) <= 8 * EPS * w[j], (z, j)
+
+
+def test_rayleigh_mix_past_the_float_range_of_z():
+    # z = scale s = 8e329 overflows a double: there every pi_j, about
+    # (j+1)/z^2, is 0 and every tail 1, with no warning.
+    pi, tail = Rayleigh(8e29).poisson_mix(1e300, 3)
+    assert pi.tolist() == [0.0] * 4 and tail.tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("law,s,js", [
+    (Deterministic(12000.0), 1.0, range(11000, 12401, 50)),
+    (Deterministic(1e6), 1.0, range(999_900, 1_000_101, 20)),
+    (Uniform(0.0, 12000.0), 1.0, [*range(0, 12101, 550), 12100]),
+    (Uniform(0.0, 2.0), 6000.0, [0, 6999, 7000, 11999, 12000, 12100]),
+], ids=["D(12000)", "D(1e6)", "U(0,12000)", "U(0,2)@6000"])
+def test_poisson_mix_past_the_long_double_exponent_range(law, s, js):
+    # At s X >= 11356, e^-(s X) is not a normal long double: the Poisson
+    # terms come from logs, and j_max past s X / 2 needs the whole law past
+    # j_max, which a head of j_max + 3 terms once stood in for.
+    j_max = max(js)
+    with mpmath.workdps(40):
+        pi, tail = law.poisson_mix(s, j_max)
+        for j in js:
+            if isinstance(law, Deterministic):
+                t = mpmath.mpf(s * law.value)
+                want = (mpmath.exp(j * mpmath.log(t) - t - mpmath.loggamma(j + 1)),
+                        mpmath.gammainc(j + 1, 0, t, regularized=True))
             else:
-                assert abs(got - want) <= 8 * EPS * want, float(
-                    abs(got - want) / want)
+                w = mpmath.mpf(s * law.upper)
+                gamma = lambda k: mpmath.gammainc(k, 0, w, regularized=True)
+                want = (gamma(j + 1) / w,
+                        (w * gamma(j + 1) - (j + 1) * gamma(j + 2)) / w)
+            for g, w in zip((pi[j], tail[j]), want):
+                assert abs(g - w) <= 8 * EPS * w, (j, float(g), float(w))
 
 
-def test_laplace_slope_and_remainder_at_zero_and_their_domain():
-    for law in ALL_KINDS:
-        assert law.laplace_slope(0.0) == law.mean()
-        assert law.laplace_remainder(0.0) == 0.0
-        for descriptor in (law.laplace_slope, law.laplace_remainder):
+def test_the_long_double_carries_a_64_bit_mantissa():
+    # The mixed-Poisson terms are held to 8 eps by working in NumPy's long
+    # double, the x87 80-bit format on x86-64 Linux.  Where long double is
+    # only a double (Windows, Apple silicon), poisson_mix would lose digits
+    # without any other test naming the cause.
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "poisson_mix assumes a long double of at least 64 bits of mantissa "
+        f"(x86-64 Linux); this platform has {np.finfo(np.longdouble).nmant}")
+
+
+def test_poisson_mix_at_zero_and_its_domain():
+    for law in MIX_LAWS:
+        pi, tail = law.poisson_mix(0.0, 3)
+        assert pi.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert tail.tolist() == [0.0] * 4
+        assert law.laplace(0.0) == 1.0
+        for run in (lambda: law.poisson_mix(-1.0, 3), lambda: law.laplace(-1.0)):
             with pytest.raises(ValueError):
-                descriptor(-1.0)
-
-
-def test_laplace_complement_at_zero_and_its_domain():
-    for law in ALL_KINDS:
-        assert law.laplace_complement(0.0) == 0.0
-        with pytest.raises(ValueError):
-            law.laplace_complement(-1.0)
+                run()
 
 
 def test_uniform_laplace_matches_closed_form_oracle():
@@ -408,11 +484,13 @@ CONSTANT_CASES = [ShiftedExponential(1.0, 0.0), Erlang(1, 2.0),
 
 @pytest.mark.parametrize("law", ALL_KINDS + CONSTANT_CASES,
                          ids=lambda d: d.describe())
-def test_only_exponential_mixtures_name_their_phases(law):
+def test_only_erlang_mixtures_name_their_blocks(law):
     if isinstance(law, Exponential):
-        assert law.phases() == ((1.0,), (law.rate,))
+        assert law.phases() == ((1.0,), (1,), (law.rate,))
+    elif isinstance(law, Erlang):
+        assert law.phases() == ((1.0,), (law.shape,), (law.rate,))
     elif isinstance(law, Hyperexponential):
-        assert law.phases() == (law.weights, law.rates)
+        assert law.phases() == (law.weights, (1,) * len(law.rates), law.rates)
     else:
         assert law.phases() is None
 
@@ -421,7 +499,8 @@ def test_only_exponential_mixtures_name_their_phases(law):
                                   1e160, 1e300])
 def test_exponential_is_the_one_phase_mix_bit_for_bit(rate):
     # The mixture code at one phase gives the exponential law's one-line
-    # formulas exactly, overflow and underflow included.
+    # formulas exactly, overflow and underflow included: its mixed-Poisson
+    # law in long doubles, rounded once.
     law = Exponential(rate)
     xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-300, 1e300, 61),
                          np.geomspace(1e-3, 1e3, 13) / rate])
@@ -434,8 +513,10 @@ def test_exponential_is_the_one_phase_mix_bit_for_bit(rate):
         for x in xs:
             assert law.ccdf(x) == float(np.exp(-rate * x))
     for s in [1e-300, 1e-5, 0.5, 2.0, 1e5, 1e300, rate, 1e-3 * rate]:
-        assert law.laplace(s) == rate / (rate + s)
-        assert law.laplace_complement(s) == s / (rate + s)
+        pi, tail = law.poisson_mix(s, 0)
+        r, t = np.longdouble(rate), np.longdouble(s)
+        assert law.laplace(s) == pi[0] == float(r / (r + t))
+        assert tail[0] == float(t / (r + t))
     assert law.support() == (0.0, math.inf)
     assert law.mrl_class() is MrlVerdict.CONSTANT
 

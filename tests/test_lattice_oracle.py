@@ -50,8 +50,10 @@ class LatticePair(Pair):
 
 
 def lattice(y, s):
-    """Every lattice result as (value, half-width) pairs, in one order."""
-    pair = Pair(y, s)
+    """Every lattice result as (value, half-width) pairs, in one order.  An
+    Erlang service leaves the lattice through :class:`Pair` for its block
+    record; here the lattice itself is checked for it."""
+    pair = (Pair if s.phases() is None else LatticePair)(y, s)
     est = exact_age(pair, DROPPING)
     k1, k2 = k_moments(pair)
     pmf = k_pmf(pair, K_MAX)

@@ -119,24 +119,24 @@ def test_unread_checker_flags_both_kinds():
     assert unread_names("from .errors import AoiError\n", "__init__") == []
 
 
-# Only the laws know which of them are mixtures of exponential phases; the
-# rest of ``aoi`` asks a law for its ``phases()``.
-PHASE_LAW = "Hyperexponential"
+# Only the laws know which of them are mixtures of Erlang blocks; the rest
+# of ``aoi`` asks a law for its ``phases()``.
+PHASE_LAWS = {"Hyperexponential", "Erlang"}
 KNOWS_PHASE_LAWS = {"distributions", "__init__"}
 
 
 def phase_law_names(source: str, own: str) -> list[str]:
     """Every import, name or attribute in ``source`` (the text of module
-    ``own``) that names the hyperexponential law's class; strings and
-    docstrings do not count."""
+    ``own``) that names the hyperexponential or the Erlang law's class;
+    strings and docstrings do not count."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [f"{own}: import {a.name}" for a in node.names
-                      if a.name.split(".")[-1] == PHASE_LAW]
-        elif isinstance(node, ast.Name) and node.id == PHASE_LAW:
+                      if a.name.split(".")[-1] in PHASE_LAWS]
+        elif isinstance(node, ast.Name) and node.id in PHASE_LAWS:
             found.append(f"{own}: {node.id}")
-        elif isinstance(node, ast.Attribute) and node.attr == PHASE_LAW:
+        elif isinstance(node, ast.Attribute) and node.attr in PHASE_LAWS:
             found.append(f"{own}: .{node.attr}")
     return found
 
@@ -150,16 +150,21 @@ def test_only_the_laws_name_the_phase_law(path):
 
 def test_phase_law_checker_flags_every_form():
     source = ('"""A Hyperexponential service is a mixture."""\n'
-              "from .distributions import Exponential, Hyperexponential\n"
+              "from .distributions import Erlang, Exponential, Hyperexponential\n"
               "from . import distributions as dist\n"
               "label = 'Hyperexponential'\n"
               "def phases(law):\n"
               "    if isinstance(law, Hyperexponential):\n"
               "        return law.weights\n"
+              "    if isinstance(law, Erlang):\n"
+              "        return dist.Erlang\n"
               "    return dist.Hyperexponential\n"
               "hyperexponential = law.phases()\n")
     assert sorted(phase_law_names(source, "analytic")) == [
+        "analytic: .Erlang",
         "analytic: .Hyperexponential",
+        "analytic: Erlang",
         "analytic: Hyperexponential",
+        "analytic: import Erlang",
         "analytic: import Hyperexponential",
     ]
