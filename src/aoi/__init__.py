@@ -13,8 +13,8 @@ from .bounds import (Applicability, BoundKind, BoundReport, corollary_one,
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, MrlVerdict, Rayleigh,
                             ShiftedExponential, Uniform, from_dict)
-from .errors import (AoiError, DivergentAge, QuadratureNotConverged,
-                     TruncationNotReached, ZeroSuccessProbability)
+from .errors import (AoiError, DivergentAge, TruncationNotReached,
+                     ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
                           emit_csv, read_csv, run_sweep)
 from .sim import (AgeEstimate, CycleRecord, CycleRecords, CycleStatistics,

@@ -5,8 +5,8 @@ formula over one :class:`Pair` of laws, the interarrival Y and the service
 S.  A pair validates itself when it is built and computes each primitive
 at most once, on first use: the head E[Y^2]/(2 E[Y]); the success
 probability p, the crossing term E[Y Pr(S > Y)] and the completed-service
-term E[S | S <= Y], each an :class:`Interval` of value and quadrature
-error (0 in closed form); and each discipline's cycle record.
+term E[S | S <= Y], each in closed form; and each discipline's cycle
+record.
 
 Both disciplines have one age, :func:`exact_age`:
 
@@ -25,26 +25,25 @@ Poisson arrivals (path ``closed_form``)
     a service S: E[K] = 1 + lam E[S], E[K^2] = 1 + 3 lam E[S] +
     lam^2 E[S^2] and the crossing sum is lam E[S^2]/2, the M/G/1/1 age
     (Inoue et al., IEEE Trans. Inf. Theory, 2019), and Pr(K = k) is
-    pi_{k-1}(lam), the service's ``poisson_mix``.
+    pi_{k-1}(lam), the service's ``poisson_mix``.  A block service whose
+    E[S^2] overflows takes its block record where that holds.
 
-Erlang blocks (paths ``closed_form`` and ``quadrature``)
+Erlang blocks and residuals (path ``closed_form``)
     A law whose ``phases()`` is not None (exponential, Erlang,
     hyperexponential) is a mixture of Erlang blocks, block i of weight
-    w_i, n_i phases and rate r_i.  With one on either side (the service's
-    if both), p = Pr(S <= Y), E[Y Pr(S > Y)] and E[S; S <= Y] are the
-    w-sums of each block's closed forms in pi and T, the other law's
-    ``poisson_mix`` at r_i (:attr:`Pair._by_block`; Neuts, Matrix-Geometric
-    Solutions in Stochastic Models, 1981), and integrate nothing.  Under
-    preemption K is geometric in p, and with no block law each term is
-    one quadrature of ``expect``, whose error is its 20- and 10-point
-    rules' disagreement plus a roundoff floor (path ``quadrature``).  Each
-    interval spans its values at the ends of the p bracket, p - err and
-    min(p + err, 1), with the crossing term's error.  Dividing by p, not
-    1 - p, gives the M/M/1/1 age 1/lam + 1/mu.  Under dropping at other
-    arrivals a block service draws its block once per cycle and climbs
-    Poisson(r_i Y) of its phases in a gap, so K's record is the w-mix of
-    the blocks' records (:func:`_block_sums`), at n_i = 1 geometric in
-    p_i = T_0.
+    w_i, n_i phases and rate r_i; a shifted exponential is one block
+    shifted by c.  With one on either side, p = Pr(S <= Y),
+    E[Y Pr(S > Y)] and E[S; S <= Y] are the w-sums of each block's closed
+    forms in pi and T, the ``poisson_mix`` at r_i of the other law, or of
+    its ``residual`` at c > 0 (:attr:`Pair._terms`; Neuts,
+    Matrix-Geometric Solutions in Stochastic Models, 1981).  Pairs of D, U
+    and R laws read one law's residuals at the other's points
+    (:meth:`Pair._phase_free`).  Under preemption K is geometric in p;
+    dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.  Under
+    dropping at other arrivals a block service draws its block once per
+    cycle and climbs Poisson(r_i Y) of its phases in a gap, so K's record
+    is the w-mix of the blocks' records (:func:`_block_sums`), at n_i = 1
+    geometric in p_i = T_0.
 
 Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other pair integrates the service ccdf against U,
@@ -74,8 +73,8 @@ Lattice (paths ``lattice`` and ``closed_form``)
     brackets the true one.  Deterministic gaps give the sums in closed
     form up to the last lattice point t; past it the service ccdf G falls,
     so the left-out terms are bounded by the service's stop-loss
-    E[(S-t)^+ ((S+t)/2 + E[Y])] (one ``expect``, skipped when G(t) = 0, as
-    for bounded services), and Pr(K > k) there by G(t).
+    E[(S-t)^+ ((S+t)/2 + E[Y])], read from its residual at t (skipped
+    when G(t) = 0, as for bounded services), and Pr(K > k) there by G(t).
 
 Nothing here samples.
 
@@ -94,7 +93,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .distributions import (Deterministic, Distribution, Exponential,
-                            check_pair, expect)
+                            ShiftedExponential, Uniform, check_pair)
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline
 
@@ -150,7 +149,7 @@ class Cycles(NamedTuple):
     """K's law under one discipline, each quantity an interval its
     producer proved, and the path that reached them."""
 
-    path: Literal["lattice", "closed_form", "quadrature"]
+    path: Literal["lattice", "closed_form"]
     moments: Callable[[], tuple[Interval, Interval]]  # E[K], E[K^2], on call
     crossing: Callable[[], Interval]  # sum_k E[A_k * Pr(S > A_k)], on call
     # k_max -> arrays of Pr(K = k), k = 1..k_max, and Pr(K > k_max)
@@ -191,71 +190,117 @@ class Pair:
 
     @cached_property
     def p(self) -> Interval:
-        """p = Pr(S <= Y) and its quadrature error, 0 in closed form at a
-        block law (:attr:`_by_block`).  Ties count as successes, like the
-        simulator's, and a p within its error of 0 is 0: rounding must not
-        make an impossible completion possible."""
-        if self._by_block is not None:
-            return Interval(min(self._by_block[0], 1.0), 0.0)
-        mean_tail, err = expect(self.interarrival, self.service.ccdf,
-                                extra_breakpoints=self.service.breakpoints())
-        p = 1.0 - mean_tail
-        return Interval(0.0 if p <= err else min(p, 1.0), err)
+        """p = Pr(S <= Y) in closed form (:attr:`_terms`).  Ties count as
+        successes, like the simulator's."""
+        return Interval(min(self._terms[0], 1.0), 0.0)
 
     @cached_property
-    def _mixes(self) -> tuple[bool, tuple, list[tuple]] | None:
-        """Whether the service (else the gaps) is a mixture of Erlang
-        blocks, its blocks (w_i, n_i, r_i) and the other law's
-        ``poisson_mix`` at each block's rate up to j = n_i, one call per
-        block; None when neither law is."""
-        for service, law, other in ((True, self.service, self.interarrival),
-                                    (False, self.interarrival, self.service)):
-            if (blocks := law.phases()) is not None:
-                return service, blocks, [other.poisson_mix(r, n)
-                                         for n, r in zip(*blocks[1:])]
+    def _mixes(self) -> tuple[bool, float, tuple, object, list[tuple]] | None:
+        """Whether the service (else the gaps) is c plus a mixture of Erlang
+        blocks (w_i, n_i, r_i), c, the blocks, the other law's residual at
+        c (None at c = 0), and the ``poisson_mix`` of that residual, or of
+        the other law at c = 0, at each block's rate up to j = n_i; a phase
+        law before a shifted exponential.  None when neither law is one."""
+        sides = ((True, self.service, self.interarrival),
+                 (False, self.interarrival, self.service))
+        for service, law, other in sorted(sides, key=lambda side: isinstance(
+                side[1], ShiftedExponential)):
+            c, blocks = ((law.shift, ((1.0,), (1,), (law.rate,)))
+                         if isinstance(law, ShiftedExponential)
+                         else (0.0, law.phases()))
+            if blocks is not None:
+                rest = other.residual(c) if c else None
+                mix = (other if rest is None else rest).poisson_mix
+                return service, c, blocks, rest, [
+                    mix(r, n) for n, r in zip(*blocks[1:])]
         return None
 
     @cached_property
-    def _by_block(self) -> tuple[float, float, float] | None:
-        """p = Pr(S <= Y), E[Y Pr(S > Y)] and E[S; S <= Y], each the
-        w-sum of the blocks' terms in pi and T of the other law at the
-        block's rate r and shape n, with h = sum_{j<n} (j+1) pi_{j+1}/r:
-        at a service block T_{n-1}, h and (n/r) T_n; at a gap block
-        pi_0 + ... + pi_{n-1}, (n/r) T_n and h."""
+    def _terms(self) -> tuple[float, float, float]:
+        """p = Pr(S <= Y), E[Y Pr(S > Y)] and E[S; S <= Y]: without a block
+        law from :meth:`_phase_free`, else the w-sums of the blocks' terms,
+        in pi and T of the other law X, or of its residual at c with
+        G = Pr(X > c).  A block B of shape n and rate r, with
+        P = pi_0 + ... + pi_{n-1} and h = sum_{j<n} (j+1) pi_{j+1}/r, has
+        Pr(c + B <= X) = G T_{n-1},
+        E[X; X < c + B] = E[X; X <= c] + G (c P + h) and
+        E[c + B; c + B <= X] = G (c T_{n-1} + (n/r) T_n); as gaps it has
+        p = Pr(X <= c) + G P and the last two swap."""
         if self._mixes is None:
-            return None
-        service, (w, shapes, rates), mixes = self._mixes
+            return self._phase_free()
+        service, c, (w, shapes, rates), rest, mixes = self._mixes
+        ccdf, cdf, below = (1.0, 0.0, 0.0) if rest is None else rest[:3]
         terms = []
         for n, r, (pi, tail) in zip(shapes, rates, mixes):
             h = float(np.arange(1.0, n + 1.0) @ pi[1:]) / r
-            rest = n * float(tail[n]) / r
-            terms.append((float(tail[n - 1]), h, rest) if service
-                         else (float(pi[:n].sum()), rest, h))
+            head, done = float(pi[:n].sum()), float(tail[n - 1])
+            block = ccdf * (c * done + n * float(tail[n]) / r)
+            other = below + ccdf * (c * head + h)
+            terms.append((ccdf * done, other, block) if service
+                         else (cdf + ccdf * head, block, other))
         return tuple(sum(a * t[i] for a, t in zip(w, terms)) for i in range(3))
+
+    def _phase_free(self) -> tuple[float, float, float]:
+        """The terms for two laws of D, U and R.  D(v) gaps: Pr(S <= v),
+        v G_S(v), E[S; S <= v]; D(v) service: G_Y(v), E[Y; Y <= v],
+        v G_Y(v).  U(a, b) against X needs int_a^b of G, t G,
+        E[X; X <= t] and Pr(X <= t), over b - a.  Each is c + f(a) - f(b)
+        for an integral f of X's residual at t from above or from below,
+        in the form whose three terms add up smallest: f = G E[W] or
+        -E[min(X, t)] = -(t G + E[X; X <= t]) for G; G (E[W^2]/2 + t E[W])
+        or -E[min(X, t)^2]/2 for t G; c = (b - a) E[X] and
+        f = -G (E[W^2] + t E[W]), or f = E[X^2; X <= t] - t E[X; X <= t],
+        for E[X; X <= t]; c = b - a and f = -G E[W], or
+        f = E[X; X <= t] - t Pr(X <= t), for Pr(X <= t).  R/R is Gaussian:
+        with sigma^-2 = sigma_Y^-2 + sigma_S^-2, sigma_Y^2/(sigma_Y^2 +
+        sigma_S^2) and sqrt(pi/2) sigma^3 over sigma_Y^2 and sigma_S^2."""
+        y, s = self.interarrival, self.service
+        if isinstance(y, Deterministic):
+            at = s.residual(y.value)
+            return at.cdf, y.value * at.ccdf, at.below
+        if isinstance(s, Deterministic):
+            at = y.residual(s.value)
+            return at.ccdf, at.below, s.value * at.ccdf
+        if isinstance(s, Uniform) or isinstance(y, Uniform):
+            u, x = (s, y) if isinstance(s, Uniform) else (y, s)
+            a, b = u.lower, u.upper
+            ends = ((x.residual(a), a), (x.residual(b), b))
+
+            def over_w(*forms) -> float:  # (c + f(a) - f(b))/(b - a)
+                terms = [(c, f(*ends[0]), -f(*ends[1])) for c, f in forms]
+                return math.fsum(min(terms, key=lambda t: sum(map(abs, t)))
+                                 ) / (b - a)
+            ccdf = over_w((0.0, lambda r, t: r.ccdf * r.mean),
+                          (0.0, lambda r, t: -t * r.ccdf - r.below))
+            tg = over_w((0.0, lambda r, t: r.ccdf * (0.5 * r.second_moment
+                                                     + t * r.mean)),
+                        (0.0, lambda r, t: -0.5 * (t * t * r.ccdf
+                                                   + r.below_square)))
+            below = over_w(((b - a) * x.mean(), lambda r, t: -r.ccdf * (
+                r.second_moment + t * r.mean)),
+                           (0.0, lambda r, t: r.below_square - t * r.below))
+            if u is s:
+                return ccdf, below, tg
+            return over_w((b - a, lambda r, t: -r.ccdf * r.mean),
+                          (0.0, lambda r, t: r.below - t * r.cdf)), tg, below
+        vy, vs = y.scale * y.scale, s.scale * s.scale
+        k = math.sqrt(math.pi / 2.0) * y.scale * s.scale / math.sqrt(vy + vs)
+        return vy / (vy + vs), k * (vs / (vy + vs)), k * (vy / (vy + vs))
 
     @cached_property
     def crossing(self) -> Interval:
-        """E[Y Pr(S > Y)] and its quadrature error, 0 at a block law; over
-        p^2, the crossing sum of a geometric K."""
-        if self._by_block is not None:
-            return Interval(self._by_block[1], 0.0)
-        return Interval(*expect(self.interarrival,
-                                lambda y: y * self.service.ccdf(y),
-                                extra_breakpoints=self.service.breakpoints()))
+        """E[Y Pr(S > Y)] in closed form; over p^2, the crossing sum of a
+        geometric K."""
+        return Interval(self._terms[1], 0.0)
 
     @cached_property
     def completed_service(self) -> Interval:
-        """E[S | the service completes] = E[S Pr(Y >= S)] / p over the
-        brackets of both, the numerator in closed form at a block law;
-        raises :class:`ZeroSuccessProbability` when no service can
+        """E[S | the service completes] = E[S Pr(Y >= S)] / p in closed
+        form; raises :class:`ZeroSuccessProbability` when no service can
         complete."""
         if self.p.value <= 0.0:
             raise ZeroSuccessProbability(self._no_success())
-        if self._by_block is not None:
-            return Interval(self._by_block[2], 0.0).over(self.p)
-        return Interval(*expect(
-            self.service, lambda s: s * self.interarrival.tail_inclusive(s),
-            extra_breakpoints=self.interarrival.breakpoints())).over(self.p)
+        return Interval(self._terms[2], 0.0).over(self.p)
 
     def service_term(self, discipline: Discipline) -> Interval:
         """The age's last term: E[S] under dropping, E[S | S <= Y] under
@@ -268,21 +313,31 @@ class Pair:
         """K's record under ``discipline``, on the module docstring's path."""
         if discipline is Discipline.PREEMPTION:
             return self._geometric_cycles()
-        if isinstance(self.interarrival, Exponential):
+        if isinstance(self.interarrival, Exponential) and (
+                math.isfinite(self.service.second_moment())
+                or not self._blocks_hold):
             return self._poisson_cycles()
         return self._dropping
+
+    @cached_property
+    def _blocks_hold(self) -> bool:
+        """Whether the service's Erlang blocks keep their dropping record in
+        the float range: at most 1/T_0 gaps a phase bound E[K^2] and the
+        crossing sum by about 2 (n/T_0)^2 and E[Y] (n/T_0)^2."""
+        if self.service.phases() is None:
+            return False
+        _, _, (_, shapes, _), _, mixes = self._mixes
+        return min(tail[0] for _, tail in mixes) ** 2 * sys.float_info.max >= (
+            2.0 * max(1.0, self.interarrival.mean()) * max(shapes) ** 2)
 
     @cached_property
     def _dropping(self) -> Cycles:
         """The service blocks' dropping record, else the lattice's."""
         if self.service.phases() is None:
             return _lattice_cycles(self.interarrival, self.service)
-        _, (w, shapes, rates), mixes = self._mixes
-        # A block needs at most 1/T_0 gaps a phase, so E[K^2] and the
-        # crossing sum are at most about 2 (n/T_0)^2 and E[Y] (n/T_0)^2.
-        top = 2.0 * max(1.0, self.interarrival.mean()) * max(shapes) ** 2
-        if min(tail[0] for _, tail in mixes) ** 2 * sys.float_info.max < top:
+        if not self._blocks_hold:
             raise TruncationNotReached(self._no_success())
+        _, _, (w, shapes, rates), _, mixes = self._mixes
         k_mean, k_second, crossing = (Interval(float(v), 0.0) for v in np.dot(
             w, [_block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)]))
 
@@ -316,29 +371,21 @@ class Pair:
                       lambda: exact(0.5 * lam * m2), pmf)
 
     def _geometric_cycles(self) -> Cycles:
-        """Preemption's K, geometric in p, from the intervals of p and of the
-        crossing term.  Where E[K^2] or the crossing sum, about 2/p^2 and
-        E[Y]/p^2, could overflow, it raises :class:`ZeroSuccessProbability`."""
-        lo = self.p.value - self.p.half_width
-        hi = min(self.p.value + self.p.half_width, 1.0)
-        if lo <= 0.0 or lo * lo * sys.float_info.max < 2.0 * max(
+        """Preemption's K, geometric in p.  Where E[K^2] or the crossing
+        sum, about 2/p^2 and E[Y]/p^2, could overflow, it raises
+        :class:`ZeroSuccessProbability`."""
+        p = self.p.value
+        if p <= 0.0 or p * p * sys.float_info.max < 2.0 * max(
                 1.0, self.interarrival.mean()):
             raise ZeroSuccessProbability(self._no_success())
-
-        def crossing_sum() -> Interval:
-            v, e = self.crossing
-            return Interval.between((v + e) / lo**2, (v - e) / hi**2)
+        moments = Interval(1.0 / p, 0.0), Interval((2 - p) / p**2, 0.0)
+        crossing = Interval(self.crossing.value / p**2, 0.0)
 
         def pmf(k_max: int) -> tuple[Interval, Interval]:
-            # p (1-p)^(k-1) grows with its first factor, falls with its second
-            k = np.arange(k_max + 1.0)
-            down, up = (1.0 - lo) ** k, (1.0 - hi) ** k
-            return (Interval.between(lo * up[:-1], hi * down[:-1]),
-                    Interval.between(down[-1], up[-1]))
-        moments = tuple(Interval.between(f(lo), f(hi))
-                        for f in (lambda q: 1.0 / q, lambda q: (2 - q) / q**2))
-        return Cycles("quadrature" if self._by_block is None else "closed_form",
-                      lambda: moments, crossing_sum, pmf)
+            power = (1.0 - p) ** np.arange(k_max + 1.0)
+            return (Interval(p * power[:-1], np.zeros(k_max)),
+                    Interval(power[-1], 0.0))
+        return Cycles("closed_form", lambda: moments, lambda: crossing, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "
@@ -499,16 +546,11 @@ def _beyond_top(service: Distribution, t: float, d: float
 
     G falls, so each term is at most the mean of G(x), (2x+3d) G(x)/d or
     (x+d) G(x) over the step before it.  The service's stop-loss beyond t
-    B = int_t^inf (x+d) G(x) dx = E[(S-t)^+ ((S+t)/2 + d)], integrated with
-    its error added, bounds all three: int_t^inf G <= B/(t+d) gives
-    B/((t+d) d), 2B/d^2 + B/((t+d) d) and B/d, for any service law.
-    Past t, where G is at most 1e-13, it falls on a scale of about t/60
-    (Gaussian tails) to t/30 (exponential ones), so the panels are cut at
-    t (1 + 2^-k), k = 0..6, where one round of rules settles them."""
-    cuts = (t, *(t * (1.0 + 0.5 ** k) for k in range(7)))
-    value, err = expect(service, lambda s: np.maximum(s - t, 0.0)
-                        * (0.5 * (s + t) + d), extra_breakpoints=cuts)
-    b = (value + err) / d
+    B = int_t^inf (x+d) G(x) dx = G(t) (E[W^2]/2 + (t+d) E[W]), W the
+    service's residual at t, bounds all three: int_t^inf G <= B/(t+d)
+    gives B/((t+d) d), 2B/d^2 + B/((t+d) d) and B/d, for any service law."""
+    at = service.residual(t)
+    b = at.ccdf * (0.5 * at.second_moment + (t + d) * at.mean) / d
     k_mean = b / (t + d)
     return k_mean, 2.0 * b / d + k_mean, b
 

@@ -16,21 +16,15 @@ family of laws. Each law is a frozen dataclass exposing
   of Erlang laws (the exponential law one one-phase block, the Erlang law
   one block, the hyperexponential law one-phase blocks, all described by
   one mixture code), ``None`` for every other law,
+* its :class:`Residual` at a point t, ``residual(t)``: Pr(X > t), the
+  partial moments E[X^k; X <= t], k <= 2, and the residual law
+  W = (X - t | X > t), which stays in the family (D, U, SE), mixes Erlang
+  blocks (the phase laws) or is the Rayleigh law's tail,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
-Every integral (:func:`expect`) comes from one vectorized panel quadrature:
-the range is cut at the law's breakpoints, the caller's breakpoints and a
-fixed grid in units of the law's mean (an unbounded last piece is mapped
-onto [0, 1)), every panel gets a 20-point Gauss-Legendre rule checked
-against a 10-point one in one array call of the integrand, and the panels
-whose rules disagree are bisected, all at once, until none is left.
-Measuring the variable in units of the mean makes results rescale with
-time.  The tolerance is ``QUAD_REL_TOL``, relative, with a floor relative
-to the first pass's total; the error estimate is the summed rule
-disagreement plus a roundoff floor.  The strict ccdf convention matches
-the simulator's tie rule (a completion at exactly an arrival instant
-counts as a success), which keeps formula evaluation and event accounting
-aligned.
+Nothing here integrates.  The strict ccdf convention matches the
+simulator's tie rule (a completion at exactly an arrival instant counts as
+a success), which keeps formula evaluation and event accounting aligned.
 
 All descriptor methods are pure; sampler state lives entirely in the
 caller-supplied generator.  Nothing here needs more than NumPy and
@@ -44,11 +38,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields as _dc_fields
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
-
-from .errors import QuadratureNotConverged
 
 __all__ = [
     "Distribution",
@@ -60,17 +52,11 @@ __all__ = [
     "Erlang",
     "Hyperexponential",
     "MrlVerdict",
-    "expect",
+    "Residual",
     "from_dict",
     "check_pair",
 ]
 
-QUAD_REL_TOL = 1e-9
-_QUAD_FLOOR = 1e-14  # panel error floor, relative to the first round's total
-_PANEL_GRID = 4      # panels cut at 1, 2, ..., 4 means
-_MAX_DEPTH = 50      # bisection rounds
-_MAX_PANELS = 4096   # failing panels in one round
-_EPS = float(np.finfo(float).eps)
 # The mixed-Poisson terms are summed and multiplied in NumPy's long double
 # (64 bits of mantissa on x86-64), so that neither a rate argument such as
 # s/(r+s), rounded once and raised to the j-th power, nor a running product
@@ -78,7 +64,7 @@ _EPS = float(np.finfo(float).eps)
 _EXT = np.longdouble
 _EXT_EPS = float(np.finfo(_EXT).eps)
 _EXP_NORMAL = float(-np.log(np.finfo(_EXT).smallest_normal))  # e^-t normal below
-_FORWARD_REACH = 1.5     # z sqrt(m) below which Rayleigh's ratios run forward
+_FORWARD_REACH = 1.5     # w sqrt(m) below which Rayleigh's ratios run forward
 _EXTENSION = 64          # pmf terms taken past j_max before the tail is checked
 _MAX_TERMS = 1 << 20     # pmf terms past which a tail is taken as it stands
 
@@ -176,6 +162,55 @@ def _block(n: int, rate, s, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     return pmf[:j_max + 1], tail[:j_max + 1]
 
 
+def _mills(w: float, m: int) -> tuple[float, float, np.ndarray]:
+    """I_0, I_1 and u[k] = I_k/I_{k-1}, k = 1..m, of I_k = int_0^inf v^k
+    exp(-v^2/2 - w v) dv, w >= 0: u_k = k/(w + u_{k+1}), by parts.  Run
+    forward, u_{k+1} = k/u_k - w, an error in u_k grows by about
+    1 + w/sqrt(k) a step, so only while w sqrt(m) < 1.5: there I_0 is the
+    Mills ratio g from erfc and I_1 = 1 - w g loses under 3 bits.  Else
+    Laplace's continued fraction, run backward from depth
+    (sqrt(m) + 20/w)^2 + 12, where its tail has settled to the last bit."""
+    u = np.empty(m + 1)  # u[k] = u_k
+    if w * math.sqrt(m) < _FORWARD_REACH:
+        t = w / math.sqrt(2.0)
+        g = math.sqrt(math.pi / 2.0) * math.exp(t * t) * math.erfc(t)
+        u[1] = 1.0 / g - w
+        for k in range(1, m):
+            u[k + 1] = k / u[k] - w
+        return g, 1.0 - w * g, u
+    v = 0.0
+    for k in range(int((math.sqrt(m) + 20.0 / w) ** 2) + 12, 0, -1):
+        v = k / (w + v)
+        if k <= m:
+            u[k] = v
+    return 1.0 / (w + u[1]), _EXT(u[1]) / (w + u[1]), u
+
+
+def _rayleigh_mix(scale: float, tau: float, s, j_max: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """pi and T at s of the Rayleigh law's tail past t = tau scale, of
+    density (v + tau) exp(-v^2/2 - tau v) in v = W/scale (tau = 0: the
+    law).  With z = scale s and I_m at z + tau (:func:`_mills`),
+    pi_j = Q_j + tau z Q_{j-1}/j and T_j = z^2 Q_{j-1}/j for
+    Q_j = z^j/j! I_{j+1} = Q_{j-1} z u_{j+1}/j; pi_0 = I_1 + tau I_0 and
+    T_0 = z I_0.  They are taken at z rounded to a double and moved to the
+    exact z, a relative step d, by the first-order terms of
+    z dpi_j/dz = j pi_j - (j+1) pi_{j+1} and z dT_j/dz = (j+1) pi_{j+1}."""
+    exact = scale * s
+    z, m = float(exact), j_max + 2
+    if math.isinf(z + tau):  # pi_j ~ (j+1)/z^2: 0 in doubles
+        return np.zeros(m), np.ones(m)
+    i0, i1, u = _mills(z + tau, m)
+    j = np.arange(1, m, dtype=_EXT)
+    q = np.multiply.accumulate(np.concatenate(([i1], z * u[2:] / j)))
+    pi = q + tau * np.concatenate(([i0], z * q[:-1] / j))
+    tail = np.concatenate(([z * i0], z * (z * q[:-2]) / j[:-1]))
+    if exact == z or not z:  # z = 0: the terms at exact z are 0 in doubles
+        return pi, tail
+    d, up = (exact - z) / z, j * pi[1:]  # up_j = (j+1) pi_{j+1}
+    return pi[:-1] + d * ((j - 1) * pi[:-1] - up), tail + d * up
+
+
 def _uniform_base(w, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The mixed-Poisson law of U(0, c) at s, w = s c, N ~ Poisson(w):
     pi_k = Pr(N > k)/w, a pmf since E[N] = w, and T_k = E[(N - k - 1)^+]/w:
@@ -187,6 +222,42 @@ def _uniform_base(w, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     below = np.add.accumulate(np.add.accumulate(pmf[:j_max + 1]))
     over = np.where(w >= k1, w - k1 + below, _above(tail)[:j_max + 1])
     return tail[:j_max + 1] / w, over / w
+
+
+def _mixed(terms, s: float, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """pi and T, j <= j_max, at s >= 0 from ``terms(s, j_max)``, which
+    gives them for s > 0 in long doubles; each is rounded once."""
+    if s < 0:
+        raise ValueError("poisson_mix rate must be >= 0")
+    if s == 0.0:
+        return np.eye(1, j_max + 1)[0], np.zeros(j_max + 1)
+    pi, tail = terms(_EXT(s), j_max)
+    return pi[:j_max + 1].astype(float), tail[:j_max + 1].astype(float)
+
+
+class Residual(NamedTuple):
+    """X at a point t: Pr(X > t), Pr(X <= t), E[X; X <= t], E[X^2; X <= t]
+    and W = (X - t | X > t), the point mass at 0 where Pr(X > t) = 0."""
+
+    ccdf: float
+    cdf: float
+    below: float
+    below_square: float
+    mean: float
+    second_moment: float
+    poisson_mix: Callable[[float, int], tuple[np.ndarray, np.ndarray]]
+
+
+def _residual(ccdf, cdf, below, below_square, law) -> Residual:
+    return Residual(float(ccdf), float(cdf), float(below), float(below_square),
+                    float(law.mean()), float(law.second_moment()),
+                    law.poisson_mix)
+
+
+def _less(x: float, t: float):
+    """max(x - t, 0) in long doubles, for a parameter of W: rounded to a
+    double, it would cost s |x - t| eps in W's mixed-Poisson terms."""
+    return max(_EXT(x) - t, _EXT(0))
 
 
 class MrlVerdict(str, Enum):
@@ -237,33 +308,12 @@ class Distribution(ABC):
             out = self._ccdf(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
-    def tail_inclusive(self, x):
-        """Pr(X >= x). Differs from ``ccdf`` only at point masses. Accepts
-        a scalar or an array."""
-        return self.ccdf(x)
-
-    def pdf(self, x):
-        """Density where one exists. Accepts a scalar or an array, and
-        overflows as :meth:`ccdf` does."""
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            out = self._pdf(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
-
-    def _pdf(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} has no density")
-
     def poisson_mix(self, s: float, j_max: int
                     ) -> tuple[np.ndarray, np.ndarray]:
         """pi_j = Pr(Poisson(sX) = j) = E[exp(-sX) (sX)^j/j!] and its tails
         T_j = sum_{i>j} pi_i, j = 0..j_max, for s >= 0, each a sum or
         product of nonnegative terms."""
-        if s < 0:
-            raise ValueError("poisson_mix rate must be >= 0")
-        if s == 0.0:
-            return np.eye(1, j_max + 1)[0], np.zeros(j_max + 1)
-        pi, tail = self._poisson_mix(_EXT(s), j_max)
-        return pi[:j_max + 1].astype(float), tail[:j_max + 1].astype(float)
+        return _mixed(self._poisson_mix, s, j_max)
 
     @abstractmethod
     def _poisson_mix(self, s, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +329,13 @@ class Distribution(ABC):
         """(lo, hi) bounds of the support; hi may be ``inf``."""
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Points where the ccdf is not smooth, for quadrature splitting."""
+        """Points where the ccdf is not smooth, which the renewal lattice
+        snaps onto its points."""
         return ()
+
+    @abstractmethod
+    def residual(self, t: float) -> Residual:
+        """The law at the point t >= 0 (:class:`Residual`)."""
 
     @abstractmethod
     def mrl_class(self) -> MrlVerdict:
@@ -321,16 +376,6 @@ def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(t), 0.0, out)
 
 
-def _erlang_pdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
-    if n == 1:
-        return rate * np.exp(-rate * xs)
-    xs = np.maximum(xs, 0.0)
-    with np.errstate(divide="ignore"):
-        logpdf = (n * math.log(rate) + (n - 1) * np.log(xs)
-                  - rate * xs - math.lgamma(n))
-    return np.where(xs > 0, np.exp(logpdf), 0.0)
-
-
 class _PhaseMix:
     """The descriptors of a mixture of Erlang blocks, read from its
     :meth:`~Distribution.phases`."""
@@ -347,14 +392,27 @@ class _PhaseMix:
     def _ccdf(self, xs):
         return sum(w * _erlang_ccdf(n, r, xs) for w, n, r in self._blocks())
 
-    def _pdf(self, xs):
-        return sum(w * _erlang_pdf(n, r, xs) for w, n, r in self._blocks())
-
     def _poisson_mix(self, s, j_max):
         blocks = [(w, _block(n, r, s, j_max)) for w, n, r in self._blocks()]
         if len(blocks) == 1:  # of weight 1
             return blocks[0][1]
         return tuple(sum(w * b[i] for w, b in blocks) for i in (0, 1))
+
+    def residual(self, t):
+        """W mixes the phases left: a block of n phases of rate r has run
+        k < n by t with chance Pr(N = k), N ~ Poisson(r t), and
+        E[X^m; X <= t] = n..(n+m-1)/r^m Pr(N > n+m-1)."""
+        left, below = [], np.zeros(3, dtype=_EXT)
+        for w, n, r in self._blocks():
+            pmf, tail = _poisson(r * _EXT(t), n + 1)
+            left += [(w * pmf[k], n - k, r) for k in range(n)]
+            below += w * np.array([tail[n - 1], n * tail[n] / r,
+                                   _over_square(n * (n + 1) * tail[n + 1], r)])
+        g = sum(v for v, _, _ in left)
+        if not g:
+            return _residual(0.0, *below, Deterministic(0.0))
+        return _residual(g, *below, _Blocks(tuple(zip(*(
+            (v / g, m, r) for v, m, r in left)))))
 
     def support(self):
         return (0.0, math.inf)
@@ -366,6 +424,16 @@ class _PhaseMix:
         if len(blocks) > 1:
             return MrlVerdict.IMRL
         return MrlVerdict.CONSTANT if blocks.pop()[0] == 1 else MrlVerdict.DMRL
+
+
+class _Blocks(_PhaseMix):
+    """The mixture of Erlang blocks ``phases``, a residual law of one."""
+
+    def __init__(self, phases):
+        self.phases = lambda: phases
+
+    def poisson_mix(self, s, j_max):
+        return _mixed(self._poisson_mix, s, j_max)
 
 
 @dataclass(frozen=True)
@@ -416,12 +484,19 @@ class ShiftedExponential(Distribution):
         return np.where(xs < self.shift, 1.0,
                         np.exp(-self.rate * np.maximum(xs - self.shift, 0.0)))
 
-    def _pdf(self, xs):
-        return np.where(xs < self.shift, 0.0,
-                        self.rate * np.exp(-self.rate * np.maximum(xs - self.shift, 0.0)))
-
     def _poisson_mix(self, s, j_max):
         return _shifted(s * self.shift, _block(1, self.rate, s, j_max), j_max)
+
+    def residual(self, t):
+        """W = SE(rate, max(shift - t, 0)); past the shift, with
+        N ~ Poisson(rate (t - shift)), E[E^k; E <= t - shift] =
+        k!/rate^k Pr(N > k) for the exponential part E."""
+        d, r = self.shift, self.rate
+        pmf, tail = _poisson(r * max(_EXT(t) - d, _EXT(0)), 2)
+        return _residual(pmf[0], tail[0], tail[0] * d + tail[1] / r,
+                         tail[0] * d * d + tail[1] * 2 * d / r
+                         + _over_square(2 * tail[2], r),
+                         ShiftedExponential(r, _less(d, t)))
 
     def support(self):
         return (self.shift, math.inf)
@@ -456,13 +531,14 @@ class Deterministic(Distribution):
     def _ccdf(self, xs):
         return np.where(xs < self.value, 1.0, 0.0)
 
-    def tail_inclusive(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr <= self.value, 1.0, 0.0)
-        return float(out) if arr.ndim == 0 else out
-
     def _poisson_mix(self, s, j_max):
         return _poisson(s * self.value, j_max)
+
+    def residual(self, t):  # W = D(value - t)
+        v = float(self.value)
+        if t < v:
+            return _residual(1.0, 0.0, 0.0, 0.0, Deterministic(_less(v, t)))
+        return _residual(0.0, 1.0, v, v * v, Deterministic(0.0))
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -502,13 +578,25 @@ class Uniform(Distribution):
         a, b = self.lower, self.upper
         return np.clip((b - xs) / (b - a), 0.0, 1.0)
 
-    def _pdf(self, xs):
-        inside = (xs >= self.lower) & (xs <= self.upper)
-        return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
-
     def _poisson_mix(self, s, j_max):  # U(0, b - a) shifted by a
         return _shifted(s * self.lower, _uniform_base(
             s * (self.upper - self.lower), j_max), j_max)
+
+    def residual(self, t):
+        """W = U(max(a - t, 0), b - t), and inside [a, b] no cube to
+        overflow: F (t + a)/2 and F (t^2 + t a + a^2)/3,
+        F = (t - a)/(b - a)."""
+        a, b = self.lower, self.upper
+        if t <= a:
+            return _residual(1.0, 0.0, 0.0, 0.0,
+                             Uniform(_less(a, t), _less(b, t)))
+        if t >= b:
+            return _residual(0.0, 1.0, self.mean(), self.second_moment(),
+                             Deterministic(0.0))
+        f = (t - a) / (b - a)
+        return _residual((b - t) / (b - a), f, f * (t + a) / 2.0,
+                         f * (t * t + t * a + a * a) / 3.0,
+                         Uniform(0.0, _less(b, t)))
 
     def support(self):
         return (self.lower, self.upper)
@@ -548,51 +636,36 @@ class Rayleigh(Distribution):
         u = np.ldexp(xs, -e)
         return np.exp(-u * u / (2.0 * m * m))
 
-    def _pdf(self, xs):  # (x / scale^2) ccdf(x)
-        m, e = math.frexp(self.scale)
-        return np.ldexp(np.ldexp(xs, -e) / (m * m) * self._ccdf(xs), -e)
-
     def _poisson_mix(self, s, j_max):
-        """With v = x/scale and z = scale s, pi_j = z^j/j! I_{j+1} and
-        T_j = z^(j+1)/j! I_j, I_m = int_0^inf v^m exp(-v^2/2 - z v) dv.
-        So T_0 = z I_0, T_j = z^2 pi_{j-1}/j, and pi_j = pi_{j-1} z u_{j+1}/j
-        from the ratios u_m = I_m/I_{m-1} = m/(z + u_{m+1}).
-        Run forward, u_{k+1} = k/u_k - z, an error in u_k grows by about
-        1 + z/sqrt(k) a step, so only while z sqrt(m) < 1.5: there I_0 is
-        the Mills ratio g from erfc and pi_0 = 1 - z g loses under 3 bits.
-        Else the ratios come from Laplace's continued fraction, evaluated
-        backward from depth (sqrt(m) + 20/z)^2 + 12, where its tail has
-        settled to the last bit, and I_0 = 1/(z + u_1), pi_0 = I_0 u_1 and
-        T_0 = 1/(1 + u_1/z): every term a product.
-        Both run in doubles at z rounded to a double, and the terms are
-        moved to the exact z, a relative step d, by the first-order terms
-        of z dpi_j/dz = j pi_j - (j+1) pi_{j+1} and z dT_j/dz =
-        (j+1) pi_{j+1}."""
-        exact = self.scale * s
-        z, m = float(exact), j_max + 2
-        if math.isinf(z):  # pi_j ~ (j+1)/z^2: 0 in doubles
-            return np.zeros(m), np.ones(m)
-        u = np.empty(m + 1)  # u[k] = u_k
-        if z * math.sqrt(m) < _FORWARD_REACH:
-            t = z / math.sqrt(2.0)
-            g = math.sqrt(math.pi / 2.0) * math.exp(t * t) * math.erfc(t)
-            first, u[1], t0 = 1.0 - z * g, 1.0 / g - z, z * g
-            for k in range(1, m):
-                u[k + 1] = k / u[k] - z
+        return _rayleigh_mix(self.scale, 0.0, s, j_max)
+
+    def residual(self, t):
+        """The tail at tau = t/scale.  X^2/(2 scale^2) is exponential, so
+        with N ~ Poisson(tau^2/2), G = Pr(N = 0) and E[X^2; X <= t] =
+        2 scale^2 Pr(N > 1), in long doubles.  E[X; X <= t] is
+        E[X] - G (t + E[W]) where that loses under a bit, else
+        scale tau e^(-tau^2/2) sum_{k>=1} tau^(2k)/(3 5 ... (2k+1))."""
+        sigma = self.scale
+        tau = _EXT(t) / sigma
+        if math.isinf(tau):  # past the double range, where G = 0
+            return _residual(0.0, 1.0, self.mean(), self.second_moment(),
+                             Deterministic(0.0))
+        pmf, tail = _poisson(tau * tau / 2, 1)
+        i0, i1, _ = _mills(float(tau), 1)
+        upper = pmf[0] * (tau + i0)
+        half_pi = np.sqrt(np.arccos(_EXT(-1)) / 2)
+        if upper <= half_pi / 2:
+            below = half_pi - upper
         else:
-            v = 0.0
-            for k in range(int((math.sqrt(m) + 20.0 / z) ** 2) + 12, 0, -1):
-                v = k / (z + v)
-                if k <= m:
-                    u[k] = v
-            first, t0 = _EXT(u[1]) / (z + u[1]), 1.0 / (1.0 + u[1] / z)
-        j = np.arange(1, m, dtype=_EXT)
-        pi = np.multiply.accumulate(np.concatenate(([first], z * u[2:] / j)))
-        tail = np.concatenate(([t0], z * (z * pi[:-2]) / j[:-1]))
-        if exact == z or not z:  # z = 0: the terms at exact z are 0 in doubles
-            return pi, tail
-        d, up = (exact - z) / z, j * pi[1:]  # up_j = (j+1) pi_{j+1}
-        return pi[:-1] + d * ((j - 1) * pi[:-1] - up), tail + d * up
+            square = tau * tau
+            terms, _ = _law(_running(square / 3, lambda k: square / (2 * k + 3)),
+                            0, True)
+            below = tau * pmf[0] * np.add.reduce(terms)
+        return Residual(float(pmf[0]), float(tail[0]), float(sigma * below),
+                        float(tail[1] * 2 * sigma * sigma), float(sigma * i0),
+                        2.0 * sigma * sigma * float(i1), functools.partial(
+                            _mixed, functools.partial(_rayleigh_mix, sigma,
+                                                      float(tau))))
 
     def support(self):
         return (0.0, math.inf)
@@ -706,117 +779,3 @@ def check_pair(interarrival: Distribution, service: Distribution) -> None:
         raise ValueError("interarrival second moment underflows to 0")
     if not math.isfinite(service.mean()):
         raise ValueError("service law must have a finite mean")
-
-
-def expect(dist: Distribution, fn: Callable[[np.ndarray], np.ndarray],
-           extra_breakpoints: Sequence[float] = ()) -> tuple[float, float]:
-    """E[fn(X)] with an error estimate.
-
-    ``fn`` maps an array of points to an array of values (and a float to a
-    float, for point masses, which are evaluated directly).  Continuous
-    laws integrate ``fn * pdf`` by :func:`_panel_quad`: Gauss-Legendre
-    panels cut at the breakpoints of the law itself, any caller-supplied
-    extra points (typically the kinks of another law's ccdf inside the
-    integrand) and a fixed grid in units of the law's mean, bisected until
-    each panel's 20- and 10-point rules agree to ``QUAD_REL_TOL``.  The
-    error estimate is the sum of those disagreements plus a roundoff floor
-    of 50 machine epsilons times the summed panel magnitudes.
-    """
-    if isinstance(dist, Deterministic):
-        return float(fn(dist.value)), 0.0
-    lo, hi = dist.support()
-    inner = [p for p in (*dist.breakpoints(), *extra_breakpoints) if lo < p < hi]
-    return _panel_quad(lambda x: fn(x) * dist.pdf(x), dist.mean(),
-                       sorted({lo, *inner, hi}))
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on the three-term recurrence, from the usual cosine
-    guesses, so no LAPACK call (and its workspace) is made.
-    """
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):  # quadratic convergence: ample for n <= 20
-        p_prev, p = np.ones(n), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        slope = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / slope
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
-
-
-def _panel_quad(f: Callable[[np.ndarray], np.ndarray], unit: float,
-                cuts: Sequence[float]) -> tuple[float, float]:
-    """The integral of ``f`` from ``cuts[0]`` to ``cuts[-1]`` (which may be
-    ``inf``) over the pieces between the sorted ``cuts``, and an error
-    estimate.
-
-    The variable is measured from ``cuts[0]`` in units of ``unit``, so a
-    narrow range far from 0 keeps its panel widths exact.  The pieces are
-    cut further at the grid 1, 2, ..., ``_PANEL_GRID``, and a last,
-    unbounded piece [c, inf) is mapped onto [0, 1) by x = c + u / (1 - u).
-    Each round evaluates the 20- and 10-point Gauss-Legendre rules on
-    every open panel in one call of ``f``, keeps the panels whose rules
-    differ by at most max(``QUAD_REL_TOL`` |G20|, ``_QUAD_FLOOR``
-    |first-round total|), and bisects the rest.  The error estimate is the
-    kept panels' sum of |G20 - G10| plus 50 eps times their sum of |G20|,
-    the roundoff that decides whether a near-zero result is zero.  Raises
-    :class:`QuadratureNotConverged` after ``_MAX_DEPTH`` rounds, when
-    more than ``_MAX_PANELS`` panels fail in one round, or when a node
-    lies past the float range.
-    """
-    start = float(cuts[0])
-    u = (np.asarray(cuts, dtype=float) - start) / unit
-    # Row i: piece i's ends with the grid clipped into it, nondecreasing,
-    # so consecutive entries are its panels (empty ones dropped).
-    ends = np.hstack([u[:-1, None],
-                      np.clip(np.arange(1.0, _PANEL_GRID + 1.0),
-                              u[:-1, None], u[1:, None]),
-                      u[1:, None]])
-    a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    keep = b > a
-    a, b = a[keep], b[keep]
-    mapped = np.isinf(b)
-    origin = a[-1]
-    a[mapped], b[mapped] = 0.0, 1.0
-    x20, w20 = _gauss_legendre(20)
-    x10, w10 = _gauss_legendre(10)
-    nodes, weights = np.concatenate([x20, x10]), np.concatenate([w20, w10])
-    total = err = mag = 0.0
-    floor = None
-    for _ in range(_MAX_DEPTH):
-        half = 0.5 * (b - a)
-        x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-        t = x[mapped]
-        x[mapped] = origin + t / (1.0 - t)
-        with np.errstate(over="ignore"):
-            x *= unit
-            x += start
-        if np.isinf(x).any():
-            raise QuadratureNotConverged(
-                "quadrature nodes reach past the float range")
-        terms = f(x.ravel()).reshape(x.shape)
-        terms[mapped] /= (1.0 - t) ** 2
-        terms *= weights
-        # Sums, not matrix products: BLAS would allocate its buffers.
-        g20 = half * terms[:, :20].sum(1)
-        diff = np.abs(g20 - half * terms[:, 20:].sum(1))
-        if floor is None:
-            floor = _QUAD_FLOOR * abs(g20.sum())
-        done = diff <= np.maximum(QUAD_REL_TOL * np.abs(g20), floor)
-        total += g20[done].sum()
-        err += diff[done].sum()
-        mag += np.abs(g20[done]).sum()
-        if done.all():
-            return float(unit * total), float(unit * (err + 50.0 * _EPS * mag))
-        a, b, mapped = (v[~done] for v in (a, b, mapped))
-        if a.size > _MAX_PANELS:
-            break
-        mid = 0.5 * (a + b)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        mapped = np.tile(mapped, 2)
-    raise QuadratureNotConverged(
-        f"{a.size} quadrature panels still differ by more than "
-        f"{QUAD_REL_TOL:g} relative after bisection")

@@ -21,9 +21,3 @@ class TruncationNotReached(AoiError):
 
 class ZeroSuccessProbability(AoiError):
     """No arrival can ever complete service under the given laws."""
-
-
-class QuadratureNotConverged(AoiError):
-    """Bisecting quadrature panels did not bring their two Gauss-Legendre
-    rules into agreement within the bisection limits, or the panels reach
-    past the float range."""

@@ -23,7 +23,7 @@ CLI_RESULT_SCHEMA = {
         "error": {
             "type": "string",
             "enum": ["DivergentAge", "ZeroSuccessProbability",
-                     "TruncationNotReached", "QuadratureNotConverged"],
+                     "TruncationNotReached"],
         },
         "message": {"type": "string"},
     },
@@ -42,8 +42,8 @@ CLI_RESULT_SCHEMA = {
                     "value": {"type": "number"},
                     "ci_half_width": {"type": "number", "minimum": 0},
                     "cycles_used": {"type": "integer", "minimum": 0},
-                    "method": {"enum": ["simulation", "lattice", "closed_form",
-                                        "quadrature"]},
+                    "method": {"enum": ["simulation", "lattice",
+                                        "closed_form"]},
                 },
             }}},
         },

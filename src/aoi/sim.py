@@ -126,7 +126,7 @@ class AgeEstimate:
     ci_half_width: float
     cycles_used: int
     # the path: the simulator, or the exact cycle record's (see aoi.analytic)
-    method: Literal["simulation", "lattice", "closed_form", "quadrature"]
+    method: Literal["simulation", "lattice", "closed_form"]
 
 
 class Moment(NamedTuple):

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from aoi import analytic
-from aoi.analytic import Interval, Pair, exact_age, k_pmf
+from aoi.analytic import Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
@@ -286,29 +286,6 @@ def test_exponential_service_shares_one_geometric_record(y):
     gap = (corollary_one(pair, PREEMPTION).value
            - corollary_one(pair, DROPPING).value)
     assert gap == pytest.approx(stilde - 1.0 / mu, rel=1e-12)
-
-
-def test_geometric_record_holds_every_p_of_its_bracket():
-    # Each interval of a geometric record holds its quantity at every p in
-    # p's bracket, though Pr(K = k) = p (1-p)^(k-1) peaks inside it at
-    # k = 3.  The brackets are set by hand, far wider than quadrature's.
-    pair = Pair(Exponential(1.0), Uniform(0.5, 2.0))
-    pair.__dict__.update(p=Interval(0.3, 0.05), crossing=Interval(0.2, 0.01))
-    record = pair.cycles(PREEMPTION)
-    pmf, tail = record.pmf(12)
-    k = np.arange(1, 13)
-
-    def holds(interval, x):  # up to the rounding at the bracket's ends
-        return np.all(np.abs(interval.value - x)
-                      <= interval.half_width + 4.0 * EPS * np.abs(x))
-
-    for q in np.linspace(0.25, 0.35, 41):
-        assert holds(record.k_mean, 1.0 / q)
-        assert holds(record.k_second, (2.0 - q) / q**2)
-        assert holds(record.crossing(), 0.19 / q**2)
-        assert holds(record.crossing(), 0.21 / q**2)
-        assert holds(pmf, q * (1.0 - q) ** (k - 1))
-        assert holds(tail, (1.0 - q) ** 12)
 
 
 # ------------------------------------------------------------- preemption

@@ -56,7 +56,7 @@ def test_exact_json_round_trips(capsys):
      "closed_form"),
     ("dropping", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
     ("dropping", DET % 0.5, EXP1, "closed_form"),
-    ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "quadrature"),
+    ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
 ])
 def test_exact_names_its_path(capsys, discipline, interarrival, service, method):
     code, payload = run_json(capsys, "exact", "--discipline", discipline,
@@ -509,9 +509,11 @@ def test_cli_and_sweep_read_one_estimator_table(capsys, discipline, template,
             assert result["half_width"] == row.ci, tag
 
 
-def test_quadrature_commands_do_not_import_scipy_integrate(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
     # The package runs on NumPy alone: with every SciPy import refused,
-    # each subcommand exits 0 on all 7 families, and SciPy never loads.
+    # each subcommand exits 0 on all 7 families, preemption on phase-free
+    # pairs ends in its age or its domain error (exit 1), and SciPy never
+    # loads.
     script = """
 import json, sys
 from pathlib import Path
@@ -556,6 +558,17 @@ for law in laws:
         "grid": [0.5, 1.0], "service": law, "sim_cycles": 200,
         "estimators": ["simulate", "exact", "corollary1", "mg11"]}))
     check("sweep", "--spec", spec, "--csv", spec.with_suffix(".csv"))
+D = lambda v: {"kind": "deterministic", "value": v}
+R = lambda scale: {"kind": "rayleigh", "scale": scale}
+SE = lambda rate, shift: {"kind": "shifted_exponential", "rate": rate,
+                          "shift": shift}
+U02 = {"kind": "uniform", "lower": 0, "upper": 2}
+for y, s, code in ((U02, SE(1e6, 1), 0), (R(1), SE(1e6, 1), 0),
+                   (SE(1, 0.1), D(1e4), 1), (R(1), SE(1, 1e6), 1),
+                   (U02, {"kind": "uniform", "lower": 0.5, "upper": 1.5}, 0),
+                   (D(1), SE(2, 0.2), 0), (R(1), R(0.5), 0)):
+    assert main(["exact", "--discipline", "preemption", "--interarrival",
+                 json.dumps(y), "--service", json.dumps(s)]) == code, (y, s)
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
     src = str(Path(__file__).resolve().parent.parent / "src")

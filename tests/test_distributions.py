@@ -13,8 +13,7 @@ from hypothesis import given, strategies as st
 from aoi import distributions
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, MrlVerdict, Rayleigh,
-                               ShiftedExponential, Uniform, expect, from_dict)
-from aoi.errors import QuadratureNotConverged
+                               ShiftedExponential, Uniform, from_dict)
 import mrl_oracle
 
 H2 = Hyperexponential(weights=(0.5, 0.5), rates=(0.5, 2.0))
@@ -109,17 +108,6 @@ def test_kolmogorov_smirnov_against_analytic_cdf():
 def test_closed_form_moments(dist, mean, second):
     assert dist.mean() == pytest.approx(mean, rel=1e-12)
     assert dist.second_moment() == pytest.approx(second, rel=1e-12)
-
-
-def test_quadrature_of_density_reproduces_mean():
-    for dist in CONTINUOUS:
-        value, _ = expect(dist, lambda x: x)
-        assert value == pytest.approx(dist.mean(), rel=1e-6), dist.describe()
-
-
-def test_quadrature_that_cannot_converge_raises():
-    with pytest.raises(QuadratureNotConverged):
-        expect(Exponential(1.0), lambda x: np.full_like(x, np.nan))
 
 
 # ---------------------------------------------------------------- ccdf
@@ -252,22 +240,43 @@ def mp_poisson_mix(law, s, j_max):
         return mp_shifted(s * law.shift, mp_block(1, mpf(law.rate), s, j_max),
                           j_max)
     if isinstance(law, Uniform):
-        w = s * (mpf(law.upper) - law.lower)
-        gamma = lambda k: mpmath.gammainc(k, 0, w, regularized=True)
-        base = ([gamma(k + 1) / w for k in range(j_max + 1)],
-                [(w * gamma(k + 1) - (k + 1) * gamma(k + 2)) / w
-                 for k in range(j_max + 1)])
-        return mp_shifted(s * law.lower, base, j_max)
-    z = law.scale * s
-    # I_0 is the Mills ratio, I_1 = 1 - z I_0 and I_{m+1} = m I_{m-1} -
-    # z I_m, each step losing up to 2 log10(1 + z) digits to cancellation.
-    with mpmath.extradps(int((j_max + 2) * 2 * math.log10(1.0 + float(z))) + 20):
-        i = [mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(z * z / 2)
-             * mpmath.erfc(z / mpmath.sqrt(2))]
-        i.append(1 - z * i[0])
-        for m in range(1, j_max + 1):
-            i.append(m * i[m - 1] - z * i[m])
-        return ([z**j / mpmath.factorial(j) * i[j + 1] for j in range(j_max + 1)],
+        return mp_uniform(mpf(law.lower), mpf(law.upper), s, j_max)
+    return mp_rayleigh_tail(law.scale * s, 0, j_max)
+
+
+def mp_uniform(a, b, s, j_max):
+    """pi and T of U(a, b) at s in mpmath: U(0, b - a) shifted by a."""
+    w = s * (b - a)
+    gamma = lambda k: mpmath.gammainc(k, 0, w, regularized=True)
+    base = ([gamma(k + 1) / w for k in range(j_max + 1)],
+            [(w * gamma(k + 1) - (k + 1) * gamma(k + 2)) / w
+             for k in range(j_max + 1)])
+    return mp_shifted(s * a, base, j_max)
+
+
+def mp_mills(w, m):
+    """I_0..I_m at w, I_k = int_0^inf v^k exp(-v^2/2 - w v) dv: I_0 is the
+    Mills ratio, I_1 = 1 - w I_0 and I_{k+1} = k I_{k-1} - w I_k, each
+    step losing up to 2 log10(1 + w) digits to cancellation, which the
+    caller's extra digits cover."""
+    i = [mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(w * w / 2)
+         * mpmath.erfc(w / mpmath.sqrt(2))]
+    i.append(1 - w * i[0])
+    for k in range(1, m):
+        i.append(k * i[k - 1] - w * i[k])
+    return i
+
+
+def mp_rayleigh_tail(z, tau, j_max):
+    """pi and T at z = scale s of the Rayleigh tail past tau scales, whose
+    density in units of the scale is (v + tau) exp(-v^2/2 - tau v):
+    pi_j = z^j/j! (I_{j+1} + tau I_j) and T_j = z^(j+1)/j! I_j, the I at
+    z + tau, tau = 0 the law itself."""
+    with mpmath.extradps(int((j_max + 2) * 2 * math.log10(1.0 + float(z + tau)))
+                         + 20):
+        i = mp_mills(z + tau, j_max + 1)
+        return ([z**j / mpmath.factorial(j) * (i[j + 1] + tau * i[j])
+                 for j in range(j_max + 1)],
                 [z**(j + 1) / mpmath.factorial(j) * i[j] for j in range(j_max + 1)])
 
 
@@ -294,6 +303,108 @@ def test_poisson_mix_keeps_full_relative_precision(law, x):
                     else:
                         assert abs(g - w) <= 8 * EPS * w, (
                             j_max, j, float(abs(g - w) / w / EPS))
+
+
+def mp_residual(law, t):
+    """(G, Pr(X <= t), E[X; X <= t], E[X^2; X <= t]) of ``law`` at t, and
+    W's (mean, second moment, mix), mix(s) its pi and T up to j = 1 at s,
+    in mpmath from each family's closed form; W None where G = 0."""
+    t, mpf = mpmath.mpf(t), mpmath.mpf
+    lower = lambda k, x: mpmath.gammainc(k, 0, x, regularized=True)
+    if isinstance(law, Deterministic):
+        v = mpf(law.value)
+        if t >= v:
+            return (0, 1, v, v * v), None
+        return (1, 0, 0, 0), (v - t, (v - t) ** 2,
+                              lambda s: mp_poisson(s * (v - t), 1))
+    if isinstance(law, Uniform):
+        a, b = mpf(law.lower), mpf(law.upper)
+        if t >= b:
+            return (0, 1, (a + b) / 2, (a * a + a * b + b * b) / 3), None
+        lo = max(a - t, mpf(0))
+        w = (lo, b - t, lambda s: mp_uniform(lo, b - t, s, 1))
+        w = ((w[0] + w[1]) / 2, (w[0]**2 + w[0] * w[1] + w[1]**2) / 3, w[2])
+        if t <= a:
+            return (1, 0, 0, 0), w
+        f = (t - a) / (b - a)
+        return ((b - t) / (b - a), f, (t * t - a * a) / (2 * (b - a)),
+                (t**3 - a**3) / (3 * (b - a))), w
+    if isinstance(law, ShiftedExponential):
+        r, d = mpf(law.rate), mpf(law.shift)
+        if t <= d:
+            c = d - t
+            return (1, 0, 0, 0), (c + 1 / r, c * c + 2 * c / r + 2 / r**2,
+                                  lambda s: mp_shifted(s * c, mp_block(1, r, s, 1), 1))
+        x = r * (t - d)
+        return ((mpmath.exp(-x), lower(1, x),
+                 d * lower(1, x) + lower(2, x) / r,
+                 d * d * lower(1, x) + 2 * d * lower(2, x) / r
+                 + 2 * lower(3, x) / r**2),
+                (1 / r, 2 / r**2, lambda s: mp_block(1, r, s, 1)))
+    sigma = mpf(law.scale)
+    tau = t / sigma
+    x = tau * tau / 2
+    with mpmath.extradps(20):
+        i = mp_mills(tau, 1)
+    below = sigma * (mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(tau / mpmath.sqrt(2))
+                     - tau * mpmath.exp(-x))
+    return ((mpmath.exp(-x), -mpmath.expm1(-x), below,
+             2 * sigma**2 * lower(2, x)),
+            (sigma * i[0], 2 * sigma**2 * i[1],
+             lambda s: mp_rayleigh_tail(sigma * s, tau, 1)))
+
+
+def _assert_close(got, want, where):
+    """Within 8 eps of an mpmath value, or below the normal float range
+    with it."""
+    if want < sys.float_info.min:
+        assert got < sys.float_info.min, (where, got, want)
+    else:
+        assert abs(got - want) <= 8 * EPS * want, (
+            where, got, float(want), float(abs(got - want) / want / EPS))
+
+
+RESIDUAL_LAWS = [Deterministic(2.0), Uniform(0.5, 2.0), Uniform(0.5, 1.5),
+                 ShiftedExponential(1.0, 0.5), ShiftedExponential(2.0, 0.0),
+                 Rayleigh(0.8)]
+
+
+@pytest.mark.parametrize("law", RESIDUAL_LAWS, ids=lambda d: d.describe())
+def test_residual_keeps_full_relative_precision(law):
+    # G, Pr(X <= t), the partial moments and W's mean, second moment and
+    # pi_0, pi_1 and T_1 at s E[X] = 1e-6, 1 and 1e3, at t/E[X] = 0, 1e-8,
+    # 0.5, 1 and 3, and for the Rayleigh law out to tau = t/scale = 40,
+    # against mpmath at 40 digits.
+    ts = [q * law.mean() for q in (0.0, 1e-8, 0.5, 1.0, 3.0)]
+    if isinstance(law, Rayleigh):
+        ts += [tau * law.scale for tau in (0.5, 3.0, 10.0, 40.0)]
+    with mpmath.workdps(40):
+        for t in ts:
+            rest = law.residual(t)
+            at, w = mp_residual(law, t)
+            for name, g, want in zip(("G", "F", "below", "below_square"),
+                                     rest[:4], at):
+                _assert_close(g, want, (t, name))
+            if w is None:
+                assert rest.ccdf == 0.0
+                continue
+            _assert_close(rest.mean, w[0], (t, "mean"))
+            _assert_close(rest.second_moment, w[1], (t, "second"))
+            for x in (1e-6, 1.0, 1e3):
+                s = x / law.mean()
+                (pi, tail), (mp_pi, mp_tail) = rest.poisson_mix(s, 1), w[2](s)
+                for name, g, want in (("pi_0", pi[0], mp_pi[0]),
+                                      ("pi_1", pi[1], mp_pi[1]),
+                                      ("T_1", tail[1], mp_tail[1])):
+                    _assert_close(g, want, (t, x, name))
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.3, 1.0, 7.0, 1e3])
+def test_rayleigh_tail_at_zero_is_the_law(s):
+    law = Rayleigh(0.8)
+    for got, want in zip(law.residual(0.0).poisson_mix(s, 12),
+                         law.poisson_mix(s, 12)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("j_max,zs", [(0, np.linspace(0.5, 20.0, 391)),
@@ -407,11 +518,19 @@ def test_laplace_is_one_at_zero_and_nonincreasing(dist, s1, s2):
 # ---------------------------------------------------------------- MRL
 
 def mean_residual_life(dist, t):
-    """m(t) = E[(X - t)^+] / Pr(X > t), the numerator from one
-    :func:`expect` call cut at t."""
-    excess, _ = expect(dist, lambda x: np.maximum(x - t, 0.0),
-                       extra_breakpoints=(t,))
-    return excess / dist.ccdf(t)
+    """m(t) = E[X - t | X > t], the mean of the law's residual at t."""
+    return dist.residual(t).mean
+
+
+@pytest.mark.parametrize("dist", [*ALL_KINDS, Uniform(0.5, 1.5),
+                                  ShiftedExponential(2.0, 0.0)],
+                         ids=lambda d: d.describe())
+def test_mean_residual_life_matches_the_mrl_oracle(dist):
+    # The residual's mean against the oracle's QUADPACK tail integral over
+    # the ccdf, on the oracle's own grid.
+    ts, values = mrl_oracle.grid(dist)
+    got = [mean_residual_life(dist, t) for t in ts]
+    np.testing.assert_allclose(got, values, rtol=1e-9, atol=0.0)
 
 
 def test_exponential_mrl_is_memoryless():
@@ -509,7 +628,6 @@ def test_exponential_is_the_one_phase_mix_bit_for_bit(rate):
     assert law.second_moment() == (2.0 / square if square else 2.0 / rate / rate)
     with np.errstate(over="ignore"):
         assert law.ccdf(xs).tobytes() == np.exp(-rate * xs).tobytes()
-        assert law.pdf(xs).tobytes() == (rate * np.exp(-rate * xs)).tobytes()
         for x in xs:
             assert law.ccdf(x) == float(np.exp(-rate * x))
     for s in [1e-300, 1e-5, 0.5, 2.0, 1e5, 1e300, rate, 1e-3 * rate]:
@@ -561,64 +679,6 @@ def test_mrl_classes_the_grid_cannot_resolve():
     assert Hyperexponential((0.5, 0.5), (1.0, 1.0000001)).mrl_class() is \
         MrlVerdict.IMRL
     assert Deterministic(0.0).mrl_class() is MrlVerdict.DMRL
-
-
-@pytest.mark.parametrize("n", [10, 20])
-def test_gauss_legendre_rule_matches_numpy(n):
-    x, w = distributions._gauss_legendre(n)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-    order = np.argsort(x)
-    np.testing.assert_allclose(x[order], ref_x, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(w[order], ref_w, rtol=1e-13)
-
-
-def _forbid_quadpack(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("scipy.integrate.quad was called")
-
-    monkeypatch.setattr(scipy.integrate, "quad", forbidden)
-
-
-@pytest.mark.parametrize("dist", [d for d, _, _ in MRL_CASES])
-def test_mrl_grid_takes_one_adaptive_tail(dist, monkeypatch):
-    # Each m(t) on a grid over the support takes its tail integral from
-    # one panel quadrature (none for a point mass).
-    _forbid_quadpack(monkeypatch)
-    calls = []
-    original = distributions._panel_quad
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(distributions, "_panel_quad", counted)
-    for t in np.linspace(0.0, mrl_oracle.quantile(dist, 0.99), 5):
-        if dist.ccdf(t) > 0.0:
-            calls.clear()
-            mean_residual_life(dist, t)
-            assert len(calls) <= 1
-
-
-def test_mrl_piece_that_fails_the_rule_check_is_redone_adaptively(
-        monkeypatch):
-    # The fast phase decays inside the first panel [t, t + E[X]]: the 10-
-    # and 20-point rules disagree there, so that panel is bisected and the
-    # next round evaluates the pdf inside it again.
-    dist = Hyperexponential((0.99, 0.01), (100.0, 0.01))
-    t = 0.001
-    _forbid_quadpack(monkeypatch)
-    rounds = []
-    pdf = Hyperexponential.pdf
-
-    def recorded(self, x):
-        rounds.append(np.asarray(x))
-        return pdf(self, x)
-
-    monkeypatch.setattr(Hyperexponential, "pdf", recorded)
-    got = mean_residual_life(dist, t)
-    assert len(rounds) > 1
-    assert np.any((rounds[1] > t) & (rounds[1] < t + dist.mean()))
-    assert got == pytest.approx(_hyperexponential_mrl(dist, t), rel=1e-9)
 
 
 def test_constant_verdict_requires_flat_curve():

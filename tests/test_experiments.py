@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from aoi import analytic
-from aoi.distributions import (Deterministic, Exponential, Rayleigh,
-                               ShiftedExponential, Uniform)
+from aoi.distributions import (Deterministic, Distribution, Exponential,
+                               Rayleigh, ShiftedExponential, Uniform)
 from aoi.experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
                              emit_csv, evaluate_point, read_csv, run_sweep)
 from aoi.sim import Discipline
@@ -139,33 +139,42 @@ def test_divergent_points_are_recorded_not_fatal():
     (Discipline.DROPPING, Uniform(0.0, 0.2), Rayleigh(2.0),
      ("exact", "corollary1"), "_lattice_cycles", 1),
     (Discipline.PREEMPTION, Uniform(0.0, 2.0), Rayleigh(1.0),
-     ("exact", "corollary2"), "expect", 3),
+     ("exact", "corollary2"), "residual", 2),
     (Discipline.PREEMPTION, Uniform(0.0, 2.0), Rayleigh(1.0),
-     ("exact",), "expect", 3),
+     ("exact",), "residual", 2),
     (Discipline.DROPPING, Uniform(0.0, 2.0), Exponential(1.0),
-     ("corollary1", "gm11"), "expect", 0),
+     ("corollary1", "gm11"), "poisson_mix", 1),
     (Discipline.PREEMPTION, Exponential(1.0), ShiftedExponential(1.0, 0.5),
-     ("exact", "corollary2"), "expect", 0),
+     ("exact", "corollary2"), "poisson_mix", 1),
+    (Discipline.PREEMPTION, Uniform(0.0, 2.0), ShiftedExponential(1.0, 0.5),
+     ("exact", "corollary2"), "residual", 1),
 ], ids=["lattice-solve-pair", "success-probability", "geometric-crossing",
-        "geometric-moments", "phase-pair"])
+        "block-record", "phase-pair", "shifted-block"])
 def test_each_primitive_is_computed_once_per_point(monkeypatch, discipline, y,
                                                    s, tags, primitive, count):
-    # An age and a bound of one grid point share its one Pair: without a
-    # phase law, p, the crossing and the completed-service terms are one
-    # integral each, whether one estimator reads them or two.  With a
-    # phase law on either side none is integrated.
+    # An age and a bound of one grid point share its one Pair: p, the
+    # crossing and the completed-service terms come from one set of the
+    # laws' residuals (two for a uniform side, one at a shift) or
+    # mixed-Poisson laws (one a block), whether one estimator reads them
+    # or two.
     calls = []
-    original = getattr(analytic, primitive)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(analytic, primitive, counted)
+    if primitive == "_lattice_cycles":
+        monkeypatch.setattr(analytic, primitive,
+                            counting(analytic._lattice_cycles))
+    else:
+        for cls in {Distribution, type(y), type(s)}:
+            if primitive in vars(cls):
+                monkeypatch.setattr(cls, primitive,
+                                    counting(getattr(cls, primitive)))
     rows = evaluate_point(discipline, y, s, tags, 1.0, 100, 0)
     assert [r.estimator for r in rows if r.value is not None] == list(tags)
-    if count == 0:
-        analytic.k_pmf(analytic.Pair(y, s), 10)
     assert len(calls) == count
 
 

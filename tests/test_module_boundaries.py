@@ -168,3 +168,70 @@ def test_phase_law_checker_flags_every_form():
         "analytic: import Erlang",
         "analytic: import Hyperexponential",
     ]
+
+
+# Nothing in ``aoi`` integrates: every law gives its terms in closed form,
+# so no module defines or reads a quadrature, a density or SciPy.
+def integration_names(source: str, own: str) -> list[str]:
+    """Every definition, read or import in ``source`` (the text of module
+    ``own``) of a name with a word ``expect`` or ``pdf`` or containing
+    ``quad`` or ``legendre``, every SciPy import, and every
+    ``"quadrature"`` literal; docstrings and other strings do not count."""
+    def integrates(name: str) -> bool:
+        name = name.lower()
+        return (bool({"expect", "pdf"} & set(name.split("_")))
+                or "quad" in name or "legendre" in name)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            found += [f"{own}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "scipy"]
+            names = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "scipy":
+                found.append(f"{own}: from {node.module} import")
+            names = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.Constant) and node.value == "quadrature":
+            found.append(f"{own}: 'quadrature'")
+        found += [f"{own}: {n}" for n in names if integrates(n)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_integrates(path):
+    assert integration_names(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_integration_checker_flags_every_form():
+    source = ('"""Each expect() call takes one quadrature."""\n'
+              "import scipy.integrate\n"
+              "from scipy import special\n"
+              "from .distributions import expect\n"
+              "QUAD_REL_TOL = 1e-9\n"
+              "def _gauss_legendre(n):\n"
+              "    return law.pdf(n)\n"
+              "def _erlang_pdf(quad_points):\n"
+              "    return 'quadrature'\n"
+              "expected_k, k_pmf = 1, 2\n")
+    assert sorted(integration_names(source, "analytic")) == [
+        "analytic: 'quadrature'",
+        "analytic: QUAD_REL_TOL",
+        "analytic: _erlang_pdf",
+        "analytic: _gauss_legendre",
+        "analytic: expect",
+        "analytic: from scipy import",
+        "analytic: import scipy.integrate",
+        "analytic: pdf",
+        "analytic: quad_points",
+    ]
