@@ -55,17 +55,28 @@ Lattice (paths ``lattice`` and ``closed_form``)
     its mass, and u = delta + f*u is solved by an exponentially tilted
     FFT.  The services left here are bounded (D, U) or light-tailed (SE,
     R), so that cut leaves under 1e-10 of E[S] and of E[S^2].
-    Every lattice sum is one inner product of half spectra.  Two
-    transforms of the n lattice points are each built only when read.
-    The renewal transform gives E[K], E[K^2] and the crossing sum, once,
-    on the smallest length 2^a, 3 2^a or 5 2^a at least 4n, where the tilt
-    keeps both the wrapped mass and the roundoff gain small.  The pmf
-    transform is built by each pmf call and then freed: Pr(K > k) takes
-    the k-th power of the gap spectrum from a running product.  That power
-    lives on [0, k(s-1)], s the gaps' support, so a call up to k_max reads
-    only the first m = min(n, k_max (s-1) + 1) points, on the smallest
-    such length at least 4m and 8 min(s, m): below n no power it reads can
-    wrap at all, and at n the first 8 cannot.
+    A shifted exponential service SE(r, c), c > 0, is one exponential
+    block shifted by c: past c its ccdf falls by e^{-r h} a step, so each
+    gap a partial sum takes past c multiplies it by the gaps' discounted
+    mass L = sum_i f_i e^{-r i h}.  The renewal solve then runs on the J
+    points below c alone, and the rest of the lattice folds into
+    closed-form weights on them (:func:`_folded`); at c = 0 it is E(r)
+    and takes the block record.
+    Every lattice sum is one inner product of half spectra, both ends and
+    every weight vector of a sum stacked in one transform call.  Two
+    transforms of the n lattice points (J when folded) are each built only
+    when read.  The renewal transform gives E[K], E[K^2] and the crossing
+    sum, once, on the smallest length 2^a, 3 2^a or 5 2^a at least 4n,
+    where the tilt keeps both the wrapped mass and the roundoff gain
+    small.  The pmf transform is built by each pmf call and then freed:
+    Pr(K > k) takes the k-th power of the gap spectrum from a running
+    product.  That power lives on [0, k(s-1)], s the gaps' support, so a
+    call up to k_max reads only the first m = min(n, k_max (s-1) + 1)
+    points, on the smallest such length at least 4m and 8 min(s, m): below
+    n no power it reads can wrap at all, and at n the first 8 cannot.
+    While every power stays on the lattice, Pr(K > k) is M^k, M an end's
+    total gap mass, plus the power against G - 1: exactly M^k where no
+    partial sum reaches a point with G < 1.
     Rounding down shrinks every partial sum, so the two solves bracket
     E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
@@ -332,9 +343,16 @@ class Pair:
 
     @cached_property
     def _dropping(self) -> Cycles:
-        """The service blocks' dropping record, else the lattice's."""
-        if self.service.phases() is None:
-            return _lattice_cycles(self.interarrival, self.service)
+        """The service blocks' dropping record, else the lattice's.  A
+        shifted exponential is one exponential block shifted by c: at c = 0
+        it takes that block's record, else the lattice folded at c."""
+        s = self.service
+        if isinstance(s, ShiftedExponential):
+            if not s.shift:
+                return Pair(self.interarrival, Exponential(s.rate))._dropping
+            return _lattice_cycles(self.interarrival, s, (s.rate, s.shift))
+        if s.phases() is None:
+            return _lattice_cycles(self.interarrival, s)
         if not self._blocks_hold:
             raise TruncationNotReached(self._no_success())
         _, _, (w, shapes, rates), _, mixes = self._mixes
@@ -454,8 +472,8 @@ def _truncation_point(service: Distribution) -> float:
     return float(tries[np.argmax(service.ccdf(tries) <= _SERVICE_TAIL)])
 
 
-def _lattice_cycles(interarrival: Distribution, service: Distribution
-                    ) -> Cycles:
+def _lattice_cycles(interarrival: Distribution, service: Distribution,
+                    block: tuple[float, float] | None = None) -> Cycles:
     """The dropping record spanning the sums with every gap rounded down,
     then up, to the lattice jh, h = E[Y]/m, up to :func:`_truncation_point`.
 
@@ -463,9 +481,11 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     is too deep (:class:`TruncationNotReached`).  A service breakpoint
     within rounding of a lattice point (the D value, the SE shift) is
     evaluated there exactly, keeping its tie rule at every time scale.
-    The record keeps the gap cells and the service ccdf; E[K], E[K^2] and
-    the crossing sum come from one renewal solve on first read, and each
-    pmf call builds its own transform and frees it.
+    With ``block`` = (r, c) the service is c plus an exponential of rate
+    r, and the lattice past c folds into closed-form weights
+    (:func:`_folded`).  The record keeps the gap cells and the weights;
+    E[K], E[K^2] and the crossing sum come from one renewal solve on first
+    read, and each pmf call builds its own transform and frees it.
     """
     top = _truncation_point(service)
     point_mass = isinstance(interarrival, Deterministic)
@@ -488,10 +508,10 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         j = round(b / h)
         if j < n and abs(x[j] - b) <= _SNAP * h:
             x[j] = b
-    c = service.ccdf(x)
-    first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
     if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
         path = "closed_form"
+        c = service.ccdf(x)
+        first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
 
         @cache
         def solved() -> tuple[Interval, Interval, Interval]:
@@ -513,18 +533,19 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         path = "lattice"
         tail = interarrival.ccdf(grid)
         cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
-        gaps = cell, np.append(0.0, cell[:-1])  # rounded down, up
-        survival = lambda k_max: _survival(gaps, c, k_max)
+        gaps = np.stack((cell, np.append(0.0, cell[:-1])))  # rounded down, up
+        sums, survival = (_folded(gaps, tail, x, h, *block) if block
+                          else _full(gaps, tail, x, service.ccdf(x)))
 
         @cache
         def solved() -> tuple[Interval, Interval, Interval]:
-            (k_down, k2_down, c_down), (k_up, k2_up, c_up) = _renewal_sums(
-                gaps, x, c, first)
+            (k_down, k_up), (k2_down, k2_up), (c_down, c_up) = np.array(
+                sums()).tolist()
             # A partial sum of k-1 gaps moves by at most (k-1) h, so each
             # end's crossing sum widened by h E[K(K-1)]/2 brackets the
-            # true one.
-            lo = c_up - 0.5 * h * (k2_up - k_up)
-            hi = c_down + 0.5 * h * (k2_down - k_down)
+            # true one; E[K(K-1)] >= 0, whatever the roundoff.
+            lo = c_up - 0.5 * h * max(k2_up - k_up, 0.0)
+            hi = c_down + 0.5 * h * max(k2_down - k_down, 0.0)
             mid = 0.5 * (c_down + c_up)
             return (Interval.between(k_down, k_up),
                     Interval.between(k2_down, k2_up),
@@ -536,6 +557,99 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
                 Interval(mid[-1], hw[-1]))
     return Cycles(path, lambda: solved()[:2], lambda: solved()[2], pmf)
+
+
+def _full(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, c: np.ndarray):
+    """Each end's E[K], E[K^2] and crossing sum (on call) and its
+    Pr(K > k), k = 0..k_max, from the service ccdf ``c`` at every lattice
+    point ``x``, ``tail`` the gap ccdf on the grid."""
+    n = c.size
+    first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
+    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
+    longest = _support(gaps) - 1  # in lattice steps
+
+    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        once, twice = _renewal_sums(gaps, np.stack((c, x * c)))
+        return first + once[:, 0], first + twice, once[:, 1]
+
+    def survival(k_max: int) -> np.ndarray:
+        # While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
+        # against G - 1, exactly M^k where no partial sum reaches G < 1;
+        # past that, f^{*k} against G, taken as 0 beyond the lattice.
+        if k_max * longest < n:
+            out = (mass[:, None] ** np.arange(k_max + 1.0)
+                   + _survival(gaps, (c - 1.0)[None], k_max)[:, 0])
+        else:
+            out = _survival(gaps, c[None], k_max)[:, 0]
+        out[:, 0] = 1.0
+        return out
+    return sums, survival
+
+
+def _folded(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, h: float,
+            rate: float, shift: float):
+    """:func:`_full`'s sums for the service shift + Exp(rate), shift > 0,
+    from a renewal solve on the J = max(1, #{x_l < shift}) head points
+    alone.
+
+    Past x_J, G(x_l) = e^{-rate o} q^(l-J), o = x_J - shift and
+    q = e^{-rate h}, so a cycle's partial sums past the head add the
+    geometric factor L = sum_i f_i q^i per gap.  With D_m and E_m, the
+    sums of f_i q^(i-m) and of (i-m) f_i q^(i-m) over i >= m, taken by
+    doubling with every factor q^w at most 1, kappa_l = e^{-rate o} D_(J-l) is
+    the head point l's next G past the head, and with g = 1/(1 - L),
+    L_1 = h E_0 and kappa x_l = e^{-rate o} (o D_(J-l) + h E_(J-l)):
+    E[K] = sum u_l (1 + g kappa_l),
+    E[K^2] = sum (2 w_l - u_l)(1 + g kappa_l) + 2 g^2 sum u_l kappa_l and
+    the crossing sum = sum u_l (x_l + g (shift kappa_l + kappa x_l)
+    + g^2 L_1 kappa_l), u = delta + f*u and w = u*u on the head.
+    Pr(K > k) = M^k + tau_k - beta_k, tau_k = sum_(l >= J) f^{*k}_l G(x_l)
+    and beta_k the mass of f^{*k} past the head, are the recursions
+    tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
+    beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
+    from m on."""
+    n = x.size
+    head = max(1, int(np.searchsorted(x, shift)))
+    f = gaps[:, :head]
+    far = np.arange(n - head)
+    lag = np.exp(-rate * h * far)
+    disc = np.zeros((2, 2, head + 1))  # D and E of each end, m = 0..J
+    disc[0, :, :head] = f
+    disc[:, :, head] = (gaps[:, head:] @ np.stack((lag, far * lag), 1)).T
+    w = 1
+    while w <= head:  # sums over [m, m + w) become sums over [m, m + 2w)
+        part = disc[:, :, w:] * math.exp(-rate * h * w)
+        part[1] += w * part[0]
+        disc[:, :, :-w] += part
+        w *= 2
+    d, e = disc
+    big_l, g = d[:, 0], 1.0 / (1.0 - d[:, 0])
+    o = float(x[head]) - shift
+    kappa = math.exp(-rate * o) * d[:, :0:-1]
+    kappa_x = math.exp(-rate * o) * (o * d[:, :0:-1] + h * e[:, :0:-1])
+    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
+    rest = np.stack((tail[head:0:-1] - tail[n],
+                     tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
+
+    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g1, big_l1 = g[:, None], h * e[:, :1]  # L_1 = h E_0
+        once, twice = _renewal_sums(f, np.stack((
+            1.0 + g1 * kappa,
+            x[:head] + g1 * (shift * kappa + kappa_x)
+            + g1 * g1 * big_l1 * kappa,
+            kappa), axis=1))
+        return once[:, 0], twice + 2.0 * g * g * once[:, 2], once[:, 1]
+
+    def survival(k_max: int) -> np.ndarray:
+        heads = _survival(f, np.stack((kappa, rest), axis=1), k_max - 1)
+        factors = np.stack((big_l, mass), axis=1)
+        out = mass[:, None] ** np.arange(k_max + 1.0)
+        tau_beta = np.zeros((2, 2))
+        for k in range(1, k_max + 1):
+            tau_beta = factors * tau_beta + heads[..., k - 1]
+            out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
+        return out
+    return sums, survival
 
 
 def _beyond_top(service: Distribution, t: float, d: float
@@ -564,69 +678,82 @@ def _fft_size(n: int) -> int:
 
 def _tilted(n: int, size: int):
     """``weigh`` and ``spectrum`` of the tilted FFT of length ``size`` over
-    ``n`` lattice points.
+    ``n`` lattice points, each along the last axis.
 
     Tilting a gap law by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass
     a circular convolution wraps into the first n points at most
     rho^size <= 1e-16^(4/5) of it for size >= 4n, and the roundoff the
     untilting 1/rho^j multiplies at most rho^-n <= 1e16^(1/5) = 1585.  A
-    lattice sum is then an inner product of half spectra (Parseval): one
-    ``vdot`` of a spectrum against ``weigh`` of c or of x c.
+    lattice sum is then an inner product of half spectra (Parseval): a
+    spectrum against ``weigh`` of the weights, conjugated (:func:`_totals`).
     """
     tilt = np.exp(np.arange(n) * (math.log(_ALIAS_TILT) / (size + n)))
+    untilt = (2.0 / size) / tilt
 
     def weigh(w):
-        out = np.fft.rfft(w / tilt, size) * (2.0 / size)
-        out[[0, -1]] *= 0.5  # the half spectrum holds these bins once
-        return out
+        out = np.fft.rfft(w * untilt, size)
+        out[..., 0] *= 0.5  # the half spectrum holds these bins once
+        out[..., -1] *= 0.5
+        return np.conjugate(out, out=out)
 
     return weigh, lambda f: np.fft.rfft(f * tilt, size)
 
 
-def _total(weights, spectrum) -> float:
-    return float(np.vdot(weights, spectrum).real)
+def _totals(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """The lattice sum of each end's ``spectrum`` row against each row of
+    ``weights`` (from ``weigh``, shared by the ends or one set per end)."""
+    return (weights @ spectrum[..., None])[..., 0].real
 
 
-def _renewal_sums(gaps, x: np.ndarray, c: np.ndarray, first: float
-                  ) -> list[tuple[float, float, float]]:
-    """E[K], E[K^2] and the crossing sum for each gap lattice of ``gaps``,
-    from the renewal measure u = delta + f*u against the service ccdf
-    ``c`` at the lattice points ``x``, on the smallest FFT length >= 4n."""
-    weigh, spectrum = _tilted(x.size, _fft_size(4 * x.size))
-    by_c, by_xc = weigh(c), weigh(x * c)
+def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l u_l v_l for the renewal measure u = delta + f*u of each end's
+    gap cells f (a row of ``gaps``) and each row v of ``weights`` (shared
+    by the ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u, for
+    the first row v, on the smallest FFT length >= 4n."""
+    weigh, spectrum = _tilted(gaps.shape[-1], _fft_size(4 * gaps.shape[-1]))
+    by = weigh(weights)
+    renewal = spectrum(gaps)
+    np.subtract(1.0, renewal, out=renewal)
+    np.reciprocal(renewal, out=renewal)  # u = delta + f*u
+    square = 2.0 * renewal  # 2 u*u - u, built in place
+    square -= 1.0
+    square *= renewal
+    return _totals(by, renewal), _totals(by[..., :1, :], square)[:, 0]
 
-    def sums(f):
-        renewal = 1.0 / (1.0 - spectrum(f))  # u = delta + f*u
-        return (first + _total(by_c, renewal),
-                first + _total(by_c, renewal * (2.0 * renewal - 1.0)),
-                _total(by_xc, renewal))
-    return [sums(f) for f in gaps]
+
+def _support(gaps: np.ndarray) -> int:
+    """One past the last non-zero gap cell of either end."""
+    cells = np.flatnonzero(gaps.any(axis=0))
+    return int(cells[-1]) + 1 if cells.size else 0
 
 
-def _survival(gaps, c: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """Pr(K > k), k = 0..k_max, for each gap lattice of ``gaps``: the k-th
-    convolution power, its spectrum a running product, against ``c``.
+def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
+              ) -> np.ndarray:
+    """sum_l f^{*k}_l v_l, k = 0..k_max, for each end's gap cells f (a row
+    of ``gaps``) and each row v of ``weights`` (shared by the ends or one
+    set per end): the k-th convolution power, its spectrum a running
+    product.
 
-    With s one past the last non-zero rounded-up gap, the k-th power lives
+    With s one past the last non-zero gap cell, the k-th power lives
     on [0, k(s-1)], so the sums read only the first
-    m = min(n, max(1, k_max (s-1) + 1)) points of ``c`` and of the gaps.
-    The length is the smallest FFT length >= max(4m, 8 min(s, m)): when
-    m < n no power up to k_max reaches past m, so none wraps at all; else
-    the first 8 powers never wrap, and later ones wrap only their
+    m = min(n, max(1, k_max (s-1) + 1)) points of the weights and of the
+    gaps.  The length is the smallest FFT length >= max(4m, 8 min(s, m)):
+    when m < n no power up to k_max reaches past m, so none wraps at all;
+    else the first 8 powers never wrap, and later ones wrap only their
     tilted-away far tail."""
-    s = np.trim_zeros(gaps[-1], "b").size
-    m = min(c.size, max(1, k_max * (s - 1) + 1))
+    s = _support(gaps)
+    m = min(weights.shape[-1], max(1, k_max * (s - 1) + 1))
     weigh, spectrum = _tilted(m, _fft_size(max(4 * m, 8 * min(s, m))))
-    by_c = weigh(c[:m])
-
-    def powers(f):
-        step, out = spectrum(f[:m]), np.ones(k_max + 1)
-        power = np.ones_like(step)
-        for k in range(1, k_max + 1):
-            power *= step
-            out[k] = _total(by_c, power)
-        return out
-    return [powers(f) for f in gaps]
+    by = weigh(weights[..., :m])
+    step = spectrum(gaps[:, :m])
+    out = np.empty((gaps.shape[0], by.shape[-2], k_max + 1))
+    out[..., 0] = weights[..., 0]
+    power = np.ones_like(step)
+    for k in range(1, k_max + 1):
+        power *= step
+        out[..., k] = _totals(by, power)
+    return out
 
 
 def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:

@@ -288,9 +288,9 @@ def _write_trace(fh, services: np.ndarray, times: np.ndarray,
     fh.write("time,event,age_after_event\n")
     for lo in range(0, code.size, _TRACE_ROWS):
         rows = slice(lo, lo + _TRACE_ROWS)
-        fh.write("".join(map("{!r},{},{!r}\n".format, row_time[rows].tolist(),
-                             map(names.__getitem__, code[rows].tolist()),
-                             age[rows].tolist())))
+        fh.write("".join([f"{t!r},{names[e]},{a!r}\n" for t, e, a in zip(
+            row_time[rows].tolist(), code[rows].tolist(),
+            age[rows].tolist())]))
 
 
 def _batch_ci(areas: Sequence[float], lengths: Sequence[float],

@@ -2,6 +2,7 @@
 partial-sum walk of ``walk_oracle``, the finite D/G sums, and itself at a
 finer lattice."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from aoi import analytic
-from aoi.analytic import Pair, exact_age, k_pmf
+from aoi.analytic import Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
@@ -132,8 +133,9 @@ def test_deterministic_gaps_bound_the_pmf_past_the_service_top(s, ccdf):
 
 
 def lattice_cells(pair):
-    """The gap cells, rounded down and then up, and the service ccdf on
-    the lattice of ``pair``'s solves, rebuilt from its definition."""
+    """The gap cells, rounded down and then up, the lattice points and the
+    service ccdf on them, for ``pair``'s solves, rebuilt from their
+    definition."""
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
@@ -143,7 +145,7 @@ def lattice_cells(pair):
             x[j] = b
     tail = pair.interarrival.ccdf(h * np.arange(n + 1))
     cell = tail[:-1] - tail[1:]
-    return (cell, np.append(0.0, cell[:-1])), pair.service.ccdf(x)
+    return (cell, np.append(0.0, cell[:-1])), x, pair.service.ccdf(x)
 
 
 @pytest.mark.parametrize("y,s", [
@@ -161,7 +163,7 @@ def test_survival_matches_direct_convolution_powers(y, s):
     # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
     # record's Pr(K > k) spans the two ends.
     pair = Pair(y, s)
-    cells, c = lattice_cells(pair)
+    cells, _, c = lattice_cells(pair)
     ends = []
     for f in cells:
         want, power = [], np.array([1.0])
@@ -173,6 +175,101 @@ def test_survival_matches_direct_convolution_powers(y, s):
         value, hw = pair.cycles(DROPPING).pmf(k)[1]
         assert (value + hw, value - hw) == pytest.approx(
             (max(down, up), min(down, up)), rel=1e-12, abs=0), k
+
+
+def full_lattice(pair, k_max):
+    """Each end's E[K], E[K^2], crossing sum and Pr(K > k), k = 0..k_max,
+    from the renewal and pmf sums against the service ccdf at every point
+    of ``pair``'s lattice, spanned as the record spans them."""
+    cells, x, c = lattice_cells(pair)
+    gaps = np.stack(cells)
+    once, twice = analytic._renewal_sums(gaps, np.stack((c, x * c)))
+    first = 1.0 - c[0]
+    k1, k2, crossing = first + once[:, 0], first + twice, once[:, 1]
+    h = pair.interarrival.mean() / analytic._LATTICE_STEPS
+    lo = crossing[1] - 0.5 * h * (k2[1] - k1[1])
+    hi = crossing[0] + 0.5 * h * (k2[0] - k1[0])
+    mid = 0.5 * (crossing[0] + crossing[1])
+    survival = analytic._survival(gaps, c[None], k_max)[:, 0]
+    survival[:, 0] = 1.0
+    return (Interval.between(*k1), Interval.between(*k2),
+            Interval(mid, max(mid - lo, hi - mid)),
+            Interval.between(*survival))
+
+
+FOLD_GAPS = [Uniform(0.0, 2.0), Rayleigh(1.0),
+             Hyperexponential((0.5, 0.5), (0.5, 2.0)),
+             ShiftedExponential(0.25, 0.5), Erlang(2, 2.0)]
+FOLD_PAIRS = [(y, s) for y in FOLD_GAPS
+              for s in (ShiftedExponential(2.0, 0.5),
+                        ShiftedExponential(1.0, 0.1))]
+FOLD_PAIRS.append((Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
+    f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
+def test_folded_record_is_the_full_lattice(y, s, c):
+    # Past its shift a shifted exponential service is memoryless, so the
+    # record folds the lattice there into closed-form weights; it must
+    # give what the renewal and pmf sums over every lattice point give.
+    # A half-width is a difference of the two ends, so it is held to the
+    # value's scale, and each Pr(K > k) to a few hundred eps.
+    pair = Pair(RESCALED[y.kind](y, c), RESCALED[s.kind](s, c))
+    record = pair.cycles(DROPPING)
+    assert record.path == "lattice"
+    *want, survival = full_lattice(pair, K_MAX)
+    for got, ref in zip((*record.moments(), record.crossing()), want):
+        assert abs(got.value - ref.value) <= 1e-10 * ref.value, (got, ref)
+        assert abs(got.half_width - ref.half_width) <= 1e-10 * ref.value
+    probs, tail = record.pmf(K_MAX)
+    mid, hw = survival
+    assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
+    assert probs.half_width == pytest.approx(hw[:-1] + hw[1:], rel=0,
+                                             abs=1e-13)
+    assert (tail.value, tail.half_width) == pytest.approx(
+        (mid[-1], hw[-1]), rel=0, abs=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_far_shift_folds_without_overflow():
+    # rate * shift = 1000: e^(rate shift) overflows, and the fold's
+    # exponents are all <= 0.  The service ends by 1.03, so E[K] is near
+    # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).
+    pair = Pair(Uniform(0.0, 2.0), ShiftedExponential(1000.0, 1.0))
+    *want, survival = full_lattice(pair, K_MAX)
+    got = [*pair.cycles(DROPPING).moments(), pair.cycles(DROPPING).crossing()]
+    for g, ref in zip(got, want):
+        assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
+    est = exact_age(pair, DROPPING)
+    assert math.isfinite(est.value) and math.isfinite(est.ci_half_width)
+    pmf = k_pmf(pair, K_MAX)
+    assert all(math.isfinite(p.value) for p in pmf.pmf)
+
+
+@pytest.mark.parametrize("y", [
+    Uniform(0.0, 2.0), Rayleigh(1.0), Erlang(2, 2.0),
+    Hyperexponential((0.5, 0.5), (0.5, 2.0)), ShiftedExponential(1.0, 0.3),
+    Deterministic(0.7)], ids=lambda d: d.kind)
+def test_an_unshifted_service_takes_the_exponential_record(y, monkeypatch):
+    # SE(r, 0) is E(r): its dropping record is E(r)'s block record, bit for
+    # bit with half-width 0, not a one-point folded lattice.
+    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
+    shifted = Pair(y, ShiftedExponential(1.5, 0.0))
+    plain = Pair(y, Exponential(1.5))
+    assert exact_age(shifted, DROPPING) == exact_age(plain, DROPPING)
+    assert exact_age(shifted, DROPPING).ci_half_width == 0.0
+    assert corollary_one(shifted, DROPPING) == corollary_one(plain, DROPPING)
+    assert k_pmf(shifted, K_MAX) == k_pmf(plain, K_MAX)
+
+
+def test_pmf_entries_no_partial_sum_reaches_are_exact():
+    # 40 gaps of at most 0.02 never reach the service time 1: Pr(K > k) = 1
+    # for every k <= 40, so every Pr(K = k) is exactly 0, and each end's
+    # total gap mass is exactly 1.
+    pmf = k_pmf(Pair(Uniform(0.0, 0.02), Deterministic(1.0)), 40)
+    assert [tuple(p) for p in pmf.pmf] == [(0.0, 0.0)] * 40
+    assert tuple(pmf.tail_mass) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
@@ -389,6 +486,20 @@ def test_gaps_beyond_the_lattice_leave_one_arrival_per_cycle(y, s, k_max):
     assert tuple(pmf.tail_mass) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("y,s", [
+    (ShiftedExponential(1.0, 50.0), Rayleigh(1.0)),
+    (ShiftedExponential(1.0, 50.0), Uniform(0.0, 1.0)),
+    (Uniform(5.0, 6.0), Rayleigh(0.5)),
+], ids=["SE/R", "SE/U", "U/R"])
+def test_a_one_arrival_cycle_keeps_a_nonnegative_half_width(y, s):
+    # K = 1 almost surely, so E[K(K-1)] = 0, and roundoff can put a
+    # lattice end's E[K^2] - E[K] just below 0: the crossing's widening
+    # must not narrow its interval below nothing.
+    pair = Pair(y, s)
+    assert pair.cycles(DROPPING).crossing().half_width >= 0.0
+    assert exact_age(pair, DROPPING).ci_half_width >= 0.0
+
+
 def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
     # The deep pair has 40018 lattice points, but Pr(K > k), k <= 10, reads
     # only 10 * 512 + 1 of them.
@@ -399,13 +510,17 @@ def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
         return _original(a, n, *args)
     monkeypatch.setattr(np.fft, "rfft", recorded)
     k_pmf(Pair(Uniform(0.0, 0.2), Rayleigh(2.0)), 10)
-    assert len(sizes) == 3
+    assert len(sizes) == 2  # the weights, then both ends' gap spectra
     assert max(sizes) <= analytic._fft_size(4 * (10 * 512 + 1)) == 24576
 
 
-def test_each_op_builds_only_the_transform_it_reads(monkeypatch):
-    # The renewal transform weighs c and x c and takes both ends' spectra;
-    # the pmf transform weighs c and takes both ends' spectra.
+@pytest.mark.parametrize("y,s", [PAIRS[-1], PAIRS[0]],
+                         ids=["full-deep-U/R", "folded-SE/SE"])
+def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
+    # Each transform weighs all its weight vectors in one call and takes
+    # both ends' gap spectra in another: the renewal transform c and x c
+    # (or the folded weights), the pmf transform G - 1 (or kappa and the
+    # gap mass past the head).
     calls = dict.fromkeys(["rfft", "_renewal_sums", "_survival"], 0)
     for owner, name in ((np.fft, "rfft"), (analytic, "_renewal_sums"),
                         (analytic, "_survival")):
@@ -413,16 +528,15 @@ def test_each_op_builds_only_the_transform_it_reads(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(owner, name, counted)
-    y, s = PAIRS[0]
     k_pmf(Pair(y, s), K_MAX)
-    assert calls == {"rfft": 3, "_renewal_sums": 0, "_survival": 1}
+    assert calls == {"rfft": 2, "_renewal_sums": 0, "_survival": 1}
     pair = Pair(y, s)
     exact_age(pair, DROPPING)
-    assert calls == {"rfft": 7, "_renewal_sums": 1, "_survival": 1}
+    assert calls == {"rfft": 4, "_renewal_sums": 1, "_survival": 1}
     k_moments(pair)
     pair.cycles(DROPPING).crossing()
     corollary_one(pair, DROPPING)
-    assert calls == {"rfft": 7, "_renewal_sums": 1, "_survival": 1}
+    assert calls == {"rfft": 4, "_renewal_sums": 1, "_survival": 1}
 
 
 @pytest.mark.parametrize("compute", [
