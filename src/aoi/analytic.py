@@ -17,8 +17,9 @@ first k-1 gaps of a cycle, and the service term E[S] under dropping and
 E[S | S <= Y] under preemption.  :meth:`Pair.cycles` alone decides K's
 law and returns its :class:`Cycles` record: the path that reached it and
 an :class:`Interval` for each of E[K], E[K^2], the crossing sum and
-Pr(K = k).  Each producer proves its own half-widths; the ages and bounds
-only combine intervals.
+Pr(K = k).  Each producer gives its own half-widths, proven but for the
+lattice's extrapolated sums; the ages and bounds only combine
+intervals.
 
 Poisson arrivals (path ``closed_form``)
     Dropping with arrivals at rate lam drops Poisson(lam S) of them during
@@ -51,17 +52,38 @@ Lattice (paths ``lattice`` and ``closed_form``)
     function): E[K] against U, the crossing sum against x dU, E[K^2]
     against 2 U*U - U, Pr(K > k) against convolution powers of the gap
     law.  The gaps are rounded down, and separately up, onto a lattice of
-    step h = E[Y]/256 that ends where the service keeps at most 1e-13 of
-    its mass, and u = delta + f*u is solved by an exponentially tilted
-    FFT.  The services left here are bounded (D, U) or light-tailed (SE,
-    R), so that cut leaves under 1e-10 of E[S] and of E[S^2].
+    step h that ends where the service keeps at most 1e-13 of its mass,
+    and u = delta + f*u is solved by an exponentially tilted FFT
+    (Embrechts, Grubel and Pitts, 1993).  The services left here are
+    bounded (D, U) or light-tailed (SE, R), so that cut leaves under
+    1e-10 of E[S] and of E[S^2].
+    E[K], E[K^2], the crossing sum and its quotient by E[K] (the age's
+    middle term, which errs with both) come from three levels: steps
+    h = E[Y]/64, 2h and 4h, sharing one top and one evaluation of the
+    gap ccdf, each coarser level reading every 2nd or 4th point; h
+    shrinks, by at most half, to put the service's last breakpoint on
+    all three.  From each quantity's midpoints v, d1 = v(h) - v(2h) and
+    d2 = v(2h) - v(4h) give the observed order p, 2^p = d2/d1, and the
+    value v(h) + d1/(2^p - 1), Richardson's extrapolation.  Its
+    half-width is twice the step removed, plus the tilted FFT's roundoff:
+    its untilting multiplies the spectra's error by up to
+    rho^-n <= 1e16^(1/5) = 1585, and the bound rho^-n log2(N) eps times
+    the tilted renewal mass held every sum of a direct long-double
+    solve.  This half-width is an estimate, not a proof.  If any
+    quantity's p falls outside [0.8, 2.5], or its half-width passes a
+    quarter of its finest bracket (what m = 256 proves, to first order),
+    the record takes the bracketing solve below at m = 256 points per
+    mean gap instead, as does a cycle too deep for the levels' point
+    budget.  Pr(K > k) always comes from that solve, with its proven
+    half-widths.
     A shifted exponential service SE(r, c), c > 0, is one exponential
     block shifted by c: past c its ccdf falls by e^{-r h} a step, so each
     gap a partial sum takes past c multiplies it by the gaps' discounted
     mass L = sum_i f_i e^{-r i h}.  The renewal solve then runs on the J
     points below c alone, and the rest of the lattice folds into
-    closed-form weights on them (:func:`_folded`); at c = 0 it is E(r)
-    and takes the block record.
+    closed-form weights on them (:func:`_folded`), the three levels'
+    heads zero-padded into one transform; at c = 0 it is E(r) and takes
+    the block record.
     Every lattice sum is one inner product of half spectra, both ends and
     every weight vector of a sum stacked in one transform call.  Two
     transforms of the n lattice points (J when folded) are each built only
@@ -77,10 +99,11 @@ Lattice (paths ``lattice`` and ``closed_form``)
     While every power stays on the lattice, Pr(K > k) is M^k, M an end's
     total gap mass, plus the power against G - 1: exactly M^k where no
     partial sum reaches a point with G < 1.
-    Rounding down shrinks every partial sum, so the two solves bracket
-    E[K], E[K^2] and each Pr(S > T_k), and the intervals span them.
+    In the bracketing solve rounding down shrinks every partial sum, so
+    the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
+    intervals span them.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
-    most (k-1) h, so each solve's crossing sum widened by h E[K(K-1)]/2
+    most (k-1) h, so each end's crossing sum widened by h E[K(K-1)]/2
     brackets the true one.  Deterministic gaps give the sums in closed
     form up to the last lattice point t; past it the service ccdf G falls,
     so the left-out terms are bounded by the service's stop-loss
@@ -117,13 +140,19 @@ __all__ = [
     "k_pmf",
 ]
 
-_LATTICE_STEPS = 256     # lattice points per mean gap
+_LATTICE_STEPS = 256     # lattice points per mean gap of the bracketing solve
 _MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
+_LEVEL_STEPS = 64        # of the finest extrapolated level
+_STRIDES = (1, 2, 4)     # the levels' steps, in steps of the finest
+_ORDERS = (2.0**0.8, 2.0**2.5)  # d(2h)/d(h) of an accepted observed order
+_SAFETY = 2.0            # half-widths per extrapolation step removed
+_ROUNDOFF = 8.0          # roundoffs per extrapolated value
 _MAX_LATTICE = 1 << 18   # lattice points per solve: bounds time and memory
 _SERVICE_TAIL = 1e-13    # service mass left beyond the lattice
 _TOP_STEPS = 64          # truncation points tried per octave
 _SNAP = 1e-6             # a breakpoint this close, in steps, is on the lattice
 _ALIAS_TILT = 1e-16      # tilt of the FFT's first aliased term
+_EPS = sys.float_info.epsilon
 
 
 class Interval(NamedTuple):
@@ -165,6 +194,16 @@ class Cycles(NamedTuple):
     crossing: Callable[[], Interval]  # sum_k E[A_k * Pr(S > A_k)], on call
     # k_max -> arrays of Pr(K = k), k = 1..k_max, and Pr(K > k_max)
     pmf: Callable[[int], tuple[Interval, Interval]]
+    # the crossing sum over E[K], where the producer estimates the
+    # quotient itself (on call)
+    ratio: Callable[[], Interval] | None = None
+
+    @property
+    def middle(self) -> Interval:
+        """The age's middle term, the crossing sum over E[K]: the
+        producer's quotient, else the quotient of its intervals."""
+        return (self.ratio() if self.ratio
+                else self.crossing().over(self.k_mean))
 
     @property
     def k_mean(self) -> Interval:
@@ -453,130 +492,237 @@ def _truncation_point(service: Distribution) -> float:
     j an integer, where Pr(S > x) <= 1e-13: at most 1.1% past the exact
     quantile, and in units of E[S], so it rescales with time.
 
-    The octave comes from doubling or halving E[S], the 1/64ths of it from
-    one array call of the ccdf.  A tail that reaches past the float range
-    raises :class:`TruncationNotReached`.
+    One array call of the ccdf over E[S] 2^k, for every k that keeps the
+    point a finite normal float, finds the octave, and a second over its
+    64ths the point.  A tail that reaches past the float range raises
+    :class:`TruncationNotReached`.
     """
     hi = service.support()[1]
     if math.isfinite(hi):
         return hi
-    x = service.mean()
-    while service.ccdf(x) > _SERVICE_TAIL:
-        x *= 2.0
-    if math.isinf(x):
+    mean = service.mean()
+    e = math.frexp(mean)[1]  # mean = f 2^e, 1/2 <= f < 1
+    octaves = np.ldexp(mean, np.arange(sys.float_info.min_exp - e,
+                                       sys.float_info.max_exp - e + 1))
+    passing = service.ccdf(octaves) <= _SERVICE_TAIL
+    if not passing.any():
         raise TruncationNotReached(
             f"the tail of {service.describe()} reaches past the float range")
-    while service.ccdf(0.5 * x) <= _SERVICE_TAIL:
-        x *= 0.5
-    tries = 0.5 * x * np.exp2(np.arange(1, _TOP_STEPS + 1) / _TOP_STEPS)
+    tries = 0.5 * octaves[np.argmax(passing)] * np.exp2(
+        np.arange(1, _TOP_STEPS + 1) / _TOP_STEPS)
     return float(tries[np.argmax(service.ccdf(tries) <= _SERVICE_TAIL)])
+
+
+def _too_deep(steps: float) -> TruncationNotReached:
+    return TruncationNotReached(
+        f"a cycle spans {steps:.4g} lattice steps, more than {_MAX_LATTICE}; "
+        "the expected arrivals-per-cycle count is too large to resolve")
+
+
+def _points(service: Distribution, h: float, n: int) -> np.ndarray:
+    """The lattice points jh, j < n, with each service breakpoint within
+    rounding of one (the D value, the SE shift) put there exactly, keeping
+    its tie rule at every time scale."""
+    x = h * np.arange(n)
+    for b in service.breakpoints():
+        j = round(b / h)
+        if j < n and abs(x[j] - b) <= _SNAP * h:
+            x[j] = b
+    return x
+
+
+def _cells(tail: np.ndarray) -> np.ndarray:
+    """Each end's gap cells from the gap ccdf on the grid: the gaps
+    rounded down, then up."""
+    gaps = np.zeros((2, tail.size - 1))
+    np.subtract(tail[:-1], tail[1:], out=gaps[0])  # Pr(jh < Y <= (j+1)h)
+    gaps[1, 1:] = gaps[0, :-1]
+    return gaps
+
+
+def _level_step(mean_gap: float, service: Distribution) -> float:
+    """The finest level's step: E[Y]/64, or the largest step below it that
+    puts the service's last breakpoint b on every level (b/4h an integer),
+    if that step is at least E[Y]/128.  On the lattice a kink keeps each
+    level's error a series in powers of h; off it the error swings with
+    b's place between two points, and the observed order with it."""
+    h = mean_gap / _LEVEL_STEPS
+    b = max(service.breakpoints(), default=0.0)
+    j = math.ceil(b / (4.0 * h) - _SNAP)
+    return b / (4.0 * j) if j > 0 and b / (4.0 * j) >= 0.5 * h else h
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution,
                     block: tuple[float, float] | None = None) -> Cycles:
-    """The dropping record spanning the sums with every gap rounded down,
-    then up, to the lattice jh, h = E[Y]/m, up to :func:`_truncation_point`.
+    """The dropping record from renewal solves with every gap rounded down,
+    then up, to a lattice jh that ends past :func:`_truncation_point`.
 
-    m halves from 256 until at most 2^18 points remain; below 16 the cycle
-    is too deep (:class:`TruncationNotReached`).  A service breakpoint
-    within rounding of a lattice point (the D value, the SE shift) is
-    evaluated there exactly, keeping its tie rule at every time scale.
-    With ``block`` = (r, c) the service is c plus an exponential of rate
-    r, and the lattice past c folds into closed-form weights
-    (:func:`_folded`).  The record keeps the gap cells and the weights;
-    E[K], E[K^2] and the crossing sum come from one renewal solve on first
-    read, and each pmf call builds its own transform and frees it.
+    E[K], E[K^2], the crossing sum and its quotient by E[K] come from
+    three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
+    (:func:`_extrapolated`), else from the bracketing solve at
+    h = E[Y]/256, whose two roundings bracket them; Pr(K > k) always comes
+    from that solve.  It is built on first read, its m = 256 points per
+    mean gap halving until at most 2^18 points remain; below 16 the cycle
+    is too deep (:class:`TruncationNotReached`).  The levels need their
+    finest lattice within the same budget.  With ``block`` = (r, c) the
+    service is c plus an exponential of rate r, and the lattice past c
+    folds into closed-form weights (:func:`_folded`).
     """
     top = _truncation_point(service)
-    point_mass = isinstance(interarrival, Deterministic)
-    m = 1 if point_mass else _LATTICE_STEPS
+    if isinstance(interarrival, Deterministic):
+        return _deterministic_cycles(interarrival.value, service, top)
+
+    def lattice(h: float, n: int, strides: tuple[int, ...]):
+        # The gap ccdf on one grid; each stride k reads every k-th point.
+        x = _points(service, h, n)
+        tail = interarrival.ccdf(h * np.arange(n + max(strides)))
+        if block:
+            return _folded(h, tail, x, strides, *block)
+        return _full(tail, x, service.ccdf(x), strides)
+
+    m = _LATTICE_STEPS
     while True:
         h = interarrival.mean() / m
         steps = top / h  # inf when the cycle outgrows the float range
         if steps < _MAX_LATTICE - 1:
             break
         if m <= _MIN_STEPS:
-            raise TruncationNotReached(
-                f"a cycle spans {steps:.4g} lattice steps, more than "
-                f"{_MAX_LATTICE}; the expected arrivals-per-cycle count is "
-                "too large to resolve")
+            raise _too_deep(steps)
         m //= 2
-    n = int(steps) + 2
-    grid = h * np.arange(n + 1)
-    x = grid[:n].copy()
-    for b in service.breakpoints():
-        j = round(b / h)
-        if j < n and abs(x[j] - b) <= _SNAP * h:
-            x[j] = b
-    if point_mass:  # U has one atom per lattice point; T_k = k E[Y]
-        path = "closed_form"
-        c = service.ccdf(x)
-        first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
+    proven = cache(lambda: lattice(h, int(steps) + 2, (1,)))
 
-        @cache
-        def solved() -> tuple[Interval, Interval, Interval]:
-            # Pr(S > x) falls, so it is 0 past a last point where it is 0.
-            beyond = (_beyond_top(service, float(x[-1]), h) if c[-1]
-                      else (0.0,) * 3)
-            return (Interval(float(first + c.sum()), beyond[0]),
-                    Interval(float(first + (2.0 * np.arange(n) + 1.0) @ c),
-                             beyond[1]),
-                    Interval(float(x @ c), beyond[2]))
-
-        def survival(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-            # Pr(K > k) = Pr(S > k E[Y]) <= c[-1] past the last point
-            kept = np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1]
-            beyond = np.zeros(k_max + 1)
-            beyond[n:] = c[-1]
-            return kept - beyond, kept + beyond
-    else:
-        path = "lattice"
-        tail = interarrival.ccdf(grid)
-        cell = tail[:-1] - tail[1:]  # Pr(jh < Y <= (j+1)h)
-        gaps = np.stack((cell, np.append(0.0, cell[:-1])))  # rounded down, up
-        sums, survival = (_folded(gaps, tail, x, h, *block) if block
-                          else _full(gaps, tail, x, service.ccdf(x)))
-
-        @cache
-        def solved() -> tuple[Interval, Interval, Interval]:
-            (k_down, k_up), (k2_down, k2_up), (c_down, c_up) = np.array(
-                sums()).tolist()
-            # A partial sum of k-1 gaps moves by at most (k-1) h, so each
-            # end's crossing sum widened by h E[K(K-1)]/2 brackets the
-            # true one; E[K(K-1)] >= 0, whatever the roundoff.
-            lo = c_up - 0.5 * h * max(k2_up - k_up, 0.0)
-            hi = c_down + 0.5 * h * max(k2_down - k_down, 0.0)
-            mid = 0.5 * (c_down + c_up)
-            return (Interval.between(k_down, k_up),
-                    Interval.between(k2_down, k2_up),
-                    Interval(mid, max(mid - lo, hi - mid)))
+    @cache
+    def solved() -> tuple[Interval, Interval, Interval, Interval]:
+        fine = _level_step(interarrival.mean(), service)
+        coarse = top / (4.0 * fine)  # in steps of the coarsest level
+        if 4.0 * coarse < _MAX_LATTICE - 5:
+            sums, _ = lattice(fine, 4 * int(coarse) + 5, _STRIDES)
+            *ends, noise = sums()
+            ends = [v.tolist() for v in ends]
+            found = _extrapolated([
+                _bracket(k * fine, *(v[2 * i:2 * i + 2] for v in ends))
+                for i, k in enumerate(_STRIDES)], noise)
+            if found is not None:
+                return found
+        return _bracket(h, *(v.tolist() for v in proven()[0]()[:3]))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
         # Pr(K = k) = Pr(K > k-1) - Pr(K > k), the half-widths added
-        mid, hw = Interval.between(*survival(k_max))
+        mid, hw = Interval.between(*proven()[1](k_max))
         return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
                 Interval(mid[-1], hw[-1]))
-    return Cycles(path, lambda: solved()[:2], lambda: solved()[2], pmf)
+    return Cycles("lattice", lambda: solved()[:2], lambda: solved()[2], pmf,
+                  lambda: solved()[3])
 
 
-def _full(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, c: np.ndarray):
-    """Each end's E[K], E[K^2] and crossing sum (on call) and its
-    Pr(K > k), k = 0..k_max, from the service ccdf ``c`` at every lattice
-    point ``x``, ``tail`` the gap ccdf on the grid."""
-    n = c.size
+def _bracket(h: float, k_mean, k_second, crossing
+             ) -> tuple[Interval, Interval, Interval, Interval]:
+    """E[K], E[K^2], the crossing sum and its quotient by E[K] spanning
+    their two ends, each given rounded down, then up, on the lattice of
+    step h."""
+    (k_down, k_up), (k2_down, k2_up), (c_down, c_up) = (
+        k_mean, k_second, crossing)
+    # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
+    # crossing sum widened by h E[K(K-1)]/2 brackets the true one;
+    # E[K(K-1)] >= 0, whatever the roundoff.
+    lo = c_up - 0.5 * h * max(k2_up - k_up, 0.0)
+    hi = c_down + 0.5 * h * max(k2_down - k_down, 0.0)
+    mid = 0.5 * (c_down + c_up)
+    k1, cross = Interval.between(k_down, k_up), Interval(
+        mid, max(mid - lo, hi - mid))
+    return k1, Interval.between(k2_down, k2_up), cross, cross.over(k1)
+
+
+def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
+                  ) -> tuple[Interval, ...] | None:
+    """Each quantity's Richardson value from its brackets at h, 2h and 4h
+    (finest first), or None when one of them fails its checks.
+
+    With v the midpoints, d1 = v(h) - v(2h) and d2 = v(2h) - v(4h), the
+    observed order p has 2^p = d2/d1, and v(h) + d1/(2^p - 1) removes the
+    error C h^p.  The half-width is twice the removed step, plus the
+    transforms' roundoff: ``noise``, relative, times at most 4 for the
+    extrapolation's weights and 2 for a quotient's two sums.  A quantity
+    whose p is outside [0.8, 2.5], or whose half-width is more than a
+    quarter of its finest bracket's (what the bracketing solve proves at
+    4 times the points, to first order), fails.
+    """
+    out = []
+    for fine, mid, coarse in zip(*levels):
+        d1 = fine.value - mid.value
+        ratio = (mid.value - coarse.value) / d1 if d1 else math.nan
+        if not _ORDERS[0] <= ratio <= _ORDERS[1]:
+            return None
+        step = d1 / (ratio - 1.0)
+        value = fine.value + step
+        half_width = _SAFETY * abs(step) + _ROUNDOFF * noise * abs(value)
+        if half_width > 0.25 * fine.half_width:
+            return None
+        out.append(Interval(value, half_width))
+    return tuple(out)
+
+
+def _deterministic_cycles(d: float, service: Distribution, top: float
+                          ) -> Cycles:
+    """The dropping record at D(d) arrivals: one atom of U a lattice
+    point, T_k = (k-1) d, so the sums are finite up to the last point and
+    the service's stop-loss bounds the rest (:func:`_beyond_top`)."""
+    steps = top / d
+    if not steps < _MAX_LATTICE - 1:
+        raise _too_deep(steps)
+    n = int(steps) + 2
+    x = _points(service, d, n)
+    c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
-    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-    longest = _support(gaps) - 1  # in lattice steps
 
-    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        once, twice = _renewal_sums(gaps, np.stack((c, x * c)))
-        return first + once[:, 0], first + twice, once[:, 1]
+    @cache
+    def solved() -> tuple[Interval, Interval, Interval]:
+        # Pr(S > x) falls, so it is 0 past a last point where it is 0.
+        beyond = (_beyond_top(service, float(x[-1]), d) if c[-1]
+                  else (0.0,) * 3)
+        return (Interval(float(first + c.sum()), beyond[0]),
+                Interval(float(first + (2.0 * np.arange(n) + 1.0) @ c),
+                         beyond[1]),
+                Interval(float(x @ c), beyond[2]))
+
+    def pmf(k_max: int) -> tuple[Interval, Interval]:
+        # Pr(K > k) = Pr(S > k d) <= c[-1] past the last point
+        kept = np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1]
+        beyond = np.zeros(k_max + 1)
+        beyond[n:] = c[-1]
+        mid, hw = Interval.between(kept - beyond, kept + beyond)
+        return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
+                Interval(mid[-1], hw[-1]))
+    return Cycles("closed_form", lambda: solved()[:2], lambda: solved()[2],
+                  pmf)
+
+
+def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
+          strides: tuple[int, ...]):
+    """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
+    (every k-th point, its own transform), rows stacked stride by stride,
+    and the roundoff (on call); and Pr(K > k), k = 0..k_max, on the first,
+    from the service ccdf ``c`` at the lattice points ``x``, ``tail`` the
+    gap ccdf on the grid."""
+    levels = [(_cells(tail[::k][:x[::k].size + 1]), x[::k], c[::k])
+              for k in strides]
+
+    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        out = []
+        for gaps, xk, ck in levels:
+            once, twice, noise = _renewal_sums(gaps, np.stack((ck, xk * ck)))
+            first = 1.0 - float(ck[0])  # Pr(K >= 1) = 1 whatever the service
+            out.append((first + once[:, 0], first + twice, once[:, 1], noise))
+        *ends, noise = zip(*out)
+        return (*map(np.concatenate, ends), max(noise))
 
     def survival(k_max: int) -> np.ndarray:
         # While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
         # against G - 1, exactly M^k where no partial sum reaches G < 1;
         # past that, f^{*k} against G, taken as 0 beyond the lattice.
-        if k_max * longest < n:
+        gaps, n = levels[0][0], c.size
+        mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
+        if k_max * (_support(gaps) - 1) < n:
             out = (mass[:, None] ** np.arange(k_max + 1.0)
                    + _survival(gaps, (c - 1.0)[None], k_max)[:, 0])
         else:
@@ -586,11 +732,11 @@ def _full(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, c: np.ndarray):
     return sums, survival
 
 
-def _folded(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, h: float,
-            rate: float, shift: float):
+def _folded(h: float, tail: np.ndarray, x: np.ndarray,
+            strides: tuple[int, ...], rate: float, shift: float):
     """:func:`_full`'s sums for the service shift + Exp(rate), shift > 0,
-    from a renewal solve on the J = max(1, #{x_l < shift}) head points
-    alone.
+    from renewal solves on each stride's J = max(1, #{x_l < shift}) head
+    points alone, the strides' rows zero-padded into one transform.
 
     Past x_J, G(x_l) = e^{-rate o} q^(l-J), o = x_J - shift and
     q = e^{-rate h}, so a cycle's partial sums past the head add the
@@ -598,6 +744,7 @@ def _folded(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, h: float,
     sums of f_i q^(i-m) and of (i-m) f_i q^(i-m) over i >= m, taken by
     doubling with every factor q^w at most 1, kappa_l = e^{-rate o} D_(J-l) is
     the head point l's next G past the head, and with g = 1/(1 - L),
+    1 - L = (1 - M) + sum_i f_i (1 - q^i) free of cancellation,
     L_1 = h E_0 and kappa x_l = e^{-rate o} (o D_(J-l) + h E_(J-l)):
     E[K] = sum u_l (1 + g kappa_l),
     E[K^2] = sum (2 w_l - u_l)(1 + g kappa_l) + 2 g^2 sum u_l kappa_l and
@@ -607,49 +754,85 @@ def _folded(gaps: np.ndarray, tail: np.ndarray, x: np.ndarray, h: float,
     and beta_k the mass of f^{*k} past the head, are the recursions
     tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
     beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
-    from m on."""
-    n = x.size
-    head = max(1, int(np.searchsorted(x, shift)))
-    f = gaps[:, :head]
-    far = np.arange(n - head)
-    lag = np.exp(-rate * h * far)
-    disc = np.zeros((2, 2, head + 1))  # D and E of each end, m = 0..J
-    disc[0, :, :head] = f
-    disc[:, :, head] = (gaps[:, head:] @ np.stack((lag, far * lag), 1)).T
-    w = 1
-    while w <= head:  # sums over [m, m + w) become sums over [m, m + 2w)
-        part = disc[:, :, w:] * math.exp(-rate * h * w)
+    from m on; it reads the first stride's lattice."""
+    exps = -rate * h * np.arange(x.size)
+    lag = np.exp(exps)  # q^i at stride 1
+    first = int(np.searchsorted(x, shift))
+    levels = []  # per stride: its rows, step, points, gap ccdf, cells, J
+    for i, k in enumerate(strides):
+        xk = x[::k]
+        tk = tail[::k][:xk.size + 1]
+        levels.append((slice(2 * i, 2 * i + 2), k * h, xk, tk, _cells(tk),
+                       max(1, -(-first // k))))
+    width = max(level[-1] for level in levels)
+    disc = np.zeros((2, 2 * len(levels), width + 1))  # D and E, m = 0..J
+    for k, (rows, _, xk, _, gaps, head) in zip(strides, levels):
+        far = np.arange(xk.size - head)
+        lk = lag[::k][:far.size]  # q^far at this stride
+        disc[0, rows, :head] = gaps[:, :head]
+        disc[:, rows, head] = (gaps[:, head:] @ np.stack((lk, far * lk), 1)).T
+    f = disc[0, :, :width].copy()
+    doublings = (1 << np.arange(width.bit_length())).tolist()
+    factors = np.repeat([[math.exp(-rate * level[1] * w) for level in levels]
+                         for w in doublings], 2, axis=1)[..., None]
+    for w, factor in zip(doublings, factors):
+        # sums over [m, m + w) become sums over [m, m + 2w)
+        part = disc[:, :, w:] * factor
         part[1] += w * part[0]
         disc[:, :, :-w] += part
-        w *= 2
     d, e = disc
-    big_l, g = d[:, 0], 1.0 / (1.0 - d[:, 0])
-    o = float(x[head]) - shift
-    kappa = math.exp(-rate * o) * d[:, :0:-1]
-    kappa_x = math.exp(-rate * o) * (o * d[:, :0:-1] + h * e[:, :0:-1])
-    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-    rest = np.stack((tail[head:0:-1] - tail[n],
-                     tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
+    kappa = np.zeros_like(f)  # zero past each head
+    offsets = []
+    for rows, _, xk, _, _, head in levels:
+        offsets.append(float(xk[head]) - shift)
+        kappa[rows, :head] = math.exp(-rate * offsets[-1]) * d[rows, head:0:-1]
 
-    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g1, big_l1 = g[:, None], h * e[:, :1]  # L_1 = h E_0
-        once, twice = _renewal_sums(f, np.stack((
-            1.0 + g1 * kappa,
-            x[:head] + g1 * (shift * kappa + kappa_x)
-            + g1 * g1 * big_l1 * kappa,
+    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        decay = -np.expm1(exps)  # 1 - q^i at stride 1
+        g = np.empty((f.shape[0], 1))
+        one, x_head, kappa_x = np.zeros((3, *f.shape))
+        for k, o, (rows, hk, xk, tk, gaps, head) in zip(strides, offsets,
+                                                        levels):
+            g[rows, 0] = 1.0 / _escape(tk, gaps, decay[::k])
+            one[rows, :head] = 1.0
+            x_head[rows, :head] = xk[:head]
+            kappa_x[rows, :head] = math.exp(-rate * o) * (
+                o * d[rows, head:0:-1] + hk * e[rows, head:0:-1])
+        big_l1 = np.repeat([level[1] for level in levels], 2)[:, None] * e[:, :1]
+        once, twice, noise = _renewal_sums(f, np.stack((
+            one + g * kappa,
+            x_head + g * (shift * kappa + kappa_x) + g * g * big_l1 * kappa,
             kappa), axis=1))
-        return once[:, 0], twice + 2.0 * g * g * once[:, 2], once[:, 1]
+        return (once[:, 0], twice + 2.0 * g[:, 0] ** 2 * once[:, 2],
+                once[:, 1], noise)
 
     def survival(k_max: int) -> np.ndarray:
-        heads = _survival(f, np.stack((kappa, rest), axis=1), k_max - 1)
-        factors = np.stack((big_l, mass), axis=1)
+        _, _, _, tk, _, head = levels[0]
+        n = tk.size - 1
+        mass = tk[0] - tk[[n, n - 1]]  # each end's total gap mass M
+        rest = np.stack((tk[head:0:-1] - tk[n],
+                         tk[head - 1::-1] - tk[n - 1]))  # F_(J-l)
+        powers = _survival(f[:2, :head], np.stack((kappa[:2, :head], rest),
+                                                  axis=1), k_max - 1)
+        factors = np.stack((d[:2, 0], mass), axis=1)  # L and M
         out = mass[:, None] ** np.arange(k_max + 1.0)
         tau_beta = np.zeros((2, 2))
         for k in range(1, k_max + 1):
-            tau_beta = factors * tau_beta + heads[..., k - 1]
+            tau_beta = factors * tau_beta + powers[..., k - 1]
             out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
         return out
     return sums, survival
+
+
+def _escape(tail: np.ndarray, gaps: np.ndarray, decay: np.ndarray
+            ) -> np.ndarray:
+    """1 - L, L = sum_i f_i q^i, for each end's gap cells f, given the
+    1 - q^i of each cell and ``tail`` the gap ccdf on the grid: as
+    (1 - M) + sum_i f_i (1 - q^i), M the end's gap mass, a sum of
+    nonnegative terms.  Deep cycles put L near 1, where 1 - L by
+    subtraction keeps only the digits L leaves."""
+    n = gaps.shape[-1]
+    return (1.0 - tail[0]) + tail[[n, n - 1]] + gaps @ decay
 
 
 def _beyond_top(service: Distribution, t: float, d: float
@@ -710,8 +893,14 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
     """sum_l u_l v_l for the renewal measure u = delta + f*u of each end's
     gap cells f (a row of ``gaps``) and each row v of ``weights`` (shared
     by the ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u, for
-    the first row v, on the smallest FFT length >= 4n."""
-    weigh, spectrum = _tilted(gaps.shape[-1], _fft_size(4 * gaps.shape[-1]))
+    the first row v, on the smallest FFT length N >= 4n; and their
+    relative roundoff, rho^-n log2(N) eps times the largest tilted mass
+    sum_l u_l rho^l: untilting multiplies the spectra's error by up to
+    rho^-n, and against a direct long-double solve the sums kept within
+    1/2 of that bound."""
+    n = gaps.shape[-1]
+    size = _fft_size(4 * n)
+    weigh, spectrum = _tilted(n, size)
     by = weigh(weights)
     renewal = spectrum(gaps)
     np.subtract(1.0, renewal, out=renewal)
@@ -719,7 +908,9 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
     square = 2.0 * renewal  # 2 u*u - u, built in place
     square -= 1.0
     square *= renewal
-    return _totals(by, renewal), _totals(by[..., :1, :], square)[:, 0]
+    noise = (_ALIAS_TILT ** (-n / (size + n)) * math.log2(size) * _EPS
+             * float(renewal[..., 0].real.max()))
+    return _totals(by, renewal), _totals(by[..., :1, :], square)[:, 0], noise
 
 
 def _support(gaps: np.ndarray) -> int:
@@ -761,7 +952,7 @@ def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:
     sum over its E[K], and the service term, each half-width added;
     ``cycles_used`` is 0 and ``method`` the record's path."""
     cycles = pair.cycles(discipline)
-    middle = cycles.crossing().over(cycles.k_mean)
+    middle = cycles.middle
     service = pair.service_term(discipline)
     return AgeEstimate(value=pair.head + middle.value + service.value,
                        ci_half_width=middle.half_width + service.half_width,

@@ -71,10 +71,11 @@ def test_lattice_agrees_with_walk(y, s):
              wm.k_mean, wm.k_second] + list(walk_pmf.pmf)
             + [walk_pmf.tail_mass])
     for i, ((value, hw), w) in enumerate(zip(lattice(y, s), walk)):
-        # The walk's 95% CI, its truncation bias (it stops at a 1e-8
-        # share), and for a probability the 3/n an event it never drew
-        # can carry.
-        tol = (Z95 * w.stderr + hw + 1e-7 * abs(w.value)
+        # Four of the walk's standard errors (some 15 comparisons a pair
+        # would leave its 95% CI about half the time), its truncation bias
+        # (it stops at a 1e-8 share), and for a probability the 3/n an
+        # event it never drew can carry.
+        tol = (4.0 * w.stderr + hw + 1e-7 * abs(w.value)
                + (3.0 / REPLICATES if i >= 3 else 0.0))
         assert abs(value - w.value) <= tol, (i, value, hw, w)
 
@@ -183,7 +184,7 @@ def full_lattice(pair, k_max):
     of ``pair``'s lattice, spanned as the record spans them."""
     cells, x, c = lattice_cells(pair)
     gaps = np.stack(cells)
-    once, twice = analytic._renewal_sums(gaps, np.stack((c, x * c)))
+    once, twice, _ = analytic._renewal_sums(gaps, np.stack((c, x * c)))
     first = 1.0 - c[0]
     k1, k2, crossing = first + once[:, 0], first + twice, once[:, 1]
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
@@ -206,22 +207,48 @@ FOLD_PAIRS = [(y, s) for y in FOLD_GAPS
 FOLD_PAIRS.append((Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)))
 
 
+def record_intervals(record):
+    """E[K], E[K^2], the crossing sum and their quotient from ``record``."""
+    return [*record.moments(), record.crossing(), record.middle]
+
+
+def assert_same_intervals(got, want, spread=0.0):
+    # A half-width is a difference of two solves, so it is held to the
+    # value's scale, and to ``spread`` of itself where the two records'
+    # roundoff terms differ: the folded transform is the shorter, with the
+    # smaller roundoff, by up to a percent of a half-width.
+    for g, ref in zip(got, want):
+        assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
+        assert abs(g.half_width - ref.half_width) <= (
+            1e-10 * ref.value + spread * ref.half_width), (g, ref)
+
+
+def bracketing_only(monkeypatch):
+    """Let no observed order pass, so every record takes its bracketing
+    solve."""
+    monkeypatch.setattr(analytic, "_ORDERS", (2.0, 1.0))
+
+
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
-def test_folded_record_is_the_full_lattice(y, s, c):
+def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # Past its shift a shifted exponential service is memoryless, so the
-    # record folds the lattice there into closed-form weights; it must
-    # give what the renewal and pmf sums over every lattice point give.
-    # A half-width is a difference of the two ends, so it is held to the
-    # value's scale, and each Pr(K > k) to a few hundred eps.
-    pair = Pair(RESCALED[y.kind](y, c), RESCALED[s.kind](s, c))
-    record = pair.cycles(DROPPING)
+    # record folds the lattice there into closed-form weights; its three
+    # levels must extrapolate to what the same levels give over every
+    # lattice point, and its bracketing solve and pmf must give what the
+    # renewal and pmf sums over every lattice point give, each
+    # Pr(K > k) to a few hundred eps.
+    y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    record = Pair(y, s).cycles(DROPPING)
     assert record.path == "lattice"
+    assert_same_intervals(record_intervals(record), record_intervals(
+        analytic._lattice_cycles(y, s)), spread=1e-2)
+    bracketing_only(monkeypatch)
+    pair = Pair(y, s)
+    record = pair.cycles(DROPPING)
     *want, survival = full_lattice(pair, K_MAX)
-    for got, ref in zip((*record.moments(), record.crossing()), want):
-        assert abs(got.value - ref.value) <= 1e-10 * ref.value, (got, ref)
-        assert abs(got.half_width - ref.half_width) <= 1e-10 * ref.value
+    assert_same_intervals((*record.moments(), record.crossing()), want)
     probs, tail = record.pmf(K_MAX)
     mid, hw = survival
     assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
@@ -237,10 +264,10 @@ def test_a_far_shift_folds_without_overflow():
     # exponents are all <= 0.  The service ends by 1.03, so E[K] is near
     # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).
     pair = Pair(Uniform(0.0, 2.0), ShiftedExponential(1000.0, 1.0))
-    *want, survival = full_lattice(pair, K_MAX)
-    got = [*pair.cycles(DROPPING).moments(), pair.cycles(DROPPING).crossing()]
-    for g, ref in zip(got, want):
-        assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
+    assert_same_intervals(
+        record_intervals(pair.cycles(DROPPING)), record_intervals(
+            analytic._lattice_cycles(pair.interarrival, pair.service)),
+        spread=1e-2)
     est = exact_age(pair, DROPPING)
     assert math.isfinite(est.value) and math.isfinite(est.ci_half_width)
     pmf = k_pmf(pair, K_MAX)
@@ -272,14 +299,137 @@ def test_pmf_entries_no_partial_sum_reaches_are_exact():
     assert tuple(pmf.tail_mass) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
+@pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7))],
+                         ids=[*IDS, "R/D"])
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
+    # Every interval holds the midpoint of the bracketing solve at 1024
+    # points per mean gap: SE/SE's kinks lie off the lattice, so its
+    # levels' error swings, and a D service's error is of first order.
     coarse = lattice(y, s)
+    bracketing_only(monkeypatch)
     monkeypatch.setattr(analytic, "_LATTICE_STEPS",
                         4 * analytic._LATTICE_STEPS)
     fine = lattice(y, s)
     for i, ((value, hw), (finer, _)) in enumerate(zip(coarse, fine)):
         assert abs(value - finer) <= hw, (i, value, hw, finer)
+
+
+# The pairs of ``PAIRS`` that reach the lattice, Erlang service included.
+LATTICE_PAIRS = [p for p in PAIRS if not isinstance(p[0], Deterministic)]
+LATTICE_IDS = [i for i, p in zip(IDS, PAIRS) if p in LATTICE_PAIRS]
+
+
+def lattice_pair(y, s):
+    """``y`` and ``s`` as a pair whose dropping record is the lattice's."""
+    return (LatticePair if isinstance(y, Exponential) or s.phases()
+            else Pair)(y, s)
+
+
+@pytest.mark.parametrize("y,s", LATTICE_PAIRS, ids=LATTICE_IDS)
+def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
+                                                             monkeypatch):
+    # Each pair takes its levels, and each interval comes out narrower
+    # than the one the bracketing solve proves.
+    record = lattice_pair(y, s).cycles(DROPPING)
+    new = [*record_intervals(record),
+           exact_age(lattice_pair(y, s), DROPPING).ci_half_width]
+    bracketing_only(monkeypatch)
+    record = lattice_pair(y, s).cycles(DROPPING)
+    old = [*record_intervals(record),
+           exact_age(lattice_pair(y, s), DROPPING).ci_half_width]
+    for i, (got, was) in enumerate(zip(new[:4], old)):
+        assert got.half_width < was.half_width, (i, got, was)
+    assert new[4] < old[4]
+    if (y, s) == PAIRS[-1]:  # the deep pair's age
+        assert 100.0 * new[4] <= old[4]
+
+
+@pytest.mark.parametrize("y,s", [p for p in LATTICE_PAIRS
+                                 if isinstance(p[0], Exponential)]
+                         + [PAIRS[-1]], ids=["E/R", "E/U", "deep-U/R"])
+def test_an_order_out_of_range_takes_the_bracketing_solve(y, s,
+                                                          monkeypatch):
+    # With no observed order accepted, the record is the bracketing solve
+    # at 256 points per mean gap, bit for bit.
+    bracketing_only(monkeypatch)
+    pair = LatticePair(y, s)
+    record = pair.cycles(DROPPING)
+    *want, _ = full_lattice(pair, K_MAX)
+    assert [*record.moments(), record.crossing()] == want
+    assert record.middle == want[2].over(want[0])
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+@pytest.mark.parametrize("y,s", LATTICE_PAIRS, ids=LATTICE_IDS)
+def test_extrapolated_age_rescales_with_time(y, s, c):
+    # Rescaling every time by c rescales the age and its half-width by c:
+    # the levels' steps rescale, and so does every point they read.  The
+    # laws' ccdfs rescale only to a few ulps, and the extrapolation weighs
+    # the levels by up to 4: R/SE moves by up to 25 eps of its age, where
+    # the bracketing solve alone moves by 10.
+    base = exact_age(lattice_pair(y, s), DROPPING)
+    scaled = exact_age(lattice_pair(RESCALED[y.kind](y, c),
+                                    RESCALED[s.kind](s, c)), DROPPING)
+    assert base.method == scaled.method == "lattice"
+    assert abs(scaled.value - c * base.value) <= 32.0 * EPS * scaled.value
+    assert abs(scaled.ci_half_width - c * base.ci_half_width) <= (
+        32.0 * EPS * scaled.value)
+
+
+def test_fold_takes_one_minus_l_free_of_cancellation():
+    # Deep cycles (E[K] about 5.5e4) put L within 1e-5 of 1, where 1 - L
+    # by subtraction is 1e-10 off on the rounded-down end.  The fold takes
+    # it as (1 - M) + sum_i f_i (1 - q^i): against the same sum in long
+    # doubles, with each 1 - q^i to 1e-19, it must keep all but a few of
+    # its digits.
+    y = Hyperexponential((0.99999, 1e-5), (1e6, 1e-3))
+    s = ShiftedExponential(1.0, 0.5)
+    h = y.mean() / analytic._LEVEL_STEPS
+    n = int(analytic._truncation_point(s) / h) + 2
+    tail = y.ccdf(h * np.arange(n + 1))
+    gaps = analytic._cells(tail)
+    steps = s.rate * h * np.arange(n)
+    got = analytic._escape(tail, gaps, -np.expm1(-steps))
+    want = ((1 - tail[0].astype(np.longdouble)) + tail[[n, n - 1]]
+            + gaps.astype(np.longdouble)
+            @ -np.expm1(-steps.astype(np.longdouble)))
+    assert got == pytest.approx(want.astype(float), rel=1e-13, abs=0)
+    assert (1.0 - gaps @ np.exp(-steps)) != pytest.approx(
+        want.astype(float), rel=1e-11, abs=0)
+
+
+def direct_renewal_sums(gaps, weights):
+    """``_renewal_sums`` of one end's cells by the recursion
+    u_l = (delta_l + sum_{i=1..l} f_i u_(l-i)) / (1 - f_0), in long
+    doubles."""
+    f = gaps.astype(np.longdouble)
+    u = np.zeros(f.size, dtype=np.longdouble)
+    u[0] = 1 / (1 - f[0])
+    for l in range(1, f.size):
+        u[l] = (f[1:l + 1] @ u[l - 1::-1]) / (1 - f[0])
+    square = 2 * np.convolve(u, u)[:f.size] - u
+    return [*(u @ weights.T.astype(np.longdouble)),
+            square @ weights[0].astype(np.longdouble)]
+
+
+@pytest.mark.parametrize("y,s,m", [
+    (Uniform(0.0, 0.2), Rayleigh(2.0), 8),
+    (Rayleigh(1.0), Rayleigh(1.0), 256),
+    (ShiftedExponential(0.25, 0.5), ShiftedExponential(1.0, 0.1), 64)],
+    ids=["deep-U/R", "R/R", "SE/SE"])
+def test_renewal_roundoff_bounds_a_direct_solve(y, s, m):
+    # The tilted transform's roundoff, the relative bound it reports, must
+    # hold every sum of both ends against a long-double recursion.
+    h = y.mean() / m
+    n = int(analytic._truncation_point(s) / h) + 2
+    x = h * np.arange(n)
+    tail = y.ccdf(h * np.arange(n + 1))
+    gaps, weights = analytic._cells(tail), np.stack((s.ccdf(x), x * s.ccdf(x)))
+    once, twice, noise = analytic._renewal_sums(gaps, weights)
+    for end in range(2):
+        got = [*once[end], twice[end]]
+        for value, want in zip(got, direct_renewal_sums(gaps[end], weights)):
+            assert abs(value - float(want)) <= noise * abs(float(want))
 
 
 # The first four at rate 1 and time scale 1; then every family at time
@@ -354,6 +504,28 @@ def test_the_lattice_top_keeps_both_moments(s):
     with mpmath.workdps(30):
         shares = tail_shares(s, analytic._truncation_point(s))
     assert max(shares) <= 1e-10, shares
+
+
+def scalar_search(s):
+    """The lattice top by doubling from E[S], halving back, and then the
+    64ths of the octave found."""
+    x = s.mean()
+    while s.ccdf(x) > analytic._SERVICE_TAIL:
+        x *= 2.0
+    while s.ccdf(0.5 * x) <= analytic._SERVICE_TAIL:
+        x *= 0.5
+    tries = 0.5 * x * np.exp2(np.arange(1, 65) / 64)
+    return float(tries[np.argmax(s.ccdf(tries) <= analytic._SERVICE_TAIL)])
+
+
+@pytest.mark.parametrize("s,c", [
+    *((d, c) for d in UNBOUNDED for c in (1e-300, 1e-6, 1.0, 1e6, 1e300)),
+    *((d, c) for d in RARE_PHASES for c in (1e-6, 1.0, 1e6))],
+    ids=lambda v: v.kind if hasattr(v, "kind") else f"{v:g}")
+def test_truncation_point_is_the_scalar_search(s, c):
+    # Two array calls of the ccdf find the point bit for bit.
+    scaled = RESCALED[s.kind](s, c)
+    assert analytic._truncation_point(scaled) == scalar_search(scaled)
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e6, 1e300])
@@ -514,13 +686,15 @@ def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
     assert max(sizes) <= analytic._fft_size(4 * (10 * 512 + 1)) == 24576
 
 
-@pytest.mark.parametrize("y,s", [PAIRS[-1], PAIRS[0]],
+@pytest.mark.parametrize("y,s,levels", [(*PAIRS[-1], 3), (*PAIRS[0], 1)],
                          ids=["full-deep-U/R", "folded-SE/SE"])
-def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
+def test_each_op_builds_only_the_transform_it_reads(y, s, levels,
+                                                    monkeypatch):
     # Each transform weighs all its weight vectors in one call and takes
-    # both ends' gap spectra in another: the renewal transform c and x c
+    # both ends' gap spectra in another: the renewal transforms c and x c
     # (or the folded weights), the pmf transform G - 1 (or kappa and the
-    # gap mass past the head).
+    # gap mass past the head).  The full lattice's three levels keep their
+    # own lengths; the folded heads share one transform.
     calls = dict.fromkeys(["rfft", "_renewal_sums", "_survival"], 0)
     for owner, name in ((np.fft, "rfft"), (analytic, "_renewal_sums"),
                         (analytic, "_survival")):
@@ -532,11 +706,12 @@ def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
     assert calls == {"rfft": 2, "_renewal_sums": 0, "_survival": 1}
     pair = Pair(y, s)
     exact_age(pair, DROPPING)
-    assert calls == {"rfft": 4, "_renewal_sums": 1, "_survival": 1}
+    after = {"rfft": 2 + 2 * levels, "_renewal_sums": levels, "_survival": 1}
+    assert calls == after
     k_moments(pair)
     pair.cycles(DROPPING).crossing()
     corollary_one(pair, DROPPING)
-    assert calls == {"rfft": 4, "_renewal_sums": 1, "_survival": 1}
+    assert calls == after
 
 
 @pytest.mark.parametrize("compute", [
