@@ -710,9 +710,10 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
     def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         out = []
         for gaps, xk, ck in levels:
-            once, twice, noise = _renewal_sums(gaps, np.stack((ck, xk * ck)))
+            (once, crossing), (twice, _), noise = _renewal_sums(
+                gaps, np.stack((ck, xk * ck)))
             first = 1.0 - float(ck[0])  # Pr(K >= 1) = 1 whatever the service
-            out.append((first + once[:, 0], first + twice, once[:, 1], noise))
+            out.append((first + once, first + twice, crossing, noise))
         *ends, noise = zip(*out)
         return (*map(np.concatenate, ends), max(noise))
 
@@ -781,30 +782,31 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
         part[1] += w * part[0]
         disc[:, :, :-w] += part
     d, e = disc
-    kappa = np.zeros_like(f)  # zero past each head
-    offsets = []
-    for rows, _, xk, _, _, head in levels:
-        offsets.append(float(xk[head]) - shift)
-        kappa[rows, :head] = math.exp(-rate * offsets[-1]) * d[rows, head:0:-1]
+    # Row r's point l < J_r reads D and E at J_r - l, e^{-rate o} times.
+    heads = np.repeat([level[-1] for level in levels], 2)[:, None]
+    back = heads - np.arange(width)
+    on_head = back > 0
+    back[~on_head] = 0
+    offsets = [float(level[2][level[-1]]) - shift for level in levels]
+    scale = on_head * np.repeat([math.exp(-rate * o) for o in offsets],
+                                2)[:, None]
+    kappa = scale * np.take_along_axis(d, back, 1)
 
     def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        stride = np.repeat(strides, 2)[:, None]
         decay = -np.expm1(exps)  # 1 - q^i at stride 1
-        g = np.empty((f.shape[0], 1))
-        one, x_head, kappa_x = np.zeros((3, *f.shape))
-        for k, o, (rows, hk, xk, tk, gaps, head) in zip(strides, offsets,
-                                                        levels):
-            g[rows, 0] = 1.0 / _escape(tk, gaps, decay[::k])
-            one[rows, :head] = 1.0
-            x_head[rows, :head] = xk[:head]
-            kappa_x[rows, :head] = math.exp(-rate * o) * (
-                o * d[rows, head:0:-1] + hk * e[rows, head:0:-1])
-        big_l1 = np.repeat([level[1] for level in levels], 2)[:, None] * e[:, :1]
-        once, twice, noise = _renewal_sums(f, np.stack((
-            one + g * kappa,
-            x_head + g * (shift * kappa + kappa_x) + g * g * big_l1 * kappa,
-            kappa), axis=1))
-        return (once[:, 0], twice + 2.0 * g[:, 0] ** 2 * once[:, 2],
-                once[:, 1], noise)
+        g = 1.0 / np.concatenate([_escape(tk, gaps, decay[::k]) for k, (
+            _, _, _, tk, gaps, _) in zip(strides, levels)])
+        # sum_l u_l against 1, kappa, x_l and shift kappa + kappa x on the
+        # head, and sum_l (2w - u)_l against the first two
+        (one, at, x_sum, far_x), (w_one, w_at, _, _), noise = _renewal_sums(
+            f, np.stack((on_head, kappa, on_head * (h * (stride * np.arange(
+                width))), (shift + np.repeat(offsets, 2)[:, None]) * kappa
+                + h * stride * scale * np.take_along_axis(e, back, 1)),
+                axis=1))
+        big_l1 = h * stride[:, 0] * e[:, 0]  # L_1 = h E_0
+        return (one + g * at, w_one + g * w_at + 2.0 * g * g * at,
+                x_sum + g * far_x + g * g * big_l1 * at, noise)
 
     def survival(k_max: int) -> np.ndarray:
         _, _, _, tk, _, head = levels[0]
@@ -892,8 +894,9 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """sum_l u_l v_l for the renewal measure u = delta + f*u of each end's
     gap cells f (a row of ``gaps``) and each row v of ``weights`` (shared
-    by the ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u, for
-    the first row v, on the smallest FFT length N >= 4n; and their
+    by the ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u,
+    each indexed by weight row, then end, on the smallest FFT length
+    N >= 4n; and their
     relative roundoff, rho^-n log2(N) eps times the largest tilted mass
     sum_l u_l rho^l: untilting multiplies the spectra's error by up to
     rho^-n, and against a direct long-double solve the sums kept within
@@ -910,7 +913,7 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
     square *= renewal
     noise = (_ALIAS_TILT ** (-n / (size + n)) * math.log2(size) * _EPS
              * float(renewal[..., 0].real.max()))
-    return _totals(by, renewal), _totals(by[..., :1, :], square)[:, 0], noise
+    return _totals(by, renewal).T, _totals(by, square).T, noise
 
 
 def _support(gaps: np.ndarray) -> int:

@@ -184,9 +184,10 @@ def full_lattice(pair, k_max):
     of ``pair``'s lattice, spanned as the record spans them."""
     cells, x, c = lattice_cells(pair)
     gaps = np.stack(cells)
-    once, twice, _ = analytic._renewal_sums(gaps, np.stack((c, x * c)))
+    (once, crossing), (twice, _), _ = analytic._renewal_sums(
+        gaps, np.stack((c, x * c)))
     first = 1.0 - c[0]
-    k1, k2, crossing = first + once[:, 0], first + twice, once[:, 1]
+    k1, k2 = first + once, first + twice
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     lo = crossing[1] - 0.5 * h * (k2[1] - k1[1])
     hi = crossing[0] + 0.5 * h * (k2[0] - k1[0])
@@ -409,7 +410,7 @@ def direct_renewal_sums(gaps, weights):
         u[l] = (f[1:l + 1] @ u[l - 1::-1]) / (1 - f[0])
     square = 2 * np.convolve(u, u)[:f.size] - u
     return [*(u @ weights.T.astype(np.longdouble)),
-            square @ weights[0].astype(np.longdouble)]
+            *(square @ weights.T.astype(np.longdouble))]
 
 
 @pytest.mark.parametrize("y,s,m", [
@@ -427,7 +428,7 @@ def test_renewal_roundoff_bounds_a_direct_solve(y, s, m):
     gaps, weights = analytic._cells(tail), np.stack((s.ccdf(x), x * s.ccdf(x)))
     once, twice, noise = analytic._renewal_sums(gaps, weights)
     for end in range(2):
-        got = [*once[end], twice[end]]
+        got = [*once[:, end], *twice[:, end]]
         for value, want in zip(got, direct_renewal_sums(gaps[end], weights)):
             assert abs(value - float(want)) <= noise * abs(float(want))
 
