@@ -594,8 +594,12 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
         fine = _level_step(interarrival.mean(), service)
-        coarse = top / (4.0 * fine)  # in steps of the coarsest level
-        if 4.0 * coarse < _MAX_LATTICE - 5:
+        # in steps of the coarsest level; a top on that lattice, as a
+        # bounded service's last breakpoint is, counts as on it at every
+        # time scale
+        coarse = top / (4.0 * fine) + _SNAP
+        if not isinstance(service, Deterministic) and (
+                4.0 * coarse < _MAX_LATTICE - 5):
             sums, _ = lattice(fine, 4 * int(coarse) + 5, _STRIDES)
             *ends, noise = sums()
             ends = [v.tolist() for v in ends]
