@@ -598,6 +598,8 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         # bounded service's last breakpoint is, counts as on it at every
         # time scale
         coarse = top / (4.0 * fine) + _SNAP
+        # a deterministic service's error is of first order: its levels
+        # would only be thrown away
         if not isinstance(service, Deterministic) and (
                 4.0 * coarse < _MAX_LATTICE - 5):
             sums, _ = lattice(fine, 4 * int(coarse) + 5, _STRIDES)
@@ -740,17 +742,20 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
 def _folded(h: float, tail: np.ndarray, x: np.ndarray,
             strides: tuple[int, ...], rate: float, shift: float):
     """:func:`_full`'s sums for the service shift + Exp(rate), shift > 0,
-    from renewal solves on each stride's J = max(1, #{x_l < shift}) head
-    points alone, the strides' rows zero-padded into one transform.
+    from one renewal solve on the J = max(1, #{x_l < shift}) head points
+    alone.  A stride k's gaps take only multiples of k h, so its cells
+    spread onto the finest grid, zeros between, are that level's lattice:
+    every stride is two more rows of one fold, all sharing its head, its
+    weights and its transform.
 
     Past x_J, G(x_l) = e^{-rate o} q^(l-J), o = x_J - shift and
     q = e^{-rate h}, so a cycle's partial sums past the head add the
     geometric factor L = sum_i f_i q^i per gap.  With D_m and E_m, the
     sums of f_i q^(i-m) and of (i-m) f_i q^(i-m) over i >= m, taken by
     doubling with every factor q^w at most 1, kappa_l = e^{-rate o} D_(J-l) is
-    the head point l's next G past the head, and with g = 1/(1 - L),
-    1 - L = (1 - M) + sum_i f_i (1 - q^i) free of cancellation,
-    L_1 = h E_0 and kappa x_l = e^{-rate o} (o D_(J-l) + h E_(J-l)):
+    the head point l's next G past the head, and with g = 1/(1 - L)
+    (:func:`_escape`), L_1 = h E_0 and
+    kappa x_l = e^{-rate o} (o D_(J-l) + h E_(J-l)):
     E[K] = sum u_l (1 + g kappa_l),
     E[K^2] = sum (2 w_l - u_l)(1 + g kappa_l) + 2 g^2 sum u_l kappa_l and
     the crossing sum = sum u_l (x_l + g (shift kappa_l + kappa x_l)
@@ -760,66 +765,51 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
     tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
     beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
     from m on; it reads the first stride's lattice."""
-    exps = -rate * h * np.arange(x.size)
-    lag = np.exp(exps)  # q^i at stride 1
-    first = int(np.searchsorted(x, shift))
-    levels = []  # per stride: its rows, step, points, gap ccdf, cells, J
+    n = x.size
+    head = max(1, int(np.searchsorted(x, shift)))
+    gaps = np.zeros((2 * len(strides), n))  # each stride's ends, spread
+    ends = []  # the gap ccdf where each row's last cell ends
     for i, k in enumerate(strides):
-        xk = x[::k]
-        tk = tail[::k][:xk.size + 1]
-        levels.append((slice(2 * i, 2 * i + 2), k * h, xk, tk, _cells(tk),
-                       max(1, -(-first // k))))
-    width = max(level[-1] for level in levels)
-    disc = np.zeros((2, 2 * len(levels), width + 1))  # D and E, m = 0..J
-    for k, (rows, _, xk, _, gaps, head) in zip(strides, levels):
-        far = np.arange(xk.size - head)
-        lk = lag[::k][:far.size]  # q^far at this stride
-        disc[0, rows, :head] = gaps[:, :head]
-        disc[:, rows, head] = (gaps[:, head:] @ np.stack((lk, far * lk), 1)).T
-    f = disc[0, :, :width].copy()
-    doublings = (1 << np.arange(width.bit_length())).tolist()
-    factors = np.repeat([[math.exp(-rate * level[1] * w) for level in levels]
-                         for w in doublings], 2, axis=1)[..., None]
-    for w, factor in zip(doublings, factors):
-        # sums over [m, m + w) become sums over [m, m + 2w)
-        part = disc[:, :, w:] * factor
+        tk = tail[::k][:-(-n // k) + 1]
+        cells = tk[:-1] - tk[1:]
+        gaps[2 * i, ::k] = cells
+        gaps[2 * i + 1, k::k] = cells[:-1]
+        ends += tk[-1], tk[-2]
+    f = gaps[:, :head]
+    far = np.arange(n - head)
+    lag = np.exp(-rate * h * far)
+    disc = np.zeros((2, len(gaps), head + 1))  # D and E of each row, m = 0..J
+    disc[0, :, :head] = f
+    disc[:, :, head] = (gaps[:, head:] @ np.stack((lag, far * lag), 1)).T
+    w = 1
+    while w <= head:  # sums over [m, m + w) become sums over [m, m + 2w)
+        part = disc[:, :, w:] * math.exp(-rate * h * w)
         part[1] += w * part[0]
         disc[:, :, :-w] += part
+        w *= 2
     d, e = disc
-    # Row r's point l < J_r reads D and E at J_r - l, e^{-rate o} times.
-    heads = np.repeat([level[-1] for level in levels], 2)[:, None]
-    back = heads - np.arange(width)
-    on_head = back > 0
-    back[~on_head] = 0
-    offsets = [float(level[2][level[-1]]) - shift for level in levels]
-    scale = on_head * np.repeat([math.exp(-rate * o) for o in offsets],
-                                2)[:, None]
-    kappa = scale * np.take_along_axis(d, back, 1)
+    o = float(x[head]) - shift
+    kappa = math.exp(-rate * o) * d[:, :0:-1]
+    kappa_x = math.exp(-rate * o) * (o * d[:, :0:-1] + h * e[:, :0:-1])
 
     def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        stride = np.repeat(strides, 2)[:, None]
-        decay = -np.expm1(exps)  # 1 - q^i at stride 1
-        g = 1.0 / np.concatenate([_escape(tk, gaps, decay[::k]) for k, (
-            _, _, _, tk, gaps, _) in zip(strides, levels)])
+        g = 1.0 / _escape(tail[0], np.array(ends), gaps,
+                          -np.expm1(-rate * h * np.arange(n)))
         # sum_l u_l against 1, kappa, x_l and shift kappa + kappa x on the
         # head, and sum_l (2w - u)_l against the first two
         (one, at, x_sum, far_x), (w_one, w_at, _, _), noise = _renewal_sums(
-            f, np.stack((on_head, kappa, on_head * (h * (stride * np.arange(
-                width))), (shift + np.repeat(offsets, 2)[:, None]) * kappa
-                + h * stride * scale * np.take_along_axis(e, back, 1)),
-                axis=1))
-        big_l1 = h * stride[:, 0] * e[:, 0]  # L_1 = h E_0
+            f, np.stack(np.broadcast_arrays(
+                1.0, kappa, x[:head], shift * kappa + kappa_x), axis=1))
+        big_l1 = h * e[:, 0]  # L_1 = h E_0
         return (one + g * at, w_one + g * w_at + 2.0 * g * g * at,
                 x_sum + g * far_x + g * g * big_l1 * at, noise)
 
     def survival(k_max: int) -> np.ndarray:
-        _, _, _, tk, _, head = levels[0]
-        n = tk.size - 1
-        mass = tk[0] - tk[[n, n - 1]]  # each end's total gap mass M
-        rest = np.stack((tk[head:0:-1] - tk[n],
-                         tk[head - 1::-1] - tk[n - 1]))  # F_(J-l)
-        powers = _survival(f[:2, :head], np.stack((kappa[:2, :head], rest),
-                                                  axis=1), k_max - 1)
+        mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
+        rest = np.stack((tail[head:0:-1] - tail[n],
+                         tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
+        powers = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
+                           k_max - 1)
         factors = np.stack((d[:2, 0], mass), axis=1)  # L and M
         out = mass[:, None] ** np.arange(k_max + 1.0)
         tau_beta = np.zeros((2, 2))
@@ -830,15 +820,15 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
     return sums, survival
 
 
-def _escape(tail: np.ndarray, gaps: np.ndarray, decay: np.ndarray
-            ) -> np.ndarray:
-    """1 - L, L = sum_i f_i q^i, for each end's gap cells f, given the
-    1 - q^i of each cell and ``tail`` the gap ccdf on the grid: as
-    (1 - M) + sum_i f_i (1 - q^i), M the end's gap mass, a sum of
-    nonnegative terms.  Deep cycles put L near 1, where 1 - L by
-    subtraction keeps only the digits L leaves."""
-    n = gaps.shape[-1]
-    return (1.0 - tail[0]) + tail[[n, n - 1]] + gaps @ decay
+def _escape(tail0: float, ends: np.ndarray, gaps: np.ndarray,
+            decay: np.ndarray) -> np.ndarray:
+    """1 - L, L = sum_i f_i q^i, for each row of gap cells f, given the
+    1 - q^i of each cell, the gap ccdf ``tail0`` at 0 and ``ends`` where
+    each row's last cell ends: as (1 - M) + sum_i f_i (1 - q^i),
+    M = tail0 - ends the row's gap mass, a sum of nonnegative terms.  Deep
+    cycles put L near 1, where 1 - L by subtraction keeps only the digits
+    L leaves."""
+    return (1.0 - tail0) + ends + gaps @ decay
 
 
 def _beyond_top(service: Distribution, t: float, d: float
