@@ -74,16 +74,16 @@ Lattice (paths ``lattice`` and ``closed_form``)
     quarter of its finest bracket (what m = 256 proves, to first order),
     the record takes the bracketing solve below at m = 256 points per
     mean gap instead, as does a cycle too deep for the levels' point
-    budget.  Pr(K > k) always comes from that solve, with its proven
-    half-widths.
+    budget and a deterministic service, whose error is of first order.
+    Pr(K > k) always comes from that solve, with its proven half-widths.
     A shifted exponential service SE(r, c), c > 0, is one exponential
     block shifted by c: past c its ccdf falls by e^{-r h} a step, so each
     gap a partial sum takes past c multiplies it by the gaps' discounted
     mass L = sum_i f_i e^{-r i h}.  The renewal solve then runs on the J
     points below c alone, and the rest of the lattice folds into
-    closed-form weights on them (:func:`_folded`), the three levels'
-    heads zero-padded into one transform; at c = 0 it is E(r) and takes
-    the block record.
+    closed-form weights on them (:func:`_folded`), each coarser level's
+    cells spread onto the finest grid as two more rows of the same fold;
+    at c = 0 it is E(r) and takes the block record.
     Every lattice sum is one inner product of half spectra, both ends and
     every weight vector of a sum stacked in one transform call.  Two
     transforms of the n lattice points (J when folded) are each built only
@@ -564,7 +564,8 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
     from that solve.  It is built on first read, its m = 256 points per
     mean gap halving until at most 2^18 points remain; below 16 the cycle
     is too deep (:class:`TruncationNotReached`).  The levels need their
-    finest lattice within the same budget.  With ``block`` = (r, c) the
+    finest lattice within the same budget, and a service that is not
+    deterministic.  With ``block`` = (r, c) the
     service is c plus an exponential of rate r, and the lattice past c
     folds into closed-form weights (:func:`_folded`).
     """
