@@ -64,8 +64,7 @@ def lattice(y, s):
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
 def test_lattice_agrees_with_walk(y, s, monkeypatch):
     # The bracketing solve's proven intervals; the extrapolated ones must
-    # lie inside them (test_extrapolation_is_narrower_than_the_bracketing_
-    # solve).
+    # lie inside them, as the narrower-than-the-bracket test checks.
     bracketing_only(monkeypatch)
     wm = dropping_walk_moments(y, s, REPLICATES, 2024)
     walk_pmf = _k_pmf_walk(y, s, K_MAX, REPLICATES, 2024)
