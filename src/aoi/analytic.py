@@ -21,13 +21,24 @@ Pr(K = k).  Each producer gives its own half-widths, proven but for the
 lattice's extrapolated sums; the ages and bounds only combine
 intervals.
 
-Poisson arrivals (path ``closed_form``)
-    Dropping with arrivals at rate lam drops Poisson(lam S) of them during
-    a service S: E[K] = 1 + lam E[S], E[K^2] = 1 + 3 lam E[S] +
-    lam^2 E[S^2] and the crossing sum is lam E[S^2]/2, the M/G/1/1 age
-    (Inoue et al., IEEE Trans. Inf. Theory, 2019), and Pr(K = k) is
-    pi_{k-1}(lam), the service's ``poisson_mix``.  A block service whose
-    E[S^2] overflows takes its block record where that holds.
+Phase-type gaps (path ``closed_form``)
+    Uniformized at r = max r_i (Jensen, 1953; Grassmann, 1977), gaps whose
+    ``phases()`` is not None end a phase at each jump of one Poisson(r)
+    process with chance r_i/r: a gap spans M jumps, f_j = Pr(M = j) a w-mix
+    of negative binomials, and u = delta + f*u.  A service spans
+    N ~ Poisson(r S) jumps, P_j = Pr(N >= j) = T_{j-1} of its
+    ``poisson_mix`` at r, and jump j comes at an Erlang(j, r) time: E[K] =
+    sum u_j P_j, E[K^2] = sum (2u*u - u)_j P_j, the crossing sum is
+    sum u_j (j/r) T_j and Pr(K > k) = sum f^{*k}_j P_j.  Each moment sum is
+    its mean part (u_j tends to 1/E[M]), closed form in E[S] and E[S^2],
+    plus the renewal kernel's sums up to J <= 4096 (Chernoff's bound past
+    r times the service's top) less the mean part's; u_j <= 1 and
+    (u*u)_j <= j+1 bound the rest.  One exponential phase of rate lam has
+    f = delta_1 and u = 1, so no kernel: the M/G/1/1 record (Inoue et al.,
+    IEEE Trans. Inf. Theory, 2019), E[K] = 1 + lam E[S], E[K^2] = 1 +
+    3 lam E[S] + lam^2 E[S^2], the crossing sum lam E[S^2]/2 and
+    Pr(K = k) = pi_{k-1}(lam).  It alone goes before a block service's
+    record, which serves where E[S^2] overflows.
 
 Erlang blocks and residuals (path ``closed_form``)
     A law whose ``phases()`` is not None (exponential, Erlang,
@@ -98,7 +109,8 @@ Lattice (paths ``lattice`` and ``closed_form``)
     n no power it reads can wrap at all, and at n the first 8 cannot.
     While every power stays on the lattice, Pr(K > k) is M^k, M an end's
     total gap mass, plus the power against G - 1: exactly M^k where no
-    partial sum reaches a point with G < 1.
+    partial sum reaches a point with G < 1.  Past that, the half-widths add
+    the transform's roundoff.
     In the bracketing solve rounding down shrinks every partial sum, so
     the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
     intervals span them.
@@ -363,10 +375,11 @@ class Pair:
         """K's record under ``discipline``, on the module docstring's path."""
         if discipline is Discipline.PREEMPTION:
             return self._geometric_cycles()
-        if isinstance(self.interarrival, Exponential) and (
+        phases = self.interarrival.phases()
+        if phases and max(phases[1]) == 1 == len(set(phases[2])) and (
                 math.isfinite(self.service.second_moment())
                 or not self._blocks_hold):
-            return self._poisson_cycles()
+            return _phase_cycles(self.interarrival, self.service)
         return self._dropping
 
     @cached_property
@@ -382,16 +395,15 @@ class Pair:
 
     @cached_property
     def _dropping(self) -> Cycles:
-        """The service blocks' dropping record, else the lattice's.  A
-        shifted exponential is one exponential block shifted by c: at c = 0
-        it takes that block's record, else the lattice folded at c."""
-        s = self.service
-        if isinstance(s, ShiftedExponential):
-            if not s.shift:
-                return Pair(self.interarrival, Exponential(s.rate))._dropping
-            return _lattice_cycles(self.interarrival, s, (s.rate, s.shift))
+        """The service blocks' record, else the gaps' phase-type one, else the
+        lattice's; SE(r, c) is E(r) at c = 0, else it folds the lattice."""
+        y, s = self.interarrival, self.service
+        if isinstance(s, ShiftedExponential) and not s.shift:
+            return Pair(y, Exponential(s.rate))._dropping
         if s.phases() is None:
-            return _lattice_cycles(self.interarrival, s)
+            fold = (s.rate, s.shift) if isinstance(s, ShiftedExponential) else None
+            return (y.phases() and _phase_cycles(y, s)) or _lattice_cycles(
+                y, s, fold)
         if not self._blocks_hold:
             raise TruncationNotReached(self._no_success())
         _, _, (w, shapes, rates), _, mixes = self._mixes
@@ -405,27 +417,6 @@ class Pair:
                     Interval(float(np.dot(w, tail)), 0.0))
         return Cycles("closed_form", lambda: (k_mean, k_second),
                       lambda: crossing, pmf)
-
-    def _poisson_cycles(self) -> Cycles:
-        """The dropping record at exponential arrivals: exact sums, which
-        raise :class:`TruncationNotReached` when E[K^2] overflows, and
-        Pr(K = k) = pi_{k-1} of the service at the arrival rate."""
-        lam, m1 = self.interarrival.rate, self.service.mean()
-        m2 = self.service.second_moment()
-        k_second = 1.0 + 3.0 * lam * m1 + lam * lam * m2
-
-        def exact(value: float) -> Interval:
-            if not math.isfinite(k_second):
-                raise TruncationNotReached(
-                    f"E[K^2] overflows: E[S^2] = {m2!r}, arrival rate {lam!r}")
-            return Interval(value, 0.0)
-
-        def pmf(k_max: int) -> tuple[Interval, Interval]:
-            pi, tail = self.service.poisson_mix(lam, k_max - 1)
-            return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
-        return Cycles("closed_form",
-                      lambda: (exact(1.0 + lam * m1), exact(k_second)),
-                      lambda: exact(0.5 * lam * m2), pmf)
 
     def _geometric_cycles(self) -> Cycles:
         """Preemption's K, geometric in p.  Where E[K^2] or the crossing
@@ -485,6 +476,71 @@ def _block_pmf(pi: np.ndarray, tail: np.ndarray, n: int, k_max: int
         out[k] = power @ exits
         power = np.convolve(power, pi[:n])[:n]
     return out, float(power.sum())
+
+
+def _phase_cycles(interarrival: Distribution, service: Distribution
+                  ) -> Cycles | None:
+    """The phase-type gaps' record (module docstring); None keeps the lattice."""
+    w, shapes, rates = interarrival.phases()
+    r, m1, m2 = max(rates), service.mean(), service.second_moment()
+    mu = fact = 0.0  # E[M], E[M(M-1)]: block i's M, n_i successes at r_i/r
+    for v, n, ri in zip(w, shapes, rates):
+        mu += v * n * r / ri
+        fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) ** 2
+    a = 1.0 / mu  # the mean parts: u_j ~ a, (2u*u - u)_j ~ alpha j + beta
+    alpha, beta = 2.0 * a * a, 2.0 * a * a + 2.0 * fact * a**3 - a
+    closed = (a * (1.0 + r * m1), beta + (alpha + beta) * r * m1
+              + 0.5 * alpha * r * r * m2, 0.5 * a * r * m2)
+
+    def pmf(k_max: int) -> tuple[Interval, Interval]:
+        if not fact:  # f^{*k} = delta_k; past one phase, f, p, t are below
+            pi, tail = service.poisson_mix(r, k_max - 1)
+            return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
+        powers, noise = _survival(f[None], p[None], k_max)  # + T_J past J
+        return _pmf(*Interval.between(powers[0, 0] - noise,
+                                      powers[0, 0] + t[-1] + noise))
+    if not fact:  # one phase: f = delta_1, so u = 1 and f^{*k} = delta_k
+        def exact(value: float) -> Interval:
+            if not math.isfinite(closed[1]):
+                raise TruncationNotReached(f"E[K^2] overflows: E[S^2] = {m2!r}")
+            return Interval(value, 0.0)
+        return Cycles("closed_form", lambda: (exact(closed[0]), exact(
+            closed[1])), lambda: exact(closed[2]), pmf)
+    jumps, cut = r * _truncation_point(service), -math.log(_SERVICE_TAIL)
+    top = int(jumps + math.sqrt(2.0 * cut * jumps) + cut) + 1  # J, by Chernoff
+    # J^2 within 64 point budgets: about one lattice solve's work
+    if not (top * top < 64 * _MAX_LATTICE and math.isfinite(closed[1])):
+        return None
+    f = np.zeros(top + 1)
+    for v, n, ri in zip(w, shapes, rates):  # C(j-1, n-1) q^n (1-q)^(j-n)
+        q, m = np.longdouble(ri) / r, np.arange(1.0, top + 1 - n)
+        f[n:] += v * np.multiply.accumulate(np.concatenate(
+            ([q ** n], (n - 1 + m) * (1 - q) / m)))
+    t = service.poisson_mix(r, top)[1]
+    p, j = np.concatenate(([1.0], t[:-1])), np.arange(top + 1.0)
+
+    @cache
+    def solved() -> list[Interval]:
+        (once, cross), (twice, _), noise = _renewal_sums(
+            f[None], np.stack((p, j * t / r)))
+        kernel = np.concatenate((once, twice, cross))
+        # P_j, (j+1) P_j, j T_j past J bound E[K], E[K^2]/2, r crossing's
+        whole = np.array([1.0 + r * m1, 0.5 * r * r * m2 + 2.0 * r * m1 + 1.0,
+                          0.5 * r * r * m2])
+        part = np.array([p.sum(), (j + 1.0) @ p, j @ t])
+        mean = np.array([[a, 0, 0], [beta - alpha, alpha, 0], [0, 0, a / r]])
+        past = np.abs(whole - part) + noise * whole
+        hw = noise * kernel + (abs(mean) + np.diag((1.0, 2.0, 1.0 / r))) @ past
+        return [Interval(float(v), float(e)) for v, e in zip(
+            closed + kernel - mean @ part, hw)]
+    return Cycles("closed_form", lambda: tuple(solved()[:2]),
+                  lambda: solved()[2], pmf)
+
+
+def _pmf(mid: np.ndarray, hw: np.ndarray) -> tuple[Interval, Interval]:
+    """Pr(K = k), k = 1..k_max, and Pr(K > k_max) from Pr(K > k), k >= 0."""
+    return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
+            Interval(mid[-1], hw[-1]))
 
 
 def _truncation_point(service: Distribution) -> float:
@@ -614,10 +670,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         return _bracket(h, *(v.tolist() for v in proven()[0]()[:3]))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
-        # Pr(K = k) = Pr(K > k-1) - Pr(K > k), the half-widths added
-        mid, hw = Interval.between(*proven()[1](k_max))
-        return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
-                Interval(mid[-1], hw[-1]))
+        return _pmf(*Interval.between(*proven()[1](k_max)))
     return Cycles("lattice", lambda: solved()[:2], lambda: solved()[2], pmf,
                   lambda: solved()[3])
 
@@ -697,9 +750,7 @@ def _deterministic_cycles(d: float, service: Distribution, top: float
         kept = np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1]
         beyond = np.zeros(k_max + 1)
         beyond[n:] = c[-1]
-        mid, hw = Interval.between(kept - beyond, kept + beyond)
-        return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
-                Interval(mid[-1], hw[-1]))
+        return _pmf(*Interval.between(kept - beyond, kept + beyond))
     return Cycles("closed_form", lambda: solved()[:2], lambda: solved()[2],
                   pmf)
 
@@ -708,9 +759,9 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
           strides: tuple[int, ...]):
     """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
     (every k-th point, its own transform), rows stacked stride by stride,
-    and the roundoff (on call); and Pr(K > k), k = 0..k_max, on the first,
-    from the service ccdf ``c`` at the lattice points ``x``, ``tail`` the
-    gap ccdf on the grid."""
+    and the roundoff (on call); and Pr(K > k)'s ends, k <= k_max, on the
+    first, from the service ccdf ``c`` at the lattice points ``x``, ``tail``
+    the gap ccdf on the grid."""
     levels = [(_cells(tail[::k][:x[::k].size + 1]), x[::k], c[::k])
               for k in strides]
 
@@ -727,16 +778,15 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
     def survival(k_max: int) -> np.ndarray:
         # While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
         # against G - 1, exactly M^k where no partial sum reaches G < 1;
-        # past that, f^{*k} against G, taken as 0 beyond the lattice.
+        # past that, f^{*k} against G (0 past the lattice), ends +- roundoff.
         gaps, n = levels[0][0], c.size
         mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-        if k_max * (_support(gaps) - 1) < n:
-            out = (mass[:, None] ** np.arange(k_max + 1.0)
-                   + _survival(gaps, (c - 1.0)[None], k_max)[:, 0])
-        else:
-            out = _survival(gaps, c[None], k_max)[:, 0]
+        stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
+        powers, noise = _survival(gaps, (c - stays)[None], k_max)
+        out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
         out[:, 0] = 1.0
-        return out
+        noise *= 1.0 - stays
+        return np.stack((out.min(0) - noise, out.max(0) + noise))
     return sums, survival
 
 
@@ -809,8 +859,8 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
         mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
         rest = np.stack((tail[head:0:-1] - tail[n],
                          tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
-        powers = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
-                           k_max - 1)
+        powers, _ = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
+                              k_max - 1)
         factors = np.stack((d[:2, 0], mass), axis=1)  # L and M
         out = mass[:, None] ** np.arange(k_max + 1.0)
         tau_beta = np.zeros((2, 2))
@@ -857,8 +907,8 @@ def _fft_size(n: int) -> int:
 
 
 def _tilted(n: int, size: int):
-    """``weigh`` and ``spectrum`` of the tilted FFT of length ``size`` over
-    ``n`` lattice points, each along the last axis.
+    """``weigh``, ``spectrum`` and the roundoff gain rho^-n log2(size) eps
+    of the tilted FFT of length ``size`` over ``n`` points, on the last axis.
 
     Tilting a gap law by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass
     a circular convolution wraps into the first n points at most
@@ -876,7 +926,8 @@ def _tilted(n: int, size: int):
         out[..., -1] *= 0.5
         return np.conjugate(out, out=out)
 
-    return weigh, lambda f: np.fft.rfft(f * tilt, size)
+    gain = _ALIAS_TILT ** (-n / (size + n)) * math.log2(size) * _EPS
+    return weigh, lambda f: np.fft.rfft(f * tilt, size), gain
 
 
 def _totals(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -886,19 +937,18 @@ def _totals(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l u_l v_l for the renewal measure u = delta + f*u of each end's
-    gap cells f (a row of ``gaps``) and each row v of ``weights`` (shared
-    by the ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u,
-    each indexed by weight row, then end, on the smallest FFT length
-    N >= 4n; and their
-    relative roundoff, rho^-n log2(N) eps times the largest tilted mass
-    sum_l u_l rho^l: untilting multiplies the spectra's error by up to
-    rho^-n, and against a direct long-double solve the sums kept within
-    1/2 of that bound."""
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The discrete renewal kernel's sums, shared by the lattice and the
+    phase-type record: sum_l u_l v_l for u = delta + f*u of each end's gap
+    law f (a row of ``gaps``) and each row v of ``weights`` (shared by the
+    ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u, each
+    indexed by weight row, then end, on the smallest FFT length N >= 4n;
+    and their relative roundoff, rho^-n log2(N) eps times the largest
+    tilted mass sum_l u_l rho^l: untilting multiplies the spectra's error
+    by up to rho^-n, and against a direct long-double solve the sums kept
+    within 1/2 of that bound."""
     n = gaps.shape[-1]
-    size = _fft_size(4 * n)
-    weigh, spectrum = _tilted(n, size)
+    weigh, spectrum, gain = _tilted(n, _fft_size(4 * n))
     by = weigh(weights)
     renewal = spectrum(gaps)
     np.subtract(1.0, renewal, out=renewal)
@@ -906,8 +956,7 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
     square = 2.0 * renewal  # 2 u*u - u, built in place
     square -= 1.0
     square *= renewal
-    noise = (_ALIAS_TILT ** (-n / (size + n)) * math.log2(size) * _EPS
-             * float(renewal[..., 0].real.max()))
+    noise = gain * float(renewal[..., 0].real.max())
     return _totals(by, renewal).T, _totals(by, square).T, noise
 
 
@@ -918,11 +967,12 @@ def _support(gaps: np.ndarray) -> int:
 
 
 def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
-              ) -> np.ndarray:
-    """sum_l f^{*k}_l v_l, k = 0..k_max, for each end's gap cells f (a row
-    of ``gaps``) and each row v of ``weights`` (shared by the ends or one
-    set per end): the k-th convolution power, its spectrum a running
-    product.
+              ) -> tuple[np.ndarray, float]:
+    """The discrete renewal kernel's power sums, shared by the lattice and
+    the phase-type record: sum_l f^{*k}_l v_l, k = 0..k_max, for each end's
+    gap law f (a row of ``gaps``) and each row v of ``weights`` (shared by
+    the ends or one set per end), the k-th power's spectrum a running
+    product; and their roundoff, rho^-m log2(N) eps max |v_l|.
 
     With s one past the last non-zero gap cell, the k-th power lives
     on [0, k(s-1)], so the sums read only the first
@@ -933,7 +983,7 @@ def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
     tilted-away far tail."""
     s = _support(gaps)
     m = min(weights.shape[-1], max(1, k_max * (s - 1) + 1))
-    weigh, spectrum = _tilted(m, _fft_size(max(4 * m, 8 * min(s, m))))
+    weigh, spectrum, gain = _tilted(m, _fft_size(max(4 * m, 8 * min(s, m))))
     by = weigh(weights[..., :m])
     step = spectrum(gaps[:, :m])
     out = np.empty((gaps.shape[0], by.shape[-2], k_max + 1))
@@ -942,7 +992,7 @@ def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
     for k in range(1, k_max + 1):
         power *= step
         out[..., k] = _totals(by, power)
-    return out
+    return out, gain * float(np.abs(weights[..., :m]).max())
 
 
 def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:

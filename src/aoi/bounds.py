@@ -94,7 +94,7 @@ def mg11_ordering_bound(pair: Pair) -> BoundReport:
     service the premise is not met: it can fall on either side of the
     age.  With NBUE service, DMRL (or constant) interarrivals make it an
     upper bound and IMRL interarrivals reverse it into a lower bound.
-    An E[S^2] that overflows raises the Poisson record's
+    An E[S^2] that overflows raises the one-phase record's
     :class:`~aoi.errors.TruncationNotReached`.
     """
     matched = exact_age(Pair(Exponential(1.0 / pair.interarrival.mean()),

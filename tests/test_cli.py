@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,9 @@ from test_distributions import ALL_KINDS, RESCALED
 
 EXP1 = '{"kind": "exponential", "rate": 1}'
 DET = '{"kind": "deterministic", "value": %s}'
+H2_GAPS = '{"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [0.5, 2]}'
+STIFF_H2 = ('{"kind": "hyperexponential", "weights": [0.99999, 1e-05], '
+            '"rates": [1000000.0, 0.001]}')
 
 
 def run(capsys, *argv):
@@ -57,6 +61,14 @@ def test_exact_json_round_trips(capsys):
     ("dropping", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
     ("dropping", DET % 0.5, EXP1, "closed_form"),
     ("preemption", DET % 0.5, '{"kind": "rayleigh", "scale": 1}', "closed_form"),
+    # phase-type gaps take the uniformized record; a stiff phase, whose
+    # jumps would pass the point budget, keeps the lattice
+    ("dropping", H2_GAPS, '{"kind": "uniform", "lower": 0, "upper": 1}',
+     "closed_form"),
+    ("dropping", '{"kind": "erlang", "shape": 2, "rate": 2}',
+     '{"kind": "rayleigh", "scale": 1}', "closed_form"),
+    ("dropping", STIFF_H2, '{"kind": "shifted_exponential", "rate": 1, '
+     '"shift": 0.5}', "lattice"),
 ])
 def test_exact_names_its_path(capsys, discipline, interarrival, service, method):
     code, payload = run_json(capsys, "exact", "--discipline", discipline,
@@ -64,6 +76,7 @@ def test_exact_names_its_path(capsys, discipline, interarrival, service, method)
                              "--service", service)
     assert code == 0
     assert payload["result"]["method"] == method
+    assert math.isfinite(payload["result"]["ci_half_width"])
 
 
 def test_simulate_domain_error_exit_code(capsys):
@@ -290,7 +303,7 @@ def test_every_command_checks_mc_samples(capsys, argv):
 
 def test_mg11_service_square_out_of_range(capsys, tmp_path):
     # mg11 keeps no moment guard of its own.  An E[S^2] that overflows
-    # stops the mean-matched pair's Poisson record: exit 1, and a
+    # stops the mean-matched pair's one-phase record: exit 1, and a
     # divergent cell in a sweep.  One that underflows to 0 leaves the
     # matched pair's age, E[Y^2]/(2E[Y]) + E[S] = 1 + 1e-300.
     code, payload = run_json(capsys, "bound", "--kind", "mg11",

@@ -502,7 +502,7 @@ def test_erlang_block_record_lies_inside_the_lattice(y, s):
 @pytest.mark.parametrize("s", [*BLOCK_SERVICES, Erlang(20, 3.0)],
                          ids=lambda d: d.describe())
 def test_erlang_block_record_at_exponential_arrivals_is_the_mg11_age(s, lam):
-    # Pair takes the Poisson record at exponential arrivals; the block
+    # Pair takes the one-phase record at exponential arrivals; the block
     # record, read directly, must give the same M/G/1/1 sums.
     pair = Pair(Exponential(lam), s)
     block = pair._dropping
@@ -688,9 +688,9 @@ def test_phase_free_pairs_rescale_by_powers_of_two(y, s, k):
 
 
 def test_block_service_with_an_overflowing_second_moment_takes_its_record():
-    # E[S^2] = inf stops the Poisson record, not the block record: E(1e-152)
+    # E[S^2] = inf stops the one-phase record, not the block record: E(1e-152)
     # arrivals with a rare phase of rate 1e-168 give 1e152 times the age
-    # at scale 1, where E[S^2] = 2e18 and the Poisson record holds.
+    # at scale 1, where E[S^2] = 2e18 and the one-phase record holds.
     weights = (1.0 - 1e-14, 1e-14)
     service = Hyperexponential(weights, (1e-152, 1e-168))
     assert service.second_moment() == math.inf
