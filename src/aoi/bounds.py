@@ -77,7 +77,8 @@ def corollary_one(pair: Pair, discipline: Discipline) -> BoundReport:
     """
     cycles = pair.cycles(discipline)
     service = pair.service_term(discipline)
-    ratio, ratio_hw = cycles.k_second.over(cycles.k_mean)
+    k_mean, k_second, *_ = cycles.sums()
+    ratio, ratio_hw = k_second.over(k_mean)
     y_mean = pair.interarrival.mean()
     return BoundReport(
         value=pair.head + y_mean * (0.5 * ratio - 0.5) + service.value,

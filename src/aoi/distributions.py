@@ -15,7 +15,8 @@ family of laws. Each law is a frozen dataclass exposing
 * its Erlang blocks, ``phases()``: weights, shapes and rates of a mixture
   of Erlang laws (the exponential law one one-phase block, the Erlang law
   one block, the hyperexponential law one-phase blocks, all described by
-  one mixture code), ``None`` for every other law,
+  one mixture code, and SE(r, 0) E(r)'s block), ``None`` for every other
+  law,
 * its :class:`Residual` at a point t, ``residual(t)``: Pr(X > t), the
   partial moments E[X^k; X <= t], k <= 2, and the residual law
   W = (X - t | X > t), which stays in the family (D, U, SE), mixes Erlang
@@ -328,11 +329,6 @@ class Distribution(ABC):
     def support(self) -> tuple[float, float]:
         """(lo, hi) bounds of the support; hi may be ``inf``."""
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Points where the ccdf is not smooth, which the renewal lattice
-        snaps onto its points."""
-        return ()
-
     @abstractmethod
     def residual(self, t: float) -> Residual:
         """The law at the point t >= 0 (:class:`Residual`)."""
@@ -345,7 +341,7 @@ class Distribution(ABC):
     def phases(self) -> tuple[tuple, tuple, tuple] | None:
         """(w, n, r) when the law is a mixture of Erlang blocks, block i
         drawn with probability w_i and the sum of n_i exponential phases of
-        rate r_i; ``None`` otherwise."""
+        rate r_i; ``None`` for a law that is not one."""
         return None
 
     # -- serialization ------------------------------------------------------
@@ -501,8 +497,8 @@ class ShiftedExponential(Distribution):
     def support(self):
         return (self.shift, math.inf)
 
-    def breakpoints(self):
-        return (self.shift,) if self.shift > 0 else ()
+    def phases(self):  # at shift 0 the law is E(rate), one block
+        return None if self.shift else ((1.0,), (1,), (self.rate,))
 
     def mrl_class(self):
         return MrlVerdict.DMRL if self.shift > 0 else MrlVerdict.CONSTANT
@@ -542,9 +538,6 @@ class Deterministic(Distribution):
 
     def support(self):
         return (float(self.value), float(self.value))
-
-    def breakpoints(self):
-        return (float(self.value),)
 
     def mrl_class(self):  # m(t) = value - t; vacuous at value 0
         return MrlVerdict.DMRL
@@ -599,9 +592,6 @@ class Uniform(Distribution):
                          Uniform(0.0, _less(b, t)))
 
     def support(self):
-        return (self.lower, self.upper)
-
-    def breakpoints(self):
         return (self.lower, self.upper)
 
     def mrl_class(self):  # increasing failure rate

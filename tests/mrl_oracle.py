@@ -47,7 +47,7 @@ def tail_integrals(dist, ts):
     inner = ts[(ts > lo) & (ts < hi)]
     if inner.size == 0:
         return out
-    cuts = sorted({*inner, *(p for p in dist.breakpoints() if inner[0] < p < hi), hi})
+    cuts = sorted({*inner, *(p for p in dist.support() if inner[0] < p < hi), hi})
     pieces = [unit * integrate.quad(lambda u: float(dist.ccdf(unit * u)),
                                     a / unit, b / unit, epsabs=0.0,
                                     epsrel=1e-10, limit=200)[0]

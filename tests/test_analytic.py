@@ -24,8 +24,7 @@ EPS = np.finfo(float).eps
 
 def k_moments(pair):
     """(E[K], E[K^2]) of ``pair``'s dropping record."""
-    cycles = pair.cycles(DROPPING)
-    return cycles.k_mean, cycles.k_second
+    return pair.cycles(DROPPING).sums()[:2]
 
 
 def mm_dropping_age(lam, mu):
@@ -477,3 +476,58 @@ def test_reproducibility_bit_identical():
     c = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)
     d = k_pmf(Pair(Exponential(1.0), Exponential(1.0)), 5)
     assert c == d
+
+
+def _outcome(op):
+    """``op()``'s result, or the type of what it raised."""
+    try:
+        return op()
+    except AoiError as exc:
+        return type(exc)
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 4.0 * EPS * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("side", ["interarrival", "service"])
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("x", ALL_KINDS, ids=lambda d: d.kind)
+def test_shifted_exponential_at_shift_zero_is_the_exponential(x, c, side):
+    # SE(r, 0) is E(r): on either side, against every law, each op takes
+    # the same path and half-widths and values within 4 eps (E[Y^2], and
+    # with it the head, can differ by an ulp).
+    x, rate = RESCALED[x.kind](x, c), 1.3 / c
+
+    def pair(alias):
+        return Pair(alias, x) if side == "interarrival" else Pair(x, alias)
+    alias, plain = pair(ShiftedExponential(rate, 0.0)), pair(Exponential(rate))
+    for discipline in (DROPPING, PREEMPTION):
+        got, want = (_outcome(lambda p=p: exact_age(p, discipline))
+                     for p in (alias, plain))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert (got.method, got.ci_half_width) == (
+                want.method, want.ci_half_width)
+            assert _close(got.value, want.value), (got, want)
+        got, want = (_outcome(lambda p=p: corollary_one(p, discipline))
+                     for p in (alias, plain))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.half_width == want.half_width
+            assert _close(got.value, want.value), (got, want)
+    got, want = k_pmf(alias, 10), k_pmf(plain, 10)
+    for g, w in zip((*got.pmf, got.tail_mass), (*want.pmf, want.tail_mass)):
+        assert g.half_width == w.half_width and _close(g.value, w.value)
+
+
+@pytest.mark.parametrize("k_max", [analytic._MAX_LATTICE + 1, 10**9])
+def test_k_pmf_bounds_k_max_by_the_point_budget(k_max):
+    # A pmf call's memory (the service's mixed-Poisson terms, 7.45 GiB at
+    # 10^9) or time (the lattice's spectrum products) grows with k_max.
+    for pair in (Pair(Exponential(1.0), Exponential(2.0)),
+                 Pair(Uniform(0.0, 0.2), Rayleigh(2.0))):
+        with pytest.raises(ValueError, match="k_max must be >= 1 and at most"):
+            k_pmf(pair, k_max)

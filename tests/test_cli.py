@@ -242,6 +242,9 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
     (("sweep", "--spec", "spec.json", "--csv", "out.csv", "--seed", "-1"),
      "seed must fit in 64 bits"),
     (("kpmf", *PAIR, "--k-max", "0"), "k_max must be >= 1"),
+    (("kpmf", "--interarrival", EXP1, "--service",
+      '{"kind": "exponential", "rate": 2}', "--k-max", "1000000000"),
+     "k_max must be >= 1 and at most 262144, got 1000000000"),
     (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "0"),
      "target_cycles must be >= 2"),
     (("simulate", "--discipline", "dropping", *PAIR, "--cycles", "1"),
@@ -266,7 +269,7 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
     (("exact", "--discipline", "preemption", "--interarrival", EXP_TINY,
       "--service", EXP_TINY), "interarrival second moment underflows to 0"),
 ], ids=["mc-samples", "seed", "seed-check-properties", "seed-sweep",
-        "k-max", "cycles", "one-cycle", "max-events",
+        "k-max", "huge-k-max", "cycles", "one-cycle", "max-events",
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
         "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate",
         "overflowing-interarrival-square-simulate",

@@ -604,7 +604,9 @@ CONSTANT_CASES = [ShiftedExponential(1.0, 0.0), Erlang(1, 2.0),
 @pytest.mark.parametrize("law", ALL_KINDS + CONSTANT_CASES,
                          ids=lambda d: d.describe())
 def test_only_erlang_mixtures_name_their_blocks(law):
-    if isinstance(law, Exponential):
+    # SE(r, 0) is E(r), and names its block.
+    if isinstance(law, Exponential) or (
+            isinstance(law, ShiftedExponential) and not law.shift):
         assert law.phases() == ((1.0,), (1,), (law.rate,))
     elif isinstance(law, Erlang):
         assert law.phases() == ((1.0,), (law.shape,), (law.rate,))

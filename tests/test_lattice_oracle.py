@@ -142,7 +142,7 @@ def lattice_cells(pair):
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
-    for b in pair.service.breakpoints():
+    for b in filter(math.isfinite, pair.service.support()):
         j = round(b / h)
         if j < n and abs(x[j] - b) <= analytic._SNAP * h:
             x[j] = b
@@ -214,7 +214,7 @@ FOLD_PAIRS.append((Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)))
 
 def record_intervals(record):
     """E[K], E[K^2], the crossing sum and their quotient from ``record``."""
-    return [*record.moments(), record.crossing(), record.middle]
+    return list(record.sums())
 
 
 def assert_same_intervals(got, want, spread=0.0):
@@ -261,7 +261,7 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     pair = Pair(y, s)
     record = folded_lattice(y, s)
     *want, survival = full_lattice(pair, K_MAX)
-    assert_same_intervals((*record.moments(), record.crossing()), want)
+    assert_same_intervals(record.sums()[:3], want)
     probs, tail = record.pmf(K_MAX)
     mid, hw = survival
     assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
@@ -286,7 +286,7 @@ def test_a_far_shift_folds_without_overflow(monkeypatch):
     bracketing_only(monkeypatch)
     pair = Pair(y, s)
     *want, _ = full_lattice(pair, K_MAX)
-    got = [*pair.cycles(DROPPING).moments(), pair.cycles(DROPPING).crossing()]
+    got = pair.cycles(DROPPING).sums()[:3]
     for g, ref in zip(got, want):
         assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
     ests.append(exact_age(pair, DROPPING))
@@ -399,8 +399,7 @@ def test_an_order_out_of_range_takes_the_bracketing_solve(y, s,
 def assert_is_the_bracketing_solve(pair):
     record = pair.cycles(DROPPING)
     *want, _ = full_lattice(pair, K_MAX)
-    assert [*record.moments(), record.crossing()] == want
-    assert record.middle == want[2].over(want[0])
+    assert list(record.sums()) == [*want, want[2].over(want[0])]
 
 
 def test_a_deterministic_service_takes_the_bracketing_solve(monkeypatch):
@@ -732,7 +731,7 @@ def test_a_one_arrival_cycle_keeps_a_nonnegative_half_width(y, s):
     # lattice end's E[K^2] - E[K] just below 0: the crossing's widening
     # must not narrow its interval below nothing.
     pair = Pair(y, s)
-    assert pair.cycles(DROPPING).crossing().half_width >= 0.0
+    assert pair.cycles(DROPPING).sums()[2].half_width >= 0.0
     assert exact_age(pair, DROPPING).ci_half_width >= 0.0
 
 
@@ -772,8 +771,7 @@ def test_each_op_builds_only_the_transform_it_reads(y, s, levels,
     exact_age(pair, DROPPING)
     after = {"rfft": 2 + 2 * levels, "_renewal_sums": levels, "_survival": 1}
     assert calls == after
-    k_moments(pair)
-    pair.cycles(DROPPING).crossing()
+    pair.cycles(DROPPING).sums()
     corollary_one(pair, DROPPING)
     assert calls == after
 
@@ -786,3 +784,23 @@ def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
     with pytest.raises(TruncationNotReached):
         compute(LatticePair(Exponential(1000.0), Deterministic(100.0)))
+
+
+@pytest.mark.parametrize("per_end", [False, True], ids=["shared", "per-end"])
+def test_totals_are_the_long_double_sums(per_end):
+    # Both weight layouts: rows shared by the ends, and one set per end as
+    # the fold passes them.  Each lattice sum is a sum of n complex
+    # products, so it keeps within (n + 2) eps of the sum of their sizes.
+    rng = np.random.default_rng(5)
+    n, ends, rows = 3000, 2, 3
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectrum = draw(ends, n)
+    weights = draw(ends, rows, n) if per_end else draw(rows, n)
+    got = analytic._totals(weights, spectrum)
+    terms = np.broadcast_to(weights, (ends, rows, n)) * spectrum[:, None]
+    want = terms.astype(np.clongdouble).sum(-1).real
+    bound = (n + 2) * EPS * np.abs(terms).sum(-1)
+    assert got.shape == (ends, rows)
+    assert np.all(np.abs(got - want) <= bound), np.abs(got - want) / bound

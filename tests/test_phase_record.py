@@ -16,7 +16,6 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
                                Uniform)
 from aoi.sim import Discipline
-from test_analytic import k_moments
 from test_closed_form_oracle import EPS
 from test_distributions import ALL_KINDS, RESCALED, mp_poisson_mix
 from test_lattice_oracle import bracketing_only
@@ -71,7 +70,7 @@ def record_values(pair):
     of ``pair``'s dropping record, as intervals."""
     record = pair.cycles(DROPPING)
     probs, tail = record.pmf(K_MAX)
-    return [*record.moments(), record.crossing(),
+    return [*record.sums()[:3],
             *(analytic.Interval(v, e) for v, e in zip(*probs)), tail]
 
 
@@ -116,7 +115,7 @@ def test_the_bracketing_solve_brackets_the_record(y, s, monkeypatch):
     bracketing_only(monkeypatch)
     lattice = analytic._lattice_cycles(y, s)
     probs, tail = lattice.pmf(K_MAX)
-    want = [*lattice.moments(), lattice.crossing(),
+    want = [*lattice.sums()[:3],
             *(analytic.Interval(v, e) for v, e in zip(*probs)), tail]
     for i, (got, bracket) in enumerate(zip(record_values(Pair(y, s)), want)):
         assert abs(got.value - bracket.value) <= bracket.half_width, (
@@ -155,11 +154,11 @@ def test_extrapolated_lattice_covers_the_record(y, s):
     # a half-width (Erlang(4, 1)/SE(2, 0.5)'s E[K^2]).
     pair = Pair(y, s)
     record, lattice = pair.cycles(DROPPING), lattice_of(y, s)
-    ages = [pair.head + c.middle.value + s.mean() for c in (record, lattice)]
-    pairs = [*zip([*record.moments(), record.crossing()],
-                  [*lattice.moments(), lattice.crossing()]),
+    (*closed, middle), (*levels, estimated) = record.sums(), lattice.sums()
+    ages = [pair.head + m.value + s.mean() for m in (middle, estimated)]
+    pairs = [*zip(closed, levels),
              (analytic.Interval(ages[0], 0.0),
-              analytic.Interval(ages[1], lattice.middle.half_width))]
+              analytic.Interval(ages[1], estimated.half_width))]
     for i, (exact, estimate) in enumerate(pairs):
         assert abs(estimate.value - exact.value) <= estimate.half_width, (
             i, exact, estimate)
@@ -177,7 +176,7 @@ def test_one_phase_is_the_mg11_record_bit_for_bit(s, c):
     m1, m2 = service.mean(), service.second_moment()
     record = Pair(Exponential(lam), service).cycles(DROPPING)
     assert record.path == "closed_form"
-    assert [*record.moments(), record.crossing()] == [
+    assert list(record.sums()[:3]) == [
         (1.0 + lam * m1, 0.0), (1.0 + 3.0 * lam * m1 + lam * lam * m2, 0.0),
         (0.5 * lam * m2, 0.0)]
     pi, tail = service.poisson_mix(lam, K_MAX - 1)
@@ -201,8 +200,7 @@ def test_each_phase_op_builds_only_the_transform_it_reads(y, monkeypatch):
     one = y.phases()[1] == (1,)
     assert len(calls) == (0 if one else 2)
     exact_age(pair, DROPPING)
-    k_moments(pair)
-    pair.cycles(DROPPING).crossing()
+    pair.cycles(DROPPING).sums()
     corollary_one(pair, DROPPING)
     mg11_ordering_bound(pair)
     assert len(calls) == (0 if one else 4)
