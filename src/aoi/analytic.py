@@ -112,12 +112,17 @@ Lattice (paths ``lattice`` and ``closed_form``)
     Pr(K > k) takes the k-th power of the gap spectrum from a running
     product.  That power lives on [0, k(s-1)], s the gaps' support, so a
     call up to k_max reads only the first m = min(n, k_max (s-1) + 1)
-    points, on the smallest such length at least 4m and 8 min(s, m): below
-    n no power it reads can wrap at all, and at n the first 8 cannot.
-    While every power stays on the lattice, Pr(K > k) is M^k, M an end's
-    total gap mass, plus the power against G - 1: exactly M^k where no
-    partial sum reaches a point with G < 1.  Past that, the half-widths add
-    the transform's roundoff.
+    points.  Below n no power it reads can wrap at all, so the transform
+    is untilted, on the smallest even such length at least m; at n it
+    keeps the tilt, on the smallest such length at least 4m and
+    8 min(s, m), where the first 8 powers cannot wrap.  Gaps with a
+    finite upper end b build only that prefix of the unfolded lattice:
+    the gap ccdf on the b/h + 2 points holding every non-zero cell, the
+    service ccdf on the m points read, and each end's total gap mass M
+    from the gap ccdf at (n-1)h and nh.  While every power stays on the
+    lattice, Pr(K > k) is M^k plus the power against G - 1: exactly M^k
+    where no partial sum reaches a point with G < 1.  Past that, the
+    half-widths add the tilted transform's roundoff.
     In the bracketing solve rounding down shrinks every partial sum, so
     the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
     intervals span them.
@@ -611,8 +616,10 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
     three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
     (:func:`_extrapolated`), else from the bracketing solve at
     h = E[Y]/256, whose two roundings bracket them; Pr(K > k) always comes
-    from that solve.  It is built on first read, its m = 256 points per
-    mean gap halving until at most 2^18 points remain; below 16 the cycle
+    from that solve's lattice, for gaps with a finite upper end and no
+    fold only the prefix its powers read (:func:`_prefix_survival`).  It
+    is built on first read, its m = 256 points per mean gap halving until
+    at most 2^18 points remain; below 16 the cycle
     is too deep (:class:`TruncationNotReached`).  The levels need their
     finest lattice within the same budget, and a service that is not
     deterministic.  With ``block`` = (r, c) the
@@ -664,7 +671,12 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         return _bracket(h, *(v.tolist() for v in proven()[0]()[:3]))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
-        return _pmf(*Interval.between(*proven()[1](k_max)))
+        if block is None and math.isfinite(interarrival.support()[1]):
+            ends = _prefix_survival(interarrival, service, h, int(steps) + 2,
+                                    k_max)
+        else:
+            ends = proven()[1](k_max)
+        return _pmf(*Interval.between(*ends))
     return Cycles("lattice", solved, pmf)
 
 
@@ -768,18 +780,44 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
         return (*map(np.concatenate, ends), max(noise))
 
     def survival(k_max: int) -> np.ndarray:
-        # While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
-        # against G - 1, exactly M^k where no partial sum reaches G < 1;
-        # past that, f^{*k} against G (0 past the lattice), ends +- roundoff.
-        gaps, n = levels[0][0], c.size
-        mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-        stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
-        powers, noise = _survival(gaps, (c - stays)[None], k_max)
-        out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
-        out[:, 0] = 1.0
-        noise *= 1.0 - stays
-        return np.stack((out.min(0) - noise, out.max(0) + noise))
+        n = c.size
+        return _lattice_survival(levels[0][0], c, tail[0] - tail[[n, n - 1]],
+                                 n, k_max)
     return sums, survival
+
+
+def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
+                      n: int, k_max: int) -> np.ndarray:
+    """Pr(K > k)'s ends, k <= k_max, on an n-point lattice from each end's
+    gap cells and the service ccdf ``c`` on a prefix of it holding every
+    point the powers read, and each end's total gap mass M.
+
+    While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
+    against G - 1, exactly M^k where no partial sum reaches G < 1; past
+    that, f^{*k} against G (0 past the lattice), ends +- roundoff."""
+    stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
+    powers, noise = _survival(gaps, (c - stays)[None], k_max)
+    out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
+    out[:, 0] = 1.0
+    noise *= 1.0 - stays
+    return np.stack((out.min(0) - noise, out.max(0) + noise))
+
+
+def _prefix_survival(interarrival: Distribution, service: Distribution,
+                     h: float, n: int, k_max: int) -> np.ndarray:
+    """:func:`_full`'s Pr(K > k) ends on the n points of step h, for gaps
+    with a finite upper end b, built only as far as the powers up to k_max
+    reach.  The gap ccdf is 0 from b on, so a prefix of b/h + 2 points
+    holds every non-zero cell of both ends, and s; the powers read
+    m = min(n, k_max (s-1) + 1) points, and each end's gap mass M takes
+    the ccdf at (n-1)h and nh: the same cells, ends and M as all n give."""
+    short = min(n, math.ceil(interarrival.support()[1] / h) + 2)
+    tail = interarrival.ccdf(h * np.arange(short + 1))
+    m = min(n, max(1, k_max * (_support(_cells(tail)) - 1) + 1))
+    tail = np.concatenate((tail[:m + 1], np.zeros(max(0, m - short))))
+    mass = tail[0] - interarrival.ccdf(h * np.array([n, n - 1.0]))
+    c = service.ccdf(_points(service, h, m))
+    return _lattice_survival(_cells(tail), c, mass, n, k_max)
 
 
 def _folded(h: float, tail: np.ndarray, x: np.ndarray,
@@ -898,18 +936,21 @@ def _fft_size(n: int) -> int:
     return min(r << (-(-n // r) - 1).bit_length() for r in (1, 3, 5))
 
 
-def _tilted(n: int, size: int):
+def _tilted(n: int, size: int, alias: float = _ALIAS_TILT):
     """``weigh``, ``spectrum`` and the roundoff gain rho^-n log2(size) eps
-    of the tilted FFT of length ``size`` over ``n`` points, on the last axis.
+    of the tilted FFT of length ``size``, even, over ``n`` points, on the
+    last axis.
 
-    Tilting a gap law by rho^j, rho^(size+n) = _ALIAS_TILT, makes the mass
+    Tilting a gap law by rho^j, rho^(size+n) = ``alias``, makes the mass
     a circular convolution wraps into the first n points at most
     rho^size <= 1e-16^(4/5) of it for size >= 4n, and the roundoff the
-    untilting 1/rho^j multiplies at most rho^-n <= 1e16^(1/5) = 1585.  A
-    lattice sum is then an inner product of half spectra (Parseval): a
-    spectrum against ``weigh`` of the weights, conjugated (:func:`_totals`).
+    untilting 1/rho^j multiplies at most rho^-n <= 1e16^(1/5) = 1585.
+    ``alias`` = 1 is no tilt, for sums that cannot wrap.  A lattice sum is
+    then an inner product of half spectra (Parseval): a spectrum against
+    ``weigh`` of the weights, conjugated (:func:`_totals`).
     """
-    tilt = np.exp(np.arange(n) * (math.log(_ALIAS_TILT) / (size + n)))
+    tilt = (np.exp(np.arange(n) * (math.log(alias) / (size + n)))
+            if alias < 1.0 else 1.0)
     untilt = (2.0 / size) / tilt
 
     def weigh(w):
@@ -918,7 +959,7 @@ def _tilted(n: int, size: int):
         out[..., -1] *= 0.5
         return np.conjugate(out, out=out)
 
-    gain = _ALIAS_TILT ** (-n / (size + n)) * math.log2(size) * _EPS
+    gain = alias ** (-n / (size + n)) * math.log2(size) * _EPS
     return weigh, lambda f: np.fft.rfft(f * tilt, size), gain
 
 
@@ -974,18 +1015,29 @@ def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
     the phase-type record: sum_l f^{*k}_l v_l, k = 0..k_max, for each end's
     gap law f (a row of ``gaps``) and each row v of ``weights`` (shared by
     the ends or one set per end), the k-th power's spectrum a running
-    product; and their roundoff, rho^-m log2(N) eps max |v_l|.
+    product; and their roundoff, a gain times max |v_l|.
 
     With s one past the last non-zero gap cell, the k-th power lives
     on [0, k(s-1)], so the sums read only the first
     m = min(n, max(1, k_max (s-1) + 1)) points of the weights and of the
-    gaps.  The length is the smallest FFT length >= max(4m, 8 min(s, m)):
-    when m < n no power up to k_max reaches past m, so none wraps at all;
-    else the first 8 powers never wrap, and later ones wrap only their
-    tilted-away far tail."""
+    gaps.  When k_max (s-1) < m no power up to k_max reaches past m, so
+    none wraps at all: the transform is untilted, on the smallest even
+    length N >= m of the form 2^a, 3 2^a or 5 2^a, and its gain is
+    (k_max + 1) log2(N) eps, the k-th power's spectrum carrying k times
+    the gap spectrum's error and the weights' spectrum one more (against
+    long-double convolution powers of gaps of mass 1, k_max up to 600,
+    every sum kept within a third of it).  Else the length is the
+    smallest FFT length >= max(4m, 8 min(s, m)), the tilt's: the first 8
+    powers never wrap, later ones wrap only their tilted-away far tail,
+    and the gain is rho^-m log2(N) eps."""
     s = _support(gaps)
     m = min(weights.shape[-1], max(1, k_max * (s - 1) + 1))
-    weigh, spectrum, gain = _tilted(m, _fft_size(max(4 * m, 8 * min(s, m))))
+    if k_max * (s - 1) < m:
+        weigh, spectrum, gain = _tilted(m, 2 * _fft_size(-(-m // 2)), 1.0)
+        gain *= k_max + 1
+    else:
+        weigh, spectrum, gain = _tilted(
+            m, _fft_size(max(4 * m, 8 * min(s, m))))
     by = weigh(weights[..., :m])
     step = spectrum(gaps[:, :m])
     out = np.empty((gaps.shape[0], by.shape[-2], k_max + 1))

@@ -199,17 +199,20 @@ def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
         m = active.size
         b = max(1, _BLOCK // m)
         gaps = y.sample_array(rng, m * b).reshape(m, b)
-        sums = partial[:, None] + np.cumsum(gaps, axis=1)
-        crossed = sums >= services[active, None]
-        hit, first_hit = crossed.any(axis=1), crossed.argmax(axis=1)
-        done, at = active[hit], first_hit[hit]
-        g[done] = sums[hit, at]
+        # walk axis first; gaps are >= 0, so the sums only rise and the
+        # crossing gap's index is the count of sums still below the service
+        sums = np.cumsum(gaps.T, axis=0)
+        sums += partial
+        below = np.count_nonzero(sums < services[active], axis=0)
+        hit = below < b
+        done, at = active[hit], below[hit]
+        g[done] = sums[at, hit]
         k[done] = drawn + at + 1
         settled += int(k[done].sum())
         if keep:
-            used = np.arange(b) <= np.where(hit, first_hit, b - 1)[:, None]
+            used = np.arange(b) <= np.minimum(below, b - 1)[:, None]
             kept.append((np.repeat(active, used.sum(axis=1)), gaps[used]))
-        active, partial = active[~hit], sums[~hit, -1]
+        active, partial = active[~hit], sums[-1, ~hit]
         drawn += b
         _check_budget(settled + active.size * (drawn + 1) + n1, config)
     arrivals = None

@@ -12,9 +12,9 @@ import pytest
 from aoi import analytic
 from aoi.analytic import Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one
-from aoi.distributions import (Deterministic, Erlang, Exponential,
-                               Hyperexponential, Rayleigh, ShiftedExponential,
-                               Uniform)
+from aoi.distributions import (Deterministic, Distribution, Erlang,
+                               Exponential, Hyperexponential, Rayleigh,
+                               ShiftedExponential, Uniform)
 from aoi.errors import TruncationNotReached
 from aoi.sim import Z95, Discipline
 from test_analytic import k_moments
@@ -735,18 +735,103 @@ def test_a_one_arrival_cycle_keeps_a_nonnegative_half_width(y, s):
     assert exact_age(pair, DROPPING).ci_half_width >= 0.0
 
 
-def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
-    # The deep pair has 40018 lattice points, but Pr(K > k), k <= 10, reads
-    # only 10 * 512 + 1 of them.
+def fft_sizes(monkeypatch):
+    """The length of each ``np.fft.rfft`` call from now on, in order."""
     sizes = []
 
     def recorded(a, n=None, *args, _original=np.fft.rfft):
         sizes.append(n)
         return _original(a, n, *args)
     monkeypatch.setattr(np.fft, "rfft", recorded)
-    k_pmf(Pair(Uniform(0.0, 0.2), Rayleigh(2.0)), 10)
+    return sizes
+
+
+def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
+    # The deep pair has 40018 lattice points, but Pr(K > k), k <= 10, reads
+    # only m = 10 * 512 + 1 of them: no power wraps, so the transform is
+    # untilted on the smallest even length at least m, and only that
+    # prefix of the lattice is built.
+    y, s = Uniform(0.0, 0.2), Rayleigh(2.0)
+    m = 10 * 512 + 1
+    top = analytic._truncation_point(s)
+    monkeypatch.setattr(analytic, "_truncation_point", lambda service: top)
+    sizes, points = fft_sizes(monkeypatch), []
+
+    def counted(self, x, _original=Distribution.ccdf):
+        points.append(np.size(x))
+        return _original(self, x)
+    monkeypatch.setattr(Distribution, "ccdf", counted)
+    k_pmf(Pair(y, s), 10)
     assert len(sizes) == 2  # the weights, then both ends' gap spectra
-    assert max(sizes) <= analytic._fft_size(4 * (10 * 512 + 1)) == 24576
+    assert max(sizes) <= 2 * analytic._fft_size(-(-m // 2)) == 6144
+    # the service ccdf at the m points read, the gap ccdf on the prefix
+    # that holds the gaps' support and at the lattice's last two points
+    assert m <= sum(points) < 1.25 * m
+
+
+def direct_power_sums(f, v, k_max):
+    """sum_l f^{*k}_l v_l, k = 1..k_max, by convolution in long doubles."""
+    f, v = np.trim_zeros(f, "b").astype(np.longdouble), v.astype(np.longdouble)
+    power, out = np.ones(1, dtype=np.longdouble), []
+    for _ in range(k_max):
+        power = np.convolve(power, f)[:v.size]
+        out.append(float(power @ v[:power.size]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("cells,k_max", [
+    (8, 300), (3, 600), (17, 300), (64, 40), (1, 1), (1, 2), (1, 4)],
+    ids=lambda v: str(v))
+def test_untilted_powers_match_long_double_convolution(cells, k_max,
+                                                       monkeypatch):
+    # U(0, 1) gaps wholly on a lattice of ``cells`` steps per unit: each
+    # end's mass is exactly 1, so no power decays and the roundoff grows
+    # with k.  The m = k_max cells + 1 points hold the k_max-th power, so
+    # none wraps: the transform is untilted, on an even length (4 and 6 at
+    # m = 3 and 5, where the smallest FFT length alone would be odd), and
+    # the roundoff it reports must hold every sum of both ends.
+    h, m = 1.0 / cells, k_max * cells + 1
+    gaps = analytic._cells(Uniform(0.0, 1.0).ccdf(h * np.arange(m + 1)))
+    x = h * np.arange(m)
+    weights = np.stack((Rayleigh(0.4 * k_max).ccdf(x) - 1.0,
+                        np.random.default_rng(cells).uniform(-1.0, 1.0, m)))
+    sizes = fft_sizes(monkeypatch)
+    powers, noise = analytic._survival(gaps, weights, k_max)
+    size = 2 * analytic._fft_size(-(-m // 2))
+    assert sizes == [size, size] and m <= size < 4 * m
+    assert noise == pytest.approx(
+        (k_max + 1) * math.log2(size) * EPS * np.abs(weights).max())
+    for end in range(2):
+        for row, v in enumerate(weights):
+            want = direct_power_sums(gaps[end], v, k_max)
+            assert np.all(np.abs(powers[end, row, 1:] - want) <= noise)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("k_max", [1, 10, 40])
+@pytest.mark.parametrize("y,s", [
+    (Uniform(0.0, 0.2), Rayleigh(2.0)),
+    (Uniform(0.0, 0.02), Deterministic(1.0)),
+    (Uniform(0.0, 2.0), Rayleigh(1.0)),
+    (Uniform(0.0, 1.0), Uniform(0.0, 3.0)),
+], ids=["deep-U/R", "deep-U/D", "U/R", "U/U"])
+def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
+    # Bounded gaps build only the prefix of the lattice that the powers
+    # read (all of it where they can wrap): the pmf must be the one all n
+    # points give, its half-widths no wider.
+    y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    h = y.mean() / analytic._LATTICE_STEPS
+    n = int(analytic._truncation_point(s) / h) + 2
+    x = analytic._points(s, h, n)
+    ends = analytic._full(y.ccdf(h * np.arange(n + 1)), x, s.ccdf(x),
+                          (1,))[1](k_max)
+    (probs, hws), tail = analytic._pmf(*Interval.between(*ends))
+    got = k_pmf(Pair(y, s), k_max)
+    assert ([p.value for p in got.pmf]
+            == pytest.approx(probs, rel=0, abs=1e-13))
+    assert got.tail_mass.value == pytest.approx(tail.value, rel=0, abs=1e-13)
+    assert all(p.half_width <= w for p, w in zip(got.pmf, hws))
+    assert got.tail_mass.half_width <= tail.half_width
 
 
 @pytest.mark.parametrize("y,s,levels", [(*PAIRS[-1], 3), (*PAIRS[0], 1)],

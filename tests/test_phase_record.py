@@ -97,6 +97,25 @@ def test_record_holds_the_mpmath_sums(y, s, c):
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
+def test_a_one_arrival_pmf_holds_the_mpmath_sums_untilted(y, s, monkeypatch):
+    # At k_max = 1 the one power the record reads cannot wrap, so its sums
+    # take the untilted transform, whose smaller roundoff bound must still
+    # hold Pr(K = 1) and Pr(K > 1).
+    alias = []
+
+    def recorded(n, size, *args, _original=analytic._tilted):
+        alias.append(args[0] if args else analytic._ALIAS_TILT)
+        return _original(n, size, *args)
+    monkeypatch.setattr(analytic, "_tilted", recorded)
+    survival = mp_sums(y, s)[3]
+    probs, tail = Pair(y, s).cycles(DROPPING).pmf(1)
+    assert alias == [1.0]
+    for got, hw, want in ((probs.value[0], probs.half_width[0],
+                           1 - survival[1]), (*tail, survival[1])):
+        assert abs(got - float(want)) <= hw, (got, hw, want)
+
+
+@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
 def test_a_short_jump_range_carries_its_tail(y, s, monkeypatch):
     # With the service top at its 1e-3 quantile J is short, and the sums
     # past it are no longer roundoff: each half-width must still hold the
