@@ -115,14 +115,15 @@ Lattice (paths ``lattice`` and ``closed_form``)
     points.  Below n no power it reads can wrap at all, so the transform
     is untilted, on the smallest even such length at least m; at n it
     keeps the tilt, on the smallest such length at least 4m and
-    8 min(s, m), where the first 8 powers cannot wrap.  Gaps with a
-    finite upper end b build only that prefix of the unfolded lattice:
-    the gap ccdf on the b/h + 2 points holding every non-zero cell, the
-    service ccdf on the m points read, and each end's total gap mass M
-    from the gap ccdf at (n-1)h and nh.  While every power stays on the
-    lattice, Pr(K > k) is M^k plus the power against G - 1: exactly M^k
-    where no partial sum reaches a point with G < 1.  Past that, the
-    half-widths add the tilted transform's roundoff.
+    8 min(s, m), where the first 8 powers cannot wrap.  An unfolded
+    lattice builds only that prefix: the gap ccdf on the points holding
+    every non-zero cell (b/h + 2 for gaps with a finite upper end b, else
+    all n), the service ccdf on the m points read, and each end's total
+    gap mass M from the gap ccdf at (n-1)h and nh.  While every power
+    stays on the lattice, Pr(K > k) is M^k plus the power against G - 1:
+    exactly M^k where no partial sum reaches a point with G < 1.  Each
+    Pr(K > k) adds the kernel's roundoff bound (0 only where every weight
+    it reads is 0), the fold's 2k times it.
     In the bracketing solve rounding down shrinks every partial sum, so
     the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
     intervals span them.
@@ -396,9 +397,11 @@ class Pair:
                 math.isfinite(s.second_moment()) or not self._blocks_hold):
             return _phase_cycles(y, s)
         if s.phases() is not None:
-            if not self._blocks_hold:
-                raise TruncationNotReached(self._no_success())
             _, _, (w, shapes, rates), _, mixes = self._mixes
+            if not self._blocks_hold:
+                t0 = min(float(tail[0]) for _, tail in mixes)
+                raise TruncationNotReached(
+                    f"E[K^2] overflows: smallest T_0 = {t0!r}")
             sums = _closed(*(Interval(float(v), 0.0) for v in np.dot(w, [
                 _block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)])))
 
@@ -616,10 +619,10 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
     three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
     (:func:`_extrapolated`), else from the bracketing solve at
     h = E[Y]/256, whose two roundings bracket them; Pr(K > k) always comes
-    from that solve's lattice, for gaps with a finite upper end and no
-    fold only the prefix its powers read (:func:`_prefix_survival`).  It
-    is built on first read, its m = 256 points per mean gap halving until
-    at most 2^18 points remain; below 16 the cycle
+    from that solve's lattice, unfolded only the prefix its powers read
+    (:func:`_prefix_survival`), its ends widened by the kernel's roundoff.
+    It is built on first read, its m = 256 points per mean gap halving
+    until at most 2^18 points remain; below 16 the cycle
     is too deep (:class:`TruncationNotReached`).  The levels need their
     finest lattice within the same budget, and a service that is not
     deterministic.  With ``block`` = (r, c) the
@@ -636,7 +639,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         tail = interarrival.ccdf(h * np.arange(n + max(strides)))
         if block:
             return _folded(h, tail, x, strides, *block)
-        return _full(tail, x, service.ccdf(x), strides)
+        return _full(tail, x, service.ccdf(x), strides), None
 
     m = _LATTICE_STEPS
     while True:
@@ -671,12 +674,13 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         return _bracket(h, *(v.tolist() for v in proven()[0]()[:3]))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
-        if block is None and math.isfinite(interarrival.support()[1]):
-            ends = _prefix_survival(interarrival, service, h, int(steps) + 2,
-                                    k_max)
+        if block:
+            ends, noise = proven()[1](k_max)
         else:
-            ends = proven()[1](k_max)
-        return _pmf(*Interval.between(*ends))
+            ends, noise = _prefix_survival(interarrival, service, h,
+                                           int(steps) + 2, k_max)
+        return _pmf(*Interval.between(ends.min(0) - noise,
+                                      ends.max(0) + noise))
     return Cycles("lattice", solved, pmf)
 
 
@@ -763,9 +767,8 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
           strides: tuple[int, ...]):
     """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
     (every k-th point, its own transform), rows stacked stride by stride,
-    and the roundoff (on call); and Pr(K > k)'s ends, k <= k_max, on the
-    first, from the service ccdf ``c`` at the lattice points ``x``, ``tail``
-    the gap ccdf on the grid."""
+    and the roundoff, on call, from the service ccdf ``c`` at the lattice
+    points ``x``, ``tail`` the gap ccdf on the grid."""
     levels = [(_cells(tail[::k][:x[::k].size + 1]), x[::k], c[::k])
               for k in strides]
 
@@ -778,40 +781,34 @@ def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
             out.append((first + once, first + twice, crossing, noise))
         *ends, noise = zip(*out)
         return (*map(np.concatenate, ends), max(noise))
-
-    def survival(k_max: int) -> np.ndarray:
-        n = c.size
-        return _lattice_survival(levels[0][0], c, tail[0] - tail[[n, n - 1]],
-                                 n, k_max)
-    return sums, survival
+    return sums
 
 
 def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
-                      n: int, k_max: int) -> np.ndarray:
-    """Pr(K > k)'s ends, k <= k_max, on an n-point lattice from each end's
-    gap cells and the service ccdf ``c`` on a prefix of it holding every
-    point the powers read, and each end's total gap mass M.
+                      n: int, k_max: int) -> tuple[np.ndarray, float]:
+    """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound on an
+    n-point lattice, from each end's gap cells, the service ccdf ``c`` on
+    a prefix holding every point the powers read, and each gap mass M.
 
     While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
-    against G - 1, exactly M^k where no partial sum reaches G < 1; past
-    that, f^{*k} against G (0 past the lattice), ends +- roundoff."""
+    against G - 1, exactly M^k and roundoff 0 where no partial sum reaches
+    G < 1; past that, f^{*k} against G (0 past the lattice)."""
     stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
     powers, noise = _survival(gaps, (c - stays)[None], k_max)
     out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
     out[:, 0] = 1.0
-    noise *= 1.0 - stays
-    return np.stack((out.min(0) - noise, out.max(0) + noise))
+    return out, noise
 
 
 def _prefix_survival(interarrival: Distribution, service: Distribution,
-                     h: float, n: int, k_max: int) -> np.ndarray:
-    """:func:`_full`'s Pr(K > k) ends on the n points of step h, for gaps
-    with a finite upper end b, built only as far as the powers up to k_max
-    reach.  The gap ccdf is 0 from b on, so a prefix of b/h + 2 points
+                     h: float, n: int, k_max: int) -> tuple[np.ndarray, float]:
+    """:func:`_lattice_survival` on the n unfolded points of step h, built
+    only as far as the powers up to k_max reach.  The gap ccdf is 0 from
+    its upper end b on, so a prefix of b/h + 2 points (all n at b = inf)
     holds every non-zero cell of both ends, and s; the powers read
     m = min(n, k_max (s-1) + 1) points, and each end's gap mass M takes
     the ccdf at (n-1)h and nh: the same cells, ends and M as all n give."""
-    short = min(n, math.ceil(interarrival.support()[1] / h) + 2)
+    short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
     tail = interarrival.ccdf(h * np.arange(short + 1))
     m = min(n, max(1, k_max * (_support(_cells(tail)) - 1) + 1))
     tail = np.concatenate((tail[:m + 1], np.zeros(max(0, m - short))))
@@ -845,7 +842,8 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
     and beta_k the mass of f^{*k} past the head, are the recursions
     tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
     beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
-    from m on; it reads the first stride's lattice."""
+    from m on; it reads the first stride's lattice, and tau_k and beta_k
+    each sum k kernel powers scaled by L, M <= 1: 2k kernel roundoffs."""
     n = x.size
     head = max(1, int(np.searchsorted(x, shift)))
     gaps = np.zeros((2 * len(strides), n))  # each stride's ends, spread
@@ -889,15 +887,15 @@ def _folded(h: float, tail: np.ndarray, x: np.ndarray,
         mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
         rest = np.stack((tail[head:0:-1] - tail[n],
                          tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
-        powers, _ = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
-                              k_max - 1)
+        powers, noise = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
+                                  k_max - 1)
         factors = np.stack((d[:2, 0], mass), axis=1)  # L and M
         out = mass[:, None] ** np.arange(k_max + 1.0)
         tau_beta = np.zeros((2, 2))
         for k in range(1, k_max + 1):
             tau_beta = factors * tau_beta + powers[..., k - 1]
             out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
-        return out
+        return out, 2.0 * noise * np.arange(k_max + 1.0)
     return sums, survival
 
 

@@ -378,8 +378,7 @@ def _local_minimum(rows: Sequence[SweepRow]) -> Optional[SweepRow]:
 
 
 def render_chart_svg(result: SweepResult, title: str = "",
-                     xlabel: str = "swept parameter",
-                     ylabel: str = "average age") -> str:
+                     xlabel: str = "swept parameter") -> str:
     """Line chart with CI bands; an interior minimum of any series gets a
     marker with id ``local-minimum-<estimator>``.  Text nodes and that
     attribute are XML-escaped."""
@@ -414,7 +413,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
                  f'font-size="13">{escape(xlabel)}</text>')
     parts.append(f'<text x="20" y="{_H // 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 20 {_H // 2})">'
-                 f'{escape(ylabel)}</text>')
+                 'average age</text>')
 
     legend_y = _MT + 14
     for tag, rows in series.items():
@@ -453,10 +452,9 @@ def render_chart_svg(result: SweepResult, title: str = "",
 
 
 def emit_chart(result: SweepResult, path, title: str = "",
-               xlabel: str = "swept parameter",
-               ylabel: str = "average age") -> None:
+               xlabel: str = "swept parameter") -> None:
     """Render the sweep to an SVG file (deterministic bytes)."""
-    svg = render_chart_svg(result, title=title, xlabel=xlabel, ylabel=ylabel)
+    svg = render_chart_svg(result, title=title, xlabel=xlabel)
     try:
         Path(path).write_text(svg, encoding="utf-8")
     except OSError as exc:

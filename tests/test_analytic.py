@@ -126,6 +126,13 @@ def test_lattice_past_the_float_range_is_not_reached(s):
     assert pmf.tail_mass.value == 1.0
 
 
+def test_deterministic_arrivals_too_deep_are_not_reached():
+    # A U(0, 1) service spans 1e6 gaps of D(1e-6), more than the point
+    # budget of the D-arrival record's finite sums.
+    with pytest.raises(TruncationNotReached, match="lattice steps"):
+        Pair(Deterministic(1e-6), Uniform(0.0, 1.0)).cycles(DROPPING)
+
+
 def test_walk_rejects_degenerate_interarrival():
     with pytest.raises(ValueError):
         exact_age(Pair(Deterministic(0.0), Exponential(1.0)), DROPPING)
@@ -338,6 +345,20 @@ def test_mm_preemption_closed_form():
         for mu in (0.5, 1.0, 2.0):
             est = exact_age(Pair(Exponential(lam), Exponential(mu)), PREEMPTION)
             assert est.value == pytest.approx(1.0 / lam + 1.0 / mu, rel=1e-8)
+
+
+@pytest.mark.parametrize("y,s", [(Exponential(2.0), Exponential(1.0)),
+                                 (Uniform(0.0, 2.0), Rayleigh(1.0))],
+                         ids=["E/E", "U/R"])
+def test_preemption_pmf_is_geometric_in_p(y, s):
+    # Each arrival's service completes with chance p, independently.
+    pair = Pair(y, s)
+    p, k_max = pair.p.value, 12
+    probs, tail = pair.cycles(PREEMPTION).pmf(k_max)
+    k = np.arange(1, k_max + 1)
+    assert probs.value == pytest.approx(p * (1.0 - p) ** (k - 1), rel=1e-14)
+    assert tail.value == pytest.approx((1.0 - p) ** k_max, rel=1e-14)
+    assert np.all(probs.half_width == 0.0) and tail.half_width == 0.0
 
 
 def test_printed_denominator_variant_differs():

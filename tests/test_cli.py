@@ -304,6 +304,22 @@ def test_every_command_checks_mc_samples(capsys, argv):
     assert "mc_samples" not in payload["inputs"]
 
 
+def test_block_record_overflow_names_its_cause(capsys):
+    # The rate-1e-160 block climbs a phase in a U(0, 2) gap with chance
+    # T_0 of about 1e-160, so E[K^2], about 2/T_0^2, overflows: the error
+    # names E[K^2] and that T_0, not the preemption success probability.
+    service = ('{"kind": "hyperexponential", "weights": [0.5, 0.5], '
+               '"rates": [1e-160, 1]}')
+    code, payload = run_json(
+        capsys, "exact", "--discipline", "dropping", "--interarrival",
+        '{"kind": "uniform", "lower": 0, "upper": 2}', "--service", service)
+    assert code == 1
+    assert payload["error"] == "TruncationNotReached"
+    prefix = "E[K^2] overflows: smallest T_0 = "
+    assert payload["message"].startswith(prefix)
+    assert float(payload["message"][len(prefix):]) == pytest.approx(1e-160)
+
+
 def test_mg11_service_square_out_of_range(capsys, tmp_path):
     # mg11 keeps no moment guard of its own.  An E[S^2] that overflows
     # stops the mean-matched pair's one-phase record: exit 1, and a
@@ -363,6 +379,15 @@ def test_env_var_supplies_default_seed(capsys, monkeypatch):
     assert out_env == out_flag
     _, out_default, _ = run(capsys, *argv)   # seed 0
     assert out_default != out_env
+
+
+def test_non_integer_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("AOI_SEED", "seven")
+    code, out, err = run(capsys, "simulate", "--discipline", "dropping",
+                         "--interarrival", EXP1, "--service", EXP1,
+                         "--cycles", "500")
+    assert code == 2 and out == ""
+    assert "aoi: invalid AOI_SEED='seven': not an integer" in err
 
 
 def test_same_argv_same_stdout(capsys):

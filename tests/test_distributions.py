@@ -369,6 +369,43 @@ RESIDUAL_LAWS = [Deterministic(2.0), Uniform(0.5, 2.0), Uniform(0.5, 1.5),
                  Rayleigh(0.8)]
 
 
+def test_a_phase_residual_past_all_mass_is_the_point_at_zero():
+    # Pr(X > 2e4) = e^-2e4 underflows, so W is D(0): no mass left, and X's
+    # whole mean and second moment lie below t.
+    rest = Exponential(1.0).residual(2e4)
+    assert (rest.ccdf, rest.mean, rest.second_moment) == (0.0, 0.0, 0.0)
+    assert (rest.cdf, rest.below, rest.below_square) == (1.0, 1.0, 2.0)
+    pi, tail = rest.poisson_mix(1.5, 3)
+    assert pi.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert tail.tolist() == [0.0] * 4
+
+
+def test_a_phase_residual_mixes_the_blocks_left():
+    # Erlang(3, 2) at t = 1 has run k < 3 phases with chance Pr(N = k),
+    # N ~ Poisson(2): W mixes Erlang(3 - k, 2) in those weights, and its
+    # mixed-Poisson law is the mix of their negative binomials.
+    s, j_max = 1.5, 5
+    with mpmath.workdps(40):
+        weights = [mpmath.exp(-2) * mpmath.mpf(2)**k / mpmath.factorial(k)
+                   for k in range(3)]
+        parts = [mp_block(3 - k, mpmath.mpf(2), mpmath.mpf(s), j_max)
+                 for k in range(3)]
+        want = [[mpmath.fsum(w * p[i][j] for w, p in zip(weights, parts))
+                 / mpmath.fsum(weights) for j in range(j_max + 1)]
+                for i in (0, 1)]
+        got = Erlang(3, 2.0).residual(1.0).poisson_mix(s, j_max)
+        for name, g, w in zip(("pi", "T"), got, want):
+            for j in range(j_max + 1):
+                _assert_close(g[j], w[j], (name, j))
+
+
+def test_an_infinite_service_mean_is_refused():
+    # A phase of rate 5e-324 has mean 2e323, past the float range.
+    with pytest.raises(ValueError, match="service law must have a finite"):
+        distributions.check_pair(
+            Exponential(1.0), Hyperexponential((0.5, 0.5), (5e-324, 1.0)))
+
+
 @pytest.mark.parametrize("law", RESIDUAL_LAWS, ids=lambda d: d.describe())
 def test_residual_keeps_full_relative_precision(law):
     # G, Pr(X <= t), the partial moments and W's mean, second moment and
@@ -722,6 +759,12 @@ def test_json_round_trip(dist):
     {"kind": "uniform", "lower": 0.0, "upper": math.inf},
     {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1.0, math.inf]},
     {"kind": "hyperexponential", "weights": [0.5, math.nan], "rates": [1.0, 2.0]},
+    {"kind": "shifted_exponential", "rate": 0.0, "shift": 1.0},
+    {"kind": "deterministic", "value": -1.0},
+    {"kind": "erlang", "shape": 2, "rate": 0.0},
+    {"kind": "hyperexponential", "weights": [1.5, -0.5], "rates": [1.0, 2.0]},
+    {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1.0, 0.0]},
+    {},
 ])
 def test_invalid_specs_raise(bad):
     with pytest.raises(ValueError):

@@ -201,6 +201,15 @@ def test_csv_round_trip_with_divergent_rows(tmp_path):
     assert read_csv(path) == result
 
 
+def test_read_csv_refuses_a_wrong_header_and_names_a_missing_path(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_csv(path)
+    with pytest.raises(OSError, match="cannot read sweep CSV from .*missing"):
+        read_csv(tmp_path / "missing.csv")
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.json"
@@ -215,6 +224,22 @@ def test_chart_single_point_is_valid_svg(tmp_path):
     for title in ("one point", "M/M & D<G"):
         emit_chart(result, path, title=title)
         ET.fromstring(path.read_text(encoding="utf-8"))
+
+
+def test_chart_of_an_empty_result_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="cannot chart an empty sweep result"):
+        emit_chart(SweepResult(rows=()), tmp_path / "empty.svg")
+
+
+def test_a_divergent_point_splits_its_series_line(tmp_path):
+    rows = tuple(SweepRow(x, "exact", y, 0.0, "")
+                 for x, y in [(0.5, 3.0), (1.0, 2.0), (2.0, None),
+                              (3.0, 2.5), (4.0, 2.8)])
+    path = tmp_path / "gap.svg"
+    emit_chart(SweepResult(rows=rows), path)
+    svg = ET.fromstring(path.read_text(encoding="utf-8"))
+    lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
+    assert [len(line.get("points").split()) for line in lines] == [2, 2]
 
 
 def test_chart_marks_interior_minimum(tmp_path):

@@ -249,8 +249,9 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # extrapolate to what the same levels give over every lattice point,
     # and its bracketing solve and pmf must give what the renewal and pmf
     # sums over every lattice point give, each Pr(K > k) to a few hundred
-    # eps.  Phase-type gaps take their own record through ``Pair``; the
-    # folded lattice is held on them by direct calls.
+    # eps, its half-width widened by no more than the fold's roundoff term.
+    # Phase-type gaps take their own record through ``Pair``; the folded
+    # lattice is held on them by direct calls.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     assert Pair(y, s).cycles(DROPPING).path == (
         "lattice" if y.phases() is None else "closed_form")
@@ -262,13 +263,58 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     record = folded_lattice(y, s)
     *want, survival = full_lattice(pair, K_MAX)
     assert_same_intervals(record.sums()[:3], want)
+    noises = kernel_noises(monkeypatch)
     probs, tail = record.pmf(K_MAX)
     mid, hw = survival
+    (noise,) = noises
+    roundoff = 2.0 * noise * np.arange(K_MAX + 1.0)  # tau_k's and beta_k's
     assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
-    assert probs.half_width == pytest.approx(hw[:-1] + hw[1:], rel=0,
-                                             abs=1e-13)
-    assert (tail.value, tail.half_width) == pytest.approx(
-        (mid[-1], hw[-1]), rel=0, abs=1e-13)
+    assert tail.value == pytest.approx(mid[-1], rel=0, abs=1e-13)
+    for got, full, term in ((probs.half_width, hw[:-1] + hw[1:],
+                             roundoff[:-1] + roundoff[1:]),
+                            (tail.half_width, hw[-1], roundoff[-1])):
+        assert np.all(full - 1e-13 <= got)
+        assert np.all(got <= full + term + 1e-13)
+
+
+def kernel_noises(monkeypatch):
+    """The roundoff bound of each ``analytic._survival`` call from now on."""
+    noises = []
+
+    def recorded(*args, _original=analytic._survival):
+        powers, noise = _original(*args)
+        noises.append(noise)
+        return powers, noise
+    monkeypatch.setattr(analytic, "_survival", recorded)
+    return noises
+
+
+COVERAGE_PAIRS = [
+    (Rayleigh(0.01), ShiftedExponential(1.0, 1.0)),
+    (ShiftedExponential(100.0, 0.01), ShiftedExponential(1.0, 1.0))]
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("y,s", COVERAGE_PAIRS, ids=["R/SE", "SE/SE"])
+def test_folded_pmf_half_width_covers_its_roundoff(y, s, c):
+    # Twelve gaps almost never outlast the service's shift: a Chernoff
+    # bound gives Pr(K <= 12) <= 9e-166 for R/SE and the Gamma tail
+    # 4.3e-25 for SE/SE.  So every Pr(K = k) is 0 and Pr(K > 12) is 1 to
+    # far below roundoff, and the fold's kernel roundoff, which no
+    # rounding brackets, must hold the distance.
+    y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    pmf = k_pmf(Pair(y, s), 12)
+    assert all(abs(p.value) <= p.half_width for p in pmf.pmf), pmf.pmf
+    assert abs(pmf.tail_mass.value - 1.0) <= pmf.tail_mass.half_width
+
+
+def test_unfolded_pmf_half_width_covers_its_roundoff():
+    # As above on the unfolded lattice, whose powers stay on it up to
+    # k = 12: each entry is M^k plus the power against G - 1, which
+    # carries the kernel's roundoff.
+    probs, tail = analytic._lattice_cycles(*COVERAGE_PAIRS[0]).pmf(12)
+    assert np.all(np.abs(probs.value) <= probs.half_width)
+    assert abs(tail.value - 1.0) <= tail.half_width
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -814,18 +860,24 @@ def test_untilted_powers_match_long_double_convolution(cells, k_max,
     (Uniform(0.0, 0.02), Deterministic(1.0)),
     (Uniform(0.0, 2.0), Rayleigh(1.0)),
     (Uniform(0.0, 1.0), Uniform(0.0, 3.0)),
-], ids=["deep-U/R", "deep-U/D", "U/R", "U/U"])
+    (Rayleigh(1.0), Uniform(0.0, 2.0)),
+    (ShiftedExponential(1.0, 0.5), Deterministic(2.0)),
+    (Rayleigh(0.01), Deterministic(1.0)),
+], ids=["deep-U/R", "deep-U/D", "U/R", "U/U", "R/U", "SE/D", "deep-R/D"])
 def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
-    # Bounded gaps build only the prefix of the lattice that the powers
-    # read (all of it where they can wrap): the pmf must be the one all n
-    # points give, its half-widths no wider.
+    # An unfolded lattice builds only the prefix that the powers read (all
+    # of it where they can wrap, and every cell of gaps with no upper end):
+    # the pmf must be the one all n points give, spanned the same way, its
+    # half-widths no wider.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     h = y.mean() / analytic._LATTICE_STEPS
     n = int(analytic._truncation_point(s) / h) + 2
-    x = analytic._points(s, h, n)
-    ends = analytic._full(y.ccdf(h * np.arange(n + 1)), x, s.ccdf(x),
-                          (1,))[1](k_max)
-    (probs, hws), tail = analytic._pmf(*Interval.between(*ends))
+    tail = y.ccdf(h * np.arange(n + 1))
+    ends, noise = analytic._lattice_survival(
+        analytic._cells(tail), s.ccdf(analytic._points(s, h, n)),
+        tail[0] - tail[[n, n - 1]], n, k_max)
+    (probs, hws), tail = analytic._pmf(*Interval.between(
+        ends.min(0) - noise, ends.max(0) + noise))
     got = k_pmf(Pair(y, s), k_max)
     assert ([p.value for p in got.pmf]
             == pytest.approx(probs, rel=0, abs=1e-13))

@@ -217,6 +217,8 @@ def test_config_validation():
         SimConfig(Exponential(1.0), Exponential(1.0), "nope", 10)
     with pytest.raises(ValueError, match="positive mean"):
         SimConfig(Deterministic(0.0), Deterministic(0.0), "dropping", 10)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        SimConfig(Exponential(1.0), Exponential(1.0), "dropping", 10, seed=-1)
     config = SimConfig(Exponential(1.0), Exponential(1.0), "dropping", 10)
     assert config.effective_max_events == 10_000
 
@@ -238,6 +240,7 @@ def test_records_compare_by_value_and_iterate_as_cycle_records():
     _, other = run_simulation(SimConfig(Exponential(1.0), Uniform(0.1, 1.2),
                                         "dropping", 200, seed=4))
     assert other != records
+    assert (records == 3) is False and records != 3
     rows = list(records)
     assert all(isinstance(r, CycleRecord) for r in rows)
     assert [r.k for r in rows] == records.k.tolist()
