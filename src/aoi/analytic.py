@@ -94,19 +94,11 @@ Lattice (paths ``lattice`` and ``closed_form``)
     mean gap instead, as does a cycle too deep for the levels' point
     budget and a deterministic service, whose error is of first order.
     Pr(K > k) always comes from that solve, with its proven half-widths.
-    A shifted exponential service SE(r, c), c > 0, is one exponential
-    block shifted by c: past c its ccdf falls by e^{-r h} a step, so each
-    gap a partial sum takes past c multiplies it by the gaps' discounted
-    mass L = sum_i f_i e^{-r i h}.  The renewal solve then runs on the J
-    points below c alone, and the rest of the lattice folds into
-    closed-form weights on them (:func:`_folded`), each coarser level's
-    cells spread onto the finest grid as two more rows of the same fold;
-    at c = 0 it is E(r) and takes the block record.
     Every lattice sum is one inner product of half spectra, both ends and
     every weight vector of a sum stacked in one transform call.  Two
-    transforms of the n lattice points (J when folded) are each built only
-    when read.  The renewal transform gives E[K], E[K^2] and the crossing
-    sum, once, on the smallest length 2^a, 3 2^a or 5 2^a at least 4n,
+    transforms of the n lattice points are each built only when read.
+    The renewal transform gives E[K], E[K^2] and the crossing sum of one
+    lattice, once, on the smallest length 2^a, 3 2^a or 5 2^a at least 4n,
     where the tilt keeps both the wrapped mass and the roundoff gain
     small.  The pmf transform is built by each pmf call and then freed:
     Pr(K > k) takes the k-th power of the gap spectrum from a running
@@ -121,7 +113,13 @@ Lattice (paths ``lattice`` and ``closed_form``)
     all n), the service ccdf on the m points read, and each end's total
     gap mass M from the gap ccdf at (n-1)h and nh.  While every power
     stays on the lattice, Pr(K > k) is M^k plus the power against G - 1:
-    exactly M^k where no partial sum reaches a point with G < 1.  Each
+    exactly M^k where no partial sum reaches a point with G < 1.  A
+    shifted exponential service SE(r, c), c > 0 (at c = 0 it is E(r) and
+    takes the block record), folds the pmf's lattice instead: past c its
+    ccdf falls by e^{-r h} a step, so each gap a partial sum takes past c
+    multiplies it by the gaps' discounted mass L = sum_i f_i e^{-r i h},
+    and the powers run on the J points below c alone, the rest of the
+    lattice closed-form weights on them (:func:`_folded`).  Each
     Pr(K > k) adds the kernel's roundoff bound (0 only where every weight
     it reads is 0), the fold's 2k times it.
     In the bracketing solve rounding down shrinks every partial sum, so
@@ -154,7 +152,7 @@ import numpy as np
 from .distributions import (Deterministic, Distribution, ShiftedExponential,
                             Uniform, check_pair)
 from .errors import TruncationNotReached, ZeroSuccessProbability
-from .sim import AgeEstimate, Discipline
+from .sim import AgeEstimate, Discipline, integer
 
 __all__ = [
     "Cycles",
@@ -390,7 +388,7 @@ class Pair:
         one-phase gaps' where E[S^2] is finite or the service blocks' would
         not hold; the service blocks'; the phase-type gaps'; the lattice's,
         which takes D arrivals in closed form and folds an SE(r, c > 0)
-        service."""
+        service's pmf."""
         y, s = self.interarrival, self.service
         phases = y.phases()
         if phases and max(phases[1]) == 1 == len(set(phases[2])) and (
@@ -411,8 +409,8 @@ class Pair:
                 return (Interval(np.dot(w, probs), np.zeros(k_max)),
                         Interval(float(np.dot(w, tail)), 0.0))
             return Cycles("closed_form", lambda: sums, pmf)
-        fold = (s.rate, s.shift) if isinstance(s, ShiftedExponential) else None
-        return (phases and _phase_cycles(y, s)) or _lattice_cycles(y, s, fold)
+        return (phases and _phase_cycles(y, s)) or _lattice_cycles(
+            y, s, isinstance(s, ShiftedExponential))
 
     def _geometric_cycles(self) -> Cycles:
         """Preemption's K, geometric in p.  Where E[K^2] or the crossing
@@ -611,35 +609,27 @@ def _level_step(mean_gap: float, service: Distribution) -> float:
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution,
-                    block: tuple[float, float] | None = None) -> Cycles:
+                    fold: bool = False) -> Cycles:
     """The dropping record from renewal solves with every gap rounded down,
     then up, to a lattice jh that ends past :func:`_truncation_point`.
 
     E[K], E[K^2], the crossing sum and its quotient by E[K] come from
     three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
     (:func:`_extrapolated`), else from the bracketing solve at
-    h = E[Y]/256, whose two roundings bracket them; Pr(K > k) always comes
-    from that solve's lattice, unfolded only the prefix its powers read
-    (:func:`_prefix_survival`), its ends widened by the kernel's roundoff.
-    It is built on first read, its m = 256 points per mean gap halving
-    until at most 2^18 points remain; below 16 the cycle
-    is too deep (:class:`TruncationNotReached`).  The levels need their
-    finest lattice within the same budget, and a service that is not
-    deterministic.  With ``block`` = (r, c) the
-    service is c plus an exponential of rate r, and the lattice past c
-    folds into closed-form weights (:func:`_folded`).
+    h = E[Y]/256, whose two roundings bracket them, each over every
+    lattice point (:func:`_full`).  The bracketing solve's m = 256 points
+    per mean gap halve until at most 2^18 points remain; below 16 the
+    cycle is too deep (:class:`TruncationNotReached`).  The levels need
+    their finest lattice within the same budget, and a service that is
+    not deterministic.  Pr(K > k) always comes from the bracketing
+    solve's lattice, its ends widened by the kernel's roundoff: unfolded,
+    only the prefix its powers read (:func:`_prefix_survival`), or with
+    ``fold``, for a service c plus an exponential, c > 0, folded past c
+    into closed-form weights (:func:`_folded`).
     """
     top = _truncation_point(service)
     if isinstance(interarrival, Deterministic):
         return _deterministic_cycles(interarrival.value, service, top)
-
-    def lattice(h: float, n: int, strides: tuple[int, ...]):
-        # The gap ccdf on one grid; each stride k reads every k-th point.
-        x = _points(service, h, n)
-        tail = interarrival.ccdf(h * np.arange(n + max(strides)))
-        if block:
-            return _folded(h, tail, x, strides, *block)
-        return _full(tail, x, service.ccdf(x), strides), None
 
     m = _LATTICE_STEPS
     while True:
@@ -650,7 +640,6 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         if m <= _MIN_STEPS:
             raise _too_deep(steps)
         m //= 2
-    proven = cache(lambda: lattice(h, int(steps) + 2, (1,)))
 
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
@@ -663,22 +652,21 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         # would only be thrown away
         if not isinstance(service, Deterministic) and (
                 4.0 * coarse < _MAX_LATTICE - 5):
-            sums, _ = lattice(fine, 4 * int(coarse) + 5, _STRIDES)
-            *ends, noise = sums()
+            *ends, noise = _full(interarrival, service, fine,
+                                 4 * int(coarse) + 5, _STRIDES)
             ends = [v.tolist() for v in ends]
             found = _extrapolated([
                 _bracket(k * fine, *(v[2 * i:2 * i + 2] for v in ends))
                 for i, k in enumerate(_STRIDES)], noise)
             if found is not None:
                 return found
-        return _bracket(h, *(v.tolist() for v in proven()[0]()[:3]))
+        return _bracket(h, *(v.tolist() for v in _full(
+            interarrival, service, h, int(steps) + 2, (1,))[:3]))
+
+    survival = _folded if fold else _prefix_survival
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
-        if block:
-            ends, noise = proven()[1](k_max)
-        else:
-            ends, noise = _prefix_survival(interarrival, service, h,
-                                           int(steps) + 2, k_max)
+        ends, noise = survival(interarrival, service, h, int(steps) + 2, k_max)
         return _pmf(*Interval.between(ends.min(0) - noise,
                                       ends.max(0) + noise))
     return Cycles("lattice", solved, pmf)
@@ -763,25 +751,25 @@ def _deterministic_cycles(d: float, service: Distribution, top: float
     return Cycles("closed_form", solved, pmf)
 
 
-def _full(tail: np.ndarray, x: np.ndarray, c: np.ndarray,
-          strides: tuple[int, ...]):
+def _full(interarrival: Distribution, service: Distribution, h: float,
+          n: int, strides: tuple[int, ...]
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
-    (every k-th point, its own transform), rows stacked stride by stride,
-    and the roundoff, on call, from the service ccdf ``c`` at the lattice
-    points ``x``, ``tail`` the gap ccdf on the grid."""
-    levels = [(_cells(tail[::k][:x[::k].size + 1]), x[::k], c[::k])
-              for k in strides]
-
-    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        out = []
-        for gaps, xk, ck in levels:
-            (once, crossing), (twice, _), noise = _renewal_sums(
-                gaps, np.stack((ck, xk * ck)))
-            first = 1.0 - float(ck[0])  # Pr(K >= 1) = 1 whatever the service
-            out.append((first + once, first + twice, crossing, noise))
-        *ends, noise = zip(*out)
-        return (*map(np.concatenate, ends), max(noise))
-    return sums
+    (every k-th of the n points of step h, its own transform), rows
+    stacked stride by stride, and the roundoff, from one evaluation of
+    each law's ccdf."""
+    x = _points(service, h, n)
+    c = service.ccdf(x)
+    tail = interarrival.ccdf(h * np.arange(n + max(strides)))
+    out = []
+    for k in strides:
+        xk, ck = x[::k], c[::k]
+        (once, crossing), (twice, _), noise = _renewal_sums(
+            _cells(tail[::k][:xk.size + 1]), np.stack((ck, xk * ck)))
+        first = 1.0 - float(ck[0])  # Pr(K >= 1) = 1 whatever the service
+        out.append((first + once, first + twice, crossing, noise))
+    *ends, noise = zip(*out)
+    return (*map(np.concatenate, ends), max(noise))
 
 
 def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
@@ -817,97 +805,50 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     return _lattice_survival(_cells(tail), c, mass, n, k_max)
 
 
-def _folded(h: float, tail: np.ndarray, x: np.ndarray,
-            strides: tuple[int, ...], rate: float, shift: float):
-    """:func:`_full`'s sums for the service shift + Exp(rate), shift > 0,
-    from one renewal solve on the J = max(1, #{x_l < shift}) head points
-    alone.  A stride k's gaps take only multiples of k h, so its cells
-    spread onto the finest grid, zeros between, are that level's lattice:
-    every stride is two more rows of one fold, all sharing its head, its
-    weights and its transform.
+def _folded(interarrival: Distribution, service: Distribution, h: float,
+            n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_prefix_survival`'s Pr(K > k) for a service c plus an
+    exponential of rate r, c > 0, from one pmf solve on the
+    J = max(1, #{x_l < c}) head points alone, and its roundoff bound for
+    each k.
 
-    Past x_J, G(x_l) = e^{-rate o} q^(l-J), o = x_J - shift and
-    q = e^{-rate h}, so a cycle's partial sums past the head add the
-    geometric factor L = sum_i f_i q^i per gap.  With D_m and E_m, the
-    sums of f_i q^(i-m) and of (i-m) f_i q^(i-m) over i >= m, taken by
-    doubling with every factor q^w at most 1, kappa_l = e^{-rate o} D_(J-l) is
-    the head point l's next G past the head, and with g = 1/(1 - L)
-    (:func:`_escape`), L_1 = h E_0 and
-    kappa x_l = e^{-rate o} (o D_(J-l) + h E_(J-l)):
-    E[K] = sum u_l (1 + g kappa_l),
-    E[K^2] = sum (2 w_l - u_l)(1 + g kappa_l) + 2 g^2 sum u_l kappa_l and
-    the crossing sum = sum u_l (x_l + g (shift kappa_l + kappa x_l)
-    + g^2 L_1 kappa_l), u = delta + f*u and w = u*u on the head.
-    Pr(K > k) = M^k + tau_k - beta_k, tau_k = sum_(l >= J) f^{*k}_l G(x_l)
-    and beta_k the mass of f^{*k} past the head, are the recursions
+    Past x_J, G(x_l) = e^{-r o} q^(l-J), o = x_J - c and q = e^{-r h}, so
+    each gap a partial sum takes past the head multiplies it by the gaps'
+    discounted mass L = sum_i f_i q^i.  With D_m the sum of
+    f_i q^(i-m) over i >= m, taken by doubling with every factor q^w at
+    most 1, kappa_l = e^{-r o} D_(J-l) is the head point l's next G past
+    the head, and Pr(K > k) = M^k + tau_k - beta_k,
+    tau_k = sum_(l >= J) f^{*k}_l G(x_l) and beta_k the mass of f^{*k}
+    past the head, are the recursions
     tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
     beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
-    from m on; it reads the first stride's lattice, and tau_k and beta_k
-    each sum k kernel powers scaled by L, M <= 1: 2k kernel roundoffs."""
-    n = x.size
+    from m on; tau_k and beta_k each sum k kernel powers scaled by
+    L, M <= 1: 2k kernel roundoffs."""
+    rate, shift = service.rate, service.shift
+    x = _points(service, h, n)
+    tail = interarrival.ccdf(h * np.arange(n + 1))
+    gaps = _cells(tail)
     head = max(1, int(np.searchsorted(x, shift)))
-    gaps = np.zeros((2 * len(strides), n))  # each stride's ends, spread
-    ends = []  # the gap ccdf where each row's last cell ends
-    for i, k in enumerate(strides):
-        tk = tail[::k][:-(-n // k) + 1]
-        cells = tk[:-1] - tk[1:]
-        gaps[2 * i, ::k] = cells
-        gaps[2 * i + 1, k::k] = cells[:-1]
-        ends += tk[-1], tk[-2]
     f = gaps[:, :head]
-    far = np.arange(n - head)
-    lag = np.exp(-rate * h * far)
-    disc = np.zeros((2, len(gaps), head + 1))  # D and E of each row, m = 0..J
-    disc[0, :, :head] = f
-    disc[:, :, head] = (gaps[:, head:] @ np.stack((lag, far * lag), 1)).T
+    d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
+    d[:, :head] = f
+    d[:, head] = gaps[:, head:] @ np.exp(-rate * h * np.arange(n - head))
     w = 1
     while w <= head:  # sums over [m, m + w) become sums over [m, m + 2w)
-        part = disc[:, :, w:] * math.exp(-rate * h * w)
-        part[1] += w * part[0]
-        disc[:, :, :-w] += part
+        d[:, :-w] += d[:, w:] * math.exp(-rate * h * w)
         w *= 2
-    d, e = disc
-    o = float(x[head]) - shift
-    kappa = math.exp(-rate * o) * d[:, :0:-1]
-    kappa_x = math.exp(-rate * o) * (o * d[:, :0:-1] + h * e[:, :0:-1])
-
-    def sums() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        g = 1.0 / _escape(tail[0], np.array(ends), gaps,
-                          -np.expm1(-rate * h * np.arange(n)))
-        # sum_l u_l against 1, kappa, x_l and shift kappa + kappa x on the
-        # head, and sum_l (2w - u)_l against the first two
-        (one, at, x_sum, far_x), (w_one, w_at, _, _), noise = _renewal_sums(
-            f, np.stack(np.broadcast_arrays(
-                1.0, kappa, x[:head], shift * kappa + kappa_x), axis=1))
-        big_l1 = h * e[:, 0]  # L_1 = h E_0
-        return (one + g * at, w_one + g * w_at + 2.0 * g * g * at,
-                x_sum + g * far_x + g * g * big_l1 * at, noise)
-
-    def survival(k_max: int) -> np.ndarray:
-        mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-        rest = np.stack((tail[head:0:-1] - tail[n],
-                         tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
-        powers, noise = _survival(f[:2], np.stack((kappa[:2], rest), axis=1),
-                                  k_max - 1)
-        factors = np.stack((d[:2, 0], mass), axis=1)  # L and M
-        out = mass[:, None] ** np.arange(k_max + 1.0)
-        tau_beta = np.zeros((2, 2))
-        for k in range(1, k_max + 1):
-            tau_beta = factors * tau_beta + powers[..., k - 1]
-            out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
-        return out, 2.0 * noise * np.arange(k_max + 1.0)
-    return sums, survival
-
-
-def _escape(tail0: float, ends: np.ndarray, gaps: np.ndarray,
-            decay: np.ndarray) -> np.ndarray:
-    """1 - L, L = sum_i f_i q^i, for each row of gap cells f, given the
-    1 - q^i of each cell, the gap ccdf ``tail0`` at 0 and ``ends`` where
-    each row's last cell ends: as (1 - M) + sum_i f_i (1 - q^i),
-    M = tail0 - ends the row's gap mass, a sum of nonnegative terms.  Deep
-    cycles put L near 1, where 1 - L by subtraction keeps only the digits
-    L leaves."""
-    return (1.0 - tail0) + ends + gaps @ decay
+    kappa = math.exp(-rate * (float(x[head]) - shift)) * d[:, :0:-1]
+    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
+    rest = np.stack((tail[head:0:-1] - tail[n],
+                     tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
+    powers, noise = _survival(f, np.stack((kappa, rest), axis=1), k_max - 1)
+    factors = np.stack((d[:, 0], mass), axis=1)  # L and M
+    out = mass[:, None] ** np.arange(k_max + 1.0)
+    tau_beta = np.zeros((2, 2))
+    for k in range(1, k_max + 1):
+        tau_beta = factors * tau_beta + powers[..., k - 1]
+        out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
+    return out, 2.0 * noise * np.arange(k_max + 1.0)
 
 
 def _beyond_top(service: Distribution, t: float, d: float
@@ -981,9 +922,9 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, float]:
     """The discrete renewal kernel's sums, shared by the lattice and the
     phase-type record: sum_l u_l v_l for u = delta + f*u of each end's gap
-    law f (a row of ``gaps``) and each row v of ``weights`` (shared by the
-    ends or one set per end), and sum_l (2w - u)_l v_l, w = u*u, each
-    indexed by weight row, then end, on the smallest FFT length N >= 4n;
+    law f (a row of ``gaps``) and each row v of ``weights``, shared by the
+    ends, and sum_l (2w - u)_l v_l, w = u*u, each indexed by weight row,
+    then end, on the smallest FFT length N >= 4n;
     and their relative roundoff, rho^-n log2(N) eps times the largest
     tilted mass sum_l u_l rho^l: untilting multiplies the spectra's error
     by up to rho^-n, and against a direct long-double solve the sums kept
@@ -1062,6 +1003,7 @@ def exact_age(pair: Pair, discipline: Discipline) -> AgeEstimate:
 def k_pmf(pair: Pair, k_max: int) -> KPmf:
     """Pmf of K under dropping up to ``k_max`` plus the remaining tail
     mass, from the dropping record."""
+    k_max = integer("k_max", k_max)
     if not 1 <= k_max <= _MAX_LATTICE:  # a pmf call's work grows with k_max
         raise ValueError(f"k_max must be >= 1 and at most {_MAX_LATTICE}, "
                          f"got {k_max}")

@@ -31,7 +31,7 @@ from . import analytic, bounds
 from .analytic import Pair
 from .distributions import Distribution, Exponential, from_dict
 from .errors import AoiError
-from .sim import AgeEstimate, Discipline, SimConfig, run_simulation
+from .sim import AgeEstimate, Discipline, SimConfig, integer, run_simulation
 
 __all__ = [
     "Estimator",
@@ -130,11 +130,7 @@ class SweepSpec:
             raise ValueError(f"swept parameter {self.swept_param!r} must not "
                              "appear in the template")
         for name in ("sim_cycles", "base_seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, int)
-                    or isinstance(value, float) and value.is_integer()):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.sim_cycles < 2:
             raise ValueError("sim_cycles must be >= 2")
         if not 0 <= self.base_seed < 2**64:

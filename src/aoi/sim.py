@@ -45,6 +45,14 @@ _BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
 _TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int, an integral float converted; anything else
+    raises ``ValueError`` naming ``name``."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Discipline(str, Enum):
     DROPPING = "dropping"
     PREEMPTION = "preemption"
@@ -63,6 +71,9 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "discipline", Discipline(self.discipline))
+        for name in ("target_cycles", "seed", "max_events"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, integer(name, value))
         if self.target_cycles < 2:  # a half-width needs two cycles
             raise ValueError(f"target_cycles must be >= 2, got {self.target_cycles}")
         if self.max_events is not None and self.max_events < self.target_cycles:

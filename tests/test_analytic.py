@@ -544,6 +544,19 @@ def test_shifted_exponential_at_shift_zero_is_the_exponential(x, c, side):
         assert g.half_width == w.half_width and _close(g.value, w.value)
 
 
+@pytest.mark.parametrize("pair", [
+    Pair(Erlang(2, 2.0), Uniform(0.0, 1.0)), Pair(Exponential(1.0), Rayleigh(1.0)),
+    Pair(Rayleigh(1.0), ShiftedExponential(2.0, 0.5))],
+    ids=["Erlang/U", "E/R", "R/SE"])
+def test_k_pmf_takes_an_integral_float_k_max_and_refuses_others(pair):
+    # The rule a sweep spec's counts follow: 10.0 is 10, and 10.5, nan or
+    # "10" is a ValueError that names the field, not a NumPy error.
+    assert k_pmf(pair, 10.0) == k_pmf(pair, 10)
+    for k_max in (10.5, math.nan, "10"):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            k_pmf(pair, k_max)
+
+
 @pytest.mark.parametrize("k_max", [analytic._MAX_LATTICE + 1, 10**9])
 def test_k_pmf_bounds_k_max_by_the_point_budget(k_max):
     # A pmf call's memory (the service's mixed-Poisson terms, 7.45 GiB at

@@ -217,21 +217,10 @@ def record_intervals(record):
     return list(record.sums())
 
 
-def assert_same_intervals(got, want, spread=0.0):
-    # A half-width is a difference of two solves, so it is held to the
-    # value's scale, and to ``spread`` of itself where the two records'
-    # roundoff terms differ: the folded transform is the shorter, with the
-    # smaller roundoff, by up to a percent of a half-width.
-    for g, ref in zip(got, want):
-        assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
-        assert abs(g.half_width - ref.half_width) <= (
-            1e-10 * ref.value + spread * ref.half_width), (g, ref)
-
-
 def folded_lattice(y, s):
-    """The lattice record folded at the shift of the shifted exponential
-    service ``s``."""
-    return analytic._lattice_cycles(y, s, (s.rate, s.shift))
+    """The lattice record whose pmf folds at the shift of the shifted
+    exponential service ``s``."""
+    return analytic._lattice_cycles(y, s, fold=True)
 
 
 def bracketing_only(monkeypatch):
@@ -240,31 +229,42 @@ def bracketing_only(monkeypatch):
     monkeypatch.setattr(analytic, "_ORDERS", (2.0, 1.0))
 
 
+@pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
+    f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
+def test_a_folded_record_takes_the_full_lattice_sums(y, s, monkeypatch):
+    # The fold builds only the pmf: E[K], E[K^2], the crossing sum and the
+    # age's middle term come from the full lattice, bit for bit, on the
+    # levels and on the bracketing solve.  Phase-type gaps take their own
+    # record through ``Pair``; the folded lattice is held on them by
+    # direct calls.
+    def assert_one_path():
+        want = record_intervals(analytic._lattice_cycles(y, s))
+        assert record_intervals(folded_lattice(y, s)) == want
+        if y.phases() is None:
+            record = Pair(y, s).cycles(DROPPING)
+            assert record.path == "lattice"
+            assert record_intervals(record) == want
+    assert_one_path()
+    bracketing_only(monkeypatch)
+    assert_one_path()
+
+
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
 def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # Past its shift a shifted exponential service is memoryless, so the
-    # lattice folds there into closed-form weights; its three levels must
-    # extrapolate to what the same levels give over every lattice point,
-    # and its bracketing solve and pmf must give what the renewal and pmf
-    # sums over every lattice point give, each Pr(K > k) to a few hundred
-    # eps, its half-width widened by no more than the fold's roundoff term.
+    # pmf's lattice folds there into closed-form weights: each Pr(K > k)
+    # must be what the pmf sums over every lattice point give, to 1e-13,
+    # its half-width widened by no more than the fold's roundoff term.
     # Phase-type gaps take their own record through ``Pair``; the folded
     # lattice is held on them by direct calls.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     assert Pair(y, s).cycles(DROPPING).path == (
         "lattice" if y.phases() is None else "closed_form")
-    assert_same_intervals(record_intervals(folded_lattice(y, s)),
-                          record_intervals(analytic._lattice_cycles(y, s)),
-                          spread=1e-2)
-    bracketing_only(monkeypatch)
-    pair = Pair(y, s)
-    record = folded_lattice(y, s)
-    *want, survival = full_lattice(pair, K_MAX)
-    assert_same_intervals(record.sums()[:3], want)
+    *_, survival = full_lattice(Pair(y, s), K_MAX)
     noises = kernel_noises(monkeypatch)
-    probs, tail = record.pmf(K_MAX)
+    probs, tail = folded_lattice(y, s).pmf(K_MAX)
     mid, hw = survival
     (noise,) = noises
     roundoff = 2.0 * noise * np.arange(K_MAX + 1.0)  # tau_k's and beta_k's
@@ -321,25 +321,20 @@ def test_unfolded_pmf_half_width_covers_its_roundoff():
 def test_a_far_shift_folds_without_overflow(monkeypatch):
     # rate * shift = 1000: e^(rate shift) overflows, and the fold's
     # exponents are all <= 0.  The service ends by 1.03, so E[K] is near
-    # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).  The folded levels
-    # must extrapolate to what the unfolded levels give, and the folded
-    # bracketing solve must give the renewal sums over every point.
+    # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).  The ages on the
+    # levels and on the bracketing solve must be finite, and the folded
+    # pmf must be the one every lattice point gives.
     y, s = Uniform(0.0, 2.0), ShiftedExponential(1000.0, 1.0)
-    assert_same_intervals(
-        record_intervals(Pair(y, s).cycles(DROPPING)),
-        record_intervals(analytic._lattice_cycles(y, s)), spread=1e-2)
     ests = [exact_age(Pair(y, s), DROPPING)]
     bracketing_only(monkeypatch)
     pair = Pair(y, s)
-    *want, _ = full_lattice(pair, K_MAX)
-    got = pair.cycles(DROPPING).sums()[:3]
-    for g, ref in zip(got, want):
-        assert abs(g.value - ref.value) <= 1e-10 * ref.value, (g, ref)
     ests.append(exact_age(pair, DROPPING))
     for est in ests:
         assert math.isfinite(est.value) and math.isfinite(est.ci_half_width)
+    *_, (mid, _) = full_lattice(pair, K_MAX)
     pmf = k_pmf(pair, K_MAX)
-    assert all(math.isfinite(p.value) for p in pmf.pmf)
+    assert [p.value for p in pmf.pmf] == pytest.approx(
+        mid[:-1] - mid[1:], rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("y", [
@@ -436,8 +431,8 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s,
                                                           monkeypatch):
     # With no observed order accepted, the full lattice's record is the
-    # bracketing solve at 256 points per mean gap, bit for bit (a folded
-    # one holds it to 1e-10: test_folded_record_is_the_full_lattice).
+    # bracketing solve at 256 points per mean gap, bit for bit, as a
+    # folded one's is (test_a_folded_record_takes_the_full_lattice_sums).
     bracketing_only(monkeypatch)
     assert_is_the_bracketing_solve(LatticePair(y, s))
 
@@ -468,39 +463,17 @@ def test_extrapolated_age_rescales_with_time(y, s, c):
     # Rescaling every time by c rescales the age by c to within 8 eps:
     # the levels' steps rescale, and so does every point they read.  The
     # half-width, twice a step between levels, takes each level's own
-    # rescaling error (up to some 70 eps of a sum on R/SE, from the gap
-    # law's ccdf differences and the transform) over 2^p - 1: R/SE's moves
-    # by 11.5 eps of its age at c = 1e6, inside the 1e-11 of the age its
-    # roundoff term adds to it.
+    # rescaling error (from the gap law's ccdf differences and the
+    # transform) over 2^p - 1, and must move by at most 8 eps of the age
+    # too: the most any pair's moves is 3.7 eps (deep-U/R at c = 1e6),
+    # far inside the 1e-11 of the age its roundoff term adds to it.
     base = exact_age(lattice_pair(y, s), DROPPING)
     scaled = exact_age(lattice_pair(RESCALED[y.kind](y, c),
                                     RESCALED[s.kind](s, c)), DROPPING)
     assert base.method == scaled.method == "lattice"
     assert abs(scaled.value - c * base.value) <= 8.0 * EPS * scaled.value
     assert abs(scaled.ci_half_width - c * base.ci_half_width) <= (
-        16.0 * EPS * scaled.value)
-
-
-def test_fold_takes_one_minus_l_free_of_cancellation():
-    # Deep cycles (E[K] about 5.5e4) put L within 1e-5 of 1, where 1 - L
-    # by subtraction is 1e-10 off on the rounded-down end.  The fold takes
-    # it as (1 - M) + sum_i f_i (1 - q^i): against the same sum in long
-    # doubles, with each 1 - q^i to 1e-19, it must keep all but a few of
-    # its digits.
-    y = Hyperexponential((0.99999, 1e-5), (1e6, 1e-3))
-    s = ShiftedExponential(1.0, 0.5)
-    h = y.mean() / analytic._LEVEL_STEPS
-    n = int(analytic._truncation_point(s) / h) + 2
-    tail = y.ccdf(h * np.arange(n + 1))
-    gaps = analytic._cells(tail)
-    steps = s.rate * h * np.arange(n)
-    got = analytic._escape(tail[0], tail[[n, n - 1]], gaps, -np.expm1(-steps))
-    want = ((1 - tail[0].astype(np.longdouble)) + tail[[n, n - 1]]
-            + gaps.astype(np.longdouble)
-            @ -np.expm1(-steps.astype(np.longdouble)))
-    assert got == pytest.approx(want.astype(float), rel=1e-13, abs=0)
-    assert (1.0 - gaps @ np.exp(-steps)) != pytest.approx(
-        want.astype(float), rel=1e-11, abs=0)
+        8.0 * EPS * scaled.value)
 
 
 def direct_renewal_sums(gaps, weights):
@@ -886,15 +859,14 @@ def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
     assert got.tail_mass.half_width <= tail.half_width
 
 
-@pytest.mark.parametrize("y,s,levels", [(*PAIRS[-1], 3), (*PAIRS[0], 1)],
+@pytest.mark.parametrize("y,s", [PAIRS[-1], PAIRS[0]],
                          ids=["full-deep-U/R", "folded-SE/SE"])
-def test_each_op_builds_only_the_transform_it_reads(y, s, levels,
-                                                    monkeypatch):
+def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
     # Each transform weighs all its weight vectors in one call and takes
-    # both ends' gap spectra in another: the renewal transforms c and x c
-    # (or the folded weights), the pmf transform G - 1 (or kappa and the
-    # gap mass past the head).  The full lattice's three levels keep their
-    # own lengths; the folded heads share one transform.
+    # both ends' gap spectra in another: the renewal transforms c and x c,
+    # one for each of the three levels, each on its own length, and the
+    # pmf transform G - 1 (or, folded, kappa and the gap mass past the
+    # head).
     calls = dict.fromkeys(["rfft", "_renewal_sums", "_survival"], 0)
     for owner, name in ((np.fft, "rfft"), (analytic, "_renewal_sums"),
                         (analytic, "_survival")):
@@ -906,7 +878,7 @@ def test_each_op_builds_only_the_transform_it_reads(y, s, levels,
     assert calls == {"rfft": 2, "_renewal_sums": 0, "_survival": 1}
     pair = Pair(y, s)
     exact_age(pair, DROPPING)
-    after = {"rfft": 2 + 2 * levels, "_renewal_sums": levels, "_survival": 1}
+    after = {"rfft": 8, "_renewal_sums": 3, "_survival": 1}  # 3 levels
     assert calls == after
     pair.cycles(DROPPING).sums()
     corollary_one(pair, DROPPING)
@@ -926,7 +898,7 @@ def test_too_deep_cycle_raises(compute):
 @pytest.mark.parametrize("per_end", [False, True], ids=["shared", "per-end"])
 def test_totals_are_the_long_double_sums(per_end):
     # Both weight layouts: rows shared by the ends, and one set per end as
-    # the fold passes them.  Each lattice sum is a sum of n complex
+    # the fold's pmf passes them.  Each lattice sum is a sum of n complex
     # products, so it keeps within (n + 2) eps of the sum of their sizes.
     rng = np.random.default_rng(5)
     n, ends, rows = 3000, 2, 3

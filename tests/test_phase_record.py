@@ -151,7 +151,8 @@ def test_record_age_rescales_with_time(y, s, c):
 
 
 # The pairs on which the lattice's extrapolation was measured against a
-# prototype of the record; SE(2, 0.5) folds the lattice at its shift.
+# prototype of the record; SE(2, 0.5)'s pmf folds the lattice at its
+# shift.
 COVERAGE_PAIRS = [
     (H2, Uniform(0.0, 2.0)), (H2, Rayleigh(1.0)),
     (Erlang(3, 3.0), Uniform(0.0, 2.0)),
@@ -160,8 +161,7 @@ COVERAGE_PAIRS = [
 
 
 def lattice_of(y, s):
-    fold = (s.rate, s.shift) if isinstance(s, ShiftedExponential) else None
-    return analytic._lattice_cycles(y, s, fold)
+    return analytic._lattice_cycles(y, s, isinstance(s, ShiftedExponential))
 
 
 @pytest.mark.parametrize("y,s", COVERAGE_PAIRS, ids=lambda v: v.describe())

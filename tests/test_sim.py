@@ -223,6 +223,29 @@ def test_config_validation():
     assert config.effective_max_events == 10_000
 
 
+@pytest.mark.parametrize("field,value", [
+    ("target_cycles", 10.5), ("seed", 1.5), ("max_events", 1e5 + 0.5),
+    ("target_cycles", "10"), ("seed", math.inf), ("max_events", math.nan)])
+def test_a_non_integer_count_is_refused_by_name(field, value):
+    # The rule a sweep spec's counts follow: anything but an integer or an
+    # integral float is a ValueError that names the field, before any run.
+    kwargs = {"target_cycles": 10, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(Exponential(1.0), Exponential(1.0), "dropping", **kwargs)
+
+
+def test_integral_float_counts_are_integers():
+    config = SimConfig(Exponential(1.0), Exponential(1.0), "dropping", 200.0,
+                       seed=3.0, max_events=1e5)
+    assert (config.target_cycles, config.seed, config.max_events) == (
+        200, 3, 100_000)
+    assert all(type(v) is int for v in (config.target_cycles, config.seed,
+                                         config.max_events))
+    plain = SimConfig(Exponential(1.0), Exponential(1.0), "dropping", 200,
+                      seed=3, max_events=100_000)
+    assert run_simulation(config)[0] == run_simulation(plain)[0]
+
+
 def test_cycle_statistics_needs_two_records():
     one = CycleRecords(g=np.array([1.0]), w=np.array([0.5]),
                        busy=np.array([0.5]), k=np.array([1]))
