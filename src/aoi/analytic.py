@@ -24,12 +24,12 @@ Pr(K = k).  Each producer
 gives its own half-widths, proven but for the lattice's extrapolated
 sums, and its own middle term: the closed forms the quotient of their
 intervals, the lattice its extrapolated quotient.  The ages and bounds
-only combine intervals.  SE(r, 0) is E(r) on either side: its
-``phases()`` is E(r)'s block.
+only combine intervals.  Each record reads a law's ``phases()``, a shift
+c and Erlang blocks, and branches on c, not on the law's class.
 
 Phase-type gaps (path ``closed_form``)
-    Uniformized at r = max r_i (Jensen, 1953; Grassmann, 1977), gaps whose
-    ``phases()`` is not None end a phase at each jump of one Poisson(r)
+    Uniformized at r = max r_i (Jensen, 1953; Grassmann, 1977), gaps of
+    Erlang blocks with c = 0 end a phase at each jump of one Poisson(r)
     process with chance r_i/r: a gap spans M jumps, f_j = Pr(M = j) a w-mix
     of negative binomials, and u = delta + f*u.  A service spans
     N ~ Poisson(r S) jumps, P_j = Pr(N >= j) = T_{j-1} of its
@@ -47,10 +47,10 @@ Phase-type gaps (path ``closed_form``)
     record, which serves where E[S^2] overflows.
 
 Erlang blocks and residuals (path ``closed_form``)
-    A law whose ``phases()`` is not None (exponential, Erlang,
-    hyperexponential) is a mixture of Erlang blocks, block i of weight
-    w_i, n_i phases and rate r_i; a shifted exponential is one block
-    shifted by c.  With one on either side, p = Pr(S <= Y),
+    A law whose ``phases()`` is not None is c plus a mixture of Erlang
+    blocks, block i of weight w_i, n_i phases and rate r_i: c = 0 for the
+    exponential, Erlang and hyperexponential laws, and SE(r, c) is E(r)'s
+    block after c.  With one on either side, p = Pr(S <= Y),
     E[Y Pr(S > Y)] and E[S; S <= Y] are the w-sums of each block's closed
     forms in pi and T, the ``poisson_mix`` at r_i of the other law, or of
     its ``residual`` at c > 0 (:attr:`Pair._terms`; Neuts,
@@ -58,10 +58,10 @@ Erlang blocks and residuals (path ``closed_form``)
     and R laws read one law's residuals at the other's points
     (:meth:`Pair._phase_free`).  Under preemption K is geometric in p;
     dividing by p, not 1 - p, gives the M/M/1/1 age 1/lam + 1/mu.  Under
-    dropping at other arrivals a block service draws its block once per
-    cycle and climbs Poisson(r_i Y) of its phases in a gap, so K's record
-    is the w-mix of the blocks' records (:func:`_block_sums`), at n_i = 1
-    geometric in p_i = T_0.
+    dropping at other arrivals a block service at c = 0 draws its block
+    once per cycle and climbs Poisson(r_i Y) of its phases in a gap, so
+    K's record is the w-mix of the blocks' records (:func:`_block_sums`),
+    at n_i = 1 geometric in p_i = T_0.
 
 Lattice (paths ``lattice`` and ``closed_form``)
     Dropping with any other pair integrates the service ccdf against U,
@@ -114,14 +114,13 @@ Lattice (paths ``lattice`` and ``closed_form``)
     gap mass M from the gap ccdf at (n-1)h and nh.  While every power
     stays on the lattice, Pr(K > k) is M^k plus the power against G - 1:
     exactly M^k where no partial sum reaches a point with G < 1.  A
-    shifted exponential service SE(r, c), c > 0 (at c = 0 it is E(r) and
-    takes the block record), folds the pmf's lattice instead: past c its
-    ccdf falls by e^{-r h} a step, so each gap a partial sum takes past c
-    multiplies it by the gaps' discounted mass L = sum_i f_i e^{-r i h},
-    and the powers run on the J points below c alone, the rest of the
-    lattice closed-form weights on them (:func:`_folded`).  Each
-    Pr(K > k) adds the kernel's roundoff bound (0 only where every weight
-    it reads is 0), the fold's 2k times it.
+    service c > 0 plus one exponential block folds the pmf's lattice
+    instead: past c its ccdf falls by e^{-r h} a step, so each gap a
+    partial sum takes past c multiplies it by the gaps' discounted mass
+    L = sum_i f_i e^{-r i h}, and the powers run on the J points below c
+    alone, the rest of the lattice closed-form weights on them
+    (:func:`_folded`).  Each Pr(K > k) adds the kernel's roundoff bound
+    (0 only where every weight it reads is 0), the fold's 2k times it.
     In the bracketing solve rounding down shrinks every partial sum, so
     the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
     intervals span them.
@@ -149,8 +148,7 @@ from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .distributions import (Deterministic, Distribution, ShiftedExponential,
-                            Uniform, check_pair)
+from .distributions import Deterministic, Distribution, Uniform, check_pair
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline, integer
 
@@ -250,20 +248,18 @@ class Pair:
 
     @cached_property
     def _mixes(self) -> tuple[bool, float, tuple, object, list[tuple]] | None:
-        """Whether the service (else the gaps) is c plus a mixture of Erlang
-        blocks (w_i, n_i, r_i), c, the blocks, the other law's residual at
-        c (None at c = 0), and the ``poisson_mix`` of that residual, or of
-        the other law at c = 0, at each block's rate up to j = n_i.  A law
-        whose ``phases()`` is not None goes first, the service first among
-        them, so SE(r, 0) reads as E(r) on either side.  None when neither
-        law is one."""
+        """Whether the service (else the gaps) is c plus Erlang blocks
+        (w_i, n_i, r_i), c, the blocks, the other law's residual at c (None
+        at c = 0), and the ``poisson_mix`` of that residual, or of the other
+        law at c = 0, at each block's rate up to j = n_i.  An unshifted law
+        goes first, the service first among them, so SE(r, 0) reads as E(r)
+        on either side.  None when neither law is one."""
         sides = ((True, self.service, self.interarrival),
                  (False, self.interarrival, self.service))
         for service, law, other in sorted(
-                sides, key=lambda side: side[1].phases() is None):
-            c = law.shift if isinstance(law, ShiftedExponential) else 0.0
-            blocks = law.phases() or (((1.0,), (1,), (law.rate,)) if c else None)
-            if blocks is not None:
+                sides, key=lambda side: _unshifted(side[1]) is None):
+            if law.phases() is not None:
+                c, blocks = law.phases()
                 rest = other.residual(c) if c else None
                 mix = (other if rest is None else rest).poisson_mix
                 return service, c, blocks, rest, [
@@ -376,7 +372,7 @@ class Pair:
         """Whether the service's Erlang blocks keep their dropping record in
         the float range: at most 1/T_0 gaps a phase bound E[K^2] and the
         crossing sum by about 2 (n/T_0)^2 and E[Y] (n/T_0)^2."""
-        if self.service.phases() is None:
+        if _unshifted(self.service) is None:
             return False
         _, _, (_, shapes, _), _, mixes = self._mixes
         return min(tail[0] for _, tail in mixes) ** 2 * sys.float_info.max >= (
@@ -384,17 +380,17 @@ class Pair:
 
     @cached_property
     def _dropping(self) -> Cycles:
-        """The dropping record, the first of four (module docstring): the
-        one-phase gaps' where E[S^2] is finite or the service blocks' would
-        not hold; the service blocks'; the phase-type gaps'; the lattice's,
-        which takes D arrivals in closed form and folds an SE(r, c > 0)
-        service's pmf."""
+        """The dropping record, the first of four (module docstring), each
+        phase record on unshifted blocks: the one-phase gaps' where E[S^2]
+        is finite or the service blocks' would not hold; the service
+        blocks'; the phase-type gaps'; the lattice's, which takes D arrivals
+        in closed form and folds the pmf of a service shifted by c > 0."""
         y, s = self.interarrival, self.service
-        phases = y.phases()
+        phases = _unshifted(y)
         if phases and max(phases[1]) == 1 == len(set(phases[2])) and (
                 math.isfinite(s.second_moment()) or not self._blocks_hold):
             return _phase_cycles(y, s)
-        if s.phases() is not None:
+        if _unshifted(s) is not None:
             _, _, (w, shapes, rates), _, mixes = self._mixes
             if not self._blocks_hold:
                 t0 = min(float(tail[0]) for _, tail in mixes)
@@ -410,7 +406,7 @@ class Pair:
                         Interval(float(np.dot(w, tail)), 0.0))
             return Cycles("closed_form", lambda: sums, pmf)
         return (phases and _phase_cycles(y, s)) or _lattice_cycles(
-            y, s, isinstance(s, ShiftedExponential))
+            y, s, s.phases() is not None)
 
     def _geometric_cycles(self) -> Cycles:
         """Preemption's K, geometric in p.  Where E[K^2] or the crossing
@@ -433,6 +429,12 @@ class Pair:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "
                 f"{self.interarrival.describe()} "
                 f"vs service {self.service.describe()}")
+
+
+def _unshifted(law: Distribution) -> tuple | None:
+    """The Erlang blocks (w, n, r) of an unshifted phase law, else None."""
+    c, blocks = law.phases() or (None, None)
+    return blocks if c == 0 else None
 
 
 def _closed(k_mean: Interval, k_second: Interval, crossing: Interval
@@ -482,7 +484,7 @@ def _block_pmf(pi: np.ndarray, tail: np.ndarray, n: int, k_max: int
 def _phase_cycles(interarrival: Distribution, service: Distribution
                   ) -> Cycles | None:
     """The phase-type gaps' record (module docstring); None keeps the lattice."""
-    w, shapes, rates = interarrival.phases()
+    w, shapes, rates = _unshifted(interarrival)
     r, m1, m2 = max(rates), service.mean(), service.second_moment()
     mu = fact = 0.0  # E[M], E[M(M-1)]: block i's M, n_i successes at r_i/r
     for v, n, ri in zip(w, shapes, rates):
@@ -824,7 +826,7 @@ def _folded(interarrival: Distribution, service: Distribution, h: float,
     beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
     from m on; tau_k and beta_k each sum k kernel powers scaled by
     L, M <= 1: 2k kernel roundoffs."""
-    rate, shift = service.rate, service.shift
+    shift, (_, _, (rate,)) = service.phases()
     x = _points(service, h, n)
     tail = interarrival.ccdf(h * np.arange(n + 1))
     gaps = _cells(tail)

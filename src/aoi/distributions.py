@@ -12,15 +12,15 @@ family of laws. Each law is a frozen dataclass exposing
   ``laplace(s)``, T_0 its complement, pi_1/s = E[X exp(-sX)]),
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
-* its Erlang blocks, ``phases()``: weights, shapes and rates of a mixture
-  of Erlang laws (the exponential law one one-phase block, the Erlang law
-  one block, the hyperexponential law one-phase blocks, all described by
-  one mixture code, and SE(r, 0) E(r)'s block), ``None`` for every other
-  law,
+* its phase shape, ``phases()``: a shift c and the weights, shapes and
+  rates of a mixture of Erlang blocks after it (the exponential law one
+  one-phase block, the Erlang law one block, the hyperexponential law
+  one-phase blocks, each at c = 0, and SE(r, c) E(r)'s block at c, all
+  described by one mixture code), ``None`` for every other law,
 * its :class:`Residual` at a point t, ``residual(t)``: Pr(X > t), the
   partial moments E[X^k; X <= t], k <= 2, and the residual law
   W = (X - t | X > t), which stays in the family (D, U, SE), mixes Erlang
-  blocks (the phase laws) or is the Rayleigh law's tail,
+  blocks (the unshifted phase laws) or is the Rayleigh law's tail,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
 Nothing here integrates.  The strict ccdf convention matches the
@@ -338,10 +338,10 @@ class Distribution(ABC):
         """The ageing class of the law over its whole support, read from
         its parameters."""
 
-    def phases(self) -> tuple[tuple, tuple, tuple] | None:
-        """(w, n, r) when the law is a mixture of Erlang blocks, block i
-        drawn with probability w_i and the sum of n_i exponential phases of
-        rate r_i; ``None`` for a law that is not one."""
+    def phases(self) -> tuple[float, tuple[tuple, tuple, tuple]] | None:
+        """(c, (w, n, r)) when the law is c plus a mixture of Erlang blocks,
+        block i drawn with probability w_i and the sum of n_i exponential
+        phases of rate r_i; ``None`` for a law that is not one."""
         return None
 
     # -- serialization ------------------------------------------------------
@@ -364,6 +364,8 @@ def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
     most 1, taken in log space so that none overflows and none underflows
     before the sum does."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if n == 1:  # e^-inf is 0 already
+            return np.exp(-rate * np.maximum(xs, 0.0))
         t = rate * np.maximum(xs, 0.0)
         log_t = np.log(t)
         out = np.exp(-t)
@@ -373,26 +375,27 @@ def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
 
 
 class _PhaseMix:
-    """The descriptors of a mixture of Erlang blocks, read from its
-    :meth:`~Distribution.phases`."""
+    """A shift plus Erlang blocks, from its :meth:`~Distribution.phases`;
+    a shifted law gives its own second moment and residual."""
 
     def _blocks(self):
-        return zip(*self.phases())
+        return zip(*self.phases()[1])
 
     def mean(self):
-        return sum(w * n / r for w, n, r in self._blocks())
+        return self.phases()[0] + sum(w * n / r for w, n, r in self._blocks())
 
     def second_moment(self):
         return sum(_over_square(w * n * (n + 1), r) for w, n, r in self._blocks())
 
     def _ccdf(self, xs):
+        xs = xs - self.phases()[0]
         return sum(w * _erlang_ccdf(n, r, xs) for w, n, r in self._blocks())
 
     def _poisson_mix(self, s, j_max):
         blocks = [(w, _block(n, r, s, j_max)) for w, n, r in self._blocks()]
-        if len(blocks) == 1:  # of weight 1
-            return blocks[0][1]
-        return tuple(sum(w * b[i] for w, b in blocks) for i in (0, 1))
+        mix = (blocks[0][1] if len(blocks) == 1  # of weight 1
+               else tuple(sum(w * b[i] for w, b in blocks) for i in (0, 1)))
+        return _shifted(s * self.phases()[0], mix, j_max)
 
     def residual(self, t):
         """W mixes the phases left: a block of n phases of rate r has run
@@ -411,22 +414,24 @@ class _PhaseMix:
             (v / g, m, r) for v, m, r in left)))))
 
     def support(self):
-        return (0.0, math.inf)
+        return (self.phases()[0], math.inf)
 
     def mrl_class(self):
         # A mixture of distinct exponential phases has a decreasing failure
-        # rate, one block from two phases an increasing one.
-        blocks = set(zip(*self.phases()[1:]))
+        # rate, one block from two phases or after a shift an increasing one.
+        c, (_, shapes, rates) = self.phases()
+        blocks = set(zip(shapes, rates))
         if len(blocks) > 1:
             return MrlVerdict.IMRL
-        return MrlVerdict.CONSTANT if blocks.pop()[0] == 1 else MrlVerdict.DMRL
+        return (MrlVerdict.CONSTANT if blocks.pop()[0] == 1 and not c
+                else MrlVerdict.DMRL)
 
 
 class _Blocks(_PhaseMix):
-    """The mixture of Erlang blocks ``phases``, a residual law of one."""
+    """The mixture of Erlang blocks ``blocks``, a residual law of one."""
 
-    def __init__(self, phases):
-        self.phases = lambda: phases
+    def __init__(self, blocks):
+        self.phases = lambda: (0.0, blocks)
 
     def poisson_mix(self, s, j_max):
         return _mixed(self._poisson_mix, s, j_max)
@@ -448,11 +453,11 @@ class Exponential(_PhaseMix, Distribution):
         return rng.exponential(1.0 / self.rate, n)
 
     def phases(self):
-        return (1.0,), (1,), (self.rate,)
+        return 0.0, ((1.0,), (1,), (self.rate,))
 
 
 @dataclass(frozen=True)
-class ShiftedExponential(Distribution):
+class ShiftedExponential(_PhaseMix, Distribution):
     """Constant shift plus an exponential; support [shift, inf)."""
 
     rate: float
@@ -469,19 +474,9 @@ class ShiftedExponential(Distribution):
         with np.errstate(over="ignore"):  # a draw past the float range is inf
             return self.shift + rng.exponential(1.0 / self.rate, n)
 
-    def mean(self):
-        return self.shift + 1.0 / self.rate
-
     def second_moment(self):
         # Var = 1/rate^2 around mean shift + 1/rate.
         return _over_square(1.0, self.rate) + self.mean() * self.mean()
-
-    def _ccdf(self, xs):
-        return np.where(xs < self.shift, 1.0,
-                        np.exp(-self.rate * np.maximum(xs - self.shift, 0.0)))
-
-    def _poisson_mix(self, s, j_max):
-        return _shifted(s * self.shift, _block(1, self.rate, s, j_max), j_max)
 
     def residual(self, t):
         """W = SE(rate, max(shift - t, 0)); past the shift, with
@@ -494,14 +489,8 @@ class ShiftedExponential(Distribution):
                          + _over_square(2 * tail[2], r),
                          ShiftedExponential(r, _less(d, t)))
 
-    def support(self):
-        return (self.shift, math.inf)
-
-    def phases(self):  # at shift 0 the law is E(rate), one block
-        return None if self.shift else ((1.0,), (1,), (self.rate,))
-
-    def mrl_class(self):
-        return MrlVerdict.DMRL if self.shift > 0 else MrlVerdict.CONSTANT
+    def phases(self):
+        return self.shift, ((1.0,), (1,), (self.rate,))
 
 
 @dataclass(frozen=True)
@@ -683,7 +672,7 @@ class Erlang(_PhaseMix, Distribution):
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
     def phases(self):
-        return (1.0,), (self.shape,), (self.rate,)
+        return 0.0, ((1.0,), (self.shape,), (self.rate,))
 
 
 @dataclass(frozen=True)
@@ -719,7 +708,7 @@ class Hyperexponential(_PhaseMix, Distribution):
             return rng.exponential(1.0 / r[idx])
 
     def phases(self):
-        return self.weights, (1,) * len(self.rates), self.rates
+        return 0.0, (self.weights, (1,) * len(self.rates), self.rates)
 
 
 _KINDS: dict[str, type] = {

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, bounds
 from .analytic import Pair
-from .distributions import Distribution, Exponential, from_dict
+from .distributions import Distribution, MrlVerdict, from_dict
 from .errors import AoiError
 from .sim import AgeEstimate, Discipline, SimConfig, integer, run_simulation
 
@@ -93,7 +93,8 @@ def require(tag: str, discipline: Discipline, service: Distribution) -> None:
     if discipline not in estimator.calls:
         only = "/".join(d.value for d in estimator.calls)
         raise ValueError(f"estimator {tag!r} applies to {only} only")
-    if estimator.exponential_service and not isinstance(service, Exponential):
+    exponential = service.mrl_class() is MrlVerdict.CONSTANT  # E(r) alone
+    if estimator.exponential_service and not exponential:
         raise ValueError(f"{tag} needs an exponential service law")
 
 

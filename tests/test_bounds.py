@@ -77,6 +77,28 @@ def test_estimator_table_refuses_a_label_the_pair_does_not_earn():
             require(tag, discipline, Exponential(1.0))
 
 
+@pytest.mark.parametrize("service", [
+    ShiftedExponential(2.0, 0.0), Erlang(1, 2.0),
+    Hyperexponential((0.3, 0.7), (2.0, 2.0))], ids=lambda d: d.kind)
+def test_gm11_takes_the_exponential_law_under_any_name(service):
+    # A constant mean residual life is the exponential law's, so gm11 takes
+    # E(2) under each of its other names, with corollary1's and E(2)'s value.
+    require("gm11", DROPPING, service)
+    y = Uniform(0.0, 2.0)
+    r = ESTIMATORS["gm11"].calls[DROPPING](Pair(y, service))
+    assert r.value == corollary_one(Pair(y, service), DROPPING).value
+    assert r.value == pytest.approx(
+        corollary_one(Pair(y, Exponential(2.0)), DROPPING).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("service", [
+    ShiftedExponential(2.0, 0.5), Deterministic(1.0), Uniform(0.0, 1.0)],
+    ids=lambda d: d.kind)
+def test_gm11_refuses_a_service_that_is_not_exponential(service):
+    with pytest.raises(ValueError, match="exponential service"):
+        require("gm11", DROPPING, service)
+
+
 def test_mm11_values():
     # M/M/1/1 dropping is the exact age and the G/M bound at exponential arrivals.
     exact = exact_age(Pair(Exponential(1.0), Exponential(1.0)), DROPPING)

@@ -218,6 +218,33 @@ def test_usage_error_gm11_needs_exponential_service(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("service", [
+    '{"kind": "shifted_exponential", "rate": 2, "shift": 0}',
+    '{"kind": "erlang", "shape": 1, "rate": 2}',
+    '{"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [2, 2]}'],
+    ids=["SE(2, 0)", "Erlang(1, 2)", "H2-equal-rates"])
+def test_gm11_takes_an_exponential_service_under_any_name(capsys, service):
+    gaps = '{"kind": "uniform", "lower": 0, "upper": 2}'
+    code, payload = run_json(capsys, "bound", "--kind", "gm11",
+                             "--interarrival", gaps, "--service", service)
+    assert code == 0
+    _, want = run_json(capsys, "bound", "--kind", "corollary1",
+                       "--interarrival", gaps, "--service", service)
+    assert payload["result"]["value"] == want["result"]["value"]
+    assert payload["result"]["value"] == pytest.approx(1.49191, abs=5e-6)
+
+
+@pytest.mark.parametrize("service", [
+    '{"kind": "shifted_exponential", "rate": 2, "shift": 0.5}', DET % 1,
+    '{"kind": "uniform", "lower": 0, "upper": 1}'],
+    ids=["SE(2, 0.5)", "D", "U"])
+def test_gm11_refuses_a_service_that_is_not_exponential(capsys, service):
+    code, out, err = run(capsys, "bound", "--kind", "gm11",
+                         "--interarrival", EXP1, "--service", service)
+    assert code == 2
+    assert "needs an exponential service law" in err and out == ""
+
+
 def test_deleted_mm11_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--kind", "mm11", "--interarrival", EXP1,

@@ -31,6 +31,13 @@ ALL_KINDS = [
 CONTINUOUS = [d for d in ALL_KINDS if not isinstance(d, Deterministic)]
 
 
+def unshifted(law):
+    """Whether ``law`` is a mixture of Erlang blocks with no shift, the
+    laws the phase records take."""
+    shape = law.phases()
+    return shape is not None and not shape[0]
+
+
 def dists(include_deterministic=True):
     opts = [
         st.builds(Exponential, rate=st.floats(0.1, 5.0)),
@@ -230,15 +237,14 @@ def mp_poisson_mix(law, s, j_max):
     s, mpf = mpmath.mpf(s), mpmath.mpf
     phases = law.phases()
     if phases is not None:
-        parts = [mp_block(n, mpf(r), s, j_max) for _, n, r in zip(*phases)]
-        return tuple([mpmath.fsum(mpf(w) * p[i][j]
-                                  for w, p in zip(phases[0], parts))
-                      for j in range(j_max + 1)] for i in (0, 1))
+        c, (weights, shapes, rates) = phases
+        parts = [mp_block(n, mpf(r), s, j_max) for n, r in zip(shapes, rates)]
+        mix = tuple([mpmath.fsum(mpf(w) * p[i][j]
+                                 for w, p in zip(weights, parts))
+                     for j in range(j_max + 1)] for i in (0, 1))
+        return mp_shifted(s * c, mix, j_max) if c else mix
     if isinstance(law, Deterministic):
         return mp_poisson(s * law.value, j_max)
-    if isinstance(law, ShiftedExponential):
-        return mp_shifted(s * law.shift, mp_block(1, mpf(law.rate), s, j_max),
-                          j_max)
     if isinstance(law, Uniform):
         return mp_uniform(mpf(law.lower), mpf(law.upper), s, j_max)
     return mp_rayleigh_tail(law.scale * s, 0, j_max)
@@ -641,41 +647,65 @@ CONSTANT_CASES = [ShiftedExponential(1.0, 0.0), Erlang(1, 2.0),
 @pytest.mark.parametrize("law", ALL_KINDS + CONSTANT_CASES,
                          ids=lambda d: d.describe())
 def test_only_erlang_mixtures_name_their_blocks(law):
-    # SE(r, 0) is E(r), and names its block.
-    if isinstance(law, Exponential) or (
-            isinstance(law, ShiftedExponential) and not law.shift):
-        assert law.phases() == ((1.0,), (1,), (law.rate,))
+    # SE(r, c) names E(r)'s block after its shift, so SE(r, 0) is E(r).
+    if isinstance(law, Exponential):
+        assert law.phases() == (0.0, ((1.0,), (1,), (law.rate,)))
+    elif isinstance(law, ShiftedExponential):
+        assert law.phases() == (law.shift, ((1.0,), (1,), (law.rate,)))
     elif isinstance(law, Erlang):
-        assert law.phases() == ((1.0,), (law.shape,), (law.rate,))
+        assert law.phases() == (0.0, ((1.0,), (law.shape,), (law.rate,)))
     elif isinstance(law, Hyperexponential):
-        assert law.phases() == (law.weights, (1,) * len(law.rates), law.rates)
+        assert law.phases() == (0.0, (law.weights, (1,) * len(law.rates),
+                                      law.rates))
     else:
         assert law.phases() is None
 
 
-@pytest.mark.parametrize("rate", [1e-300, 1e-160, 1e-3, 0.7, 1.0, 3.0,
-                                  1e160, 1e300])
-def test_exponential_is_the_one_phase_mix_bit_for_bit(rate):
+# SE(r, c) at each rate r, c = None standing for E(r) itself.
+ONE_PHASE = [(r, c)
+             for r in [1e-300, 1e-160, 1e-3, 0.7, 1.0, 3.0, 1e160, 1e300]
+             for c in (None, 0.0, 1e-300, 0.5 / r, 1e300 / r)
+             if c is None or math.isfinite(c)]
+
+
+@pytest.mark.parametrize("rate,shift", ONE_PHASE, ids=[
+    str(r) if c is None else f"SE-{r}-{c}" for r, c in ONE_PHASE])
+def test_exponential_is_the_one_phase_mix_bit_for_bit(rate, shift):
     # The mixture code at one phase gives the exponential law's one-line
     # formulas exactly, overflow and underflow included: its mixed-Poisson
-    # law in long doubles, rounded once.
-    law = Exponential(rate)
-    xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-300, 1e300, 61),
-                         np.geomspace(1e-3, 1e3, 13) / rate])
+    # law in long doubles, rounded once.  SE(r, c), its shift c read from
+    # its phase shape, gives the ccdf 1 before c and E(r)'s after it, and
+    # E(r)'s mixed-Poisson law shifted by c.
+    one = Exponential(rate)
+    law = one if shift is None else ShiftedExponential(rate, shift)
+    c = shift or 0.0
+    xs = np.concatenate([[0.0, np.inf, c, np.nextafter(c, 0.0),
+                          np.nextafter(c, np.inf)],
+                         np.geomspace(1e-300, 1e300, 61),
+                         c + np.geomspace(1e-3, 1e3, 13) / rate])
     square = rate * rate
-    assert law.mean() == 1.0 / rate
-    assert law.second_moment() == (2.0 / square if square else 2.0 / rate / rate)
+    assert law.mean() == c + 1.0 / rate
+    if law is one:
+        assert law.second_moment() == (2.0 / square if square
+                                       else 2.0 / rate / rate)
     with np.errstate(over="ignore"):
-        assert law.ccdf(xs).tobytes() == np.exp(-rate * xs).tobytes()
-        for x in xs:
-            assert law.ccdf(x) == float(np.exp(-rate * x))
+        want = np.where(xs < c, 1.0, np.exp(-rate * np.maximum(xs - c, 0.0)))
+        assert law.ccdf(xs).tobytes() == want.tobytes()
+        for x, v in zip(xs, want):
+            assert law.ccdf(x) == float(v)
     for s in [1e-300, 1e-5, 0.5, 2.0, 1e5, 1e300, rate, 1e-3 * rate]:
-        pi, tail = law.poisson_mix(s, 0)
-        r, t = np.longdouble(rate), np.longdouble(s)
-        assert law.laplace(s) == pi[0] == float(r / (r + t))
-        assert tail[0] == float(t / (r + t))
-    assert law.support() == (0.0, math.inf)
-    assert law.mrl_class() is MrlVerdict.CONSTANT
+        pi, tail = law.poisson_mix(s, 8)
+        shifted = distributions._mixed(lambda t, j: distributions._shifted(
+            t * c, one._poisson_mix(t, j), j), s, 8)
+        assert [pi.tobytes(), tail.tobytes()] == [v.tobytes() for v in shifted]
+        if not c:
+            r, t = np.longdouble(rate), np.longdouble(s)
+            assert law.laplace(s) == pi[0] == float(r / (r + t))
+            assert tail[0] == float(t / (r + t))
+    assert law.support() == (c, math.inf)
+    assert law.mrl_class() is (MrlVerdict.DMRL if c > 0
+                               else MrlVerdict.CONSTANT)
+    assert ShiftedExponential(rate, 0.0).phases() == one.phases()
 
 
 @pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)

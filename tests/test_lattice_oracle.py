@@ -18,7 +18,7 @@ from aoi.distributions import (Deterministic, Distribution, Erlang,
 from aoi.errors import TruncationNotReached
 from aoi.sim import Z95, Discipline
 from test_analytic import k_moments
-from test_distributions import ALL_KINDS, RESCALED
+from test_distributions import ALL_KINDS, RESCALED, unshifted
 from test_closed_form_oracle import EPS, assert_covers, mix_pmf, mix_reference
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
 
@@ -54,7 +54,7 @@ def lattice(y, s):
     """Every lattice result as (value, half-width) pairs, in one order.  An
     Erlang service leaves the lattice through :class:`Pair` for its block
     record; here the lattice itself is checked for it."""
-    pair = (Pair if s.phases() is None else LatticePair)(y, s)
+    pair = (LatticePair if unshifted(s) else Pair)(y, s)
     est = exact_age(pair, DROPPING)
     k1, k2 = k_moments(pair)
     pmf = k_pmf(pair, K_MAX)
@@ -240,7 +240,7 @@ def test_a_folded_record_takes_the_full_lattice_sums(y, s, monkeypatch):
     def assert_one_path():
         want = record_intervals(analytic._lattice_cycles(y, s))
         assert record_intervals(folded_lattice(y, s)) == want
-        if y.phases() is None:
+        if not unshifted(y):
             record = Pair(y, s).cycles(DROPPING)
             assert record.path == "lattice"
             assert record_intervals(record) == want
@@ -261,7 +261,7 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # lattice is held on them by direct calls.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     assert Pair(y, s).cycles(DROPPING).path == (
-        "lattice" if y.phases() is None else "closed_form")
+        "closed_form" if unshifted(y) else "lattice")
     *_, survival = full_lattice(Pair(y, s), K_MAX)
     noises = kernel_noises(monkeypatch)
     probs, tail = folded_lattice(y, s).pmf(K_MAX)
@@ -393,7 +393,7 @@ LATTICE_IDS = [i for i, p in zip(IDS, PAIRS) if p in LATTICE_PAIRS]
 
 def lattice_pair(y, s):
     """``y`` and ``s`` as a pair whose dropping record is the lattice's."""
-    return (LatticePair if isinstance(y, Exponential) or s.phases()
+    return (LatticePair if isinstance(y, Exponential) or unshifted(s)
             else Pair)(y, s)
 
 
@@ -409,7 +409,7 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
         return [*record_intervals(lattice_pair(y, s).cycles(DROPPING)),
                 Interval(est.value, est.ci_half_width)]
     new = intervals()
-    if s.phases():
+    if unshifted(s):
         est = exact_age(Pair(y, s), DROPPING)
         block = [*record_intervals(Pair(y, s).cycles(DROPPING)),
                  Interval(est.value, est.ci_half_width)]

@@ -119,16 +119,16 @@ def test_unread_checker_flags_both_kinds():
     assert unread_names("from .errors import AoiError\n", "__init__") == []
 
 
-# Only the laws know which of them are mixtures of Erlang blocks; the rest
-# of ``aoi`` asks a law for its ``phases()``.
-PHASE_LAWS = {"Hyperexponential", "Erlang"}
+# Only the laws know which of them are shifted mixtures of Erlang blocks;
+# the rest of ``aoi`` asks a law for its ``phases()``.
+PHASE_LAWS = {"Hyperexponential", "Erlang", "ShiftedExponential"}
 KNOWS_PHASE_LAWS = {"distributions", "__init__"}
 
 
 def phase_law_names(source: str, own: str) -> list[str]:
     """Every import, name or attribute in ``source`` (the text of module
-    ``own``) that names the hyperexponential or the Erlang law's class;
-    strings and docstrings do not count."""
+    ``own``) that names the hyperexponential, the Erlang or the shifted
+    exponential law's class; strings and docstrings do not count."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -150,7 +150,8 @@ def test_only_the_laws_name_the_phase_law(path):
 
 def test_phase_law_checker_flags_every_form():
     source = ('"""A Hyperexponential service is a mixture."""\n'
-              "from .distributions import Erlang, Exponential, Hyperexponential\n"
+              "from .distributions import (Erlang, Exponential, Hyperexponential,\n"
+              "                            ShiftedExponential)\n"
               "from . import distributions as dist\n"
               "label = 'Hyperexponential'\n"
               "def phases(law):\n"
@@ -158,6 +159,8 @@ def test_phase_law_checker_flags_every_form():
               "        return law.weights\n"
               "    if isinstance(law, Erlang):\n"
               "        return dist.Erlang\n"
+              "    if isinstance(law, ShiftedExponential):\n"
+              "        return law.shift\n"
               "    return dist.Hyperexponential\n"
               "hyperexponential = law.phases()\n")
     assert sorted(phase_law_names(source, "analytic")) == [
@@ -165,8 +168,10 @@ def test_phase_law_checker_flags_every_form():
         "analytic: .Hyperexponential",
         "analytic: Erlang",
         "analytic: Hyperexponential",
+        "analytic: ShiftedExponential",
         "analytic: import Erlang",
         "analytic: import Hyperexponential",
+        "analytic: import ShiftedExponential",
     ]
 
 

@@ -61,30 +61,34 @@ def dropping_walk_moments(interarrival: Distribution, service: Distribution,
     rng = np.random.default_rng(seed)
     n = samples
 
-    partial = np.zeros(n)
-    count = np.ones(n)
-    asum = np.zeros(n)
-    ksq = np.ones(n)
-    active = np.arange(n)
+    # The live replicates' partial sum, count, crossing sum and K^2 sum,
+    # kept contiguous, and each one's replicate; a replicate's last three
+    # are scattered to ``retired`` once, when it retires.
+    partial, count, asum, ksq = np.zeros(n), np.ones(n), np.zeros(n), np.ones(n)
+    which = np.arange(n)
+    retired = np.empty((3, n))
 
     for k in range(2, _MAX_WALK_TERMS + 1):
-        draws = interarrival.sample_array(rng, active.size)
-        a = partial[active] + draws
-        partial[active] = a
-        tail = np.asarray(service.ccdf(a), dtype=float)
-        count[active] += tail
-        asum[active] += a * tail
-        ksq[active] += (2 * k - 1) * tail
-        done = ((tail <= _WALK_EPS * count[active])
-                & (a * tail <= _WALK_EPS * np.maximum(asum[active], _TINY)))
+        partial += interarrival.sample_array(rng, which.size)
+        tail = np.asarray(service.ccdf(partial), dtype=float)
+        count += tail
+        asum += partial * tail
+        ksq += (2 * k - 1) * tail
+        done = ((tail <= _WALK_EPS * count)
+                & (partial * tail <= _WALK_EPS * np.maximum(asum, _TINY)))
         if done.any():
-            active = active[~done]
-        if active.size == 0:
+            gone, keep = which[done], ~done
+            for row, live in zip(retired, (count, asum, ksq)):
+                row[gone] = live[done]
+            partial, count, asum, ksq, which = (
+                v[keep] for v in (partial, count, asum, ksq, which))
+        if which.size == 0:
             break
     else:
         raise TruncationNotReached(
             f"partial-sum walk still active after {_MAX_WALK_TERMS} terms; "
             "the expected arrivals-per-cycle count may diverge")
+    count, asum, ksq = retired
 
     def reduce(xs):
         return Moment(float(xs.mean()),
