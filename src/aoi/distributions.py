@@ -15,12 +15,13 @@ family of laws. Each law is a frozen dataclass exposing
 * its phase shape, ``phases()``: a shift c and the weights, shapes and
   rates of a mixture of Erlang blocks after it (the exponential law one
   one-phase block, the Erlang law one block, the hyperexponential law
-  one-phase blocks, each at c = 0, and SE(r, c) E(r)'s block at c, all
-  described by one mixture code), ``None`` for every other law,
+  one-phase blocks, each at c = 0, and SE(r, c) E(r)'s block at c), from
+  which one mixture code gives every other descriptor and the sampler;
+  ``None`` for every other law,
 * its :class:`Residual` at a point t, ``residual(t)``: Pr(X > t), the
   partial moments E[X^k; X <= t], k <= 2, and the residual law
-  W = (X - t | X > t), which stays in the family (D, U, SE), mixes Erlang
-  blocks (the unshifted phase laws) or is the Rayleigh law's tail,
+  W = (X - t | X > t), which stays in the family (D, U), is a phase
+  shape (the phase laws) or is the Rayleigh law's tail,
 * (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
 
 Nothing here integrates.  The strict ccdf convention matches the
@@ -374,18 +375,37 @@ def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(t), 0.0, out)
 
 
-class _PhaseMix:
-    """A shift plus Erlang blocks, from its :meth:`~Distribution.phases`;
-    a shifted law gives its own second moment and residual."""
+class _PhaseMix(Distribution):
+    """A law c + B, B a mixture of Erlang blocks, every descriptor and the
+    sampler read from its :meth:`~Distribution.phases` alone."""
 
     def _blocks(self):
         return zip(*self.phases()[1])
 
-    def mean(self):
-        return self.phases()[0] + sum(w * n / r for w, n, r in self._blocks())
+    def sample_array(self, rng, n):
+        # Block i with chance w_i, then its Erlang draw, plus c; one-phase
+        # blocks take the faster exponential sampler.
+        c, (weights, shapes, rates) = self.phases()
+        with np.errstate(over="ignore"):  # a draw past the float range is inf
+            w = np.asarray(weights)
+            pick = rng.choice(len(w), size=n, p=w / w.sum()) if len(w) > 1 else 0
+            scale = (1.0 / np.asarray(rates))[pick]
+            out = (rng.exponential(scale, n) if all(k == 1 for k in shapes)
+                   else rng.gamma(np.asarray(shapes)[pick], scale, n))
+            if c:
+                out += c
+        return out
 
-    def second_moment(self):
-        return sum(_over_square(w * n * (n + 1), r) for w, n, r in self._blocks())
+    def _block_mean(self):
+        return sum(w * n / r for w, n, r in self._blocks())
+
+    def mean(self):
+        return self.phases()[0] + self._block_mean()
+
+    def second_moment(self):  # E[(c + B)^2]
+        c = self.phases()[0]
+        square = sum(_over_square(w * n * (n + 1), r) for w, n, r in self._blocks())
+        return c * c + 2 * c * self._block_mean() + square if c else square
 
     def _ccdf(self, xs):
         xs = xs - self.phases()[0]
@@ -398,20 +418,27 @@ class _PhaseMix:
         return _shifted(s * self.phases()[0], mix, j_max)
 
     def residual(self, t):
-        """W mixes the phases left: a block of n phases of rate r has run
-        k < n by t with chance Pr(N = k), N ~ Poisson(r t), and
-        E[X^m; X <= t] = n..(n+m-1)/r^m Pr(N > n+m-1)."""
+        """Before c, W is the blocks after the shift left.  Past it, W mixes
+        the phases left: a block of n phases of rate r has run k < n by t
+        with chance Pr(N = k), N ~ Poisson(r (t - c)), and
+        E[B^m; B <= t - c] = n..(n+m-1)/r^m Pr(N > n+m-1), moved by c."""
+        c, blocks = self.phases()
+        if t < c:
+            return _residual(1.0, 0.0, 0.0, 0.0, _Blocks((_less(c, t), blocks)))
         left, below = [], np.zeros(3, dtype=_EXT)
-        for w, n, r in self._blocks():
-            pmf, tail = _poisson(r * _EXT(t), n + 1)
+        for w, n, r in zip(*blocks):
+            pmf, tail = _poisson(r * _less(t, c), n + 1)
             left += [(w * pmf[k], n - k, r) for k in range(n)]
             below += w * np.array([tail[n - 1], n * tail[n] / r,
                                    _over_square(n * (n + 1) * tail[n + 1], r)])
+        if c:  # E[(c + B)^m; B <= t - c]
+            f, b1, b2 = below
+            below = (f, f * c + b1, f * c * c + 2 * c * b1 + b2)
         g = sum(v for v, _, _ in left)
         if not g:
             return _residual(0.0, *below, Deterministic(0.0))
-        return _residual(g, *below, _Blocks(tuple(zip(*(
-            (v / g, m, r) for v, m, r in left)))))
+        return _residual(g, *below, _Blocks((0.0, tuple(zip(*(
+            (v / g, m, r) for v, m, r in left))))))
 
     def support(self):
         return (self.phases()[0], math.inf)
@@ -428,17 +455,14 @@ class _PhaseMix:
 
 
 class _Blocks(_PhaseMix):
-    """The mixture of Erlang blocks ``blocks``, a residual law of one."""
+    """The law of phase shape ``shape``, a residual law of one."""
 
-    def __init__(self, blocks):
-        self.phases = lambda: (0.0, blocks)
-
-    def poisson_mix(self, s, j_max):
-        return _mixed(self._poisson_mix, s, j_max)
+    def __init__(self, shape):
+        self.phases = lambda: shape
 
 
 @dataclass(frozen=True)
-class Exponential(_PhaseMix, Distribution):
+class Exponential(_PhaseMix):
     """Exponential law with the given rate; mean 1/rate.  The mixture of
     one exponential phase."""
 
@@ -449,16 +473,14 @@ class Exponential(_PhaseMix, Distribution):
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be > 0, got {self.rate}")
 
-    def sample_array(self, rng, n):
-        return rng.exponential(1.0 / self.rate, n)
-
     def phases(self):
         return 0.0, ((1.0,), (1,), (self.rate,))
 
 
 @dataclass(frozen=True)
-class ShiftedExponential(_PhaseMix, Distribution):
-    """Constant shift plus an exponential; support [shift, inf)."""
+class ShiftedExponential(_PhaseMix):
+    """Constant shift plus an exponential; support [shift, inf).  E(r)'s
+    one-phase block after the shift."""
 
     rate: float
     shift: float
@@ -469,25 +491,6 @@ class ShiftedExponential(_PhaseMix, Distribution):
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not self.shift >= 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
-
-    def sample_array(self, rng, n):
-        with np.errstate(over="ignore"):  # a draw past the float range is inf
-            return self.shift + rng.exponential(1.0 / self.rate, n)
-
-    def second_moment(self):
-        # Var = 1/rate^2 around mean shift + 1/rate.
-        return _over_square(1.0, self.rate) + self.mean() * self.mean()
-
-    def residual(self, t):
-        """W = SE(rate, max(shift - t, 0)); past the shift, with
-        N ~ Poisson(rate (t - shift)), E[E^k; E <= t - shift] =
-        k!/rate^k Pr(N > k) for the exponential part E."""
-        d, r = self.shift, self.rate
-        pmf, tail = _poisson(r * max(_EXT(t) - d, _EXT(0)), 2)
-        return _residual(pmf[0], tail[0], tail[0] * d + tail[1] / r,
-                         tail[0] * d * d + tail[1] * 2 * d / r
-                         + _over_square(2 * tail[2], r),
-                         ShiftedExponential(r, _less(d, t)))
 
     def phases(self):
         return self.shift, ((1.0,), (1,), (self.rate,))
@@ -654,7 +657,7 @@ class Rayleigh(Distribution):
 
 
 @dataclass(frozen=True)
-class Erlang(_PhaseMix, Distribution):
+class Erlang(_PhaseMix):
     """Sum of ``shape`` i.i.d. exponentials with the given rate: one Erlang
     block."""
 
@@ -668,15 +671,12 @@ class Erlang(_PhaseMix, Distribution):
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def sample_array(self, rng, n):
-        return rng.gamma(self.shape, 1.0 / self.rate, n)
-
     def phases(self):
         return 0.0, ((1.0,), (self.shape,), (self.rate,))
 
 
 @dataclass(frozen=True)
-class Hyperexponential(_PhaseMix, Distribution):
+class Hyperexponential(_PhaseMix):
     """Mixture of two or more exponential phases.
 
     Included specifically because mixtures of exponentials have increasing
@@ -699,13 +699,6 @@ class Hyperexponential(_PhaseMix, Distribution):
             raise ValueError(f"rates must be > 0, got {self.rates}")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)!r}")
-
-    def sample_array(self, rng, n):
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
-        idx = rng.choice(len(r), size=n, p=w / w.sum())
-        with np.errstate(over="ignore"):  # a mean past the float range is inf
-            return rng.exponential(1.0 / r[idx])
 
     def phases(self):
         return 0.0, (self.weights, (1,) * len(self.rates), self.rates)
@@ -738,8 +731,11 @@ def from_dict(data: Mapping) -> Distribution:
     for k, v in list(params.items()):
         if isinstance(v, list):
             params[k] = v = tuple(v)
-        if any(isinstance(x, float) and not math.isfinite(x)
-               for x in (v if isinstance(v, tuple) else (v,))):
+        values = v if isinstance(v, tuple) else (v,)
+        if any(isinstance(x, bool) for x in values):  # JSON true is 1
+            raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
+                             f"a number, got {v!r}")
+        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
             raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
                              f"finite, got {v!r}")
     return cls(**params)

@@ -46,9 +46,10 @@ _TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
 
 
 def integer(name: str, value) -> int:
-    """``value`` as an int, an integral float converted; anything else
-    raises ``ValueError`` naming ``name``."""
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+    """``value`` as an int, an integral float converted; anything else (a
+    bool too) raises ``ValueError`` naming ``name``."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 

@@ -203,6 +203,16 @@ def test_usage_error_non_finite_law_parameter(capsys):
     assert "'upper' of kind 'uniform' must be finite" in capsys.readouterr().err
 
 
+def test_usage_error_boolean_law_parameter(capsys):
+    # JSON true is the int 1 to Python, which every positivity check would
+    # pass.
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--discipline", "dropping", "--interarrival", EXP1,
+              "--service", '{"kind": "exponential", "rate": true}', "--json"])
+    assert exc.value.code == 2
+    assert "'rate' of kind 'exponential' must be a number" in capsys.readouterr().err
+
+
 def test_usage_error_unknown_discipline(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--discipline", "sideways",

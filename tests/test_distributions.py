@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+from dataclasses import dataclass
+from typing import ClassVar
 
 import mpmath
 import numpy as np
@@ -80,6 +82,43 @@ def test_identical_seed_identical_stream():
         a = dist.sample_array(np.random.default_rng(99), 1000)
         b = dist.sample_array(np.random.default_rng(99), 1000)
         assert np.array_equal(a, b)
+
+
+# Rates far below and far above 1; at 5e-324 the scale 1/r overflows to
+# inf, and so does every draw.
+STREAM_RATES = [1e-300, 1.0, 3.7, 1e300, 5e-324]
+
+
+def direct_draws(law, rng, n):
+    """``law``'s draws as one direct NumPy call per family."""
+    with np.errstate(over="ignore"):
+        if isinstance(law, Exponential):
+            return rng.exponential(1.0 / law.rate, n)
+        if isinstance(law, ShiftedExponential):
+            return law.shift + rng.exponential(1.0 / law.rate, n)
+        if isinstance(law, Erlang):
+            return rng.gamma(law.shape, 1.0 / law.rate, n)
+        w, r = np.asarray(law.weights), np.asarray(law.rates)
+        idx = rng.choice(len(r), size=n, p=w / w.sum())
+        return rng.exponential(1.0 / r[idx])
+
+
+@pytest.mark.parametrize("n", [1, 16384])
+@pytest.mark.parametrize("rate", STREAM_RATES)
+def test_seeded_streams_are_pinned(rate, n):
+    # Each phase law draws the bytes of its family's direct NumPy call and
+    # leaves the generator where that call does.
+    laws = [Exponential(rate), ShiftedExponential(rate, 0.0),
+            ShiftedExponential(rate, 0.5), ShiftedExponential(rate, 1e308),
+            Erlang(1, rate), Erlang(16, rate),
+            Hyperexponential((0.25, 0.75), (rate, 2.0 * rate)),
+            Hyperexponential((0.2, 0.3, 0.5), (rate, 1.0, 3.7))]
+    for law in laws:
+        ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        got, want = law.sample_array(ours, n), direct_draws(law, theirs, n)
+        assert got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes(), law.describe()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @given(dists())
@@ -442,6 +481,74 @@ def test_residual_keeps_full_relative_precision(law):
                     _assert_close(g, want, (t, x, name))
 
 
+@dataclass(frozen=True)
+class ShiftedErlang3(distributions._PhaseMix):
+    """c + Erlang(3, rate): fields, a kind and a phase shape, nothing else."""
+
+    rate: float
+    shift: float
+    kind: ClassVar[str] = "shifted_erlang_3"
+
+    def phases(self):
+        return self.shift, ((1.0,), (3,), (self.rate,))
+
+
+def mp_shifted_erlang3(law, t):
+    """:func:`mp_residual` of c + Erlang(3, r): before c, W = (c - t) + B;
+    past it, with x = r (t - c), E[B^m; B <= t - c] = 3..(2+m)/r^m
+    P(3+m, x), and W mixes Erlang(3 - k, r), k < 3, in the Poisson(x)
+    weights of k phases run."""
+    mpf = mpmath.mpf
+    r, c, t = mpf(law.rate), mpf(law.shift), mpf(t)
+    if t < c:
+        d = c - t
+        return (1, 0, 0, 0), (d + 3 / r, d * d + 6 * d / r + 12 / r**2,
+                              lambda s: mp_shifted(s * d, mp_block(3, r, s, 1), 1))
+    x = r * (t - c)
+    lower = lambda k: mpmath.gammainc(k, 0, x, regularized=True)
+    f, b1, b2 = lower(3), 3 / r * lower(4), 12 / r**2 * lower(5)
+    left = [mpmath.exp(-x) * x**k / mpmath.factorial(k) for k in range(3)]
+    g = mpmath.fsum(left)
+    parts = lambda s: [(p / g, mp_block(3 - k, r, s, 1)) for k, p in enumerate(left)]
+    return ((g, f, c * f + b1, c * c * f + 2 * c * b1 + b2),
+            (mpmath.fsum(p * (3 - k) / r for k, p in enumerate(left)) / g,
+             mpmath.fsum(p * (3 - k) * (4 - k) / r**2
+                         for k, p in enumerate(left)) / g,
+             lambda s: tuple([mpmath.fsum(w * b[i][j] for w, b in parts(s))
+                              for j in range(2)] for i in (0, 1))))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_a_phase_shape_alone_is_a_law(scale):
+    # A law that gives only its phase shape has the second moment, the
+    # residual before, at and past its shift, and the sampler of c plus
+    # its blocks.
+    law = ShiftedErlang3(2.0 / scale, 0.5 * scale)
+    with mpmath.workdps(40):
+        r, c = mpmath.mpf(law.rate), mpmath.mpf(law.shift)
+        _assert_close(law.second_moment(), c * c + 6 * c / r + 12 / r**2,
+                      "second")
+        for t in (0.0, 0.5 * law.shift, law.shift, law.shift + 0.5 * scale,
+                  law.shift + 4.0 * scale):
+            rest = law.residual(t)
+            at, w = mp_shifted_erlang3(law, t)
+            for name, g, want in zip(("G", "F", "below", "below_square"),
+                                     rest[:4], at):
+                _assert_close(g, want, (t, name))
+            _assert_close(rest.mean, w[0], (t, "mean"))
+            _assert_close(rest.second_moment, w[1], (t, "second"))
+            for x in (1e-6, 1.0, 1e3):
+                s = x / law.mean()
+                (pi, tail), (mp_pi, mp_tail) = rest.poisson_mix(s, 1), w[2](s)
+                for name, g, want in (("pi_0", pi[0], mp_pi[0]),
+                                      ("pi_1", pi[1], mp_pi[1]),
+                                      ("T_1", tail[1], mp_tail[1])):
+                    _assert_close(g, want, (t, x, name))
+    draws = law.sample_array(np.random.default_rng(5), 40_000)
+    se = math.sqrt((law.second_moment() - law.mean() ** 2) / draws.size)
+    assert abs(draws.mean() - law.mean()) <= 5 * se
+
+
 @pytest.mark.parametrize("s", [1e-6, 0.3, 1.0, 7.0, 1e3])
 def test_rayleigh_tail_at_zero_is_the_law(s):
     law = Rayleigh(0.8)
@@ -794,6 +901,11 @@ def test_json_round_trip(dist):
     {"kind": "erlang", "shape": 2, "rate": 0.0},
     {"kind": "hyperexponential", "weights": [1.5, -0.5], "rates": [1.0, 2.0]},
     {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1.0, 0.0]},
+    {"kind": "erlang", "shape": True, "rate": 1.0},
+    {"kind": "exponential", "rate": True},
+    {"kind": "uniform", "lower": False, "upper": True},
+    {"kind": "deterministic", "value": True},
+    {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1.0, True]},
     {},
 ])
 def test_invalid_specs_raise(bad):

@@ -218,6 +218,15 @@ def test_spec_json_round_trip(tmp_path):
     assert loaded == spec
 
 
+def test_a_boolean_seed_is_refused(tmp_path):
+    # JSON true is the int 1 to Python; a seed must be an integer.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(small_spec().to_dict(), base_seed=True)),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="base_seed must be an integer, got True"):
+        SweepSpec.from_json_file(path)
+
+
 def test_chart_single_point_is_valid_svg(tmp_path):
     result = SweepResult(rows=(SweepRow(1.0, "exact", 2.5, 0.01, ""),))
     path = tmp_path / "one.svg"

@@ -6,9 +6,13 @@ can change without breaking another.
 """
 
 import ast
+from abc import ABC
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
+
+from aoi import distributions
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aoi"
 
@@ -173,6 +177,23 @@ def test_phase_law_checker_flags_every_form():
         "analytic: import Hyperexponential",
         "analytic: import ShiftedExponential",
     ]
+
+
+# A phase law is its shape: the mixture code reads every descriptor and
+# the sampler from ``phases()``, so a phase law's class holds its fields,
+# its kind, its checks and its shape, and what a frozen dataclass on an
+# abstract base makes of that.
+@dataclass(frozen=True)
+class _Bare(ABC):
+    x: float
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_LAWS | {"Exponential"}))
+def test_a_phase_law_defines_only_its_shape(name):
+    cls = getattr(distributions, name)
+    own = (set(vars(cls)) - set(vars(_Bare))
+           - {f.name for f in fields(cls)} - {"kind", "__post_init__", "phases"})
+    assert own == set()
 
 
 # Nothing in ``aoi`` integrates: every law gives its terms in closed form,
