@@ -92,8 +92,8 @@ Lattice (paths ``lattice`` and ``closed_form``)
     quarter of its finest bracket (what m = 256 proves, to first order),
     the record takes the bracketing solve below at m = 256 points per
     mean gap instead, as does a cycle too deep for the levels' point
-    budget and a deterministic service, whose error is of first order.
-    Pr(K > k) always comes from that solve, with its proven half-widths.
+    budget.  Pr(K > k) always comes from that solve, with its proven
+    half-widths.
     Every lattice sum is one inner product of half spectra, both ends and
     every weight vector of a sum stacked in one transform call.  Two
     transforms of the n lattice points are each built only when read.
@@ -122,8 +122,14 @@ Lattice (paths ``lattice`` and ``closed_form``)
     (:func:`_folded`).  Each Pr(K > k) adds the kernel's roundoff bound
     (0 only where every weight it reads is 0), the fold's 2k times it.
     In the bracketing solve rounding down shrinks every partial sum, so
-    the two ends bracket E[K], E[K^2] and each Pr(S > T_k), and the
-    intervals span them.
+    the down end reads Pr(S > x), and rounding up strictly grows every
+    partial sum of k >= 1 gaps (no gap law on the lattice has an atom), so
+    the up end reads the left limit Pr(S >= x): the two ends bracket E[K],
+    E[K^2] and each Pr(S > T_k), and the intervals span them.  The ccdfs
+    differ only at a point mass's atom, which the levels' step puts on
+    every level: there the ends read 0 and 1, the midpoint the trapezoid
+    rule's 1/2 at a jump, so a D service's levels err in powers of h^2
+    too.  Every other service's ends share one weight vector.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
     most (k-1) h, so each end's crossing sum widened by h E[K(K-1)]/2
     brackets the true one.  Deterministic gaps give the sums in closed
@@ -576,16 +582,38 @@ def _too_deep(steps: float) -> TruncationNotReached:
         "the expected arrivals-per-cycle count is too large to resolve")
 
 
-def _points(service: Distribution, h: float, n: int) -> np.ndarray:
+def _points(service: Distribution, h: float, n: int
+            ) -> tuple[np.ndarray, int | None]:
     """The lattice points jh, j < n, with each service kink, a finite end of
     its support (the D value, U's ends, the SE shift), within rounding of
-    one put there exactly, keeping its tie rule at every time scale."""
+    one put there exactly, keeping its tie rule at every time scale; and
+    the point holding the service's atom, else None.  Only a point mass
+    has an atom: a support of one point v has Pr(S = v) = 1."""
     x = h * np.arange(n)
-    for b in filter(math.isfinite, service.support()):
+    lo, hi = service.support()
+    atom = None
+    for b in filter(math.isfinite, (lo, hi)):
         j = round(b / h)
         if j < n and abs(x[j] - b) <= _SNAP * h:
             x[j] = b
-    return x
+            atom = j if lo == hi else None
+    return x, atom
+
+
+def _ends_ccdf(service: Distribution, h: float, n: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The points x of :func:`_points` and the service ccdf each end reads
+    there.  The down end rounds gaps down, so its partial sums are at most
+    the true ones, and it reads Pr(S > x).  The up end rounds them up, so
+    its partial sums of k >= 1 gaps lie strictly above the true ones (no
+    gap law on the lattice has an atom), and it may read Pr(S >= x), a
+    tighter lower bound.  The two differ only at the service's atom, where
+    the up end reads 1: one row per end there, else one row both share."""
+    x, atom = _points(service, h, n)
+    c = service.ccdf(x)
+    if atom is not None:  # Pr(S >= v) = Pr(S > v) + Pr(S = v)
+        c = np.stack((c, c + (np.arange(n) == atom)))
+    return x, c
 
 
 def _cells(tail: np.ndarray) -> np.ndarray:
@@ -619,11 +647,13 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
     three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
     (:func:`_extrapolated`), else from the bracketing solve at
     h = E[Y]/256, whose two roundings bracket them, each over every
-    lattice point (:func:`_full`).  The bracketing solve's m = 256 points
-    per mean gap halve until at most 2^18 points remain; below 16 the
-    cycle is too deep (:class:`TruncationNotReached`).  The levels need
-    their finest lattice within the same budget, and a service that is
-    not deterministic.  Pr(K > k) always comes from the bracketing
+    lattice point (:func:`_full`), the down end reading Pr(S > x) and the
+    up end Pr(S >= x) (:func:`_ends_ccdf`).  The bracketing solve's
+    m = 256 points per mean gap halve until at most 2^18 points remain;
+    below 16 the cycle is too deep (:class:`TruncationNotReached`).  Every
+    service tries the levels first, a D service too, whose jump they put
+    on every level; they need their finest lattice within the same
+    budget.  Pr(K > k) always comes from the bracketing
     solve's lattice, its ends widened by the kernel's roundoff: unfolded,
     only the prefix its powers read (:func:`_prefix_survival`), or with
     ``fold``, for a service c plus an exponential, c > 0, folded past c
@@ -650,10 +680,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         # bounded service's last kink is, counts as on it at every
         # time scale
         coarse = top / (4.0 * fine) + _SNAP
-        # a deterministic service's error is of first order: its levels
-        # would only be thrown away
-        if not isinstance(service, Deterministic) and (
-                4.0 * coarse < _MAX_LATTICE - 5):
+        if 4.0 * coarse < _MAX_LATTICE - 5:
             *ends, noise = _full(interarrival, service, fine,
                                  4 * int(coarse) + 5, _STRIDES)
             ends = [v.tolist() for v in ends]
@@ -730,7 +757,7 @@ def _deterministic_cycles(d: float, service: Distribution, top: float
     if not steps < _MAX_LATTICE - 1:
         raise _too_deep(steps)
     n = int(steps) + 2
-    x = _points(service, d, n)
+    x, _ = _points(service, d, n)
     c = service.ccdf(x)
     first = 1.0 - float(c[0])  # Pr(K >= 1) = 1 whatever the service
 
@@ -759,16 +786,17 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
     """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
     (every k-th of the n points of step h, its own transform), rows
     stacked stride by stride, and the roundoff, from one evaluation of
-    each law's ccdf."""
-    x = _points(service, h, n)
-    c = service.ccdf(x)
+    each law's ccdf: the down end reads Pr(S > x), the up end Pr(S >= x)
+    (:func:`_ends_ccdf`), and each end's E[K] and E[K^2] replace its
+    0-th term G(0) by Pr(K >= 1) = 1."""
+    x, c = _ends_ccdf(service, h, n)
     tail = interarrival.ccdf(h * np.arange(n + max(strides)))
     out = []
     for k in strides:
-        xk, ck = x[::k], c[::k]
+        xk, ck = x[::k], c[..., ::k]
         (once, crossing), (twice, _), noise = _renewal_sums(
-            _cells(tail[::k][:xk.size + 1]), np.stack((ck, xk * ck)))
-        first = 1.0 - float(ck[0])  # Pr(K >= 1) = 1 whatever the service
+            _cells(tail[::k][:xk.size + 1]), np.stack((ck, xk * ck), axis=-2))
+        first = 1.0 - ck[..., 0]  # Pr(K >= 1) = 1 whatever the service
         out.append((first + once, first + twice, crossing, noise))
     *ends, noise = zip(*out)
     return (*map(np.concatenate, ends), max(noise))
@@ -777,14 +805,15 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
 def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
                       n: int, k_max: int) -> tuple[np.ndarray, float]:
     """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound on an
-    n-point lattice, from each end's gap cells, the service ccdf ``c`` on
-    a prefix holding every point the powers read, and each gap mass M.
+    n-point lattice, from each end's gap cells, the service ccdf ``c``
+    (shared, or one row per end) on a prefix holding every point the
+    powers read, and each gap mass M.
 
     While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
     against G - 1, exactly M^k and roundoff 0 where no partial sum reaches
     G < 1; past that, f^{*k} against G (0 past the lattice)."""
     stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
-    powers, noise = _survival(gaps, (c - stays)[None], k_max)
+    powers, noise = _survival(gaps, (c - stays)[..., None, :], k_max)
     out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
     out[:, 0] = 1.0
     return out, noise
@@ -793,17 +822,19 @@ def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
 def _prefix_survival(interarrival: Distribution, service: Distribution,
                      h: float, n: int, k_max: int) -> tuple[np.ndarray, float]:
     """:func:`_lattice_survival` on the n unfolded points of step h, built
-    only as far as the powers up to k_max reach.  The gap ccdf is 0 from
-    its upper end b on, so a prefix of b/h + 2 points (all n at b = inf)
-    holds every non-zero cell of both ends, and s; the powers read
-    m = min(n, k_max (s-1) + 1) points, and each end's gap mass M takes
-    the ccdf at (n-1)h and nh: the same cells, ends and M as all n give."""
+    only as far as the powers up to k_max reach, the down end reading
+    Pr(S > x) and the up end Pr(S >= x) (:func:`_ends_ccdf`).  The gap
+    ccdf is 0 from its upper end b on, so a prefix of b/h + 2 points (all
+    n at b = inf) holds every non-zero cell of both ends, and s; the powers
+    read m = min(n, k_max (s-1) + 1) points, and each end's gap mass M
+    takes the ccdf at (n-1)h and nh: the same cells, ends and M as all n
+    give."""
     short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
     tail = interarrival.ccdf(h * np.arange(short + 1))
     m = min(n, max(1, k_max * (_support(_cells(tail)) - 1) + 1))
     tail = np.concatenate((tail[:m + 1], np.zeros(max(0, m - short))))
     mass = tail[0] - interarrival.ccdf(h * np.array([n, n - 1.0]))
-    c = service.ccdf(_points(service, h, m))
+    _, c = _ends_ccdf(service, h, m)
     return _lattice_survival(_cells(tail), c, mass, n, k_max)
 
 
@@ -827,7 +858,7 @@ def _folded(interarrival: Distribution, service: Distribution, h: float,
     from m on; tau_k and beta_k each sum k kernel powers scaled by
     L, M <= 1: 2k kernel roundoffs."""
     shift, (_, _, (rate,)) = service.phases()
-    x = _points(service, h, n)
+    x, _ = _points(service, h, n)
     tail = interarrival.ccdf(h * np.arange(n + 1))
     gaps = _cells(tail)
     head = max(1, int(np.searchsorted(x, shift)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -113,8 +114,17 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        grid = tuple(self.grid)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for v in grid):  # JSON true is 1
+            raise ValueError(f"grid must hold numbers, got {self.grid!r}")
+        if isinstance(self.estimators, str):
+            raise ValueError("estimators must be a list of tags, "
+                             f"got {self.estimators!r}")
         object.__setattr__(self, "discipline", Discipline(self.discipline))
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        object.__setattr__(self, "grid", tuple(float(v) for v in grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "interarrival_template",
                            dict(self.interarrival_template))
@@ -167,9 +177,9 @@ class SweepSpec:
                 discipline=Discipline(data["discipline"]),
                 interarrival_template=data["interarrival"],
                 swept_param=data["swept_param"],
-                grid=tuple(data["grid"]),
+                grid=data["grid"],
                 service=from_dict(data["service"]),
-                estimators=tuple(data["estimators"]),
+                estimators=data["estimators"],
                 sim_cycles=data.get("sim_cycles", 20_000),
                 base_seed=data.get("base_seed", 0),
             )

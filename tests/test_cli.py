@@ -552,6 +552,26 @@ def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("name", 3), ("grid", [True, 2]), ("grid", ["0.5", "2"]),
+    ("estimators", "exact")],
+    ids=["numeric-name", "boolean-grid", "string-grid", "string-estimators"])
+def test_sweep_spec_field_of_the_wrong_type_is_usage_error(capsys, tmp_path,
+                                                          field, value):
+    # Refused before any run, naming the field: a numeric name once
+    # crashed the chart after the CSV was written.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SWEEP_SPEC, field: value}),
+                         encoding="utf-8")
+    outputs = tmp_path / "out.csv", tmp_path / "out.svg"
+    code, _, err = run(capsys, "sweep", "--spec", str(spec_path),
+                       "--csv", str(outputs[0]), "--chart", str(outputs[1]))
+    assert code == 2
+    assert "bad --spec" in err and f"{field} must" in err
+    assert "Traceback" not in err
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize("discipline,template,swept,value,service", [
     ("dropping", {"kind": "shifted_exponential", "shift": 0.5}, "rate", 1.5,
      {"kind": "exponential", "rate": 1.0}),

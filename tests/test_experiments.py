@@ -227,6 +227,22 @@ def test_a_boolean_seed_is_refused(tmp_path):
         SweepSpec.from_json_file(path)
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("name", 3, "name must be a string, got 3"),
+    ("grid", [True, 2], "grid must hold numbers, got [True, 2]"),
+    ("grid", ["0.5", "2"], "grid must hold numbers, got ['0.5', '2']"),
+    ("estimators", "exact", "estimators must be a list of tags, got 'exact'"),
+], ids=["numeric-name", "boolean-grid", "string-grid", "string-estimators"])
+def test_a_spec_field_of_the_wrong_type_is_refused(field, value, named):
+    # JSON true is the int 1 to Python and float("0.5") is 0.5, so such a
+    # grid would pass as numbers; a string of estimators would be split
+    # into one-letter tags; a numeric name would reach the chart's title.
+    data = dict(small_spec().to_dict(), **{field: value})
+    with pytest.raises(ValueError) as exc:
+        SweepSpec.from_dict(data)
+    assert str(exc.value) == named
+
+
 def test_chart_single_point_is_valid_svg(tmp_path):
     result = SweepResult(rows=(SweepRow(1.0, "exact", 2.5, 0.01, ""),))
     path = tmp_path / "one.svg"

@@ -135,10 +135,19 @@ def test_deterministic_gaps_bound_the_pmf_past_the_service_top(s, ccdf):
     assert pmf.tail_mass.value == 0.0
 
 
+def left_ccdf(s, x):
+    """Pr(S >= x): a D(v) service's is 1 up to v itself; every other law
+    here has no atom, so there it equals Pr(S > x)."""
+    if isinstance(s, Deterministic):
+        return np.where(x <= s.value, 1.0, 0.0)
+    return s.ccdf(x)
+
+
 def lattice_cells(pair):
     """The gap cells, rounded down and then up, the lattice points and the
-    service ccdf on them, for ``pair``'s solves, rebuilt from their
-    definition."""
+    service ccdf each end reads on them, for ``pair``'s solves, rebuilt
+    from their definition: Pr(S > x) for the down end, Pr(S >= x) for the
+    up end, one row for both where they agree."""
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
@@ -148,7 +157,9 @@ def lattice_cells(pair):
             x[j] = b
     tail = pair.interarrival.ccdf(h * np.arange(n + 1))
     cell = tail[:-1] - tail[1:]
-    return (cell, np.append(0.0, cell[:-1])), x, pair.service.ccdf(x)
+    c, up = pair.service.ccdf(x), left_ccdf(pair.service, x)
+    return ((cell, np.append(0.0, cell[:-1])), x,
+            c if np.array_equal(c, up) else np.stack((c, up)))
 
 
 @pytest.mark.parametrize("y,s", [
@@ -169,11 +180,11 @@ def test_survival_matches_direct_convolution_powers(y, s):
     pair = LatticePair(y, s)
     cells, _, c = lattice_cells(pair)
     ends = []
-    for f in cells:
+    for f, g in zip(cells, np.broadcast_to(c, (2, c.shape[-1]))):
         want, power = [], np.array([1.0])
         for _ in range(K_MAX):
-            power = np.convolve(power, np.trim_zeros(f, "b"))[:c.size]
-            want.append(float(power @ c[:power.size]))
+            power = np.convolve(power, np.trim_zeros(f, "b"))[:g.size]
+            want.append(float(power @ g[:power.size]))
         ends.append(want)
     for k, (down, up) in enumerate(zip(*ends), start=1):
         value, hw = pair.cycles(DROPPING).pmf(k)[1]
@@ -189,14 +200,14 @@ def full_lattice(pair, k_max):
     cells, x, c = lattice_cells(pair)
     gaps = np.stack(cells)
     (once, crossing), (twice, _), _ = analytic._renewal_sums(
-        gaps, np.stack((c, x * c)))
-    first = 1.0 - c[0]
+        gaps, np.stack((c, x * c), axis=-2))
+    first = 1.0 - c[..., 0]
     k1, k2 = first + once, first + twice
     h = pair.interarrival.mean() / analytic._LATTICE_STEPS
     lo = crossing[1] - 0.5 * h * (k2[1] - k1[1])
     hi = crossing[0] + 0.5 * h * (k2[0] - k1[0])
     mid = 0.5 * (crossing[0] + crossing[1])
-    survival = analytic._survival(gaps, c[None], k_max)[0][:, 0]
+    survival = analytic._survival(gaps, c[..., None, :], k_max)[0][:, 0]
     survival[:, 0] = 1.0
     return (Interval.between(*k1), Interval.between(*k2),
             Interval(mid, max(mid - lo, hi - mid)),
@@ -371,24 +382,50 @@ def test_pmf_roundoff_past_the_lattice_is_in_the_half_width():
     assert all(abs(p.value) <= p.half_width for p in pmf.pmf[:40])
 
 
-@pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7))],
-                         ids=[*IDS, "R/D"])
+# Pairs whose levels fail the order check, so that their sums keep the
+# bracketing solve at 1.0-1.8e-3 of the age (ROADMAP item 7): U(0.5, 1)'s
+# lower kink lies on some levels and not on others, and the SE gaps'
+# shift lands on the levels.
+FIRST_ORDER = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
+               (ShiftedExponential(1.0, 0.5), Uniform(0.0, 2.0))]
+
+
+@pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7)),
+                                 *FIRST_ORDER],
+                         ids=[*IDS, "R/D", "R/U-kink", "SE/U"])
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     # Every interval holds the midpoint of the bracketing solve at 1024
     # points per mean gap: SE/SE's kinks lie off the lattice, so its
-    # levels' error swings, and a D service's error is of first order.
+    # levels' error swings.  R/D's jump lies off that lattice, where the
+    # midpoint errs at first order (3.1e-4 in E[K], against a half-width
+    # of 2.8e-5): its age, E[K] and E[K^2] must lie inside that proven
+    # bracket instead, and within their half-widths of levels 4 times
+    # finer, which put the jump on every level.
     coarse = lattice(y, s)
+    jump = s.support()[0] == s.support()[1]
+    if jump:
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "_LEVEL_STEPS",
+                          4 * analytic._LEVEL_STEPS)
+            levels = lattice(y, s)
     bracketing_only(monkeypatch)
     monkeypatch.setattr(analytic, "_LATTICE_STEPS",
                         4 * analytic._LATTICE_STEPS)
     fine = lattice(y, s)
-    for i, ((value, hw), (finer, _)) in enumerate(zip(coarse, fine)):
-        assert abs(value - finer) <= hw, (i, value, hw, finer)
+    for i, ((value, hw), (finer, finer_hw)) in enumerate(zip(coarse, fine)):
+        if jump and i < 3:
+            assert abs(value - finer) <= finer_hw, (i, value, finer, finer_hw)
+            assert abs(value - levels[i][0]) <= hw, (i, value, hw, levels[i])
+        else:
+            assert abs(value - finer) <= hw, (i, value, hw, finer)
 
 
 # The pairs of ``PAIRS`` that reach the lattice, Erlang service included.
 LATTICE_PAIRS = [p for p in PAIRS if not isinstance(p[0], Deterministic)]
 LATTICE_IDS = [i for i, p in zip(IDS, PAIRS) if p in LATTICE_PAIRS]
+# D services, whose jump the levels put on every level.
+JUMP_PAIRS = [(Uniform(0.0, 2.0), Deterministic(1.0)),
+              (Rayleigh(1.0), Deterministic(0.7))]
 
 
 def lattice_pair(y, s):
@@ -397,7 +434,8 @@ def lattice_pair(y, s):
             else Pair)(y, s)
 
 
-@pytest.mark.parametrize("y,s", LATTICE_PAIRS, ids=LATTICE_IDS)
+@pytest.mark.parametrize("y,s", [*LATTICE_PAIRS, *JUMP_PAIRS],
+                         ids=[*LATTICE_IDS, "U/D", "R/D"])
 def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
                                                              monkeypatch):
     # Each pair takes its levels, and each interval (E[K], E[K^2], the
@@ -443,18 +481,46 @@ def assert_is_the_bracketing_solve(pair):
     assert list(record.sums()) == [*want, want[2].over(want[0])]
 
 
-def test_a_deterministic_service_takes_the_bracketing_solve(monkeypatch):
-    # A D service's error is of first order, so its levels would only be
-    # thrown away: the record goes straight to the bracketing solve, one
-    # renewal transform.
-    calls = []
+def renewal_weights(monkeypatch):
+    """The weights' shape of each ``analytic._renewal_sums`` call from now
+    on."""
+    shapes = []
     renewal_sums = analytic._renewal_sums
     monkeypatch.setattr(analytic, "_renewal_sums", lambda *a: (
-        calls.append(a[0].shape), renewal_sums(*a))[1])
+        shapes.append(a[1].shape), renewal_sums(*a))[1])
+    return shapes
+
+
+def test_a_deterministic_service_takes_the_levels(monkeypatch):
+    # The levels put a D service's jump on every level, where the down end
+    # reads 0 and the up end 1: the midpoint takes the trapezoid rule's
+    # half value there, and the levels' error is a series in h^2.  The
+    # record keeps the levels, three renewal transforms, each weighing c
+    # and x c once per end.
+    shapes = renewal_weights(monkeypatch)
     pair = Pair(Rayleigh(1.0), Deterministic(0.7))
-    exact_age(pair, DROPPING)
-    assert len(calls) == 1
-    assert_is_the_bracketing_solve(pair)
+    est = exact_age(pair, DROPPING)
+    assert [shape[:2] for shape in shapes] == [(2, 2)] * 3
+    assert 0.0 < est.ci_half_width <= 1e-4 * est.value
+
+
+@pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
+def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
+    # Pr(S >= x) differs from Pr(S > x) only at an atom, so every other
+    # service keeps one weight vector for both ends, on the renewal sums
+    # and on the pmf; for U, whose upper end's left limit is 0, too.  At
+    # U(0, 2) gaps every service end here lies on the pmf's lattice.
+    shapes = renewal_weights(monkeypatch)
+    noises = []
+    survival = analytic._survival
+    monkeypatch.setattr(analytic, "_survival", lambda *a: (
+        noises.append(a[1].shape), survival(*a))[1])
+    record = analytic._lattice_cycles(Uniform(0.0, 2.0), s)
+    record.sums()
+    record.pmf(K_MAX)
+    ends = (2,) if s.support()[0] == s.support()[1] else ()
+    assert shapes and all(shape[:-2] == ends for shape in shapes)
+    assert [shape[:-2] for shape in noises] == [ends]
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
@@ -520,15 +586,95 @@ MG11_CASES = [pytest.param(s, 1.0, id=s.describe())
     for s in ALL_KINDS for c in (1e-6, 1.0, 1e6) for rate in (0.5, 2.0)]
 
 
-@pytest.mark.parametrize("s,lam", MG11_CASES)
+# D(0.5), D(0.7) and D(1) at arrival rates 0.5, 1 and 2, at time scales
+# 1e-6, 1 and 1e6.
+JUMP_MG11_CASES = [
+    pytest.param(Deterministic(v * c), rate / c,
+                 id=f"D{v:g}-c{c:g}-rate{rate:g}")
+    for v in (0.5, 0.7, 1.0) for rate in (0.5, 1.0, 2.0)
+    for c in (1e-6, 1.0, 1e6)]
+
+
+@pytest.mark.parametrize("s,lam", MG11_CASES + JUMP_MG11_CASES)
 def test_half_width_covers_the_mg11_age(s, lam):
     # With Poisson arrivals the dropping age is the M/G/1/1 closed form
-    # E[(Y+S)^2] / (2 E[Y+S]) + E[S].
+    # E[(Y+S)^2] / (2 E[Y+S]) + E[S].  A D service's jump lies on the
+    # levels, so its age takes them too: its half-width is at most 1e-4
+    # of the age (2.3e-5 at most here; 1e-3 on the bracketing solve).
     y_second = 2.0 / lam**2
     mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
             / (2.0 * (1.0 / lam + s.mean())) + s.mean())
     est = exact_age(LatticePair(Exponential(lam), s), DROPPING)
     assert abs(est.value - mg11) <= est.ci_half_width
+    if isinstance(s, Deterministic):
+        assert est.ci_half_width <= 1e-4 * est.value
+
+
+# U(0, b) gaps against D(d), d < b: Pr(K > k) = Pr(T_k < d) = (d/b)^k/k!.
+UNIFORM_JUMPS = [(2.0, 1.0), (2.0, 0.3), (1.0, 0.7), (3.0, 2.0)]
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("b,d", UNIFORM_JUMPS, ids=[
+    f"U(0,{b:g})/D({d:g})" for b, d in UNIFORM_JUMPS])
+def test_a_jump_on_the_levels_holds_the_uniform_series(b, d, c):
+    # With r = d/b, E[K] = e^r, E[K^2] = sum (2k+1) r^k/k! = (2r + 1) e^r,
+    # and T_j's density t^(j-1)/((j-1)! b^j) below b gives the crossing sum
+    # sum_j E[T_j; T_j < d] = sum_{j>=1} d^(j+1)/((j+1) b^j (j-1)!).  Each
+    # must lie within its half-width, as each Pr(K > k) must.  E[K] and
+    # the age hold half-widths of at most 1e-4 of their value (at most
+    # 2.4e-5 and 1.6e-5 here), E[K^2] and the crossing sum, whose
+    # extrapolation steps are larger, 1e-3 (at most 1.3e-4 and 4.7e-4);
+    # the bracketing solve gives 1.5e-3, 3.4e-3, 1.2e-2 and 1.5e-3 on
+    # U(0, 2)/D(1).
+    pair = Pair(Uniform(0.0, b * c), Deterministic(d * c))
+    r = d / b
+    with mpmath.workdps(30):
+        crossing = c * mpmath.nsum(lambda j: mpmath.mpf(d) ** (j + 1) / (
+            (j + 1) * mpmath.mpf(b) ** j * mpmath.factorial(j - 1)),
+            [1, mpmath.inf])
+        want = [mpmath.exp(r), (2 * r + 1) * mpmath.exp(r), crossing]
+        survival = [mpmath.mpf(r) ** k / mpmath.factorial(k)
+                    for k in range(K_MAX + 1)]
+    record = pair.cycles(DROPPING)
+    assert record.path == "lattice"
+    sums = record.sums()[:3]
+    for i, (got, exact) in enumerate(zip(sums, want)):
+        assert abs(got.value - float(exact)) <= got.half_width, (i, got, exact)
+    assert sums[0].half_width <= 1e-4 * sums[0].value
+    assert all(got.half_width <= 1e-3 * got.value for got in sums[1:])
+    est = exact_age(pair, DROPPING)
+    assert est.ci_half_width <= 1e-4 * est.value
+    pmf = k_pmf(pair, K_MAX)
+    for k, got in enumerate(pmf.pmf):
+        exact = float(survival[k] - survival[k + 1])
+        assert abs(got.value - exact) <= got.half_width, (k + 1, got, exact)
+    assert abs(pmf.tail_mass.value - float(survival[K_MAX])) <= (
+        pmf.tail_mass.half_width)
+
+
+def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
+    # The bracketing solve at 256 points per mean gap on U(0, 2)/D(1): the
+    # up end reads Pr(S >= 1) = 1 at the jump, so the proven bracket still
+    # holds E[K] = e^(1/2), and is narrower than with both ends reading
+    # Pr(S > x), as they did before (+-8.1e-4 against +-2.4e-3); so is
+    # each Pr(K = k) (+-4.9e-4 against +-9.8e-4 at k = 2).
+    pair = Pair(Uniform(0.0, 2.0), Deterministic(1.0))
+    bracketing_only(monkeypatch)
+    k_mean, pmf = pair.cycles(DROPPING).sums()[0], k_pmf(pair, K_MAX)
+    assert abs(k_mean.value - math.exp(0.5)) <= k_mean.half_width
+
+    def both_strict(service, h, n):
+        x, _ = analytic._points(service, h, n)
+        return x, service.ccdf(x)
+    monkeypatch.setattr(analytic, "_ends_ccdf", both_strict)
+    strict = Pair(pair.interarrival, pair.service)
+    was, was_pmf = strict.cycles(DROPPING).sums()[0], k_pmf(strict, K_MAX)
+    assert abs(was.value - math.exp(0.5)) <= was.half_width
+    assert k_mean.half_width < 0.5 * was.half_width
+    assert all(p.half_width <= q.half_width
+               for p, q in zip(pmf.pmf, was_pmf.pmf))
+    assert pmf.pmf[1].half_width < 0.6 * was_pmf.pmf[1].half_width
 
 
 UNBOUNDED = [d for d in ALL_KINDS if d.support()[1] == np.inf]
@@ -836,19 +982,21 @@ def test_untilted_powers_match_long_double_convolution(cells, k_max,
     (Rayleigh(1.0), Uniform(0.0, 2.0)),
     (ShiftedExponential(1.0, 0.5), Deterministic(2.0)),
     (Rayleigh(0.01), Deterministic(1.0)),
-], ids=["deep-U/R", "deep-U/D", "U/R", "U/U", "R/U", "SE/D", "deep-R/D"])
+    (Uniform(0.0, 2.0), Deterministic(1.0)),
+], ids=["deep-U/R", "deep-U/D", "U/R", "U/U", "R/U", "SE/D", "deep-R/D",
+        "U/D-on-lattice"])
 def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
     # An unfolded lattice builds only the prefix that the powers read (all
     # of it where they can wrap, and every cell of gaps with no upper end):
     # the pmf must be the one all n points give, spanned the same way, its
-    # half-widths no wider.
+    # half-widths no wider.  U/D's jump lies on the lattice, where the up
+    # end reads Pr(S >= 1) = 1.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
-    h = y.mean() / analytic._LATTICE_STEPS
-    n = int(analytic._truncation_point(s) / h) + 2
-    tail = y.ccdf(h * np.arange(n + 1))
+    cells, x, ccdf = lattice_cells(Pair(y, s))
+    n = x.size
+    tail = y.ccdf(y.mean() / analytic._LATTICE_STEPS * np.arange(n + 1))
     ends, noise = analytic._lattice_survival(
-        analytic._cells(tail), s.ccdf(analytic._points(s, h, n)),
-        tail[0] - tail[[n, n - 1]], n, k_max)
+        np.stack(cells), ccdf, tail[0] - tail[[n, n - 1]], n, k_max)
     (probs, hws), tail = analytic._pmf(*Interval.between(
         ends.min(0) - noise, ends.max(0) + noise))
     got = k_pmf(Pair(y, s), k_max)

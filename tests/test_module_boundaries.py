@@ -261,3 +261,36 @@ def test_integration_checker_flags_every_form():
         "analytic: pdf",
         "analytic: quad_points",
     ]
+
+
+# The lattice reads a service by its support and ccdf alone: a point
+# mass's atom comes from a support of one point, not from a class.
+LATTICE = ("_lattice_cycles", "_level_step", "_points", "_ends_ccdf", "_full",
+           "_prefix_survival", "_lattice_survival", "_bracket",
+           "_extrapolated")
+
+
+def service_class_tests(source: str) -> list[str]:
+    """Every ``isinstance(service, ...)`` call in ``source``."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and node.args
+            and ast.unparse(node.args[0]) == "service"]
+
+
+def test_the_lattice_tests_no_service_class():
+    tree = ast.parse((SRC / "analytic.py").read_text(encoding="utf-8"))
+    defined = {node.name: ast.unparse(node) for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(LATTICE) <= set(defined)
+    assert [t for name in LATTICE
+            for t in service_class_tests(defined[name])] == []
+
+
+def test_service_class_checker_flags_a_test():
+    source = ("def solved(service, interarrival):\n"
+              "    if isinstance(interarrival, Deterministic):\n"
+              "        return 1\n"
+              "    return not isinstance(service, (Deterministic, Uniform))\n")
+    assert service_class_tests(source) == [
+        "isinstance(service, (Deterministic, Uniform))"]

@@ -158,19 +158,25 @@ COVERAGE_PAIRS = [
     (Erlang(3, 3.0), Uniform(0.0, 2.0)),
     (Erlang(4, 1.0), ShiftedExponential(2.0, 0.5)),
     (Hyperexponential((0.99, 0.01), (5.0, 0.05)), Rayleigh(1.0))]
+# D services, whose jump the levels put on every level.
+JUMP_PAIRS = [(y, Deterministic(d))
+              for y in (Erlang(2, 2.0), Erlang(3, 3.0), Erlang(2, 0.5), H2)
+              for d in (0.3, 1.0, 2.5)]
 
 
 def lattice_of(y, s):
     return analytic._lattice_cycles(y, s, isinstance(s, ShiftedExponential))
 
 
-@pytest.mark.parametrize("y,s", COVERAGE_PAIRS, ids=lambda v: v.describe())
+@pytest.mark.parametrize("y,s", COVERAGE_PAIRS + JUMP_PAIRS,
+                         ids=lambda v: v.describe())
 def test_extrapolated_lattice_covers_the_record(y, s):
     # The lattice's extrapolated half-width is an estimate; against the
     # record (error of roundoff size) every extrapolated E[K], E[K^2],
     # crossing sum and age must lie within its half-width.  Each pair
-    # takes its levels, and the worst margin over these pairs is 5.5e-3 of
-    # a half-width (Erlang(4, 1)/SE(2, 0.5)'s E[K^2]).
+    # takes its levels, and the worst margin over these pairs is 1.04e-2
+    # of a half-width (Erlang(3, 3)/D(0.3)); 5.5e-3 without the D services
+    # (Erlang(4, 1)/SE(2, 0.5)'s E[K^2]).
     pair = Pair(y, s)
     record, lattice = pair.cycles(DROPPING), lattice_of(y, s)
     (*closed, middle), (*levels, estimated) = record.sums(), lattice.sums()
