@@ -89,10 +89,14 @@ Lattice (paths ``lattice`` and ``closed_form``)
     the tilted renewal mass held every sum of a direct long-double
     solve.  This half-width is an estimate, not a proof.  If any
     quantity's p falls outside [0.8, 2.5], or its half-width passes a
-    quarter of its finest bracket (what m = 256 proves, to first order),
-    the record takes the bracketing solve below at m = 256 points per
-    mean gap instead, as does a cycle too deep for the levels' point
-    budget.  Pr(K > k) always comes from that solve, with its proven
+    quarter of its finest bracket (what a quarter of the step proves, to
+    first order), the record takes the bracketing solve below at step
+    h/4 instead, as does a cycle too deep for the levels' point budget.
+    One rule sets every step, so the service's last kink lies on the
+    bracketing lattice as on every level.  For a deep cycle the
+    bracketing step doubles until the lattice holds at most 2^18 points;
+    a cycle that would pass them even at E[Y]/16 is not reached.
+    Pr(K > k) always comes from that solve, with its proven
     half-widths.
     Every lattice sum is one inner product of half spectra, both ends and
     every weight vector of a sum stacked in one transform call.  Two
@@ -127,9 +131,10 @@ Lattice (paths ``lattice`` and ``closed_form``)
     the up end reads the left limit Pr(S >= x): the two ends bracket E[K],
     E[K^2] and each Pr(S > T_k), and the intervals span them.  The ccdfs
     differ only at a point mass's atom, which the levels' step puts on
-    every level: there the ends read 0 and 1, the midpoint the trapezoid
-    rule's 1/2 at a jump, so a D service's levels err in powers of h^2
-    too.  Every other service's ends share one weight vector.
+    every level and on the bracketing lattice: there the ends read 0 and
+    1, the midpoint the trapezoid rule's 1/2 at a jump, so a D service's
+    levels err in powers of h^2 too.  Every other service's ends share
+    one weight vector.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
     most (k-1) h, so each end's crossing sum widened by h E[K(K-1)]/2
     brackets the true one.  Deterministic gaps give the sums in closed
@@ -167,8 +172,7 @@ __all__ = [
     "k_pmf",
 ]
 
-_LATTICE_STEPS = 256     # lattice points per mean gap of the bracketing solve
-_MIN_STEPS = 16          # the coarsest lattice before a cycle is too deep
+_MIN_STEPS = 16          # points per mean gap a cycle must fit at
 _LEVEL_STEPS = 64        # of the finest extrapolated level
 _STRIDES = (1, 2, 4)     # the levels' steps, in steps of the finest
 _ORDERS = (2.0**0.8, 2.0**2.5)  # d(2h)/d(h) of an accepted observed order
@@ -411,8 +415,7 @@ class Pair:
                 return (Interval(np.dot(w, probs), np.zeros(k_max)),
                         Interval(float(np.dot(w, tail)), 0.0))
             return Cycles("closed_form", lambda: sums, pmf)
-        return (phases and _phase_cycles(y, s)) or _lattice_cycles(
-            y, s, s.phases() is not None)
+        return (phases and _phase_cycles(y, s)) or _lattice_cycles(y, s)
 
     def _geometric_cycles(self) -> Cycles:
         """Preemption's K, geometric in p.  Where E[K^2] or the crossing
@@ -631,51 +634,53 @@ def _level_step(mean_gap: float, service: Distribution) -> float:
     level (b/4h an integer), if that step is at least E[Y]/128.  On the
     lattice a kink keeps each level's error a series in powers of h; off it
     the error swings with b's place between two points, and the observed
-    order with it."""
+    order with it.  The bracketing solve takes a quarter of it, so b lies
+    on that lattice too."""
     h = mean_gap / _LEVEL_STEPS
     b = max(filter(math.isfinite, service.support()))
     j = math.ceil(b / (4.0 * h) - _SNAP)
     return b / (4.0 * j) if j > 0 and b / (4.0 * j) >= 0.5 * h else h
 
 
-def _lattice_cycles(interarrival: Distribution, service: Distribution,
-                    fold: bool = False) -> Cycles:
+def _lattice_cycles(interarrival: Distribution, service: Distribution
+                    ) -> Cycles:
     """The dropping record from renewal solves with every gap rounded down,
     then up, to a lattice jh that ends past :func:`_truncation_point`.
 
-    E[K], E[K^2], the crossing sum and its quotient by E[K] come from
-    three levels, steps h (:func:`_level_step`), 2h and 4h, extrapolated
-    (:func:`_extrapolated`), else from the bracketing solve at
-    h = E[Y]/256, whose two roundings bracket them, each over every
-    lattice point (:func:`_full`), the down end reading Pr(S > x) and the
-    up end Pr(S >= x) (:func:`_ends_ccdf`).  The bracketing solve's
-    m = 256 points per mean gap halve until at most 2^18 points remain;
-    below 16 the cycle is too deep (:class:`TruncationNotReached`).  Every
-    service tries the levels first, a D service too, whose jump they put
-    on every level; they need their finest lattice within the same
-    budget.  Pr(K > k) always comes from the bracketing
-    solve's lattice, its ends widened by the kernel's roundoff: unfolded,
-    only the prefix its powers read (:func:`_prefix_survival`), or with
-    ``fold``, for a service c plus an exponential, c > 0, folded past c
-    into closed-form weights (:func:`_folded`).
+    :func:`_level_step` sets every step.  E[K], E[K^2], the crossing sum
+    and its quotient by E[K] come from three levels, steps h, 2h and 4h,
+    extrapolated (:func:`_extrapolated`), else from the bracketing solve
+    at h/4, whose two roundings bracket them, each over every lattice
+    point (:func:`_full`), the down end reading Pr(S > x) and the up end
+    Pr(S >= x) (:func:`_ends_ccdf`).  The service's last kink lies on
+    every one of these lattices.  The bracketing step doubles until at
+    most 2^18 points remain, which they do by the first step at or past
+    E[Y]/16; a cycle too deep even there raises
+    :class:`TruncationNotReached`.  Every service tries the levels first;
+    they need their finest lattice within the same budget.  Pr(K > k)
+    always comes from the bracketing solve's lattice, its ends widened by
+    the kernel's roundoff: unfolded, only the prefix its powers read
+    (:func:`_prefix_survival`), or, for a service c plus an exponential,
+    c > 0 in its ``phases()``, folded past c into closed-form weights
+    (:func:`_folded`).
     """
     top = _truncation_point(service)
     if isinstance(interarrival, Deterministic):
         return _deterministic_cycles(interarrival.value, service, top)
 
-    m = _LATTICE_STEPS
-    while True:
-        h = interarrival.mean() / m
-        steps = top / h  # inf when the cycle outgrows the float range
-        if steps < _MAX_LATTICE - 1:
-            break
-        if m <= _MIN_STEPS:
-            raise _too_deep(steps)
-        m //= 2
+    # The budget at E[Y]/16 first: past it, b/4h in _level_step could
+    # leave the float range.
+    mean = interarrival.mean()
+    if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
+        raise _too_deep(top / (mean / _MIN_STEPS))
+    fine = _level_step(mean, service)
+    h = 0.25 * fine
+    while not top / h < _MAX_LATTICE - 1:
+        h *= 2.0
+    steps = top / h
 
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
-        fine = _level_step(interarrival.mean(), service)
         # in steps of the coarsest level; a top on that lattice, as a
         # bounded service's last kink is, counts as on it at every
         # time scale
@@ -692,7 +697,8 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution,
         return _bracket(h, *(v.tolist() for v in _full(
             interarrival, service, h, int(steps) + 2, (1,))[:3]))
 
-    survival = _folded if fold else _prefix_survival
+    shift = (service.phases() or (0.0,))[0]  # 0 but for a shifted phase law
+    survival = _folded if shift else _prefix_survival
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
         ends, noise = survival(interarrival, service, h, int(steps) + 2, k_max)

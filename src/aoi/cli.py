@@ -158,6 +158,22 @@ def _usage_errors(args):
         raise SystemExit(f"aoi {args.command}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(args, *paths):
+    """Refuse an output path that cannot be written as a usage error
+    (exit 2), in one line: before any work, one whose directory does not
+    exist; then any ``OSError`` from writing it."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise SystemExit(f"aoi {args.command}: cannot write {path}: "
+                             "no such directory")
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"aoi {args.command}: cannot write {exc.filename}: "
+                         f"{exc.strerror}") from exc
+
+
 def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
     if args.as_json:
         payload = {"command": command, "inputs": inputs, "result": result}
@@ -178,7 +194,8 @@ def _cmd_simulate(args) -> int:
                            discipline=Discipline(args.discipline),
                            target_cycles=args.cycles, seed=args.seed,
                            max_events=args.max_events)
-    estimate, records = run_simulation(config, trace_path=args.trace)
+    with _writing(args, args.trace):
+        estimate, records = run_simulation(config, trace_path=args.trace)
     stats = cycle_statistics(records)
     inputs = {"discipline": args.discipline,
               "interarrival": args.interarrival.to_dict(),
@@ -287,13 +304,14 @@ def _cmd_sweep(args) -> int:
         spec = experiments.SweepSpec.from_json_file(args.spec)
     except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"aoi sweep: bad --spec {args.spec}: {exc}")
-    with _usage_errors(args):  # a moment an estimator rejects
-        result_obj = experiments.run_sweep(spec)
-    experiments.emit_csv(result_obj, args.csv)
-    if args.chart:
-        experiments.emit_chart(result_obj, args.chart,
-                               title=args.title or spec.name,
-                               xlabel=spec.swept_param)
+    with _writing(args, args.csv, args.chart):
+        with _usage_errors(args):  # a moment an estimator rejects
+            result_obj = experiments.run_sweep(spec)
+        experiments.emit_csv(result_obj, args.csv)
+        if args.chart:
+            experiments.emit_chart(result_obj, args.chart,
+                                   title=args.title or spec.name,
+                                   xlabel=spec.swept_param)
     inputs = {"spec": str(args.spec)}
     rows_payload = [{"param": r.param, "estimator": r.estimator,
                      "value": r.value, "ci": r.ci,

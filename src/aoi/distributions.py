@@ -65,6 +65,7 @@ __all__ = [
 # of j ratios costs a double's last bits; each result is then rounded once.
 _EXT = np.longdouble
 _EXT_EPS = float(np.finfo(_EXT).eps)
+_EPS = float(np.finfo(float).eps)
 _EXP_NORMAL = float(-np.log(np.finfo(_EXT).smallest_normal))  # e^-t normal below
 _FORWARD_REACH = 1.5     # w sqrt(m) below which Rayleigh's ratios run forward
 _EXTENSION = 64          # pmf terms taken past j_max before the tail is checked
@@ -363,7 +364,11 @@ class Distribution(ABC):
 def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
     """Pr(Poisson(t) < n), t = rate x: the terms e^-t t^i / i! are each at
     most 1, taken in log space so that none overflows and none underflows
-    before the sum does."""
+    before the sum does.  Below t = n/2, where that sum would round up and
+    down about 1, it is 1 less Pr(Poisson(t) >= n) instead: e^-t t^n / n!
+    times sum_k t^k / ((n+1)...(n+k)), terms that rise with t and each
+    under half the one before, summed until they no longer count.  So the
+    ccdf stays at most 1 and falls there."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n == 1:  # e^-inf is 0 already
             return np.exp(-rate * np.maximum(xs, 0.0))
@@ -372,6 +377,16 @@ def _erlang_ccdf(n: int, rate: float, xs: np.ndarray) -> np.ndarray:
         out = np.exp(-t)
         for i in range(1, n):
             out += np.exp(i * log_t - t - math.lgamma(i + 1))
+        near = t < 0.5 * n
+        if near.any():
+            tn, term = t[near], np.ones(np.count_nonzero(near))
+            series, i = term.copy(), n
+            while term.max() > 0.25 * _EPS:
+                i += 1
+                term *= tn / i
+                series += term
+            out[near] = 1.0 - series * np.exp(
+                n * log_t[near] - tn - math.lgamma(n + 1))
     return np.where(np.isinf(t), 0.0, out)
 
 

@@ -260,20 +260,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def emit_csv(result: SweepResult, path) -> None:
     """Write ``param,estimator,value,ci,applicability`` rows; floats use
     ``repr`` so re-reading reproduces them exactly."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for r in result.rows:
-                writer.writerow([
-                    repr(r.param),
-                    r.estimator,
-                    "divergent" if r.value is None else repr(r.value),
-                    "" if r.ci is None else repr(r.ci),
-                    r.applicability,
-                ])
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in result.rows:
+            writer.writerow([
+                repr(r.param),
+                r.estimator,
+                "divergent" if r.value is None else repr(r.value),
+                "" if r.ci is None else repr(r.ci),
+                r.applicability,
+            ])
 
 
 def read_csv(path) -> SweepResult:
@@ -461,8 +458,5 @@ def render_chart_svg(result: SweepResult, title: str = "",
 def emit_chart(result: SweepResult, path, title: str = "",
                xlabel: str = "swept parameter") -> None:
     """Render the sweep to an SVG file (deterministic bytes)."""
-    svg = render_chart_svg(result, title=title, xlabel=xlabel)
-    try:
-        Path(path).write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write chart to {path}: {exc}") from exc
+    Path(path).write_text(render_chart_svg(result, title=title, xlabel=xlabel),
+                          encoding="utf-8")

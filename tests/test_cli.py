@@ -500,6 +500,31 @@ def test_sweep_end_to_end(capsys, tmp_path):
     assert header == "param,estimator,value,ci,applicability"
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--csv", "--chart"])
+@pytest.mark.parametrize("place", ["missing-directory", "a-directory"])
+def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, flag, place):
+    # One line on stderr and exit 2, no traceback; a missing directory is
+    # refused before any work, so the sweep writes no file at all.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
+    bad = str(tmp_path / "missing" / "out" if place == "missing-directory"
+              else tmp_path)
+    if flag == "--trace":
+        argv = ["simulate", "--discipline", "dropping", "--interarrival",
+                DET % 2, "--service", DET % 1, "--cycles", "20", "--trace", bad]
+    else:
+        outputs = {"--csv": str(tmp_path / "out.csv"),
+                   "--chart": str(tmp_path / "out.svg"), flag: bad}
+        argv = ["sweep", "--spec", str(spec_path), *(
+            v for item in outputs.items() for v in item)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"aoi {argv[0]}: cannot write {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if place == "missing-directory":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 @pytest.mark.parametrize("options", [
     {"mc_samples": 20000, "walk_only": True}, {"k_truncation_epsilon": 1e-8},
     {"quadrature_rel_tol": 1e-9}, {"mc_samples": 100}],

@@ -190,6 +190,18 @@ def test_erlang_ccdf_matches_the_incomplete_gamma_oracle(shape):
                                    atol=0.0)
 
 
+@pytest.mark.parametrize("shape", range(2, 21))
+def test_erlang_ccdf_near_zero_is_a_nonincreasing_probability(shape):
+    # Near t = 0 the sum of the first terms e^-t t^i / i! rounds up and
+    # down about 1; 1 less the upper Poisson tail stays at most 1 and
+    # falls.  Dense grids in t from 1e-12 to n/2, at rates 1e-300 to 1e300.
+    for rate in (1e-300, 1.0, 1e300):
+        for top in (1e-12, 1e-6, 1e-3, 1.0, 0.5 * shape):
+            got = Erlang(shape, rate).ccdf(np.linspace(0.0, top, 20_001) / rate)
+            assert got.max() <= 1.0, (rate, top, got.max())
+            assert np.all(np.diff(got) <= 0.0), (rate, top)
+
+
 def test_erlang_ccdf_keeps_the_mass_left_at_large_shapes():
     got = Erlang(1000, 1.0).ccdf(800.0)
     assert 1.0 - got < 1e-11

@@ -143,12 +143,23 @@ def left_ccdf(s, x):
     return s.ccdf(x)
 
 
+def bracket_step(pair):
+    """The bracketing solve's step, rebuilt from its rule: a quarter of the
+    finest level's step, doubled while the lattice would hold 2^18 points
+    or more."""
+    top = analytic._truncation_point(pair.service)
+    h = analytic._level_step(pair.interarrival.mean(), pair.service) / 4.0
+    while top / h >= analytic._MAX_LATTICE - 1:
+        h *= 2.0
+    return h
+
+
 def lattice_cells(pair):
     """The gap cells, rounded down and then up, the lattice points and the
     service ccdf each end reads on them, for ``pair``'s solves, rebuilt
     from their definition: Pr(S > x) for the down end, Pr(S >= x) for the
     up end, one row for both where they agree."""
-    h = pair.interarrival.mean() / analytic._LATTICE_STEPS
+    h = bracket_step(pair)
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
     for b in filter(math.isfinite, pair.service.support()):
@@ -203,7 +214,7 @@ def full_lattice(pair, k_max):
         gaps, np.stack((c, x * c), axis=-2))
     first = 1.0 - c[..., 0]
     k1, k2 = first + once, first + twice
-    h = pair.interarrival.mean() / analytic._LATTICE_STEPS
+    h = bracket_step(pair)
     lo = crossing[1] - 0.5 * h * (k2[1] - k1[1])
     hi = crossing[0] + 0.5 * h * (k2[0] - k1[0])
     mid = 0.5 * (crossing[0] + crossing[1])
@@ -228,10 +239,10 @@ def record_intervals(record):
     return list(record.sums())
 
 
-def folded_lattice(y, s):
-    """The lattice record whose pmf folds at the shift of the shifted
-    exponential service ``s``."""
-    return analytic._lattice_cycles(y, s, fold=True)
+def unfold(monkeypatch):
+    """Let every lattice record built from now on take the unfolded pmf
+    of every point, whatever its service."""
+    monkeypatch.setattr(analytic, "_folded", analytic._prefix_survival)
 
 
 def bracketing_only(monkeypatch):
@@ -249,8 +260,10 @@ def test_a_folded_record_takes_the_full_lattice_sums(y, s, monkeypatch):
     # record through ``Pair``; the folded lattice is held on them by
     # direct calls.
     def assert_one_path():
-        want = record_intervals(analytic._lattice_cycles(y, s))
-        assert record_intervals(folded_lattice(y, s)) == want
+        with monkeypatch.context() as patch:
+            unfold(patch)
+            want = record_intervals(analytic._lattice_cycles(y, s))
+        assert record_intervals(analytic._lattice_cycles(y, s)) == want
         if not unshifted(y):
             record = Pair(y, s).cycles(DROPPING)
             assert record.path == "lattice"
@@ -275,7 +288,7 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
         "closed_form" if unshifted(y) else "lattice")
     *_, survival = full_lattice(Pair(y, s), K_MAX)
     noises = kernel_noises(monkeypatch)
-    probs, tail = folded_lattice(y, s).pmf(K_MAX)
+    probs, tail = analytic._lattice_cycles(y, s).pmf(K_MAX)
     mid, hw = survival
     (noise,) = noises
     roundoff = 2.0 * noise * np.arange(K_MAX + 1.0)  # tau_k's and beta_k's
@@ -319,10 +332,11 @@ def test_folded_pmf_half_width_covers_its_roundoff(y, s, c):
     assert abs(pmf.tail_mass.value - 1.0) <= pmf.tail_mass.half_width
 
 
-def test_unfolded_pmf_half_width_covers_its_roundoff():
+def test_unfolded_pmf_half_width_covers_its_roundoff(monkeypatch):
     # As above on the unfolded lattice, whose powers stay on it up to
     # k = 12: each entry is M^k plus the power against G - 1, which
     # carries the kernel's roundoff.
+    unfold(monkeypatch)
     probs, tail = analytic._lattice_cycles(*COVERAGE_PAIRS[0]).pmf(12)
     assert np.all(np.abs(probs.value) <= probs.half_width)
     assert abs(tail.value - 1.0) <= tail.half_width
@@ -394,30 +408,25 @@ FIRST_ORDER = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
                                  *FIRST_ORDER],
                          ids=[*IDS, "R/D", "R/U-kink", "SE/U"])
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
-    # Every interval holds the midpoint of the bracketing solve at 1024
-    # points per mean gap: SE/SE's kinks lie off the lattice, so its
-    # levels' error swings.  R/D's jump lies off that lattice, where the
-    # midpoint errs at first order (3.1e-4 in E[K], against a half-width
-    # of 2.8e-5): its age, E[K] and E[K^2] must lie inside that proven
-    # bracket instead, and within their half-widths of levels 4 times
-    # finer, which put the jump on every level.
+    # Every interval holds the midpoint of the bracketing solve on levels
+    # 4 times finer, 1024 points or more per mean gap: SE/SE's kinks lie
+    # off the lattice, so its levels' error swings.  R/D's jump lies on
+    # both bracketing lattices, where the midpoint takes the trapezoid
+    # rule's half value; its age, E[K] and E[K^2] must also lie inside
+    # the finer proven bracket, and within their half-widths of levels 4
+    # times finer.
     coarse = lattice(y, s)
     jump = s.support()[0] == s.support()[1]
-    if jump:
-        with monkeypatch.context() as patch:
-            patch.setattr(analytic, "_LEVEL_STEPS",
-                          4 * analytic._LEVEL_STEPS)
-            levels = lattice(y, s)
-    bracketing_only(monkeypatch)
-    monkeypatch.setattr(analytic, "_LATTICE_STEPS",
-                        4 * analytic._LATTICE_STEPS)
-    fine = lattice(y, s)
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "_LEVEL_STEPS", 4 * analytic._LEVEL_STEPS)
+        levels = lattice(y, s) if jump else None
+        bracketing_only(patch)
+        fine = lattice(y, s)
     for i, ((value, hw), (finer, finer_hw)) in enumerate(zip(coarse, fine)):
+        assert abs(value - finer) <= hw, (i, value, hw, finer)
         if jump and i < 3:
             assert abs(value - finer) <= finer_hw, (i, value, finer, finer_hw)
             assert abs(value - levels[i][0]) <= hw, (i, value, hw, levels[i])
-        else:
-            assert abs(value - finer) <= hw, (i, value, hw, finer)
 
 
 # The pairs of ``PAIRS`` that reach the lattice, Erlang service included.
@@ -469,7 +478,7 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s,
                                                           monkeypatch):
     # With no observed order accepted, the full lattice's record is the
-    # bracketing solve at 256 points per mean gap, bit for bit, as a
+    # bracketing solve at a quarter of the levels' step, bit for bit, as a
     # folded one's is (test_a_folded_record_takes_the_full_lattice_sums).
     bracketing_only(monkeypatch)
     assert_is_the_bracketing_solve(LatticePair(y, s))
@@ -511,6 +520,7 @@ def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
     # and on the pmf; for U, whose upper end's left limit is 0, too.  At
     # U(0, 2) gaps every service end here lies on the pmf's lattice.
     shapes = renewal_weights(monkeypatch)
+    unfold(monkeypatch)  # the fold weighs each end apart whatever the law
     noises = []
     survival = analytic._survival
     monkeypatch.setattr(analytic, "_survival", lambda *a: (
@@ -653,8 +663,54 @@ def test_a_jump_on_the_levels_holds_the_uniform_series(b, d, c):
         pmf.tail_mass.half_width)
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
+def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
+    # The bracketing solve takes a quarter of the finest level's step,
+    # which puts the service's last kink b on every level, and so each
+    # kink here (U(0.5, 2)'s lower end is b/4) on its lattice too: the pmf
+    # lattice holds each finite end of the support as a point.
+    y, s = Rayleigh(c), RESCALED[s.kind](s, c)
+    lattices = []
+
+    def recorded(service, h, n, _original=analytic._points):
+        x, atom = _original(service, h, n)
+        lattices.append(x)
+        return x, atom
+    monkeypatch.setattr(analytic, "_points", recorded)
+    analytic._lattice_cycles(y, s).pmf(K_MAX)
+    (x,) = lattices
+    assert x[1] == pytest.approx(bracket_step(Pair(y, s)), rel=1e-15)
+    for b in filter(math.isfinite, s.support()):
+        assert b in x, (b, x[1], b / x[1])
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_a_jump_on_the_bracketing_lattice_gives_the_exact_pmf(c):
+    # SE(1, 0.5) gaps against D(1): the first gap outlasts the service with
+    # chance e^(-1/2), and two gaps always do, so Pr(K = 1) = e^(-1/2),
+    # Pr(K = 2) = 1 - e^(-1/2) and Pr(K > 2) = 0.  The shift and the jump
+    # lie on the bracketing lattice, where both ends read every cell alike:
+    # each half-width is the kernel's roundoff alone.
+    pmf = k_pmf(Pair(ShiftedExponential(1.0 / c, 0.5 * c),
+                     Deterministic(c)), K_MAX)
+    want = [math.exp(-0.5), -math.expm1(-0.5)] + [0.0] * (K_MAX - 2)
+    for k, (got, exact) in enumerate(zip([*pmf.pmf, pmf.tail_mass],
+                                         want + [0.0]), start=1):
+        assert abs(got.value - exact) <= got.half_width <= 1e-12, (k, got)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_a_jump_on_the_bracketing_lattice_gives_the_first_pmf_entry(c):
+    # Pr(K = 1) = Pr(Y > 0.7) = e^(-0.245) for R(1) gaps against D(0.7):
+    # with the jump on the lattice both ends read the same cells, so only
+    # roundoff is left in its half-width.
+    first = k_pmf(Pair(Rayleigh(c), Deterministic(0.7 * c)), K_MAX).pmf[0]
+    assert abs(first.value - math.exp(-0.245)) <= first.half_width <= 1e-12
+
+
 def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
-    # The bracketing solve at 256 points per mean gap on U(0, 2)/D(1): the
+    # The bracketing solve on U(0, 2)/D(1), at 256 points per mean gap: the
     # up end reads Pr(S >= 1) = 1 at the jump, so the proven bracket still
     # holds E[K] = e^(1/2), and is narrower than with both ends reading
     # Pr(S > x), as they did before (+-8.1e-4 against +-2.4e-3); so is
@@ -828,6 +884,22 @@ def test_deep_cycle_guard():
     assert abs(est.value - age) <= est.ci_half_width
 
 
+def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves():
+    # The SE(0.0025, 0.04) service's shift shrinks the finest level's step
+    # to E[Y]/100, so four times it, E[Y]/25, still leaves its 1.2e4 top
+    # past the point budget; at E[Y]/16 it fits.  The bracketing step
+    # doubles on until it fits, and the age holds the M/G/1/1 closed form.
+    y, s = Exponential(1.0), ShiftedExponential(0.0025, 0.04)
+    top = analytic._truncation_point(s)
+    fine = analytic._level_step(y.mean(), s)
+    assert top / (4.0 * fine) >= analytic._MAX_LATTICE > 16.0 * top
+    mg11 = ((2.0 + 2.0 * s.mean() + s.second_moment())
+            / (2.0 * (1.0 + s.mean())) + s.mean())
+    est = exact_age(LatticePair(y, s), DROPPING)
+    assert 0.0 < est.ci_half_width < 0.1 * mg11
+    assert abs(est.value - mg11) <= est.ci_half_width
+
+
 def test_deep_cycle_pmf_stays_in_the_memory_budget():
     tracemalloc.start()
     try:
@@ -994,7 +1066,7 @@ def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     cells, x, ccdf = lattice_cells(Pair(y, s))
     n = x.size
-    tail = y.ccdf(y.mean() / analytic._LATTICE_STEPS * np.arange(n + 1))
+    tail = y.ccdf(bracket_step(Pair(y, s)) * np.arange(n + 1))
     ends, noise = analytic._lattice_survival(
         np.stack(cells), ccdf, tail[0] - tail[[n, n - 1]], n, k_max)
     (probs, hws), tail = analytic._pmf(*Interval.between(

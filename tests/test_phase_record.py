@@ -129,7 +129,7 @@ def test_a_short_jump_range_carries_its_tail(y, s, monkeypatch):
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
 def test_the_bracketing_solve_brackets_the_record(y, s, monkeypatch):
-    # The lattice at 256 points per mean gap, called directly, proves an
+    # The lattice's bracketing solve, called directly, proves an
     # interval for every quantity; each must hold the record's value.
     bracketing_only(monkeypatch)
     lattice = analytic._lattice_cycles(y, s)
@@ -164,10 +164,6 @@ JUMP_PAIRS = [(y, Deterministic(d))
               for d in (0.3, 1.0, 2.5)]
 
 
-def lattice_of(y, s):
-    return analytic._lattice_cycles(y, s, isinstance(s, ShiftedExponential))
-
-
 @pytest.mark.parametrize("y,s", COVERAGE_PAIRS + JUMP_PAIRS,
                          ids=lambda v: v.describe())
 def test_extrapolated_lattice_covers_the_record(y, s):
@@ -178,7 +174,7 @@ def test_extrapolated_lattice_covers_the_record(y, s):
     # of a half-width (Erlang(3, 3)/D(0.3)); 5.5e-3 without the D services
     # (Erlang(4, 1)/SE(2, 0.5)'s E[K^2]).
     pair = Pair(y, s)
-    record, lattice = pair.cycles(DROPPING), lattice_of(y, s)
+    record, lattice = pair.cycles(DROPPING), analytic._lattice_cycles(y, s)
     (*closed, middle), (*levels, estimated) = record.sums(), lattice.sums()
     ages = [pair.head + m.value + s.mean() for m in (middle, estimated)]
     pairs = [*zip(closed, levels),
