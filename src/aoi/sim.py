@@ -6,13 +6,18 @@ update being served, which restarts service with a fresh draw.  A delivery
 resets the age to the sojourn time of the delivered update (a sawtooth).
 
 Cycles run between *successful arrivals* (arrivals whose update is
-delivered) and are i.i.d., so whole cycles are drawn with NumPy.  Dropping:
-cycle i takes gaps until their partial sum reaches its service ``S_i``, so
-``K_i = min{k: A_1 + ... + A_k >= S_i}`` and ``G_i`` is that sum; all cycles
-walk at once.  Preemption: arrival j is delivered iff ``S_j <= Y_{j+1}``;
-(service, gap) pairs come in fixed-size blocks and only the delivered
-arrivals are kept.  The value is the exact sawtooth average from the first
-delivery on: cycle i adds ``(S_i + G_i + S_{i+1})(G_i + S_{i+1} - S_i) / 2``.
+delivered) and are i.i.d., so whole cycles are drawn with NumPy, and only
+as many variates as the cycles use.  Dropping: cycle i takes gaps until
+their partial sum reaches its service ``S_i``, so
+``K_i = min{k: A_1 + ... + A_k >= S_i}`` and ``G_i`` is that sum; all
+uncrossed cycles walk at once, and each round draws as many gaps per cycle
+as it has drawn so far plus one (a doubling walk, capped so that a round
+holds about ``_BLOCK`` gaps), so a cycle of K gaps draws fewer than 2K.
+Preemption: arrival j is delivered iff ``S_j <= Y_{j+1}``; (service, gap)
+pairs come in blocks sized by the success fraction seen so far, and only
+the delivered arrivals are kept.  The value is the exact sawtooth average
+from the first delivery on: cycle i adds
+``(S_i + G_i + S_{i+1})(G_i + S_{i+1} - S_i) / 2``.
 Each cycle has ``g == w + busy``, with ``busy`` the delivered service and
 ``w`` the gap from that delivery to the next successful arrival.
 
@@ -40,8 +45,22 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # 97.5% standard normal quantile
+# 97.5% Student t quantiles t(0.975, d), d = 1..29 degrees of freedom
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703,
+)
 _BATCHES = 30
 _BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
+_MARGIN = 32  # pairs a preemption block draws past its expected need
 _TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
 
 
@@ -204,27 +223,30 @@ def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
     first = y.sample_array(rng, 1)          # arrival 1 finds the server idle
     services = config.service.sample_array(rng, n1)
     g, k = np.empty(n1), np.empty(n1, dtype=np.int64)
-    active, partial = np.arange(n1), np.zeros(n1)   # uncrossed cycles, sums
+    # the uncrossed cycles, their services and their partial sums
+    active, left, partial = np.arange(n1), services, np.zeros(n1)
     drawn = settled = 0     # gaps drawn per active cycle, arrivals of the rest
     kept = []               # (cycle, gap) pairs for the trace
     while active.size:
         m = active.size
-        b = max(1, _BLOCK // m)
-        gaps = y.sample_array(rng, m * b).reshape(m, b)
-        # walk axis first; gaps are >= 0, so the sums only rise and the
-        # crossing gap's index is the count of sums still below the service
-        sums = np.cumsum(gaps.T, axis=0)
+        # as many gaps as drawn so far plus one: a cycle of K gaps draws
+        # fewer than 2K
+        b = min(drawn + 1, max(1, _BLOCK // m))
+        gaps = y.sample_array(rng, b * m).reshape(b, m)
+        # gaps are >= 0, so the sums only rise and the crossing gap's index
+        # is the count of sums still below the service
+        sums = np.cumsum(gaps, axis=0)
         sums += partial
-        below = np.count_nonzero(sums < services[active], axis=0)
-        hit = below < b
+        below = np.count_nonzero(sums < left, axis=0)
+        hit, miss = np.flatnonzero(below < b), np.flatnonzero(below == b)
         done, at = active[hit], below[hit]
         g[done] = sums[at, hit]
         k[done] = drawn + at + 1
         settled += int(k[done].sum())
         if keep:
-            used = np.arange(b) <= np.minimum(below, b - 1)[:, None]
-            kept.append((np.repeat(active, used.sum(axis=1)), gaps[used]))
-        active, partial = active[~hit], sums[-1, ~hit]
+            used = np.arange(b)[:, None] <= below
+            kept.append((np.broadcast_to(active, (b, m))[used], gaps[used]))
+        active, left, partial = active[miss], left[miss], sums[-1, miss]
         drawn += b
         _check_budget(settled + active.size * (drawn + 1) + n1, config)
     arrivals = None
@@ -243,24 +265,30 @@ def _preemption_cycles(config: SimConfig, rng: np.random.Generator,
                        keep: bool):
     """Services of the first ``n + 1`` delivered arrivals, G and K of the
     ``n`` cycles between them and, with ``keep``, the trace's arrivals.
-    Blocks pair each arrival's service with the gap after it."""
+    Blocks pair each arrival's service with the gap after it.  The first
+    block holds one pair per delivery needed; each later one the pairs that
+    the success fraction so far says the missing deliveries take, plus
+    ``_MARGIN``, and a full ``_BLOCK`` while none has succeeded."""
     y, s = config.interarrival, config.service
     need = config.target_cycles + 1
     start = y.sample_array(rng, 1)          # time of the block's first arrival
     decided = found = 0
     delivered, every = [], []
+    size = min(_BLOCK, need)
     while found < need:
         _check_budget(decided + 1 + need, config)
-        services = s.sample_array(rng, _BLOCK)
-        gaps = y.sample_array(rng, _BLOCK)
+        services = s.sample_array(rng, size)
+        gaps = y.sample_array(rng, size)
         times = np.cumsum(np.concatenate((start, gaps)))
         hits = np.flatnonzero(services <= gaps)
         delivered.append((times[hits], services[hits], decided + hits))
         if keep:
             every.append(times[:-1])
         found += hits.size
-        decided += _BLOCK
+        decided += size
         start = times[-1:]
+        size = (min(_BLOCK, -(-(need - found) * decided // found) + _MARGIN)
+                if found else _BLOCK)
     times, services, index = (np.concatenate(c)[:need] for c in zip(*delivered))
     _check_budget(int(index[-1]) + 1 + need, config)
     arrivals = None
@@ -313,13 +341,15 @@ def _batch_ci(areas: Sequence[float], lengths: Sequence[float],
     """95% half-width by batch means over cycles.
 
     Cycles are i.i.d. regenerative, so grouping them into up to 30 batches
-    and using the spread of the batch ratios is conservative.
+    and using the spread of the batch ratios is conservative.  The b batch
+    ratios leave b - 1 degrees of freedom, so the quantile is Student's t.
     """
     n = len(areas)
     b = min(_BATCHES, n)
     starts = np.linspace(0, n, b + 1).astype(int)[:-1]
     ratios = np.add.reduceat(areas, starts) / np.add.reduceat(lengths, starts)
-    return Z95 * math.sqrt(np.sum((ratios - value) ** 2) / ((b - 1) * b))
+    return _T975[b - 2] * math.sqrt(np.sum((ratios - value) ** 2)
+                                    / ((b - 1) * b))
 
 
 def _octave(xs: np.ndarray) -> int:

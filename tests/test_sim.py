@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-from aoi.distributions import (Deterministic, Exponential, Rayleigh,
-                               ShiftedExponential, Uniform)
+from aoi import sim
+from aoi.distributions import (Deterministic, Erlang, Exponential,
+                               Hyperexponential, Rayleigh, ShiftedExponential,
+                               Uniform)
 from aoi.errors import DivergentAge
 from aoi.sim import (CycleRecord, CycleRecords, Discipline, SimConfig,
                      cycle_statistics, run_simulation)
@@ -15,6 +18,36 @@ from test_distributions import CONTINUOUS, RESCALED
 
 MM = SimConfig(Exponential(1.0), Exponential(1.0), Discipline.DROPPING,
                target_cycles=20_000, seed=42)
+# The benchmark's simulate pairs, light load (about one arrival per cycle)
+# to preemption overload (about 37).
+SIM_PAIRS = [
+    (Exponential(0.25), Exponential(1.0)), (Exponential(1.0), Exponential(1.0)),
+    (Uniform(0.0, 2.0), Exponential(1.0)), (Deterministic(0.5), Uniform(0.0, 2.0)),
+    (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Rayleigh(1.0)),
+    (Erlang(2, 2.0), ShiftedExponential(2.0, 0.5)),
+    (Exponential(4.0), ShiftedExponential(1.0, 0.5)),
+]
+# The overload pair at the CLI's default size: the dropping walk's doubling
+# meets its _BLOCK // m cap, and preemption takes several success-sized
+# blocks.
+OVERLOAD = [SimConfig(Exponential(4.0), ShiftedExponential(1.0, 0.5),
+                      discipline, target_cycles=10_000, seed=12)
+            for discipline in ("dropping", "preemption")]
+
+
+def count_draws(monkeypatch, *laws):
+    """Variates each of ``laws`` draws from now on, keyed by ``id``: a
+    wrapper around the ``sample_array`` each law's class takes."""
+    counts = {id(law): 0 for law in laws}
+    owners = {next(c for c in type(law).__mro__ if "sample_array" in vars(c))
+              for law in laws}
+    for owner in owners:
+        def counted(self, rng, n, draw=owner.sample_array):
+            if id(self) in counts:
+                counts[id(self)] += n
+            return draw(self, rng, n)
+        monkeypatch.setattr(owner, "sample_array", counted)
+    return counts
 
 
 def test_fully_deterministic_dropping_sawtooth():
@@ -59,11 +92,38 @@ def test_mm_preemption_geometric_success():
     assert abs(stats.p_hat.value - 0.5) <= 3.0 * stats.p_hat.stderr
 
 
-def test_preemption_divergence_guard():
-    config = SimConfig(Deterministic(1.0), Deterministic(2.0), "preemption",
-                       target_cycles=10, seed=0)
+def test_preemption_divergence_guard(monkeypatch):
+    y, s = Deterministic(1.0), Deterministic(2.0)
+    config = SimConfig(y, s, "preemption", target_cycles=10, seed=0)
+    counts = count_draws(monkeypatch, y, s)
     with pytest.raises(DivergentAge):
         run_simulation(config)
+    # with no success the blocks stay full, so the guard stops within one
+    assert counts[id(s)] <= config.effective_max_events + sim._BLOCK
+
+
+@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+@pytest.mark.parametrize("y,s", SIM_PAIRS, ids=[
+    "E(0.25)/E(1)", "E(1)/E(1)", "U(0,2)/E(1)", "D(0.5)/U(0,2)", "H2/R(1)",
+    "ER(2,2)/SE(2,0.5)", "E(4)/SE(1,0.5)"])
+def test_draws_follow_the_arrivals_used(tmp_path, monkeypatch, y, s,
+                                        discipline):
+    config = SimConfig(y, s, discipline, target_cycles=2000, seed=8)
+    counts = count_draws(monkeypatch, y, s)
+    trace = tmp_path / "t.csv"
+    run_simulation(config, trace_path=trace)
+    n1 = config.target_cycles + 1
+    with open(trace) as fh:     # a header, n + 1 deliveries, the arrivals
+        arrivals = sum(1 for _ in fh) - 1 - n1
+    if discipline == "dropping":
+        # the trace holds the arrivals of all n + 1 cycles, and a cycle of
+        # K gaps draws at most 2K - 1; one more gap precedes arrival 1
+        assert counts[id(y)] <= 2 * arrivals - n1 + 1
+        assert counts[id(s)] == n1
+    else:
+        # one (service, gap) pair per decided arrival; the trace holds the
+        # arrivals up to the last delivery
+        assert counts[id(s)] <= 1.25 * arrivals + 64
 
 
 def test_dropping_divergence_guard():
@@ -182,10 +242,11 @@ def test_wald_identity_on_fixed_runs():
 
 
 def test_seed_determinism_bit_identical():
-    a_est, a_recs = run_simulation(MM)
-    b_est, b_recs = run_simulation(MM)
-    assert a_est == b_est
-    assert a_recs == b_recs
+    for config in (MM, *OVERLOAD):
+        a_est, a_recs = run_simulation(config)
+        b_est, b_recs = run_simulation(config)
+        assert a_est == b_est
+        assert a_recs == b_recs
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -272,12 +333,27 @@ def test_records_compare_by_value_and_iterate_as_cycle_records():
 
 @pytest.mark.parametrize("discipline", ["dropping", "preemption"])
 def test_trace_leaves_the_run_unchanged(tmp_path, discipline):
-    config = SimConfig(Uniform(0.0, 2.0), Exponential(1.0), discipline,
-                       target_cycles=3000, seed=12)
-    traced = run_simulation(config, trace_path=tmp_path / "t.csv")
-    plain = run_simulation(config)
-    assert traced[0] == plain[0]
-    assert traced[1] == plain[1]
+    overload, = (c for c in OVERLOAD if c.discipline == discipline)
+    for config in (SimConfig(Uniform(0.0, 2.0), Exponential(1.0), discipline,
+                             target_cycles=3000, seed=12), overload):
+        traced = run_simulation(config, trace_path=tmp_path / "t.csv")
+        plain = run_simulation(config)
+        assert traced[0] == plain[0]
+        assert traced[1] == plain[1]
+
+
+def test_batch_half_width_takes_student_t():
+    # b batch ratios leave b - 1 degrees of freedom
+    for df in range(1, 30):
+        assert sim._T975[df - 1] == pytest.approx(
+            scipy.stats.t.ppf(0.975, df), rel=1e-12)
+    rng = np.random.default_rng(0)
+    for n in (2, 7, 30):    # one cycle per batch
+        areas, lengths = rng.random(n), 1.0 + rng.random(n)
+        value = areas.sum() / lengths.sum()
+        spread = np.sum((areas / lengths - value) ** 2) / ((n - 1) * n)
+        assert sim._batch_ci(areas, lengths, value) == pytest.approx(
+            scipy.stats.t.ppf(0.975, n - 1) * math.sqrt(spread), rel=1e-12)
 
 
 @given(st.sampled_from(CONTINUOUS), st.sampled_from(CONTINUOUS),
