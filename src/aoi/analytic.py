@@ -73,7 +73,8 @@ Lattice (paths ``lattice`` and ``closed_form``)
     and u = delta + f*u is solved by an exponentially tilted FFT
     (Embrechts, Grubel and Pitts, 1993).  The services left here are
     bounded (D, U) or light-tailed (SE, R), so that cut leaves under
-    1e-10 of E[S] and of E[S^2].
+    1e-10 of E[S] and of E[S^2].  A service kink within rounding of a
+    point j >= 1 is put on it; point 0 stays exact, as A_1 = 0 is.
     E[K], E[K^2], the crossing sum and its quotient by E[K] (the age's
     middle term, which errs with both) come from three levels: steps
     h = E[Y]/64, 2h and 4h, sharing one top and one evaluation of the
@@ -82,59 +83,53 @@ Lattice (paths ``lattice`` and ``closed_form``)
     support's last finite end) on all three.  From each quantity's
     midpoints v, d1 = v(h) - v(2h) and d2 = v(2h) - v(4h) give the
     observed order p, 2^p = d2/d1, and the value v(h) + d1/(2^p - 1),
-    Richardson's extrapolation.  Its
-    half-width is twice the step removed, plus the tilted FFT's roundoff:
-    its untilting multiplies the spectra's error by up to
-    rho^-n <= 1e16^(1/5) = 1585, and the bound rho^-n log2(N) eps times
-    the tilted renewal mass held every sum of a direct long-double
-    solve.  This half-width is an estimate, not a proof.  If any
-    quantity's p falls outside [0.8, 2.5], or its half-width passes a
-    quarter of its finest bracket (what a quarter of the step proves, to
-    first order), the record takes the bracketing solve below at step
-    h/4 instead, as does a cycle too deep for the levels' point budget.
-    One rule sets every step, so the service's last kink lies on the
-    bracketing lattice as on every level.  For a deep cycle the
-    bracketing step doubles until the lattice holds at most 2^18 points;
-    a cycle that would pass them even at E[Y]/16 is not reached.
-    Pr(K > k) always comes from that solve, with its proven
-    half-widths.
+    Richardson's extrapolation.  Its half-width is twice the step
+    removed, plus the tilted FFT's roundoff: its untilting multiplies the
+    spectra's error by up to rho^-n <= 1e16^(1/5) = 1585, and the bound
+    rho^-n log2(N) eps times the tilted renewal mass held every sum of a
+    direct long-double solve.  This half-width is an estimate, not a
+    proof.  If any quantity's p falls outside [0.8, 2.5], or its
+    half-width passes a quarter of its finest bracket (what a quarter of
+    the step proves, to first order), the record takes the bracketing
+    solve below at step h/4, as does a cycle too deep for the levels'
+    point budget; one rule sets every step, so the last kink lies on it
+    too.  For a deep cycle its step doubles until it holds at most 2^18
+    points; a cycle that would pass them even at E[Y]/16 is not reached.
+    Pr(K > k) always comes from that lattice, with proven half-widths.
     Every lattice sum is one inner product of half spectra, both ends and
-    every weight vector of a sum stacked in one transform call.  Two
-    transforms of the n lattice points are each built only when read.
-    The renewal transform gives E[K], E[K^2] and the crossing sum of one
-    lattice, once, on the smallest length 2^a, 3 2^a or 5 2^a at least 4n,
-    where the tilt keeps both the wrapped mass and the roundoff gain
-    small.  The pmf transform is built by each pmf call and then freed:
-    Pr(K > k) takes the k-th power of the gap spectrum from a running
-    product.  That power lives on [0, k(s-1)], s the gaps' support, so a
-    call up to k_max reads only the first m = min(n, k_max (s-1) + 1)
-    points.  Below n no power it reads can wrap at all, so the transform
-    is untilted, on the smallest even such length at least m; at n it
-    keeps the tilt, on the smallest such length at least 4m and
-    8 min(s, m), where the first 8 powers cannot wrap.  An unfolded
-    lattice builds only that prefix: the gap ccdf on the points holding
-    every non-zero cell (b/h + 2 for gaps with a finite upper end b, else
-    all n), the service ccdf on the m points read, and each end's total
-    gap mass M from the gap ccdf at (n-1)h and nh.  While every power
-    stays on the lattice, Pr(K > k) is M^k plus the power against G - 1:
-    exactly M^k where no partial sum reaches a point with G < 1.  A
-    service c > 0 plus one exponential block folds the pmf's lattice
-    instead: past c its ccdf falls by e^{-r h} a step, so each gap a
-    partial sum takes past c multiplies it by the gaps' discounted mass
-    L = sum_i f_i e^{-r i h}, and the powers run on the J points below c
-    alone, the rest of the lattice closed-form weights on them
-    (:func:`_folded`).  Each Pr(K > k) adds the kernel's roundoff bound
-    (0 only where every weight it reads is 0), the fold's 2k times it.
-    In the bracketing solve rounding down shrinks every partial sum, so
-    the down end reads Pr(S > x), and rounding up strictly grows every
-    partial sum of k >= 1 gaps (no gap law on the lattice has an atom), so
-    the up end reads the left limit Pr(S >= x): the two ends bracket E[K],
-    E[K^2] and each Pr(S > T_k), and the intervals span them.  The ccdfs
-    differ only at a point mass's atom, which the levels' step puts on
-    every level and on the bracketing lattice: there the ends read 0 and
-    1, the midpoint the trapezoid rule's 1/2 at a jump, so a D service's
-    levels err in powers of h^2 too.  Every other service's ends share
-    one weight vector.
+    every weight vector of a sum stacked in one transform call, each
+    transform built only when read.  The renewal transform gives E[K],
+    E[K^2] and the crossing sum of one lattice, once, on the smallest
+    length 2^a, 3 2^a or 5 2^a at least 4n, where the tilt keeps both the
+    wrapped mass and the roundoff gain small.  Each pmf call builds its
+    own and frees it: Pr(K > k) takes the k-th power of the gap spectrum
+    from a running product.  That power lives on [0, k(s-1)], s the gaps'
+    support, so a call up to k_max reads m = min(n, k_max (s-1) + 1)
+    points: below n no power can wrap, so the transform is untilted, on
+    the smallest even such length at least m; at n it is tilted, on the
+    smallest such length at least 4m and 8 min(s, m), where the first 8
+    powers cannot wrap.  One builder serves every lattice pmf
+    (:func:`_prefix_survival`): one gap ccdf evaluation, on the points
+    holding every non-zero cell (b/h + 2 for gaps with a finite upper end
+    b, else all n) and at (n-1)h and nh for each end's gap mass M, then
+    one of two tail rules.  The power sums read the service ccdf on the m
+    points: while every power stays on the lattice, Pr(K > k) is M^k plus
+    the power against G - 1, exactly M^k where no partial sum reaches
+    G < 1.  A service c > 0 plus one exponential block folds instead: past
+    c its ccdf falls by e^{-r h} a step, so each gap a partial sum takes
+    past c multiplies it by L = sum_i f_i e^{-r i h}, and the powers run on
+    the points below c alone (:func:`_folded`).  Each Pr(K > k) adds the
+    kernel's roundoff bound (0 only where every weight it reads is 0), the
+    fold's 2k times it.  In the bracketing solve rounding down shrinks every
+    partial sum, so the down end reads Pr(S > x), and rounding up strictly
+    grows every partial sum of k >= 1 gaps (no gap law on the lattice has an
+    atom), so the up end reads the left limit Pr(S >= x): the two ends bracket
+    E[K], E[K^2] and each Pr(S > T_k), and the intervals span them, each end
+    widened by the transform's roundoff.  The ccdfs differ only at a point
+    mass's atom, which lies on every level and on the bracketing lattice:
+    there the ends read 0 and 1, the midpoint the trapezoid rule's 1/2 at a
+    jump, so a D service's levels err in powers of h^2 too.  Every other
+    service's ends share one weight vector.
     x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
     most (k-1) h, so each end's crossing sum widened by h E[K(K-1)]/2
     brackets the true one.  Deterministic gaps give the sums in closed
@@ -588,30 +583,35 @@ def _too_deep(steps: float) -> TruncationNotReached:
 def _points(service: Distribution, h: float, n: int
             ) -> tuple[np.ndarray, int | None]:
     """The lattice points jh, j < n, with each service kink, a finite end of
-    its support (the D value, U's ends, the SE shift), within rounding of
-    one put there exactly, keeping its tie rule at every time scale; and
-    the point holding the service's atom, else None.  Only a point mass
-    has an atom: a support of one point v has Pr(S = v) = 1."""
+    its support (the D value, U's ends, the SE shift), that lies on one
+    (:func:`_kink`) put there exactly, keeping its tie rule at every time
+    scale; and the point holding the service's atom, else None.  Only a
+    point mass has an atom: a support of one point v has Pr(S = v) = 1."""
     x = h * np.arange(n)
     lo, hi = service.support()
     atom = None
     for b in filter(math.isfinite, (lo, hi)):
-        j = round(b / h)
-        if j < n and abs(x[j] - b) <= _SNAP * h:
+        j = _kink(b, h)
+        if j is not None and j < n:
             x[j] = b
             atom = j if lo == hi else None
     return x, atom
 
 
+def _kink(b: float, h: float) -> int | None:
+    """The index j of the point jh within rounding of the kink b, else None:
+    point 0 is exact, as A_1 = 0 is, so only a kink at 0 lies on it."""
+    j = round(b / h)
+    return j if abs(h * j - b) <= _SNAP * h and (j or not b) else None
+
+
 def _ends_ccdf(service: Distribution, h: float, n: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """The points x of :func:`_points` and the service ccdf each end reads
-    there.  The down end rounds gaps down, so its partial sums are at most
-    the true ones, and it reads Pr(S > x).  The up end rounds them up, so
-    its partial sums of k >= 1 gaps lie strictly above the true ones (no
-    gap law on the lattice has an atom), and it may read Pr(S >= x), a
-    tighter lower bound.  The two differ only at the service's atom, where
-    the up end reads 1: one row per end there, else one row both share."""
+    there: the down end, whose partial sums are at most the true ones,
+    Pr(S > x); the up end, whose partial sums of k >= 1 gaps lie strictly
+    above them (no gap law on the lattice has an atom), Pr(S >= x).  They
+    differ only at the service's atom: one row per end there, else one."""
     x, atom = _points(service, h, n)
     c = service.ccdf(x)
     if atom is not None:  # Pr(S >= v) = Pr(S > v) + Pr(S = v)
@@ -647,22 +647,18 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     """The dropping record from renewal solves with every gap rounded down,
     then up, to a lattice jh that ends past :func:`_truncation_point`.
 
-    :func:`_level_step` sets every step.  E[K], E[K^2], the crossing sum
-    and its quotient by E[K] come from three levels, steps h, 2h and 4h,
-    extrapolated (:func:`_extrapolated`), else from the bracketing solve
-    at h/4, whose two roundings bracket them, each over every lattice
-    point (:func:`_full`), the down end reading Pr(S > x) and the up end
-    Pr(S >= x) (:func:`_ends_ccdf`).  The service's last kink lies on
-    every one of these lattices.  The bracketing step doubles until at
-    most 2^18 points remain, which they do by the first step at or past
-    E[Y]/16; a cycle too deep even there raises
-    :class:`TruncationNotReached`.  Every service tries the levels first;
-    they need their finest lattice within the same budget.  Pr(K > k)
-    always comes from the bracketing solve's lattice, its ends widened by
-    the kernel's roundoff: unfolded, only the prefix its powers read
-    (:func:`_prefix_survival`), or, for a service c plus an exponential,
-    c > 0 in its ``phases()``, folded past c into closed-form weights
-    (:func:`_folded`).
+    :func:`_level_step` sets every step, so the service's last kink lies
+    on every lattice; point 0 stays exact (:func:`_kink`).  E[K], E[K^2],
+    the crossing sum and its quotient by E[K] come from the levels h, 2h
+    and 4h, extrapolated (:func:`_extrapolated`), else from the bracketing
+    solve at h/4, whose ends, the down one reading Pr(S > x) and the up one
+    Pr(S >= x) (:func:`_full`), bracket them, each widened by its
+    roundoff.  Its step doubles until at most 2^18 points remain, as they
+    do by E[Y]/16; a cycle too deep even there raises
+    :class:`TruncationNotReached`.  Pr(K > k) comes from the one pmf
+    builder on that lattice (:func:`_prefix_survival`): the gaps' prefix
+    and one of two tail rules, the fold past an SE service's shift or the
+    power sums, its ends widened by the kernel's roundoff.
     """
     top = _truncation_point(service)
     if isinstance(interarrival, Deterministic):
@@ -677,7 +673,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     h = 0.25 * fine
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
-    steps = top / h
+    n = int(top / h) + 2
 
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
@@ -690,39 +686,39 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
                                  4 * int(coarse) + 5, _STRIDES)
             ends = [v.tolist() for v in ends]
             found = _extrapolated([
-                _bracket(k * fine, *(v[2 * i:2 * i + 2] for v in ends))
+                _bracket(k * fine, *(v[2 * i:2 * i + 2] for v in ends), noise)
                 for i, k in enumerate(_STRIDES)], noise)
             if found is not None:
                 return found
-        return _bracket(h, *(v.tolist() for v in _full(
-            interarrival, service, h, int(steps) + 2, (1,))[:3]))
-
-    shift = (service.phases() or (0.0,))[0]  # 0 but for a shifted phase law
-    survival = _folded if shift else _prefix_survival
+        *ends, noise = _full(interarrival, service, h, n, (1,))
+        return _bracket(h, *(v.tolist() for v in ends), noise)
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
-        ends, noise = survival(interarrival, service, h, int(steps) + 2, k_max)
+        ends, noise = _prefix_survival(interarrival, service, h, n, k_max)
         return _pmf(*Interval.between(ends.min(0) - noise,
                                       ends.max(0) + noise))
     return Cycles("lattice", solved, pmf)
 
 
-def _bracket(h: float, k_mean, k_second, crossing
+def _bracket(h: float, k_mean, k_second, crossing, noise: float
              ) -> tuple[Interval, Interval, Interval, Interval]:
     """E[K], E[K^2], the crossing sum and its quotient by E[K] spanning
     their two ends, each given rounded down, then up, on the lattice of
-    step h."""
+    step h, and each end widened by its relative roundoff ``noise``."""
     (k_down, k_up), (k2_down, k2_up), (c_down, c_up) = (
         k_mean, k_second, crossing)
     # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
-    # crossing sum widened by h E[K(K-1)]/2 brackets the true one;
-    # E[K(K-1)] >= 0, whatever the roundoff.
-    lo = c_up - 0.5 * h * max(k2_up - k_up, 0.0)
-    hi = c_down + 0.5 * h * max(k2_down - k_down, 0.0)
+    # crossing sum widened by h E[K(K-1)]/2 >= 0 brackets the true one; the
+    # interval spans both computed ends too, never turned inside out.
+    lo = min(c_up - 0.5 * h * max(k2_up - k_up, 0.0), c_down)
+    hi = max(c_down + 0.5 * h * max(k2_down - k_down, 0.0), c_up)
     mid = 0.5 * (c_down + c_up)
-    k1, cross = Interval.between(k_down, k_up), Interval(
-        mid, max(mid - lo, hi - mid))
-    return k1, Interval.between(k2_down, k2_up), cross, cross.over(k1)
+    k1, k2, cross = (Interval(v.value, v.half_width + noise * max(map(abs, e)))
+                     for v, e in ((Interval.between(k_down, k_up), k_mean),
+                                  (Interval.between(k2_down, k2_up), k_second),
+                                  (Interval(mid, max(mid - lo, hi - mid)),
+                                   crossing)))
+    return k1, k2, cross, cross.over(k1)
 
 
 def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
@@ -812,10 +808,8 @@ def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
                       n: int, k_max: int) -> tuple[np.ndarray, float]:
     """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound on an
     n-point lattice, from each end's gap cells, the service ccdf ``c``
-    (shared, or one row per end) on a prefix holding every point the
-    powers read, and each gap mass M.
-
-    While k_max gaps stay on the lattice, Pr(K > k) is M^k plus f^{*k}
+    (shared, or one row per end) on every point the powers read, and each
+    gap mass M: while k_max gaps stay on the lattice, M^k plus f^{*k}
     against G - 1, exactly M^k and roundoff 0 where no partial sum reaches
     G < 1; past that, f^{*k} against G (0 past the lattice)."""
     stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
@@ -827,60 +821,65 @@ def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
 
 def _prefix_survival(interarrival: Distribution, service: Distribution,
                      h: float, n: int, k_max: int) -> tuple[np.ndarray, float]:
-    """:func:`_lattice_survival` on the n unfolded points of step h, built
-    only as far as the powers up to k_max reach, the down end reading
-    Pr(S > x) and the up end Pr(S >= x) (:func:`_ends_ccdf`).  The gap
-    ccdf is 0 from its upper end b on, so a prefix of b/h + 2 points (all
-    n at b = inf) holds every non-zero cell of both ends, and s; the powers
-    read m = min(n, k_max (s-1) + 1) points, and each end's gap mass M
-    takes the ccdf at (n-1)h and nh: the same cells, ends and M as all n
-    give."""
+    """Pr(K > k)'s ends, k <= k_max, on the n points of step h and their
+    roundoff bound, from one gap ccdf evaluation: on the b/h + 2 points
+    that hold every non-zero cell (all n for gaps with no upper end b) and
+    at (n-1)h and nh, for each end's gap mass M.  Then a tail rule:
+    :func:`_folded` for a service c > 0 plus one exponential block, else
+    :func:`_powered`."""
     short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
-    tail = interarrival.ccdf(h * np.arange(short + 1))
-    m = min(n, max(1, k_max * (_support(_cells(tail)) - 1) + 1))
-    tail = np.concatenate((tail[:m + 1], np.zeros(max(0, m - short))))
-    mass = tail[0] - interarrival.ccdf(h * np.array([n, n - 1.0]))
+    tail = interarrival.ccdf(h * np.concatenate((np.arange(short + 1.0),
+                                                 (n, n - 1.0))))
+    tail, far = tail[:-2], tail[-2:]
+    rule = _folded if (service.phases() or (0.0,))[0] else _powered
+    return rule(service, h, n, k_max, _cells(tail), tail, far)
+
+
+def _powered(service: Distribution, h: float, n: int, k_max: int,
+             gaps: np.ndarray, tail: np.ndarray, far: np.ndarray
+             ) -> tuple[np.ndarray, float]:
+    """:func:`_lattice_survival` on the service ccdf each end reads
+    (:func:`_ends_ccdf`) at the m = min(n, k_max (s-1) + 1) points read."""
+    m = min(n, max(1, k_max * (_support(gaps) - 1) + 1))
     _, c = _ends_ccdf(service, h, m)
-    return _lattice_survival(_cells(tail), c, mass, n, k_max)
+    return _lattice_survival(gaps, c, tail[0] - far, n, k_max)
 
 
-def _folded(interarrival: Distribution, service: Distribution, h: float,
-            n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_prefix_survival`'s Pr(K > k) for a service c plus an
-    exponential of rate r, c > 0, from one pmf solve on the
-    J = max(1, #{x_l < c}) head points alone, and its roundoff bound for
-    each k.
-
-    Past x_J, G(x_l) = e^{-r o} q^(l-J), o = x_J - c and q = e^{-r h}, so
-    each gap a partial sum takes past the head multiplies it by the gaps'
-    discounted mass L = sum_i f_i q^i.  With D_m the sum of
-    f_i q^(i-m) over i >= m, taken by doubling with every factor q^w at
-    most 1, kappa_l = e^{-r o} D_(J-l) is the head point l's next G past
-    the head, and Pr(K > k) = M^k + tau_k - beta_k,
-    tau_k = sum_(l >= J) f^{*k}_l G(x_l) and beta_k the mass of f^{*k}
-    past the head, are the recursions
-    tau_k = L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l and
-    beta_k = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass
-    from m on; tau_k and beta_k each sum k kernel powers scaled by
-    L, M <= 1: 2k kernel roundoffs."""
+def _folded(service: Distribution, h: float, n: int, k_max: int,
+            gaps: np.ndarray, tail: np.ndarray, far: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_powered`'s Pr(K > k) for a service c plus an exponential of
+    rate r, c > 0, from the powers on the J = max(1, #{x_l < c}) head
+    points alone (x_J = c if c lies on a point, :func:`_kink`), and its
+    roundoff bound for each k.  Past x_J, G(x_l) = e^{-r o} q^(l-J),
+    o = x_J - c and q = e^{-r h}, so each gap a partial sum takes past the
+    head multiplies it by L = sum_i f_i q^i.  With D_m = sum_(i >= m)
+    f_i q^(i-m), by doubling with every factor q^w <= 1, kappa_l =
+    e^{-r o} D_(J-l) is head point l's next G past the head, and Pr(K > k)
+    = M^k + tau_k - beta_k: tau_k = sum_(l >= J) f^{*k}_l G(x_l) =
+    L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l, and beta_k, the mass of
+    f^{*k} past the head, = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m
+    the gap mass from m on (cells and tail are 0 past the prefix), each
+    weight only on the head points the powers can read: 2k kernel roundoffs."""
     shift, (_, _, (rate,)) = service.phases()
-    x, _ = _points(service, h, n)
-    tail = interarrival.ccdf(h * np.arange(n + 1))
-    gaps = _cells(tail)
-    head = max(1, int(np.searchsorted(x, shift)))
-    f = gaps[:, :head]
+    on, cells = _kink(shift, h), gaps.shape[1]
+    head = on or max(1, math.ceil(shift / h))
+    top = min(head, cells)
+    m = min(head, max(1, (k_max - 1) * (cells - 1) + 1))  # points read
     d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
-    d[:, :head] = f
-    d[:, head] = gaps[:, head:] @ np.exp(-rate * h * np.arange(n - head))
+    d[:, :top] = gaps[:, :top]
+    d[:, top] = gaps[:, top:] @ np.exp(-rate * h * np.arange(cells - top))
     w = 1
-    while w <= head:  # sums over [m, m + w) become sums over [m, m + 2w)
-        d[:, :-w] += d[:, w:] * math.exp(-rate * h * w)
+    while w <= top:  # sums over [m, m + w) become sums over [m, m + 2w)
+        d[:, :top + 1 - w] += d[:, w:top + 1] * math.exp(-rate * h * w)
         w *= 2
-    kappa = math.exp(-rate * (float(x[head]) - shift)) * d[:, :0:-1]
-    mass = tail[0] - tail[[n, n - 1]]  # each end's total gap mass M
-    rest = np.stack((tail[head:0:-1] - tail[n],
-                     tail[head - 1::-1] - tail[n - 1]))  # F_(J-l)
-    powers, noise = _survival(f, np.stack((kappa, rest), axis=1), k_max - 1)
+    edge = shift if on else head * h  # x_J
+    kappa = math.exp(-rate * (edge - shift)) * d[:, head:head - m:-1]
+    at = tail[np.minimum(np.arange(head, head - m - 1, -1), cells)]
+    rest = np.stack((at[:-1] - far[0], at[1:] - far[1]))  # F_(J-l)
+    powers, noise = _survival(gaps[:, :m], np.stack((kappa, rest), axis=1),
+                              k_max - 1)
+    mass = tail[0] - far  # each end's total gap mass M
     factors = np.stack((d[:, 0], mass), axis=1)  # L and M
     out = mass[:, None] ** np.arange(k_max + 1.0)
     tau_beta = np.zeros((2, 2))
@@ -917,7 +916,7 @@ def _fft_size(n: int) -> int:
 def _tilted(n: int, size: int, alias: float = _ALIAS_TILT):
     """``weigh``, ``spectrum`` and the roundoff gain rho^-n log2(size) eps
     of the tilted FFT of length ``size``, even, over ``n`` points, on the
-    last axis.
+    last axis; a gap row may stop short of n, 0 past its end.
 
     Tilting a gap law by rho^j, rho^(size+n) = ``alias``, makes the mass
     a circular convolution wraps into the first n points at most
@@ -928,7 +927,7 @@ def _tilted(n: int, size: int, alias: float = _ALIAS_TILT):
     ``weigh`` of the weights, conjugated (:func:`_totals`).
     """
     tilt = (np.exp(np.arange(n) * (math.log(alias) / (size + n)))
-            if alias < 1.0 else 1.0)
+            if alias < 1.0 else np.ones(1))
     untilt = (2.0 / size) / tilt
 
     def weigh(w):
@@ -938,7 +937,7 @@ def _tilted(n: int, size: int, alias: float = _ALIAS_TILT):
         return np.conjugate(out, out=out)
 
     gain = alias ** (-n / (size + n)) * math.log2(size) * _EPS
-    return weigh, lambda f: np.fft.rfft(f * tilt, size), gain
+    return weigh, lambda f: np.fft.rfft(f * tilt[:f.shape[-1]], size), gain
 
 
 def _totals(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -993,18 +992,16 @@ def _survival(gaps: np.ndarray, weights: np.ndarray, k_max: int
     the phase-type record: sum_l f^{*k}_l v_l, k = 0..k_max, for each end's
     gap law f (a row of ``gaps``) and each row v of ``weights`` (shared by
     the ends or one set per end), the k-th power's spectrum a running
-    product; and their roundoff, a gain times max |v_l|.
-
-    With s one past the last non-zero gap cell, the k-th power lives
-    on [0, k(s-1)], so the sums read only the first
-    m = min(n, max(1, k_max (s-1) + 1)) points of the weights and of the
-    gaps.  When k_max (s-1) < m no power up to k_max reaches past m, so
-    none wraps at all: the transform is untilted, on the smallest even
-    length N >= m of the form 2^a, 3 2^a or 5 2^a, and its gain is
-    (k_max + 1) log2(N) eps, the k-th power's spectrum carrying k times
-    the gap spectrum's error and the weights' spectrum one more (against
-    long-double convolution powers of gaps of mass 1, k_max up to 600,
-    every sum kept within a third of it).  Else the length is the
+    product; and their roundoff, a gain times max |v_l|.  With s one past
+    the last non-zero gap cell, the k-th power lives on [0, k(s-1)], so the
+    sums read only the first m = min(n, max(1, k_max (s-1) + 1)) points of
+    the weights and of the gaps (0 past a row's end).  When k_max (s-1) < m
+    no power reaches past m, so none wraps: the transform is untilted, on
+    the smallest even length N >= m of the form 2^a, 3 2^a or 5 2^a, and
+    its gain is (k_max + 1) log2(N) eps, the k-th power's spectrum carrying
+    k times the gap spectrum's error and the weights' spectrum one more
+    (against long-double convolution powers of gaps of mass 1, k_max up to
+    600, every sum kept within a third of it).  Else the length is the
     smallest FFT length >= max(4m, 8 min(s, m)), the tilt's: the first 8
     powers never wrap, later ones wrap only their tilted-away far tail,
     and the gain is rho^-m log2(N) eps."""

@@ -460,13 +460,16 @@ class _PhaseMix(Distribution):
 
     def mrl_class(self):
         # A mixture of distinct exponential phases has a decreasing failure
-        # rate, one block from two phases or after a shift an increasing one.
-        c, (_, shapes, rates) = self.phases()
+        # rate, one block from two phases or after a shift an increasing one;
+        # no verdict yet names the rest, whose MRL can fall and then rise.
+        shape = c, (_, shapes, rates) = self.phases()
         blocks = set(zip(shapes, rates))
-        if len(blocks) > 1:
-            return MrlVerdict.IMRL
-        return (MrlVerdict.CONSTANT if blocks.pop()[0] == 1 and not c
-                else MrlVerdict.DMRL)
+        if len(blocks) == 1:
+            return (MrlVerdict.CONSTANT if blocks.pop()[0] == 1 and not c
+                    else MrlVerdict.DMRL)
+        if c or max(shapes) > 1:
+            raise ValueError(f"no MRL verdict for the phase shape {shape!r}")
+        return MrlVerdict.IMRL
 
 
 class _Blocks(_PhaseMix):

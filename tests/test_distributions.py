@@ -833,6 +833,24 @@ def test_mrl_classification(dist, verdict, nbue):
     assert verdict.nbue is nbue
 
 
+@pytest.mark.parametrize("shape", [
+    (0.0, ((0.5, 0.3, 0.2), (3, 2, 1), (1.0, 1.0, 1.0))),
+    (1.0, ((0.5, 0.5), (1, 1), (0.5, 2.0))),
+], ids=["erlang-residual", "shifted-h2"])
+def test_a_phase_shape_with_no_mrl_verdict_is_refused(shape):
+    # Only a mixture of one-phase blocks at c = 0 is DFR, so IMRL.  An
+    # Erlang(3, 1) residual is IFR (the oracle reads DMRL, NBUE), and the
+    # shifted H2's mean residual life falls and then rises (2.25, 1.25,
+    # 2.00 at t = 0, 1, 5): no verdict names that yet.
+    law = distributions._Blocks(shape)
+    if shape[0] == 0.0:
+        assert mrl_oracle.classify(law) == ("DMRL", True)
+    with pytest.raises(ValueError, match="no MRL verdict"):
+        law.mrl_class()
+    assert distributions._Blocks((0.0, H2.phases()[1])).mrl_class() is (
+        MrlVerdict.IMRL)
+
+
 @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e-3, 1e3, 1e6, 1e300])
 @pytest.mark.parametrize("dist,verdict,nbue", MRL_CASES)
 def test_mrl_classification_is_scale_free(dist, verdict, nbue, c):

@@ -163,8 +163,8 @@ def lattice_cells(pair):
     n = int(analytic._truncation_point(pair.service) / h) + 2
     x = h * np.arange(n)
     for b in filter(math.isfinite, pair.service.support()):
-        j = round(b / h)
-        if j < n and abs(x[j] - b) <= analytic._SNAP * h:
+        j = round(b / h)  # point 0 stays exact: only a kink at 0 lies on it
+        if 0 < j < n and abs(x[j] - b) <= analytic._SNAP * h:
             x[j] = b
     tail = pair.interarrival.ccdf(h * np.arange(n + 1))
     cell = tail[:-1] - tail[1:]
@@ -207,21 +207,28 @@ def test_survival_matches_direct_convolution_powers(y, s):
 def full_lattice(pair, k_max):
     """Each end's E[K], E[K^2], crossing sum and Pr(K > k), k = 0..k_max,
     from the renewal and pmf sums against the service ccdf at every point
-    of ``pair``'s lattice, spanned as the record spans them."""
+    of ``pair``'s lattice, spanned as the record spans them: each sum's
+    interval also spans both computed ends, widened by the transform's
+    relative roundoff."""
     cells, x, c = lattice_cells(pair)
     gaps = np.stack(cells)
-    (once, crossing), (twice, _), _ = analytic._renewal_sums(
+    (once, crossing), (twice, _), noise = analytic._renewal_sums(
         gaps, np.stack((c, x * c), axis=-2))
     first = 1.0 - c[..., 0]
     k1, k2 = first + once, first + twice
     h = bracket_step(pair)
-    lo = crossing[1] - 0.5 * h * (k2[1] - k1[1])
-    hi = crossing[0] + 0.5 * h * (k2[0] - k1[0])
+    lo = min(crossing[1] - 0.5 * h * (k2[1] - k1[1]), *crossing)
+    hi = max(crossing[0] + 0.5 * h * (k2[0] - k1[0]), *crossing)
     mid = 0.5 * (crossing[0] + crossing[1])
     survival = analytic._survival(gaps, c[..., None, :], k_max)[0][:, 0]
     survival[:, 0] = 1.0
-    return (Interval.between(*k1), Interval.between(*k2),
-            Interval(mid, max(mid - lo, hi - mid)),
+
+    def widened(interval, ends):
+        return Interval(interval.value,
+                        interval.half_width + noise * np.abs(ends).max())
+    return (widened(Interval.between(*k1), k1),
+            widened(Interval.between(*k2), k2),
+            widened(Interval(mid, max(mid - lo, hi - mid)), crossing),
             Interval.between(*survival))
 
 
@@ -240,9 +247,9 @@ def record_intervals(record):
 
 
 def unfold(monkeypatch):
-    """Let every lattice record built from now on take the unfolded pmf
-    of every point, whatever its service."""
-    monkeypatch.setattr(analytic, "_folded", analytic._prefix_survival)
+    """Let every lattice record built from now on take the power sums'
+    tail rule on the pmf builder's prefix, whatever its service."""
+    monkeypatch.setattr(analytic, "_folded", analytic._powered)
 
 
 def bracketing_only(monkeypatch):
@@ -360,6 +367,21 @@ def test_a_far_shift_folds_without_overflow(monkeypatch):
     pmf = k_pmf(pair, K_MAX)
     assert [p.value for p in pmf.pmf] == pytest.approx(
         mid[:-1] - mid[1:], rel=0, abs=1e-13)
+
+
+def test_a_folded_pmf_reads_only_the_gaps_prefix(monkeypatch):
+    # U(0, 0.2) gaps against SE(0.5, 3): the gap ccdf is 0 from 0.2 on, so
+    # the pmf builder evaluates it on the b/h + 2 points that hold every
+    # non-zero cell, and at (n-1)h and nh for the gap mass; the fold reads
+    # that prefix, not all n + 1 (about 161000) points.
+    y, s = Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)
+    most = 0.2 / bracket_step(Pair(y, s)) + 6
+    points = []
+    ccdf = Uniform.ccdf
+    monkeypatch.setattr(Uniform, "ccdf", lambda law, x: (
+        points.append(np.size(x)), ccdf(law, x))[1])
+    k_pmf(Pair(y, s), K_MAX)
+    assert 0 < sum(points) <= most
 
 
 @pytest.mark.parametrize("y", [
@@ -669,8 +691,11 @@ def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
     # The bracketing solve takes a quarter of the finest level's step,
     # which puts the service's last kink b on every level, and so each
     # kink here (U(0.5, 2)'s lower end is b/4) on its lattice too: the pmf
-    # lattice holds each finite end of the support as a point.
+    # lattice holds each finite end of the support as a point.  The fold
+    # reads no points, only the SE shift's index (``_kink``), so the SE
+    # service's lattice is read unfolded.
     y, s = Rayleigh(c), RESCALED[s.kind](s, c)
+    unfold(monkeypatch)
     lattices = []
 
     def recorded(service, h, n, _original=analytic._points):
@@ -707,6 +732,44 @@ def test_a_jump_on_the_bracketing_lattice_gives_the_first_pmf_entry(c):
     # roundoff is left in its half-width.
     first = k_pmf(Pair(Rayleigh(c), Deterministic(0.7 * c)), K_MAX).pmf[0]
     assert abs(first.value - math.exp(-0.245)) <= first.half_width <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("laws", [
+    lambda c: (Uniform(0.0, 2.0 * c), Deterministic(1e-9 * c)),
+    lambda c: (Deterministic(0.7 * c), ShiftedExponential(1e6 / c, 1e-9 * c)),
+    lambda c: (Uniform(0.5 * c, 1.5 * c),
+               ShiftedExponential(1e6 / c, 1e-9 * c)),
+], ids=["U/D", "D/SE", "U/SE"])
+def test_a_kink_by_the_origin_leaves_point_zero_exact(laws, c):
+    # Each service kink here rounds to lattice point 0, which must stay 0:
+    # the first partial sum A_1 = 0 is exact, and the crossing sum's first
+    # term reads that point.  The second partial sum almost never falls
+    # before the service ends (chance 5e-10 for U/D, 0 for the rest), so
+    # the age is the head plus E[S] to far below roundoff.  Corollary 1 is
+    # an upper bound on it.
+    y, s = laws(c)
+    pair = Pair(y, s)
+    est = exact_age(pair, DROPPING)
+    assert 0.0 <= est.ci_half_width
+    assert abs(est.value - (pair.head + s.mean())) <= est.ci_half_width
+    assert corollary_one(pair, DROPPING).value >= (
+        est.value - est.ci_half_width)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_the_bracketing_solve_carries_its_roundoff(c):
+    # Every U(c, c(1 + 1e-9)) gap outlasts a D(0.7c) service, so K = 1 and
+    # the crossing sum is 0.  The levels fail on this pair, and the
+    # bracketing solve's ends land within the transform's roundoff of 1
+    # and 0, on either side of them: each interval must hold the value,
+    # and none may be turned inside out.
+    pair = Pair(Uniform(c, c * (1.0 + 1e-9)), Deterministic(0.7 * c))
+    sums = pair.cycles(DROPPING).sums()
+    for got, want in zip(sums, (1.0, 1.0, 0.0, 0.0)):
+        assert abs(got.value - want) <= got.half_width, (got, want)
+    est = exact_age(pair, DROPPING)
+    assert abs(est.value - (pair.head + 0.7 * c)) <= est.ci_half_width
 
 
 def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
