@@ -5,7 +5,10 @@ Subcommands mirror the library operations: ``simulate``, ``exact``,
 passed as inline JSON objects (``'{"kind": "exponential", "rate": 1}'``) or
 as ``@path`` references to a JSON file; the same syntax works everywhere.
 ``--json`` switches the report to a single machine-readable object that
-validates against :data:`aoi.schema.CLI_RESULT_SCHEMA`.
+validates against :data:`aoi.schema.CLI_RESULT_SCHEMA`, printed on one
+line (so runs can be appended as NDJSON) by the C JSON encoder.
+:func:`main` parses argv in one argparse pass, on the named subcommand's
+own parser from the tree :func:`build_parser` defines.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed verbatim so scripts can branch on it), 2 on usage errors.  The
@@ -132,6 +135,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser in :func:`_parser`'s tree, by name."""
+    (action,) = (a for a in _parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)`` in one argparse pass: an argv that
+    starts with a subcommand goes straight to that subcommand's parser,
+    as the top-level parser would hand it on, leftovers being the
+    top-level parser's usage error; any other argv (none, ``-h``, an
+    unknown command, an option first) takes the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _subparsers().get(argv[0]) if argv else None
+    if parser is None:
+        return _parser().parse_args(argv)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def _resolve_seed(args) -> int:
     """The seed from ``--seed``, else ``$AOI_SEED``, else 0; a seed out of
     range is a usage error on every subcommand, whether or not it draws."""
@@ -177,7 +205,7 @@ def _writing(args, *paths):
 def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
     if args.as_json:
         payload = {"command": command, "inputs": inputs, "result": result}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(lines))
     return 0
@@ -344,7 +372,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Parse ``argv`` and dispatch to the library (console entry point)."""
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         args.seed = _resolve_seed(args)
         if hasattr(args, "mc_samples") and args.mc_samples < 10_000:
@@ -357,7 +385,7 @@ def main(argv=None) -> int:
         if getattr(args, "as_json", False):
             payload = {"command": args.command, "error": name,
                        "message": str(exc)}
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, sort_keys=True))
         else:
             print(f"error: {name}: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,8 @@ from . import analytic, bounds
 from .analytic import Pair
 from .distributions import Distribution, MrlVerdict, from_dict
 from .errors import AoiError
-from .sim import AgeEstimate, Discipline, SimConfig, integer, run_simulation
+from .sim import (MAX_CYCLES, AgeEstimate, Discipline, SimConfig, integer,
+                  run_simulation)
 
 __all__ = [
     "Estimator",
@@ -142,8 +143,9 @@ class SweepSpec:
                              "appear in the template")
         for name in ("sim_cycles", "base_seed"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.sim_cycles < 2:
-            raise ValueError("sim_cycles must be >= 2")
+        if not 2 <= self.sim_cycles <= MAX_CYCLES:
+            raise ValueError(f"sim_cycles must be >= 2 and at most "
+                             f"{MAX_CYCLES}, got {self.sim_cycles}")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
         for value in self.grid:  # every point's pair, before any runs

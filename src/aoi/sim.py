@@ -42,6 +42,7 @@ from .errors import DivergentAge
 __all__ = [
     "Discipline", "SimConfig", "CycleRecord", "CycleRecords", "AgeEstimate",
     "CycleStatistics", "Moment", "run_simulation", "cycle_statistics", "Z95",
+    "MAX_CYCLES",
 ]
 
 Z95 = 1.959963984540054  # 97.5% standard normal quantile
@@ -62,6 +63,7 @@ _BATCHES = 30
 _BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
 _MARGIN = 32  # pairs a preemption block draws past its expected need
 _TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
+MAX_CYCLES = 1 << 24  # cycles per run: ~100 bytes each untraced, 1.7 GB
 
 
 def integer(name: str, value) -> int:
@@ -94,8 +96,9 @@ class SimConfig:
         for name in ("target_cycles", "seed", "max_events"):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, integer(name, value))
-        if self.target_cycles < 2:  # a half-width needs two cycles
-            raise ValueError(f"target_cycles must be >= 2, got {self.target_cycles}")
+        if not 2 <= self.target_cycles <= MAX_CYCLES:  # a half-width needs 2
+            raise ValueError(f"target_cycles must be >= 2 and at most "
+                             f"{MAX_CYCLES}, got {self.target_cycles}")
         if self.max_events is not None and self.max_events < self.target_cycles:
             raise ValueError("max_events must be >= target_cycles")
         if not 0 <= self.seed < 2**64:

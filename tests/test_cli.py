@@ -554,6 +554,8 @@ def test_sweep_spec_options_are_not_read(capsys, tmp_path, options):
     ({**SWEEP_SPEC, "base_seed": 2.5}, "base_seed must be an integer"),
     ({**SWEEP_SPEC, "sim_cycles": 2.5}, "sim_cycles must be an integer"),
     ({**SWEEP_SPEC, "sim_cycles": 1}, "sim_cycles must be >= 2"),
+    ({**SWEEP_SPEC, "sim_cycles": 1e20},
+     f"sim_cycles must be >= 2 and at most {1 << 24}, got 1000"),
     ({**SWEEP_SPEC, "interarrival": {"kind": "uniform", "upper": 2.0},
       "swept_param": "lower", "grid": [0.5, 3.0]}, "upper must exceed lower"),
     ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
@@ -564,6 +566,7 @@ def test_sweep_spec_options_are_not_read(capsys, tmp_path, options):
      "interarrival law must have a positive mean"),
 ], ids=["missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
         "fractional-base-seed", "fractional-sim-cycles", "one-sim-cycle",
+        "huge-sim-cycles",
         "bad-later-grid-point",
         "degenerate-pair-exact", "degenerate-pair-simulate"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
@@ -821,3 +824,138 @@ def test_extreme_time_scales_end_in_an_exit_code(capsys, law, command):
                 "--interarrival", y, "--service", s]
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+LAW = '{"kind": "uniform", "lower": 0, "upper": 2}'
+PARSE_CASES = {
+    # every subcommand with each of its flags, then with only the required
+    "simulate": ["simulate", "--discipline", "dropping", "--interarrival",
+                 EXP1, "--service", LAW, "--cycles", "50", "--max-events",
+                 "5000", "--trace", "t.csv", "--seed", "3", "--json"],
+    "simulate-required": ["simulate", "--discipline", "preemption", *PAIR],
+    "exact": ["exact", "--discipline", "preemption", *PAIR, "--mc-samples",
+              "20000", "--seed", "4", "--json"],
+    "exact-required": ["exact", "--discipline", "dropping", *PAIR],
+    "bound": ["bound", "--kind", "corollary1", *PAIR, "--mc-samples", "20000",
+              "--seed", "5", "--json"],
+    "bound-required": ["bound", "--kind", "gm11", *PAIR],
+    "kpmf": ["kpmf", *PAIR, "--k-max", "4", "--mc-samples", "20000",
+             "--seed", "6", "--json"],
+    "kpmf-required": ["kpmf", *PAIR],
+    "check-properties": ["check-properties", "--dist", LAW, "--seed", "7",
+                         "--json"],
+    "check-properties-required": ["check-properties", "--dist", LAW],
+    "sweep": ["sweep", "--spec", "spec.json", "--csv", "out.csv", "--chart",
+              "out.svg", "--title", "T", "--seed", "8", "--json"],
+    "sweep-required": ["sweep", "--spec", "spec.json", "--csv", "out.csv"],
+    # the = form, a law from a file, flags in another order, abbreviations,
+    # a negative number and a repeated flag
+    "equals-and-file": ["kpmf", "--interarrival=@law.json", "--service",
+                        EXP1, "--k-max=3"],
+    "reordered": ["exact", "--json", "--service", LAW, "--discipline",
+                  "dropping", "--interarrival", "@law.json"],
+    "abbreviated": ["simulate", "--disc", "dropping", *PAIR, "--cyc", "9"],
+    "negative-seed": ["exact", "--discipline", "dropping", *PAIR, "--seed",
+                      "-1"],
+    "repeated": ["kpmf", *PAIR, "--k-max", "3", "--k-max", "5"],
+    # usage errors
+    "unknown-flag": ["exact", "--discipline", "dropping", *PAIR, "--bogus"],
+    "leftovers": ["exact", "--discipline", "dropping", *PAIR, "extra",
+                  "--bogus", "x"],
+    "missing-required": ["exact", "--discipline", "dropping",
+                         "--interarrival", EXP1],
+    "bad-law-json": ["exact", "--discipline", "dropping", "--interarrival",
+                     "{not json", "--service", EXP1],
+    "bad-law-file": ["exact", "--discipline", "dropping", "--interarrival",
+                     "@missing.json", "--service", EXP1],
+    "bad-choice": ["exact", "--discipline", "fifo", *PAIR],
+    "bad-kind": ["bound", "--kind", "mm11", *PAIR],
+    "fractional-cycles": ["simulate", "--discipline", "dropping", *PAIR,
+                          "--cycles", "2.5"],
+    "missing-value": ["kpmf", *PAIR, "--k-max"],
+    "no-arguments": [],
+    "help": ["-h"],
+    "subcommand-help": ["exact", "-h"],
+    "unknown-command": ["frobnicate", "--json"],
+    "option-before-command": ["--json", "exact", "--discipline", "dropping",
+                              *PAIR],
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """What parsing ``argv`` gives: the namespace or the exit code, and
+    the bytes printed on stdout and stderr."""
+    try:
+        result, code = parse(list(argv)), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    out, err = capsys.readouterr()
+    return result, code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_one_pass_parse_matches_the_parser_tree(capsys, tmp_path,
+                                                monkeypatch, argv):
+    # The subcommand's own parser gives the namespace the two-pass parse of
+    # the whole tree gives, and every usage error its stderr bytes and exit
+    # code; help its stdout.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "law.json").write_text(LAW, encoding="utf-8")
+    want = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    got = parse_outcome(capsys, cli._parse, argv)
+    assert got == want
+    assert want[0] is not None or want[1] in (0, 2)
+
+
+def test_one_pass_parse_reads_sys_argv(capsys, monkeypatch):
+    argv = PARSE_CASES["kpmf"]
+    monkeypatch.setattr(sys, "argv", ["aoi", *argv])
+    assert cli._parse(None) == cli.build_parser().parse_args(argv)
+
+
+def test_a_subcommand_argv_takes_no_top_level_pass(capsys, monkeypatch):
+    # Only an argv that names no subcommand first reaches the top-level
+    # parser's own pass.
+    def refused(*args, **kwargs):
+        raise AssertionError("top-level pass")
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refused)
+    code, out, _ = run(capsys, *PARSE_CASES["check-properties"])
+    assert code == 0 and json.loads(out)["command"] == "check-properties"
+    with pytest.raises(AssertionError, match="top-level pass"):
+        main(PARSE_CASES["option-before-command"])
+
+
+def test_every_json_report_is_one_line(capsys, tmp_path):
+    # Each subcommand's --json object, and the domain error's, is printed
+    # on one line that validates against the schema.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
+    commands = [
+        ("simulate", "--discipline", "dropping", *PAIR, "--cycles", "50"),
+        ("exact", "--discipline", "dropping", "--interarrival", LAW,
+         "--service", EXP1),
+        ("bound", "--kind", "corollary2", *PAIR),
+        ("kpmf", "--interarrival", LAW, "--service", LAW),
+        ("check-properties", "--dist", LAW),
+        ("sweep", "--spec", str(spec), "--csv", str(tmp_path / "out.csv")),
+        ("simulate", "--discipline", "preemption", "--interarrival", DET % 1,
+         "--service", DET % 2, "--cycles", "10", "--max-events", "10"),
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--json")
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        payload = json.loads(out)
+        jsonschema.validate(payload, CLI_RESULT_SCHEMA)
+        assert payload["command"] == argv[0]
+        error = "DivergentAge" if "--max-events" in argv else None
+        assert (code, payload.get("error")) == (1 if error else 0, error)
+
+
+@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+def test_a_huge_cycle_count_is_a_usage_error(capsys, discipline):
+    # Past the cycle cap, one stderr line and exit 2 before any draw.
+    code, out, err = run(capsys, "simulate", "--discipline", discipline,
+                         *PAIR, "--cycles", "100000000000000000000")
+    assert code == 2 and out == ""
+    assert err == ("aoi simulate: target_cycles must be >= 2 and at most "
+                   f"{1 << 24}, got 100000000000000000000\n")

@@ -54,6 +54,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(interarrival_template={"kind": "shifted_exponential",
                                           "shift": 0.5, "rate": 1.0})
+    # past the cycle cap: refused by the spec, naming its own field, before
+    # any row of a sweep runs
+    with pytest.raises(ValueError, match=r"^sim_cycles must be >= 2 and at "
+                       f"most {1 << 24}, got 100000000000000000000$"):
+        small_spec(sim_cycles=1e20)
+    assert small_spec(sim_cycles=1 << 24).sim_cycles == 1 << 24
 
 
 def test_rows_cover_grid_times_estimators():

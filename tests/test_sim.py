@@ -284,6 +284,18 @@ def test_config_validation():
     assert config.effective_max_events == 10_000
 
 
+@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+def test_cycles_past_the_cap_are_refused(discipline):
+    # The config alone refuses them, before a run could draw or keep them;
+    # the cap itself is a valid count.
+    with pytest.raises(ValueError, match=f"at most {sim.MAX_CYCLES}, got"):
+        SimConfig(Exponential(1.0), Exponential(1.0), discipline,
+                  sim.MAX_CYCLES + 1)
+    config = SimConfig(Exponential(1.0), Exponential(1.0), discipline,
+                       sim.MAX_CYCLES)
+    assert config.target_cycles == sim.MAX_CYCLES
+
+
 @pytest.mark.parametrize("field,value", [
     ("target_cycles", 10.5), ("seed", 1.5), ("max_events", 1e5 + 0.5),
     ("target_cycles", "10"), ("seed", math.inf), ("max_events", math.nan)])
