@@ -504,8 +504,7 @@ def _phase_cycles(interarrival: Distribution, service: Distribution
             pi, tail = service.poisson_mix(r, k_max - 1)
             return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
         powers, noise = _survival(f[None], p[None], k_max)  # + T_J past J
-        return _pmf(*Interval.between(powers[0, 0] - noise,
-                                      powers[0, 0] + t[-1] + noise))
+        return _pmf(powers[0, 0] - noise, powers[0, 0] + t[-1] + noise)
     if not fact:  # one phase: f = delta_1, so u = 1 and f^{*k} = delta_k
         def exact() -> tuple[Interval, Interval, Interval, Interval]:
             if not math.isfinite(closed[1]):
@@ -542,8 +541,10 @@ def _phase_cycles(interarrival: Distribution, service: Distribution
     return Cycles("closed_form", solved, pmf)
 
 
-def _pmf(mid: np.ndarray, hw: np.ndarray) -> tuple[Interval, Interval]:
-    """Pr(K = k), k = 1..k_max, and Pr(K > k_max) from Pr(K > k), k >= 0."""
+def _pmf(lo: np.ndarray, hi: np.ndarray) -> tuple[Interval, Interval]:
+    """Pr(K = k), k = 1..k_max, and Pr(K > k_max) from the two ends of
+    Pr(K > k)'s bracket, k >= 0."""
+    mid, hw = Interval.between(lo, hi)
     return (Interval(mid[:-1] - mid[1:], hw[:-1] + hw[1:]),
             Interval(mid[-1], hw[-1]))
 
@@ -649,16 +650,16 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
 
     :func:`_level_step` sets every step, so the service's last kink lies
     on every lattice; point 0 stays exact (:func:`_kink`).  E[K], E[K^2],
-    the crossing sum and its quotient by E[K] come from the levels h, 2h
-    and 4h, extrapolated (:func:`_extrapolated`), else from the bracketing
-    solve at h/4, whose ends, the down one reading Pr(S > x) and the up one
-    Pr(S >= x) (:func:`_full`), bracket them, each widened by its
-    roundoff.  Its step doubles until at most 2^18 points remain, as they
-    do by E[Y]/16; a cycle too deep even there raises
-    :class:`TruncationNotReached`.  Pr(K > k) comes from the one pmf
-    builder on that lattice (:func:`_prefix_survival`): the gaps' prefix
-    and one of two tail rules, the fold past an SE service's shift or the
-    power sums, its ends widened by the kernel's roundoff.
+    the crossing sum and its quotient by E[K] come from :func:`_full`'s
+    brackets on the levels h, 2h and 4h, extrapolated, else from its
+    bracket at h/4, whose ends, the down one reading Pr(S > x) and the up
+    one Pr(S >= x), bracket them, each widened by its roundoff.  Its step
+    doubles until at most 2^18 points remain, as they do by E[Y]/16; a
+    cycle too deep even there raises :class:`TruncationNotReached`.  The
+    pmf comes from the one pmf builder on that lattice
+    (:func:`_prefix_survival`): the gaps' prefix and one of two tail
+    rules, the fold past an SE service's shift or the power sums, its ends
+    widened by the kernel's roundoff.
     """
     top = _truncation_point(service)
     if isinstance(interarrival, Deterministic):
@@ -682,22 +683,14 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
         # time scale
         coarse = top / (4.0 * fine) + _SNAP
         if 4.0 * coarse < _MAX_LATTICE - 5:
-            *ends, noise = _full(interarrival, service, fine,
-                                 4 * int(coarse) + 5, _STRIDES)
-            ends = [v.tolist() for v in ends]
-            found = _extrapolated([
-                _bracket(k * fine, *(v[2 * i:2 * i + 2] for v in ends), noise)
-                for i, k in enumerate(_STRIDES)], noise)
+            found = _extrapolated(*_full(interarrival, service, fine,
+                                         4 * int(coarse) + 5, _STRIDES))
             if found is not None:
                 return found
-        *ends, noise = _full(interarrival, service, h, n, (1,))
-        return _bracket(h, *(v.tolist() for v in ends), noise)
+        return _full(interarrival, service, h, n, (1,))[0][0]
 
-    def pmf(k_max: int) -> tuple[Interval, Interval]:
-        ends, noise = _prefix_survival(interarrival, service, h, n, k_max)
-        return _pmf(*Interval.between(ends.min(0) - noise,
-                                      ends.max(0) + noise))
-    return Cycles("lattice", solved, pmf)
+    return Cycles("lattice", solved, lambda k_max: _prefix_survival(
+        interarrival, service, h, n, k_max))
 
 
 def _bracket(h: float, k_mean, k_second, crossing, noise: float
@@ -778,19 +771,19 @@ def _deterministic_cycles(d: float, service: Distribution, top: float
         kept = np.concatenate(([1.0], c[1:], np.zeros(k_max)))[:k_max + 1]
         beyond = np.zeros(k_max + 1)
         beyond[n:] = c[-1]
-        return _pmf(*Interval.between(kept - beyond, kept + beyond))
+        return _pmf(kept - beyond, kept + beyond)
     return Cycles("closed_form", solved, pmf)
 
 
 def _full(interarrival: Distribution, service: Distribution, h: float,
           n: int, strides: tuple[int, ...]
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Each end's E[K], E[K^2] and crossing sum on every stride k's lattice
-    (every k-th of the n points of step h, its own transform), rows
-    stacked stride by stride, and the roundoff, from one evaluation of
-    each law's ccdf: the down end reads Pr(S > x), the up end Pr(S >= x)
-    (:func:`_ends_ccdf`), and each end's E[K] and E[K^2] replace its
-    0-th term G(0) by Pr(K >= 1) = 1."""
+          ) -> tuple[list[tuple[Interval, ...]], float]:
+    """The bracket (:func:`_bracket`) of every stride k's lattice, every
+    k-th of the n points of step h with its own transform, each widened by
+    the strides' largest roundoff, and that roundoff, from one evaluation
+    of each law's ccdf: the down end reads Pr(S > x), the up end
+    Pr(S >= x) (:func:`_ends_ccdf`), and each end's E[K] and E[K^2]
+    replace its 0-th term G(0) by Pr(K >= 1) = 1."""
     x, c = _ends_ccdf(service, h, n)
     tail = interarrival.ccdf(h * np.arange(n + max(strides)))
     out = []
@@ -800,49 +793,44 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
             _cells(tail[::k][:xk.size + 1]), np.stack((ck, xk * ck), axis=-2))
         first = 1.0 - ck[..., 0]  # Pr(K >= 1) = 1 whatever the service
         out.append((first + once, first + twice, crossing, noise))
-    *ends, noise = zip(*out)
-    return (*map(np.concatenate, ends), max(noise))
-
-
-def _lattice_survival(gaps: np.ndarray, c: np.ndarray, mass: np.ndarray,
-                      n: int, k_max: int) -> tuple[np.ndarray, float]:
-    """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound on an
-    n-point lattice, from each end's gap cells, the service ccdf ``c``
-    (shared, or one row per end) on every point the powers read, and each
-    gap mass M: while k_max gaps stay on the lattice, M^k plus f^{*k}
-    against G - 1, exactly M^k and roundoff 0 where no partial sum reaches
-    G < 1; past that, f^{*k} against G (0 past the lattice)."""
-    stays = float(k_max * (_support(gaps) - 1) < n)  # 1 or 0
-    powers, noise = _survival(gaps, (c - stays)[..., None, :], k_max)
-    out = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
-    out[:, 0] = 1.0
-    return out, noise
+    noise = max(v[-1] for v in out)
+    return [_bracket(k * h, *(v.tolist() for v in sums[:3]), noise)
+            for k, sums in zip(strides, out)], noise
 
 
 def _prefix_survival(interarrival: Distribution, service: Distribution,
-                     h: float, n: int, k_max: int) -> tuple[np.ndarray, float]:
-    """Pr(K > k)'s ends, k <= k_max, on the n points of step h and their
-    roundoff bound, from one gap ccdf evaluation: on the b/h + 2 points
-    that hold every non-zero cell (all n for gaps with no upper end b) and
-    at (n-1)h and nh, for each end's gap mass M.  Then a tail rule:
-    :func:`_folded` for a service c > 0 plus one exponential block, else
-    :func:`_powered`."""
+                     h: float, n: int, k_max: int) -> tuple[Interval, Interval]:
+    """The pmf (:func:`_pmf`) on the n points of step h, from one gap ccdf
+    evaluation: on the b/h + 2 points that hold every non-zero cell (all n
+    for gaps with no upper end b) and at (n-1)h and nh, for each end's gap
+    mass M.  Then a tail rule gives Pr(K > k)'s ends, each widened by its
+    roundoff bound: :func:`_folded` for a service c > 0 plus one
+    exponential block, else :func:`_powered`."""
     short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
     tail = interarrival.ccdf(h * np.concatenate((np.arange(short + 1.0),
                                                  (n, n - 1.0))))
     tail, far = tail[:-2], tail[-2:]
     rule = _folded if (service.phases() or (0.0,))[0] else _powered
-    return rule(service, h, n, k_max, _cells(tail), tail, far)
+    ends, noise = rule(service, h, n, k_max, _cells(tail), tail, far)
+    return _pmf(ends.min(0) - noise, ends.max(0) + noise)
 
 
 def _powered(service: Distribution, h: float, n: int, k_max: int,
              gaps: np.ndarray, tail: np.ndarray, far: np.ndarray
              ) -> tuple[np.ndarray, float]:
-    """:func:`_lattice_survival` on the service ccdf each end reads
-    (:func:`_ends_ccdf`) at the m = min(n, k_max (s-1) + 1) points read."""
-    m = min(n, max(1, k_max * (_support(gaps) - 1) + 1))
-    _, c = _ends_ccdf(service, h, m)
-    return _lattice_survival(gaps, c, tail[0] - far, n, k_max)
+    """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound, from
+    the service ccdf each end reads (:func:`_ends_ccdf`) on the m =
+    min(n, k_max (s-1) + 1) points the powers read: while k_max gaps stay
+    on the n-point lattice, M^k plus f^{*k} against G - 1, exactly M^k and
+    roundoff 0 where no partial sum reaches G < 1; else f^{*k} against G."""
+    reach = k_max * (_support(gaps) - 1)
+    _, c = _ends_ccdf(service, h, min(n, max(1, reach + 1)))
+    stays = float(reach < n)  # 1 or 0
+    powers, noise = _survival(gaps, (c - stays)[..., None, :], k_max)
+    out = powers[:, 0] + stays * (tail[0] - far)[:, None] ** np.arange(
+        k_max + 1.0)
+    out[:, 0] = 1.0
+    return out, noise
 
 
 def _folded(service: Distribution, h: float, n: int, k_max: int,

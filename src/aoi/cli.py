@@ -51,12 +51,11 @@ def _dist_argument(text: str) -> Distribution:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_dist_flags(p: argparse.ArgumentParser, service: bool = True):
+def _add_dist_flags(p: argparse.ArgumentParser):
     p.add_argument("--interarrival", type=_dist_argument, required=True,
                    metavar="JSON|@FILE", help="interarrival law")
-    if service:
-        p.add_argument("--service", type=_dist_argument, required=True,
-                       metavar="JSON|@FILE", help="service law")
+    p.add_argument("--service", type=_dist_argument, required=True,
+                   metavar="JSON|@FILE", help="service law")
 
 
 def _add_common_flags(p: argparse.ArgumentParser):

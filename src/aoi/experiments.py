@@ -171,8 +171,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`; a missing key raises ``ValueError``
-        naming it, and a key it does not read is ignored."""
+        """Inverse of :meth:`to_dict`: a missing key without a default
+        raises ``ValueError`` naming it; a key it does not read is ignored."""
         try:
             return cls(
                 name=data["name"],
@@ -182,8 +182,7 @@ class SweepSpec:
                 grid=data["grid"],
                 service=from_dict(data["service"]),
                 estimators=data["estimators"],
-                sim_cycles=data.get("sim_cycles", 20_000),
-                base_seed=data.get("base_seed", 0),
+                **{k: data[k] for k in ("sim_cycles", "base_seed") if k in data},
             )
         except KeyError as exc:
             raise ValueError(f"sweep spec is missing key {exc}") from exc

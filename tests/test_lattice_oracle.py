@@ -1125,15 +1125,22 @@ def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
     # of it where they can wrap, and every cell of gaps with no upper end):
     # the pmf must be the one all n points give, spanned the same way, its
     # half-widths no wider.  U/D's jump lies on the lattice, where the up
-    # end reads Pr(S >= 1) = 1.
+    # end reads Pr(S >= 1) = 1.  On all n points, Pr(K > k) is each end's
+    # gap mass M^k plus the k-th power against G - 1 while k_max gaps stay
+    # on the lattice, else the power against G.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     cells, x, ccdf = lattice_cells(Pair(y, s))
     n = x.size
     tail = y.ccdf(bracket_step(Pair(y, s)) * np.arange(n + 1))
-    ends, noise = analytic._lattice_survival(
-        np.stack(cells), ccdf, tail[0] - tail[[n, n - 1]], n, k_max)
-    (probs, hws), tail = analytic._pmf(*Interval.between(
-        ends.min(0) - noise, ends.max(0) + noise))
+    gaps = np.stack(cells)
+    stays = k_max * np.flatnonzero(gaps.any(axis=0))[-1] < n  # k_max (s-1)
+    powers, noise = analytic._survival(
+        gaps, (ccdf - stays)[..., None, :], k_max)
+    mass = tail[0] - tail[[n, n - 1]]
+    ends = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
+    ends[:, 0] = 1.0
+    (probs, hws), tail = analytic._pmf(ends.min(0) - noise,
+                                       ends.max(0) + noise)
     got = k_pmf(Pair(y, s), k_max)
     assert ([p.value for p in got.pmf]
             == pytest.approx(probs, rel=0, abs=1e-13))

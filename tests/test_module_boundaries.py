@@ -266,8 +266,7 @@ def test_integration_checker_flags_every_form():
 # The lattice reads a service by its support and ccdf alone: a point
 # mass's atom comes from a support of one point, not from a class.
 LATTICE = ("_lattice_cycles", "_level_step", "_points", "_ends_ccdf", "_full",
-           "_prefix_survival", "_lattice_survival", "_bracket",
-           "_extrapolated")
+           "_prefix_survival", "_bracket", "_extrapolated")
 
 
 def service_class_tests(source: str) -> list[str]:
