@@ -7,8 +7,14 @@ as ``@path`` references to a JSON file; the same syntax works everywhere.
 ``--json`` switches the report to a single machine-readable object that
 validates against :data:`aoi.schema.CLI_RESULT_SCHEMA`, printed on one
 line (so runs can be appended as NDJSON) by the C JSON encoder.
-:func:`main` parses argv in one argparse pass, on the named subcommand's
-own parser from the tree :func:`build_parser` defines.
+:func:`main` reads an argv that names a subcommand first in one walk over
+that subcommand's own parser from the tree :func:`build_parser` defines:
+each word an exact option string of a plain store action followed by its
+value, or ``--json``.  Any other argv (an abbreviation, the ``=`` form,
+``-h``, ``--``, a value starting with ``-`` or one its type refuses, a
+missing required option) goes unchanged to argparse, which stays the one
+source of help and usage errors.  The text report is built only when it
+is printed, never for ``--json``.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed verbatim so scripts can branch on it), 2 on usage errors.  The
@@ -27,6 +33,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 
 from . import analytic, experiments
 from .analytic import Pair
@@ -47,7 +54,8 @@ def _dist_argument(text: str) -> Distribution:
         else:
             data = json.loads(text)
         return from_dict(data)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested past the decoder's depth limit
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -142,19 +150,61 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+def _walk(parser: argparse.ArgumentParser, words) -> argparse.Namespace | None:
+    """``parser.parse_known_args(words)``'s namespace, read in one walk
+    when every word is an exact option string of a plain store action
+    followed by one value that does not start with ``-``, converted by the
+    action's ``type`` and within its ``choices``, or of a store-constant
+    flag (``--json``); then the defaults fill every other ``dest``.  None
+    for any other argv, which argparse must read: an abbreviation, the
+    ``=`` form, ``-h``, ``--``, a value starting with ``-`` or one its
+    ``type`` refuses, or a required option left out."""
+    options, values, i = parser._option_string_actions, {}, 0
+    while i < len(words):
+        action = options.get(words[i])
+        if isinstance(action, argparse._StoreConstAction):
+            values[action.dest] = action.const
+            i += 1
+            continue
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or i + 1 == len(words) or words[i + 1].startswith("-")):
+            return None
+        try:
+            value = words[i + 1] if action.type is None else action.type(words[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        i += 2
+    defaults = {}
+    for action in parser._actions:
+        if action.dest in values:
+            continue
+        if action.required:
+            return None
+        if argparse.SUPPRESS not in (action.dest, action.default):  # -h
+            defaults[action.dest] = action.default
+    return argparse.Namespace(**defaults, **values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)`` in one argparse pass: an argv that
-    starts with a subcommand goes straight to that subcommand's parser,
-    as the top-level parser would hand it on, leftovers being the
-    top-level parser's usage error; any other argv (none, ``-h``, an
-    unknown command, an option first) takes the top-level parser."""
+    """``_parser().parse_args(argv)`` without the top-level pass: an argv
+    that starts with a subcommand is read by :func:`_walk` over that
+    subcommand's own parser or, where the walk returns None, by that
+    parser's ``parse_known_args``, as the top-level parser would hand it
+    on, leftovers being the top-level parser's usage error; any other argv
+    (none, ``-h``, an unknown command, an option first) takes the
+    top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _subparsers().get(argv[0]) if argv else None
     if parser is None:
         return _parser().parse_args(argv)
-    args, extra = parser.parse_known_args(argv[1:])
-    if extra:
-        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _walk(parser, argv[1:])
+    if args is None:
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            _parser().error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 
@@ -201,12 +251,15 @@ def _writing(args, *paths):
                          f"{exc.strerror}") from exc
 
 
-def _emit(args, command: str, inputs: dict, result: dict, lines: list[str]) -> int:
+def _emit(args, command: str, inputs: dict, result: dict,
+          report: Callable[[], list[str]]) -> int:
+    """Print the ``--json`` object, or the text report's lines, which
+    ``report()`` builds only when they are printed."""
     if args.as_json:
         payload = {"command": command, "inputs": inputs, "result": result}
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(report()))
     return 0
 
 
@@ -235,7 +288,9 @@ def _cmd_simulate(args) -> int:
                   "k_mean": stats.k_mean.value, "k_mean_se": stats.k_mean.stderr,
                   "w_mean": stats.w_mean.value, "busy_mean": stats.busy_mean.value,
                   "p_hat": stats.p_hat.value}}
-    lines = [
+    if args.trace:
+        result["trace"] = str(args.trace)
+    return _emit(args, "simulate", inputs, result, lambda: [
         f"discipline      {args.discipline}",
         f"interarrival    {args.interarrival.describe()}",
         f"service         {args.service.describe()}",
@@ -243,11 +298,8 @@ def _cmd_simulate(args) -> int:
         f"average age     {_fmt(estimate.value)} +/- {_fmt(estimate.ci_half_width)} (95% CI)",
         f"mean cycle      G={_fmt(stats.g_mean.value)} "
         f"K={_fmt(stats.k_mean.value)} p_hat={_fmt(stats.p_hat.value)}",
-    ]
-    if args.trace:
-        lines.append(f"trace           {args.trace}")
-        result["trace"] = str(args.trace)
-    return _emit(args, "simulate", inputs, result, lines)
+        *([f"trace           {args.trace}"] if args.trace else []),
+    ])
 
 
 def _estimate(args, tag: str, discipline: Discipline):
@@ -266,13 +318,12 @@ def _cmd_exact(args) -> int:
     inputs = {"discipline": args.discipline, **pair.to_dict(), "seed": args.seed}
     result = {"value": estimate.value, "ci_half_width": estimate.ci_half_width,
               "cycles_used": estimate.cycles_used, "method": estimate.method}
-    lines = [
+    return _emit(args, "exact", inputs, result, lambda: [
         f"discipline      {args.discipline}",
         f"interarrival    {args.interarrival.describe()}",
         f"service         {args.service.describe()}",
         f"average age     {_fmt(estimate.value)} +/- {_fmt(estimate.ci_half_width)} (95% CI)",
-    ]
-    return _emit(args, "exact", inputs, result, lines)
+    ])
 
 
 def _cmd_bound(args) -> int:
@@ -283,14 +334,13 @@ def _cmd_bound(args) -> int:
     result = {"value": report.value, "kind": estimator.kind.value,
               "applicability": report.applicability.value,
               "half_width": report.half_width}
-    lines = [
+    return _emit(args, "bound", inputs, result, lambda: [
         f"bound           {estimator.kind.value}",
         f"interarrival    {pair.interarrival.describe()}",
         f"service         {pair.service.describe()}",
         f"value           {_fmt(report.value)}",
         f"applicability   {report.applicability.value}",
-    ]
-    return _emit(args, "bound", inputs, result, lines)
+    ])
 
 
 def _cmd_kpmf(args) -> int:
@@ -305,11 +355,12 @@ def _cmd_kpmf(args) -> int:
         "tail_mass": res.tail_mass.value,
         "tail_mass_ci": res.tail_mass.half_width / Z95,
     }
-    lines = [f"{'k':>4}  {'Pr(K=k)':>12}  {'half-width':>10}"]
-    for i, m in enumerate(res.pmf):
-        lines.append(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width:>10.2e}")
-    lines.append(f"tail beyond k={res.k_max}: {_fmt(res.tail_mass.value)}")
-    return _emit(args, "kpmf", inputs, result, lines)
+    return _emit(args, "kpmf", inputs, result, lambda: [
+        f"{'k':>4}  {'Pr(K=k)':>12}  {'half-width':>10}",
+        *(f"{i + 1:>4}  {m.value:>12.6f}  {m.half_width:>10.2e}"
+          for i, m in enumerate(res.pmf)),
+        f"tail beyond k={res.k_max}: {_fmt(res.tail_mass.value)}",
+    ])
 
 
 def _cmd_check_properties(args) -> int:
@@ -317,19 +368,18 @@ def _cmd_check_properties(args) -> int:
     inputs = {"dist": args.dist.to_dict()}
     result = {"verdict": verdict.value, "nbue": verdict.nbue,
               "mean": args.dist.mean()}
-    lines = [
+    return _emit(args, "check-properties", inputs, result, lambda: [
         f"distribution    {args.dist.describe()}",
         f"mean            {_fmt(args.dist.mean())}",
         f"MRL verdict     {verdict.value}",
         f"NBUE            {'true' if verdict.nbue else 'false'}",
-    ]
-    return _emit(args, "check-properties", inputs, result, lines)
+    ])
 
 
 def _cmd_sweep(args) -> int:
     try:
         spec = experiments.SweepSpec.from_json_file(args.spec)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise SystemExit(f"aoi sweep: bad --spec {args.spec}: {exc}")
     with _writing(args, args.csv, args.chart):
         with _usage_errors(args):  # a moment an estimator rejects
@@ -345,18 +395,22 @@ def _cmd_sweep(args) -> int:
                      "applicability": r.applicability}
                     for r in result_obj.rows]
     result = {"rows": rows_payload, "csv": str(args.csv)}
-    lines = [f"sweep           {spec.name}",
-             f"{'param':>10}  {'estimator':<10}  {'value':>12}  {'ci':>10}  applicability"]
-    for r in result_obj.rows:
-        value = "divergent" if r.value is None else _fmt(r.value)
-        ci = "" if r.ci is None else _fmt(r.ci)
-        lines.append(f"{r.param:>10.4g}  {r.estimator:<10}  {value:>12}  "
-                     f"{ci:>10}  {r.applicability}")
-    lines.append(f"csv             {args.csv}")
     if args.chart:
         result["chart"] = str(args.chart)
-        lines.append(f"chart           {args.chart}")
-    return _emit(args, "sweep", inputs, result, lines)
+
+    def report():
+        lines = [f"sweep           {spec.name}",
+                 f"{'param':>10}  {'estimator':<10}  {'value':>12}  {'ci':>10}  applicability"]
+        for r in result_obj.rows:
+            value = "divergent" if r.value is None else _fmt(r.value)
+            ci = "" if r.ci is None else _fmt(r.ci)
+            lines.append(f"{r.param:>10.4g}  {r.estimator:<10}  {value:>12}  "
+                         f"{ci:>10}  {r.applicability}")
+        lines.append(f"csv             {args.csv}")
+        if args.chart:
+            lines.append(f"chart           {args.chart}")
+        return lines
+    return _emit(args, "sweep", inputs, result, report)
 
 
 _COMMANDS = {

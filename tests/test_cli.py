@@ -12,7 +12,7 @@ import pytest
 from aoi import cli, errors
 from aoi.bounds import Applicability
 from aoi.cli import main
-from aoi.distributions import MrlVerdict, from_dict
+from aoi.distributions import Distribution, MrlVerdict, from_dict
 from aoi.experiments import ESTIMATORS, SweepSpec, run_sweep
 from aoi.schema import CLI_RESULT_SCHEMA
 from aoi.sim import Z95, AgeEstimate, Discipline
@@ -23,6 +23,9 @@ DET = '{"kind": "deterministic", "value": %s}'
 H2_GAPS = '{"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [0.5, 2]}'
 STIFF_H2 = ('{"kind": "hyperexponential", "weights": [0.99999, 1e-05], '
             '"rates": [1000000.0, 0.001]}')
+
+
+DEEP_JSON = "[" * 3000 + "]" * 3000
 
 
 def run(capsys, *argv):
@@ -192,6 +195,19 @@ def test_usage_error_bad_distribution_json(capsys):
               "--service", EXP1])
     assert exc.value.code == 2
     assert "--interarrival" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at_file", [False, True], ids=["inline", "at-file"])
+def test_usage_error_deeply_nested_law(capsys, tmp_path, at_file):
+    # JSON nested past the decoder's depth limit is the flag's usage error,
+    # not a RecursionError traceback.
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-properties", "--dist", f"@{path}" if at_file else DEEP_JSON])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --dist: maximum recursion depth exceeded" in err
 
 
 def test_usage_error_non_finite_law_parameter(capsys):
@@ -564,15 +580,18 @@ def test_sweep_spec_options_are_not_read(capsys, tmp_path, options):
     ({**SWEEP_SPEC, "interarrival": {"kind": "deterministic"},
       "swept_param": "value", "grid": [0.0, 1.0], "estimators": ["simulate"]},
      "interarrival law must have a positive mean"),
+    # JSON nested past the decoder's depth limit, written as text
+    (DEEP_JSON, "maximum recursion depth exceeded"),
 ], ids=["missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
         "fractional-base-seed", "fractional-sim-cycles", "one-sim-cycle",
         "huge-sim-cycles",
         "bad-later-grid-point",
-        "degenerate-pair-exact", "degenerate-pair-simulate"])
+        "degenerate-pair-exact", "degenerate-pair-simulate", "deeply-nested"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
-        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
+                             encoding="utf-8")
     code, out, err = run(capsys, "sweep", "--spec", str(spec_path),
                          "--csv", str(tmp_path / "out.csv"))
     assert code == 2
@@ -879,6 +898,23 @@ PARSE_CASES = {
     "unknown-command": ["frobnicate", "--json"],
     "option-before-command": ["--json", "exact", "--discipline", "dropping",
                               *PAIR],
+    # where a well-formed argv ends: a store flag followed by a flag, a
+    # value that looks like a flag, the -- terminator, help after valid
+    # flags, --json twice, an empty value, a good law then a bad one, and
+    # a law nested past the JSON decoder's depth limit
+    "flag-for-value": ["exact", "--discipline", "dropping", *PAIR, "--seed",
+                       "--json"],
+    "flag-like-value": ["simulate", "--discipline", "dropping", *PAIR,
+                        "--trace", "-x.csv"],
+    "terminator": ["kpmf", *PAIR, "--", "--k-max", "3"],
+    "help-after-flags": ["exact", "--discipline", "dropping", *PAIR,
+                         "--help"],
+    "json-twice": ["check-properties", "--dist", LAW, "--json", "--json"],
+    "empty-value": ["sweep", "--spec", "spec.json", "--csv", "out.csv",
+                    "--title", ""],
+    "good-then-bad-law": ["check-properties", "--dist", LAW, "--dist",
+                          "{not json"],
+    "deep-law": ["check-properties", "--dist", DEEP_JSON],
 }
 
 
@@ -923,6 +959,53 @@ def test_a_subcommand_argv_takes_no_top_level_pass(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["command"] == "check-properties"
     with pytest.raises(AssertionError, match="top-level pass"):
         main(PARSE_CASES["option-before-command"])
+
+
+def test_a_well_formed_argv_takes_no_argparse_pass(tmp_path, monkeypatch):
+    # Every subcommand with all of its flags or only its required ones,
+    # reordered or with a flag repeated, is read by the walk alone, to the
+    # namespace the parser tree gives.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "law.json").write_text(LAW, encoding="utf-8")
+    names = [name for name in PARSE_CASES
+             if name.removesuffix("-required") in cli._subparsers()]
+    wants = {name: cli.build_parser().parse_args(PARSE_CASES[name])
+             for name in [*names, "reordered", "repeated"]}
+    assert len(names) == 2 * len(cli._subparsers())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse pass")
+    for parser in cli._subparsers().values():
+        monkeypatch.setattr(parser, "parse_known_args", refused)
+    monkeypatch.setattr(cli._parser(), "parse_args", refused)
+    for name, want in wants.items():
+        assert cli._parse(PARSE_CASES[name]) == want, name
+
+
+def test_a_json_report_builds_no_text(capsys, tmp_path, monkeypatch):
+    # --json prints no text report, so no subcommand builds one: no law's
+    # describe() and no _fmt call.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
+
+    def refused(*args):
+        raise AssertionError("text report built")
+    monkeypatch.setattr(Distribution, "describe", refused)
+    monkeypatch.setattr(cli, "_fmt", refused)
+    commands = [
+        ("simulate", "--discipline", "dropping", *PAIR, "--cycles", "50",
+         "--trace", str(tmp_path / "trace.csv")),
+        ("exact", "--discipline", "dropping", *PAIR),
+        ("bound", "--kind", "corollary2", *PAIR),
+        ("kpmf", *PAIR),
+        ("check-properties", "--dist", LAW),
+        ("sweep", "--spec", str(spec), "--csv", str(tmp_path / "out.csv"),
+         "--chart", str(tmp_path / "out.svg")),
+    ]
+    assert {argv[0] for argv in commands} == set(cli._subparsers())
+    for argv in commands:
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload["command"] == argv[0]
 
 
 def test_every_json_report_is_one_line(capsys, tmp_path):
