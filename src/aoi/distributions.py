@@ -399,13 +399,15 @@ class _PhaseMix(Distribution):
 
     def sample_array(self, rng, n):
         # Block i with chance w_i, then its Erlang draw, plus c; one-phase
-        # blocks take the faster exponential sampler.
+        # blocks scale standard exponential draws, which is NumPy's
+        # exponential draw without its per-draw broadcast of the scale.
         c, (weights, shapes, rates) = self.phases()
         with np.errstate(over="ignore"):  # a draw past the float range is inf
             w = np.asarray(weights)
             pick = rng.choice(len(w), size=n, p=w / w.sum()) if len(w) > 1 else 0
             scale = (1.0 / np.asarray(rates))[pick]
-            out = (rng.exponential(scale, n) if all(k == 1 for k in shapes)
+            out = (scale * rng.standard_exponential(n)
+                   if all(k == 1 for k in shapes)
                    else rng.gamma(np.asarray(shapes)[pick], scale, n))
             if c:
                 out += c

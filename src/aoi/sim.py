@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .distributions import Distribution, check_pair
 from .errors import DivergentAge
@@ -62,7 +63,10 @@ _T975 = (
 _BATCHES = 30
 _BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
 _MARGIN = 32  # pairs a preemption block draws past its expected need
-_TRACE_ROWS = 1 << 12  # trace rows formatted per write: bounds memory
+# Trace rows formatted per write: bounds memory, and keeps a chunk's list
+# of 4 cells per row (64 KiB of pointers) under glibc's 128 KiB mmap
+# threshold, so writing a trace leaves the heap as it found it.
+_TRACE_ROWS = 1 << 11
 MAX_CYCLES = 1 << 24  # cycles per run: ~100 bytes each untraced, 1.7 GB
 
 
@@ -200,7 +204,7 @@ def run_simulation(config: SimConfig, trace_path=None
               else _preemption_cycles)
     if trace_path is None:
         return _estimate(*cycles(config, rng, keep=False)[:3])
-    with open(trace_path, "w", newline="") as fh:
+    with open(trace_path, "wb") as fh:
         services, g, k, arrivals = cycles(config, rng, keep=True)
         _write_trace(fh, services, *arrivals)
     return _estimate(services, g, k)
@@ -330,13 +334,30 @@ def _write_trace(fh, services: np.ndarray, times: np.ndarray,
     row_time = np.insert(times, at, times[served] + services)
     newest = np.insert(np.zeros(times.size), at, times[served])
     age = row_time - np.maximum.accumulate(newest)
-    names = ("arrival_success", busy_event, "departure")
-    fh.write("time,event,age_after_event\n")
+    names = (b",arrival_success,", f",{busy_event},".encode(), b",departure,")
+    fh.write(b"time,event,age_after_event\n")
     for lo in range(0, code.size, _TRACE_ROWS):
         rows = slice(lo, lo + _TRACE_ROWS)
-        fh.write("".join([f"{t!r},{names[e]},{a!r}\n" for t, e, a in zip(
-            row_time[rows].tolist(), code[rows].tolist(),
-            age[rows].tolist())]))
+        events = code[rows].tolist()
+        cells = [b"\n"] * (4 * len(events))
+        cells[0::4] = _float_cells(row_time[rows])
+        cells[1::4] = map(names.__getitem__, events)
+        cells[2::4] = _float_cells(age[rows])
+        fh.write(b"".join(cells))
+
+
+def _float_cells(column: np.ndarray) -> list[bytes]:
+    """``repr`` of each float of ``column``, as bytes.  orjson's shortest
+    round-trip writer gives ``repr``'s text on 0 and on [1e-4, 1e16) (in
+    magnitude); the other cells, inf and nan (written as null) among them,
+    take ``repr`` itself."""
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].split(b",")
+    size = np.abs(column)
+    other = ~((size >= 1e-4) & (size < 1e16) | (size == 0))
+    for i in np.flatnonzero(other).tolist():
+        cells[i] = repr(float(column[i])).encode()
+    return cells
 
 
 def _batch_ci(areas: Sequence[float], lengths: Sequence[float],

@@ -15,6 +15,7 @@ from aoi.errors import DivergentAge
 from aoi.sim import (CycleRecord, CycleRecords, Discipline, SimConfig,
                      cycle_statistics, run_simulation)
 from test_distributions import CONTINUOUS, RESCALED
+from trace_oracle import write_trace
 
 MM = SimConfig(Exponential(1.0), Exponential(1.0), Discipline.DROPPING,
                target_cycles=20_000, seed=42)
@@ -224,6 +225,55 @@ def test_trace_event_vocabulary(tmp_path):
     with open(trace) as fh:
         events = {row[1] for row in list(csv.reader(fh))[1:]}
     assert events == {"arrival_success", "arrival_dropped", "departure"}
+
+
+def test_float_cells_equal_repr():
+    # A seeded sample of every binade, subnormals to 1e300, both signs, and
+    # the edges of the range where orjson's text is repr's; a release of
+    # orjson that changes its format fails here.
+    rng = np.random.default_rng(45)
+    binades = np.ldexp(1.0 + rng.random((2072, 8)),
+                       np.arange(-1074, 998)[:, None]).ravel()
+    edges = np.array([1e-4, 1e16])
+    column = np.concatenate((
+        binades, -binades[::7], 0.25 * np.arange(-40, 41),
+        10.0 ** np.arange(-5, 18), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert sim._float_cells(column) == [repr(float(v)).encode()
+                                        for v in column]
+
+
+TRACE_PAIRS = {
+    "E(1)/E(1)": (Exponential(1.0), Exponential(1.0)),
+    "U(0,2)/E(1)": (Uniform(0.0, 2.0), Exponential(1.0)),
+    "H2/R(1)": (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Rayleigh(1.0)),
+}
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("pair", sorted(TRACE_PAIRS))
+@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+def test_trace_bytes_match_the_reference_writer(tmp_path, monkeypatch,
+                                                discipline, pair, c):
+    # The benchmark's oracle reads only the trace's header, so the rows
+    # are checked here: the same arrays through the reference writer.
+    y, s = (RESCALED[law.kind](law, c) for law in TRACE_PAIRS[pair])
+    write = sim._write_trace
+    arrays = []
+
+    def spy(fh, *args):
+        arrays.append(args)
+        write(fh, *args)
+
+    monkeypatch.setattr(sim, "_write_trace", spy)
+    run_simulation(SimConfig(y, s, discipline, target_cycles=1500, seed=9),
+                   trace_path=tmp_path / "t.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        write_trace(fh, *arrays[0])
+    written = (tmp_path / "t.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.count(b"\n") - 1 > sim._TRACE_ROWS  # a chunk boundary
 
 
 def test_wald_identity_on_fixed_runs():
