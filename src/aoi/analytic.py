@@ -14,20 +14,18 @@ Both disciplines have one age, :func:`exact_age`:
 
 K the number of arrivals a cycle consumes, A_k the partial sum of the
 first k-1 gaps of a cycle, and the service term E[S] under dropping and
-E[S | S <= Y] under preemption.  :meth:`Pair.cycles` alone decides K's
-law, geometric under preemption and under dropping the first record
-below that fits, in the order :attr:`Pair._dropping` tries them, and
-returns it as one :class:`Cycles` (path, sums, pmf): the path that
-reached it, and an :class:`Interval` for each of E[K], E[K^2], the
-crossing sum, the age's middle term (the crossing sum over E[K]) and
-Pr(K = k).  Each producer
-gives its own half-widths, proven but for the lattice's extrapolated
-sums, and its own middle term: the closed forms the quotient of their
-intervals, the lattice its extrapolated quotient.  The ages and bounds
-only combine intervals.  Each record reads a law's ``phases()``, a shift
-c and Erlang blocks, and branches on c, not on the law's class.
+E[S | S <= Y] under preemption.  K's law is a named record of
+:data:`RECORDS` (below), a :class:`Cycles` of an :class:`Interval` for
+each of E[K], E[K^2], the crossing sum, the age's middle term (the
+crossing sum over E[K], which closed forms take as the quotient of their
+intervals and the lattice extrapolates) and Pr(K = k), proven but for
+the lattice's extrapolated sums.  :meth:`Pair.records` gives every
+record that applies to a pair, and :meth:`Pair.cycles` the first, which
+the ages and bounds read; they only combine intervals.
+Each record reads a law's ``phases()``, a shift c and Erlang blocks, and
+branches on c, not on the law's class.
 
-Phase-type gaps (path ``closed_form``)
+Phase-type gaps (``one_phase``, ``uniformized``)
     Uniformized at r = max r_i (Jensen, 1953; Grassmann, 1977), gaps of
     Erlang blocks with c = 0 end a phase at each jump of one Poisson(r)
     process with chance r_i/r: a gap spans M jumps, f_j = Pr(M = j) a w-mix
@@ -46,7 +44,7 @@ Phase-type gaps (path ``closed_form``)
     Pr(K = k) = pi_{k-1}(lam).  It alone goes before a block service's
     record, which serves where E[S^2] overflows.
 
-Erlang blocks and residuals (path ``closed_form``)
+Erlang blocks and residuals (``geometric``, ``service_blocks``)
     A law whose ``phases()`` is not None is c plus a mixture of Erlang
     blocks, block i of weight w_i, n_i phases and rate r_i: c = 0 for the
     exponential, Erlang and hyperexponential laws, and SE(r, c) is E(r)'s
@@ -63,7 +61,7 @@ Erlang blocks and residuals (path ``closed_form``)
     K's record is the w-mix of the blocks' records (:func:`_block_sums`),
     at n_i = 1 geometric in p_i = T_0.
 
-Lattice (paths ``lattice`` and ``closed_form``)
+Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     Dropping with any other pair integrates the service ccdf against U,
     the renewal measure of the gaps (an atom at 0 plus the renewal
     function): E[K] against U, the crossing sum against x dU, E[K^2]
@@ -75,68 +73,31 @@ Lattice (paths ``lattice`` and ``closed_form``)
     bounded (D, U) or light-tailed (SE, R), so that cut leaves under
     1e-10 of E[S] and of E[S^2].  A service kink within rounding of a
     point j >= 1 is put on it; point 0 stays exact, as A_1 = 0 is.
-    E[K], E[K^2], the crossing sum and its quotient by E[K] (the age's
-    middle term, which errs with both) come from three levels: steps
-    h = E[Y]/64, 2h and 4h, sharing one top and one evaluation of the
-    gap ccdf, each coarser level reading every 2nd or 4th point; h
-    shrinks, by at most half, to put the service's last kink (its
-    support's last finite end) on all three.  From each quantity's
-    midpoints v, d1 = v(h) - v(2h) and d2 = v(2h) - v(4h) give the
-    observed order p, 2^p = d2/d1, and the value v(h) + d1/(2^p - 1),
-    Richardson's extrapolation.  Its half-width is twice the step
-    removed, plus the tilted FFT's roundoff: its untilting multiplies the
-    spectra's error by up to rho^-n <= 1e16^(1/5) = 1585, and the bound
-    rho^-n log2(N) eps times the tilted renewal mass held every sum of a
-    direct long-double solve.  This half-width is an estimate, not a
-    proof.  If any quantity's p falls outside [0.8, 2.5], or its
-    half-width passes a quarter of its finest bracket (what a quarter of
-    the step proves, to first order), the record takes the bracketing
-    solve below at step h/4, as does a cycle too deep for the levels'
-    point budget; one rule sets every step, so the last kink lies on it
-    too.  For a deep cycle its step doubles until it holds at most 2^18
-    points; a cycle that would pass them even at E[Y]/16 is not reached.
-    Pr(K > k) always comes from that lattice, with proven half-widths.
-    Every lattice sum is one inner product of half spectra, both ends and
-    every weight vector of a sum stacked in one transform call, each
-    transform built only when read.  The renewal transform gives E[K],
-    E[K^2] and the crossing sum of one lattice, once, on the smallest
-    length 2^a, 3 2^a or 5 2^a at least 4n, where the tilt keeps both the
-    wrapped mass and the roundoff gain small.  Each pmf call builds its
-    own and frees it: Pr(K > k) takes the k-th power of the gap spectrum
-    from a running product.  That power lives on [0, k(s-1)], s the gaps'
-    support, so a call up to k_max reads m = min(n, k_max (s-1) + 1)
-    points: below n no power can wrap, so the transform is untilted, on
-    the smallest even such length at least m; at n it is tilted, on the
-    smallest such length at least 4m and 8 min(s, m), where the first 8
-    powers cannot wrap.  One builder serves every lattice pmf
-    (:func:`_prefix_survival`): one gap ccdf evaluation, on the points
-    holding every non-zero cell (b/h + 2 for gaps with a finite upper end
-    b, else all n) and at (n-1)h and nh for each end's gap mass M, then
-    one of two tail rules.  The power sums read the service ccdf on the m
-    points: while every power stays on the lattice, Pr(K > k) is M^k plus
-    the power against G - 1, exactly M^k where no partial sum reaches
-    G < 1.  A service c > 0 plus one exponential block folds instead: past
-    c its ccdf falls by e^{-r h} a step, so each gap a partial sum takes
-    past c multiplies it by L = sum_i f_i e^{-r i h}, and the powers run on
-    the points below c alone (:func:`_folded`).  Each Pr(K > k) adds the
-    kernel's roundoff bound (0 only where every weight it reads is 0), the
-    fold's 2k times it.  In the bracketing solve rounding down shrinks every
-    partial sum, so the down end reads Pr(S > x), and rounding up strictly
-    grows every partial sum of k >= 1 gaps (no gap law on the lattice has an
-    atom), so the up end reads the left limit Pr(S >= x): the two ends bracket
-    E[K], E[K^2] and each Pr(S > T_k), and the intervals span them, each end
-    widened by the transform's roundoff.  The ccdfs differ only at a point
-    mass's atom, which lies on every level and on the bracketing lattice:
-    there the ends read 0 and 1, the midpoint the trapezoid rule's 1/2 at a
-    jump, so a D service's levels err in powers of h^2 too.  Every other
-    service's ends share one weight vector.
-    x Pr(S > x) is not monotone, but a partial sum of k-1 gaps moves by at
-    most (k-1) h, so each end's crossing sum widened by h E[K(K-1)]/2
-    brackets the true one.  Deterministic gaps give the sums in closed
-    form up to the last lattice point t; past it the service ccdf G falls,
-    so the left-out terms are bounded by the service's stop-loss
-    E[(S-t)^+ ((S+t)/2 + E[Y])], read from its residual at t (skipped
-    when G(t) = 0, as for bounded services), and Pr(K > k) there by G(t).
+    ``lattice`` takes E[K], E[K^2], the crossing sum and its quotient by
+    E[K] (the age's middle term, which errs with both) from three levels,
+    steps h = E[Y]/64, 2h and 4h with the service's last kink on all
+    three (:func:`_level_step`), by Richardson's extrapolation at each
+    quantity's observed order (:func:`_extrapolated`), its half-width an
+    estimate, not a proof.  Where a check of it fails, it takes the sums
+    of ``bracketing``, the bracketing solve at step h/4, the last kink on
+    it too.  A cycle too deep for the levels' point budget has no
+    ``lattice``; the bracketing step doubles until it holds at most 2^18
+    points, and a cycle that would pass them even at E[Y]/16 is not
+    reached.  In the bracketing solve rounding down shrinks every partial
+    sum, so the down end reads Pr(S > x), and rounding up strictly grows
+    every partial sum of k >= 1 gaps (no gap law on the lattice has an
+    atom), so the up end reads the left limit Pr(S >= x): the two ends
+    bracket E[K], E[K^2], the crossing sum (:func:`_bracket`) and each
+    Pr(S > T_k), each end widened by the transform's roundoff.  At a D
+    service's jump, on every level and on the bracketing lattice, the ends
+    read 0 and 1 and the midpoint the trapezoid rule's 1/2, so its levels
+    err in powers of h^2 too.  Both records take Pr(K > k), with proven
+    half-widths, from one pmf builder on the bracketing lattice
+    (:func:`_prefix_survival`), whose power sums (:func:`_survival`) fold
+    past an SE service's shift (:func:`_folded`); every lattice sum is one
+    inner product of half spectra (:func:`_tilted`).  D gaps
+    (``d_arrivals``) give the sums in closed form up to the last lattice
+    point, the service's stop-loss bounding the rest (:func:`_beyond_top`).
 
 Nothing here samples.
 
@@ -149,7 +110,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
@@ -163,6 +124,7 @@ __all__ = [
     "Interval",
     "KPmf",
     "Pair",
+    "RECORDS",
     "exact_age",
     "k_pmf",
 ]
@@ -213,14 +175,19 @@ class KPmf:
 
 class Cycles(NamedTuple):
     """K's law under one discipline, each quantity an interval its
-    producer proved, and the path that reached them."""
+    producer proved, and that producer's name in :data:`RECORDS`."""
 
-    path: Literal["lattice", "closed_form"]
+    name: str
     # E[K], E[K^2], sum_k E[A_k * Pr(S > A_k)] and the age's middle term,
     # that sum over E[K], from one call made once
     sums: Callable[[], tuple[Interval, Interval, Interval, Interval]]
     # k_max -> arrays of Pr(K = k), k = 1..k_max, and Pr(K > k_max)
     pmf: Callable[[int], tuple[Interval, Interval]]
+
+    @property
+    def path(self) -> Literal["lattice", "closed_form"]:
+        """``lattice`` for the lattice's two records, else ``closed_form``."""
+        return "lattice" if self.name in ("lattice", "bracketing") else "closed_form"
 
 
 @dataclass(frozen=True)
@@ -366,11 +333,22 @@ class Pair:
         return Interval(self.service.mean(), 0.0)
 
     def cycles(self, discipline: Discipline) -> Cycles:
-        """K's record under ``discipline``: geometric in p under preemption,
-        else :attr:`_dropping`."""
-        if discipline is Discipline.PREEMPTION:
-            return self._geometric_cycles()
-        return self._dropping
+        """K's record under ``discipline``, built once: the first of
+        :meth:`records`, with no later one built."""
+        if discipline not in self._cycles:
+            self._cycles[discipline] = next(filter(None, (
+                build(self) for build in RECORDS[discipline].values())))
+        return self._cycles[discipline]
+
+    def records(self, discipline: Discipline) -> dict[str, Cycles]:
+        """Every record of K under ``discipline`` that applies, by name in
+        :data:`RECORDS` order; one that applies but would overflow raises."""
+        return {name: found for name, build in RECORDS[discipline].items()
+                if (found := build(self))}
+
+    @cached_property
+    def _cycles(self) -> dict[Discipline, Cycles]:
+        return {}
 
     @cached_property
     def _blocks_hold(self) -> bool:
@@ -383,34 +361,36 @@ class Pair:
         return min(tail[0] for _, tail in mixes) ** 2 * sys.float_info.max >= (
             2.0 * max(1.0, self.interarrival.mean()) * max(shapes) ** 2)
 
-    @cached_property
-    def _dropping(self) -> Cycles:
-        """The dropping record, the first of four (module docstring), each
-        phase record on unshifted blocks: the one-phase gaps' where E[S^2]
-        is finite or the service blocks' would not hold; the service
-        blocks'; the phase-type gaps'; the lattice's, which takes D arrivals
-        in closed form and folds the pmf of a service shifted by c > 0."""
+    def _one_phase(self) -> Cycles | None:
+        """One-phase gaps, where E[S^2] is finite or blocks would not hold."""
         y, s = self.interarrival, self.service
-        phases = _unshifted(y)
-        if phases and max(phases[1]) == 1 == len(set(phases[2])) and (
-                math.isfinite(s.second_moment()) or not self._blocks_hold):
-            return _phase_cycles(y, s)
-        if _unshifted(s) is not None:
-            _, _, (w, shapes, rates), _, mixes = self._mixes
-            if not self._blocks_hold:
-                t0 = min(float(tail[0]) for _, tail in mixes)
-                raise TruncationNotReached(
-                    f"E[K^2] overflows: smallest T_0 = {t0!r}")
-            sums = _closed(*(Interval(float(v), 0.0) for v in np.dot(w, [
-                _block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)])))
+        fits = _is_one_phase(y) and (math.isfinite(s.second_moment())
+                                     or not self._blocks_hold)
+        return _phase_cycles(y, s, "one_phase") if fits else None
 
-            def pmf(k_max: int) -> tuple[Interval, Interval]:
-                probs, tail = zip(*(_block_pmf(*m, n, k_max)
-                                    for m, n in zip(mixes, shapes)))
-                return (Interval(np.dot(w, probs), np.zeros(k_max)),
-                        Interval(float(np.dot(w, tail)), 0.0))
-            return Cycles("closed_form", lambda: sums, pmf)
-        return (phases and _phase_cycles(y, s)) or _lattice_cycles(y, s)
+    def _service_blocks(self) -> Cycles | None:
+        """Unshifted service blocks, raising where E[K^2] would overflow."""
+        if _unshifted(self.service) is None:
+            return None
+        _, _, blocks, _, mixes = self._mixes
+        if not self._blocks_hold:
+            t0 = min(float(tail[0]) for _, tail in mixes)
+            raise TruncationNotReached(f"E[K^2] overflows: smallest T_0 = {t0!r}")
+        return _block_cycles(blocks, mixes)
+
+    def _uniformized(self) -> Cycles | None:
+        """Unshifted gaps of more than one phase, within the jump budget."""
+        y = self.interarrival
+        fits = _unshifted(y) is not None and not _is_one_phase(y)
+        return _phase_cycles(y, self.service, "uniformized") if fits else None
+
+    @cached_property
+    def _lattice(self) -> tuple[Cycles | None, ...]:
+        """D arrivals' finite sums, else :func:`_lattice_cycles`' records."""
+        y, s = self.interarrival, self.service
+        if isinstance(y, Deterministic):
+            return _deterministic_cycles(y.value, s), None, None
+        return None, *_lattice_cycles(y, s)
 
     def _geometric_cycles(self) -> Cycles:
         """Preemption's K, geometric in p.  Where E[K^2] or the crossing
@@ -427,12 +407,23 @@ class Pair:
             power = (1.0 - p) ** np.arange(k_max + 1.0)
             return (Interval(p * power[:-1], np.zeros(k_max)),
                     Interval(power[-1], 0.0))
-        return Cycles("closed_form", lambda: sums, pmf)
+        return Cycles("geometric", lambda: sums, pmf)
 
     def _no_success(self) -> str:
         return (f"Pr(success) = {self.p.value:.4g} for interarrival "
                 f"{self.interarrival.describe()} "
                 f"vs service {self.service.describe()}")
+
+
+# Each discipline's record builders of K by name, in the order tried.
+RECORDS: dict[Discipline, dict[str, Callable[[Pair], Cycles | None]]] = {
+    Discipline.PREEMPTION: {"geometric": Pair._geometric_cycles},
+    Discipline.DROPPING: {
+        "one_phase": Pair._one_phase, "service_blocks": Pair._service_blocks,
+        "uniformized": Pair._uniformized,
+        "d_arrivals": lambda pair: pair._lattice[0],
+        "lattice": lambda pair: pair._lattice[1],
+        "bracketing": lambda pair: pair._lattice[2]}}
 
 
 def _unshifted(law: Distribution) -> tuple | None:
@@ -441,11 +432,32 @@ def _unshifted(law: Distribution) -> tuple | None:
     return blocks if c == 0 else None
 
 
+def _is_one_phase(law: Distribution) -> bool:
+    """Whether ``law`` is unshifted blocks of one phase, all at one rate."""
+    blocks = _unshifted(law)
+    return blocks is not None and max(blocks[1]) == 1 == len(set(blocks[2]))
+
+
 def _closed(k_mean: Interval, k_second: Interval, crossing: Interval
             ) -> tuple[Interval, Interval, Interval, Interval]:
     """A record's sums (:class:`Cycles`) whose middle term is the quotient
     of its crossing sum's and E[K]'s intervals."""
     return k_mean, k_second, crossing, crossing.over(k_mean)
+
+
+def _block_cycles(blocks: tuple, mixes: list[tuple]) -> Cycles:
+    """The service blocks' record: the w-mix of each block's sums
+    (:func:`_block_sums`) and pmf (:func:`_block_pmf`)."""
+    w, shapes, rates = blocks
+    sums = _closed(*(Interval(float(v), 0.0) for v in np.dot(w, [
+        _block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)])))
+
+    def pmf(k_max: int) -> tuple[Interval, Interval]:
+        probs, tail = zip(*(_block_pmf(*m, n, k_max)
+                            for m, n in zip(mixes, shapes)))
+        return (Interval(np.dot(w, probs), np.zeros(k_max)),
+                Interval(float(np.dot(w, tail)), 0.0))
+    return Cycles("service_blocks", lambda: sums, pmf)
 
 
 def _block_sums(pi: np.ndarray, tail: np.ndarray, n: int, rate: float
@@ -485,15 +497,18 @@ def _block_pmf(pi: np.ndarray, tail: np.ndarray, n: int, k_max: int
     return out, float(power.sum())
 
 
-def _phase_cycles(interarrival: Distribution, service: Distribution
-                  ) -> Cycles | None:
-    """The phase-type gaps' record (module docstring); None keeps the lattice."""
+def _phase_cycles(interarrival: Distribution, service: Distribution,
+                  name: str) -> Cycles | None:
+    """The phase-type gaps' record ``name`` (module docstring), else None."""
     w, shapes, rates = _unshifted(interarrival)
     r, m1, m2 = max(rates), service.mean(), service.second_moment()
     mu = fact = 0.0  # E[M], E[M(M-1)]: block i's M, n_i successes at r_i/r
-    for v, n, ri in zip(w, shapes, rates):
-        mu += v * n * r / ri
-        fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) ** 2
+    try:
+        for v, n, ri in zip(w, shapes, rates):
+            mu += v * n * r / ri
+            fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) ** 2
+    except OverflowError:  # rates too far apart: (r/ri)^2 leaves the floats
+        return None
     a = 1.0 / mu  # the mean parts: u_j ~ a, (2u*u - u)_j ~ alpha j + beta
     alpha, beta = 2.0 * a * a, 2.0 * a * a + 2.0 * fact * a**3 - a
     closed = (a * (1.0 + r * m1), beta + (alpha + beta) * r * m1
@@ -510,10 +525,10 @@ def _phase_cycles(interarrival: Distribution, service: Distribution
             if not math.isfinite(closed[1]):
                 raise TruncationNotReached(f"E[K^2] overflows: E[S^2] = {m2!r}")
             return _closed(*(Interval(v, 0.0) for v in closed))
-        return Cycles("closed_form", exact, pmf)
+        return Cycles(name, exact, pmf)
     jumps, cut = r * _truncation_point(service), -math.log(_SERVICE_TAIL)
-    top = int(jumps + math.sqrt(2.0 * cut * jumps) + cut) + 1  # J, by Chernoff
-    # J^2 within 64 point budgets: about one lattice solve's work
+    # J by Chernoff, J^2 within 64 point budgets: about one lattice solve
+    top = int(min(jumps + math.sqrt(2.0 * cut * jumps) + cut, _MAX_LATTICE)) + 1
     if not (top * top < 64 * _MAX_LATTICE and math.isfinite(closed[1])):
         return None
     f = np.zeros(top + 1)
@@ -538,7 +553,7 @@ def _phase_cycles(interarrival: Distribution, service: Distribution
         hw = noise * kernel + (abs(mean) + np.diag((1.0, 2.0, 1.0 / r))) @ past
         return _closed(*(Interval(float(v), float(e)) for v, e in zip(
             closed + kernel - mean @ part, hw)))
-    return Cycles("closed_form", solved, pmf)
+    return Cycles(name, solved, pmf)
 
 
 def _pmf(lo: np.ndarray, hi: np.ndarray) -> tuple[Interval, Interval]:
@@ -644,30 +659,14 @@ def _level_step(mean_gap: float, service: Distribution) -> float:
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution
-                    ) -> Cycles:
-    """The dropping record from renewal solves with every gap rounded down,
-    then up, to a lattice jh that ends past :func:`_truncation_point`.
-
-    :func:`_level_step` sets every step, so the service's last kink lies
-    on every lattice; point 0 stays exact (:func:`_kink`).  E[K], E[K^2],
-    the crossing sum and its quotient by E[K] come from :func:`_full`'s
-    brackets on the levels h, 2h and 4h, extrapolated, else from its
-    bracket at h/4, whose ends, the down one reading Pr(S > x) and the up
-    one Pr(S >= x), bracket them, each widened by its roundoff.  Its step
-    doubles until at most 2^18 points remain, as they do by E[Y]/16; a
-    cycle too deep even there raises :class:`TruncationNotReached`.  The
-    pmf comes from the one pmf builder on that lattice
-    (:func:`_prefix_survival`): the gaps' prefix and one of two tail
-    rules, the fold past an SE service's shift or the power sums, its ends
-    widened by the kernel's roundoff.
-    """
-    top = _truncation_point(service)
-    if isinstance(interarrival, Deterministic):
-        return _deterministic_cycles(interarrival.value, service, top)
-
+                    ) -> tuple[Cycles | None, Cycles]:
+    """The ``lattice`` and ``bracketing`` records (module docstring) on one
+    step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None for a
+    cycle too deep for the levels, and one too deep even at E[Y]/16 raises
+    :class:`TruncationNotReached`."""
     # The budget at E[Y]/16 first: past it, b/4h in _level_step could
     # leave the float range.
-    mean = interarrival.mean()
+    top, mean = _truncation_point(service), interarrival.mean()
     if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
         raise _too_deep(top / (mean / _MIN_STEPS))
     fine = _level_step(mean, service)
@@ -675,22 +674,24 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
     n = int(top / h) + 2
+    # in steps of the coarsest level; a top on that lattice, as a bounded
+    # service's last kink is, counts as on it at every time scale
+    coarse = top / (4.0 * fine) + _SNAP
+
+    @cache
+    def bracketed() -> tuple[Interval, Interval, Interval, Interval]:
+        return _full(interarrival, service, h, n, (1,))[0][0]
 
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
-        # in steps of the coarsest level; a top on that lattice, as a
-        # bounded service's last kink is, counts as on it at every
-        # time scale
-        coarse = top / (4.0 * fine) + _SNAP
-        if 4.0 * coarse < _MAX_LATTICE - 5:
-            found = _extrapolated(*_full(interarrival, service, fine,
-                                         4 * int(coarse) + 5, _STRIDES))
-            if found is not None:
-                return found
-        return _full(interarrival, service, h, n, (1,))[0][0]
+        return _extrapolated(*_full(interarrival, service, fine,
+                                    4 * int(coarse) + 5, _STRIDES)
+                             ) or bracketed()
 
-    return Cycles("lattice", solved, lambda k_max: _prefix_survival(
-        interarrival, service, h, n, k_max))
+    pmf = partial(_prefix_survival, interarrival, service, h, n)
+    return (Cycles("lattice", solved, pmf)
+            if 4.0 * coarse < _MAX_LATTICE - 5 else None,
+            Cycles("bracketing", bracketed, pmf))
 
 
 def _bracket(h: float, k_mean, k_second, crossing, noise: float
@@ -743,12 +744,11 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
     return tuple(out)
 
 
-def _deterministic_cycles(d: float, service: Distribution, top: float
-                          ) -> Cycles:
+def _deterministic_cycles(d: float, service: Distribution) -> Cycles:
     """The dropping record at D(d) arrivals: one atom of U a lattice
     point, T_k = (k-1) d, so the sums are finite up to the last point and
     the service's stop-loss bounds the rest (:func:`_beyond_top`)."""
-    steps = top / d
+    steps = _truncation_point(service) / d
     if not steps < _MAX_LATTICE - 1:
         raise _too_deep(steps)
     n = int(steps) + 2
@@ -772,7 +772,7 @@ def _deterministic_cycles(d: float, service: Distribution, top: float
         beyond = np.zeros(k_max + 1)
         beyond[n:] = c[-1]
         return _pmf(kept - beyond, kept + beyond)
-    return Cycles("closed_form", solved, pmf)
+    return Cycles("d_arrivals", solved, pmf)
 
 
 def _full(interarrival: Distribution, service: Distribution, h: float,

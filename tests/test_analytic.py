@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from aoi import analytic
-from aoi.analytic import Pair, exact_age, k_pmf
+from aoi.analytic import RECORDS, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
@@ -25,6 +26,18 @@ EPS = np.finfo(float).eps
 def k_moments(pair):
     """(E[K], E[K^2]) of ``pair``'s dropping record."""
     return pair.cycles(DROPPING).sums()[:2]
+
+
+@dataclass(frozen=True)
+class RecordPair(Pair):
+    """A pair whose every dropping estimate reads its record ``name`` of
+    :meth:`Pair.records`, not the first that applies."""
+
+    name: str = "lattice"
+
+    def cycles(self, discipline):
+        assert discipline is DROPPING
+        return self.records(discipline)[self.name]
 
 
 def mm_dropping_age(lam, mu):
@@ -118,7 +131,7 @@ def test_lattice_past_the_float_range_is_not_reached(s):
     pair = Pair(Exponential(1.0), s)
     for run in (lambda: exact_age(pair, DROPPING),
                 lambda: corollary_one(pair, DROPPING),
-                lambda: analytic._lattice_cycles(pair.interarrival, s)):
+                lambda: RECORDS[DROPPING]["lattice"](pair)):
         with pytest.raises(TruncationNotReached):
             run()
     pmf = k_pmf(pair, 3)
@@ -401,14 +414,13 @@ def test_preemption_is_scale_free(y, s, log10_c):
 def _dropping_outcome(y, s, bracketing=False):
     """Times (age, corollary 1, which is gm11 at exponential service), the age's
     half-width, probabilities (the K pmf and tail) and the mg11 label, or
-    the AoiError class raised; with ``bracketing`` every lattice record
-    takes its bracketing solve, no observed order accepted."""
+    the AoiError class raised; with ``bracketing`` a pair the lattice
+    serves reads its ``bracketing`` record."""
     pair = Pair(y, s)
     try:
-        with pytest.MonkeyPatch.context() as patch:
-            if bracketing:
-                patch.setattr(analytic, "_ORDERS", (2.0, 1.0))
-            est = exact_age(pair, DROPPING)
+        if bracketing and pair.cycles(DROPPING).path == "lattice":
+            pair = RecordPair(y, s, "bracketing")
+        est = exact_age(pair, DROPPING)
         times = [est.value, corollary_one(pair, DROPPING).value]
         pmf = k_pmf(pair, 10)
     except AoiError as exc:

@@ -188,6 +188,45 @@ def test_bound_zero_success_exit_one(capsys):
     assert payload["error"] == "ZeroSuccessProbability"
 
 
+# H2 gaps whose rates differ by more than the square root of the float
+# range, against a service the uniformized record reads: it squares the
+# ratio of the rates, which overflows there, so the record must decline
+# and leave the pair to the lattice.
+SPREAD_H2 = ('{"kind": "hyperexponential", "weights": [1e-09, 0.999999999], '
+             '"rates": [1.2e+251, 1.3e-05]}')
+SPREAD_RATES = [
+    ("exact", "--discipline", "dropping", "--interarrival", SPREAD_H2,
+     "--service", '{"kind": "rayleigh", "scale": 7909}'),
+    ("kpmf", "--interarrival", SPREAD_H2,
+     "--service", '{"kind": "rayleigh", "scale": 7909}'),
+    ("bound", "--kind", "corollary1", "--interarrival",
+     '{"kind": "hyperexponential", "weights": [0.5, 0.5], '
+     '"rates": [2.1e-113, 1.5e+177]}', "--service", DET % "8e-56"),
+]
+
+
+def json_numbers(node):
+    """Every number in a decoded JSON payload."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in json_numbers(item)]
+    return [node] if isinstance(node, (int, float)) else []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", SPREAD_RATES, ids=lambda a: a[0])
+def test_widely_spread_phase_rates_end_cleanly(capsys, argv):
+    # Exit 0 with a finite result (the schema holds every half-width
+    # non-negative), or exit 1 naming an AoiError; never a traceback.
+    code, payload = run_json(capsys, *argv)
+    if code == 1:
+        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
+    else:
+        assert code == 0 and "result" in payload
+        assert all(math.isfinite(x) for x in json_numbers(payload["result"]))
+
+
 def test_usage_error_bad_distribution_json(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--discipline", "dropping",

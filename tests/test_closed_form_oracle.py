@@ -38,7 +38,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from aoi import analytic
 from aoi.analytic import Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one, mg11_ordering_bound
 from aoi.distributions import (Deterministic, Erlang, Exponential,
@@ -51,6 +50,8 @@ from test_distributions import (ALL_KINDS, RESCALED, mp_laplace,
 
 DROPPING, PREEMPTION = Discipline.DROPPING, Discipline.PREEMPTION
 EPS = np.finfo(float).eps
+# The dropping records tried before the D-arrival sums and the lattice's.
+PHASE_RECORDS = ("one_phase", "service_blocks", "uniformized")
 
 LAWS = [Exponential(0.7), ShiftedExponential(1.5, 0.4), Deterministic(1.2),
         Uniform(0.3, 2.1), Erlang(3, 2.5),
@@ -277,10 +278,10 @@ MIX_IDS = ["even", "skewed", "mean-in-tail", "second-in-tail"]
 @pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("s", MIXES, ids=MIX_IDS)
 @pytest.mark.parametrize("y", LAWS, ids=lambda d: d.kind)
-def test_hyperexponential_service_is_the_phase_mix(y, s, c, monkeypatch):
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
+def test_hyperexponential_service_is_the_phase_mix(y, s, c):
     arrivals, service = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     pair = Pair(arrivals, service)
+    assert pair.cycles(DROPPING).name in PHASE_RECORDS  # never the lattice
     want = mix_reference(arrivals, service)
     for discipline, age, bound in ((DROPPING, want.dropping, want.corollary1),
                                    (PREEMPTION, want.preemption,
@@ -303,13 +304,13 @@ ERLANG_IDS = ["erlang-2", "erlang-5"]
 @pytest.mark.parametrize("y", ALL_KINDS, ids=lambda d: d.kind)
 @pytest.mark.parametrize("service", [Exponential(1.3), *MIXES, *ERLANGS],
                          ids=["exponential", *MIX_IDS, *ERLANG_IDS])
-def test_no_phase_service_reaches_the_lattice(y, service, monkeypatch):
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)
+def test_no_phase_service_reaches_the_lattice(y, service):
     pair = Pair(y, service)
     for discipline in (DROPPING, PREEMPTION):
         exact_age(pair, discipline)
         corollary_one(pair, discipline)
     k_pmf(pair, 12)
+    assert pair.cycles(DROPPING).name in PHASE_RECORDS
 
 
 PHASE_LAWS = [Exponential(0.7), Hyperexponential((0.3, 0.7), (0.4, 3.0)),
@@ -423,10 +424,11 @@ def test_hyperexponential_arrivals_give_preemption_p_in_closed_form(y, s, c):
 @pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
 def test_exponential_arrival_pmf_is_the_service_mixed_poisson_law(
-        s, c, monkeypatch):
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
+        s, c):
     lam, service = 1.0 / c, RESCALED[s.kind](s, c)
-    pmf = k_pmf(Pair(Exponential(lam), service), 12)
+    pair = Pair(Exponential(lam), service)
+    assert pair.cycles(DROPPING).name in PHASE_RECORDS  # never the lattice
+    pmf = k_pmf(pair, 12)
     with mpmath.workdps(80):
         pi, tail = mp_poisson_mix(service, lam, 11)
         for got, ref in zip((*pmf.pmf, pmf.tail_mass), (*pi, tail[-1])):
@@ -486,8 +488,10 @@ BLOCK_SERVICES = [Erlang(2, 2.0), Erlang(3, 1.0), Erlang(5, 5.0)]
 @pytest.mark.parametrize("s", BLOCK_SERVICES, ids=lambda d: d.describe())
 @pytest.mark.parametrize("y", BLOCK_GAPS, ids=lambda d: d.kind)
 def test_erlang_block_record_lies_inside_the_lattice(y, s):
-    record = Pair(y, s).cycles(DROPPING)
-    lattice = analytic._lattice_cycles(y, s)
+    pair = Pair(y, s)
+    record, records = pair.cycles(DROPPING), pair.records(DROPPING)
+    lattice = records["d_arrivals" if isinstance(y, Deterministic)
+                      else "lattice"]
     assert record.path == "closed_form"
     for got, want in zip(record.sums()[:3], lattice.sums()[:3]):
         assert got.half_width == 0.0
@@ -503,9 +507,10 @@ def test_erlang_block_record_lies_inside_the_lattice(y, s):
                          ids=lambda d: d.describe())
 def test_erlang_block_record_at_exponential_arrivals_is_the_mg11_age(s, lam):
     # Pair takes the one-phase record at exponential arrivals; the block
-    # record, read directly, must give the same M/G/1/1 sums.
+    # record, read from its records, must give the same M/G/1/1 sums.
     pair = Pair(Exponential(lam), s)
-    block = pair._dropping
+    assert pair.cycles(DROPPING).name == "one_phase"
+    block = pair.records(DROPPING)["service_blocks"]
     k_mean, k_second, crossing = (v.value for v in block.sums()[:3])
     assert_covers(k_mean, 0.0, 1.0 + lam * s.mean())
     assert_covers(k_second, 0.0, 1.0 + 3.0 * lam * s.mean()
@@ -515,12 +520,12 @@ def test_erlang_block_record_at_exponential_arrivals_is_the_mg11_age(s, lam):
                   mg11_age(lam, s))
 
 
-def test_a_long_erlang_block_leaves_the_lattice(monkeypatch):
+def test_a_long_erlang_block_leaves_the_lattice():
     # 1000 phases against gaps of 1e-4: about 1e4 arrivals a cycle, which
     # the lattice spans with 2^18 points; the block record with NumPy
     # convolutions of 1000 terms.
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)
     y, s = Uniform(0.0, 2e-4), Erlang(1000, 1000.0)
+    assert Pair(y, s).cycles(DROPPING).name == "service_blocks"
     est = exact_age(Pair(y, s), DROPPING)
     assert (est.method, est.ci_half_width) == ("closed_form", 0.0)
     # E[K] is E[S]/E[Y] plus the renewal excess E[Y^2]/(2 E[Y]^2) = 2/3.

@@ -17,7 +17,7 @@ from aoi.distributions import (Deterministic, Distribution, Erlang,
                                ShiftedExponential, Uniform)
 from aoi.errors import TruncationNotReached
 from aoi.sim import Z95, Discipline
-from test_analytic import k_moments
+from test_analytic import RecordPair, k_moments
 from test_distributions import ALL_KINDS, RESCALED, unshifted
 from test_closed_form_oracle import EPS, assert_covers, mix_pmf, mix_reference
 from walk_oracle import _k_pmf_walk, dropping_walk_moments
@@ -40,21 +40,14 @@ DROPPING = Discipline.DROPPING
 REPLICATES = 200_000
 
 
-class LatticePair(Pair):
-    """A pair whose dropping record is always the unfolded lattice's:
-    with phase-type arrivals :meth:`Pair.cycles` takes the closed form, and
-    these tests keep the lattice checked there."""
-
-    def cycles(self, discipline):
-        assert discipline is DROPPING
-        return analytic._lattice_cycles(self.interarrival, self.service)
-
-
-def lattice(y, s):
-    """Every lattice result as (value, half-width) pairs, in one order.  An
-    Erlang service leaves the lattice through :class:`Pair` for its block
+def lattice(y, s, name="lattice"):
+    """Every lattice result as (value, half-width) pairs, in one order,
+    from the record ``name`` where the lattice serves the pair.  An Erlang
+    service leaves the lattice through :class:`Pair` for its block
     record; here the lattice itself is checked for it."""
-    pair = (LatticePair if unshifted(s) else Pair)(y, s)
+    pair = Pair(y, s)
+    if unshifted(s) or pair.cycles(DROPPING).path == "lattice":
+        pair = RecordPair(y, s, name)
     est = exact_age(pair, DROPPING)
     k1, k2 = k_moments(pair)
     pmf = k_pmf(pair, K_MAX)
@@ -62,10 +55,9 @@ def lattice(y, s):
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
-def test_lattice_agrees_with_walk(y, s, monkeypatch):
+def test_lattice_agrees_with_walk(y, s):
     # The bracketing solve's proven intervals; the extrapolated ones must
     # lie inside them, as the narrower-than-the-bracket test checks.
-    bracketing_only(monkeypatch)
     wm = dropping_walk_moments(y, s, REPLICATES, 2024)
     walk_pmf = _k_pmf_walk(y, s, K_MAX, REPLICATES, 2024)
     ratio = wm.ratio()
@@ -73,7 +65,8 @@ def test_lattice_agrees_with_walk(y, s, monkeypatch):
     walk = ([ratio._replace(value=head + ratio.value + s.mean()),
              wm.k_mean, wm.k_second] + list(walk_pmf.pmf)
             + [walk_pmf.tail_mass])
-    for i, ((value, hw), w) in enumerate(zip(lattice(y, s), walk)):
+    for i, ((value, hw), w) in enumerate(zip(lattice(y, s, "bracketing"),
+                                             walk)):
         # The walk's 95% CI, its truncation bias (it stops at a 1e-8
         # share), and for a probability the 3/n an event it never drew
         # can carry.
@@ -125,7 +118,7 @@ def test_deterministic_gaps_bound_the_pmf_past_the_service_top(s, ccdf):
     # point the sums read 0, and each half-width must hold the true value.
     d = 0.7
     n = int(analytic._truncation_point(s) / d) + 2
-    pmf = k_pmf(LatticePair(Deterministic(d), s), 2 * n)
+    pmf = k_pmf(RecordPair(Deterministic(d), s, "d_arrivals"), 2 * n)
     with mpmath.workdps(40):
         tail = [ccdf(k * mpmath.mpf(d)) for k in range(2 * n + 1)]
     for k in range(n, 2 * n + 1):
@@ -188,7 +181,7 @@ def test_survival_matches_direct_convolution_powers(y, s):
     # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
     # record's Pr(K > k) spans the two ends, and where a power can leave
     # the lattice, the transform's roundoff too (at most 1e-11 here).
-    pair = LatticePair(y, s)
+    pair = RecordPair(y, s)
     cells, _, c = lattice_cells(pair)
     ends = []
     for f, g in zip(cells, np.broadcast_to(c, (2, c.shape[-1]))):
@@ -252,32 +245,24 @@ def unfold(monkeypatch):
     monkeypatch.setattr(analytic, "_folded", analytic._powered)
 
 
-def bracketing_only(monkeypatch):
-    """Let no observed order pass, so every record takes its bracketing
-    solve."""
-    monkeypatch.setattr(analytic, "_ORDERS", (2.0, 1.0))
-
-
 @pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
 def test_a_folded_record_takes_the_full_lattice_sums(y, s, monkeypatch):
     # The fold builds only the pmf: E[K], E[K^2], the crossing sum and the
     # age's middle term come from the full lattice, bit for bit, on the
     # levels and on the bracketing solve.  Phase-type gaps take their own
-    # record through ``Pair``; the folded lattice is held on them by
-    # direct calls.
-    def assert_one_path():
+    # record through ``Pair``; the folded lattice is held on them by its
+    # records.
+    records = Pair(y, s).records(DROPPING)
+    for name in ("lattice", "bracketing"):
         with monkeypatch.context() as patch:
             unfold(patch)
-            want = record_intervals(analytic._lattice_cycles(y, s))
-        assert record_intervals(analytic._lattice_cycles(y, s)) == want
-        if not unshifted(y):
-            record = Pair(y, s).cycles(DROPPING)
-            assert record.path == "lattice"
-            assert record_intervals(record) == want
-    assert_one_path()
-    bracketing_only(monkeypatch)
-    assert_one_path()
+            want = record_intervals(Pair(y, s).records(DROPPING)[name])
+        assert record_intervals(records[name]) == want
+    if not unshifted(y):
+        record = Pair(y, s).cycles(DROPPING)
+        assert (record.name, record.path) == ("lattice", "lattice")
+        assert record_intervals(record) == record_intervals(records["lattice"])
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -295,7 +280,7 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
         "closed_form" if unshifted(y) else "lattice")
     *_, survival = full_lattice(Pair(y, s), K_MAX)
     noises = kernel_noises(monkeypatch)
-    probs, tail = analytic._lattice_cycles(y, s).pmf(K_MAX)
+    probs, tail = Pair(y, s).records(DROPPING)["bracketing"].pmf(K_MAX)
     mid, hw = survival
     (noise,) = noises
     roundoff = 2.0 * noise * np.arange(K_MAX + 1.0)  # tau_k's and beta_k's
@@ -344,23 +329,23 @@ def test_unfolded_pmf_half_width_covers_its_roundoff(monkeypatch):
     # k = 12: each entry is M^k plus the power against G - 1, which
     # carries the kernel's roundoff.
     unfold(monkeypatch)
-    probs, tail = analytic._lattice_cycles(*COVERAGE_PAIRS[0]).pmf(12)
+    record = Pair(*COVERAGE_PAIRS[0]).records(DROPPING)["bracketing"]
+    probs, tail = record.pmf(12)
     assert np.all(np.abs(probs.value) <= probs.half_width)
     assert abs(tail.value - 1.0) <= tail.half_width
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_far_shift_folds_without_overflow(monkeypatch):
+def test_a_far_shift_folds_without_overflow():
     # rate * shift = 1000: e^(rate shift) overflows, and the fold's
     # exponents are all <= 0.  The service ends by 1.03, so E[K] is near
     # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).  The ages on the
     # levels and on the bracketing solve must be finite, and the folded
     # pmf must be the one every lattice point gives.
     y, s = Uniform(0.0, 2.0), ShiftedExponential(1000.0, 1.0)
-    ests = [exact_age(Pair(y, s), DROPPING)]
-    bracketing_only(monkeypatch)
     pair = Pair(y, s)
-    ests.append(exact_age(pair, DROPPING))
+    ests = [exact_age(pair, DROPPING),
+            exact_age(RecordPair(y, s, "bracketing"), DROPPING)]
     for est in ests:
         assert math.isfinite(est.value) and math.isfinite(est.ci_half_width)
     *_, (mid, _) = full_lattice(pair, K_MAX)
@@ -388,12 +373,13 @@ def test_a_folded_pmf_reads_only_the_gaps_prefix(monkeypatch):
     Uniform(0.0, 2.0), Rayleigh(1.0), Erlang(2, 2.0),
     Hyperexponential((0.5, 0.5), (0.5, 2.0)), ShiftedExponential(1.0, 0.3),
     Deterministic(0.7)], ids=lambda d: d.kind)
-def test_an_unshifted_service_takes_the_exponential_record(y, monkeypatch):
+def test_an_unshifted_service_takes_the_exponential_record(y):
     # SE(r, 0) is E(r): its dropping record is E(r)'s block record, bit for
     # bit with half-width 0, not a one-point folded lattice.
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)  # never reached
     shifted = Pair(y, ShiftedExponential(1.5, 0.0))
     plain = Pair(y, Exponential(1.5))
+    assert shifted.cycles(DROPPING).name == "service_blocks"
+    assert plain.cycles(DROPPING).name == "service_blocks"
     assert exact_age(shifted, DROPPING) == exact_age(plain, DROPPING)
     assert exact_age(shifted, DROPPING).ci_half_width == 0.0
     assert corollary_one(shifted, DROPPING) == corollary_one(plain, DROPPING)
@@ -442,8 +428,7 @@ def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(analytic, "_LEVEL_STEPS", 4 * analytic._LEVEL_STEPS)
         levels = lattice(y, s) if jump else None
-        bracketing_only(patch)
-        fine = lattice(y, s)
+        fine = lattice(y, s, "bracketing")
     for i, ((value, hw), (finer, finer_hw)) in enumerate(zip(coarse, fine)):
         assert abs(value - finer) <= hw, (i, value, hw, finer)
         if jump and i < 3:
@@ -459,33 +444,26 @@ JUMP_PAIRS = [(Uniform(0.0, 2.0), Deterministic(1.0)),
               (Rayleigh(1.0), Deterministic(0.7))]
 
 
-def lattice_pair(y, s):
-    """``y`` and ``s`` as a pair whose dropping record is the lattice's."""
-    return (LatticePair if isinstance(y, Exponential) or unshifted(s)
-            else Pair)(y, s)
-
-
 @pytest.mark.parametrize("y,s", [*LATTICE_PAIRS, *JUMP_PAIRS],
                          ids=[*LATTICE_IDS, "U/D", "R/D"])
-def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
-                                                             monkeypatch):
+def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s):
     # Each pair takes its levels, and each interval (E[K], E[K^2], the
     # crossing sum, its quotient by E[K] and the age) lies inside the one
     # the bracketing solve proves, and is narrower; with a block service
     # it holds the block record's closed form too.
-    def intervals():
-        est = exact_age(lattice_pair(y, s), DROPPING)
-        return [*record_intervals(lattice_pair(y, s).cycles(DROPPING)),
+    def intervals(name):
+        pair = RecordPair(y, s, name)
+        est = exact_age(pair, DROPPING)
+        return [*record_intervals(pair.cycles(DROPPING)),
                 Interval(est.value, est.ci_half_width)]
-    new = intervals()
+    new = intervals("lattice")
     if unshifted(s):
         est = exact_age(Pair(y, s), DROPPING)
         block = [*record_intervals(Pair(y, s).cycles(DROPPING)),
                  Interval(est.value, est.ci_half_width)]
         for i, (got, want) in enumerate(zip(new, block)):
             assert abs(got.value - want.value) <= got.half_width, (i, got, want)
-    bracketing_only(monkeypatch)
-    old = intervals()
+    old = intervals("bracketing")
     for i, (got, was) in enumerate(zip(new, old)):
         assert got.half_width < was.half_width, (i, got, was)
         assert abs(got.value - was.value) + got.half_width <= was.half_width, (
@@ -496,14 +474,18 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s,
 
 @pytest.mark.parametrize("y,s", [p for p in LATTICE_PAIRS
                                  if isinstance(p[0], Exponential)]
-                         + [PAIRS[-1]], ids=["E/R", "E/U", "deep-U/R"])
-def test_an_order_out_of_range_takes_the_bracketing_solve(y, s,
-                                                          monkeypatch):
-    # With no observed order accepted, the full lattice's record is the
-    # bracketing solve at a quarter of the levels' step, bit for bit, as a
-    # folded one's is (test_a_folded_record_takes_the_full_lattice_sums).
-    bracketing_only(monkeypatch)
-    assert_is_the_bracketing_solve(LatticePair(y, s))
+                         + [PAIRS[-1], *FIRST_ORDER],
+                         ids=["E/R", "E/U", "deep-U/R", "R/U-kink", "SE/U"])
+def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
+    # The full lattice's bracketing record is the bracketing solve at a
+    # quarter of the levels' step, bit for bit, as a folded one's is
+    # (test_a_folded_record_takes_the_full_lattice_sums).  Where an
+    # observed order falls out of range, as on the first-order pairs, the
+    # lattice record takes those sums.
+    assert_is_the_bracketing_solve(RecordPair(y, s, "bracketing"))
+    if (y, s) in FIRST_ORDER:
+        records = Pair(y, s).records(DROPPING)
+        assert records["lattice"].sums() == records["bracketing"].sums()
 
 
 def assert_is_the_bracketing_solve(pair):
@@ -547,7 +529,7 @@ def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
     survival = analytic._survival
     monkeypatch.setattr(analytic, "_survival", lambda *a: (
         noises.append(a[1].shape), survival(*a))[1])
-    record = analytic._lattice_cycles(Uniform(0.0, 2.0), s)
+    record = Pair(Uniform(0.0, 2.0), s).records(DROPPING)["lattice"]
     record.sums()
     record.pmf(K_MAX)
     ends = (2,) if s.support()[0] == s.support()[1] else ()
@@ -565,9 +547,9 @@ def test_extrapolated_age_rescales_with_time(y, s, c):
     # transform) over 2^p - 1, and must move by at most 8 eps of the age
     # too: the most any pair's moves is 3.7 eps (deep-U/R at c = 1e6),
     # far inside the 1e-11 of the age its roundoff term adds to it.
-    base = exact_age(lattice_pair(y, s), DROPPING)
-    scaled = exact_age(lattice_pair(RESCALED[y.kind](y, c),
-                                    RESCALED[s.kind](s, c)), DROPPING)
+    base = exact_age(RecordPair(y, s), DROPPING)
+    scaled = exact_age(RecordPair(RESCALED[y.kind](y, c),
+                                  RESCALED[s.kind](s, c)), DROPPING)
     assert base.method == scaled.method == "lattice"
     assert abs(scaled.value - c * base.value) <= 8.0 * EPS * scaled.value
     assert abs(scaled.ci_half_width - c * base.ci_half_width) <= (
@@ -636,7 +618,7 @@ def test_half_width_covers_the_mg11_age(s, lam):
     y_second = 2.0 / lam**2
     mg11 = ((y_second + 2.0 * s.mean() / lam + s.second_moment())
             / (2.0 * (1.0 / lam + s.mean())) + s.mean())
-    est = exact_age(LatticePair(Exponential(lam), s), DROPPING)
+    est = exact_age(RecordPair(Exponential(lam), s), DROPPING)
     assert abs(est.value - mg11) <= est.ci_half_width
     if isinstance(s, Deterministic):
         assert est.ci_half_width <= 1e-4 * est.value
@@ -703,7 +685,7 @@ def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
         lattices.append(x)
         return x, atom
     monkeypatch.setattr(analytic, "_points", recorded)
-    analytic._lattice_cycles(y, s).pmf(K_MAX)
+    Pair(y, s).records(DROPPING)["bracketing"].pmf(K_MAX)
     (x,) = lattices
     assert x[1] == pytest.approx(bracket_step(Pair(y, s)), rel=1e-15)
     for b in filter(math.isfinite, s.support()):
@@ -778,8 +760,7 @@ def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
     # holds E[K] = e^(1/2), and is narrower than with both ends reading
     # Pr(S > x), as they did before (+-8.1e-4 against +-2.4e-3); so is
     # each Pr(K = k) (+-4.9e-4 against +-9.8e-4 at k = 2).
-    pair = Pair(Uniform(0.0, 2.0), Deterministic(1.0))
-    bracketing_only(monkeypatch)
+    pair = RecordPair(Uniform(0.0, 2.0), Deterministic(1.0), "bracketing")
     k_mean, pmf = pair.cycles(DROPPING).sums()[0], k_pmf(pair, K_MAX)
     assert abs(k_mean.value - math.exp(0.5)) <= k_mean.half_width
 
@@ -787,7 +768,7 @@ def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
         x, _ = analytic._points(service, h, n)
         return x, service.ccdf(x)
     monkeypatch.setattr(analytic, "_ends_ccdf", both_strict)
-    strict = Pair(pair.interarrival, pair.service)
+    strict = RecordPair(pair.interarrival, pair.service, "bracketing")
     was, was_pmf = strict.cycles(DROPPING).sums()[0], k_pmf(strict, K_MAX)
     assert abs(was.value - math.exp(0.5)) <= was.half_width
     assert k_mean.half_width < 0.5 * was.half_width
@@ -883,20 +864,22 @@ def test_truncation_point_rescales_with_time(s, c):
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e152, 1e153])
 @pytest.mark.parametrize("s", RARE_PHASES,
                          ids=["mean-in-tail", "second-in-tail"])
-def test_a_moment_beyond_the_lattice_is_not_reached(s, c, monkeypatch):
+def test_a_moment_beyond_the_lattice_is_not_reached(s, c):
     # The 1e-13 mass cut would drop the rare phase, and with it most of a
     # moment the age integrates.  Through ``Pair`` no hyperexponential
     # service reaches the lattice: the phase mix gives the ages and the pmf
     # at every time scale.
-    monkeypatch.setattr(analytic, "_lattice_cycles", None)
     scaled = RESCALED[s.kind](s, c)
     y = Uniform(0.0, 2.0 * c)
     pair, want = Pair(y, scaled), mix_reference(y, scaled)
+    poisson = Pair(Exponential(1.0 / c), scaled)
+    assert pair.cycles(DROPPING).name == "service_blocks"
+    assert poisson.cycles(DROPPING).name in ("one_phase", "service_blocks")
     est = exact_age(pair, DROPPING)
     assert_covers(est.value, est.ci_half_width, want.dropping)
     report = corollary_one(pair, DROPPING)
     assert_covers(report.value, report.half_width, want.corollary1)
-    pmf = k_pmf(Pair(Exponential(1.0 / c), scaled), K_MAX)
+    pmf = k_pmf(poisson, K_MAX)
     for got, ref in zip(pmf.pmf, mix_pmf(1.0 / c, scaled, K_MAX)):
         assert abs(got.value - ref) <= 4.0 * EPS, (got.value, ref)
 
@@ -923,9 +906,10 @@ def test_lattice_brackets_the_phase_mix(y, s, c):
                 (report.value, report.half_width), *k_pmf(pair, K_MAX).pmf]
 
     roundoff = 4.0 * EPS if isinstance(y, Deterministic) else 0.0
+    record = "d_arrivals" if isinstance(y, Deterministic) else "lattice"
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     for i, ((value, hw), (mix, mix_hw)) in enumerate(zip(
-            intervals(LatticePair(y, s)), intervals(Pair(y, s)))):
+            intervals(RecordPair(y, s, record)), intervals(Pair(y, s)))):
         slack = roundoff if i >= 2 else 0.0
         assert abs(value - mix) <= hw + mix_hw + slack, (value, hw, mix, mix_hw)
 
@@ -937,8 +921,8 @@ def test_deep_cycle_guard():
     age = 1.0 / lam + lam * d * d / (2.0 * (1.0 + lam * d)) + d
     tracemalloc.start()
     try:
-        est = exact_age(LatticePair(Exponential(lam), Deterministic(d)),
-                        DROPPING)
+        est = exact_age(RecordPair(Exponential(lam), Deterministic(d),
+                                   "bracketing"), DROPPING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -958,7 +942,8 @@ def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves():
     assert top / (4.0 * fine) >= analytic._MAX_LATTICE > 16.0 * top
     mg11 = ((2.0 + 2.0 * s.mean() + s.second_moment())
             / (2.0 * (1.0 + s.mean())) + s.mean())
-    est = exact_age(LatticePair(y, s), DROPPING)
+    assert "lattice" not in Pair(y, s).records(DROPPING)  # no levels
+    est = exact_age(RecordPair(y, s, "bracketing"), DROPPING)
     assert 0.0 < est.ci_half_width < 0.1 * mg11
     assert abs(est.value - mg11) <= est.ci_half_width
 
@@ -1182,7 +1167,8 @@ def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
 def test_too_deep_cycle_raises(compute):
     # E[K] = 100001 needs 1.6e6 points even at 16 per mean gap.
     with pytest.raises(TruncationNotReached):
-        compute(LatticePair(Exponential(1000.0), Deterministic(100.0)))
+        compute(RecordPair(Exponential(1000.0), Deterministic(100.0),
+                           "bracketing"))
 
 
 @pytest.mark.parametrize("per_end", [False, True], ids=["shared", "per-end"])

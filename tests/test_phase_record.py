@@ -18,7 +18,6 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
 from aoi.sim import Discipline
 from test_closed_form_oracle import EPS
 from test_distributions import ALL_KINDS, RESCALED, mp_poisson_mix
-from test_lattice_oracle import bracketing_only
 
 DROPPING = Discipline.DROPPING
 K_MAX = 4
@@ -128,11 +127,10 @@ def test_a_short_jump_range_carries_its_tail(y, s, monkeypatch):
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
-def test_the_bracketing_solve_brackets_the_record(y, s, monkeypatch):
-    # The lattice's bracketing solve, called directly, proves an
-    # interval for every quantity; each must hold the record's value.
-    bracketing_only(monkeypatch)
-    lattice = analytic._lattice_cycles(y, s)
+def test_the_bracketing_solve_brackets_the_record(y, s):
+    # The lattice's bracketing solve, read from the pair's records, proves
+    # an interval for every quantity; each must hold the record's value.
+    lattice = Pair(y, s).records(DROPPING)["bracketing"]
     probs, tail = lattice.pmf(K_MAX)
     want = [*lattice.sums()[:3],
             *(analytic.Interval(v, e) for v, e in zip(*probs)), tail]
@@ -174,7 +172,7 @@ def test_extrapolated_lattice_covers_the_record(y, s):
     # of a half-width (Erlang(3, 3)/D(0.3)); 5.5e-3 without the D services
     # (Erlang(4, 1)/SE(2, 0.5)'s E[K^2]).
     pair = Pair(y, s)
-    record, lattice = pair.cycles(DROPPING), analytic._lattice_cycles(y, s)
+    record, lattice = pair.cycles(DROPPING), pair.records(DROPPING)["lattice"]
     (*closed, middle), (*levels, estimated) = record.sums(), lattice.sums()
     ages = [pair.head + m.value + s.mean() for m in (middle, estimated)]
     pairs = [*zip(closed, levels),
