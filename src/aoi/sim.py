@@ -35,7 +35,6 @@ from enum import Enum
 from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
-import orjson
 
 from .distributions import Distribution, check_pair
 from .errors import DivergentAge
@@ -327,21 +326,29 @@ def _write_trace(fh, services: np.ndarray, times: np.ndarray,
                  served: np.ndarray, at: np.ndarray, busy_event: str) -> None:
     """Write every arrival (at ``times``: ``arrival_success`` when it is the
     first or follows a delivery, else ``busy_event``) and the delivery of
-    each ``served`` arrival, which comes just before arrival ``at``."""
-    code = np.ones(times.size, dtype=np.int8)
-    code[np.append(0, at[:-1])] = 0
-    code = np.insert(code, at, 2)
-    row_time = np.insert(times, at, times[served] + services)
-    newest = np.insert(np.zeros(times.size), at, times[served])
-    age = row_time - np.maximum.accumulate(newest)
-    names = (b",arrival_success,", f",{busy_event},".encode(), b",departure,")
+    each ``served`` arrival, which comes just before arrival ``at``.
+
+    Every cycle has K >= 1, so ``at`` rises strictly: delivery i's row is
+    ``at[i] + i``, the first arrival after it is row ``at[i] + i + 1``, and
+    the arrivals fill the rows left, in order."""
+    delivery = at + np.arange(at.size)
+    code = np.ones(times.size + at.size, dtype=np.int8)
+    code[delivery] = 2
+    code[np.append(0, delivery[:-1] + 1)] = 0
+    row_time, newest = np.empty(code.size), np.zeros(code.size)
+    row_time[code != 2] = times
+    row_time[delivery] = times[served] + services
+    newest[delivery] = times[served]
+    age = row_time - np.maximum.accumulate(newest, out=newest)
+    names = np.array([b",arrival_success,", f",{busy_event},".encode(),
+                      b",departure,"], dtype=object)
     fh.write(b"time,event,age_after_event\n")
     for lo in range(0, code.size, _TRACE_ROWS):
         rows = slice(lo, lo + _TRACE_ROWS)
-        events = code[rows].tolist()
+        events = names[code[rows]].tolist()
         cells = [b"\n"] * (4 * len(events))
         cells[0::4] = _float_cells(row_time[rows])
-        cells[1::4] = map(names.__getitem__, events)
+        cells[1::4] = events
         cells[2::4] = _float_cells(age[rows])
         fh.write(b"".join(cells))
 
@@ -350,7 +357,9 @@ def _float_cells(column: np.ndarray) -> list[bytes]:
     """``repr`` of each float of ``column``, as bytes.  orjson's shortest
     round-trip writer gives ``repr``'s text on 0 and on [1e-4, 1e16) (in
     magnitude); the other cells, inf and nan (written as null) among them,
-    take ``repr`` itself."""
+    take ``repr`` itself.  Only a trace imports orjson."""
+    import orjson
+
     text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
     cells = text[1:-1].split(b",")
     size = np.abs(column)

@@ -1,0 +1,185 @@
+"""A seeded slice of adversarial inputs for ``aoi simulate --trace``.
+
+Each case must end in one of three ways: exit 0 with the trace that the
+reference writer gives for the same arrays, exit 1 with a named
+``AoiError`` payload, or a usage error (exit 2).  A traceback or a warning
+fails it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from aoi import cli, errors, sim
+from trace_oracle import write_trace
+
+# Each law's kind by its short name, and its parameters in order.
+LAWS = {
+    "E": ("exponential", "rate"),
+    "SE": ("shifted_exponential", "rate", "shift"),
+    "D": ("deterministic", "value"),
+    "U": ("uniform", "lower", "upper"),
+    "R": ("rayleigh", "scale"),
+    "Erlang": ("erlang", "shape", "rate"),
+    "H2": ("hyperexponential", "weights", "rates"),
+}
+# (discipline, interarrival, service), drawn once from
+# numpy.random.default_rng(47): disciplines alternate, the interarrival
+# kind cycles through LAWS, the service kind is uniform over it; each
+# parameter is log-uniform over 1e-6 to 1e6 at 3 digits (an Erlang shape
+# uniform over 1 to 8, an H2 weight uniform over 0.01 to 0.99 at 2 digits,
+# a U lower end or an SE shift 0 half or a fifth of the time); in one
+# case of ten, one law's rate, scale, value or U width is instead one of
+# 5e-324, 2.5e-308, 1e-300, 3e299, 1e300 and the largest double.
+# Rounding lets some U laws collapse to a point.  The last two cases take
+# a service at the smallest double and a service rate at the largest.
+TRACE_CASES = [
+    ("dropping", ("E", 0.382), ("E", 1.76e-05)),
+    ("preemption", ("E", 0.000254), ("E", 19600.0)),
+    ("dropping", ("SE", 1010.0, 4.43), ("E", 7260.0)),
+    ("preemption", ("SE", 0.0053, 67000.0), ("E", 0.000211)),
+    ("dropping", ("D", 4.1), ("SE", 3e+299, 283000.0)),
+    ("preemption", ("D", 593.0), ("E", 232.0)),
+    ("dropping", ("U", 0, 67400.0), ("Erlang", 3, 860000.0)),
+    ("preemption", ("U", 0, 60.7), ("E", 23900.0)),
+    ("dropping", ("R", 1.55e-06), ("U", 0.000679, 0.000681)),
+    ("preemption", ("R", 0.134), ("SE", 1.35e-05, 0)),
+    ("dropping", ("Erlang", 2, 3.44), ("R", 5.95)),
+    ("preemption", ("Erlang", 3, 0.000119), ("U", 0.647, 1.59)),
+    ("dropping", ("H2", (0.94, 0.06), (0.179, 6.01e-06)), ("U", 216.0, 216.0)),
+    ("preemption", ("H2", (0.31, 0.69), (1.16, 10.6)), ("E", 1e-300)),
+    ("dropping", ("E", 3.37e-06), ("SE", 1e-300, 10.4)),
+    ("preemption", ("E", 1.07e-05), ("E", 21800.0)),
+    ("dropping", ("SE", 106.0, 1750.0), ("SE", 0.404, 1.97e-05)),
+    ("preemption", ("SE", 75.5, 53.4), ("Erlang", 5, 0.466)),
+    ("dropping", ("D", 343000.0), ("R", 0.239)),
+    ("preemption", ("D", 2.22), ("D", 426000.0)),
+    ("dropping", ("U", 0, 300.0), ("H2", (0.98, 0.02), (1e-300, 0.533))),
+    ("preemption", ("U", 0, 0.504), ("R", 0.000149)),
+    ("dropping", ("R", 0.00096), ("E", 273000.0)),
+    ("preemption", ("R", 75.9), ("R", 1.87)),
+    ("dropping", ("Erlang", 6, 0.00184), ("U", 0, 3.22e-05)),
+    ("preemption", ("Erlang", 5, 305.0), ("H2", (0.6, 0.4), (23.4, 21.1))),
+    ("dropping", ("H2", (0.85, 0.15), (0.0899, 1.26)), ("U", 83400.0, 523000.0)),
+    ("preemption", ("H2", (0.66, 0.34), (32700.0, 13500.0)), ("SE", 0.000784, 0)),
+    ("dropping", ("E", 35.6), ("SE", 1.27, 101.0)),
+    ("preemption", ("E", 0.00029), ("SE", 0.00371, 0.328)),
+    ("dropping", ("SE", 0.000162, 24500.0), ("D", 2.2e-06)),
+    ("preemption", ("SE", 0.0241, 0.073), ("U", 0, 0.00213)),
+    ("dropping", ("D", 3e+299), ("U", 0, 5.67e-06)),
+    ("preemption", ("D", 5.63e-06), ("E", 304.0)),
+    ("dropping", ("U", 0, 4630.0), ("H2", (0.12, 0.88), (48900.0, 2.74))),
+    ("preemption", ("U", 0, 0.0964), ("SE", 0.0866, 0.000247)),
+    ("dropping", ("R", 1.07e-06), ("D", 0.337)),
+    ("preemption", ("R", 0.0201), ("SE", 777000.0, 10100.0)),
+    ("dropping", ("Erlang", 5, 7.83), ("D", 1.09)),
+    ("preemption", ("Erlang", 2, 100.0), ("SE", 5140.0, 1.09e-05)),
+    ("dropping", ("H2", (0.38, 0.62), (0.00606, 5.51)), ("E", 0.00259)),
+    ("preemption", ("H2", (0.87, 0.13), (352.0, 0.000104)), ("Erlang", 5, 0.0153)),
+    ("dropping", ("E", 5.88e-06), ("SE", 0.000979, 0)),
+    ("preemption", ("E", 449.0), ("SE", 1e-300, 0)),
+    ("dropping", ("SE", 4.54e-05, 2.02e-06), ("E", 48700.0)),
+    ("preemption", ("SE", 7.36e-06, 3.99e-05), ("Erlang", 3, 6640.0)),
+    ("dropping", ("D", 0.168), ("R", 0.0022)),
+    ("preemption", ("D", 7.22e-06), ("E", 0.0365)),
+    ("dropping", ("U", 0, 472.0), ("Erlang", 4, 3.55e-05)),
+    ("preemption", ("U", 0, 12.3), ("U", 0, 0.00282)),
+    ("dropping", ("R", 110.0), ("SE", 0.01, 0)),
+    ("preemption", ("R", 12800.0), ("R", 120000.0)),
+    ("dropping", ("Erlang", 7, 4240.0), ("U", 0.126, 0.412)),
+    ("preemption", ("Erlang", 8, 1.63e-05), ("Erlang", 4, 15500.0)),
+    ("dropping", ("H2", (0.8, 0.2), (1.23, 0.922)), ("D", 361.0)),
+    ("preemption", ("H2", (0.13, 0.87), (0.00165, 0.208)), ("SE", 0.000944, 0.0323)),
+    ("dropping", ("E", 0.000642), ("U", 0.046, 450000.0)),
+    ("preemption", ("E", 8780.0), ("E", 758.0)),
+    ("dropping", ("SE", 70300.0, 0), ("D", 2.63)),
+    ("preemption", ("SE", 0.096, 3.97e-06), ("H2", (0.35, 0.65), (4.1e-06, 1.46e-06))),
+    ("dropping", ("D", 59600.0), ("Erlang", 4, 0.00976)),
+    ("preemption", ("D", 527.0), ("H2", (0.24, 0.76), (497000.0, 950.0))),
+    ("dropping", ("U", 0, 0.849), ("Erlang", 8, 0.25)),
+    ("preemption", ("U", 3.34e-06, 0.0668), ("Erlang", 1, 4.06e-05)),
+    ("dropping", ("R", 0.237), ("U", 101.0, 105.0)),
+    ("preemption", ("R", 0.00218), ("R", 0.000729)),
+    ("dropping", ("Erlang", 4, 8.68e-06), ("U", 798.0, 799.0)),
+    ("preemption", ("Erlang", 3, 7.98e-06), ("E", 1e-300)),
+    ("dropping", ("H2", (0.17, 0.83), (0.00718, 0.0101)), ("U", 0, 12.9)),
+    ("preemption", ("H2", (0.07, 0.93), (0.808, 698.0)), ("R", 0.0292)),
+    ("dropping", ("E", 0.0446), ("Erlang", 3, 0.803)),
+    ("preemption", ("E", 6240.0), ("R", 0.0137)),
+    ("dropping", ("SE", 104000.0, 102.0), ("Erlang", 4, 0.0203)),
+    ("preemption", ("SE", 2.02, 0.00807), ("E", 0.658)),
+    ("dropping", ("D", 792.0), ("U", 0.000245, 0.000493)),
+    ("preemption", ("D", 0.482), ("SE", 700000.0, 34.9)),
+    ("dropping", ("U", 0.0607, 0.0617), ("R", 1.87)),
+    ("preemption", ("U", 0.0232, 0.0232), ("E", 8.79e-06)),
+    ("dropping", ("R", 480000.0), ("U", 0, 45.5)),
+    ("preemption", ("R", 61.0), ("R", 0.0494)),
+    ("dropping", ("Erlang", 6, 0.213), ("E", 13200.0)),
+    ("preemption", ("Erlang", 2, 7.22), ("D", 0.343)),
+    ("dropping", ("H2", (0.31, 0.69), (4.86, 0.0641)), ("D", 0.000328)),
+    ("preemption", ("H2", (0.82, 0.18), (3120.0, 0.642)), ("U", 0, 1e+300)),
+    ("dropping", ("E", 0.00239), ("H2", (0.21, 0.79), (87400.0, 0.00813))),
+    ("preemption", ("E", 267000.0), ("E", 7.72)),
+    ("dropping", ("SE", 2930.0, 0), ("D", 1250.0)),
+    ("preemption", ("SE", 192.0, 2.53e-06), ("R", 0.0232)),
+    ("dropping", ("D", 0.791), ("D", 0.0768)),
+    ("preemption", ("D", 0.103), ("Erlang", 6, 481.0)),
+    ("dropping", ("U", 0.726, 409.0), ("U", 753000.0, 753000.0)),
+    ("preemption", ("U", 300.0, 280000.0), ("SE", 2.5e-308, 16100.0)),
+    ("dropping", ("R", 29800.0), ("H2", (0.32, 0.68), (2.06, 201000.0))),
+    ("preemption", ("R", 0.00468), ("Erlang", 6, 0.000192)),
+    ("dropping", ("Erlang", 4, 0.000624), ("SE", 13.8, 5060.0)),
+    ("preemption", ("Erlang", 1, 1.06), ("H2", (0.5, 0.5), (3e+299, 8.46))),
+    ("dropping", ("H2", (0.26, 0.74), (0.00158, 0.011)), ("H2", (0.92, 0.08), (4590.0, 2.91))),
+    ("preemption", ("H2", (0.69, 0.31), (0.00213, 0.000274)), ("E", 2.72)),
+    ("dropping", ("E", 1.0), ("D", 5e-324)),
+    ("preemption", ("R", 1e-06), ("E", 1.7976931348623157e308)),
+]
+
+
+def law_name(short) -> str:
+    return f"{short[0]}({', '.join(map(str, short[1:]))})"
+
+
+def law_json(short) -> str:
+    kind, *names = LAWS[short[0]]
+    return json.dumps({"kind": kind, **dict(zip(names, short[1:]))})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("discipline,interarrival,service", TRACE_CASES, ids=[
+    f"{d}-{law_name(y)}/{law_name(s)}" for d, y, s in TRACE_CASES])
+def test_traced_simulate_ends_cleanly(tmp_path, monkeypatch, capsys,
+                                      discipline, interarrival, service):
+    # At most 30000 events, so no reference trace outgrows about 1.5 MB.
+    write = sim._write_trace
+    arrays = []
+
+    def spy(fh, *args):
+        arrays.append(args)
+        write(fh, *args)
+
+    monkeypatch.setattr(sim, "_write_trace", spy)
+    trace = tmp_path / "t.csv"
+    try:
+        code = cli.main([
+            "simulate", "--discipline", discipline,
+            "--interarrival", law_json(interarrival),
+            "--service", law_json(service), "--cycles", "300",
+            "--max-events", "30000", "--seed", "1", "--trace", str(trace),
+            "--json"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if code == 0:
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            write_trace(fh, *arrays[0])
+        assert trace.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    elif code == 1:
+        assert issubclass(getattr(errors, json.loads(out)["error"]),
+                          errors.AoiError)
+        assert trace.read_bytes() == b""  # a run that raises writes no row
+    else:
+        assert code == 2 and not arrays

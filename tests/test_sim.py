@@ -248,6 +248,10 @@ TRACE_PAIRS = {
     "E(1)/E(1)": (Exponential(1.0), Exponential(1.0)),
     "U(0,2)/E(1)": (Uniform(0.0, 2.0), Exponential(1.0)),
     "H2/R(1)": (Hyperexponential((0.5, 0.5), (0.5, 2.0)), Rayleigh(1.0)),
+    # each D(1)/D(1) delivery lands on an arrival instant, where the
+    # completion-first rule orders the rows
+    "D(1)/D(1)": (Deterministic(1.0), Deterministic(1.0)),
+    "D(0.5)/U(0,2)": (Deterministic(0.5), Uniform(0.0, 2.0)),
 }
 
 
