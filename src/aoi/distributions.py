@@ -763,13 +763,13 @@ def from_dict(data: Mapping) -> Distribution:
 
 def check_pair(interarrival: Distribution, service: Distribution) -> None:
     """Raise ``ValueError`` unless a system with these interarrival and
-    service laws has a finite, positive age scale: E[Y] > 0, E[Y^2] finite
-    and not underflowing to 0, and E[S] finite."""
+    service laws has a finite, positive age scale: E[Y] > 0, E[Y^2]
+    neither overflowing to inf nor underflowing to 0, and E[S] finite."""
     if interarrival.mean() <= 0:  # all arrivals at time 0
         raise ValueError("interarrival law must have a positive mean")
     y2 = interarrival.second_moment()
     if not math.isfinite(y2):
-        raise ValueError("interarrival law must have a finite second moment")
+        raise ValueError("interarrival second moment overflows to inf")
     if y2 == 0.0:  # E[Y] > 0, so E[Y^2] > 0 unless it underflows
         raise ValueError("interarrival second moment underflows to 0")
     if not math.isfinite(service.mean()):

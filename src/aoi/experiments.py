@@ -382,14 +382,34 @@ def _local_minimum(rows: Sequence[SweepRow]) -> Optional[SweepRow]:
     return None
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, then ``>``, then ``<``
+    replaced by their entities (``xml.sax.saxutils.escape``'s string)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` escaped, with newline, carriage return and tab as character
+    references, in quotes (``xml.sax.saxutils.quoteattr``'s string): double
+    quotes, else single ones if it holds a double quote, else double ones
+    with ``&quot;`` if it holds both."""
+    text = (_escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def render_chart_svg(result: SweepResult, title: str = "",
                      xlabel: str = "swept parameter") -> str:
     """Line chart with CI bands; an interior minimum of any series gets a
-    marker with id ``local-minimum-<estimator>``.  Text nodes and that
-    attribute are XML-escaped."""
-    # Imported here: xml.sax.saxutils pulls in urllib.request, about 12 ms
-    # of start-up that no command but a charted sweep needs.
-    from xml.sax.saxutils import escape, quoteattr
+    marker with id ``local-minimum-<estimator>``.  The title, axis label
+    and legend text nodes have ``&``, ``<`` and ``>`` escaped; the marker
+    id is quoted as :func:`_quoteattr` quotes it.  Each parses back to the
+    text given, except that XML reads a carriage return in a text node as a
+    newline."""
     series = _series(result)
     sx, sy, (x_lo, x_hi), (y_lo, y_hi) = _scales(series)
     parts = [
@@ -401,7 +421,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
     ]
     if title:
         parts.append(f'<text x="{_W // 2}" y="26" text-anchor="middle" '
-                     f'font-size="16">{escape(title)}</text>')
+                     f'font-size="16">{_escape(title)}</text>')
     for tick in np.linspace(x_lo, x_hi, 5):
         x = sx(tick)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" '
@@ -415,7 +435,7 @@ def render_chart_svg(result: SweepResult, title: str = "",
         parts.append(f'<text x="{_ML - 9}" y="{_fmt(y + 4)}" '
                      f'text-anchor="end" font-size="11">{tick:.4g}</text>')
     parts.append(f'<text x="{_W // 2}" y="{_H - 14}" text-anchor="middle" '
-                 f'font-size="13">{escape(xlabel)}</text>')
+                 f'font-size="13">{_escape(xlabel)}</text>')
     parts.append(f'<text x="20" y="{_H // 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 20 {_H // 2})">'
                  'average age</text>')
@@ -444,13 +464,13 @@ def render_chart_svg(result: SweepResult, title: str = "",
         minimum = _local_minimum(rows)
         if minimum is not None:
             parts.append(
-                f'<circle id={quoteattr("local-minimum-" + tag)} '
+                f'<circle id={_quoteattr("local-minimum-" + tag)} '
                 f'cx="{_fmt(sx(minimum.param))}" cy="{_fmt(sy(minimum.value))}" '
                 f'r="5" fill="#ffdd33" stroke="black"/>')
         parts.append(f'<rect x="{_W - _MR - 150}" y="{legend_y - 9}" '
                      f'width="18" height="4" fill="{color}"/>')
         parts.append(f'<text x="{_W - _MR - 126}" y="{legend_y - 3}" '
-                     f'font-size="12">{escape(tag)}</text>')
+                     f'font-size="12">{_escape(tag)}</text>')
         legend_y += 18
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,14 +1,17 @@
-"""A seeded slice of adversarial inputs for ``aoi simulate --trace``.
+"""Seeded slices of adversarial inputs for ``aoi simulate --trace`` and
+``aoi sweep --chart``.
 
-Each case must end in one of three ways: exit 0 with the trace that the
-reference writer gives for the same arrays, exit 1 with a named
-``AoiError`` payload, or a usage error (exit 2).  A traceback or a warning
-fails it.
+Each traced case must end in one of three ways: exit 0 with the trace that
+the reference writer gives for the same arrays, exit 1 with a named
+``AoiError`` payload, or a usage error (exit 2).  Each charted case must
+exit 0 with an SVG that parses back to the title given.  A traceback or a
+warning fails either.
 """
 
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -183,3 +186,51 @@ def test_traced_simulate_ends_cleanly(tmp_path, monkeypatch, capsys,
         assert trace.read_bytes() == b""  # a run that raises writes no row
     else:
         assert code == 2 and not arrays
+
+
+# (spec name, --title), drawn once from random.Random(48): 1 to 8 tokens
+# each from &, <, >, both quotes, tab, newline, a, b, é, space, "&amp;",
+# "]]>", "<!--" and "age"; every fourth case gives no --title, so the
+# spec's name is the chart's title.  No carriage return: XML reads one in
+# a text node back as a newline.
+CHART_TITLES = [
+    (">b&amp;b']]>", ''),
+    ('&amp;]]>\n>', ']]><!-- '),
+    ('a ', '"]]>bb'),
+    ('a"&', '\n<'),
+    ('a >', ''),
+    ('&&amp;b', 'age\t&amp;\t<'),
+    ("'' &", ' >\t \n'),
+    ('"\n]]>', "&\t<'é"),
+    ('éa&amp;<]]>', ''),
+    ('">', 'ab \t]]>\n'),
+    (']]>&', '\n\nage\t&]]>'),
+    ("a\né'>]]>\t", 'aéage&amp;'),
+    ('<!-- ageé', ''),
+    ('">>', 'age<!-- é]]>'),
+    ('ébbage\né\n', 'age'),
+    ("b'& <&&&amp;", ' '),
+    ('\tage< ]]><!--', ''),
+    ('b<!--<!--a<ageaage', 'a>'),
+    (']]><<!--age', '<!--"\t&'),
+    ("b\n&'é&&amp;", 'age\n \n<&amp;'),
+]
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,title", CHART_TITLES,
+                         ids=[f"case{i}" for i in range(len(CHART_TITLES))])
+def test_charted_sweep_keeps_hostile_text(tmp_path, capsys, name, title):
+    spec, chart = tmp_path / "spec.json", tmp_path / "chart.svg"
+    spec.write_text(json.dumps({
+        "name": name, "discipline": "dropping",
+        "interarrival": {"kind": "exponential"}, "swept_param": "rate",
+        "grid": [0.5, 1.0, 2.0], "service": {"kind": "exponential", "rate": 1},
+        "estimators": ["exact", "gm11"]}), encoding="utf-8")
+    argv = ["sweep", "--spec", str(spec), "--csv", str(tmp_path / "s.csv"),
+            "--chart", str(chart), "--json"]
+    assert cli.main(argv + (["--title", title] if title else [])) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["chart"] == str(chart)
+    svg = ET.fromstring(chart.read_text(encoding="utf-8"))
+    assert svg.find(f"{SVG}text[@font-size='16']").text == (title or name)

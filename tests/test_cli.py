@@ -352,7 +352,9 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
     (("simulate", "--discipline", "dropping", "--interarrival", DET % 0,
       "--service", DET % 0), "interarrival law must have a positive mean"),
     (("simulate", "--discipline", "preemption", "--interarrival", EXP_HUGE,
-      "--service", EXP1), "interarrival law must have a finite second moment"),
+      "--service", EXP1), "interarrival second moment overflows to inf"),
+    (("simulate", "--discipline", "dropping", "--interarrival", DET % 3e299,
+      "--service", EXP1), "interarrival second moment overflows to inf"),
     (("simulate", "--discipline", "dropping", "--interarrival", EXP_TINY,
       "--service", EXP1), "interarrival second moment underflows to 0"),
 
@@ -365,6 +367,7 @@ EXP_HUGE = '{"kind": "exponential", "rate": 1e-300}'
         "zero-mean-interarrival", "zero-mean-interarrival-preemption",
         "zero-mean-interarrival-corollary2", "zero-mean-interarrival-simulate",
         "overflowing-interarrival-square-simulate",
+        "overflowing-deterministic-square-simulate",
         "underflowing-interarrival-square-simulate",
         "underflowing-interarrival-square-dropping",
         "underflowing-interarrival-square-preemption"])
@@ -759,6 +762,50 @@ assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
     env = {**os.environ, "PYTHONPATH": src}
     laws = json.dumps([d.to_dict() for d in ALL_KINDS])
     done = subprocess.run([sys.executable, "-c", script, laws, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_command_imports_the_xml_or_network_stack(tmp_path):
+    # One fresh interpreter runs every subcommand once.  None may load
+    # xml, urllib, http, ssl or email (xml.sax.saxutils pulls in all of
+    # them), but urllib.parse, which pathlib itself imports; orjson loads
+    # with the first traced run and not before.
+    script = """
+import json, sys
+from pathlib import Path
+
+from aoi.cli import main
+
+out = Path(sys.argv[1])
+E = json.dumps({"kind": "exponential", "rate": 1.0})
+pair = ["--interarrival", json.dumps({"kind": "uniform", "lower": 0,
+                                      "upper": 2}), "--service", E]
+spec = out / "spec.json"
+spec.write_text(json.dumps({
+    "name": "imports", "discipline": "dropping",
+    "interarrival": {"kind": "exponential"}, "swept_param": "rate",
+    "grid": [0.5, 1.0, 2.0], "service": {"kind": "exponential", "rate": 1.0},
+    "sim_cycles": 200, "estimators": ["simulate", "exact", "corollary1"]}))
+simulate = ["simulate", "--discipline", "dropping", "--cycles", "200", *pair]
+for argv in (simulate, ["exact", "--discipline", "dropping", *pair],
+             ["bound", "--kind", "corollary1", *pair], ["kpmf", *pair],
+             ["check-properties", "--dist", E],
+             ["sweep", "--spec", str(spec), "--csv", str(out / "s.csv"),
+              "--chart", str(out / "s.svg")]):
+    assert main([*argv, "--json"]) == 0, argv
+    assert "orjson" not in sys.modules, argv
+assert main([*simulate, "--trace", str(out / "t.csv"), "--json"]) == 0
+assert "orjson" in sys.modules
+assert "<svg" in (out / "s.svg").read_text(encoding="utf-8")
+stack = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("xml", "urllib", "http", "ssl", "email")
+               and m not in ("urllib", "urllib.parse"))
+assert not stack, stack
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

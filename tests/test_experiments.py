@@ -1,18 +1,21 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
 from aoi import analytic
 from aoi.distributions import (Deterministic, Distribution, Exponential,
                                Rayleigh, ShiftedExponential, Uniform)
-from aoi.experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
-                             emit_csv, evaluate_point, read_csv, run_sweep)
+from aoi.experiments import (SweepResult, SweepRow, SweepSpec, _escape,
+                             _quoteattr, emit_chart, emit_csv, evaluate_point,
+                             read_csv, run_sweep)
 from aoi.sim import Discipline
 
 
@@ -283,16 +286,31 @@ def test_chart_marks_interior_minimum(tmp_path):
     assert 'id="local-minimum-simulate"' in text
     ET.fromstring(text)
 
-    quoted = tuple(SweepRow(r.param, 'a"b', r.value, r.ci, "") for r in rows)
-    emit_chart(SweepResult(rows=quoted), path)
-    marker = ET.fromstring(path.read_text(encoding="utf-8")).find(
-        "{http://www.w3.org/2000/svg}circle[@id='local-minimum-a\"b']")
-    assert marker is not None
+    # Beside the plain double-quoted id above, one tag per other branch:
+    # single quotes around a double quote, &quot; where both quotes occur,
+    # and a newline as a character reference.
+    for tag in ('a"b', 'a"b\'c', "a\nb"):
+        quoted = tuple(SweepRow(r.param, tag, r.value, r.ci, "") for r in rows)
+        emit_chart(SweepResult(rows=quoted), path)
+        ids = [c.get("id") for c in ET.fromstring(path.read_text(
+            encoding="utf-8")).iter("{http://www.w3.org/2000/svg}circle")]
+        assert "local-minimum-" + tag in ids
 
     monotone = tuple(SweepRow(x, "simulate", 6.0 - x, 0.05, "")
                      for x in (0.5, 1.0, 2.0, 3.0))
     emit_chart(SweepResult(rows=monotone), path)
     assert "local-minimum" not in path.read_text(encoding="utf-8")
+
+
+def test_chart_escapes_match_the_standard_library():
+    # xml.sax.saxutils is the reference here only: aoi does not import it.
+    rng = random.Random(48)
+    alphabet = ['&', '<', '>', '"', "'", "\n", "\r", "\t", "a", "é", " ",
+                "&amp;", "--"]
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert _escape(text) == escape(text)
+        assert _quoteattr(text) == quoteattr(text)
 
 
 def test_chart_determinism(tmp_path):
