@@ -401,10 +401,17 @@ class _PhaseMix(Distribution):
         # Block i with chance w_i, then its Erlang draw, plus c; one-phase
         # blocks scale standard exponential draws, which is NumPy's
         # exponential draw without its per-draw broadcast of the scale.
+        # The pick counts the entries of the weights' cdf at or below one
+        # uniform, the cdf and the uniforms that Generator.choice(p=w/sum w)
+        # takes, so it gives that call's picks without its binary search.
         c, (weights, shapes, rates) = self.phases()
         with np.errstate(over="ignore"):  # a draw past the float range is inf
-            w = np.asarray(weights)
-            pick = rng.choice(len(w), size=n, p=w / w.sum()) if len(w) > 1 else 0
+            pick = 0
+            if len(weights) > 1:
+                w = np.asarray(weights)
+                cdf = (w / w.sum()).cumsum()
+                cdf /= cdf[-1]
+                pick = (cdf[:-1, None] <= rng.random(n)).sum(axis=0)
             scale = (1.0 / np.asarray(rates))[pick]
             out = (scale * rng.standard_exponential(n)
                    if all(k == 1 for k in shapes)

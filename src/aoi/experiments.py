@@ -221,9 +221,11 @@ def point_seed(base_seed: int, index: int) -> int:
 
 def evaluate_point(discipline: Discipline, interarrival: Distribution,
                    service: Distribution, estimators: Sequence[str],
-                   param: float, sim_cycles: int, sim_seed: int) -> list[SweepRow]:
+                   param: float, sim_cycles: int,
+                   sim_seed: Optional[int]) -> list[SweepRow]:
     """One row per estimator at one grid point: ``simulate`` runs
-    ``sim_cycles`` cycles from ``sim_seed``, every other tag its
+    ``sim_cycles`` cycles from ``sim_seed`` (None where no ``simulate``
+    tag reads it), every other tag its
     :data:`ESTIMATORS` call on the point's one :class:`Pair`, so the tags
     share its primitives.  A domain error marks its cell divergent."""
     pair = Pair(interarrival, service)
@@ -249,12 +251,16 @@ def evaluate_point(discipline: Discipline, interarrival: Distribution,
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every requested estimator at every grid point."""
+    """Evaluate every requested estimator at every grid point.  A point is
+    seeded only for a ``simulate`` row, so a sweep without one loads no
+    ``numpy.random``."""
+    seeded = "simulate" in spec.estimators
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.grid):
         rows += evaluate_point(spec.discipline, spec.point_distribution(value),
                                spec.service, spec.estimators, value,
-                               spec.sim_cycles, point_seed(spec.base_seed, index))
+                               spec.sim_cycles,
+                               point_seed(spec.base_seed, index) if seeded else None)
     return SweepResult(rows=tuple(rows))
 
 

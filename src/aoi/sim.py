@@ -6,17 +6,22 @@ update being served, which restarts service with a fresh draw.  A delivery
 resets the age to the sojourn time of the delivered update (a sawtooth).
 
 Cycles run between *successful arrivals* (arrivals whose update is
-delivered) and are i.i.d., so whole cycles are drawn with NumPy, and only
-as many variates as the cycles use.  Dropping: cycle i takes gaps until
-their partial sum reaches its service ``S_i``, so
+delivered) and are i.i.d., so whole cycles are drawn with NumPy, in rounds
+that may draw past what the cycles use, by a bounded amount.  Dropping:
+cycle i takes gaps until their partial sum reaches its service ``S_i``, so
 ``K_i = min{k: A_1 + ... + A_k >= S_i}`` and ``G_i`` is that sum; all
 uncrossed cycles walk at once, and each round draws as many gaps per cycle
 as it has drawn so far plus one (a doubling walk, capped so that a round
-holds about ``_BLOCK`` gaps), so a cycle of K gaps draws fewer than 2K.
-Preemption: arrival j is delivered iff ``S_j <= Y_{j+1}``; (service, gap)
-pairs come in blocks sized by the success fraction seen so far, and only
-the delivered arrivals are kept.  The value is the exact sawtooth average
-from the first delivery on: cycle i adds
+holds about ``_BLOCK`` gaps).  So a cycle of K gaps draws at most 2K - 1
+of them; the run also draws the gap before the first arrival and one
+service per delivery.  Preemption: arrival j is delivered iff
+``S_j <= Y_{j+1}``; (service, gap) pairs come in blocks of at most
+``_BLOCK``: the first holds one pair per delivery needed, each later one
+the pairs that the success fraction so far says the missing deliveries
+take plus ``_MARGIN`` (a full ``_BLOCK`` while none has succeeded).  So
+the pairs drawn past the last delivery used are the rest of the last
+block, and only the delivered arrivals are kept.  The value is the exact
+sawtooth average from the first delivery on: cycle i adds
 ``(S_i + G_i + S_{i+1})(G_i + S_{i+1} - S_i) / 2``.
 Each cycle has ``g == w + busy``, with ``busy`` the delivered service and
 ``w`` the gap from that delivery to the next successful arrival.
@@ -244,11 +249,12 @@ def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
         sums = np.cumsum(gaps, axis=0)
         sums += partial
         below = np.count_nonzero(sums < left, axis=0)
-        hit, miss = np.flatnonzero(below < b), np.flatnonzero(below == b)
+        crossed = below < b
+        hit, miss = np.flatnonzero(crossed), np.flatnonzero(~crossed)
         done, at = active[hit], below[hit]
         g[done] = sums[at, hit]
         k[done] = drawn + at + 1
-        settled += int(k[done].sum())
+        settled += (drawn + 1) * hit.size + int(at.sum())
         if keep:
             used = np.arange(b)[:, None] <= below
             kept.append((np.broadcast_to(active, (b, m))[used], gaps[used]))
@@ -308,7 +314,7 @@ def _estimate(services: np.ndarray, g: np.ndarray, k: np.ndarray
               ) -> tuple[AgeEstimate, CycleRecords]:
     """The sawtooth average over the cycles between ``n + 1`` deliveries,
     summed in units of 2^e, e = :func:`_octave` of the cycle lengths."""
-    e = _octave(g)
+    e = _octave(g.max())  # g >= 0: sums of gaps, or differences of them
     scaled, gs = np.ldexp(services, -e), np.ldexp(g, -e)
     s0, s1 = scaled[:-1], scaled[1:]
     lengths = gs + s1 - s0
@@ -385,26 +391,38 @@ def _batch_ci(areas: Sequence[float], lengths: Sequence[float],
                                     / ((b - 1) * b))
 
 
-def _octave(xs: np.ndarray) -> int:
-    """The e with max |xs| < 2^e.  Dividing by 2^e is exact, so it changes
-    no result in the float range, and sums of the scaled squares cannot
-    overflow."""
-    return math.frexp(float(np.max(np.abs(xs))))[1]
+def _octave(top) -> int:
+    """The e with ``top`` < 2^e, ``top`` a column's largest magnitude.
+    Dividing by 2^e is exact, so it changes no result in the float range,
+    and sums of the scaled squares cannot overflow."""
+    return math.frexp(float(top))[1]
 
 
-def _moment(xs: np.ndarray) -> Moment:
-    e = _octave(xs)
+def _moment(xs: np.ndarray, top) -> Moment:
+    """Mean and standard error of ``xs``, whose largest magnitude is
+    ``top``: bit for bit NumPy's ``mean()`` and ``std(ddof=1)`` of the
+    column scaled by 2^-e, with one sum for the mean and one for the
+    squared deviations from it."""
+    e, n = _octave(top), len(xs)
     xs = np.ldexp(xs, -e)
-    return Moment(math.ldexp(float(xs.mean()), e),
-                  math.ldexp(float(xs.std(ddof=1) / math.sqrt(len(xs))), e))
+    mean = np.add.reduce(xs) / n
+    xs -= mean
+    np.square(xs, out=xs)
+    std = math.sqrt(np.add.reduce(xs) / (n - 1))
+    return Moment(math.ldexp(float(mean), e),
+                  math.ldexp(std / math.sqrt(n), e))
 
 
 def cycle_statistics(records: CycleRecords) -> CycleStatistics:
-    """Sample means of the cycle observables."""
+    """Sample means of the cycle observables.  g, busy and k are >= 0 by
+    construction, so their largest entry is their largest magnitude; w
+    takes ``abs``, as under preemption g is a difference of cumulative
+    sums and can fall a rounding short of the delivered service."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 cycle records, got {len(records)}")
-    k_mean = _moment(records.k.astype(float))
+    g, w, busy, k = records.g, records.w, records.busy, records.k
+    k_mean = _moment(k, k.max())
     return CycleStatistics(
-        g_mean=_moment(records.g), k_mean=k_mean,
-        w_mean=_moment(records.w), busy_mean=_moment(records.busy),
+        g_mean=_moment(g, g.max()), k_mean=k_mean,
+        w_mean=_moment(w, np.abs(w).max()), busy_mean=_moment(busy, busy.max()),
         p_hat=Moment(1.0 / k_mean.value, k_mean.stderr / k_mean.value**2))

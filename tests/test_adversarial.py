@@ -1,21 +1,24 @@
-"""Seeded slices of adversarial inputs for ``aoi simulate --trace`` and
-``aoi sweep --chart``.
+"""Seeded slices of adversarial inputs for ``aoi simulate`` (with and
+without ``--trace``) and ``aoi sweep --chart``.
 
-Each traced case must end in one of three ways: exit 0 with the trace that
-the reference writer gives for the same arrays, exit 1 with a named
-``AoiError`` payload, or a usage error (exit 2).  Each charted case must
-exit 0 with an SVG that parses back to the title given.  A traceback or a
-warning fails either.
+Each simulate case must end in one of three ways: exit 0 with a finite,
+schema-valid result (and, traced, the trace that the reference writer
+gives for the same arrays), exit 1 with a named ``AoiError`` payload, or a
+usage error (exit 2).  Each charted case must exit 0 with an SVG that
+parses back to the title given.  A traceback or a warning fails any case.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
+import jsonschema
 import pytest
 
 from aoi import cli, errors, sim
+from aoi.schema import CLI_RESULT_SCHEMA
 from trace_oracle import write_trace
 
 # Each law's kind by its short name, and its parameters in order.
@@ -187,6 +190,78 @@ def test_traced_simulate_ends_cleanly(tmp_path, monkeypatch, capsys,
     else:
         assert code == 2 and not arrays
 
+
+# (discipline, interarrival, service), drawn once from
+# numpy.random.default_rng(49): disciplines alternate; the interarrival,
+# the service or both are mixtures of 2, 3 or 5 exponential phases (2 in
+# three draws of five) with one weight of 5e-324, 1e-300, 1e-200, 1e-30,
+# 1e-16 or 1e-9 (the other weights at 2 digits, the largest less that
+# weight), each rate log-uniform over 1e-6 to 1e6 at 3 digits and, in
+# three mixtures of five, one rate instead one of 5e-324, 2.5e-308,
+# 1e-300, 3e299, 1e300 and the largest double; a law that is not a
+# mixture is E, R, D, U(0, b) or SE over the same range.
+MIXTURE_CASES = [
+    ('dropping', ('H2', (1.0, 1e-200), (30.5, 1e-300)), ('R', 1.29)),
+    ('preemption', ('H2', (5e-324, 1.0), (0.0293, 421.0)), ('H2', (1.0, 1e-30), (3010.0, 3e-06))),
+    ('dropping', ('H2', (1.0, 1e-200), (11800.0, 8.93)), ('H2', (0.34, 0.03, 0.14, 0.4899999999999999, 1e-16), (0.00013, 1550.0, 1.82, 39300.0, 3.15))),
+    ('preemption', ('H2', (1.0, 1e-200), (0.0342, 1e-300)), ('SE', 119000.0, 0.0965)),
+    ('dropping', ('D', 6.24e-05), ('H2', (1e-09, 0.15, 0.38, 0.40999999899999995, 0.06), (1.7976931348623157e+308, 45400.0, 9710.0, 18.8, 0.127))),
+    ('preemption', ('H2', (1.0, 1e-30), (0.00257, 3.49e-05)), ('H2', (0.76, 0.24, 1e-200), (0.47, 433000.0, 1e-300))),
+    ('dropping', ('H2', (1e-09, 0.26, 0.279999999, 0.24, 0.22), (6.66e-05, 1.88, 0.00157, 1e-300, 2.09e-05)), ('U', 0, 6480.0)),
+    ('preemption', ('SE', 0.000356, 829.0), ('H2', (0.29, 0.03, 0.48, 0.2, 5e-324), (1320.0, 5e-324, 0.172, 1.06, 445.0))),
+    ('dropping', ('H2', (1.0, 1e-200), (5.45e-06, 1990.0)), ('H2', (5e-324, 1.0), (4010.0, 31.6))),
+    ('preemption', ('H2', (1e-30, 1.0), (4900.0, 2.5e-308)), ('U', 0, 0.0244)),
+    ('dropping', ('R', 1.15e-06), ('H2', (1.0, 1e-200), (2430.0, 0.000542))),
+    ('preemption', ('H2', (1e-200, 1.0), (88100.0, 0.683)), ('H2', (0.31, 0.22, 0.01, 0.46, 5e-324), (39.7, 0.000154, 1.7976931348623157e+308, 4.51e-06, 1.62e-06))),
+    ('dropping', ('H2', (0.84, 0.16, 5e-324), (0.336, 0.00091, 617000.0)), ('H2', (0.36999999899999997, 0.32, 0.22, 0.09, 1e-09), (378000.0, 0.113, 3.02, 684.0, 2.5e-308))),
+    ('preemption', ('SE', 5080.0, 0.0328), ('H2', (1e-300, 1.0), (0.254, 1e-300))),
+    ('dropping', ('H2', (1e-16, 0.26, 0.29, 0.13, 0.3199999999999999), (0.00622, 5e-324, 26.3, 1.39e-05, 23.5)), ('H2', (0.47, 0.5299999999999999, 1e-16), (548.0, 0.000339, 0.57))),
+    ('preemption', ('H2', (0.54, 0.46, 1e-300), (4.17e-05, 1.78e-05, 2.71e-05)), ('E', 0.0013)),
+    ('dropping', ('E', 0.0566), ('H2', (0.999999999, 1e-09), (95.2, 247000.0))),
+    ('preemption', ('H2', (0.38, 0.62, 1e-200), (0.000412, 0.00103, 1e-300)), ('H2', (1e-30, 1.0), (2.79, 76300.0))),
+    ('dropping', ('H2', (0.3, 0.47, 0.02, 0.21, 1e-30), (623000.0, 29.5, 488.0, 0.0222, 2.14e-06)), ('U', 0, 0.000153)),
+    ('preemption', ('R', 1.24e-05), ('H2', (1e-30, 1.0), (1660.0, 1.7976931348623157e+308))),
+    ('dropping', ('H2', (1e-200, 1.0), (808000.0, 210.0)), ('H2', (1e-300, 1.0), (0.00857, 88500.0))),
+    ('preemption', ('H2', (0.29, 0.15, 0.28999999999999987, 0.27, 1e-16), (327000.0, 4.12, 1600.0, 1e-300, 3.35)), ('SE', 0.000561, 1470.0)),
+    ('dropping', ('D', 597000.0), ('H2', (1e-16, 1.0), (1e-300, 8.89e-05))),
+    ('preemption', ('H2', (0.27, 0.32, 0.17, 0.24, 1e-300), (8.8e-05, 810000.0, 0.000201, 2.31, 0.0436)), ('H2', (1.0, 5e-324), (2.43e-06, 14000.0))),
+    ('dropping', ('H2', (1e-30, 1.0), (0.75, 129000.0)), ('U', 0, 0.0237)),
+    ('preemption', ('SE', 0.000101, 5.15), ('H2', (1e-16, 0.9999999999999999), (48.7, 218.0))),
+    ('dropping', ('H2', (1.0, 1e-200), (2.5e-308, 14.5)), ('H2', (1e-30, 1.0), (1e+300, 5.44e-06))),
+    ('preemption', ('H2', (1e-300, 1.0), (9.63e-05, 1e-300)), ('E', 0.00764)),
+    ('dropping', ('E', 262.0), ('H2', (5e-324, 1.0), (2.5e-308, 1.79e-05))),
+    ('preemption', ('H2', (1e-300, 1.0), (6.55e-06, 0.000189)), ('H2', (1.0, 1e-300), (0.0109, 1e+300))),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("discipline,interarrival,service", MIXTURE_CASES, ids=[
+    f"{d}-{law_name(y)}/{law_name(s)}" for d, y, s in MIXTURE_CASES])
+def test_simulate_on_extreme_mixtures_ends_cleanly(capsys, discipline,
+                                                   interarrival, service):
+    try:
+        code = cli.main([
+            "simulate", "--discipline", discipline,
+            "--interarrival", law_json(interarrival),
+            "--service", law_json(service), "--cycles", "300",
+            "--max-events", "30000", "--seed", "1", "--json"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith(("aoi simulate: ", "usage: "))
+        return
+    payload = json.loads(out)
+    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
+    if code == 1:
+        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
+    else:
+        assert code == 0
+        result = payload["result"]
+        numbers = [result["value"], result["ci_half_width"],
+                   *result["cycle_statistics"].values()]
+        assert all(math.isfinite(x) for x in numbers), result
+        assert result["ci_half_width"] >= 0
 
 # (spec name, --title), drawn once from random.Random(48): 1 to 8 tokens
 # each from &, <, >, both quotes, tab, newline, a, b, é, space, "&amp;",

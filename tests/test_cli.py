@@ -810,6 +810,51 @@ assert not stack, stack
     assert done.returncode == 0, done.stderr
 
 
+def test_only_a_simulate_row_seeds_a_sweep(tmp_path):
+    # One fresh interpreter runs an exact/corollary2 sweep and the other
+    # commands that draw nothing: none loads numpy.random, which seeding a
+    # grid point imports (with secrets, hmac and hashlib).  The same sweep
+    # with a simulate row loads it, and its other rows keep their bytes.
+    script = """
+import json, sys
+from pathlib import Path
+
+from aoi.cli import main
+
+out = Path(sys.argv[1])
+E = json.dumps({"kind": "exponential", "rate": 1.0})
+pair = ["--interarrival", json.dumps({"kind": "uniform", "lower": 0,
+                                      "upper": 2}), "--service", E]
+spec = {"name": "seeds", "discipline": "preemption",
+        "interarrival": {"kind": "exponential"}, "swept_param": "rate",
+        "grid": [0.5, 1.0, 2.0],
+        "service": {"kind": "shifted_exponential", "rate": 1.0, "shift": 0.5},
+        "sim_cycles": 200, "estimators": ["exact", "corollary2"]}
+(out / "exact.json").write_text(json.dumps(spec))
+(out / "sim.json").write_text(json.dumps(
+    {**spec, "estimators": ["exact", "simulate", "corollary2"]}))
+for argv in (["sweep", "--spec", str(out / "exact.json"),
+              "--csv", str(out / "exact.csv"), "--chart", str(out / "exact.svg")],
+             ["exact", "--discipline", "dropping", *pair],
+             ["exact", "--discipline", "preemption", *pair],
+             ["bound", "--kind", "corollary1", *pair], ["kpmf", *pair],
+             ["check-properties", "--dist", E]):
+    assert main([*argv, "--json"]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
+assert main(["sweep", "--spec", str(out / "sim.json"),
+             "--csv", str(out / "sim.csv"), "--json"]) == 0
+assert "numpy.random" in sys.modules
+exact = (out / "exact.csv").read_text().splitlines()
+assert [r for r in (out / "sim.csv").read_text().splitlines()
+        if ",simulate," not in r] == exact
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_schema_error_enum_names_every_domain_error():
     domain = {name for name, cls in vars(errors).items()
               if isinstance(cls, type) and issubclass(cls, errors.AoiError)

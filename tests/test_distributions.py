@@ -112,7 +112,10 @@ def test_seeded_streams_are_pinned(rate, n):
             ShiftedExponential(rate, 0.5), ShiftedExponential(rate, 1e308),
             Erlang(1, rate), Erlang(16, rate),
             Hyperexponential((0.25, 0.75), (rate, 2.0 * rate)),
-            Hyperexponential((0.2, 0.3, 0.5), (rate, 1.0, 3.7))]
+            Hyperexponential((0.2, 0.3, 0.5), (rate, 1.0, 3.7)),
+            Hyperexponential((0.1, 0.2, 0.3, 0.15, 0.25),
+                             (rate, 2.0 * rate, 0.5, 3.7, 1e3)),
+            Hyperexponential((1e-300, 1.0), (rate, 2.0 * rate))]
     for law in laws:
         ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
         got, want = law.sample_array(ours, n), direct_draws(law, theirs, n)

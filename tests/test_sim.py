@@ -380,6 +380,67 @@ def test_cycle_statistics_needs_two_records():
         cycle_statistics(one)
 
 
+def reference_moment(xs):
+    """Mean and standard error as NumPy gives them on the column scaled by
+    2^-e, e the octave of its largest magnitude."""
+    xs = np.asarray(xs, dtype=float)
+    e = math.frexp(float(np.max(np.abs(xs))))[1]
+    xs = np.ldexp(xs, -e)
+    return (math.ldexp(float(xs.mean()), e),
+            math.ldexp(float(xs.std(ddof=1) / math.sqrt(len(xs))), e))
+
+
+def moment_cases():
+    """Seeded records: two cycles, all-equal columns, entries from 5e-324
+    to 1e300 (k up to 2^62), a w with one tiny negative entry or with a
+    negative entry past 2^1024 times its largest, and runs of the
+    benchmark's pairs."""
+    rng = np.random.default_rng(49)
+
+    def records(g, busy, k, w=None):
+        g, busy = np.asarray(g, dtype=float), np.asarray(busy, dtype=float)
+        return CycleRecords(g=g, w=g - busy if w is None else w, busy=busy,
+                            k=np.asarray(k, dtype=np.int64))
+
+    g = rng.exponential(size=2)
+    yield "two", records(g, g * rng.random(2), rng.integers(1, 9, 2))
+    for n in (2, 7, 10_001):
+        yield f"equal-{n}", records(np.full(n, 2.3), np.full(n, 0.7),
+                                    np.full(n, 3))
+    for n in (2, 1000):
+        g = np.exp2(rng.uniform(-1074.0, 996.0, n))
+        g[:2] = 5e-324, 1e300
+        busy = g * rng.random(n)
+        busy[0] = 5e-324
+        yield f"wide-{n}", records(g, busy, rng.integers(1, 2**62, n))
+    for tiny in (-5e-324, -1e-17):
+        g = rng.exponential(size=500)
+        busy = g * rng.random(500)
+        w = g - busy
+        w[rng.integers(500)] = tiny
+        yield f"negative-w-{tiny}", records(g, busy, rng.integers(1, 40, 500), w)
+    g = np.exp2(rng.uniform(-1000.0, -990.0, 50))
+    w = g * rng.random(50)
+    w[7] = -1e300
+    yield "negative-w-largest", records(g, g - w, np.ones(50), w)
+    for discipline in ("dropping", "preemption"):
+        for y, s in SIM_PAIRS:
+            config = SimConfig(y, s, discipline, 2000, seed=49)
+            yield f"{discipline} {y.describe()}", run_simulation(config)[1]
+
+
+@pytest.mark.parametrize("name,records", list(moment_cases()))
+def test_cycle_moments_match_numpy_bit_for_bit(name, records):
+    stats = cycle_statistics(records)
+    for field, column in (("g_mean", records.g), ("k_mean", records.k),
+                          ("w_mean", records.w), ("busy_mean", records.busy)):
+        got = getattr(stats, field)
+        want = reference_moment(column)
+        assert [x.hex() for x in got] == [x.hex() for x in want], field
+    k_value, k_stderr = reference_moment(records.k)
+    assert stats.p_hat == (1.0 / k_value, k_stderr / k_value**2)
+
+
 def test_records_compare_by_value_and_iterate_as_cycle_records():
     _, records = run_simulation(SimConfig(Exponential(1.0), Uniform(0.1, 1.2),
                                           "dropping", 200, seed=3))
