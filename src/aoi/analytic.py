@@ -75,12 +75,13 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     point j >= 1 is put on it; point 0 stays exact, as A_1 = 0 is.
     ``lattice`` takes E[K], E[K^2], the crossing sum and its quotient by
     E[K] (the age's middle term, which errs with both) from three levels,
-    steps h = E[Y]/64, 2h and 4h with the service's last kink on all
-    three (:func:`_level_step`), by Richardson's extrapolation at each
-    quantity's observed order (:func:`_extrapolated`), its half-width an
-    estimate, not a proof.  Where a check of it fails, it takes the sums
-    of ``bracketing``, the bracketing solve at step h/4, the last kink on
-    it too.  A cycle too deep for the levels' point budget has no
+    steps h = E[Y]/64, 2h and 4h with every kink of both laws on all three
+    where a step in range allows (:func:`_level_step`), by Richardson's
+    extrapolation at each quantity's observed order, or the finest level
+    where the levels agree to roundoff (:func:`_extrapolated`), its
+    half-width an estimate, not a proof.  Where a check of it fails, it
+    takes the sums of ``bracketing``, the bracketing solve at step h/4,
+    the kinks on it too.  A cycle too deep for the levels' point budget has no
     ``lattice``; the bracketing step doubles until it holds at most 2^18
     points, and a cycle that would pass them even at E[Y]/16 is not
     reached.  In the bracketing solve rounding down shrinks every partial
@@ -607,18 +608,18 @@ def _points(service: Distribution, h: float, n: int
     lo, hi = service.support()
     atom = None
     for b in filter(math.isfinite, (lo, hi)):
-        j = _kink(b, h)
-        if j is not None and j < n:
+        j = round(b / h)
+        if _kink(b, h) and j < n:
             x[j] = b
             atom = j if lo == hi else None
     return x, atom
 
 
-def _kink(b: float, h: float) -> int | None:
-    """The index j of the point jh within rounding of the kink b, else None:
-    point 0 is exact, as A_1 = 0 is, so only a kink at 0 lies on it."""
-    j = round(b / h)
-    return j if abs(h * j - b) <= _SNAP * h and (j or not b) else None
+def _kink(b, h):
+    """Whether each kink b lies within rounding of a point jh: point 0 is
+    exact, as A_1 = 0 is, so only a kink at 0 lies on it."""
+    j = np.rint(b / h)
+    return (abs(h * j - b) <= _SNAP * h) & ((j != 0) | (b == 0))
 
 
 def _ends_ccdf(service: Distribution, h: float, n: int
@@ -644,18 +645,28 @@ def _cells(tail: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _level_step(mean_gap: float, service: Distribution) -> float:
-    """The finest level's step: E[Y]/64, or the largest step below it that
-    puts the service's last kink b, its support's last finite end, on every
-    level (b/4h an integer), if that step is at least E[Y]/128.  On the
-    lattice a kink keeps each level's error a series in powers of h; off it
-    the error swings with b's place between two points, and the observed
-    order with it.  The bracketing solve takes a quarter of it, so b lies
-    on that lattice too."""
+def _level_step(mean_gap: float, interarrival: Distribution,
+                service: Distribution) -> float:
+    """The finest level's step: the largest b/4j from E[Y]/64 down to
+    E[Y]/128 that puts every kink, each finite positive end of either law's
+    support, on the coarsest level and so on every level, b the largest
+    kink; else the largest that puts the service's last kink there; else
+    E[Y]/64.  On the lattice a kink keeps each level's error a series in
+    powers of h; off it the error swings with the kink's place between two
+    points, and the observed order with it.  The bracketing solve takes a
+    quarter of it, so the kinks lie on that lattice too."""
     h = mean_gap / _LEVEL_STEPS
-    b = max(filter(math.isfinite, service.support()))
-    j = math.ceil(b / (4.0 * h) - _SNAP)
-    return b / (4.0 * j) if j > 0 and b / (4.0 * j) >= 0.5 * h else h
+    ends = [[b for b in law.support() if 0.0 < b < math.inf]
+            for law in (service, interarrival)]
+    for kinks in filter(None, (ends[0] + ends[1], ends[0][-1:])):
+        b = max(kinks)
+        j0 = max(1, math.ceil(b / (4.0 * h) - _SNAP))
+        step = b / (4.0 * np.arange(j0, 2 * j0 + 1))
+        for kink in set(kinks) - {b}:  # b itself lies on every b/j
+            step = step[_kink(kink, 4.0 * step)]
+        if step.size and step[0] >= 0.5 * h:
+            return float(step[0])
+    return h
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution
@@ -669,7 +680,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
     top, mean = _truncation_point(service), interarrival.mean()
     if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
         raise _too_deep(top / (mean / _MIN_STEPS))
-    fine = _level_step(mean, service)
+    fine = _level_step(mean, interarrival, service)
     h = 0.25 * fine
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
@@ -724,20 +735,24 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
     observed order p has 2^p = d2/d1, and v(h) + d1/(2^p - 1) removes the
     error C h^p.  The half-width is twice the removed step, plus the
     transforms' roundoff: ``noise``, relative, times at most 4 for the
-    extrapolation's weights and 2 for a quotient's two sums.  A quantity
-    whose p is outside [0.8, 2.5], or whose half-width is more than a
-    quarter of its finest bracket's (what the bracketing solve proves at
-    4 times the points, to first order), fails.
+    extrapolation's weights and 2 for a quotient's two sums.  Where d1 and
+    d2 both lie within that roundoff term of v(h), the levels agree and p
+    is undefined: v(h) is taken with the roundoff term as its half-width.
+    A quantity whose p is outside [0.8, 2.5], or whose half-width is more
+    than a quarter of its finest bracket's (what the bracketing solve
+    proves at 4 times the points, to first order), fails.
     """
     out = []
     for fine, mid, coarse in zip(*levels):
-        d1 = fine.value - mid.value
-        ratio = (mid.value - coarse.value) / d1 if d1 else math.nan
-        if not _ORDERS[0] <= ratio <= _ORDERS[1]:
-            return None
-        step = d1 / (ratio - 1.0)
-        value = fine.value + step
-        half_width = _SAFETY * abs(step) + _ROUNDOFF * noise * abs(value)
+        d1, d2 = fine.value - mid.value, mid.value - coarse.value
+        value, half_width = fine.value, _ROUNDOFF * noise * abs(fine.value)
+        if not (abs(d1) <= half_width and abs(d2) <= half_width):
+            ratio = d2 / d1 if d1 else math.nan
+            if not _ORDERS[0] <= ratio <= _ORDERS[1]:
+                return None
+            step = d1 / (ratio - 1.0)
+            value = fine.value + step
+            half_width = _SAFETY * abs(step) + _ROUNDOFF * noise * abs(value)
         if half_width > 0.25 * fine.half_width:
             return None
         out.append(Interval(value, half_width))
@@ -850,7 +865,7 @@ def _folded(service: Distribution, h: float, n: int, k_max: int,
     the gap mass from m on (cells and tail are 0 past the prefix), each
     weight only on the head points the powers can read: 2k kernel roundoffs."""
     shift, (_, _, (rate,)) = service.phases()
-    on, cells = _kink(shift, h), gaps.shape[1]
+    on, cells = round(shift / h) if _kink(shift, h) else 0, gaps.shape[1]
     head = on or max(1, math.ceil(shift / h))
     top = min(head, cells)
     m = min(head, max(1, (k_max - 1) * (cells - 1) + 1))  # points read

@@ -286,7 +286,7 @@ def _cmd_simulate(args) -> int:
               "cycle_statistics": {
                   "g_mean": stats.g_mean.value, "g_mean_se": stats.g_mean.stderr,
                   "k_mean": stats.k_mean.value, "k_mean_se": stats.k_mean.stderr,
-                  "w_mean": stats.w_mean.value, "busy_mean": stats.busy_mean.value,
+                  "w_mean": stats.w_mean, "busy_mean": stats.busy_mean,
                   "p_hat": stats.p_hat.value}}
     if args.trace:
         result["trace"] = str(args.trace)

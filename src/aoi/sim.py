@@ -178,7 +178,7 @@ class Moment(NamedTuple):
 
 @dataclass(frozen=True)
 class CycleStatistics:
-    """Empirical cycle moments with standard errors.
+    """Empirical cycle means, g's and k's with standard errors.
 
     ``p_hat = 1 / E[k]`` estimates the per-arrival success probability,
     which is meaningful under preemption where k is geometric.
@@ -186,8 +186,8 @@ class CycleStatistics:
 
     g_mean: Moment
     k_mean: Moment
-    w_mean: Moment
-    busy_mean: Moment
+    w_mean: float
+    busy_mean: float
     p_hat: Moment
 
 
@@ -398,6 +398,13 @@ def _octave(top) -> int:
     return math.frexp(float(top))[1]
 
 
+def _mean(xs: np.ndarray, top) -> float:
+    """Mean of ``xs``, whose largest magnitude is ``top``: bit for bit
+    NumPy's ``mean()`` of the column scaled by 2^-e, in one sum."""
+    e = _octave(top)
+    return math.ldexp(float(np.add.reduce(np.ldexp(xs, -e)) / len(xs)), e)
+
+
 def _moment(xs: np.ndarray, top) -> Moment:
     """Mean and standard error of ``xs``, whose largest magnitude is
     ``top``: bit for bit NumPy's ``mean()`` and ``std(ddof=1)`` of the
@@ -424,5 +431,5 @@ def cycle_statistics(records: CycleRecords) -> CycleStatistics:
     k_mean = _moment(k, k.max())
     return CycleStatistics(
         g_mean=_moment(g, g.max()), k_mean=k_mean,
-        w_mean=_moment(w, np.abs(w).max()), busy_mean=_moment(busy, busy.max()),
+        w_mean=_mean(w, np.abs(w).max()), busy_mean=_mean(busy, busy.max()),
         p_hat=Moment(1.0 / k_mean.value, k_mean.stderr / k_mean.value**2))

@@ -1,5 +1,6 @@
 """Seeded slices of adversarial inputs for ``aoi simulate`` (with and
-without ``--trace``) and ``aoi sweep --chart``.
+without ``--trace``), the lattice's ``aoi exact`` and ``aoi kpmf``, and
+``aoi sweep --chart``.
 
 Each simulate case must end in one of three ways: exit 0 with a finite,
 schema-valid result (and, traced, the trace that the reference writer
@@ -262,6 +263,100 @@ def test_simulate_on_extreme_mixtures_ends_cleanly(capsys, discipline,
                    *result["cycle_statistics"].values()]
         assert all(math.isfinite(x) for x in numbers), result
         assert result["ci_half_width"] >= 0
+
+# (op, interarrival, service), drawn once from numpy.random.default_rng(50)
+# for the lattice's kink search: ops alternate between a dropping exact age
+# and a pmf up to k = 5; the gaps are U, SE or D (45%, 45%, 10%), the
+# service U, SE or D alike, at a time scale log-uniform over 1e-300 to
+# 1e300.  A law's first kink (U's lower end, a quarter of the time 0, then
+# its upper end; the SE shift; the D value) is the scale times a
+# log-uniform factor over 0.1 to 10, at 3 digits, an SE rate one over such
+# a value, a U upper end 1.05 to 10 times the lower.  The service's first
+# kink is drawn alike in three cases of ten, lies within two roundings of
+# the gaps' kink in four, and 1e-7 to 1e-250 times it (a 0 where that
+# underflows at 3 digits) in three.
+KINK_CASES = [
+    ('exact', ('SE', 6.08e-29, 4.89e+29), ('D', 4.890000000000002e+29)),
+    ('kpmf', ('U', 8.84e-60, 2.27e-59), ('D', 8.84e-60)),
+    ('exact', ('U', 7.98e+290, 8.65e+290), ('D', 7.979999999999996e+290)),
+    ('kpmf', ('U', 0, 1.07e+123), ('SE', 2.7e-124, 6.35e+123)),
+    ('exact', ('SE', 7.85e+16, 2.61e-16), ('SE', 5990000000000000.0, 2.6099999999999995e-16)),
+    ('kpmf', ('U', 2.23e-194, 6.47e-194), ('D', 0.0)),
+    ('exact', ('U', 2.45e+257, 5.91e+257), ('U', 3.69e+143, 2.98e+144)),
+    ('kpmf', ('U', 3.13e-52, 1.01e-51), ('SE', 2.08e+51, 2.35e-51)),
+    ('exact', ('U', 0, 5.38e+291), ('D', 5.380000000000003e+291)),
+    ('kpmf', ('U', 1.96e-47, 1.46e-46), ('SE', 3.5e+46, 1.960000000000001e-47)),
+    ('exact', ('U', 1.87e-255, 2.43e-255), ('U', 1.8700000000000005e-255, 4.21e-255)),
+    ('kpmf', ('SE', 2.84e+187, 8.06e-189), ('SE', 7.43e+187, 8.25e-188)),
+    ('exact', ('U', 0, 2.29e+79), ('U', 0, 1.16e+78)),
+    ('kpmf', ('U', 6.45e-200, 1.4e-199), ('U', 1.21e-239, 2.68e-239)),
+    ('exact', ('SE', 2.51e-144, 2.56e+143), ('SE', 6.02e-145, 2.5600000000000005e+143)),
+    ('kpmf', ('SE', 2.61e+289, 6.11e-291), ('D', 3.84e-291)),
+    ('exact', ('U', 0, 1.23e+297), ('SE', 1.66e-297, 1.2300000000000002e+297)),
+    ('kpmf', ('U', 5.59e-251, 1.4e-250), ('D', 7.89e-251)),
+    ('exact', ('U', 2.4e-200, 7.17e-200), ('U', 2.4000000000000012e-200, 4.43e-200)),
+    ('kpmf', ('U', 2.98e-213, 1.02e-212), ('U', 1.63e-223, 1.77e-223)),
+    ('exact', ('SE', 7.93e-152, 3.95e+151), ('SE', 2.68e-152, 2.05e+124)),
+    ('kpmf', ('SE', 2.03e-264, 8.36e+262), ('U', 8.359999999999998e+262, 1.32e+263)),
+    ('exact', ('SE', 7.75e-23, 1.24e+23), ('D', 1.21e-45)),
+    ('kpmf', ('SE', 2.36e+176, 7.3e-178), ('D', 7.300000000000003e-178)),
+    ('exact', ('U', 1.44e-163, 1.07e-162), ('D', 1.13e-296)),
+    ('kpmf', ('SE', 4.06e+95, 5.02e-97), ('U', 5.019999999999999e-97, 4.17e-96)),
+    ('exact', ('U', 0, 1.33e+48), ('D', 1.3300000000000004e+48)),
+    ('kpmf', ('D', 2.63e+122), ('D', 7.46e+121)),
+    ('exact', ('U', 1.4e-82, 5.37e-82), ('SE', 4.98e+80, 7.19e-81)),
+    ('kpmf', ('U', 0, 3.65e-62), ('SE', 4.59e+61, 2.49e-185)),
+    ('exact', ('SE', 5.62e-267, 9.95e+264), ('D', 9.949999999999996e+264)),
+    ('kpmf', ('U', 9.93e+81, 6.33e+82), ('SE', 3.58e-82, 9.929999999999995e+81)),
+    ('exact', ('D', 2.94e+217), ('U', 3.52e-21, 2.49e-20)),
+    ('kpmf', ('U', 5.65e-69, 8.67e-69), ('U', 5.649999999999999e-69, 3.18e-68)),
+    ('exact', ('U', 0, 9.11e-206), ('U', 9.110000000000003e-206, 6.66e-205)),
+    ('kpmf', ('SE', 1.12e+262, 2.31e-261), ('U', 2.3099999999999993e-261, 3.01e-261)),
+    ('exact', ('U', 4.77e+16, 7.89e+16), ('D', 4.77e+16)),
+    ('kpmf', ('D', 4.31e-207), ('SE', 6.34e+207, 0.0)),
+    ('exact', ('U', 8.14e+63, 7.51e+64), ('U', 8.140000000000003e+63, 3.56e+64)),
+    ('kpmf', ('U', 8.42e+279, 7.09e+280), ('U', 7.01e+86, 8.57e+86)),
+    ('exact', ('SE', 1.91e+186, 6.21e-188), ('U', 6.209999999999997e-188, 2.59e-187)),
+    ('kpmf', ('SE', 6.09e+280, 3.33e-281), ('D', 0.0)),
+    ('exact', ('SE', 3.59e+211, 1.61e-210), ('SE', 3.46e+210, 6.89e-211)),
+    ('kpmf', ('D', 6.98e-85), ('SE', 3.65e+82, 6.98e-85)),
+    ('exact', ('U', 2.49e+71, 1.33e+72), ('U', 3.94e-142, 3.34e-141)),
+    ('kpmf', ('U', 2.94e-234, 5.98e-234), ('D', 2.939999999999999e-234)),
+    ('exact', ('SE', 5.64e+95, 3.06e-96), ('U', 3.35e-203, 4.1e-203)),
+    ('kpmf', ('SE', 1.43e-45, 2.5e+44), ('D', 2.4999999999999986e+44)),
+    ('exact', ('U', 45500000.0, 324000000.0), ('D', 45500000.0)),
+    ('kpmf', ('U', 2.44e-79, 3.18e-79), ('SE', 5.12e+77, 2.4400000000000007e-79)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op,interarrival,service", KINK_CASES, ids=[
+    f"{op}-{law_name(y)}/{law_name(s)}" for op, y, s in KINK_CASES])
+def test_lattice_kinks_end_cleanly(capsys, op, interarrival, service):
+    laws = ["--interarrival", law_json(interarrival),
+            "--service", law_json(service), "--json"]
+    argv = (["exact", "--discipline", "dropping", *laws] if op == "exact"
+            else ["kpmf", "--k-max", "5", *laws])
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith((f"aoi {op}: ", "usage: "))
+        return
+    payload = json.loads(out)
+    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
+    if code == 1:
+        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
+        return
+    assert code == 0
+    result = payload["result"]
+    numbers = ([result["value"], result["ci_half_width"]] if op == "exact"
+               else [result["tail_mass"], result["tail_mass_ci"],
+                     *(v for p in result["pmf"] for v in p.values())])
+    assert all(math.isfinite(x) for x in numbers), result
+
 
 # (spec name, --title), drawn once from random.Random(48): 1 to 8 tokens
 # each from &, <, >, both quotes, tab, newline, a, b, é, space, "&amp;",

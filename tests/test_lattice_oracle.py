@@ -141,7 +141,8 @@ def bracket_step(pair):
     finest level's step, doubled while the lattice would hold 2^18 points
     or more."""
     top = analytic._truncation_point(pair.service)
-    h = analytic._level_step(pair.interarrival.mean(), pair.service) / 4.0
+    h = analytic._level_step(pair.interarrival.mean(), pair.interarrival,
+                             pair.service) / 4.0
     while top / h >= analytic._MAX_LATTICE - 1:
         h *= 2.0
     return h
@@ -404,16 +405,23 @@ def test_pmf_roundoff_past_the_lattice_is_in_the_half_width():
     assert all(abs(p.value) <= p.half_width for p in pmf.pmf[:40])
 
 
-# Pairs whose levels fail the order check, so that their sums keep the
-# bracketing solve at 1.0-1.8e-3 of the age (ROADMAP item 7): U(0.5, 1)'s
-# lower kink lies on some levels and not on others, and the SE gaps'
-# shift lands on the levels.
-FIRST_ORDER = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
-               (ShiftedExponential(1.0, 0.5), Uniform(0.0, 2.0))]
+# Pairs whose kinks (U(0.5, 1)'s lower end, the SE gaps' shift) lie on
+# every level only since the step puts every kink of both laws there:
+# they took the bracketing solve at 1.0-1.3e-3 of the age while only the
+# service's last kink was aligned, and take the levels at 2.6e-5 and
+# 1.1e-5.
+REALIGNED = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
+             (ShiftedExponential(1.0, 0.5), Uniform(0.0, 2.0))]
+# Pairs whose levels, every kink on them, still fail a check, so that
+# their sums keep the bracketing solve at 1.3-1.9e-4 of the age: E[K] is
+# exact on the lattice, its bracket roundoff alone, and its roundoff
+# half-width passes a quarter of that bracket.
+FIRST_ORDER = [(ShiftedExponential(1.0, 0.5), Deterministic(0.7)),
+               (Uniform(0.5, 1.5), Deterministic(0.7))]
 
 
 @pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7)),
-                                 *FIRST_ORDER],
+                                 *REALIGNED],
                          ids=[*IDS, "R/D", "R/U-kink", "SE/U"])
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     # Every interval holds the midpoint of the bracketing solve on levels
@@ -474,18 +482,22 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s):
 
 @pytest.mark.parametrize("y,s", [p for p in LATTICE_PAIRS
                                  if isinstance(p[0], Exponential)]
-                         + [PAIRS[-1], *FIRST_ORDER],
-                         ids=["E/R", "E/U", "deep-U/R", "R/U-kink", "SE/U"])
+                         + [PAIRS[-1], *REALIGNED, *FIRST_ORDER],
+                         ids=["E/R", "E/U", "deep-U/R", "R/U-kink", "SE/U",
+                              "SE/D-0.7", "U/D-0.7"])
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
     # The full lattice's bracketing record is the bracketing solve at a
     # quarter of the levels' step, bit for bit, as a folded one's is
     # (test_a_folded_record_takes_the_full_lattice_sums).  Where an
     # observed order falls out of range, as on the first-order pairs, the
-    # lattice record takes those sums.
+    # lattice record takes those sums; the realigned pairs take their
+    # levels.
     assert_is_the_bracketing_solve(RecordPair(y, s, "bracketing"))
+    records = Pair(y, s).records(DROPPING)
     if (y, s) in FIRST_ORDER:
-        records = Pair(y, s).records(DROPPING)
         assert records["lattice"].sums() == records["bracketing"].sums()
+    if (y, s) in REALIGNED:
+        assert records["lattice"].sums() != records["bracketing"].sums()
 
 
 def assert_is_the_bracketing_solve(pair):
@@ -671,11 +683,11 @@ def test_a_jump_on_the_levels_holds_the_uniform_series(b, d, c):
 @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
 def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
     # The bracketing solve takes a quarter of the finest level's step,
-    # which puts the service's last kink b on every level, and so each
-    # kink here (U(0.5, 2)'s lower end is b/4) on its lattice too: the pmf
-    # lattice holds each finite end of the support as a point.  The fold
-    # reads no points, only the SE shift's index (``_kink``), so the SE
-    # service's lattice is read unfolded.
+    # which puts every kink of both laws on every level (R gaps have none,
+    # so here the service's: U(0.5, 2)'s two ends), and so on its lattice
+    # too: the pmf lattice holds each finite end of the support as a
+    # point.  The fold reads no points, only whether the SE shift is on one
+    # (``_kink``), so the SE service's lattice is read unfolded.
     y, s = Rayleigh(c), RESCALED[s.kind](s, c)
     unfold(monkeypatch)
     lattices = []
@@ -690,6 +702,100 @@ def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
     assert x[1] == pytest.approx(bracket_step(Pair(y, s)), rel=1e-15)
     for b in filter(math.isfinite, s.support()):
         assert b in x, (b, x[1], b / x[1])
+
+
+def on_lattice(b, h):
+    """Whether the kink b lies within ``_SNAP`` steps of a point jh, j >= 1,
+    one kink and one step at a time."""
+    j = round(b / h)
+    return j >= 1 and abs(h * j - b) <= analytic._SNAP * h
+
+
+def scalar_level_step(y, s):
+    """The finest level's step by its rule, one candidate at a time: the
+    largest b/4j, j from ceil(b/4h) on, h = E[Y]/64 and b the largest kink,
+    at least h/2 that puts every finite positive support end of both laws
+    on the coarsest level; else the same for the service's last kink
+    alone; else h.  Also whether every kink fits."""
+    h = y.mean() / analytic._LEVEL_STEPS
+    ends = [[b for b in law.support() if 0.0 < b < math.inf] for law in (s, y)]
+    for every, kinks in ((True, ends[0] + ends[1]), (False, ends[0][-1:])):
+        if not kinks:
+            continue
+        b = max(kinks)
+        first = max(1, math.ceil(b / (4.0 * h) - analytic._SNAP))
+        for j in range(first, 2 * first + 1):
+            step = b / (4.0 * j)
+            if step < 0.5 * h:
+                break
+            if all(on_lattice(k, 4.0 * step) for k in kinks):
+                return step, every
+    return h, False
+
+
+# SE(0.25, 0.5) gaps put a step of E[Y]/64 = 0.07 past most kinks: there
+# the search on every kink finds none.
+STEP_GAPS = [Uniform(0.5, 1.5), Uniform(0.0, 2.0),
+             ShiftedExponential(1.0, 0.5), ShiftedExponential(2.0, 0.1),
+             ShiftedExponential(0.25, 0.5), Rayleigh(1.0)]
+STEP_SERVICES = [Uniform(0.5, 1.0), Uniform(0.0, 2.0), Deterministic(0.7),
+                 Deterministic(2.0), Deterministic(1.0),
+                 ShiftedExponential(1.0, 0.1), ShiftedExponential(2.0, 0.5),
+                 Rayleigh(1.0)]
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("s", STEP_SERVICES, ids=lambda d: d.describe())
+@pytest.mark.parametrize("y", STEP_GAPS, ids=lambda d: d.describe())
+def test_every_kink_lies_on_every_level(y, s, c):
+    # The finest level's step is the scalar search's, bit for bit.  Where
+    # it puts every kink on the coarsest level, each finite end of either
+    # law's support lies on the same point of every level (and of the
+    # bracketing lattice, a quarter of the step): its index doubles as the
+    # step halves.  The realigned pairs are among them.
+    realigned = (y, s) in REALIGNED
+    y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
+    step = analytic._level_step(y.mean(), y, s)
+    want, every = scalar_level_step(y, s)
+    assert step == want
+    assert every or not realigned
+    if not every:
+        return
+    kinks = [b for law in (y, s) for b in law.support() if 0.0 < b < math.inf]
+    for b in kinks:
+        index = round(b / (4.0 * step))
+        for stride in (4, 2, 1, 0.25):
+            assert analytic._kink(b, stride * step), (b, stride, step)
+            assert round(b / (stride * step)) == index * 4 / stride
+
+
+def test_the_deep_step_search_matches_the_scalar_search():
+    # About 13000 candidates for four kinks, of which 0.0003 and 0.0021
+    # fit only at j = 20000, step 1.25e-5 against E[Y]/64 = 1.875e-5.
+    y, s = Uniform(0.0003, 0.0021), Uniform(0.5, 1.0)
+    assert analytic._level_step(y.mean(), y, s) == scalar_level_step(y, s)[0]
+    assert scalar_level_step(y, s) == (1.0 / 80_000, True)
+
+
+def test_levels_that_agree_to_roundoff_are_taken_as_they_are(monkeypatch):
+    # U(0.5, 1.5) gaps against a U(0.5, 1) service: K <= 2, so E[K] =
+    # 1 + Pr(S > Y) = 5/4 and the crossing sum E[Y Pr(S > Y)] = 1/6, and
+    # the age is 13/24 + (1/6)/(5/4) + 3/4 = 1.425.  Every kink lies on
+    # every level, where E[K]'s and E[K^2]'s levels agree to roundoff: they
+    # take the finest value with the roundoff half-width, and the age holds
+    # the closed form and the levels 8 times finer, its half-width at most
+    # 1e-4 of it.
+    y, s = Uniform(0.5, 1.5), Uniform(0.5, 1.0)
+    record = Pair(y, s).cycles(DROPPING)
+    k_mean = record.sums()[0]
+    assert record.name == "lattice"
+    assert abs(k_mean.value - 1.25) <= k_mean.half_width <= 1e-10  # 1.3e-11
+    est = exact_age(Pair(y, s), DROPPING)
+    assert est.method == "lattice"
+    assert abs(est.value - 1.425) <= est.ci_half_width <= 1e-4 * est.value
+    monkeypatch.setattr(analytic, "_LEVEL_STEPS", 8 * analytic._LEVEL_STEPS)
+    finer = exact_age(Pair(y, s), DROPPING)
+    assert abs(est.value - finer.value) <= est.ci_half_width
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -938,7 +1044,7 @@ def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves():
     # doubles on until it fits, and the age holds the M/G/1/1 closed form.
     y, s = Exponential(1.0), ShiftedExponential(0.0025, 0.04)
     top = analytic._truncation_point(s)
-    fine = analytic._level_step(y.mean(), s)
+    fine = analytic._level_step(y.mean(), y, s)
     assert top / (4.0 * fine) >= analytic._MAX_LATTICE > 16.0 * top
     mg11 = ((2.0 + 2.0 * s.mean() + s.second_moment())
             / (2.0 * (1.0 + s.mean())) + s.mean())

@@ -432,11 +432,13 @@ def moment_cases():
 @pytest.mark.parametrize("name,records", list(moment_cases()))
 def test_cycle_moments_match_numpy_bit_for_bit(name, records):
     stats = cycle_statistics(records)
-    for field, column in (("g_mean", records.g), ("k_mean", records.k),
-                          ("w_mean", records.w), ("busy_mean", records.busy)):
+    for field, column in (("g_mean", records.g), ("k_mean", records.k)):
         got = getattr(stats, field)
         want = reference_moment(column)
         assert [x.hex() for x in got] == [x.hex() for x in want], field
+    for field, column in (("w_mean", records.w), ("busy_mean", records.busy)):
+        got = getattr(stats, field)
+        assert got.hex() == reference_moment(column)[0].hex(), field
     k_value, k_stderr = reference_moment(records.k)
     assert stats.p_hat == (1.0 / k_value, k_stderr / k_value**2)
 
