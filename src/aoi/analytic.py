@@ -93,10 +93,11 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     service's jump, on every level and on the bracketing lattice, the ends
     read 0 and 1 and the midpoint the trapezoid rule's 1/2, so its levels
     err in powers of h^2 too.  Both records take Pr(K > k), with proven
-    half-widths, from one pmf builder on the bracketing lattice
-    (:func:`_prefix_survival`), whose power sums (:func:`_survival`) fold
-    past an SE service's shift (:func:`_folded`); every lattice sum is one
-    inner product of half spectra (:func:`_tilted`).  D gaps
+    half-widths, from one rule on the bracketing lattice
+    (:func:`_prefix_survival`): power sums (:func:`_survival`) on the
+    points the partial sums reach, folded past an SE service's shift where
+    they reach it; every lattice sum is one inner product of half spectra
+    (:func:`_tilted`).  D gaps
     (``d_arrivals``) give the sums in closed form up to the last lattice
     point, the service's stop-loss bounding the rest (:func:`_beyond_top`).
 
@@ -737,24 +738,27 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
     transforms' roundoff: ``noise``, relative, times at most 4 for the
     extrapolation's weights and 2 for a quotient's two sums.  Where d1 and
     d2 both lie within that roundoff term of v(h), the levels agree and p
-    is undefined: v(h) is taken with the roundoff term as its half-width.
-    A quantity whose p is outside [0.8, 2.5], or whose half-width is more
-    than a quarter of its finest bracket's (what the bracketing solve
-    proves at 4 times the points, to first order), fails.
+    is undefined: v(h) is taken, its half-width the smaller of the
+    roundoff term and its finest bracket's.  An extrapolated quantity whose
+    p is outside [0.8, 2.5], or whose half-width is more than a quarter of
+    its finest bracket's (what the bracketing solve proves at 4 times the
+    points, to first order), fails.
     """
     out = []
     for fine, mid, coarse in zip(*levels):
         d1, d2 = fine.value - mid.value, mid.value - coarse.value
         value, half_width = fine.value, _ROUNDOFF * noise * abs(fine.value)
-        if not (abs(d1) <= half_width and abs(d2) <= half_width):
+        if abs(d1) <= half_width and abs(d2) <= half_width:
+            half_width = min(half_width, fine.half_width)
+        else:
             ratio = d2 / d1 if d1 else math.nan
             if not _ORDERS[0] <= ratio <= _ORDERS[1]:
                 return None
             step = d1 / (ratio - 1.0)
             value = fine.value + step
             half_width = _SAFETY * abs(step) + _ROUNDOFF * noise * abs(value)
-        if half_width > 0.25 * fine.half_width:
-            return None
+            if half_width > 0.25 * fine.half_width:
+                return None
         out.append(Interval(value, half_width))
     return tuple(out)
 
@@ -818,78 +822,70 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     """The pmf (:func:`_pmf`) on the n points of step h, from one gap ccdf
     evaluation: on the b/h + 2 points that hold every non-zero cell (all n
     for gaps with no upper end b) and at (n-1)h and nh, for each end's gap
-    mass M.  Then a tail rule gives Pr(K > k)'s ends, each widened by its
-    roundoff bound: :func:`_folded` for a service c > 0 plus one
-    exponential block, else :func:`_powered`."""
+    mass M.  Each end's Pr(K > k) = M^k + sum_l f^{*k}_l (G_l - 1), k <=
+    k_max, G the service ccdf that end reads (:func:`_ends_ccdf`), splits
+    at J, each part widened by its roundoff bound.  The k-th power lives on
+    [0, k(s-1)], s one past the last non-zero cell, so the sums read m =
+    min(n, k_max (s-1) + 1) points, and J = m, unless an SE(r, c > 0)
+    service's first point x_J >= c (x_J = c if c lies on a point,
+    :func:`_kink`) comes before m.
+
+    Below J the sum is the power sums (:func:`_survival`), exactly M^k with
+    roundoff 0 where no partial sum reaches G < 1; once k_max gaps can leave
+    the lattice, f^{*k} against G with no M^k.  Past J, G(x_l) = e^{-r o}
+    q^(l-J), o = x_J - c and q = e^{-r h}, so each gap a partial sum takes
+    past J multiplies it by L = sum_i f_i q^i.  With D_m = sum_(i >= m) f_i
+    q^(i-m), by doubling with every factor q^w <= 1, kappa_l = e^{-r o}
+    D_(J-l) is point l's next G past J, and the sum past J is tau_k -
+    beta_k: tau_k = sum_(l >= J) f^{*k}_l G(x_l) = L tau_(k-1) + sum_l
+    f^{*(k-1)}_l kappa_l, and beta_k, the mass of f^{*k} past J, = M
+    beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass from m on,
+    each weight only on the points below J the powers can read: 2k kernel
+    roundoffs."""
     short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
     tail = interarrival.ccdf(h * np.concatenate((np.arange(short + 1.0),
                                                  (n, n - 1.0))))
     tail, far = tail[:-2], tail[-2:]
-    rule = _folded if (service.phases() or (0.0,))[0] else _powered
-    ends, noise = rule(service, h, n, k_max, _cells(tail), tail, far)
-    return _pmf(ends.min(0) - noise, ends.max(0) + noise)
-
-
-def _powered(service: Distribution, h: float, n: int, k_max: int,
-             gaps: np.ndarray, tail: np.ndarray, far: np.ndarray
-             ) -> tuple[np.ndarray, float]:
-    """Pr(K > k)'s ends, k <= k_max, and the kernel's roundoff bound, from
-    the service ccdf each end reads (:func:`_ends_ccdf`) on the m =
-    min(n, k_max (s-1) + 1) points the powers read: while k_max gaps stay
-    on the n-point lattice, M^k plus f^{*k} against G - 1, exactly M^k and
-    roundoff 0 where no partial sum reaches G < 1; else f^{*k} against G."""
-    reach = k_max * (_support(gaps) - 1)
-    _, c = _ends_ccdf(service, h, min(n, max(1, reach + 1)))
-    stays = float(reach < n)  # 1 or 0
-    powers, noise = _survival(gaps, (c - stays)[..., None, :], k_max)
-    out = powers[:, 0] + stays * (tail[0] - far)[:, None] ** np.arange(
-        k_max + 1.0)
+    gaps, mass = _cells(tail), tail[0] - far  # each end's total gap mass M
+    s = _support(gaps)
+    m = min(n, max(1, k_max * (s - 1) + 1))
+    shift, blocks = service.phases() or (0.0, None)
+    on = round(shift / h) if shift and _kink(shift, h) else 0
+    head = min(m, on or math.ceil(shift / h)) if shift else m  # J
+    stays = float(k_max * (s - 1) < n or head < m)  # 1 or 0
+    out = stays * mass[:, None] ** np.arange(k_max + 1.0)
+    noise = 0.0
+    if head == m:  # below an SE service's J, G - 1 is 0
+        weights = _ends_ccdf(service, h, m)[1] - stays
+        if weights.any():
+            powers, noise = _survival(gaps, weights[..., None, :], k_max)
+            out += powers[:, 0]
+    else:
+        (rate,) = blocks[2]
+        top = min(head, s)
+        d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
+        d[:, :top] = gaps[:, :top]
+        d[:, top] = gaps[:, top:] @ np.exp(
+            -rate * h * np.arange(gaps.shape[1] - top))
+        w = 1
+        while w <= top:  # sums over [m, m + w) become sums over [m, m + 2w)
+            d[:, :top + 1 - w] += d[:, w:top + 1] * math.exp(-rate * h * w)
+            w *= 2
+        read = min(head, max(1, (k_max - 1) * (s - 1) + 1))
+        kappa = math.exp(-rate * ((shift if on else head * h) - shift)) * (
+            d[:, head:head - read:-1])
+        at = tail[np.minimum(np.arange(head, head - read - 1, -1), s)]
+        rest = np.stack((at[:-1] - far[0], at[1:] - far[1]))  # F_(J-l)
+        powers, folded = _survival(gaps[:, :read], np.stack((kappa, rest),
+                                                            axis=1), k_max - 1)
+        factors = np.stack((d[:, 0], mass), axis=1)  # L and M
+        tau_beta = np.zeros((2, 2))
+        for k in range(1, k_max + 1):
+            tau_beta = factors * tau_beta + powers[..., k - 1]
+            out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
+        noise = 2.0 * folded * np.arange(k_max + 1.0)
     out[:, 0] = 1.0
-    return out, noise
-
-
-def _folded(service: Distribution, h: float, n: int, k_max: int,
-            gaps: np.ndarray, tail: np.ndarray, far: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_powered`'s Pr(K > k) for a service c plus an exponential of
-    rate r, c > 0, from the powers on the J = max(1, #{x_l < c}) head
-    points alone (x_J = c if c lies on a point, :func:`_kink`), and its
-    roundoff bound for each k.  Past x_J, G(x_l) = e^{-r o} q^(l-J),
-    o = x_J - c and q = e^{-r h}, so each gap a partial sum takes past the
-    head multiplies it by L = sum_i f_i q^i.  With D_m = sum_(i >= m)
-    f_i q^(i-m), by doubling with every factor q^w <= 1, kappa_l =
-    e^{-r o} D_(J-l) is head point l's next G past the head, and Pr(K > k)
-    = M^k + tau_k - beta_k: tau_k = sum_(l >= J) f^{*k}_l G(x_l) =
-    L tau_(k-1) + sum_l f^{*(k-1)}_l kappa_l, and beta_k, the mass of
-    f^{*k} past the head, = M beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m
-    the gap mass from m on (cells and tail are 0 past the prefix), each
-    weight only on the head points the powers can read: 2k kernel roundoffs."""
-    shift, (_, _, (rate,)) = service.phases()
-    on, cells = round(shift / h) if _kink(shift, h) else 0, gaps.shape[1]
-    head = on or max(1, math.ceil(shift / h))
-    top = min(head, cells)
-    m = min(head, max(1, (k_max - 1) * (cells - 1) + 1))  # points read
-    d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
-    d[:, :top] = gaps[:, :top]
-    d[:, top] = gaps[:, top:] @ np.exp(-rate * h * np.arange(cells - top))
-    w = 1
-    while w <= top:  # sums over [m, m + w) become sums over [m, m + 2w)
-        d[:, :top + 1 - w] += d[:, w:top + 1] * math.exp(-rate * h * w)
-        w *= 2
-    edge = shift if on else head * h  # x_J
-    kappa = math.exp(-rate * (edge - shift)) * d[:, head:head - m:-1]
-    at = tail[np.minimum(np.arange(head, head - m - 1, -1), cells)]
-    rest = np.stack((at[:-1] - far[0], at[1:] - far[1]))  # F_(J-l)
-    powers, noise = _survival(gaps[:, :m], np.stack((kappa, rest), axis=1),
-                              k_max - 1)
-    mass = tail[0] - far  # each end's total gap mass M
-    factors = np.stack((d[:, 0], mass), axis=1)  # L and M
-    out = mass[:, None] ** np.arange(k_max + 1.0)
-    tau_beta = np.zeros((2, 2))
-    for k in range(1, k_max + 1):
-        tau_beta = factors * tau_beta + powers[..., k - 1]
-        out[:, k] += tau_beta[:, 0] - tau_beta[:, 1]
-    return out, 2.0 * noise * np.arange(k_max + 1.0)
+    return _pmf(out.min(0) - noise, out.max(0) + noise)
 
 
 def _beyond_top(service: Distribution, t: float, d: float

@@ -39,7 +39,8 @@ from . import analytic, experiments
 from .analytic import Pair
 from .distributions import Distribution, from_dict
 from .errors import AoiError
-from .sim import Z95, Discipline, SimConfig, cycle_statistics, run_simulation
+from .sim import (Z95, Discipline, SimConfig, cycle_statistics, run_simulation,
+                  seed64)
 
 __all__ = ["main", "build_parser"]
 
@@ -219,10 +220,10 @@ def _resolve_seed(args) -> int:
             seed = int(raw)
         except ValueError:
             raise SystemExit(f"aoi: invalid {SEED_ENV_VAR}={raw!r}: not an integer")
-    if not 0 <= seed < 2**64:
-        raise SystemExit(f"aoi {args.command}: seed must fit in 64 bits, "
-                         f"got {seed}")
-    return seed
+    try:
+        return seed64("seed", seed)
+    except ValueError as exc:  # as _usage_errors, without its generator
+        raise SystemExit(f"aoi {args.command}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -9,7 +9,7 @@ family of laws. Each law is a frozen dataclass exposing
 * its mixed-Poisson law, ``poisson_mix(s, j_max)``:
   pi_j = Pr(Poisson(sX) = j) and the tails T_j = sum_{i>j} pi_i, each a
   sum or product of nonnegative terms (pi_0 is the Laplace transform
-  ``laplace(s)``, T_0 its complement, pi_1/s = E[X exp(-sX)]),
+  E[exp(-sX)], T_0 its complement, pi_1/s = E[X exp(-sX)]),
 * seeded sampling through :class:`numpy.random.Generator`,
 * its ageing class (:class:`MrlVerdict`), read from its parameters,
 * its phase shape, ``phases()``: a shift c and the weights, shapes and
@@ -322,10 +322,6 @@ class Distribution(ABC):
     def _poisson_mix(self, s, j_max: int) -> tuple[np.ndarray, np.ndarray]:
         """pi and T for s > 0, s a long double, in long doubles, from
         j = 0 to j_max or past it."""
-
-    def laplace(self, s: float) -> float:
-        """L(s) = E[exp(-s X)] = pi_0(s) for s >= 0."""
-        return float(self.poisson_mix(s, 0)[0][0])
 
     @abstractmethod
     def support(self) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from .analytic import Pair
 from .distributions import Distribution, MrlVerdict, from_dict
 from .errors import AoiError
 from .sim import (MAX_CYCLES, AgeEstimate, Discipline, SimConfig, integer,
-                  run_simulation)
+                  run_simulation, seed64)
 
 __all__ = [
     "Estimator",
@@ -146,8 +146,7 @@ class SweepSpec:
         if not 2 <= self.sim_cycles <= MAX_CYCLES:
             raise ValueError(f"sim_cycles must be >= 2 and at most "
                              f"{MAX_CYCLES}, got {self.sim_cycles}")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
+        seed64("base_seed", self.base_seed)
         for value in self.grid:  # every point's pair, before any runs
             Pair(self.point_distribution(value), self.service)
 

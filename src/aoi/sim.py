@@ -83,6 +83,16 @@ def integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def seed64(name: str, value) -> int:
+    """``value`` as an integer (:func:`integer`) that fits in 64 bits, in
+    [0, 2^64), the seeds every run and sweep takes; anything else raises
+    ``ValueError`` naming ``name``."""
+    value = integer(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
 class Discipline(str, Enum):
     DROPPING = "dropping"
     PREEMPTION = "preemption"
@@ -109,8 +119,7 @@ class SimConfig:
                              f"{MAX_CYCLES}, got {self.target_cycles}")
         if self.max_events is not None and self.max_events < self.target_cycles:
             raise ValueError("max_events must be >= target_cycles")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        seed64("seed", self.seed)
         check_pair(self.interarrival, self.service)
 
     @property

@@ -215,13 +215,13 @@ def test_erlang_ccdf_keeps_the_mass_left_at_large_shapes():
 # ---------------------------------------------------------------- laplace
 
 def test_laplace_closed_forms():
-    assert Exponential(1.0).laplace(1.0) == pytest.approx(0.5, rel=1e-12)
-    assert Deterministic(2.0).laplace(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert ShiftedExponential(1.0, 0.5).laplace(1.0) == pytest.approx(
-        math.exp(-0.5) * 0.5, rel=1e-12)
-    assert Erlang(3, 2.0).laplace(1.0) == pytest.approx((2.0 / 3.0) ** 3, rel=1e-12)
-    assert H2.laplace(1.0) == pytest.approx(0.5 * (0.5 / 1.5) + 0.5 * (2.0 / 3.0),
-                                            rel=1e-12)
+    # pi_0 of the mixed-Poisson law is the Laplace transform E[exp(-sX)].
+    for law, want in ((Exponential(1.0), 0.5),
+                      (Deterministic(2.0), math.exp(-2.0)),
+                      (ShiftedExponential(1.0, 0.5), math.exp(-0.5) * 0.5),
+                      (Erlang(3, 2.0), (2.0 / 3.0) ** 3),
+                      (H2, 0.5 * (0.5 / 1.5) + 0.5 * (2.0 / 3.0))):
+        assert law.poisson_mix(1.0, 0)[0][0] == pytest.approx(want, rel=1e-12)
 
 
 def mp_laplace(law, s):
@@ -637,21 +637,21 @@ def test_poisson_mix_at_zero_and_its_domain():
         pi, tail = law.poisson_mix(0.0, 3)
         assert pi.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert tail.tolist() == [0.0] * 4
-        assert law.laplace(0.0) == 1.0
-        for run in (lambda: law.poisson_mix(-1.0, 3), lambda: law.laplace(-1.0)):
+        assert law.poisson_mix(0.0, 0)[0][0] == 1.0
+        for j_max in (3, 0):
             with pytest.raises(ValueError):
-                run()
+                law.poisson_mix(-1.0, j_max)
 
 
 def test_uniform_laplace_matches_closed_form_oracle():
     a, b, s = 0.5, 2.0, 1.3
     oracle = (math.exp(-s * a) - math.exp(-s * b)) / (s * (b - a))
-    assert Uniform(a, b).laplace(s) == pytest.approx(oracle, rel=1e-9)
+    assert Uniform(a, b).poisson_mix(s, 0)[0][0] == pytest.approx(oracle, rel=1e-9)
     for s in (1.3, 1e-9 / (b - a)):  # s (b - a) = 1e-9: no cancellation
         oracle, _ = scipy.integrate.quad(
             lambda x: math.exp(-s * x) / (b - a), a, b, epsabs=0.0,
             epsrel=1e-13)
-        assert Uniform(a, b).laplace(s) == pytest.approx(oracle, rel=1e-11)
+        assert Uniform(a, b).poisson_mix(s, 0)[0][0] == pytest.approx(oracle, rel=1e-11)
 
 
 def test_rayleigh_laplace_matches_closed_form_oracle():
@@ -660,7 +660,7 @@ def test_rayleigh_laplace_matches_closed_form_oracle():
     z = sigma * s
     oracle = 1.0 - z * math.sqrt(math.pi / 2.0) * math.exp(z * z / 2.0) \
         * scipy.special.erfc(z / math.sqrt(2.0))
-    assert Rayleigh(sigma).laplace(s) == pytest.approx(oracle, rel=1e-8)
+    assert Rayleigh(sigma).poisson_mix(s, 0)[0][0] == pytest.approx(oracle, rel=1e-8)
     for z in (1e-4, z, 6.0, 8.0, 9.9, 50.0, 1e4):
         # With x = sigma v / (1 + z) the integrand has its mass near v ~ 1
         # at every z = sigma s.
@@ -668,16 +668,16 @@ def test_rayleigh_laplace_matches_closed_form_oracle():
         oracle, _ = scipy.integrate.quad(
             lambda v: v / k**2 * math.exp(-z * v / k - 0.5 * (v / k) ** 2),
             0.0, math.inf, epsabs=0.0, epsrel=1e-13)
-        assert Rayleigh(sigma).laplace(z / sigma) == pytest.approx(
+        assert Rayleigh(sigma).poisson_mix(z / sigma, 0)[0][0] == pytest.approx(
             oracle, rel=1e-11)
 
 
 @given(dists(), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_laplace_is_one_at_zero_and_nonincreasing(dist, s1, s2):
-    assert dist.laplace(0.0) == 1.0
+    assert dist.poisson_mix(0.0, 0)[0][0] == 1.0
     lo, hi = sorted((s1, s2))
     # slack covers the rounding of the closed forms
-    assert dist.laplace(hi) <= dist.laplace(lo) + 1e-15
+    assert dist.poisson_mix(hi, 0)[0][0] <= dist.poisson_mix(lo, 0)[0][0] + 1e-15
 
 
 # ---------------------------------------------------------------- MRL
@@ -822,7 +822,7 @@ def test_exponential_is_the_one_phase_mix_bit_for_bit(rate, shift):
         assert [pi.tobytes(), tail.tobytes()] == [v.tobytes() for v in shifted]
         if not c:
             r, t = np.longdouble(rate), np.longdouble(s)
-            assert law.laplace(s) == pi[0] == float(r / (r + t))
+            assert law.poisson_mix(s, 0)[0][0] == pi[0] == float(r / (r + t))
             assert tail[0] == float(t / (r + t))
     assert law.support() == (c, math.inf)
     assert law.mrl_class() is (MrlVerdict.DMRL if c > 0

@@ -240,26 +240,20 @@ def record_intervals(record):
     return list(record.sums())
 
 
-def unfold(monkeypatch):
-    """Let every lattice record built from now on take the power sums'
-    tail rule on the pmf builder's prefix, whatever its service."""
-    monkeypatch.setattr(analytic, "_folded", analytic._powered)
-
-
 @pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
-def test_a_folded_record_takes_the_full_lattice_sums(y, s, monkeypatch):
+def test_a_folded_record_takes_the_full_lattice_sums(y, s):
     # The fold builds only the pmf: E[K], E[K^2], the crossing sum and the
-    # age's middle term come from the full lattice, bit for bit, on the
-    # levels and on the bracketing solve.  Phase-type gaps take their own
-    # record through ``Pair``; the folded lattice is held on them by its
-    # records.
+    # age's middle term come from the full lattice, bit for bit on the
+    # bracketing solve, and inside its intervals on the levels.  Phase-type
+    # gaps take their own record through ``Pair``; the folded lattice is
+    # held on them by its records.
     records = Pair(y, s).records(DROPPING)
-    for name in ("lattice", "bracketing"):
-        with monkeypatch.context() as patch:
-            unfold(patch)
-            want = record_intervals(Pair(y, s).records(DROPPING)[name])
-        assert record_intervals(records[name]) == want
+    assert_is_the_bracketing_solve(RecordPair(y, s, "bracketing"))
+    for i, (got, was) in enumerate(zip(record_intervals(records["lattice"]),
+                                       record_intervals(records["bracketing"]))):
+        assert abs(got.value - was.value) + got.half_width <= was.half_width, (
+            i, got, was)
     if not unshifted(y):
         record = Pair(y, s).cycles(DROPPING)
         assert (record.name, record.path) == ("lattice", "lattice")
@@ -274,6 +268,8 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # pmf's lattice folds there into closed-form weights: each Pr(K > k)
     # must be what the pmf sums over every lattice point give, to 1e-13,
     # its half-width widened by no more than the fold's roundoff term.
+    # Where K_MAX gaps cannot reach the shift (U(0, 0.2) against a shift
+    # of 3), Pr(K > k) is M^k with no kernel call, and no roundoff term.
     # Phase-type gaps take their own record through ``Pair``; the folded
     # lattice is held on them by direct calls.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
@@ -283,8 +279,9 @@ def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     noises = kernel_noises(monkeypatch)
     probs, tail = Pair(y, s).records(DROPPING)["bracketing"].pmf(K_MAX)
     mid, hw = survival
-    (noise,) = noises
-    roundoff = 2.0 * noise * np.arange(K_MAX + 1.0)  # tau_k's and beta_k's
+    reaches = K_MAX * y.support()[1] >= s.support()[0]
+    assert len(noises) == reaches
+    roundoff = 2.0 * sum(noises) * np.arange(K_MAX + 1.0)  # tau_k's, beta_k's
     assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
     assert tail.value == pytest.approx(mid[-1], rel=0, abs=1e-13)
     for got, full, term in ((probs.half_width, hw[:-1] + hw[1:],
@@ -325,13 +322,11 @@ def test_folded_pmf_half_width_covers_its_roundoff(y, s, c):
     assert abs(pmf.tail_mass.value - 1.0) <= pmf.tail_mass.half_width
 
 
-def test_unfolded_pmf_half_width_covers_its_roundoff(monkeypatch):
-    # As above on the unfolded lattice, whose powers stay on it up to
-    # k = 12: each entry is M^k plus the power against G - 1, which
-    # carries the kernel's roundoff.
-    unfold(monkeypatch)
-    record = Pair(*COVERAGE_PAIRS[0]).records(DROPPING)["bracketing"]
-    probs, tail = record.pmf(12)
+def test_unfolded_pmf_half_width_covers_its_roundoff():
+    # As above on the full lattice read by the power sums, whose powers
+    # stay on it up to k = 12: each entry is M^k plus the power against
+    # G - 1, which carries the kernel's roundoff.
+    probs, tail = power_sums_pmf(Pair(*COVERAGE_PAIRS[0]), 12)
     assert np.all(np.abs(probs.value) <= probs.half_width)
     assert abs(tail.value - 1.0) <= tail.half_width
 
@@ -358,8 +353,8 @@ def test_a_far_shift_folds_without_overflow():
 def test_a_folded_pmf_reads_only_the_gaps_prefix(monkeypatch):
     # U(0, 0.2) gaps against SE(0.5, 3): the gap ccdf is 0 from 0.2 on, so
     # the pmf builder evaluates it on the b/h + 2 points that hold every
-    # non-zero cell, and at (n-1)h and nh for the gap mass; the fold reads
-    # that prefix, not all n + 1 (about 161000) points.
+    # non-zero cell, and at (n-1)h and nh for the gap mass, not on all
+    # n + 1 (about 161000) points.
     y, s = Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)
     most = 0.2 / bracket_step(Pair(y, s)) + 6
     points = []
@@ -387,13 +382,21 @@ def test_an_unshifted_service_takes_the_exponential_record(y):
     assert k_pmf(shifted, K_MAX) == k_pmf(plain, K_MAX)
 
 
-def test_pmf_entries_no_partial_sum_reaches_are_exact():
-    # 40 gaps of at most 0.02 never reach the service time 1: Pr(K > k) = 1
-    # for every k <= 40, so every Pr(K = k) is exactly 0, and each end's
-    # total gap mass is exactly 1.
-    pmf = k_pmf(Pair(Uniform(0.0, 0.02), Deterministic(1.0)), 40)
-    assert [tuple(p) for p in pmf.pmf] == [(0.0, 0.0)] * 40
+@pytest.mark.parametrize("y,s,k_max", [
+    (Uniform(0.0, 0.02), Deterministic(1.0), 40),
+    (Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0), K_MAX)],
+    ids=["U/D", "U/SE"])
+def test_pmf_entries_no_partial_sum_reaches_are_exact(y, s, k_max,
+                                                      monkeypatch):
+    # 40 gaps of at most 0.02 never reach the service time 1, nor 10 of at
+    # most 0.2 the shift 3: Pr(K > k) = 1 for every k <= k_max, so every
+    # Pr(K = k) is exactly 0, and each end's total gap mass is exactly 1,
+    # with no kernel call.
+    noises = kernel_noises(monkeypatch)
+    pmf = k_pmf(Pair(y, s), k_max)
+    assert [tuple(p) for p in pmf.pmf] == [(0.0, 0.0)] * k_max
     assert tuple(pmf.tail_mass) == (1.0, 0.0)
+    assert noises == []
 
 
 def test_pmf_roundoff_past_the_lattice_is_in_the_half_width():
@@ -407,22 +410,75 @@ def test_pmf_roundoff_past_the_lattice_is_in_the_half_width():
 
 # Pairs whose kinks (U(0.5, 1)'s lower end, the SE gaps' shift) lie on
 # every level only since the step puts every kink of both laws there:
-# they took the bracketing solve at 1.0-1.3e-3 of the age while only the
-# service's last kink was aligned, and take the levels at 2.6e-5 and
-# 1.1e-5.
+# the first two took the bracketing solve at 1.0-1.3e-3 of the age while
+# only the service's last kink was aligned, and take the levels at 2.6e-5
+# and 1.1e-5.  On the other five, with D services (``EXACT_LEVELS``), E[K]
+# is exact on the lattice, its levels agree to roundoff and its bracket
+# is roundoff alone: they took the bracketing solve at 1.3-3.6e-4 of the
+# age while such a quantity's roundoff half-width had to pass a quarter
+# of its bracket.
+EXACT_LEVELS = {
+    (ShiftedExponential(1.0, 0.5), Deterministic(0.7)): 1.87489393228,
+    (Uniform(0.5, 1.5), Deterministic(0.7)): 161 / 120,
+    (Uniform(0.5, 1.5), Deterministic(1.0)): 43 / 24,
+    (ShiftedExponential(1.0, 0.5), Deterministic(1.0)): 2.28925008534,
+    (ShiftedExponential(0.25, 0.5), Deterministic(1.0)): 5.10609119568}
 REALIGNED = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
-             (ShiftedExponential(1.0, 0.5), Uniform(0.0, 2.0))]
-# Pairs whose levels, every kink on them, still fail a check, so that
-# their sums keep the bracketing solve at 1.3-1.9e-4 of the age: E[K] is
-# exact on the lattice, its bracket roundoff alone, and its roundoff
-# half-width passes a quarter of that bracket.
-FIRST_ORDER = [(ShiftedExponential(1.0, 0.5), Deterministic(0.7)),
-               (Uniform(0.5, 1.5), Deterministic(0.7))]
+             (ShiftedExponential(1.0, 0.5), Uniform(0.0, 2.0)),
+             *EXACT_LEVELS]
+REALIGNED_IDS = ["R/U-kink", "SE/U", "SE/D-0.7", "U/D-0.7", "U/D-1",
+                 "SE/D-1", "slow-SE/D-1"]
+# Pairs whose levels still fail a check, so that their sums keep the
+# bracketing solve at 7.1e-5 and 1.4e-4 of the age: SE(0.25, 0.5) gaps
+# leave no step in range that puts every kink on every level, and the
+# observed order swings.
+FIRST_ORDER = [(ShiftedExponential(0.25, 0.5), Uniform(0.3, 0.7)),
+               (ShiftedExponential(0.25, 0.5), Deterministic(0.7))]
+
+
+def se_gaps_d_service_age(rate, shift, d):
+    """The dropping age at SE(rate, shift) gaps and a D(d) service, to 30
+    digits: T_k = k shift + Gamma(k, rate), Pr(K > k) = Pr(T_k < d), and
+    the crossing sum is sum_k E[T_k; T_k < d], with E[Gamma(k, rate);
+    Gamma(k, rate) < x] = (k/rate) P(k + 1, rate x), P the regularized
+    lower gamma function."""
+    with mpmath.workdps(30):
+        rate, shift, d = map(mpmath.mpf, (rate, shift, d))
+        k_mean, crossing, k = mpmath.mpf(1), mpmath.mpf(0), 1
+        while k * shift < d:
+            x = d - k * shift
+            k_mean += mpmath.gammainc(k, 0, rate * x, regularized=True)
+            crossing += (k * shift * mpmath.gammainc(k, 0, rate * x,
+                                                     regularized=True)
+                         + k / rate * mpmath.gammainc(k + 1, 0, rate * x,
+                                                      regularized=True))
+            k += 1
+        mean = shift + 1 / rate
+        second = mean**2 + 1 / rate**2
+        return float(second / (2 * mean) + crossing / k_mean + d)
+
+
+@pytest.mark.parametrize("y,s", list(EXACT_LEVELS), ids=REALIGNED_IDS[2:])
+def test_levels_that_agree_to_roundoff_hold_the_exact_age(y, s):
+    # The five pairs whose E[K] levels agree to roundoff take their levels:
+    # each age lies within its half-width of the exact one, given in closed
+    # form for U gaps (K <= 2) and summed over k for SE gaps.
+    want = EXACT_LEVELS[(y, s)]
+    if isinstance(y, ShiftedExponential):
+        exact = se_gaps_d_service_age(y.rate, y.shift, s.value)
+        assert exact == pytest.approx(want, rel=0, abs=1e-11)
+        want = exact
+    pair = Pair(y, s)
+    records = pair.records(DROPPING)
+    assert records["lattice"].sums() != records["bracketing"].sums()
+    est = exact_age(pair, DROPPING)
+    assert est.method == "lattice"
+    assert abs(est.value - want) <= est.ci_half_width <= 1e-5 * est.value
 
 
 @pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7)),
                                  *REALIGNED],
-                         ids=[*IDS, "R/D", "R/U-kink", "SE/U"])
+                         ids=[*IDS, "R/D", *REALIGNED_IDS])
 def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
     # Every interval holds the midpoint of the bracketing solve on levels
     # 4 times finer, 1024 points or more per mean gap: SE/SE's kinks lie
@@ -483,8 +539,8 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s):
 @pytest.mark.parametrize("y,s", [p for p in LATTICE_PAIRS
                                  if isinstance(p[0], Exponential)]
                          + [PAIRS[-1], *REALIGNED, *FIRST_ORDER],
-                         ids=["E/R", "E/U", "deep-U/R", "R/U-kink", "SE/U",
-                              "SE/D-0.7", "U/D-0.7"])
+                         ids=["E/R", "E/U", "deep-U/R", *REALIGNED_IDS,
+                              "slow-SE/U", "slow-SE/D-0.7"])
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
     # The full lattice's bracketing record is the bracketing solve at a
     # quarter of the levels' step, bit for bit, as a folded one's is
@@ -533,10 +589,11 @@ def test_a_deterministic_service_takes_the_levels(monkeypatch):
 def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
     # Pr(S >= x) differs from Pr(S > x) only at an atom, so every other
     # service keeps one weight vector for both ends, on the renewal sums
-    # and on the pmf; for U, whose upper end's left limit is 0, too.  At
-    # U(0, 2) gaps every service end here lies on the pmf's lattice.
+    # and on the pmf's power sums; for U, whose upper end's left limit is
+    # 0, too.  At U(0, 2) gaps every service end here lies on the pmf's
+    # lattice.  The SE service's pmf takes the fold alone, whose weights,
+    # each end's gap cells folded past the shift, are one set per end.
     shapes = renewal_weights(monkeypatch)
-    unfold(monkeypatch)  # the fold weighs each end apart whatever the law
     noises = []
     survival = analytic._survival
     monkeypatch.setattr(analytic, "_survival", lambda *a: (
@@ -546,7 +603,8 @@ def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
     record.pmf(K_MAX)
     ends = (2,) if s.support()[0] == s.support()[1] else ()
     assert shapes and all(shape[:-2] == ends for shape in shapes)
-    assert [shape[:-2] for shape in noises] == [ends]
+    folded = (s.phases() or (0.0,))[0] > 0.0
+    assert [shape[:-2] for shape in noises] == [(2,) if folded else ends]
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
@@ -685,11 +743,10 @@ def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
     # The bracketing solve takes a quarter of the finest level's step,
     # which puts every kink of both laws on every level (R gaps have none,
     # so here the service's: U(0.5, 2)'s two ends), and so on its lattice
-    # too: the pmf lattice holds each finite end of the support as a
-    # point.  The fold reads no points, only whether the SE shift is on one
-    # (``_kink``), so the SE service's lattice is read unfolded.
+    # too: the lattice its sums and its pmf read holds each finite end of
+    # the support as a point.  The fold reads no points, only whether the
+    # SE shift is on one (``_kink``), so the lattice is the sums'.
     y, s = Rayleigh(c), RESCALED[s.kind](s, c)
-    unfold(monkeypatch)
     lattices = []
 
     def recorded(service, h, n, _original=analytic._points):
@@ -697,7 +754,7 @@ def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
         lattices.append(x)
         return x, atom
     monkeypatch.setattr(analytic, "_points", recorded)
-    Pair(y, s).records(DROPPING)["bracketing"].pmf(K_MAX)
+    Pair(y, s).records(DROPPING)["bracketing"].sums()
     (x,) = lattices
     assert x[1] == pytest.approx(bracket_step(Pair(y, s)), rel=1e-15)
     for b in filter(math.isfinite, s.support()):
@@ -1198,6 +1255,24 @@ def test_untilted_powers_match_long_double_convolution(cells, k_max,
             assert np.all(np.abs(powers[end, row, 1:] - want) <= noise)
 
 
+def power_sums_pmf(pair, k_max):
+    """The pmf by the power sums on all n points of ``pair``'s lattice,
+    spanned as the record spans it: Pr(K > k) is each end's gap mass M^k
+    plus the k-th power against G - 1 while k_max gaps stay on the
+    lattice, else the power against G."""
+    cells, x, ccdf = lattice_cells(pair)
+    n = x.size
+    tail = pair.interarrival.ccdf(bracket_step(pair) * np.arange(n + 1))
+    gaps = np.stack(cells)
+    stays = k_max * np.flatnonzero(gaps.any(axis=0))[-1] < n  # k_max (s-1)
+    powers, noise = analytic._survival(
+        gaps, (ccdf - stays)[..., None, :], k_max)
+    mass = tail[0] - tail[[n, n - 1]]
+    ends = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
+    ends[:, 0] = 1.0
+    return analytic._pmf(ends.min(0) - noise, ends.max(0) + noise)
+
+
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("k_max", [1, 10, 40])
 @pytest.mark.parametrize("y,s", [
@@ -1212,26 +1287,13 @@ def test_untilted_powers_match_long_double_convolution(cells, k_max,
 ], ids=["deep-U/R", "deep-U/D", "U/R", "U/U", "R/U", "SE/D", "deep-R/D",
         "U/D-on-lattice"])
 def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
-    # An unfolded lattice builds only the prefix that the powers read (all
+    # The power sums build only the lattice prefix that they read (all
     # of it where they can wrap, and every cell of gaps with no upper end):
-    # the pmf must be the one all n points give, spanned the same way, its
-    # half-widths no wider.  U/D's jump lies on the lattice, where the up
-    # end reads Pr(S >= 1) = 1.  On all n points, Pr(K > k) is each end's
-    # gap mass M^k plus the k-th power against G - 1 while k_max gaps stay
-    # on the lattice, else the power against G.
+    # the pmf must be the one all n points give (:func:`power_sums_pmf`),
+    # spanned the same way, its half-widths no wider.  U/D's jump lies on
+    # the lattice, where the up end reads Pr(S >= 1) = 1.
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
-    cells, x, ccdf = lattice_cells(Pair(y, s))
-    n = x.size
-    tail = y.ccdf(bracket_step(Pair(y, s)) * np.arange(n + 1))
-    gaps = np.stack(cells)
-    stays = k_max * np.flatnonzero(gaps.any(axis=0))[-1] < n  # k_max (s-1)
-    powers, noise = analytic._survival(
-        gaps, (ccdf - stays)[..., None, :], k_max)
-    mass = tail[0] - tail[[n, n - 1]]
-    ends = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
-    ends[:, 0] = 1.0
-    (probs, hws), tail = analytic._pmf(ends.min(0) - noise,
-                                       ends.max(0) + noise)
+    (probs, hws), tail = power_sums_pmf(Pair(y, s), k_max)
     got = k_pmf(Pair(y, s), k_max)
     assert ([p.value for p in got.pmf]
             == pytest.approx(probs, rel=0, abs=1e-13))
