@@ -67,10 +67,14 @@ _T975 = (
 _BATCHES = 30
 _BLOCK = 1 << 14  # draws per walk round or preemption block: bounds memory
 _MARGIN = 32  # pairs a preemption block draws past its expected need
-# Trace rows formatted per write: bounds memory, and keeps a chunk's list
-# of 4 cells per row (64 KiB of pointers) under glibc's 128 KiB mmap
-# threshold, so writing a trace leaves the heap as it found it.
-_TRACE_ROWS = 1 << 11
+# Trace rows formatted per write: bounds memory, and keeps every buffer of
+# a chunk under glibc's 128 KiB mmap threshold, so writing a trace leaves
+# the heap as it found it.  A row is at most 66 bytes (two 24-byte reprs,
+# a 17-byte ",arrival_preempt," and the newline): 1280 * 66 = 84480.
+# orjson's text is at most 24 bytes a cell with its comma (23 in range,
+# "null" out of it): 2 * 1280 * 24 + 1 = 61441, under the 64 KiB past
+# which orjson's buffer grows to 256 KiB.
+_TRACE_ROWS = 1280
 MAX_CYCLES = 1 << 24  # cycles per run: ~100 bytes each untraced, 1.7 GB
 
 
@@ -355,33 +359,47 @@ def _write_trace(fh, services: np.ndarray, times: np.ndarray,
     row_time[delivery] = times[served] + services
     newest[delivery] = times[served]
     age = row_time - np.maximum.accumulate(newest, out=newest)
-    names = np.array([b",arrival_success,", f",{busy_event},".encode(),
-                      b",departure,"], dtype=object)
+    names = (b",arrival_success,", f",{busy_event},".encode(), b",departure,")
     fh.write(b"time,event,age_after_event\n")
     for lo in range(0, code.size, _TRACE_ROWS):
         rows = slice(lo, lo + _TRACE_ROWS)
-        events = names[code[rows]].tolist()
-        cells = [b"\n"] * (4 * len(events))
-        cells[0::4] = _float_cells(row_time[rows])
-        cells[1::4] = events
-        cells[2::4] = _float_cells(age[rows])
-        fh.write(b"".join(cells))
+        fh.write(_trace_rows(row_time[rows], code[rows], age[rows], names))
 
 
-def _float_cells(column: np.ndarray) -> list[bytes]:
-    """``repr`` of each float of ``column``, as bytes.  orjson's shortest
-    round-trip writer gives ``repr``'s text on 0 and on [1e-4, 1e16) (in
-    magnitude); the other cells, inf and nan (written as null) among them,
-    take ``repr`` itself.  Only a trace imports orjson."""
+def _trace_rows(times: np.ndarray, code: np.ndarray, ages: np.ndarray,
+                names: tuple[bytes, bytes, bytes]) -> bytearray:
+    """The rows ``time,event,age`` of one chunk, each float as its
+    ``repr`` and event ``code[i]`` as ``names[code[i]]`` (with its commas).
+
+    One orjson call formats both float columns, interleaved.  orjson's
+    shortest round-trip writer gives ``repr``'s text on 0 and on [1e-4,
+    1e16) in magnitude; every other cell (inf and nan too) goes in as nan,
+    which orjson writes ``null``, and that ``null`` becomes a ``%-1a``
+    (``repr``, padded to width 1: never padded), filled in by one ``%``.
+    The comma after a time becomes byte ``1 + code`` (orjson's text has no
+    bytes 1-3), then its name; the comma after an age, a newline.  Only a
+    trace imports orjson."""
     import orjson
 
-    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].split(b",")
-    size = np.abs(column)
-    other = ~((size >= 1e-4) & (size < 1e16) | (size == 0))
-    for i in np.flatnonzero(other).tolist():
-        cells[i] = repr(float(column[i])).encode()
-    return cells
+    cells = np.empty(2 * times.size)
+    cells[0::2], cells[1::2] = times, ages
+    size = np.abs(cells)
+    other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (size == 0)))
+    fixed = tuple(cells[other].tolist())
+    cells[other] = np.nan
+    raw = bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY))
+    text = np.frombuffer(raw, dtype=np.uint8)
+    commas = np.flatnonzero(text == ord(","))
+    text[commas[0::2]] = code + 1
+    text[commas[1::2]] = ord("\n")
+    text[-1] = ord("\n")                   # the closing bracket
+    starts = np.append(0, commas)[other] + 1
+    for i, byte in enumerate(b"%-1a"):
+        text[starts + i] = byte
+    out = raw[1:] % fixed
+    for marker, name in enumerate(names, 1):
+        out = out.replace(bytes((marker,)), name)
+    return out
 
 
 def _batch_ci(areas: Sequence[float], lengths: Sequence[float],

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-from aoi import sim
+from aoi import cli, sim
 from aoi.distributions import (Deterministic, Erlang, Exponential,
                                Hyperexponential, Rayleigh, ShiftedExponential,
                                Uniform)
@@ -227,10 +228,11 @@ def test_trace_event_vocabulary(tmp_path):
     assert events == {"arrival_success", "arrival_dropped", "departure"}
 
 
-def test_float_cells_equal_repr():
+def test_trace_rows_equal_repr():
     # A seeded sample of every binade, subnormals to 1e300, both signs, and
-    # the edges of the range where orjson's text is repr's; a release of
-    # orjson that changes its format fails here.
+    # the edges of the range where orjson's text is repr's, as both float
+    # columns of one chunk; a release of orjson that changes its format
+    # fails here.
     rng = np.random.default_rng(45)
     binades = np.ldexp(1.0 + rng.random((2072, 8)),
                        np.arange(-1074, 998)[:, None]).ravel()
@@ -240,8 +242,91 @@ def test_float_cells_equal_repr():
         10.0 ** np.arange(-5, 18), edges, np.nextafter(edges, 0.0),
         np.nextafter(edges, np.inf),
         [0.0, -0.0, np.inf, -np.inf, np.nan]))
-    assert sim._float_cells(column) == [repr(float(v)).encode()
-                                        for v in column]
+    ages = column[::-1]
+    code = (np.arange(column.size) % 3).astype(np.int8)
+    names = ("arrival_success", "arrival_preempt", "departure")
+    rows = sim._trace_rows(column, code, ages,
+                           tuple(f",{name},".encode() for name in names))
+    assert rows == "".join([f"{t!r},{names[e]},{a!r}\n" for t, e, a in zip(
+        column.tolist(), code.tolist(), ages.tolist())]).encode()
+
+
+def test_trace_chunk_buffers_stay_under_the_mmap_threshold(monkeypatch):
+    # A chunk of orjson's longest cells and one of repr's longest, both at
+    # the longest event name: orjson's buffer and the rows stay under
+    # glibc's 128 KiB mmap threshold.
+    import orjson
+
+    dumps, peaks = orjson.dumps, []
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return dumps(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(orjson, "dumps", measured)
+    n = sim._TRACE_ROWS
+    code = np.ones(n, dtype=np.int8)
+    names = (b",arrival_success,", b",arrival_preempt,", b",departure,")
+    for cell in (-0.00012345678901234567, -2.2250738585072014e-308):
+        column = np.full(n, cell)
+        rows = sim._trace_rows(column, code, column, names)
+    assert len(rows) == 66 * n
+    assert max(peaks) < 128 * 1024
+
+
+def _one_arrival_cycles(times, services):
+    """The trace's arrays for cycles of one arrival each: rows alternate
+    arrival ``times[i]`` (age ``times[i] - times[i - 1]``) and its delivery
+    (time ``times[i] + services[i]``, age ``services[i]``)."""
+    n = times.size
+    return services, times, np.arange(n), np.arange(1, n + 1), "arrival_dropped"
+
+
+def _out_of_range(cell: bytes) -> bool:
+    x = abs(float(cell))
+    return not (x == 0 or 1e-4 <= x < 1e16)
+
+
+# Cycles of one arrival fill a chunk of the trace with HALF cycles.
+HALF = sim._TRACE_ROWS // 2
+SPLICE_EDGES = {
+    # the last cell of both chunks, a delivery's age
+    "last cell": (1.0 + np.arange(2 * HALF),
+                  np.tile(np.append(np.full(HALF - 1, 0.5), 1e-5), 2),
+                  [(2 * HALF - 1, 1), (4 * HALF - 1, 1)]),
+    # the first cell of both chunks, an arrival's time
+    "first cell": (np.concatenate(([5e-5], 1.0 + np.arange(1, HALF),
+                                   1e16 + 4.0 * np.arange(HALF))),
+                   np.full(2 * HALF, 0.5), [(0, 0), (2 * HALF, 0)]),
+    # every cell of the second chunk
+    "every cell": (np.concatenate((1.0 + np.arange(HALF),
+                                   1e20 * 1.5 ** np.arange(HALF))),
+                   np.concatenate((np.full(HALF, 0.5),
+                                   2.5e19 * 1.5 ** np.arange(HALF))),
+                   [(row, col) for row in range(2 * HALF, 4 * HALF)
+                    for col in (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLICE_EDGES))
+def test_trace_splices_at_chunk_edges(tmp_path, case):
+    # Cells that take repr at a chunk's first and last cell and filling a
+    # whole chunk, over a row count that fills its chunks exactly.
+    times, services, out = SPLICE_EDGES[case]
+    arrays = _one_arrival_cycles(times, services)
+    with open(tmp_path / "t.csv", "wb") as fh:
+        sim._write_trace(fh, *arrays)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        write_trace(fh, *arrays)
+    written = (tmp_path / "t.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    rows = [row.split(b",")[::2] for row in written.splitlines()[1:]]
+    assert len(rows) == 2 * sim._TRACE_ROWS
+    assert all(_out_of_range(rows[row][col]) for row, col in out)
 
 
 TRACE_PAIRS = {
@@ -278,6 +363,32 @@ def test_trace_bytes_match_the_reference_writer(tmp_path, monkeypatch,
     written = (tmp_path / "t.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
     assert written.count(b"\n") - 1 > sim._TRACE_ROWS  # a chunk boundary
+
+
+@pytest.mark.parametrize("discipline,interarrival", [
+    ("dropping", {"kind": "exponential", "rate": 1}),
+    ("preemption", {"kind": "uniform", "lower": 0, "upper": 2})])
+def test_benchmark_traces_match_the_reference_writer(tmp_path, monkeypatch,
+                                                     discipline, interarrival):
+    # The benchmark's two traced ops at their size, through the CLI.
+    write = sim._write_trace
+    arrays = []
+
+    def spy(fh, *args):
+        arrays.append(args)
+        write(fh, *args)
+
+    monkeypatch.setattr(sim, "_write_trace", spy)
+    trace = tmp_path / "t.csv"
+    assert cli.main([
+        "simulate", "--discipline", discipline,
+        "--interarrival", json.dumps(interarrival),
+        "--service", json.dumps({"kind": "exponential", "rate": 1}),
+        "--cycles", "10000", "--seed", "7", "--trace", str(trace),
+        "--json"]) == 0
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        write_trace(fh, *arrays[0])
+    assert trace.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_wald_identity_on_fixed_runs():
