@@ -505,12 +505,9 @@ def _phase_cycles(interarrival: Distribution, service: Distribution,
     w, shapes, rates = _unshifted(interarrival)
     r, m1, m2 = max(rates), service.mean(), service.second_moment()
     mu = fact = 0.0  # E[M], E[M(M-1)]: block i's M, n_i successes at r_i/r
-    try:
-        for v, n, ri in zip(w, shapes, rates):
-            mu += v * n * r / ri
-            fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) ** 2
-    except OverflowError:  # rates too far apart: (r/ri)^2 leaves the floats
-        return None
+    for v, n, ri in zip(w, shapes, rates):  # inf for rates too far apart
+        mu += v * n * r / ri
+        fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) * (r / ri)
     a = 1.0 / mu  # the mean parts: u_j ~ a, (2u*u - u)_j ~ alpha j + beta
     alpha, beta = 2.0 * a * a, 2.0 * a * a + 2.0 * fact * a**3 - a
     closed = (a * (1.0 + r * m1), beta + (alpha + beta) * r * m1
@@ -528,10 +525,12 @@ def _phase_cycles(interarrival: Distribution, service: Distribution,
                 raise TruncationNotReached(f"E[K^2] overflows: E[S^2] = {m2!r}")
             return _closed(*(Interval(v, 0.0) for v in closed))
         return Cycles(name, exact, pmf)
+    if not math.isfinite(closed[1]):
+        return None
     jumps, cut = r * _truncation_point(service), -math.log(_SERVICE_TAIL)
     # J by Chernoff, J^2 within 64 point budgets: about one lattice solve
     top = int(min(jumps + math.sqrt(2.0 * cut * jumps) + cut, _MAX_LATTICE)) + 1
-    if not (top * top < 64 * _MAX_LATTICE and math.isfinite(closed[1])):
+    if not top * top < 64 * _MAX_LATTICE:
         return None
     f = np.zeros(top + 1)
     for v, n, ri in zip(w, shapes, rates):  # C(j-1, n-1) q^n (1-q)^(j-n)

@@ -250,7 +250,7 @@ def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
     # the uncrossed cycles, their services and their partial sums
     active, left, partial = np.arange(n1), services, np.zeros(n1)
     drawn = settled = 0     # gaps drawn per active cycle, arrivals of the rest
-    kept = []               # (cycle, gap) pairs for the trace
+    kept = []               # each round's (active, gaps, drawn) for the trace
     while active.size:
         m = active.size
         # as many gaps as drawn so far plus one: a cycle of K gaps draws
@@ -269,20 +269,23 @@ def _dropping_cycles(config: SimConfig, rng: np.random.Generator, keep: bool):
         k[done] = drawn + at + 1
         settled += (drawn + 1) * hit.size + int(at.sum())
         if keep:
-            used = np.arange(b)[:, None] <= below
-            kept.append((np.broadcast_to(active, (b, m))[used], gaps[used]))
+            kept.append((active, gaps, drawn))
         active, left, partial = active[miss], left[miss], sums[-1, miss]
         drawn += b
         _check_budget(settled + active.size * (drawn + 1) + n1, config)
     arrivals = None
     if keep:
-        # In cycle order the gaps are the arrival stream; the crossing gap
-        # of cycle n + 1 comes after the last delivery.
-        cycle, gap = (np.concatenate(c) for c in zip(*kept))
-        stream = gap[np.argsort(cycle, kind="stable")][:-1]
+        # In cycle order the gaps are the arrival stream: draw j of cycle i
+        # is entry ends[i] - k[i] + j, used while j < k[i].  The crossing
+        # gap of cycle n + 1 comes after the last delivery.
         ends = np.cumsum(k)                 # delivery i precedes arrival ends[i]
-        arrivals = (np.cumsum(np.concatenate((first, stream))), ends - k, ends,
-                    "arrival_dropped")
+        starts, stream = ends - k, np.empty(ends[-1])
+        for cycles, gaps, drawn in kept:
+            j = np.arange(drawn, drawn + len(gaps))[:, None]
+            used = j < k[cycles]
+            stream[(starts[cycles] + j)[used]] = gaps[used]
+        arrivals = (np.cumsum(np.concatenate((first, stream[:-1]))), starts,
+                    ends, "arrival_dropped")
     return services, g[:-1], k[:-1], arrivals
 
 

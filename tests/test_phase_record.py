@@ -223,3 +223,16 @@ def test_each_phase_op_builds_only_the_transform_it_reads(y, monkeypatch):
     corollary_one(pair, DROPPING)
     mg11_ordering_bound(pair)
     assert len(calls) == (0 if one else 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rates", [(2.1e-113, 1.5e177), (1e-150, 1e160)],
+                         ids=["square overflows", "ratio overflows"])
+def test_rates_too_far_apart_decline_the_record(rates):
+    # The record squares the ratio of the rates; where the square, or the
+    # ratio itself, leaves the floats, it declines, with no warning.
+    y = Hyperexponential((0.5, 0.5), rates)
+    for s in (Deterministic(8e-56), Rayleigh(1.0)):
+        records = Pair(y, s).records(DROPPING)
+        assert "uniformized" not in records
+        assert "lattice" in records

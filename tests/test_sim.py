@@ -337,12 +337,19 @@ TRACE_PAIRS = {
     # completion-first rule orders the rows
     "D(1)/D(1)": (Deterministic(1.0), Deterministic(1.0)),
     "D(0.5)/U(0,2)": (Deterministic(0.5), Uniform(0.0, 2.0)),
+    # the benchmark's deep pair: about 26 arrivals a dropping cycle, so
+    # the walk keeps many rounds of gaps past the first (dropping only:
+    # under preemption its 1500 cycles take about 900000 arrivals)
+    "U(0,0.2)/R(2)": (Uniform(0.0, 0.2), Rayleigh(2.0)),
 }
+TRACE_RUNS = [(d, pair) for d in ("dropping", "preemption")
+              for pair in sorted(TRACE_PAIRS)
+              if d == "dropping" or pair != "U(0,0.2)/R(2)"]
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-@pytest.mark.parametrize("pair", sorted(TRACE_PAIRS))
-@pytest.mark.parametrize("discipline", ["dropping", "preemption"])
+@pytest.mark.parametrize("discipline,pair", TRACE_RUNS,
+                         ids=[f"{d}-{pair}" for d, pair in TRACE_RUNS])
 def test_trace_bytes_match_the_reference_writer(tmp_path, monkeypatch,
                                                 discipline, pair, c):
     # The benchmark's oracle reads only the trace's header, so the rows
