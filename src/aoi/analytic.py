@@ -34,10 +34,10 @@ Phase-type gaps (``one_phase``, ``uniformized``)
     ``poisson_mix`` at r, and jump j comes at an Erlang(j, r) time: E[K] =
     sum u_j P_j, E[K^2] = sum (2u*u - u)_j P_j, the crossing sum is
     sum u_j (j/r) T_j and Pr(K > k) = sum f^{*k}_j P_j.  Each moment sum is
-    its mean part (u_j tends to 1/E[M]), closed form in E[S] and E[S^2],
-    plus the renewal kernel's sums up to J <= 4096 (Chernoff's bound past
-    r times the service's top) less the mean part's; u_j <= 1 and
-    (u*u)_j <= j+1 bound the rest.  One exponential phase of rate lam has
+    the renewal kernel's sum up to J <= 4096 (Chernoff's bound past r times
+    the service's top); u_j <= 1 and (u*u)_j <= j+1 bound the rest by the
+    P-sums past J, closed forms in E[S] and E[S^2] less the sums up to J,
+    finite or the record declines.  One exponential phase of rate lam has
     f = delta_1 and u = 1, so no kernel: the M/G/1/1 record (Inoue et al.,
     IEEE Trans. Inf. Theory, 2019), E[K] = 1 + lam E[S], E[K^2] = 1 +
     3 lam E[S] + lam^2 E[S^2], the crossing sum lam E[S^2]/2 and
@@ -81,8 +81,9 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     where the levels agree to roundoff (:func:`_extrapolated`), its
     half-width an estimate, not a proof.  Where a check of it fails, it
     takes the sums of ``bracketing``, the bracketing solve at step h/4,
-    the kinks on it too.  A cycle too deep for the levels' point budget has no
-    ``lattice``; the bracketing step doubles until it holds at most 2^18
+    the kinks on it too.  A cycle too deep for the levels' point budget, or a
+    service whose top falls short of the coarsest level's first step 4h, has
+    no ``lattice``; the bracketing step doubles until it holds at most 2^18
     points, and a cycle that would pass them even at E[Y]/16 is not
     reached.  In the bracketing solve rounding down shrinks every partial
     sum, so the down end reads Pr(S > x), and rounding up strictly grows
@@ -97,8 +98,8 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     (:func:`_prefix_survival`): power sums (:func:`_survival`) on the
     points the partial sums reach, folded past an SE service's shift where
     they reach it; every lattice sum is one inner product of half spectra
-    (:func:`_tilted`).  D gaps
-    (``d_arrivals``) give the sums in closed form up to the last lattice
+    (:func:`_tilted`).  Gaps of one
+    atom (``d_arrivals``) give the sums in closed form up to the last lattice
     point, the service's stop-loss bounding the rest (:func:`_beyond_top`).
 
 Nothing here samples.
@@ -368,7 +369,7 @@ class Pair:
         y, s = self.interarrival, self.service
         fits = _is_one_phase(y) and (math.isfinite(s.second_moment())
                                      or not self._blocks_hold)
-        return _phase_cycles(y, s, "one_phase") if fits else None
+        return _phase_cycles(y, s) if fits else None
 
     def _service_blocks(self) -> Cycles | None:
         """Unshifted service blocks, raising where E[K^2] would overflow."""
@@ -384,14 +385,15 @@ class Pair:
         """Unshifted gaps of more than one phase, within the jump budget."""
         y = self.interarrival
         fits = _unshifted(y) is not None and not _is_one_phase(y)
-        return _phase_cycles(y, self.service, "uniformized") if fits else None
+        return _phase_cycles(y, self.service) if fits else None
 
     @cached_property
     def _lattice(self) -> tuple[Cycles | None, ...]:
-        """D arrivals' finite sums, else :func:`_lattice_cycles`' records."""
+        """One atom's finite sums, else :func:`_lattice_cycles`' records."""
         y, s = self.interarrival, self.service
-        if isinstance(y, Deterministic):
-            return _deterministic_cycles(y.value, s), None, None
+        d, end = y.support()
+        if d == end:
+            return _deterministic_cycles(d, s), None, None
         return None, *_lattice_cycles(y, s)
 
     def _geometric_cycles(self) -> Cycles:
@@ -499,38 +501,31 @@ def _block_pmf(pi: np.ndarray, tail: np.ndarray, n: int, k_max: int
     return out, float(power.sum())
 
 
-def _phase_cycles(interarrival: Distribution, service: Distribution,
-                  name: str) -> Cycles | None:
-    """The phase-type gaps' record ``name`` (module docstring), else None."""
+def _phase_cycles(interarrival: Distribution, service: Distribution
+                  ) -> Cycles | None:
+    """The phase-type gaps' record (module docstring): ``one_phase`` for
+    one phase, else ``uniformized``, or None where the service's P-sums
+    overflow or J passes its budget."""
     w, shapes, rates = _unshifted(interarrival)
     r, m1, m2 = max(rates), service.mean(), service.second_moment()
-    mu = fact = 0.0  # E[M], E[M(M-1)]: block i's M, n_i successes at r_i/r
-    for v, n, ri in zip(w, shapes, rates):  # inf for rates too far apart
-        mu += v * n * r / ri
-        fact += v * n * (n + 1 - 2.0 * ri / r) * (r / ri) * (r / ri)
-    a = 1.0 / mu  # the mean parts: u_j ~ a, (2u*u - u)_j ~ alpha j + beta
-    alpha, beta = 2.0 * a * a, 2.0 * a * a + 2.0 * fact * a**3 - a
-    closed = (a * (1.0 + r * m1), beta + (alpha + beta) * r * m1
-              + 0.5 * alpha * r * r * m2, 0.5 * a * r * m2)
+    if _is_one_phase(interarrival):  # f = delta_1, so u = 1, f^{*k} = delta_k
+        closed = (1.0 + r * m1, 1.0 + 3.0 * r * m1 + r * r * m2, 0.5 * r * m2)
 
-    def pmf(k_max: int) -> tuple[Interval, Interval]:
-        if not fact:  # f^{*k} = delta_k; past one phase, f, p, t are below
-            pi, tail = service.poisson_mix(r, k_max - 1)
-            return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
-        powers, noise = _survival(f[None], p[None], k_max)  # + T_J past J
-        return _pmf(powers[0, 0] - noise, powers[0, 0] + t[-1] + noise)
-    if not fact:  # one phase: f = delta_1, so u = 1 and f^{*k} = delta_k
         def exact() -> tuple[Interval, Interval, Interval, Interval]:
             if not math.isfinite(closed[1]):
                 raise TruncationNotReached(f"E[K^2] overflows: E[S^2] = {m2!r}")
             return _closed(*(Interval(v, 0.0) for v in closed))
-        return Cycles(name, exact, pmf)
-    if not math.isfinite(closed[1]):
-        return None
+
+        def poisson(k_max: int) -> tuple[Interval, Interval]:
+            pi, tail = service.poisson_mix(r, k_max - 1)
+            return Interval(pi, np.zeros(k_max)), Interval(float(tail[-1]), 0.0)
+        return Cycles("one_phase", exact, poisson)
     jumps, cut = r * _truncation_point(service), -math.log(_SERVICE_TAIL)
     # J by Chernoff, J^2 within 64 point budgets: about one lattice solve
     top = int(min(jumps + math.sqrt(2.0 * cut * jumps) + cut, _MAX_LATTICE)) + 1
-    if not top * top < 64 * _MAX_LATTICE:
+    whole = np.array([1.0 + r * m1, 0.5 * r * r * m2 + 2.0 * r * m1 + 1.0,
+                      0.5 * r * r * m2])
+    if not (top * top < 64 * _MAX_LATTICE and np.isfinite(whole).all()):
         return None
     f = np.zeros(top + 1)
     for v, n, ri in zip(w, shapes, rates):  # C(j-1, n-1) q^n (1-q)^(j-n)
@@ -546,15 +541,15 @@ def _phase_cycles(interarrival: Distribution, service: Distribution,
             f[None], np.stack((p, j * t / r)))
         kernel = np.concatenate((once, twice, cross))
         # P_j, (j+1) P_j, j T_j past J bound E[K], E[K^2]/2, r crossing's
-        whole = np.array([1.0 + r * m1, 0.5 * r * r * m2 + 2.0 * r * m1 + 1.0,
-                          0.5 * r * r * m2])
-        part = np.array([p.sum(), (j + 1.0) @ p, j @ t])
-        mean = np.array([[a, 0, 0], [beta - alpha, alpha, 0], [0, 0, a / r]])
-        past = np.abs(whole - part) + noise * whole
-        hw = noise * kernel + (abs(mean) + np.diag((1.0, 2.0, 1.0 / r))) @ past
-        return _closed(*(Interval(float(v), float(e)) for v, e in zip(
-            closed + kernel - mean @ part, hw)))
-    return Cycles(name, solved, pmf)
+        past = np.abs(whole - (p.sum(), (j + 1.0) @ p, j @ t)) + noise * whole
+        hw = noise * kernel + (1.0, 2.0, 1.0 / r) * past
+        return _closed(*(Interval(float(v), float(e))
+                         for v, e in zip(kernel, hw)))
+
+    def pmf(k_max: int) -> tuple[Interval, Interval]:
+        powers, noise = _survival(f[None], p[None], k_max)  # + T_J past J
+        return _pmf(powers[0, 0] - noise, powers[0, 0] + t[-1] + noise)
+    return Cycles("uniformized", solved, pmf)
 
 
 def _pmf(lo: np.ndarray, hi: np.ndarray) -> tuple[Interval, Interval]:
@@ -672,9 +667,9 @@ def _level_step(mean_gap: float, interarrival: Distribution,
 def _lattice_cycles(interarrival: Distribution, service: Distribution
                     ) -> tuple[Cycles | None, Cycles]:
     """The ``lattice`` and ``bracketing`` records (module docstring) on one
-    step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None for a
-    cycle too deep for the levels, and one too deep even at E[Y]/16 raises
-    :class:`TruncationNotReached`."""
+    step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None where the
+    levels cannot hold the cycle or resolve the service, and a cycle too
+    deep even at E[Y]/16 raises :class:`TruncationNotReached`."""
     # The budget at E[Y]/16 first: past it, b/4h in _level_step could
     # leave the float range.
     top, mean = _truncation_point(service), interarrival.mean()
@@ -701,7 +696,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
 
     pmf = partial(_prefix_survival, interarrival, service, h, n)
     return (Cycles("lattice", solved, pmf)
-            if 4.0 * coarse < _MAX_LATTICE - 5 else None,
+            if 1.0 <= coarse and 4.0 * coarse < _MAX_LATTICE - 5 else None,
             Cycles("bracketing", bracketed, pmf))
 
 

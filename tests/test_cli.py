@@ -189,9 +189,9 @@ def test_bound_zero_success_exit_one(capsys):
 
 
 # H2 gaps whose rates differ by more than the square root of the float
-# range, against a service the uniformized record reads: it squares the
-# ratio of the rates, which overflows there, so the record must decline
-# and leave the pair to the lattice.
+# range, against a service the uniformized record reads: the service spans
+# far more jumps at the fast rate than the record's budget, so the record
+# must decline and leave the pair to the lattice.
 SPREAD_H2 = ('{"kind": "hyperexponential", "weights": [1e-09, 0.999999999], '
              '"rates": [1.2e+251, 1.3e-05]}')
 SPREAD_RATES = [

@@ -82,9 +82,7 @@ def reference_values(y, s, c=1.0):
             + [survival[K_MAX]])
 
 
-@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
-def test_record_holds_the_mpmath_sums(y, s, c):
+def assert_holds_the_mpmath_sums(y, s, c):
     pair = Pair(RESCALED[y.kind](y, c), RESCALED[s.kind](s, c))
     assert exact_age(pair, DROPPING).method == "closed_form"
     for i, (got, want) in enumerate(zip(record_values(pair),
@@ -93,6 +91,27 @@ def test_record_holds_the_mpmath_sums(y, s, c):
         # roundoff-sized: the kernel's roundoff and the sums past J, at
         # most 1e-9 of a moment or crossing sum and 1e-9 of probability
         assert got.half_width <= 1e-9 * max(abs(got.value), 1.0), (i, got)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
+def test_record_holds_the_mpmath_sums(y, s, c):
+    assert_holds_the_mpmath_sums(y, s, c)
+
+
+# Rates 2e154 apart: the slow phase's mean gap is far past every service,
+# and at c = 1e6 E[Y^2] leaves the float range.
+STIFF_H2 = Hyperexponential((0.5, 0.5), (1e-154, 2.0))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0])
+@pytest.mark.parametrize("s", SERVICES, ids=lambda d: d.kind)
+def test_stiff_h2_gaps_keep_the_record(s, c):
+    # The fast phase sets J and the slow one adds only its long gaps, so
+    # the record serves and holds the mpmath sums at roundoff size.
+    pair = Pair(RESCALED[STIFF_H2.kind](STIFF_H2, c), RESCALED[s.kind](s, c))
+    assert pair.cycles(DROPPING).name == "uniformized"
+    assert_holds_the_mpmath_sums(STIFF_H2, s, c)
 
 
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
@@ -189,7 +208,7 @@ def test_extrapolated_lattice_covers_the_record(y, s):
 @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
 def test_one_phase_is_the_mg11_record_bit_for_bit(s, c):
     # Uniformized at its own rate one exponential phase is one jump a gap,
-    # so the mean parts are the whole sums: the M/G/1/1 record, with
+    # so u = 1 and the sums are closed forms: the M/G/1/1 record, with
     # Pr(K = k) = pi_{k-1} of the service, every half-width 0.
     lam, service = 1.3 / c, RESCALED[s.kind](s, c)
     m1, m2 = service.mean(), service.second_moment()
@@ -229,10 +248,13 @@ def test_each_phase_op_builds_only_the_transform_it_reads(y, monkeypatch):
 @pytest.mark.parametrize("rates", [(2.1e-113, 1.5e177), (1e-150, 1e160)],
                          ids=["square overflows", "ratio overflows"])
 def test_rates_too_far_apart_decline_the_record(rates):
-    # The record squares the ratio of the rates; where the square, or the
-    # ratio itself, leaves the floats, it declines, with no warning.
+    # A service spans more than J's budget of jumps at the fast rate, so
+    # the record declines, with no warning; the mean gap is so long that
+    # the service's top falls short of the lattice's coarsest step, so the
+    # bracketing solve serves.
     y = Hyperexponential((0.5, 0.5), rates)
     for s in (Deterministic(8e-56), Rayleigh(1.0)):
         records = Pair(y, s).records(DROPPING)
         assert "uniformized" not in records
-        assert "lattice" in records
+        assert "bracketing" in records
+        assert "lattice" not in records

@@ -30,13 +30,16 @@ ROWS = [
     (DROPPING, "uniformized", [
         (Erlang(2, 2.0), Uniform(0.0, 2.0)),
         (Hyperexponential((0.5, 0.5), (0.5, 2.0)),
-         ShiftedExponential(2.0, 0.5))]),
+         ShiftedExponential(2.0, 0.5)),
+        (Hyperexponential((0.5, 0.5), (1e-6, 10.0)), Rayleigh(1.0))]),
     (DROPPING, "d_arrivals", [
         (Deterministic(0.5), Uniform(0.0, 2.0)),
         (Deterministic(0.7), ShiftedExponential(1.0, 0.1))]),
     (DROPPING, "lattice", [
         (Rayleigh(1.0), ShiftedExponential(2.0, 0.5)),
         (Uniform(0.0, 2.0), Deterministic(1.0))]),
+    (DROPPING, "bracketing", [
+        (Hyperexponential((0.5, 0.5), (1e-6, 1e4)), Rayleigh(1.0))]),
 ]
 CASES = [pytest.param(discipline, first, y, s, c,
                       id=f"{first}-{y.kind}/{s.kind}-c{c:g}")
