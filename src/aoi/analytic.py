@@ -97,8 +97,10 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     half-widths, from one rule on the bracketing lattice
     (:func:`_prefix_survival`): power sums (:func:`_survival`) on the
     points the partial sums reach, folded past an SE service's shift where
-    they reach it; every lattice sum is one inner product of half spectra
-    (:func:`_tilted`).  Gaps of one
+    they reach it, from the first point at or past it that :func:`_points`
+    gives, so one kink rule places the shift for the ccdf rows, the levels'
+    step and the fold; every lattice sum is one inner product of half
+    spectra (:func:`_tilted`).  Gaps of one
     atom (``d_arrivals``) give the sums in closed form up to the last lattice
     point, the service's stop-loss bounding the rest (:func:`_beyond_top`).
 
@@ -118,7 +120,7 @@ from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .distributions import Deterministic, Distribution, Uniform, check_pair
+from .distributions import Distribution, Uniform, check_pair
 from .errors import TruncationNotReached, ZeroSuccessProbability
 from .sim import AgeEstimate, Discipline, integer
 
@@ -281,12 +283,13 @@ class Pair:
         with sigma^-2 = sigma_Y^-2 + sigma_S^-2, sigma_Y^2/(sigma_Y^2 +
         sigma_S^2) and sqrt(pi/2) sigma^3 over sigma_Y^2 and sigma_S^2."""
         y, s = self.interarrival, self.service
-        if isinstance(y, Deterministic):
-            at = s.residual(y.value)
-            return at.cdf, y.value * at.ccdf, at.below
-        if isinstance(s, Deterministic):
-            at = y.residual(s.value)
-            return at.ccdf, at.below, s.value * at.ccdf
+        (d, end), (v, top) = y.support(), s.support()
+        if d == end:  # a point mass: one point of support
+            at = s.residual(d)
+            return at.cdf, d * at.ccdf, at.below
+        if v == top:
+            at = y.residual(v)
+            return at.ccdf, at.below, v * at.ccdf
         if isinstance(s, Uniform) or isinstance(y, Uniform):
             u, x = (s, y) if isinstance(s, Uniform) else (y, s)
             a, b = u.lower, u.upper
@@ -821,13 +824,15 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     at J, each part widened by its roundoff bound.  The k-th power lives on
     [0, k(s-1)], s one past the last non-zero cell, so the sums read m =
     min(n, k_max (s-1) + 1) points, and J = m, unless an SE(r, c > 0)
-    service's first point x_J >= c (x_J = c if c lies on a point,
-    :func:`_kink`) comes before m.
+    service's first point x_J >= c among the m of :func:`_points` comes
+    before m: c itself where :func:`_kink` put it on a point, the rule of
+    the ccdf rows, else the next jh, never point 0.
 
     Below J the sum is the power sums (:func:`_survival`), exactly M^k with
     roundoff 0 where no partial sum reaches G < 1; once k_max gaps can leave
     the lattice, f^{*k} against G with no M^k.  Past J, G(x_l) = e^{-r o}
-    q^(l-J), o = x_J - c and q = e^{-r h}, so each gap a partial sum takes
+    q^(l-J), o = x_J - c >= 0 from the same points and q = e^{-r h} (q^0 =
+    1 even where r h overflows), so each gap a partial sum takes
     past J multiplies it by L = sum_i f_i q^i.  With D_m = sum_(i >= m) f_i
     q^(i-m), by doubling with every factor q^w <= 1, kappa_l = e^{-r o}
     D_(J-l) is point l's next G past J, and the sum past J is tau_k -
@@ -844,8 +849,8 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     s = _support(gaps)
     m = min(n, max(1, k_max * (s - 1) + 1))
     shift, blocks = service.phases() or (0.0, None)
-    on = round(shift / h) if shift and _kink(shift, h) else 0
-    head = min(m, on or math.ceil(shift / h)) if shift else m  # J
+    x, _ = _points(service, h, m)
+    head = int(np.searchsorted(x, shift)) if shift else m  # J
     stays = float(k_max * (s - 1) < n or head < m)  # 1 or 0
     out = stays * mass[:, None] ** np.arange(k_max + 1.0)
     noise = 0.0
@@ -859,14 +864,15 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
         top = min(head, s)
         d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
         d[:, :top] = gaps[:, :top]
-        d[:, top] = gaps[:, top:] @ np.exp(
-            -rate * h * np.arange(gaps.shape[1] - top))
+        with np.errstate(over="ignore"):  # q^j = e^-inf = 0 past the range
+            qj = np.exp(-rate * h * np.arange(1.0, gaps.shape[1] - top))
+        d[:, top] = gaps[:, top:] @ np.concatenate(([1.0], qj))  # q^0 = 1
         w = 1
         while w <= top:  # sums over [m, m + w) become sums over [m, m + 2w)
             d[:, :top + 1 - w] += d[:, w:top + 1] * math.exp(-rate * h * w)
             w *= 2
         read = min(head, max(1, (k_max - 1) * (s - 1) + 1))
-        kappa = math.exp(-rate * ((shift if on else head * h) - shift)) * (
+        kappa = math.exp(-rate * float(x[head] - shift)) * (
             d[:, head:head - read:-1])
         at = tail[np.minimum(np.arange(head, head - read - 1, -1), s)]
         rest = np.stack((at[:-1] - far[0], at[1:] - far[1]))  # F_(J-l)

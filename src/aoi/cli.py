@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -365,13 +366,16 @@ def _cmd_kpmf(args) -> int:
 
 
 def _cmd_check_properties(args) -> int:
+    mean = args.dist.mean()
+    if not math.isfinite(mean):  # the rule check_pair keeps for a service
+        raise SystemExit(f"aoi check-properties: the law must have a finite "
+                         f"mean, got {mean!r}")
     verdict = args.dist.mrl_class()
     inputs = {"dist": args.dist.to_dict()}
-    result = {"verdict": verdict.value, "nbue": verdict.nbue,
-              "mean": args.dist.mean()}
+    result = {"verdict": verdict.value, "nbue": verdict.nbue, "mean": mean}
     return _emit(args, "check-properties", inputs, result, lambda: [
         f"distribution    {args.dist.describe()}",
-        f"mean            {_fmt(args.dist.mean())}",
+        f"mean            {_fmt(mean)}",
         f"MRL verdict     {verdict.value}",
         f"NBUE            {'true' if verdict.nbue else 'false'}",
     ])

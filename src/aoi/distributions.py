@@ -575,8 +575,11 @@ class Uniform(Distribution):
     def sample_array(self, rng, n):
         return rng.uniform(self.lower, self.upper, n)
 
-    def mean(self):
-        return 0.5 * (self.lower + self.upper)
+    def mean(self):  # halves added only where the sum overflows
+        total = self.lower + self.upper
+        if math.isfinite(total):
+            return 0.5 * total
+        return 0.5 * self.lower + 0.5 * self.upper
 
     def second_moment(self):
         a, b = self.lower, self.upper

@@ -1,25 +1,30 @@
 """Seeded slices of adversarial inputs for ``aoi simulate`` (with and
-without ``--trace``), the lattice's ``aoi exact`` and ``aoi kpmf``, and
-``aoi sweep --chart``.
+without ``--trace``), the lattice's ``aoi exact`` and ``aoi kpmf``,
+``aoi check-properties`` and ``aoi sweep --chart``.
 
-Each simulate case must end in one of three ways: exit 0 with a finite,
-schema-valid result (and, traced, the trace that the reference writer
-gives for the same arrays), exit 1 with a named ``AoiError`` payload, or a
-usage error (exit 2).  Each charted case must exit 0 with an SVG that
-parses back to the title given.  A traceback or a warning fails any case.
+Each simulate, exact, kpmf and check-properties case must end in one of
+three ways: exit 0 with a finite, schema-valid result (and, traced, the
+trace that the reference writer gives for the same arrays), exit 1 with a
+named ``AoiError`` payload, or a usage error (exit 2).  Each charted case
+must exit 0 with an SVG that parses back to the title given.  A traceback
+or a warning fails any case.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import jsonschema
 import pytest
 
 from aoi import cli, errors, sim
+from aoi.analytic import Pair, k_pmf
+from aoi.distributions import Rayleigh, ShiftedExponential
 from aoi.schema import CLI_RESULT_SCHEMA
+from test_cli import refuse_constant
 from trace_oracle import write_trace
 
 # Each law's kind by its short name, and its parameters in order.
@@ -356,6 +361,259 @@ def test_lattice_kinks_end_cleanly(capsys, op, interarrival, service):
                else [result["tail_mass"], result["tail_mass_ci"],
                      *(v for p in result["pmf"] for v in p.values())])
     assert all(math.isfinite(x) for x in numbers), result
+
+
+
+def clean_result(capsys, argv) -> dict | None:
+    """The result of ``argv`` run to exit 0 with strict (no NaN or
+    Infinity), schema-valid JSON, or None where it ends with a named
+    ``AoiError`` payload (exit 1) or a usage error (exit 2)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith((f"aoi {argv[0]}: ", "usage: "))
+        return None
+    payload = json.loads(out, parse_constant=refuse_constant)
+    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
+    if code == 1:
+        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
+        return None
+    assert code == 0
+    return payload["result"]
+
+
+# One law each, drawn once from numpy.random.default_rng(55): the kind
+# cycles through LAWS; each case draws a share uniform over 0.1 to 0.5,
+# and each parameter is, with that chance, log-uniform over 1e-300 to
+# 1e300 (a rate, a quarter of those times, a subnormal log-uniform over
+# 5e-324 to 2e-308), else log-uniform over 1e-6 to 1e6, at 3 digits; an
+# Erlang shape is uniform over 1 to 8, an H2 weight uniform over 0.01 to
+# 0.99 at 2 digits, a U lower end or an SE shift 0 a fifth of the time,
+# and a U upper end 1.05 to 10 times a positive lower end.  The last four
+# have a mean, or U's a + b, past the float range, the first three
+# through a subnormal rate.
+CHECK_CASES = [
+    ('E', 0.000417),
+    ('SE', 1090.0, 6.51e-06),
+    ('D', 16.7),
+    ('U', 5.54e+282, 3.5e+283),
+    ('R', 0.0278),
+    ('Erlang', 5, 3.1e-319),
+    ('H2', (0.58, 0.42), (1.47e+162, 4.53e-106)),
+    ('E', 7.94e-138),
+    ('SE', 5.54e-06, 767.0),
+    ('D', 546000.0),
+    ('U', 2.53e-218, 1.76e-217),
+    ('R', 5.74e+76),
+    ('Erlang', 5, 3.06e+140),
+    ('H2', (0.12, 0.88), (0.649, 9.34e+297)),
+    ('E', 0.000214),
+    ('SE', 0.0266, 6.04),
+    ('D', 387.0),
+    ('U', 705.0, 5430.0),
+    ('R', 40600.0),
+    ('Erlang', 4, 6810.0),
+    ('H2', (0.39, 0.61), (0.677, 4.62e+144)),
+    ('E', 0.949),
+    ('SE', 388.0, 176000.0),
+    ('D', 0.00145),
+    ('U', 5.55e-130, 7.5e-130),
+    ('R', 4.66e+266),
+    ('Erlang', 2, 2.69e-06),
+    ('H2', (0.2, 0.8), (1.73e-185, 1.3e-318)),
+    ('E', 1.89e-193),
+    ('SE', 0.234, 1.8e-170),
+    ('D', 8.31),
+    ('U', 5.33e+81, 4.8e+82),
+    ('R', 58.8),
+    ('Erlang', 7, 4480.0),
+    ('H2', (0.2, 0.8), (2.44e-128, 11.4)),
+    ('E', 2.42e+147),
+    ('SE', 81.1, 0.105),
+    ('D', 924000.0),
+    ('U', 13.9, 114.0),
+    ('R', 5.61e-149),
+    ('Erlang', 7, 0.00012),
+    ('H2', (0.65, 0.35), (5.6e-236, 1.22e+246)),
+    ('E', 407000.0),
+    ('SE', 0.114, 0),
+    ('D', 23300.0),
+    ('U', 0, 0.000126),
+    ('R', 0.00832),
+    ('Erlang', 7, 5.11e-251),
+    ('H2', (0.45, 0.55), (10.0, 520000.0)),
+    ('E', 194000.0),
+    ('SE', 2.03e-05, 120000.0),
+    ('D', 19300.0),
+    ('U', 0, 0.206),
+    ('R', 0.00015),
+    ('Erlang', 3, 2540.0),
+    ('H2', (0.62, 0.38), (8.3e+122, 2.22e-315)),
+    ('E', 5870.0),
+    ('SE', 0.0229, 0),
+    ('D', 5120.0),
+    ('U', 657.0, 5150.0),
+    ('R', 0.00257),
+    ('Erlang', 7, 1.9e-05),
+    ('H2', (0.52, 0.48), (1.42e+232, 0.103)),
+    ('E', 0.00275),
+    ('SE', 0.000715, 675.0),
+    ('D', 1.97e-06),
+    ('U', 0.0138, 0.0319),
+    ('R', 322000.0),
+    ('Erlang', 4, 258000.0),
+    ('H2', (0.95, 0.05), (3.19e-24, 1.04e-319)),
+    ('E', 0.00851),
+    ('SE', 3.19e-06, 61.8),
+    ('D', 8.09e+234),
+    ('U', 241.0, 896.0),
+    ('R', 0.00129),
+    ('Erlang', 4, 158.0),
+    ('H2', (0.68, 0.32), (1.44, 0.0428)),
+    ('E', 5.73e-05),
+    ('SE', 2.68e-183, 0),
+    ('D', 3050.0),
+    ('U', 0.00862, 0.0459),
+    ('R', 0.00123),
+    ('Erlang', 6, 3.17e-187),
+    ('H2', (0.75, 0.25), (0.00293, 425.0)),
+    ('E', 4.33e-06),
+    ('SE', 208.0, 6.68e+296),
+    ('D', 0.975),
+    ('U', 0, 0.0376),
+    ('R', 0.013),
+    ('Erlang', 5, 8.97e-153),
+    ('H2', (0.19, 0.81), (1.35e-237, 1.75e+26)),
+    ('E', 4880.0),
+    ('SE', 0.0894, 0),
+    ('D', 2.4e+247),
+    ('U', 1.73e-05, 4.62e-05),
+    ('R', 9.2e+226),
+    ('Erlang', 3, 647.0),
+    ('H2', (0.14, 0.86), (2.9e+208, 99800.0)),
+    ('E', 20600.0),
+    ('SE', 0.542, 246000.0),
+    ('E', 1e-320),
+    ('H2', (0.5, 0.5), (1e-320, 1)),
+    ('Erlang', 3, 5e-324),
+    ('U', 1e+308, 1.7e+308),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law", CHECK_CASES, ids=map(law_name, CHECK_CASES))
+def test_check_properties_ends_cleanly(capsys, law):
+    result = clean_result(capsys, ["check-properties", "--dist",
+                                   law_json(law), "--json"])
+    assert result is None or 0.0 <= result["mean"] < math.inf
+
+
+# (op, interarrival, service), drawn next from the same generator for the
+# SE service's fold past its shift: ops alternate between a pmf up to
+# k = 5 and a dropping exact age; the gaps are R(g) half the time, else
+# U(0, g) three times in ten and U(g, 1.05 to 10 times g), g log-uniform
+# over 1e-150 to 1e150 at 3 digits, and h = g/256 stands for the lattice
+# step.  In two cases of four the shift c lies below h times the smallest
+# double, so c/h underflows, and the rate is log-uniform from 0.01/c to
+# 1e308 or over 1e-6/g to 1e6/g; in the other two the rate is log-uniform
+# from 1e308.35/h to 1e308.2, so r h overflows, and c is g times 0.01 to
+# 30 (g redrawn over 1e30, or 1e3, to 1e150 where no such c, or r,
+# exists).  The last three were found apart: one case of each kind, and
+# a finite r h whose multiples leave the float range.
+FOLD_CASES = [
+    ('kpmf', ('R', 1.42e+40), ('SE', 1.29e+300, 4.72e-292)),
+    ('exact', ('R', 7.05e+36), ('SE', 5.69e+303, 4.21e-292)),
+    ('kpmf', ('U', 0, 1.76e+74), ('SE', 2.08e+254, 3.52e+73)),
+    ('exact', ('U', 0, 1.07e+87), ('SE', 6.9e+250, 1.61e+87)),
+    ('kpmf', ('U', 0, 1.45e+44), ('SE', 8.31e+292, 5.37e-293)),
+    ('exact', ('R', 8.97e+55), ('SE', 1.26e-56, 1.32e-272)),
+    ('kpmf', ('R', 102000000000.0), ('SE', 4.42e+305, 37700000000.0)),
+    ('exact', ('U', 0, 2.44e+66), ('SE', 1.27e+308, 1.53e+65)),
+    ('kpmf', ('U', 0, 1.64e+125), ('SE', 1.2e+262, 7.2e-216)),
+    ('exact', ('U', 5.57e+71, 3.5e+72), ('SE', 1.51e+307, 7.24e-256)),
+    ('kpmf', ('R', 1.11e+64), ('SE', 2.58e+269, 2.14e+65)),
+    ('exact', ('R', 1.04e+99), ('SE', 4.79e+231, 1.47e+97)),
+    ('kpmf', ('U', 0, 3.1e+104), ('SE', 6.22e-100, 1.42e-230)),
+    ('exact', ('R', 1e+124), ('SE', 4.51e-129, 6.99e-207)),
+    ('kpmf', ('R', 5.69e+135), ('SE', 1.06e+183, 2.95e+136)),
+    ('exact', ('U', 3.17e+52, 1.72e+53), ('SE', 5.82e+278, 3.21e+51)),
+    ('kpmf', ('R', 1.34e+50), ('SE', 3.66e+295, 1.9e-287)),
+    ('exact', ('R', 2.25e+149), ('SE', 1.6e+238, 3.99e-191)),
+    ('kpmf', ('U', 0, 1.59e+133), ('SE', 5.03e+182, 8.73e+132)),
+    ('exact', ('R', 1.38e+100), ('SE', 1.51e+272, 3.08e+101)),
+    ('kpmf', ('U', 1.11e+28, 6.51e+28), ('SE', 4.08e-28, 5.56e-308)),
+    ('exact', ('R', 1.33e+127), ('SE', 9.87e-131, 6.74e-213)),
+    ('kpmf', ('U', 4.73e+77, 4.3e+78), ('SE', 1.3e+303, 5.85e+75)),
+    ('exact', ('U', 8.92e+130, 5.98e+131), ('SE', 1.57e+292, 6.53e+129)),
+    ('kpmf', ('U', 3.66e+140, 1.1e+141), ('SE', 2.04e+262, 5.19e-199)),
+    ('exact', ('R', 1.95e+43), ('SE', 3.98e+305, 2.31e-298)),
+    ('kpmf', ('U', 2.61e+68, 7.83e+68), ('SE', 6.64e+277, 4.73e+67)),
+    ('exact', ('R', 1.08e+71), ('SE', 7.78e+254, 1.54e+72)),
+    ('kpmf', ('R', 8.08e+131), ('SE', 4.22e-137, 1.2e-195)),
+    ('exact', ('R', 1.19e+99), ('SE', 1.1e-96, 1.4e-232)),
+    ('kpmf', ('U', 4.86e+145, 2.75e+146), ('SE', 3.06e+270, 1.45e+145)),
+    ('exact', ('U', 5.59e+121, 5.09e+122), ('SE', 9.05e+305, 8.58e+119)),
+    ('kpmf', ('U', 2.24e+140, 2.08e+141), ('SE', 1.86e+204, 1.16e-202)),
+    ('exact', ('U', 3.91e+134, 1.17e+135), ('SE', 3.71e-139, 1.43e-200)),
+    ('kpmf', ('R', 4.01e+105), ('SE', 5.7e+251, 6.76e+106)),
+    ('exact', ('U', 2.77e+148, 1.87e+149), ('SE', 1.29e+277, 7.1e+146)),
+    ('kpmf', ('U', 3.95e+20, 9.46e+20), ('SE', 5.5e-17, 8.28e-320)),
+    ('exact', ('U', 6.84e+61, 6.1e+62), ('SE', 4.11e+284, 1.67e-267)),
+    ('kpmf', ('R', 5.23e+95), ('SE', 3.36e+305, 1.97e+96)),
+    ('exact', ('U', 3.3e+87, 2.02e+88), ('SE', 1.16e+237, 8.25e+88)),
+    ('kpmf', ('U', 2.61e+22, 2.09e+23), ('SE', 6.16e-22, 8.33e-307)),
+    ('exact', ('U', 7.69e+143, 7.13e+144), ('SE', 7.38e+196, 7.15e-198)),
+    ('kpmf', ('R', 3.93e+142), ('SE', 9.06e+219, 3.57e+141)),
+    ('exact', ('U', 0, 3.22e+99), ('SE', 3.28e+287, 3.52e+98)),
+    ('kpmf', ('U', 1.6e+109, 8.73e+109), ('SE', 3.15e-110, 4.78e-231)),
+    ('exact', ('U', 9.41e+88, 2.82e+89), ('SE', 7.82e+296, 6.27e-250)),
+    ('kpmf', ('R', 1.67e+76), ('SE', 5.44e+265, 9.82e+75)),
+    ('exact', ('U', 6.05e+109, 5.93e+110), ('SE', 2.71e+212, 8.95e+107)),
+    ('kpmf', ('R', 1.41e+65), ('SE', 1.04e+305, 3.98e-275)),
+    ('exact', ('U', 0, 6.16e+54), ('SE', 4.3e-52, 8.94e-280)),
+    ('kpmf', ('U', 64100000000000.0, 357000000000000.0), ('SE', 2.53e+300, 8120000000000.0)),
+    ('exact', ('R', 1.39e+134), ('SE', 7.68e+242, 2.47e+132)),
+    ('kpmf', ('U', 1.16e+79, 6.76e+79), ('SE', 5.37e-83, 1.01e-248)),
+    ('exact', ('R', 5.49e+38), ('SE', 2e+298, 6.1e-301)),
+    ('kpmf', ('R', 22400000000.0), ('SE', 7e+300, 388000000.0)),
+    ('exact', ('U', 2.39e+123, 2.33e+124), ('SE', 1.16e+258, 4.54e+123)),
+    ('kpmf', ('R', 3.04e+102), ('SE', 4.27e-100, 2.81e-228)),
+    ('exact', ('U', 0, 8.58e+138), ('SE', 7.71e+288, 1.19e-201)),
+    ('kpmf', ('U', 0, 4.44e+67), ('SE', 6.4e+297, 6.25e+68)),
+    ('exact', ('U', 0, 1710000000.0), ('SE', 8.52e+303, 149000000.0)),
+    ('kpmf', ('R', 4.438134418213695e+50), ('SE', 2.0394891567711206e+295, 2.930546830982486e-280)),
+    ('kpmf', ('R', 100000000000.0), ('SE', 1e+300, 10000000000.0)),
+    ('kpmf', ('R', 1.0), ('SE', 1e+307, 100.0)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op,interarrival,service", FOLD_CASES, ids=[
+    f"{op}-{law_name(y)}/{law_name(s)}" for op, y, s in FOLD_CASES])
+def test_se_fold_at_extreme_scales_ends_cleanly(capsys, op, interarrival,
+                                                service):
+    laws = ["--interarrival", law_json(interarrival),
+            "--service", law_json(service), "--json"]
+    result = clean_result(capsys, (
+        ["exact", "--discipline", "dropping", *laws] if op == "exact"
+        else ["kpmf", "--k-max", "5", *laws]))
+    if result is None:
+        return
+    pairs = ([(result["value"], result["ci_half_width"])] if op == "exact"
+             else [(result["tail_mass"], result["tail_mass_ci"]),
+                   *((p["probability"], p["ci"]) for p in result["pmf"])])
+    assert all(math.isfinite(v) and 0.0 <= hw < math.inf for v, hw in pairs)
+
+
+def test_se_fold_reads_the_shift_where_r_h_overflows():
+    # S is 1e10 to within 1e-300, so Pr(K = 1) = Pr(Y > 1e10) = e^-0.005
+    pmf = k_pmf(Pair(Rayleigh(1e11), ShiftedExponential(1e300, 1e10)), 3).pmf
+    value, half_width = pmf[0]
+    assert abs(value - math.exp(-0.005)) <= (
+        half_width + 4.0 * sys.float_info.epsilon)
 
 
 # (spec name, --title), drawn once from random.Random(48): 1 to 8 tokens

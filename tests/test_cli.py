@@ -34,9 +34,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=refuse_constant)
     jsonschema.validate(payload, CLI_RESULT_SCHEMA)
     return code, payload
 
@@ -132,6 +136,19 @@ def test_check_properties_is_scale_free(capsys):
     assert code == 0
     assert payload["result"]["verdict"] == "IMRL"
     assert payload["result"]["nbue"] is False
+
+
+@pytest.mark.parametrize("law", [
+    {"kind": "exponential", "rate": 1e-320},
+    {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1e-320, 1]},
+    {"kind": "erlang", "shape": 3, "rate": 5e-324},
+], ids=["E", "H2", "Erlang"])
+def test_check_properties_refuses_a_mean_that_overflows(capsys, law):
+    code, out, err = run(capsys, "check-properties", "--dist",
+                         json.dumps(law), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("aoi check-properties: the law must have a finite "
+                          "mean")
 
 
 def test_kpmf_deterministic(capsys):

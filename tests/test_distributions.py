@@ -159,6 +159,15 @@ def test_closed_form_moments(dist, mean, second):
     assert dist.second_moment() == pytest.approx(second, rel=1e-12)
 
 
+@pytest.mark.parametrize("a,b", [(1e308, 1.7e308), (0.0, 1.7976931348623157e308),
+                                 (1.7e308, 1.7976931348623157e308)])
+def test_uniform_mean_past_an_overflowing_sum(a, b):
+    # a + b leaves the float range; the mean, between a and b, does not
+    mean = Uniform(a, b).mean()
+    assert a <= mean <= b
+    assert mean == 0.5 * a + 0.5 * b
+
+
 # ---------------------------------------------------------------- ccdf
 
 def test_ccdf_examples():
