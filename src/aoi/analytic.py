@@ -849,8 +849,10 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     s = _support(gaps)
     m = min(n, max(1, k_max * (s - 1) + 1))
     shift, blocks = service.phases() or (0.0, None)
-    x, _ = _points(service, h, m)
-    head = int(np.searchsorted(x, shift)) if shift else m  # J
+    head = m  # J
+    if shift:
+        x = _points(service, h, m)[0]
+        head = int(np.searchsorted(x, shift))
     stays = float(k_max * (s - 1) < n or head < m)  # 1 or 0
     out = stays * mass[:, None] ** np.arange(k_max + 1.0)
     noise = 0.0
@@ -864,9 +866,10 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
         top = min(head, s)
         d = np.zeros((2, head + 1))  # D_m of each end, m = 0..J
         d[:, :top] = gaps[:, :top]
+        q = np.ones(gaps.shape[1] - top)  # q^j, q^0 = 1
         with np.errstate(over="ignore"):  # q^j = e^-inf = 0 past the range
-            qj = np.exp(-rate * h * np.arange(1.0, gaps.shape[1] - top))
-        d[:, top] = gaps[:, top:] @ np.concatenate(([1.0], qj))  # q^0 = 1
+            q[1:] = np.exp(-rate * h * np.arange(1.0, q.size))
+        d[:, top] = gaps[:, top:] @ q
         w = 1
         while w <= top:  # sums over [m, m + w) become sums over [m, m + 2w)
             d[:, :top + 1 - w] += d[:, w:top + 1] * math.exp(-rate * h * w)

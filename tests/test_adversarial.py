@@ -5,9 +5,9 @@ without ``--trace``), the lattice's ``aoi exact`` and ``aoi kpmf``,
 Each simulate, exact, kpmf and check-properties case must end in one of
 three ways: exit 0 with a finite, schema-valid result (and, traced, the
 trace that the reference writer gives for the same arrays), exit 1 with a
-named ``AoiError`` payload, or a usage error (exit 2).  Each charted case
-must exit 0 with an SVG that parses back to the title given.  A traceback
-or a warning fails any case.
+named ``AoiError`` payload, or a usage error (exit 2) that names one of
+``USAGE_RULES``.  Each charted case must exit 0 with an SVG that parses
+back to the title given.  A traceback or a warning fails any case.
 """
 
 from __future__ import annotations
@@ -160,6 +160,36 @@ def law_json(short) -> str:
     return json.dumps({"kind": kind, **dict(zip(names, short[1:]))})
 
 
+# The rules a usage error may name: check_pair's for a pair of laws and
+# check-properties' finite mean for one law.  Any other ValueError would
+# reach exit 2 through the same path, so it fails the case.
+USAGE_RULES = ("second moment overflows", "second moment underflows",
+               "must have a positive mean", "must have a finite mean")
+
+
+def clean_result(capsys, argv) -> dict | None:
+    """The result of ``argv`` run to exit 0 with strict (no NaN or
+    Infinity), schema-valid JSON, or None where it ends with a named
+    ``AoiError`` payload (exit 1) or a usage error (exit 2) that names one
+    of ``USAGE_RULES``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith(f"aoi {argv[0]}: ")
+        assert any(rule in err for rule in USAGE_RULES), err
+        return None
+    payload = json.loads(out, parse_constant=refuse_constant)
+    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
+    if code == 1:
+        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
+        return None
+    assert code == 0
+    return payload["result"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("discipline,interarrival,service", TRACE_CASES, ids=[
     f"{d}-{law_name(y)}/{law_name(s)}" for d, y, s in TRACE_CASES])
@@ -245,29 +275,18 @@ MIXTURE_CASES = [
     f"{d}-{law_name(y)}/{law_name(s)}" for d, y, s in MIXTURE_CASES])
 def test_simulate_on_extreme_mixtures_ends_cleanly(capsys, discipline,
                                                    interarrival, service):
-    try:
-        code = cli.main([
-            "simulate", "--discipline", discipline,
-            "--interarrival", law_json(interarrival),
-            "--service", law_json(service), "--cycles", "300",
-            "--max-events", "30000", "--seed", "1", "--json"])
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    if code == 2:
-        assert out == "" and err.startswith(("aoi simulate: ", "usage: "))
+    result = clean_result(capsys, [
+        "simulate", "--discipline", discipline,
+        "--interarrival", law_json(interarrival),
+        "--service", law_json(service), "--cycles", "300",
+        "--max-events", "30000", "--seed", "1", "--json"])
+    if result is None:
         return
-    payload = json.loads(out)
-    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
-    if code == 1:
-        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
-    else:
-        assert code == 0
-        result = payload["result"]
-        numbers = [result["value"], result["ci_half_width"],
-                   *result["cycle_statistics"].values()]
-        assert all(math.isfinite(x) for x in numbers), result
-        assert result["ci_half_width"] >= 0
+    numbers = [result["value"], result["ci_half_width"],
+               *result["cycle_statistics"].values()]
+    assert all(math.isfinite(x) for x in numbers), result
+    assert result["ci_half_width"] >= 0
+
 
 # (op, interarrival, service), drawn once from numpy.random.default_rng(50)
 # for the lattice's kink search: ops alternate between a dropping exact age
@@ -332,57 +351,6 @@ KINK_CASES = [
     ('exact', ('U', 45500000.0, 324000000.0), ('D', 45500000.0)),
     ('kpmf', ('U', 2.44e-79, 3.18e-79), ('SE', 5.12e+77, 2.4400000000000007e-79)),
 ]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("op,interarrival,service", KINK_CASES, ids=[
-    f"{op}-{law_name(y)}/{law_name(s)}" for op, y, s in KINK_CASES])
-def test_lattice_kinks_end_cleanly(capsys, op, interarrival, service):
-    laws = ["--interarrival", law_json(interarrival),
-            "--service", law_json(service), "--json"]
-    argv = (["exact", "--discipline", "dropping", *laws] if op == "exact"
-            else ["kpmf", "--k-max", "5", *laws])
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    if code == 2:
-        assert out == "" and err.startswith((f"aoi {op}: ", "usage: "))
-        return
-    payload = json.loads(out)
-    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
-    if code == 1:
-        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
-        return
-    assert code == 0
-    result = payload["result"]
-    numbers = ([result["value"], result["ci_half_width"]] if op == "exact"
-               else [result["tail_mass"], result["tail_mass_ci"],
-                     *(v for p in result["pmf"] for v in p.values())])
-    assert all(math.isfinite(x) for x in numbers), result
-
-
-
-def clean_result(capsys, argv) -> dict | None:
-    """The result of ``argv`` run to exit 0 with strict (no NaN or
-    Infinity), schema-valid JSON, or None where it ends with a named
-    ``AoiError`` payload (exit 1) or a usage error (exit 2)."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    if code == 2:
-        assert out == "" and err.startswith((f"aoi {argv[0]}: ", "usage: "))
-        return None
-    payload = json.loads(out, parse_constant=refuse_constant)
-    jsonschema.validate(payload, CLI_RESULT_SCHEMA)
-    if code == 1:
-        assert issubclass(getattr(errors, payload["error"]), errors.AoiError)
-        return None
-    assert code == 0
-    return payload["result"]
 
 
 # One law each, drawn once from numpy.random.default_rng(55): the kind
@@ -590,11 +558,13 @@ FOLD_CASES = [
 ]
 
 
+LATTICE_CASES = KINK_CASES + FOLD_CASES
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("op,interarrival,service", FOLD_CASES, ids=[
-    f"{op}-{law_name(y)}/{law_name(s)}" for op, y, s in FOLD_CASES])
-def test_se_fold_at_extreme_scales_ends_cleanly(capsys, op, interarrival,
-                                                service):
+@pytest.mark.parametrize("op,interarrival,service", LATTICE_CASES, ids=[
+    f"{op}-{law_name(y)}/{law_name(s)}" for op, y, s in LATTICE_CASES])
+def test_lattice_kinks_end_cleanly(capsys, op, interarrival, service):
     laws = ["--interarrival", law_json(interarrival),
             "--service", law_json(service), "--json"]
     result = clean_result(capsys, (
@@ -605,7 +575,24 @@ def test_se_fold_at_extreme_scales_ends_cleanly(capsys, op, interarrival,
     pairs = ([(result["value"], result["ci_half_width"])] if op == "exact"
              else [(result["tail_mass"], result["tail_mass_ci"]),
                    *((p["probability"], p["ci"]) for p in result["pmf"])])
-    assert all(math.isfinite(v) and 0.0 <= hw < math.inf for v, hw in pairs)
+    assert all(math.isfinite(v) and 0.0 <= hw < math.inf
+               for v, hw in pairs), result
+
+
+def test_se_fold_past_the_last_gap_cell(capsys):
+    # The step h puts U's upper end b on the point K = 640 (b/h rounds to
+    # 640) while hK lies below b, so the gaps' last cell is the lattice's
+    # last and J lies past it: the fold's tail past J is empty.  S >= c > b
+    # >= Y, so Pr(K = 1) = 0.
+    assert cli.main([
+        "kpmf", "--k-max", "5",
+        "--interarrival", law_json(("U", 0, 0.0600909090909091)),
+        "--service", law_json(("SE", 16.64145234493192, 0.0661)),
+        "--json"]) == 0
+    pmf = json.loads(capsys.readouterr().out,
+                     parse_constant=refuse_constant)["result"]["pmf"]
+    assert abs(pmf[0]["probability"]) <= pmf[0]["ci"]
+    assert all(math.isfinite(p["probability"]) for p in pmf)
 
 
 def test_se_fold_reads_the_shift_where_r_h_overflows():
