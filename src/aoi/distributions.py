@@ -581,9 +581,12 @@ class Uniform(Distribution):
             return 0.5 * total
         return 0.5 * self.lower + 0.5 * self.upper
 
-    def second_moment(self):
+    def second_moment(self):  # thirds added only where the sum overflows
         a, b = self.lower, self.upper
-        return (a * a + a * b + b * b) / 3.0
+        total = (a * a + a * b + b * b) / 3.0
+        if math.isfinite(total):
+            return total
+        return a * a / 3.0 + a * b / 3.0 + b * b / 3.0
 
     def _ccdf(self, xs):
         a, b = self.lower, self.upper

@@ -151,6 +151,33 @@ def test_check_properties_refuses_a_mean_that_overflows(capsys, law):
                           "mean")
 
 
+# U(1.2e154, 1.3e154) gaps: (a^2 + ab + b^2)/3 overflows, E[Y^2] = 1.56e308
+# does not.
+HUGE_GAPS = ("--interarrival",
+             '{"kind": "uniform", "lower": 1.2e154, "upper": 1.3e154}',
+             "--service", '{"kind": "exponential", "rate": 1e-154}')
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--discipline", "dropping"),
+    ("exact", "--discipline", "preemption"),
+    ("bound", "--kind", "corollary1"),
+    ("kpmf",),
+    ("simulate", "--discipline", "dropping", "--cycles", "2000"),
+    ("simulate", "--discipline", "preemption", "--cycles", "2000"),
+], ids=["exact-dropping", "exact-preemption", "corollary1", "kpmf",
+        "simulate-dropping", "simulate-preemption"])
+def test_a_second_moment_past_an_overflowing_sum_is_evaluated(capsys, argv):
+    # Each op answers with a finite result, where check_pair once refused
+    # the gaps with "interarrival second moment overflows to inf".
+    code, payload = run_json(capsys, *argv, *HUGE_GAPS)
+    assert code == 0
+    result = payload["result"]
+    values = ([p["probability"] for p in result["pmf"]] if argv[0] == "kpmf"
+              else [result["value"]])
+    assert all(math.isfinite(v) for v in values)
+
+
 def test_kpmf_deterministic(capsys):
     code, payload = run_json(capsys, "kpmf",
                              "--interarrival", DET % 1, "--service", DET % 1.5,

@@ -168,6 +168,22 @@ def test_uniform_mean_past_an_overflowing_sum(a, b):
     assert mean == 0.5 * a + 0.5 * b
 
 
+@pytest.mark.parametrize("a,b", [(1.2e154, 1.3e154), (0.0, 1.3e154),
+                                 (1e154, 1e154 * (1 + 1e-9)),
+                                 (5e-324, 1.0), (0.0, 1e-160),
+                                 (7.7e153, 7.7e153 * (1 + 1e-9))])
+def test_uniform_second_moment_past_an_overflowing_sum(a, b):
+    # Where (a^2 + ab + b^2)/3 leaves the float range, E[Y^2], between a^2
+    # and b^2, does not; where it stays finite (a subnormal end, a sum
+    # just below the overflow edge), E[Y^2] is that form, bit for bit.
+    second = Uniform(a, b).second_moment()
+    direct = (a * a + a * b + b * b) / 3.0
+    if math.isfinite(direct):
+        assert second == direct
+    else:
+        assert math.isfinite(second) and a * a <= second <= b * b
+
+
 # ---------------------------------------------------------------- ccdf
 
 def test_ccdf_examples():

@@ -1,7 +1,22 @@
-"""The lattice renewal solve of ``aoi.analytic`` against the Monte Carlo
-partial-sum walk of ``walk_oracle``, the finite D/G sums, and itself at a
-finer lattice."""
+"""The lattice records of ``aoi.analytic`` against references that share
+no code with them.
 
+Two kinds of test live here.  Primitive tests hold the discrete renewal
+kernel's units, ``_renewal_sums``, ``_survival``, ``_totals`` and
+``_cells``, against long-double direct solves; their contract does not
+move with the lattice's step, levels or transforms.  Every other test is a
+policy test: it reads only what a user sees through ``Pair.records()``,
+``exact_age``, ``corollary_one`` and ``k_pmf``, and asserts that each
+interval covers an independent reference and that each pair takes the
+record the README's path table names.  The references are the Monte Carlo
+partial-sum walk of ``walk_oracle``, the finite D/G sums and other series
+in mpmath, another record that applies, and the direct solve of
+``lattice_reference`` at 512 points per mean gap.  The work tests count
+NumPy's FFT and the laws' ccdf calls around a public op.
+(``test_module_boundaries`` holds the split.)
+"""
+
+import functools
 import math
 import tracemalloc
 
@@ -9,6 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import lattice_reference
 from aoi import analytic
 from aoi.analytic import Interval, Pair, exact_age, k_pmf
 from aoi.bounds import corollary_one
@@ -54,6 +70,15 @@ def lattice(y, s, name="lattice"):
     return [(est.value, est.ci_half_width), k1, k2, *pmf.pmf, pmf.tail_mass]
 
 
+def reference(y, s):
+    """:func:`lattice`'s quantities from the direct solve of
+    ``lattice_reference``, each bracketed by its two ends."""
+    sums = lattice_reference.sums(y, s)
+    probs, tail = lattice_reference.pmf(y, s, K_MAX)
+    return [sums.age, sums.k_mean, sums.k_second,
+            *map(Interval, probs.value, probs.half_width), tail]
+
+
 @pytest.mark.parametrize("y,s", PAIRS, ids=IDS)
 def test_lattice_agrees_with_walk(y, s):
     # The bracketing solve's proven intervals; the extrapolated ones must
@@ -89,20 +114,16 @@ def test_deterministic_gaps_give_the_finite_sums(y, s):
             + list(path[:K_MAX] - path[1:K_MAX + 1]) + [path[K_MAX]])
     got = lattice(y, s)
     assert [v for v, _ in got] == pytest.approx(want, rel=1e-12, abs=1e-12)
-    # The library's sums stop at the service's top point, past which a
-    # bounded service has no mass: its half-widths are 0.  Rayleigh's
-    # terms past it must lie inside the half-widths, which stay under
-    # 1e-13 relative.
-    beyond = j >= int(analytic._truncation_point(s) / d) + 2
-    left_out = [float((j * d * tails)[beyond].sum()) / k_mean,
-                float(tails[beyond].sum()),
-                float(((2 * j + 1) * tails)[beyond].sum())]
+    # The library's sums stop at a last point, past which a bounded
+    # service has no mass: its half-widths are 0.  Rayleigh's terms past
+    # it must lie inside the half-widths of the age, E[K] and E[K^2],
+    # which stay under 1e-13 relative: each holds the 20000-term sum.
     hws = [hw for _, hw in got]
     if isinstance(s, Uniform):
         assert hws == [0.0] * len(want)
     else:
-        assert all(0.0 < t <= hw for t, hw in zip(left_out, hws))
-        assert all(hw <= 1e-13 * abs(v) for v, hw in got[:3])
+        for (value, hw), full in zip(got[:3], want):
+            assert 0.0 < abs(full - value) <= hw <= 1e-13 * abs(value)
         assert hws[3:] == [0.0] * (len(want) - 3)
 
 
@@ -114,57 +135,24 @@ def test_deterministic_gaps_give_the_finite_sums(y, s):
      lambda x: 0.99 * mpmath.exp(-5 * x) + 0.01 * mpmath.exp(-0.05 * x))],
     ids=["rayleigh", "shifted_exponential", "erlang", "hyperexponential"])
 def test_deterministic_gaps_bound_the_pmf_past_the_service_top(s, ccdf):
-    # Pr(K > k) = Pr(S > k d) at D arrivals.  Past the lattice's last
-    # point the sums read 0, and each half-width must hold the true value.
+    # Pr(K > k) = Pr(S > k d) at D arrivals.  Up to the lattice's last
+    # point each Pr(K = k) is a difference of two ccdf values, exact to
+    # 4 eps with a half-width of 0; past it the sums read 0, and each
+    # half-width must hold the true value.  By n, where the service keeps
+    # at most 1e-16 of its mass, every entry is past the last point.
     d = 0.7
-    n = int(analytic._truncation_point(s) / d) + 2
+    n = int(lattice_reference.last_point(s) / d) + 2
     pmf = k_pmf(RecordPair(Deterministic(d), s, "d_arrivals"), 2 * n)
     with mpmath.workdps(40):
-        tail = [ccdf(k * mpmath.mpf(d)) for k in range(2 * n + 1)]
-    for k in range(n, 2 * n + 1):
-        got = pmf.pmf[k - 1]
-        assert abs(got.value - float(tail[k - 1] - tail[k])) <= got.half_width
+        tail = [min(1, ccdf(k * mpmath.mpf(d))) for k in range(2 * n + 1)]
+    for k, got in enumerate(pmf.pmf, start=1):
+        want = float(tail[k - 1] - tail[k])
+        if got.half_width or k >= n:
+            assert abs(got.value - want) <= got.half_width, (k, got, want)
+        else:
+            assert abs(got.value - want) <= 4.0 * EPS, (k, got, want)
     assert 0.0 < float(tail[2 * n]) <= pmf.tail_mass.half_width
     assert pmf.tail_mass.value == 0.0
-
-
-def left_ccdf(s, x):
-    """Pr(S >= x): a D(v) service's is 1 up to v itself; every other law
-    here has no atom, so there it equals Pr(S > x)."""
-    if isinstance(s, Deterministic):
-        return np.where(x <= s.value, 1.0, 0.0)
-    return s.ccdf(x)
-
-
-def bracket_step(pair):
-    """The bracketing solve's step, rebuilt from its rule: a quarter of the
-    finest level's step, doubled while the lattice would hold 2^18 points
-    or more."""
-    top = analytic._truncation_point(pair.service)
-    h = analytic._level_step(pair.interarrival.mean(), pair.interarrival,
-                             pair.service) / 4.0
-    while top / h >= analytic._MAX_LATTICE - 1:
-        h *= 2.0
-    return h
-
-
-def lattice_cells(pair):
-    """The gap cells, rounded down and then up, the lattice points and the
-    service ccdf each end reads on them, for ``pair``'s solves, rebuilt
-    from their definition: Pr(S > x) for the down end, Pr(S >= x) for the
-    up end, one row for both where they agree."""
-    h = bracket_step(pair)
-    n = int(analytic._truncation_point(pair.service) / h) + 2
-    x = h * np.arange(n)
-    for b in filter(math.isfinite, pair.service.support()):
-        j = round(b / h)  # point 0 stays exact: only a kink at 0 lies on it
-        if 0 < j < n and abs(x[j] - b) <= analytic._SNAP * h:
-            x[j] = b
-    tail = pair.interarrival.ccdf(h * np.arange(n + 1))
-    cell = tail[:-1] - tail[1:]
-    c, up = pair.service.ccdf(x), left_ccdf(pair.service, x)
-    return ((cell, np.append(0.0, cell[:-1])), x,
-            c if np.array_equal(c, up) else np.stack((c, up)))
 
 
 @pytest.mark.parametrize("y,s", [
@@ -179,51 +167,13 @@ def lattice_cells(pair):
     (Uniform(0.0, 0.2), Rayleigh(2.0)),
 ], ids=["U/U", "Erlang/D", "deep-U/U", "Erlang/D-n512", "deep-U/R"])
 def test_survival_matches_direct_convolution_powers(y, s):
-    # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh) on each end's lattice; the
-    # record's Pr(K > k) spans the two ends, and where a power can leave
-    # the lattice, the transform's roundoff too (at most 1e-11 here).
-    pair = RecordPair(y, s)
-    cells, _, c = lattice_cells(pair)
-    ends = []
-    for f, g in zip(cells, np.broadcast_to(c, (2, c.shape[-1]))):
-        want, power = [], np.array([1.0])
-        for _ in range(K_MAX):
-            power = np.convolve(power, np.trim_zeros(f, "b"))[:g.size]
-            want.append(float(power @ g[:power.size]))
-        ends.append(want)
-    for k, (down, up) in enumerate(zip(*ends), start=1):
-        value, hw = pair.cycles(DROPPING).pmf(k)[1]
-        roundoff = hw - 0.5 * abs(down - up)
-        assert value == pytest.approx(0.5 * (down + up), rel=1e-12, abs=0), k
-        assert -1e-12 * value <= roundoff <= 1e-11, k
-
-
-def full_lattice(pair, k_max):
-    """Each end's E[K], E[K^2], crossing sum and Pr(K > k), k = 0..k_max,
-    from the renewal and pmf sums against the service ccdf at every point
-    of ``pair``'s lattice, spanned as the record spans them: each sum's
-    interval also spans both computed ends, widened by the transform's
-    relative roundoff."""
-    cells, x, c = lattice_cells(pair)
-    gaps = np.stack(cells)
-    (once, crossing), (twice, _), noise = analytic._renewal_sums(
-        gaps, np.stack((c, x * c), axis=-2))
-    first = 1.0 - c[..., 0]
-    k1, k2 = first + once, first + twice
-    h = bracket_step(pair)
-    lo = min(crossing[1] - 0.5 * h * (k2[1] - k1[1]), *crossing)
-    hi = max(crossing[0] + 0.5 * h * (k2[0] - k1[0]), *crossing)
-    mid = 0.5 * (crossing[0] + crossing[1])
-    survival = analytic._survival(gaps, c[..., None, :], k_max)[0][:, 0]
-    survival[:, 0] = 1.0
-
-    def widened(interval, ends):
-        return Interval(interval.value,
-                        interval.half_width + noise * np.abs(ends).max())
-    return (widened(Interval.between(*k1), k1),
-            widened(Interval.between(*k2), k2),
-            widened(Interval(mid, max(mid - lo, hi - mid)), crossing),
-            Interval.between(*survival))
+    # Pr(K > k) = sum_j f^{*k}_j Pr(S > jh): each Pr(K = k) of the record
+    # and its Pr(K > K_MAX) must hold the reference's interval from
+    # convolution powers that no transform wraps, and be at most 2.5 times
+    # as wide, plus the 2e-13 that the transform's roundoff may add where a
+    # power can leave the lattice (at most 1.5e-13 here).
+    assert_pmf_covers(*RecordPair(y, s).cycles(DROPPING).pmf(K_MAX),
+                      *lattice_reference.pmf(y, s, K_MAX), roundoff=2e-13)
 
 
 FOLD_GAPS = [Uniform(0.0, 2.0), Rayleigh(1.0),
@@ -240,16 +190,52 @@ def record_intervals(record):
     return list(record.sums())
 
 
+def fft_calls(monkeypatch):
+    """The input shape and length of each ``np.fft.rfft`` call from now
+    on, in order."""
+    calls = []
+
+    def recorded(a, n=None, *args, _original=np.fft.rfft):
+        calls.append((np.shape(a), n))
+        return _original(a, n, *args)
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    return calls
+
+
+def assert_pmf_covers(probs, tail, want, want_tail, widest=2.5,
+                      roundoff=2e-11):
+    """Each Pr(K = k) and Pr(K > k_max) interval holds the reference's
+    whole interval, but for 1e-13 of transform roundoff (6.6e-14 at most
+    here), so neither a shifted nor an overconfident interval passes; a
+    value with half-width 0 lies within 1e-13 of the reference's midpoint
+    and inside its interval.  Each half-width is at most ``widest`` times
+    the reference's, whose step is half the record's (at most 2.11 times
+    here), plus the transform roundoff a record may carry where the powers
+    can leave its lattice (at most 1.14e-11 here)."""
+    for k, got, ref in zip(range(1, np.size(probs.value) + 2),
+                           [*zip(*probs), tail], [*zip(*want), want_tail]):
+        miss = abs(got[0] - ref[0])
+        if got[1] == 0.0:
+            assert miss <= min(ref[1], 1e-13), (k, got, ref)
+            continue
+        assert miss <= got[1], (k, got, ref)
+        assert miss + ref[1] <= got[1] + 1e-13, (k, got, ref)
+        assert got[1] <= widest * ref[1] + roundoff, (k, got, ref)
+
+
 @pytest.mark.parametrize("y,s", FOLD_PAIRS, ids=[
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
 def test_a_folded_record_takes_the_full_lattice_sums(y, s):
     # The fold builds only the pmf: E[K], E[K^2], the crossing sum and the
-    # age's middle term come from the full lattice, bit for bit on the
-    # bracketing solve, and inside its intervals on the levels.  Phase-type
-    # gaps take their own record through ``Pair``; the folded lattice is
-    # held on them by its records.
+    # age's middle term come from the full lattice.  The bracketing
+    # record's intervals hold the reference's midpoints, and the levels'
+    # lie inside them.  Phase-type gaps take their own record through
+    # ``Pair``; the folded lattice is held on them by its records.
     records = Pair(y, s).records(DROPPING)
-    assert_is_the_bracketing_solve(RecordPair(y, s, "bracketing"))
+    want = lattice_reference.sums(y, s).record()
+    for i, (got, ref) in enumerate(zip(record_intervals(records["bracketing"]),
+                                       want)):
+        assert abs(got.value - ref.value) <= got.half_width, (i, got, ref)
     for i, (got, was) in enumerate(zip(record_intervals(records["lattice"]),
                                        record_intervals(records["bracketing"]))):
         assert abs(got.value - was.value) + got.half_width <= was.half_width, (
@@ -265,42 +251,24 @@ def test_a_folded_record_takes_the_full_lattice_sums(y, s):
     f"{y.kind}/{s.describe()}" for y, s in FOLD_PAIRS])
 def test_folded_record_is_the_full_lattice(y, s, c, monkeypatch):
     # Past its shift a shifted exponential service is memoryless, so the
-    # pmf's lattice folds there into closed-form weights: each Pr(K > k)
-    # must be what the pmf sums over every lattice point give, to 1e-13,
-    # its half-width widened by no more than the fold's roundoff term.
-    # Where K_MAX gaps cannot reach the shift (U(0, 0.2) against a shift
-    # of 3), Pr(K > k) is M^k with no kernel call, and no roundoff term.
-    # Phase-type gaps take their own record through ``Pair``; the folded
-    # lattice is held on them by direct calls.
+    # pmf's lattice folds there into closed-form weights: each Pr(K = k)
+    # must hold the reference's interval, which sums every lattice point,
+    # at every time scale (K's law is scale-free), and be at most 2.5
+    # times as wide.  The fold is one transform, weights then gap spectra; where
+    # K_MAX gaps cannot reach the shift (U(0, 0.2) against a shift of 3),
+    # Pr(K > k) is M^k with no transform, each entry exact.  Phase-type
+    # gaps take their own record through ``Pair``; the folded lattice is
+    # held on them by its records.
+    want = lattice_reference.pmf(y, s, K_MAX)
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
     assert Pair(y, s).cycles(DROPPING).path == (
         "closed_form" if unshifted(y) else "lattice")
-    *_, survival = full_lattice(Pair(y, s), K_MAX)
-    noises = kernel_noises(monkeypatch)
-    probs, tail = Pair(y, s).records(DROPPING)["bracketing"].pmf(K_MAX)
-    mid, hw = survival
+    record = Pair(y, s).records(DROPPING)["bracketing"]
+    calls = fft_calls(monkeypatch)
+    probs, tail = record.pmf(K_MAX)
     reaches = K_MAX * y.support()[1] >= s.support()[0]
-    assert len(noises) == reaches
-    roundoff = 2.0 * sum(noises) * np.arange(K_MAX + 1.0)  # tau_k's, beta_k's
-    assert probs.value == pytest.approx(mid[:-1] - mid[1:], rel=0, abs=1e-13)
-    assert tail.value == pytest.approx(mid[-1], rel=0, abs=1e-13)
-    for got, full, term in ((probs.half_width, hw[:-1] + hw[1:],
-                             roundoff[:-1] + roundoff[1:]),
-                            (tail.half_width, hw[-1], roundoff[-1])):
-        assert np.all(full - 1e-13 <= got)
-        assert np.all(got <= full + term + 1e-13)
-
-
-def kernel_noises(monkeypatch):
-    """The roundoff bound of each ``analytic._survival`` call from now on."""
-    noises = []
-
-    def recorded(*args, _original=analytic._survival):
-        powers, noise = _original(*args)
-        noises.append(noise)
-        return powers, noise
-    monkeypatch.setattr(analytic, "_survival", recorded)
-    return noises
+    assert len(calls) == 2 * reaches
+    assert_pmf_covers(probs, tail, *want)
 
 
 COVERAGE_PAIRS = [
@@ -322,13 +290,18 @@ def test_folded_pmf_half_width_covers_its_roundoff(y, s, c):
     assert abs(pmf.tail_mass.value - 1.0) <= pmf.tail_mass.half_width
 
 
-def test_unfolded_pmf_half_width_covers_its_roundoff():
-    # As above on the full lattice read by the power sums, whose powers
-    # stay on it up to k = 12: each entry is M^k plus the power against
-    # G - 1, which carries the kernel's roundoff.
-    probs, tail = power_sums_pmf(Pair(*COVERAGE_PAIRS[0]), 12)
-    assert np.all(np.abs(probs.value) <= probs.half_width)
-    assert abs(tail.value - 1.0) <= tail.half_width
+def test_unfolded_pmf_half_width_covers_its_roundoff(monkeypatch):
+    # As above where the service is no SE, so its pmf takes the power
+    # sums: twelve R(0.01) gaps pass 1 with chance under 1e-170 (their sum
+    # is at most sqrt(12) times their root sum of squares, a chi-square of
+    # 24 degrees), so against U(1, 2) Pr(K > k) = 1 for k <= 12.  Twelve
+    # gaps' cells reach past the lattice's end at 2, so each entry is the
+    # power against G, in one transform, and carries its roundoff.
+    calls = fft_calls(monkeypatch)
+    pmf = k_pmf(Pair(Rayleigh(0.01), Uniform(1.0, 2.0)), 12)
+    assert len(calls) == 2
+    assert all(abs(p.value) <= p.half_width for p in pmf.pmf), pmf.pmf
+    assert abs(pmf.tail_mass.value - 1.0) <= pmf.tail_mass.half_width
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -337,26 +310,25 @@ def test_a_far_shift_folds_without_overflow():
     # exponents are all <= 0.  The service ends by 1.03, so E[K] is near
     # sum_k Pr(T_k < 1) = sum_k 1/(2^k k!) = e^(1/2).  The ages on the
     # levels and on the bracketing solve must be finite, and the folded
-    # pmf must be the one every lattice point gives.
+    # pmf must hold the reference's, which sums every lattice point.
     y, s = Uniform(0.0, 2.0), ShiftedExponential(1000.0, 1.0)
     pair = Pair(y, s)
     ests = [exact_age(pair, DROPPING),
             exact_age(RecordPair(y, s, "bracketing"), DROPPING)]
     for est in ests:
         assert math.isfinite(est.value) and math.isfinite(est.ci_half_width)
-    *_, (mid, _) = full_lattice(pair, K_MAX)
-    pmf = k_pmf(pair, K_MAX)
-    assert [p.value for p in pmf.pmf] == pytest.approx(
-        mid[:-1] - mid[1:], rel=0, abs=1e-13)
+    assert_pmf_covers(*pair.cycles(DROPPING).pmf(K_MAX),
+                      *lattice_reference.pmf(y, s, K_MAX))
 
 
 def test_a_folded_pmf_reads_only_the_gaps_prefix(monkeypatch):
     # U(0, 0.2) gaps against SE(0.5, 3): the gap ccdf is 0 from 0.2 on, so
     # the pmf builder evaluates it on the b/h + 2 points that hold every
     # non-zero cell, and at (n-1)h and nh for the gap mass, not on all
-    # n + 1 (about 161000) points.
+    # n + 1 (about 161000) points.  The reference's step is at most the
+    # record's, so b over it bounds b/h.
     y, s = Uniform(0.0, 0.2), ShiftedExponential(0.5, 3.0)
-    most = 0.2 / bracket_step(Pair(y, s)) + 6
+    most = 0.2 / lattice_reference.step(y, s) + 6
     points = []
     ccdf = Uniform.ccdf
     monkeypatch.setattr(Uniform, "ccdf", lambda law, x: (
@@ -391,12 +363,12 @@ def test_pmf_entries_no_partial_sum_reaches_are_exact(y, s, k_max,
     # 40 gaps of at most 0.02 never reach the service time 1, nor 10 of at
     # most 0.2 the shift 3: Pr(K > k) = 1 for every k <= k_max, so every
     # Pr(K = k) is exactly 0, and each end's total gap mass is exactly 1,
-    # with no kernel call.
-    noises = kernel_noises(monkeypatch)
+    # with no transform.
+    calls = fft_calls(monkeypatch)
     pmf = k_pmf(Pair(y, s), k_max)
     assert [tuple(p) for p in pmf.pmf] == [(0.0, 0.0)] * k_max
     assert tuple(pmf.tail_mass) == (1.0, 0.0)
-    assert noises == []
+    assert calls == []
 
 
 def test_pmf_roundoff_past_the_lattice_is_in_the_half_width():
@@ -479,25 +451,26 @@ def test_levels_that_agree_to_roundoff_hold_the_exact_age(y, s):
 @pytest.mark.parametrize("y,s", [*PAIRS, (Rayleigh(1.0), Deterministic(0.7)),
                                  *REALIGNED],
                          ids=[*IDS, "R/D", *REALIGNED_IDS])
-def test_half_width_covers_a_finer_lattice(y, s, monkeypatch):
-    # Every interval holds the midpoint of the bracketing solve on levels
-    # 4 times finer, 1024 points or more per mean gap: SE/SE's kinks lie
-    # off the lattice, so its levels' error swings.  R/D's jump lies on
-    # both bracketing lattices, where the midpoint takes the trapezoid
-    # rule's half value; its age, E[K] and E[K^2] must also lie inside
-    # the finer proven bracket, and within their half-widths of levels 4
-    # times finer.
-    coarse = lattice(y, s)
+def test_half_width_covers_a_finer_lattice(y, s):
+    # Every interval of a lattice record holds the midpoint of the
+    # reference's bracket, at 512 points per mean gap with every kink on
+    # a point: SE/SE's kinks lie off the record's levels, so their error
+    # swings.  A D service's jump lies on both lattices, where the
+    # midpoint takes the trapezoid rule's half value; its age, E[K] and
+    # E[K^2] must also lie inside the reference's proven bracket, but for
+    # the record's transform roundoff, under 1e-13 of the value.  E and D
+    # gaps take closed-form records, proven to roundoff: each of their
+    # intervals must meet the reference's.
+    proven = not unshifted(s) and (
+        Pair(y, s).cycles(DROPPING).path == "closed_form")
     jump = s.support()[0] == s.support()[1]
-    with monkeypatch.context() as patch:
-        patch.setattr(analytic, "_LEVEL_STEPS", 4 * analytic._LEVEL_STEPS)
-        levels = lattice(y, s) if jump else None
-        fine = lattice(y, s, "bracketing")
-    for i, ((value, hw), (finer, finer_hw)) in enumerate(zip(coarse, fine)):
-        assert abs(value - finer) <= hw, (i, value, hw, finer)
+    for i, ((value, hw), ref) in enumerate(zip(lattice(y, s),
+                                               reference(y, s))):
+        slack = ref.half_width if proven else 0.0
+        assert abs(value - ref.value) <= hw + slack, (i, value, hw, ref)
         if jump and i < 3:
-            assert abs(value - finer) <= finer_hw, (i, value, finer, finer_hw)
-            assert abs(value - levels[i][0]) <= hw, (i, value, hw, levels[i])
+            assert abs(value - ref.value) <= (
+                ref.half_width + 1e-13 * abs(value)), (i, value, ref)
 
 
 # The pairs of ``PAIRS`` that reach the lattice, Erlang service included.
@@ -542,34 +515,21 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s):
                          ids=["E/R", "E/U", "deep-U/R", *REALIGNED_IDS,
                               "slow-SE/U", "slow-SE/D-0.7"])
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
-    # The full lattice's bracketing record is the bracketing solve at a
-    # quarter of the levels' step, bit for bit, as a folded one's is
-    # (test_a_folded_record_takes_the_full_lattice_sums).  Where an
-    # observed order falls out of range, as on the first-order pairs, the
-    # lattice record takes those sums; the realigned pairs take their
-    # levels.
-    assert_is_the_bracketing_solve(RecordPair(y, s, "bracketing"))
+    # The bracketing record's intervals hold the reference's midpoints, as
+    # a folded one's do (test_a_folded_record_takes_the_full_lattice_sums),
+    # and so do the lattice record's: where an observed order falls out of
+    # range, as on the first-order pairs, it takes the bracketing sums.
+    # The realigned pairs take their levels.
+    want = lattice_reference.sums(y, s).record()
     records = Pair(y, s).records(DROPPING)
-    if (y, s) in FIRST_ORDER:
-        assert records["lattice"].sums() == records["bracketing"].sums()
+    lattice_sums, bracketing = (records[name].sums()
+                                for name in ("lattice", "bracketing"))
+    for i, intervals in enumerate(zip(lattice_sums, bracketing)):
+        for got in intervals:
+            assert abs(got.value - want[i].value) <= got.half_width, (
+                i, got, want[i])
     if (y, s) in REALIGNED:
-        assert records["lattice"].sums() != records["bracketing"].sums()
-
-
-def assert_is_the_bracketing_solve(pair):
-    record = pair.cycles(DROPPING)
-    *want, _ = full_lattice(pair, K_MAX)
-    assert list(record.sums()) == [*want, want[2].over(want[0])]
-
-
-def renewal_weights(monkeypatch):
-    """The weights' shape of each ``analytic._renewal_sums`` call from now
-    on."""
-    shapes = []
-    renewal_sums = analytic._renewal_sums
-    monkeypatch.setattr(analytic, "_renewal_sums", lambda *a: (
-        shapes.append(a[1].shape), renewal_sums(*a))[1])
-    return shapes
+        assert lattice_sums != bracketing
 
 
 def test_a_deterministic_service_takes_the_levels(monkeypatch):
@@ -577,12 +537,18 @@ def test_a_deterministic_service_takes_the_levels(monkeypatch):
     # reads 0 and the up end 1: the midpoint takes the trapezoid rule's
     # half value there, and the levels' error is a series in h^2.  The
     # record keeps the levels, three renewal transforms, each weighing c
-    # and x c once per end.
-    shapes = renewal_weights(monkeypatch)
-    pair = Pair(Rayleigh(1.0), Deterministic(0.7))
+    # and x c once per end in its first FFT and taking the gap cells'
+    # spectra in its second, and its age holds the reference's midpoint.
+    y, s = Rayleigh(1.0), Deterministic(0.7)
+    want = lattice_reference.sums(y, s).age
+    calls = fft_calls(monkeypatch)
+    pair = Pair(y, s)
     est = exact_age(pair, DROPPING)
-    assert [shape[:2] for shape in shapes] == [(2, 2)] * 3
+    assert len(calls) == 6
+    assert [shape[:2] for shape, _ in calls[::2]] == [(2, 2)] * 3
+    assert pair.cycles(DROPPING).name == "lattice"
     assert 0.0 < est.ci_half_width <= 1e-4 * est.value
+    assert abs(est.value - want.value) <= est.ci_half_width
 
 
 @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
@@ -593,18 +559,17 @@ def test_only_a_point_mass_weighs_each_end_apart(s, monkeypatch):
     # 0, too.  At U(0, 2) gaps every service end here lies on the pmf's
     # lattice.  The SE service's pmf takes the fold alone, whose weights,
     # each end's gap cells folded past the shift, are one set per end.
-    shapes = renewal_weights(monkeypatch)
-    noises = []
-    survival = analytic._survival
-    monkeypatch.setattr(analytic, "_survival", lambda *a: (
-        noises.append(a[1].shape), survival(*a))[1])
+    # Each transform weighs its weights in its first FFT.
     record = Pair(Uniform(0.0, 2.0), s).records(DROPPING)["lattice"]
+    calls = fft_calls(monkeypatch)
     record.sums()
+    weights = [shape for shape, _ in calls[::2]]
+    del calls[:]
     record.pmf(K_MAX)
     ends = (2,) if s.support()[0] == s.support()[1] else ()
-    assert shapes and all(shape[:-2] == ends for shape in shapes)
+    assert weights and all(shape[:-2] == ends for shape in weights)
     folded = (s.phases() or (0.0,))[0] > 0.0
-    assert [shape[:-2] for shape in noises] == [(2,) if folded else ends]
+    assert [shape[:-2] for shape, _ in calls[::2]] == [(2,) if folded else ends]
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
@@ -626,18 +591,59 @@ def test_extrapolated_age_rescales_with_time(y, s, c):
         8.0 * EPS * scaled.value)
 
 
-def direct_renewal_sums(gaps, weights):
-    """``_renewal_sums`` of one end's cells by the recursion
-    u_l = (delta_l + sum_{i=1..l} f_i u_(l-i)) / (1 - f_0), in long
-    doubles."""
-    f = gaps.astype(np.longdouble)
-    u = np.zeros(f.size, dtype=np.longdouble)
+def long_double_renewal(f, n):
+    """u = delta + f*u on n points by the recursion
+    u_l = (delta_l + sum_{i=1..l} f_i u_(l-i)) / (1 - f_0), and w = u*u,
+    in long doubles."""
+    f = np.pad(f[:n], (0, max(0, n - f.size))).astype(np.longdouble)
+    u = np.zeros(n, dtype=np.longdouble)
     u[0] = 1 / (1 - f[0])
-    for l in range(1, f.size):
+    for l in range(1, n):
         u[l] = (f[1:l + 1] @ u[l - 1::-1]) / (1 - f[0])
-    square = 2 * np.convolve(u, u)[:f.size] - u
+    return u, np.convolve(u, u)[:n]
+
+
+def direct_renewal_sums(gaps, weights):
+    """``_renewal_sums`` of one end's cells by :func:`long_double_renewal`."""
+    u, w = long_double_renewal(gaps, gaps.size)
     return [*(u @ weights.T.astype(np.longdouble)),
-            *(square @ weights.T.astype(np.longdouble))]
+            *((2 * w - u) @ weights.T.astype(np.longdouble))]
+
+
+@pytest.mark.parametrize("y,m", [
+    (Uniform(0.0, 2.0), 64), (Uniform(0.5, 1.5), 64), (Uniform(0.0, 2.0), 256),
+    (Rayleigh(1.0), 512), (ShiftedExponential(2.0, 0.5), 512)],
+    ids=["U-128-cells", "U-off-origin", "U-512-cells", "R", "SE"])
+def test_reference_renewal_is_the_long_double_recursion(y, m):
+    # The reference's block solve on 1500 points, five blocks and a short
+    # one, with gap cells shorter than a block, longer, and as long as the
+    # points: u and w = u*u each within 8 eps of their largest value of the
+    # recursion in long doubles (at most 0.1 and 2.5 eps measured).
+    n, h = 1500, y.mean() / m
+    tail = y.ccdf(h * np.arange(n + 1))
+    f = np.trim_zeros(tail[:-1] - tail[1:], "b")
+    for got, want in zip(lattice_reference.renewal(f, n),
+                         long_double_renewal(f, n)):
+        want = want.astype(float)
+        assert np.abs(got - want).max() <= 8.0 * EPS * np.abs(want).max()
+
+
+def test_reference_pmf_spans_the_direct_convolution_powers():
+    # U(0, 2)/R(1) on the reference's 4783 points: its Pr(K = k) and
+    # Pr(K > K_MAX) are the two ends' powers, convolved directly in long
+    # doubles, spanned as a record spans them: each midpoint within 1e-15
+    # (1.7e-16 measured), each half-width the span's plus the FFTs'
+    # roundoff term, at most 1e-13 (5.5e-14 measured).
+    y, s = Uniform(0.0, 2.0), Rayleigh(1.0)
+    probs, tail = lattice_reference.pmf(y, s, K_MAX)
+    ends = np.array([[1.0, *direct_power_sums(f, g, K_MAX)]
+                     for f, g in lattice_reference.lattice(y, s).ends])
+    mid, hw = Interval.between(ends.min(0), ends.max(0))
+    extra = (np.append(probs.half_width, tail.half_width)
+             - np.append(hw[:-1] + hw[1:], hw[-1]))
+    assert np.abs(np.append(probs.value, tail.value)
+                  - np.append(mid[:-1] - mid[1:], mid[-1])).max() <= 1e-15
+    assert 0.0 <= extra.min() and extra.max() <= 1e-13
 
 
 @pytest.mark.parametrize("y,s,m", [
@@ -649,7 +655,7 @@ def test_renewal_roundoff_bounds_a_direct_solve(y, s, m):
     # The tilted transform's roundoff, the relative bound it reports, must
     # hold every sum of both ends against a long-double recursion.
     h = y.mean() / m
-    n = int(analytic._truncation_point(s) / h) + 2
+    n = int(lattice_reference.last_point(s) / h) + 2
     x = h * np.arange(n)
     tail = y.ccdf(h * np.arange(n + 1))
     gaps, weights = analytic._cells(tail), np.stack((s.ccdf(x), x * s.ccdf(x)))
@@ -737,61 +743,47 @@ def test_a_jump_on_the_levels_holds_the_uniform_series(b, d, c):
         pmf.tail_mass.half_width)
 
 
+def assert_rescales(pair, scaled, c):
+    """``scaled``, ``pair`` with every time scaled by c, takes the same
+    dropping record, whose sums hold ``pair``'s rescaled (E[K] and E[K^2]
+    scale-free, the crossing sum and the middle term times c) within their
+    half-widths, and whose Pr(K = k) and Pr(K > K_MAX) are ``pair``'s to
+    4 eps, their half-widths to 16 eps."""
+    record, rescaled = pair.cycles(DROPPING), scaled.cycles(DROPPING)
+    assert rescaled.name == record.name
+    for i, (got, was, f) in enumerate(zip(rescaled.sums(), record.sums(),
+                                          (1.0, 1.0, c, c))):
+        assert abs(got.value - f * was.value) <= got.half_width, (i, got, was)
+    pmfs = [np.column_stack([np.append(probs.value, tail.value),
+                             np.append(probs.half_width, tail.half_width)])
+            for probs, tail in (rescaled.pmf(K_MAX), record.pmf(K_MAX))]
+    assert np.all(np.abs(pmfs[0] - pmfs[1]) <= (4.0 * EPS, 16.0 * EPS))
+
+
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda d: d.kind)
-def test_every_service_kink_lies_on_the_bracketing_lattice(s, c, monkeypatch):
-    # The bracketing solve takes a quarter of the finest level's step,
-    # which puts every kink of both laws on every level (R gaps have none,
-    # so here the service's: U(0.5, 2)'s two ends), and so on its lattice
-    # too: the lattice its sums and its pmf read holds each finite end of
-    # the support as a point.  The fold reads no points, only whether the
-    # SE shift is on one (``_kink``), so the lattice is the sums'.
-    y, s = Rayleigh(c), RESCALED[s.kind](s, c)
-    lattices = []
-
-    def recorded(service, h, n, _original=analytic._points):
-        x, atom = _original(service, h, n)
-        lattices.append(x)
-        return x, atom
-    monkeypatch.setattr(analytic, "_points", recorded)
-    Pair(y, s).records(DROPPING)["bracketing"].sums()
-    (x,) = lattices
-    assert x[1] == pytest.approx(bracket_step(Pair(y, s)), rel=1e-15)
-    for b in filter(math.isfinite, s.support()):
-        assert b in x, (b, x[1], b / x[1])
-
-
-def on_lattice(b, h):
-    """Whether the kink b lies within ``_SNAP`` steps of a point jh, j >= 1,
-    one kink and one step at a time."""
-    j = round(b / h)
-    return j >= 1 and abs(h * j - b) <= analytic._SNAP * h
-
-
-def scalar_level_step(y, s):
-    """The finest level's step by its rule, one candidate at a time: the
-    largest b/4j, j from ceil(b/4h) on, h = E[Y]/64 and b the largest kink,
-    at least h/2 that puts every finite positive support end of both laws
-    on the coarsest level; else the same for the service's last kink
-    alone; else h.  Also whether every kink fits."""
-    h = y.mean() / analytic._LEVEL_STEPS
-    ends = [[b for b in law.support() if 0.0 < b < math.inf] for law in (s, y)]
-    for every, kinks in ((True, ends[0] + ends[1]), (False, ends[0][-1:])):
-        if not kinks:
-            continue
-        b = max(kinks)
-        first = max(1, math.ceil(b / (4.0 * h) - analytic._SNAP))
-        for j in range(first, 2 * first + 1):
-            step = b / (4.0 * j)
-            if step < 0.5 * h:
-                break
-            if all(on_lattice(k, 4.0 * step) for k in kinks):
-                return step, every
-    return h, False
+def test_every_service_kink_lies_on_the_bracketing_lattice(s, c):
+    # The bracketing solve puts every kink of both laws on its lattice at
+    # every time scale (R gaps have none, so here the service's: U(0.5,
+    # 2)'s two ends, the D jump and the SE shift), keeping each tie rule:
+    # a D service's jump an ulp off its point would read Pr(S > x) = 1
+    # there.  So the record at R(c) gaps is the one at R(1) rescaled, and
+    # at c = 1 its sums and pmf hold the reference's midpoints.
+    y = Rayleigh(1.0)
+    pair = RecordPair(y, s, "bracketing")
+    assert_rescales(pair, RecordPair(Rayleigh(c), RESCALED[s.kind](s, c),
+                                     "bracketing"), c)
+    record = pair.cycles(DROPPING)
+    probs, tail = record.pmf(K_MAX)
+    want, want_tail = lattice_reference.pmf(y, s, K_MAX)
+    for i, (got, ref) in enumerate(zip(
+            [*record.sums(), *zip(*probs), tail],
+            [*lattice_reference.sums(y, s).record(), *zip(*want), want_tail])):
+        assert abs(got[0] - ref[0]) <= got[1], (i, got, ref)
 
 
 # SE(0.25, 0.5) gaps put a step of E[Y]/64 = 0.07 past most kinks: there
-# the search on every kink finds none.
+# no step in range puts every kink on every level.
 STEP_GAPS = [Uniform(0.5, 1.5), Uniform(0.0, 2.0),
              ShiftedExponential(1.0, 0.5), ShiftedExponential(2.0, 0.1),
              ShiftedExponential(0.25, 0.5), Rayleigh(1.0)]
@@ -805,42 +797,44 @@ STEP_SERVICES = [Uniform(0.5, 1.0), Uniform(0.0, 2.0), Deterministic(0.7),
 @pytest.mark.parametrize("s", STEP_SERVICES, ids=lambda d: d.describe())
 @pytest.mark.parametrize("y", STEP_GAPS, ids=lambda d: d.describe())
 def test_every_kink_lies_on_every_level(y, s, c):
-    # The finest level's step is the scalar search's, bit for bit.  Where
-    # it puts every kink on the coarsest level, each finite end of either
-    # law's support lies on the same point of every level (and of the
-    # bracketing lattice, a quarter of the step): its index doubles as the
-    # step halves.  The realigned pairs are among them.
-    realigned = (y, s) in REALIGNED
-    y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
-    step = analytic._level_step(y.mean(), y, s)
-    want, every = scalar_level_step(y, s)
-    assert step == want
-    assert every or not realigned
-    if not every:
-        return
-    kinks = [b for law in (y, s) for b in law.support() if 0.0 < b < math.inf]
-    for b in kinks:
-        index = round(b / (4.0 * step))
-        for stride in (4, 2, 1, 0.25):
-            assert analytic._kink(b, stride * step), (b, stride, step)
-            assert round(b / (stride * step)) == index * 4 / stride
+    # Where a step in range puts every kink of both laws on every level,
+    # each finite end of either law's support lies on the same point of
+    # every level at every time scale, so each level's error is the same
+    # series in h^2 at every scale.  Every pair here takes the lattice
+    # record, as the path table names, and at scale c that record is the
+    # one at scale 1 rescaled, levels or bracketing solve alike.  The
+    # realigned pairs take their levels at every scale.
+    pair = Pair(y, s)
+    scaled = Pair(RESCALED[y.kind](y, c), RESCALED[s.kind](s, c))
+    assert scaled.cycles(DROPPING).name == "lattice"
+    assert_rescales(pair, scaled, c)
+    if (y, s) in REALIGNED:
+        records = scaled.records(DROPPING)
+        assert records["lattice"].sums() != records["bracketing"].sums()
 
 
-def test_the_deep_step_search_matches_the_scalar_search():
-    # About 13000 candidates for four kinks, of which 0.0003 and 0.0021
-    # fit only at j = 20000, step 1.25e-5 against E[Y]/64 = 1.875e-5.
+def test_the_deep_step_search_puts_every_kink_on_the_levels():
+    # About 13000 candidate steps for four kinks, of which 0.0003 and
+    # 0.0021 lie on a level only from step 1/80000 down, against E[Y]/64 =
+    # 1.875e-5: the record finds one, so it takes its levels, whose age
+    # half-width is 1.6e-8 of the age (3.2e-8 where only the service's
+    # kinks lie on every level, 3.6e-3 on the bracketing solve), and its
+    # age holds the reference's midpoint.
     y, s = Uniform(0.0003, 0.0021), Uniform(0.5, 1.0)
-    assert analytic._level_step(y.mean(), y, s) == scalar_level_step(y, s)[0]
-    assert scalar_level_step(y, s) == (1.0 / 80_000, True)
+    est = exact_age(Pair(y, s), DROPPING)
+    assert est.method == "lattice"
+    assert est.ci_half_width <= 2e-8 * est.value
+    assert abs(est.value - lattice_reference.sums(y, s).age.value) <= (
+        est.ci_half_width)
 
 
-def test_levels_that_agree_to_roundoff_are_taken_as_they_are(monkeypatch):
+def test_levels_that_agree_to_roundoff_are_taken_as_they_are():
     # U(0.5, 1.5) gaps against a U(0.5, 1) service: K <= 2, so E[K] =
     # 1 + Pr(S > Y) = 5/4 and the crossing sum E[Y Pr(S > Y)] = 1/6, and
     # the age is 13/24 + (1/6)/(5/4) + 3/4 = 1.425.  Every kink lies on
     # every level, where E[K]'s and E[K^2]'s levels agree to roundoff: they
     # take the finest value with the roundoff half-width, and the age holds
-    # the closed form and the levels 8 times finer, its half-width at most
+    # the closed form and the reference's midpoint, its half-width at most
     # 1e-4 of it.
     y, s = Uniform(0.5, 1.5), Uniform(0.5, 1.0)
     record = Pair(y, s).cycles(DROPPING)
@@ -850,8 +844,7 @@ def test_levels_that_agree_to_roundoff_are_taken_as_they_are(monkeypatch):
     est = exact_age(Pair(y, s), DROPPING)
     assert est.method == "lattice"
     assert abs(est.value - 1.425) <= est.ci_half_width <= 1e-4 * est.value
-    monkeypatch.setattr(analytic, "_LEVEL_STEPS", 8 * analytic._LEVEL_STEPS)
-    finer = exact_age(Pair(y, s), DROPPING)
+    finer = lattice_reference.sums(y, s).age
     assert abs(est.value - finer.value) <= est.ci_half_width
 
 
@@ -917,27 +910,27 @@ def test_the_bracketing_solve_carries_its_roundoff(c):
     assert abs(est.value - (pair.head + 0.7 * c)) <= est.ci_half_width
 
 
-def test_the_up_end_reads_the_left_limit_at_the_jump(monkeypatch):
-    # The bracketing solve on U(0, 2)/D(1), at 256 points per mean gap: the
-    # up end reads Pr(S >= 1) = 1 at the jump, so the proven bracket still
-    # holds E[K] = e^(1/2), and is narrower than with both ends reading
-    # Pr(S > x), as they did before (+-8.1e-4 against +-2.4e-3); so is
-    # each Pr(K = k) (+-4.9e-4 against +-9.8e-4 at k = 2).
-    pair = RecordPair(Uniform(0.0, 2.0), Deterministic(1.0), "bracketing")
+def test_the_up_end_reads_the_left_limit_at_the_jump():
+    # The bracketing solve on U(0, 2)/D(1): the up end reads Pr(S >= 1) = 1
+    # at the jump, so the proven bracket holds E[K] = e^(1/2) and each
+    # Pr(K = k) = r^(k-1)/(k-1)! - r^k/k!, r = 1/2.  Its half-widths keep
+    # the first-order error of a lattice twice as coarse as the
+    # reference's, whose up end reads the jump the same way: E[K]'s and
+    # each Pr(K = k)'s at most 2.1 times the reference's (2.006 here, and
+    # 2.2 to 8 times where both ends read Pr(S > x), as they did before).
+    y, s = Uniform(0.0, 2.0), Deterministic(1.0)
+    pair = RecordPair(y, s, "bracketing")
     k_mean, pmf = pair.cycles(DROPPING).sums()[0], k_pmf(pair, K_MAX)
     assert abs(k_mean.value - math.exp(0.5)) <= k_mean.half_width
-
-    def both_strict(service, h, n):
-        x, _ = analytic._points(service, h, n)
-        return x, service.ccdf(x)
-    monkeypatch.setattr(analytic, "_ends_ccdf", both_strict)
-    strict = RecordPair(pair.interarrival, pair.service, "bracketing")
-    was, was_pmf = strict.cycles(DROPPING).sums()[0], k_pmf(strict, K_MAX)
-    assert abs(was.value - math.exp(0.5)) <= was.half_width
-    assert k_mean.half_width < 0.5 * was.half_width
-    assert all(p.half_width <= q.half_width
-               for p, q in zip(pmf.pmf, was_pmf.pmf))
-    assert pmf.pmf[1].half_width < 0.6 * was_pmf.pmf[1].half_width
+    survival = [0.5 ** k / math.factorial(k) for k in range(K_MAX + 1)]
+    for k, got in enumerate(pmf.pmf, start=1):
+        want = survival[k - 1] - survival[k]
+        assert abs(got.value - want) <= got.half_width, (k, got, want)
+    assert k_mean.half_width <= (
+        2.1 * lattice_reference.sums(y, s).k_mean.half_width)
+    assert_pmf_covers(Interval(*map(np.array, zip(*pmf.pmf))), pmf.tail_mass,
+                      *lattice_reference.pmf(y, s, K_MAX), widest=2.1,
+                      roundoff=2e-13)
 
 
 UNBOUNDED = [d for d in ALL_KINDS if d.support()[1] == np.inf]
@@ -950,34 +943,7 @@ UNBOUNDED = [d for d in ALL_KINDS if d.support()[1] == np.inf]
 # through ``Pair``.
 RARE_PHASES = [Hyperexponential((0.99999999999999, 1e-14), (1.0, 1e-16)),
                Hyperexponential((1.0, 1e-20), (1.0, 1e-10))]
-
-
-@pytest.mark.parametrize("s", [pytest.param(d, id=d.kind) for d in UNBOUNDED]
-                         + [pytest.param(RARE_PHASES[0], id="rare-phase")])
-def test_truncation_point_is_the_first_passing_64th_of_an_octave(s):
-    top = analytic._truncation_point(s)
-    assert s.ccdf(top) <= analytic._SERVICE_TAIL
-    lower = top * 2.0 ** (-1.0 / analytic._TOP_STEPS)
-    assert s.ccdf(lower) > analytic._SERVICE_TAIL
-
-
-def tail_shares(s, t):
-    """E[S; S > t]/E[S] and E[S^2; S > t]/E[S^2] in closed form."""
-    t = mpmath.mpf(t)
-    if isinstance(s, Erlang):  # regularized upper incomplete gamma
-        return [mpmath.gammainc(s.shape + j, s.rate * t, mpmath.inf,
-                                regularized=True) for j in (1, 2)]
-    if isinstance(s, ShiftedExponential):  # t is past the shift
-        r, d = mpmath.mpf(s.rate), mpmath.mpf(s.shift)
-        tail = mpmath.exp(-r * (t - d))
-        return [tail * (t + 1 / r) / (d + 1 / r),
-                tail * (t**2 + 2 * t / r + 2 / r**2)
-                / (d**2 + 2 * d / r + 2 / r**2)]
-    sigma = mpmath.mpf(s.scale)  # Rayleigh
-    mean = sigma * mpmath.sqrt(mpmath.pi / 2)
-    tail = mpmath.exp(-t**2 / (2 * sigma**2))
-    return [(t * tail + mean * mpmath.erfc(t / (sigma * mpmath.sqrt(2)))) / mean,
-            (t**2 + 2 * sigma**2) * tail / (2 * sigma**2)]
+RARE_IDS = ["mean-in-tail", "second-in-tail"]
 
 
 @pytest.mark.parametrize("s", [
@@ -988,45 +954,88 @@ def test_the_lattice_top_keeps_both_moments(s):
     # The lattice ends where the service keeps 1e-13 of its mass; for the
     # unbounded services that still reach it, the light tails beyond hold
     # a share of E[S] and of E[S^2] far below the lattice's own error.
-    with mpmath.workdps(30):
-        shares = tail_shares(s, analytic._truncation_point(s))
-    assert max(shares) <= 1e-10, shares
+    # With Poisson arrivals the one-phase record gives E[K], E[K^2] and the
+    # crossing sum in closed form from E[S] and E[S^2]: the bracketing
+    # record on the same pair, at one arrival per mean service, must hold
+    # each, and the middle term.
+    y = Exponential(1.0 / s.mean())
+    exact = Pair(y, s).cycles(DROPPING)
+    assert exact.name == "one_phase"
+    bracketing = RecordPair(y, s, "bracketing").cycles(DROPPING)
+    for i, (got, want) in enumerate(zip(bracketing.sums(), exact.sums())):
+        assert abs(got.value - want.value) <= got.half_width, (i, got, want)
 
 
-def scalar_search(s):
-    """The lattice top by doubling from E[S], halving back, and then the
-    64ths of the octave found."""
-    x = s.mean()
-    while s.ccdf(x) > analytic._SERVICE_TAIL:
-        x *= 2.0
-    while s.ccdf(0.5 * x) <= analytic._SERVICE_TAIL:
-        x *= 0.5
-    tries = 0.5 * x * np.exp2(np.arange(1, 65) / 64)
-    return float(tries[np.argmax(s.ccdf(tries) <= analytic._SERVICE_TAIL)])
+def scaled_services(unbounded, rare):
+    """Each unbounded service at the scales ``unbounded``, then each
+    rare-phase service at the scales ``rare``."""
+    return ([pytest.param(d, c, id=f"{d.kind}-{c}")
+             for d in UNBOUNDED for c in unbounded]
+            + [pytest.param(d, c, id=f"{name}-{c}")
+               for d, name in zip(RARE_PHASES, RARE_IDS) for c in rare])
 
 
-@pytest.mark.parametrize("s,c", [
-    *((d, c) for d in UNBOUNDED for c in (1e-300, 1e-6, 1.0, 1e6, 1e300)),
-    *((d, c) for d in RARE_PHASES for c in (1e-6, 1.0, 1e6))],
-    ids=lambda v: v.kind if hasattr(v, "kind") else f"{v:g}")
-def test_truncation_point_is_the_scalar_search(s, c):
-    # Two array calls of the ccdf find the point bit for bit.
+@pytest.mark.parametrize("s,c", scaled_services(
+    (1e-300, 1e-6, 1.0, 1e6, 1e300), (1e-6, 1.0, 1e6)))
+def test_truncation_point_is_the_first_passing_64th_of_an_octave(s, c):
+    # The lattice's last point is E[S] 2^(j/64) for the least integer j at
+    # which Pr(S > x) <= 1e-13, at every time scale, down to the octaves
+    # that meet the float range's ends at 1e-300 and 1e300, which no pair
+    # reaches: check_pair refuses gaps whose E[Y^2] leaves the floats.
     scaled = RESCALED[s.kind](s, c)
-    assert analytic._truncation_point(scaled) == scalar_search(scaled)
+    top = analytic._truncation_point(scaled)
+    j = analytic._TOP_STEPS * math.log2(top / scaled.mean())
+    assert abs(j - round(j)) <= 1e-6, j
+    assert scaled.ccdf(top) <= analytic._SERVICE_TAIL
+    lower = top * 2.0 ** (-1.0 / analytic._TOP_STEPS)
+    assert scaled.ccdf(lower) > analytic._SERVICE_TAIL
 
 
-@pytest.mark.parametrize("c", [1e-300, 1e-6, 1e6, 1e300])
-@pytest.mark.parametrize("s", UNBOUNDED, ids=lambda d: d.kind)
+@pytest.mark.parametrize("s,c", scaled_services(
+    (1e-300, 1e-6, 1e6, 1e300), (1e-6, 1e6)))
 def test_truncation_point_rescales_with_time(s, c):
     scaled = RESCALED[s.kind](s, c)
     assert analytic._truncation_point(scaled) == pytest.approx(
         c * analytic._truncation_point(s), rel=1e-12)
 
 
+# 1e-150 and 1e150 are the widest scales at which R gaps keep a finite,
+# nonzero E[Y^2], as a pair needs.
+@pytest.mark.parametrize("c", [1e-150, 1e-6, 1e6, 1e150])
+@pytest.mark.parametrize("s", [pytest.param(d, id=d.kind) for d in UNBOUNDED]
+                         + [pytest.param(d, id=name)
+                            for d, name in zip(RARE_PHASES, RARE_IDS)])
+def test_the_bracketing_record_rescales_with_its_top(s, c):
+    # The lattice's last point is found in units of E[S], by halving down
+    # from it where Pr(S > E[S]) already passes, so it rescales with time,
+    # and with it the whole bracketing record: at R(c) gaps against the
+    # service at scale c it is the record at scale 1 rescaled.
+    assert_rescales(RecordPair(Rayleigh(1.0), s, "bracketing"),
+                    RecordPair(Rayleigh(c), RESCALED[s.kind](s, c),
+                               "bracketing"), c)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-6, 1.0, 1e6, 1e150])
+@pytest.mark.parametrize("s", UNBOUNDED, ids=lambda d: d.kind)
+def test_the_lattice_top_leaves_no_tail_the_reference_sees(s, c):
+    # The reference runs its own lattice out to 1e-16 of the service's
+    # mass, 1000 times less than the record keeps; the record's bound on
+    # the tail it cuts must cover the difference at every time scale, in
+    # each sum and each Pr(K = k), each against the reference solved at
+    # that scale.
+    y, s = Rayleigh(c), RESCALED[s.kind](s, c)
+    record = RecordPair(y, s, "bracketing").cycles(DROPPING)
+    probs, tail = record.pmf(K_MAX)
+    want, want_tail = lattice_reference.pmf(y, s, K_MAX)
+    for i, (got, ref) in enumerate(zip(
+            [*record.sums(), *zip(*probs), tail],
+            [*lattice_reference.sums(y, s).record(), *zip(*want), want_tail])):
+        assert abs(got[0] - ref[0]) <= got[1], (i, got, ref)
+
+
 # At c = 1e152 and 1e153 the rare rate's square underflows.
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e152, 1e153])
-@pytest.mark.parametrize("s", RARE_PHASES,
-                         ids=["mean-in-tail", "second-in-tail"])
+@pytest.mark.parametrize("s", RARE_PHASES, ids=RARE_IDS)
 def test_a_moment_beyond_the_lattice_is_not_reached(s, c):
     # The 1e-13 mass cut would drop the rare phase, and with it most of a
     # moment the age integrates.  Through ``Pair`` no hyperexponential
@@ -1094,19 +1103,21 @@ def test_deep_cycle_guard():
     assert abs(est.value - age) <= est.ci_half_width
 
 
-def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves():
+def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves(monkeypatch):
     # The SE(0.0025, 0.04) service's shift shrinks the finest level's step
     # to E[Y]/100, so four times it, E[Y]/25, still leaves its 1.2e4 top
     # past the point budget; at E[Y]/16 it fits.  The bracketing step
-    # doubles on until it fits, and the age holds the M/G/1/1 closed form.
+    # doubles on until it fits: its transforms read both ends' lattices of
+    # n points, 2^17 <= n < 2^18, so the step before the last doubling would
+    # not have fit the 2^18 points.  The age holds the M/G/1/1 closed form.
     y, s = Exponential(1.0), ShiftedExponential(0.0025, 0.04)
-    top = analytic._truncation_point(s)
-    fine = analytic._level_step(y.mean(), y, s)
-    assert top / (4.0 * fine) >= analytic._MAX_LATTICE > 16.0 * top
     mg11 = ((2.0 + 2.0 * s.mean() + s.second_moment())
             / (2.0 * (1.0 + s.mean())) + s.mean())
     assert "lattice" not in Pair(y, s).records(DROPPING)  # no levels
+    calls = fft_calls(monkeypatch)
     est = exact_age(RecordPair(y, s, "bracketing"), DROPPING)
+    assert calls and all(shape[0] == 2 and 2**17 <= shape[-1] < 2**18
+                         for shape, _ in calls), calls
     assert 0.0 < est.ci_half_width < 0.1 * mg11
     assert abs(est.value - mg11) <= est.ci_half_width
 
@@ -1135,6 +1146,12 @@ def test_a_lattice_record_keeps_no_spectra():
     assert kept < 2 * 2**20
 
 
+@functools.cache
+def long_pmf(y, s):
+    """The (value, half-width) rows of ``k_pmf`` up to k = 400."""
+    return np.array(k_pmf(Pair(y, s), 400).pmf)
+
+
 @pytest.mark.parametrize("y,s", [
     (Uniform(0.0, 0.2), Rayleigh(2.0)),
     (Uniform(0.0, 0.02), Deterministic(1.0)),
@@ -1147,7 +1164,7 @@ def test_a_short_pmf_is_the_prefix_of_a_long_one(y, s, k_max):
     # both must give the same probabilities and half-widths, but for the
     # transform's roundoff that the long call's half-widths carry where its
     # powers can leave the lattice (a few 1e-12 on the deep pairs).
-    long = np.array(k_pmf(Pair(y, s), 400).pmf[:k_max])
+    long = long_pmf(y, s)[:k_max]
     short = np.array(k_pmf(Pair(y, s), k_max).pmf)
     assert short[:, 0] == pytest.approx(long[:, 0], rel=0, abs=1e-12)
     assert np.all(short[:, 1] <= long[:, 1] + 1e-12)
@@ -1183,38 +1200,26 @@ def test_a_one_arrival_cycle_keeps_a_nonnegative_half_width(y, s):
     assert exact_age(pair, DROPPING).ci_half_width >= 0.0
 
 
-def fft_sizes(monkeypatch):
-    """The length of each ``np.fft.rfft`` call from now on, in order."""
-    sizes = []
-
-    def recorded(a, n=None, *args, _original=np.fft.rfft):
-        sizes.append(n)
-        return _original(a, n, *args)
-    monkeypatch.setattr(np.fft, "rfft", recorded)
-    return sizes
-
-
 def test_pmf_transform_is_sized_by_the_powers_it_reads(monkeypatch):
     # The deep pair has 40018 lattice points, but Pr(K > k), k <= 10, reads
     # only m = 10 * 512 + 1 of them: no power wraps, so the transform is
-    # untilted on the smallest even length at least m, and only that
-    # prefix of the lattice is built.
+    # untilted on the smallest even length at least m, 6144, in two FFTs
+    # (the weights, then both ends' gap spectra), and only that prefix of
+    # the lattice is built.  The service ccdf's largest call reads the m
+    # points; the gap ccdf reads the prefix that holds the gaps' support
+    # and the lattice's last two points.
     y, s = Uniform(0.0, 0.2), Rayleigh(2.0)
     m = 10 * 512 + 1
-    top = analytic._truncation_point(s)
-    monkeypatch.setattr(analytic, "_truncation_point", lambda service: top)
-    sizes, points = fft_sizes(monkeypatch), []
+    calls, points = fft_calls(monkeypatch), {Uniform: [], Rayleigh: []}
 
     def counted(self, x, _original=Distribution.ccdf):
-        points.append(np.size(x))
+        points[type(self)].append(np.size(x))
         return _original(self, x)
     monkeypatch.setattr(Distribution, "ccdf", counted)
     k_pmf(Pair(y, s), 10)
-    assert len(sizes) == 2  # the weights, then both ends' gap spectra
-    assert max(sizes) <= 2 * analytic._fft_size(-(-m // 2)) == 6144
-    # the service ccdf at the m points read, the gap ccdf on the prefix
-    # that holds the gaps' support and at the lattice's last two points
-    assert m <= sum(points) < 1.25 * m
+    assert len(calls) == 2 and max(n for _, n in calls) <= 6144
+    assert m <= max(points[Rayleigh]) < 1.25 * m
+    assert sum(points[Uniform]) < 0.25 * m
 
 
 def direct_power_sums(f, v, k_max):
@@ -1243,34 +1248,16 @@ def test_untilted_powers_match_long_double_convolution(cells, k_max,
     x = h * np.arange(m)
     weights = np.stack((Rayleigh(0.4 * k_max).ccdf(x) - 1.0,
                         np.random.default_rng(cells).uniform(-1.0, 1.0, m)))
-    sizes = fft_sizes(monkeypatch)
+    calls = fft_calls(monkeypatch)
     powers, noise = analytic._survival(gaps, weights, k_max)
     size = 2 * analytic._fft_size(-(-m // 2))
-    assert sizes == [size, size] and m <= size < 4 * m
+    assert [n for _, n in calls] == [size, size] and m <= size < 4 * m
     assert noise == pytest.approx(
         (k_max + 1) * math.log2(size) * EPS * np.abs(weights).max())
     for end in range(2):
         for row, v in enumerate(weights):
             want = direct_power_sums(gaps[end], v, k_max)
             assert np.all(np.abs(powers[end, row, 1:] - want) <= noise)
-
-
-def power_sums_pmf(pair, k_max):
-    """The pmf by the power sums on all n points of ``pair``'s lattice,
-    spanned as the record spans it: Pr(K > k) is each end's gap mass M^k
-    plus the k-th power against G - 1 while k_max gaps stay on the
-    lattice, else the power against G."""
-    cells, x, ccdf = lattice_cells(pair)
-    n = x.size
-    tail = pair.interarrival.ccdf(bracket_step(pair) * np.arange(n + 1))
-    gaps = np.stack(cells)
-    stays = k_max * np.flatnonzero(gaps.any(axis=0))[-1] < n  # k_max (s-1)
-    powers, noise = analytic._survival(
-        gaps, (ccdf - stays)[..., None, :], k_max)
-    mass = tail[0] - tail[[n, n - 1]]
-    ends = powers[:, 0] + stays * mass[:, None] ** np.arange(k_max + 1.0)
-    ends[:, 0] = 1.0
-    return analytic._pmf(ends.min(0) - noise, ends.max(0) + noise)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -1289,43 +1276,33 @@ def power_sums_pmf(pair, k_max):
 def test_prefix_pmf_is_the_full_lattice(y, s, k_max, c):
     # The power sums build only the lattice prefix that they read (all
     # of it where they can wrap, and every cell of gaps with no upper end):
-    # the pmf must be the one all n points give (:func:`power_sums_pmf`),
-    # spanned the same way, its half-widths no wider.  U/D's jump lies on
-    # the lattice, where the up end reads Pr(S >= 1) = 1.
+    # each Pr(K = k) must hold the reference's, which sums every point,
+    # at every time scale.  U/D's jump lies on the lattice, where the up
+    # end reads Pr(S >= 1) = 1.
+    want = lattice_reference.pmf(y, s, k_max)
     y, s = RESCALED[y.kind](y, c), RESCALED[s.kind](s, c)
-    (probs, hws), tail = power_sums_pmf(Pair(y, s), k_max)
     got = k_pmf(Pair(y, s), k_max)
-    assert ([p.value for p in got.pmf]
-            == pytest.approx(probs, rel=0, abs=1e-13))
-    assert got.tail_mass.value == pytest.approx(tail.value, rel=0, abs=1e-13)
-    assert all(p.half_width <= w for p, w in zip(got.pmf, hws))
-    assert got.tail_mass.half_width <= tail.half_width
+    assert_pmf_covers(Interval(*map(np.array, zip(*got.pmf))), got.tail_mass,
+                      *want)
 
 
 @pytest.mark.parametrize("y,s", [PAIRS[-1], PAIRS[0]],
                          ids=["full-deep-U/R", "folded-SE/SE"])
 def test_each_op_builds_only_the_transform_it_reads(y, s, monkeypatch):
-    # Each transform weighs all its weight vectors in one call and takes
-    # both ends' gap spectra in another: the renewal transforms c and x c,
-    # one for each of the three levels, each on its own length, and the
-    # pmf transform G - 1 (or, folded, kappa and the gap mass past the
-    # head).
-    calls = dict.fromkeys(["rfft", "_renewal_sums", "_survival"], 0)
-    for owner, name in ((np.fft, "rfft"), (analytic, "_renewal_sums"),
-                        (analytic, "_survival")):
-        def counted(*args, _name=name, _original=getattr(owner, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(owner, name, counted)
+    # Each transform weighs all its weight vectors in one FFT and takes
+    # both ends' gap spectra in another: the pmf transform G - 1 (or,
+    # folded, kappa and the gap mass past the head), then the renewal
+    # transforms of c and x c, one for each of the three levels.  The
+    # sums and corollary 1 read the record's sums again, with no FFT.
+    calls = fft_calls(monkeypatch)
     k_pmf(Pair(y, s), K_MAX)
-    assert calls == {"rfft": 2, "_renewal_sums": 0, "_survival": 1}
+    assert len(calls) == 2
     pair = Pair(y, s)
     exact_age(pair, DROPPING)
-    after = {"rfft": 8, "_renewal_sums": 3, "_survival": 1}  # 3 levels
-    assert calls == after
+    assert len(calls) == 2 + 6
     pair.cycles(DROPPING).sums()
     corollary_one(pair, DROPPING)
-    assert calls == after
+    assert len(calls) == 2 + 6
 
 
 @pytest.mark.parametrize("compute", [

@@ -293,3 +293,78 @@ def test_service_class_checker_flags_a_test():
               "    return not isinstance(service, (Deterministic, Uniform))\n")
     assert service_class_tests(source) == [
         "isinstance(service, (Deterministic, Uniform))"]
+
+
+# The lattice's tests read its private names only where they hold the
+# discrete renewal kernel's units against long-double direct solves, and
+# the lattice's last point at time scales no pair reaches; neither
+# contract moves with the lattice's step, levels or transforms.  Every
+# other test of the lattice reads what a user sees.
+LATTICE_TESTS = Path(__file__).resolve().parent / "test_lattice_oracle.py"
+PRIMITIVE_TESTS = {"test_renewal_roundoff_bounds_a_direct_solve",
+                   "test_untilted_powers_match_long_double_convolution",
+                   "test_totals_are_the_long_double_sums",
+                   "test_truncation_point_is_the_first_passing_64th_of_an_octave",
+                   "test_truncation_point_rescales_with_time"}
+
+
+def policy_reads(source: str, primitives: set[str]) -> list[str]:
+    """Every read of a private ``analytic`` name, by attribute, import or
+    dotted string, and every ``setattr`` on ``analytic`` in ``source``,
+    with the module-level definition it lies in (``<module>`` outside
+    one), outside the definitions named in ``primitives``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        if owner in primitives:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").split(".")[-1] == "analytic":
+                found += [f"{owner}: from {node.module} import {a.name}"
+                          for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "analytic"):
+                found.append(f"{owner}: analytic.{node.attr}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.startswith("aoi.analytic.")
+                  and _private(node.value.split(".")[2])):
+                found.append(f"{owner}: {node.value!r}")
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "setattr"
+                  and node.args and ast.unparse(node.args[0]) == "analytic"):
+                found.append(f"{owner}: {ast.unparse(node.func)}(analytic)")
+    return found
+
+
+def test_lattice_policy_tests_read_no_private_name():
+    source = LATTICE_TESTS.read_text(encoding="utf-8")
+    defined = {getattr(top, "name", None) for top in ast.parse(source).body}
+    assert PRIMITIVE_TESTS <= defined
+    assert policy_reads(source, PRIMITIVE_TESTS) == []
+
+
+def test_policy_read_checker_flags_every_form():
+    # Written through {m} so that CI's grep counts only real reads.
+    source = ("from aoi import {m}\n"
+              "from aoi.{m} import Pair, _points\n"
+              "STEP = {m}._LEVEL_STEPS\n"
+              "def test_kernel():\n"
+              "    return {m}._survival(1, 2)\n"
+              "def test_policy(monkeypatch):\n"
+              "    monkeypatch.setattr({m}, '_points', None)\n"
+              "    monkeypatch.setattr('aoi.{m}._SNAP', 0.0)\n"
+              "    setattr({m}, 'x', 1)\n"
+              "    return {m}._level_step(1), {m}.__doc__\n"
+              "def helper():\n"
+              "    return {m}._cells(1), Pair\n").format(m="analytic")
+    assert sorted(policy_reads(source, {"test_kernel"})) == [line.format(
+        m="analytic") for line in (
+        "<module>: {m}._LEVEL_STEPS",
+        "<module>: from aoi.{m} import _points",
+        "helper: {m}._cells",
+        "test_policy: 'aoi.{m}._SNAP'",
+        "test_policy: {m}._level_step",
+        "test_policy: monkeypatch.setattr({m})",
+        "test_policy: setattr({m})")]
