@@ -75,24 +75,26 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     point j >= 1 is put on it; point 0 stays exact, as A_1 = 0 is.
     ``lattice`` takes E[K], E[K^2], the crossing sum and its quotient by
     E[K] (the age's middle term, which errs with both) from three levels,
-    steps h = E[Y]/64, 2h and 4h with every kink of both laws on all three
-    where a step in range allows (:func:`_level_step`), by Richardson's
-    extrapolation at each quantity's observed order, or the finest level
-    where the levels agree to roundoff (:func:`_extrapolated`), its
-    half-width an estimate, not a proof.  Where a check of it fails, it
-    takes the sums of ``bracketing``, the bracketing solve at step h/4,
-    the kinks on it too.  A cycle too deep for the levels' point budget, or a
-    service whose top falls short of the coarsest level's first step 4h, has
-    no ``lattice``; the bracketing step doubles until it holds at most 2^18
-    points, and a cycle that would pass them even at E[Y]/16 is not
-    reached.  In the bracketing solve rounding down shrinks every partial
-    sum, so the down end reads Pr(S > x), and rounding up strictly grows
-    every partial sum of k >= 1 gaps (no gap law on the lattice has an
-    atom), so the up end reads the left limit Pr(S >= x): the two ends
-    bracket E[K], E[K^2], the crossing sum (:func:`_bracket`) and each
-    Pr(S > T_k), each end widened by the transform's roundoff.  At a D
-    service's jump, on every level and on the bracketing lattice, the ends
-    read 0 and 1 and the midpoint the trapezoid rule's 1/2, so its levels
+    steps h = min(E[Y], top)/64, 2h and 4h, top the lattice's end, so a
+    service far shorter than a mean gap still spans 16 coarsest steps,
+    with the kinks in (0, top] on all three where a step in range allows
+    (:func:`_level_step`), by Richardson's extrapolation at each
+    quantity's observed order, or the finest level where the levels agree
+    to roundoff (:func:`_extrapolated`), its half-width an estimate, not a
+    proof.  Where a check of it fails, it takes the sums of
+    ``bracketing``, the bracketing solve at step h/4, the kinks on it too.
+    A cycle too deep for the levels' point budget has no ``lattice``; the
+    bracketing step doubles until it holds at most 2^18 points, and a
+    cycle that would pass them even at E[Y]/16 is not reached.  In the
+    bracketing solve rounding down shrinks every partial sum, so the down
+    end reads Pr(S > x), and rounding up strictly grows every partial sum
+    of k >= 1 gaps (no gap law on the lattice has an atom), so the up end
+    reads the left limit Pr(S >= x): the two ends bracket E[K], E[K^2],
+    the crossing sum (:func:`_bracket`) and each Pr(S > T_k), each end
+    widened by the transform's roundoff, which is relative to the weights,
+    not to the sum, so a crossing sum of 0 keeps it.  At a D service's
+    jump, on every level and on the bracketing lattice, the ends read 0
+    and 1 and the midpoint the trapezoid rule's 1/2, so its levels
     err in powers of h^2 too.  Both records take Pr(K > k), with proven
     half-widths, from one rule on the bracketing lattice
     (:func:`_prefix_survival`): power sums (:func:`_survival`) on the
@@ -643,20 +645,24 @@ def _cells(tail: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _level_step(mean_gap: float, interarrival: Distribution,
+def _level_step(top: float, interarrival: Distribution,
                 service: Distribution) -> float:
-    """The finest level's step: the largest b/4j from E[Y]/64 down to
-    E[Y]/128 that puts every kink, each finite positive end of either law's
-    support, on the coarsest level and so on every level, b the largest
-    kink; else the largest that puts the service's last kink there; else
-    E[Y]/64.  On the lattice a kink keeps each level's error a series in
-    powers of h; off it the error swings with the kink's place between two
-    points, and the observed order with it.  The bracketing solve takes a
-    quarter of it, so the kinks lie on that lattice too."""
-    h = mean_gap / _LEVEL_STEPS
-    ends = [[b for b in law.support() if 0.0 < b < math.inf]
+    """The finest level's step: the largest b/4j from h = min(E[Y], top)/64
+    down to h/2 that puts every kink, each finite end of either law's
+    support in (0, top], on the coarsest level and so on every level, b the
+    largest kink; else the largest that puts the kinks a partial sum of one
+    gap or more can reach, those at or past the gaps' lower end, there;
+    else the service's last kink; else h.  On the lattice a kink keeps each
+    level's error a series in powers of h; off it the error swings with the
+    kink's place between two points, and the observed order with it.  The
+    bracketing solve takes a quarter of it, so the kinks lie on that
+    lattice too."""
+    h = min(interarrival.mean(), top) / _LEVEL_STEPS
+    ends = [[b for b in law.support() if 0.0 < b <= top]
             for law in (service, interarrival)]
-    for kinks in filter(None, (ends[0] + ends[1], ends[0][-1:])):
+    every = ends[0] + ends[1]
+    reached = [b for b in every if b >= interarrival.support()[0]]
+    for kinks in filter(None, (every, reached, ends[0][-1:])):
         b = max(kinks)
         j0 = max(1, math.ceil(b / (4.0 * h) - _SNAP))
         step = b / (4.0 * np.arange(j0, 2 * j0 + 1))
@@ -671,14 +677,14 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
                     ) -> tuple[Cycles | None, Cycles]:
     """The ``lattice`` and ``bracketing`` records (module docstring) on one
     step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None where the
-    levels cannot hold the cycle or resolve the service, and a cycle too
-    deep even at E[Y]/16 raises :class:`TruncationNotReached`."""
+    levels cannot hold the cycle, and a cycle too deep even at E[Y]/16
+    raises :class:`TruncationNotReached`."""
     # The budget at E[Y]/16 first: past it, b/4h in _level_step could
     # leave the float range.
     top, mean = _truncation_point(service), interarrival.mean()
     if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
         raise _too_deep(top / (mean / _MIN_STEPS))
-    fine = _level_step(mean, interarrival, service)
+    fine = _level_step(top, interarrival, service)
     h = 0.25 * fine
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
@@ -699,15 +705,18 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
 
     pmf = partial(_prefix_survival, interarrival, service, h, n)
     return (Cycles("lattice", solved, pmf)
-            if 1.0 <= coarse and 4.0 * coarse < _MAX_LATTICE - 5 else None,
+            if 4.0 * coarse < _MAX_LATTICE - 5 else None,
             Cycles("bracketing", bracketed, pmf))
 
 
-def _bracket(h: float, k_mean, k_second, crossing, noise: float
-             ) -> tuple[Interval, Interval, Interval, Interval]:
+def _bracket(h: float, k_mean, k_second, crossing, noise: float,
+             weight: float) -> tuple[Interval, Interval, Interval, Interval]:
     """E[K], E[K^2], the crossing sum and its quotient by E[K] spanning
     their two ends, each given rounded down, then up, on the lattice of
-    step h, and each end widened by its relative roundoff ``noise``."""
+    step h, and each end widened by its relative roundoff ``noise`` times
+    the end, or for the crossing sum times ``weight``, its largest weight
+    x G(x), where that is larger: the transform errs relative to its
+    inputs, so a crossing sum of 0 still carries roundoff."""
     (k_down, k_up), (k2_down, k2_up), (c_down, c_up) = (
         k_mean, k_second, crossing)
     # A partial sum of k-1 gaps moves by at most (k-1) h, so each end's
@@ -716,16 +725,18 @@ def _bracket(h: float, k_mean, k_second, crossing, noise: float
     lo = min(c_up - 0.5 * h * max(k2_up - k_up, 0.0), c_down)
     hi = max(c_down + 0.5 * h * max(k2_down - k_down, 0.0), c_up)
     mid = 0.5 * (c_down + c_up)
-    k1, k2, cross = (Interval(v.value, v.half_width + noise * max(map(abs, e)))
-                     for v, e in ((Interval.between(k_down, k_up), k_mean),
-                                  (Interval.between(k2_down, k2_up), k_second),
-                                  (Interval(mid, max(mid - lo, hi - mid)),
-                                   crossing)))
+    k1, k2, cross = (Interval(v.value,
+                              v.half_width + noise * max(*map(abs, e), size))
+                     for v, e, size in (
+                         (Interval.between(k_down, k_up), k_mean, 0.0),
+                         (Interval.between(k2_down, k2_up), k_second, 0.0),
+                         (Interval(mid, max(mid - lo, hi - mid)), crossing,
+                          weight)))
     return k1, k2, cross, cross.over(k1)
 
 
-def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
-                  ) -> tuple[Interval, ...] | None:
+def _extrapolated(levels: list[tuple[Interval, ...]], noise: float,
+                  weight: float) -> tuple[Interval, ...] | None:
     """Each quantity's Richardson value from its brackets at h, 2h and 4h
     (finest first), or None when one of them fails its checks.
 
@@ -733,7 +744,9 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
     observed order p has 2^p = d2/d1, and v(h) + d1/(2^p - 1) removes the
     error C h^p.  The half-width is twice the removed step, plus the
     transforms' roundoff: ``noise``, relative, times at most 4 for the
-    extrapolation's weights and 2 for a quotient's two sums.  Where d1 and
+    extrapolation's weights and 2 for a quotient's two sums, of the value or,
+    for the crossing sum and the middle term, of the crossing sum's largest
+    weight ``weight`` where that is larger (E[K] >= 1).  Where d1 and
     d2 both lie within that roundoff term of v(h), the levels agree and p
     is undefined: v(h) is taken, its half-width the smaller of the
     roundoff term and its finest bracket's.  An extrapolated quantity whose
@@ -742,9 +755,10 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
     points, to first order), fails.
     """
     out = []
-    for fine, mid, coarse in zip(*levels):
+    for fine, mid, coarse, size in zip(*levels, (0.0, 0.0, weight, weight)):
         d1, d2 = fine.value - mid.value, mid.value - coarse.value
-        value, half_width = fine.value, _ROUNDOFF * noise * abs(fine.value)
+        value = fine.value
+        half_width = _ROUNDOFF * noise * max(abs(value), size)
         if abs(d1) <= half_width and abs(d2) <= half_width:
             half_width = min(half_width, fine.half_width)
         else:
@@ -753,7 +767,8 @@ def _extrapolated(levels: list[tuple[Interval, ...]], noise: float
                 return None
             step = d1 / (ratio - 1.0)
             value = fine.value + step
-            half_width = _SAFETY * abs(step) + _ROUNDOFF * noise * abs(value)
+            half_width = (_SAFETY * abs(step)
+                          + _ROUNDOFF * noise * max(abs(value), size))
             if half_width > 0.25 * fine.half_width:
                 return None
         out.append(Interval(value, half_width))
@@ -793,14 +808,16 @@ def _deterministic_cycles(d: float, service: Distribution) -> Cycles:
 
 def _full(interarrival: Distribution, service: Distribution, h: float,
           n: int, strides: tuple[int, ...]
-          ) -> tuple[list[tuple[Interval, ...]], float]:
+          ) -> tuple[list[tuple[Interval, ...]], float, float]:
     """The bracket (:func:`_bracket`) of every stride k's lattice, every
     k-th of the n points of step h with its own transform, each widened by
-    the strides' largest roundoff, and that roundoff, from one evaluation
-    of each law's ccdf: the down end reads Pr(S > x), the up end
-    Pr(S >= x) (:func:`_ends_ccdf`), and each end's E[K] and E[K^2]
-    replace its 0-th term G(0) by Pr(K >= 1) = 1."""
+    the strides' largest roundoff, that roundoff and the crossing sum's
+    largest weight x G(x), from one evaluation of each law's ccdf: the
+    down end reads Pr(S > x), the up end Pr(S >= x) (:func:`_ends_ccdf`),
+    and each end's E[K] and E[K^2] replace its 0-th term G(0) by
+    Pr(K >= 1) = 1."""
     x, c = _ends_ccdf(service, h, n)
+    weight = float((x * c).max())
     tail = interarrival.ccdf(h * np.arange(n + max(strides)))
     out = []
     for k in strides:
@@ -810,8 +827,8 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
         first = 1.0 - ck[..., 0]  # Pr(K >= 1) = 1 whatever the service
         out.append((first + once, first + twice, crossing, noise))
     noise = max(v[-1] for v in out)
-    return [_bracket(k * h, *(v.tolist() for v in sums[:3]), noise)
-            for k, sums in zip(strides, out)], noise
+    return [_bracket(k * h, *(v.tolist() for v in sums[:3]), noise, weight)
+            for k, sums in zip(strides, out)], noise, weight
 
 
 def _prefix_survival(interarrival: Distribution, service: Distribution,

@@ -558,7 +558,65 @@ FOLD_CASES = [
 ]
 
 
-LATTICE_CASES = KINK_CASES + FOLD_CASES
+# Pairs whose service's 1e-13 point lies below a quarter of the mean gap,
+# so the lattice's levels step from it, drawn once from
+# numpy.random.default_rng(57): ops alternate, the gap kind cycles through
+# U, R and SE, the service kind is uniform over D, U, R and SE.  The gaps'
+# scale is log-uniform over 1e-6 to 1e6, or over 1e-300 to 1e300 in every
+# other pair of cases, a U lower end 0 half the time, else 0.1 to 0.9 of
+# the upper; an SE gap's shift and its rate's inverse are the scale times
+# log-uniform factors over 0.1 to 10.  The service's top is log-uniform
+# from 1e-300, or in the narrow cases from the larger of 1e-6 and 1e-12
+# E[Y], up to E[Y]/4: a D value or U upper end at the top, a U lower end
+# 0 half the time, else 0.1 to 0.9 of it, a Rayleigh scale of an eighth
+# of it, an SE shift 0.1 to 0.9 of it and rate 32 over the rest; all at 3
+# digits.  A pair whose second moments leave the float range, or whose
+# service top is not below E[Y]/4, is redrawn.
+SHORT_CASES = [
+    ('exact', ('U', 0.155, 0.417), ('D', 8.16e-05)),
+    ('kpmf', ('R', 7.54e-05), ('R', 4.86e-07)),
+    ('exact', ('SE', 1.26e+126, 1.58e-126), ('U', 6.15e-217, 7.08e-217)),
+    ('kpmf', ('U', 1.46e+29, 9.33e+29), ('R', 6.42e-219)),
+    ('exact', ('R', 0.826), ('U', 6.51e-05, 7.51e-05)),
+    ('kpmf', ('SE', 0.0369, 13.2), ('R', 5.69e-06)),
+    ('exact', ('U', 0, 3.14e+72), ('R', 7.26e-190)),
+    ('kpmf', ('R', 5.3e+86), ('D', 1.64e-65)),
+    ('exact', ('SE', 0.0117, 3.57), ('D', 7.83e-05)),
+    ('kpmf', ('U', 0, 17.6), ('SE', 5170000.0, 1.15e-05)),
+    ('exact', ('R', 2.22e+116), ('D', 2.35e-238)),
+    ('kpmf', ('SE', 5.61e+158, 5.7e-161), ('R', 5.28e-204)),
+    ('exact', ('U', 0, 73300.0), ('R', 1.18e-06)),
+    ('kpmf', ('R', 0.17), ('SE', 6550.0, 0.00842)),
+    ('exact', ('SE', 3.95e-128, 7.34e+125), ('D', 3.14e-96)),
+    ('kpmf', ('U', 0, 1.72e+89), ('SE', 2.23e-62, 2.64e+63)),
+    ('exact', ('R', 0.0517), ('U', 0, 1.39e-05)),
+    ('kpmf', ('SE', 1.51, 0.037), ('D', 0.000729)),
+    ('exact', ('U', 7.88e-153, 2.82e-152), ('R', 9.74e-243)),
+    ('kpmf', ('R', 7.16e+24), ('U', 3.41e-195, 4.02e-195)),
+    ('exact', ('SE', 235.0, 0.000614), ('SE', 31900000.0, 1.5e-06)),
+    ('kpmf', ('U', 0, 1190.0), ('D', 5.7)),
+    ('exact', ('R', 1.51e-13), ('U', 0, 4.61e-214)),
+    ('kpmf', ('SE', 1.32e+124, 1.1e-123), ('SE', 3.88e+247, 4.96e-246)),
+    ('exact', ('U', 5.39e-05, 0.000492), ('R', 1.58e-06)),
+    ('kpmf', ('R', 0.00114), ('D', 0.000333)),
+    ('exact', ('SE', 2.19e-61, 6.53e+58), ('U', 2.31e-114, 2.78e-114)),
+    ('kpmf', ('U', 1.11e+152, 2.49e+152), ('R', 9.84e-44)),
+    ('exact', ('R', 145.0), ('D', 4.36e-06)),
+    ('kpmf', ('SE', 0.00121, 5450.0), ('SE', 4140000.0, 1.59e-06)),
+    ('exact', ('U', 1.61e-72, 8.18e-72), ('U', 2.09e-281, 2.99e-281)),
+    ('kpmf', ('R', 3.09e+87), ('U', 4.12e-185, 6.19e-185)),
+    ('exact', ('SE', 0.0417, 1.31), ('R', 7.54e-05)),
+    ('kpmf', ('U', 0, 42.9), ('U', 0, 2.57e-06)),
+    ('exact', ('R', 7.87e-141), ('R', 7.6e-162)),
+    ('kpmf', ('SE', 1.14e+105, 4.32e-106), ('D', 7.98e-151)),
+    ('exact', ('U', 0.118, 0.364), ('D', 1.15e-06)),
+    ('kpmf', ('R', 1420.0), ('D', 0.00376)),
+    ('exact', ('SE', 1.12e+148, 3.62e-148), ('R', 2.32e-260)),
+    ('kpmf', ('U', 0, 3.57e-130), ('R', 1.29e-203)),
+]
+
+
+LATTICE_CASES = KINK_CASES + FOLD_CASES + SHORT_CASES
 
 
 @pytest.mark.filterwarnings("error")

@@ -18,6 +18,7 @@ NumPy's FFT and the laws' ccdf calls around a public op.
 
 import functools
 import math
+from fractions import Fraction
 import tracemalloc
 
 import mpmath
@@ -400,12 +401,16 @@ REALIGNED = [(Rayleigh(1.0), Uniform(0.5, 1.0)),
              *EXACT_LEVELS]
 REALIGNED_IDS = ["R/U-kink", "SE/U", "SE/D-0.7", "U/D-0.7", "U/D-1",
                  "SE/D-1", "slow-SE/D-1"]
-# Pairs whose levels still fail a check, so that their sums keep the
-# bracketing solve at 7.1e-5 and 1.4e-4 of the age: SE(0.25, 0.5) gaps
-# leave no step in range that puts every kink on every level, and the
-# observed order swings.
-FIRST_ORDER = [(ShiftedExponential(0.25, 0.5), Uniform(0.3, 0.7)),
+# Pairs whose service ends, at 0.7, long before a mean gap of 4.5: no step
+# near E[Y]/64 puts every kink on every level, but the levels step from
+# the service's top, where one does, and they hold, at 6.5e-7 and 2.8e-8
+# of the age, where the bracketing solve gave 1.4e-4 and 7.1e-5.
+TOP_ALIGNED = [(ShiftedExponential(0.25, 0.5), Uniform(0.3, 0.7)),
                (ShiftedExponential(0.25, 0.5), Deterministic(0.7))]
+# A pair whose levels still fail a check, so that its sums are the
+# bracketing solve's: no step in range puts both kinks, 0.5 and 0.77, on
+# every level, and the observed order swings.
+FIRST_ORDER = [(ShiftedExponential(0.25, 0.5), Deterministic(0.77))]
 
 
 def se_gaps_d_service_age(rate, shift, d):
@@ -511,15 +516,17 @@ def test_extrapolation_is_narrower_than_the_bracketing_solve(y, s):
 
 @pytest.mark.parametrize("y,s", [p for p in LATTICE_PAIRS
                                  if isinstance(p[0], Exponential)]
-                         + [PAIRS[-1], *REALIGNED, *FIRST_ORDER],
+                         + [PAIRS[-1], *REALIGNED, *TOP_ALIGNED,
+                            *FIRST_ORDER],
                          ids=["E/R", "E/U", "deep-U/R", *REALIGNED_IDS,
-                              "slow-SE/U", "slow-SE/D-0.7"])
+                              "slow-SE/U", "slow-SE/D-0.7", "slow-SE/D-0.77"])
 def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
     # The bracketing record's intervals hold the reference's midpoints, as
     # a folded one's do (test_a_folded_record_takes_the_full_lattice_sums),
     # and so do the lattice record's: where an observed order falls out of
-    # range, as on the first-order pairs, it takes the bracketing sums.
-    # The realigned pairs take their levels.
+    # range, as on the first-order pair, it takes the bracketing sums.
+    # The realigned pairs and those aligned from the service's top take
+    # their levels.
     want = lattice_reference.sums(y, s).record()
     records = Pair(y, s).records(DROPPING)
     lattice_sums, bracketing = (records[name].sums()
@@ -528,8 +535,10 @@ def test_an_order_out_of_range_takes_the_bracketing_solve(y, s):
         for got in intervals:
             assert abs(got.value - want[i].value) <= got.half_width, (
                 i, got, want[i])
-    if (y, s) in REALIGNED:
+    if (y, s) in REALIGNED + TOP_ALIGNED:
         assert lattice_sums != bracketing
+    if (y, s) in FIRST_ORDER:
+        assert lattice_sums == bracketing
 
 
 def test_a_deterministic_service_takes_the_levels(monkeypatch):
@@ -872,6 +881,97 @@ def test_a_jump_on_the_bracketing_lattice_gives_the_first_pmf_entry(c):
     assert abs(first.value - math.exp(-0.245)) <= first.half_width <= 1e-12
 
 
+# SE(r, c) gaps against an SE(mu, d) service, d < c: its kink d lies below
+# every partial sum of one gap or more, so only the gaps' kink c need lie
+# on the levels.  The first is a benchmark pair, the others two rows of
+# the shifted-exponential study.
+UNREACHED_SHIFTS = [(0.25, 0.5, 1.0, 0.1), (0.1, 0.5, 1.0, 0.1),
+                    (1.0, 0.75, 1.0, 0.1)]
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("r,shift,mu,d", UNREACHED_SHIFTS, ids=[
+    f"SE({r:g},{a:g})/SE({m:g},{d:g})" for r, a, m, d in UNREACHED_SHIFTS])
+def test_a_kink_no_partial_sum_reaches_leaves_the_levels_aligned(
+        r, shift, mu, d, c):
+    # T_k = k shift + Gamma(k, r) >= shift > d for k >= 1, where
+    # Pr(S > t) = e^(-mu (t - d)), so Pr(K > k) = e^(mu d) q^k with q =
+    # e^(-mu shift) r/(r + mu), and E[T_k e^(-mu T_k)] = k (shift + 1/(r +
+    # mu)) q^k gives the crossing sum e^(mu d) (shift + 1/(r + mu)) q/(1 -
+    # q)^2.  Each must lie within its half-width, the age's at most 1e-5
+    # of it (at most 6.1e-6 here, where a step that leaves the gaps' kink
+    # off the levels gave 3.6e-5 to 1.3e-3).
+    pair = Pair(ShiftedExponential(r / c, shift * c),
+                ShiftedExponential(mu / c, d * c))
+    with mpmath.workdps(30):
+        r, shift, mu, d = map(mpmath.mpf, (r, shift, mu, d))
+        q, lift = mpmath.exp(-mu * shift) * r / (r + mu), mpmath.exp(mu * d)
+        survival = [1] + [lift * q ** k for k in range(1, K_MAX + 1)]
+        k_mean = 1 + lift * q / (1 - q)
+        k_second = 1 + lift * q * (3 - q) / (1 - q) ** 2
+        crossing = lift * (shift + 1 / (r + mu)) * q / (1 - q) ** 2
+        mean = shift + 1 / r
+        age = (mean ** 2 + 1 / r ** 2) / (2 * mean) + crossing / k_mean + (
+            d + 1 / mu)
+    sums = pair.cycles(DROPPING).sums()
+    for got, want in zip(sums, (k_mean, k_second, c * crossing)):
+        assert abs(got.value - float(want)) <= got.half_width, (got, want)
+    est = exact_age(pair, DROPPING)
+    assert abs(est.value - float(c * age)) <= est.ci_half_width
+    assert est.ci_half_width <= 1e-5 * est.value
+    pmf = k_pmf(pair, K_MAX)
+    for k, got in enumerate(pmf.pmf):
+        want = float(survival[k] - survival[k + 1])
+        assert abs(got.value - want) <= got.half_width, (k + 1, got, want)
+
+
+# U(0, b) gaps against a service far shorter than a mean gap, U(0, d) or
+# D(d): the lattice's levels step from the service's top, not from E[Y].
+SHORT_SERVICES = [(100.0, Uniform(0.0, 1.0)), (100.0, Deterministic(1.0)),
+                  (1e4, Uniform(0.0, 0.3)), (1e4, Deterministic(0.3))]
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("b,s", SHORT_SERVICES, ids=[
+    f"U(0,{b:g})/{s.kind}" for b, s in SHORT_SERVICES])
+def test_a_short_service_takes_the_levels(b, s, c):
+    # Every service ends before a gap can, T_k's density below b is
+    # t^(k-1)/((k-1)! b^k), so with m_k = E[S^k], Pr(K > k) = Pr(T_k < S) =
+    # m_k/(b^k k!) and the crossing sum is sum_{k>=1} E[T_k; T_k < S] =
+    # sum_k k m_(k+1)/(b^k (k+1)!); the age is b/3 plus the crossing sum
+    # over E[K] plus E[S].  Each must lie within its half-width, the
+    # age's at most 1e-6 of it (8.5e-14 off, half-width 2.4e-8 of it, on
+    # U(0, 100)/U(0, 1), against 3.5e-5 on the bracketing solve).
+    d = s.support()[1]
+    pair = Pair(Uniform(0.0, b * c), RESCALED[s.kind](s, c))
+    with mpmath.workdps(30):
+        b, d = mpmath.mpf(b), mpmath.mpf(d)
+        moment = ((lambda k: d ** k / (k + 1)) if s.kind == "uniform"
+                  else (lambda k: d ** k))
+        survival = [moment(k) / (b ** k * mpmath.factorial(k))
+                    for k in range(K_MAX + 1)]
+        k_mean = mpmath.nsum(lambda k: moment(k) / (
+            b ** k * mpmath.factorial(k)), [0, mpmath.inf])
+        k_second = mpmath.nsum(lambda k: (2 * k + 1) * moment(k) / (
+            b ** k * mpmath.factorial(k)), [0, mpmath.inf])
+        crossing = mpmath.nsum(lambda k: k * moment(k + 1) / (
+            b ** k * mpmath.factorial(k + 1)), [1, mpmath.inf])
+        age = b / 3 + crossing / k_mean + moment(1)
+    record = pair.cycles(DROPPING)
+    assert record.name == "lattice"
+    for got, want in zip(record.sums(), (k_mean, k_second, c * crossing)):
+        assert abs(got.value - float(want)) <= got.half_width, (got, want)
+    est = exact_age(pair, DROPPING)
+    assert abs(est.value - float(c * age)) <= est.ci_half_width
+    assert est.ci_half_width <= 1e-6 * est.value
+    pmf = k_pmf(pair, K_MAX)
+    for k, got in enumerate(pmf.pmf):
+        want = float(survival[k] - survival[k + 1])
+        assert abs(got.value - want) <= got.half_width, (k + 1, got, want)
+    assert abs(pmf.tail_mass.value - float(survival[K_MAX])) <= (
+        pmf.tail_mass.half_width)
+
+
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("laws", [
     lambda c: (Uniform(0.0, 2.0 * c), Deterministic(1e-9 * c)),
@@ -898,16 +998,47 @@ def test_a_kink_by_the_origin_leaves_point_zero_exact(laws, c):
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 def test_the_bracketing_solve_carries_its_roundoff(c):
     # Every U(c, c(1 + 1e-9)) gap outlasts a D(0.7c) service, so K = 1 and
-    # the crossing sum is 0.  The levels fail on this pair, and the
-    # bracketing solve's ends land within the transform's roundoff of 1
-    # and 0, on either side of them: each interval must hold the value,
-    # and none may be turned inside out.
+    # the crossing sum is 0.  The levels, which agree to roundoff here,
+    # land within the transform's roundoff of 1 and 0, as the bracketing
+    # solve's ends do (test_a_sum_of_zero_keeps_its_roundoff): each
+    # interval must hold the value, and none may be turned inside out.
     pair = Pair(Uniform(c, c * (1.0 + 1e-9)), Deterministic(0.7 * c))
     sums = pair.cycles(DROPPING).sums()
     for got, want in zip(sums, (1.0, 1.0, 0.0, 0.0)):
         assert abs(got.value - want) <= got.half_width, (got, want)
     est = exact_age(pair, DROPPING)
     assert abs(est.value - (pair.head + 0.7 * c)) <= est.ci_half_width
+
+
+# Gaps that always outlast the service, so K = 1 surely and the crossing
+# sum and the middle term are 0: a gap nearly fixed, a gap wide of the
+# service's jump, and a service of its own width.
+NEVER_REACHED = {
+    "U/D-narrow": lambda c: (Uniform(c, c * (1.0 + 1e-9)),
+                             Deterministic(0.7 * c)),
+    "U/D": lambda c: (Uniform(c, 2.0 * c), Deterministic(0.7 * c)),
+    "U/U": lambda c: (Uniform(c, 1.5 * c), Uniform(0.1 * c, 0.9 * c)),
+}
+
+
+@pytest.mark.parametrize("c", [10.0 ** e for e in range(-9, 10)],
+                         ids=lambda c: f"{c:g}")
+@pytest.mark.parametrize("laws", NEVER_REACHED.values(),
+                         ids=NEVER_REACHED.keys())
+def test_a_sum_of_zero_keeps_its_roundoff(laws, c):
+    # The transform errs relative to its inputs, not to its sum: each
+    # record's crossing sum and middle term land near 0, not on it, and
+    # must carry that roundoff, as must the age, whose exact value is the
+    # head E[Y^2]/(2 E[Y]) plus E[S], here in rationals.
+    y, s = laws(c)
+    pair = Pair(y, s)
+    for name, record in pair.records(DROPPING).items():
+        for got, want in zip(record.sums(), (1.0, 1.0, 0.0, 0.0)):
+            assert abs(got.value - want) <= got.half_width, (name, got, want)
+    (a, b), (lo, hi) = (map(Fraction, law.support()) for law in (y, s))
+    age = (a * a + a * b + b * b) / (3 * (a + b)) + (lo + hi) / 2
+    est = exact_age(pair, DROPPING)
+    assert abs(Fraction(est.value) - age) <= Fraction(est.ci_half_width)
 
 
 def test_the_up_end_reads_the_left_limit_at_the_jump():

@@ -18,6 +18,7 @@ from aoi.distributions import (Deterministic, Erlang, Exponential,
 from aoi.sim import Discipline
 from test_closed_form_oracle import EPS
 from test_distributions import ALL_KINDS, RESCALED, mp_poisson_mix
+from test_records import quantities
 
 DROPPING = Discipline.DROPPING
 K_MAX = 4
@@ -249,12 +250,15 @@ def test_each_phase_op_builds_only_the_transform_it_reads(y, monkeypatch):
                          ids=["square overflows", "ratio overflows"])
 def test_rates_too_far_apart_decline_the_record(rates):
     # A service spans more than J's budget of jumps at the fast rate, so
-    # the record declines, with no warning; the mean gap is so long that
-    # the service's top falls short of the lattice's coarsest step, so the
-    # bracketing solve serves.
+    # the record declines, with no warning.  The mean gap is far longer
+    # than the service's top, from which the lattice's levels step, so the
+    # lattice serves, and its intervals meet the bracketing solve's.
     y = Hyperexponential((0.5, 0.5), rates)
     for s in (Deterministic(8e-56), Rayleigh(1.0)):
         records = Pair(y, s).records(DROPPING)
         assert "uniformized" not in records
-        assert "bracketing" in records
-        assert "lattice" not in records
+        assert list(records) == ["lattice", "bracketing"]
+        lattice, bracketing = map(quantities, records.values())
+        for i, (u, v) in enumerate(zip(lattice, bracketing)):
+            assert abs(u.value - v.value) <= (
+                u.half_width + v.half_width), (s, i, u, v)

@@ -37,9 +37,11 @@ ROWS = [
         (Deterministic(0.7), ShiftedExponential(1.0, 0.1))]),
     (DROPPING, "lattice", [
         (Rayleigh(1.0), ShiftedExponential(2.0, 0.5)),
-        (Uniform(0.0, 2.0), Deterministic(1.0))]),
-    (DROPPING, "bracketing", [
+        (Uniform(0.0, 2.0), Deterministic(1.0)),
+        # a service far shorter than a mean gap: the levels step from its top
         (Hyperexponential((0.5, 0.5), (1e-6, 1e4)), Rayleigh(1.0))]),
+    # a cycle too deep for the levels' point budget
+    (DROPPING, "bracketing", [(Rayleigh(0.01), ShiftedExponential(0.5, 3.0))]),
 ]
 CASES = [pytest.param(discipline, first, y, s, c,
                       id=f"{first}-{y.kind}/{s.kind}-c{c:g}")
