@@ -83,7 +83,8 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     to roundoff (:func:`_extrapolated`), its half-width an estimate, not a
     proof.  Where a check of it fails, it takes the sums of
     ``bracketing``, the bracketing solve at step h/4, the kinks on it too.
-    A cycle too deep for the levels' point budget has no ``lattice``; the
+    A cycle too deep for the levels' point budget, or a service whose top
+    is too short for a normal float step, has no ``lattice``; the
     bracketing step doubles until it holds at most 2^18 points, and a
     cycle that would pass them even at E[Y]/16 is not reached.  In the
     bracketing solve rounding down shrinks every partial sum, so the down
@@ -677,14 +678,20 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
                     ) -> tuple[Cycles | None, Cycles]:
     """The ``lattice`` and ``bracketing`` records (module docstring) on one
     step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None where the
-    levels cannot hold the cycle, and a cycle too deep even at E[Y]/16
-    raises :class:`TruncationNotReached`."""
+    levels cannot hold the cycle or the service's top is too short for a
+    normal float step, and a cycle too deep even at E[Y]/16 raises
+    :class:`TruncationNotReached`."""
     # The budget at E[Y]/16 first: past it, b/4h in _level_step could
     # leave the float range.
     top, mean = _truncation_point(service), interarrival.mean()
     if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
         raise _too_deep(top / (mean / _MIN_STEPS))
-    fine = _level_step(top, interarrival, service)
+    # A top under 512 times the least normal float would step the
+    # bracketing lattice, top/512 at the least, through subnormals or to 0:
+    # such a service steps from E[Y], past its kinks, with no levels.
+    normal = top / (8 * _LEVEL_STEPS) >= sys.float_info.min
+    fine = (_level_step(top, interarrival, service) if normal
+            else mean / _LEVEL_STEPS)
     h = 0.25 * fine
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
@@ -705,7 +712,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
 
     pmf = partial(_prefix_survival, interarrival, service, h, n)
     return (Cycles("lattice", solved, pmf)
-            if 4.0 * coarse < _MAX_LATTICE - 5 else None,
+            if normal and 4.0 * coarse < _MAX_LATTICE - 5 else None,
             Cycles("bracketing", bracketed, pmf))
 
 

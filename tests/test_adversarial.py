@@ -614,6 +614,11 @@ SHORT_CASES = [
     ('exact', ('SE', 1.12e+148, 3.62e-148), ('R', 2.32e-260)),
     ('kpmf', ('U', 0, 3.57e-130), ('R', 1.29e-203)),
 ]
+# Services whose top, 0 or a few subnormals, is too short for a normal
+# float step: they step from E[Y], with no levels, against U and SE gaps.
+SHORT_CASES += [(op, y, s) for y in (('U', 1.0, 2.0), ('SE', 1.0, 1.0))
+                for s in (('D', 0.0), ('D', 5e-324), ('U', 0, 1e-322))
+                for op in ('exact', 'kpmf')]
 
 
 LATTICE_CASES = KINK_CASES + FOLD_CASES + SHORT_CASES

@@ -995,21 +995,6 @@ def test_a_kink_by_the_origin_leaves_point_zero_exact(laws, c):
         est.value - est.ci_half_width)
 
 
-@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-def test_the_bracketing_solve_carries_its_roundoff(c):
-    # Every U(c, c(1 + 1e-9)) gap outlasts a D(0.7c) service, so K = 1 and
-    # the crossing sum is 0.  The levels, which agree to roundoff here,
-    # land within the transform's roundoff of 1 and 0, as the bracketing
-    # solve's ends do (test_a_sum_of_zero_keeps_its_roundoff): each
-    # interval must hold the value, and none may be turned inside out.
-    pair = Pair(Uniform(c, c * (1.0 + 1e-9)), Deterministic(0.7 * c))
-    sums = pair.cycles(DROPPING).sums()
-    for got, want in zip(sums, (1.0, 1.0, 0.0, 0.0)):
-        assert abs(got.value - want) <= got.half_width, (got, want)
-    est = exact_age(pair, DROPPING)
-    assert abs(est.value - (pair.head + 0.7 * c)) <= est.ci_half_width
-
-
 # Gaps that always outlast the service, so K = 1 surely and the crossing
 # sum and the middle term are 0: a gap nearly fixed, a gap wide of the
 # service's jump, and a service of its own width.
