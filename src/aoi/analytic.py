@@ -76,17 +76,17 @@ Lattice (``d_arrivals``, ``lattice``, ``bracketing``)
     ``lattice`` takes E[K], E[K^2], the crossing sum and its quotient by
     E[K] (the age's middle term, which errs with both) from three levels,
     steps h = min(E[Y], top)/64, 2h and 4h, top the lattice's end, so a
-    service far shorter than a mean gap still spans 16 coarsest steps,
-    with the kinks in (0, top] on all three where a step in range allows
+    service far shorter than a mean gap still spans 16 coarsest steps
+    (E[Y]/64 where top is too short for a normal float step), h doubled
+    for a deeper cycle until the levels fit the point budget, with the
+    kinks in (0, top] on all three where a step in range allows
     (:func:`_level_step`), by Richardson's extrapolation at each
     quantity's observed order, or the finest level where the levels agree
     to roundoff (:func:`_extrapolated`), its half-width an estimate, not a
     proof.  Where a check of it fails, it takes the sums of
-    ``bracketing``, the bracketing solve at step h/4, the kinks on it too.
-    A cycle too deep for the levels' point budget, or a service whose top
-    is too short for a normal float step, has no ``lattice``; the
-    bracketing step doubles until it holds at most 2^18 points, and a
-    cycle that would pass them even at E[Y]/16 is not reached.  In the
+    ``bracketing``, the bracketing solve at step h/4, the kinks on it too,
+    its step doubled until it holds at most 2^18 points; a cycle that
+    would pass them even at E[Y]/16 is not reached.  In the
     bracketing solve rounding down shrinks every partial sum, so the down
     end reads Pr(S > x), and rounding up strictly grows every partial sum
     of k >= 1 gaps (no gap law on the lattice has an atom), so the up end
@@ -648,17 +648,26 @@ def _cells(tail: np.ndarray) -> np.ndarray:
 
 def _level_step(top: float, interarrival: Distribution,
                 service: Distribution) -> float:
-    """The finest level's step: the largest b/4j from h = min(E[Y], top)/64
-    down to h/2 that puts every kink, each finite end of either law's
-    support in (0, top], on the coarsest level and so on every level, b the
-    largest kink; else the largest that puts the kinks a partial sum of one
-    gap or more can reach, those at or past the gaps' lower end, there;
-    else the service's last kink; else h.  On the lattice a kink keeps each
-    level's error a series in powers of h; off it the error swings with the
-    kink's place between two points, and the observed order with it.  The
-    bracketing solve takes a quarter of it, so the kinks lie on that
+    """The finest level's step: the largest b/4j from h down to h/2 that
+    puts every kink, each finite end of either law's support in (0, top],
+    on the coarsest level and so on every level, b the largest kink; else
+    the largest that puts the kinks a partial sum of one gap or more can
+    reach, those at or past the gaps' lower end, there; else the service's
+    last kink; else h.  h is min(E[Y], top)/64, or E[Y]/64 where top/512,
+    the bracketing lattice's least step, is not a normal float, doubled
+    until the three levels fit the point budget, as they do by E[Y]/8
+    where the cycle fits it at E[Y]/16 (:func:`_lattice_cycles`); a
+    shorter b/4j must fit it too.  On the lattice a kink keeps each
+    level's error a series in powers of h; off it the error swings with
+    the kink's place between two points, and the observed order with it.
+    The bracketing solve takes a quarter of it, so the kinks lie on that
     lattice too."""
-    h = min(interarrival.mean(), top) / _LEVEL_STEPS
+    mean = interarrival.mean()
+    normal = top / (8 * _LEVEL_STEPS) >= sys.float_info.min
+    h = (min(mean, top) if normal else mean) / _LEVEL_STEPS
+    least = top / (_MAX_LATTICE - 5 - 4.0 * _SNAP)  # least step they fit
+    while h < least:
+        h *= 2.0
     ends = [[b for b in law.support() if 0.0 < b <= top]
             for law in (service, interarrival)]
     every = ends[0] + ends[1]
@@ -667,31 +676,25 @@ def _level_step(top: float, interarrival: Distribution,
         b = max(kinks)
         j0 = max(1, math.ceil(b / (4.0 * h) - _SNAP))
         step = b / (4.0 * np.arange(j0, 2 * j0 + 1))
+        step = step[step >= max(0.5 * h, least)]  # they fall: a prefix
         for kink in set(kinks) - {b}:  # b itself lies on every b/j
             step = step[_kink(kink, 4.0 * step)]
-        if step.size and step[0] >= 0.5 * h:
+        if step.size:
             return float(step[0])
     return h
 
 
 def _lattice_cycles(interarrival: Distribution, service: Distribution
-                    ) -> tuple[Cycles | None, Cycles]:
+                    ) -> tuple[Cycles, Cycles]:
     """The ``lattice`` and ``bracketing`` records (module docstring) on one
-    step, n and pmf (:func:`_prefix_survival`); ``lattice`` is None where the
-    levels cannot hold the cycle or the service's top is too short for a
-    normal float step, and a cycle too deep even at E[Y]/16 raises
-    :class:`TruncationNotReached`."""
+    step, n and pmf (:func:`_prefix_survival`); a cycle too deep even at
+    E[Y]/16 raises :class:`TruncationNotReached`."""
     # The budget at E[Y]/16 first: past it, b/4h in _level_step could
-    # leave the float range.
+    # leave the float range; within it, the levels fit by E[Y]/8.
     top, mean = _truncation_point(service), interarrival.mean()
     if not top / (mean / _MIN_STEPS) < _MAX_LATTICE - 1:
         raise _too_deep(top / (mean / _MIN_STEPS))
-    # A top under 512 times the least normal float would step the
-    # bracketing lattice, top/512 at the least, through subnormals or to 0:
-    # such a service steps from E[Y], past its kinks, with no levels.
-    normal = top / (8 * _LEVEL_STEPS) >= sys.float_info.min
-    fine = (_level_step(top, interarrival, service) if normal
-            else mean / _LEVEL_STEPS)
+    fine = _level_step(top, interarrival, service)
     h = 0.25 * fine
     while not top / h < _MAX_LATTICE - 1:
         h *= 2.0
@@ -711,9 +714,7 @@ def _lattice_cycles(interarrival: Distribution, service: Distribution
                              ) or bracketed()
 
     pmf = partial(_prefix_survival, interarrival, service, h, n)
-    return (Cycles("lattice", solved, pmf)
-            if normal and 4.0 * coarse < _MAX_LATTICE - 5 else None,
-            Cycles("bracketing", bracketed, pmf))
+    return Cycles("lattice", solved, pmf), Cycles("bracketing", bracketed, pmf)
 
 
 def _bracket(h: float, k_mean, k_second, crossing, noise: float,

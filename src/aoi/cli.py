@@ -447,11 +447,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
+    except SystemExit as exc:  # every one raised here is a usage message
+        print(exc.code, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

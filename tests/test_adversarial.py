@@ -615,13 +615,17 @@ SHORT_CASES = [
     ('kpmf', ('U', 0, 3.57e-130), ('R', 1.29e-203)),
 ]
 # Services whose top, 0 or a few subnormals, is too short for a normal
-# float step: they step from E[Y], with no levels, against U and SE gaps.
+# float step: their levels step from E[Y], against U and SE gaps.
 SHORT_CASES += [(op, y, s) for y in (('U', 1.0, 2.0), ('SE', 1.0, 1.0))
                 for s in (('D', 0.0), ('D', 5e-324), ('U', 0, 1e-322))
                 for op in ('exact', 'kpmf')]
+# Two kinks of a few subnormals, the service's shift above the gaps': every
+# step that puts the larger on the coarsest level rounds to 0.
+TINY_KINK_CASES = [(op, ('SE', 1.0, 5e-324), ('SE', 1.0, 1e-323))
+                   for op in ('exact', 'kpmf')]
 
 
-LATTICE_CASES = KINK_CASES + FOLD_CASES + SHORT_CASES
+LATTICE_CASES = KINK_CASES + FOLD_CASES + SHORT_CASES + TINY_KINK_CASES
 
 
 @pytest.mark.filterwarnings("error")

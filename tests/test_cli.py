@@ -225,6 +225,23 @@ def test_bound_subcommand_kinds(capsys):
     assert payload["result"]["value"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kind", [t for t in ESTIMATORS if t != "exact"])
+def test_bound_text_report_matches_its_json(capsys, kind):
+    # gm11 needs an exponential service, corollary2 a preemption pair; E/E
+    # serves every kind.
+    argv = ("bound", "--kind", kind, "--interarrival", EXP1, "--service", EXP1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "bound", "interarrival", "service", "value", "applicability"]
+    _, payload = run_json(capsys, *argv)
+    result = payload["result"]
+    assert lines[0].split()[1] == result["kind"]
+    assert lines[3].split()[1] == f"{result['value']:.6g}"
+    assert lines[4].split()[1] == result["applicability"]
+
+
 def test_bound_zero_success_exit_one(capsys):
     code, payload = run_json(capsys, "bound", "--kind", "corollary2",
                              "--interarrival", DET % 1, "--service", DET % 2)
@@ -600,6 +617,19 @@ def test_sweep_end_to_end(capsys, tmp_path):
     assert len(payload["result"]["rows"]) == 4
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "param,estimator,value,ci,applicability"
+    # the text report names both files
+    code, out, _ = run(capsys, "sweep", "--spec", str(spec_path),
+                       "--csv", str(csv_path), "--chart", str(svg_path))
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"csv             {csv_path}",
+                                     f"chart           {svg_path}"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--csv", "--chart"])

@@ -1225,17 +1225,35 @@ def test_a_cycle_that_fits_at_a_sixteenth_of_a_gap_solves(monkeypatch):
     # past the point budget; at E[Y]/16 it fits.  The bracketing step
     # doubles on until it fits: its transforms read both ends' lattices of
     # n points, 2^17 <= n < 2^18, so the step before the last doubling would
-    # not have fit the 2^18 points.  The age holds the M/G/1/1 closed form.
+    # not have fit the 2^18 points.  The levels coarsen until they fit too.
+    # Both ages hold the M/G/1/1 closed form.
     y, s = Exponential(1.0), ShiftedExponential(0.0025, 0.04)
     mg11 = ((2.0 + 2.0 * s.mean() + s.second_moment())
             / (2.0 * (1.0 + s.mean())) + s.mean())
-    assert "lattice" not in Pair(y, s).records(DROPPING)  # no levels
+    levels = exact_age(RecordPair(y, s, "lattice"), DROPPING)
+    assert abs(levels.value - mg11) <= levels.ci_half_width
     calls = fft_calls(monkeypatch)
     est = exact_age(RecordPair(y, s, "bracketing"), DROPPING)
     assert calls and all(shape[0] == 2 and 2**17 <= shape[-1] < 2**18
                          for shape, _ in calls), calls
     assert 0.0 < est.ci_half_width < 0.1 * mg11
     assert abs(est.value - mg11) <= est.ci_half_width
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("s", [
+    ShiftedExponential(0.0025, 0.04), Uniform(0.0, 1e4), Deterministic(9000.0),
+], ids=["SE", "U", "D"])
+def test_a_deep_cycle_keeps_its_levels(s, c):
+    # About 400 to 9000 arrivals a cycle: at 64 points per mean gap the
+    # levels would pass the point budget, so they coarsen by octaves until
+    # they fit.  The extrapolated age holds the M/G/1/1 closed form to
+    # within 1e-6 of itself.
+    y, s = Exponential(1.0 / c), RESCALED[s.kind](s, c)
+    mg11 = c + s.mean() + s.second_moment() / (2.0 * (c + s.mean()))
+    assert "lattice" in Pair(y, s).records(DROPPING)
+    est = exact_age(RecordPair(y, s, "lattice"), DROPPING)
+    assert abs(est.value - mg11) <= est.ci_half_width <= 1e-6 * est.value
 
 
 def test_deep_cycle_pmf_stays_in_the_memory_budget():

@@ -39,13 +39,14 @@ ROWS = [
         (Rayleigh(1.0), ShiftedExponential(2.0, 0.5)),
         (Uniform(0.0, 2.0), Deterministic(1.0)),
         # a service far shorter than a mean gap: the levels step from its top
-        (Hyperexponential((0.5, 0.5), (1e-6, 1e4)), Rayleigh(1.0))]),
-    # a cycle too deep for the levels' point budget
-    (DROPPING, "bracketing", [(Rayleigh(0.01), ShiftedExponential(0.5, 3.0))]),
+        (Hyperexponential((0.5, 0.5), (1e-6, 1e4)), Rayleigh(1.0)),
+        # a cycle too deep for 64 points per mean gap: the levels coarsen
+        (Rayleigh(0.01), ShiftedExponential(0.5, 3.0), "deep")]),
 ]
+# A pair's id names its row's record, any tag and the laws' kinds.
 CASES = [pytest.param(discipline, first, y, s, c,
-                      id=f"{first}-{y.kind}/{s.kind}-c{c:g}")
-         for discipline, first, pairs in ROWS for y, s in pairs
+                      id=f"{first}-{'-'.join((*tag, y.kind))}/{s.kind}-c{c:g}")
+         for discipline, first, pairs in ROWS for y, s, *tag in pairs
          for c in (1e-6, 1.0, 1e6)]
 
 
