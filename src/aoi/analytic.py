@@ -457,17 +457,18 @@ def _closed(k_mean: Interval, k_second: Interval, crossing: Interval
 
 def _block_cycles(blocks: tuple, mixes: list[tuple]) -> Cycles:
     """The service blocks' record: the w-mix of each block's sums
-    (:func:`_block_sums`) and pmf (:func:`_block_pmf`)."""
+    (:func:`_block_sums`), built on first read, and pmf
+    (:func:`_block_pmf`)."""
     w, shapes, rates = blocks
-    sums = _closed(*(Interval(float(v), 0.0) for v in np.dot(w, [
-        _block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)])))
+    sums = cache(lambda: _closed(*(Interval(float(v), 0.0) for v in np.dot(w, [
+        _block_sums(*m, n, r) for m, n, r in zip(mixes, shapes, rates)]))))
 
     def pmf(k_max: int) -> tuple[Interval, Interval]:
         probs, tail = zip(*(_block_pmf(*m, n, k_max)
                             for m, n in zip(mixes, shapes)))
         return (Interval(np.dot(w, probs), np.zeros(k_max)),
                 Interval(float(np.dot(w, tail)), 0.0))
-    return Cycles("service_blocks", lambda: sums, pmf)
+    return Cycles("service_blocks", sums, pmf)
 
 
 def _block_sums(pi: np.ndarray, tail: np.ndarray, n: int, rate: float
@@ -543,7 +544,7 @@ def _phase_cycles(interarrival: Distribution, service: Distribution
 
     @cache
     def solved() -> tuple[Interval, Interval, Interval, Interval]:
-        (once, cross), (twice, _), noise = _renewal_sums(
+        (once, cross, twice), noise = _renewal_sums(
             f[None], np.stack((p, j * t / r)))
         kernel = np.concatenate((once, twice, cross))
         # P_j, (j+1) P_j, j T_j past J bound E[K], E[K^2]/2, r crossing's
@@ -820,17 +821,18 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
     """The bracket (:func:`_bracket`) of every stride k's lattice, every
     k-th of the n points of step h with its own transform, each widened by
     the strides' largest roundoff, that roundoff and the crossing sum's
-    largest weight x G(x), from one evaluation of each law's ccdf: the
+    largest weight x G(x), from one evaluation of each law's ccdf, the
+    gaps' on the points their cells can fill (:func:`_gap_tail`): the
     down end reads Pr(S > x), the up end Pr(S >= x) (:func:`_ends_ccdf`),
     and each end's E[K] and E[K^2] replace its 0-th term G(0) by
     Pr(K >= 1) = 1."""
     x, c = _ends_ccdf(service, h, n)
     weight = float((x * c).max())
-    tail = interarrival.ccdf(h * np.arange(n + max(strides)))
+    tail = _gap_tail(interarrival, h, n, max(strides))
     out = []
     for k in strides:
         xk, ck = x[::k], c[..., ::k]
-        (once, crossing), (twice, _), noise = _renewal_sums(
+        (once, crossing, twice), noise = _renewal_sums(
             _cells(tail[::k][:xk.size + 1]), np.stack((ck, xk * ck), axis=-2))
         first = 1.0 - ck[..., 0]  # Pr(K >= 1) = 1 whatever the service
         out.append((first + once, first + twice, crossing, noise))
@@ -839,13 +841,24 @@ def _full(interarrival: Distribution, service: Distribution, h: float,
             for k, sums in zip(strides, out)], noise, weight
 
 
+def _gap_tail(interarrival: Distribution, h: float, n: int, k: int,
+              *extra: float) -> np.ndarray:
+    """The gap ccdf at jh on the points whose stride-k cells, down or up,
+    on n points of step h (:func:`_cells`) can be non-zero: all n + k for
+    gaps with no upper end b, else the first min(n + k, ceil(min(b/h, n))
+    + 2k + 1), as it is 0 from b on; then at each of the steps ``extra``,
+    in one evaluation."""
+    count = min(n + k, math.ceil(min(interarrival.support()[1] / h, n)) + 2 * k + 1)
+    return interarrival.ccdf(h * np.concatenate((np.arange(float(count)), extra)))
+
+
 def _prefix_survival(interarrival: Distribution, service: Distribution,
                      h: float, n: int, k_max: int) -> tuple[Interval, Interval]:
     """The pmf (:func:`_pmf`) on the n points of step h, from one gap ccdf
-    evaluation: on the b/h + 2 points that hold every non-zero cell (all n
-    for gaps with no upper end b) and at (n-1)h and nh, for each end's gap
-    mass M.  Each end's Pr(K > k) = M^k + sum_l f^{*k}_l (G_l - 1), k <=
-    k_max, G the service ccdf that end reads (:func:`_ends_ccdf`), splits
+    evaluation (:func:`_gap_tail`): on the points that hold every non-zero
+    cell and at (n-1)h and nh, for each end's gap mass M.  Each end's
+    Pr(K > k) = M^k + sum_l f^{*k}_l (G_l - 1), k <= k_max, G the service
+    ccdf that end reads (:func:`_ends_ccdf`), splits
     at J, each part widened by its roundoff bound.  The k-th power lives on
     [0, k(s-1)], s one past the last non-zero cell, so the sums read m =
     min(n, k_max (s-1) + 1) points, and J = m, unless an SE(r, c > 0)
@@ -866,9 +879,7 @@ def _prefix_survival(interarrival: Distribution, service: Distribution,
     beta_(k-1) + sum_l f^{*(k-1)}_l F_(J-l), F_m the gap mass from m on,
     each weight only on the points below J the powers can read: 2k kernel
     roundoffs."""
-    short = min(n, math.ceil(min(interarrival.support()[1] / h, n)) + 2)
-    tail = interarrival.ccdf(h * np.concatenate((np.arange(short + 1.0),
-                                                 (n, n - 1.0))))
+    tail = _gap_tail(interarrival, h, n, 1, n, n - 1.0)
     tail, far = tail[:-2], tail[-2:]
     gaps, mass = _cells(tail), tail[0] - far  # each end's total gap mass M
     s = _support(gaps)
@@ -984,17 +995,18 @@ def _totals(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
+                  ) -> tuple[np.ndarray, float]:
     """The discrete renewal kernel's sums, shared by the lattice and the
-    phase-type record: sum_l u_l v_l for u = delta + f*u of each end's gap
-    law f (a row of ``gaps``) and each row v of ``weights``, shared by the
-    ends, and sum_l (2w - u)_l v_l, w = u*u, each indexed by weight row,
-    then end, on the smallest FFT length N >= 4n;
-    and their relative roundoff, rho^-n log2(N) eps times the largest
-    tilted mass sum_l u_l rho^l: untilting multiplies the spectra's error
-    by up to rho^-n, and against a direct long-double solve the sums kept
-    within 1/2 of that bound."""
-    n = gaps.shape[-1]
+    phase-type record, on the n points of the two rows v0, v1 of
+    ``weights``, shared by the ends or a pair per end: for u = delta + f*u
+    of each end's gap law f (a row of ``gaps``, 0 past its end), sum_l u_l
+    v0_l, sum_l u_l v1_l and sum_l (2w - u)_l v0_l, w = u*u, each indexed
+    by sum, then end, on the smallest FFT length N >= 4n; and their
+    relative roundoff, rho^-n log2(N) eps times the largest tilted mass
+    sum_l u_l rho^l: untilting multiplies the spectra's error by up to
+    rho^-n, and against a direct long-double solve the sums kept within
+    1/2 of that bound."""
+    n = weights.shape[-1]
     weigh, spectrum, gain = _tilted(n, _fft_size(4 * n))
     by = weigh(weights)
     renewal = spectrum(gaps)
@@ -1004,7 +1016,7 @@ def _renewal_sums(gaps: np.ndarray, weights: np.ndarray
     square -= 1.0
     square *= renewal
     noise = gain * float(renewal[..., 0].real.max())
-    return _totals(by, renewal).T, _totals(by, square).T, noise
+    return np.hstack((_totals(by, renewal), _totals(by[..., :1, :], square))).T, noise
 
 
 def _support(gaps: np.ndarray) -> int:

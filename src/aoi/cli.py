@@ -12,9 +12,9 @@ that subcommand's own parser from the tree :func:`build_parser` defines:
 each word an exact option string of a plain store action followed by its
 value, or ``--json``.  Any other argv (an abbreviation, the ``=`` form,
 ``-h``, ``--``, a value starting with ``-`` or one its type refuses, a
-missing required option) goes unchanged to argparse, which stays the one
-source of help and usage errors.  The text report is built only when it
-is printed, never for ``--json``.
+missing required option) goes unchanged to the top-level parser, which
+stays the one source of help and usage errors.  The text report is built
+only when it is printed, never for ``--json``.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed verbatim so scripts can branch on it), 2 on usage errors.  The
@@ -152,63 +152,51 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
-def _walk(parser: argparse.ArgumentParser, words) -> argparse.Namespace | None:
-    """``parser.parse_known_args(words)``'s namespace, read in one walk
-    when every word is an exact option string of a plain store action
+def _walk(argv) -> argparse.Namespace | None:
+    """``_parser().parse_args(argv)``'s namespace, read in one walk over
+    the subcommand's own parser when ``argv`` names a subcommand first and
+    every later word is an exact option string of a plain store action
     followed by one value that does not start with ``-``, converted by the
     action's ``type`` and within its ``choices``, or of a store-constant
     flag (``--json``); then the defaults fill every other ``dest``.  None
-    for any other argv, which argparse must read: an abbreviation, the
-    ``=`` form, ``-h``, ``--``, a value starting with ``-`` or one its
-    ``type`` refuses, or a required option left out."""
-    options, values, i = parser._option_string_actions, {}, 0
-    while i < len(words):
-        action = options.get(words[i])
+    for any other argv, which argparse must read: no subcommand first, an
+    abbreviation, the ``=`` form, ``-h``, ``--``, a value starting with
+    ``-`` or one its ``type`` refuses, or a required option left out."""
+    parser = _subparsers().get(argv[0]) if argv else None
+    if parser is None:
+        return None
+    options, values, i = parser._option_string_actions, {"command": argv[0]}, 1
+    while i < len(argv):
+        action = options.get(argv[i])
         if isinstance(action, argparse._StoreConstAction):
             values[action.dest] = action.const
             i += 1
             continue
         if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or i + 1 == len(words) or words[i + 1].startswith("-")):
+                or i + 1 == len(argv) or argv[i + 1].startswith("-")):
             return None
         try:
-            value = words[i + 1] if action.type is None else action.type(words[i + 1])
+            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
         if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
         i += 2
-    defaults = {}
     for action in parser._actions:
-        if action.dest in values:
-            continue
-        if action.required:
+        if action.required and action.dest not in values:
             return None
         if argparse.SUPPRESS not in (action.dest, action.default):  # -h
-            defaults[action.dest] = action.default
-    return argparse.Namespace(**defaults, **values)
+            values.setdefault(action.dest, action.default)
+    return argparse.Namespace(**values)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)`` without the top-level pass: an argv
-    that starts with a subcommand is read by :func:`_walk` over that
-    subcommand's own parser or, where the walk returns None, by that
-    parser's ``parse_known_args``, as the top-level parser would hand it
-    on, leftovers being the top-level parser's usage error; any other argv
-    (none, ``-h``, an unknown command, an option first) takes the
-    top-level parser."""
+    """``_parser().parse_args(argv)``: the namespace of :func:`_walk`
+    where it reads ``argv``, else that of the top-level parser, which
+    alone prints help and usage errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _subparsers().get(argv[0]) if argv else None
-    if parser is None:
-        return _parser().parse_args(argv)
-    args = _walk(parser, argv[1:])
-    if args is None:
-        args, extra = parser.parse_known_args(argv[1:])
-        if extra:
-            _parser().error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    return _walk(argv) or _parser().parse_args(argv)
 
 
 def _resolve_seed(args) -> int:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields as _dc_fields
 from enum import Enum
@@ -764,7 +765,8 @@ def from_dict(data: Mapping) -> Distribution:
         if any(isinstance(x, bool) for x in values):  # JSON true is 1
             raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
                              f"a number, got {v!r}")
-        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+        if any(isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max
+               for x in values):  # nan, inf or an int past the float range
             raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
                              f"finite, got {v!r}")
     return cls(**params)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -121,6 +122,8 @@ class SweepSpec:
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
                for v in grid):  # JSON true is 1
             raise ValueError(f"grid must hold numbers, got {self.grid!r}")
+        if not all(abs(v) <= sys.float_info.max for v in grid):  # nan, inf, 10**400
+            raise ValueError(f"grid must hold finite numbers, got {self.grid!r}")
         if isinstance(self.estimators, str):
             raise ValueError("estimators must be a list of tags, "
                              f"got {self.estimators!r}")

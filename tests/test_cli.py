@@ -319,6 +319,35 @@ def test_usage_error_non_finite_law_parameter(capsys):
     assert "'upper' of kind 'uniform' must be finite" in capsys.readouterr().err
 
 
+# A JSON integer past the float range, in one parameter of each kind: it
+# once ended every command in an OverflowError traceback.
+BIG = 10**400
+HUGE_INT_LAWS = [
+    ("exponential", "rate", {"rate": BIG}),
+    ("shifted_exponential", "shift", {"rate": 1, "shift": BIG}),
+    ("deterministic", "value", {"value": BIG}),
+    ("uniform", "upper", {"lower": 0, "upper": BIG}),
+    ("rayleigh", "scale", {"scale": BIG}),
+    ("erlang", "shape", {"shape": BIG, "rate": 1}),
+    ("hyperexponential", "rates", {"weights": [0.5, 0.5], "rates": [1, BIG]}),
+]
+
+
+@pytest.mark.parametrize("flag", ["--interarrival", "--service"])
+@pytest.mark.parametrize("kind,name,params", HUGE_INT_LAWS,
+                         ids=[kind for kind, _, _ in HUGE_INT_LAWS])
+def test_usage_error_law_parameter_past_the_float_range(capsys, kind, name,
+                                                        params, flag):
+    laws = {"--interarrival": EXP1, "--service": EXP1,
+            flag: json.dumps({"kind": kind, **params})}
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--discipline", "dropping", *(
+            word for item in laws.items() for word in item), "--json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert f"argument {flag}: parameter {name!r} of kind {kind!r} must be finite" in err
+
+
 def test_usage_error_boolean_law_parameter(capsys):
     # JSON true is the int 1 to Python, which every positivity check would
     # pass.
@@ -698,11 +727,17 @@ def test_sweep_spec_options_are_not_read(capsys, tmp_path, options):
      "interarrival law must have a positive mean"),
     # JSON nested past the decoder's depth limit, written as text
     (DEEP_JSON, "maximum recursion depth exceeded"),
+    # an integer past the float range, in the grid or the template
+    ({**SWEEP_SPEC, "grid": [0.5, BIG]}, "grid must hold finite numbers"),
+    ({**SWEEP_SPEC, "interarrival": {"kind": "uniform", "upper": BIG},
+      "swept_param": "lower", "grid": [0.5, 1.0]},
+     "parameter 'upper' of kind 'uniform' must be finite"),
 ], ids=["missing-key", "missing-file", "negative-base-seed", "wide-base-seed",
         "fractional-base-seed", "fractional-sim-cycles", "one-sim-cycle",
         "huge-sim-cycles",
         "bad-later-grid-point",
-        "degenerate-pair-exact", "degenerate-pair-simulate", "deeply-nested"])
+        "degenerate-pair-exact", "degenerate-pair-simulate", "deeply-nested",
+        "huge-int-grid", "huge-int-template"])
 def test_sweep_bad_spec_is_usage_error(capsys, tmp_path, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
@@ -1154,16 +1189,34 @@ def test_one_pass_parse_reads_sys_argv(capsys, monkeypatch):
     assert cli._parse(None) == cli.build_parser().parse_args(argv)
 
 
-def test_a_subcommand_argv_takes_no_top_level_pass(capsys, monkeypatch):
-    # Only an argv that names no subcommand first reaches the top-level
-    # parser's own pass.
-    def refused(*args, **kwargs):
-        raise AssertionError("top-level pass")
-    monkeypatch.setattr(cli._parser(), "parse_known_args", refused)
-    code, out, _ = run(capsys, *PARSE_CASES["check-properties"])
-    assert code == 0 and json.loads(out)["command"] == "check-properties"
-    with pytest.raises(AssertionError, match="top-level pass"):
-        main(PARSE_CASES["option-before-command"])
+def test_an_argv_the_walk_refuses_takes_one_top_level_pass(capsys, tmp_path,
+                                                          monkeypatch):
+    # Every argv the walk does not read, from a subcommand's usage error
+    # to one that names no subcommand first, takes exactly one pass of the
+    # top-level parser and gets the parser tree's outcome; every argv the
+    # walk reads takes none.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "law.json").write_text(LAW, encoding="utf-8")
+    parse, calls = cli._parser().parse_args, []
+
+    def counted(argv):
+        calls.append(list(argv))
+        return parse(argv)
+    monkeypatch.setattr(cli._parser(), "parse_args", counted)
+    refused = []
+    for name, argv in PARSE_CASES.items():
+        want = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        calls.clear()
+        assert parse_outcome(capsys, cli._parse, argv) == want, name
+        assert calls in ([], [argv]), name
+        refused += [name] * len(calls)
+    assert refused == [
+        "equals-and-file", "abbreviated", "negative-seed", "unknown-flag",
+        "leftovers", "missing-required", "bad-law-json", "bad-law-file",
+        "bad-choice", "bad-kind", "fractional-cycles", "missing-value",
+        "no-arguments", "help", "subcommand-help", "unknown-command",
+        "option-before-command", "flag-for-value", "flag-like-value",
+        "terminator", "help-after-flags", "good-then-bad-law", "deep-law"]
 
 
 def test_a_well_formed_argv_takes_no_argparse_pass(tmp_path, monkeypatch):
