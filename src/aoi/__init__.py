@@ -16,7 +16,7 @@ from .distributions import (Deterministic, Distribution, Erlang, Exponential,
 from .errors import (AoiError, DivergentAge, TruncationNotReached,
                      ZeroSuccessProbability)
 from .experiments import (SweepResult, SweepRow, SweepSpec, emit_chart,
-                          emit_csv, read_csv, run_sweep)
+                          emit_csv, run_sweep)
 from .sim import (AgeEstimate, CycleRecord, CycleRecords, CycleStatistics,
                   Discipline, Moment, SimConfig, cycle_statistics,
                   run_simulation)

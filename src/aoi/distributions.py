@@ -22,7 +22,8 @@ family of laws. Each law is a frozen dataclass exposing
   partial moments E[X^k; X <= t], k <= 2, and the residual law
   W = (X - t | X > t), which stays in the family (D, U), is a phase
   shape (the phase laws) or is the Rayleigh law's tail,
-* (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
+* (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag;
+  every law refuses a boolean or non-finite parameter when it is built.
 
 Nothing here integrates.  The strict ccdf convention matches the
 simulator's tie rule (a completion at exactly an arrival instant counts as
@@ -343,7 +344,21 @@ class Distribution(ABC):
         phases of rate r_i; ``None`` for a law that is not one."""
         return None
 
-    # -- serialization ------------------------------------------------------
+    # -- parameters and serialization ---------------------------------------
+
+    def _check_parameters(self) -> None:
+        """Refuse a bool and any number that is not a finite float, in each
+        parameter or its tuple: True is the int 1 and inf passes a
+        positivity check, and an int past the float range would end in an
+        ``OverflowError`` later.  Each law's ``__post_init__`` calls it
+        first."""
+        for name, v in vars(self).items():  # the fields, as given
+            for x in v if isinstance(v, (tuple, list)) else (v,):
+                if isinstance(x, bool) or (isinstance(x, (int, float))
+                                           and not abs(x) <= sys.float_info.max):
+                    need = "a number" if isinstance(x, bool) else "finite"
+                    raise ValueError(f"parameter {name!r} of kind {self.kind!r} "
+                                     f"must be {need}, got {v!r}")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -494,6 +509,7 @@ class Exponential(_PhaseMix):
     kind: ClassVar[str] = "exponential"
 
     def __post_init__(self):
+        self._check_parameters()
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be > 0, got {self.rate}")
 
@@ -511,6 +527,7 @@ class ShiftedExponential(_PhaseMix):
     kind: ClassVar[str] = "shifted_exponential"
 
     def __post_init__(self):
+        self._check_parameters()
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not self.shift >= 0:
@@ -528,6 +545,7 @@ class Deterministic(Distribution):
     kind: ClassVar[str] = "deterministic"
 
     def __post_init__(self):
+        self._check_parameters()
         if not self.value >= 0:
             raise ValueError(f"value must be >= 0, got {self.value}")
 
@@ -568,6 +586,7 @@ class Uniform(Distribution):
     kind: ClassVar[str] = "uniform"
 
     def __post_init__(self):
+        self._check_parameters()
         if not self.lower >= 0:
             raise ValueError(f"lower must be >= 0, got {self.lower}")
         if not self.upper > self.lower:
@@ -628,6 +647,7 @@ class Rayleigh(Distribution):
     kind: ClassVar[str] = "rayleigh"
 
     def __post_init__(self):
+        self._check_parameters()
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
@@ -696,6 +716,7 @@ class Erlang(_PhaseMix):
     kind: ClassVar[str] = "erlang"
 
     def __post_init__(self):
+        self._check_parameters()
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
         if not self.rate > 0:
@@ -719,6 +740,7 @@ class Hyperexponential(_PhaseMix):
     kind: ClassVar[str] = "hyperexponential"
 
     def __post_init__(self):
+        self._check_parameters()
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.weights) < 2 or len(self.weights) != len(self.rates):
@@ -742,7 +764,10 @@ _KINDS: dict[str, type] = {
 
 
 def from_dict(data: Mapping) -> Distribution:
-    """Build a distribution from ``{"kind": ..., <params by name>}``."""
+    """Build a distribution from ``{"kind": ..., <params by name>}``, a
+    JSON list as a tuple.  A missing or unknown kind and a missing or
+    unknown parameter raise ``ValueError`` here; the law itself refuses a
+    boolean or non-finite value."""
     if not isinstance(data, Mapping) or "kind" not in data:
         raise ValueError(f"distribution spec needs a 'kind' field, got {data!r}")
     kind = data["kind"]
@@ -750,7 +775,8 @@ def from_dict(data: Mapping) -> Distribution:
     if cls is None:
         raise ValueError(f"unknown distribution kind {kind!r}; "
                          f"supported: {sorted(_KINDS)}")
-    params = {k: v for k, v in data.items() if k != "kind"}
+    params = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in data.items() if k != "kind"}
     names = {f.name for f in _dc_fields(cls)}
     unknown = set(params) - names
     if unknown:
@@ -758,17 +784,6 @@ def from_dict(data: Mapping) -> Distribution:
     missing = names - set(params)
     if missing:
         raise ValueError(f"missing parameter(s) {sorted(missing)} for kind {kind!r}")
-    for k, v in list(params.items()):
-        if isinstance(v, list):
-            params[k] = v = tuple(v)
-        values = v if isinstance(v, tuple) else (v,)
-        if any(isinstance(x, bool) for x in values):  # JSON true is 1
-            raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
-                             f"a number, got {v!r}")
-        if any(isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max
-               for x in values):  # nan, inf or an int past the float range
-            raise ValueError(f"parameter {k!r} of kind {kind!r} must be "
-                             f"finite, got {v!r}")
     return cls(**params)
 
 

@@ -2,12 +2,13 @@
 
 A sweep fixes the service law and a template for the interarrival law with
 one swept parameter, then evaluates a chosen set of estimators at every
-grid point.  Results land in a flat row table that serializes to CSV
-(``param,estimator,value,ci,applicability``) and renders to a simple SVG
-line chart with confidence bands.  Per-point simulation seeds derive from
-``(base_seed, point_index)``, so appending grid points never perturbs
-existing ones, and identical specs reproduce byte-identical outputs; the
-other estimators read no seed.
+grid point.  Results land in a flat row table, which :func:`emit_csv`
+writes as CSV (``param,estimator,value,ci,applicability``) and
+:func:`emit_chart` draws as an SVG line chart with confidence bands; both
+are outputs only, and nothing here reads them back.  Per-point simulation
+seeds derive from ``(base_seed, point_index)``, so appending grid points
+never perturbs existing ones, and identical specs reproduce byte-identical
+outputs; the other estimators read no seed.
 
 Estimator tags: ``simulate`` and the tags of :data:`ESTIMATORS`, the one
 table that says which call computes each exact age and bound, for which
@@ -47,7 +48,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "emit_csv",
-    "read_csv",
     "emit_chart",
 ]
 
@@ -158,23 +158,11 @@ class SweepSpec:
         spec[self.swept_param] = value
         return from_dict(spec)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "discipline": self.discipline.value,
-            "interarrival": dict(self.interarrival_template),
-            "swept_param": self.swept_param,
-            "grid": list(self.grid),
-            "service": self.service.to_dict(),
-            "estimators": list(self.estimators),
-            "sim_cycles": self.sim_cycles,
-            "base_seed": self.base_seed,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`: a missing key without a default
-        raises ``ValueError`` naming it; a key it does not read is ignored."""
+        """The spec a sweep JSON object holds, its template under
+        ``interarrival``: a missing key without a default raises
+        ``ValueError`` naming it; a key it does not read is ignored."""
         try:
             return cls(
                 name=data["name"],
@@ -210,9 +198,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-
-    def column(self, estimator: str) -> list[SweepRow]:
-        return [r for r in self.rows if r.estimator == estimator]
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -280,28 +265,6 @@ def emit_csv(result: SweepResult, path) -> None:
                 "" if r.ci is None else repr(r.ci),
                 r.applicability,
             ])
-
-
-def read_csv(path) -> SweepResult:
-    """Inverse of :func:`emit_csv`."""
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header!r} in {path}")
-            for param, estimator, value, ci, applicability in reader:
-                rows.append(SweepRow(
-                    param=float(param),
-                    estimator=estimator,
-                    value=None if value == "divergent" else float(value),
-                    ci=None if ci == "" else float(ci),
-                    applicability=applicability,
-                ))
-    except OSError as exc:
-        raise OSError(f"cannot read sweep CSV from {path}: {exc}") from exc
-    return SweepResult(rows=tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -410,14 +373,15 @@ def _quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-def render_chart_svg(result: SweepResult, title: str = "",
-                     xlabel: str = "swept parameter") -> str:
-    """Line chart with CI bands; an interior minimum of any series gets a
-    marker with id ``local-minimum-<estimator>``.  The title, axis label
-    and legend text nodes have ``&``, ``<`` and ``>`` escaped; the marker
-    id is quoted as :func:`_quoteattr` quotes it.  Each parses back to the
-    text given, except that XML reads a carriage return in a text node as a
-    newline."""
+def emit_chart(result: SweepResult, path, title: str = "",
+               xlabel: str = "swept parameter") -> None:
+    """Write the sweep to ``path`` as an SVG line chart with CI bands, its
+    bytes a function of the arguments alone; an interior minimum of any
+    series gets a marker with id ``local-minimum-<estimator>``.  The title,
+    axis label and legend text nodes have ``&``, ``<`` and ``>`` escaped;
+    the marker id is quoted as :func:`_quoteattr` quotes it.  Each parses
+    back to the text given, except that XML reads a carriage return in a
+    text node as a newline."""
     series = _series(result)
     sx, sy, (x_lo, x_hi), (y_lo, y_hi) = _scales(series)
     parts = [
@@ -481,11 +445,4 @@ def render_chart_svg(result: SweepResult, title: str = "",
                      f'font-size="12">{_escape(tag)}</text>')
         legend_y += 18
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def emit_chart(result: SweepResult, path, title: str = "",
-               xlabel: str = "swept parameter") -> None:
-    """Render the sweep to an SVG file (deterministic bytes)."""
-    Path(path).write_text(render_chart_svg(result, title=title, xlabel=xlabel),
-                          encoding="utf-8")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

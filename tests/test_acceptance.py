@@ -199,7 +199,7 @@ def test_criterion_5_preemption_non_monotonicity():
         estimators=("simulate", "exact"),
         sim_cycles=20_000, base_seed=55)
     result = run_sweep(spec)
-    sim = result.column("simulate")
+    sim = [r for r in result.rows if r.estimator == "simulate"]
     if any(r.value is None for r in sim):
         failures.append("divergent simulation point")
     else:
@@ -214,8 +214,7 @@ def test_criterion_5_preemption_non_monotonicity():
                    if a.value - 3 * a.ci > b.value + 3 * b.ci]
         if not falling:
             failures.append("no initial decrease")
-        exact = result.column("exact")
-        values = [r.value for r in exact]
+        values = [r.value for r in result.rows if r.estimator == "exact"]
         i_min = values.index(min(values))
         if not (0 < i_min < len(values) - 1):
             failures.append("exact column has no interior minimum")

@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import mpmath
@@ -969,3 +969,21 @@ def test_json_round_trip(dist):
 def test_invalid_specs_raise(bad):
     with pytest.raises(ValueError):
         from_dict(bad)
+
+
+@pytest.mark.parametrize("bad", [10**400, math.inf, math.nan, True],
+                         ids=["int-past-float", "inf", "nan", "bool"])
+@pytest.mark.parametrize("law,name", [
+    (law, f.name) for law in ALL_KINDS for f in fields(law)],
+    ids=lambda v: v if isinstance(v, str) else v.kind)
+def test_a_law_built_in_python_refuses_a_bad_number(law, name, bad):
+    # Built directly, not through from_dict: True is the int 1 and inf
+    # passes a positivity check, and an int past the float range once
+    # ended in an OverflowError at first use.  One entry of a tuple is
+    # enough.
+    value = getattr(law, name)
+    value = (value[0], bad) if isinstance(value, tuple) else bad
+    what = "a number" if bad is True else "finite"
+    with pytest.raises(ValueError, match=rf"^parameter '{name}' of kind "
+                       rf"'{law.kind}' must be {what}, got "):
+        replace(law, **{name: value})
