@@ -425,7 +425,16 @@ def main(argv=None) -> int:
             # checked, as --seed is, though no estimator reads it
             raise SystemExit(f"aoi {args.command}: mc_samples must be >= "
                              f"10000, got {args.mc_samples}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``aoi kpmf ... | head -1``): point
+        # stdout at devnull, so that the interpreter's last flush cannot
+        # raise again, and exit as a shell shows ``yes | head``, 128 +
+        # SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AoiError as exc:
         name = type(exc).__name__
         if getattr(args, "as_json", False):

@@ -22,8 +22,16 @@ family of laws. Each law is a frozen dataclass exposing
   partial moments E[X^k; X <= t], k <= 2, and the residual law
   W = (X - t | X > t), which stays in the family (D, U), is a phase
   shape (the phase laws) or is the Rayleigh law's tail,
-* (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag;
-  every law refuses a boolean or non-finite parameter when it is built.
+* (de)serialization to JSON-ready dicts keyed by a snake_case ``kind`` tag.
+
+One rule checks every law's parameters when it is built, in Python or from
+JSON: each law declares its domain in ``_domain``, each parameter's least
+value and whether it may equal it, and :class:`Distribution` refuses, by
+the parameter's name, anything that is not a finite real number in that
+domain (a bool, a string, None, a list or a dict as a number; a non-list
+as a tuple field; a non-integer as an ``int`` field).  Only a check that
+joins two parameters (Uniform's order, the hyperexponential law's lengths
+and sum) stays in the law.
 
 Nothing here integrates.  The strict ccdf convention matches the
 simulator's tie rule (a completion at exactly an arrival instant counts as
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields as _dc_fields
@@ -279,10 +288,46 @@ class MrlVerdict(str, Enum):
         return self is not MrlVerdict.IMRL
 
 
+@functools.cache
+def _parameters(cls) -> tuple[tuple[str, str, float, bool], ...]:
+    """(name, kind, least, closed) for each field of the law class ``cls``,
+    read once.  The kind, "float", "int" or "tuple", is the name of the
+    field's annotation (a type, or a string under postponed evaluation)
+    before any ``[``; least and closed come from ``cls._domain``, any
+    finite real where that names none."""
+    return tuple((f.name, getattr(f.type, "__name__", f.type).split("[")[0],
+                  *cls._domain.get(f.name, (-math.inf, True)))
+                 for f in _dc_fields(cls))
+
+
+def _lack(x, kind: str, least: float, closed: bool) -> str | None:
+    """What x lacks as a value of a parameter of this kind and domain, or
+    None; a tuple's entries are each a float in the domain.  True is the
+    int 1 and inf passes a positivity check, so a bool and a number past
+    the float range are refused; an int or a float takes the fast path past
+    the ``numbers`` check."""
+    if kind == "tuple":
+        if not isinstance(x, (list, tuple)):
+            return "a list of numbers"
+        return next(filter(None, (_lack(e, "float", least, closed) for e in x)), None)
+    if type(x) not in (int, float) and (isinstance(x, bool)
+                                        or not isinstance(x, numbers.Real)):
+        return "a number"
+    if not abs(x) <= sys.float_info.max:
+        return "finite"
+    if kind == "int" and not isinstance(x, numbers.Integral):
+        return "an integer"
+    if not (x >= least if closed else x > least):
+        return f"{'>=' if closed else '>'} {least}"
+    return None
+
+
 class Distribution(ABC):
     """A nonnegative random variable with analytic descriptors."""
 
     kind: ClassVar[str]
+    # Each parameter's least value and whether it may equal it, by name.
+    _domain: ClassVar[Mapping[str, tuple[float, bool]]] = {}
 
     # -- sampling ---------------------------------------------------------
 
@@ -346,30 +391,30 @@ class Distribution(ABC):
 
     # -- parameters and serialization ---------------------------------------
 
-    def _check_parameters(self) -> None:
-        """Refuse a bool and any number that is not a finite float, in each
-        parameter or its tuple: True is the int 1 and inf passes a
-        positivity check, and an int past the float range would end in an
-        ``OverflowError`` later.  Each law's ``__post_init__`` calls it
-        first."""
-        for name, v in vars(self).items():  # the fields, as given
-            for x in v if isinstance(v, (tuple, list)) else (v,):
-                if isinstance(x, bool) or (isinstance(x, (int, float))
-                                           and not abs(x) <= sys.float_info.max):
-                    need = "a number" if isinstance(x, bool) else "finite"
-                    raise ValueError(f"parameter {name!r} of kind {self.kind!r} "
-                                     f"must be {need}, got {v!r}")
+    def __post_init__(self) -> None:
+        """The one parameter check: refuse, by name, a parameter that its
+        field's kind and the law's ``_domain`` do not admit (:func:`_lack`),
+        store a tuple field as a tuple of floats, then run the law's
+        :meth:`_check_joint`."""
+        for name, kind, least, closed in _parameters(type(self)):
+            v = getattr(self, name)
+            if lack := _lack(v, kind, least, closed):
+                raise ValueError(f"parameter {name!r} of kind {self.kind!r} "
+                                 f"must be {lack}, got {v!r}")
+            if kind == "tuple":
+                object.__setattr__(self, name, tuple(map(float, v)))
+        self._check_joint()
 
+    def _check_joint(self) -> None:
+        """Refuse parameters that break a rule joining two of them."""
+
+    # vars(self) holds a law's parameters alone, in the fields' order.
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for f in _dc_fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {"kind": self.kind, **{name: list(v) if isinstance(v, tuple) else v
+                                      for name, v in vars(self).items()}}
 
     def describe(self) -> str:
-        params = ", ".join(f"{f.name}={getattr(self, f.name)}"
-                           for f in _dc_fields(self))  # type: ignore[arg-type]
+        params = ", ".join(f"{name}={v}" for name, v in vars(self).items())
         return f"{self.kind}({params})"
 
 
@@ -507,11 +552,7 @@ class Exponential(_PhaseMix):
 
     rate: float
     kind: ClassVar[str] = "exponential"
-
-    def __post_init__(self):
-        self._check_parameters()
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be > 0, got {self.rate}")
+    _domain = {"rate": (0, False)}
 
     def phases(self):
         return 0.0, ((1.0,), (1,), (self.rate,))
@@ -525,13 +566,7 @@ class ShiftedExponential(_PhaseMix):
     rate: float
     shift: float
     kind: ClassVar[str] = "shifted_exponential"
-
-    def __post_init__(self):
-        self._check_parameters()
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        if not self.shift >= 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+    _domain = {"rate": (0, False), "shift": (0, True)}
 
     def phases(self):
         return self.shift, ((1.0,), (1,), (self.rate,))
@@ -543,11 +578,7 @@ class Deterministic(Distribution):
 
     value: float
     kind: ClassVar[str] = "deterministic"
-
-    def __post_init__(self):
-        self._check_parameters()
-        if not self.value >= 0:
-            raise ValueError(f"value must be >= 0, got {self.value}")
+    _domain = {"value": (0, True)}
 
     def sample_array(self, rng, n):
         return np.full(n, float(self.value))
@@ -584,11 +615,9 @@ class Uniform(Distribution):
     lower: float
     upper: float
     kind: ClassVar[str] = "uniform"
+    _domain = {"lower": (0, True)}
 
-    def __post_init__(self):
-        self._check_parameters()
-        if not self.lower >= 0:
-            raise ValueError(f"lower must be >= 0, got {self.lower}")
+    def _check_joint(self):
         if not self.upper > self.lower:
             raise ValueError(f"upper must exceed lower, got ({self.lower}, {self.upper})")
 
@@ -645,11 +674,7 @@ class Rayleigh(Distribution):
 
     scale: float
     kind: ClassVar[str] = "rayleigh"
-
-    def __post_init__(self):
-        self._check_parameters()
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+    _domain = {"scale": (0, False)}
 
     def sample_array(self, rng, n):
         return rng.rayleigh(self.scale, n)
@@ -714,13 +739,7 @@ class Erlang(_PhaseMix):
     shape: int
     rate: float
     kind: ClassVar[str] = "erlang"
-
-    def __post_init__(self):
-        self._check_parameters()
-        if not (isinstance(self.shape, int) and self.shape >= 1):
-            raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+    _domain = {"shape": (1, True), "rate": (0, False)}
 
     def phases(self):
         return 0.0, ((1.0,), (self.shape,), (self.rate,))
@@ -738,17 +757,11 @@ class Hyperexponential(_PhaseMix):
     weights: tuple[float, ...]
     rates: tuple[float, ...]
     kind: ClassVar[str] = "hyperexponential"
+    _domain = {"weights": (0, False), "rates": (0, False)}
 
-    def __post_init__(self):
-        self._check_parameters()
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+    def _check_joint(self):
         if len(self.weights) < 2 or len(self.weights) != len(self.rates):
             raise ValueError("need matching weights/rates with at least two phases")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError(f"weights must be > 0, got {self.weights}")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError(f"rates must be > 0, got {self.rates}")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)!r}")
 
@@ -764,19 +777,18 @@ _KINDS: dict[str, type] = {
 
 
 def from_dict(data: Mapping) -> Distribution:
-    """Build a distribution from ``{"kind": ..., <params by name>}``, a
-    JSON list as a tuple.  A missing or unknown kind and a missing or
-    unknown parameter raise ``ValueError`` here; the law itself refuses a
-    boolean or non-finite value."""
+    """Build a distribution from ``{"kind": ..., <params by name>}``.  A
+    missing or unknown kind (a non-string one too) and a missing or unknown
+    parameter raise ``ValueError`` here; the law itself refuses a value
+    outside its parameter's domain."""
     if not isinstance(data, Mapping) or "kind" not in data:
         raise ValueError(f"distribution spec needs a 'kind' field, got {data!r}")
     kind = data["kind"]
-    cls = _KINDS.get(kind)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown distribution kind {kind!r}; "
                          f"supported: {sorted(_KINDS)}")
-    params = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in data.items() if k != "kind"}
+    params = {k: v for k, v in data.items() if k != "kind"}
     names = {f.name for f in _dc_fields(cls)}
     unknown = set(params) - names
     if unknown:

@@ -358,6 +358,50 @@ def test_usage_error_boolean_law_parameter(capsys):
     assert "'rate' of kind 'exponential' must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law,message", [
+    # A JSON object and a string are iterable, so the object's keys once
+    # passed as the weights and the string's digits as the rates, and the
+    # command exited 0.
+    ('{"kind": "hyperexponential", "weights": {"0.25": 9, "0.75": 9}, '
+     '"rates": "12"}',
+     "parameter 'weights' of kind 'hyperexponential' must be a list of numbers"),
+    ('{"kind": "exponential", "rate": "1"}',
+     "parameter 'rate' of kind 'exponential' must be a number"),
+    ('{"kind": "rayleigh", "scale": null}',
+     "parameter 'scale' of kind 'rayleigh' must be a number"),
+    ('{"kind": "deterministic", "value": [1]}',
+     "parameter 'value' of kind 'deterministic' must be a number"),
+    ('{"kind": "uniform", "lower": {}, "upper": 1}',
+     "parameter 'lower' of kind 'uniform' must be a number"),
+    ('{"kind": []}', "unknown distribution kind []"),
+], ids=["h2-dict-and-string", "str", "null", "list", "dict", "list-kind"])
+def test_usage_error_law_parameter_not_a_number(capsys, law, message):
+    # Each once ended in a TypeError that named no parameter, or in none.
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--discipline", "dropping", "--interarrival", law,
+              "--service", EXP1, "--json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "not supported" not in err
+    assert "unhashable" not in err
+    assert f"argument --interarrival: {message}" in err
+
+
+def test_a_reader_that_stops_early_ends_the_command_with_141():
+    # ``aoi kpmf ... | head -1``: the report is longer than a pipe's
+    # buffer, so the write fails once the reader has gone; the command
+    # once printed a BrokenPipeError traceback and exited 1.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aoi.cli", "kpmf", *PAIR, "--k-max", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_usage_error_unknown_discipline(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--discipline", "sideways",

@@ -971,19 +971,61 @@ def test_invalid_specs_raise(bad):
         from_dict(bad)
 
 
-@pytest.mark.parametrize("bad", [10**400, math.inf, math.nan, True],
-                         ids=["int-past-float", "inf", "nan", "bool"])
+@pytest.mark.parametrize("bad", [10**400, math.inf, math.nan, True, "1", None,
+                                 [1], {}],
+                         ids=["int-past-float", "inf", "nan", "bool", "str",
+                              "none", "list", "dict"])
 @pytest.mark.parametrize("law,name", [
     (law, f.name) for law in ALL_KINDS for f in fields(law)],
     ids=lambda v: v if isinstance(v, str) else v.kind)
 def test_a_law_built_in_python_refuses_a_bad_number(law, name, bad):
     # Built directly, not through from_dict: True is the int 1 and inf
-    # passes a positivity check, and an int past the float range once
-    # ended in an OverflowError at first use.  One entry of a tuple is
-    # enough.
+    # passes a positivity check, an int past the float range once ended in
+    # an OverflowError at first use, and a string, None, list or dict once
+    # ended in a TypeError that named no parameter.  One entry of a tuple
+    # is enough.
     value = getattr(law, name)
     value = (value[0], bad) if isinstance(value, tuple) else bad
-    what = "a number" if bad is True else "finite"
+    what = "finite" if isinstance(bad, (int, float)) and bad is not True else "a number"
     with pytest.raises(ValueError, match=rf"^parameter '{name}' of kind "
                        rf"'{law.kind}' must be {what}, got "):
         replace(law, **{name: value})
+
+
+@pytest.mark.parametrize("bad", ["12", {"0.25": 9, "0.75": 9}, 0.5],
+                         ids=["str", "dict", "scalar"])
+@pytest.mark.parametrize("name", ["weights", "rates"])
+def test_a_tuple_parameter_refuses_a_non_list(name, bad):
+    # A string or a dict is iterable, so it once passed as the digits or
+    # the keys of a list.
+    with pytest.raises(ValueError, match=rf"^parameter '{name}' of kind "
+                       r"'hyperexponential' must be a list of numbers, got "):
+        replace(H2, **{name: bad})
+
+
+# Any JSON value, a list of them, or an object of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda law: law.kind)
+@given(data=st.data())
+def test_from_dict_builds_finite_parameters_or_names_one(law, data):
+    names = [f.name for f in fields(law)]
+    spec = {"kind": law.kind, **{name: data.draw(
+        JSON_VALUES | st.lists(st.floats(), min_size=2, max_size=2)
+        | st.lists(st.sampled_from([-1, 0, 0.5, 1, 2, True]), max_size=3),
+        label=name)
+        for name in names}}
+    try:
+        built = from_dict(spec)
+    except ValueError as exc:
+        assert any(name in str(exc) for name in names), exc
+        return
+    for name in names:
+        value = getattr(built, name)
+        for x in value if isinstance(value, tuple) else (value,):
+            assert type(x) in (int, float) and math.isfinite(x), (name, value)

@@ -181,8 +181,9 @@ def test_phase_law_checker_flags_every_form():
 
 # A phase law is its shape: the mixture code reads every descriptor and
 # the sampler from ``phases()``, so a phase law's class holds its fields,
-# its kind, its checks and its shape, and what a frozen dataclass on an
-# abstract base makes of that.
+# its kind, its parameters' domain (the one check in ``Distribution``
+# reads it), H2's check that joins its weights and rates, and its shape,
+# and what a frozen dataclass on an abstract base makes of that.
 @dataclass(frozen=True)
 class _Bare(ABC):
     x: float
@@ -192,7 +193,7 @@ class _Bare(ABC):
 def test_a_phase_law_defines_only_its_shape(name):
     cls = getattr(distributions, name)
     own = (set(vars(cls)) - set(vars(_Bare))
-           - {f.name for f in fields(cls)} - {"kind", "__post_init__", "phases"})
+           - {f.name for f in fields(cls)} - {"kind", "_domain", "_check_joint", "phases"})
     assert own == set()
 
 
